@@ -80,7 +80,7 @@ def test_e4_cache_vs_locality(benchmark, world_medium, report,
     assert hit_rates[-1] > 0.5
     # Cached execution stays in the same band as uncached at moderate
     # locality and is a clear win at high locality. The uncached
-    # baseline runs compiled-predicate scans (see docs/VECTORIZED.md),
+    # baseline runs compiled-predicate scans (see docs/EXECUTION.md),
     # so at small per-query cost the cache's subsumption probing can be
     # a modest constant slower before hits amortize it.
     for _, hit_rate, cached_ms, uncached_ms in rows:

@@ -5,8 +5,8 @@ a single Python source file: every function with its calls, lock
 acquisitions, and shared-state writes (each annotated with the lock set
 held at that point), every class with its methods, base names, lock
 attributes, and attribute→class bindings, plus the module's thread-entry
-registrations (callables handed to ``ThreadPoolExecutor.submit``,
-``MorselPool.imap_ordered``, ``threading.Thread(target=...)``) and its
+registrations (callables handed to ``ThreadPoolExecutor.submit`` or
+``threading.Thread(target=...)``) and its
 module-level state.  :mod:`repro.analysis.concurrency.program` links the
 per-module models into one program and runs the interprocedural passes;
 nothing in this module looks beyond a single file.
@@ -95,7 +95,7 @@ class EntrySite:
     """One thread-entry registration found in the module."""
 
     raw: tuple                    # callee hint for the submitted callable
-    mechanism: str                # submit | imap_ordered | thread | task
+    mechanism: str                # submit | thread | task
     line: int
     function: str                 # qualname of the registering function
 
@@ -489,8 +489,6 @@ class _ModuleVisitor(ast.NodeVisitor):
         if isinstance(func, ast.Attribute):
             if func.attr == "submit" and node.args:
                 mechanism, target = "submit", node.args[0]
-            elif func.attr == "imap_ordered" and node.args:
-                mechanism, target = "imap_ordered", node.args[0]
             elif func.attr == "task" and not node.args:
                 # `with region.task():` — the body runs under its own
                 # task timeline, typically on a pool worker thread.

@@ -14,7 +14,7 @@ summaries and builds one :class:`Program`:
   :data:`~repro.analysis.concurrency.model.DUCK_DENYLIST` so builtin
   container verbs don't drag the whole program into every edge.
 * **thread entries** — callables registered with ``submit`` /
-  ``imap_ordered`` / ``threading.Thread(target=...)`` resolved the same
+  ``threading.Thread(target=...)`` resolved the same
   way; a registration of a *call result* (``submit(make_worker(x))``)
   makes the closures ``make_worker`` returns entries too; a function
   whose body opens ``with region.task():`` is an entry (its body runs

@@ -40,15 +40,15 @@ from a seeded ``random.Random``. These rules enforce each mechanically:
           fsync policy, atomic manifest swap). Durable state goes
           through the durable engine.
 ``L008``  No unguarded shared-state writes inside thread-entry
-          closures: a nested function handed to
-          ``MorselPool.imap_ordered`` / ``pool.submit`` (directly or
-          through a closure-returning factory) runs off the
+          closures: a nested function handed to ``pool.submit`` /
+          ``Thread(target=...)`` (directly or through a
+          closure-returning factory) runs off the
           coordinating thread, so it must stay pure — no attribute or
           subscript assignment, no ``nonlocal`` rebinding — unless a
           lock guards the write. Like L003 this now rides the
           reachability engine: the *registration* makes a closure a
           worker, not the directory it lives in. Purity is what keeps
-          results bit-identical across worker counts.
+          results independent of thread scheduling.
 ========  ==============================================================
 
 L003 and L008 are aliases over the concurrency analyzer's CONC101

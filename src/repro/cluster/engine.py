@@ -8,7 +8,7 @@ the router, materializes the rows into a local overlay *view* (a plain
 :class:`~repro.core.drugtree.DrugTree` rebuilt in global row-id order,
 so every scan and index path emits rows in the same order as the
 single-node engine), injects the cluster-wide table statistics so the
-planner and adaptive engine make the same choices, and then delegates
+planner makes the same choices, and then delegates
 to a stock :class:`~repro.core.query.executor.QueryEngine`.
 
 Views are cached per ``(partition set, store version)``, so a
@@ -78,7 +78,7 @@ class ClusterEngine:
         self.labeling = self.partitioner.labeling
         self.config = config or EngineConfig()
         #: Cluster-wide table statistics injected into every view so
-        #: planner/adaptive decisions match the single-node engine.
+        #: planner decisions match the single-node engine.
         self.statistics = dict(statistics or {})
         self._schemas = {
             PROTEINS_TABLE: proteins_schema(),

@@ -16,8 +16,6 @@ from repro.core.query.adaptive import EngineChoice, choose_engine
 from repro.core.query.cache import CacheHit, SemanticCache
 from repro.core.query.cards import CardinalityEstimator
 from repro.core.query.executor import EngineConfig, QueryEngine, QueryResult
-from repro.core.query.fused import CompiledPlanCache
-from repro.core.query.morsel import MorselPool
 from repro.core.query.parser import parse_query
 from repro.core.query.planner import Planner, PlannerConfig, PlanReport
 from repro.core.query.predicates import (
@@ -34,13 +32,11 @@ __all__ = [
     "AggregateSpec",
     "Batch",
     "CacheHit",
-    "CompiledPlanCache",
     "CardinalityEstimator",
     "Comparison",
     "EngineChoice",
     "EngineConfig",
     "HavingCondition",
-    "MorselPool",
     "NormalizedQuery",
     "OrderBy",
     "PlanReport",

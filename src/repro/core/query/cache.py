@@ -167,7 +167,7 @@ class SemanticCache:
         engines share, see ``predicates.py``) — cached entries can
         hold tens of thousands of full-width rows, and per-row
         ``matches`` dispatch over them used to cost more than simply
-        re-executing the query on the adaptive engine.
+        re-executing the query.
         """
         residual = compile_residual(query.predicates)
         out = [row for row in rows if residual(row)]

@@ -23,29 +23,6 @@ SORT_ROW_FACTOR = 0.8
 AGGREGATE_ROW_COST = 0.5
 TOPK_ROW_COST = 0.4
 
-# Vectorized execution prices the same work differently: a fixed setup
-# charge (lowering, predicate compilation, ColumnStore access) that a
-# handful of index-probe matches can never amortize, then a much lower
-# per-row charge plus a per-batch overhead. The crossover between
-# ``seq_scan_cost`` and ``vec_seq_scan_cost`` lands in the
-# few-dozen-to-few-hundred-row band, which is exactly the adaptive
-# policy we want: point lookups stay on the row engine, scans and
-# aggregates go columnar.
-VEC_SETUP_COST = 48.0
-VEC_SCAN_ROW_COST = 0.12
-VEC_FILTER_ROW_COST = 0.04
-VEC_AGG_ROW_COST = 0.12
-VEC_INDEX_MATCH_COST = 1.0
-VEC_BATCH_OVERHEAD = 5.0
-#: Fused scan->filter->project/aggregate pipelines skip the
-#: intermediate Batch, so their per-row charge undercuts the plain
-#: vectorized scan.
-FUSED_SCAN_ROW_COST = 0.09
-
-#: Bounds for the statistics-driven adaptive batch size.
-MIN_VEC_BATCH = 128
-MAX_VEC_BATCH = 8192
-
 
 @dataclass(frozen=True)
 class Cost:
@@ -120,45 +97,3 @@ def topk_cost(rows: float, k: int) -> Cost:
 
 def aggregate_cost(rows: float) -> Cost:
     return Cost(rows * AGGREGATE_ROW_COST, f"aggregate {rows:.0f} rows")
-
-
-def batches_for(rows: float, batch_size: int) -> float:
-    return max(1.0, math.ceil(max(rows, 0.0) / max(batch_size, 1)))
-
-
-def vec_seq_scan_cost(table_rows: float, residual_predicates: int,
-                      batch_size: int, fused: bool = False) -> Cost:
-    per_row = FUSED_SCAN_ROW_COST if fused else VEC_SCAN_ROW_COST
-    total = (table_rows * (per_row
-                           + VEC_FILTER_ROW_COST * residual_predicates)
-             + batches_for(table_rows, batch_size) * VEC_BATCH_OVERHEAD)
-    label = "fused scan" if fused else "vec seqscan"
-    return Cost(total, f"{label} {table_rows:.0f} rows")
-
-
-def vec_index_cost(matching_rows: float, residual_predicates: int,
-                   batch_size: int) -> Cost:
-    total = (INDEX_PROBE_COST
-             + matching_rows * (VEC_INDEX_MATCH_COST
-                                + VEC_FILTER_ROW_COST * residual_predicates)
-             + batches_for(matching_rows, batch_size) * VEC_BATCH_OVERHEAD)
-    return Cost(total, f"vec index ~{matching_rows:.0f} matches")
-
-
-def vec_aggregate_cost(rows: float, batch_size: int) -> Cost:
-    total = (rows * VEC_AGG_ROW_COST
-             + batches_for(rows, batch_size) * VEC_BATCH_OVERHEAD)
-    return Cost(total, f"vec aggregate {rows:.0f} rows")
-
-
-def adaptive_batch_size(rows: float) -> int:
-    """Batch size scaled to the widest scan the plan performs.
-
-    Small inputs keep batches small (a batch far wider than the input
-    just wastes selection-vector allocation); wide scans double the
-    batch up to ``MAX_VEC_BATCH`` so per-batch overhead amortizes.
-    """
-    size = MIN_VEC_BATCH
-    while size < rows / 8 and size < MAX_VEC_BATCH:
-        size *= 2
-    return size

@@ -16,6 +16,7 @@ from repro.chem.fingerprint import circular_fingerprint, tanimoto
 from repro.chem.smiles import parse_smiles
 from repro.core.drugtree import DrugTree
 from repro.chem.substructure import SubstructurePattern, filter_library
+from repro.core.query.adaptive import EngineChoice, choose_engine
 from repro.core.query.ast import (
     REMOTE_DETAIL_COLUMNS,
     Query,
@@ -35,6 +36,7 @@ from repro.core.query.logical import (
     LogicalOrder,
     LogicalProject,
     LogicalScan,
+    rows_estimate,
 )
 from repro.core.query.parser import parse_query
 from repro.core.query.physical import (
@@ -57,6 +59,7 @@ from repro.core.query.physical import (
     TopKOp,
 )
 from repro.core.query.planner import Planner, PlannerConfig, PlanReport
+from repro.core.query.vectorized import VectorizedLowering
 from repro.errors import (
     BorrowTimeoutError,
     PlanError,
@@ -96,29 +99,23 @@ class EngineConfig:
     #: Rows buffered per scatter/gather batch when a query projects
     #: remote detail columns (see REMOTE_DETAIL_COLUMNS).
     remote_lookahead: int = 64
-    #: ``"adaptive"`` (the default: statistics pick row or vectorized
-    #: per plan — see docs/EXECUTION.md), ``"row"`` (volcano
-    #: iterators), or ``"vectorized"`` (batch-at-a-time over columnar
-    #: projections). Results are identical in every mode; see
-    #: docs/VECTORIZED.md for the parity contract.
-    execution_mode: str = "adaptive"
-    #: Rows per batch in vectorized mode. Adaptive mode treats this as
-    #: an upper default and sizes batches to the plan's widest scan.
+    #: ``"vectorized"`` (the default: batch-at-a-time over columnar
+    #: projections, except that a plan holding a node with no batch
+    #: form runs on the row engine whole — see docs/EXECUTION.md) or
+    #: ``"row"`` (volcano iterators: the reference the parity suites
+    #: compare against). Results are identical in both modes.
+    execution_mode: str = "vectorized"
+    #: Rows per batch on the vectorized path.
     vector_batch_size: int = 1024
-    #: Worker threads for morsel-parallel scans under adaptive
-    #: execution; 0 means auto (one per CPU core).
-    morsel_workers: int = 0
 
     def __post_init__(self) -> None:
-        if self.execution_mode not in ("adaptive", "row", "vectorized"):
+        if self.execution_mode not in ("vectorized", "row"):
             raise QueryError(
                 f"unknown execution mode {self.execution_mode!r} "
-                "(known: 'adaptive', 'row', 'vectorized')"
+                "(known: 'vectorized', 'row')"
             )
         if self.vector_batch_size < 1:
             raise QueryError("vector_batch_size must be positive")
-        if self.morsel_workers < 0:
-            raise QueryError("morsel_workers must be >= 0 (0 = auto)")
 
     def planner_config(self) -> PlannerConfig:
         return PlannerConfig(
@@ -193,21 +190,6 @@ class QueryEngine:
         self.tracer = tracer
         self.metrics = metrics
         self._analyzer = None  # built lazily; see the analyzer property
-        # Per-query fetch context, consumed by _remote_fetch_op during
-        # lowering (set around plan/run, cleared in a finally).
-        self._fetch_deadline: Deadline | None = None
-        self._fetch_statuses: dict[str, str] | None = None
-        # Adaptive execution: fused kernels cached per plan shape, and
-        # the last per-query engine choice (for the analyze trailer).
-        from repro.core.query.fused import CompiledPlanCache
-        self.plan_cache = CompiledPlanCache()
-        self._last_choice = None
-        # Engine choices memoized per plan shape: a point lookup must
-        # not pay a full cost walk on every execute. Dropped wholesale
-        # when the statistics epoch advances.
-        self._choice_cache: dict = {}
-        self._choice_epoch = None
-        self._adaptive_helpers = None  # lazily bound (choice_key, choose_engine)
 
     def _obs_tracer(self):
         return self.tracer if self.tracer is not None else get_tracer()
@@ -286,142 +268,15 @@ class QueryEngine:
         text = query if isinstance(query, str) else None
         if isinstance(query, str):
             query = parse_query(query)
-        tracer = self._obs_tracer()
         metrics = self._obs_metrics()
         timer = WallTimer().start()
         self.queries_executed += 1
         metrics.counter("query.executed").inc()
-
-        with tracer.span("query.execute") as span:
-            report = self._analyze_query(query, text)
-            if report is not None and report.provably_empty:
-                # The WHERE clause cannot be satisfied: answer without
-                # planning, scanning, resolving similarity filters, or
-                # any source round-trip.
-                rows = self._empty_rows(query)
-                wall = timer.stop()
-                span.set("analysis", "short_circuit")
-                span.set("rows", len(rows))
-                metrics.counter("query.analysis_short_circuit").inc()
-                metrics.histogram("query.wall_s").observe(wall)
-                metrics.counter("query.rows_returned").inc(len(rows))
-                return QueryResult(
-                    rows=rows,
-                    cache_outcome=("miss" if self.config.use_semantic_cache
-                                   else "off"),
-                    counters={"rows_scanned": 0, "rows_emitted": len(rows),
-                              "index_probes": 0, "operators": []},
-                    wall_time_s=wall,
-                )
-            if self.config.use_semantic_cache:
-                hit = self.cache.lookup(query)
-                if hit is not None:
-                    wall = timer.stop()
-                    span.set("cache", hit.kind)
-                    span.set("rows", len(hit.rows))
-                    metrics.histogram("query.wall_s").observe(wall)
-                    metrics.counter("query.rows_returned").inc(
-                        len(hit.rows)
-                    )
-                    return QueryResult(
-                        rows=hit.rows,
-                        cache_outcome=hit.kind,
-                        wall_time_s=wall,
-                    )
-
-            resilient = self._resilience_active(deadline)
-            deadline = self._as_deadline(deadline)
-            statuses: dict[str, str] = {}
-            self._fetch_deadline = deadline
-            self._fetch_statuses = statuses if resilient else None
-            try:
-                with tracer.span("query.resolve_filters"):
-                    ligand_keys, candidates, sub_candidates = \
-                        self._resolve_ligand_filters(query)
-                # Refresh the estimator if statistics went stale
-                # (bulk loads).
-                self.planner.estimator = CardinalityEstimator(
-                    self.drugtree.statistics,
-                    tables=self.drugtree.tables,
-                    metrics=metrics,
-                )
-                with tracer.span("query.plan"):
-                    plan = self.planner.plan(query,
-                                             similar_keys=ligand_keys)
-                counters = ExecCounters()
-                physical = self._build_physical(plan.logical, counters)
-                with tracer.span("query.run") as run_span:
-                    rows = list(physical.rows())
-                    if isinstance(plan.logical, LogicalEmpty):
-                        # The rewriter proved the WHERE empty and
-                        # dropped the whole tree, aggregates included;
-                        # restore the SQL shape (count→0, mean→NULL)
-                        # the naive engine and the analyzer
-                        # short-circuit both produce.
-                        rows = self._empty_rows(query)
-                    run_span.set("rows", len(rows))
-                    run_span.set("rows_scanned", counters.rows_scanned)
-            except BorrowTimeoutError:
-                raise  # a scheduler bug, never papered over
-            except SourceError:
-                stale = (self.cache.lookup_stale(query)
-                         if resilient and self.config.use_semantic_cache
-                         else None)
-                if stale is None:
-                    raise
-                # Last line of degradation: the live answer is gone,
-                # but the last known one is not. Serve it, flagged.
-                wall = timer.stop()
-                span.set("cache", "stale")
-                span.set("rows", len(stale.rows))
-                metrics.counter("query.served_stale").inc()
-                metrics.counter("query.degraded_results").inc()
-                metrics.histogram("query.wall_s").observe(wall)
-                metrics.counter("query.rows_returned").inc(
-                    len(stale.rows)
-                )
-                return QueryResult(
-                    rows=stale.rows,
-                    cache_outcome="stale",
-                    wall_time_s=wall,
-                    degraded=True,
-                )
-            finally:
-                self._fetch_deadline = None
-                self._fetch_statuses = None
-
-            degraded = any(status != STATUS_FRESH
-                           for status in statuses.values())
-            # A degraded answer is *not* cached: the cache must never
-            # upgrade a partial result to a future "fresh" hit.
-            if self.config.use_semantic_cache and not degraded:
-                self.cache.store(query, rows)
-            if degraded:
-                span.set("degraded", True)
-                metrics.counter("query.degraded_results").inc()
-
-            wall = timer.stop()
-            span.set("cache",
-                     "miss" if self.config.use_semantic_cache else "off")
-            span.set("rows", len(rows))
-            metrics.histogram("query.wall_s").observe(wall)
-            metrics.counter("query.rows_returned").inc(len(rows))
-            metrics.counter("query.rows_scanned").inc(
-                counters.rows_scanned
-            )
-
-        return QueryResult(
-            rows=rows,
-            plan=plan,
-            cache_outcome=("miss" if self.config.use_semantic_cache
-                           else "off"),
-            counters=counters.snapshot(),
-            wall_time_s=wall,
-            similarity_candidates=candidates,
-            substructure_candidates=sub_candidates,
-            resilience=dict(statuses),
-            degraded=degraded,
-        )
+        result = self._run(query, text, deadline, instrument=False)
+        result.wall_time_s = timer.stop()
+        metrics.histogram("query.wall_s").observe(result.wall_time_s)
+        metrics.counter("query.rows_returned").inc(len(result.rows))
+        return result
 
     def explain(self, query: Query | str) -> str:
         """The plan the engine would run, as indented text."""
@@ -445,161 +300,222 @@ class QueryEngine:
         text = query if isinstance(query, str) else None
         if isinstance(query, str):
             query = parse_query(query)
+        return self._run(query, text, deadline, instrument=True)
+
+    def _run(self, query: Query, text: str | None, deadline,
+             instrument: bool):
+        """The one query path behind ``execute`` and ``analyze``.
+
+        ``instrument=False`` answers from the semantic cache when it
+        can, stores fresh answers, falls back to the stale store, and
+        returns a :class:`QueryResult`; ``instrument=True`` always
+        plans and runs, wraps every operator for actuals, and returns
+        an :class:`AnalyzeReport`. The deadline, the fetch statuses and
+        the engine choice are locals handed to the lowering: nothing
+        about one query is kept on the engine.
+        """
         tracer = self._obs_tracer()
         metrics = self._obs_metrics()
-        clock = getattr(tracer, "clock", None)
-
-        report = self._analyze_query(query, text)
-        analysis_lines = (report.summary_lines()
-                          if report is not None else ())
-
-        cache_outcome = "off (semantic cache disabled)"
-        if self.config.use_semantic_cache:
-            hit = self.cache.lookup(query)
-            cache_outcome = (
-                f"{hit.kind} (result recomputed for analysis)"
-                if hit is not None else "miss"
-            )
-
-        if report is not None and report.provably_empty:
-            # Short-circuit mirror of execute(): no plan, no operators,
-            # no round-trips. The report still renders the analysis
-            # trailer naming the contradicted predicates.
-            with tracer.span("query.explain_analyze") as span, \
-                    WallTimer() as timer:
-                rows = self._empty_rows(query)
-                span.set("rows", len(rows))
+        caching = self.config.use_semantic_cache
+        if caching:
+            missed = "miss"
+        else:
+            missed = "off (semantic cache disabled)" if instrument else "off"
+        with tracer.span("query.explain_analyze" if instrument
+                         else "query.execute") as span:
+            analysis = self._analyze_query(query, text)
+            if analysis is not None and analysis.provably_empty:
+                # The WHERE clause cannot be satisfied: answer without
+                # planning, scanning, resolving similarity filters, or
+                # any source round-trip.
+                with WallTimer() as timer:
+                    rows = self._empty_rows(query)
                 span.set("analysis", "short_circuit")
-            metrics.counter("query.analysis_short_circuit").inc()
-            stats = OperatorStats("AnalysisEmpty(provably empty WHERE)")
-            stats.rows_out = len(rows)
-            stats.loops = 1
+                span.set("rows", len(rows))
+                metrics.counter("query.analysis_short_circuit").inc()
+                counters = {"rows_scanned": 0, "rows_emitted": len(rows),
+                            "index_probes": 0, "operators": []}
+                if not instrument:
+                    return QueryResult(rows=rows, cache_outcome=missed,
+                                       counters=counters)
+                # The report still renders the analysis trailer naming
+                # the contradicted predicates.
+                stats = OperatorStats("AnalysisEmpty(provably empty WHERE)")
+                stats.rows_out = len(rows)
+                stats.loops = 1
+                return AnalyzeReport(
+                    plan_text="",
+                    operators=stats,
+                    rows=len(rows),
+                    wall_s=timer.elapsed_s,
+                    virtual_s=0.0,
+                    estimated_rows=0.0,
+                    estimated_cost=0.0,
+                    cache_outcome=missed,
+                    counters=counters,
+                    analysis=analysis.summary_lines(),
+                    execution={"mode": self.config.execution_mode},
+                )
+
+            hit = self.cache.lookup(query) if caching else None
+            if hit is not None and not instrument:
+                span.set("cache", hit.kind)
+                span.set("rows", len(hit.rows))
+                return QueryResult(rows=hit.rows, cache_outcome=hit.kind)
+
+            resilient = self._resilience_active(deadline)
+            deadline = self._as_deadline(deadline)
+            statuses: dict[str, str] = {}
+            counters = ExecCounters()
+            root = OperatorStats("plan") if instrument else None
+            clock = getattr(tracer, "clock", None) if instrument else None
+            try:
+                with tracer.span("query.resolve_filters"):
+                    ligand_keys, candidates, sub_candidates = \
+                        self._resolve_ligand_filters(query)
+                # Refresh the estimator if statistics went stale
+                # (bulk loads).
+                self.planner.estimator = CardinalityEstimator(
+                    self.drugtree.statistics,
+                    tables=self.drugtree.tables,
+                    metrics=metrics,
+                )
+                with tracer.span("query.plan"):
+                    plan = self.planner.plan(query,
+                                             similar_keys=ligand_keys)
+                physical, choice = self._build_physical(
+                    plan.logical, counters, root, clock, deadline,
+                    statuses if resilient else None)
+                if instrument:
+                    before = metrics.counter_values("source.roundtrips.")
+                    scheduler_before = metrics.counter_values("scheduler.")
+                    virtual_before = (clock.now() if clock is not None
+                                      else 0.0)
+                with tracer.span("query.run") as run_span, \
+                        WallTimer() as timer:
+                    rows = list(physical.rows())
+                    if isinstance(plan.logical, LogicalEmpty):
+                        # The rewriter proved the WHERE empty and
+                        # dropped the whole tree, aggregates included;
+                        # restore the SQL shape (count→0, mean→NULL)
+                        # the naive engine and the analyzer
+                        # short-circuit both produce.
+                        rows = self._empty_rows(query)
+                    run_span.set("rows", len(rows))
+                    run_span.set("rows_scanned", counters.rows_scanned)
+            except BorrowTimeoutError:
+                raise  # a scheduler bug, never papered over
+            except SourceError:
+                stale = (self.cache.lookup_stale(query)
+                         if resilient and caching and not instrument
+                         else None)
+                if stale is None:
+                    raise
+                # Last line of degradation: the live answer is gone,
+                # but the last known one is not. Serve it, flagged.
+                span.set("cache", "stale")
+                span.set("rows", len(stale.rows))
+                metrics.counter("query.served_stale").inc()
+                metrics.counter("query.degraded_results").inc()
+                return QueryResult(rows=stale.rows, cache_outcome="stale",
+                                   degraded=True)
+
+            span.set("rows", len(rows))
+            degraded = any(status != STATUS_FRESH
+                           for status in statuses.values())
+            if not instrument:
+                # A degraded answer is *not* cached: the cache must
+                # never upgrade a partial result to a future "fresh"
+                # hit.
+                if caching and not degraded:
+                    self.cache.store(query, rows)
+                if degraded:
+                    span.set("degraded", True)
+                    metrics.counter("query.degraded_results").inc()
+                span.set("cache", missed)
+                metrics.counter("query.rows_scanned").inc(
+                    counters.rows_scanned
+                )
+                return QueryResult(
+                    rows=rows,
+                    plan=plan,
+                    cache_outcome=missed,
+                    counters=counters.snapshot(),
+                    similarity_candidates=candidates,
+                    substructure_candidates=sub_candidates,
+                    resilience=dict(statuses),
+                    degraded=degraded,
+                )
+
+            virtual_s = (clock.now() - virtual_before
+                         if clock is not None else 0.0)
+            after = metrics.counter_values("source.roundtrips.")
+            scheduler_after = metrics.counter_values("scheduler.")
+            federation = {
+                name: round(total - scheduler_before.get(name, 0), 6)
+                for name, total in scheduler_after.items()
+                if total - scheduler_before.get(name, 0)
+            }
+            prefix = "source.roundtrips."
+            source_roundtrips = {
+                name[len(prefix):]: {
+                    "during": total - before.get(name, 0),
+                    "total": total,
+                }
+                for name, total in after.items()
+            }
+
+            resilience: dict[str, Any] = {}
+            if statuses:
+                resilience["statuses"] = dict(statuses)
+                if degraded:
+                    resilience["degraded"] = True
+            boards = getattr(self.federation, "breakers", None)
+            if boards is not None:
+                snap = boards.snapshot()
+                if snap:
+                    resilience["breakers"] = snap
+
+            execution: dict[str, Any] = {"mode": choice.mode}
+            if choice.reason:
+                execution["reason"] = choice.reason
+            if counters.batches_emitted:
+                execution["batches"] = counters.batches_emitted
+                execution["rows_per_batch"] = round(
+                    counters.batch_rows / counters.batches_emitted, 2
+                )
+                execution["batch_size"] = self.config.vector_batch_size
+
+            storage: dict[str, Any] = {}
+            if getattr(self.drugtree, "database", None) is not None:
+                storage = {
+                    "durable": True,
+                    "segments_read": counters.segments_read,
+                    "segments_pruned": counters.segments_pruned,
+                }
+
+            operators = root.children[0] if root.children else root
+            self._emit_operator_spans(tracer, operators)
             return AnalyzeReport(
-                plan_text="",
-                operators=stats,
+                plan_text=plan.explain(),
+                operators=operators,
                 rows=len(rows),
                 wall_s=timer.elapsed_s,
-                virtual_s=0.0,
-                estimated_rows=0.0,
-                estimated_cost=0.0,
-                cache_outcome=cache_outcome,
-                counters={"rows_scanned": 0, "rows_emitted": len(rows),
-                          "index_probes": 0, "operators": []},
-                analysis=analysis_lines,
-                execution={"mode": self.config.execution_mode},
+                virtual_s=virtual_s,
+                estimated_rows=plan.estimated_rows,
+                estimated_cost=plan.estimated_cost,
+                cache_outcome=(
+                    f"{hit.kind} (result recomputed for analysis)"
+                    if hit is not None else missed),
+                counters=counters.snapshot(),
+                source_roundtrips=source_roundtrips,
+                federation=federation,
+                analysis=(analysis.summary_lines()
+                          if analysis is not None else ()),
+                resilience=resilience,
+                execution=execution,
+                storage=storage,
             )
-
-        resilient = self._resilience_active(deadline)
-        deadline = self._as_deadline(deadline)
-        statuses: dict[str, str] = {}
-        ligand_keys, _, __ = self._resolve_ligand_filters(query)
-        self.planner.estimator = CardinalityEstimator(
-            self.drugtree.statistics,
-            tables=self.drugtree.tables,
-            metrics=metrics,
-        )
-        plan = self.planner.plan(query, similar_keys=ligand_keys)
-        counters = ExecCounters()
-        root = OperatorStats("plan")
-        self._fetch_deadline = deadline
-        self._fetch_statuses = statuses if resilient else None
-        try:
-            physical = self._build_physical(plan.logical, counters,
-                                            probe=root, clock=clock)
-
-            before = metrics.counter_values("source.roundtrips.")
-            scheduler_before = metrics.counter_values("scheduler.")
-            virtual_before = clock.now() if clock is not None else 0.0
-            with tracer.span("query.explain_analyze") as span, \
-                    WallTimer() as timer:
-                rows = list(physical.rows())
-                if isinstance(plan.logical, LogicalEmpty):
-                    rows = self._empty_rows(query)
-                span.set("rows", len(rows))
-        finally:
-            self._fetch_deadline = None
-            self._fetch_statuses = None
-        virtual_s = (clock.now() - virtual_before
-                     if clock is not None else 0.0)
-        after = metrics.counter_values("source.roundtrips.")
-        scheduler_after = metrics.counter_values("scheduler.")
-        federation = {
-            name: round(total - scheduler_before.get(name, 0), 6)
-            for name, total in scheduler_after.items()
-            if total - scheduler_before.get(name, 0)
-        }
-
-        prefix = "source.roundtrips."
-        source_roundtrips = {
-            name[len(prefix):]: {
-                "during": total - before.get(name, 0),
-                "total": total,
-            }
-            for name, total in after.items()
-        }
-
-        resilience: dict[str, Any] = {}
-        if statuses:
-            resilience["statuses"] = dict(statuses)
-            if any(status != STATUS_FRESH
-                   for status in statuses.values()):
-                resilience["degraded"] = True
-        boards = getattr(self.federation, "breakers", None)
-        if boards is not None:
-            snap = boards.snapshot()
-            if snap:
-                resilience["breakers"] = snap
-
-        execution: dict[str, Any] = {"mode": self.config.execution_mode}
-        choice = self._last_choice
-        if choice is not None:
-            # Adaptive mode: report the resolved engine, both cost
-            # estimates, why, and the fusion/morsel actuals. Explicit
-            # row/vectorized modes keep their exact historical dict.
-            execution["mode"] = choice.mode
-            execution["requested"] = "adaptive"
-            execution["row_cost"] = round(choice.row_cost, 1)
-            execution["vec_cost"] = round(choice.vec_cost, 1)
-            execution["reason"] = choice.reason
-            execution["fused"] = counters.fused_pipelines
-            execution["workers"] = choice.workers
-            execution["morsels"] = counters.morsels
-        if counters.batches_emitted:
-            execution["batches"] = counters.batches_emitted
-            execution["rows_per_batch"] = round(
-                counters.batch_rows / counters.batches_emitted, 2
-            )
-            execution["batch_size"] = (choice.batch_size
-                                       if choice is not None
-                                       else self.config.vector_batch_size)
-
-        storage: dict[str, Any] = {}
-        if getattr(self.drugtree, "database", None) is not None:
-            storage = {
-                "durable": True,
-                "segments_read": counters.segments_read,
-                "segments_pruned": counters.segments_pruned,
-            }
-
-        operators = root.children[0] if root.children else root
-        self._emit_operator_spans(tracer, operators)
-        return AnalyzeReport(
-            plan_text=plan.explain(),
-            operators=operators,
-            rows=len(rows),
-            wall_s=timer.elapsed_s,
-            virtual_s=virtual_s,
-            estimated_rows=plan.estimated_rows,
-            estimated_cost=plan.estimated_cost,
-            cache_outcome=cache_outcome,
-            counters=counters.snapshot(),
-            source_roundtrips=source_roundtrips,
-            federation=federation,
-            analysis=analysis_lines,
-            resilience=resilience,
-            execution=execution,
-            storage=storage,
-        )
 
     def explain_analyze(self, query: Query | str) -> str:
         """EXPLAIN plus actual execution numbers, as annotated text."""
@@ -691,117 +607,29 @@ class QueryEngine:
     # -- physical lowering ----------------------------------------------------------
 
     def _build_physical(self, node: LogicalNode, counters: ExecCounters,
-                        probe: OperatorStats | None = None,
-                        clock=None):
-        """Lower through the configured execution mode.
+                        probe: OperatorStats | None, clock,
+                        deadline: Deadline | None,
+                        statuses: dict[str, str] | None):
+        """Lower *node* on the engine the row rule picks for it.
 
-        Both paths produce an operator exposing ``rows()`` with
-        identical results; vectorized lowering additionally fills the
-        counters' batch fields. Imported lazily so the default row
-        path's import graph is unchanged.
-
-        ``adaptive`` (the default) prices the plan in both row and
-        vectorized terms against the current statistics and dispatches
-        to the winner — with pipeline fusion, an adaptive batch size,
-        and the morsel worker pool enabled on the vectorized side.
-        The choice lands in ``self._last_choice`` for the analyze
-        trailer.
+        Returns the operator (exposing ``rows()``, identical results
+        either way) and the :class:`EngineChoice`; *deadline* and
+        *statuses* reach ``RemoteFetchOp`` through the lowering.
         """
-        mode = self.config.execution_mode
-        choice = None
-        if mode == "adaptive":
-            # Bound once: the per-call import statement costs ~1us,
-            # visible on sub-millisecond index probes.
-            helpers = self._adaptive_helpers
-            if helpers is None:
-                from repro.core.query import adaptive as _adaptive
-                helpers = self._adaptive_helpers = (
-                    _adaptive.choice_key, _adaptive.choose_engine)
-            choice_key, choose_engine = helpers
-            epoch = getattr(self.drugtree, "stats_epoch", None)
-            if epoch != self._choice_epoch:
-                self._choice_cache.clear()
-                self._choice_epoch = epoch
-            key = choice_key(node)
-            choice = self._choice_cache.get(key)
-            if choice is None:
-                choice = choose_engine(node, self.planner.estimator,
-                                       self.config)
-                if len(self._choice_cache) >= 256:
-                    self._choice_cache.pop(
-                        next(iter(self._choice_cache)))
-                self._choice_cache[key] = choice
-            mode = choice.mode
-        self._last_choice = choice
-        if mode == "vectorized":
-            from repro.core.query.vectorized import VectorizedLowering
-            if choice is not None:
-                lowering = VectorizedLowering(
-                    self, counters, probe=probe, clock=clock,
-                    batch_size=choice.batch_size,
-                    fuse=True, plan_cache=self.plan_cache,
-                    workers=choice.workers,
-                )
-            else:
-                lowering = VectorizedLowering(self, counters,
-                                              probe=probe, clock=clock)
-            return lowering.lower_plan(node)
-        return self._to_physical(node, counters, probe=probe,
-                                 clock=clock)
+        if self.config.execution_mode == "row":
+            choice = EngineChoice("row")
+        else:
+            choice = choose_engine(node)
+        lowering = (VectorizedLowering if choice.mode == "vectorized"
+                    else RowLowering)
+        physical = lowering(self, counters, probe, clock,
+                            deadline, statuses).lower_plan(node)
+        return physical, choice
 
-    def _to_physical(self, node: LogicalNode, counters: ExecCounters,
-                     probe: OperatorStats | None = None,
-                     clock=None) -> PhysicalOp:
-        """Lower *node*; with *probe*, instrument it for EXPLAIN ANALYZE.
-
-        *probe* is the parent's stats node: this operator appends its
-        own stats child and comes back wrapped so execution charges
-        actual rows and (wall, virtual) time to it.
-        """
-        if probe is None:
-            return self._lower(node, counters, None, None)
-        stats = probe.child(node.describe(),
-                            getattr(node, "estimated_rows", None))
-        op = self._lower(node, counters, stats, clock)
-        return InstrumentedOp(op, stats, clock)
-
-    def _lower(self, node: LogicalNode, counters: ExecCounters,
-               stats: OperatorStats | None, clock) -> PhysicalOp:
-        if isinstance(node, LogicalEmpty):
-            return EmptyOp(counters)
-        if isinstance(node, LogicalCladeAggregate):
-            return self._clade_fast_path(node, counters)
-        if isinstance(node, LogicalScan):
-            return self._scan_op(node, counters)
-        if isinstance(node, LogicalJoin):
-            return self._join_op(node, counters, stats, clock)
-        if isinstance(node, LogicalAggregate):
-            child = self._to_physical(node.child, counters, stats, clock)
-            return HashAggregateOp(counters, child, node.aggregates,
-                                   node.group_by)
-        if isinstance(node, LogicalHaving):
-            child = self._to_physical(node.child, counters, stats, clock)
-            return FilterOp(counters, child, node.conditions)
-        if isinstance(node, LogicalProject):
-            child = self._to_physical(node.child, counters, stats, clock)
-            remote = tuple(c for c in node.columns
-                           if c in REMOTE_DETAIL_COLUMNS)
-            if remote:
-                child = self._remote_fetch_op(remote, child, counters)
-            return ProjectOp(counters, child, node.columns)
-        if isinstance(node, LogicalOrder):
-            child = self._to_physical(node.child, counters, stats, clock)
-            if node.limit is not None:
-                return TopKOp(counters, child, node.order_by, node.limit)
-            return SortOp(counters, child, node.order_by)
-        if isinstance(node, LogicalLimit):
-            child = self._to_physical(node.child, counters, stats, clock)
-            return LimitOp(counters, child, node.limit)
-        raise PlanError(f"cannot lower {type(node).__name__}")
-
-    def _remote_fetch_op(self, remote: tuple[str, ...],
-                         child: PhysicalOp,
-                         counters: ExecCounters) -> PhysicalOp:
+    def _remote_fetch_op(self, remote: tuple[str, ...], child,
+                         counters: ExecCounters,
+                         deadline: Deadline | None,
+                         statuses: dict[str, str] | None) -> PhysicalOp:
         if self.federation is None:
             raise QueryError(
                 f"columns {sorted(remote)} live at the remote sources; "
@@ -816,12 +644,79 @@ class QueryEngine:
         return RemoteFetchOp(counters, child, self.federation,
                              "protein_id", specs,
                              lookahead=self.config.remote_lookahead,
-                             deadline=self._fetch_deadline,
-                             statuses=self._fetch_statuses)
+                             deadline=deadline, statuses=statuses)
 
-    def _scan_op(self, node: LogicalScan,
-                 counters: ExecCounters) -> PhysicalOp:
-        table = self.drugtree.tables[node.table]
+
+class RowLowering:
+    """Lower logical plans to volcano row operators (the reference the
+    vectorized engine is held to, and the only form some nodes have)."""
+
+    def __init__(self, engine: QueryEngine, counters: ExecCounters,
+                 probe: OperatorStats | None = None, clock=None,
+                 deadline=None, statuses=None) -> None:
+        self.engine = engine
+        self.counters = counters
+        self.probe = probe
+        self.clock = clock
+        self.deadline = deadline
+        self.statuses = statuses
+
+    def lower_plan(self, node: LogicalNode) -> PhysicalOp:
+        return self._to_physical(node, self.probe)
+
+    def _to_physical(self, node: LogicalNode,
+                     probe: OperatorStats | None) -> PhysicalOp:
+        """Lower *node*; with *probe*, instrument it for EXPLAIN ANALYZE.
+
+        *probe* is the parent's stats node: this operator appends its
+        own stats child and comes back wrapped so execution charges
+        actual rows and (wall, virtual) time to it.
+        """
+        if probe is None:
+            return self._lower(node, None)
+        stats = probe.child(node.describe(),
+                            getattr(node, "estimated_rows", None))
+        return InstrumentedOp(self._lower(node, stats), stats, self.clock)
+
+    def _lower(self, node: LogicalNode,
+               stats: OperatorStats | None) -> PhysicalOp:
+        counters = self.counters
+        if isinstance(node, LogicalEmpty):
+            return EmptyOp(counters)
+        if isinstance(node, LogicalCladeAggregate):
+            return self._clade_fast_path(node)
+        if isinstance(node, LogicalScan):
+            return self._scan_op(node)
+        if isinstance(node, LogicalJoin):
+            return self._join_op(node, stats)
+        if isinstance(node, LogicalAggregate):
+            child = self._to_physical(node.child, stats)
+            return HashAggregateOp(counters, child, node.aggregates,
+                                   node.group_by)
+        if isinstance(node, LogicalHaving):
+            child = self._to_physical(node.child, stats)
+            return FilterOp(counters, child, node.conditions)
+        if isinstance(node, LogicalProject):
+            child = self._to_physical(node.child, stats)
+            remote = tuple(c for c in node.columns
+                           if c in REMOTE_DETAIL_COLUMNS)
+            if remote:
+                child = self.engine._remote_fetch_op(
+                    remote, child, counters, self.deadline, self.statuses)
+            return ProjectOp(counters, child, node.columns)
+        if isinstance(node, LogicalOrder):
+            child = self._to_physical(node.child, stats)
+            if node.limit is not None:
+                return TopKOp(counters, child, node.order_by, node.limit)
+            return SortOp(counters, child, node.order_by)
+        if isinstance(node, LogicalLimit):
+            child = self._to_physical(node.child, stats)
+            return LimitOp(counters, child, node.limit)
+        raise PlanError(f"cannot lower {type(node).__name__}")
+
+    def _scan_op(self, node: LogicalScan) -> PhysicalOp:
+        counters = self.counters
+        table = self.engine.drugtree.tables[node.table]
         if node.access == "seq":
             return SeqScanOp(counters, table, node.residual)
         if node.access == "index_eq":
@@ -853,16 +748,14 @@ class QueryEngine:
                                 node.key_set, node.residual)
         raise PlanError(f"unknown access path {node.access!r}")
 
-    def _join_op(self, node: LogicalJoin, counters: ExecCounters,
-                 stats: OperatorStats | None = None,
-                 clock=None) -> PhysicalOp:
-        left = self._to_physical(node.left, counters, stats, clock)
+    def _join_op(self, node: LogicalJoin,
+                 stats: OperatorStats | None) -> PhysicalOp:
+        counters = self.counters
+        left = self._to_physical(node.left, stats)
         if node.method == "hash":
-            right = self._to_physical(node.right, counters, stats, clock)
+            right = self._to_physical(node.right, stats)
             # Build on the smaller estimated side.
-            left_rows = _rows_estimate(node.left)
-            right_rows = _rows_estimate(node.right)
-            if left_rows <= right_rows:
+            if rows_estimate(node.left) <= rows_estimate(node.right):
                 return HashJoinOp(counters, build=left, probe=right,
                                   key=node.key)
             return HashJoinOp(counters, build=right, probe=left,
@@ -879,18 +772,16 @@ class QueryEngine:
             inner_stats.merge_children = True
 
             def inner_factory() -> PhysicalOp:
-                op = self._lower(inner_logical, counters, inner_stats,
-                                 clock)
-                return InstrumentedOp(op, inner_stats, clock)
+                op = self._lower(inner_logical, inner_stats)
+                return InstrumentedOp(op, inner_stats, self.clock)
         else:
             def inner_factory() -> PhysicalOp:
-                return self._to_physical(inner_logical, counters)
+                return self._lower(inner_logical, None)
 
         return NestedLoopJoinOp(counters, left, inner_factory, node.key)
 
-    def _clade_fast_path(self, node: LogicalCladeAggregate,
-                         counters: ExecCounters) -> PhysicalOp:
-        stats = self.drugtree.clade_stats(node.node_name)
+    def _clade_fast_path(self, node: LogicalCladeAggregate) -> PhysicalOp:
+        stats = self.engine.drugtree.clade_stats(node.node_name)
         row: dict[str, Any] = {}
         for aggregate in node.aggregates:
             if aggregate.func == "count":
@@ -909,7 +800,7 @@ class QueryEngine:
                 raise PlanError(
                     f"clade fast path cannot serve {aggregate}"
                 )
-        return StaticRowsOp(counters, [row])
+        return StaticRowsOp(self.counters, [row])
 
 
 def _vf2_only(pattern: SubstructurePattern, mol) -> bool:
@@ -927,8 +818,3 @@ def _vf2_only(pattern: SubstructurePattern, mol) -> bool:
         node_match=_atoms_match, edge_match=_bonds_match,
     )
     return matcher.subgraph_is_monomorphic()
-
-
-def _rows_estimate(node: LogicalNode) -> float:
-    estimated = getattr(node, "estimated_rows", None)
-    return float(estimated) if estimated is not None else 1e9

@@ -191,3 +191,10 @@ class LogicalCladeAggregate(LogicalNode):
     def describe(self) -> str:
         aggs = ", ".join(map(str, self.aggregates))
         return f"MaterializedCladeAggregate({self.node_name!r}: {aggs})"
+
+
+def rows_estimate(node: LogicalNode) -> float:
+    """The planner's row estimate for *node*, huge when it has none
+    (both engines build hash joins on the smaller estimated side)."""
+    estimated = getattr(node, "estimated_rows", None)
+    return float(estimated) if estimated is not None else 1e9

@@ -44,12 +44,6 @@ class ExecCounters:
     segments_read: int = 0
     #: ...and SSTables skipped wholesale because a zone map refuted it.
     segments_pruned: int = 0
-    #: Morsels dispatched to the worker pool (0 unless adaptive mode
-    #: ran a parallel scan with more than one worker).
-    morsels: int = 0
-    #: Fused scan->filter->project/aggregate pipelines built for this
-    #: plan (adaptive mode only).
-    fused_pipelines: int = 0
 
     def snapshot(self) -> dict[str, Any]:
         data: dict[str, Any] = {
@@ -66,10 +60,6 @@ class ExecCounters:
         if self.segments_read or self.segments_pruned:
             data["segments_read"] = self.segments_read
             data["segments_pruned"] = self.segments_pruned
-        if self.morsels:
-            data["morsels"] = self.morsels
-        if self.fused_pipelines:
-            data["fused_pipelines"] = self.fused_pipelines
         return data
 
 

@@ -16,10 +16,11 @@ projections, amortizing interpreter overhead across
 * aggregation folds whole column slices via ``_AggState.fold_many``,
   accumulating in the same left-to-right order as the row engine so
   float results are bit-identical;
-* operators without a batch form — ``RemoteFetchOp``, nested-loop
-  joins, the clade fast path — **fall back** to their row
-  implementations behind :class:`RowSourceAdapterOp`, so every plan the
-  row engine runs, this engine runs with identical results.
+* ``RemoteFetchOp`` has no batch form: its child drains through it as
+  rows and :class:`RowSourceAdapterOp` re-batches the enriched output.
+  Plans holding any other batch-less node (provably empty, clade fast
+  path, nested-loop join) never reach this module — the row rule in
+  :mod:`repro.core.query.adaptive` sends them to the row engine whole.
 
 Result parity is a hard contract: same rows, same order, same
 ``rows_scanned``/``rows_emitted``/``index_probes``. The one documented
@@ -36,8 +37,6 @@ from typing import Any
 from repro.core.query.ast import REMOTE_DETAIL_COLUMNS, AggregateSpec, OrderBy
 from repro.core.query.logical import (
     LogicalAggregate,
-    LogicalCladeAggregate,
-    LogicalEmpty,
     LogicalHaving,
     LogicalJoin,
     LogicalLimit,
@@ -45,6 +44,7 @@ from repro.core.query.logical import (
     LogicalOrder,
     LogicalProject,
     LogicalScan,
+    rows_estimate,
 )
 from repro.core.query.physical import ExecCounters, _AggState, _sort_key
 from repro.core.query.predicates import compile_columns
@@ -191,9 +191,9 @@ class InstrumentedVecOp:
 class RowSourceAdapterOp(VectorOp):
     """Decay adapter: re-batch a row operator's output.
 
-    Wraps subtrees that only exist in row form (``RemoteFetchOp``,
-    nested-loop joins, the clade fast path). The wrapped operator does
-    its own row accounting; this adapter only columnarizes.
+    Wraps ``RemoteFetchOp``, the one operator that only exists in row
+    form. The wrapped operator does its own row accounting; this
+    adapter only columnarizes.
     """
 
     def __init__(self, counters: ExecCounters, row_op: Any,
@@ -227,7 +227,7 @@ class _VecScanBase(VectorOp):
 
     def __init__(self, counters: ExecCounters, store: ColumnStore,
                  residual, columns: tuple[str, ...] | None,
-                 batch_size: int, pool=None) -> None:
+                 batch_size: int) -> None:
         super().__init__(counters)
         self.store = store
         self.residual = residual
@@ -238,7 +238,6 @@ class _VecScanBase(VectorOp):
             self.columns = tuple(c for c in store.column_names
                                  if c in columns)
         self.batch_size = batch_size
-        self.pool = pool
 
     def _scan_chunk(self, chunk: Sequence[int]) -> Batch | None:
         """Count, filter, and gather one chunk of buffer positions."""
@@ -255,41 +254,10 @@ class _VecScanBase(VectorOp):
     def _scan_positions(self, positions: Sequence[int],
                         ) -> Iterator[Batch]:
         size = self.batch_size
-        pool = self.pool
-        if (pool is not None and pool.workers > 1
-                and len(positions) > size):
-            yield from self._scan_morsels(positions)
-            return
         for start in range(0, len(positions), size):
             batch = self._scan_chunk(positions[start:start + size])
             if batch is not None:
                 yield self._emit(batch)
-
-    def _scan_morsels(self, positions: Sequence[int],
-                      ) -> Iterator[Batch]:
-        """Parallel filter over morsels; counters, gathers, and batch
-        emission stay on the coordinating thread, in morsel order, so
-        output is bit-identical to the sequential path."""
-        size = self.batch_size
-        chunks = [positions[start:start + size]
-                  for start in range(0, len(positions), size)]
-        store = self.store
-        compiled = self.compiled
-
-        def work(chunk):
-            return _filter_positions(chunk, store, compiled)
-
-        for chunk, selected in zip(chunks,
-                                   self.pool.imap_ordered(work, chunks)):
-            self.counters.rows_scanned += len(chunk)
-            self.counters.morsels += 1
-            if not selected:
-                continue
-            self.counters.rows_emitted += len(selected)
-            columns = {name: store.gather(name, list(selected))
-                       for name in self.columns}
-            yield self._emit(Batch(self.columns, columns,
-                                   len(selected)))
 
 
 class VecSeqScanOp(_VecScanBase):
@@ -362,40 +330,25 @@ class VecKeySetScanOp(_VecScanBase):
                  columns: tuple[str, ...] | None = None,
                  batch_size: int = DEFAULT_BATCH_SIZE) -> None:
         super().__init__(counters, store, residual, columns, batch_size)
-        self.column = column
         self.keys = keys
+        self.index = store.table.index_on(column)
+        if self.index is None:
+            # No index: a full scan whose first predicate is membership.
+            self.compiled = ((column, keys.__contains__), *self.compiled)
 
     def batches(self) -> Iterator[Batch]:
-        index = self.store.table.index_on(self.column)
-        if index is not None:
-            # Same key order (and per-key probe accounting) as the row
-            # operator: deterministic across runs and engines.
-            position_of = self.store.position_of
-            positions: list[int] = []
-            for key in sorted(self.keys, key=repr):
-                self.counters.index_probes += 1
-                positions.extend(position_of(row_id)
-                                 for row_id in index.lookup(key))
-            yield from self._scan_positions(positions)
+        if self.index is None:
+            yield from self._scan_positions(self.store.live_positions())
             return
-        keys = self.keys
-        buffer = self.store.column(self.column)
-        size = self.batch_size
-        live = self.store.live_positions()
-        for start in range(0, len(live), size):
-            chunk = live[start:start + size]
-            self.counters.rows_scanned += len(chunk)
-            members = [p for p in chunk if buffer[p] in keys]
-            selected = _filter_positions(members, self.store,
-                                         self.compiled)
-            if not selected:
-                continue
-            self.counters.rows_emitted += len(selected)
-            store = self.store
-            columns = {name: store.gather(name, list(selected))
-                       for name in self.columns}
-            yield self._emit(Batch(self.columns, columns,
-                                   len(selected)))
+        # Same key order (and per-key probe accounting) as the row
+        # operator: deterministic across runs and engines.
+        position_of = self.store.position_of
+        positions: list[int] = []
+        for key in sorted(self.keys, key=repr):
+            self.counters.index_probes += 1
+            positions.extend(position_of(row_id)
+                             for row_id in self.index.lookup(key))
+        yield from self._scan_positions(positions)
 
 
 class VecFilterOp(VectorOp):
@@ -518,7 +471,8 @@ class VecHashAggregateOp(VectorOp):
 
 
 class _Materializing(VectorOp):
-    """Shared concat step of the blocking operators (sort, top-k)."""
+    """Shared concat step of the blocking operators (sort, top-k,
+    the hash join's build side)."""
 
     def _materialize(self, child) -> Batch:
         batches = [batch for batch in child.batches() if len(batch)]
@@ -600,7 +554,7 @@ class VecLimitOp(VectorOp):
                 return
 
 
-class VecHashJoinOp(VectorOp):
+class VecHashJoinOp(_Materializing):
     """Batch equi-join; buckets of build positions, probed per batch.
 
     Merged rows replicate the row engine's ``{**build, **probe}``:
@@ -616,7 +570,7 @@ class VecHashJoinOp(VectorOp):
         self.key = key
 
     def batches(self) -> Iterator[Batch]:
-        build = self._materialize_build()
+        build = self._materialize(self.build)
         buckets: dict[Any, list[int]] = {}
         build_keys = build.values(self.key)
         for position, key in enumerate(build_keys):
@@ -645,26 +599,6 @@ class VecHashJoinOp(VectorOp):
                     columns[name] = [source[p] for p in build_positions]
             yield self._emit(Batch(order, columns,
                                    len(build_positions)))
-
-    def _materialize_build(self) -> Batch:
-        batches = [batch for batch in self.build.batches()
-                   if len(batch)]
-        if not batches:
-            return Batch((), {}, 0)
-        order = batches[0].order
-        columns = {name: [] for name in order}
-        total = 0
-        for batch in batches:
-            total += len(batch)
-            for name in order:
-                columns[name].extend(batch.values(name))
-        return Batch(order, columns, total)
-
-
-def _rows_estimate(node: LogicalNode) -> float:
-    # Same build-side heuristic as the row engine's _join_op.
-    estimated = getattr(node, "estimated_rows", None)
-    return float(estimated) if estimated is not None else 1e9
 
 
 def needed_columns(node: LogicalNode) -> set[str] | None:
@@ -702,42 +636,27 @@ def needed_columns(node: LogicalNode) -> set[str] | None:
 
 class VectorizedLowering:
     """Lower logical plans to batch operators (the vectorized mirror of
-    ``QueryEngine._lower``), decaying to row operators where no batch
-    form exists."""
+    ``RowLowering``). Plans holding a node with no batch form never get
+    here: ``choose_engine`` sends them to the row engine."""
 
     def __init__(self, engine, counters: ExecCounters,
-                 probe: OperatorStats | None = None,
-                 clock=None, batch_size: int | None = None,
-                 fuse: bool = False, plan_cache=None,
-                 workers: int = 1) -> None:
+                 probe: OperatorStats | None = None, clock=None,
+                 deadline=None, statuses=None) -> None:
         self.engine = engine
         self.counters = counters
         self.probe = probe
         self.clock = clock
-        self.batch_size = batch_size or engine.config.vector_batch_size
+        self.deadline = deadline
+        self.statuses = statuses
+        self.batch_size = engine.config.vector_batch_size
         self.needed: set[str] | None = None
-        #: Adaptive-mode extras. Explicit ``vectorized`` mode keeps all
-        #: three off so its operator pipeline stays byte-identical.
-        self.fuse = fuse
-        self.plan_cache = plan_cache
-        self.pool = None
-        if workers > 1:
-            from repro.core.query.morsel import MorselPool
-            self.pool = MorselPool(workers)
 
     def lower_plan(self, node: LogicalNode):
         self.needed = needed_columns(node)
         return self._to_vector(node, self.probe)
 
-    # -- plumbing ----------------------------------------------------------
-
     def _to_vector(self, node: LogicalNode,
                    probe: OperatorStats | None):
-        if self._falls_back(node):
-            # Whole-subtree decay: the row path instruments itself.
-            return self.engine._to_physical(node, self.counters,
-                                            probe=probe,
-                                            clock=self.clock)
         if probe is None:
             return self._lower(node, None)
         stats = probe.child(node.describe(),
@@ -745,77 +664,47 @@ class VectorizedLowering:
         return InstrumentedVecOp(self._lower(node, stats), stats,
                                  self.clock)
 
-    @staticmethod
-    def _falls_back(node: LogicalNode) -> bool:
-        if isinstance(node, (LogicalEmpty, LogicalCladeAggregate)):
-            return True
-        return (isinstance(node, LogicalJoin)
-                and node.method == "nested_loop")
-
-    def _as_batches(self, op):
-        """Ensure *op* speaks the batch protocol (adapt row ops)."""
-        if hasattr(op, "batches"):
-            return op
-        return RowSourceAdapterOp(self.counters, op, self.batch_size)
-
-    def _child_batches(self, node: LogicalNode,
-                       stats: OperatorStats | None):
-        return self._as_batches(self._to_vector(node, stats))
-
-    # -- node lowering -----------------------------------------------------
-
     def _lower(self, node: LogicalNode,
                stats: OperatorStats | None) -> VectorOp:
         if isinstance(node, LogicalScan):
             return self._scan_op(node)
         if isinstance(node, LogicalJoin):
-            left = self._child_batches(node.left, stats)
-            right = self._child_batches(node.right, stats)
-            if _rows_estimate(node.left) <= _rows_estimate(node.right):
+            left = self._to_vector(node.left, stats)
+            right = self._to_vector(node.right, stats)
+            if rows_estimate(node.left) <= rows_estimate(node.right):
                 return VecHashJoinOp(self.counters, build=left,
                                      probe=right, key=node.key)
             return VecHashJoinOp(self.counters, build=right,
                                  probe=left, key=node.key)
         if isinstance(node, LogicalAggregate):
-            if self.fuse:
-                from repro.core.query.fused import try_fuse
-                fused = try_fuse(self, node, stats)
-                if fused is not None:
-                    return fused
-            child = self._child_batches(node.child, stats)
+            child = self._to_vector(node.child, stats)
             return VecHashAggregateOp(self.counters, child,
                                       node.aggregates, node.group_by)
         if isinstance(node, LogicalHaving):
-            child = self._child_batches(node.child, stats)
+            child = self._to_vector(node.child, stats)
             return VecFilterOp(self.counters, child, node.conditions)
         if isinstance(node, LogicalProject):
-            if self.fuse:
-                from repro.core.query.fused import try_fuse
-                fused = try_fuse(self, node, stats)
-                if fused is not None:
-                    return fused
             child = self._to_vector(node.child, stats)
             remote = tuple(c for c in node.columns
                            if c in REMOTE_DETAIL_COLUMNS)
             if remote:
                 # RemoteFetchOp has no batch form: drain the child as
                 # rows through it, then re-batch its enriched output.
-                fetch = self.engine._remote_fetch_op(remote, child,
-                                                     self.counters)
+                fetch = self.engine._remote_fetch_op(
+                    remote, child, self.counters,
+                    self.deadline, self.statuses)
                 child = RowSourceAdapterOp(self.counters, fetch,
                                            self.batch_size)
-            else:
-                child = self._as_batches(child)
             return VecProjectOp(self.counters, child, node.columns)
         if isinstance(node, LogicalOrder):
-            child = self._child_batches(node.child, stats)
+            child = self._to_vector(node.child, stats)
             if node.limit is not None:
                 return VecTopKOp(self.counters, child, node.order_by,
                                  node.limit)
             return VecSortOp(self.counters, child, node.order_by,
                              self.batch_size)
         if isinstance(node, LogicalLimit):
-            child = self._child_batches(node.child, stats)
+            child = self._to_vector(node.child, stats)
             return VecLimitOp(self.counters, child, node.limit)
         raise PlanError(f"cannot lower {type(node).__name__}")
 
@@ -825,8 +714,7 @@ class VectorizedLowering:
         columns = self.needed
         if node.access == "seq":
             return VecSeqScanOp(self.counters, store, node.residual,
-                                columns, self.batch_size,
-                                pool=self.pool)
+                                columns, self.batch_size)
         if node.access == "index_eq":
             assert node.access_column is not None
             index = table.index_on(node.access_column)

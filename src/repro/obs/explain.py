@@ -136,9 +136,11 @@ class AnalyzeReport:
     #: fresh/partial/missing), ``breakers`` (source/kind → state), and
     #: ``degraded``; empty on a clean run or without the resilient path.
     resilience: dict[str, Any] = field(default_factory=dict)
-    #: Execution-engine facts: ``mode`` (row|vectorized) and, in
-    #: vectorized mode, ``batches``/``rows_per_batch``/``batch_size``;
-    #: empty when built by callers that predate the vectorized engine.
+    #: Execution-engine facts: ``mode`` (row|vectorized: the engine that
+    #: ran), ``reason`` when the row rule overrode the vectorized
+    #: default, and ``batches``/``rows_per_batch``/``batch_size`` when
+    #: batches flowed; empty when built by callers that predate the
+    #: vectorized engine.
     execution: dict[str, Any] = field(default_factory=dict)
     #: Durable-storage facts: ``durable`` plus ``segments_read`` /
     #: ``segments_pruned`` (zone-map pruning during this execution);
@@ -183,21 +185,6 @@ class AnalyzeReport:
         lines.append(f"-- cache: {self.cache_outcome}")
         if self.execution:
             parts = [f"mode={self.execution.get('mode', 'row')}"]
-            if self.execution.get("requested") == "adaptive":
-                parts[0] += " (adaptive)"
-                parts.append(
-                    f"cost row={self.execution.get('row_cost', 0):g} "
-                    f"vec={self.execution.get('vec_cost', 0):g}"
-                )
-                parts.append(
-                    f"fused={self.execution.get('fused', 0)}"
-                )
-                parts.append(
-                    f"workers={self.execution.get('workers', 1)}"
-                )
-                parts.append(
-                    f"morsels={self.execution.get('morsels', 0)}"
-                )
             if "batches" in self.execution:
                 parts.append(f"batches={self.execution['batches']}")
                 parts.append(
@@ -209,10 +196,7 @@ class AnalyzeReport:
             lines.append("-- execution: " + ", ".join(parts))
             reason = self.execution.get("reason")
             if reason:
-                lines.append(
-                    f"-- execution: chose "
-                    f"{self.execution.get('mode', 'row')}: {reason}"
-                )
+                lines.append(f"-- execution: chose row: {reason}")
         if self.storage:
             lines.append(
                 "-- storage: durable, segments read="

@@ -52,7 +52,7 @@ class ColumnStore:
         self._row_ids: list[int] = []
         self._position_of: dict[int, int] = {}
         self._dead: set[int] = set()
-        # Maintenance accounting (surfaced by docs/VECTORIZED.md tests).
+        # Maintenance accounting (surfaced by docs/EXECUTION.md tests).
         self.appends = 0
         self.tombstones = 0
         self.compactions = 0

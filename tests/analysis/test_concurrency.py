@@ -290,16 +290,6 @@ class TestEntryInference:
         """)
         assert "repro.example.worker" in result.program.entries
 
-    def test_imap_ordered_registers_entry(self):
-        result = analyze("""\
-            def worker(chunk):
-                return chunk
-
-            def fan_out(pool, chunks):
-                return list(pool.imap_ordered(worker, chunks))
-        """)
-        assert "repro.example.worker" in result.program.entries
-
     def test_thread_target_registers_entry(self):
         result = analyze("""\
             import threading

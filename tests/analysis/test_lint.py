@@ -91,7 +91,7 @@ class TestL002BareAcquire:
 
 class TestL003SharedStateWrites:
     """L003 now rides thread reachability: a write is flagged when a
-    thread entry (``pool.submit`` / ``imap_ordered`` / ``Thread``)
+    thread entry (``pool.submit`` / ``Thread``)
     can reach it and no lock dominates every path to it — no class
     allowlist, no directory list."""
 
@@ -414,11 +414,12 @@ class TestL007FileMutation:
 
 
 class TestL008MorselWorkerPurity:
-    """L008 now fires on *registered* workers — closures handed to
-    ``pool.imap_ordered`` / ``pool.submit`` — wherever they live; the
-    old morsel/fused/vectorized directory allowlist is gone."""
+    """L008 fires on *registered* workers — closures handed to
+    ``pool.submit`` — wherever they live; there is no directory
+    allowlist. (The rule was written for PR 7's morsel pool; the class
+    keeps its name so its test ids stay stable.)"""
 
-    MORSEL_PATH = "src/repro/core/query/morsel.py"
+    WORKER_PATH = "src/repro/sources/scheduler.py"
 
     def test_attribute_write_in_worker_flagged(self):
         # A neutral path: registration, not directory, makes a worker.
@@ -428,7 +429,7 @@ class TestL008MorselWorkerPurity:
                     def work(chunk):
                         self.counters.rows_scanned += len(chunk)
                         return chunk
-                    return list(pool.imap_ordered(work, chunks))
+                    return [pool.submit(work, c) for c in chunks]
         """, path="src/repro/core/query/physical.py")
         assert codes(found) == ["L008"]
         assert "coordinating thread" in found[0].message
@@ -440,7 +441,7 @@ class TestL008MorselWorkerPurity:
                     out[index] = len(chunk)
                 for index, chunk in enumerate(chunks):
                     pool.submit(work, index, chunk)
-        """, path="src/repro/core/query/fused.py")
+        """, path="src/repro/core/query/executor.py")
         assert codes(found) == ["L008"]
 
     def test_nonlocal_rebinding_in_worker_flagged(self):
@@ -450,8 +451,8 @@ class TestL008MorselWorkerPurity:
                 def work(chunk):
                     nonlocal total
                     total += len(chunk)
-                for kept in pool.imap_ordered(work, chunks):
-                    pass
+                for chunk in chunks:
+                    pool.submit(work, chunk)
                 return total
         """, path="src/repro/core/query/vectorized.py")
         assert codes(found) == ["L008"]
@@ -477,19 +478,19 @@ class TestL008MorselWorkerPurity:
                 def scan(self, chunks, pool):
                     def work(chunk):
                         return [c for c in chunk if c > 0]
-                    for chunk, kept in zip(chunks,
-                                           pool.imap_ordered(work, chunks)):
+                    for chunk in chunks:
+                        kept = pool.submit(work, chunk).result()
                         self.counters.rows_scanned += len(chunk)
                         yield kept
-        """, path=self.MORSEL_PATH) == []
+        """, path=self.WORKER_PATH) == []
 
     def test_coordinator_writes_pass(self):
         # Method-level (non-nested) writes are the coordinator's job.
         assert run("""\
             class Op:
                 def scan(self, chunks):
-                    self.counters.morsels += len(chunks)
-        """, path=self.MORSEL_PATH) == []
+                    self.counters.chunks += len(chunks)
+        """, path=self.WORKER_PATH) == []
 
     def test_lock_guard_exempts_worker_write(self):
         assert run("""\
@@ -498,19 +499,19 @@ class TestL008MorselWorkerPurity:
                     def work(chunk):
                         with self.lock:
                             self.partials[id(chunk)] = len(chunk)
-                    return list(pool.imap_ordered(work, chunks))
-        """, path=self.MORSEL_PATH) == []
+                    return [pool.submit(work, c) for c in chunks]
+        """, path=self.WORKER_PATH) == []
 
     def test_unregistered_closure_is_not_a_worker(self):
         # Never submitted to a pool — runs on the caller's thread, so
-        # its writes are plain coordinator writes (even in morsel.py).
+        # its writes are plain coordinator writes.
         assert run("""\
             class Op:
                 def scan(self, chunks):
                     def work(chunk):
                         self.counters.rows_scanned += len(chunk)
                     return [work(c) for c in chunks]
-        """, path=self.MORSEL_PATH) == []
+        """, path=self.WORKER_PATH) == []
 
 
 class TestSuppression:

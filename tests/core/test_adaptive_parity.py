@@ -1,30 +1,25 @@
-"""Differential suite: adaptive execution must match both engines.
+"""Differential suite: the zero-knob default must match the row engine.
 
-``execution_mode="adaptive"`` (the default) is allowed to pick a
-different physical engine per query, fuse pipelines, and spread scans
-over morsel workers — but none of that may ever change an answer.
-Every workload family runs under row, vectorized, and adaptive modes
-(semantic cache off) at worker counts 1, 2, and 8, and all three must
-agree bit-for-bit on rows and on the accounting counters
-``rows_scanned`` / ``rows_emitted`` / ``index_probes``.
+``EngineConfig()`` leaves ``execution_mode`` alone, so each query runs
+on the batch engine unless the row rule
+(:func:`repro.core.query.adaptive.choose_engine`) finds a node with no
+batch form in its plan. Neither outcome may ever change an answer:
+every workload family runs under the row reference and the default
+(semantic cache off) and both must agree bit-for-bit on rows and on the
+accounting counters ``rows_scanned`` / ``rows_emitted`` /
+``index_probes``.
 
-The suite also pins the adaptive-only machinery: the cost crossover
-(index probes stay row, wide scans go vectorized), the compiled-plan
-cache (hits, misses, invalidation on re-ANALYZE), the mutation
-staleness trigger, and the morsel pool's order-restoring merge.
+The suite also pins the rule itself and the statistics-staleness
+trigger. ``test_vectorized_parity.py`` holds the batch-size sweeps, the
+bare-LIMIT exception and the diagnostics of the explicit modes.
 """
 
 import pytest
 
 from repro.core import EngineConfig, QueryEngine
 from repro.core.drugtree import STALE_MIN_MUTATIONS
+from repro.core.query import parse_query
 from repro.core.query.adaptive import choose_engine
-from repro.core.query.cost import (
-    MAX_VEC_BATCH,
-    MIN_VEC_BATCH,
-    adaptive_batch_size,
-)
-from repro.core.query.morsel import MorselPool, resolve_workers
 from repro.obs import MetricsRegistry, set_metrics
 from repro.sources import (
     BreakerConfig,
@@ -37,7 +32,6 @@ from repro.workloads import DatasetConfig, QueryGenerator, build_dataset
 from repro.workloads.queries import ALL_KINDS
 
 COUNTER_KEYS = ("rows_scanned", "rows_emitted", "index_probes")
-WORKER_COUNTS = (1, 2, 8)
 
 
 @pytest.fixture(autouse=True)
@@ -52,45 +46,35 @@ def make_dataset(seed=17, n_leaves=16, n_ligands=24):
                                        n_ligands=n_ligands, seed=seed))
 
 
-def make_engine(drugtree, mode, workers=1, batch_size=None,
-                federation=None):
+def make_engine(drugtree, mode=None, federation=None, **knobs):
+    """``mode=None`` builds the default engine: no mode is passed."""
+    if mode is not None:
+        knobs["execution_mode"] = mode
     kwargs = {"federation": federation} if federation else {}
-    config_kwargs = {
-        "use_semantic_cache": False,
-        "execution_mode": mode,
-    }
-    if mode == "adaptive":
-        config_kwargs["morsel_workers"] = workers
-    if batch_size is not None:
-        config_kwargs["vector_batch_size"] = batch_size
-    return QueryEngine(drugtree, EngineConfig(**config_kwargs), **kwargs)
+    return QueryEngine(
+        drugtree, EngineConfig(use_semantic_cache=False, **knobs),
+        **kwargs)
 
 
-def make_trio(dataset, workers=1, federated=False):
-    """Row, vectorized, and adaptive engines over the same DrugTree."""
+def make_pair(dataset, federated=False, **knobs):
+    """The row reference and the default engine over one DrugTree."""
     drugtree = dataset.drugtree()
     federation = (FetchScheduler(dataset.registry)
                   if federated else None)
-    return tuple(
-        make_engine(drugtree, mode, workers=workers,
-                    federation=federation)
-        for mode in ("row", "vectorized", "adaptive")
-    )
+    return (make_engine(drugtree, "row", federation=federation),
+            make_engine(drugtree, federation=federation, **knobs))
 
 
-def assert_three_way_parity(engines, query, counters=True):
-    row, vec, ada = engines
+def assert_parity(engines, query, counters=True):
+    row, default = engines
     got_row = row.execute(query)
-    got_vec = vec.execute(query)
-    got_ada = ada.execute(query)
-    assert got_vec.rows == got_row.rows, query
-    assert got_ada.rows == got_row.rows, query
+    got_default = default.execute(query)
+    assert got_default.rows == got_row.rows, query
     if counters:
         for key in COUNTER_KEYS:
-            baseline = got_row.counters.get(key, 0)
-            assert got_vec.counters.get(key, 0) == baseline, (key, query)
-            assert got_ada.counters.get(key, 0) == baseline, (key, query)
-    return got_row, got_vec, got_ada
+            assert got_default.counters.get(key, 0) == \
+                got_row.counters.get(key, 0), (key, query)
+    return got_row, got_default
 
 
 class TestWorkloadFamilies:
@@ -98,36 +82,13 @@ class TestWorkloadFamilies:
     @pytest.mark.parametrize("seed", [3, 11])
     def test_generated_queries_match(self, kind, seed):
         dataset = make_dataset(seed=seed)
-        engines = make_trio(dataset)
+        engines = make_pair(dataset)
         generator = QueryGenerator(dataset.family, dataset.ligands,
                                    seed=seed)
         for _ in range(3):
             query = generator.draw(kind)
-            got_row, _, got_ada = assert_three_way_parity(engines, query)
-            assert got_ada.degraded == got_row.degraded
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_worker_count_never_changes_answers(self, workers):
-        dataset = make_dataset(seed=7)
-        engines = make_trio(dataset, workers=workers)
-        generator = QueryGenerator(dataset.family, dataset.ligands,
-                                   seed=7)
-        for kind in ALL_KINDS:
-            assert_three_way_parity(engines, generator.draw(kind))
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_float_folds_bit_identical_across_workers(self, workers):
-        """Aggregation means/sums must not drift with parallelism."""
-        dataset = make_dataset(seed=13, n_leaves=20, n_ligands=30)
-        drugtree = dataset.drugtree()
-        # Tiny batches force many morsels so the pool actually splits.
-        engine = make_engine(drugtree, "adaptive", workers=workers,
-                             batch_size=16)
-        reference = make_engine(drugtree, "row")
-        dtql = ("SELECT organism, count(*), mean(p_affinity), "
-                "min(logp), max(logp) FROM bindings "
-                "GROUP BY organism ORDER BY organism")
-        assert engine.execute(dtql).rows == reference.execute(dtql).rows
+            got_row, got_default = assert_parity(engines, query)
+            assert got_default.degraded == got_row.degraded
 
 
 class TestDtqlParity:
@@ -143,12 +104,14 @@ class TestDtqlParity:
         "WHERE organism = 'Homo sapiens' AND logp <= 3.0",
     )
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("batch_size", (1, 2, 8))
     @pytest.mark.parametrize("dtql", QUERIES)
-    def test_dtql_parity(self, dtql, workers):
+    def test_dtql_parity(self, dtql, batch_size):
+        """Tiny batches put a batch boundary inside every group and
+        fold: float aggregates must not drift with the batch size."""
         dataset = make_dataset(seed=23)
-        engines = make_trio(dataset, workers=workers)
-        assert_three_way_parity(engines, dtql)
+        engines = make_pair(dataset, vector_batch_size=batch_size)
+        assert_parity(engines, dtql)
 
 
 class TestFederatedParity:
@@ -156,10 +119,10 @@ class TestFederatedParity:
 
     def test_remote_detail_fallback_matches(self):
         dataset = make_dataset(seed=17, n_leaves=12, n_ligands=12)
-        engines = make_trio(dataset, federated=True)
-        got_row, _, got_ada = assert_three_way_parity(
-            engines, self.REMOTE_QUERY, counters=False)
-        assert got_ada.rows
+        engines = make_pair(dataset, federated=True)
+        _, got_default = assert_parity(engines, self.REMOTE_QUERY,
+                                       counters=False)
+        assert got_default.rows
 
     def _resilient_engine(self, mode):
         dataset = make_dataset(seed=17, n_leaves=12, n_ligands=12)
@@ -170,123 +133,88 @@ class TestFederatedParity:
             registry, max_attempts=1,
             breaker_config=BreakerConfig(failure_threshold=3),
         )
-        return QueryEngine(
-            dataset.drugtree(),
-            EngineConfig(use_semantic_cache=False, execution_mode=mode),
-            federation=scheduler,
-        )
+        return make_engine(dataset.drugtree(), mode,
+                           federation=scheduler)
 
     def test_degraded_path_matches(self):
-        row = self._resilient_engine("row")
-        ada = self._resilient_engine("adaptive")
-        got_row = row.execute(self.REMOTE_QUERY)
-        got_ada = ada.execute(self.REMOTE_QUERY)
-        assert got_ada.rows == got_row.rows
-        assert got_ada.resilience == got_row.resilience
-        assert got_ada.degraded == got_row.degraded
-        assert got_ada.degraded is True
+        got_row = self._resilient_engine("row").execute(
+            self.REMOTE_QUERY)
+        got_default = self._resilient_engine(None).execute(
+            self.REMOTE_QUERY)
+        assert got_default.rows == got_row.rows
+        assert got_default.resilience == got_row.resilience
+        assert got_default.degraded == got_row.degraded
+        assert got_default.degraded is True
 
 
 class TestAdaptiveChoice:
     def test_wide_scan_goes_vectorized(self):
         dataset = make_dataset(seed=23, n_leaves=20, n_ligands=30)
-        engine = make_engine(dataset.drugtree(), "adaptive")
+        engine = make_engine(dataset.drugtree())
         report = engine.analyze(
             "SELECT count(*) FROM bindings WHERE potent = true")
+        assert set(report.execution) == {
+            "mode", "batches", "rows_per_batch", "batch_size"}
         assert report.execution["mode"] == "vectorized"
-        assert report.execution["requested"] == "adaptive"
-        assert report.execution["vec_cost"] < report.execution["row_cost"]
-        assert report.execution["fused"] >= 1
         rendered = report.render()
-        assert "-- execution: mode=vectorized (adaptive)" in rendered
-        assert "-- execution: chose vectorized:" in rendered
-
-    def test_index_point_lookup_stays_row(self):
-        dataset = make_dataset(seed=23, n_leaves=20, n_ligands=30)
-        drugtree = dataset.drugtree()
-        engine = make_engine(drugtree, "adaptive")
-        ligand = next(iter(drugtree.tables["ligands"].scan()))[1][0]
-        report = engine.analyze(
-            f"SELECT * FROM bindings WHERE ligand_id = '{ligand}'")
-        assert report.execution["mode"] == "row"
-        assert report.execution["requested"] == "adaptive"
-        assert report.execution["row_cost"] <= report.execution["vec_cost"]
-        assert "chose row:" in report.render()
+        assert "-- execution: mode=vectorized, batches=" in rendered
+        assert "chose row" not in rendered
 
     def test_explicit_modes_have_no_adaptive_keys(self):
         dataset = make_dataset(seed=23)
-        drugtree = dataset.drugtree()
-        row = make_engine(drugtree, "row")
+        row = make_engine(dataset.drugtree(), "row")
         report = row.analyze("SELECT count(*) FROM bindings")
         assert report.execution == {"mode": "row"}
 
     def test_choose_engine_unit(self):
+        """Row, with the reason, for each node kind that has no batch
+        form — wherever it sits in the plan; vectorized otherwise,
+        index point probes included."""
         dataset = make_dataset(seed=23, n_leaves=20, n_ligands=30)
         drugtree = dataset.drugtree()
-        engine = make_engine(drugtree, "adaptive")
-        from repro.core.query import parse_query
-        plan = engine.planner.plan(
-            parse_query("SELECT count(*) FROM bindings"))
-        choice = choose_engine(plan.logical, engine.planner.estimator,
-                               engine.config)
-        assert choice.mode == "vectorized"
-        assert choice.row_cost > choice.vec_cost
-        assert MIN_VEC_BATCH <= choice.batch_size <= MAX_VEC_BATCH
+        generator = QueryGenerator(dataset.family, dataset.ligands,
+                                   seed=23)
 
-    def test_adaptive_batch_size_scales(self):
-        assert adaptive_batch_size(10) == MIN_VEC_BATCH
-        assert adaptive_batch_size(100_000) == MAX_VEC_BATCH
-        mid = adaptive_batch_size(10_000)
-        assert MIN_VEC_BATCH < mid <= MAX_VEC_BATCH
+        def choice(query, **knobs):
+            if isinstance(query, str):
+                query = parse_query(query)
+            planner = make_engine(drugtree, **knobs).planner
+            return choose_engine(planner.plan(query).logical)
 
+        contradiction = "WHERE p_affinity > 5 AND p_affinity < 4"
+        assert choice(f"SELECT count(*) FROM bindings {contradiction}") \
+            == ("row", "provably-empty plan")
+        assert choice(generator.draw("clade_agg")) == \
+            ("row", "materialized clade fast path")
+        # Nested under Project (the generator's join) and under
+        # Aggregate: one batch-less node anywhere decides the plan.
+        nested = ("row", "nested-loop join has no batch form")
+        assert choice(generator.draw("join"),
+                      join_method="nested_loop") == nested
+        assert choice("SELECT count(*) FROM bindings, proteins "
+                      "WHERE organism = 'Homo sapiens'",
+                      join_method="nested_loop") == nested
 
-class TestCompiledPlanCache:
-    def _counters(self):
-        from repro.obs import get_metrics
-        return get_metrics().counter_values()
-
-    def test_repeat_query_hits_cache(self):
-        dataset = make_dataset(seed=23)
-        engine = make_engine(dataset.drugtree(), "adaptive")
-        dtql = "SELECT count(*) FROM bindings WHERE potent = true"
-        engine.execute(dtql)
-        first = self._counters()
-        assert first.get("fused.cache_misses", 0) >= 1
-        engine.execute(dtql)
-        second = self._counters()
-        assert second.get("fused.cache_hits", 0) >= 1
-        assert second.get("fused.cache_misses", 0) == \
-            first.get("fused.cache_misses", 0)
-
-    def test_reanalyze_invalidates_cache(self):
-        dataset = make_dataset(seed=23)
-        drugtree = dataset.drugtree()
-        engine = make_engine(drugtree, "adaptive")
-        dtql = "SELECT count(*) FROM bindings WHERE potent = true"
-        engine.execute(dtql)
-        engine.execute(dtql)
-        hits_before = self._counters().get("fused.cache_hits", 0)
-        misses_before = self._counters().get("fused.cache_misses", 0)
-        drugtree.refresh_statistics()  # bumps stats_epoch
-        engine.execute(dtql)
-        after = self._counters()
-        assert after.get("fused.cache_misses", 0) == misses_before + 1
-        assert after.get("fused.cache_hits", 0) == hits_before
+        ligand = next(iter(drugtree.tables["ligands"].scan()))[1][0]
+        probe = choice(
+            f"SELECT * FROM bindings WHERE ligand_id = '{ligand}'")
+        assert probe == ("vectorized", None)
+        assert choice(generator.draw("join")).mode == "vectorized"
 
 
 class TestMutationReanalyze:
     def test_mutations_trigger_reanalyze_and_invalidation(self):
         dataset = make_dataset(seed=41, n_leaves=12, n_ligands=16)
         drugtree = dataset.drugtree()
-        engines = make_trio(dataset)
-        _, _, ada = engines
+        engines = make_pair(dataset)
+        _, default = engines
         dtql = ("SELECT ligand_id, p_affinity FROM bindings "
                 "WHERE p_affinity >= 6.0")
-        assert_three_way_parity(engines, dtql)
+        assert_parity(engines, dtql)
         epoch_before = drugtree.stats_epoch
         count_dtql = ("SELECT count(*) FROM bindings "
                       "WHERE p_affinity >= 9.0")
-        base_count = ada.execute(count_dtql).rows[0]["count_all"]
+        base_count = default.execute(count_dtql).rows[0]["count_all"]
 
         table = drugtree.tables["bindings"]
         template = table.schema.row_as_dict(next(iter(table.scan()))[1])
@@ -303,32 +231,8 @@ class TestMutationReanalyze:
         assert stats.row_count == rows_before + STALE_MIN_MUTATIONS + 1
         assert drugtree.stats_epoch > epoch_before
         assert drugtree.stale_tables() == []
-        # ...and all three engines still agree on the mutated data.
-        assert_three_way_parity(engines, dtql)
-        got = ada.execute(count_dtql)
+        # ...and both engines still agree on the mutated data.
+        assert_parity(engines, dtql)
+        got = default.execute(count_dtql)
         assert got.rows[0]["count_all"] == \
             base_count + STALE_MIN_MUTATIONS + 1
-
-
-class TestMorselPool:
-    def test_imap_ordered_restores_submission_order(self):
-        pool = MorselPool(8)
-        items = list(range(200))
-        # A skewed workload: early items finish last without the
-        # order-restoring merge.
-        def work(i):
-            total = 0
-            for _ in range((200 - i) % 37):
-                total += i
-            return (i, total)
-        results = list(pool.imap_ordered(work, items))
-        assert [i for i, _ in results] == items
-
-    def test_single_worker_runs_inline(self):
-        pool = MorselPool(1)
-        assert list(pool.imap_ordered(lambda x: x * 2, [1, 2, 3])) == \
-            [2, 4, 6]
-
-    def test_resolve_workers(self):
-        assert resolve_workers(4) == 4
-        assert resolve_workers(0) >= 1

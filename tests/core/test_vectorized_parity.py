@@ -1,10 +1,11 @@
 """Differential suite: vectorized engine must match the row engine.
 
 Every query family the workload generator can draw is executed under
-both ``execution_mode="row"`` and ``execution_mode="vectorized"``
-(semantic cache off so the engines cannot share answers) and the two
-engines must agree bit-for-bit on rows *and* on the accounting
-counters ``rows_scanned`` / ``rows_emitted`` / ``index_probes``.
+both ``execution_mode="row"`` (the reference) and
+``execution_mode="vectorized"`` (the default) with the semantic cache
+off so the engines cannot share answers, and the two must agree
+bit-for-bit on rows *and* on the accounting counters ``rows_scanned``
+/ ``rows_emitted`` / ``index_probes``.
 
 One documented exception: a bare ``LIMIT`` (no ORDER BY) lets the row
 engine stop its scan at row granularity while the vectorized engine
@@ -12,6 +13,8 @@ stops at batch granularity, so ``rows_scanned`` may differ there by up
 to one batch.  Rows still match exactly; the LIMIT test below pins the
 bound.
 """
+
+import dataclasses
 
 import pytest
 
@@ -283,6 +286,101 @@ class TestDiagnostics:
             EngineConfig(execution_mode="simd")
         with pytest.raises(QueryError, match="batch"):
             EngineConfig(vector_batch_size=0)
-        with pytest.raises(QueryError, match="morsel"):
-            EngineConfig(morsel_workers=-1)
-        assert EngineConfig().execution_mode == "adaptive"
+        with pytest.raises(QueryError, match="execution mode"):
+            EngineConfig(execution_mode="adaptive")
+        assert EngineConfig().execution_mode == "vectorized"
+        assert len(dataclasses.fields(EngineConfig)) == 13
+
+    def test_default_mode_honours_vector_batch_size(self):
+        """The configured batch size is the batch size: a 16-row batch
+        over a wider scan yields many batches, and the same answers."""
+        dataset = make_dataset(seed=13, n_leaves=20, n_ligands=30)
+        drugtree = dataset.drugtree()
+        row = QueryEngine(drugtree, EngineConfig(
+            use_semantic_cache=False, execution_mode="row"))
+        default = QueryEngine(drugtree, EngineConfig(
+            use_semantic_cache=False, vector_batch_size=16))
+        dtql = ("SELECT organism, count(*), mean(p_affinity), "
+                "min(logp), max(logp) FROM bindings "
+                "GROUP BY organism ORDER BY organism")
+        report = default.analyze(dtql)
+        assert report.counters["rows_scanned"] > 16
+        assert report.execution["batch_size"] == 16
+        assert report.execution["batches"] > 1
+        assert default.execute(dtql).rows == row.execute(dtql).rows
+
+    def test_scan_under_aggregate_is_timed(self):
+        """Every scan is instrumented: EXPLAIN ANALYZE charges the scan
+        beneath an aggregate its own time, loop and rows."""
+        dataset = make_dataset(seed=23)
+        engine = QueryEngine(dataset.drugtree(),
+                             EngineConfig(use_semantic_cache=False))
+        dtql = "SELECT count(*) FROM bindings WHERE potent = true"
+        report = engine.analyze(dtql)
+        aggregate = report.operators
+        (scan,) = aggregate.children
+        assert "SeqScan" in scan.label
+        assert scan.wall_s > 0
+        assert scan.loops == 1
+        assert scan.rows_out == engine.execute(dtql).scalar()
+        assert aggregate.wall_s >= scan.wall_s
+
+
+class TestKeySetScanWithoutIndex:
+    """The planner only picks a key-set scan over an index; driven
+    directly, both operators fall back to a membership-filtered scan."""
+
+    def test_operators_agree(self):
+        from repro.core.query.ast import Comparison
+        from repro.core.query.physical import ExecCounters, KeySetScanOp
+        from repro.core.query.vectorized import VecKeySetScanOp
+
+        table = make_dataset(seed=23).drugtree().tables["bindings"]
+        assert table.index_on("activity_type") is None
+        keys = frozenset({"Ki", "IC50"})
+        residual = (Comparison("p_affinity", ">=", 6.0),)
+        row_counters, vec_counters = ExecCounters(), ExecCounters()
+        expected = list(KeySetScanOp(
+            row_counters, table, "activity_type", keys, residual).rows())
+        got = list(VecKeySetScanOp(
+            vec_counters, table.column_store(), "activity_type", keys,
+            residual, batch_size=16).rows())
+        assert expected and got == expected
+        for key in COUNTER_KEYS:
+            assert getattr(vec_counters, key) == getattr(row_counters, key)
+        assert vec_counters.rows_scanned == table.row_count
+
+
+class TestRowRule:
+    """Plans holding a node with no batch form run on the row engine
+    whole, under the default mode, with today's answers."""
+
+    CASES = {
+        "empty": (dict(use_semantic_analysis=False), None,
+                  "provably-empty plan"),
+        "clade_fast_path": ({}, "clade_agg",
+                            "materialized clade fast path"),
+        "nested_loop": (dict(join_method="nested_loop"), "join",
+                        "nested-loop join has no batch form"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_no_batch_form_plan_runs_on_row_engine(self, case):
+        knobs, kind, reason = self.CASES[case]
+        dataset = make_dataset(seed=17)
+        drugtree = dataset.drugtree()
+        row = QueryEngine(drugtree, EngineConfig(
+            use_semantic_cache=False, execution_mode="row", **knobs))
+        default = QueryEngine(drugtree, EngineConfig(
+            use_semantic_cache=False, **knobs))
+        if kind is None:
+            query = ("SELECT count(*), mean(p_affinity) FROM bindings "
+                     "WHERE p_affinity > 5 AND p_affinity < 4")
+        else:
+            query = QueryGenerator(dataset.family, dataset.ligands,
+                                   seed=17).draw(kind)
+        assert_parity(row, default, query)
+        report = default.analyze(query)
+        assert report.execution == {"mode": "row", "reason": reason}
+        assert f"-- execution: chose row: {reason}" in report.render()
+        assert "batches_emitted" not in report.counters
