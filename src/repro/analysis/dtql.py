@@ -128,21 +128,21 @@ class _SpanIndex:
 
     Repeated references to the same column get successive source
     positions, so two diagnostics about ``value_nm`` don't both point
-    at its first mention.
+    at its first mention. Every pass takes an index of its own over
+    the one token list of the check: what one pass consumed is still
+    there for the next.
     """
 
-    def __init__(self, text: str | None) -> None:
-        self._tokens = tokenize(text) if text else []
+    def __init__(self, tokens) -> None:
+        self._tokens = tokens
         self._used: set[int] = set()
 
-    def find(self, name: str, kinds: tuple[str, ...] = ("word",),
-             consume: bool = True) -> Span | None:
+    def find(self, name: str) -> Span | None:
+        wanted = name.lower()
         for i, token in enumerate(self._tokens):
-            if i in self._used:
-                continue
-            if token.kind in kinds and token.text.lower() == name.lower():
-                if consume:
-                    self._used.add(i)
+            if (i not in self._used and token.kind == "word"
+                    and token.text.lower() == wanted):
+                self._used.add(i)
                 return Span(*token.span)
         return None
 
@@ -174,76 +174,30 @@ class SemanticAnalyzer:
 
     def check(self, query: Query | str,
               text: str | None = None) -> AnalysisReport:
-        """Analyze a query; DTQL text is parsed first."""
+        """Analyze a query; DTQL text is parsed first.
+
+        Spans come from the tokens a parsed query carries; *text*
+        supplies them for a query built in code.
+        """
         if isinstance(query, str):
-            return self.check_text(query)
-        return self._check_query(query, text)
-
-    def check_text(self, text: str) -> AnalysisReport:
-        try:
-            query = parse_query(text)
-        except ParseError as exc:
-            diagnostic = self._parse_diagnostic(exc, text)
-            return AnalysisReport(query=None, diagnostics=(diagnostic,),
-                                  folded=None, contradiction=None)
-        return self._check_query(query, text)
-
-    # -- parse-failure classification --------------------------------------
-
-    def _parse_diagnostic(self, exc: ParseError, text: str) -> Diagnostic:
-        message = str(exc)
-        span = Span(*exc.span) if exc.span is not None else None
-        index = _SpanIndex(self._tokenizable(text))
-
-        match = _UNKNOWN_COLUMN_RE.search(message)
-        if match is not None:
-            name = match.group(1)
-            if span is None:
-                span = index.find(name)
-            suggestions = self.catalog.suggest(name)
-            hint = ("did you mean " + " or ".join(
-                repr(s) for s in suggestions) + "?") if suggestions else None
-            return Diagnostic("DTQL002", Severity.ERROR,
-                              f"unknown column {name!r}", span=span,
-                              hint=hint)
-        match = _UNKNOWN_TABLE_RE.search(message)
-        if match is not None:
-            name = match.group(1)
-            if span is None:
-                span = index.find(name)
-            suggestions = self.catalog.suggest_table(name)
-            hint = ("did you mean " + " or ".join(
-                repr(s) for s in suggestions) + "?") if suggestions else None
-            return Diagnostic("DTQL003", Severity.ERROR,
-                              f"unknown table {name!r}", span=span,
-                              hint=hint)
-        if any(marker in message for marker in _SEMANTIC_MARKERS):
-            return Diagnostic("DTQL004", Severity.ERROR, message, span=span)
-        return Diagnostic("DTQL001", Severity.ERROR, message, span=span)
-
-    @staticmethod
-    def _tokenizable(text: str) -> str | None:
-        """Text safe to re-tokenize for span lookup (None when it isn't)."""
-        try:
-            tokenize(text)
-        except ParseError:
-            return None
-        return text
-
-    # -- full semantic pass ------------------------------------------------
-
-    def _check_query(self, query: Query,
-                     text: str | None) -> AnalysisReport:
+            text = query
+            try:
+                query = parse_query(text)
+            except ParseError as exc:
+                diagnostic = self._parse_diagnostic(exc, text)
+                return AnalysisReport(query=None, diagnostics=(diagnostic,),
+                                      folded=None, contradiction=None)
+        tokens = query.tokens or (tokenize(text) if text else ())
         diagnostics: list[Diagnostic] = []
-        index = _SpanIndex(text)
+        index = _SpanIndex(tokens)
 
         self._check_predicate_types(query, diagnostics, index)
         self._check_having_types(query, diagnostics, index)
-        folded = self._fold(query, diagnostics, _SpanIndex(text))
+        folded = self._fold(query, diagnostics, _SpanIndex(tokens))
         contradiction = self._find_contradiction(
-            folded, diagnostics, _SpanIndex(text))
-        self._check_implicit_joins(query, diagnostics, _SpanIndex(text))
-        self._check_remote_columns(query, diagnostics, _SpanIndex(text))
+            folded, diagnostics, _SpanIndex(tokens))
+        self._check_implicit_joins(query, diagnostics, _SpanIndex(tokens))
+        self._check_remote_columns(query, diagnostics, _SpanIndex(tokens))
 
         ordered = sort_diagnostics(diagnostics)
         has_errors = any(d.severity is Severity.ERROR for d in ordered)
@@ -253,6 +207,36 @@ class SemanticAnalyzer:
             folded=None if has_errors else folded,
             contradiction=contradiction,
         )
+
+    # -- parse-failure classification --------------------------------------
+
+    def _parse_diagnostic(self, exc: ParseError, text: str) -> Diagnostic:
+        message = str(exc)
+        span = Span(*exc.span) if exc.span is not None else None
+        for pattern, code, noun, suggest in (
+                (_UNKNOWN_COLUMN_RE, "DTQL002", "column",
+                 self.catalog.suggest),
+                (_UNKNOWN_TABLE_RE, "DTQL003", "table",
+                 self.catalog.suggest_table)):
+            match = pattern.search(message)
+            if match is None:
+                continue
+            name = match.group(1)
+            if span is None:
+                # Raised while the Query was built, so the text did
+                # tokenize; only this error path tokenizes it again.
+                span = _SpanIndex(tokenize(text)).find(name)
+            suggestions = suggest(name)
+            hint = ("did you mean " + " or ".join(
+                repr(s) for s in suggestions) + "?") if suggestions else None
+            return Diagnostic(code, Severity.ERROR,
+                              f"unknown {noun} {name!r}", span=span,
+                              hint=hint)
+        if any(marker in message for marker in _SEMANTIC_MARKERS):
+            return Diagnostic("DTQL004", Severity.ERROR, message, span=span)
+        return Diagnostic("DTQL001", Severity.ERROR, message, span=span)
+
+    # -- the passes --------------------------------------------------------
 
     def _check_predicate_types(self, query: Query,
                                diagnostics: list[Diagnostic],

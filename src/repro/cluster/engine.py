@@ -39,8 +39,7 @@ from repro.core.overlay import (
     proteins_schema,
 )
 from repro.core.query.ast import Query
-from repro.core.query.executor import EngineConfig, QueryEngine
-from repro.core.query.parser import parse_query
+from repro.core.query.executor import EngineConfig, QueryEngine, _intake
 from repro.errors import ClusterError
 from repro.obs.explain import AnalyzeReport
 from repro.sources.resilience import Deadline
@@ -177,11 +176,9 @@ class ClusterEngine:
     # -- helpers --------------------------------------------------------------
 
     def _prepare(self, query, deadline):
-        if isinstance(query, str):
-            query = parse_query(query)
         if deadline is not None and not isinstance(deadline, Deadline):
             deadline = Deadline(self.clock, float(deadline))
-        return query, deadline
+        return _intake(query), deadline
 
     def _route_base(self, pids) -> dict[str, Any]:
         total = len(self.partitioner.partitions)

@@ -13,7 +13,7 @@ these dataclasses; programmatic callers can build them directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.core.overlay import (
@@ -267,6 +267,10 @@ class Query:
     #: Tables named explicitly in FROM; inference adds whatever else the
     #: referenced columns require.
     from_tables: tuple[str, ...] = ()
+    #: The parser's tokens when the query came from DTQL text (empty
+    #: for one built in code): where diagnostics get their spans from.
+    #: Not part of the query's identity.
+    tokens: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         known = (BINDINGS_TABLE, PROTEINS_TABLE, LIGANDS_TABLE)

@@ -89,11 +89,12 @@ class SemanticCache:
         return hit
 
     def _lookup(self, query: Query) -> CacheHit | None:
-        exact = self._entries.get(query.signature())
+        own = query.signature()
+        exact = self._entries.get(own)
         if exact is not None:
-            self._entries.move_to_end(query.signature())
+            self._entries.move_to_end(own)
             self.exact_hits += 1
-            return CacheHit(list(exact.rows), "exact", query.signature())
+            return CacheHit(list(exact.rows), "exact", own)
 
         for signature, entry in self._entries.items():
             if self._subsumes(entry.query, query):
@@ -115,16 +116,17 @@ class SemanticCache:
         stale entry is served, flagged ``"stale"`` so callers surface
         the freshness downgrade instead of hiding it.
         """
-        live = self._entries.get(query.signature())
+        signature = query.signature()
+        live = self._entries.get(signature)
         if live is not None:
-            return CacheHit(list(live.rows), "stale", query.signature())
-        entry = self._stale.get(query.signature())
+            return CacheHit(list(live.rows), "stale", signature)
+        entry = self._stale.get(signature)
         if entry is None:
             return None
-        self._stale.move_to_end(query.signature())
+        self._stale.move_to_end(signature)
         self.stale_hits += 1
         get_metrics().counter("semantic_cache.stale_hits").inc()
-        return CacheHit(list(entry.rows), "stale", query.signature())
+        return CacheHit(list(entry.rows), "stale", signature)
 
     def _subsumes(self, cached: Query, query: Query) -> bool:
         """Is the new query's result provably contained in *cached*'s?"""

@@ -78,6 +78,15 @@ from repro.sources.resilience import STATUS_FRESH, Deadline
 from repro.storage.index import SortedIndex
 
 
+def _intake(query: Query | str) -> Query:
+    """The one way DTQL text enters an engine: parsed here, once.
+
+    The parsed query keeps its tokens, so the semantic pass in ``_run``
+    reads its spans from them instead of tokenizing the text again.
+    """
+    return parse_query(query) if isinstance(query, str) else query
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """All optimizer/engine feature toggles (ablation knobs)."""
@@ -215,11 +224,11 @@ class QueryEngine:
         """Static analysis only: the semantic report, nothing executed."""
         return self.analyzer.check(query)
 
-    def _analyze_query(self, query: Query, text: str | None):
+    def _analyze_query(self, query: Query):
         """Run the pre-plan semantic pass; errors stop the query here."""
         if not self.config.use_semantic_analysis:
             return None
-        report = self.analyzer.check(query, text=text)
+        report = self.analyzer.check(query)
         if report.errors:
             raise QueryError(
                 "semantic analysis rejected query: "
@@ -265,14 +274,12 @@ class QueryEngine:
         result from the semantic cache's stale store, flagged
         ``cache_outcome == "stale"``.
         """
-        text = query if isinstance(query, str) else None
-        if isinstance(query, str):
-            query = parse_query(query)
+        query = _intake(query)
         metrics = self._obs_metrics()
         timer = WallTimer().start()
         self.queries_executed += 1
         metrics.counter("query.executed").inc()
-        result = self._run(query, text, deadline, instrument=False)
+        result = self._run(query, deadline, instrument=False)
         result.wall_time_s = timer.stop()
         metrics.histogram("query.wall_s").observe(result.wall_time_s)
         metrics.counter("query.rows_returned").inc(len(result.rows))
@@ -280,8 +287,7 @@ class QueryEngine:
 
     def explain(self, query: Query | str) -> str:
         """The plan the engine would run, as indented text."""
-        if isinstance(query, str):
-            query = parse_query(query)
+        query = _intake(query)
         ligand_keys, _, __ = self._resolve_ligand_filters(query)
         plan = self.planner.plan(query, similar_keys=ligand_keys)
         return plan.explain()
@@ -297,13 +303,9 @@ class QueryEngine:
         metrics registry, so remote traffic during execution (or its
         absence — the point of the integrated overlay) is visible.
         """
-        text = query if isinstance(query, str) else None
-        if isinstance(query, str):
-            query = parse_query(query)
-        return self._run(query, text, deadline, instrument=True)
+        return self._run(_intake(query), deadline, instrument=True)
 
-    def _run(self, query: Query, text: str | None, deadline,
-             instrument: bool):
+    def _run(self, query: Query, deadline, instrument: bool):
         """The one query path behind ``execute`` and ``analyze``.
 
         ``instrument=False`` answers from the semantic cache when it
@@ -323,7 +325,7 @@ class QueryEngine:
             missed = "off (semantic cache disabled)" if instrument else "off"
         with tracer.span("query.explain_analyze" if instrument
                          else "query.execute") as span:
-            analysis = self._analyze_query(query, text)
+            analysis = self._analyze_query(query)
             if analysis is not None and analysis.provably_empty:
                 # The WHERE clause cannot be satisfied: answer without
                 # planning, scanning, resolving similarity filters, or

@@ -249,6 +249,7 @@ class _Parser:
             order_by=order_by,
             limit=limit,
             from_tables=tuple(from_tables),
+            tokens=tuple(self.tokens),
         )
 
     def _select_items(self) -> tuple[list[str], list[AggregateSpec]]:

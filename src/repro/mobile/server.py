@@ -26,7 +26,7 @@ from typing import Any
 
 from repro.core.drugtree import DrugTree
 from repro.core.query.executor import EngineConfig, QueryEngine
-from repro.errors import MobileError, UnknownSessionError
+from repro.errors import MobileError, QueryError, UnknownSessionError
 from repro.mobile.lod import render_full, render_viewport
 from repro.mobile.protocol import Message, delta_message, full_message
 from repro.obs import WallTimer, get_metrics, get_tracer
@@ -273,29 +273,34 @@ class DrugTreeServer:
     def query(self, session_id: str, dtql: str) -> ServerResponse:
         """Run a DTQL query on behalf of the session.
 
-        The query text is semantically checked *before* any execution
-        or fetch: a malformed tap (bad column from a stale client UI,
-        type-mismatched literal) is rejected here and never costs a
-        source round-trip. The raised :class:`MobileError` carries the
-        machine-readable findings on ``.diagnostics`` so clients can
-        highlight the offending span.
+        The engine rejects a malformed tap (bad column from a stale
+        client UI, type-mismatched literal, unparseable text) before any
+        execution or fetch, so it never costs a source round-trip. A
+        rejected tap, and only a rejected one, is then analyzed again
+        for its findings: the raised :class:`MobileError` carries them
+        machine-readable on ``.diagnostics`` so clients can highlight
+        the offending span.
         """
         self._session(session_id)  # validates
-        if self.engine.config.use_semantic_analysis:
-            report = self.engine.check(dtql)
-            if report.errors:
-                get_metrics().counter("mobile.query_rejected").inc()
-                error = MobileError(
-                    "query rejected by semantic analysis: "
-                    + "; ".join(d.render() for d in report.errors)
-                )
-                error.diagnostics = [d.as_dict() for d in report.errors]
-                raise error
         with get_tracer().span("mobile.query",
                                session=session_id) as span, \
                 WallTimer() as timer:
-            result = self.engine.execute(dtql,
-                                         deadline=self._tap_deadline())
+            try:
+                result = self.engine.execute(
+                    dtql, deadline=self._tap_deadline())
+            except QueryError:
+                errors = (self.engine.check(dtql).errors
+                          if self.engine.config.use_semantic_analysis
+                          else ())
+                if not errors:
+                    raise  # the query was sound; running it failed
+                get_metrics().counter("mobile.query_rejected").inc()
+                error = MobileError(
+                    "query rejected by semantic analysis: "
+                    + "; ".join(d.render() for d in errors)
+                )
+                error.diagnostics = [d.as_dict() for d in errors]
+                raise error from None
             payload = {"rows": result.rows,
                        "cache": result.cache_outcome}
             status = "fresh"

@@ -1,4 +1,4 @@
-"""Embedded storage layer: tables, indexes, statistics, matviews.
+"""Embedded storage layer: tables, indexes, statistics.
 
 The integrator lands federated records in these tables; the query
 optimizer plans against their indexes and statistics.
@@ -11,7 +11,6 @@ from repro.storage.durable import (
     StorageConfig,
 )
 from repro.storage.index import HashIndex, Index, SortedIndex
-from repro.storage.matview import AGGREGATES, MaterializedAggregate
 from repro.storage.schema import (
     Column,
     ColumnType,
@@ -30,7 +29,6 @@ from repro.storage.statistics import (
 from repro.storage.table import Table
 
 __all__ = [
-    "AGGREGATES",
     "Column",
     "ColumnStatistics",
     "ColumnStore",
@@ -40,7 +38,6 @@ __all__ = [
     "HashIndex",
     "Histogram",
     "Index",
-    "MaterializedAggregate",
     "Schema",
     "SortedIndex",
     "StorageConfig",

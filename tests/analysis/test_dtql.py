@@ -258,6 +258,43 @@ class TestProgrammaticQueries:
         assert payload["diagnostics"][0]["code"] == "DTQL201"
 
 
+class TestSpanParity:
+    """Every pass consumes occurrences of a column on its own: the
+    passes share one token list, never one cursor."""
+
+    DTQL = ("SELECT method FROM proteins WHERE value_nm > 3 "
+            "AND value_nm > 3 AND value_nm > 5 AND value_nm < 1 "
+            "AND value_nm = 'low'")
+    #: Pinned at the commit before the passes shared their tokens.
+    EXPECTED = [
+        ("DTQL101", (102, 8)),  # type pass: the fifth value_nm
+        ("DTQL202", None),      # subsumption carries no span
+        ("DTQL302", (7, 6)),
+        ("DTQL201", (34, 8)),   # range pass starts at the first again
+        ("DTQL202", (51, 8)),   # fold pass: the duplicate, the second
+        ("DTQL301", (34, 8)),   # join pass starts at the first again
+    ]
+
+    @staticmethod
+    def located(report):
+        return [(d.code, (d.span.offset, d.span.length) if d.span else None)
+                for d in report.diagnostics]
+
+    def test_one_column_across_every_pass(self, analyzer):
+        assert self.located(analyzer.check(self.DTQL)) == self.EXPECTED
+
+    def test_parsed_query_carries_its_own_spans(self, analyzer):
+        assert self.located(analyzer.check(parse_query(self.DTQL))) \
+            == self.EXPECTED
+
+    def test_text_locates_a_query_built_in_code(self, analyzer):
+        query = Query(predicates=(Comparison("organism", "=", 5),))
+        report = analyzer.check(
+            query, text="SELECT * WHERE organism = 5")
+        assert self.located(report) == [("DTQL101", (15, 8)),
+                                        ("DTQL301", (15, 8))]
+
+
 class TestEmptyResultRows:
     def test_plain_select_is_empty(self):
         assert empty_result_rows(parse_query("SELECT * ")) == []

@@ -3,10 +3,13 @@ EXPLAIN ANALYZE, and the mobile server."""
 
 import pytest
 
+from repro.analysis import dtql as dtql_module
 from repro.core import EngineConfig, NaiveEngine, QueryEngine
-from repro.errors import MobileError, QueryError
+from repro.core.query import parser as parser_module
+from repro.errors import MobileError, ParseError, QueryError
 from repro.mobile import DrugTreeServer, ServerConfig
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, get_metrics
+from repro.sources import FetchScheduler
 from repro.workloads import DatasetConfig, build_dataset
 
 CONTRADICTION = ("SELECT * FROM bindings WHERE value_nm < 10 "
@@ -164,3 +167,84 @@ class TestMobileGate:
         session_id, _ = server.open_session()
         response = server.query(session_id, CONTRADICTION)
         assert response.payload_rows == 0
+
+    @pytest.mark.parametrize("dtql", [
+        "SELECT count(*) FROM bindings WHERE p_affinity >= 6.5",
+        # DTQL301: the predicate joins in a table FROM does not name.
+        "SELECT ligand_id FROM bindings WHERE organism = 'human'",
+        # DTQL302: a federation-resolved column is selected.
+        "SELECT protein_id, method FROM proteins WHERE family = 'x'",
+    ])
+    def test_accepted_tap_tokenizes_and_checks_once(
+            self, dataset, drugtree, monkeypatch, dtql):
+        """The intake contract: text is tokenized by the parser, the
+        semantic pass reads its spans off those tokens, and nothing
+        pre-checks the tap."""
+        server = DrugTreeServer(
+            drugtree, ServerConfig(),
+            federation=FetchScheduler(dataset.registry))
+        session_id, _ = server.open_session()
+        calls = {"tokenize": 0, "check": 0}
+        tokenize = parser_module.tokenize
+        check = dtql_module.SemanticAnalyzer.check
+
+        def counting_tokenize(text):
+            calls["tokenize"] += 1
+            return tokenize(text)
+
+        def counting_check(self, *args, **kwargs):
+            calls["check"] += 1
+            return check(self, *args, **kwargs)
+
+        monkeypatch.setattr(parser_module, "tokenize", counting_tokenize)
+        monkeypatch.setattr(dtql_module, "tokenize", counting_tokenize)
+        monkeypatch.setattr(dtql_module.SemanticAnalyzer, "check",
+                            counting_check)
+        server.query(session_id, dtql)
+        assert calls == {"tokenize": 1, "check": 1}
+
+    @pytest.mark.parametrize("dtql, code", [
+        ("SELECT ffamily FROM proteins", "DTQL002"),
+        ("SELECT * FROM bindings WHERE organism = 5", "DTQL101"),
+        ("SELECT * FROM bindings WHERE value_nm <", "DTQL001"),
+    ])
+    def test_rejected_tap_carries_the_check_report(self, dataset,
+                                                   drugtree, dtql, code):
+        server = DrugTreeServer(
+            drugtree, ServerConfig(),
+            federation=FetchScheduler(dataset.registry))
+        session_id, _ = server.open_session()
+        server.query(session_id, "SELECT count(*) FROM bindings")
+        rejected = get_metrics().counter("mobile.query_rejected")
+        rejected_before = rejected.value
+        roundtrips = dataset.registry.combined_stats()["roundtrips"]
+        cache_before = server.engine.cache.stats()
+        with pytest.raises(MobileError) as info:
+            server.query(session_id, dtql)
+        errors = server.engine.check(dtql).errors
+        assert [d.code for d in errors] == [code]
+        assert info.value.diagnostics == [d.as_dict() for d in errors]
+        assert str(info.value) == (
+            "query rejected by semantic analysis: "
+            + "; ".join(d.render() for d in errors))
+        assert rejected.value == rejected_before + 1
+        assert dataset.registry.combined_stats()["roundtrips"] \
+            == roundtrips
+        assert server.engine.cache.stats() == cache_before
+
+    def test_analysis_off_leaves_parse_errors_alone(self, drugtree,
+                                                    monkeypatch):
+        server = DrugTreeServer(drugtree, ServerConfig(
+            engine=EngineConfig(use_semantic_analysis=False)))
+        session_id, _ = server.open_session()
+        monkeypatch.setattr(
+            dtql_module.SemanticAnalyzer, "check",
+            lambda *args, **kwargs: pytest.fail("analysis is off"))
+        with pytest.raises(ParseError):
+            server.query(session_id, "garbage")
+        assert server.query(
+            session_id, "SELECT * WHERE organism = 5").payload_rows == 0
+
+    def test_engine_still_raises_parse_error(self, drugtree):
+        with pytest.raises(ParseError):
+            QueryEngine(drugtree).execute("garbage")
