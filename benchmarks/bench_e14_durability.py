@@ -11,7 +11,8 @@ Three questions about the opt-in LSM storage layer:
 
 2. **Recovery speed.** After a clean shutdown, is reopening the store
    (manifest load + WAL replay + overlay restore) faster than
-   re-integrating the world from sources? The paper's mobile setting
+   re-integrating the world from sources? (Generating the synthetic
+   world is timed in neither arm.) The paper's mobile setting
    makes cold starts common, so warm-start recovery is the win that
    justifies the storage layer.
 
@@ -38,6 +39,8 @@ from repro.workloads import DatasetConfig, TextTable, build_dataset
 WORLD = DatasetConfig(n_leaves=24, n_ligands=40, seed=601)
 N_WRITE_ROWS = 2_000
 FSYNC_POLICIES = ("always", "batch", "never")
+#: E14b reports the median of this many cold/warm rounds.
+RECOVERY_ROUNDS = 3
 
 #: ``repro bench --quick`` runs this CI-sized variant.
 QUICK_KWARGS = {"n_write_rows": 400,
@@ -109,16 +112,31 @@ def write_cost(n_write_rows: int) -> dict:
     return results
 
 
-def recovery_speed(world: DatasetConfig) -> dict:
-    """Cold re-integration vs warm reopen of the same world."""
+def recovery_speed(world: DatasetConfig,
+                   rounds: int = RECOVERY_ROUNDS) -> dict:
+    """Cold re-integration vs warm reopen of the same world.
+
+    The round with the median speedup of ``rounds`` is reported: one
+    round is ~0.1 s of wall, and a single scheduler hiccup in either
+    arm used to flip the ratio.
+    """
+    samples = sorted((_recovery_round(world) for _ in range(rounds)),
+                     key=lambda sample: sample["speedup"])
+    return samples[len(samples) // 2]
+
+
+def _recovery_round(world: DatasetConfig) -> dict:
+    # Both arms need the generated world (its sources for the cold
+    # one, its tree for the warm one); generating it is neither
+    # integration nor recovery, so it stays outside both timers.
+    dataset = build_dataset(world)
     with tempfile.TemporaryDirectory() as tmp:
         data_dir = Path(tmp) / "db"
         with WallTimer() as cold:
-            dataset = build_dataset(world)
             tree, _ = dataset.integrate(storage=_storage(data_dir))
         tree.close()
         with WallTimer() as warm:
-            reopened = DrugTree(build_dataset(world).tree,
+            reopened = DrugTree(dataset.tree,
                                 storage=_storage(data_dir))
             reopened.create_default_indexes()
         rows_restored = sum(t.row_count
@@ -215,8 +233,9 @@ def test_e14_durability(report):
 
     # Group commit must not cost more than per-record fsync (a 1.25
     # noise allowance: on tmpfs-backed CI, fsync is nearly free and the
-    # two policies converge), and recovery must beat re-integration (it
-    # skips source federation, tree labeling, and protein sequencing).
+    # two policies converge), and recovery must beat re-integration
+    # (it skips source federation and the integration pipeline) in the
+    # median of three rounds.
     assert metrics["write_cost"]["batch"]["seconds"] \
         <= metrics["write_cost"]["always"]["seconds"] * 1.25
     assert recovery["speedup"] > 1.0

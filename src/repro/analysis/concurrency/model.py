@@ -490,8 +490,8 @@ class _ModuleVisitor(ast.NodeVisitor):
             if func.attr == "submit" and node.args:
                 mechanism, target = "submit", node.args[0]
             elif func.attr == "task" and not node.args:
-                # `with region.task():` — the body runs under its own
-                # task timeline, typically on a pool worker thread.
+                # `with region.task():` — a thread entry: the body may
+                # run on any thread, concurrently with other callers'.
                 if fn is not None:
                     fn.is_task_entry = True
                 return

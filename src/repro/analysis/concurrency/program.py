@@ -17,8 +17,8 @@ summaries and builds one :class:`Program`:
   ``threading.Thread(target=...)`` resolved the same
   way; a registration of a *call result* (``submit(make_worker(x))``)
   makes the closures ``make_worker`` returns entries too; a function
-  whose body opens ``with region.task():`` is an entry (its body runs
-  on a ``concurrently()`` worker).
+  whose body opens ``with region.task():`` is an entry (its body may
+  run on any thread, concurrently with other callers').
 * **reachability** — every function reachable from any entry.
 * **lock identity** — raw tokens canonicalized to stable ids:
   ``Owner.attr`` for instance locks (``Owner`` = the class in the
@@ -367,7 +367,7 @@ def _link_entries(program: Program, resolver: _Resolver) -> None:
             receiver = ("self",) if raw[0] == "selfmethod" else None
             for target in resolver.resolve(fn, raw, receiver):
                 program.entries.setdefault(target, entry.mechanism)
-    # `with region.task():` bodies run on concurrently() workers.
+    # `with region.task():` bodies may run on any thread.
     for qual, fn in program.functions.items():
         if fn.is_task_entry:
             program.entries.setdefault(qual, "task")

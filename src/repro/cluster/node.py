@@ -12,7 +12,7 @@ the caller's virtual now, charges latency on the caller's timeline
 (base latency, plus any slow-node penalty, or the full RPC timeout when
 the node is unreachable), and raises
 :class:`~repro.errors.NodeDownError` inside a crash/partition window.
-Thread-safe: the router fans out over partitions from worker threads.
+Thread-safe, for callers that share one cluster across threads.
 """
 
 from __future__ import annotations

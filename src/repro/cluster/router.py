@@ -21,16 +21,13 @@ protocols:
 Per-node circuit breakers (the :class:`~repro.sources.resilience
 .BreakerBoard` lifted to node identity) make a crashed node cost its
 RPC timeout only ``failure_threshold`` times — after that it is
-skipped instantly until its breaker half-opens. Partition fan-out runs
-on worker threads inside ``clock.concurrently()``, so a multi-shard
-read is charged the *max*, not the sum, of its per-shard latencies —
-same discipline as the fetch scheduler.
+skipped instantly until its breaker half-opens. The router starts no
+threads; its lock is for callers that share it across theirs.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.cluster.node import ClusterNode, Hint, VersionedRow
@@ -284,43 +281,38 @@ class Router:
     def read_partitions(self, pids,
                         deadline: Deadline | None = None
                         ) -> dict[tuple[str, int], VersionedRow]:
-        """Quorum-read many partitions, fanned out on worker threads.
+        """Quorum-read many partitions as one overlapped fan-out.
 
         Inside ``clock.concurrently()`` each partition's replica
-        round-trips are charged on its own task timeline, so total
-        virtual latency is the slowest shard, not the sum — the same
-        contract as the fetch scheduler's scatter/gather.
+        round-trips are charged on its own task timeline (in pid
+        order, on the calling thread), so total virtual latency is the
+        slowest shard, not the sum — the same contract as the fetch
+        scheduler's scatter/gather. Every partition is read, or fails,
+        before the join; the first failure is raised after it.
         """
         pids = sorted(set(pids))
         self.drain_hints()
         merged: dict[tuple[str, int], VersionedRow] = {}
         if not pids:
             return merged
+        first_error: Exception | None = None
         with get_tracer().span("cluster.fanout") as span:
             span.set("partitions", len(pids))
             with self.clock.concurrently() as region:
-                with ThreadPoolExecutor(
-                    max_workers=min(8, len(pids)),
-                    thread_name_prefix="cluster-router",
-                ) as pool:
-                    futures = [
-                        pool.submit(self._read_task, region, pid,
-                                    deadline)
-                        for pid in pids
-                    ]
-                    parts = [future.result() for future in futures]
-        # Partitions are disjoint keyspaces: plain union, in pid order.
-        for part in parts:
-            merged.update(part)
+                # Partitions are disjoint keyspaces: plain union.
+                for pid in pids:
+                    try:
+                        with region.task():
+                            merged.update(
+                                self.read_partition(pid, deadline))
+                    except (QuorumError, DeadlineExceededError) as exc:
+                        first_error = first_error or exc
+            if first_error is not None:
+                raise first_error
         with self._lock:
             self.stats.reads += 1
         get_metrics().counter("cluster.reads").inc()
         return merged
-
-    def _read_task(self, region, pid: int,
-                   deadline: Deadline | None) -> dict:
-        with region.task():
-            return self.read_partition(pid, deadline)
 
     # -- hinted handoff -------------------------------------------------------
 

@@ -24,10 +24,15 @@ source in an outage, a tripped circuit breaker, an expired deadline —
 the engine may call :meth:`SemanticCache.lookup_stale` and serve the
 last known result, clearly flagged ``stale`` (see docs/RESILIENCE.md).
 An answer that is seconds out of date beats no answer on a phone.
+
+A server's worker threads share one engine, hence one cache: the two
+LRU maps and the hit counters change only under one lock. Subsumption
+derives from a snapshot outside it, so the lock stays a leaf.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
@@ -55,7 +60,7 @@ class _Entry:
 
 
 class SemanticCache:
-    """LRU semantic result cache."""
+    """LRU semantic result cache (safe to share across threads)."""
 
     def __init__(self, labeling: IntervalLabeling,
                  capacity: int = 128) -> None:
@@ -67,6 +72,7 @@ class SemanticCache:
         #: Last-known results displaced by invalidation or LRU
         #: eviction; servable only through :meth:`lookup_stale`.
         self._stale: OrderedDict[str, _Entry] = OrderedDict()
+        self._lock = threading.Lock()
         self.exact_hits = 0
         self.subsumption_hits = 0
         self.stale_hits = 0
@@ -90,21 +96,27 @@ class SemanticCache:
 
     def _lookup(self, query: Query) -> CacheHit | None:
         own = query.signature()
-        exact = self._entries.get(own)
-        if exact is not None:
-            self._entries.move_to_end(own)
-            self.exact_hits += 1
-            return CacheHit(list(exact.rows), "exact", own)
+        with self._lock:
+            exact = self._entries.get(own)
+            if exact is not None:
+                self._entries.move_to_end(own)
+                self.exact_hits += 1
+                return CacheHit(list(exact.rows), "exact", own)
+            candidates = list(self._entries.items())
 
-        for signature, entry in self._entries.items():
+        # Entries are immutable once stored: derive from the snapshot.
+        for signature, entry in candidates:
             if self._subsumes(entry.query, query):
                 rows = self._derive(entry.rows, query)
                 if rows is None:
                     continue
-                self._entries.move_to_end(signature)
-                self.subsumption_hits += 1
+                with self._lock:
+                    if signature in self._entries:
+                        self._entries.move_to_end(signature)
+                    self.subsumption_hits += 1
                 return CacheHit(rows, "subsumed", signature)
-        self.misses += 1
+        with self._lock:
+            self.misses += 1
         return None
 
     def lookup_stale(self, query: Query) -> CacheHit | None:
@@ -117,16 +129,18 @@ class SemanticCache:
         the freshness downgrade instead of hiding it.
         """
         signature = query.signature()
-        live = self._entries.get(signature)
-        if live is not None:
-            return CacheHit(list(live.rows), "stale", signature)
-        entry = self._stale.get(signature)
-        if entry is None:
-            return None
-        self._stale.move_to_end(signature)
-        self.stale_hits += 1
+        with self._lock:
+            live = self._entries.get(signature)
+            if live is not None:
+                return CacheHit(list(live.rows), "stale", signature)
+            entry = self._stale.get(signature)
+            if entry is None:
+                return None
+            self._stale.move_to_end(signature)
+            self.stale_hits += 1
+            rows = list(entry.rows)
         get_metrics().counter("semantic_cache.stale_hits").inc()
-        return CacheHit(list(entry.rows), "stale", signature)
+        return CacheHit(rows, "stale", signature)
 
     def _subsumes(self, cached: Query, query: Query) -> bool:
         """Is the new query's result provably contained in *cached*'s?"""
@@ -209,21 +223,25 @@ class SemanticCache:
         """Cache a result. Aggregate/limited results are stored for
         exact reuse; full-width results additionally serve subsumption."""
         signature = query.signature()
-        self._entries[signature] = _Entry(query, list(rows))
-        self._entries.move_to_end(signature)
-        self._stale.pop(signature, None)  # live entry shadows stale
-        while len(self._entries) > self.capacity:
-            evicted_signature, evicted = self._entries.popitem(last=False)
-            self._demote(evicted_signature, evicted)
+        entry = _Entry(query, list(rows))
+        with self._lock:
+            self._entries[signature] = entry
+            self._entries.move_to_end(signature)
+            self._stale.pop(signature, None)  # live entry shadows stale
+            while len(self._entries) > self.capacity:
+                evicted_signature, evicted = self._entries.popitem(
+                    last=False)
+                self._demote(evicted_signature, evicted)
 
     def invalidate(self) -> None:
         # Demote rather than discard: an invalidated entry is no longer
         # a correct answer, but it is still the *last known* one, which
         # the degradation path may serve (flagged) when sources are dark.
-        for signature, entry in self._entries.items():
-            self._demote(signature, entry)
-        self._entries.clear()
-        self.invalidations += 1
+        with self._lock:
+            for signature, entry in self._entries.items():
+                self._demote(signature, entry)
+            self._entries.clear()
+            self.invalidations += 1
         get_metrics().counter("semantic_cache.invalidations").inc()
 
     def _demote(self, signature: str, entry: _Entry) -> None:
@@ -239,13 +257,14 @@ class SemanticCache:
         return hits / total if total else 0.0
 
     def stats(self) -> dict[str, float]:
-        return {
-            "entries": len(self._entries),
-            "stale_entries": len(self._stale),
-            "exact_hits": self.exact_hits,
-            "subsumption_hits": self.subsumption_hits,
-            "stale_hits": self.stale_hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "hit_rate": round(self.hit_rate, 4),
-        }
+        with self._lock:
+            return {
+                "entries": len(self._entries),
+                "stale_entries": len(self._stale),
+                "exact_hits": self.exact_hits,
+                "subsumption_hits": self.subsumption_hits,
+                "stale_hits": self.stale_hits,
+                "misses": self.misses,
+                "invalidations": self.invalidations,
+                "hit_rate": round(self.hit_rate, 4),
+            }

@@ -35,9 +35,9 @@ DEFAULT_SIZE_BUCKETS = (
 class Counter:
     """Monotonically increasing value.
 
-    Instruments are shared across scheduler worker threads, so every
-    mutation holds the instrument's lock: an unguarded ``+=`` is a
-    read-modify-write that drops increments under contention.
+    Instruments are shared by every caller thread (a server's worker
+    pool), so every mutation holds the instrument's lock: an unguarded
+    ``+=`` is a read-modify-write that drops increments under contention.
     """
 
     __slots__ = ("name", "value", "_lock")
@@ -197,7 +197,7 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         # Get-or-create must hand every thread the *same* instrument:
-        # two scheduler workers racing to create "scheduler.retries"
+        # two server threads racing to create "scheduler.retries"
         # would otherwise each keep a private Counter and lose counts.
         self._create_lock = threading.Lock()
 

@@ -163,9 +163,9 @@ class Tracer:
         self.clock = clock
         self.capacity = capacity
         self._finished: deque[Span] = deque(maxlen=capacity)
-        # Span nesting is per thread: the fetch scheduler opens spans
-        # from pool workers, and those must not interleave with (or
-        # corrupt) the main thread's open-span stack. The ring buffer
+        # Span nesting is per thread: callers sharing one tracer from
+        # several threads must not interleave with (or corrupt) each
+        # other's open-span stacks. The ring buffer
         # and id counter stay shared, guarded by one lock.
         self._local = threading.local()
         self._lock = threading.Lock()

@@ -137,9 +137,9 @@ class DataSource(ABC):
         self.stats = SourceStats()
         self._window_start = clock.now()
         self._window_calls = 0
-        # The fetch scheduler dispatches round-trips from worker
-        # threads; the meters, rate-limit window, and fault/latency RNGs
-        # are shared state and need one lock.
+        # Several caller threads may fetch from one source (a shared
+        # scheduler under a server pool); the meters, rate-limit window,
+        # and fault/latency RNGs are shared state and need one lock.
         self._meter_lock = threading.Lock()
 
     # -- protocol -------------------------------------------------------

@@ -225,7 +225,7 @@ class ChaosSource(SourceWrapper):
         self.schedule = schedule
         self.timeout_s = timeout_s
         self.chaos_stats = ChaosStats()
-        # Scheduler workers hit the same wrapper concurrently; stats
+        # Caller threads may hit the same wrapper concurrently; stats
         # increments are read-modify-writes and need the guard.  Clock
         # charges stay outside it so waiters never pay for advances.
         self._chaos_lock = threading.Lock()

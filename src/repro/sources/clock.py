@@ -13,17 +13,19 @@ scatter/gathers overlapping requests pays the *max* instead; that is
 modelled with :meth:`SimulatedClock.concurrently`::
 
     with clock.concurrently() as region:
-        # each overlapping task runs under its own timeline, typically
-        # on a worker thread:
+        # each overlapping task runs under its own timeline, one after
+        # another on the thread that opened the region:
         with region.task():
             source_a.fetch_many(...)   # advances the task timeline
         with region.task():
             source_b.fetch_many(...)
     # on join the clock advanced by max(task costs), not the sum
 
-Task timelines are tracked per thread, so the same ``clock.advance()``
-call sites in the sources work unchanged whether they run sequentially
-or inside a parallel region. Regions nest: a task may open its own inner
+Overlap is accounting, not execution: nothing here blocks, so tasks
+run back to back at no wall cost, in a fixed order. Task timelines are
+tracked per thread, so the same ``clock.advance()`` call sites work
+unchanged inside or outside a region, and callers on different threads
+never charge each other's timelines. Regions nest: a task may open its own inner
 ``concurrently()`` region, whose join advances the enclosing task's
 timeline. Two invariants hold throughout: time never runs backwards, and
 a region with a single task degrades to exactly the sequential cost.
@@ -39,9 +41,9 @@ from repro.errors import SourceError
 class SimulatedClock:
     """A monotonically advancing virtual clock, in seconds.
 
-    Thread-safe: worker threads inside a :meth:`concurrently` region
-    advance their own task timelines; everything else advances the
-    global time under a lock.
+    Thread-safe: a thread inside a :meth:`concurrently` task advances
+    the timeline on top of its own (thread-local) stack; everything
+    else advances the global time under a lock.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -168,9 +170,9 @@ class ParallelRegion:
     def task(self) -> TaskTimeline:
         """A new task timeline (enter it on the thread running the task).
 
-        Reads ``_active``/``started_at`` under ``_tasks_lock``: workers
-        call this while the opener may be in ``__enter__``/``__exit__``,
-        and the lock is what publishes the region state to them.
+        Reads ``_active``/``started_at`` under ``_tasks_lock``: a task
+        may be opened from another thread than the opener's (the clock
+        tests do), and the lock publishes the region state to it.
         """
         with self._tasks_lock:
             if not self._active:

@@ -116,9 +116,9 @@ class Deadline:
 class CircuitBreaker:
     """Closed → open → half-open breaker for one ``(source, kind)``.
 
-    Thread-safe: the fetch scheduler records successes/failures from
-    worker threads. All timing is virtual, so breaker behaviour replays
-    deterministically under a seeded chaos scenario.
+    Thread-safe for callers sharing a scheduler or router across
+    threads. One batch records its outcomes in page order and all timing
+    is virtual, so breaker behaviour replays deterministically.
     """
 
     def __init__(self, clock: SimulatedClock,

@@ -8,10 +8,10 @@ scatters independent round-trips, gathers the results, and pays the
 scatter/gather layer for this reproduction:
 
 * **Overlap** — a batch of ``(kind, keys)`` requests is fanned across
-  the sources on a real thread pool, inside a
-  :meth:`~repro.sources.clock.SimulatedClock.concurrently` region, so
-  both wall time and virtual time reflect the critical path rather than
-  the sum of round-trips.
+  the sources inside one :meth:`~repro.sources.clock.SimulatedClock
+  .concurrently` region, so virtual time reflects the critical path,
+  not the sum of round-trips. Pages run in page order on the calling
+  thread (no source blocks, so there is no wall time to overlap).
 * **Paging** — key sets larger than a source's page size are split into
   pages *before* dispatch, so the pages themselves overlap instead of
   being serialized inside ``fetch_many``.
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.errors import (
@@ -135,15 +134,14 @@ class FetchScheduler:
 
     ``fetch_all`` is the batch entry point: one call may name several
     kinds (hence several sources) and oversized key sets; everything is
-    paged, coalesced, and dispatched concurrently. ``fetch_many`` /
-    ``fetch`` are single-kind conveniences over it, and
-    ``fetch_all_resilient`` is the degrade-don't-raise variant the
-    executor and mobile server use.
+    paged, coalesced, and dispatched as one overlapped region.
+    ``fetch_many`` / ``fetch`` are single-kind conveniences over it,
+    ``fetch_all_resilient`` the degrade-don't-raise variant. Starts no
+    threads; callers may share one across theirs (state is locked).
     """
 
     def __init__(self, registry: SourceRegistry,
                  clock: SimulatedClock | None = None,
-                 max_workers: int = 8,
                  max_attempts: int = 3,
                  backoff_s: float = 0.0,
                  max_rate_limit_waits: int = 8,
@@ -151,8 +149,6 @@ class FetchScheduler:
                  borrow_timeout_s: float = BORROW_TIMEOUT_S,
                  breakers: BreakerBoard | None = None,
                  breaker_config: BreakerConfig | None = None) -> None:
-        if max_workers < 1:
-            raise SourceError("scheduler needs at least one worker")
         if max_attempts < 1:
             raise SourceError("need at least one attempt")
         if backoff_s < 0:
@@ -172,7 +168,6 @@ class FetchScheduler:
             clock = sources[0].clock
         self.registry = registry
         self.clock = clock
-        self.max_workers = max_workers
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
         self.max_rate_limit_waits = max_rate_limit_waits
@@ -186,7 +181,6 @@ class FetchScheduler:
         self.stats = SchedulerStats()
         self._lock = threading.Lock()
         self._inflight: dict[tuple[str, str, str], _Flight] = {}
-        self._inflight_pages = 0
 
     # -- public API ---------------------------------------------------------
 
@@ -195,7 +189,7 @@ class FetchScheduler:
 
     def fetch_many(self, kind: str,
                    keys: Iterable[str]) -> dict[str, object]:
-        """Fetch one kind's keys (pages still dispatched concurrently)."""
+        """Fetch one kind's keys (its pages still overlap)."""
         return self.fetch_all([(kind, keys)]).get(kind, {})
 
     def fetch_all(
@@ -251,7 +245,7 @@ class FetchScheduler:
         deadline: Deadline | None,
     ) -> tuple[dict[str, dict[str, object]], dict[str, SourceError]]:
         """Scatter/gather one batch; returns results + first error per
-        kind (empty dict when everything answered)."""
+        kind in page order (empty dict when everything answered)."""
         metrics = get_metrics()
         wanted, dupes = self._normalize(requests)
         sources = {kind: self.registry.source_for(kind)
@@ -280,31 +274,20 @@ class FetchScheduler:
             "scheduler.fetch_all",
             kinds=len(wanted), pages=len(pages), coalesced=coalesced,
         ) as span:
+            metrics.gauge("scheduler.inflight").set(len(pages))
             with self.clock.concurrently() as region:
-                if pages:
-                    workers = min(self.max_workers, len(pages))
-                    with ThreadPoolExecutor(
-                        max_workers=workers,
-                        thread_name_prefix="fetch-scheduler",
-                    ) as pool:
-                        futures = [
-                            (kind, page,
-                             pool.submit(self._run_page, region,
-                                         sources[kind], kind, page,
-                                         deadline))
-                            for kind, page in pages
-                        ]
-                        for kind, page, future in futures:
-                            try:
-                                records = future.result()
-                            except SourceError as exc:
-                                kind_errors.setdefault(kind, exc)
-                                self._resolve(sources[kind], kind, page,
-                                              {}, error=exc)
-                            else:
-                                results[kind].update(records)
-                                self._resolve(sources[kind], kind, page,
-                                              records)
+                for kind, page in pages:
+                    try:
+                        with region.task():
+                            records = self._fetch_with_retry(
+                                sources[kind], kind, page, deadline)
+                    except SourceError as exc:
+                        kind_errors.setdefault(kind, exc)
+                        self._resolve(sources[kind], kind, page, {}, error=exc)
+                    else:
+                        results[kind].update(records)
+                        self._resolve(sources[kind], kind, page, records)
+            metrics.gauge("scheduler.inflight").set(0)
             with self._lock:
                 self.stats.elapsed_virtual_s += region.elapsed_s
                 self.stats.sequential_virtual_s += region.sequential_s
@@ -405,25 +388,7 @@ class FetchScheduler:
                 flight.value = records[key]
             flight.event.set()
 
-    # -- page execution (worker threads) -------------------------------------
-
-    def _run_page(self, region, source, kind: str,
-                  page: list[str],
-                  deadline: Deadline | None) -> dict[str, object]:
-        metrics = get_metrics()
-        with self._lock:
-            self._inflight_pages += 1
-            metrics.gauge("scheduler.inflight").set(self._inflight_pages)
-        try:
-            with region.task():
-                return self._fetch_with_retry(source, kind, page,
-                                              deadline)
-        finally:
-            with self._lock:
-                self._inflight_pages -= 1
-                metrics.gauge("scheduler.inflight").set(
-                    self._inflight_pages
-                )
+    # -- page execution ------------------------------------------------------
 
     def _check_deadline(self, deadline: Deadline | None,
                         source, kind: str) -> None:
@@ -494,6 +459,5 @@ class FetchScheduler:
                 return records
 
     def __repr__(self) -> str:
-        return (f"FetchScheduler(workers={self.max_workers}, "
-                f"batches={self.stats.batches}, "
+        return (f"FetchScheduler(batches={self.stats.batches}, "
                 f"coalesced={self.stats.coalesced})")

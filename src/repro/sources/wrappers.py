@@ -104,10 +104,10 @@ class CachingSource(SourceWrapper):
         self._cache: OrderedDict[tuple[str, str], tuple[float, object]] = (
             OrderedDict()
         )
-        # The scheduler may fetch through one cache from several worker
-        # threads at once; the LRU dict (and hit/miss meters) mutate
-        # under this lock. Round-trips to the inner source deliberately
-        # happen *outside* it so concurrent misses still overlap.
+        # Several caller threads may fetch through one cache at once;
+        # the LRU dict (and hit/miss meters) mutate under this lock.
+        # Round-trips to the inner source deliberately happen *outside*
+        # it so one caller's miss never blocks another's.
         self._cache_lock = threading.RLock()
 
     def fetch_many(self, kind: str,
@@ -276,7 +276,7 @@ class RetryingSource(SourceWrapper):
         self.max_rate_limit_waits = max_rate_limit_waits
         self.retries = 0
         self.rate_limit_waits = 0
-        # Shared across scheduler workers; guards the stat increments
+        # Shared across caller threads; guards the stat increments
         # (never held across the delegate call or a clock charge).
         self._stats_lock = threading.Lock()
 

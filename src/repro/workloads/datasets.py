@@ -11,6 +11,7 @@ have realistic structure (selective clades exist and are findable).
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass, field
 
 from repro.chem.affinity import ActivityType, BindingRecord
@@ -29,6 +30,11 @@ from repro.workloads.families import ProteinFamily, make_family
 
 #: Method strings sampled for protein entries.
 _METHODS = ("X-RAY DIFFRACTION", "SOLUTION NMR", "ELECTRON MICROSCOPY")
+
+
+def _family_go_term(family_name: str) -> str:
+    """One GO term per family; crc32, as ``hash()`` is salted per process."""
+    return f"GO:{4000 + zlib.crc32(family_name.encode()) % 100:07d}"
 
 
 @dataclass(frozen=True)
@@ -192,7 +198,7 @@ def build_dataset(config: DatasetConfig | None = None) -> Dataset:
     annotations = [
         AnnotationEntry(
             protein_id=protein_id,
-            go_terms=(f"GO:{4000 + hash(family.families[protein_id]) % 100:07d}",
+            go_terms=(_family_go_term(family.families[protein_id]),
                       "GO:0005829"),
             ec_number=f"{1 + rng.randrange(6)}.{rng.randrange(20)}."
                       f"{rng.randrange(20)}.{rng.randrange(100)}",

@@ -1,5 +1,8 @@
 """Router protocols: quorum I/O, hinted handoff, merkle anti-entropy."""
 
+import contextlib
+import threading
+
 import pytest
 
 from repro.bio import parse_newick
@@ -9,6 +12,7 @@ from repro.cluster import (
     NodeCrash,
     NodeFaultSchedule,
     Router,
+    SlowNode,
 )
 from repro.core.labeling import IntervalLabeling
 from repro.errors import (
@@ -16,7 +20,14 @@ from repro.errors import (
     DeadlineExceededError,
     QuorumError,
 )
-from repro.obs import MetricsRegistry, set_metrics
+from repro.obs import (
+    NULL_TRACER,
+    MetricsRegistry,
+    Tracer,
+    get_tracer,
+    set_metrics,
+    set_tracer,
+)
 from repro.sources.resilience import Deadline
 
 NEWICK = "((a:1,b:1)ab:1,((c:1,d:1)cd:1,(e:1,f:1)ef:1)cdef:1)root;"
@@ -155,6 +166,84 @@ class TestQuorumReads:
         router = make_router()
         with pytest.raises(ClusterError):
             router.read_partition(99)
+
+
+def interval_pids(router):
+    return [p.pid for p in
+            router.cluster.partitioner.interval_partitions]
+
+
+def instrument_nodes(router, on_rpc):
+    """Call ``on_rpc(node_id, pid)`` around every ``get_partition``."""
+    for node_id in router.cluster.node_ids:
+        node = router.cluster.node(node_id)
+
+        def get_partition(pid, node_id=node_id,
+                          original=node.get_partition):
+            with on_rpc(node_id, pid):
+                return original(pid)
+
+        node.get_partition = get_partition
+
+
+class TestFanoutOnOneThread:
+    """Partition reads run one after another on the caller, each under
+    its own task timeline — the fan-out still charges the max."""
+
+    def test_partition_reads_run_on_the_calling_thread(self):
+        router = make_router()
+        idents = []
+
+        def on_rpc(node_id, pid):
+            idents.append(threading.get_ident())
+            return contextlib.nullcontext()
+
+        instrument_nodes(router, on_rpc)
+        pids = interval_pids(router)
+        router.read_partitions(pids)
+        assert len(idents) == len(pids) * router.config.read_quorum
+        assert set(idents) == {threading.get_ident()}
+
+    def test_node_rpc_work_sits_under_the_fanout_span(self):
+        router = make_router()
+        instrument_nodes(
+            router,
+            lambda node_id, pid: get_tracer().span(
+                "test.node_rpc", node=node_id, pid=pid))
+        tracer = Tracer(router.clock)
+        set_tracer(tracer)
+        try:
+            router.read_partitions(interval_pids(router))
+        finally:
+            set_tracer(NULL_TRACER)
+        spans = tracer.finished_spans()
+        [fanout] = [s for s in spans if s.name == "cluster.fanout"]
+        rpcs = [s for s in spans if s.name == "test.node_rpc"]
+        assert len(rpcs) == 3 * router.config.read_quorum
+        assert {s.parent_id for s in rpcs} == {fanout.span_id}
+
+    def test_failing_middle_partition_still_charges_the_max(self):
+        # Groups: 0 = nodes 0-2, 1 = nodes 1-3, 2 = nodes 2-4. With
+        # nodes 1 and 3 down only the middle partition loses its read
+        # quorum; a slow node 4 makes the *last* partition the slowest.
+        # Every partition is still read, the fan-out charges that
+        # slowest task, and the middle one's error surfaces after it.
+        router = make_router()
+        config = router.config
+        now = router.clock.now()
+        router.cluster.set_schedule(NodeFaultSchedule((
+            NodeCrash("node-1", now, now + 60.0),
+            NodeCrash("node-3", now, now + 60.0),
+            SlowNode("node-4", now, now + 60.0, extra_s=0.5),
+        )))
+        with pytest.raises(QuorumError, match="partition 1"):
+            router.read_partitions(interval_pids(router))
+        slowest = (config.base_latency_s + config.rpc_timeout_s
+                   + config.base_latency_s + 0.5)
+        assert router.clock.now() - now == pytest.approx(slowest)
+        assert router.cluster.node("node-4").rpcs == 1
+        assert router.stats.quorum_failures == 1
+        assert router.stats.reads == 0
 
 
 class TestWritesAndHints:

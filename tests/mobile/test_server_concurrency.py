@@ -6,6 +6,7 @@ these tests hammer the server with real threads and check the session
 table's bounds and typed errors.
 """
 
+import sys
 import threading
 
 import pytest
@@ -114,6 +115,58 @@ class TestConcurrentHammer:
         # Every session survived and still renders.
         for session_id in session_ids:
             server.navigate(session_id, "clade_0001")
+
+    def test_distinct_range_queries_share_one_semantic_cache(
+            self, drugtree):
+        # Aggregates are cached for exact reuse only, so every one of
+        # these misses after scanning the whole LRU map for a subsuming
+        # entry — while the other threads' stores reshape that map.
+        per_thread, n_threads = 400, 6
+
+        def text(worker, i):
+            bound = 4.5 + (i * n_threads + worker) * 0.002
+            return ("SELECT count(*) FROM bindings "
+                    f"WHERE p_affinity > {bound:.3f}")
+
+        def rows_of(server, session_id, dtql):
+            return server.query(session_id, dtql).message.payload()["rows"]
+
+        server = DrugTreeServer(drugtree)
+        session_ids = [server.open_session()[0]
+                       for _ in range(n_threads)]
+        answers = {}
+        errors = []
+
+        def hammer(worker):
+            try:
+                for i in range(per_thread):
+                    dtql = text(worker, i)
+                    answers[dtql] = rows_of(server, session_ids[worker],
+                                            dtql)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(worker,))
+                       for worker in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(answers) == per_thread * n_threads
+
+        serial = DrugTreeServer(drugtree)
+        session_id, _ = serial.open_session()
+        for dtql, rows in answers.items():
+            assert rows == rows_of(serial, session_id, dtql), dtql
+        stats = server.engine.cache.stats()
+        assert (stats["exact_hits"] + stats["subsumption_hits"]
+                + stats["misses"]) == per_thread * n_threads
 
     def test_parallel_opens_respect_the_bound(self, drugtree):
         server = DrugTreeServer(drugtree,

@@ -5,12 +5,22 @@ import threading
 import pytest
 
 from repro.errors import SourceError, SourceUnavailableError
-from repro.obs import MetricsRegistry, set_metrics
+from repro.obs import (
+    NULL_TRACER,
+    MetricsRegistry,
+    Tracer,
+    set_metrics,
+    set_tracer,
+)
 from repro.sources import (
     CachingSource,
+    ChaosSource,
     FaultModel,
+    FaultSchedule,
     FetchScheduler,
     LatencyModel,
+    LatencySpike,
+    Outage,
     RetryingSource,
     SimulatedClock,
     SourceRegistry,
@@ -225,7 +235,7 @@ class TestResilience:
         faults = FaultModel(max_calls_per_window=1, window_s=1.0)
         registry.register(make_source(clock, "alpha", base_s=0.01,
                                       page_size=1, faults=faults))
-        scheduler = FetchScheduler(registry, max_workers=1)
+        scheduler = FetchScheduler(registry)
         out = scheduler.fetch_many("alpha", ["alpha0", "alpha1"])
         assert len(out) == 2
         assert scheduler.stats.rate_limit_waits >= 1
@@ -240,13 +250,109 @@ class TestResilience:
     def test_invalid_construction(self):
         _, registry = make_world(kinds=("alpha",))
         with pytest.raises(SourceError):
-            FetchScheduler(registry, max_workers=0)
-        with pytest.raises(SourceError):
             FetchScheduler(registry, max_attempts=0)
         with pytest.raises(SourceError):
             FetchScheduler(registry, backoff_s=-1)
         with pytest.raises(SourceError):
             FetchScheduler(SourceRegistry())  # no clock derivable
+
+
+class TestOneThread:
+    """Pages of a batch run one after another on the caller, each under
+    its own task timeline — the region still charges the max."""
+
+    def test_pages_run_on_the_calling_thread(self):
+        _, registry = make_world(kinds=("alpha", "beta"), page_size=5)
+        idents = []
+        for kind in ("alpha", "beta"):
+            source = registry.source_for(kind)
+
+            def recording(kind_, page, original=source.fetch_many):
+                idents.append(threading.get_ident())
+                return original(kind_, page)
+
+            source.fetch_many = recording
+        scheduler = FetchScheduler(registry)
+        scheduler.fetch_all([
+            ("alpha", [f"alpha{i}" for i in range(20)]),
+            ("beta", ["beta0"]),
+        ])
+        assert len(idents) == 5  # four alpha pages + one beta page
+        assert set(idents) == {threading.get_ident()}
+
+    def test_pages_reach_a_source_in_page_order(self):
+        _, registry = make_world(kinds=("alpha",), page_size=2)
+        source = registry.source_for("alpha")
+        seen = []
+        original = source.fetch_many
+
+        def recording(kind, page):
+            seen.append(list(page))
+            return original(kind, page)
+
+        source.fetch_many = recording
+        keys = [f"alpha{i}" for i in range(12)]
+        FetchScheduler(registry).fetch_many("alpha", keys)
+        assert seen == [keys[i:i + 2] for i in range(0, 12, 2)]
+
+    def test_fetch_spans_descend_from_the_batch_span(self):
+        clock = SimulatedClock()
+        registry = SourceRegistry()
+        registry.register(ChaosSource(
+            make_source(clock, "alpha", page_size=5),
+            FaultSchedule([LatencySpike(0.0, 100.0, extra_s=0.05)]),
+        ))
+        registry.register(make_source(clock, "beta"))
+        tracer = Tracer(clock)
+        set_tracer(tracer)
+        try:
+            FetchScheduler(registry).fetch_all([
+                ("alpha", [f"alpha{i}" for i in range(10)]),
+                ("beta", ["beta0"]),
+            ])
+        finally:
+            set_tracer(NULL_TRACER)
+        spans = {span.span_id: span for span in tracer.finished_spans()}
+
+        def ancestors(span):
+            names = []
+            while span.parent_id is not None:
+                span = spans[span.parent_id]
+                names.append(span.name)
+            return names
+
+        by_name = {}
+        for span in spans.values():
+            by_name.setdefault(span.name, []).append(span)
+        assert len(by_name["scheduler.fetch_all"]) == 1
+        assert len(by_name["source.fetch_many"]) == 3
+        assert len(by_name["chaos.window"]) == 2
+        for name in ("source.fetch_many", "chaos.window"):
+            for span in by_name[name]:
+                assert "scheduler.fetch_all" in ancestors(span), name
+
+    def test_failing_middle_task_still_charges_the_max(self):
+        # Three one-page tasks; the second fails after its timeout.
+        # Every task runs to its end, the region charges the slowest,
+        # and the failing task's error surfaces after the join.
+        clock = SimulatedClock()
+        registry = SourceRegistry()
+        registry.register(make_source(clock, "alpha", base_s=0.1))
+        registry.register(ChaosSource(
+            make_source(clock, "beta"),
+            FaultSchedule([Outage(0.0, 100.0)]), timeout_s=0.2,
+        ))
+        registry.register(make_source(clock, "gamma", base_s=0.5))
+        scheduler = FetchScheduler(registry, max_attempts=1)
+        with pytest.raises(SourceUnavailableError, match="beta-src"):
+            scheduler.fetch_all([
+                ("alpha", ["alpha0"]), ("beta", ["beta0"]),
+                ("gamma", ["gamma0"]),
+            ])
+        assert clock.now() == pytest.approx(0.5)
+        assert scheduler.stats.sequential_virtual_s == pytest.approx(0.8)
+        assert registry.source_for("gamma").stats.roundtrips == 1
+        assert scheduler._inflight == {}
 
 
 class TestWrapperStacking:

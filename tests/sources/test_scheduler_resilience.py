@@ -107,8 +107,7 @@ class TestResilientBatches:
                 FaultSchedule([ErrorBurst(0.0, 1000.0, 0.5)],
                               seed=seed),
             ))
-            scheduler = FetchScheduler(registry, max_workers=1,
-                                       max_attempts=1)
+            scheduler = FetchScheduler(registry, max_attempts=1)
             outcome = scheduler.fetch_all_resilient([
                 ("alpha", ["alpha0", "alpha1", "alpha2"]),
             ])
@@ -223,7 +222,7 @@ class TestBreakers:
         registry.register(make_source(clock, "alpha", base_s=0.01,
                                       page_size=1, faults=faults))
         scheduler = FetchScheduler(
-            registry, max_workers=1,
+            registry,
             breaker_config=BreakerConfig(failure_threshold=1),
         )
         out = scheduler.fetch_many("alpha", ["alpha0", "alpha1"])

@@ -1,7 +1,12 @@
 """Tests for the end-to-end dataset builder."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.errors import WorkloadError
 from repro.workloads import DatasetConfig, build_dataset
 from repro.workloads.datasets import generate_bindings
@@ -35,6 +40,28 @@ class TestBuild:
         b = build_dataset(DatasetConfig(n_leaves=10, n_ligands=15, seed=8))
         assert [r for r in a.bindings] == [r for r in b.bindings]
         assert a.tree.to_newick() == b.tree.to_newick()
+
+    def test_annotations_do_not_depend_on_the_hash_seed(self):
+        # GO terms derive from the family name; str hashes are salted
+        # per interpreter, so the digest must not be ``hash()``.
+        script = (
+            "from repro.workloads import DatasetConfig, build_dataset\n"
+            "ds = build_dataset(DatasetConfig(n_leaves=12, "
+            "n_ligands=10, seed=5))\n"
+            "ids = ds.family.protein_ids\n"
+            "print(repr(ds.annotation_source.fetch_many("
+            "'annotation', ids)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=src)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True).stdout)
+        assert outputs[0] == outputs[1]
+        assert b"GO:000" in outputs[0]
 
     def test_drugtree_cached(self, dataset):
         assert dataset.drugtree() is dataset.drugtree()
