@@ -98,7 +98,6 @@ _SOURCE_ERRORS = frozenset({
     "RateLimitError",
     "BreakerOpenError",
     "DeadlineExceededError",
-    "BorrowTimeoutError",
 })
 
 #: Modules whose names we resolve through imports.

@@ -201,8 +201,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         for focus in dataset.family.clade_names[:3]:
             server.navigate(session_id, focus)
         server.close_session(session_id)
-        # Two clients landing on the same viewport at once: the second
-        # client's identical pull coalesces onto the in-flight one.
+        # One batch naming the same viewport's proteins twice: the
+        # scheduler deduplicates the repeated keys before dispatch, so
+        # ``scheduler.coalesced`` moves in the snapshot.
         visible = list(dataset.family.protein_ids[:16])
         scheduler.fetch_all([
             (KIND_PROTEIN, visible),

@@ -5,10 +5,11 @@ engine — is met by construction rather than by reimplementing the
 executor: the engine prunes the query to the partitions whose clade
 intervals intersect it, quorum-reads exactly those partitions through
 the router, materializes the rows into a local overlay *view* (a plain
-:class:`~repro.core.drugtree.DrugTree` rebuilt in global row-id order,
+:class:`~repro.core.drugtree.DrugTree` recovered from those rows in
+global row-id order, the way a durable overlay recovers from its store,
 so every scan and index path emits rows in the same order as the
-single-node engine), injects the cluster-wide table statistics so the
-planner makes the same choices, and then delegates
+single-node engine), has it adopt the cluster-wide table statistics so
+the planner makes the same choices, and then delegates
 to a stock :class:`~repro.core.query.executor.QueryEngine`.
 
 Views are cached per ``(partition set, store version)``, so a
@@ -21,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.chem.fingerprint import circular_fingerprint
-from repro.chem.smiles import parse_smiles
 from repro.cluster.partitioning import (
     PARTITIONED_TABLES,
     partitions_for_query,
@@ -217,52 +216,27 @@ class ClusterEngine:
                      deadline: Deadline | None) -> _ClusterView:
         """Quorum-read the partitions into a fresh local overlay.
 
-        Rows are inserted in ascending global row id, so insertion
-        order — and with it every scan order, index row-id order, and
-        clade-aggregate accumulation order — matches the single-node
-        overlay restricted to these partitions, which is what makes
-        results (including float aggregates and stable-sort ties)
-        bit-identical.
+        The view is a recovered overlay: :meth:`DrugTree.load_rows`
+        replays the rows under their global row ids in ascending order,
+        so insertion order — and with it every scan order, index row-id
+        order, and clade-aggregate accumulation order — matches the
+        single-node overlay restricted to these partitions, which is
+        what makes results (including float aggregates and stable-sort
+        ties) bit-identical.
         """
         store_version = self.router.store_version
         merged = self.router.read_partitions(pids, deadline)
-        by_table: dict[str, list] = {
-            PROTEINS_TABLE: [], LIGANDS_TABLE: [], BINDINGS_TABLE: [],
-        }
-        for (table, row_id), versioned in merged.items():
-            by_table[table].append((row_id, versioned.row))
+        by_table: dict[str, list] = {}
+        for table, row_id in sorted(merged):
+            by_table.setdefault(table, []).append(
+                (row_id, merged[table, row_id].row))
         drugtree = DrugTree(self.tree)
-        proteins = drugtree.tables[PROTEINS_TABLE]
-        for _, row in sorted(by_table[PROTEINS_TABLE]):
-            proteins.insert(proteins.schema.row_as_dict(row))
-            drugtree._known_proteins.add(
-                proteins.value(row, "protein_id")
-            )
-        # Mirrors DrugTree._restore_from_database: raw row insert plus
-        # recomputed chemistry (molecule, fingerprint, similarity index).
-        ligands = drugtree.tables[LIGANDS_TABLE]
-        for _, row in sorted(by_table[LIGANDS_TABLE]):
-            ligands.insert(ligands.schema.row_as_dict(row))
-            ligand_id = ligands.value(row, "ligand_id")
-            molecule = parse_smiles(ligands.value(row, "smiles"),
-                                    name=ligand_id)
-            fingerprint = circular_fingerprint(molecule)
-            drugtree.fingerprints[ligand_id] = fingerprint
-            drugtree.fingerprint_index.add(ligand_id, fingerprint)
-            drugtree.molecules[ligand_id] = molecule
-            drugtree._known_ligands.add(ligand_id)
-        bindings = drugtree.tables[BINDINGS_TABLE]
-        for _, row in sorted(by_table[BINDINGS_TABLE]):
-            bindings.insert(bindings.schema.row_as_dict(row))
+        drugtree.load_rows(by_table)
         drugtree.create_default_indexes()
         if self.statistics:
             # Cluster-wide statistics, not the subset's: the planner
             # must cost plans exactly like the single-node engine.
-            drugtree._statistics = dict(self.statistics)
-            drugtree._mutations_since_analyze = {
-                name: 0 for name in drugtree.tables
-            }
-            drugtree.stats_epoch += 1
+            drugtree.adopt_statistics(self.statistics)
         engine = QueryEngine(drugtree, config=self.config)
         return _ClusterView(drugtree=drugtree, engine=engine,
                             store_version=store_version,

@@ -16,6 +16,7 @@ populate through :meth:`add_protein` / :meth:`add_ligand` /
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from typing import Any
 
 from repro.bio.seq import ProteinSequence
@@ -85,8 +86,8 @@ class DrugTree:
         self._mutation_listeners: list[Any] = []
         self._known_proteins: set[str] = set()
         self._known_ligands: set[str] = set()
-        #: Bumped whenever any table's statistics are (re)collected;
-        #: the compiled-plan cache keys on it for invalidation.
+        #: Bumped whenever any table's statistics are (re)collected or
+        #: adopted; ``repro stats`` reports it and nothing keys on it.
         self.stats_epoch = 0
         self._mutations_since_analyze: dict[str, int] = {
             name: 0 for name in self.tables
@@ -96,38 +97,49 @@ class DrugTree:
             table.add_insert_listener(listener)
             table.add_delete_listener(listener)
         if self.database is not None:
-            self._restore_from_database()
+            # Recovery: replay the committed store into the fresh overlay.
+            with get_tracer().span("durable.recover.overlay") as span:
+                span.set("rows", self.load_rows({
+                    name: table.durable.committed_rows()
+                    for name, table in self.tables.items()
+                }))
+                for table in self.tables.values():
+                    table.durable.restore_watermark(table)
 
-    def _restore_from_database(self) -> None:
-        """Replay the committed store into the fresh overlay.
+    def load_rows(self, rows: Mapping[str, Iterable[tuple[int, tuple]]],
+                  ) -> int:
+        """Adopt already-validated rows into this empty overlay.
 
-        Rows flow through :meth:`Table.restore_row`, firing the same
-        listeners as live inserts — so everything derived (indexes,
-        clade aggregates, column stores) rebuilds without its own
-        persistence format. Chemistry state (parsed molecules,
-        fingerprints, the similarity index) is recomputed from the
-        recovered ``smiles`` column.
+        The one loader behind durable recovery and cluster views:
+        *rows* maps a table name to ``(row_id, row)`` pairs in
+        ascending row id. They flow through :meth:`Table.restore_row`
+        (no validation, no write-ahead log, the listeners of a live
+        insert); the known-id sets and the chemistry state are then
+        recomputed from the loaded rows. Returns their count.
         """
-        with get_tracer().span("durable.recover.overlay") as span:
-            restored = 0
-            for table in self.tables.values():
-                restored += table.durable.restore_into(table)
-            proteins = self.tables[PROTEINS_TABLE]
-            for row in proteins.scan_rows():
-                self._known_proteins.add(
-                    proteins.value(row, "protein_id")
-                )
-            ligands = self.tables[LIGANDS_TABLE]
-            for row in ligands.scan_rows():
-                ligand_id = ligands.value(row, "ligand_id")
-                molecule = parse_smiles(ligands.value(row, "smiles"),
-                                        name=ligand_id)
-                fingerprint = circular_fingerprint(molecule)
-                self.fingerprints[ligand_id] = fingerprint
-                self.fingerprint_index.add(ligand_id, fingerprint)
-                self.molecules[ligand_id] = molecule
-                self._known_ligands.add(ligand_id)
-            span.set("rows", restored)
+        for name, table in self.tables.items():
+            for row_id, row in rows.get(name, ()):
+                table.restore_row(row_id, row)
+        proteins = self.tables[PROTEINS_TABLE]
+        for row in proteins.scan_rows():
+            self._known_proteins.add(proteins.value(row, "protein_id"))
+        ligands = self.tables[LIGANDS_TABLE]
+        for row in ligands.scan_rows():
+            self._register_ligand(ligands.value(row, "ligand_id"),
+                                  ligands.value(row, "smiles"))
+        return sum(table.row_count for table in self.tables.values())
+
+    def _register_ligand(self, ligand_id: str, smiles: str,
+                         fingerprint: Fingerprint | None = None) -> None:
+        """Derive one ligand's chemistry state (parsed molecule,
+        fingerprint, similarity-index entry) from its SMILES."""
+        molecule = parse_smiles(smiles, name=ligand_id)
+        if fingerprint is None:
+            fingerprint = circular_fingerprint(molecule)
+        self.fingerprints[ligand_id] = fingerprint
+        self.fingerprint_index.add(ligand_id, fingerprint)
+        self.molecules[ligand_id] = molecule
+        self._known_ligands.add(ligand_id)
 
     def close(self) -> None:
         """Flush and release the durable store (no-op in-memory)."""
@@ -194,13 +206,7 @@ class DrugTree:
             "ring_count": int(descriptors["ring_count"]),
             "drug_like": bool(descriptors.get("is_drug_like", True)),
         })
-        molecule = parse_smiles(smiles, name=ligand_id)
-        if fingerprint is None:
-            fingerprint = circular_fingerprint(molecule)
-        self.fingerprints[ligand_id] = fingerprint
-        self.fingerprint_index.add(ligand_id, fingerprint)
-        self.molecules[ligand_id] = molecule
-        self._known_ligands.add(ligand_id)
+        self._register_ligand(ligand_id, smiles, fingerprint)
         return row_id
 
     def add_binding(self, record: BindingRecord) -> int:
@@ -246,9 +252,16 @@ class DrugTree:
 
     def refresh_statistics(self) -> dict[str, TableStatistics]:
         """ANALYZE every overlay table; call after bulk loading."""
-        self._statistics = {
+        return self.adopt_statistics({
             name: analyze(table) for name, table in self.tables.items()
-        }
+        })
+
+    def adopt_statistics(self, statistics: Mapping[str, TableStatistics],
+                         ) -> dict[str, TableStatistics]:
+        """Take *statistics* as every table's current ANALYZE result
+        (a cluster view holds a subset of the rows but must cost plans
+        like the single-node engine, so it adopts the cluster's)."""
+        self._statistics = dict(statistics)
         for name in self.tables:
             self._mutations_since_analyze[name] = 0
         self.stats_epoch += 1
@@ -257,8 +270,6 @@ class DrugTree:
     def _analyze_table(self, name: str) -> TableStatistics:
         """Re-ANALYZE one table and reset its staleness counter."""
         stats = analyze(self.tables[name])
-        if self._statistics is None:
-            self._statistics = {}
         self._statistics[name] = stats
         self._mutations_since_analyze[name] = 0
         self.stats_epoch += 1

@@ -172,6 +172,18 @@ class IntegrationPipeline:
                 found[key] = record
         return found
 
+    def _gather(self, report: "IntegrationReport",
+                requests: list[tuple[str, list[str]]],
+                ) -> dict[str, dict[str, Any]]:
+        """One scatter/gather batch of the concurrent mode. Under the
+        scheduler's degrade policy dark sources come back flagged per
+        kind in *report* and the overlay is built from whatever
+        answered; a plain scheduler raises."""
+        outcome = self.scheduler.fetch_all_resilient(requests)
+        if self.scheduler.degrades():
+            report.statuses.update(outcome.statuses)
+        return outcome.records
+
     # -- the protein-motivated tree ------------------------------------------
 
     def build_tree_from_sources(self, protein_ids: list[str] | None = None,
@@ -241,30 +253,15 @@ class IntegrationPipeline:
         with tracer.span("integrate.build_drugtree", mode=self.mode,
                          proteins=len(protein_ids)) as span, \
                 WallTimer() as timer, Stopwatch(clock) as virtual:
-            # With a breaker-enabled scheduler the concurrent mode
-            # degrades instead of raising: sources that are dark come
-            # back flagged per kind, and the overlay is built from
-            # whatever answered.
-            resilient = (self.mode == "concurrent"
-                         and getattr(self.scheduler, "breakers", None)
-                         is not None)
             if self.mode == "concurrent":
                 # The three per-protein pulls are independent and hit
                 # three distinct sources: one scatter/gather batch.
-                requests = [
-                    (KIND_PROTEIN, protein_ids),
-                    (KIND_ANNOTATION, protein_ids),
-                    (KIND_ACTIVITY_BY_PROTEIN, protein_ids),
-                ]
                 with tracer.span("integrate.fetch_overlapped"):
-                    if resilient:
-                        outcome = self.scheduler.fetch_all_resilient(
-                            requests
-                        )
-                        gathered = outcome.records
-                        report.statuses.update(outcome.statuses)
-                    else:
-                        gathered = self.scheduler.fetch_all(requests)
+                    gathered = self._gather(report, [
+                        (KIND_PROTEIN, protein_ids),
+                        (KIND_ANNOTATION, protein_ids),
+                        (KIND_ACTIVITY_BY_PROTEIN, protein_ids),
+                    ])
                 entries = gathered[KIND_PROTEIN]
                 annotations = gathered[KIND_ANNOTATION]
                 activity_map = gathered[KIND_ACTIVITY_BY_PROTEIN]
@@ -295,16 +292,11 @@ class IntegrationPipeline:
                 {record.ligand_id for record in all_records}
             )
             with tracer.span("integrate.fetch_compounds"):
-                if resilient:
-                    outcome = self.scheduler.fetch_all_resilient(
-                        [(KIND_COMPOUND, ligand_ids)]
-                    )
-                    compounds = outcome.records.get(KIND_COMPOUND, {})
-                    report.statuses.update(outcome.statuses)
-                elif self.mode == "concurrent":
-                    # One kind, but its pages still dispatch in parallel.
-                    compounds = self.scheduler.fetch_many(KIND_COMPOUND,
-                                                          ligand_ids)
+                if self.mode == "concurrent":
+                    # One kind, but its pages still overlap.
+                    compounds = self._gather(
+                        report, [(KIND_COMPOUND, ligand_ids)],
+                    )[KIND_COMPOUND]
                 else:
                     compounds = self._fetch_map(KIND_COMPOUND, ligand_ids)
             for ligand_id in ligand_ids:

@@ -61,7 +61,6 @@ from repro.core.query.physical import (
 from repro.core.query.planner import Planner, PlannerConfig, PlanReport
 from repro.core.query.vectorized import VectorizedLowering
 from repro.errors import (
-    BorrowTimeoutError,
     PlanError,
     QueryError,
     SourceError,
@@ -253,15 +252,6 @@ class QueryEngine:
             )
         return Deadline(clock, float(deadline))
 
-    def _resilience_active(self, deadline) -> bool:
-        """Degrade-don't-raise applies when the caller set a deadline
-        or the scheduler runs circuit breakers; plain engines keep the
-        historical raise-on-fault behaviour (and zero overhead)."""
-        if self.federation is None:
-            return False
-        return (deadline is not None
-                or getattr(self.federation, "breakers", None) is not None)
-
     def execute(self, query: Query | str,
                 deadline: Deadline | float | None = None) -> QueryResult:
         """Run a query (AST or DTQL text).
@@ -365,7 +355,8 @@ class QueryEngine:
                 span.set("rows", len(hit.rows))
                 return QueryResult(rows=hit.rows, cache_outcome=hit.kind)
 
-            resilient = self._resilience_active(deadline)
+            resilient = (self.federation is not None
+                         and self.federation.degrades(deadline))
             deadline = self._as_deadline(deadline)
             statuses: dict[str, str] = {}
             counters = ExecCounters()
@@ -405,8 +396,6 @@ class QueryEngine:
                         rows = self._empty_rows(query)
                     run_span.set("rows", len(rows))
                     run_span.set("rows_scanned", counters.rows_scanned)
-            except BorrowTimeoutError:
-                raise  # a scheduler bug, never papered over
             except SourceError:
                 stale = (self.cache.lookup_stale(query)
                          if resilient and caching and not instrument
@@ -472,9 +461,9 @@ class QueryEngine:
                 resilience["statuses"] = dict(statuses)
                 if degraded:
                     resilience["degraded"] = True
-            boards = getattr(self.federation, "breakers", None)
-            if boards is not None:
-                snap = boards.snapshot()
+            if (self.federation is not None
+                    and self.federation.breakers is not None):
+                snap = self.federation.breakers.snapshot()
                 if snap:
                     resilience["breakers"] = snap
 

@@ -16,6 +16,7 @@ from typing import Any
 from repro.core.query.ast import AggregateSpec, Comparison, OrderBy
 from repro.core.query.predicates import compile_residual
 from repro.errors import QueryError
+from repro.sources.resilience import worst_status
 from repro.storage.index import HashIndex, SortedIndex
 from repro.storage.table import Table
 
@@ -440,14 +441,15 @@ class RemoteFetchOp(PhysicalOp):
     Buffers ``lookahead`` child rows at a time, collects their distinct
     keys, and issues *one* scatter/gather batch per buffer: every
     record kind the projected detail columns need is fetched in the
-    same :meth:`FetchScheduler.fetch_all` call, so round-trips to
-    different sources overlap and repeated keys coalesce. Rows whose
-    record is missing at the source get ``None`` details.
+    same :meth:`FetchScheduler.fetch_all_resilient` call, so
+    round-trips to different sources overlap and repeated keys
+    collapse. Rows whose record is missing at the source get ``None``
+    details.
 
-    With a *statuses* sink the operator uses the scheduler's resilient
-    path (``fetch_all_resilient``): per-kind degradation statuses are
-    merged into the sink (worst across flushes) instead of a source
-    fault aborting the query, and an optional *deadline* bounds the
+    Whether a source fault aborts the query or comes back flagged is
+    the scheduler's ``degrades(deadline)`` policy; the engine passes a
+    *statuses* sink exactly when it degrades, and per-kind statuses are
+    merged into it (worst across flushes). *deadline* bounds the
     virtual time the fetches may spend.
     """
 
@@ -501,25 +503,15 @@ class RemoteFetchOp(PhysicalOp):
             yield record
 
     def _fetch(self, requests) -> dict[str, dict[str, Any]]:
-        resilient = getattr(self.scheduler, "fetch_all_resilient", None)
-        if self.statuses is not None and resilient is not None:
-            # Degrading path: missing kinds come back flagged, not
-            # raised; the engine decides what a partial answer means.
-            from repro.sources.resilience import worst_status
-
-            outcome = resilient(requests, deadline=self.deadline)
+        outcome = self.scheduler.fetch_all_resilient(
+            requests, deadline=self.deadline)
+        if self.statuses is not None:
+            # Missing kinds came back flagged, not raised; the engine
+            # decides what a partial answer means.
             for kind, status in outcome.statuses.items():
-                previous = self.statuses.get(kind)
-                self.statuses[kind] = (
-                    status if previous is None
-                    else worst_status(previous, status)
-                )
-            return outcome.records
-        if self.deadline is not None:
-            return self.scheduler.fetch_all(requests,
-                                            deadline=self.deadline)
-        # Plain schedulers (tests pass fakes) only know fetch_all.
-        return self.scheduler.fetch_all(requests)
+                self.statuses[kind] = worst_status(
+                    self.statuses.get(kind, status), status)
+        return outcome.records
 
 
 class EmptyOp(PhysicalOp):

@@ -39,6 +39,12 @@ class SourceUnavailableError(SourceError):
 class RateLimitError(SourceError):
     """The source rejected the request because of rate limiting."""
 
+    #: The rejecting source's rate window in virtual seconds, when the
+    #: raiser set it. An attribute, not a constructor argument: under
+    #: the raiser's meter lock ``repro race`` reads any
+    #: ``super().__init__`` as a call that may block.
+    window_s: float | None = None
+
 
 class BreakerOpenError(SourceError):
     """A circuit breaker is open: the call was skipped, not attempted.
@@ -51,15 +57,6 @@ class BreakerOpenError(SourceError):
 class DeadlineExceededError(SourceError):
     """The caller's virtual-time deadline expired before (or during)
     the fetch; remaining work was cancelled rather than charged."""
-
-
-class BorrowTimeoutError(SourceError):
-    """A coalesced (borrowed) in-flight fetch was never resolved by its
-    owning round-trip within the wall-clock borrow timeout.
-
-    This indicates a scheduler bug (the owner died without resolving
-    its flights), not a simulated source fault.
-    """
 
 
 class ClusterError(SourceError):

@@ -121,8 +121,8 @@ class DrugTreeServer:
         #: protein_id -> merged detail record, filled by the viewport
         #: prefetch so a details tap is served without a round-trip.
         #: Guarded by ``_details_lock``; fetches run outside the lock
-        #: (concurrent duplicate pulls are coalesced downstream by the
-        #: scheduler, not by holding a lock across the round-trip).
+        #: (two sessions missing the same leaf at once both fetch it
+        #: rather than one waiting on a lock across the round-trip).
         self._details: dict[str, dict[str, Any]] = {}
         self._details_lock = threading.Lock()
 
@@ -220,20 +220,11 @@ class DrugTreeServer:
 
     # -- degradation helpers --------------------------------------------------
 
-    def _resilient_taps(self) -> bool:
-        """Do taps degrade (deadline set, or breaker-enabled scheduler)
-        instead of raising on source faults?"""
-        if self.federation is None:
-            return False
-        return (self.config.tap_deadline_s is not None
-                or getattr(self.federation, "breakers", None) is not None)
-
     def _federation_degraded(self) -> bool:
         """Any breaker currently not closed ⇒ serve smaller, not slower."""
-        boards = getattr(self.federation, "breakers", None)
-        if boards is None:
+        if self.federation is None or self.federation.breakers is None:
             return False
-        return boards.open_fraction() > 0.0
+        return self.federation.breakers.open_fraction() > 0.0
 
     def _tap_deadline(self) -> Deadline | None:
         if (self.config.tap_deadline_s is None
@@ -391,7 +382,8 @@ class DrugTreeServer:
             else:
                 metrics.counter("mobile.prefetch.hits").inc()
             status = "fresh"
-            if details is None and self._resilient_taps():
+            if details is None and self.federation.degrades(
+                    self.config.tap_deadline_s):
                 card = self._local_protein_card(protein_id)
                 if card is not None:
                     details = {
@@ -435,7 +427,9 @@ class DrugTreeServer:
 
         The detail-cache lock is never held across the federation
         round-trip: two sessions prefetching the same viewport may both
-        fetch, and the scheduler coalesces the duplicate pulls.
+        fetch, each paying its own round-trips. Whether a dark source
+        raises or leaves its leaves without details is the scheduler's
+        ``degrades`` policy.
         """
         with self._details_lock:
             wanted = [pid for pid in protein_ids
@@ -449,12 +443,8 @@ class DrugTreeServer:
             (KIND_PROTEIN, wanted),
             (KIND_ANNOTATION, wanted),
         ]
-        resilient = getattr(self.federation, "fetch_all_resilient", None)
-        if resilient is not None and self._resilient_taps():
-            fetched = resilient(requests,
-                                deadline=self._tap_deadline()).records
-        else:
-            fetched = self.federation.fetch_all(requests)
+        fetched = self.federation.fetch_all_resilient(
+            requests, deadline=self._tap_deadline()).records
         proteins = fetched.get(KIND_PROTEIN, {})
         annotations = fetched.get(KIND_ANNOTATION, {})
         merged: dict[str, dict[str, Any]] = {}

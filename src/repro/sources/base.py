@@ -241,10 +241,12 @@ class DataSource(ABC):
         if self._window_calls >= limit:
             self.stats.errors += 1
             metrics.counter(f"source.rate_limited.{self.name}").inc()
-            raise RateLimitError(
+            error = RateLimitError(
                 f"source {self.name!r} rate limit of {limit} calls per "
                 f"{self.faults.window_s}s exceeded"
             )
+            error.window_s = self.faults.window_s
+            raise error
         self._window_calls += 1
 
     def __repr__(self) -> str:

@@ -1,10 +1,15 @@
-"""Resilience primitives: circuit breakers, deadlines, result statuses.
+"""Resilience primitives: retries, breakers, deadlines, result statuses.
 
 The federation's failure story used to be "retry with backoff and hope":
 every fetch against a dark source re-paid the full retry ladder, and one
 slow source could stall a whole mobile tap. This module provides the
-three primitives the resilient path is built from:
+four primitives the resilient path is built from:
 
+* :class:`RetryLadder` — the one retry policy: an unavailable source is
+  retried a bounded number of times with exponential *virtual* backoff,
+  a rate-limited one waits out its window a bounded number of times.
+  The fetch scheduler and :class:`~repro.sources.wrappers
+  .RetryingSource` each hold one.
 * :class:`CircuitBreaker` / :class:`BreakerBoard` — per ``(source,
   kind)`` closed → open → half-open state machines in *virtual* time.
   After ``failure_threshold`` consecutive failures the breaker opens and
@@ -28,9 +33,11 @@ Everything here runs against a :class:`~repro.sources.clock
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable, Iterator
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 
-from repro.errors import SourceError
+from repro.errors import RateLimitError, SourceError, SourceUnavailableError
 from repro.obs import get_metrics
 from repro.sources.clock import SimulatedClock
 
@@ -131,7 +138,7 @@ class CircuitBreaker:
         self._state = STATE_CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._probes_inflight = 0
+        self._probes_admitted = 0
         #: Cumulative transitions to open (trips), for reports.
         self.trips = 0
         #: Calls refused while open (the round-trips never paid).
@@ -150,7 +157,7 @@ class CircuitBreaker:
                 and self.clock.now() - self._opened_at
                 >= self.config.reset_timeout_s):
             self._set_state(STATE_HALF_OPEN)
-            self._probes_inflight = 0
+            self._probes_admitted = 0
 
     def _set_state(self, state: str) -> None:
         self._state = state
@@ -173,8 +180,8 @@ class CircuitBreaker:
                     ).inc()
                 return False
             # Half-open: admit a bounded number of probe calls.
-            if self._probes_inflight < self.config.half_open_probes:
-                self._probes_inflight += 1
+            if self._probes_admitted < self.config.half_open_probes:
+                self._probes_admitted += 1
                 return True
             self.short_circuits += 1
             return False
@@ -184,7 +191,7 @@ class CircuitBreaker:
             self._consecutive_failures = 0
             if self._state != STATE_CLOSED:
                 self._set_state(STATE_CLOSED)
-                self._probes_inflight = 0
+                self._probes_admitted = 0
 
     def record_failure(self) -> None:
         with self._lock:
@@ -199,7 +206,7 @@ class CircuitBreaker:
     def _trip(self) -> None:
         self._set_state(STATE_OPEN)
         self._opened_at = self.clock.now()
-        self._probes_inflight = 0
+        self._probes_admitted = 0
         self.trips += 1
         if self.name:
             get_metrics().counter(f"breaker.opened.{self.name}").inc()
@@ -209,7 +216,7 @@ class CircuitBreaker:
         with self._lock:
             self._set_state(STATE_CLOSED)
             self._consecutive_failures = 0
-            self._probes_inflight = 0
+            self._probes_admitted = 0
 
     def __repr__(self) -> str:
         return f"CircuitBreaker({self.name!r}, state={self.state!r})"
@@ -271,6 +278,84 @@ class BreakerBoard:
     def trips(self) -> int:
         with self._lock:
             return sum(b.trips for b in self._breakers.values())
+
+
+class RetryLadder:
+    """The retry budget one holder gives every source call it makes.
+
+    The call stays at the holder's site, inside one attempt context
+    after another, until one succeeds or the budget is spent::
+
+        for attempt in ladder.attempts():
+            with attempt:
+                return source.fetch_many(kind, keys)
+
+    *note* is the holder's meter: it is called with ``"retries"`` or
+    ``"rate_limit_waits"`` each time a call climbs a rung, so the
+    holder counts under its own lock and metric names.
+    """
+
+    def __init__(self, clock: SimulatedClock, note: Callable[[str], None],
+                 max_attempts: int = 3, backoff_s: float = 0.0,
+                 max_rate_limit_waits: int = 8) -> None:
+        if max_attempts < 1:
+            raise SourceError("need at least one attempt")
+        if backoff_s < 0:
+            raise SourceError("backoff must be non-negative")
+        if max_rate_limit_waits < 0:
+            raise SourceError("rate-limit wait budget must be >= 0")
+        self.clock = clock
+        self.note = note
+        self.max_attempts = max_attempts
+        self.backoff_s = backoff_s
+        self.max_rate_limit_waits = max_rate_limit_waits
+
+    def attempts(self, breaker: CircuitBreaker | None = None,
+                 ) -> Iterator["_Attempt"]:
+        """Attempt contexts for one source call; *breaker* hears each
+        unavailable failure and the final success."""
+        attempt = _Attempt(self, breaker)
+        while True:
+            yield attempt
+
+
+@dataclass
+class _Attempt(AbstractContextManager):
+    """One rung of the ladder: leaving the context with a retryable
+    fault charges the backoff (or waits out the rate window) and
+    swallows it, until the budget is spent and the fault propagates."""
+
+    ladder: RetryLadder
+    breaker: CircuitBreaker | None
+    failures: int = 0
+    rate_waits: int = 0
+
+    def __exit__(self, exc_type, exc, traceback) -> bool:
+        ladder = self.ladder
+        if isinstance(exc, SourceUnavailableError):
+            if self.breaker is not None:
+                self.breaker.record_failure()
+            self.failures += 1
+            if self.failures >= ladder.max_attempts:
+                return False
+            ladder.note("retries")
+            if ladder.backoff_s:
+                ladder.clock.advance(
+                    ladder.backoff_s * (2 ** (self.failures - 1))
+                )
+            return True
+        if isinstance(exc, RateLimitError):
+            # Rate limiting is load shedding, not darkness: it never
+            # feeds the breaker.
+            self.rate_waits += 1
+            if self.rate_waits > ladder.max_rate_limit_waits:
+                return False
+            ladder.note("rate_limit_waits")
+            ladder.clock.sleep(exc.window_s or ladder.backoff_s or 0.05)
+            return True
+        if exc is None and self.breaker is not None:
+            self.breaker.record_success()
+        return False
 
 
 @dataclass

@@ -21,24 +21,10 @@ import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterable
 
-from repro.errors import (
-    RateLimitError,
-    SourceError,
-    SourceUnavailableError,
-)
+from repro.errors import SourceError
 from repro.obs import get_metrics, get_tracer
 from repro.sources.base import DataSource
-
-
-def faults_of(source) -> object | None:
-    """The fault model behind *source*, unwrapping stacked wrappers."""
-    current = source
-    while current is not None:
-        faults = getattr(current, "faults", None)
-        if faults is not None:
-            return faults
-        current = getattr(current, "inner", None)
-    return None
+from repro.sources.resilience import RetryLadder
 
 
 class SourceWrapper:
@@ -254,73 +240,39 @@ class RetryingSource(SourceWrapper):
     """Retry transient :class:`SourceUnavailableError` failures.
 
     Each attempt is charged full latency by the inner source; an optional
-    backoff adds virtual think-time between attempts.
-    :class:`RateLimitError` rejections are handled the same way the
-    fetch scheduler handles them — wait out the source's window (in
-    virtual time) a bounded number of times — so a stacked
-    ``RetryingSource`` and a scheduler-dispatched fetch behave alike.
+    backoff adds virtual think-time between attempts, and
+    :class:`RateLimitError` rejections wait out the source's window a
+    bounded number of times. The policy is a
+    :class:`~repro.sources.resilience.RetryLadder`, the same object the
+    fetch scheduler holds, so a stacked ``RetryingSource`` and a
+    scheduler-dispatched fetch behave alike.
     """
 
     def __init__(self, inner: DataSource, max_attempts: int = 3,
                  backoff_s: float = 0.0,
                  max_rate_limit_waits: int = 8) -> None:
         super().__init__(inner)
-        if max_attempts < 1:
-            raise SourceError("need at least one attempt")
-        if backoff_s < 0:
-            raise SourceError("backoff must be non-negative")
-        if max_rate_limit_waits < 0:
-            raise SourceError("rate-limit wait budget must be >= 0")
-        self.max_attempts = max_attempts
-        self.backoff_s = backoff_s
-        self.max_rate_limit_waits = max_rate_limit_waits
+        self.ladder = RetryLadder(inner.clock, self._note, max_attempts,
+                                  backoff_s, max_rate_limit_waits)
         self.retries = 0
         self.rate_limit_waits = 0
         # Shared across caller threads; guards the stat increments
         # (never held across the delegate call or a clock charge).
         self._stats_lock = threading.Lock()
 
-    def _with_retries(self, call):
-        """Run *call* under the retry/rate-limit policy (shared by
-        ``fetch_many`` and ``scan_keys``)."""
-        attempts = 0
-        rate_waits = 0
-        while True:
-            try:
-                return call()
-            except SourceUnavailableError:
-                attempts += 1
-                if attempts >= self.max_attempts:
-                    raise
-                with self._stats_lock:
-                    self.retries += 1
-                get_metrics().counter(
-                    f"source_retry.retries.{self.name}"
-                ).inc()
-                if self.backoff_s:
-                    self.clock.advance(
-                        self.backoff_s * (2 ** (attempts - 1))
-                    )
-            except RateLimitError:
-                rate_waits += 1
-                if rate_waits > self.max_rate_limit_waits:
-                    raise
-                with self._stats_lock:
-                    self.rate_limit_waits += 1
-                get_metrics().counter(
-                    f"source_retry.rate_limit_waits.{self.name}"
-                ).inc()
-                window_s = getattr(faults_of(self.inner), "window_s",
-                                   None)
-                self.clock.sleep(window_s if window_s
-                                 else (self.backoff_s or 0.05))
+    def _note(self, stat: str) -> None:
+        with self._stats_lock:
+            setattr(self, stat, getattr(self, stat) + 1)
+        get_metrics().counter(f"source_retry.{stat}.{self.name}").inc()
 
     def fetch_many(self, kind: str,
                    keys: Iterable[str]) -> dict[str, object]:
         key_list = list(keys)
-        return self._with_retries(
-            lambda: self.inner.fetch_many(kind, key_list)
-        )
+        for attempt in self.ladder.attempts():
+            with attempt:
+                return self.inner.fetch_many(kind, key_list)
 
     def scan_keys(self, kind: str) -> list[str]:
-        return self._with_retries(lambda: self.inner.scan_keys(kind))
+        for attempt in self.ladder.attempts():
+            with attempt:
+                return self.inner.scan_keys(kind)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -605,17 +606,24 @@ class DurableTableAdapter:
 
     # -- recovery ----------------------------------------------------------
 
-    def restore_into(self, table: Any) -> int:
-        """Replay committed rows into *table*; returns rows restored."""
-        restored = 0
-        prefix = f"t/{self.table_name}/"
-        for key, value in self.database.scan(prefix):
-            _, rid = parse_row_key(key)
-            table.restore_row(rid, tuple(value))
-            restored += 1
+    def committed_rows(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
+        """Committed ``(row_id, row)`` pairs in ascending row id."""
+        for key, value in self.database.scan(f"t/{self.table_name}/"):
+            yield parse_row_key(key)[1], tuple(value)
+
+    def restore_watermark(self, table: Any) -> None:
+        """Raise *table*'s next row id to the logged watermark."""
         watermark = self.database.get(meta_key(self.table_name))
         if watermark is not None:
             table.bump_next_row_id(int(watermark))
+
+    def restore_into(self, table: Any) -> int:
+        """Replay committed rows into *table*; returns rows restored."""
+        restored = 0
+        for row_id, row in self.committed_rows():
+            table.restore_row(row_id, row)
+            restored += 1
+        self.restore_watermark(table)
         return restored
 
     # -- segment pruning ---------------------------------------------------

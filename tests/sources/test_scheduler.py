@@ -1,5 +1,6 @@
 """Tests for the concurrent fetch scheduler (scatter/gather layer)."""
 
+import sys
 import threading
 
 import pytest
@@ -13,6 +14,7 @@ from repro.obs import (
     set_tracer,
 )
 from repro.sources import (
+    BreakerConfig,
     CachingSource,
     ChaosSource,
     FaultModel,
@@ -22,6 +24,7 @@ from repro.sources import (
     LatencySpike,
     Outage,
     RetryingSource,
+    SchedulerStats,
     SimulatedClock,
     SourceRegistry,
     TableBackedSource,
@@ -131,45 +134,6 @@ class TestCoalescing:
         assert scheduler.stats.coalesced == 4
         assert registry.combined_stats()["roundtrips"] == 1
 
-    def test_cross_thread_inflight_borrowing(self):
-        clock, registry = make_world(kinds=("alpha",))
-        scheduler = FetchScheduler(registry)
-        keys = [f"alpha{i}" for i in range(8)]
-        release = threading.Event()
-        original = registry.source_for("alpha").fetch_many
-        calls = []
-
-        def slow_fetch(kind, page):
-            calls.append(list(page))
-            release.wait(5.0)
-            return original(kind, page)
-
-        registry.source_for("alpha").fetch_many = slow_fetch
-        results = {}
-
-        def client(tag):
-            results[tag] = scheduler.fetch_many("alpha", keys)
-
-        first = threading.Thread(target=client, args=("first",))
-        first.start()
-        while not calls:  # owner's round-trip is in flight
-            pass
-        second = threading.Thread(target=client, args=("second",))
-        second.start()
-        # Give the second client time to reach the in-flight map, then
-        # let the owner's round-trip complete.
-        while scheduler.stats.coalesced < len(keys):
-            pass
-        release.set()
-        first.join(5.0)
-        second.join(5.0)
-
-        assert results["first"] == results["second"]
-        assert len(results["first"]) == 8
-        # The second client borrowed every key from the first's flight.
-        assert scheduler.stats.coalesced == len(keys)
-        assert len(calls) == 1
-
     def test_distinct_keys_do_not_coalesce(self):
         _, registry = make_world(kinds=("alpha",))
         scheduler = FetchScheduler(registry)
@@ -205,16 +169,10 @@ class TestResilience:
         with pytest.raises(SourceUnavailableError):
             scheduler.fetch_many("alpha", ["alpha0"])
         assert scheduler.stats.retries == 2  # attempts - 1
-
-    def test_failed_page_releases_inflight_slots(self):
-        clock = SimulatedClock()
-        registry = SourceRegistry()
-        faults = FaultModel(failure_rate=0.99, seed=0)
-        registry.register(make_source(clock, "alpha", faults=faults))
-        scheduler = FetchScheduler(registry, max_attempts=1)
+        single = FetchScheduler(registry, max_attempts=1)
         with pytest.raises(SourceUnavailableError):
-            scheduler.fetch_many("alpha", ["alpha0"])
-        assert scheduler._inflight == {}
+            single.fetch_many("alpha", ["alpha0"])
+        assert single.stats.retries == 0
 
     def test_retry_backoff_charges_virtual_time(self):
         clock = SimulatedClock()
@@ -352,7 +310,6 @@ class TestOneThread:
         assert clock.now() == pytest.approx(0.5)
         assert scheduler.stats.sequential_virtual_s == pytest.approx(0.8)
         assert registry.source_for("gamma").stats.roundtrips == 1
-        assert scheduler._inflight == {}
 
 
 class TestWrapperStacking:
@@ -428,6 +385,137 @@ class TestWrapperStacking:
         assert len(results) == 6
         expected = {f"alpha{i}": f"v{i}" for i in range(12)}
         assert all(result == expected for result in results)
+
+
+class _LockedStats(SchedulerStats):
+    lock = None
+
+    def __setattr__(self, name, value):
+        assert self.lock is None or self.lock.locked(), name
+        super().__setattr__(name, value)
+
+
+class TestSharedAcrossThreads:
+    """ "Callers may share one scheduler across their threads": each
+    batch is the caller's own, only the stats and breakers are shared
+    — and those are locked."""
+
+    THREADS = 6
+    ROUNDS = 40
+
+    def _world(self):
+        clock = SimulatedClock()
+        registry = SourceRegistry()
+        registry.register(ChaosSource(
+            make_source(clock, "alpha", page_size=3),
+            FaultSchedule([LatencySpike(0.0, 1e9, extra_s=0.05)]),
+        ))
+        registry.register(ChaosSource(
+            make_source(clock, "beta"),
+            FaultSchedule([Outage(0.0, 1e9)]), timeout_s=0.01,
+        ))
+        registry.register(make_source(clock, "gamma", page_size=4))
+        scheduler = FetchScheduler(
+            registry, max_attempts=2,
+            breaker_config=BreakerConfig(failure_threshold=3,
+                                         reset_timeout_s=1e9),
+        )
+        # A lost update needs an unlucky switch to show in the sums
+        # below; a stat written outside the lock shows on every write.
+        scheduler.stats = _LockedStats()
+        scheduler.stats.lock = scheduler._lock
+        return scheduler
+
+    def _requests(self, thread):
+        # Overlapping key sets across threads, duplicates inside each
+        # batch, several pages per kind.
+        alpha = [f"alpha{(thread + i) % 20}" for i in range(8)]
+        gamma = [f"gamma{(2 * thread + i) % 20}" for i in range(6)]
+        return [("alpha", alpha), ("beta", ["beta0", "beta1"]),
+                ("gamma", gamma), ("alpha", alpha[:3])]
+
+    @staticmethod
+    def _answer(outcome):
+        return outcome.records, outcome.statuses
+
+    def test_hammer_matches_the_serial_run(self):
+        serial = self._world()
+        expected = {}
+        for thread in range(self.THREADS):
+            for _ in range(self.ROUNDS):
+                expected[thread] = self._answer(
+                    serial.fetch_all_resilient(self._requests(thread)))
+        assert expected[0][1] == {"alpha": "fresh", "beta": "missing",
+                                  "gamma": "fresh"}
+
+        shared = self._world()
+        wrong = []
+
+        def client(thread):
+            for _ in range(self.ROUNDS):
+                answer = self._answer(shared.fetch_all_resilient(
+                    self._requests(thread)))
+                if answer != expected[thread]:
+                    wrong.append((thread, answer))
+
+        threads = [threading.Thread(target=client, args=(index,))
+                   for index in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert shared.stats.batches == self.THREADS * self.ROUNDS
+        for stat in ("batches", "keys_requested", "pages_dispatched",
+                     "coalesced", "degraded_batches"):
+            assert (getattr(shared.stats, stat)
+                    == getattr(serial.stats, stat)), stat
+
+
+class TestLadderParity:
+    """``RetryingSource`` and the scheduler hold the same ladder: the
+    same seeded faults cost both the same virtual time and rungs."""
+
+    FAULTS = dict(failure_rate=0.4, max_calls_per_window=3,
+                  window_s=0.5, seed=11)
+    LADDER = dict(max_attempts=4, backoff_s=0.1, max_rate_limit_waits=2)
+
+    def _run(self, fetch_many, clock):
+        trace = []
+        for i in range(30):
+            try:
+                trace.append(fetch_many("alpha", [f"alpha{i % 20}"]))
+            except SourceError as exc:
+                trace.append((type(exc), str(exc)))
+            trace.append(clock.now())
+        return trace
+
+    def test_same_faults_same_virtual_time_and_rungs(self):
+        clock = SimulatedClock()
+        retrying = RetryingSource(
+            make_source(clock, "alpha", base_s=0.02,
+                        faults=FaultModel(**self.FAULTS)),
+            **self.LADDER)
+        wrapped = self._run(retrying.fetch_many, clock)
+
+        clock = SimulatedClock()
+        registry = SourceRegistry()
+        registry.register(make_source(clock, "alpha", base_s=0.02,
+                                      faults=FaultModel(**self.FAULTS)))
+        scheduler = FetchScheduler(registry, **self.LADDER)
+        scheduled = self._run(scheduler.fetch_many, clock)
+
+        assert scheduled == wrapped
+        assert retrying.retries == scheduler.stats.retries > 0
+        assert (retrying.rate_limit_waits
+                == scheduler.stats.rate_limit_waits > 0)
+        assert any(isinstance(step, tuple) for step in wrapped)
 
 
 class TestMetrics:

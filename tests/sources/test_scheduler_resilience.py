@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import (
-    BorrowTimeoutError,
     BreakerOpenError,
     DeadlineExceededError,
     SourceError,
@@ -24,7 +23,6 @@ from repro.sources import (
     SourceRegistry,
     TableBackedSource,
 )
-from repro.sources.scheduler import _Flight
 
 
 @pytest.fixture(autouse=True)
@@ -69,6 +67,14 @@ def dark_world(dark_kind="alpha", kinds=("alpha", "beta"),
     return clock, registry
 
 
+def degrading(registry, **kwargs):
+    """A scheduler under the degrade policy: breakers configured, with
+    a threshold these tests never reach."""
+    return FetchScheduler(
+        registry, breaker_config=BreakerConfig(failure_threshold=1000),
+        **kwargs)
+
+
 class TestResilientBatches:
     def test_all_fresh_when_nothing_fails(self):
         _, registry = make_world()
@@ -83,7 +89,7 @@ class TestResilientBatches:
 
     def test_dark_kind_is_missing_others_fresh(self, fresh_metrics):
         _, registry = dark_world("alpha")
-        scheduler = FetchScheduler(registry, max_attempts=1)
+        scheduler = degrading(registry, max_attempts=1)
         outcome = scheduler.fetch_all_resilient([
             ("alpha", ["alpha0"]), ("beta", ["beta0"]),
         ])
@@ -107,7 +113,7 @@ class TestResilientBatches:
                 FaultSchedule([ErrorBurst(0.0, 1000.0, 0.5)],
                               seed=seed),
             ))
-            scheduler = FetchScheduler(registry, max_attempts=1)
+            scheduler = degrading(registry, max_attempts=1)
             outcome = scheduler.fetch_all_resilient([
                 ("alpha", ["alpha0", "alpha1", "alpha2"]),
             ])
@@ -246,32 +252,3 @@ class TestBreakers:
         assert outcome.statuses == {"alpha": "missing", "beta": "fresh"}
         assert "breaker open" in outcome.errors["alpha"]
         assert scheduler.stats.breaker_skips == 1
-
-
-class TestBorrowTimeout:
-    def test_configurable_and_validated(self):
-        _, registry = make_world(kinds=("alpha",))
-        assert FetchScheduler(registry).borrow_timeout_s == 30.0
-        assert FetchScheduler(
-            registry, borrow_timeout_s=0.05
-        ).borrow_timeout_s == 0.05
-        with pytest.raises(SourceError):
-            FetchScheduler(registry, borrow_timeout_s=0.0)
-
-    def test_stuck_flight_raises_typed_error(self, fresh_metrics):
-        _, registry = make_world(kinds=("alpha",))
-        scheduler = FetchScheduler(registry, borrow_timeout_s=0.05)
-        # Simulate an owner that died without resolving its flight.
-        scheduler._inflight[("alpha-src", "alpha", "alpha0")] = _Flight()
-        with pytest.raises(BorrowTimeoutError):
-            scheduler.fetch_many("alpha", ["alpha0"])
-        assert scheduler.stats.borrow_timeouts == 1
-        counters = fresh_metrics.snapshot()["counters"]
-        assert counters["scheduler.borrow_timeout"] == 1
-
-    def test_borrow_timeout_propagates_through_resilient_path(self):
-        _, registry = make_world(kinds=("alpha",))
-        scheduler = FetchScheduler(registry, borrow_timeout_s=0.05)
-        scheduler._inflight[("alpha-src", "alpha", "alpha0")] = _Flight()
-        with pytest.raises(BorrowTimeoutError):
-            scheduler.fetch_all_resilient([("alpha", ["alpha0"])])
