@@ -26,15 +26,10 @@ resilience machinery changes neither answers nor virtual timing.
 
 from __future__ import annotations
 
-from repro.errors import DrugTreeError
-from repro.mobile import DrugTreeServer, ServerConfig
+from repro.faults import FaultSchedule, scenario_schedule
 from repro.obs import MetricsRegistry, set_metrics
-from repro.sources import (
-    BreakerConfig,
-    FetchScheduler,
-    scenario_schedules,
-    wrap_registry,
-)
+from repro.scenarios import run_tap_session
+from repro.sources import BreakerConfig
 from repro.workloads import DatasetConfig, TextTable, build_dataset
 
 N_LEAVES = 24
@@ -48,62 +43,37 @@ DEADLINE_S = 1.5
 
 
 def run_session(scenario: str | None, resilient: bool) -> dict:
-    """Replay the standard tap loop; returns outcome tallies."""
+    """Replay the standard tap loop; returns outcome tallies.
+
+    A tap that returned but took longer than the budget is tallied as
+    ``stalled`` instead of under its status.
+    """
     set_metrics(MetricsRegistry())
     dataset = build_dataset(DatasetConfig(
         n_leaves=N_LEAVES, n_ligands=N_LIGANDS, seed=WORLD_SEED))
-    registry = dataset.registry
-    if scenario is not None:
-        registry = wrap_registry(
-            registry, scenario_schedules(scenario, seed=CHAOS_SEED))
-    scheduler = FetchScheduler(
-        registry, clock=dataset.clock,
+    run = run_tap_session(
+        dataset,
+        (scenario_schedule(scenario, seed=CHAOS_SEED)
+         if scenario is not None else FaultSchedule()),
+        taps=N_TAPS, think_s=THINK_S,
+        deadline_s=DEADLINE_S if resilient else None,
         breaker_config=(BreakerConfig(failure_threshold=3,
                                       reset_timeout_s=10.0)
                         if resilient else None),
     )
-    server = DrugTreeServer(
-        dataset.drugtree(),
-        ServerConfig(tap_deadline_s=DEADLINE_S if resilient else None),
-        federation=scheduler,
-    )
-    clock = dataset.clock
-    session_id, _ = server.open_session()
-    clades = dataset.family.clade_names
-    proteins = list(dataset.family.protein_ids)
     tally = {"fresh": 0, "degraded": 0, "stale": 0,
              "stalled": 0, "failed": 0}
-    for tap in range(N_TAPS):
-        before = clock.now()
-        try:
-            if tap % 3 == 0:
-                response = server.navigate(
-                    session_id, clades[tap % len(clades)])
-            elif tap % 3 == 1:
-                response = server.protein_details(
-                    session_id, proteins[tap % len(proteins)])
-            else:
-                response = server.query(
-                    session_id,
-                    "SELECT protein_id, method FROM proteins")
-        except DrugTreeError:
-            tally["failed"] += 1
-        else:
-            if clock.now() - before > DEADLINE_S:
-                tally["stalled"] += 1
-            else:
-                tally[response.status] += 1
-        clock.advance(THINK_S)
-    server.close_session(session_id)
-    answered = N_TAPS - tally["stalled"] - tally["failed"]
+    for outcome, elapsed_s in run.taps:
+        stalled = outcome != "failed" and elapsed_s > DEADLINE_S
+        tally["stalled" if stalled else outcome] += 1
     return {
         "tally": tally,
-        "answered": answered,
-        "virtual_s": clock.now(),
-        "breaker_trips": (scheduler.breakers.trips()
-                         if scheduler.breakers else 0),
-        "breaker_skips": scheduler.stats.breaker_skips,
-        "deadline_cancelled": scheduler.stats.deadline_cancelled,
+        "answered": N_TAPS - tally["stalled"] - tally["failed"],
+        "virtual_s": run.virtual_s,
+        "breaker_trips": run.breaker_trips,
+        "breaker_skips": run.payload["scheduler"]["breaker_skips"],
+        "deadline_cancelled":
+            run.payload["scheduler"]["deadline_cancelled"],
     }
 
 

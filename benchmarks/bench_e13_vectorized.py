@@ -40,9 +40,6 @@ REPEATS = 3
 PROBE_FAMILY = "point_lookup"
 PROBE_REPEATS = 40
 
-#: ``repro bench --quick`` runs this CI-sized variant.
-QUICK_KWARGS = {"scales": (2_000,), "repeats": 2}
-
 #: family name -> DTQL text (bindings columns only: no joins, no
 #: federation — the pure execution-engine comparison). The probe hits
 #: the ligand_id hash index with a single-ligand equality.
@@ -153,9 +150,9 @@ def run_scale(n_rows: int, repeats: int = REPEATS) -> dict:
 
 def collect_metrics(scales: tuple[int, ...] = SCALES,
                     repeats: int = REPEATS) -> dict:
-    """E13 numbers in the shape ``repro bench`` merges into
-    ``BENCH_METRICS.json``: per-scale per-family timings plus the
-    headline speedup (scan_agg at the largest scale)."""
+    """E13 numbers as one JSON-ready dict: per-scale per-family
+    timings plus the headline speedup (scan_agg at the largest
+    scale)."""
     by_scale = {str(n): run_scale(n, repeats=repeats) for n in scales}
     largest = str(max(scales))
     return {

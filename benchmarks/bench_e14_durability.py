@@ -21,8 +21,7 @@ Three questions about the opt-in LSM storage layer:
    min/max zone maps? Reported as read/pruned counts, not time — at
    Python scale the bookkeeping noise would swamp the I/O saved.
 
-Results feed EXPERIMENTS.md E14; ``repro bench e14 --quick`` runs the
-CI-sized variant.
+Results feed EXPERIMENTS.md E14.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ FSYNC_POLICIES = ("always", "batch", "never")
 WRITE_ROUNDS = 3
 RECOVERY_ROUNDS = 3
 
-#: ``repro bench --quick`` runs this CI-sized variant.
+#: The CI-sized variant the smoke test below runs.
 QUICK_KWARGS = {"n_write_rows": 400,
                 "world": DatasetConfig(n_leaves=12, n_ligands=16,
                                        seed=601)}
@@ -206,8 +205,7 @@ def scan_pruning(world: DatasetConfig) -> dict:
 
 def collect_metrics(n_write_rows: int = N_WRITE_ROWS,
                     world: DatasetConfig = WORLD) -> dict:
-    """E14 numbers in the shape ``repro bench`` merges into
-    ``BENCH_METRICS.json``."""
+    """E14 numbers as one JSON-ready dict."""
     wal_before = get_metrics().counter_values().get("wal.appends", 0)
     results = {
         "write_cost": write_cost(n_write_rows),

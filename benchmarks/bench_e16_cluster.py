@@ -23,15 +23,12 @@ cheating.
 
 from __future__ import annotations
 
-from repro.cluster import (
-    ClusterConfig,
-    ClusterEngine,
-    NodeCrash,
-    NodeFaultSchedule,
-)
+from repro.cluster import ClusterConfig, ClusterEngine
 from repro.core import EngineConfig, QueryEngine
 from repro.errors import DrugTreeError
+from repro.faults import FaultSchedule, Outage
 from repro.obs import MetricsRegistry, set_metrics
+from repro.scenarios import run_divergence_repair
 from repro.workloads import (
     DatasetConfig,
     QueryGenerator,
@@ -49,9 +46,6 @@ DEADLINE_S = 1.5
 CRASH_START_S = 2.0
 CRASH_LEN_S = 60.0
 DIVERGENT_WRITES = 8
-
-#: ``repro bench --quick`` runs this CI-sized variant.
-QUICK_KWARGS = {"taps": 10, "divergent_writes": 4}
 
 
 def _make_cluster(dataset, rf: int, hinted_handoff: bool = True):
@@ -78,9 +72,9 @@ def run_crash_session(rf: int, taps: int = N_TAPS) -> dict:
                          EngineConfig(use_semantic_cache=False))
     clock = dataset.clock
     now = clock.now()
-    engine.router.cluster.set_schedule(NodeFaultSchedule((
-        NodeCrash("node-0", now + CRASH_START_S,
-                  now + CRASH_START_S + CRASH_LEN_S),
+    engine.router.cluster.set_schedule(FaultSchedule((
+        Outage(now + CRASH_START_S, now + CRASH_START_S + CRASH_LEN_S,
+               target="node-0"),
     )))
     generator = QueryGenerator(dataset.family, dataset.ligands,
                                seed=WORLD_SEED)
@@ -151,42 +145,25 @@ def run_convergence(divergent_writes: int = DIVERGENT_WRITES) -> dict:
     dataset = build_dataset(DatasetConfig(
         n_leaves=N_LEAVES, n_ligands=N_LIGANDS, seed=WORLD_SEED))
     engine = _make_cluster(dataset, rf=3, hinted_handoff=False)
-    router = engine.router
-    clock = dataset.clock
-    partition = engine.partitioner.interval_partitions[0]
-    victim = router.cluster.group_for(partition.pid).node_ids[0]
-    now = clock.now()
-    router.cluster.set_schedule(NodeFaultSchedule((
-        NodeCrash(victim, now, now + 5.0),
-    )))
-    for i in range(divergent_writes):
-        leaf = engine.labeling.leaf_name_at(
-            partition.low + i % partition.leaf_count)
-        engine.insert("bindings", {
-            "ligand_id": f"LIG-E16-{i}", "protein_id": leaf,
-            "activity_type": "IC50", "value_nm": 20.0 + i,
-            "p_affinity": 7.5, "potent": True,
-        })
-    # Heal past the window and the router's breaker reset timeout.
-    clock.advance(12.0)
-    divergent_before = router.verify().divergent_keys
-    repair = router.anti_entropy()
+    report = run_divergence_repair(dataset, engine,
+                                   writes=divergent_writes)
+    assert not report["failures"], report["failures"]
+    repair = report["repair"]
     return {
         "writes": divergent_writes,
-        "divergent_keys_before": divergent_before,
-        "rounds": repair.rounds,
-        "keys_repaired": repair.keys_repaired,
-        "entries_pushed": repair.entries_pushed,
-        "converged": repair.converged,
-        "divergent_keys_after": router.verify().divergent_keys,
+        "divergent_keys_before": report["divergent_keys_before"],
+        "rounds": repair["rounds"],
+        "keys_repaired": repair["keys_repaired"],
+        "entries_pushed": repair["entries_pushed"],
+        "converged": repair["converged"],
+        "divergent_keys_after": engine.router.verify().divergent_keys,
     }
 
 
 def collect_metrics(taps: int = N_TAPS,
                     divergent_writes: int = DIVERGENT_WRITES) -> dict:
-    """E16 numbers in the shape ``repro bench`` merges into
-    ``BENCH_METRICS.json``: availability under node crash at RF=3 vs
-    RF=1, and anti-entropy convergence from a seeded divergence."""
+    """E16 numbers: availability under node crash at RF=3 vs RF=1, and
+    anti-entropy convergence from a seeded divergence."""
     rf3 = run_crash_session(3, taps=taps)
     rf1 = run_crash_session(1, taps=taps)
     convergence = run_convergence(divergent_writes=divergent_writes)

@@ -53,9 +53,6 @@ SLO_S = 0.5
 FLOOD_RPS = (20.0, 80.0, 160.0)
 CALM_RPS = 8.0
 
-#: ``repro bench --quick`` runs this CI-sized variant.
-QUICK_KWARGS = {"flood_rps": (20.0, 160.0), "duration_s": 8.0}
-
 
 def _world():
     dataset = build_dataset(DatasetConfig(
@@ -122,9 +119,8 @@ def run_point(mode: str, flood_rps: float,
 
 def collect_metrics(flood_rps: tuple = FLOOD_RPS,
                     duration_s: float = DURATION_S) -> dict:
-    """E17 numbers in the shape ``repro bench`` merges into
-    ``BENCH_METRICS.json``: the naive-vs-admission ramp plus headline
-    goodput/p99 at the highest offered load."""
+    """E17 numbers as one JSON-ready dict: the naive-vs-admission
+    ramp plus headline goodput/p99 at the highest offered load."""
     ramp = []
     for rps in flood_rps:
         ramp.append({

@@ -45,18 +45,8 @@ def bench_metrics(request):
     obs.set_metrics(registry)
     yield registry
     obs.set_metrics(previous)
-    # Preserve experiment numbers merged in by `repro bench`: the file
-    # holds {"metrics": <snapshot>, "experiments": {...}}.
-    experiments: dict = {}
-    if BENCH_METRICS_PATH.exists():
-        try:
-            existing = json.loads(BENCH_METRICS_PATH.read_text())
-        except ValueError:
-            existing = {}
-        experiments = existing.get("experiments", {})
     BENCH_METRICS_PATH.write_text(json.dumps(
-        {"metrics": registry.snapshot(), "experiments": experiments},
-        indent=2, sort_keys=True,
+        {"metrics": registry.snapshot()}, indent=2, sort_keys=True,
     ) + "\n")
 
 

@@ -14,8 +14,7 @@ and one severity-tagged rule catalog (:mod:`repro.analysis.registry`):
   seeded randomness);
 * :mod:`repro.analysis.concurrency` — whole-program analysis: call
   graph + thread-entry inference, lock-order graphs with deadlock-cycle
-  detection, and reachability-based race detection for shared writes
-  (which also powers lint's historical L003/L008 rules).
+  detection, and reachability-based race detection for shared writes.
 
 ``python -m repro check`` / ``lint`` / ``race`` expose the layers from
 the command line (JSON and SARIF via :mod:`repro.analysis.sarif`); the

@@ -9,8 +9,7 @@ Three layers:
   lock-order graph, and the blocking closure;
 * :mod:`~repro.analysis.concurrency.analyzer` — the CONC rule set,
   noqa + baseline suppression, and the ``analyze_paths`` /
-  ``analyze_sources`` entry points used by ``repro race`` and the
-  migrated lint rules L003/L008.
+  ``analyze_sources`` entry points used by ``repro race``.
 
 The runtime half of the story — the lock-order witness that checks the
 static graph against real executions — lives in

@@ -74,9 +74,6 @@ class Finding:
     line: int
     key: str                     # stable: qualnames + detail, no lines
     hint: str | None = None
-    #: Historical lint ID this finding also answers to (L003/L008);
-    #: the linter re-tags through it and either code works in # noqa.
-    lint_alias: str | None = None
 
     def to_diagnostic(self) -> Diagnostic:
         return Diagnostic(self.code, severity_of(self.code),
@@ -169,12 +166,7 @@ def _thread_local_path(path: str) -> bool:
 
 
 def shared_state_findings(program: Program) -> list[Finding]:
-    """CONC101/CONC102: unguarded writes reachable from thread entries.
-
-    This is also the engine behind lint rules L003/L008: the linter
-    re-tags the method-write shape as L003 and the closure-entry shape
-    as L008 so the historical rule IDs stay stable.
-    """
+    """CONC101/CONC102: unguarded writes reachable from thread entries."""
     findings: list[Finding] = []
     closure_entries = {qual for qual in program.entries
                        if program.functions.get(qual) is not None
@@ -225,7 +217,6 @@ def shared_state_findings(program: Program) -> list[Finding]:
                 findings.append(Finding(
                     "CONC101", message, path, write.line,
                     key=f"{qual}:{write.path}", hint=hint,
-                    lint_alias="L008" if in_closure_entry else "L003",
                 ))
                 continue
             if in_closure_entry and write.shape in ("attr", "subscript",
@@ -238,7 +229,6 @@ def shared_state_findings(program: Program) -> list[Finding]:
                     "thread",
                     path, write.line,
                     key=f"{qual}:{write.path}",
-                    lint_alias="L008",
                 ))
     return findings
 
@@ -337,10 +327,7 @@ def _suppressed_by_noqa(finding: Finding,
     if codes is None:
         return True
     listed = {c.strip().upper() for c in codes.split(",") if c.strip()}
-    if finding.code.upper() in listed:
-        return True
-    return (finding.lint_alias is not None
-            and finding.lint_alias.upper() in listed)
+    return finding.code.upper() in listed
 
 
 def analyze_modules(modules: list[ModuleModel],

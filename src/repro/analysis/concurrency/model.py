@@ -17,7 +17,7 @@ Lock identity is kept *raw* here — ``("selfattr", ClassQual, attr)``,
 link time, when the creating class of an inherited ``self._lock`` can be
 found.  A ``with`` item counts as a lock guard when its context
 expression terminates in a name containing ``lock`` (the repo-wide
-naming convention L003 has always keyed on) or resolves to a binding
+naming convention) or resolves to a binding
 created from ``threading.Lock()`` / ``threading.RLock()``; explicit
 ``.acquire()`` / ``.release()`` pairs are modelled the same way so
 fixture code (and pre-L002 idioms) analyze correctly.
@@ -292,7 +292,7 @@ class _ModuleVisitor(ast.NodeVisitor):
         self.func_stack.append(fn)
         # A lock held by a caller is invisible at runtime inside a
         # nested def executed later; reset the held stack at the
-        # function boundary (matches L003's historical behaviour).
+        # function boundary.
         saved_held, self.held = self.held, []
         for statement in node.body:
             self.visit(statement)

@@ -13,15 +13,6 @@ from a seeded ``random.Random``. These rules enforce each mechanically:
           ``obs/timing.py`` — including aliasing one to a new name.
 ``L002``  No bare ``.acquire()`` — locks are taken with ``with`` so
           exceptions can never leak a held lock.
-``L003``  No unguarded ``self.attr`` writes in methods reachable from
-          a *thread entry* (a callable submitted to a pool, a
-          ``threading.Thread`` target, a ``concurrently()`` task
-          body). Served by the whole-program reachability engine in
-          :mod:`repro.analysis.concurrency` — no class or directory
-          allowlists; if a worker thread can reach the write and no
-          lock dominates every path to it, it is flagged.
-          Thread-local state (paths through ``_local``) and
-          ``__init__`` bodies are exempt.
 ``L004``  In ``core`` paths: no module-level ``random.*`` functions
           (global unseeded state) and no ``Random()`` without a seed.
 ``L005``  No silently swallowed source faults: an ``except`` naming a
@@ -39,27 +30,13 @@ from a seeded ``random.Random``. These rules enforce each mechanically:
           bypasses the WAL's crash-safety protocol (CRC framing,
           fsync policy, atomic manifest swap). Durable state goes
           through the durable engine.
-``L008``  No unguarded shared-state writes inside thread-entry
-          closures: a nested function handed to ``pool.submit`` /
-          ``Thread(target=...)`` (directly or through a
-          closure-returning factory) runs off the
-          coordinating thread, so it must stay pure — no attribute or
-          subscript assignment, no ``nonlocal`` rebinding — unless a
-          lock guards the write. Like L003 this now rides the
-          reachability engine: the *registration* makes a closure a
-          worker, not the directory it lives in. Purity is what keeps
-          results independent of thread scheduling.
 ========  ==============================================================
 
-L003 and L008 are aliases over the concurrency analyzer's CONC101
-findings (see :mod:`repro.analysis.concurrency`): the linter re-tags
-the method-write shape as L003 and the worker-closure shape as L008 so
-the historical IDs stay stable. Suppress a finding with ``# noqa``
-(all rules) or ``# noqa: L001,L003`` (listed rules) on the flagged
-line — either the alias or the CONC code works — or through the
-committed ``concurrency.baseline.json`` for triaged findings.
-``repro lint`` runs these as the CI gate; :func:`lint_paths` is the
-library entry point.
+These are per-module rules; unguarded writes reachable from a thread
+entry are ``repro race``'s CONC101 (:mod:`repro.analysis.concurrency`).
+Suppress a finding with ``# noqa`` (all rules) or ``# noqa: L001,L004``
+(listed rules) on the flagged line. ``repro lint`` runs these as the CI
+gate; :func:`lint_paths` is the library entry point.
 """
 
 from __future__ import annotations
@@ -337,8 +314,8 @@ def _suppressed(line: str, code: str) -> bool:
     return code.upper() in listed
 
 
-def _module_diagnostics(source: str, path: str) -> list[Diagnostic]:
-    """The per-module rules (everything except the L003/L008 aliases)."""
+def lint_source(source: str, path: str = "<string>") -> list[Diagnostic]:
+    """Run every lint rule over one module's source text."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -360,61 +337,16 @@ def _module_diagnostics(source: str, path: str) -> list[Diagnostic]:
     return diagnostics
 
 
-def _alias_diagnostics(named_sources: list[tuple[str, str]],
-                       baseline=None) -> list[Diagnostic]:
-    """L003/L008 via the whole-program reachability engine.
-
-    Runs the concurrency analyzer over *named_sources* as one program
-    (so a write three calls away from a ``pool.submit`` in another
-    module is still found) and re-tags the CONC101 findings with their
-    historical lint IDs.  Suppression comes back for free: the
-    analyzer honours ``# noqa`` with either code plus the baseline.
-    """
-    from repro.analysis.concurrency import analyze_sources
-
-    result = analyze_sources(named_sources, baseline)
-    return [
-        Diagnostic(finding.lint_alias, Severity.ERROR, finding.message,
-                   file=finding.file, line=finding.line,
-                   hint=finding.hint)
-        for finding in result.findings
-        if finding.lint_alias is not None
-    ]
-
-
-def lint_source(source: str, path: str = "<string>") -> list[Diagnostic]:
-    """Run every lint rule over one module's source text."""
-    diagnostics = _module_diagnostics(source, path)
-    if not any(d.code == "L000" for d in diagnostics):
-        diagnostics.extend(_alias_diagnostics([(path, source)]))
-    return diagnostics
-
-
 def lint_file(path: str) -> list[Diagnostic]:
     with open(path, encoding="utf-8") as handle:
         return lint_source(handle.read(), path)
 
 
-def lint_paths(paths: list[str], baseline=None) -> list[Diagnostic]:
-    """Lint every ``*.py`` under *paths* as one whole program.
-
-    The per-module rules run file by file; L003/L008 link everything
-    first so thread reachability crosses module boundaries.  The
-    concurrency baseline is discovered by upward walk from *paths*
-    (pass ``baseline`` explicitly to override).
-    """
-    from repro.analysis.concurrency import analyze_sources, find_baseline
-
-    named: list[tuple[str, str]] = []
-    for file_path in _python_files(paths):
-        with open(file_path, encoding="utf-8") as handle:
-            named.append((file_path, handle.read()))
+def lint_paths(paths: list[str]) -> list[Diagnostic]:
+    """Lint every ``*.py`` under *paths*, file by file."""
     diagnostics: list[Diagnostic] = []
-    for file_path, source in named:
-        diagnostics.extend(_module_diagnostics(source, file_path))
-    if baseline is None:
-        baseline = find_baseline(paths)
-    diagnostics.extend(_alias_diagnostics(named, baseline))
+    for file_path in _python_files(paths):
+        diagnostics.extend(lint_file(file_path))
     return diagnostics
 
 

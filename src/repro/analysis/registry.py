@@ -4,19 +4,12 @@ Every static-analysis rule the repo enforces lives here as one
 :class:`Rule` — stable code, severity, one-line summary, and the pass
 that owns it — so ``repro lint`` and ``repro race`` list, gate, and
 serialize (JSON/SARIF) from a single catalog instead of each tool
-keeping a private dict.  The historical lint codes L001–L008 keep their
-IDs; the whole-program concurrency rules use the CONC range:
+keeping a private dict.  Each finding has one code and one owner:
 
 * ``L0xx``    — per-module repository invariants (``repro lint``);
-* ``CONC1xx`` — thread-reachability race rules (``repro race``,
-  superseding the per-module L003/L008 heuristics);
+* ``CONC1xx`` — thread-reachability race rules (``repro race``);
 * ``CONC2xx`` — lock-order rules (deadlock cycles, lock held across
   blocking calls).
-
-L003 and L008 are *aliases*: their findings are produced by the
-concurrency analyzer's reachability engine and re-tagged with the
-historical IDs so existing ``# noqa: L003`` comments, CI gates, and
-dashboards keep working.
 """
 
 from __future__ import annotations
@@ -34,7 +27,6 @@ class Rule:
     severity: Severity
     summary: str
     domain: str          # "lint" | "concurrency"
-    alias_of: str | None = None  # historical ID served by another rule
 
 
 RULES: dict[str, Rule] = {rule.code: rule for rule in (
@@ -45,9 +37,6 @@ RULES: dict[str, Rule] = {rule.code: rule for rule in (
          "wall-clock call outside obs/timing.py", "lint"),
     Rule("L002", Severity.ERROR,
          "bare Lock.acquire() without 'with'", "lint"),
-    Rule("L003", Severity.ERROR,
-         "unguarded attribute write to a thread-shared class",
-         "lint", alias_of="CONC101"),
     Rule("L004", Severity.ERROR,
          "unseeded randomness in core paths", "lint"),
     Rule("L005", Severity.ERROR,
@@ -56,9 +45,6 @@ RULES: dict[str, Rule] = {rule.code: rule for rule in (
          "per-row dispatch inside the vectorized batch path", "lint"),
     Rule("L007", Severity.ERROR,
          "direct file mutation outside storage/durable and obs", "lint"),
-    Rule("L008", Severity.ERROR,
-         "unguarded shared-state write inside a thread-entry worker",
-         "lint", alias_of="CONC101"),
     # -- whole-program concurrency rules (repro race) ----------------------
     Rule("CONC000", Severity.ERROR,
          "source file failed to parse", "concurrency"),
@@ -77,7 +63,7 @@ RULES: dict[str, Rule] = {rule.code: rule for rule in (
 
 
 def rules_for(domain: str) -> dict[str, Rule]:
-    """The catalog slice one pass owns (aliases stay with lint)."""
+    """The catalog slice one pass owns."""
     return {code: rule for code, rule in RULES.items()
             if rule.domain == domain}
 

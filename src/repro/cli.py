@@ -24,9 +24,6 @@ Offers the zero-code tour of the system:
   blocking calls (with baseline + SARIF output);
 * ``chaos``   — replay a mobile tap session under a seeded fault
   scenario with circuit breakers, deadlines, and degradation on;
-* ``bench``   — run experiment benchmark modules that expose
-  ``collect_metrics()`` and merge their numbers into
-  ``benchmarks/BENCH_METRICS.json``;
 * ``compact`` — major-compact a durable data directory (bootstraps
   one from the world options when empty) and print the LSM levels
   before and after;
@@ -213,12 +210,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         # A short sharded-cluster phase with one node crashed: the
         # per-node breakers publish their state gauges
         # (breaker.state.cluster.replica@node-N) into the same snapshot.
-        from repro.cluster import (
-            ClusterConfig,
-            ClusterEngine,
-            NodeCrash,
-            NodeFaultSchedule,
-        )
+        from repro.cluster import ClusterConfig, ClusterEngine
+        from repro.faults import FaultSchedule, Outage
         from repro.sources import BreakerConfig as _BreakerConfig
         cluster_engine = ClusterEngine.from_drugtree(
             drugtree,
@@ -230,8 +223,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                                           reset_timeout_s=300.0),
         )
         crash_start = dataset.clock.now()
-        cluster_engine.router.cluster.set_schedule(NodeFaultSchedule((
-            NodeCrash("node-0", crash_start, crash_start + 600.0),
+        cluster_engine.router.cluster.set_schedule(FaultSchedule((
+            Outage(crash_start, crash_start + 600.0, target="node-0"),
         )))
         cluster_engine.execute("SELECT count(*) FROM bindings")
         cluster_engine.execute(
@@ -670,229 +663,82 @@ def _cmd_race(args: argparse.Namespace) -> int:
     return 1 if result.findings else 0
 
 
-def _known_chaos_scenarios() -> tuple[str, ...]:
-    from repro.cluster import NODE_SCENARIOS
-    from repro.sources.chaos import SCENARIOS
-
-    return tuple(SCENARIOS) + tuple(NODE_SCENARIOS)
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    import difflib
-
-    from repro.cluster import NODE_SCENARIOS
-    from repro.sources import (
-        BreakerConfig,
-        scenario_schedules,
-        wrap_registry,
-    )
-
-    known = _known_chaos_scenarios()
-    if args.scenario not in known:
-        suggestions = difflib.get_close_matches(args.scenario, known,
-                                                n=1, cutoff=0.5)
-        hint = (f"; did you mean {suggestions[0]!r}?"
-                if suggestions else "")
-        print(f"error: unknown chaos scenario {args.scenario!r}{hint}\n"
-              f"known scenarios: {', '.join(known)}", file=sys.stderr)
-        return 2
-    if args.scenario in NODE_SCENARIOS:
-        return _run_node_chaos(args)
-
-    with _fresh_observability() as metrics:
-        dataset = _build_world(args)
-        tracer = obs.Tracer(clock=dataset.clock)
-        obs.set_tracer(tracer)
-        drugtree = dataset.drugtree()
-        schedules = scenario_schedules(args.scenario, seed=args.seed)
-        registry = wrap_registry(dataset.registry, schedules)
-        scheduler = FetchScheduler(
-            registry, clock=dataset.clock,
-            breaker_config=BreakerConfig(
-                failure_threshold=args.breaker_threshold,
-                reset_timeout_s=args.breaker_reset_s,
-            ),
-        )
-        server = DrugTreeServer(
-            drugtree,
-            ServerConfig(tap_deadline_s=args.deadline),
-            federation=scheduler,
-        )
-        session_id, _ = server.open_session()
-        clades = dataset.family.clade_names
-        proteins = list(dataset.family.protein_ids)
-        outcomes = {"fresh": 0, "degraded": 0, "stale": 0, "failed": 0}
-        for tap in range(args.taps):
-            try:
-                if tap % 3 == 0:
-                    response = server.navigate(
-                        session_id, clades[tap % len(clades)]
-                    )
-                elif tap % 3 == 1:
-                    response = server.protein_details(
-                        session_id, proteins[tap % len(proteins)]
-                    )
-                else:
-                    response = server.query(
-                        session_id,
-                        "SELECT protein_id, method FROM proteins",
-                    )
-                outcomes[response.status] += 1
-            except DrugTreeError:
-                outcomes["failed"] += 1
-            dataset.clock.advance(args.think_s)
-        server.close_session(session_id)
-
-        answered = args.taps - outcomes["failed"]
-        print(f"scenario {args.scenario!r}, seed {args.seed}: "
-              f"{args.taps} taps over "
-              f"{dataset.clock.now():.0f}s virtual")
-        table = TextTable(["outcome", "taps"])
-        for name, count in outcomes.items():
-            table.add_row(name, count)
-        print(table.render())
-        print(f"-- answered {answered}/{args.taps} "
-              f"({answered / args.taps:.0%}); "
-              f"breaker trips {scheduler.breakers.trips()}, "
-              f"deadline cancels "
-              f"{scheduler.stats.deadline_cancelled}, "
-              f"breaker skips {scheduler.stats.breaker_skips}")
-        snapshot = scheduler.breakers.snapshot()
-        if snapshot:
-            print("-- breakers now: " + ", ".join(
-                f"{name}={state}"
-                for name, state in snapshot.items()
-            ))
-        if args.json:
-            print(json.dumps({
-                "scenario": args.scenario,
-                "outcomes": outcomes,
-                "breakers": snapshot,
-                "scheduler": scheduler.stats.snapshot(),
-                "counters": metrics.snapshot()["counters"],
-            }, indent=2, sort_keys=True))
-    return 0
-
-
-def _run_node_chaos(args: argparse.Namespace) -> int:
-    """Replay queries through the cluster router under node faults."""
-    from repro.cluster import (
-        ClusterConfig,
-        ClusterEngine,
-        node_scenario_schedule,
-    )
+    from repro.cluster import ClusterConfig
+    from repro.errors import ChaosError
+    from repro.scenarios import run_scenario
     from repro.sources import BreakerConfig
-    from repro.workloads import QueryGenerator
-    from repro.workloads.queries import ALL_KINDS
 
-    with _fresh_observability() as metrics:
-        dataset = _build_world(args)
-        tracer = obs.Tracer(clock=dataset.clock)
-        obs.set_tracer(tracer)
-        drugtree = dataset.drugtree()
-        engine = ClusterEngine.from_drugtree(
-            drugtree,
-            cluster_config=ClusterConfig(
-                nodes=args.nodes,
-                partitions=args.partitions,
-                replication_factor=args.rf,
-                read_quorum=args.read_quorum,
-            ),
-            clock=dataset.clock,
-            breaker_config=BreakerConfig(
-                failure_threshold=args.breaker_threshold,
-                reset_timeout_s=args.breaker_reset_s,
-            ),
-        )
-        router = engine.router
-        schedule = node_scenario_schedule(
-            args.scenario, router.cluster.node_ids, seed=args.seed,
-        ).shifted(dataset.clock.now())
-        router.cluster.set_schedule(schedule)
-
-        generator = QueryGenerator(dataset.family, dataset.ligands,
-                                   seed=args.seed)
-        outcomes = {"answered": 0, "late": 0, "failed": 0}
-        for tap in range(args.taps):
-            kind = ALL_KINDS[tap % len(ALL_KINDS)]
-            started = dataset.clock.now()
-            try:
-                engine.execute(generator.draw(kind),
-                               deadline=args.deadline)
-            except DrugTreeError:
-                outcomes["failed"] += 1
-            else:
-                elapsed = dataset.clock.now() - started
-                if elapsed <= args.deadline:
-                    outcomes["answered"] += 1
-                else:
-                    outcomes["late"] += 1
-            dataset.clock.advance(args.think_s)
-
-        # Heal: run past the fault horizon, replay hints, repair.
-        horizon = schedule.horizon_s()
-        if dataset.clock.now() < horizon:
-            dataset.clock.advance(horizon - dataset.clock.now() + 1.0)
-        router.drain_hints()
-        repair = router.anti_entropy()
-
-        answered = outcomes["answered"]
-        print(f"scenario {args.scenario!r}, seed {args.seed}: "
-              f"{args.taps} taps over "
-              f"{dataset.clock.now():.0f}s virtual "
-              f"(rf={args.rf}, r={args.read_quorum})")
-        for line in schedule.describe():
-            print(f"-- fault: {line}")
-        table = TextTable(["outcome", "taps"])
-        for name, count in outcomes.items():
-            table.add_row(name, count)
-        print(table.render())
-        stats = router.stats
-        print(f"-- answered {answered}/{args.taps} "
-              f"({answered / args.taps:.0%}); "
-              f"breaker trips {router.breakers.trips()}, "
-              f"breaker skips {stats.breaker_skips}, "
-              f"quorum failures {stats.quorum_failures}")
-        print(f"-- hints queued {stats.hints_queued}, "
-              f"delivered {stats.hints_delivered}; "
-              f"read repairs {stats.read_repairs}")
-        print(f"-- anti-entropy: rounds {repair.rounds}, "
-              f"keys repaired {repair.keys_repaired}, "
-              f"converged {repair.converged}")
-        snapshot = router.breakers.snapshot()
-        tripped = {name: state for name, state in snapshot.items()
-                   if state != "closed"}
-        if tripped:
-            print("-- breakers now: " + ", ".join(
-                f"{name}={state}" for name, state in tripped.items()
-            ))
-        if args.json:
-            print(json.dumps({
-                "scenario": args.scenario,
-                "outcomes": outcomes,
-                "breakers": snapshot,
-                "router": stats.as_dict(),
-                "anti_entropy": repair.as_dict(),
-                "counters": metrics.snapshot()["counters"],
-            }, indent=2, sort_keys=True))
+    with _fresh_observability():
+        try:
+            run = run_scenario(
+                _build_world(args), args.scenario, seed=args.seed,
+                taps=args.taps, think_s=args.think_s,
+                deadline_s=args.deadline,
+                breaker_config=BreakerConfig(
+                    failure_threshold=args.breaker_threshold,
+                    reset_timeout_s=args.breaker_reset_s,
+                ),
+                cluster_config=ClusterConfig(
+                    nodes=args.nodes, partitions=args.partitions,
+                    replication_factor=args.rf,
+                    read_quorum=args.read_quorum,
+                ),
+            )
+        except ChaosError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    report = run.payload
+    outcomes = report["outcomes"]
+    router = report.get("router")  # node-level scenarios only
+    answered = (outcomes["answered"] if router
+                else args.taps - outcomes["failed"])
+    print(f"scenario {args.scenario!r}, seed {args.seed}: "
+          f"{args.taps} taps over {run.virtual_s:.0f}s virtual"
+          + (f" (rf={args.rf}, r={args.read_quorum})" if router else ""))
+    for line in run.faults:
+        print(f"-- fault: {line}")
+    table = TextTable(["outcome", "taps"])
+    for name, count in outcomes.items():
+        table.add_row(name, count)
+    print(table.render())
+    summary = (f"-- answered {answered}/{args.taps} "
+               f"({answered / args.taps:.0%}); "
+               f"breaker trips {run.breaker_trips}, ")
+    breakers = report["breakers"]
+    if router:
+        repair = report["anti_entropy"]
+        print(f"{summary}breaker skips {router['breaker_skips']}, "
+              f"quorum failures {router['quorum_failures']}")
+        print(f"-- hints queued {router['hints_queued']}, "
+              f"delivered {router['hints_delivered']}; "
+              f"read repairs {router['read_repairs']}")
+        print(f"-- anti-entropy: rounds {repair['rounds']}, "
+              f"keys repaired {repair['keys_repaired']}, "
+              f"converged {repair['converged']}")
+        breakers = {name: state for name, state in breakers.items()
+                    if state != "closed"}
+    else:
+        scheduler = report["scheduler"]
+        print(f"{summary}deadline cancels "
+              f"{scheduler['deadline_cancelled']}, "
+              f"breaker skips {scheduler['breaker_skips']}")
+    if breakers:
+        print("-- breakers now: " + ", ".join(
+            f"{name}={state}" for name, state in breakers.items()))
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import (
-        ClusterConfig,
-        ClusterEngine,
-        NodeCrash,
-        NodeFaultSchedule,
-    )
+    from repro.cluster import ClusterConfig, ClusterEngine
+    from repro.scenarios import run_divergence_repair
 
     with _fresh_observability():
         dataset = _build_world(args)
-        tracer = obs.Tracer(clock=dataset.clock)
-        obs.set_tracer(tracer)
-        drugtree = dataset.drugtree()
         engine = ClusterEngine.from_drugtree(
-            drugtree,
+            dataset.drugtree(),
             cluster_config=ClusterConfig(
                 nodes=args.nodes,
                 partitions=args.partitions,
@@ -919,82 +765,21 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         failures: list[str] = []
 
         if args.verify:
-            # 1. Crash the primary of partition 0 and write through it:
-            # with handoff off, the sloppy quorum leaves that replica
-            # behind — a seeded divergence.
-            partition = engine.partitioner.interval_partitions[0]
-            victim = cluster.group_for(partition.pid).node_ids[0]
-            start = dataset.clock.now()
-            cluster.set_schedule(NodeFaultSchedule((
-                NodeCrash(victim, start, start + 5.0),
-            )))
-            divergence_rows = []
-            for i in range(5):
-                leaf = engine.labeling.leaf_name_at(
-                    partition.low + i % partition.leaf_count
-                )
-                values = {
-                    "ligand_id": f"LIG-DIVERGE-{i}",
-                    "protein_id": leaf,
-                    "activity_type": "IC50",
-                    "value_nm": 25.0 + i,
-                    "p_affinity": 7.6,
-                    "potent": True,
-                    "leaf_pre": engine.labeling.leaf_position(leaf),
-                }
-                engine.insert("bindings", values)
-                divergence_rows.append(values)
-            # 2. Heal (past the crash window AND the breaker reset
-            # timeout, so the victim is reachable again) and measure.
-            dataset.clock.advance(12.0)
-            before = router.verify()
-            if before.converged:
-                failures.append("expected a seeded divergence, "
-                                "replicas already agree")
-            # 3. Merkle anti-entropy must converge it.
-            repair = router.anti_entropy()
-            after = router.verify()
-            if not repair.converged or not after.converged:
-                failures.append("anti-entropy did not converge")
-            if after.divergent_keys:
-                failures.append(f"{after.divergent_keys} divergent "
-                                "keys remain after repair")
-            # 4. Parity: the healed cluster must answer exactly like
-            # the single-node engine over the same (grown) overlay.
-            for values in divergence_rows:
-                drugtree.tables["bindings"].insert(values)
-            single = QueryEngine(
-                drugtree, config=EngineConfig(use_semantic_cache=False)
-            )
-            clade = dataset.family.clade_names[0]
-            checks = [
-                "SELECT count(*) FROM bindings",
-                f"SELECT * FROM bindings WHERE p_affinity >= 6.0 "
-                f"IN SUBTREE '{clade}'",
-                "SELECT protein_id, p_affinity FROM bindings "
-                "ORDER BY p_affinity DESC LIMIT 10",
-            ]
-            for dtql in checks:
-                if single.execute(dtql).rows != engine.execute(dtql).rows:
-                    failures.append(f"parity mismatch: {dtql}")
-            payload["verify"] = {
-                "victim": victim,
-                "divergent_keys_before": before.divergent_keys,
-                "repair": repair.as_dict(),
-                "converged": after.converged,
-                "parity_checks": len(checks),
-                "failures": failures,
-            }
+            verify = payload["verify"] = run_divergence_repair(
+                dataset, engine, writes=5)
+            failures = verify["failures"]
+            repair = verify["repair"]
             if not args.json:
-                print(f"seeded divergence: crashed {victim}, "
-                      f"{len(divergence_rows)} writes during the "
-                      f"window, {before.divergent_keys} divergent keys "
-                      "after heal")
-                print(f"anti-entropy: rounds {repair.rounds}, keys "
-                      f"repaired {repair.keys_repaired}, converged "
-                      f"{repair.converged}")
-                print(f"parity: {len(checks)} checks vs single-node "
-                      f"engine {'ok' if not failures else 'FAILED'}")
+                print(f"seeded divergence: crashed {verify['victim']}, "
+                      f"5 writes during the window, "
+                      f"{verify['divergent_keys_before']} divergent "
+                      "keys after heal")
+                print(f"anti-entropy: rounds {repair['rounds']}, keys "
+                      f"repaired {repair['keys_repaired']}, converged "
+                      f"{repair['converged']}")
+                print(f"parity: {verify['parity_checks']} checks vs "
+                      "single-node engine "
+                      f"{'ok' if not failures else 'FAILED'}")
         elif args.repair:
             repair = router.anti_entropy()
             payload["repair"] = repair.as_dict()
@@ -1032,101 +817,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                   f"r={geometry.read_quorum} w={geometry.write_quorum} "
                   f"({'strong' if geometry.strongly_consistent else 'eventual'}"
                   " consistency)")
-        if failures:
-            for failure in failures:
-                print(f"error: {failure}", file=sys.stderr)
-            return 1
-    return 0
-
-
-def _discover_bench_modules(directory) -> dict[str, "pathlib.Path"]:
-    """Experiment id (``e13``) → benchmark module path."""
-    import pathlib
-
-    bench_dir = pathlib.Path(directory)
-    modules: dict[str, pathlib.Path] = {}
-    for path in sorted(bench_dir.glob("bench_e*.py")):
-        modules[path.stem.split("_")[1]] = path
-    return modules
-
-
-def _load_bench_module(path):
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _merge_bench_metrics(metrics_path, experiments: dict) -> dict:
-    """Fold *experiments* into the metrics file, preserving the rest.
-
-    The file holds ``{"metrics": <registry snapshot>, "experiments":
-    {...}}``; a legacy file that is a bare registry snapshot is wrapped
-    into that shape first.
-    """
-    existing: dict = {}
-    if metrics_path.exists():
-        try:
-            existing = json.loads(metrics_path.read_text())
-        except ValueError:
-            existing = {}
-    if "experiments" not in existing:
-        existing = {"metrics": existing or {}, "experiments": {}}
-    existing["experiments"].update(experiments)
-    metrics_path.parent.mkdir(parents=True, exist_ok=True)
-    metrics_path.write_text(
-        json.dumps(existing, indent=2, sort_keys=True) + "\n")
-    return existing
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import pathlib
-
-    modules = _discover_bench_modules(args.directory)
-    if args.list:
-        for name, path in sorted(modules.items()):
-            has_metrics = hasattr(_load_bench_module(path),
-                                  "collect_metrics")
-            marker = "collect_metrics" if has_metrics else "pytest-only"
-            print(f"{name:5s} {path.name}  [{marker}]")
-        return 0
-    selected = args.experiments or sorted(modules)
-    explicit = bool(args.experiments)
-    unknown = [name for name in selected if name not in modules]
-    if unknown:
-        print(f"error: unknown experiment(s) {', '.join(unknown)}; "
-              f"known: {', '.join(sorted(modules))}", file=sys.stderr)
-        return 2
-    collected: dict[str, dict] = {}
-    for name in selected:
-        module = _load_bench_module(modules[name])
-        collect = getattr(module, "collect_metrics", None)
-        if collect is None:
-            if explicit:
-                print(f"error: {modules[name].name} has no "
-                      "collect_metrics(); run it via pytest",
-                      file=sys.stderr)
-                return 2
-            continue  # default sweep only runs metric-emitting modules
-        kwargs = dict(getattr(module, "QUICK_KWARGS", {})) \
-            if args.quick else {}
-        print(f"-- running {name} ({modules[name].name})"
-              + (" [quick]" if args.quick else ""))
-        collected[name] = collect(**kwargs)
-    if not collected:
-        print("error: no selected module exposes collect_metrics()",
-              file=sys.stderr)
-        return 2
-    metrics_path = pathlib.Path(args.output) if args.output else \
-        pathlib.Path(args.directory) / "BENCH_METRICS.json"
-    merged = _merge_bench_metrics(metrics_path, collected)
-    if args.json:
-        print(json.dumps(collected, indent=2, sort_keys=True))
-    print(f"-- {len(collected)} experiment(s) merged into "
-          f"{metrics_path} ({len(merged['experiments'])} total)")
-    return 0
+        for failure in failures:
+            print(f"error: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _durable_config(args: argparse.Namespace, data_dir: str):
@@ -1425,7 +1118,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.set_defaults(handler=_cmd_cluster)
 
     lint = commands.add_parser(
-        "lint", help="repository invariant lint rules (L001-L008)")
+        "lint", help="repository invariant lint rules")
     lint.add_argument("paths", nargs="*", default=["src"],
                       help="files or directories (default: src)")
     lint.add_argument("--json", action="store_true",
@@ -1454,27 +1147,6 @@ def build_parser() -> argparse.ArgumentParser:
     race.add_argument("--rules", action="store_true",
                       help="list the rules and exit")
     race.set_defaults(handler=_cmd_race)
-
-    bench = commands.add_parser(
-        "bench",
-        help="run collect_metrics() benchmarks, merge BENCH_METRICS")
-    bench.add_argument("experiments", nargs="*", default=[],
-                       help="experiment ids, e.g. e13 (default: every "
-                            "module exposing collect_metrics)")
-    bench.add_argument("--directory", default="benchmarks",
-                       help="benchmark module directory "
-                            "(default: benchmarks)")
-    bench.add_argument("--quick", action="store_true",
-                       help="use each module's QUICK_KWARGS (small "
-                            "scales, CI-sized)")
-    bench.add_argument("--output", default=None,
-                       help="metrics file to merge into (default: "
-                            "<directory>/BENCH_METRICS.json)")
-    bench.add_argument("--list", action="store_true",
-                       help="list discovered benchmark modules and exit")
-    bench.add_argument("--json", action="store_true",
-                       help="also print collected numbers as JSON")
-    bench.set_defaults(handler=_cmd_bench)
 
     def _add_durable_options(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("data_dir",

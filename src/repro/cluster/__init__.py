@@ -12,21 +12,13 @@ local overlay view and delegating to a normal
 :class:`~repro.core.query.executor.QueryEngine`.
 
 Everything runs in virtual time against a
-:class:`~repro.sources.clock.SimulatedClock`, so node-level chaos
-(:mod:`repro.cluster.chaos`) replays deterministically.
+:class:`~repro.sources.clock.SimulatedClock`, so node faults
+(:mod:`repro.faults`) replay deterministically.
 
 See docs/CLUSTER.md for topology, quorum math, and the repair
 walk-through.
 """
 
-from repro.cluster.chaos import (
-    NODE_SCENARIOS,
-    NetworkPartition,
-    NodeCrash,
-    NodeFaultSchedule,
-    SlowNode,
-    node_scenario_schedule,
-)
 from repro.cluster.engine import ClusterEngine
 from repro.cluster.merkle import MerkleTree
 from repro.cluster.node import ClusterNode, Hint, VersionedRow
@@ -40,7 +32,6 @@ from repro.cluster.replication import Cluster, ClusterConfig, ReplicaGroup
 from repro.cluster.router import AntiEntropyReport, Router, VerifyReport
 
 __all__ = [
-    "NODE_SCENARIOS",
     "AntiEntropyReport",
     "CladePartitioner",
     "Cluster",
@@ -49,16 +40,11 @@ __all__ = [
     "ClusterNode",
     "Hint",
     "MerkleTree",
-    "NetworkPartition",
-    "NodeCrash",
-    "NodeFaultSchedule",
     "Partition",
     "ReplicaGroup",
     "Router",
-    "SlowNode",
     "VerifyReport",
     "VersionedRow",
-    "node_scenario_schedule",
     "partitions_for_query",
     "scan_interval",
 ]

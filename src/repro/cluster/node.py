@@ -7,11 +7,12 @@ router; a node applies a put only when it is newer than what it holds
 repair, hinted handoff, anti-entropy pushes — idempotent and
 order-insensitive.
 
-Every public method is an *RPC*: it consults the node-fault schedule at
-the caller's virtual now, charges latency on the caller's timeline
-(base latency, plus any slow-node penalty, or the full RPC timeout when
-the node is unreachable), and raises
-:class:`~repro.errors.NodeDownError` inside a crash/partition window.
+Every public method is an *RPC*: it consults the fault schedule at the
+caller's virtual now, charges latency on the caller's timeline (base
+latency, stretched and padded by any latency spike, or the full RPC
+timeout when the node is unreachable), and raises
+:class:`~repro.errors.NodeDownError` inside an outage window or when an
+error burst drops the call.
 Thread-safe, for callers that share one cluster across threads.
 """
 
@@ -20,9 +21,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.cluster.chaos import NodeFaultSchedule
 from repro.cluster.merkle import MerkleTree
 from repro.errors import NodeDownError
+from repro.faults import FaultSchedule
 from repro.sources.clock import SimulatedClock
 
 
@@ -53,13 +54,13 @@ class ClusterNode:
     """One simulated storage node of the cluster."""
 
     def __init__(self, node_id: str, clock: SimulatedClock,
-                 schedule: NodeFaultSchedule | None = None,
+                 schedule: FaultSchedule | None = None,
                  base_latency_s: float = 0.002,
                  timeout_s: float = 0.05,
                  merkle_buckets: int = 32) -> None:
         self.node_id = node_id
         self.clock = clock
-        self.schedule = schedule or NodeFaultSchedule()
+        self.schedule = schedule or FaultSchedule()
         self.base_latency_s = base_latency_s
         self.timeout_s = timeout_s
         self.merkle_buckets = merkle_buckets
@@ -84,13 +85,15 @@ class ClusterNode:
 
     def _rpc(self) -> None:
         effect = self.schedule.effect_for(self.node_id, self.clock.now())
-        if effect.down:
+        if effect.down or self.schedule.draw_failure(
+                self.node_id, effect.failure_rate):
             # An unreachable node costs the full timeout to discover.
             self.clock.sleep(self.timeout_s)
             with self._lock:
                 self.failed_rpcs += 1
             raise NodeDownError(f"node {self.node_id} unreachable")
-        self.clock.sleep(self.base_latency_s + effect.extra_latency_s)
+        self.clock.sleep(self.base_latency_s * effect.latency_factor
+                         + effect.extra_latency_s)
         with self._lock:
             self.rpcs += 1
 

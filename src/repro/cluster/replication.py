@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster.chaos import NodeFaultSchedule
 from repro.cluster.node import ClusterNode
 from repro.cluster.partitioning import CladePartitioner, Partition
 from repro.core.labeling import IntervalLabeling
 from repro.errors import ClusterError
+from repro.faults import FaultSchedule
 from repro.sources.clock import SimulatedClock
 
 
@@ -78,10 +78,10 @@ class Cluster:
     def __init__(self, labeling: IntervalLabeling,
                  config: ClusterConfig | None = None,
                  clock: SimulatedClock | None = None,
-                 schedule: NodeFaultSchedule | None = None) -> None:
+                 schedule: FaultSchedule | None = None) -> None:
         self.config = config or ClusterConfig()
         self.clock = clock or SimulatedClock()
-        self.schedule = schedule or NodeFaultSchedule()
+        self.schedule = schedule or FaultSchedule()
         self.partitioner = CladePartitioner(
             labeling, n_partitions=self.config.partitions,
         )
@@ -107,7 +107,7 @@ class Cluster:
             for partition in self.partitioner.partitions
         }
 
-    def set_schedule(self, schedule: NodeFaultSchedule) -> None:
+    def set_schedule(self, schedule: FaultSchedule) -> None:
         """Swap in a fault schedule (chaos harness entry point)."""
         self.schedule = schedule
         for node in self.nodes.values():

@@ -19,12 +19,6 @@ from repro.core.integrate import (
     protein_row,
 )
 from repro.core.labeling import IntervalLabeling, NodeLabel
-from repro.core.persist import (
-    drugtree_from_dict,
-    drugtree_to_dict,
-    load_drugtree,
-    save_drugtree,
-)
 from repro.core.overlay import (
     BINDINGS_TABLE,
     JOIN_KEYS,
@@ -70,13 +64,9 @@ __all__ = [
     "SimilarityFilter",
     "SubstructureFilter",
     "SubtreeFilter",
-    "drugtree_from_dict",
-    "drugtree_to_dict",
     "is_drug_like",
-    "load_drugtree",
     "ligand_row",
     "make_overlay_tables",
     "parse_query",
     "protein_row",
-    "save_drugtree",
 ]

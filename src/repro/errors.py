@@ -59,6 +59,12 @@ class DeadlineExceededError(SourceError):
     the fetch; remaining work was cancelled rather than charged."""
 
 
+class ChaosError(SourceError):
+    """A fault plan is invalid: a bad window, an unknown scenario name,
+    a node scenario without nodes, or a replay of fewer than one tap —
+    a mistake in the plan, never a fault it injected."""
+
+
 class ClusterError(SourceError):
     """A cluster operation failed (quorum not reached, bad topology, ...).
 

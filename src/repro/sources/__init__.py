@@ -26,18 +26,14 @@ from repro.sources.base import (
     SourceStats,
     TableBackedSource,
 )
-from repro.sources.chaos import (
-    SCENARIOS,
-    ChaosEffect,
-    ChaosSource,
+from repro.faults import (
     ErrorBurst,
     FaultSchedule,
     Flapping,
     LatencySpike,
     Outage,
-    scenario_schedules,
-    wrap_registry,
 )
+from repro.sources.chaos import ChaosSource, wrap_registry
 from repro.sources.clock import (
     ParallelRegion,
     SimulatedClock,
@@ -78,7 +74,6 @@ __all__ = [
     "KIND_PROTEIN",
     "KIND_PROTEINS_BY_FAMILY",
     "KIND_PROTEINS_BY_ORGANISM",
-    "SCENARIOS",
     "STATUS_FRESH",
     "STATUS_MISSING",
     "STATUS_PARTIAL",
@@ -88,7 +83,6 @@ __all__ = [
     "BreakerBoard",
     "BreakerConfig",
     "CachingSource",
-    "ChaosEffect",
     "ChaosSource",
     "CircuitBreaker",
     "CompoundEntry",
@@ -117,6 +111,5 @@ __all__ = [
     "Stopwatch",
     "TableBackedSource",
     "TaskTimeline",
-    "scenario_schedules",
     "wrap_registry",
 ]

@@ -27,7 +27,7 @@ four primitives the resilient path is built from:
 
 Everything here runs against a :class:`~repro.sources.clock
 .SimulatedClock`, so whole failure scenarios (see
-:mod:`repro.sources.chaos`) replay bit-identically.
+:mod:`repro.faults`) replay bit-identically.
 """
 
 from __future__ import annotations

@@ -441,12 +441,6 @@ class TestSuppression:
                                    "self.last = item  # noqa: CONC101")
         assert codes(analyze(source)) == []
 
-    def test_noqa_lint_alias(self):
-        # The historical lint ID keeps working on the same line.
-        source = self.RACY.replace("self.last = item",
-                                   "self.last = item  # noqa: L003")
-        assert codes(analyze(source)) == []
-
     def test_bare_noqa(self):
         source = self.RACY.replace("self.last = item",
                                    "self.last = item  # noqa")

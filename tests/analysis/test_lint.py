@@ -1,12 +1,18 @@
-"""Tests for the repository invariant linter (L001-L008)."""
+"""Tests for the repository invariant linter (L001-L007)."""
 
 import textwrap
 
 from repro.analysis import LINT_RULES, lint_file, lint_paths, lint_source
+from repro.analysis.concurrency import analyze_sources
 
 
 def run(source, path="src/repro/example.py"):
     return lint_source(textwrap.dedent(source), path)
+
+
+def race(source, path="src/repro/example.py"):
+    """The whole-program findings ``repro race`` reports for *source*."""
+    return analyze_sources([(path, textwrap.dedent(source))]).findings
 
 
 def codes(diagnostics):
@@ -90,13 +96,14 @@ class TestL002BareAcquire:
 
 
 class TestL003SharedStateWrites:
-    """L003 now rides thread reachability: a write is flagged when a
-    thread entry (``pool.submit`` / ``Thread``)
-    can reach it and no lock dominates every path to it — no class
-    allowlist, no directory list."""
+    """CONC101, method shape: a write is flagged when a thread entry
+    (``pool.submit`` / ``Thread``) can reach it and no lock dominates
+    every path to it — no class allowlist, no directory list. (Once
+    lint's L003; the class keeps its name and file so its test ids
+    stay stable.)"""
 
     def test_unguarded_write_flagged(self):
-        found = run("""\
+        found = race("""\
             class Tracer:
                 def bump(self):
                     self.dropped += 1
@@ -104,11 +111,11 @@ class TestL003SharedStateWrites:
             def fan_out(pool, tracer):
                 pool.submit(tracer.bump)
         """)
-        assert codes(found) == ["L003"]
+        assert codes(found) == ["CONC101"]
         assert "Tracer.bump" in found[0].message
 
     def test_guarded_write_passes(self):
-        assert run("""\
+        assert race("""\
             class MetricsRegistry:
                 def bump(self):
                     with self._create_lock:
@@ -121,14 +128,14 @@ class TestL003SharedStateWrites:
     def test_unreachable_method_not_flagged(self):
         # Same write as test_unguarded_write_flagged, but no thread
         # entry reaches it: single-threaded code needs no locks.
-        assert run("""\
+        assert race("""\
             class Tracer:
                 def bump(self):
                     self.dropped += 1
         """) == []
 
     def test_init_is_exempt(self):
-        assert run("""\
+        assert race("""\
             class FetchScheduler:
                 def __init__(self):
                     self.pending = []
@@ -138,7 +145,7 @@ class TestL003SharedStateWrites:
         """) == []
 
     def test_thread_local_is_exempt(self):
-        assert run("""\
+        assert race("""\
             class Tracer:
                 def reset_stack(self):
                     self._local.stack = []
@@ -149,7 +156,7 @@ class TestL003SharedStateWrites:
 
     def test_reachability_crosses_calls(self):
         # The entry never writes; a helper two calls deep does.
-        found = run("""\
+        found = race("""\
             class Sink:
                 def record(self, item):
                     self._note(item)
@@ -160,13 +167,13 @@ class TestL003SharedStateWrites:
             def fan_out(pool, sink):
                 pool.submit(sink.record, 1)
         """)
-        assert codes(found) == ["L003"]
+        assert codes(found) == ["CONC101"]
         assert "Sink._note" in found[0].message
 
     def test_dominating_lock_on_call_path_passes(self):
         # The helper itself takes no lock, but its only caller holds
         # one — the interprocedural must-analysis sees the guard.
-        assert run("""\
+        assert race("""\
             class Sink:
                 def record(self, item):
                     with self._lock:
@@ -181,7 +188,7 @@ class TestL003SharedStateWrites:
 
     def test_partially_guarded_path_flagged(self):
         # One caller holds the lock, another does not: no dominator.
-        found = run("""\
+        found = race("""\
             class Sink:
                 def record(self, item):
                     with self._lock:
@@ -197,10 +204,10 @@ class TestL003SharedStateWrites:
                 pool.submit(sink.record, 1)
                 pool.submit(sink.record_fast, 2)
         """)
-        assert codes(found) == ["L003"]
+        assert codes(found) == ["CONC101"]
 
     def test_nested_with_counts(self):
-        assert run("""\
+        assert race("""\
             class Tracer:
                 def deep(self):
                     with self._lock:
@@ -414,16 +421,17 @@ class TestL007FileMutation:
 
 
 class TestL008MorselWorkerPurity:
-    """L008 fires on *registered* workers — closures handed to
-    ``pool.submit`` — wherever they live; there is no directory
-    allowlist. (The rule was written for PR 7's morsel pool; the class
-    keeps its name so its test ids stay stable.)"""
+    """CONC101, closure shape: fires on *registered* workers —
+    closures handed to ``pool.submit`` — wherever they live; there is
+    no directory allowlist. (Once lint's L008, written for PR 7's
+    morsel pool; the class keeps its name and file so its test ids
+    stay stable.)"""
 
     WORKER_PATH = "src/repro/sources/scheduler.py"
 
     def test_attribute_write_in_worker_flagged(self):
         # A neutral path: registration, not directory, makes a worker.
-        found = run("""\
+        found = race("""\
             class Op:
                 def scan(self, chunks, pool):
                     def work(chunk):
@@ -431,21 +439,21 @@ class TestL008MorselWorkerPurity:
                         return chunk
                     return [pool.submit(work, c) for c in chunks]
         """, path="src/repro/core/query/physical.py")
-        assert codes(found) == ["L008"]
+        assert codes(found) == ["CONC101"]
         assert "coordinating thread" in found[0].message
 
     def test_subscript_write_in_worker_flagged(self):
-        found = run("""\
+        found = race("""\
             def scan(chunks, out, pool):
                 def work(index, chunk):
                     out[index] = len(chunk)
                 for index, chunk in enumerate(chunks):
                     pool.submit(work, index, chunk)
         """, path="src/repro/core/query/executor.py")
-        assert codes(found) == ["L008"]
+        assert codes(found) == ["CONC101"]
 
     def test_nonlocal_rebinding_in_worker_flagged(self):
-        found = run("""\
+        found = race("""\
             def scan(chunks, pool):
                 total = 0
                 def work(chunk):
@@ -455,13 +463,13 @@ class TestL008MorselWorkerPurity:
                     pool.submit(work, chunk)
                 return total
         """, path="src/repro/core/query/vectorized.py")
-        assert codes(found) == ["L008"]
+        assert codes(found) == ["CONC101"]
         assert "nonlocal" in found[0].message
 
     def test_factory_returned_worker_flagged(self):
         # The worker reaches the pool through a closure factory:
         # submit(make_worker(out)) — one level of indirection.
-        found = run("""\
+        found = race("""\
             def scan(chunks, out, pool):
                 def make_worker(sink):
                     def work(chunk):
@@ -470,10 +478,10 @@ class TestL008MorselWorkerPurity:
                 for chunk in chunks:
                     pool.submit(make_worker(out), chunk)
         """, path="src/repro/core/query/physical.py")
-        assert codes(found) == ["L008"]
+        assert codes(found) == ["CONC101"]
 
     def test_pure_worker_passes(self):
-        assert run("""\
+        assert race("""\
             class Op:
                 def scan(self, chunks, pool):
                     def work(chunk):
@@ -486,14 +494,14 @@ class TestL008MorselWorkerPurity:
 
     def test_coordinator_writes_pass(self):
         # Method-level (non-nested) writes are the coordinator's job.
-        assert run("""\
+        assert race("""\
             class Op:
                 def scan(self, chunks):
                     self.counters.chunks += len(chunks)
         """, path=self.WORKER_PATH) == []
 
     def test_lock_guard_exempts_worker_write(self):
-        assert run("""\
+        assert race("""\
             class Op:
                 def scan(self, chunks, pool):
                     def work(chunk):
@@ -505,7 +513,7 @@ class TestL008MorselWorkerPurity:
     def test_unregistered_closure_is_not_a_worker(self):
         # Never submitted to a pool — runs on the caller's thread, so
         # its writes are plain coordinator writes.
-        assert run("""\
+        assert race("""\
             class Op:
                 def scan(self, chunks):
                     def work(chunk):
@@ -547,8 +555,8 @@ class TestEntryPoints:
         assert codes(found) == ["L000"]
 
     def test_rule_registry_documented(self):
-        assert set(LINT_RULES) == {"L001", "L002", "L003", "L004",
-                                   "L005", "L006", "L007", "L008"}
+        assert set(LINT_RULES) == {"L001", "L002", "L004", "L005",
+                                   "L006", "L007"}
         assert all(LINT_RULES.values())
 
     def test_lint_file_reads_real_module(self):

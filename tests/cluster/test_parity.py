@@ -10,13 +10,9 @@ reports it.
 
 import pytest
 
-from repro.cluster import (
-    ClusterConfig,
-    ClusterEngine,
-    NodeCrash,
-    NodeFaultSchedule,
-)
+from repro.cluster import ClusterConfig, ClusterEngine
 from repro.core import EngineConfig, QueryEngine
+from repro.faults import FaultSchedule, Outage
 from repro.obs import MetricsRegistry, set_metrics
 from repro.workloads import DatasetConfig, QueryGenerator, build_dataset
 from repro.workloads.queries import ALL_KINDS
@@ -52,8 +48,8 @@ def crash_one_replica(clustered, duration_s=3600.0):
     cluster = clustered.router.cluster
     victim = cluster.group_for(0).node_ids[0]
     now = clustered.clock.now()
-    cluster.set_schedule(NodeFaultSchedule(
-        (NodeCrash(victim, now, now + duration_s),)
+    cluster.set_schedule(FaultSchedule(
+        (Outage(now, now + duration_s, target=victim),)
     ))
     return victim
 

@@ -6,20 +6,14 @@ import threading
 import pytest
 
 from repro.bio import parse_newick
-from repro.cluster import (
-    Cluster,
-    ClusterConfig,
-    NodeCrash,
-    NodeFaultSchedule,
-    Router,
-    SlowNode,
-)
+from repro.cluster import Cluster, ClusterConfig, Router
 from repro.core.labeling import IntervalLabeling
 from repro.errors import (
     ClusterError,
     DeadlineExceededError,
     QuorumError,
 )
+from repro.faults import FaultSchedule, LatencySpike, Outage
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
@@ -52,14 +46,14 @@ def make_router(hinted_handoff=True, **overrides):
 
 def crash(router, node_id, duration_s=60.0):
     now = router.clock.now()
-    router.cluster.set_schedule(NodeFaultSchedule(
-        (NodeCrash(node_id, now, now + duration_s),)
+    router.cluster.set_schedule(FaultSchedule(
+        (Outage(now, now + duration_s, target=node_id),)
     ))
 
 
 def heal(router):
     """Clear faults and wait out both windows and breaker resets."""
-    router.cluster.set_schedule(NodeFaultSchedule())
+    router.cluster.set_schedule(FaultSchedule())
     router.clock.advance(60.0)
     for node_id in router.cluster.node_ids:
         router._breaker_for(node_id).reset()
@@ -136,9 +130,9 @@ class TestQuorumReads:
             # Two of three replicas gone: R=2 cannot be met.
             now = router.clock.now()
             events = router.cluster.schedule.events + (
-                NodeCrash(node_id, now, now + 60.0),
+                Outage(now, now + 60.0, target=node_id),
             )
-            router.cluster.set_schedule(NodeFaultSchedule(events))
+            router.cluster.set_schedule(FaultSchedule(events))
         with pytest.raises(QuorumError):
             router.read_partition(pid)
         assert router.stats.quorum_failures == 1
@@ -231,10 +225,11 @@ class TestFanoutOnOneThread:
         router = make_router()
         config = router.config
         now = router.clock.now()
-        router.cluster.set_schedule(NodeFaultSchedule((
-            NodeCrash("node-1", now, now + 60.0),
-            NodeCrash("node-3", now, now + 60.0),
-            SlowNode("node-4", now, now + 60.0, extra_s=0.5),
+        router.cluster.set_schedule(FaultSchedule((
+            Outage(now, now + 60.0, target="node-1"),
+            Outage(now, now + 60.0, target="node-3"),
+            LatencySpike(now, now + 60.0, extra_s=0.5,
+                         target="node-4"),
         )))
         with pytest.raises(QuorumError, match="partition 1"):
             router.read_partitions(interval_pids(router))
@@ -252,8 +247,8 @@ class TestWritesAndHints:
         pid = router.cluster.partitioner.partition_for_position(0).pid
         group = router.cluster.group_for(pid)
         now = router.clock.now()
-        router.cluster.set_schedule(NodeFaultSchedule(tuple(
-            NodeCrash(node_id, now, now + 60.0)
+        router.cluster.set_schedule(FaultSchedule(tuple(
+            Outage(now, now + 60.0, target=node_id)
             for node_id in group.node_ids[:2]
         )))
         with pytest.raises(QuorumError):
@@ -343,8 +338,8 @@ class TestAntiEntropy:
         pid, victim = self.seed_divergence(router)
         group = router.cluster.group_for(pid)
         now = router.clock.now()
-        router.cluster.set_schedule(NodeFaultSchedule(tuple(
-            NodeCrash(node_id, now, now + 600.0)
+        router.cluster.set_schedule(FaultSchedule(tuple(
+            Outage(now, now + 600.0, target=node_id)
             for node_id in group.node_ids[:2]
         )))
         report = router.anti_entropy()

@@ -98,21 +98,24 @@ class TestPipeline:
 
 
 class TestTreeFromSources:
-    def test_nj_tree_covers_all_proteins(self, dataset):
-        pipeline = IntegrationPipeline(dataset.registry)
-        tree = pipeline.build_tree_from_sources(method="nj")
-        assert sorted(tree.leaf_names()) == sorted(
+    @pytest.fixture(scope="class")
+    def nj_tree(self, dataset):
+        """The default (NJ) inference over the whole family, built once:
+        it is the slow step and four tests read the same tree."""
+        return IntegrationPipeline(
+            dataset.registry).build_tree_from_sources()
+
+    def test_nj_tree_covers_all_proteins(self, dataset, nj_tree):
+        assert sorted(nj_tree.leaf_names()) == sorted(
             dataset.family.protein_ids
         )
-        assert tree.is_binary()
+        assert nj_tree.is_binary()
 
-    def test_inferred_tree_close_to_truth(self, dataset):
+    def test_inferred_tree_close_to_truth(self, dataset, nj_tree):
         """At moderate divergence NJ should recover most of the true
         topology from the evolved sequences."""
-        pipeline = IntegrationPipeline(dataset.registry)
-        tree = pipeline.build_tree_from_sources(method="nj")
         max_rf = 2 * (dataset.config.n_leaves - 3)
-        assert tree.robinson_foulds(dataset.tree) <= max_rf // 2
+        assert nj_tree.robinson_foulds(dataset.tree) <= max_rf // 2
 
     def test_upgma_variant(self, dataset):
         pipeline = IntegrationPipeline(dataset.registry)
@@ -120,10 +123,8 @@ class TestTreeFromSources:
         depths = [leaf.distance_to_root() for leaf in tree.leaves()]
         assert max(depths) - min(depths) < 1e-9  # ultrametric
 
-    def test_internal_clades_named(self, dataset):
-        pipeline = IntegrationPipeline(dataset.registry)
-        tree = pipeline.build_tree_from_sources()
-        internal = [n for n in tree.preorder() if not n.is_leaf]
+    def test_internal_clades_named(self, nj_tree):
+        internal = [n for n in nj_tree.preorder() if not n.is_leaf]
         assert all(node.name for node in internal)
 
     def test_explicit_subset(self, dataset):
@@ -132,10 +133,9 @@ class TestTreeFromSources:
         tree = pipeline.build_tree_from_sources(protein_ids=subset)
         assert sorted(tree.leaf_names()) == sorted(subset)
 
-    def test_inferred_tree_is_integrable(self, dataset):
-        pipeline = IntegrationPipeline(dataset.registry)
-        tree = pipeline.build_tree_from_sources()
-        drugtree, report = pipeline.build_drugtree(tree)
+    def test_inferred_tree_is_integrable(self, dataset, nj_tree):
+        drugtree, report = IntegrationPipeline(
+            dataset.registry).build_drugtree(nj_tree)
         assert drugtree.binding_count == len(dataset.bindings)
 
     def test_validation(self, dataset):

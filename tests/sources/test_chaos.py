@@ -2,23 +2,30 @@
 
 import pytest
 
-from repro.errors import SourceError, SourceUnavailableError
-from repro.obs import MetricsRegistry, set_metrics
-from repro.sources import (
+from repro.errors import ChaosError, SourceUnavailableError
+from repro.faults import (
+    CLEAN,
     SCENARIOS,
-    ChaosSource,
     ErrorBurst,
     FaultSchedule,
     Flapping,
-    LatencyModel,
     LatencySpike,
     Outage,
+    scenario_schedule,
+)
+from repro.obs import MetricsRegistry, set_metrics
+from repro.sources import (
+    ChaosSource,
+    LatencyModel,
     SimulatedClock,
     SourceRegistry,
     TableBackedSource,
-    scenario_schedules,
     wrap_registry,
 )
+
+SOURCES = ("pdb-sim", "chembl-sim", "go-sim")
+SOURCE_SCENARIOS = [name for name, level in SCENARIOS.items()
+                    if level == "source"]
 
 
 @pytest.fixture(autouse=True)
@@ -47,9 +54,9 @@ class TestWindows:
         assert not outage.down_at(3.0)
 
     def test_invalid_window_rejected(self):
-        with pytest.raises(SourceError):
+        with pytest.raises(ChaosError):
             Outage(3.0, 1.0)
-        with pytest.raises(SourceError):
+        with pytest.raises(ChaosError):
             Outage(-1.0, 1.0)
 
     def test_flapping_phases(self):
@@ -63,23 +70,25 @@ class TestWindows:
         assert not flap.down_at(10.0)  # outside the window
 
     def test_latency_spike_validation(self):
-        with pytest.raises(SourceError):
+        with pytest.raises(ChaosError):
             LatencySpike(0.0, 1.0, extra_s=-0.1)
-        with pytest.raises(SourceError):
+        with pytest.raises(ChaosError):
             LatencySpike(0.0, 1.0, factor=0.5)
+        with pytest.raises(ChaosError):
+            LatencySpike(0.0, 1.0)  # slows nothing
 
     def test_error_burst_rate_validation(self):
-        with pytest.raises(SourceError):
+        with pytest.raises(ChaosError):
             ErrorBurst(0.0, 1.0, failure_rate=0.0)
-        with pytest.raises(SourceError):
+        with pytest.raises(ChaosError):
             ErrorBurst(0.0, 1.0, failure_rate=1.5)
 
 
 class TestEffectMerging:
     def test_clean_outside_all_windows(self):
         schedule = FaultSchedule([Outage(5.0, 6.0)])
-        assert schedule.effect_at(0.0).clean
-        assert not schedule.effect_at(5.5).clean
+        assert schedule.effect_for("any", 0.0) == CLEAN
+        assert schedule.effect_for("any", 5.5) != CLEAN
 
     def test_overlapping_windows_compose(self):
         schedule = FaultSchedule([
@@ -87,11 +96,11 @@ class TestEffectMerging:
             LatencySpike(5.0, 10.0, factor=2.0),
             ErrorBurst(5.0, 10.0, failure_rate=0.3),
         ])
-        effect = schedule.effect_at(7.0)
+        effect = schedule.effect_for("any", 7.0)
         assert effect.extra_latency_s == pytest.approx(0.1)
         assert effect.latency_factor == pytest.approx(2.0)
         assert effect.failure_rate == pytest.approx(0.3)
-        early = schedule.effect_at(2.0)
+        early = schedule.effect_for("any", 2.0)
         assert early.latency_factor == 1.0
         assert early.failure_rate == 0.0
 
@@ -202,19 +211,47 @@ class TestDeterminism:
         assert outcomes_a != outcomes_b
 
 
+    def test_each_named_target_draws_from_its_own_stream(self):
+        """The n-th target a schedule names draws from Random(seed+n),
+        an unnamed consumer from Random(seed) — what the per-source
+        schedules of the scenario table were seeded with."""
+        import random
+
+        schedule = scenario_schedule("flaky", seed=40)
+        expected = {name: random.Random(40 + n)
+                    for n, name in enumerate(SOURCES)}
+        # Interleaved traffic: one target's draws never shift another's.
+        for name in ("go-sim", "pdb-sim", "go-sim", "chembl-sim",
+                     "pdb-sim", "go-sim"):
+            assert schedule.draw_failure(name, 0.5) == \
+                (expected[name].random() < 0.5)
+        lone = FaultSchedule([ErrorBurst(0.0, 9.0, 0.5)], seed=40)
+        stream = random.Random(40)
+        assert [lone.draw_failure("anyone", 0.5) for _ in range(8)] == \
+            [stream.random() < 0.5 for _ in range(8)]
+        assert not lone.draw_failure("anyone", 0.0)
+
+
 class TestScenarios:
     def test_known_scenarios_cover_standard_sources(self):
-        for name in SCENARIOS:
-            schedules = scenario_schedules(name, seed=5)
-            assert set(schedules) == {"pdb-sim", "chembl-sim", "go-sim"}
+        for name in SOURCE_SCENARIOS:
+            schedule = scenario_schedule(name, seed=5)
+            named = {n for event in schedule.events
+                     for n in event.names()}
+            assert named <= set(SOURCES)
+            assert all(event.target is not None
+                       for event in schedule.events)
+        assert {n for e in scenario_schedule("cascade").events
+                for n in e.names()} == set(SOURCES)
 
     def test_unknown_scenario_rejected(self):
-        with pytest.raises(SourceError):
-            scenario_schedules("meteor-strike")
+        with pytest.raises(ChaosError, match="unknown chaos scenario"):
+            scenario_schedule("meteor-strike")
 
     def test_calm_has_no_events(self):
-        assert all(not s.events
-                   for s in scenario_schedules("calm").values())
+        assert scenario_schedule("calm").events == ()
+        assert not any(scenario_schedule("calm").touches(name)
+                       for name in SOURCES)
 
     def test_wrap_registry_skips_empty_schedules(self):
         clock = SimulatedClock()

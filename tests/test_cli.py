@@ -280,7 +280,7 @@ class TestLintCommand:
     def test_rules_listing(self, capsys):
         assert main(["lint", "--rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("L001", "L002", "L003", "L004"):
+        for code in ("L001", "L002", "L004", "L007"):
             assert code in out
 
     def test_sarif_round_trip(self, tmp_path, capsys):
@@ -335,6 +335,12 @@ class TestRaceCommand:
         out = capsys.readouterr().out
         assert "CONC101" in out
         assert f"{bad}:3:" in out
+
+    def test_lint_does_not_repeat_the_finding(self, tmp_path, capsys):
+        bad = tmp_path / "racy.py"
+        bad.write_text(self.RACY)
+        assert main(["lint", str(bad)]) == 0
+        assert capsys.readouterr().out.startswith("-- 0 violation(s)")
 
     def test_json_round_trip(self, tmp_path, capsys):
         import json
@@ -403,86 +409,6 @@ class TestRaceCommand:
         out = capsys.readouterr().out
         for code in ("CONC101", "CONC102", "CONC201", "CONC202"):
             assert code in out
-
-
-class TestBenchCommand:
-    @staticmethod
-    def _fake_module(directory, name="bench_e99_fake.py"):
-        (directory / name).write_text(
-            "QUICK_KWARGS = {'scale': 5}\n"
-            "def collect_metrics(scale=100):\n"
-            "    return {'scale': scale, 'speedup': 4.0}\n"
-        )
-
-    def test_list_discovers_modules(self, tmp_path, capsys):
-        self._fake_module(tmp_path)
-        (tmp_path / "bench_e98_plain.py").write_text("x = 1\n")
-        assert main(["bench", "--list",
-                     "--directory", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "e99" in out and "collect_metrics" in out
-        assert "e98" in out and "pytest-only" in out
-
-    def test_run_merges_metrics_file(self, tmp_path, capsys):
-        import json
-
-        self._fake_module(tmp_path)
-        assert main(["bench", "e99",
-                     "--directory", str(tmp_path)]) == 0
-        data = json.loads(
-            (tmp_path / "BENCH_METRICS.json").read_text())
-        assert data["experiments"]["e99"] == {"scale": 100,
-                                              "speedup": 4.0}
-
-    def test_quick_uses_quick_kwargs(self, tmp_path, capsys):
-        import json
-
-        self._fake_module(tmp_path)
-        assert main(["bench", "e99", "--quick", "--json",
-                     "--directory", str(tmp_path)]) == 0
-        data = json.loads(
-            (tmp_path / "BENCH_METRICS.json").read_text())
-        assert data["experiments"]["e99"]["scale"] == 5
-
-    def test_merge_preserves_other_experiments(self, tmp_path):
-        import json
-
-        self._fake_module(tmp_path)
-        metrics = tmp_path / "BENCH_METRICS.json"
-        metrics.write_text(json.dumps({
-            "metrics": {"counters": {}},
-            "experiments": {"e13": {"headline": 3.2}},
-        }))
-        assert main(["bench", "e99",
-                     "--directory", str(tmp_path)]) == 0
-        data = json.loads(metrics.read_text())
-        assert data["experiments"]["e13"] == {"headline": 3.2}
-        assert "e99" in data["experiments"]
-
-    def test_legacy_snapshot_file_is_wrapped(self, tmp_path):
-        import json
-
-        self._fake_module(tmp_path)
-        metrics = tmp_path / "BENCH_METRICS.json"
-        metrics.write_text(json.dumps({"counters": {"x": 1}}))
-        assert main(["bench", "e99",
-                     "--directory", str(tmp_path)]) == 0
-        data = json.loads(metrics.read_text())
-        assert data["metrics"] == {"counters": {"x": 1}}
-        assert "e99" in data["experiments"]
-
-    def test_unknown_experiment_fails(self, tmp_path, capsys):
-        self._fake_module(tmp_path)
-        assert main(["bench", "e42",
-                     "--directory", str(tmp_path)]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
-
-    def test_pytest_only_module_named_explicitly_fails(self, tmp_path,
-                                                       capsys):
-        (tmp_path / "bench_e98_plain.py").write_text("x = 1\n")
-        assert main(["bench", "e98",
-                     "--directory", str(tmp_path)]) == 2
-        assert "collect_metrics" in capsys.readouterr().err
 
 
 class TestDurableCommands:
@@ -617,6 +543,15 @@ class TestClusterCommands:
         assert "unknown chaos scenario" in err
         assert "did you mean 'node_crash'?" in err
         assert "known scenarios:" in err
+
+    @pytest.mark.parametrize("scenario", ["calm", "node_calm"])
+    def test_chaos_zero_taps_is_a_usage_error(self, scenario, capsys):
+        assert main(["chaos", scenario, "--taps", "0",
+                     *self.WORLD_SMALL]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: a scenario replays at least "
+                                "one tap, not 0\n")
+        assert captured.out == ""
 
     def test_chaos_legacy_scenarios_still_run(self, capsys):
         assert main(["chaos", "calm", "--taps", "4",
