@@ -92,7 +92,14 @@ def test_e10_insert_cost(benchmark, report):
                      full.clade_aggregates.maintenance_ops))
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    def best_of_three():
+        # Each timed loop is ~10 ms, so one scheduling hiccup on a
+        # shared box doubles a row; the fastest of three sweeps per
+        # configuration is the one the machine did not disturb.
+        return [min(candidates, key=lambda row: row[1])
+                for candidates in zip(*(sweep() for _ in range(3)))]
+
+    rows = benchmark.pedantic(best_of_three, rounds=1, iterations=1)
     table = TextTable(
         ["configuration", "us / insert", "clade maintenance ops"],
         title=f"E10  write amplification: {N_INSERTS} binding inserts "

@@ -19,15 +19,23 @@ pins the two claims that justify the replication tax:
 All answers during chaos are also checked against a single-node engine
 over the same overlay — availability through degraded answers would be
 cheating.
+
+A third, calm measurement covers what a write costs the *next read*:
+cached views absorb the rows a write added instead of being rebuilt
+(``run_view_reuse`` counts it, timing-free, so CI gates on it;
+``run_read_after_write`` reports the wall it saves at two world sizes).
 """
 
 from __future__ import annotations
+
+import statistics
+import time
 
 from repro.cluster import ClusterConfig, ClusterEngine
 from repro.core import EngineConfig, QueryEngine
 from repro.errors import DrugTreeError
 from repro.faults import FaultSchedule, Outage
-from repro.obs import MetricsRegistry, set_metrics
+from repro.obs import MetricsRegistry, get_metrics, set_metrics
 from repro.scenarios import run_divergence_repair
 from repro.workloads import (
     DatasetConfig,
@@ -46,6 +54,12 @@ DEADLINE_S = 1.5
 CRASH_START_S = 2.0
 CRASH_LEN_S = 60.0
 DIVERGENT_WRITES = 8
+VIEW_READS = 64
+VIEW_WRITE_EVERY = 8
+#: (leaves, ligands): the ledger's ``cluster_rw`` world and the sizing
+#: lead it started from.
+READ_AFTER_WRITE_WORLDS = ((32, 64), (60, 120))
+READ_AFTER_WRITE_PAIRS = 24
 
 
 def _make_cluster(dataset, rf: int, hinted_handoff: bool = True):
@@ -160,6 +174,100 @@ def run_convergence(divergent_writes: int = DIVERGENT_WRITES) -> dict:
     }
 
 
+def _calm_pair(n_leaves: int, n_ligands: int):
+    """A calm RF=3 cluster, its single-node mirror, and the four reads
+    (two clades, all bindings, the ligands) whose partition sets fit
+    the view cache together."""
+    set_metrics(MetricsRegistry())
+    dataset = build_dataset(DatasetConfig(
+        n_leaves=n_leaves, n_ligands=n_ligands, seed=WORLD_SEED))
+    engine = _make_cluster(dataset, rf=3)
+    single = QueryEngine(dataset.drugtree(),
+                         EngineConfig(use_semantic_cache=False))
+    clades = engine.partitioner.interval_partitions
+    queries = [
+        f"SELECT count(*) FROM bindings IN SUBTREE '{clades[0].name}'",
+        f"SELECT count(*) FROM bindings IN SUBTREE '{clades[1].name}'",
+        "SELECT count(*) FROM bindings",
+        "SELECT count(*) FROM ligands",
+    ]
+    return engine, single, queries
+
+
+def _insert_mirrored(engine, single, serial: int) -> None:
+    """One binding under clade 0 or 1, into cluster and mirror."""
+    clade = engine.partitioner.interval_partitions[serial % 2]
+    leaf = engine.labeling.leaf_name_at(clade.low)
+    values = {
+        "ligand_id": f"LIG-VIEW-{serial}", "protein_id": leaf,
+        "activity_type": "IC50", "value_nm": 15.0 + serial,
+        "p_affinity": 7.2, "potent": True,
+        "leaf_pre": engine.labeling.leaf_position(leaf),
+    }
+    engine.insert("bindings", values)
+    single.drugtree.tables["bindings"].insert(values)
+
+
+def run_view_reuse(reads: int = VIEW_READS,
+                   write_every: int = VIEW_WRITE_EVERY) -> dict:
+    """Cycle four partition sets with an insert before every
+    *write_every*-th read; count how each read got its view.
+
+    Every number is a count that repeats exactly: ``expected_absorbed``
+    is what the mirror's own row counts say each set gained between
+    two reads of it.
+    """
+    engine, single, queries = _calm_pair(N_LEAVES, N_LIGANDS)
+    last_count: dict[str, int] = {}
+    expected_absorbed = mismatched = writes = 0
+    for index in range(reads):
+        if index % write_every == write_every - 1:
+            _insert_mirrored(engine, single, writes)
+            writes += 1
+        query = queries[index % len(queries)]
+        expected = single.execute(query).rows
+        mismatched += engine.execute(query).rows != expected
+        count = expected[0]["count_all"]
+        expected_absorbed += count - last_count.get(query, count)
+        last_count[query] = count
+    counters = get_metrics().counter_values("cluster.views.")
+    return {
+        "reads": reads, "writes": writes, "mismatched": mismatched,
+        "partition_sets": len(queries),
+        "expected_absorbed": expected_absorbed,
+        **{name.removeprefix("cluster.views."): int(value)
+           for name, value in counters.items()},
+    }
+
+
+def run_read_after_write(n_leaves: int, n_ligands: int,
+                         pairs: int = READ_AFTER_WRITE_PAIRS) -> dict:
+    """Median wall of the read that follows a write: absorbed by the
+    warm engine's cached view vs rebuilt by a cold engine over the same
+    router (what every write forced before views absorbed),
+    alternating so drift hits both."""
+    engine, single, queries = _calm_pair(n_leaves, n_ligands)
+    query = queries[2]
+    engine.execute(query)
+    wall_us: dict[str, list[float]] = {"rebuild": [], "absorb": []}
+    for serial in range(2 * pairs):
+        mode = ("rebuild", "absorb")[serial % 2]
+        _insert_mirrored(engine, single, serial)
+        reader = engine if mode == "absorb" else ClusterEngine(
+            engine.tree, engine.router, statistics=engine.statistics,
+            config=engine.config)
+        started = time.perf_counter()
+        rows = reader.execute(query).rows
+        wall_us[mode].append((time.perf_counter() - started) * 1e6)
+        assert rows == single.execute(query).rows
+    return {
+        "world": f"{n_leaves}/{n_ligands}",
+        "bindings": single.drugtree.binding_count,
+        "rebuild_us": statistics.median(wall_us["rebuild"]),
+        "absorb_us": statistics.median(wall_us["absorb"]),
+    }
+
+
 def collect_metrics(taps: int = N_TAPS,
                     divergent_writes: int = DIVERGENT_WRITES) -> dict:
     """E16 numbers: availability under node crash at RF=3 vs RF=1, and
@@ -234,3 +342,30 @@ def test_e16_anti_entropy_bounded_rounds():
     assert convergence["converged"]
     assert convergence["keys_repaired"] == convergence["writes"]
     assert convergence["divergent_keys_after"] == 0
+
+
+def test_e16_writes_do_not_rebuild_views():
+    run = run_view_reuse()
+    assert run["mismatched"] == 0
+    # Four partition sets fit the view cache: each is built once, and
+    # no write ever rebuilds one — the rows it added are absorbed.
+    assert run["built"] == run["partition_sets"]
+    assert run["rows_absorbed"] == run["expected_absorbed"] > 0
+    assert run["built"] + run["absorbed"] + run["reused"] == run["reads"]
+    assert run["absorbed"] >= run["writes"]
+
+
+def test_e16_read_after_write_wall(report):
+    table = TextTable(
+        ["world (leaves/ligands)", "bindings", "rebuild (us)",
+         "absorb (us)", "ratio"],
+        title=("E16  wall of the read after a write, all-bindings view "
+               f"(median of {READ_AFTER_WRITE_PAIRS}, reported not "
+               "asserted)"),
+    )
+    for n_leaves, n_ligands in READ_AFTER_WRITE_WORLDS:
+        run = run_read_after_write(n_leaves, n_ligands)
+        table.add_row(run["world"], run["bindings"],
+                      f"{run['rebuild_us']:.0f}", f"{run['absorb_us']:.0f}",
+                      f"{run['rebuild_us'] / run['absorb_us']:.1f}x")
+    report(table)

@@ -12,9 +12,14 @@ single-node engine), has it adopt the cluster-wide table statistics so
 the planner makes the same choices, and then delegates
 to a stock :class:`~repro.core.query.executor.QueryEngine`.
 
-Views are cached per ``(partition set, store version)``, so a
-navigation session re-reading the same clade pays the fan-out once
-until a write invalidates it.
+Views are cached per partition set, so a navigation session re-reading
+the same clade pays the fan-out once until a write moves the store
+version. The read after a write quorum-reads again, and a view whose
+rows all came back unchanged *absorbs* the rows the write added —
+appended in global row-id order, exactly what a live insert does to
+the single-node overlay — instead of being rebuilt; anything else
+rebuilds it. The engine is single-caller: its views are mutated in
+place.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.cluster.node import VersionedRow
 from repro.cluster.partitioning import (
     PARTITIONED_TABLES,
     partitions_for_query,
@@ -40,6 +46,7 @@ from repro.core.overlay import (
 from repro.core.query.ast import Query
 from repro.core.query.executor import EngineConfig, QueryEngine, _intake
 from repro.errors import ClusterError
+from repro.obs import get_metrics
 from repro.obs.explain import AnalyzeReport
 from repro.sources.resilience import Deadline
 
@@ -55,7 +62,28 @@ class _ClusterView:
     drugtree: DrugTree
     engine: QueryEngine
     store_version: int
-    pids: frozenset[int]
+    #: What the quorum read the overlay was last loaded from returned:
+    #: exactly the rows it holds, at the versions it holds them.
+    loaded: dict[tuple[str, int], VersionedRow]
+    #: How the latest request got this view — ``reused`` | ``absorbed``
+    #: | ``built`` — and how many rows it absorbed on the way.
+    outcome: str = "built"
+    rows_absorbed: int = 0
+
+    def appended_keys(self, merged: dict[tuple[str, int], VersionedRow],
+                      ) -> list[tuple[str, int]] | None:
+        """The keys *merged* adds to this view, ascending — or ``None``
+        when the view cannot absorb them: a row it holds changed
+        version or vanished, or a new row id is not above every id its
+        table has seen (a late row belongs *between* loaded rows)."""
+        if not self.loaded.items() <= merged.items():
+            return None
+        fresh = sorted(merged.keys() - self.loaded.keys())
+        tables = self.drugtree.tables
+        if any(row_id < tables[table].next_row_id
+               for table, row_id in fresh):
+            return None
+        return fresh
 
 
 class ClusterEngine:
@@ -140,26 +168,15 @@ class ClusterEngine:
         view execution is not charged virtual time, matching the
         single-node engine's treatment of overlay scans.
         """
-        query, deadline = self._prepare(query, deadline)
-        pids = partitions_for_query(query, self.partitioner)
-        route = self._route_base(pids)
-        repairs_before = self.router.stats.read_repairs
-        view = self._view(frozenset(pids), deadline)
-        result = view.engine.execute(query)
-        self._finish_route(route, repairs_before)
-        return result
+        query, view = self._route(query, deadline)
+        return view.engine.execute(query)
 
     def analyze(self, query: Query | str,
                 deadline: Deadline | float | None = None
                 ) -> AnalyzeReport:
         """EXPLAIN ANALYZE through the router, with the cluster trailer."""
-        query, deadline = self._prepare(query, deadline)
-        pids = partitions_for_query(query, self.partitioner)
-        route = self._route_base(pids)
-        repairs_before = self.router.stats.read_repairs
-        view = self._view(frozenset(pids), deadline)
+        query, view = self._route(query, deadline)
         report = view.engine.analyze(query)
-        self._finish_route(route, repairs_before)
         report.cluster = dict(self.last_route)
         return report
 
@@ -179,42 +196,50 @@ class ClusterEngine:
             deadline = Deadline(self.clock, float(deadline))
         return _intake(query), deadline
 
-    def _route_base(self, pids) -> dict[str, Any]:
+    def _route(self, query, deadline) -> tuple[Query, _ClusterView]:
+        """Prune to partitions, get their view, record the routing."""
+        query, deadline = self._prepare(query, deadline)
+        pids = partitions_for_query(query, self.partitioner)
+        repairs_before = self.router.stats.read_repairs
+        view = self._view(frozenset(pids), deadline)
         total = len(self.partitioner.partitions)
-        return {
+        self.last_route = {
             "shards_contacted": len(pids),
             "shards_total": total,
             "shards_pruned": total - len(pids),
             "rf": self.router.config.replication_factor,
             "read_quorum": self.router.config.read_quorum,
+            "read_repairs": (self.router.stats.read_repairs
+                             - repairs_before),
+            "hints_queued": self.router.hints_outstanding(),
+            "view": view.outcome,
+            "rows_absorbed": view.rows_absorbed,
         }
-
-    def _finish_route(self, route: dict[str, Any],
-                      repairs_before: int) -> None:
-        route["read_repairs"] = (self.router.stats.read_repairs
-                                 - repairs_before)
-        route["hints_queued"] = self.router.hints_outstanding()
-        self.last_route = route
+        return query, view
 
     def _view(self, pids: frozenset[int],
               deadline: Deadline | None) -> _ClusterView:
-        cached = self._views.get(pids)
-        if (cached is not None
-                and cached.store_version == self.router.store_version):
+        view = self._views.get(pids)
+        if (view is not None
+                and view.store_version == self.router.store_version):
             # LRU touch: move to the end of the (ordered) dict.
             self._views.pop(pids)
-            self._views[pids] = cached
-            return cached
-        view = self._materialize(pids, deadline)
-        self._views.pop(pids, None)
-        while len(self._views) >= _VIEW_CACHE_CAPACITY:
-            self._views.pop(next(iter(self._views)))
+            view.outcome, view.rows_absorbed = "reused", 0
+        else:
+            view = self._materialize(pids, deadline)
+            while len(self._views) >= _VIEW_CACHE_CAPACITY:
+                self._views.pop(next(iter(self._views)))
         self._views[pids] = view
+        metrics = get_metrics()
+        metrics.counter(f"cluster.views.{view.outcome}").inc()
+        if view.rows_absorbed:
+            metrics.counter("cluster.views.rows_absorbed").inc(
+                view.rows_absorbed)
         return view
 
     def _materialize(self, pids: frozenset[int],
                      deadline: Deadline | None) -> _ClusterView:
-        """Quorum-read the partitions into a fresh local overlay.
+        """Quorum-read the partitions into a local overlay.
 
         The view is a recovered overlay: :meth:`DrugTree.load_rows`
         replays the rows under their global row ids in ascending order,
@@ -222,22 +247,40 @@ class ClusterEngine:
         order, and clade-aggregate accumulation order — matches the
         single-node overlay restricted to these partitions, which is
         what makes results (including float aggregates and stable-sort
-        ties) bit-identical.
+        ties) bit-identical. A cached view the read only adds rows to
+        (:meth:`_ClusterView.appended_keys`) takes just those rows
+        through the same loader, which keeps that order; any other
+        difference builds a fresh overlay. The cached view leaves the
+        cache before it is touched: a failed read keeps it as it was,
+        a failed load drops it — a half-loaded view is never served.
         """
         store_version = self.router.store_version
         merged = self.router.read_partitions(pids, deadline)
+        view = self._views.pop(pids, None)
+        fresh = None if view is None else view.appended_keys(merged)
+        if fresh is None:
+            drugtree = DrugTree(self.tree)
+            self._load(drugtree, merged, sorted(merged))
+            drugtree.create_default_indexes()
+            return _ClusterView(
+                drugtree, QueryEngine(drugtree, config=self.config),
+                store_version, merged)
+        self._load(view.drugtree, merged, fresh)
+        view.store_version, view.loaded = store_version, merged
+        view.outcome, view.rows_absorbed = "absorbed", len(fresh)
+        return view
+
+    def _load(self, drugtree: DrugTree, merged: dict, keys: list) -> None:
+        """Append the rows of *keys* (ascending) to *drugtree*."""
         by_table: dict[str, list] = {}
-        for table, row_id in sorted(merged):
+        for table, row_id in keys:
             by_table.setdefault(table, []).append(
                 (row_id, merged[table, row_id].row))
-        drugtree = DrugTree(self.tree)
         drugtree.load_rows(by_table)
-        drugtree.create_default_indexes()
         if self.statistics:
             # Cluster-wide statistics, not the subset's: the planner
-            # must cost plans exactly like the single-node engine.
+            # must cost plans exactly like the single-node engine. Again
+            # after every absorb — loading counts as mutations, and past
+            # the staleness threshold the view would re-ANALYZE its own
+            # subset and plan unlike a freshly built one.
             drugtree.adopt_statistics(self.statistics)
-        engine = QueryEngine(drugtree, config=self.config)
-        return _ClusterView(drugtree=drugtree, engine=engine,
-                            store_version=store_version,
-                            pids=pids)

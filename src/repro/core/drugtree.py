@@ -108,26 +108,31 @@ class DrugTree:
 
     def load_rows(self, rows: Mapping[str, Iterable[tuple[int, tuple]]],
                   ) -> int:
-        """Adopt already-validated rows into this empty overlay.
+        """Append already-validated rows to this overlay.
 
-        The one loader behind durable recovery and cluster views:
-        *rows* maps a table name to ``(row_id, row)`` pairs in
-        ascending row id. They flow through :meth:`Table.restore_row`
-        (no validation, no write-ahead log, the listeners of a live
-        insert); the known-id sets and the chemistry state are then
-        recomputed from the loaded rows. Returns their count.
+        The one loader behind durable recovery, cluster view builds
+        and cluster view deltas: *rows* maps a table name to
+        ``(row_id, row)`` pairs in ascending row id, every id above
+        the highest its table has issued (:meth:`Table.restore_row`
+        refuses anything else — appending in row-id order is what
+        keeps scan, index and aggregate order equal to a live
+        overlay's). They flow through ``restore_row`` (no validation,
+        no write-ahead log, the listeners of a live insert), and each
+        protein and ligand row handed in joins the known-id sets and
+        the chemistry state. Returns the number of rows loaded.
         """
+        loaded = 0
         for name, table in self.tables.items():
             for row_id, row in rows.get(name, ()):
                 table.restore_row(row_id, row)
-        proteins = self.tables[PROTEINS_TABLE]
-        for row in proteins.scan_rows():
-            self._known_proteins.add(proteins.value(row, "protein_id"))
-        ligands = self.tables[LIGANDS_TABLE]
-        for row in ligands.scan_rows():
-            self._register_ligand(ligands.value(row, "ligand_id"),
-                                  ligands.value(row, "smiles"))
-        return sum(table.row_count for table in self.tables.values())
+                if name == PROTEINS_TABLE:
+                    self._known_proteins.add(
+                        table.value(row, "protein_id"))
+                elif name == LIGANDS_TABLE:
+                    self._register_ligand(table.value(row, "ligand_id"),
+                                          table.value(row, "smiles"))
+                loaded += 1
+        return loaded
 
     def _register_ligand(self, ligand_id: str, smiles: str,
                          fingerprint: Fingerprint | None = None) -> None:

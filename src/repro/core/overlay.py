@@ -126,6 +126,9 @@ class CladeAggregates:
         self._leaf_pos = bindings.schema.index_of("leaf_pre")
         self._states: dict[int, _CladeState] = {}
         self._leaf_by_position: dict[int, PhyloNode] = {}
+        #: Leaf position -> node ids from the leaf up to the root,
+        #: memoised: the tree is fixed for the aggregates' life.
+        self._paths: dict[int, tuple[int, ...]] = {}
         self._node_by_name: dict[str, PhyloNode] = {}
         self._max_dirty: set[int] = set()
         self.maintenance_ops = 0
@@ -142,22 +145,27 @@ class CladeAggregates:
 
     # -- maintenance ---------------------------------------------------------
 
-    def _path_of(self, row: tuple) -> list[PhyloNode]:
+    def _path_of(self, row: tuple) -> tuple[int, ...]:
         position = row[self._leaf_pos]
-        leaf = self._leaf_by_position.get(position)
-        if leaf is None:
-            raise QueryError(
-                f"binding references unknown leaf position {position}"
-            )
-        path = [leaf]
-        path.extend(leaf.ancestors())
+        path = self._paths.get(position)
+        if path is None:
+            leaf = self._leaf_by_position.get(position)
+            if leaf is None:
+                raise QueryError(
+                    f"binding references unknown leaf position {position}"
+                )
+            path = self._paths[position] = (
+                leaf.node_id, *(node.node_id for node in leaf.ancestors()))
         return path
 
     def _apply(self, row: tuple, sign: int) -> None:
         p_affinity = row[self._paff_pos]
         potent = row[self._potent_pos]
-        for node in self._path_of(row):
-            state = self._states.setdefault(node.node_id, _CladeState())
+        states = self._states
+        for node_id in self._path_of(row):
+            state = states.get(node_id)
+            if state is None:
+                state = states[node_id] = _CladeState()
             state.count += sign
             state.total += sign * p_affinity
             state.potent += sign * (1 if potent else 0)
@@ -165,7 +173,7 @@ class CladeAggregates:
                 if state.maximum is None or p_affinity > state.maximum:
                     state.maximum = p_affinity
             elif p_affinity == state.maximum:
-                self._max_dirty.add(node.node_id)
+                self._max_dirty.add(node_id)
 
     def _on_insert(self, row_id: int, row: tuple) -> None:
         self._apply(row, sign=+1)

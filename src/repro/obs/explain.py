@@ -148,8 +148,10 @@ class AnalyzeReport:
     storage: dict[str, Any] = field(default_factory=dict)
     #: Cluster routing facts: ``shards_contacted`` / ``shards_total`` /
     #: ``shards_pruned``, quorum geometry (``rf``/``read_quorum``), and
-    #: ``read_repairs`` / ``hints_queued`` during this execution; empty
-    #: when the query ran on a single-node engine.
+    #: ``read_repairs`` / ``hints_queued`` during this execution, and
+    #: ``view`` (``reused``: no shard was re-read; ``absorbed``: a
+    #: re-read appended ``rows_absorbed`` rows; ``built``); empty when
+    #: the query ran on a single-node engine.
     cluster: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -204,6 +206,9 @@ class AnalyzeReport:
                 f"pruned={self.storage.get('segments_pruned', 0)}"
             )
         if self.cluster:
+            view = self.cluster.get("view")
+            if view == "absorbed":
+                view += f"(+{self.cluster.get('rows_absorbed', 0)})"
             lines.append(
                 "-- cluster: shards contacted="
                 f"{self.cluster.get('shards_contacted', 0)}"
@@ -213,6 +218,7 @@ class AnalyzeReport:
                 f"r={self.cluster.get('read_quorum', 1)}, "
                 f"repairs={self.cluster.get('read_repairs', 0)}, "
                 f"hints={self.cluster.get('hints_queued', 0)}"
+                + (f", view={view}" if view else "")
             )
         if self.source_roundtrips:
             parts = [

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 from abc import ABC, abstractmethod
+from collections.abc import Callable
 from typing import Any
 
 from repro.errors import StorageError
@@ -25,6 +26,10 @@ class Index(ABC):
             raise StorageError("index needs at least one column")
         self.name = name
         self.column_names = column_names
+        #: Extracts this index's key from a row tuple (the bare value
+        #: for one column, a tuple for several); set by the owning
+        #: table, which knows the column positions.
+        self.key_of: Callable[[tuple], Any] | None = None
 
     @abstractmethod
     def insert(self, key: Any, row_id: int) -> None: ...

@@ -9,6 +9,7 @@ experiment (E2) toggles.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import StorageError
@@ -70,7 +71,7 @@ class Table:
         self._next_row_id = row_id + 1
         self._rows[row_id] = row
         for index in self._indexes.values():
-            index.insert(self._key_for(index, row), row_id)
+            index.insert(index.key_of(row), row_id)
         for listener in self._on_insert:
             listener(row_id, row)
         return row_id
@@ -88,7 +89,7 @@ class Table:
             self.durable.log_delete(row_id, self._next_row_id)
         del self._rows[row_id]
         for index in self._indexes.values():
-            index.delete(self._key_for(index, row), row_id)
+            index.delete(index.key_of(row), row_id)
         for listener in self._on_delete:
             listener(row_id, row)
 
@@ -98,18 +99,26 @@ class Table:
         The recovery path's insert: the row was already committed, so
         logging it again would double it. Indexes and listeners fire
         exactly as on a live insert, which is how column stores and
-        materialized aggregates rebuild themselves on reopen.
+        materialized aggregates rebuild themselves on reopen. Rows
+        only ever append: an id at or below one already issued is
+        refused, so insertion order stays row-id order.
         """
-        if row_id in self._rows:
+        if row_id < self._next_row_id:
             raise StorageError(
-                f"table {self.name!r}: row {row_id} already present"
+                f"table {self.name!r}: row {row_id} is not above every "
+                f"id issued so far (next is {self._next_row_id})"
             )
         self._rows[row_id] = row
-        self._next_row_id = max(self._next_row_id, row_id + 1)
+        self._next_row_id = row_id + 1
         for index in self._indexes.values():
-            index.insert(self._key_for(index, row), row_id)
+            index.insert(index.key_of(row), row_id)
         for listener in self._on_insert:
             listener(row_id, row)
+
+    @property
+    def next_row_id(self) -> int:
+        """The id the next insert gets; every row held is below it."""
+        return self._next_row_id
 
     def bump_next_row_id(self, watermark: int) -> None:
         """Raise the next row id to *watermark* (recovery only).
@@ -150,8 +159,8 @@ class Table:
         *kind* is ``"hash"`` (equality, any number of columns) or
         ``"sorted"`` (single column, supports ranges).
         """
-        for column in column_names:
-            self.schema.index_of(column)  # validates existence
+        positions = [self.schema.index_of(column)  # validates existence
+                     for column in column_names]
         index_name = name or f"{self.name}_{'_'.join(column_names)}_{kind}"
         if index_name in self._indexes:
             raise StorageError(f"index {index_name!r} already exists")
@@ -163,8 +172,9 @@ class Table:
             index = SortedIndex(index_name, tuple(column_names))
         else:
             raise StorageError(f"unknown index kind {kind!r}")
+        index.key_of = itemgetter(*positions)
         for row_id, row in self._rows.items():
-            index.insert(self._key_for(index, row), row_id)
+            index.insert(index.key_of(row), row_id)
         self._indexes[index_name] = index
         return index
 
@@ -191,12 +201,6 @@ class Table:
                                 and not best.supports_range):
                 best = index
         return best
-
-    def _key_for(self, index: Index, row: tuple[Any, ...]) -> Any:
-        positions = [self.schema.index_of(c) for c in index.column_names]
-        if len(positions) == 1:
-            return row[positions[0]]
-        return tuple(row[p] for p in positions)
 
     # -- columnar projection ---------------------------------------------------
 
