@@ -13,8 +13,8 @@ and one severity-tagged rule catalog (:mod:`repro.analysis.registry`):
   runtime relies on (single wall-clock path, ``with``-guarded locks,
   seeded randomness);
 * :mod:`repro.analysis.concurrency` — whole-program analysis: call
-  graph + thread-entry inference, lock-order graphs with deadlock-cycle
-  detection, and reachability-based race detection for shared writes.
+  graph, unguarded-write detection in lock-owning (shared) classes,
+  and lock-order graphs with deadlock-cycle detection.
 
 ``python -m repro check`` / ``lint`` / ``race`` expose the layers from
 the command line (JSON and SARIF via :mod:`repro.analysis.sarif`); the

@@ -1,12 +1,12 @@
-"""Whole-program concurrency analysis: races, lock order, reachability.
+"""Whole-program concurrency analysis: unguarded shared writes, lock order.
 
 Three layers:
 
 * :mod:`~repro.analysis.concurrency.model` — per-module AST extraction
-  (functions, calls, lock scopes, writes, thread-entry registrations);
+  (functions, calls, lock scopes, writes to ``self`` state);
 * :mod:`~repro.analysis.concurrency.program` — linking: call graph,
-  entry inference, reachability, lock canonicalization, the global
-  lock-order graph, and the blocking closure;
+  shared (lock-owning) classes, lock canonicalization, the must-held
+  fixpoint, the global lock-order graph, and the blocking closure;
 * :mod:`~repro.analysis.concurrency.analyzer` — the CONC rule set,
   noqa + baseline suppression, and the ``analyze_paths`` /
   ``analyze_sources`` entry points used by ``repro race``.

@@ -4,16 +4,16 @@ Turns a linked :class:`~repro.analysis.concurrency.program.Program` into
 CONC diagnostics:
 
 ==========  ==========================================================
-``CONC101``  Unguarded shared-state write reachable from a thread
-             entry: a ``self.attr`` (or captured attribute /
-             subscript / ``nonlocal``) write in a function that a
-             worker thread can reach, with no lock held at the write
-             — statically or anywhere on the call path into it.
-             Thread-local state (paths through ``_local``) and
-             ``__init__`` bodies (construction happens-before
-             publication) are exempt.
-``CONC102``  Unguarded module-global write reachable from a thread
-             entry.
+``CONC101``  Unguarded write in a lock-owning class.  A class that
+             creates a ``threading.Lock`` / ``RLock`` (itself or
+             through a base class) declares its instances shared;
+             every write to ``self.<attr>`` in its methods —
+             assignment, augmented assignment, ``self.x[k] = v``,
+             ``del``, or a container-mutator call such as
+             ``self.x.append(v)`` — must hold a lock at the write or
+             on every call path into it.  Thread-local state (paths
+             through ``_local*``) and ``__init__`` bodies
+             (construction happens-before publication) are exempt.
 ``CONC201``  Lock-order cycle: two-plus locks acquired in opposite
              orders on different paths (potential deadlock), or a
              non-reentrant lock re-acquired while already held
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from dataclasses import dataclass, field
 
 from repro.analysis.concurrency.model import (
@@ -52,6 +51,7 @@ from repro.analysis.concurrency.program import (
     lock_cycles,
 )
 from repro.analysis.diag import Diagnostic
+from repro.analysis.lint import noqa_suppresses, python_files
 from repro.analysis.registry import rules_for, severity_of
 
 #: This pass's slice of the shared rule catalog: code → Rule.
@@ -59,9 +59,6 @@ CONC_RULES = rules_for("concurrency")
 
 #: Default baseline file name, discovered by upward walk.
 BASELINE_NAME = "concurrency.baseline.json"
-
-_NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9,\s]+))?",
-                      re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -114,6 +111,17 @@ class AnalysisResult:
     def diagnostics(self) -> list[Diagnostic]:
         return [finding.to_diagnostic() for finding in self.findings]
 
+    def summary(self) -> dict[str, int]:
+        """What the run covered: the numbers to watch beside findings."""
+        program = self.program
+        return {
+            "shared_classes": len(program.shared_classes),
+            "guarded_writes": sum(
+                not _is_unguarded(program, qual, write.held)
+                for qual, write in program.shared_writes),
+            "locks": len(program.locks),
+        }
+
 
 def load_baseline(path: str) -> Baseline:
     """Parse a baseline file; a missing file is an empty baseline."""
@@ -161,75 +169,23 @@ def _is_unguarded(program: Program, qual: str, held_raw: tuple) -> bool:
     return not program.entry_held_must.get(qual, frozenset())
 
 
-def _thread_local_path(path: str) -> bool:
-    return any(part.startswith("_local") for part in path.split("."))
-
-
 def shared_state_findings(program: Program) -> list[Finding]:
-    """CONC101/CONC102: unguarded writes reachable from thread entries."""
+    """CONC101: unguarded ``self`` writes in lock-owning classes."""
     findings: list[Finding] = []
-    closure_entries = {qual for qual in program.entries
-                       if program.functions.get(qual) is not None
-                       and program.functions[qual].nested}
-    for qual in sorted(program.reachable):
-        fn = program.functions.get(qual)
-        if fn is None:
+    for qual, write in program.shared_writes:
+        if not _is_unguarded(program, qual, write.held):
             continue
-        path = program.path_of(fn)
-        in_closure_entry = qual in closure_entries
-        is_method = fn.cls is not None
-        if fn.name == "__init__":
-            continue  # construction happens-before sharing
-        for write in fn.writes:
-            if not _is_unguarded(program, qual, write.held):
-                continue
-            if write.shape == "global":
-                findings.append(Finding(
-                    "CONC102",
-                    f"unguarded write to module global "
-                    f"{write.path!r} in {qual}, reachable from a "
-                    "thread entry",
-                    path, write.line,
-                    key=f"{qual}:{write.path}",
-                    hint="guard it with a lock or confine it to one "
-                         "thread",
-                ))
-                continue
-            if write.shape == "selfattr":
-                if _thread_local_path(write.path):
-                    continue
-                if not is_method and not in_closure_entry:
-                    continue
-                if in_closure_entry:
-                    message = (
-                        f"unguarded write to self.{write.path} inside "
-                        f"thread-entry worker {qual}; workers must "
-                        "stay pure — advance counters and "
-                        "accumulators on the coordinating thread")
-                    hint = None
-                else:
-                    message = (
-                        f"unguarded write to self.{write.path} in "
-                        f"{qual}, reachable from a thread entry "
-                        "without a dominating lock")
-                    hint = ("hold the owning lock at the write or on "
-                            "every path into it")
-                findings.append(Finding(
-                    "CONC101", message, path, write.line,
-                    key=f"{qual}:{write.path}", hint=hint,
-                ))
-                continue
-            if in_closure_entry and write.shape in ("attr", "subscript",
-                                                    "nonlocal"):
-                findings.append(Finding(
-                    "CONC101",
-                    f"unguarded {write.shape} write to {write.path!r} "
-                    f"inside thread-entry closure {qual}; workers "
-                    "must stay pure — accumulate on the coordinating "
-                    "thread",
-                    path, write.line,
-                    key=f"{qual}:{write.path}",
-                ))
+        fn = program.functions[qual]
+        findings.append(Finding(
+            "CONC101",
+            f"unguarded write to self.{write.path} in {qual}: "
+            f"{fn.cls.rsplit('.', 1)[-1]} owns a lock, so its state is "
+            "shared, and no lock dominates this write",
+            program.path_of(fn), write.line,
+            key=f"{qual}:{write.path}",
+            hint="hold the owning lock at the write or on every path "
+                 "into it",
+        ))
     return findings
 
 
@@ -318,16 +274,8 @@ def _suppressed_by_noqa(finding: Finding,
     if source is None:
         return False
     lines = source.splitlines()
-    if not 0 < finding.line <= len(lines):
-        return False
-    match = _NOQA_RE.search(lines[finding.line - 1])
-    if match is None:
-        return False
-    codes = match.group("codes")
-    if codes is None:
-        return True
-    listed = {c.strip().upper() for c in codes.split(",") if c.strip()}
-    return finding.code.upper() in listed
+    return 0 < finding.line <= len(lines) and noqa_suppresses(
+        lines[finding.line - 1], finding.code)
 
 
 def analyze_modules(modules: list[ModuleModel],
@@ -368,30 +316,13 @@ def analyze_sources(named_sources: list[tuple[str, str]],
     return analyze_modules(modules, sources, baseline)
 
 
-def iter_python_files(paths: list[str]) -> list[str]:
-    """Every ``*.py`` under *paths* (files or directories), sorted."""
-    files: list[str] = []
-    for path in paths:
-        if os.path.isfile(path):
-            files.append(path)
-            continue
-        for root, dirs, names in os.walk(path):
-            dirs[:] = sorted(
-                d for d in dirs
-                if d != "__pycache__" and not d.endswith(".egg-info"))
-            files.extend(os.path.join(root, name)
-                         for name in sorted(names)
-                         if name.endswith(".py"))
-    return files
-
-
 def analyze_paths(paths: list[str],
                   baseline: Baseline | None = None) -> AnalysisResult:
     """Analyze every Python file under *paths* as one program."""
     if baseline is None:
         baseline = find_baseline(paths)
     named: list[tuple[str, str]] = []
-    for file_path in iter_python_files(paths):
+    for file_path in python_files(paths):
         with open(file_path, encoding="utf-8") as handle:
             named.append((file_path, handle.read()))
     return analyze_sources(named, baseline)

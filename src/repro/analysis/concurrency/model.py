@@ -2,12 +2,10 @@
 
 One :class:`ModuleModel` is the complete concurrency-relevant summary of
 a single Python source file: every function with its calls, lock
-acquisitions, and shared-state writes (each annotated with the lock set
-held at that point), every class with its methods, base names, lock
-attributes, and attribute→class bindings, plus the module's thread-entry
-registrations (callables handed to ``ThreadPoolExecutor.submit`` or
-``threading.Thread(target=...)``) and its
-module-level state.  :mod:`repro.analysis.concurrency.program` links the
+acquisitions, and writes to ``self`` state (each annotated with the lock
+set held at that point), every class with its methods, base names, lock
+attributes, and attribute→class bindings, plus the module's global
+locks.  :mod:`repro.analysis.concurrency.program` links the
 per-module models into one program and runs the interprocedural passes;
 nothing in this module looks beyond a single file.
 
@@ -49,6 +47,14 @@ DUCK_DENYLIST = frozenset({
     "wait", "write",
 })
 
+#: Method names that mutate a builtin container in place: calling one
+#: on ``self.<attr>`` is a write to that attribute's state.
+CONTAINER_MUTATORS = frozenset({
+    "add", "append", "clear", "discard", "extend", "insert",
+    "move_to_end", "pop", "popitem", "remove", "setdefault", "sort",
+    "update",
+})
+
 #: Callable names that block or charge virtual latency: holding a lock
 #: across one of these serializes unrelated work behind the lock (and,
 #: for virtual-time charges, inflates every waiter's latency) — CONC202.
@@ -81,23 +87,11 @@ class Acquire:
 
 @dataclass(frozen=True)
 class Write:
-    """One shared-state write statement."""
+    """One write to state rooted at ``self``."""
 
-    shape: str                    # selfattr | attr | subscript |
-                                  # nonlocal | global
-    path: str                     # rendered target ("stats.retries", ...)
+    path: str                     # target below self ("stats.retries")
     line: int
     held: tuple[RawLock, ...]
-
-
-@dataclass(frozen=True)
-class EntrySite:
-    """One thread-entry registration found in the module."""
-
-    raw: tuple                    # callee hint for the submitted callable
-    mechanism: str                # submit | thread | task
-    line: int
-    function: str                 # qualname of the registering function
 
 
 @dataclass
@@ -114,9 +108,7 @@ class FunctionModel:
     acquires: list[Acquire] = field(default_factory=list)
     writes: list[Write] = field(default_factory=list)
     returns_classes: set[str] = field(default_factory=set)  # raw names
-    returned_closures: set[str] = field(default_factory=set)
     local_instances: dict[str, set[str]] = field(default_factory=dict)
-    is_task_entry: bool = False   # contains a `with <x>.task():` block
 
 
 @dataclass
@@ -144,8 +136,6 @@ class ModuleModel:
     functions: dict[str, FunctionModel] = field(default_factory=dict)
     classes: dict[str, ClassModel] = field(default_factory=dict)
     global_locks: dict[str, bool] = field(default_factory=dict)
-    global_names: set[str] = field(default_factory=set)
-    entries: list[EntrySite] = field(default_factory=list)
     imports: dict[str, str] = field(default_factory=dict)
     from_imports: dict[str, tuple[str, str]] = field(default_factory=dict)
     syntax_error: tuple[int, str] | None = None
@@ -304,7 +294,7 @@ class _ModuleVisitor(ast.NodeVisitor):
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         # A lambda body can call (never write); model it as a nested
-        # function so `submit(lambda: f())` keeps its call edge.
+        # function so its calls run later, outside the definer's locks.
         qual = self._qualname(f"<lambda:{node.lineno}>")
         fn = FunctionModel(
             qualname=qual, module=self.model.name, cls=None,
@@ -349,12 +339,6 @@ class _ModuleVisitor(ast.NodeVisitor):
                 return ("global", self.model.name, name)
         return None
 
-    def visit_With(self, node: ast.With) -> None:
-        self._handle_with(node)
-
-    def visit_AsyncWith(self, node: ast.AsyncWith) -> None:
-        self._handle_with(node)
-
     def _handle_with(self, node) -> None:
         acquired: list[RawLock] = []
         for item in node.items:
@@ -379,6 +363,9 @@ class _ModuleVisitor(ast.NodeVisitor):
             self.visit(statement)
         for _ in acquired:
             self.held.pop()
+
+    visit_With = _handle_with
+    visit_AsyncWith = _handle_with
 
     # -- calls -------------------------------------------------------------
 
@@ -458,61 +445,11 @@ class _ModuleVisitor(ast.NodeVisitor):
                     self.held.remove(token)
                 self.generic_visit(node)
                 return
-        self._check_entry(node)
+        if isinstance(func, ast.Attribute) \
+                and func.attr in CONTAINER_MUTATORS:
+            self._record_write(func.value, node.lineno)
         self._record_call(node)
         self.generic_visit(node)
-
-    # -- thread entries ----------------------------------------------------
-
-    def _entry_raw(self, expr: ast.expr) -> tuple | None:
-        """Resolution hint for a callable handed to a thread API."""
-        if isinstance(expr, ast.Call):
-            inner = self._callee_raw(expr.func)
-            return ("call", inner) if inner is not None else None
-        if isinstance(expr, ast.Lambda):
-            return ("name", f"<lambda:{expr.lineno}>")
-        raw = self._callee_raw(expr)
-        if raw is not None and raw[0] == "name":
-            return raw
-        if isinstance(expr, ast.Attribute):
-            value = expr.value
-            if isinstance(value, ast.Name) and value.id == "self":
-                return ("selfmethod", expr.attr)
-            return ("method", expr.attr)
-        return raw
-
-    def _check_entry(self, node: ast.Call) -> None:
-        fn = self._function
-        func = node.func
-        mechanism = None
-        target: ast.expr | None = None
-        if isinstance(func, ast.Attribute):
-            if func.attr == "submit" and node.args:
-                mechanism, target = "submit", node.args[0]
-            elif func.attr == "task" and not node.args:
-                # `with region.task():` — a thread entry: the body may
-                # run on any thread, concurrently with other callers'.
-                if fn is not None:
-                    fn.is_task_entry = True
-                return
-            elif func.attr == "Thread":
-                mechanism = "thread"
-        elif isinstance(func, ast.Name) and func.id == "Thread":
-            mechanism = "thread"
-        if mechanism == "thread":
-            for keyword in node.keywords:
-                if keyword.arg == "target":
-                    target = keyword.value
-                    break
-        if mechanism is None or target is None:
-            return
-        raw = self._entry_raw(target)
-        if raw is None:
-            return
-        self.model.entries.append(EntrySite(
-            raw=raw, mechanism=mechanism, line=node.lineno,
-            function=fn.qualname if fn is not None else self.model.name,
-        ))
 
     # -- assignments / writes ----------------------------------------------
 
@@ -535,7 +472,6 @@ class _ModuleVisitor(ast.NodeVisitor):
                         target.attr, set()).add(raw[1])
         elif isinstance(target, ast.Name):
             if fn is None:
-                self.model.global_names.add(target.id)
                 if reentrant is not None:
                     self.model.global_locks[target.id] = reentrant
             else:
@@ -553,88 +489,51 @@ class _ModuleVisitor(ast.NodeVisitor):
                         fn.local_instances.setdefault(
                             target.id, set()).update(known)
 
-    def _self_path(self, target: ast.expr) -> list[str] | None:
+    def _self_path(self, target: ast.expr) -> str | None:
+        """Dotted path of *target* below ``self`` (subscripts dropped:
+        ``self.a[k].b`` is ``a.b``), or None if not rooted at ``self``."""
         parts: list[str] = []
         current = target
-        while isinstance(current, ast.Attribute):
-            parts.append(current.attr)
+        while isinstance(current, (ast.Attribute, ast.Subscript)):
+            if isinstance(current, ast.Attribute):
+                parts.append(current.attr)
             current = current.value
         if isinstance(current, ast.Name) and current.id == "self" and parts:
-            parts.reverse()
-            return parts
+            return ".".join(reversed(parts))
         return None
 
     def _record_write(self, target: ast.expr, line: int) -> None:
         fn = self._function
         if fn is None:
             return
-        held = self._held_tuple()
-        if isinstance(target, ast.Attribute):
-            path = self._self_path(target)
-            if path is not None:
-                fn.writes.append(Write("selfattr", ".".join(path),
-                                       line, held))
-                return
-            root = target
-            while isinstance(root, ast.Attribute):
-                root = root.value
-            if isinstance(root, ast.Name) \
-                    and root.id in self.model.global_names:
-                fn.writes.append(Write("global", _render(target),
-                                       line, held))
-                return
-            fn.writes.append(Write("attr", _render(target), line, held))
-        elif isinstance(target, ast.Subscript):
-            base = target.value
-            if isinstance(base, ast.Name) \
-                    and base.id in self.model.global_names:
-                fn.writes.append(Write("global", f"{base.id}[...]",
-                                       line, held))
-            else:
-                fn.writes.append(Write("subscript",
-                                       f"{_render(base)}[...]",
-                                       line, held))
-        elif isinstance(target, ast.Name):
-            pass  # plain locals are thread-private (globals via visit_Global)
-        elif isinstance(target, (ast.Tuple, ast.List)):
+        if isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 self._record_write(element, line)
-
-    def _targets_of(self, node) -> list[ast.expr]:
-        if isinstance(node, ast.Assign):
-            return node.targets
-        return [node.target]
+            return
+        path = self._self_path(target)
+        if path is None:
+            return  # only state reachable through self can be shared
+        fn.writes.append(Write(path, line, self._held_tuple()))
 
     def _handle_assign(self, node) -> None:
-        value = getattr(node, "value", None)
-        for target in self._targets_of(node):
-            if value is not None and isinstance(node, ast.Assign):
-                self._note_binding(target, value)
-            elif value is not None and isinstance(node, ast.AnnAssign):
-                self._note_binding(target, value)
+        if node.value is None:
+            return  # bare annotation: `self.x: int`
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target]
+        for target in targets:
+            if not isinstance(node, ast.AugAssign):
+                self._note_binding(target, node.value)
             self._record_write(target, node.lineno)
-        if value is not None:
-            self.visit(value)
+        self.visit(node.value)
 
     visit_Assign = _handle_assign
     visit_AugAssign = _handle_assign
     visit_AnnAssign = _handle_assign
 
-    def visit_Global(self, node: ast.Global) -> None:
-        fn = self._function
-        if fn is None:
-            return
-        for name in node.names:
-            fn.writes.append(Write("global", name, node.lineno,
-                                   self._held_tuple()))
-
-    def visit_Nonlocal(self, node: ast.Nonlocal) -> None:
-        fn = self._function
-        if fn is None:
-            return
-        for name in node.names:
-            fn.writes.append(Write("nonlocal", name, node.lineno,
-                                   self._held_tuple()))
+    def visit_Delete(self, node: ast.Delete) -> None:
+        for target in node.targets:
+            self._record_write(target, node.lineno)
+        self.generic_visit(node)
 
     # -- returns -----------------------------------------------------------
 
@@ -643,10 +542,6 @@ class _ModuleVisitor(ast.NodeVisitor):
         if fn is not None and node.value is not None:
             value = node.value
             if isinstance(value, ast.Name):
-                nested_prefix = f"{fn.qualname}.<locals>."
-                candidate = nested_prefix + value.id
-                if candidate in self.model.functions:
-                    fn.returned_closures.add(candidate)
                 known = fn.local_instances.get(value.id)
                 if known:
                     fn.returns_classes.update(known)
@@ -667,14 +562,13 @@ def extract_module(path: str, source: str,
     except SyntaxError as exc:
         model.syntax_error = (exc.lineno or 1, exc.msg or "syntax error")
         return model
-    # Two passes: bindings (lock attrs, module globals) first, so that
-    # `with self.x:` guards and global-mutation checks see assignments
-    # that appear later in the file.
+    # Two passes: bindings (lock attrs, global locks) first, so that
+    # `with self.x:` guards see lock assignments that appear later in
+    # the file.
     binding_visitor = _ModuleVisitor(model)
     binding_visitor.visit(tree)
     full = ModuleModel(name=name, path=path,
-                       global_locks=dict(model.global_locks),
-                       global_names=set(model.global_names))
+                       global_locks=dict(model.global_locks))
     lock_attrs = {cls.qualname: dict(cls.lock_attrs)
                   for cls in model.classes.values()}
     visitor = _ModuleVisitor(full)

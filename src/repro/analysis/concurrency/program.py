@@ -13,13 +13,11 @@ summaries and builds one :class:`Program`:
   by bare method name — gated by
   :data:`~repro.analysis.concurrency.model.DUCK_DENYLIST` so builtin
   container verbs don't drag the whole program into every edge.
-* **thread entries** — callables registered with ``submit`` /
-  ``threading.Thread(target=...)`` resolved the same
-  way; a registration of a *call result* (``submit(make_worker(x))``)
-  makes the closures ``make_worker`` returns entries too; a function
-  whose body opens ``with region.task():`` is an entry (its body may
-  run on any thread, concurrently with other callers').
-* **reachability** — every function reachable from any entry.
+* **shared classes** — a class is shared when it, or a class it
+  inherits from, creates a ``threading.Lock`` / ``RLock`` on ``self``:
+  owning a lock is how a class declares that its instances are used
+  from several threads.  Every ``self`` write in a shared class's
+  methods (``__init__`` excepted) is a checked write.
 * **lock identity** — raw tokens canonicalized to stable ids:
   ``Owner.attr`` for instance locks (``Owner`` = the class in the
   inheritance chain whose ``__init__`` created the lock),
@@ -27,7 +25,8 @@ summaries and builds one :class:`Program`:
   ``*.attr`` for unresolvable bare attributes.
 * **entry-held sets** — a monotone fixpoint of which locks can already
   be held when each function is entered (union over its call sites of
-  the caller's entry-held set plus the site's intra-held set).
+  the caller's entry-held set plus the site's intra-held set), and its
+  must-held twin (intersection), which is what guards a checked write.
 * **lock-order graph** — for every acquisition of ``B`` with held set
   ``H``, edges ``A → B`` for each ``A ∈ H``.  Cycles (Tarjan SCCs) are
   potential deadlocks; a self-re-acquisition of a non-reentrant lock is
@@ -50,6 +49,7 @@ from repro.analysis.concurrency.model import (
     ClassModel,
     FunctionModel,
     ModuleModel,
+    Write,
 )
 
 
@@ -83,10 +83,10 @@ class Program:
     calls: dict[str, set[str]] = field(default_factory=dict)
     #: resolved targets per CallSite (keyed by object identity)
     site_targets: dict[int, tuple[str, ...]] = field(default_factory=dict)
-    #: entry qualname → mechanism that registered it
-    entries: dict[str, str] = field(default_factory=dict)
-    #: functions reachable from any entry (includes the entries)
-    reachable: set[str] = field(default_factory=set)
+    #: qualnames of classes with a lock in their inheritance chain
+    shared_classes: set[str] = field(default_factory=set)
+    #: every checked write: (method qualname, write) in shared classes
+    shared_writes: list[tuple[str, Write]] = field(default_factory=list)
     #: qualname → locks possibly held on entry (may-union; feeds the
     #: lock-order graph, where any potential order matters)
     entry_held: dict[str, frozenset[str]] = field(default_factory=dict)
@@ -341,48 +341,20 @@ def _link_calls(program: Program, resolver: _Resolver) -> None:
             out.update(targets)
 
 
-def _link_entries(program: Program, resolver: _Resolver) -> None:
-    """Resolve thread-entry registrations to entry functions."""
-    for module in program.modules.values():
-        for entry in module.entries:
-            fn = program.functions.get(entry.function)
-            if fn is None:  # registration at module top level
-                fn = FunctionModel(
-                    qualname=entry.function, module=module.name,
-                    cls=None, name="<module>", line=entry.line,
-                    nested=False,
-                )
-            raw = entry.raw
-            if raw[0] == "call":
-                # `submit(make_worker(x))`: the entries are the
-                # closures the factory returns.
-                for target in resolver.resolve(fn, raw[1], None):
-                    maker = program.functions.get(target)
-                    if maker is None:
-                        continue
-                    for closure in maker.returned_closures:
-                        program.entries.setdefault(closure,
-                                                   entry.mechanism)
-                continue
-            receiver = ("self",) if raw[0] == "selfmethod" else None
-            for target in resolver.resolve(fn, raw, receiver):
-                program.entries.setdefault(target, entry.mechanism)
-    # `with region.task():` bodies may run on any thread.
+def _collect_shared(program: Program) -> None:
+    """Lock-owning classes and the ``self`` writes in their methods."""
+    for qual, cls in program.classes.items():
+        if any(link_cls.lock_attrs
+               for link_cls in program.class_chain(cls)):
+            program.shared_classes.add(qual)
     for qual, fn in program.functions.items():
-        if fn.is_task_entry:
-            program.entries.setdefault(qual, "task")
-
-
-def _compute_reachable(program: Program) -> None:
-    frontier = list(program.entries)
-    seen = set(frontier)
-    while frontier:
-        current = frontier.pop()
-        for callee in program.calls.get(current, ()):
-            if callee not in seen:
-                seen.add(callee)
-                frontier.append(callee)
-    program.reachable = seen
+        # Exempt: __init__ (construction happens-before sharing) and
+        # paths through a `_local*` attribute (threading.local state).
+        if fn.cls in program.shared_classes and fn.name != "__init__":
+            program.shared_writes.extend(
+                (qual, write) for write in fn.writes
+                if not any(part.startswith("_local")
+                           for part in write.path.split(".")))
 
 
 def _compute_entry_held(program: Program) -> None:
@@ -408,22 +380,23 @@ def _compute_entry_held(program: Program) -> None:
 def _compute_entry_held_must(program: Program) -> None:
     """Fixpoint: locks held on *every* path into each function.
 
-    Roots start lock-free: thread entries, and any function with no
-    in-program caller (it is called externally — tests, the CLI, the
-    coordinator loop — where no analyzed lock is held).  Everything
-    else starts at ⊤ (encoded as ``None``) and intersects over its
-    call sites.  A function whose ``must`` set ends non-empty has a
-    dominating guard: no matter which path reached it, that lock was
-    held — which is what makes a write under it safe against the
-    thread-entry paths that race it.
+    Roots start lock-free: public functions and methods (any thread
+    may call them, holding nothing) and any function with no in-program
+    caller (a callback, a dunder).  Everything else — a private helper
+    somebody calls — starts at ⊤ (encoded as ``None``) and intersects
+    over its call sites.  A function whose ``must`` set ends non-empty
+    has a dominating guard: no matter which path reached it, that lock
+    was held — which is what makes a bare write inside it safe.
     """
     must: dict[str, frozenset[str] | None] = \
         {qual: None for qual in program.functions}
     called: set[str] = set()
     for callees in program.calls.values():
         called |= callees
-    for qual in program.functions:
-        if qual in program.entries or qual not in called:
+    for qual, fn in program.functions.items():
+        private = fn.nested or (fn.name.startswith("_")
+                                and not fn.name.endswith("__"))
+        if not private or qual not in called:
             must[qual] = frozenset()
     changed = True
     while changed:
@@ -564,8 +537,7 @@ def link(modules: list[ModuleModel]) -> Program:
         program.classes.update(module.classes)
     resolver = _Resolver(program)
     _link_calls(program, resolver)
-    _link_entries(program, resolver)
-    _compute_reachable(program)
+    _collect_shared(program)
     _compute_entry_held(program)
     _compute_entry_held_must(program)
     _build_order_graph(program)

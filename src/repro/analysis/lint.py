@@ -32,8 +32,8 @@ from a seeded ``random.Random``. These rules enforce each mechanically:
           through the durable engine.
 ========  ==============================================================
 
-These are per-module rules; unguarded writes reachable from a thread
-entry are ``repro race``'s CONC101 (:mod:`repro.analysis.concurrency`).
+These are per-module rules; unguarded writes in lock-owning classes
+are ``repro race``'s CONC101 (:mod:`repro.analysis.concurrency`).
 Suppress a finding with ``# noqa`` (all rules) or ``# noqa: L001,L004``
 (listed rules) on the flagged line. ``repro lint`` runs these as the CI
 gate; :func:`lint_paths` is the library entry point.
@@ -303,7 +303,8 @@ class _Visitor(ast.NodeVisitor):
             ))
         self.generic_visit(node)
 
-def _suppressed(line: str, code: str) -> bool:
+def noqa_suppresses(line: str, code: str) -> bool:
+    """Does a ``# noqa`` / ``# noqa: CODE,...`` on *line* cover *code*?"""
     match = _NOQA_RE.search(line)
     if match is None:
         return False
@@ -329,7 +330,7 @@ def lint_source(source: str, path: str = "<string>") -> list[Diagnostic]:
     diagnostics = []
     for code, lineno, message in visitor.findings:
         line_text = lines[lineno - 1] if 0 < lineno <= len(lines) else ""
-        if _suppressed(line_text, code):
+        if noqa_suppresses(line_text, code):
             continue
         diagnostics.append(Diagnostic(
             code, Severity.ERROR, message, file=path, line=lineno,
@@ -345,12 +346,13 @@ def lint_file(path: str) -> list[Diagnostic]:
 def lint_paths(paths: list[str]) -> list[Diagnostic]:
     """Lint every ``*.py`` under *paths*, file by file."""
     diagnostics: list[Diagnostic] = []
-    for file_path in _python_files(paths):
+    for file_path in python_files(paths):
         diagnostics.extend(lint_file(file_path))
     return diagnostics
 
 
-def _python_files(paths: list[str]) -> list[str]:
+def python_files(paths: list[str]) -> list[str]:
+    """Every ``*.py`` under *paths* (files or directories), sorted."""
     files: list[str] = []
     for path in paths:
         if os.path.isfile(path):

@@ -7,7 +7,7 @@ serialize (JSON/SARIF) from a single catalog instead of each tool
 keeping a private dict.  Each finding has one code and one owner:
 
 * ``L0xx``    — per-module repository invariants (``repro lint``);
-* ``CONC1xx`` — thread-reachability race rules (``repro race``);
+* ``CONC1xx`` — shared-state race rules (``repro race``);
 * ``CONC2xx`` — lock-order rules (deadlock cycles, lock held across
   blocking calls).
 """
@@ -49,10 +49,7 @@ RULES: dict[str, Rule] = {rule.code: rule for rule in (
     Rule("CONC000", Severity.ERROR,
          "source file failed to parse", "concurrency"),
     Rule("CONC101", Severity.ERROR,
-         "unguarded shared-state write reachable from a thread entry",
-         "concurrency"),
-    Rule("CONC102", Severity.ERROR,
-         "unguarded module-global write reachable from a thread entry",
+         "unguarded write to self state in a lock-owning class",
          "concurrency"),
     Rule("CONC201", Severity.ERROR,
          "lock-order cycle (potential deadlock)", "concurrency"),

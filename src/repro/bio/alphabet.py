@@ -50,11 +50,6 @@ _VALID = set(AMINO_ACIDS) | set(AMBIGUOUS)
 _RESOLVE = {"B": "D", "Z": "E", "X": "A"}
 
 
-def is_valid_residue(char: str) -> bool:
-    """Return True if *char* is a standard or ambiguous residue code."""
-    return char in _VALID
-
-
 def validate(residues: str) -> str:
     """Validate *residues*, returning the upper-cased sequence text.
 

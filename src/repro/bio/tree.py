@@ -202,12 +202,6 @@ class PhyloTree:
                 return node
         raise TreeError(f"no node named {name!r}")
 
-    def find_leaf(self, name: str) -> PhyloNode:
-        node = self.find(name)
-        if not node.is_leaf:
-            raise TreeError(f"node {name!r} is not a leaf")
-        return node
-
     def is_binary(self) -> bool:
         """True if every internal node has exactly two children."""
         return all(

@@ -219,9 +219,6 @@ class Molecule:
             f"{used} bonds for allowed valences {allowed}"
         )
 
-    def total_hydrogens(self, index: int) -> int:
-        return self.implicit_hydrogens(index)
-
     def rings(self) -> list[list[int]]:
         """Smallest cycle basis of the molecular graph (atom indexes)."""
         if self._rings is None:

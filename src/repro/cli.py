@@ -19,8 +19,8 @@ Offers the zero-code tour of the system:
 * ``export``  — write the world as FASTA / Newick / SMILES / CSV;
 * ``check``   — static semantic analysis of DTQL (no world is built);
 * ``lint``    — repository invariant lint rules over Python sources;
-* ``race``    — whole-program concurrency analysis: lock-order
-  cycles, unguarded thread-reachable writes, locks held across
+* ``race``    — whole-program concurrency analysis: unguarded writes
+  in lock-owning classes, lock-order cycles, locks held across
   blocking calls (with baseline + SARIF output);
 * ``chaos``   — replay a mobile tap session under a seeded fault
   scenario with circuit breakers, deadlines, and degradation on;
@@ -646,6 +646,7 @@ def _cmd_race(args: argparse.Namespace) -> int:
             "baselined": [{
                 "code": f.code, "key": f.key, "justification": why,
             } for f, why in result.baselined],
+            "summary": result.summary(),
         }, indent=2, sort_keys=True))
         return 1 if result.findings else 0
     for finding in result.findings:
@@ -653,13 +654,13 @@ def _cmd_race(args: argparse.Namespace) -> int:
               f"{finding.code} {finding.message}")
         if finding.hint:
             print(f"    hint: {finding.hint}")
-    program = result.program
+    summary = result.summary()
     print(f"-- {len(result.findings)} finding(s) in "
           f"{', '.join(args.paths)} "
           f"({len(result.baselined)} baselined; "
-          f"{len(program.entries)} thread entries, "
-          f"{len(program.reachable)} reachable functions, "
-          f"{len(program.locks)} locks)")
+          f"{summary['shared_classes']} shared classes, "
+          f"{summary['guarded_writes']} guarded writes, "
+          f"{summary['locks']} locks)")
     return 1 if result.findings else 0
 
 

@@ -56,14 +56,12 @@ class ClusterNode:
     def __init__(self, node_id: str, clock: SimulatedClock,
                  schedule: FaultSchedule | None = None,
                  base_latency_s: float = 0.002,
-                 timeout_s: float = 0.05,
-                 merkle_buckets: int = 32) -> None:
+                 timeout_s: float = 0.05) -> None:
         self.node_id = node_id
         self.clock = clock
         self.schedule = schedule or FaultSchedule()
         self.base_latency_s = base_latency_s
         self.timeout_s = timeout_s
-        self.merkle_buckets = merkle_buckets
         self._lock = threading.Lock()
         self._store: dict[int, dict[tuple[str, int], VersionedRow]] = {}
         self._hints: list[Hint] = []
@@ -145,8 +143,7 @@ class ClusterNode:
             versions = {key: versioned.version
                         for key, versioned
                         in self._store.get(pid, {}).items()}
-        return MerkleTree.build(versions,
-                                bucket_count=self.merkle_buckets)
+        return MerkleTree.build(versions)
 
     # -- hinted handoff ------------------------------------------------------
 

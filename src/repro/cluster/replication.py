@@ -36,7 +36,6 @@ class ClusterConfig:
     hinted_handoff: bool = True
     base_latency_s: float = 0.002
     rpc_timeout_s: float = 0.05
-    merkle_buckets: int = 32
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
@@ -54,8 +53,6 @@ class ClusterConfig:
             raise ClusterError("write quorum must be in [1, RF]")
         if self.base_latency_s < 0 or self.rpc_timeout_s <= 0:
             raise ClusterError("latencies must be non-negative")
-        if self.merkle_buckets < 1:
-            raise ClusterError("merkle tree needs at least one bucket")
 
     @property
     def strongly_consistent(self) -> bool:
@@ -92,7 +89,6 @@ class Cluster:
                 node_id, self.clock, schedule=self.schedule,
                 base_latency_s=self.config.base_latency_s,
                 timeout_s=self.config.rpc_timeout_s,
-                merkle_buckets=self.config.merkle_buckets,
             )
             for node_id in self.node_ids
         }

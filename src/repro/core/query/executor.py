@@ -103,10 +103,6 @@ class EngineConfig:
     use_substructure_screen: bool = True
     join_strategy: str = "dp"
     join_method: str = "hash"
-    cache_capacity: int = 128
-    #: Rows buffered per scatter/gather batch when a query projects
-    #: remote detail columns (see REMOTE_DETAIL_COLUMNS).
-    remote_lookahead: int = 64
     #: ``"vectorized"`` (the default: batch-at-a-time over columnar
     #: projections, except that a plan holding a node with no batch
     #: form runs on the row engine whole — see docs/EXECUTION.md) or
@@ -190,9 +186,9 @@ class QueryEngine:
                                            metrics=metrics),
             config=self.config.planner_config(),
         )
-        self.cache = SemanticCache(drugtree.labeling,
-                                   capacity=self.config.cache_capacity)
-        drugtree.add_mutation_listener(self.cache.invalidate)
+        self.cache = SemanticCache(drugtree.labeling)
+        if self.config.use_semantic_cache:
+            drugtree.add_mutation_listener(self.cache.invalidate)
         self.queries_executed = 0
         #: Per-engine overrides; ``None`` means the process-wide default.
         self.tracer = tracer
@@ -634,7 +630,6 @@ class QueryEngine:
         )
         return RemoteFetchOp(counters, child, self.federation,
                              "protein_id", specs,
-                             lookahead=self.config.remote_lookahead,
                              deadline=deadline, statuses=statuses)
 
 

@@ -75,18 +75,6 @@ class PhysicalOp(ABC):
     def rows(self) -> Iterator[dict[str, Any]]: ...
 
 
-def _apply_residual(row: dict[str, Any],
-                    residual: tuple[Comparison, ...]) -> bool:
-    """Row-at-a-time residual check (kept for external callers).
-
-    The operators themselves no longer call this: each compiles its
-    residual list once via
-    :func:`~repro.core.query.predicates.compile_residual`, replacing
-    per-row ``pred.matches`` dispatch with one specialized closure.
-    """
-    return all(pred.matches(row.get(pred.column)) for pred in residual)
-
-
 class SeqScanOp(PhysicalOp):
     def __init__(self, counters: ExecCounters, table: Table,
                  residual: tuple[Comparison, ...] = ()) -> None:

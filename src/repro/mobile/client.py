@@ -120,10 +120,6 @@ class MobileClient:
     def total_bytes_down(self) -> int:
         return sum(i.bytes_down for i in self.interactions)
 
-    @property
-    def total_experienced_latency_s(self) -> float:
-        return sum(i.experienced_latency_s for i in self.interactions)
-
     def latencies(self) -> list[float]:
         return [i.experienced_latency_s for i in self.interactions]
 

@@ -267,9 +267,10 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Forget every instrument (names and values)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
+        with self._create_lock:
+            self._counters.clear()
+            self._gauges.clear()
+            self._histograms.clear()
 
     def __repr__(self) -> str:
         return (f"MetricsRegistry(counters={len(self._counters)}, "

@@ -174,7 +174,7 @@ class Tracer:
         self.dropped = 0
 
     @property
-    def _stack(self) -> list[Span]:
+    def _local_stack(self) -> list[Span]:
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
@@ -202,9 +202,9 @@ class Tracer:
         if parent is not None:
             span.parent_id = parent.span_id
             span.depth = parent.depth + 1
-        elif self._stack:
-            span.parent_id = self._stack[-1].span_id
-            span.depth = self._stack[-1].depth + 1
+        elif self._local_stack:
+            span.parent_id = self._local_stack[-1].span_id
+            span.depth = self._local_stack[-1].depth + 1
         self._finish(span)
         return span
 
@@ -215,17 +215,17 @@ class Tracer:
             return self._ids
 
     def _push(self, span: Span) -> None:
-        if self._stack:
-            span.parent_id = self._stack[-1].span_id
-            span.depth = self._stack[-1].depth + 1
-        self._stack.append(span)
+        if self._local_stack:
+            span.parent_id = self._local_stack[-1].span_id
+            span.depth = self._local_stack[-1].depth + 1
+        self._local_stack.append(span)
 
     def _pop(self, span: Span) -> None:
-        if not self._stack or self._stack[-1] is not span:
+        if not self._local_stack or self._local_stack[-1] is not span:
             raise ObservabilityError(
                 f"span {span.name!r} closed out of order"
             )
-        self._stack.pop()
+        self._local_stack.pop()
         self._finish(span)
 
     def _finish(self, span: Span) -> None:
@@ -243,7 +243,7 @@ class Tracer:
 
     def active_depth(self) -> int:
         """Open-span nesting depth of the *calling* thread."""
-        return len(self._stack)
+        return len(self._local_stack)
 
     def export(self) -> list[dict[str, Any]]:
         """All finished spans as JSON-ready dicts."""
@@ -273,4 +273,4 @@ class Tracer:
 
     def __repr__(self) -> str:
         return (f"Tracer(finished={len(self._finished)}, "
-                f"open={len(self._stack)}, capacity={self.capacity})")
+                f"open={len(self._local_stack)}, capacity={self.capacity})")

@@ -77,6 +77,12 @@ class ServiceCostModel:
         return dict(self._estimates)
 
 
+#: Floor on retry-after hints, so clients never busy-loop.
+_MIN_RETRY_AFTER_S = 0.05
+#: Extra cost multiplier applied per fraction of open breakers.
+_BREAKER_PENALTY = 2.0
+
+
 @dataclass(frozen=True)
 class AdmissionConfig:
     """Controller knobs."""
@@ -86,20 +92,12 @@ class AdmissionConfig:
     #: Admit while ``estimated completion <= slo_s * headroom`` — above
     #: 1.0 trades a few late completions for fewer false rejections.
     headroom: float = 1.0
-    #: Floor on retry-after hints, so clients never busy-loop.
-    min_retry_after_s: float = 0.05
-    #: Extra cost multiplier applied per fraction of open breakers.
-    breaker_penalty: float = 2.0
 
     def __post_init__(self) -> None:
         if self.slo_s <= 0:
             raise ServingError("SLO budget must be positive")
         if self.headroom <= 0:
             raise ServingError("headroom must be positive")
-        if self.min_retry_after_s < 0:
-            raise ServingError("min retry-after must be >= 0")
-        if self.breaker_penalty < 0:
-            raise ServingError("breaker penalty must be >= 0")
 
 
 class AdmissionController:
@@ -128,7 +126,7 @@ class AdmissionController:
         open_fraction = self.breakers.open_fraction()
         if open_fraction <= 0.0:
             return 1.0
-        return 1.0 + open_fraction * self.config.breaker_penalty
+        return 1.0 + open_fraction * _BREAKER_PENALTY
 
     def estimated_cost_s(self, kind: str) -> float:
         return self.cost_model.estimate_s(kind) * self._breaker_factor()
@@ -164,7 +162,7 @@ class AdmissionController:
         if bucket is not None and not bucket.try_take(now):
             return Rejection(
                 REASON_RATE_LIMITED,
-                max(self.config.min_retry_after_s,
+                max(_MIN_RETRY_AFTER_S,
                     bucket.retry_after_s(now)),
             )
         if scheduler.depth(tenant_id) >= config.queue_limit:
@@ -172,7 +170,7 @@ class AdmissionController:
             wait = self.estimated_wait_s(tenant_id, scheduler)
             return Rejection(
                 REASON_QUEUE_FULL,
-                max(self.config.min_retry_after_s, wait / 2.0),
+                max(_MIN_RETRY_AFTER_S, wait / 2.0),
             )
         cost = self.estimated_cost_s(request.kind)
         wait = self.estimated_wait_s(tenant_id, scheduler)
@@ -181,7 +179,7 @@ class AdmissionController:
         if estimated_completion > budget:
             return Rejection(
                 REASON_OVERLOAD,
-                max(self.config.min_retry_after_s,
+                max(_MIN_RETRY_AFTER_S,
                     estimated_completion - budget),
             )
         return None

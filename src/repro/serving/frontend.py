@@ -57,14 +57,15 @@ from repro.serving.cache import SharedCacheFront
 from repro.serving.scheduler import FairScheduler
 from repro.serving.tenancy import TenantConfig, TenantRegistry
 from repro.sources.clock import SimulatedClock
+from repro.workloads.harness import percentile
 
 #: Request kinds the frontend can execute against the mobile server.
 KINDS = ("render", "query", "details")
 
-#: Default base virtual service cost per kind, seconds. Covers the
+#: Base virtual service cost per kind, seconds. Covers the
 #: server-side compute the simulation cannot charge as wall time;
 #: federation round-trips add their own virtual latency on top.
-DEFAULT_SERVICE_COST_S = {
+SERVICE_COST_S = {
     "open": 0.030,
     "render": 0.020,
     "query": 0.060,
@@ -125,11 +126,8 @@ class FrontendConfig:
         default_factory=AdmissionConfig)
     #: Virtual-seconds SLO a completion must meet to count as goodput.
     slo_s: float = 1.0
-    cache_capacity: int = 512
-    #: 0 disables the shared cache front entirely.
+    #: False disables the shared cache front entirely.
     use_cache: bool = True
-    service_cost_s: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_SERVICE_COST_S))
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -248,16 +246,6 @@ class ServingReport:
         }
 
 
-def _percentile(values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile over raw virtual latencies."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1,
-               max(0, round(fraction * (len(ordered) - 1))))
-    return ordered[rank]
-
-
 class ServingFrontend:
     """Admission-controlled multi-tenant frontend over one server."""
 
@@ -274,7 +262,7 @@ class ServingFrontend:
         self.scheduler = FairScheduler(self.tenants,
                                        policy=self.config.policy)
         self.cost_model = ServiceCostModel(
-            priors=dict(self.config.service_cost_s))
+            priors=dict(SERVICE_COST_S))
         if breakers is None:
             breakers = getattr(server.federation, "breakers", None)
         self.admission: AdmissionController | None = None
@@ -284,9 +272,8 @@ class ServingFrontend:
                 workers=self.config.workers, breakers=breakers,
             )
         self.cache: SharedCacheFront | None = None
-        if self.config.use_cache and self.config.cache_capacity > 0:
-            self.cache = SharedCacheFront(
-                self.tenants, capacity=self.config.cache_capacity)
+        if self.config.use_cache:
+            self.cache = SharedCacheFront(self.tenants)
         #: (tenant, session) -> server session id.
         self._server_sessions: dict[tuple[str, str], str] = {}
         self._latencies: dict[str, list[float]] = {}
@@ -430,21 +417,20 @@ class ServingFrontend:
 
     def _execute(self, request: Request, timeline) -> Outcome:
         """Run one admitted request on a worker timeline."""
-        costs = self.config.service_cost_s
+        hit_cost = SERVICE_COST_S["hit"]
         key = self._cache_key(request)
         if key is not None:
             entry = self.cache.get(key, request.tenant)
             if entry is not None:
-                timeline.advance(costs.get("hit", 0.0))
+                timeline.advance(hit_cost)
                 self.tenants.stats(request.tenant).cache_hits += 1
-                self.cost_model.observe(request.kind,
-                                        costs.get("hit", 0.0))
+                self.cost_model.observe(request.kind, hit_cost)
                 return Outcome(request=request, status="ok",
                                cache="hit",
-                               service_s=costs.get("hit", 0.0),
+                               service_s=hit_cost,
                                rows=entry.value.payload_rows)
         started = timeline.now()
-        timeline.advance(costs.get(request.kind, 0.0))
+        timeline.advance(SERVICE_COST_S[request.kind])
         try:
             session_id = self._ensure_session(request, timeline)
             response = self._call_server(session_id, request)
@@ -481,8 +467,7 @@ class ServingFrontend:
         session_key = (request.tenant, request.session)
         session_id = self._server_sessions.get(session_key)
         if session_id is None:
-            timeline.advance(
-                self.config.service_cost_s.get("open", 0.0))
+            timeline.advance(SERVICE_COST_S["open"])
             session_id, _ = self.server.open_session()
             self._server_sessions[session_key] = session_id
             get_metrics().counter("serving.sessions_opened").inc()
@@ -544,9 +529,9 @@ class ServingFrontend:
                 failed=stats.failed,
                 within_slo=stats.within_slo,
                 cache_hits=stats.cache_hits,
-                p50_s=_percentile(latencies, 0.50),
-                p99_s=_percentile(latencies, 0.99),
-                p999_s=_percentile(latencies, 0.999),
+                p50_s=percentile(latencies, 0.50),
+                p99_s=percentile(latencies, 0.99),
+                p999_s=percentile(latencies, 0.999),
                 max_s=max(latencies, default=0.0),
                 mean_queued_s=(sum(queued) / len(queued)
                                if queued else 0.0),

@@ -87,9 +87,6 @@ class LigandActivitySource(TableBackedSource):
     def compounds(self, ligand_ids: list[str]) -> dict[str, CompoundEntry]:
         return self.fetch_many(KIND_COMPOUND, ligand_ids)  # type: ignore
 
-    def list_ligand_ids(self) -> list[str]:
-        return self.scan_keys(KIND_COMPOUND)
-
     def activities_for_protein(self,
                                protein_id: str) -> tuple[BindingRecord, ...]:
         record = self.fetch(KIND_ACTIVITY_BY_PROTEIN, protein_id)

@@ -65,8 +65,6 @@ class StorageConfig:
     data_dir: str | None = None
     #: WAL sync policy: ``always`` | ``batch`` | ``never``.
     fsync: str = "batch"
-    #: Unsynced WAL bytes that trigger a group-commit fsync.
-    wal_batch_bytes: int = 64 * 1024
     #: Memtable size that triggers a flush to a level-0 SSTable.
     memtable_flush_bytes: int = 256 * 1024
     #: SSTable block-index granularity.
@@ -156,7 +154,6 @@ class Database:
         self.wal = WriteAheadLog(
             os.path.join(data_dir, WAL_NAME),
             fsync=self.config.fsync,
-            batch_bytes=self.config.wal_batch_bytes,
         )
         self._publish_gauges()
 

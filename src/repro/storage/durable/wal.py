@@ -14,7 +14,7 @@ Durability cost is a policy, not a constant:
     ``fsync`` after every append — maximum safety, one disk sync per
     record.
 ``batch``
-    group commit: syncs are deferred until ``wal_batch_bytes`` of
+    group commit: syncs are deferred until ``batch_bytes`` (64 KiB) of
     unsynced frames accumulate (or an explicit :meth:`sync`, which
     :meth:`~repro.storage.durable.db.Database.batch` issues once per
     logical batch).

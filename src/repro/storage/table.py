@@ -76,9 +76,6 @@ class Table:
             listener(row_id, row)
         return row_id
 
-    def insert_many(self, rows: list[dict[str, Any]]) -> list[int]:
-        return [self.insert(values) for values in rows]
-
     def delete(self, row_id: int) -> None:
         row = self._rows.get(row_id)
         if row is None:

@@ -31,6 +31,11 @@ from repro.workloads.families import ProteinFamily, make_family
 #: Method strings sampled for protein entries.
 _METHODS = ("X-RAY DIFFRACTION", "SOLUTION NMR", "ELECTRON MICROSCOPY")
 
+#: Strongest (center) pAffinity drawn per ligand: uniform in this range.
+_PEAK_P_AFFINITY = (6.0, 9.5)
+#: pAffinity lost per unit of tree distance from the center leaf.
+_DISTANCE_DECAY = 1.2
+
 
 def _family_go_term(family_name: str) -> str:
     """One GO term per family; crc32, as ``hash()`` is salted per process."""
@@ -46,10 +51,6 @@ class DatasetConfig:
     seed: int = 0
     sequence_length: int = 100
     branch_scale: float = 0.25
-    #: Strongest (center) pAffinity drawn per ligand.
-    peak_p_affinity: tuple[float, float] = (6.0, 9.5)
-    #: pAffinity lost per unit of tree distance from the center leaf.
-    distance_decay: float = 1.2
     #: Gaussian noise added to each measurement (std dev, pAff units).
     noise: float = 0.25
     #: Records below this pAffinity are never measured/recorded.
@@ -58,8 +59,6 @@ class DatasetConfig:
     assay_coverage: float = 0.65
     #: Per-round-trip base latency of each source, seconds.
     source_latency_s: float = 0.05
-    source_per_item_s: float = 0.0005
-    source_jitter: float = 0.0
     failure_rate: float = 0.0
 
     def __post_init__(self) -> None:
@@ -108,8 +107,7 @@ class Dataset:
 def _latency(config: DatasetConfig, seed: int) -> LatencyModel:
     return LatencyModel(
         base_s=config.source_latency_s,
-        per_item_s=config.source_per_item_s,
-        jitter_fraction=config.source_jitter,
+        jitter_fraction=0.0,  # same seed, same virtual time
         seed=seed,
     )
 
@@ -120,7 +118,7 @@ def generate_bindings(family: ProteinFamily, ligands: list[Ligand],
     rng = random.Random(config.seed + 1000)
     names, distances = family.tree.cophenetic_matrix()
     index = {name: i for i, name in enumerate(names)}
-    low, high = config.peak_p_affinity
+    low, high = _PEAK_P_AFFINITY
     records: list[BindingRecord] = []
     activity_types = list(ActivityType)
     for ligand in ligands:
@@ -128,7 +126,7 @@ def generate_bindings(family: ProteinFamily, ligands: list[Ligand],
         peak = rng.uniform(low, high)
         for protein_id in names:
             distance = float(distances[index[center], index[protein_id]])
-            p_affinity = (peak - config.distance_decay * distance
+            p_affinity = (peak - _DISTANCE_DECAY * distance
                           + rng.gauss(0.0, config.noise))
             if p_affinity < config.detection_floor:
                 continue

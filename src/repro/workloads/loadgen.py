@@ -43,6 +43,11 @@ _QUERY_TEMPLATES = (
     "ORDER BY p_affinity DESC LIMIT 10",
 )
 
+#: Gestures per session (Markov-planned).
+_SESSION_STEPS = 8
+#: Fraction of render gestures that become details taps.
+_DETAILS_FRACTION = 0.15
+
 
 class ZipfSampler:
     """Draw items with probability proportional to ``1 / rank**s``.
@@ -88,14 +93,8 @@ class LoadConfig:
 
     tenants: tuple[TenantLoad, ...] = (TenantLoad("default", 20.0),)
     duration_s: float = 60.0
-    #: Gestures per session (Markov-planned).
-    session_steps: int = 8
     #: Mean exponential think time between a session's gestures.
     think_mean_s: float = 2.0
-    #: Fraction of render gestures that become details taps.
-    details_fraction: float = 0.15
-    #: Zipf exponent for clade / protein popularity.
-    zipf_s: float = 1.1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -103,12 +102,8 @@ class LoadConfig:
             raise ServingError("load needs at least one tenant")
         if self.duration_s <= 0:
             raise ServingError("load duration must be positive")
-        if self.session_steps < 1:
-            raise ServingError("sessions need at least one step")
         if self.think_mean_s < 0:
             raise ServingError("think time must be >= 0")
-        if not 0.0 <= self.details_fraction <= 1.0:
-            raise ServingError("details fraction must be in [0, 1]")
 
 
 def generate_load(clades: Sequence[str], proteins: Sequence[str],
@@ -124,8 +119,8 @@ def generate_load(clades: Sequence[str], proteins: Sequence[str],
         raise ServingError("load generation needs clade names")
     if not proteins:
         raise ServingError("load generation needs protein ids")
-    clade_sampler = ZipfSampler(clades, s=config.zipf_s)
-    protein_sampler = ZipfSampler(proteins, s=config.zipf_s)
+    clade_sampler = ZipfSampler(clades)
+    protein_sampler = ZipfSampler(proteins)
     requests: list[Request] = []
     seq = 0
     for tenant_index, load in enumerate(config.tenants):
@@ -135,7 +130,7 @@ def generate_load(clades: Sequence[str], proteins: Sequence[str],
             f"{config.seed}:{tenant_index}:{load.tenant_id}")
         # Sessions arrive Poisson at rps / steps, so the offered
         # *gesture* rate lands on the tenant's target.
-        session_rate = load.rps / config.session_steps
+        session_rate = load.rps / _SESSION_STEPS
         arrival = 0.0
         session_index = 0
         while True:
@@ -145,7 +140,7 @@ def generate_load(clades: Sequence[str], proteins: Sequence[str],
             session_key = f"{load.tenant_id}-u{session_index}"
             session_index += 1
             plan = plan_session(
-                config.session_steps,
+                _SESSION_STEPS,
                 seed=(config.seed * 1_000_003
                       + tenant_index * 1_009 + session_index),
             )
@@ -155,7 +150,7 @@ def generate_load(clades: Sequence[str], proteins: Sequence[str],
                     break
                 requests.append(_gesture_request(
                     load.tenant_id, session_key, kind, tap_at, seq,
-                    rng, clade_sampler, protein_sampler, config,
+                    rng, clade_sampler, protein_sampler,
                 ))
                 seq += 1
                 if config.think_mean_s > 0:
@@ -167,8 +162,7 @@ def generate_load(clades: Sequence[str], proteins: Sequence[str],
 def _gesture_request(tenant_id: str, session_key: str, gesture: str,
                      arrival_s: float, seq: int, rng: random.Random,
                      clade_sampler: ZipfSampler,
-                     protein_sampler: ZipfSampler,
-                     config: LoadConfig) -> Request:
+                     protein_sampler: ZipfSampler) -> Request:
     """Resolve one Markov gesture kind into a concrete request."""
     if gesture == "query":
         clade = clade_sampler.sample(rng)
@@ -180,7 +174,7 @@ def _gesture_request(tenant_id: str, session_key: str, gesture: str,
                        arrival_s=arrival_s, seq=seq)
     # Renders (expand / pan) sometimes become details taps: the user
     # drilled down far enough to touch a leaf card.
-    if rng.random() < config.details_fraction:
+    if rng.random() < _DETAILS_FRACTION:
         return Request(tenant=tenant_id, session=session_key,
                        kind="details",
                        target=protein_sampler.sample(rng),

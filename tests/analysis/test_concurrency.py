@@ -1,10 +1,11 @@
 """Fixture tests for the whole-program concurrency analyzer.
 
 Each fixture seeds one violation shape — a lock-order cycle, an
-unguarded cross-thread write, a reentrant re-acquire, a worker reached
-through a closure factory — and asserts the exact rule ID, file, and
-line the analyzer reports, plus the suppression machinery (``# noqa``,
-baseline files, stable keys) around it.
+unguarded write in a lock-owning class, a reentrant re-acquire — and
+asserts the exact rule ID, file, and line the analyzer reports, plus
+the suppression machinery (``# noqa``, baseline files, stable keys)
+around it.  A fixture class declares itself shared the way ``src/``
+does: by creating a lock in ``__init__``.
 """
 
 import json
@@ -176,34 +177,65 @@ class TestLockOrderGraph:
 class TestSharedStateWrites:
     def test_unguarded_write_exact_span(self):
         result = analyze("""\
+            import threading
+
             class Sink:
+                def __init__(self):
+                    self._sink_lock = threading.Lock()
+
                 def push(self, item):
                     self.last = item
-
-            def fan_out(pool, sink):
-                pool.submit(sink.push, 1)
         """)
         assert codes(result) == ["CONC101"]
         finding = result.findings[0]
         assert finding.file == PATH
-        assert finding.line == 3
+        assert finding.line == 8
         assert finding.key == "repro.example.Sink.push:last"
 
-    def test_module_global_write_flagged(self):
+    def test_every_write_form_counts(self):
+        # Assignment forms, subscript stores, del, and container
+        # mutators on self state are all writes; reads and calls of
+        # non-mutating methods are not.
         result = analyze("""\
-            TOTAL = 0
+            import threading
 
-            def bump():
-                global TOTAL
-                TOTAL += 1
+            class Sink:
+                def __init__(self):
+                    self._sink_lock = threading.Lock()
+                    self.rows = {}
+                    self.order = []
 
-            def fan_out(pool):
-                pool.submit(bump)
+                def push(self, key, item):
+                    self.count += 1
+                    self.rows[key] = item
+                    del self.rows[key]
+                    self.order.append(key)
+                    self.rows[key].parts.add(item)
+                    self.head, self.tail = key, item
+                    return self.rows.get(key), self.order.index(key)
         """)
-        assert codes(result) == ["CONC102"]
-        # Anchored at the `global` declaration, the point of intent.
-        assert result.findings[0].line == 4
-        assert "TOTAL" in result.findings[0].message
+        assert [(f.line, f.key.split(":")[1]) for f in result.findings] \
+            == [(10, "count"), (11, "rows"), (12, "rows"), (13, "order"),
+                (14, "rows.parts"), (15, "head"), (15, "tail")]
+
+    def test_inherited_lock_makes_subclass_shared(self):
+        result = analyze("""\
+            import threading
+
+            class Base:
+                def __init__(self):
+                    self._base_lock = threading.Lock()
+
+            class Child(Base):
+                def push(self, item):
+                    self.last = item
+
+                def push_safely(self, item):
+                    with self._base_lock:
+                        self.last = item
+        """)
+        assert [f.key for f in result.findings] \
+            == ["repro.example.Child.push:last"]
 
     def test_guarded_write_passes(self):
         result = analyze("""\
@@ -216,9 +248,6 @@ class TestSharedStateWrites:
                 def push(self, item):
                     with self._sink_lock:
                         self.last = item
-
-            def fan_out(pool, sink):
-                pool.submit(sink.push, 1)
         """)
         assert codes(result) == []
 
@@ -238,9 +267,6 @@ class TestSharedStateWrites:
 
                 def _store(self, item):
                     self.last = item
-
-            def fan_out(pool, sink):
-                pool.submit(sink.push, 1)
         """)
         assert codes(result) == []
 
@@ -261,94 +287,20 @@ class TestSharedStateWrites:
 
                 def _store(self, item):
                     self.last = item
-
-            def fan_out(pool, sink):
-                pool.submit(sink.push, 1)
-                pool.submit(sink.push_fast, 2)
         """)
         assert codes(result) == ["CONC101"]
         assert "Sink._store" in result.findings[0].message
 
     def test_unreachable_write_not_flagged(self):
+        # A lock-less class is not checked: owning no lock, it makes
+        # no promise to be shared.
         result = analyze("""\
             class Sink:
                 def push(self, item):
                     self.last = item
         """)
         assert codes(result) == []
-
-
-class TestEntryInference:
-    def test_submit_registers_entry(self):
-        result = analyze("""\
-            def worker(chunk):
-                return chunk
-
-            def fan_out(pool, chunks):
-                for chunk in chunks:
-                    pool.submit(worker, chunk)
-        """)
-        assert "repro.example.worker" in result.program.entries
-
-    def test_thread_target_registers_entry(self):
-        result = analyze("""\
-            import threading
-
-            def worker():
-                pass
-
-            def spawn():
-                thread = threading.Thread(target=worker)
-                thread.start()
-                return thread
-        """)
-        assert "repro.example.worker" in result.program.entries
-
-    def test_task_region_body_is_entry(self):
-        result = analyze("""\
-            def run(region, chunk):
-                with region.task():
-                    return len(chunk)
-        """)
-        assert "repro.example.run" in result.program.entries
-
-    def test_factory_closure_becomes_entry(self):
-        # submit(make_worker(x)) registers the *returned* closure.
-        result = analyze("""\
-            def make_worker(sink):
-                def work(chunk):
-                    sink[id(chunk)] = len(chunk)
-                return work
-
-            def fan_out(pool, sink, chunks):
-                for chunk in chunks:
-                    pool.submit(make_worker(sink), chunk)
-        """)
-        entries = result.program.entries
-        assert "repro.example.make_worker.<locals>.work" in entries
-        assert codes(result) == ["CONC101"]
-        assert result.findings[0].line == 3
-
-    def test_cross_module_entry(self):
-        # Worker defined in one module, submitted from another.
-        result = analyze(
-            ("src/repro/workers.py", """\
-                class Tally:
-                    def bump(self):
-                        self.count += 1
-            """),
-            ("src/repro/driver.py", """\
-                from repro.workers import Tally
-
-                def fan_out(pool):
-                    tally = Tally()
-                    pool.submit(tally.bump)
-            """),
-        )
-        assert codes(result) == ["CONC101"]
-        finding = result.findings[0]
-        assert finding.file == "src/repro/workers.py"
-        assert finding.line == 3
+        assert result.summary()["shared_classes"] == 0
 
 
 class TestHeldAcrossBlocking:
@@ -428,12 +380,14 @@ class TestHeldAcrossBlocking:
 
 class TestSuppression:
     RACY = """\
+        import threading
+
         class Sink:
+            def __init__(self):
+                self._sink_lock = threading.Lock()
+
             def push(self, item):
                 self.last = item
-
-        def fan_out(pool, sink):
-            pool.submit(sink.push, 1)
     """
 
     def test_noqa_conc_code(self):
@@ -497,13 +451,13 @@ class TestBaseline:
 
     def test_render_baseline_keeps_existing_justifications(self):
         baseline = Baseline(suppressions={
-            ("CONC102", "repro.old:GLOBAL"): "kept from triage",
+            ("CONC202", "repro.old:lock:fetch"): "kept from triage",
         })
         result = analyze(self.RACY, baseline=baseline)
         rendered = json.loads(render_baseline(result))
         keyed = {(e["rule"], e["key"]): e["justification"]
                  for e in rendered["suppressions"]}
-        assert keyed[("CONC102", "repro.old:GLOBAL")] == "kept from triage"
+        assert keyed[("CONC202", "repro.old:lock:fetch")] == "kept from triage"
         assert keyed[("CONC101", "repro.example.Sink.push:last")] \
             .startswith("TODO")
 
@@ -517,12 +471,10 @@ class TestSyntaxErrors:
 
 class TestRepoIsClean:
     def test_source_tree_has_no_unsuppressed_findings(self):
-        # The acceptance gate: `repro race src` must come back clean,
-        # with every baselined finding carrying a real justification.
+        # The acceptance gate: `repro race src` must come back clean
+        # with nothing baselined — the committed baseline is empty.
         result = analyze_paths(["src"])
         assert [f"{f.code} {f.file}:{f.line}" for f in result.findings] \
             == []
-        assert result.baselined, "expected the triaged baseline to match"
-        for finding, justification in result.baselined:
-            assert justification
-            assert not justification.startswith("TODO")
+        assert result.baselined == []
+        assert result.baseline.suppressions == {}

@@ -96,38 +96,42 @@ class TestL002BareAcquire:
 
 
 class TestL003SharedStateWrites:
-    """CONC101, method shape: a write is flagged when a thread entry
-    (``pool.submit`` / ``Thread``) can reach it and no lock dominates
-    every path to it — no class allowlist, no directory list. (Once
-    lint's L003; the class keeps its name and file so its test ids
-    stay stable.)"""
+    """CONC101: a ``self`` write is flagged when its class owns a lock
+    (the class's declaration that it is shared) and no lock dominates
+    every path to the write — no class allowlist, no directory list.
+    (Once lint's L003; the class keeps its name and file so its test
+    ids stay stable.)"""
 
     def test_unguarded_write_flagged(self):
         found = race("""\
+            import threading
+
             class Tracer:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
                 def bump(self):
                     self.dropped += 1
-
-            def fan_out(pool, tracer):
-                pool.submit(tracer.bump)
         """)
         assert codes(found) == ["CONC101"]
         assert "Tracer.bump" in found[0].message
 
     def test_guarded_write_passes(self):
         assert race("""\
+            import threading
+
             class MetricsRegistry:
+                def __init__(self):
+                    self._create_lock = threading.Lock()
+
                 def bump(self):
                     with self._create_lock:
                         self.total = 1
-
-            def fan_out(pool, registry):
-                pool.submit(registry.bump)
         """) == []
 
     def test_unreachable_method_not_flagged(self):
-        # Same write as test_unguarded_write_flagged, but no thread
-        # entry reaches it: single-threaded code needs no locks.
+        # Same write as test_unguarded_write_flagged, but the class
+        # owns no lock: a lock-less class is not checked.
         assert race("""\
             class Tracer:
                 def bump(self):
@@ -136,36 +140,42 @@ class TestL003SharedStateWrites:
 
     def test_init_is_exempt(self):
         assert race("""\
+            import threading
+
             class FetchScheduler:
                 def __init__(self):
+                    self._lock = threading.Lock()
                     self.pending = []
-
-            def fan_out(pool):
-                pool.submit(FetchScheduler)
         """) == []
 
     def test_thread_local_is_exempt(self):
         assert race("""\
+            import threading
+
             class Tracer:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._local = threading.local()
+
                 def reset_stack(self):
                     self._local.stack = []
-
-            def fan_out(pool, tracer):
-                pool.submit(tracer.reset_stack)
+                    self._local_stack.append(1)
         """) == []
 
     def test_reachability_crosses_calls(self):
-        # The entry never writes; a helper two calls deep does.
+        # The public method never writes; a helper it calls does.
         found = race("""\
+            import threading
+
             class Sink:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
                 def record(self, item):
                     self._note(item)
 
                 def _note(self, item):
                     self.seen = item
-
-            def fan_out(pool, sink):
-                pool.submit(sink.record, 1)
         """)
         assert codes(found) == ["CONC101"]
         assert "Sink._note" in found[0].message
@@ -174,22 +184,29 @@ class TestL003SharedStateWrites:
         # The helper itself takes no lock, but its only caller holds
         # one — the interprocedural must-analysis sees the guard.
         assert race("""\
+            import threading
+
             class Sink:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
                 def record(self, item):
                     with self._lock:
                         self._note(item)
 
                 def _note(self, item):
                     self.seen = item
-
-            def fan_out(pool, sink):
-                pool.submit(sink.record, 1)
         """) == []
 
     def test_partially_guarded_path_flagged(self):
         # One caller holds the lock, another does not: no dominator.
         found = race("""\
+            import threading
+
             class Sink:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
                 def record(self, item):
                     with self._lock:
                         self._note(item)
@@ -199,23 +216,21 @@ class TestL003SharedStateWrites:
 
                 def _note(self, item):
                     self.seen = item
-
-            def fan_out(pool, sink):
-                pool.submit(sink.record, 1)
-                pool.submit(sink.record_fast, 2)
         """)
         assert codes(found) == ["CONC101"]
 
     def test_nested_with_counts(self):
         assert race("""\
+            import threading
+
             class Tracer:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
                 def deep(self):
                     with self._lock:
                         with self._aux("x") as f:
                             self.dropped = 0
-
-            def fan_out(pool, tracer):
-                pool.submit(tracer.deep)
         """) == []
 
 
@@ -418,108 +433,6 @@ class TestL007FileMutation:
                 path = os.path.join(root, name)
                 with open(path, encoding="utf-8") as handle:
                     assert not suppression.search(handle.read()), path
-
-
-class TestL008MorselWorkerPurity:
-    """CONC101, closure shape: fires on *registered* workers —
-    closures handed to ``pool.submit`` — wherever they live; there is
-    no directory allowlist. (Once lint's L008, written for PR 7's
-    morsel pool; the class keeps its name and file so its test ids
-    stay stable.)"""
-
-    WORKER_PATH = "src/repro/sources/scheduler.py"
-
-    def test_attribute_write_in_worker_flagged(self):
-        # A neutral path: registration, not directory, makes a worker.
-        found = race("""\
-            class Op:
-                def scan(self, chunks, pool):
-                    def work(chunk):
-                        self.counters.rows_scanned += len(chunk)
-                        return chunk
-                    return [pool.submit(work, c) for c in chunks]
-        """, path="src/repro/core/query/physical.py")
-        assert codes(found) == ["CONC101"]
-        assert "coordinating thread" in found[0].message
-
-    def test_subscript_write_in_worker_flagged(self):
-        found = race("""\
-            def scan(chunks, out, pool):
-                def work(index, chunk):
-                    out[index] = len(chunk)
-                for index, chunk in enumerate(chunks):
-                    pool.submit(work, index, chunk)
-        """, path="src/repro/core/query/executor.py")
-        assert codes(found) == ["CONC101"]
-
-    def test_nonlocal_rebinding_in_worker_flagged(self):
-        found = race("""\
-            def scan(chunks, pool):
-                total = 0
-                def work(chunk):
-                    nonlocal total
-                    total += len(chunk)
-                for chunk in chunks:
-                    pool.submit(work, chunk)
-                return total
-        """, path="src/repro/core/query/vectorized.py")
-        assert codes(found) == ["CONC101"]
-        assert "nonlocal" in found[0].message
-
-    def test_factory_returned_worker_flagged(self):
-        # The worker reaches the pool through a closure factory:
-        # submit(make_worker(out)) — one level of indirection.
-        found = race("""\
-            def scan(chunks, out, pool):
-                def make_worker(sink):
-                    def work(chunk):
-                        sink[id(chunk)] = len(chunk)
-                    return work
-                for chunk in chunks:
-                    pool.submit(make_worker(out), chunk)
-        """, path="src/repro/core/query/physical.py")
-        assert codes(found) == ["CONC101"]
-
-    def test_pure_worker_passes(self):
-        assert race("""\
-            class Op:
-                def scan(self, chunks, pool):
-                    def work(chunk):
-                        return [c for c in chunk if c > 0]
-                    for chunk in chunks:
-                        kept = pool.submit(work, chunk).result()
-                        self.counters.rows_scanned += len(chunk)
-                        yield kept
-        """, path=self.WORKER_PATH) == []
-
-    def test_coordinator_writes_pass(self):
-        # Method-level (non-nested) writes are the coordinator's job.
-        assert race("""\
-            class Op:
-                def scan(self, chunks):
-                    self.counters.chunks += len(chunks)
-        """, path=self.WORKER_PATH) == []
-
-    def test_lock_guard_exempts_worker_write(self):
-        assert race("""\
-            class Op:
-                def scan(self, chunks, pool):
-                    def work(chunk):
-                        with self.lock:
-                            self.partials[id(chunk)] = len(chunk)
-                    return [pool.submit(work, c) for c in chunks]
-        """, path=self.WORKER_PATH) == []
-
-    def test_unregistered_closure_is_not_a_worker(self):
-        # Never submitted to a pool — runs on the caller's thread, so
-        # its writes are plain coordinator writes.
-        assert race("""\
-            class Op:
-                def scan(self, chunks):
-                    def work(chunk):
-                        self.counters.rows_scanned += len(chunk)
-                    return [work(c) for c in chunks]
-        """, path=self.WORKER_PATH) == []
 
 
 class TestSuppression:

@@ -233,6 +233,31 @@ class TestSemanticCacheIntegration:
         engine.execute(text)
         assert engine.execute(text).cache_outcome == "off"
 
+    @pytest.mark.parametrize("caching, invalidations", [(False, 0),
+                                                        (True, 100)])
+    def test_cache_listens_for_mutations_only_when_on(
+            self, dataset, caching, invalidations):
+        # A cache nothing reads must not cost every inserted row a
+        # lock and a counter bump.
+        from repro import obs
+        from repro.chem import ActivityType, BindingRecord
+        drugtree, _ = dataset.integrate()
+        engine = QueryEngine(
+            drugtree, EngineConfig(use_semantic_cache=caching))
+        previous = obs.get_metrics()
+        obs.set_metrics(obs.MetricsRegistry())
+        try:
+            leaf = drugtree.tree.leaf_names()[0]
+            for _ in range(100):
+                drugtree.add_binding(BindingRecord(
+                    "LIG00001", leaf, ActivityType.KI, 5.0))
+            counted = obs.get_metrics().counter_values().get(
+                "semantic_cache.invalidations", 0)
+        finally:
+            obs.set_metrics(previous)
+        assert counted == invalidations
+        assert engine.cache.invalidations == invalidations
+
 
 class TestSimilarity:
     def test_prefilter_matches_exhaustive(self, dataset, drugtree):

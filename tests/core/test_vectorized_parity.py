@@ -289,7 +289,7 @@ class TestDiagnostics:
         with pytest.raises(QueryError, match="execution mode"):
             EngineConfig(execution_mode="adaptive")
         assert EngineConfig().execution_mode == "vectorized"
-        assert len(dataclasses.fields(EngineConfig)) == 13
+        assert len(dataclasses.fields(EngineConfig)) == 11
 
     def test_default_mode_honours_vector_batch_size(self):
         """The configured batch size is the batch size: a 16-row batch

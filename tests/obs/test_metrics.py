@@ -1,6 +1,7 @@
 """MetricsRegistry: counters, gauges, histogram edges, snapshots."""
 
 import json
+import sys
 import threading
 
 import pytest
@@ -209,6 +210,56 @@ class TestThreadSafety:
         self._run([threading.Thread(target=hammer) for _ in range(6)])
         assert histogram.count == 9000
         assert sum(histogram.counts) + histogram.overflow == 9000
+
+    def test_reset_races_instrument_creation(self):
+        # reset() clears the instrument maps under the same lock
+        # counter()/gauge()/histogram() insert under (CONC101 found it
+        # clearing them bare).  Creators, a resetter and a snapshotter
+        # run together: nobody may see a map change size mid-iteration,
+        # and every instrument handed out must work, reset or not.
+        registry = MetricsRegistry()
+        errors = []
+        stop = threading.Event()
+
+        def create(worker):
+            try:
+                for step in range(400):
+                    name = f"w{worker}.{step % 25}"
+                    registry.counter(name).inc()
+                    registry.gauge(name).add(1)
+                    registry.histogram(name).observe(0.01)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        def churn(action):
+            try:
+                while not stop.is_set():
+                    action()
+            except Exception as exc:
+                errors.append(exc)
+
+        background = [threading.Thread(target=churn, args=(action,))
+                      for action in (registry.reset, registry.snapshot)]
+        creators = [threading.Thread(target=create, args=(worker,))
+                    for worker in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in background + creators:
+                thread.start()
+            for thread in creators:
+                thread.join(timeout=60)
+            stop.set()
+            for thread in background:
+                thread.join(timeout=60)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in background + creators)
+        assert errors == []
+        counter = registry.counter("after")
+        counter.inc()
+        assert registry.snapshot()["counters"]["after"] == 1
 
 
 class TestHistogramQuantile:
