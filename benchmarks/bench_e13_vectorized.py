@@ -13,7 +13,10 @@ bindings tables of 10k and 100k rows under both execution modes and
 reports the wall-clock speedup. Result sets are asserted identical
 before any timing is trusted. Expected shape: >= 3x on the scalar
 aggregate family at the 100k scale, smaller but real wins elsewhere
-(top-k keeps a sort in both engines, so it gains the least).
+(top-k pays one sort-key call per row in both engines, so it gains
+the least; no sorted index exists on ``p_affinity`` here, so it stays
+a scan — ``test_e13_ordered_topk_stops_early`` adds the index and
+gates the ordered walk).
 
 The worlds are built by direct bindings inserts over a small family
 tree. The one secondary index (hash on ``ligand_id``) serves only the
@@ -27,6 +30,7 @@ than access-path choices.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from repro.core import DrugTree, EngineConfig, QueryEngine
 from repro.obs import WallTimer
@@ -193,3 +197,22 @@ def test_e13_small_scale_parity_is_cheap(report):
     """A CI-sized guard: the 2k-row sweep still agrees and speeds up."""
     results = run_scale(2_000, repeats=2)
     assert results["scan_agg"]["speedup"] > 1.0
+
+
+def test_e13_ordered_topk_stops_early():
+    """A timing-free gate: with a sorted index on the sort column,
+    ``ORDER BY … LIMIT 20`` reads 20 index entries plus at most one run
+    of equal keys — not the table — and answers like the scan."""
+    tree = build_world(10_000)
+    bindings = tree.tables["bindings"]
+    dtql = ("SELECT ligand_id, p_affinity FROM bindings "
+            "ORDER BY p_affinity DESC LIMIT 20")
+    scanned = _engine(tree, "vectorized").execute(dtql)
+    assert scanned.counters["rows_scanned"] == 10_000
+    bindings.create_index(["p_affinity"], kind="sorted")
+    longest_tie_run = max(Counter(
+        bindings.column_store().column("p_affinity")).values())
+    for mode in ("row", "vectorized"):
+        walked = _engine(tree, mode).execute(dtql)
+        assert walked.rows == scanned.rows
+        assert walked.counters["rows_scanned"] <= 20 + longest_tie_run

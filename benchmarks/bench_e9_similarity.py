@@ -140,7 +140,7 @@ def test_e9b_popcount_index_scaling(benchmark, report):
 
 
 def test_e9c_substructure_screen(benchmark, world_medium, report):
-    """CONTAINING queries: the count screen vs raw VF2 matching."""
+    """CONTAINING queries: the count screen vs searching every molecule."""
     from repro.core.query.ast import Query, SubstructureFilter
 
     dataset = world_medium
@@ -153,6 +153,14 @@ def test_e9c_substructure_screen(benchmark, world_medium, report):
     raw_engine = QueryEngine(drugtree, EngineConfig(
         use_semantic_cache=False, use_substructure_screen=False,
     ))
+
+    # The first query over a world pays its lazily built state (~35 ms:
+    # table statistics, ring perception cached per molecule); keep that
+    # out of the first fragment's cells.
+    warm_up = Query(select=("ligand_id",),
+                    substructure=SubstructureFilter("CC"))
+    screened_engine.execute(warm_up)
+    raw_engine.execute(warm_up)
 
     def sweep():
         rows = []
@@ -175,8 +183,8 @@ def test_e9c_substructure_screen(benchmark, world_medium, report):
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = TextTable(
-        ["fragment", "matches", "VF2 calls (raw)",
-         "VF2 calls (screened)", "raw ms", "screened ms"],
+        ["fragment", "matches", "searches (raw)",
+         "searches (screened)", "raw ms", "screened ms"],
         title=f"E9c  CONTAINING over "
               f"{world_medium.config.n_ligands} ligands "
               "(identical answers verified)",
@@ -185,7 +193,7 @@ def test_e9c_substructure_screen(benchmark, world_medium, report):
         table.add_row(*row)
     report(table)
 
-    # The screen never increases VF2 work and always preserves answers.
+    # The screen never adds searches and always preserves answers.
     for _, matches, raw_calls, screened_calls, _, _ in rows:
         assert matches <= screened_calls <= raw_calls
 

@@ -18,8 +18,9 @@ produces an :class:`AnalysisReport`:
   would answer with zero rows — the engine can short-circuit it before
   any source round-trip (``DTQL201``);
 * **cost advisories** — predicates that force an implicit join
-  (``DTQL301``) and selected federation-resolved columns that cost
-  run-time round-trips (``DTQL302``).
+  (``DTQL301``), selected federation-resolved columns that cost
+  run-time round-trips (``DTQL302``), and an ``ORDER BY`` column the
+  output drops, which sorts nothing (``DTQL303``).
 
 Errors mean the query must not run; warnings and infos ride along into
 the EXPLAIN ANALYZE ``-- analysis:`` trailer.
@@ -198,6 +199,7 @@ class SemanticAnalyzer:
             folded, diagnostics, _SpanIndex(tokens))
         self._check_implicit_joins(query, diagnostics, _SpanIndex(tokens))
         self._check_remote_columns(query, diagnostics, _SpanIndex(tokens))
+        self._check_order_column(query, diagnostics, tokens)
 
         ordered = sort_diagnostics(diagnostics)
         has_errors = any(d.severity is Severity.ERROR for d in ordered)
@@ -393,6 +395,27 @@ class SemanticAnalyzer:
                 f"column {column!r} is federation-resolved: selecting it "
                 "costs run-time source round-trips per row batch",
                 span=index.find(column)))
+
+    def _check_order_column(self, query: Query,
+                            diagnostics: list[Diagnostic],
+                            tokens) -> None:
+        """The sort runs above the projection: a sort column the output
+        drops reads NULL in every row, so nothing gets ordered."""
+        if query.order_by is None:
+            return
+        column = query.order_by.column
+        outputs = set(query.select) | {
+            aggregate.output_name for aggregate in query.aggregates}
+        if (not outputs  # SELECT * keeps every column
+                or column in outputs or column == query.group_by):
+            return
+        diagnostics.append(Diagnostic(
+            "DTQL303", Severity.WARNING,
+            f"ORDER BY column {column!r} is not in the output: every "
+            "sort key reads NULL and rows come back in scan order",
+            # ORDER BY's mention of the column is the last in the text.
+            span=_SpanIndex(tokens[::-1]).find(column),
+            hint="add it to SELECT"))
 
 
 def empty_result_rows(query: Query) -> list[dict[str, Any]]:

@@ -20,6 +20,23 @@ MIN_ROWS = 0.5
 FALLBACK_ROWS = 1000.0
 
 
+def combine_bounds(bounds) -> tuple:
+    """Tightest ``(low, high, include_low, include_high)`` interval of
+    range comparisons on one column (``None`` = open end)."""
+    low = high = None
+    include_low = include_high = True
+    for bound in bounds:
+        if bound.op in (">", ">="):
+            if low is None or bound.value > low:
+                low = bound.value
+                include_low = bound.op == ">="
+        else:
+            if high is None or bound.value < high:
+                high = bound.value
+                include_high = bound.op == "<="
+    return low, high, include_low, include_high
+
+
 class CardinalityEstimator:
     """Estimates row counts for scans and joins of the overlay tables.
 
@@ -117,17 +134,7 @@ class CardinalityEstimator:
         stats = self._stats.get(table)
         if stats is None or column not in stats.columns:
             return DEFAULT_SELECTIVITY
-        low = high = None
-        include_low = include_high = True
-        for bound in bounds:
-            if bound.op in (">", ">="):
-                if low is None or bound.value > low:
-                    low = bound.value
-                    include_low = bound.op == ">="
-            else:
-                if high is None or bound.value < high:
-                    high = bound.value
-                    include_high = bound.op == "<="
+        low, high, include_low, include_high = combine_bounds(bounds)
         return stats.columns[column].range_selectivity(
             low=low, high=high,
             include_low=include_low, include_high=include_high,

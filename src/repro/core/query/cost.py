@@ -61,6 +61,12 @@ def index_range_cost(matching_rows: float,
     return Cost(total, f"index range ~{matching_rows:.0f} matches")
 
 
+def index_order_cost(walked: float, residual_predicates: int) -> Cost:
+    """An ordered walk pays per index entry touched before it stops."""
+    total = index_range_cost(walked, residual_predicates).total
+    return Cost(total, f"index walk ~{walked:.0f} entries")
+
+
 def key_set_cost(key_count: float, matching_rows: float,
                  residual_predicates: int) -> Cost:
     total = (INDEX_PROBE_COST * max(math.log2(key_count + 1), 1.0)

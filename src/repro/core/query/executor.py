@@ -59,7 +59,7 @@ from repro.core.query.physical import (
     TopKOp,
 )
 from repro.core.query.planner import Planner, PlannerConfig, PlanReport
-from repro.core.query.vectorized import VectorizedLowering
+from repro.core.query.vectorized import IndexOrderScanOp, VectorizedLowering
 from repro.errors import (
     PlanError,
     QueryError,
@@ -547,7 +547,7 @@ class QueryEngine:
         """Resolve a CONTAINING filter to the matching ligand-id set.
 
         With the screen enabled, count profiling prunes molecules before
-        any VF2 match runs; both paths return identical sets."""
+        any exact match runs; both paths return identical sets."""
         if substructure is None:
             return None, 0
         pattern = SubstructurePattern(substructure.smiles)
@@ -557,7 +557,7 @@ class QueryEngine:
             return matches, screened
         matches = frozenset(
             ligand_id for ligand_id, mol in molecules.items()
-            if _vf2_only(pattern, mol)
+            if pattern.matches(mol, screen=False)
         )
         return matches, len(molecules)
 
@@ -672,7 +672,7 @@ class RowLowering:
         if isinstance(node, LogicalCladeAggregate):
             return self._clade_fast_path(node)
         if isinstance(node, LogicalScan):
-            return self._scan_op(node)
+            return self._scan_op(node, stats)
         if isinstance(node, LogicalJoin):
             return self._join_op(node, stats)
         if isinstance(node, LogicalAggregate):
@@ -700,9 +700,12 @@ class RowLowering:
             return LimitOp(counters, child, node.limit)
         raise PlanError(f"cannot lower {type(node).__name__}")
 
-    def _scan_op(self, node: LogicalScan) -> PhysicalOp:
+    def _scan_op(self, node: LogicalScan, stats=None) -> PhysicalOp:
         counters = self.counters
         table = self.engine.drugtree.tables[node.table]
+        if node.access == "index_order":
+            # The one scan with no row twin: both lowerings share it.
+            return IndexOrderScanOp(counters, table, node, stats=stats)
         if node.access == "seq":
             return SeqScanOp(counters, table, node.residual)
         if node.access == "index_eq":
@@ -787,20 +790,3 @@ class RowLowering:
                     f"clade fast path cannot serve {aggregate}"
                 )
         return StaticRowsOp(self.counters, [row])
-
-
-def _vf2_only(pattern: SubstructurePattern, mol) -> bool:
-    """Exact match without the count screen (the ablation path)."""
-    from networkx.algorithms import isomorphism
-
-    from repro.chem.substructure import (
-        _atoms_match,
-        _bonds_match,
-        _typed_graph,
-    )
-
-    matcher = isomorphism.GraphMatcher(
-        _typed_graph(mol), pattern.graph,
-        node_match=_atoms_match, edge_match=_bonds_match,
-    )
-    return matcher.subgraph_is_monomorphic()

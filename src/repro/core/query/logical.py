@@ -42,7 +42,8 @@ class LogicalScan(LogicalNode):
     """Read one table through a chosen access path."""
 
     table: str
-    access: str  # "seq" | "index_eq" | "index_range" | "key_set"
+    #: "seq" | "index_eq" | "index_range" | "key_set" | "index_order"
+    access: str
     access_column: str | None = None
     eq_value: Any = None
     range_low: Any = None
@@ -52,31 +53,42 @@ class LogicalScan(LogicalNode):
     key_set: frozenset | None = None
     residual: tuple[Comparison, ...] = field(default_factory=tuple)
     estimated_rows: float = 0.0
+    #: ``index_order`` only: walk direction, the row count it stops at,
+    #: and the index entries the planner expects it to touch.
+    descending: bool = False
+    limit: int | None = None
+    estimated_walk: float = 0.0
+
+    def _interval(self) -> str:
+        low = "" if self.range_low is None else repr(self.range_low)
+        high = "" if self.range_high is None else repr(self.range_high)
+        lo_b = "[" if self.include_low else "("
+        hi_b = "]" if self.include_high else ")"
+        return f"{lo_b}{low}, {high}{hi_b}"
 
     def describe(self) -> str:
+        estimate = f"~{self.estimated_rows:.0f} rows"
         if self.access == "seq":
             path = "SeqScan"
         elif self.access == "index_eq":
             path = f"IndexEqScan({self.access_column}={self.eq_value!r})"
         elif self.access == "index_range":
-            low = "" if self.range_low is None else repr(self.range_low)
-            high = "" if self.range_high is None else repr(self.range_high)
-            lo_b = "[" if self.include_low else "("
-            hi_b = "]" if self.include_high else ")"
-            path = (
-                f"IndexRangeScan({self.access_column} in "
-                f"{lo_b}{low}, {high}{hi_b})"
-            )
+            path = (f"IndexRangeScan({self.access_column} in "
+                    f"{self._interval()})")
+        elif self.access == "index_order":
+            direction = "DESC" if self.descending else "ASC"
+            if self.range_low is not None or self.range_high is not None:
+                direction += f" in {self._interval()}"
+            path = (f"IndexOrderScan({self.access_column} {direction}, "
+                    f"first {self.limit})")
+            estimate += f", walk ~{self.estimated_walk:.0f}"
         else:
             size = len(self.key_set or ())
             path = f"KeySetScan({self.access_column} in {size} keys)"
         residual = ""
         if self.residual:
             residual = " filter " + " AND ".join(map(str, self.residual))
-        return (
-            f"{path} on {self.table}{residual} "
-            f"(~{self.estimated_rows:.0f} rows)"
-        )
+        return f"{path} on {self.table}{residual} ({estimate})"
 
 
 @dataclass(frozen=True)

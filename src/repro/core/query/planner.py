@@ -10,7 +10,10 @@ Lowers a normalised query to a logical plan in four steps:
    ``IN`` over the clade's protein ids (the ablation baseline).
 3. **Access-path selection** — per table, the cheapest of sequential
    scan / hash-index equality / sorted-index range / key-set probe,
-   costed with the statistics-driven cardinality estimator.
+   costed with the statistics-driven cardinality estimator; under a
+   single-table ``ORDER BY c LIMIT k``, also an ordered walk of the
+   sorted index on ``c`` that stops after ``k`` matches, priced against
+   the best of the others *plus* the top-k it would feed.
 4. **Join ordering** — left-deep order chosen by Selinger-style dynamic
    programming (``dp``), a greedy smallest-intermediate heuristic
    (``greedy``), or the fixed canonical order (``fixed``, the naive
@@ -36,10 +39,12 @@ from repro.core.overlay import (
 from repro.core.query import cost as cost_model
 from repro.core.query.ast import (
     COLUMN_OWNERS,
+    REMOTE_DETAIL_COLUMNS,
     Comparison,
+    OrderBy,
     Query,
 )
-from repro.core.query.cards import CardinalityEstimator
+from repro.core.query.cards import CardinalityEstimator, combine_bounds
 from repro.core.query.cost import Cost
 from repro.core.query.logical import (
     LogicalAggregate,
@@ -145,11 +150,12 @@ class Planner:
                 Comparison("ligand_id", "in", frozenset(similar_keys))
             )
 
+        top = _walkable_top_k(query, table_names)
         scans: dict[str, tuple[LogicalScan, Cost]] = {}
         for table_name in table_names:
             predicates = tuple(placed.get(table_name, ()))
-            scans[table_name] = self._choose_access_path(table_name,
-                                                         predicates)
+            scans[table_name] = self._choose_access_path(
+                table_name, predicates, top)
 
         root, total_cost, join_order = self._order_joins(table_names, scans)
         estimated_rows = _estimated_rows(root)
@@ -262,6 +268,7 @@ class Planner:
 
     def _choose_access_path(self, table_name: str,
                             predicates: tuple[Comparison, ...],
+                            top: tuple[OrderBy, int] | None = None,
                             ) -> tuple[LogicalScan, Cost]:
         table = self.tables[table_name]
         output_rows = self.estimator.scan_rows(table_name, predicates)
@@ -282,7 +289,43 @@ class Planner:
             )
 
         best_cost, best_scan = min(candidates, key=lambda item: item[0])
+        if top is not None and self.config.use_indexes:
+            # The ordered walk replaces the scan *and* the top-k the
+            # scan's output would go on to pay for.
+            walk = self._order_candidate(table_name, table, predicates,
+                                         output_rows, *top)
+            if walk is not None and walk[0] < best_cost + \
+                    cost_model.topk_cost(output_rows, top[1]):
+                return walk[1], walk[0]
         return best_scan, best_cost
+
+    def _order_candidate(self, table_name: str, table: Table,
+                         predicates: tuple[Comparison, ...],
+                         output_rows: float, order_by: OrderBy,
+                         limit: int) -> tuple[Cost, LogicalScan] | None:
+        """Walk the sorted index on the ORDER BY column, stop at *limit*:
+        range bounds on that column bound the walk, the rest is residual,
+        and it expects to touch ``limit / residual selectivity`` of the
+        entries in range. Not under a key-set predicate, whose scan emits
+        in key order: ties would come back in another order."""
+        column = order_by.column
+        if (table.index_on(column, require_range=True) is None
+                or any(p.op == "in" for p in predicates)):
+            return None
+        bounds = tuple(p for p in predicates if p.column == column
+                       and p.op in ("<", "<=", ">", ">="))
+        residual = tuple(p for p in predicates if p not in bounds)
+        in_range = self.estimator.scan_rows(table_name, bounds)
+        walked = min(in_range, limit * in_range / output_rows)
+        low, high, include_low, include_high = combine_bounds(bounds)
+        scan = LogicalScan(
+            table_name, "index_order", access_column=column,
+            range_low=low, range_high=high, include_low=include_low,
+            include_high=include_high, residual=residual,
+            estimated_rows=min(output_rows, float(limit)),
+            descending=order_by.descending, limit=limit,
+            estimated_walk=walked)
+        return cost_model.index_order_cost(walked, len(residual)), scan
 
     def _index_candidates(self, table_name: str, table: Table,
                           predicates: tuple[Comparison, ...],
@@ -340,17 +383,7 @@ class Planner:
             index = table.index_on(column, require_range=True)
             if index is None:
                 continue
-            low = high = None
-            include_low = include_high = True
-            for bound in bounds:
-                if bound.op in (">", ">="):
-                    if low is None or bound.value > low:
-                        low = bound.value
-                        include_low = bound.op == ">="
-                else:
-                    if high is None or bound.value < high:
-                        high = bound.value
-                        include_high = bound.op == "<="
+            low, high, include_low, include_high = combine_bounds(bounds)
             residual = tuple(p for p in predicates if p not in bounds)
             matches = self.estimator.scan_rows(table_name, tuple(bounds))
             candidates.append((
@@ -471,6 +504,22 @@ class Planner:
             plan_rows = output_rows
             joined.append(table_name)
         return plan, total_cost
+
+
+def _walkable_top_k(query: Query, table_names: tuple[str, ...],
+                    ) -> tuple[OrderBy, int] | None:
+    """``(ORDER BY, k)`` when an ordered index walk may serve *query*:
+    one table, no aggregation, and a SELECT list that keeps the sort
+    column (dropped, every key reads NULL above the projection and the
+    "order" is scan order) and fetches no remote detail column."""
+    if (query.order_by is None or query.limit is None
+            or len(table_names) != 1 or query.aggregates):
+        return None
+    if query.select and (
+            query.order_by.column not in query.select
+            or any(c in REMOTE_DETAIL_COLUMNS for c in query.select)):
+        return None
+    return query.order_by, query.limit
 
 
 def _estimated_rows(node: LogicalNode) -> float:

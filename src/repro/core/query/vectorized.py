@@ -31,6 +31,7 @@ up to one batch more than the row engine's row-granular stop.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Iterator, Sequence
 from typing import Any
 
@@ -351,6 +352,67 @@ class VecKeySetScanOp(_VecScanBase):
         yield from self._scan_positions(positions)
 
 
+class IndexOrderScanOp(_VecScanBase):
+    """Walk a sorted index in key order; stop once ``limit`` rows pass.
+
+    The scan under ``ORDER BY c LIMIT k``, shared by both lowerings
+    (the row engine drains ``rows()``, which counts no batches).
+    ``index_probes += 1``, ``rows_scanned`` = index entries walked,
+    ``rows_emitted`` = rows yielded; the residual runs on the column
+    buffers and only emitted rows are gathered.
+    """
+
+    def __init__(self, counters: ExecCounters, table, node: LogicalScan,
+                 columns: tuple[str, ...] | None = None,
+                 stats: OperatorStats | None = None) -> None:
+        super().__init__(counters, table.column_store(), node.residual,
+                         columns, DEFAULT_BATCH_SIZE)
+        self.index = table.index_on(node.access_column,
+                                    require_range=True)
+        if not isinstance(self.index, SortedIndex):
+            raise PlanError(
+                f"plan needs a sorted index on {node.access_column!r}"
+            )
+        self.node = node
+        self.stats = stats
+
+    def _walk(self) -> Batch:
+        node, store = self.node, self.store
+        tests = [(store.column(name), test)
+                 for name, test in self.compiled]
+        position_of = store.position_of
+        selected: list[int] = []
+        walked = 0
+        for row_id in self.index.ordered(
+                node.descending, node.range_low, node.range_high,
+                node.include_low, node.include_high):
+            walked += 1
+            position = position_of(row_id)
+            for buffer, test in tests:
+                if not test(buffer[position]):
+                    break
+            else:
+                selected.append(position)
+                if len(selected) >= node.limit:
+                    break
+        self.counters.index_probes += 1
+        self.counters.rows_scanned += walked
+        self.counters.rows_emitted += len(selected)
+        if self.stats is not None:
+            self.stats.walked = walked
+        columns = {name: store.gather(name, selected)
+                   for name in self.columns}
+        return Batch(self.columns, columns, len(selected))
+
+    def batches(self) -> Iterator[Batch]:
+        batch = self._walk()
+        if len(batch):
+            yield self._emit(batch)
+
+    def rows(self) -> Iterator[dict[str, Any]]:
+        yield from self._walk().iter_rows()
+
+
 class VecFilterOp(VectorOp):
     """Batch filter (the HAVING stage) over compiled predicates."""
 
@@ -471,8 +533,8 @@ class VecHashAggregateOp(VectorOp):
 
 
 class _Materializing(VectorOp):
-    """Shared concat step of the blocking operators (sort, top-k,
-    the hash join's build side)."""
+    """Shared concat step of the blocking operators (sort, the hash
+    join's build side)."""
 
     def _materialize(self, child) -> Batch:
         batches = [batch for batch in child.batches() if len(batch)]
@@ -512,9 +574,11 @@ class VecSortOp(_Materializing):
             yield self._emit(merged.take(indices[start:start + size]))
 
 
-class VecTopKOp(_Materializing):
-    """Bounded sort; result order matches ``heapq.nlargest/nsmallest``
-    (documented equivalent of a stable full sort sliced to k)."""
+class VecTopKOp(VectorOp):
+    """Bounded running top-k: per batch, ``heapq.nlargest/nsmallest``
+    over the kept rows plus the batch (the documented equivalent of a
+    stable full sort sliced to k). Kept rows go first, so ties keep
+    arrival order; nothing beyond ``limit`` rows outlives a batch."""
 
     def __init__(self, counters: ExecCounters, child,
                  order_by: OrderBy, limit: int) -> None:
@@ -524,15 +588,25 @@ class VecTopKOp(_Materializing):
         self.limit = limit
 
     def batches(self) -> Iterator[Batch]:
-        merged = self._materialize(self.child)
-        if not len(merged):
+        pick = (heapq.nlargest if self.order_by.descending
+                else heapq.nsmallest)
+        kept: Batch | None = None
+        for batch in self.child.batches():
+            if not len(batch):
+                continue
+            if kept is not None:
+                batch = Batch(kept.order, {
+                    name: kept.columns[name] + batch.values(name)
+                    for name in kept.order
+                }, len(kept) + len(batch))
+            keys = [_sort_key(value)
+                    for value in batch.values(self.order_by.column)]
+            kept = batch.take(pick(self.limit, range(len(batch)),
+                                   key=keys.__getitem__))
+        if kept is None:
             return
-        keys = merged.values(self.order_by.column)
-        indices = sorted(range(len(merged)),
-                         key=lambda i: _sort_key(keys[i]),
-                         reverse=self.order_by.descending)[:self.limit]
-        self.counters.rows_emitted += len(indices)
-        yield self._emit(merged.take(indices))
+        self.counters.rows_emitted += len(kept)
+        yield self._emit(kept)
 
 
 class VecLimitOp(VectorOp):
@@ -667,7 +741,7 @@ class VectorizedLowering:
     def _lower(self, node: LogicalNode,
                stats: OperatorStats | None) -> VectorOp:
         if isinstance(node, LogicalScan):
-            return self._scan_op(node)
+            return self._scan_op(node, stats)
         if isinstance(node, LogicalJoin):
             left = self._to_vector(node.left, stats)
             right = self._to_vector(node.right, stats)
@@ -708,10 +782,13 @@ class VectorizedLowering:
             return VecLimitOp(self.counters, child, node.limit)
         raise PlanError(f"cannot lower {type(node).__name__}")
 
-    def _scan_op(self, node: LogicalScan) -> VectorOp:
+    def _scan_op(self, node: LogicalScan, stats=None) -> VectorOp:
         table = self.engine.drugtree.tables[node.table]
-        store = table.column_store()
         columns = self.needed
+        if node.access == "index_order":
+            return IndexOrderScanOp(self.counters, table, node, columns,
+                                    stats)
+        store = table.column_store()
         if node.access == "seq":
             return VecSeqScanOp(self.counters, store, node.residual,
                                 columns, self.batch_size)

@@ -33,6 +33,9 @@ class OperatorStats:
     children: list["OperatorStats"] = field(default_factory=list)
     #: Re-lowered subtrees (nested-loop inners) fold into one node.
     merge_children: bool = False
+    #: Index entries an ``IndexOrderScan`` touched before it stopped
+    #: (its label carries the planner's ``walk ~N`` estimate).
+    walked: int | None = None
 
     def child(self, label: str,
               estimated_rows: float | None = None) -> "OperatorStats":
@@ -49,7 +52,8 @@ class OperatorStats:
         loops = f", loops={self.loops}" if self.loops > 1 else ""
         virtual = (f", vt={self.virtual_s:.3f} s"
                    if self.virtual_s else "")
-        return (f"[actual rows={self.rows_out}{loops}, "
+        walked = f", walked={self.walked}" if self.walked is not None else ""
+        return (f"[actual rows={self.rows_out}{walked}{loops}, "
                 f"wall={self.wall_s * 1000:.3f} ms{virtual}]")
 
     def render(self, indent: int = 0) -> str:

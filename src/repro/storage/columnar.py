@@ -27,7 +27,6 @@ same either way in CPython.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import StorageError
@@ -137,10 +136,6 @@ class ColumnStore:
         buffer = self.column(name)
         return [buffer[p] for p in positions]
 
-    def row_at(self, position: int) -> dict[str, Any]:
-        return {name: self._columns[name][position]
-                for name in self.column_names}
-
     # -- maintenance -------------------------------------------------------
 
     @property
@@ -211,13 +206,6 @@ class ColumnStore:
                 if self._columns[name][position] != row[value_index]:
                     return False
         return True
-
-    def chunks(self, batch_size: int) -> Iterator[list[int]]:
-        """Live positions in insertion order, *batch_size* at a time."""
-        positions = self.live_positions()
-        for start in range(0, len(positions), batch_size):
-            chunk = positions[start:start + batch_size]
-            yield chunk if isinstance(chunk, list) else list(chunk)
 
     def __repr__(self) -> str:
         return (

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 from abc import ABC, abstractmethod
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import Any
 
 from repro.errors import StorageError
@@ -138,12 +138,9 @@ class SortedIndex(Index):
         high = bisect.bisect_right(self._keys, key)
         return sorted(self._row_ids[low:high])
 
-    def range(self, low: Any = None, high: Any = None,
-              include_low: bool = True,
-              include_high: bool = True) -> list[int]:
-        """Row ids with key in the given (optionally open) interval."""
-        if low is not None and high is not None and low > high:
-            return []
+    def _slice(self, low: Any, high: Any, include_low: bool,
+               include_high: bool) -> tuple[int, int]:
+        """``[start, stop)`` of the keys in the interval (may cross)."""
         if low is None:
             start = 0
         elif include_low:
@@ -156,7 +153,38 @@ class SortedIndex(Index):
             stop = bisect.bisect_right(self._keys, high)
         else:
             stop = bisect.bisect_left(self._keys, high)
+        return start, stop
+
+    def range(self, low: Any = None, high: Any = None,
+              include_low: bool = True,
+              include_high: bool = True) -> list[int]:
+        """Row ids with key in the given (optionally open) interval."""
+        start, stop = self._slice(low, high, include_low, include_high)
         return sorted(self._row_ids[start:stop])
+
+    def ordered(self, descending: bool = False, low: Any = None,
+                high: Any = None, include_low: bool = True,
+                include_high: bool = True) -> Iterator[int]:
+        """Row ids in key order from either end, lazily. Equal keys
+        come back in ascending row id both ways — what a stable sort of
+        a row-id-ordered scan yields. ``None`` keys join only an
+        unbounded walk (no range predicate matches NULL): first
+        ascending, last descending, like the executor's sort key."""
+        keys, row_ids = self._keys, self._row_ids
+        start, stop = self._slice(low, high, include_low, include_high)
+        nulls = self._nulls if low is None and high is None else ()
+        if descending:
+            while start < stop:
+                run = bisect.bisect_left(keys, keys[stop - 1], start, stop)
+                yield from sorted(row_ids[run:stop])
+                stop = run
+            yield from sorted(nulls)
+        else:
+            yield from sorted(nulls)
+            while start < stop:
+                run = bisect.bisect_right(keys, keys[start], start, stop)
+                yield from sorted(row_ids[start:run])
+                start = run
 
     def min_key(self) -> Any:
         return self._keys[0] if self._keys else None

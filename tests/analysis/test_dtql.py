@@ -224,6 +224,46 @@ class TestCostAdvisories:
         assert codes(report).count("DTQL302") == 3
 
 
+class TestDroppedSortColumn:
+    """The sort runs above the projection: ORDER BY a column the output
+    drops sorts NULLs. Both engines and the oracle answer that way, so
+    the analyzer says it out loud instead (DTQL303)."""
+
+    DTQL = ("SELECT ligand_id FROM bindings WHERE p_affinity >= 5 "
+            "ORDER BY p_affinity DESC LIMIT 3")
+
+    def test_warns_on_the_order_by_mention_with_a_hint(self, analyzer):
+        report = analyzer.check(self.DTQL)
+        assert codes(report) == ["DTQL303"]
+        diagnostic = report.diagnostics[0]
+        assert diagnostic.severity is Severity.WARNING
+        assert report.ok  # the query still runs
+        assert diagnostic.hint == "add it to SELECT"
+        # The mention after ORDER BY, not the one in WHERE.
+        offset = self.DTQL.index("ORDER BY ") + len("ORDER BY ")
+        assert (diagnostic.span.offset, diagnostic.span.length) \
+            == (offset, len("p_affinity"))
+        assert any("DTQL303" in line for line in report.summary_lines())
+
+    @pytest.mark.parametrize("dtql", [
+        "SELECT ligand_id, p_affinity FROM bindings "
+        "ORDER BY p_affinity DESC LIMIT 3",
+        "SELECT * FROM bindings ORDER BY p_affinity LIMIT 3",
+        "SELECT organism, count(*) FROM bindings, proteins "
+        "GROUP BY organism ORDER BY organism",
+        "SELECT organism, mean(p_affinity) FROM bindings, proteins "
+        "GROUP BY organism ORDER BY mean_p_affinity DESC",
+    ])
+    def test_silent_when_the_output_keeps_the_column(self, analyzer, dtql):
+        assert "DTQL303" not in codes(analyzer.check(dtql))
+
+    def test_grouped_output_that_drops_it_warns_too(self, analyzer):
+        report = analyzer.check(
+            "SELECT organism, count(*) FROM bindings, proteins "
+            "GROUP BY organism ORDER BY p_affinity")
+        assert "DTQL303" in codes(report)
+
+
 class TestSemanticBuildErrors:
     def test_similarity_threshold_above_one(self, analyzer):
         report = analyzer.check(

@@ -1,5 +1,6 @@
 """Tests for substructure matching and the CONTAINING clause."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,82 @@ class TestMatching:
             SubstructurePattern("")
 
 
+def _vf2_mapping_count(fragment, mol) -> int:
+    """The reference: networkx's VF2 monomorphisms under the documented
+    atom (element, aromaticity) and bond (aromatic flag, else order)
+    match rules."""
+    def typed(molecule):
+        graph = nx.Graph()
+        for atom in molecule.atoms:
+            graph.add_node(atom.index, kind=(atom.element, atom.aromatic))
+        for bond in molecule.bonds:
+            graph.add_edge(bond.first, bond.second, order=bond.order,
+                           aromatic=bond.aromatic)
+        return graph
+
+    def bonds_match(target, pattern):
+        if pattern["aromatic"] or target["aromatic"]:
+            return pattern["aromatic"] == target["aromatic"]
+        return pattern["order"] == target["order"]
+
+    matcher = nx.algorithms.isomorphism.GraphMatcher(
+        typed(mol), typed(fragment),
+        node_match=lambda target, pattern: target["kind"] == pattern["kind"],
+        edge_match=bonds_match)
+    return sum(1 for _ in matcher.subgraph_monomorphisms_iter())
+
+
+class TestSearchAgainstVF2:
+    """The exact stage is a hand-written search; networkx's VF2 is what
+    it has to agree with, mapping for mapping."""
+
+    FRAGMENTS = ("c1cc[nH]c1", "C(=O)N", "C1CCNCC1", "c1ccccc1", "C(=O)O",
+                 "c1ccncc1", "C(F)(F)F", "CCN", "C=C", "C", "C#N",
+                 "c1ccc2ccccc2c1", "S(=O)(=O)N", "C.C", "CC.N")
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 79), st.sampled_from(FRAGMENTS))
+    def test_property_mapping_count_equals_vf2(self, position, fragment):
+        mol = generate_library(80, seed=5)[position].molecule
+        pattern = SubstructurePattern(fragment)
+        want = _vf2_mapping_count(pattern.fragment, mol)
+        assert sum(1 for _ in pattern._mappings(mol, [])) == want
+        assert pattern.matches(mol, screen=False) is (want > 0)
+        assert pattern.matches(mol) is (want > 0)
+        assert pattern.match_count(mol) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 39), st.integers(0, 39))
+    def test_property_whole_molecules_as_fragments(self, first, second):
+        """Large, branched, fused-ring patterns: every library molecule
+        searched for in every other."""
+        library = generate_library(40, seed=17)
+        pattern = SubstructurePattern(library[first].smiles)
+        mol = library[second].molecule
+        assert (sum(1 for _ in pattern._mappings(mol, []))
+                == _vf2_mapping_count(pattern.fragment, mol))
+
+    def test_disconnected_fragment_needs_distinct_atoms(self):
+        pattern = SubstructurePattern("C.C")
+        assert not pattern.matches(parse_smiles("CO"))
+        assert pattern.match_count(parse_smiles("CCO")) == 2
+
+    def test_aromatic_ring_bond_is_not_a_biaryl_link(self):
+        # Phenanthrene's two outer rings are joined by an aromatic ring
+        # bond; biphenyl's by a single bond between aromatic atoms.
+        biphenyl = SubstructurePattern("c1ccccc1c1ccccc1")
+        phenanthrene = parse_smiles("c1ccc2c(c1)ccc1ccccc21")
+        assert _vf2_mapping_count(biphenyl.fragment, phenanthrene) == 0
+        assert not biphenyl.matches(phenanthrene, screen=False)
+        assert biphenyl.match_count(parse_smiles("Cc1ccccc1c1ccccc1")) == 8
+
+    def test_extra_target_bonds_are_allowed(self):
+        # Monomorphism, not induced: the open chain is in the ring.
+        assert has_substructure(parse_smiles("C1CC1"), "CCC")
+        assert SubstructurePattern("CCC").match_count(
+            parse_smiles("C1CC1")) == 6
+
+
 class TestScreen:
     def test_screen_prunes_impossible(self):
         pattern = SubstructurePattern("c1ccncc1")  # needs aromatic N
@@ -63,7 +140,7 @@ class TestScreen:
         library = generate_library(60, seed=90)
         pattern = SubstructurePattern(fragment)
         mol = library[position].molecule
-        if pattern.matches(mol):
+        if pattern.matches(mol, screen=False):
             assert pattern.screen(mol)
 
     def test_filter_library_counts_screened(self):

@@ -110,17 +110,7 @@ class TestCompaction:
         assert store.buffer_length < 200
         assert store.verify_against_rows()
 
-    def test_gather_and_chunks(self):
+    def test_gather(self):
         table = make_table(10)
         store = table.column_store()
         assert store.gather("score", [0, 3, 7]) == [0.0, 3.0, 7.0]
-        chunks = list(store.chunks(4))
-        assert [len(c) for c in chunks] == [4, 4, 2]
-        assert [p for chunk in chunks for p in chunk] == list(range(10))
-
-    def test_row_at_round_trips(self):
-        table = make_table(5)
-        store = table.column_store()
-        assert store.row_at(2) == {
-            "sample_id": "s002", "score": 2.0, "tag": "even",
-        }

@@ -124,3 +124,60 @@ class TestSortedIndex:
             index.delete(key, row_id)
         assert len(index) == 0
         assert index.range() == []
+
+    def test_ordered_walks_ties_in_ascending_row_id(self):
+        index = SortedIndex("ix", ("col",))
+        # Row ids arrive out of order on purpose: the rule is about
+        # ids, not insertion order.
+        for row_id, key in ((4, 7), (1, 7), (3, 5), (0, 9), (2, 7)):
+            index.insert(key, row_id)
+        assert list(index.ordered()) == [3, 1, 2, 4, 0]
+        assert list(index.ordered(descending=True)) == [0, 1, 2, 4, 3]
+
+    def test_ordered_places_nulls_like_the_sort_key(self):
+        index = SortedIndex("ix", ("col",))
+        for row_id, key in enumerate((None, 2, None, 1)):
+            index.insert(key, row_id)
+        assert list(index.ordered()) == [0, 2, 3, 1]
+        assert list(index.ordered(descending=True)) == [1, 3, 0, 2]
+        # A bound is a range predicate, and none matches NULL.
+        assert list(index.ordered(low=1)) == [3, 1]
+        assert list(index.ordered(True, None, 2, True, False)) == [3]
+
+    def test_ordered_is_lazy(self):
+        index = SortedIndex("ix", ("col",))
+        for row_id in range(100):
+            index.insert(row_id, row_id)
+        walk = index.ordered(descending=True)
+        assert [next(walk), next(walk)] == [99, 98]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.one_of(st.none(), st.integers(0, 6)), max_size=40),
+           st.booleans(),
+           st.one_of(st.none(), st.integers(0, 6)),
+           st.one_of(st.none(), st.integers(0, 6)),
+           st.booleans(), st.booleans())
+    def test_property_ordered_matches_stable_sort(
+            self, keys, descending, low, high, include_low, include_high):
+        index = SortedIndex("ix", ("col",))
+        for row_id, key in enumerate(keys):
+            index.insert(key, row_id)
+
+        def in_range(key):
+            if low is None and high is None:
+                return True
+            if key is None:
+                return False
+            above = (low is None or key > low
+                     or (include_low and key == low))
+            below = (high is None or key < high
+                     or (include_high and key == high))
+            return above and below
+
+        live = [row_id for row_id, key in enumerate(keys) if in_range(key)]
+        expected = sorted(
+            live, key=lambda row_id: (keys[row_id] is not None,
+                                      keys[row_id]),
+            reverse=descending)  # stable: ties stay in row-id order
+        assert list(index.ordered(descending, low, high, include_low,
+                                  include_high)) == expected
