@@ -26,15 +26,10 @@ they accept, and the runtime half of the concurrency story lives in
 from repro.analysis.catalog import Catalog, ColumnInfo
 from repro.analysis.concurrency import (
     AnalysisResult,
-    BASELINE_NAME,
-    Baseline,
     CONC_RULES,
     Finding,
     analyze_paths,
     analyze_sources,
-    find_baseline,
-    load_baseline,
-    render_baseline,
 )
 from repro.analysis.diag import Diagnostic, Severity, Span
 from repro.analysis.dtql import (
@@ -49,8 +44,6 @@ from repro.analysis.sarif import render_sarif, sarif_log
 __all__ = [
     "AnalysisReport",
     "AnalysisResult",
-    "BASELINE_NAME",
-    "Baseline",
     "CONC_RULES",
     "Catalog",
     "ColumnInfo",
@@ -65,12 +58,9 @@ __all__ = [
     "analyze_paths",
     "analyze_sources",
     "empty_result_rows",
-    "find_baseline",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_baseline",
-    "render_baseline",
     "render_sarif",
     "rules_for",
     "sarif_log",

@@ -8,7 +8,7 @@ Three layers:
   shared (lock-owning) classes, lock canonicalization, the must-held
   fixpoint, the global lock-order graph, and the blocking closure;
 * :mod:`~repro.analysis.concurrency.analyzer` — the CONC rule set,
-  noqa + baseline suppression, and the ``analyze_paths`` /
+  noqa suppression, and the ``analyze_paths`` /
   ``analyze_sources`` entry points used by ``repro race``.
 
 The runtime half of the story — the lock-order witness that checks the
@@ -17,17 +17,12 @@ static graph against real executions — lives in
 """
 
 from repro.analysis.concurrency.analyzer import (
-    BASELINE_NAME,
     AnalysisResult,
-    Baseline,
     CONC_RULES,
     Finding,
     analyze_paths,
     analyze_sources,
     collect_findings,
-    find_baseline,
-    load_baseline,
-    render_baseline,
 )
 from repro.analysis.concurrency.model import ModuleModel, extract_module
 from repro.analysis.concurrency.program import (
@@ -38,8 +33,6 @@ from repro.analysis.concurrency.program import (
 
 __all__ = [
     "AnalysisResult",
-    "BASELINE_NAME",
-    "Baseline",
     "CONC_RULES",
     "Finding",
     "ModuleModel",
@@ -48,9 +41,6 @@ __all__ = [
     "analyze_sources",
     "collect_findings",
     "extract_module",
-    "find_baseline",
     "link",
-    "load_baseline",
     "lock_cycles",
-    "render_baseline",
 ]

@@ -1,4 +1,4 @@
-"""Concurrency rules, baselines, and the analyzer entry points.
+"""Concurrency rules and the analyzer entry points.
 
 Turns a linked :class:`~repro.analysis.concurrency.program.Program` into
 CONC diagnostics:
@@ -24,21 +24,14 @@ CONC diagnostics:
              behind the lock and inflates every waiter's latency.
 ==========  ==========================================================
 
-Suppression is two-tier, mirroring the linter: a ``# noqa`` /
-``# noqa: CONC101`` comment on the flagged line kills a finding at the
-source, and a committed **baseline file** (``concurrency.baseline.json``)
-records triaged findings by *stable key* — rule + function qualname +
-detail, never line numbers — each with a mandatory justification. The
-baseline is discovered by walking up from the analyzed paths (like any
-tool config), so ``repro race src`` inside the repo finds the repo's
-baseline without flags.
+Suppression mirrors the linter: a ``# noqa`` / ``# noqa: CONC101``
+comment on the flagged line, with its reason, kills a finding at the
+source. There is no other mechanism.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.concurrency.model import (
     BLOCKING_CALLS,
@@ -57,13 +50,10 @@ from repro.analysis.registry import rules_for, severity_of
 #: This pass's slice of the shared rule catalog: code → Rule.
 CONC_RULES = rules_for("concurrency")
 
-#: Default baseline file name, discovered by upward walk.
-BASELINE_NAME = "concurrency.baseline.json"
-
 
 @dataclass(frozen=True)
 class Finding:
-    """One concurrency finding with its stable baseline key."""
+    """One concurrency finding with its stable (line-free) key."""
 
     code: str
     message: str
@@ -79,33 +69,11 @@ class Finding:
 
 
 @dataclass
-class Baseline:
-    """Triaged findings: (rule, key) → justification."""
-
-    path: str | None = None
-    suppressions: dict[tuple[str, str], str] = field(default_factory=dict)
-
-    def justification(self, finding: Finding) -> str | None:
-        return self.suppressions.get((finding.code, finding.key))
-
-    def as_dict(self) -> dict:
-        return {
-            "version": 1,
-            "suppressions": [
-                {"rule": rule, "key": key, "justification": why}
-                for (rule, key), why in sorted(self.suppressions.items())
-            ],
-        }
-
-
-@dataclass
 class AnalysisResult:
     """Everything one analyzer run produced."""
 
     program: Program
     findings: list[Finding]               # unsuppressed
-    baselined: list[tuple[Finding, str]]  # (finding, justification)
-    baseline: Baseline
 
     @property
     def diagnostics(self) -> list[Diagnostic]:
@@ -121,42 +89,6 @@ class AnalysisResult:
                 for qual, write in program.shared_writes),
             "locks": len(program.locks),
         }
-
-
-def load_baseline(path: str) -> Baseline:
-    """Parse a baseline file; a missing file is an empty baseline."""
-    if not os.path.isfile(path):
-        return Baseline(path=path)
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    baseline = Baseline(path=path)
-    for entry in payload.get("suppressions", ()):
-        rule = entry["rule"]
-        key = entry["key"]
-        justification = entry.get("justification", "")
-        if not justification:
-            raise ValueError(
-                f"baseline entry ({rule}, {key}) has no justification; "
-                "every suppression must say why it is safe")
-        baseline.suppressions[(rule, key)] = justification
-    return baseline
-
-
-def find_baseline(paths: list[str]) -> Baseline:
-    """Discover ``concurrency.baseline.json`` above the analyzed paths."""
-    for path in paths:
-        current = os.path.abspath(path)
-        if os.path.isfile(current):
-            current = os.path.dirname(current)
-        while True:
-            candidate = os.path.join(current, BASELINE_NAME)
-            if os.path.isfile(candidate):
-                return load_baseline(candidate)
-            parent = os.path.dirname(current)
-            if parent == current:
-                break
-            current = parent
-    return Baseline()
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +211,9 @@ def _suppressed_by_noqa(finding: Finding,
 
 
 def analyze_modules(modules: list[ModuleModel],
-                    sources: dict[str, str],
-                    baseline: Baseline | None = None) -> AnalysisResult:
-    """Link, evaluate rules, and apply noqa + baseline suppression."""
+                    sources: dict[str, str]) -> AnalysisResult:
+    """Link, evaluate rules, and apply noqa suppression."""
     program = link(modules)
-    baseline = baseline or Baseline()
     syntax: list[Finding] = []
     for module in modules:
         if module.syntax_error is not None:
@@ -292,54 +222,23 @@ def analyze_modules(modules: list[ModuleModel],
                 "CONC000", f"syntax error: {message}",
                 module.path, line, key=f"syntax:{module.name}",
             ))
-    findings: list[Finding] = []
-    baselined: list[tuple[Finding, str]] = []
-    for finding in collect_findings(program):
-        if _suppressed_by_noqa(finding, sources):
-            continue
-        justification = baseline.justification(finding)
-        if justification is not None:
-            baselined.append((finding, justification))
-            continue
-        findings.append(finding)
-    return AnalysisResult(program=program,
-                          findings=syntax + findings,
-                          baselined=baselined, baseline=baseline)
+    findings = [finding for finding in collect_findings(program)
+                if not _suppressed_by_noqa(finding, sources)]
+    return AnalysisResult(program=program, findings=syntax + findings)
 
 
-def analyze_sources(named_sources: list[tuple[str, str]],
-                    baseline: Baseline | None = None) -> AnalysisResult:
+def analyze_sources(
+        named_sources: list[tuple[str, str]]) -> AnalysisResult:
     """Analyze in-memory sources (the test-facing entry point)."""
     modules = [extract_module(path, source)
                for path, source in named_sources]
-    sources = dict(named_sources)
-    return analyze_modules(modules, sources, baseline)
+    return analyze_modules(modules, dict(named_sources))
 
 
-def analyze_paths(paths: list[str],
-                  baseline: Baseline | None = None) -> AnalysisResult:
+def analyze_paths(paths: list[str]) -> AnalysisResult:
     """Analyze every Python file under *paths* as one program."""
-    if baseline is None:
-        baseline = find_baseline(paths)
     named: list[tuple[str, str]] = []
     for file_path in python_files(paths):
         with open(file_path, encoding="utf-8") as handle:
             named.append((file_path, handle.read()))
-    return analyze_sources(named, baseline)
-
-
-def render_baseline(result: AnalysisResult) -> str:
-    """Baseline JSON that would suppress every current finding.
-
-    Printed to stdout (never written — file writes outside the durable
-    engine are themselves a lint violation); the developer reviews it,
-    fills in real justifications, and commits it.
-    """
-    merged = Baseline(suppressions=dict(result.baseline.suppressions))
-    for finding in result.findings:
-        if finding.code == "CONC000":
-            continue
-        key = (finding.code, finding.key)
-        merged.suppressions.setdefault(
-            key, "TODO: justify or fix before committing")
-    return json.dumps(merged.as_dict(), indent=2, sort_keys=False)
+    return analyze_sources(named)

@@ -7,8 +7,8 @@ summaries and builds one :class:`Program`:
   qualnames.  Resolution tries, in order: ``self``-method lookup through
   the class chain (including inherited methods), module-local names,
   ``from``-imports and module-attribute calls, typed receivers
-  (``self._cache = CachingSource(...)`` makes ``self._cache.fetch`` a
-  ``CachingSource.fetch`` call; ``metrics.counter(n).inc()`` resolves
+  (``self.breakers = BreakerBoard(...)`` makes ``self.breakers.breaker``
+  a ``BreakerBoard.breaker`` call; ``metrics.counter(n).inc()`` resolves
   through ``counter``'s inferred return class), and finally duck typing
   by bare method name — gated by
   :data:`~repro.analysis.concurrency.model.DUCK_DENYLIST` so builtin

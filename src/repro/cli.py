@@ -21,7 +21,7 @@ Offers the zero-code tour of the system:
 * ``lint``    — repository invariant lint rules over Python sources;
 * ``race``    — whole-program concurrency analysis: unguarded writes
   in lock-owning classes, lock-order cycles, locks held across
-  blocking calls (with baseline + SARIF output);
+  blocking calls (with SARIF output);
 * ``chaos``   — replay a mobile tap session under a seeded fault
   scenario with circuit breakers, deadlines, and degradation on;
 * ``compact`` — major-compact a durable data directory (bootstraps
@@ -617,8 +617,6 @@ def _cmd_race(args: argparse.Namespace) -> int:
     from repro.analysis import (
         CONC_RULES,
         analyze_paths,
-        load_baseline,
-        render_baseline,
         render_sarif,
     )
 
@@ -626,14 +624,7 @@ def _cmd_race(args: argparse.Namespace) -> int:
         for code, rule in sorted(CONC_RULES.items()):
             print(f"{code}  [{rule.severity.value}]  {rule.summary}")
         return 0
-    baseline = load_baseline(args.baseline) \
-        if args.baseline is not None else None
-    result = analyze_paths(args.paths, baseline=baseline)
-    if args.update_baseline:
-        # Printed, never written: the developer reviews the proposed
-        # suppressions, fills in justifications, and commits the file.
-        print(render_baseline(result))
-        return 0
+    result = analyze_paths(args.paths)
     if args.sarif:
         print(render_sarif(result.diagnostics, tool="repro-race"))
         return 1 if result.findings else 0
@@ -643,9 +634,6 @@ def _cmd_race(args: argparse.Namespace) -> int:
                 "code": f.code, "message": f.message, "file": f.file,
                 "line": f.line, "key": f.key, "hint": f.hint,
             } for f in result.findings],
-            "baselined": [{
-                "code": f.code, "key": f.key, "justification": why,
-            } for f, why in result.baselined],
             "summary": result.summary(),
         }, indent=2, sort_keys=True))
         return 1 if result.findings else 0
@@ -657,8 +645,7 @@ def _cmd_race(args: argparse.Namespace) -> int:
     summary = result.summary()
     print(f"-- {len(result.findings)} finding(s) in "
           f"{', '.join(args.paths)} "
-          f"({len(result.baselined)} baselined; "
-          f"{summary['shared_classes']} shared classes, "
+          f"({summary['shared_classes']} shared classes, "
           f"{summary['guarded_writes']} guarded writes, "
           f"{summary['locks']} locks)")
     return 1 if result.findings else 0
@@ -1139,12 +1126,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="emit machine-readable findings")
     race.add_argument("--sarif", action="store_true",
                       help="emit a SARIF 2.1.0 log")
-    race.add_argument("--baseline", default=None,
-                      help="baseline file (default: discovered by "
-                           "walking up from the analyzed paths)")
-    race.add_argument("--update-baseline", action="store_true",
-                      help="print a baseline covering every current "
-                           "finding (review, justify, commit)")
     race.add_argument("--rules", action="store_true",
                       help="list the rules and exit")
     race.set_defaults(handler=_cmd_race)

@@ -414,15 +414,15 @@ class Router:
                 trees.append((node, tree))
         if len(trees) < 2:
             return 0, set(), True
-        baseline = trees[0][1]
-        if all(tree.root_hash == baseline.root_hash
+        reference = trees[0][1]
+        if all(tree.root_hash == reference.root_hash
                for _, tree in trees[1:]):
             return 0, set(), False
         # Any key differing between two replicas differs from the
-        # baseline on at least one of them, so baseline diffs cover all.
+        # reference on at least one of them, so its diffs cover all.
         diff_keys: set = set()
         for _, tree in trees[1:]:
-            diff_keys.update(baseline.diff_keys(tree))
+            diff_keys.update(reference.diff_keys(tree))
         # Pull each key's newest version from the replica that has it.
         wanted: dict[ClusterNode, list] = {}
         winners_version: dict[tuple, int] = {}
@@ -471,9 +471,9 @@ class Router:
                            if trees else False)
             diff_keys: set = set()
             if trees and not roots_equal:
-                baseline = trees[0]
+                reference = trees[0]
                 for tree in trees[1:]:
-                    diff_keys.update(baseline.diff_keys(tree))
+                    diff_keys.update(reference.diff_keys(tree))
             report.groups.append({
                 "pid": pid,
                 "replicas": list(group.node_ids),

@@ -39,11 +39,11 @@ class SourceUnavailableError(SourceError):
 class RateLimitError(SourceError):
     """The source rejected the request because of rate limiting."""
 
-    #: The rejecting source's rate window in virtual seconds, when the
-    #: raiser set it. An attribute, not a constructor argument: under
+    #: Virtual seconds until the rejecting source's bucket holds a
+    #: token again. An attribute, not a constructor argument: under
     #: the raiser's meter lock ``repro race`` reads any
     #: ``super().__init__`` as a call that may block.
-    window_s: float | None = None
+    retry_after_s: float = 0.0
 
 
 class BreakerOpenError(SourceError):

@@ -164,12 +164,7 @@ def run_cluster_session(dataset, engine: ClusterEngine,
             "breakers": router.breakers.snapshot(),
             "router": router.stats.as_dict(),
             "anti_entropy": repair.as_dict(),
-            # Without the view-cache counters: this report is pinned
-            # byte for byte (tests/pins) and predates them.
-            "counters": {
-                name: value for name, value
-                in get_metrics().snapshot()["counters"].items()
-                if not name.startswith("cluster.views.")},
+            "counters": get_metrics().snapshot()["counters"],
         },
         taps=log, faults=schedule.describe(),
         breaker_trips=router.breakers.trips(), virtual_s=clock.now(),

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ServingError
+from repro.sources.clock import TokenBucket
 
 #: Tenant id used when a request does not name one.
 DEFAULT_TENANT = "default"
@@ -51,53 +52,11 @@ class TenantConfig:
             raise ServingError("tenant queue limit must be >= 1")
         if self.rate_limit_rps is not None and self.rate_limit_rps <= 0:
             raise ServingError("tenant rate limit must be positive")
-        if self.burst <= 0:
-            raise ServingError("tenant burst must be positive")
+        if self.burst < 1:
+            raise ServingError("tenant burst must be >= 1 request")
         if self.cache_quota_fraction is not None \
                 and not 0.0 < self.cache_quota_fraction <= 1.0:
             raise ServingError("cache quota fraction must be in (0, 1]")
-
-
-class TokenBucket:
-    """A virtual-time token bucket (``rate`` tokens/s, ``burst`` cap).
-
-    Deterministic by construction: refill is computed lazily from the
-    caller-supplied virtual ``now``, no background thread involved.
-    """
-
-    __slots__ = ("rate", "burst", "tokens", "updated_at")
-
-    def __init__(self, rate: float, burst: float,
-                 now: float = 0.0) -> None:
-        if rate <= 0 or burst <= 0:
-            raise ServingError("token bucket needs positive rate/burst")
-        self.rate = rate
-        self.burst = burst
-        self.tokens = burst
-        self.updated_at = now
-
-    def _refill(self, now: float) -> None:
-        if now > self.updated_at:
-            self.tokens = min(self.burst,
-                              self.tokens + (now - self.updated_at)
-                              * self.rate)
-            self.updated_at = now
-
-    def try_take(self, now: float, amount: float = 1.0) -> bool:
-        """Spend *amount* tokens if available at virtual *now*."""
-        self._refill(now)
-        if self.tokens >= amount:
-            self.tokens -= amount
-            return True
-        return False
-
-    def retry_after_s(self, now: float, amount: float = 1.0) -> float:
-        """Virtual seconds until *amount* tokens will have refilled."""
-        self._refill(now)
-        missing = amount - self.tokens
-        if missing <= 0:
-            return 0.0
-        return missing / self.rate
 
 
 @dataclass

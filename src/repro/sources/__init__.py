@@ -21,9 +21,9 @@ from repro.sources.annotation import (
 )
 from repro.sources.base import (
     DataSource,
-    FaultModel,
     LatencyModel,
     SourceStats,
+    SourceWrapper,
     TableBackedSource,
 )
 from repro.faults import (
@@ -39,6 +39,7 @@ from repro.sources.clock import (
     SimulatedClock,
     Stopwatch,
     TaskTimeline,
+    TokenBucket,
 )
 from repro.sources.protein import (
     KIND_PROTEIN,
@@ -59,12 +60,6 @@ from repro.sources.resilience import (
     FetchOutcome,
 )
 from repro.sources.scheduler import FetchScheduler, SchedulerStats
-from repro.sources.wrappers import (
-    CachingSource,
-    PrefetchingSource,
-    RetryingSource,
-    SourceWrapper,
-)
 
 __all__ = [
     "KIND_ACTIVITY_BY_LIGAND",
@@ -82,14 +77,12 @@ __all__ = [
     "AnnotationSource",
     "BreakerBoard",
     "BreakerConfig",
-    "CachingSource",
     "ChaosSource",
     "CircuitBreaker",
     "CompoundEntry",
     "DataSource",
     "Deadline",
     "ErrorBurst",
-    "FaultModel",
     "FaultSchedule",
     "FetchOutcome",
     "FetchScheduler",
@@ -99,10 +92,8 @@ __all__ = [
     "LigandActivitySource",
     "Outage",
     "ParallelRegion",
-    "PrefetchingSource",
     "ProteinEntry",
     "ProteinStructureSource",
-    "RetryingSource",
     "SchedulerStats",
     "SimulatedClock",
     "SourceRegistry",
@@ -111,5 +102,6 @@ __all__ = [
     "Stopwatch",
     "TableBackedSource",
     "TaskTimeline",
+    "TokenBucket",
     "wrap_registry",
 ]

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SourceError
-from repro.sources.base import FaultModel, LatencyModel, TableBackedSource
-from repro.sources.clock import SimulatedClock
+from repro.sources.base import LatencyModel, TableBackedSource
+from repro.sources.clock import SimulatedClock, TokenBucket
 
 KIND_ANNOTATION = "annotation"
 KIND_PROTEINS_BY_FAMILY = "proteins_by_family"
@@ -48,8 +48,8 @@ class AnnotationSource(TableBackedSource):
                  entries: list[AnnotationEntry],
                  name: str = "go-sim",
                  latency: LatencyModel | None = None,
-                 faults: FaultModel | None = None,
-                 page_size: int = 100) -> None:
+                 page_size: int = 100,
+                 rate_limit: TokenBucket | None = None) -> None:
         by_id: dict[str, object] = {}
         by_family: dict[str, list[str]] = {}
         for entry in entries:
@@ -68,7 +68,7 @@ class AnnotationSource(TableBackedSource):
                 family: tuple(ids) for family, ids in by_family.items()
             },
         }
-        super().__init__(name, clock, tables, latency, faults, page_size)
+        super().__init__(name, clock, tables, latency, page_size, rate_limit)
 
     # -- typed helpers ----------------------------------------------------
 

@@ -1,11 +1,12 @@
-"""The remote data-source protocol and its cost/fault models.
+"""The remote data-source protocol and its cost model.
 
 DrugTree's defining problem (per the paper abstract) is that "data is
 being obtained from multiple sources, integrated and then presented to
 the user". Each source here simulates a remote service: every call costs
 a round-trip of virtual latency, results are paged, the service may rate
-limit or fail transiently, and all traffic is metered so experiments can
-report round-trip counts next to latencies.
+limit, and all traffic is metered so experiments can report round-trip
+counts next to latencies. Transient failures are injected from outside,
+by :class:`~repro.sources.chaos.ChaosSource`.
 
 All sources speak one uniform key-value dialect:
 
@@ -16,8 +17,8 @@ All sources speak one uniform key-value dialect:
 * ``scan_keys(kind)`` — all keys of a kind, charged per page.
 
 Typed convenience methods on the concrete sources are sugar over these
-three, which is what lets the caching/batching/prefetching wrappers stay
-generic.
+three, which is what lets the scheduler, the chaos wrapper and the
+integration pipeline stay generic.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from repro.errors import RateLimitError, SourceError, SourceUnavailableError
+from repro.errors import RateLimitError, SourceError
 from repro.obs import get_metrics, get_tracer
-from repro.sources.clock import SimulatedClock
+from repro.sources.clock import SimulatedClock, TokenBucket
 
 
 @dataclass
@@ -90,56 +91,29 @@ class SourceStats:
         self.virtual_latency_s = 0.0
 
 
-@dataclass
-class FaultModel:
-    """Transient failures and rate limiting.
+class DataSource(ABC):
+    """Base class for simulated remote sources.
 
-    ``failure_rate`` is the probability that a round-trip raises
-    :class:`SourceUnavailableError` (after charging latency, like a real
-    timeout). ``max_calls_per_window`` bounds round-trips per
-    ``window_s`` of virtual time; excess calls raise
+    ``rate_limit`` is the service's own limiter: each round-trip spends
+    one token, and a round-trip that finds the bucket empty raises
     :class:`RateLimitError` without charging latency.
     """
 
-    failure_rate: float = 0.0
-    max_calls_per_window: int | None = None
-    window_s: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.failure_rate < 1.0:
-            raise SourceError("failure rate must be in [0, 1)")
-        if (self.max_calls_per_window is not None
-                and self.max_calls_per_window < 1):
-            raise SourceError("rate limit must allow at least one call")
-        if self.window_s <= 0:
-            raise SourceError("rate-limit window must be positive")
-        self._rng = random.Random(self.seed)
-
-    def draw_failure(self) -> bool:
-        return self.failure_rate > 0 and self._rng.random() < self.failure_rate
-
-
-class DataSource(ABC):
-    """Base class for simulated remote sources."""
-
     def __init__(self, name: str, clock: SimulatedClock,
                  latency: LatencyModel | None = None,
-                 faults: FaultModel | None = None,
-                 page_size: int = 100) -> None:
+                 page_size: int = 100,
+                 rate_limit: TokenBucket | None = None) -> None:
         if page_size < 1:
             raise SourceError("page size must be positive")
         self.name = name
         self.clock = clock
         self.latency = latency or LatencyModel()
-        self.faults = faults or FaultModel()
         self.page_size = page_size
+        self.rate_limit = rate_limit
         self.stats = SourceStats()
-        self._window_start = clock.now()
-        self._window_calls = 0
         # Several caller threads may fetch from one source (a shared
-        # scheduler under a server pool); the meters, rate-limit window,
-        # and fault/latency RNGs are shared state and need one lock.
+        # scheduler under a server pool); the meters, rate-limit bucket
+        # and latency RNG are shared state and need one lock.
         self._meter_lock = threading.Lock()
 
     # -- protocol -------------------------------------------------------
@@ -207,9 +181,20 @@ class DataSource(ABC):
     def _charge(self, records: int, requested: int) -> None:
         metrics = get_metrics()
         with self._meter_lock:
-            self._enforce_rate_limit(metrics)
+            if self.rate_limit is not None:
+                now = self.clock.now()
+                if not self.rate_limit.try_take(now):
+                    self.stats.errors += 1
+                    metrics.counter(
+                        f"source.rate_limited.{self.name}"
+                    ).inc()
+                    error = RateLimitError(
+                        f"source {self.name!r} rate limit of "
+                        f"{self.rate_limit.rate:g} calls/s exceeded"
+                    )
+                    error.retry_after_s = self.rate_limit.retry_after_s(now)
+                    raise error
             cost = self.latency.sample(records)
-            failed = self.faults.draw_failure()
             self.stats.roundtrips += 1
             self.stats.records_returned += records
             self.stats.keys_requested += requested
@@ -218,36 +203,9 @@ class DataSource(ABC):
             metrics.counter(f"source.records.{self.name}").inc(records)
             metrics.counter(f"source.virtual_s.{self.name}").inc(cost)
             metrics.histogram("source.roundtrip_latency_s").observe(cost)
-            if failed:
-                self.stats.errors += 1
-                metrics.counter(f"source.errors.{self.name}").inc()
         # The clock advance happens outside the meter lock: under a
         # parallel region it only touches the calling thread's timeline.
         self.clock.advance(cost)
-        if failed:
-            raise SourceUnavailableError(
-                f"source {self.name!r} timed out (simulated)"
-            )
-
-    def _enforce_rate_limit(self, metrics) -> None:
-        """Check/advance the rate-limit window (meter lock held)."""
-        limit = self.faults.max_calls_per_window
-        if limit is None:
-            return
-        now = self.clock.now()
-        if now - self._window_start >= self.faults.window_s:
-            self._window_start = now
-            self._window_calls = 0
-        if self._window_calls >= limit:
-            self.stats.errors += 1
-            metrics.counter(f"source.rate_limited.{self.name}").inc()
-            error = RateLimitError(
-                f"source {self.name!r} rate limit of {limit} calls per "
-                f"{self.faults.window_s}s exceeded"
-            )
-            error.window_s = self.faults.window_s
-            raise error
-        self._window_calls += 1
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
@@ -264,9 +222,9 @@ class TableBackedSource(DataSource):
     def __init__(self, name: str, clock: SimulatedClock,
                  tables: dict[str, dict[str, object]],
                  latency: LatencyModel | None = None,
-                 faults: FaultModel | None = None,
-                 page_size: int = 100) -> None:
-        super().__init__(name, clock, latency, faults, page_size)
+                 page_size: int = 100,
+                 rate_limit: TokenBucket | None = None) -> None:
+        super().__init__(name, clock, latency, page_size, rate_limit)
         self._tables = tables
 
     def kinds(self) -> frozenset[str]:
@@ -283,3 +241,42 @@ class TableBackedSource(DataSource):
         """Backend record count (free: used by test assertions only)."""
         self._check_kind(kind)
         return len(self._tables[kind])
+
+
+class SourceWrapper:
+    """Delegating base for source wrappers (shares the uniform dialect)."""
+
+    def __init__(self, inner: DataSource) -> None:
+        self.inner = inner
+
+    @property
+    def name(self) -> str:
+        return self.inner.name
+
+    @property
+    def clock(self):
+        return self.inner.clock
+
+    @property
+    def stats(self):
+        return self.inner.stats
+
+    @property
+    def page_size(self) -> int:
+        return self.inner.page_size
+
+    def kinds(self) -> frozenset[str]:
+        return self.inner.kinds()
+
+    def fetch_many(self, kind: str,
+                   keys: Iterable[str]) -> dict[str, object]:
+        return self.inner.fetch_many(kind, keys)
+
+    def fetch(self, kind: str, key: str) -> object | None:
+        return self.fetch_many(kind, [key]).get(key)
+
+    def scan_keys(self, kind: str) -> list[str]:
+        return self.inner.scan_keys(kind)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.inner!r})"

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from repro.errors import SourceError, SourceUnavailableError
 from repro.faults import CLEAN, FaultSchedule
 from repro.obs import get_metrics, get_tracer
-from repro.sources.base import DataSource
-from repro.sources.wrappers import SourceWrapper
+from repro.sources.base import DataSource, SourceWrapper
 
 
 @dataclass
@@ -41,12 +40,12 @@ class ChaosStats:
 class ChaosSource(SourceWrapper):
     """Applies a :class:`~repro.faults.FaultSchedule` to one source.
 
-    Stacks like every other wrapper. A call landing in a down window
-    charges ``timeout_s`` of virtual latency (a real client pays for
-    its timeouts) and raises :class:`SourceUnavailableError`; a call in
-    a latency window pays the extra/multiplied cost; a call in an error
-    burst fails per the schedule's seeded RNG. Outside every window the
-    wrapper delegates untouched.
+    A call landing in a down window charges ``timeout_s`` of virtual
+    latency (a real client pays for its timeouts) and raises
+    :class:`SourceUnavailableError`; a call in a latency window pays
+    the extra/multiplied cost; a call in an error burst fails per the
+    schedule's seeded RNG. Outside every window the wrapper delegates
+    untouched.
     """
 
     def __init__(self, inner: DataSource, schedule: FaultSchedule,

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 from repro.bio.seq import ProteinSequence
 from repro.errors import SourceError
-from repro.sources.base import FaultModel, LatencyModel, TableBackedSource
-from repro.sources.clock import SimulatedClock
+from repro.sources.base import LatencyModel, TableBackedSource
+from repro.sources.clock import SimulatedClock, TokenBucket
 
 KIND_PROTEIN = "protein"
 KIND_PROTEINS_BY_ORGANISM = "proteins_by_organism"
@@ -55,8 +55,8 @@ class ProteinStructureSource(TableBackedSource):
                  entries: list[ProteinEntry],
                  name: str = "pdb-sim",
                  latency: LatencyModel | None = None,
-                 faults: FaultModel | None = None,
-                 page_size: int = 100) -> None:
+                 page_size: int = 100,
+                 rate_limit: TokenBucket | None = None) -> None:
         by_id: dict[str, object] = {}
         by_organism: dict[str, list[str]] = {}
         for entry in entries:
@@ -75,7 +75,7 @@ class ProteinStructureSource(TableBackedSource):
                 for organism, ids in by_organism.items()
             },
         }
-        super().__init__(name, clock, tables, latency, faults, page_size)
+        super().__init__(name, clock, tables, latency, page_size, rate_limit)
 
     # -- typed helpers ----------------------------------------------------
 

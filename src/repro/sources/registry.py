@@ -11,8 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.errors import SourceError
-from repro.sources.base import DataSource
-from repro.sources.wrappers import SourceWrapper
+from repro.sources.base import DataSource, SourceWrapper
 
 #: Anything that speaks the uniform source dialect.
 SourceLike = DataSource | SourceWrapper

@@ -7,9 +7,8 @@ four primitives the resilient path is built from:
 
 * :class:`RetryLadder` — the one retry policy: an unavailable source is
   retried a bounded number of times with exponential *virtual* backoff,
-  a rate-limited one waits out its window a bounded number of times.
-  The fetch scheduler and :class:`~repro.sources.wrappers
-  .RetryingSource` each hold one.
+  a rate-limited one waits out its ``retry_after_s`` a bounded number
+  of times. The fetch scheduler holds it.
 * :class:`CircuitBreaker` / :class:`BreakerBoard` — per ``(source,
   kind)`` closed → open → half-open state machines in *virtual* time.
   After ``failure_threshold`` consecutive failures the breaker opens and
@@ -322,7 +321,7 @@ class RetryLadder:
 @dataclass
 class _Attempt(AbstractContextManager):
     """One rung of the ladder: leaving the context with a retryable
-    fault charges the backoff (or waits out the rate window) and
+    fault charges the backoff (or waits out ``retry_after_s``) and
     swallows it, until the budget is spent and the fault propagates."""
 
     ladder: RetryLadder
@@ -351,7 +350,7 @@ class _Attempt(AbstractContextManager):
             if self.rate_waits > ladder.max_rate_limit_waits:
                 return False
             ladder.note("rate_limit_waits")
-            ladder.clock.sleep(exc.window_s or ladder.backoff_s or 0.05)
+            ladder.clock.sleep(exc.retry_after_s)
             return True
         if exc is None and self.breaker is not None:
             self.breaker.record_success()

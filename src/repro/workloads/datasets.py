@@ -21,7 +21,7 @@ from repro.core.integrate import IntegrationPipeline, IntegrationReport
 from repro.errors import WorkloadError
 from repro.sources.activity import CompoundEntry, LigandActivitySource
 from repro.sources.annotation import AnnotationEntry, AnnotationSource
-from repro.sources.base import FaultModel, LatencyModel
+from repro.sources.base import LatencyModel
 from repro.sources.clock import SimulatedClock
 from repro.sources.protein import ProteinEntry, ProteinStructureSource
 from repro.sources.registry import SourceRegistry
@@ -59,7 +59,6 @@ class DatasetConfig:
     assay_coverage: float = 0.65
     #: Per-round-trip base latency of each source, seconds.
     source_latency_s: float = 0.05
-    failure_rate: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_leaves < 2 or self.n_ligands < 1:
@@ -206,17 +205,14 @@ def build_dataset(config: DatasetConfig | None = None) -> Dataset:
         for protein_id in family.protein_ids
     ]
 
-    faults = FaultModel(failure_rate=config.failure_rate,
-                        seed=config.seed)
     protein_source = ProteinStructureSource(
-        clock, protein_entries, latency=_latency(config, 1), faults=faults,
+        clock, protein_entries, latency=_latency(config, 1),
     )
     activity_source = LigandActivitySource(
-        clock, compounds, bindings,
-        latency=_latency(config, 2), faults=faults,
+        clock, compounds, bindings, latency=_latency(config, 2),
     )
     annotation_source = AnnotationSource(
-        clock, annotations, latency=_latency(config, 3), faults=faults,
+        clock, annotations, latency=_latency(config, 3),
     )
     registry = SourceRegistry()
     registry.register(protein_source)

@@ -3,7 +3,7 @@
 Each fixture seeds one violation shape — a lock-order cycle, an
 unguarded write in a lock-owning class, a reentrant re-acquire — and
 asserts the exact rule ID, file, and line the analyzer reports, plus
-the suppression machinery (``# noqa``, baseline files, stable keys)
+the suppression machinery (``# noqa``) and the stable finding keys
 around it.  A fixture class declares itself shared the way ``src/``
 does: by creating a lock in ``__init__``.
 """
@@ -11,27 +11,19 @@ does: by creating a lock in ``__init__``.
 import json
 import textwrap
 
-import pytest
-
-from repro.analysis.concurrency import (
-    Baseline,
-    analyze_paths,
-    analyze_sources,
-    load_baseline,
-    render_baseline,
-)
+from repro.analysis.concurrency import analyze_paths, analyze_sources
 from repro.analysis.diag import Severity
 
 PATH = "src/repro/example.py"
 
 
-def analyze(*sources, baseline=None):
+def analyze(*sources):
     """Analyze fixture sources: bare strings or (path, source) pairs."""
     named = []
     for entry in sources:
         path, text = entry if isinstance(entry, tuple) else (PATH, entry)
         named.append((path, textwrap.dedent(text)))
-    return analyze_sources(named, baseline)
+    return analyze_sources(named)
 
 
 def codes(result):
@@ -406,20 +398,28 @@ class TestSuppression:
         assert codes(analyze(source)) == ["CONC101"]
 
 
-class TestBaseline:
-    RACY = TestSuppression.RACY
-
-    def test_baseline_suppresses_by_stable_key(self):
-        baseline = Baseline(suppressions={
-            ("CONC101", "repro.example.Sink.push:last"):
-                "fixture: single-threaded in production",
-        })
-        result = analyze(self.RACY, baseline=baseline)
-        assert codes(result) == []
-        assert len(result.baselined) == 1
-        finding, why = result.baselined[0]
+    def test_only_the_noqa_comment_silences_a_planted_finding(
+            self, tmp_path):
+        planted = tmp_path / "planted.py"
+        planted.write_text(textwrap.dedent(self.RACY), encoding="utf-8")
+        [finding] = analyze_paths([str(tmp_path)]).findings
         assert finding.code == "CONC101"
-        assert why == "fixture: single-threaded in production"
+        # What used to be a second way to silence it: a triage file
+        # found by walking up from the analyzed path.
+        (tmp_path / "concurrency.baseline.json").write_text(json.dumps({
+            "version": 1, "suppressions": [{
+                "rule": finding.code, "key": finding.key,
+                "justification": "single-threaded in production"}],
+        }), encoding="utf-8")
+        assert analyze_paths([str(tmp_path)]).findings == [finding]
+        planted.write_text(textwrap.dedent(self.RACY).replace(
+            "self.last = item", "self.last = item  # noqa: CONC101"),
+            encoding="utf-8")
+        assert analyze_paths([str(tmp_path)]).findings == []
+
+
+class TestFindingKey:
+    RACY = TestSuppression.RACY
 
     def test_key_is_stable_across_line_shifts(self):
         shifted = "# a comment\n# another\n" + textwrap.dedent(self.RACY)
@@ -427,39 +427,6 @@ class TestBaseline:
         moved = analyze_sources([(PATH, shifted)])
         assert plain.findings[0].line != moved.findings[0].line
         assert plain.findings[0].key == moved.findings[0].key
-
-    def test_load_rejects_missing_justification(self, tmp_path):
-        payload = {"version": 1, "suppressions": [
-            {"rule": "CONC101", "key": "x:y", "justification": ""}]}
-        path = tmp_path / "concurrency.baseline.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ValueError, match="justification"):
-            load_baseline(str(path))
-
-    def test_load_missing_file_is_empty(self, tmp_path):
-        baseline = load_baseline(str(tmp_path / "nope.json"))
-        assert baseline.suppressions == {}
-
-    def test_render_baseline_proposes_todo_entries(self):
-        result = analyze(self.RACY)
-        rendered = json.loads(render_baseline(result))
-        assert rendered["version"] == 1
-        [entry] = rendered["suppressions"]
-        assert entry["rule"] == "CONC101"
-        assert entry["key"] == "repro.example.Sink.push:last"
-        assert entry["justification"].startswith("TODO")
-
-    def test_render_baseline_keeps_existing_justifications(self):
-        baseline = Baseline(suppressions={
-            ("CONC202", "repro.old:lock:fetch"): "kept from triage",
-        })
-        result = analyze(self.RACY, baseline=baseline)
-        rendered = json.loads(render_baseline(result))
-        keyed = {(e["rule"], e["key"]): e["justification"]
-                 for e in rendered["suppressions"]}
-        assert keyed[("CONC202", "repro.old:lock:fetch")] == "kept from triage"
-        assert keyed[("CONC101", "repro.example.Sink.push:last")] \
-            .startswith("TODO")
 
 
 class TestSyntaxErrors:
@@ -471,10 +438,7 @@ class TestSyntaxErrors:
 
 class TestRepoIsClean:
     def test_source_tree_has_no_unsuppressed_findings(self):
-        # The acceptance gate: `repro race src` must come back clean
-        # with nothing baselined — the committed baseline is empty.
+        # The acceptance gate: `repro race src` must come back clean.
         result = analyze_paths(["src"])
         assert [f"{f.code} {f.file}:{f.line}" for f in result.findings] \
             == []
-        assert result.baselined == []
-        assert result.baseline.suppressions == {}

@@ -1,83 +1,90 @@
 """End-to-end resilience: integrating over a flaky federation.
 
-The wrappers exist to be stacked; these tests verify the whole pipeline
-works when every source is unreliable, and that the retry layer is what
-makes the difference.
+These tests verify the whole pipeline works when every source is
+unreliable, and that the scheduler's retry ladder (``mode=
+"concurrent"``) is what makes the difference.
 """
 
 import pytest
 
 from repro.core import IntegrationPipeline
-from repro.errors import SourceUnavailableError
+from repro.errors import RateLimitError, SourceUnavailableError
 from repro.sources import (
+    ErrorBurst,
+    FaultSchedule,
+    FetchScheduler,
     LatencyModel,
-    RetryingSource,
     SourceRegistry,
+    TokenBucket,
+    wrap_registry,
 )
 from repro.sources.activity import LigandActivitySource
 from repro.sources.annotation import AnnotationSource
-from repro.sources.base import FaultModel
 from repro.sources.protein import ProteinStructureSource
 from repro.sources.clock import SimulatedClock
 from repro.workloads import DatasetConfig, build_dataset
 
 
-def _flaky_world(failure_rate: float, seed: int = 61):
-    """A dataset whose three sources fail at the given rate."""
-    return build_dataset(DatasetConfig(
-        n_leaves=14, n_ligands=20, seed=seed,
-        failure_rate=failure_rate,
-    ))
+def _world(seed: int = 61):
+    return build_dataset(DatasetConfig(n_leaves=14, n_ligands=20,
+                                       seed=seed))
 
 
-def _wrapped_registry(dataset, max_attempts: int) -> SourceRegistry:
-    registry = SourceRegistry()
-    for source in (dataset.protein_source, dataset.activity_source,
-                   dataset.annotation_source):
-        registry.register(RetryingSource(source,
-                                         max_attempts=max_attempts))
-    return registry
+def _flaky_registry(dataset, failure_rate: float) -> SourceRegistry:
+    """The dataset's three sources, each failing at the given rate."""
+    burst = FaultSchedule([ErrorBurst(0.0, 1e9,
+                                      failure_rate=failure_rate)],
+                          seed=dataset.config.seed)
+    return wrap_registry(dataset.registry, {
+        source.name: burst for source in dataset.registry.sources()})
+
+
+def _retrying(registry: SourceRegistry,
+              max_attempts: int) -> IntegrationPipeline:
+    return IntegrationPipeline(
+        registry, mode="concurrent",
+        scheduler=FetchScheduler(registry, max_attempts=max_attempts))
 
 
 class TestFlakyIntegration:
     def test_unprotected_integration_fails(self):
-        dataset = _flaky_world(failure_rate=0.3)
-        pipeline = IntegrationPipeline(dataset.registry, mode="per_item")
+        dataset = _world()
+        pipeline = IntegrationPipeline(_flaky_registry(dataset, 0.3),
+                                       mode="per_item")
         with pytest.raises(SourceUnavailableError):
             # Per-item mode makes hundreds of calls; at 30% failure one
             # of them dies with near-certainty.
             pipeline.build_drugtree(dataset.tree)
 
     def test_retry_wrapped_integration_succeeds(self):
-        dataset = _flaky_world(failure_rate=0.3)
-        registry = _wrapped_registry(dataset, max_attempts=8)
-        pipeline = IntegrationPipeline(registry, mode="batched")
+        dataset = _world()
+        pipeline = _retrying(_flaky_registry(dataset, 0.3),
+                             max_attempts=8)
         drugtree, result = pipeline.build_drugtree(dataset.tree)
         assert drugtree.binding_count == len(dataset.bindings)
         assert result.proteins == 14
 
     def test_retries_cost_latency(self):
-        reliable = _flaky_world(failure_rate=0.0)
-        flaky = _flaky_world(failure_rate=0.3)
-        _, clean = IntegrationPipeline(
-            _wrapped_registry(reliable, max_attempts=8), mode="batched",
-        ).build_drugtree(reliable.tree)
-        _, noisy = IntegrationPipeline(
-            _wrapped_registry(flaky, max_attempts=8), mode="batched",
-        ).build_drugtree(flaky.tree)
-        assert noisy.roundtrips >= clean.roundtrips
-        assert noisy.virtual_latency_s >= clean.virtual_latency_s
+        reliable, flaky = _world(), _world()
+        _, clean = _retrying(reliable.registry, max_attempts=8,
+                             ).build_drugtree(reliable.tree)
+        pipeline = _retrying(_flaky_registry(flaky, 0.5), max_attempts=8)
+        _, noisy = pipeline.build_drugtree(flaky.tree)
+        # Every retry is one more request on the wire, and its timeout
+        # one more wait, than the reliable world paid.
+        assert noisy.roundtrips == clean.roundtrips
+        assert pipeline.scheduler.stats.retries > 0
+        assert noisy.virtual_latency_s > clean.virtual_latency_s
 
     def test_flaky_world_same_overlay_as_reliable(self):
         """Failures must never corrupt the result — only delay it."""
-        reliable = _flaky_world(failure_rate=0.0, seed=62)
-        flaky = _flaky_world(failure_rate=0.25, seed=62)
+        reliable, flaky = _world(seed=62), _world(seed=62)
         clean_tree, _ = IntegrationPipeline(
             reliable.registry, mode="batched",
         ).build_drugtree(reliable.tree)
-        noisy_tree, _ = IntegrationPipeline(
-            _wrapped_registry(flaky, max_attempts=10), mode="batched",
-        ).build_drugtree(flaky.tree)
+        noisy_tree, _ = _retrying(_flaky_registry(flaky, 0.25),
+                                  max_attempts=10,
+                                  ).build_drugtree(flaky.tree)
         for name in ("proteins", "ligands", "bindings"):
             clean_rows = sorted(map(repr,
                                     clean_tree.tables[name].scan_rows()))
@@ -87,29 +94,35 @@ class TestFlakyIntegration:
 
 
 class TestRateLimitedIntegration:
-    def test_rate_limited_source_with_batching(self):
-        """Batched integration fits under a rate limit that per-item
-        integration would blow through."""
+    def _limited_registry(self, dataset) -> SourceRegistry:
+        """The dataset's proteins behind a "5 calls per second" PDB."""
         clock = SimulatedClock()
-        dataset = build_dataset(DatasetConfig(n_leaves=12, n_ligands=15,
-                                              seed=63))
-        limited = ProteinStructureSource(
+        registry = SourceRegistry()
+        registry.register(ProteinStructureSource(
             clock,
             [dataset.protein_source.fetch("protein", pid)
              for pid in dataset.family.protein_ids],
             latency=LatencyModel(base_s=0.01, jitter_fraction=0.0),
-            faults=FaultModel(max_calls_per_window=10, window_s=1.0),
-        )
-        activity = LigandActivitySource(
+            rate_limit=TokenBucket(rate=5.0, burst=5),
+        ))
+        registry.register(LigandActivitySource(
             clock, [], [], latency=LatencyModel(jitter_fraction=0.0),
-        )
-        annotation = AnnotationSource(
+        ))
+        registry.register(AnnotationSource(
             clock, [], latency=LatencyModel(jitter_fraction=0.0),
-        )
-        registry = SourceRegistry()
-        registry.register(limited)
-        registry.register(activity)
-        registry.register(annotation)
-        pipeline = IntegrationPipeline(registry, mode="batched")
+        ))
+        return registry
+
+    def test_rate_limited_source_with_batching(self):
+        """Batched integration fits under a rate limit that per-item
+        integration blows through."""
+        dataset = build_dataset(DatasetConfig(n_leaves=12, n_ligands=15,
+                                              seed=63))
+        pipeline = IntegrationPipeline(self._limited_registry(dataset),
+                                       mode="batched")
         drugtree, _ = pipeline.build_drugtree(dataset.tree)
         assert drugtree.protein_count == 12
+        pipeline = IntegrationPipeline(self._limited_registry(dataset),
+                                       mode="per_item")
+        with pytest.raises(RateLimitError):
+            pipeline.build_drugtree(dataset.tree)

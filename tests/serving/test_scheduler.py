@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ServingError
+from repro.errors import ServingError, SourceError
 from repro.serving import (
     FairScheduler,
     TenantConfig,
@@ -37,8 +37,25 @@ class TestTokenBucket:
         assert bucket.retry_after_s(0.0) == pytest.approx(0.25)
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ServingError):
+        with pytest.raises(SourceError):
             TokenBucket(rate=0.0, burst=1.0)
+
+    def test_rejects_a_burst_that_can_never_grant_a_token(self):
+        # A cap below one token sheds forever while retry_after_s
+        # keeps promising a refill.
+        with pytest.raises(SourceError):
+            TokenBucket(rate=10.0, burst=0.5)
+        with pytest.raises(ServingError):
+            TenantConfig("a", rate_limit_rps=10.0, burst=0.5)
+
+    def test_waiting_out_retry_after_is_enough(self):
+        bucket = TokenBucket(rate=3.0, burst=1.0)
+        now = 0.0
+        for step in range(1, 200):
+            now += 0.07 * (step % 5)
+            if not bucket.try_take(now):
+                now += bucket.retry_after_s(now)
+                assert bucket.try_take(now), now
 
 
 class TestTenantRegistry:

@@ -1,28 +1,27 @@
-"""Tests for the data-source protocol, latency, faults, paging."""
+"""Tests for the data-source protocol, latency, rate limit, paging."""
 
 import pytest
 
-from repro.errors import (
-    RateLimitError,
-    SourceError,
-    SourceUnavailableError,
-)
+from repro.errors import RateLimitError, SourceError
 from repro.sources import (
-    FaultModel,
     LatencyModel,
     SimulatedClock,
     TableBackedSource,
+    TokenBucket,
 )
 
+FREE = LatencyModel(base_s=0.0, per_item_s=0, jitter_fraction=0)
 
-def _source(clock=None, latency=None, faults=None, page_size=100, n=10):
+
+def _source(clock=None, latency=None, rate_limit=None, page_size=100,
+            n=10):
     clock = clock or SimulatedClock()
     tables = {
         "thing": {f"k{i}": f"v{i}" for i in range(n)},
     }
     return TableBackedSource("test-src", clock, tables,
-                             latency=latency, faults=faults,
-                             page_size=page_size)
+                             latency=latency, page_size=page_size,
+                             rate_limit=rate_limit)
 
 
 class TestLatencyModel:
@@ -127,48 +126,35 @@ class TestCostAccounting:
 
 
 class TestFaults:
-    def test_failure_injection(self):
-        faults = FaultModel(failure_rate=0.999, seed=0)
-        source = _source(faults=faults)
-        with pytest.raises(SourceUnavailableError):
-            source.fetch("thing", "k1")
-        assert source.stats.errors == 1
-
-    def test_failure_still_charges_latency(self):
-        clock = SimulatedClock()
-        faults = FaultModel(failure_rate=0.999, seed=0)
-        latency = LatencyModel(base_s=0.5, per_item_s=0, jitter_fraction=0)
-        source = _source(clock=clock, faults=faults, latency=latency)
-        with pytest.raises(SourceUnavailableError):
-            source.fetch("thing", "k1")
-        assert clock.now() == pytest.approx(0.5)
+    """The one fault a source raises by itself is its rate limit;
+    outages and error bursts are ``ChaosSource``'s (test_chaos.py)."""
 
     def test_rate_limit_within_window(self):
-        faults = FaultModel(max_calls_per_window=2, window_s=10.0)
-        # Zero latency: clock never moves, so the window never resets.
-        latency = LatencyModel(base_s=0.0, per_item_s=0, jitter_fraction=0)
-        source = _source(faults=faults, latency=latency)
+        # "2 calls per 10 s". Zero latency: the clock never moves, so
+        # the bucket never refills.
+        source = _source(rate_limit=TokenBucket(rate=0.2, burst=2),
+                         latency=FREE)
         source.fetch("thing", "k1")
         source.fetch("thing", "k2")
-        with pytest.raises(RateLimitError):
+        with pytest.raises(RateLimitError) as caught:
             source.fetch("thing", "k3")
+        assert caught.value.retry_after_s == pytest.approx(5.0)
+        assert source.stats.errors == 1
+        assert source.stats.roundtrips == 2  # the refusal cost nothing
 
     def test_rate_limit_window_resets(self):
         clock = SimulatedClock()
-        faults = FaultModel(max_calls_per_window=1, window_s=1.0)
-        latency = LatencyModel(base_s=0.0, per_item_s=0, jitter_fraction=0)
-        source = _source(clock=clock, faults=faults, latency=latency)
+        source = _source(clock=clock, latency=FREE,
+                         rate_limit=TokenBucket(rate=1.0, burst=1))
         source.fetch("thing", "k1")
         clock.advance(1.5)
-        source.fetch("thing", "k2")  # window has passed; no error
+        source.fetch("thing", "k2")  # a token has refilled; no error
 
     def test_invalid_fault_parameters(self):
         with pytest.raises(SourceError):
-            FaultModel(failure_rate=1.5)
+            _source(rate_limit=TokenBucket(rate=0.0, burst=1))
         with pytest.raises(SourceError):
-            FaultModel(max_calls_per_window=0)
-        with pytest.raises(SourceError):
-            FaultModel(window_s=0)
+            _source(rate_limit=TokenBucket(rate=10.0, burst=0.5))
 
 
 class TestEmptyKeyLists:
@@ -181,10 +167,11 @@ class TestEmptyKeyLists:
         assert source.clock.now() == 0.0
 
     def test_fetch_many_with_no_keys_skips_faults(self):
-        # Even an always-failing source cannot fail a request that is
-        # never issued.
-        faults = FaultModel(failure_rate=0.99, seed=0)
-        source = _source(faults=faults)
+        # Even a source with no token left cannot refuse a request
+        # that is never issued.
+        source = _source(rate_limit=TokenBucket(rate=0.1, burst=1),
+                         latency=FREE)
+        source.fetch("thing", "k1")
         assert source.fetch_many("thing", []) == {}
         assert source.stats.errors == 0
 

@@ -295,6 +295,7 @@ class TestStatsUnderContention:
         for thread in threads:
             thread.join()
         assert chaos.chaos_stats.calls == 200
+        assert chaos.stats.roundtrips == 200  # the inner source's meter
 
     def test_injected_failures_counted_exactly_once_each(self):
         import threading

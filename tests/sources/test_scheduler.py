@@ -5,7 +5,11 @@ import threading
 
 import pytest
 
-from repro.errors import SourceError, SourceUnavailableError
+from repro.errors import (
+    RateLimitError,
+    SourceError,
+    SourceUnavailableError,
+)
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
@@ -15,19 +19,17 @@ from repro.obs import (
 )
 from repro.sources import (
     BreakerConfig,
-    CachingSource,
     ChaosSource,
-    FaultModel,
     FaultSchedule,
     FetchScheduler,
     LatencyModel,
     LatencySpike,
     Outage,
-    RetryingSource,
     SchedulerStats,
     SimulatedClock,
     SourceRegistry,
     TableBackedSource,
+    TokenBucket,
 )
 
 
@@ -40,13 +42,13 @@ def fresh_metrics():
 
 
 def make_source(clock, kind, n=20, base_s=0.1, page_size=100,
-                name=None, faults=None):
+                name=None, rate_limit=None):
     tables = {kind: {f"{kind}{i}": f"v{i}" for i in range(n)}}
     return TableBackedSource(
         name or f"{kind}-src", clock, tables,
         latency=LatencyModel(base_s=base_s, per_item_s=0.0,
                              jitter_fraction=0.0),
-        faults=faults, page_size=page_size,
+        page_size=page_size, rate_limit=rate_limit,
     )
 
 
@@ -142,29 +144,28 @@ class TestCoalescing:
         assert scheduler.stats.coalesced == 0
 
 
+def dark(source, until_s=1000.0, timeout_s=0.25):
+    """*source* inside an outage window: every call before *until_s*
+    pays *timeout_s* and fails."""
+    return ChaosSource(source, FaultSchedule([Outage(0.0, until_s)]),
+                       timeout_s=timeout_s)
+
+
 class TestResilience:
     def test_transient_failure_retried(self):
         clock = SimulatedClock()
         registry = SourceRegistry()
-        # seed=2: first draw fails, later draws succeed.
-        failing = None
-        for seed in range(50):
-            faults = FaultModel(failure_rate=0.5, seed=seed)
-            if faults.draw_failure() and not faults.draw_failure():
-                failing = FaultModel(failure_rate=0.5, seed=seed)
-                break
-        assert failing is not None
-        registry.register(make_source(clock, "alpha", faults=failing))
+        # The first attempt times out at 0.25 s, past the outage.
+        registry.register(dark(make_source(clock, "alpha"), until_s=0.2))
         scheduler = FetchScheduler(registry, max_attempts=5)
         out = scheduler.fetch_many("alpha", ["alpha0"])
         assert out == {"alpha0": "v0"}
-        assert scheduler.stats.retries >= 1
+        assert scheduler.stats.retries == 1
 
     def test_permanent_failure_raises_after_max_attempts(self):
         clock = SimulatedClock()
         registry = SourceRegistry()
-        faults = FaultModel(failure_rate=0.99, seed=0)
-        registry.register(make_source(clock, "alpha", faults=faults))
+        registry.register(dark(make_source(clock, "alpha")))
         scheduler = FetchScheduler(registry, max_attempts=3)
         with pytest.raises(SourceUnavailableError):
             scheduler.fetch_many("alpha", ["alpha0"])
@@ -177,9 +178,8 @@ class TestResilience:
     def test_retry_backoff_charges_virtual_time(self):
         clock = SimulatedClock()
         registry = SourceRegistry()
-        faults = FaultModel(failure_rate=0.99, seed=0)
-        registry.register(make_source(clock, "alpha", base_s=0.0,
-                                      faults=faults))
+        registry.register(dark(make_source(clock, "alpha"),
+                               timeout_s=0.0))
         scheduler = FetchScheduler(registry, max_attempts=3,
                                    backoff_s=0.1)
         with pytest.raises(SourceUnavailableError):
@@ -190,13 +190,34 @@ class TestResilience:
     def test_rate_limited_page_waits_out_the_window(self):
         clock = SimulatedClock()
         registry = SourceRegistry()
-        faults = FaultModel(max_calls_per_window=1, window_s=1.0)
-        registry.register(make_source(clock, "alpha", base_s=0.01,
-                                      page_size=1, faults=faults))
+        # 0.7 calls/s: the wait is no float the clock lands on cleanly.
+        registry.register(make_source(
+            clock, "alpha", base_s=0.01, page_size=1,
+            rate_limit=TokenBucket(rate=0.7, burst=1)))
         scheduler = FetchScheduler(registry)
         out = scheduler.fetch_many("alpha", ["alpha0", "alpha1"])
         assert len(out) == 2
-        assert scheduler.stats.rate_limit_waits >= 1
+        # Exactly retry_after_s, once: no guessed sleep, no second rung.
+        assert scheduler.stats.rate_limit_waits == 1
+        assert clock.now() == pytest.approx(1 / 0.7 + 0.01)
+
+    def test_rate_limit_wait_budget_is_bounded(self):
+        clock = SimulatedClock()
+        registry = SourceRegistry()
+        source = make_source(clock, "alpha", base_s=0.0,
+                             rate_limit=TokenBucket(rate=1.0, burst=1))
+        registry.register(source)
+        source.fetch("alpha", "alpha0")  # spends the only token
+        scheduler = FetchScheduler(registry, max_rate_limit_waits=0)
+        with pytest.raises(RateLimitError):
+            scheduler.fetch_many("alpha", ["alpha1"])
+        assert scheduler.stats.rate_limit_waits == 0
+        assert clock.now() == 0.0  # refused, not slept on
+        patient = FetchScheduler(registry, max_rate_limit_waits=1)
+        assert patient.fetch_many("alpha", ["alpha1"]) == {
+            "alpha1": "v1"}
+        assert patient.stats.rate_limit_waits == 1
+        assert clock.now() == pytest.approx(1.0)
 
     def test_unknown_kind_raises_before_dispatch(self):
         _, registry = make_world(kinds=("alpha",))
@@ -312,81 +333,6 @@ class TestOneThread:
         assert registry.source_for("gamma").stats.roundtrips == 1
 
 
-class TestWrapperStacking:
-    """Satellite: Retrying(Caching(...)) vs Caching(Retrying(...))
-    behave per their stacking order under concurrent dispatch."""
-
-    def _registry_with(self, wrap, n=12, failure_rate=0.3):
-        clock = SimulatedClock()
-        inner = make_source(
-            clock, "alpha", n=n, page_size=3,
-            faults=FaultModel(failure_rate=failure_rate, seed=4),
-        )
-        registry = SourceRegistry()
-        registry.register(wrap(inner))
-        return clock, registry, inner
-
-    def test_retrying_outside_caching_masks_failures(self):
-        # Retrying(Caching(inner)): a transient failure is retried
-        # through the cache, so the scheduler sees clean results.
-        clock, registry, inner = self._registry_with(
-            lambda src: RetryingSource(CachingSource(src),
-                                       max_attempts=10)
-        )
-        scheduler = FetchScheduler(registry, max_attempts=1)
-        keys = [f"alpha{i}" for i in range(12)]
-        out = scheduler.fetch_many("alpha", keys)
-        assert len(out) == 12
-        # Second pass: everything cached, zero new round-trips.
-        before = inner.stats.roundtrips
-        again = scheduler.fetch_many("alpha", keys)
-        assert again == out
-        assert inner.stats.roundtrips == before
-
-    def test_caching_outside_retrying_caches_retried_results(self):
-        clock, registry, inner = self._registry_with(
-            lambda src: CachingSource(RetryingSource(src,
-                                                     max_attempts=10))
-        )
-        scheduler = FetchScheduler(registry, max_attempts=1)
-        keys = [f"alpha{i}" for i in range(12)]
-        out = scheduler.fetch_many("alpha", keys)
-        assert len(out) == 12
-        before = inner.stats.roundtrips
-        assert scheduler.fetch_many("alpha", keys) == out
-        assert inner.stats.roundtrips == before
-
-    def test_concurrent_clients_through_one_cache(self):
-        # Hammer one CachingSource from several scheduler batches on
-        # real threads; the cache must stay consistent and the data
-        # correct.
-        clock, registry, inner = self._registry_with(
-            lambda src: CachingSource(RetryingSource(src,
-                                                     max_attempts=10)),
-            failure_rate=0.0,
-        )
-        scheduler = FetchScheduler(registry)
-        keys = [f"alpha{i}" for i in range(12)]
-        results = []
-        errors = []
-
-        def client():
-            try:
-                results.append(scheduler.fetch_many("alpha", keys))
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=client) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(10.0)
-        assert not errors
-        assert len(results) == 6
-        expected = {f"alpha{i}": f"v{i}" for i in range(12)}
-        assert all(result == expected for result in results)
-
-
 class _LockedStats(SchedulerStats):
     lock = None
 
@@ -476,46 +422,6 @@ class TestSharedAcrossThreads:
                      "coalesced", "degraded_batches"):
             assert (getattr(shared.stats, stat)
                     == getattr(serial.stats, stat)), stat
-
-
-class TestLadderParity:
-    """``RetryingSource`` and the scheduler hold the same ladder: the
-    same seeded faults cost both the same virtual time and rungs."""
-
-    FAULTS = dict(failure_rate=0.4, max_calls_per_window=3,
-                  window_s=0.5, seed=11)
-    LADDER = dict(max_attempts=4, backoff_s=0.1, max_rate_limit_waits=2)
-
-    def _run(self, fetch_many, clock):
-        trace = []
-        for i in range(30):
-            try:
-                trace.append(fetch_many("alpha", [f"alpha{i % 20}"]))
-            except SourceError as exc:
-                trace.append((type(exc), str(exc)))
-            trace.append(clock.now())
-        return trace
-
-    def test_same_faults_same_virtual_time_and_rungs(self):
-        clock = SimulatedClock()
-        retrying = RetryingSource(
-            make_source(clock, "alpha", base_s=0.02,
-                        faults=FaultModel(**self.FAULTS)),
-            **self.LADDER)
-        wrapped = self._run(retrying.fetch_many, clock)
-
-        clock = SimulatedClock()
-        registry = SourceRegistry()
-        registry.register(make_source(clock, "alpha", base_s=0.02,
-                                      faults=FaultModel(**self.FAULTS)))
-        scheduler = FetchScheduler(registry, **self.LADDER)
-        scheduled = self._run(scheduler.fetch_many, clock)
-
-        assert scheduled == wrapped
-        assert retrying.retries == scheduler.stats.retries > 0
-        assert (retrying.rate_limit_waits
-                == scheduler.stats.rate_limit_waits > 0)
-        assert any(isinstance(step, tuple) for step in wrapped)
 
 
 class TestMetrics:

@@ -14,7 +14,6 @@ from repro.sources import (
     ChaosSource,
     Deadline,
     ErrorBurst,
-    FaultModel,
     FaultSchedule,
     FetchScheduler,
     LatencyModel,
@@ -22,6 +21,7 @@ from repro.sources import (
     SimulatedClock,
     SourceRegistry,
     TableBackedSource,
+    TokenBucket,
 )
 
 
@@ -34,13 +34,13 @@ def fresh_metrics():
 
 
 def make_source(clock, kind, n=20, base_s=0.1, page_size=100,
-                name=None, faults=None):
+                name=None, rate_limit=None):
     tables = {kind: {f"{kind}{i}": f"v{i}" for i in range(n)}}
     return TableBackedSource(
         name or f"{kind}-src", clock, tables,
         latency=LatencyModel(base_s=base_s, per_item_s=0.0,
                              jitter_fraction=0.0),
-        faults=faults, page_size=page_size,
+        page_size=page_size, rate_limit=rate_limit,
     )
 
 
@@ -144,11 +144,7 @@ class TestDeadlines:
         assert scheduler.stats.deadline_cancelled == 1
 
     def test_deadline_cuts_the_retry_ladder(self, fresh_metrics):
-        clock = SimulatedClock()
-        registry = SourceRegistry()
-        faults = FaultModel(failure_rate=0.99, seed=0)
-        registry.register(make_source(clock, "alpha", base_s=0.0,
-                                      faults=faults))
+        clock, registry = dark_world("alpha", kinds=("alpha",))
         scheduler = FetchScheduler(registry, max_attempts=5,
                                    backoff_s=1.0)
         deadline = Deadline(clock, 0.5)
@@ -179,10 +175,7 @@ class TestBreakers:
         assert FetchScheduler(registry).breakers is None
 
     def test_trips_and_short_circuits_without_latency(self):
-        clock = SimulatedClock()
-        registry = SourceRegistry()
-        faults = FaultModel(failure_rate=0.99, seed=0)
-        registry.register(make_source(clock, "alpha", faults=faults))
+        clock, registry = dark_world("alpha", kinds=("alpha",))
         scheduler = FetchScheduler(
             registry, max_attempts=1,
             breaker_config=BreakerConfig(failure_threshold=2,
@@ -224,9 +217,9 @@ class TestBreakers:
     def test_rate_limits_do_not_feed_the_breaker(self):
         clock = SimulatedClock()
         registry = SourceRegistry()
-        faults = FaultModel(max_calls_per_window=1, window_s=1.0)
-        registry.register(make_source(clock, "alpha", base_s=0.01,
-                                      page_size=1, faults=faults))
+        registry.register(make_source(
+            clock, "alpha", base_s=0.01, page_size=1,
+            rate_limit=TokenBucket(rate=1.0, burst=1)))
         scheduler = FetchScheduler(
             registry,
             breaker_config=BreakerConfig(failure_threshold=1),

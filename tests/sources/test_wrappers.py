@@ -1,209 +1,22 @@
-"""Tests for caching, prefetching, and retrying source wrappers."""
+"""Tests for the source registry and the ``SourceWrapper`` delegate."""
 
 import pytest
 
-from repro.errors import (
-    RateLimitError,
-    SourceError,
-    SourceUnavailableError,
-)
+from repro.errors import SourceError
 from repro.sources import (
-    CachingSource,
-    FaultModel,
     LatencyModel,
-    PrefetchingSource,
-    RetryingSource,
     SimulatedClock,
     SourceRegistry,
+    SourceWrapper,
     TableBackedSource,
 )
 
 EXACT = LatencyModel(base_s=0.1, per_item_s=0.0, jitter_fraction=0)
 
 
-def _source(clock, n=20, faults=None, latency=EXACT):
+def _source(clock, n=20):
     tables = {"thing": {f"k{i}": f"v{i}" for i in range(n)}}
-    return TableBackedSource("inner", clock, tables,
-                             latency=latency, faults=faults)
-
-
-class TestCachingSource:
-    def test_second_fetch_is_free(self):
-        clock = SimulatedClock()
-        cached = CachingSource(_source(clock))
-        cached.fetch("thing", "k1")
-        t_after_first = clock.now()
-        assert cached.fetch("thing", "k1") == "v1"
-        assert clock.now() == t_after_first
-        assert cached.hits == 1
-        assert cached.misses == 1
-
-    def test_only_misses_hit_the_source(self):
-        clock = SimulatedClock()
-        inner = _source(clock)
-        cached = CachingSource(inner)
-        cached.fetch_many("thing", ["k1", "k2"])
-        cached.fetch_many("thing", ["k1", "k2", "k3"])
-        # Second call fetched only k3.
-        assert inner.stats.keys_requested == 3
-
-    def test_negative_results_cached(self):
-        clock = SimulatedClock()
-        inner = _source(clock)
-        cached = CachingSource(inner)
-        assert cached.fetch("thing", "missing") is None
-        roundtrips = inner.stats.roundtrips
-        assert cached.fetch("thing", "missing") is None
-        assert inner.stats.roundtrips == roundtrips
-
-    def test_lru_eviction(self):
-        clock = SimulatedClock()
-        inner = _source(clock)
-        cached = CachingSource(inner, capacity=2)
-        cached.fetch("thing", "k1")
-        cached.fetch("thing", "k2")
-        cached.fetch("thing", "k3")  # evicts k1
-        roundtrips = inner.stats.roundtrips
-        cached.fetch("thing", "k2")  # still cached
-        assert inner.stats.roundtrips == roundtrips
-        cached.fetch("thing", "k1")  # evicted → refetch
-        assert inner.stats.roundtrips == roundtrips + 1
-
-    def test_ttl_expiry_uses_virtual_time(self):
-        clock = SimulatedClock()
-        inner = _source(clock)
-        cached = CachingSource(inner, ttl_s=5.0)
-        cached.fetch("thing", "k1")
-        clock.advance(10.0)
-        roundtrips = inner.stats.roundtrips
-        cached.fetch("thing", "k1")
-        assert inner.stats.roundtrips == roundtrips + 1
-
-    def test_invalidate(self):
-        clock = SimulatedClock()
-        inner = _source(clock)
-        cached = CachingSource(inner)
-        cached.fetch("thing", "k1")
-        cached.invalidate("thing")
-        roundtrips = inner.stats.roundtrips
-        cached.fetch("thing", "k1")
-        assert inner.stats.roundtrips == roundtrips + 1
-
-    def test_hit_rate(self):
-        clock = SimulatedClock()
-        cached = CachingSource(_source(clock))
-        assert cached.hit_rate == 0.0
-        cached.fetch("thing", "k1")
-        cached.fetch("thing", "k1")
-        cached.fetch("thing", "k1")
-        assert cached.hit_rate == pytest.approx(2 / 3)
-
-    def test_invalid_parameters(self):
-        clock = SimulatedClock()
-        with pytest.raises(SourceError):
-            CachingSource(_source(clock), capacity=0)
-        with pytest.raises(SourceError):
-            CachingSource(_source(clock), ttl_s=0)
-
-
-class TestPrefetchingSource:
-    def test_predicted_keys_become_hits(self):
-        clock = SimulatedClock()
-        inner = _source(clock)
-
-        def predict_next(kind, key):
-            number = int(key[1:])
-            return [f"k{number + 1}", f"k{number + 2}"]
-
-        prefetching = PrefetchingSource(inner, predict_next)
-        prefetching.fetch("thing", "k1")       # pulls k1, k2, k3
-        roundtrips = inner.stats.roundtrips
-        assert prefetching.fetch("thing", "k2") == "v2"
-        assert prefetching.fetch("thing", "k3") == "v3"
-        assert inner.stats.roundtrips == roundtrips
-        assert prefetching.prefetched_keys == 2
-
-    def test_returns_only_requested_keys(self):
-        clock = SimulatedClock()
-        prefetching = PrefetchingSource(
-            _source(clock), lambda kind, key: ["k5", "k6"],
-        )
-        out = prefetching.fetch_many("thing", ["k1"])
-        assert set(out) == {"k1"}
-
-    def test_max_prefetch_bounds_predictions(self):
-        clock = SimulatedClock()
-        prefetching = PrefetchingSource(
-            _source(clock),
-            lambda kind, key: [f"k{i}" for i in range(2, 15)],
-            max_prefetch=3,
-        )
-        prefetching.fetch("thing", "k1")
-        assert prefetching.prefetched_keys == 3
-
-
-class TestRetryingSource:
-    def test_retries_until_success(self):
-        clock = SimulatedClock()
-        # ~50% failure: with 5 attempts a success is near-certain.
-        inner = _source(clock, faults=FaultModel(failure_rate=0.5, seed=3))
-        retrying = RetryingSource(inner, max_attempts=5)
-        assert retrying.fetch("thing", "k1") == "v1"
-
-    def test_gives_up_after_max_attempts(self):
-        clock = SimulatedClock()
-        inner = _source(clock, faults=FaultModel(failure_rate=0.999, seed=0))
-        retrying = RetryingSource(inner, max_attempts=3)
-        with pytest.raises(SourceUnavailableError):
-            retrying.fetch("thing", "k1")
-        assert inner.stats.errors == 3
-
-    def test_backoff_advances_clock(self):
-        clock = SimulatedClock()
-        inner = _source(clock, faults=FaultModel(failure_rate=0.999, seed=0),
-                        latency=LatencyModel(base_s=0, per_item_s=0,
-                                             jitter_fraction=0))
-        retrying = RetryingSource(inner, max_attempts=3, backoff_s=1.0)
-        with pytest.raises(SourceUnavailableError):
-            retrying.fetch("thing", "k1")
-        # Backoffs of 1s and 2s between the three attempts.
-        assert clock.now() == pytest.approx(3.0)
-
-    def test_invalid_parameters(self):
-        clock = SimulatedClock()
-        with pytest.raises(SourceError):
-            RetryingSource(_source(clock), max_attempts=0)
-
-
-    def test_rate_limited_fetch_waits_out_the_window(self):
-        clock = SimulatedClock()
-        inner = _source(clock, faults=FaultModel(max_calls_per_window=1,
-                                                 window_s=1.0))
-        retrying = RetryingSource(inner)
-        assert retrying.fetch("thing", "k1") == "v1"
-        # The second call is rejected by the limiter; the wrapper waits
-        # out the window (virtual time) and succeeds.
-        assert retrying.fetch("thing", "k2") == "v2"
-        assert retrying.rate_limit_waits >= 1
-        assert clock.now() >= 1.0
-
-    def test_rate_limit_wait_budget_is_bounded(self):
-        clock = SimulatedClock()
-        inner = _source(clock, faults=FaultModel(max_calls_per_window=1,
-                                                 window_s=1.0))
-        retrying = RetryingSource(inner, max_rate_limit_waits=0)
-        retrying.fetch("thing", "k1")
-        with pytest.raises(RateLimitError):
-            retrying.fetch("thing", "k2")
-
-    def test_scan_keys_shares_the_retry_ladder(self):
-        clock = SimulatedClock()
-        # seed=1: first draw fails, second succeeds.
-        inner = _source(clock, faults=FaultModel(failure_rate=0.5,
-                                                 seed=1))
-        retrying = RetryingSource(inner, max_attempts=5)
-        assert len(retrying.scan_keys("thing")) == 20
-        assert retrying.retries >= 1
+    return TableBackedSource("inner", clock, tables, latency=EXACT)
 
 
 class TestRegistry:
@@ -244,72 +57,5 @@ class TestRegistry:
     def test_wrapped_source_registers(self):
         clock = SimulatedClock()
         registry = SourceRegistry()
-        registry.register(CachingSource(_source(clock)))
+        registry.register(SourceWrapper(_source(clock)))
         assert registry.fetch("thing", "k2") == "v2"
-
-
-class TestStatsUnderContention:
-    """Wrapper stat counters are shared across scheduler threads and
-    guarded by _stats_lock (regression for lost updates)."""
-
-    def test_prefetched_keys_counted_across_threads(self):
-        import threading
-
-        clock = SimulatedClock()
-        # Disjoint per-thread key families so every prediction is a
-        # fresh prefetch no matter how the threads interleave.
-        tables = {"thing": {f"t{i}{suffix}": "v"
-                            for i in range(8) for suffix in "abc"}}
-        inner = TableBackedSource("inner", clock, tables, latency=EXACT)
-
-        def predict(kind, key):
-            return [f"{key[:-1]}b", f"{key[:-1]}c"]
-
-        prefetching = PrefetchingSource(inner, predict)
-
-        def hammer(i):
-            prefetching.fetch("thing", f"t{i}a")
-
-        threads = [threading.Thread(target=hammer, args=(i,))
-                   for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert prefetching.prefetched_keys == 16
-
-    def test_retries_counted_across_threads(self):
-        import threading
-
-        class FlakyOnce(TableBackedSource):
-            """Fails the first attempt for every distinct key set."""
-
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self._seen = set()
-                self._flaky_lock = threading.Lock()
-
-            def fetch_many(self, kind, keys):
-                key_list = tuple(keys)
-                with self._flaky_lock:
-                    first = key_list not in self._seen
-                    self._seen.add(key_list)
-                if first:
-                    raise SourceUnavailableError("flaky first attempt")
-                return super().fetch_many(kind, key_list)
-
-        clock = SimulatedClock()
-        tables = {"thing": {f"k{i}": f"v{i}" for i in range(8)}}
-        inner = FlakyOnce("inner", clock, tables, latency=EXACT)
-        retrying = RetryingSource(inner, max_attempts=3)
-
-        def hammer(i):
-            assert retrying.fetch("thing", f"k{i}") == f"v{i}"
-
-        threads = [threading.Thread(target=hammer, args=(i,))
-                   for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert retrying.retries == 8
