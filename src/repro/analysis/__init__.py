@@ -17,9 +17,9 @@ and one severity-tagged rule catalog (:mod:`repro.analysis.registry`):
   and lock-order graphs with deadlock-cycle detection.
 
 ``python -m repro check`` / ``lint`` / ``race`` expose the layers from
-the command line (JSON and SARIF via :mod:`repro.analysis.sarif`); the
-query engine and the mobile server run the DTQL layer on every query
-they accept, and the runtime half of the concurrency story lives in
+the command line (text, or JSON under ``--json``); the query engine and
+the mobile server run the DTQL layer on every query they accept, and
+the runtime half of the concurrency story lives in
 :mod:`repro.obs.lockwatch`.
 """
 
@@ -38,8 +38,7 @@ from repro.analysis.dtql import (
     empty_result_rows,
 )
 from repro.analysis.lint import LINT_RULES, lint_file, lint_paths, lint_source
-from repro.analysis.registry import RULES, Rule, rules_for, severity_of
-from repro.analysis.sarif import render_sarif, sarif_log
+from repro.analysis.registry import RULES, Rule, rules_for
 
 __all__ = [
     "AnalysisReport",
@@ -61,8 +60,5 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "render_sarif",
     "rules_for",
-    "sarif_log",
-    "severity_of",
 ]

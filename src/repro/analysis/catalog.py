@@ -113,10 +113,6 @@ class Catalog:
         info = self._columns.get(name)
         return info.type if info is not None else None
 
-    def is_remote(self, name: str) -> bool:
-        info = self._columns.get(name)
-        return info is not None and info.remote
-
     def suggest(self, name: str, limit: int = 3) -> tuple[str, ...]:
         """Closest known column names to a misspelt *name*."""
         cap = max(1, len(name) // 3)

@@ -43,9 +43,8 @@ from repro.analysis.concurrency.program import (
     link,
     lock_cycles,
 )
-from repro.analysis.diag import Diagnostic
 from repro.analysis.lint import noqa_suppresses, python_files
-from repro.analysis.registry import rules_for, severity_of
+from repro.analysis.registry import rules_for
 
 #: This pass's slice of the shared rule catalog: code → Rule.
 CONC_RULES = rules_for("concurrency")
@@ -62,11 +61,6 @@ class Finding:
     key: str                     # stable: qualnames + detail, no lines
     hint: str | None = None
 
-    def to_diagnostic(self) -> Diagnostic:
-        return Diagnostic(self.code, severity_of(self.code),
-                          self.message, file=self.file, line=self.line,
-                          hint=self.hint)
-
 
 @dataclass
 class AnalysisResult:
@@ -74,10 +68,6 @@ class AnalysisResult:
 
     program: Program
     findings: list[Finding]               # unsuppressed
-
-    @property
-    def diagnostics(self) -> list[Diagnostic]:
-        return [finding.to_diagnostic() for finding in self.findings]
 
     def summary(self) -> dict[str, int]:
         """What the run covered: the numbers to watch beside findings."""

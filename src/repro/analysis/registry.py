@@ -2,9 +2,9 @@
 
 Every static-analysis rule the repo enforces lives here as one
 :class:`Rule` — stable code, severity, one-line summary, and the pass
-that owns it — so ``repro lint`` and ``repro race`` list, gate, and
-serialize (JSON/SARIF) from a single catalog instead of each tool
-keeping a private dict.  Each finding has one code and one owner:
+that owns it — so ``repro lint`` and ``repro race`` list and gate from
+a single catalog instead of each tool keeping a private dict.  Each
+finding has one code and one owner:
 
 * ``L0xx``    — per-module repository invariants (``repro lint``);
 * ``CONC1xx`` — shared-state race rules (``repro race``);
@@ -63,9 +63,3 @@ def rules_for(domain: str) -> dict[str, Rule]:
     """The catalog slice one pass owns."""
     return {code: rule for code, rule in RULES.items()
             if rule.domain == domain}
-
-
-def severity_of(code: str) -> Severity:
-    """Severity of *code*; unknown codes are errors (fail closed)."""
-    rule = RULES.get(code)
-    return rule.severity if rule is not None else Severity.ERROR

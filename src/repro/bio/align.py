@@ -58,17 +58,6 @@ class PairwiseAlignment:
                 matches += 1
         return matches / columns if columns else 0.0
 
-    @property
-    def gap_fraction(self) -> float:
-        """Fraction of columns containing at least one gap."""
-        if not self.aligned_a:
-            return 0.0
-        gaps = sum(
-            res_a == alphabet.GAP or res_b == alphabet.GAP
-            for res_a, res_b in zip(self.aligned_a, self.aligned_b)
-        )
-        return gaps / len(self.aligned_a)
-
     def matched_columns(self) -> list[tuple[str, str]]:
         """Columns where neither side is a gap, as residue pairs."""
         return [

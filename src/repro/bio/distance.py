@@ -102,11 +102,6 @@ class DistanceMatrix:
         """Distance between two taxa by name."""
         return float(self.values[self.index_of(name_a), self.index_of(name_b)])
 
-    def submatrix(self, keep: Sequence[str]) -> "DistanceMatrix":
-        """Restrict to the taxa in *keep* (preserving their given order)."""
-        idx = [self.index_of(name) for name in keep]
-        return DistanceMatrix(tuple(keep), self.values[np.ix_(idx, idx)].copy())
-
     def is_additive(self, tolerance: float = 1e-6) -> bool:
         """Check the four-point condition on every quartet.
 

@@ -120,10 +120,6 @@ class SubstitutionMatrix:
                 out[i, j] = self._scores[(res_a, res_b)]
         return out
 
-    def max_score(self) -> int:
-        """Largest diagonal score (used for score normalisation)."""
-        return max(self._scores[(aa, aa)] for aa in alphabet.AMINO_ACIDS)
-
 
 BLOSUM62 = SubstitutionMatrix.from_rows("BLOSUM62", _parse_rows(_BLOSUM62_ROWS))
 PAM250 = SubstitutionMatrix.from_rows("PAM250", _parse_rows(_PAM250_ROWS))

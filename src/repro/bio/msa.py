@@ -60,23 +60,6 @@ class MultipleAlignment:
         """Residues (and gaps) of one alignment column."""
         return "".join(row[index] for row in self.rows)
 
-    def ungapped(self, name: str) -> str:
-        """The original (gap-free) sequence text of one row."""
-        return self.row(name).replace(alphabet.GAP, "")
-
-    def conservation(self) -> list[float]:
-        """Per-column fraction of the most common non-gap residue."""
-        scores: list[float] = []
-        for index in range(self.width):
-            column = [char for char in self.column(index)
-                      if char != alphabet.GAP]
-            if not column:
-                scores.append(0.0)
-                continue
-            top = max(column.count(char) for char in set(column))
-            scores.append(top / len(self.rows))
-        return scores
-
 
 class _Profile:
     """A gapped alignment block with per-column residue frequencies."""

@@ -131,10 +131,6 @@ class PhyloNode:
             return 0
         return 1 + max(child.height() for child in self.children)
 
-    def depth_of(self) -> int:
-        """Edges from the tree root down to this node."""
-        return sum(1 for _ in self.ancestors())
-
     def distance_to_root(self) -> float:
         """Sum of branch lengths from this node up to the root."""
         total = self.branch_length
@@ -307,42 +303,6 @@ class PhyloTree:
 
         return PhyloTree(clone(self.root))
 
-    def prune_to(self, keep: Iterable[str]) -> "PhyloTree":
-        """Copy of the tree restricted to the named leaves.
-
-        Unary internal nodes created by pruning are suppressed and their
-        branch lengths merged, as phylogenetics tools conventionally do.
-        """
-        keep_set = set(keep)
-        missing = keep_set - set(self.leaf_names())
-        if missing:
-            raise TreeError(f"cannot keep unknown leaves {sorted(missing)}")
-        if not keep_set:
-            raise TreeError("cannot prune to an empty leaf set")
-
-        def build(node: PhyloNode) -> Optional[PhyloNode]:
-            if node.is_leaf:
-                if node.name not in keep_set:
-                    return None
-                return PhyloNode(node.name, node.branch_length)
-            kept = [built for child in node.children
-                    if (built := build(child)) is not None]
-            if not kept:
-                return None
-            if len(kept) == 1:
-                only = kept[0]
-                only.branch_length += node.branch_length
-                return only
-            fresh = PhyloNode(node.name, node.branch_length)
-            for child in kept:
-                fresh.add_child(child)
-            return fresh
-
-        new_root = build(self.root)
-        assert new_root is not None  # keep_set is non-empty and validated
-        new_root.branch_length = 0.0
-        return PhyloTree(new_root)
-
     def reroot_at_midpoint(self) -> "PhyloTree":
         """Copy rerooted at the midpoint of the longest leaf-leaf path."""
         names, dist = self.cophenetic_matrix()
@@ -418,27 +378,6 @@ class PhyloTree:
             attach_length = next_attach
             node = parent
         return PhyloTree(_suppress_unary(new_root))
-
-    def ladderize(self) -> None:
-        """Sort children in place by subtree leaf count (small first)."""
-        sizes: dict[int, int] = {}
-        for node in self.postorder():
-            if node.is_leaf:
-                sizes[node.node_id] = 1
-            else:
-                sizes[node.node_id] = sum(
-                    sizes[child.node_id] for child in node.children
-                )
-        for node in self.preorder():
-            node.children.sort(
-                key=lambda child: (sizes[child.node_id], child.name)
-            )
-
-    def total_branch_length(self) -> float:
-        return sum(
-            node.branch_length for node in self.preorder()
-            if node.parent is not None
-        )
 
     # -- comparison ---------------------------------------------------
 

@@ -89,16 +89,6 @@ class BindingRecord:
                 f"affinity must be positive, got {self.value_nm} nM"
             )
 
-    @classmethod
-    def from_measurement(cls, ligand_id: str, protein_id: str,
-                         activity_type: ActivityType,
-                         value: float, unit: str,
-                         assay_id: str = "",
-                         source: str = "") -> "BindingRecord":
-        """Build a record from a raw (value, unit) measurement."""
-        return cls(ligand_id, protein_id, activity_type,
-                   to_nanomolar(value, unit), assay_id, source)
-
     @property
     def p_affinity(self) -> float:
         """pKi/pKd-style affinity; larger means stronger binding."""
@@ -108,10 +98,6 @@ class BindingRecord:
     def is_potent(self) -> bool:
         """Sub-micromolar binding (the usual hit threshold)."""
         return self.value_nm < 1000.0
-
-    def stronger_than(self, other: "BindingRecord") -> bool:
-        """Lower concentration = stronger binding."""
-        return self.value_nm < other.value_nm
 
 
 def aggregate_p_affinity(records: list[BindingRecord]) -> dict[str, float]:

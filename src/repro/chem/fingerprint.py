@@ -47,18 +47,6 @@ class Fingerprint:
     def popcount(self) -> int:
         return self.bits.bit_count()
 
-    def on_bits(self) -> list[int]:
-        """Indexes of set bits, ascending."""
-        out = []
-        bits = self.bits
-        index = 0
-        while bits:
-            if bits & 1:
-                out.append(index)
-            bits >>= 1
-            index += 1
-        return out
-
     def __contains__(self, index: int) -> bool:
         return bool((self.bits >> index) & 1)
 

@@ -227,9 +227,6 @@ class Molecule:
             ]
         return self._rings
 
-    def ring_atoms(self) -> set[int]:
-        return {index for ring in self.rings() for index in ring}
-
     def ring_bonds(self) -> set[tuple[int, int]]:
         ring_sets = [set(ring) for ring in self.rings()]
         out: set[tuple[int, int]] = set()

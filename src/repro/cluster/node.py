@@ -50,13 +50,19 @@ class Hint:
     versioned: VersionedRow
 
 
+#: Virtual seconds one healthy RPC costs, and what a caller waits on a
+#: node that is down before giving up on it.
+BASE_LATENCY_S = 0.002
+RPC_TIMEOUT_S = 0.05
+
+
 class ClusterNode:
     """One simulated storage node of the cluster."""
 
     def __init__(self, node_id: str, clock: SimulatedClock,
                  schedule: FaultSchedule | None = None,
-                 base_latency_s: float = 0.002,
-                 timeout_s: float = 0.05) -> None:
+                 base_latency_s: float = BASE_LATENCY_S,
+                 timeout_s: float = RPC_TIMEOUT_S) -> None:
         self.node_id = node_id
         self.clock = clock
         self.schedule = schedule or FaultSchedule()

@@ -34,8 +34,6 @@ class ClusterConfig:
     #: the target returns. Disable to let replicas diverge (the merkle
     #: anti-entropy tests do exactly that).
     hinted_handoff: bool = True
-    base_latency_s: float = 0.002
-    rpc_timeout_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
@@ -51,8 +49,6 @@ class ClusterConfig:
             raise ClusterError("read quorum must be in [1, RF]")
         if not 1 <= self.write_quorum <= self.replication_factor:
             raise ClusterError("write quorum must be in [1, RF]")
-        if self.base_latency_s < 0 or self.rpc_timeout_s <= 0:
-            raise ClusterError("latencies must be non-negative")
 
     @property
     def strongly_consistent(self) -> bool:
@@ -85,11 +81,8 @@ class Cluster:
         self.node_ids = tuple(f"node-{i}"
                               for i in range(self.config.nodes))
         self.nodes: dict[str, ClusterNode] = {
-            node_id: ClusterNode(
-                node_id, self.clock, schedule=self.schedule,
-                base_latency_s=self.config.base_latency_s,
-                timeout_s=self.config.rpc_timeout_s,
-            )
+            node_id: ClusterNode(node_id, self.clock,
+                                 schedule=self.schedule)
             for node_id in self.node_ids
         }
         rf = self.config.replication_factor

@@ -139,17 +139,3 @@ class IntervalLabeling:
         return self.label_of(ancestor_name).contains(
             self.label_of(descendant_name)
         )
-
-    def sibling_leaves(self, leaf_name: str, window: int = 2) -> list[str]:
-        """Leaves adjacent to *leaf_name* in tree order.
-
-        The prefetch predictor uses this: a user inspecting one leaf is
-        likely to inspect its neighbours next.
-        """
-        position = self.leaf_position(leaf_name)
-        low = max(0, position - window)
-        high = min(self.leaf_count, position + window + 1)
-        return [
-            name for name in self._leaf_name_by_position[low:high]
-            if name != leaf_name
-        ]

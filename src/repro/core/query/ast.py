@@ -13,7 +13,7 @@ these dataclasses; programmatic callers can build them directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.overlay import (
@@ -377,9 +377,6 @@ class Query:
         """Selected columns that require a run-time federation fetch."""
         return tuple(c for c in self.select
                      if c in REMOTE_DETAIL_COLUMNS)
-
-    def without_order_and_limit(self) -> "Query":
-        return replace(self, order_by=None, limit=None)
 
     def signature(self) -> str:
         """Canonical text form (used as the semantic-cache key base)."""

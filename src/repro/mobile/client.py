@@ -122,6 +122,3 @@ class MobileClient:
 
     def latencies(self) -> list[float]:
         return [i.experienced_latency_s for i in self.interactions]
-
-    def visible_nodes(self) -> dict[str, Any]:
-        return dict(self.state.payload.get("nodes", {}))

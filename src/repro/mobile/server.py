@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.drugtree import DrugTree
-from repro.core.query.executor import EngineConfig, QueryEngine
+from repro.core.query.executor import QueryEngine
 from repro.errors import MobileError, QueryError, UnknownSessionError
 from repro.mobile.lod import render_full, render_viewport
 from repro.mobile.protocol import Message, delta_message, full_message
@@ -35,39 +35,35 @@ from repro.sources.protein import KIND_PROTEIN
 from repro.sources.resilience import Deadline
 
 
+#: Detail records retained before the prefetch cache drops the oldest
+#: entries.
+DETAIL_CACHE_CAPACITY = 4096
+#: Viewport bounds used instead of ``lod_max_depth`` / ``lod_max_nodes``
+#: while the federation is degraded (open breakers): ship a smaller tree
+#: rather than an error.
+DEGRADED_LOD_MAX_DEPTH = 2
+DEGRADED_LOD_MAX_NODES = 60
+#: Bound on concurrently open sessions; opening past it evicts the
+#: least-recently-used session (a phone that went quiet).
+MAX_SESSIONS = 10_000
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """Mobile-protocol feature toggles (E5/E6 knobs)."""
 
     use_lod: bool = True
     use_delta: bool = True
-    compress: bool = True
     lod_max_depth: int = 3
     lod_max_nodes: int = 200
     #: Prefetch remote details for visible leaves on every render
     #: (needs a federation scheduler on the server).
     prefetch_details: bool = True
-    #: Detail records retained before the prefetch cache drops the
-    #: oldest entries.
-    detail_cache_capacity: int = 4096
     #: Virtual-seconds budget per tap that touches the federation;
     #: ``None`` disables deadlines (the historical behaviour). With a
     #: budget, remote work past it is cancelled and the response
     #: degrades instead of stalling.
     tap_deadline_s: float | None = None
-    #: Viewport bounds used instead of ``lod_max_depth`` /
-    #: ``lod_max_nodes`` while the federation is degraded (open
-    #: breakers): ship a smaller tree rather than an error.
-    degraded_lod_max_depth: int = 2
-    degraded_lod_max_nodes: int = 60
-    #: Bound on concurrently open sessions; opening past it evicts the
-    #: least-recently-used session (a phone that went quiet).
-    max_sessions: int = 10_000
-    #: Sessions idle longer than this (virtual seconds) are evicted on
-    #: the next open. ``None`` disables idle eviction; it also needs a
-    #: federation clock to measure idleness against.
-    session_idle_s: float | None = None
-    engine: EngineConfig = field(default_factory=EngineConfig)
 
 
 @dataclass
@@ -88,9 +84,6 @@ class _Session:
     session_id: str
     focus: str
     last_payload: dict[str, Any] | None = None
-    #: Virtual time of the last interaction (LRU/idle eviction key);
-    #: guarded by the server's session-table lock.
-    last_used_s: float = 0.0
     #: Guards this session's view state (``focus``, ``last_payload``)
     #: against concurrent gestures on the same session.
     lock: threading.RLock = field(default_factory=threading.RLock,
@@ -109,8 +102,7 @@ class DrugTreeServer:
         #: enables viewport detail prefetch and remote detail columns
         #: in DTQL queries.
         self.federation = federation
-        self.engine = QueryEngine(drugtree, self.config.engine,
-                                  federation=federation)
+        self.engine = QueryEngine(drugtree, federation=federation)
         #: Session table, ordered by last use (front = coldest).
         #: All access goes through ``_sessions_lock``; the lock is
         #: never held across a render or a federation fetch.
@@ -138,46 +130,22 @@ class DrugTreeServer:
 
     # -- session lifecycle ------------------------------------------------------
 
-    def _now(self) -> float:
-        """Virtual time for session-idle accounting (0.0 clockless)."""
-        if self.federation is None:
-            return 0.0
-        return self.federation.clock.now()
-
-    def _evict_sessions_locked(self, now: float) -> int:
-        """Drop idle / excess sessions from the cold end of the table.
-
-        Caller holds ``_sessions_lock``. Returns how many were evicted.
-        """
-        evicted = 0
-        idle_s = self.config.session_idle_s
-        if idle_s is not None and self.federation is not None:
-            while self._sessions:
-                coldest = next(iter(self._sessions.values()))
-                if now - coldest.last_used_s < idle_s:
-                    break
-                self._sessions.popitem(last=False)
-                evicted += 1
-        while len(self._sessions) > self.config.max_sessions:
-            self._sessions.popitem(last=False)
-            evicted += 1
-        return evicted
-
     def open_session(self) -> tuple[str, ServerResponse]:
         """Open a session; returns its id and the initial tree render.
 
         Opening is where the bounded session table sheds: sessions past
-        ``max_sessions`` (or idle past ``session_idle_s``) are evicted
-        coldest-first, and later requests naming them raise
+        :data:`MAX_SESSIONS` are evicted coldest-first, and later
+        requests naming them raise
         :class:`~repro.errors.UnknownSessionError` so callers reopen.
         """
-        now = self._now()
         session_id = f"s{next(self._session_counter)}"
-        session = _Session(session_id, focus=self._root_name,
-                           last_used_s=now)
+        session = _Session(session_id, focus=self._root_name)
+        evicted = 0
         with self._sessions_lock:
             self._sessions[session_id] = session
-            evicted = self._evict_sessions_locked(now)
+            while len(self._sessions) > MAX_SESSIONS:
+                self._sessions.popitem(last=False)
+                evicted += 1
             open_count = len(self._sessions)
         metrics = get_metrics()
         if evicted:
@@ -214,7 +182,6 @@ class DrugTreeServer:
                     f"unknown session {session_id!r} "
                     "(never opened, closed, or evicted)"
                 )
-            session.last_used_s = self._now()
             self._sessions.move_to_end(session_id)
             return session
 
@@ -280,9 +247,7 @@ class DrugTreeServer:
                 result = self.engine.execute(
                     dtql, deadline=self._tap_deadline())
             except QueryError:
-                errors = (self.engine.check(dtql).errors
-                          if self.engine.config.use_semantic_analysis
-                          else ())
+                errors = self.engine.check(dtql).errors
                 if not errors:
                     raise  # the query was sound; running it failed
                 get_metrics().counter("mobile.query_rejected").inc()
@@ -302,8 +267,7 @@ class DrugTreeServer:
                 if result.resilience:
                     payload["resilience"] = dict(result.resilience)
                 get_metrics().counter("mobile.degraded_responses").inc()
-            message = full_message(payload,
-                                   compress=self.config.compress)
+            message = full_message(payload)
             span.set("rows", len(result.rows))
             span.set("wire_bytes", message.wire_bytes)
         return self._account("query", ServerResponse(
@@ -340,8 +304,7 @@ class DrugTreeServer:
                     for hit in hits
                 ],
             }
-            message = full_message(payload,
-                                   compress=self.config.compress)
+            message = full_message(payload)
             span.set("hits", len(hits))
         return self._account("search_sequence", ServerResponse(
             message=message,
@@ -358,7 +321,8 @@ class DrugTreeServer:
         (protein outside the rendered viewport) fetches on demand.
 
         When the tap is resilient (deadline set or breakers enabled)
-        and the sources cannot answer, the card degrades to the
+        and only some sources answer, the card is served flagged
+        ``degraded`` and not cached; when none can, it degrades to the
         overlay's own columns (flagged ``stale``) instead of erroring
         — the phone always gets *something* for a visible protein.
         """
@@ -374,14 +338,18 @@ class DrugTreeServer:
                 WallTimer() as timer:
             with self._details_lock:
                 details = self._details.get(protein_id)
+            status = "fresh"
             if details is None:
                 metrics.counter("mobile.prefetch.misses").inc()
-                self._prefetch_details([protein_id])
+                partial = self._prefetch_details([protein_id])
                 with self._details_lock:
                     details = self._details.get(protein_id)
+                if details is None and protein_id in partial:
+                    details = partial[protein_id]
+                    status = "degraded"
+                    metrics.counter("mobile.degraded_responses").inc()
             else:
                 metrics.counter("mobile.prefetch.hits").inc()
-            status = "fresh"
             if details is None and self.federation.degrades(
                     self.config.tap_deadline_s):
                 card = self._local_protein_card(protein_id)
@@ -403,8 +371,7 @@ class DrugTreeServer:
             payload = {"protein_id": protein_id, "details": details}
             if status != "fresh":
                 payload["status"] = status
-            message = full_message(payload,
-                                   compress=self.config.compress)
+            message = full_message(payload)
             span.set("wire_bytes", message.wire_bytes)
         return self._account("protein_details", ServerResponse(
             message=message,
@@ -422,20 +389,24 @@ class DrugTreeServer:
             if entry.get("leaf") and entry.get("name")
         ]
 
-    def _prefetch_details(self, protein_ids: list[str]) -> None:
+    def _prefetch_details(
+            self, protein_ids: list[str]) -> dict[str, dict[str, Any]]:
         """Overlap protein + annotation pulls for the given leaves.
 
         The detail-cache lock is never held across the federation
         round-trip: two sessions prefetching the same viewport may both
         fetch, each paying its own round-trips. Whether a dark source
         raises or leaves its leaves without details is the scheduler's
-        ``degrades`` policy.
+        ``degrades`` policy. Only a batch in which both kinds came back
+        fresh is cached; the cards of any other batch are returned for
+        the caller to serve once, flagged, and are never stored — a
+        record missing its annotations must not outlive the fault.
         """
         with self._details_lock:
             wanted = [pid for pid in protein_ids
                       if pid not in self._details]
         if not wanted:
-            return
+            return {}
         metrics = get_metrics()
         metrics.counter("mobile.prefetch.batches").inc()
         metrics.counter("mobile.prefetch.keys").inc(len(wanted))
@@ -443,10 +414,10 @@ class DrugTreeServer:
             (KIND_PROTEIN, wanted),
             (KIND_ANNOTATION, wanted),
         ]
-        fetched = self.federation.fetch_all_resilient(
-            requests, deadline=self._tap_deadline()).records
-        proteins = fetched.get(KIND_PROTEIN, {})
-        annotations = fetched.get(KIND_ANNOTATION, {})
+        outcome = self.federation.fetch_all_resilient(
+            requests, deadline=self._tap_deadline())
+        proteins = outcome.records.get(KIND_PROTEIN, {})
+        annotations = outcome.records.get(KIND_ANNOTATION, {})
         merged: dict[str, dict[str, Any]] = {}
         for pid in wanted:
             entry = proteins.get(pid)
@@ -464,10 +435,13 @@ class DrugTreeServer:
                                          ()) or ()),
                 "ec_number": getattr(annotation, "ec_number", None),
             }
+        if outcome.degraded:
+            return merged
         with self._details_lock:
             self._details.update(merged)
-            while len(self._details) > self.config.detail_cache_capacity:
+            while len(self._details) > DETAIL_CACHE_CAPACITY:
                 self._details.pop(next(iter(self._details)))
+        return {}
 
     def _render(self, session: _Session, focus: str) -> ServerResponse:
         with get_tracer().span("mobile.render", focus=focus) as span, \
@@ -480,10 +454,8 @@ class DrugTreeServer:
                     # Breakers are open: serve a smaller viewport now
                     # rather than a full one after the dark sources'
                     # timeouts (or not at all).
-                    max_depth = min(max_depth,
-                                    self.config.degraded_lod_max_depth)
-                    max_nodes = min(max_nodes,
-                                    self.config.degraded_lod_max_nodes)
+                    max_depth = min(max_depth, DEGRADED_LOD_MAX_DEPTH)
+                    max_nodes = min(max_nodes, DEGRADED_LOD_MAX_NODES)
                 payload = render_viewport(
                     self.drugtree, focus,
                     max_depth=max_depth,
@@ -507,15 +479,12 @@ class DrugTreeServer:
                 # Adaptive framing: a big viewport jump can make the
                 # delta larger than the fresh payload — ship whichever
                 # is smaller.
-                delta = delta_message(previous, payload,
-                                      compress=self.config.compress)
-                full = full_message(payload,
-                                    compress=self.config.compress)
+                delta = delta_message(previous, payload)
+                full = full_message(payload)
                 message = (delta if delta.wire_bytes < full.wire_bytes
                            else full)
             else:
-                message = full_message(payload,
-                                       compress=self.config.compress)
+                message = full_message(payload)
             with session.lock:
                 session.last_payload = payload
             span.set("wire_bytes", message.wire_bytes)

@@ -1,8 +1,8 @@
 """Observability: tracing, metrics, timers, and EXPLAIN ANALYZE.
 
-The federated query path spans five layers — remote sources, source
-wrappers, the local store and semantic cache, the query engine, and the
-mobile server — and the paper's headline complaint ("a number of lags
+The federated query path spans five layers — remote sources, the
+fetch scheduler, the local store and semantic cache, the query engine,
+and the mobile server — and the paper's headline complaint ("a number of lags
 concerning querying the tree") is unanswerable without per-layer
 signals. This package provides them:
 
@@ -17,8 +17,8 @@ signals. This package provides them:
 Instrumented modules resolve the process-wide defaults through
 :func:`get_tracer` / :func:`get_metrics` at call time. Tracing defaults
 to :data:`NULL_TRACER` (no spans allocated, near-zero overhead);
-metrics default to one shared registry whose increments are plain
-attribute adds. Opt in with::
+metrics default to one shared registry whose instruments each take
+their own lock per update. Opt in with::
 
     from repro import obs
 

@@ -241,10 +241,6 @@ class Tracer:
         """Finished spans, oldest first (completion order)."""
         return list(self._finished)
 
-    def active_depth(self) -> int:
-        """Open-span nesting depth of the *calling* thread."""
-        return len(self._local_stack)
-
     def export(self) -> list[dict[str, Any]]:
         """All finished spans as JSON-ready dicts."""
         return [span.as_dict() for span in self._finished]

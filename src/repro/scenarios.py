@@ -1,9 +1,11 @@
 """Scenario runner: replay a workload under a fault schedule.
 
-The bodies behind ``repro chaos`` and ``repro cluster --verify``, and
-behind experiments E12 and E16, as library functions: each takes a
-built world (a :class:`~repro.workloads.datasets.Dataset`), drives it
-on the dataset's virtual clock, and returns a plain report. Nothing
+The bodies behind ``repro chaos``, ``repro cluster --verify`` and
+``repro stats``, and behind experiments E12 and E16, as library
+functions: each takes a built world (a
+:class:`~repro.workloads.datasets.Dataset`), drives it on the dataset's
+virtual clock, and returns a plain report (the ``stats`` session
+returns nothing: its product is what the instruments recorded). Nothing
 here prints or touches the global tracer; ``counters`` in a report are
 whatever the current metrics registry has seen, so a caller wanting
 one run's counters installs a fresh registry before building the
@@ -22,7 +24,13 @@ from repro.errors import ChaosError, DrugTreeError
 from repro.faults import SCENARIOS, FaultSchedule, Outage, scenario_schedule
 from repro.mobile import DrugTreeServer, ServerConfig
 from repro.obs import get_metrics
-from repro.sources import BreakerConfig, FetchScheduler, wrap_registry
+from repro.sources import (
+    KIND_ANNOTATION,
+    KIND_PROTEIN,
+    BreakerConfig,
+    FetchScheduler,
+    wrap_registry,
+)
 from repro.workloads import QueryGenerator
 from repro.workloads.queries import ALL_KINDS
 
@@ -267,3 +275,68 @@ def run_divergence_repair(dataset, engine: ClusterEngine,
         "parity_checks": len(checks),
         "failures": failures,
     }
+
+
+def run_representative_session(dataset) -> None:
+    """Touch every instrumented layer once, for ``repro stats``.
+
+    Repeated and narrowing queries (cache traffic), one remote-detail
+    projection (scheduler traffic), a short mobile replay with viewport
+    prefetch, one fetch batch with duplicate keys, and a sharded-cluster
+    phase with a node down. The caller reads the metrics registry and
+    tracer it installed.
+    """
+    drugtree = dataset.drugtree()
+    scheduler = FetchScheduler(dataset.registry)
+    engine = QueryEngine(drugtree, federation=scheduler)
+    clade = dataset.family.clade_names[0]
+    for dtql in (
+        "SELECT count(*) FROM bindings",
+        f"SELECT * FROM bindings WHERE p_affinity >= 6.0 "
+        f"IN SUBTREE '{clade}'",
+        f"SELECT * FROM bindings WHERE p_affinity >= 7.0 "
+        f"IN SUBTREE '{clade}'",
+        "SELECT count(*) FROM bindings",
+        "SELECT protein_id, method FROM proteins",
+    ):
+        engine.execute(dtql)
+    server = DrugTreeServer(drugtree, ServerConfig(),
+                            federation=scheduler)
+    session_id, _ = server.open_session()
+    for focus in dataset.family.clade_names[:3]:
+        server.navigate(session_id, focus)
+    server.close_session(session_id)
+    # One batch naming the same viewport's proteins twice: the
+    # scheduler deduplicates the repeated keys before dispatch, so
+    # ``scheduler.coalesced`` moves in the snapshot.
+    visible = list(dataset.family.protein_ids[:16])
+    scheduler.fetch_all([
+        (KIND_PROTEIN, visible),
+        (KIND_ANNOTATION, visible),
+        (KIND_PROTEIN, visible),
+    ])
+    # One node crashed for the whole cluster phase: the per-node
+    # breakers publish their state gauges
+    # (breaker.state.cluster.replica@node-N) into the same snapshot.
+    cluster_engine = ClusterEngine.from_drugtree(
+        drugtree,
+        cluster_config=ClusterConfig(nodes=4, partitions=3,
+                                     replication_factor=2,
+                                     read_quorum=1),
+        clock=dataset.clock,
+        breaker_config=BreakerConfig(failure_threshold=2,
+                                     reset_timeout_s=300.0),
+    )
+    crash_start = dataset.clock.now()
+    cluster_engine.router.cluster.set_schedule(FaultSchedule((
+        Outage(crash_start, crash_start + 600.0, target="node-0"),
+    )))
+    cluster_engine.execute("SELECT count(*) FROM bindings")
+    cluster_engine.execute(
+        f"SELECT count(*) FROM bindings IN SUBTREE '{clade}'"
+    )
+    cluster_engine.execute(
+        "SELECT protein_id FROM proteins WHERE leaf_pre < 4"
+    )
+    # Publish the statistics-staleness gauge alongside the rest.
+    drugtree.stale_tables()

@@ -175,13 +175,13 @@ class TenantReport:
             "failed": self.failed,
             "within_slo": self.within_slo,
             "cache_hits": self.cache_hits,
-            "goodput": round(self.goodput, 6),
-            "shed_rate": round(self.shed_rate, 6),
-            "p50_s": round(self.p50_s, 6),
-            "p99_s": round(self.p99_s, 6),
-            "p999_s": round(self.p999_s, 6),
-            "max_s": round(self.max_s, 6),
-            "mean_queued_s": round(self.mean_queued_s, 6),
+            "goodput": self.goodput,
+            "shed_rate": self.shed_rate,
+            "p50_s": self.p50_s,
+            "p99_s": self.p99_s,
+            "p999_s": self.p999_s,
+            "max_s": self.max_s,
+            "mean_queued_s": self.mean_queued_s,
         }
 
 
@@ -231,18 +231,17 @@ class ServingReport:
             "completed": self.completed,
             "shed": self.shed,
             "within_slo": self.within_slo,
-            "goodput": round(self.goodput, 6),
-            "shed_rate": round(self.shed_rate, 6),
-            "makespan_s": round(self.makespan_s, 6),
-            "offered_rps": round(self.offered_rps, 6),
-            "goodput_rps": round(self.goodput_rps, 6),
+            "goodput": self.goodput,
+            "shed_rate": self.shed_rate,
+            "makespan_s": self.makespan_s,
+            "offered_rps": self.offered_rps,
+            "goodput_rps": self.goodput_rps,
             "slo_s": self.slo_s,
             "tenants": {tenant: report.as_dict()
                         for tenant, report in
                         sorted(self.tenants.items())},
             "cache": self.cache,
-            "cost_estimates": {kind: round(cost, 6) for kind, cost
-                               in sorted(self.cost_estimates.items())},
+            "cost_estimates": dict(sorted(self.cost_estimates.items())),
         }
 
 
@@ -297,17 +296,11 @@ class ServingFrontend:
         with get_tracer().span("serving.run",
                                requests=len(ordered)):
             with self.clock.concurrently() as region:
-                workers = self._worker_timelines(
-                    region, self.config.workers)
+                workers = [region.task()
+                           for _ in range(self.config.workers)]
                 self._loop(ordered, workers, base)
         makespan = self.clock.now() - base
         return self._report(makespan)
-
-    def _worker_timelines(self, region, count: int) -> list:
-        # The only place that opens task timelines; kept free of any
-        # other work so the concurrency analyzer's task-entry scope is
-        # exactly this line (the event loop itself is single-threaded).
-        return [region.task() for _ in range(count)]
 
     def _loop(self, ordered: list[Request], workers: list,
               base: float) -> None:
@@ -449,7 +442,9 @@ class ServingFrontend:
                            service_s=service, cache="miss")
         service = timeline.now() - started
         self.cost_model.observe(request.kind, service)
-        if key is not None:
+        if key is not None and response.status == "fresh":
+            # A degraded or stale answer describes the fault, not the
+            # data: it must not outlive the fault in a shared cache.
             self.cache.put(key, request.tenant, response,
                            cost_s=service)
         return Outcome(request=request, status="ok",

@@ -134,14 +134,3 @@ class FairScheduler:
         if self.policy == "wfq" and item.finish_tag > self._virtual:
             self._virtual = item.finish_tag
         return item
-
-    def drop_tenant(self, tenant_id: str) -> int:
-        """Discard a tenant's whole queue; returns how many dropped."""
-        queue = self._queues.get(tenant_id)
-        if not queue:
-            return 0
-        dropped = len(queue)
-        self._depth -= dropped
-        self._queued_cost[tenant_id] = 0.0
-        queue.clear()
-        return dropped

@@ -86,19 +86,3 @@ class LigandActivitySource(TableBackedSource):
 
     def compounds(self, ligand_ids: list[str]) -> dict[str, CompoundEntry]:
         return self.fetch_many(KIND_COMPOUND, ligand_ids)  # type: ignore
-
-    def activities_for_protein(self,
-                               protein_id: str) -> tuple[BindingRecord, ...]:
-        record = self.fetch(KIND_ACTIVITY_BY_PROTEIN, protein_id)
-        return record if record is not None else ()  # type: ignore
-
-    def activities_for_proteins(
-        self, protein_ids: list[str],
-    ) -> dict[str, tuple[BindingRecord, ...]]:
-        return self.fetch_many(KIND_ACTIVITY_BY_PROTEIN,
-                               protein_ids)  # type: ignore
-
-    def activities_for_ligand(self,
-                              ligand_id: str) -> tuple[BindingRecord, ...]:
-        record = self.fetch(KIND_ACTIVITY_BY_LIGAND, ligand_id)
-        return record if record is not None else ()  # type: ignore

@@ -31,9 +31,6 @@ class AnnotationEntry:
         if not self.protein_id:
             raise SourceError("annotation entry needs a protein id")
 
-    def has_go_term(self, term: str) -> bool:
-        return term in self.go_terms
-
 
 class AnnotationSource(TableBackedSource):
     """Simulated remote annotation service.
@@ -78,7 +75,3 @@ class AnnotationSource(TableBackedSource):
     def annotations(self,
                     protein_ids: list[str]) -> dict[str, AnnotationEntry]:
         return self.fetch_many(KIND_ANNOTATION, protein_ids)  # type: ignore
-
-    def proteins_of_family(self, family: str) -> tuple[str, ...]:
-        record = self.fetch(KIND_PROTEINS_BY_FAMILY, family)
-        return record if record is not None else ()  # type: ignore

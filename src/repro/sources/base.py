@@ -237,11 +237,6 @@ class TableBackedSource(DataSource):
     def _all_keys(self, kind: str) -> list[str]:
         return sorted(self._tables[kind])
 
-    def record_count(self, kind: str) -> int:
-        """Backend record count (free: used by test assertions only)."""
-        self._check_kind(kind)
-        return len(self._tables[kind])
-
 
 class SourceWrapper:
     """Delegating base for source wrappers (shares the uniform dialect)."""

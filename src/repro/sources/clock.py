@@ -159,10 +159,6 @@ class ParallelRegion:
         self.sequential_s = 0.0
 
     @property
-    def task_count(self) -> int:
-        return len(self._tasks)
-
-    @property
     def overlap_saved_s(self) -> float:
         """Virtual seconds saved versus running the tasks back-to-back."""
         return max(0.0, self.sequential_s - self.elapsed_s)

@@ -79,16 +79,5 @@ class ProteinStructureSource(TableBackedSource):
 
     # -- typed helpers ----------------------------------------------------
 
-    def get_entry(self, protein_id: str) -> ProteinEntry | None:
-        record = self.fetch(KIND_PROTEIN, protein_id)
-        return record  # type: ignore[return-value]
-
     def get_entries(self, protein_ids: list[str]) -> dict[str, ProteinEntry]:
         return self.fetch_many(KIND_PROTEIN, protein_ids)  # type: ignore
-
-    def list_protein_ids(self) -> list[str]:
-        return self.scan_keys(KIND_PROTEIN)
-
-    def proteins_of_organism(self, organism: str) -> tuple[str, ...]:
-        record = self.fetch(KIND_PROTEINS_BY_ORGANISM, organism)
-        return record if record is not None else ()  # type: ignore

@@ -82,7 +82,3 @@ class SourceRegistry:
                 totals[key] += value
         totals["virtual_latency_s"] = round(totals["virtual_latency_s"], 6)
         return totals
-
-    def reset_stats(self) -> None:
-        for source in self._sources:
-            source.stats.reset()

@@ -67,6 +67,8 @@ STATE_CLOSED = "closed"
 STATE_OPEN = "open"
 STATE_HALF_OPEN = "half_open"
 _STATE_GAUGE = {STATE_CLOSED: 0.0, STATE_HALF_OPEN: 1.0, STATE_OPEN: 2.0}
+#: Probe calls admitted through a half-open breaker before it decides.
+HALF_OPEN_PROBES = 1
 
 
 @dataclass(frozen=True)
@@ -77,16 +79,12 @@ class BreakerConfig:
     failure_threshold: int = 5
     #: Virtual seconds an open breaker refuses calls before half-open.
     reset_timeout_s: float = 30.0
-    #: Concurrent probe calls allowed through a half-open breaker.
-    half_open_probes: int = 1
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise SourceError("breaker threshold must be >= 1")
         if self.reset_timeout_s <= 0:
             raise SourceError("breaker reset timeout must be positive")
-        if self.half_open_probes < 1:
-            raise SourceError("breaker needs >= 1 half-open probe")
 
 
 class Deadline:
@@ -179,7 +177,7 @@ class CircuitBreaker:
                     ).inc()
                 return False
             # Half-open: admit a bounded number of probe calls.
-            if self._probes_admitted < self.config.half_open_probes:
+            if self._probes_admitted < HALF_OPEN_PROBES:
                 self._probes_admitted += 1
                 return True
             self.short_circuits += 1

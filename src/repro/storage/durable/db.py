@@ -13,7 +13,7 @@ and fsync policy per :class:`StorageConfig`), then applied to the
 memtable; once the memtable passes ``memtable_flush_bytes`` it is
 written as a level-0 SSTable, the manifest is swapped atomically
 (``tmp`` + ``os.replace``), and the WAL resets. When a level collects
-more than ``level_fanout`` segments, it is merged with the level below
+more than :data:`LEVEL_FANOUT` segments, it is merged with the level below
 into one new segment; tombstones are garbage-collected only when the
 merge lands on the bottom level (below which no older version of any
 key can hide).
@@ -56,6 +56,9 @@ WAL_NAME = "wal.log"
 #: Operators a zone map can refute (NULL never matches any of them).
 _ZONE_OPS = frozenset({"=", "<", "<=", ">", ">="})
 
+#: Segments a level tolerates before compacting into the next.
+LEVEL_FANOUT = 4
+
 
 @dataclass(frozen=True)
 class StorageConfig:
@@ -67,10 +70,6 @@ class StorageConfig:
     fsync: str = "batch"
     #: Memtable size that triggers a flush to a level-0 SSTable.
     memtable_flush_bytes: int = 256 * 1024
-    #: SSTable block-index granularity.
-    block_bytes: int = 4096
-    #: Segments a level tolerates before compacting into the next.
-    level_fanout: int = 4
 
     def __post_init__(self) -> None:
         if self.fsync not in ("always", "batch", "never"):
@@ -318,7 +317,6 @@ class Database:
         write_sstable(
             os.path.join(self.data_dir, name), items,
             meta=_table_meta(items),
-            block_bytes=self.config.block_bytes,
         )
         return SegmentInfo(
             segment_id=segment_id, level=level, file=name,
@@ -349,13 +347,13 @@ class Database:
         return segment
 
     def maybe_compact(self) -> None:
-        """Compact any level holding more than ``level_fanout`` segments."""
+        """Compact any level holding more than ``LEVEL_FANOUT`` segments."""
         while True:
             counts: dict[int, int] = {}
             for segment in self.segments:
                 counts[segment.level] = counts.get(segment.level, 0) + 1
             overfull = [level for level, count in counts.items()
-                        if count > self.config.level_fanout]
+                        if count > LEVEL_FANOUT]
             if not overfull:
                 return
             self.compact_level(min(overfull))

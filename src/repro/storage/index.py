@@ -78,9 +78,6 @@ class HashIndex(Index):
     def lookup(self, key: Any) -> list[int]:
         return sorted(self._buckets.get(key, ()))
 
-    def distinct_keys(self) -> int:
-        return len(self._buckets)
-
 
 class SortedIndex(Index):
     """Ordered index over one column supporting range scans.

@@ -65,10 +65,6 @@ class ColumnStatistics:
     most_common: tuple[tuple[Any, int], ...] = field(default_factory=tuple)
     histogram: Histogram | None = None
 
-    @property
-    def null_fraction(self) -> float:
-        return self.null_count / self.row_count if self.row_count else 0.0
-
     def equality_selectivity(self, value: Any) -> float:
         """Estimated fraction of rows equal to *value*."""
         if self.row_count == 0:

@@ -175,11 +175,6 @@ class Table:
         self._indexes[index_name] = index
         return index
 
-    def drop_index(self, name: str) -> None:
-        if name not in self._indexes:
-            raise StorageError(f"no index {name!r} on table {self.name!r}")
-        del self._indexes[name]
-
     def indexes(self) -> dict[str, Index]:
         return dict(self._indexes)
 

@@ -35,6 +35,14 @@ _METHODS = ("X-RAY DIFFRACTION", "SOLUTION NMR", "ELECTRON MICROSCOPY")
 _PEAK_P_AFFINITY = (6.0, 9.5)
 #: pAffinity lost per unit of tree distance from the center leaf.
 _DISTANCE_DECAY = 1.2
+#: Gaussian noise added to each measurement (std dev, pAff units).
+MEASUREMENT_NOISE = 0.25
+#: Records below this pAffinity are never measured/recorded.
+DETECTION_FLOOR = 4.5
+#: Probability a would-be-detectable interaction was ever assayed.
+ASSAY_COVERAGE = 0.65
+#: Residues per simulated protein sequence.
+SEQUENCE_LENGTH = 100
 
 
 def _family_go_term(family_name: str) -> str:
@@ -49,22 +57,12 @@ class DatasetConfig:
     n_leaves: int = 60
     n_ligands: int = 150
     seed: int = 0
-    sequence_length: int = 100
-    branch_scale: float = 0.25
-    #: Gaussian noise added to each measurement (std dev, pAff units).
-    noise: float = 0.25
-    #: Records below this pAffinity are never measured/recorded.
-    detection_floor: float = 4.5
-    #: Probability a would-be-detectable interaction was ever assayed.
-    assay_coverage: float = 0.65
     #: Per-round-trip base latency of each source, seconds.
     source_latency_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.n_leaves < 2 or self.n_ligands < 1:
             raise WorkloadError("dataset needs >=2 leaves and >=1 ligand")
-        if not 0.0 <= self.assay_coverage <= 1.0:
-            raise WorkloadError("assay coverage must be in [0, 1]")
 
 
 @dataclass
@@ -126,10 +124,10 @@ def generate_bindings(family: ProteinFamily, ligands: list[Ligand],
         for protein_id in names:
             distance = float(distances[index[center], index[protein_id]])
             p_affinity = (peak - _DISTANCE_DECAY * distance
-                          + rng.gauss(0.0, config.noise))
-            if p_affinity < config.detection_floor:
+                          + rng.gauss(0.0, MEASUREMENT_NOISE))
+            if p_affinity < DETECTION_FLOOR:
                 continue
-            if rng.random() > config.assay_coverage:
+            if rng.random() > ASSAY_COVERAGE:
                 continue
             value_nm = 10.0 ** (9.0 - p_affinity)
             records.append(BindingRecord(
@@ -150,8 +148,7 @@ def build_dataset(config: DatasetConfig | None = None) -> Dataset:
     family = make_family(
         config.n_leaves,
         seed=config.seed,
-        sequence_length=config.sequence_length,
-        branch_scale=config.branch_scale,
+        sequence_length=SEQUENCE_LENGTH,
     )
     ligands = generate_library(config.n_ligands, seed=config.seed + 500)
     bindings = generate_bindings(family, ligands, config)

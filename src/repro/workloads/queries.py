@@ -31,7 +31,7 @@ ALL_KINDS: tuple[str, ...] = (
     "topk", "similarity", "substructure", "join",
 )
 
-#: Default workload mix (kind → weight).
+#: The workload mix (kind → weight).
 DEFAULT_MIX: dict[str, float] = {
     "subtree_filter": 0.25,
     "clade_agg": 0.25,
@@ -49,17 +49,10 @@ class WorkloadConfig:
 
     n_queries: int = 50
     seed: int = 0
-    mix: tuple[tuple[str, float], ...] = tuple(DEFAULT_MIX.items())
 
     def __post_init__(self) -> None:
         if self.n_queries < 1:
             raise WorkloadError("need at least one query")
-        kinds = dict(self.mix)
-        unknown = set(kinds) - set(ALL_KINDS)
-        if unknown:
-            raise WorkloadError(f"unknown query kinds {sorted(unknown)}")
-        if not kinds or sum(kinds.values()) <= 0:
-            raise WorkloadError("workload mix must have positive weight")
 
 
 class QueryGenerator:
@@ -180,7 +173,7 @@ class QueryGenerator:
     # -- workloads ------------------------------------------------------------
 
     def workload(self, config: WorkloadConfig) -> list[Query]:
-        kinds, weights = zip(*config.mix)
+        kinds, weights = zip(*DEFAULT_MIX.items())
         return [
             self.draw(self.rng.choices(kinds, weights=weights, k=1)[0])
             for _ in range(config.n_queries)

@@ -28,8 +28,7 @@ class TestDefaultCatalog:
             info = self.catalog.get(name)
             assert info.remote
             assert info.type is None
-            assert self.catalog.is_remote(name)
-        assert not self.catalog.is_remote("organism")
+        assert not self.catalog.get("organism").remote
 
     def test_unknown_name(self):
         assert "warp_factor" not in self.catalog

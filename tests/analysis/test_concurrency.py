@@ -11,7 +11,11 @@ does: by creating a lock in ``__init__``.
 import json
 import textwrap
 
-from repro.analysis.concurrency import analyze_paths, analyze_sources
+from repro.analysis.concurrency import (
+    CONC_RULES,
+    analyze_paths,
+    analyze_sources,
+)
 from repro.analysis.diag import Severity
 
 PATH = "src/repro/example.py"
@@ -313,7 +317,7 @@ class TestHeldAcrossBlocking:
         finding = result.findings[0]
         assert finding.line == 10
         assert "fetch" in finding.message
-        assert finding.to_diagnostic().severity is Severity.WARNING
+        assert CONC_RULES[finding.code].severity is Severity.WARNING
 
     def test_transitively_blocking_callee_flagged(self):
         # The lock is held across a helper that (indirectly) sleeps.

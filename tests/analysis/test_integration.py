@@ -232,19 +232,6 @@ class TestMobileGate:
             == roundtrips
         assert server.engine.cache.stats() == cache_before
 
-    def test_analysis_off_leaves_parse_errors_alone(self, drugtree,
-                                                    monkeypatch):
-        server = DrugTreeServer(drugtree, ServerConfig(
-            engine=EngineConfig(use_semantic_analysis=False)))
-        session_id, _ = server.open_session()
-        monkeypatch.setattr(
-            dtql_module.SemanticAnalyzer, "check",
-            lambda *args, **kwargs: pytest.fail("analysis is off"))
-        with pytest.raises(ParseError):
-            server.query(session_id, "garbage")
-        assert server.query(
-            session_id, "SELECT * WHERE organism = 5").payload_rows == 0
-
     def test_engine_still_raises_parse_error(self, drugtree):
         with pytest.raises(ParseError):
             QueryEngine(drugtree).execute("garbage")

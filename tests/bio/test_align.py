@@ -144,11 +144,6 @@ class TestLocalAlign:
 
 
 class TestAlignmentObject:
-    def test_gap_fraction(self):
-        a = ProteinSequence("a", "MKTAY")
-        b = ProteinSequence("b", "MKT")
-        aln = global_align(a, b)
-        assert aln.gap_fraction == pytest.approx(2 / 5)
 
     def test_matched_columns_excludes_gaps(self):
         a = ProteinSequence("a", "MKTAY")

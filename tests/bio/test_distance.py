@@ -105,11 +105,6 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             dm.values[0, 1] = 9.0
 
-    def test_submatrix(self):
-        sub = self._matrix().submatrix(["c", "a"])
-        assert sub.names == ("c", "a")
-        assert sub.get("c", "a") == 2.0
-
     def test_additivity_check_on_additive_matrix(self):
         # Distances from a 4-leaf tree: ((a:1,b:2):1,(c:3,d:4):1)
         values = np.array([

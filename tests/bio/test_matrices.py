@@ -62,10 +62,6 @@ class TestMatrixProperties:
         table = PAM250.as_array()
         assert np.array_equal(table, table.T)
 
-    def test_max_score(self):
-        assert BLOSUM62.max_score() == 11  # tryptophan
-        assert PAM250.max_score() == 17
-
     def test_bad_residue_raises(self):
         with pytest.raises(SequenceError):
             BLOSUM62.score("A", "1")

@@ -54,25 +54,12 @@ class TestBindingRecord:
     def _record(self, nm=50.0):
         return BindingRecord("L1", "P1", ActivityType.KI, nm)
 
-    def test_from_measurement(self):
-        rec = BindingRecord.from_measurement(
-            "L1", "P1", ActivityType.IC50, 2.0, "uM", assay_id="A9",
-            source="chembl-sim",
-        )
-        assert rec.value_nm == pytest.approx(2000.0)
-        assert rec.assay_id == "A9"
-        assert rec.source == "chembl-sim"
-
     def test_p_affinity_property(self):
         assert self._record(1.0).p_affinity == pytest.approx(9.0)
 
     def test_potency_threshold(self):
         assert self._record(999.0).is_potent
         assert not self._record(1000.0).is_potent
-
-    def test_stronger_than(self):
-        assert self._record(10.0).stronger_than(self._record(100.0))
-        assert not self._record(100.0).stronger_than(self._record(10.0))
 
     def test_requires_ids(self):
         with pytest.raises(ChemError):

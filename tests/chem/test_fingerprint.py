@@ -25,7 +25,6 @@ class TestFingerprintObject:
     def test_popcount_and_on_bits(self):
         fp = Fingerprint(0b1011, 8)
         assert fp.popcount == 3
-        assert fp.on_bits() == [0, 1, 3]
         assert 1 in fp
         assert 2 not in fp
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.bio import parse_newick
 from repro.cluster import Cluster, ClusterConfig, Router
+from repro.cluster.node import BASE_LATENCY_S, RPC_TIMEOUT_S
 from repro.core.labeling import IntervalLabeling
 from repro.errors import (
     ClusterError,
@@ -223,7 +224,6 @@ class TestFanoutOnOneThread:
         # Every partition is still read, the fan-out charges that
         # slowest task, and the middle one's error surfaces after it.
         router = make_router()
-        config = router.config
         now = router.clock.now()
         router.cluster.set_schedule(FaultSchedule((
             Outage(now, now + 60.0, target="node-1"),
@@ -233,8 +233,8 @@ class TestFanoutOnOneThread:
         )))
         with pytest.raises(QuorumError, match="partition 1"):
             router.read_partitions(interval_pids(router))
-        slowest = (config.base_latency_s + config.rpc_timeout_s
-                   + config.base_latency_s + 0.5)
+        slowest = (BASE_LATENCY_S + RPC_TIMEOUT_S
+                   + BASE_LATENCY_S + 0.5)
         assert router.clock.now() - now == pytest.approx(slowest)
         assert router.cluster.node("node-4").rpcs == 1
         assert router.stats.quorum_failures == 1
@@ -385,4 +385,4 @@ class TestPerNodeBreakers:
         assert router.stats.breaker_skips >= 1
         assert router.stats.node_errors == errors_before
         elapsed = router.clock.now() - before
-        assert elapsed < router.config.rpc_timeout_s
+        assert elapsed < RPC_TIMEOUT_S

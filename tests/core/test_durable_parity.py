@@ -38,7 +38,6 @@ def durable_config(tmp_path, **overrides):
         # Aggressive enough that integration crosses several flushes
         # and at least one compaction.
         "memtable_flush_bytes": 4 * 1024,
-        "level_fanout": 2,
     }
     kwargs.update(overrides)
     return StorageConfig(**kwargs)

@@ -55,10 +55,6 @@ class TestLabels:
         assert labeled.label_of("ab").depth == 1
         assert labeled.label_of("c").depth == 3
 
-    def test_sibling_leaves(self, labeled):
-        assert labeled.sibling_leaves("c", window=1) == ["b", "d"]
-        assert labeled.sibling_leaves("a", window=2) == ["b", "c"]
-
     def test_deep_tree_does_not_recurse(self):
         tree = caterpillar_tree([f"t{i}" for i in range(3000)])
         labeling = IntervalLabeling(tree)

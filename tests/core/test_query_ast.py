@@ -192,9 +192,3 @@ class TestSignature:
         a = Query(limit=5)
         b = Query(limit=6)
         assert a.signature() != b.signature()
-
-    def test_without_order_and_limit(self):
-        query = Query(order_by=OrderBy("p_affinity"), limit=3)
-        stripped = query.without_order_and_limit()
-        assert stripped.order_by is None
-        assert stripped.limit is None

@@ -181,7 +181,7 @@ class TestGestureWorkload:
         replay_session(client, session, dataset.family.clade_names)
         # After any number of deltas the client state must still be a
         # valid payload with nodes and matching edges.
-        nodes = client.visible_nodes()
+        nodes = client.state.payload.get("nodes", {})
         assert nodes
         for parent, child in client.state.payload.get("edges", []):
             assert parent in nodes
@@ -249,9 +249,11 @@ class TestDetailPrefetch:
         assert response.message.payload()["protein_id"] == pid
         assert scheduler.stats.batches == 1
 
-    def test_detail_cache_capacity_bounded(self, dataset, drugtree):
-        config = ServerConfig(prefetch_details=False,
-                              detail_cache_capacity=3)
+    def test_detail_cache_capacity_bounded(self, dataset, drugtree,
+                                           monkeypatch):
+        monkeypatch.setattr("repro.mobile.server.DETAIL_CACHE_CAPACITY",
+                            3)
+        config = ServerConfig(prefetch_details=False)
         server, _ = self._federated_server(dataset, drugtree, config)
         session_id, _ = server.open_session()
         for pid in dataset.family.protein_ids[:6]:

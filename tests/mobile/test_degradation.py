@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import SourceUnavailableError
 from repro.mobile import DrugTreeServer, ServerConfig
+from repro.mobile import server as server_module
 from repro.obs import MetricsRegistry, set_metrics
 from repro.sources import (
     BreakerConfig,
@@ -39,7 +40,8 @@ def make_server(dark=False, config=None, breakers=True,
                                           n_ligands=20, seed=23))
     registry = dataset.registry
     if dark:
-        registry = wrap_registry(registry, DARK)
+        registry = wrap_registry(registry,
+                                 DARK if dark is True else dark)
     scheduler = FetchScheduler(
         registry, max_attempts=1,
         breaker_config=(BreakerConfig(failure_threshold=2,
@@ -88,11 +90,46 @@ class TestDetailsFallback:
         assert "status" not in response.message.payload()
 
 
+class TestPartialCardsAreNotCached:
+    def test_a_card_without_annotations_does_not_outlive_the_fault(
+            self, fresh_metrics):
+        dataset, server, _ = make_server(
+            dark={"go-sim": FaultSchedule([Outage(0.0, 50.0)])},
+            breakers=False, config=ServerConfig(tap_deadline_s=5.0))
+        protein_id = dataset.family.protein_ids[0]
+        # The viewport prefetch and the tap both see only pdb-sim.
+        session_id, _ = server.open_session()
+        during = server.protein_details(session_id, protein_id)
+        assert during.status == "degraded"
+        payload = during.message.payload()
+        assert payload["status"] == "degraded"
+        assert payload["details"]["method"]
+        assert payload["details"]["go_terms"] == []
+        assert not server._details
+        counters = fresh_metrics.snapshot()["counters"]
+        assert counters["mobile.degraded_responses"] == 1
+
+        dataset.clock.advance(60.0)
+        healed = server.protein_details(session_id, protein_id)
+        assert healed.status == "fresh"
+        details = healed.message.payload()["details"]
+        assert details["go_terms"] and details["ec_number"]
+        # Only now is the record worth keeping: the next tap is a hit
+        # on the complete card.
+        assert server._details[protein_id] == details
+        again = server.protein_details(session_id, protein_id)
+        assert again.message.payload()["details"] == details
+        counters = fresh_metrics.snapshot()["counters"]
+        assert counters["mobile.prefetch.hits"] == 1
+        assert counters["mobile.degraded_responses"] == 1
+
+
 class TestLodClamping:
-    def test_open_breakers_shrink_the_viewport(self, fresh_metrics):
-        config = ServerConfig(degraded_lod_max_depth=1,
-                              degraded_lod_max_nodes=10)
-        _, server, scheduler = make_server(config=config)
+    def test_open_breakers_shrink_the_viewport(self, fresh_metrics,
+                                               monkeypatch):
+        monkeypatch.setattr(server_module, "DEGRADED_LOD_MAX_DEPTH", 1)
+        monkeypatch.setattr(server_module, "DEGRADED_LOD_MAX_NODES", 10)
+        _, server, scheduler = make_server()
         session_id, healthy = server.open_session()
         healthy_nodes = len(healthy.message.payload()["nodes"])
 

@@ -12,7 +12,8 @@ import threading
 import pytest
 
 from repro.errors import MobileError, UnknownSessionError
-from repro.mobile import DrugTreeServer, ServerConfig
+from repro.mobile import DrugTreeServer
+from repro.mobile import server as server_module
 from repro.sources.scheduler import FetchScheduler
 from repro.workloads import DatasetConfig, build_dataset
 
@@ -47,9 +48,10 @@ class TestUnknownSession:
 
 
 class TestBoundedSessionTable:
-    def test_lru_eviction_past_max_sessions(self, drugtree):
-        server = DrugTreeServer(drugtree,
-                                ServerConfig(max_sessions=2))
+    def test_lru_eviction_past_max_sessions(self, drugtree,
+                                            monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_SESSIONS", 2)
+        server = DrugTreeServer(drugtree)
         first, _ = server.open_session()
         second, _ = server.open_session()
         third, _ = server.open_session()
@@ -59,9 +61,10 @@ class TestBoundedSessionTable:
         server.navigate(second, "clade_0001")
         server.navigate(third, "clade_0001")
 
-    def test_touching_a_session_refreshes_its_lru_slot(self, drugtree):
-        server = DrugTreeServer(drugtree,
-                                ServerConfig(max_sessions=2))
+    def test_touching_a_session_refreshes_its_lru_slot(self, drugtree,
+                                                       monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_SESSIONS", 2)
+        server = DrugTreeServer(drugtree)
         first, _ = server.open_session()
         second, _ = server.open_session()
         server.navigate(first, "clade_0001")  # first is now hottest
@@ -70,25 +73,10 @@ class TestBoundedSessionTable:
         with pytest.raises(UnknownSessionError):
             server.navigate(second, "clade_0001")
 
-    def test_idle_sessions_evicted_by_virtual_time(self, dataset,
-                                                   drugtree):
-        scheduler = FetchScheduler(dataset.registry)
-        server = DrugTreeServer(
-            drugtree,
-            ServerConfig(session_idle_s=10.0, prefetch_details=False),
-            federation=scheduler)
-        idle, _ = server.open_session()
-        dataset.clock.advance(60.0)
-        fresh, _ = server.open_session()  # open() sweeps idle sessions
-        with pytest.raises(UnknownSessionError):
-            server.navigate(idle, "clade_0001")
-        server.navigate(fresh, "clade_0001")
-
 
 class TestConcurrentHammer:
     def test_parallel_gestures_on_shared_sessions(self, drugtree):
-        server = DrugTreeServer(drugtree,
-                                ServerConfig(max_sessions=64))
+        server = DrugTreeServer(drugtree)
         session_ids = [server.open_session()[0] for _ in range(4)]
         targets = ["clade_0001", "clade_0002", "clade_0003"]
         errors = []
@@ -168,9 +156,10 @@ class TestConcurrentHammer:
         assert (stats["exact_hits"] + stats["subsumption_hits"]
                 + stats["misses"]) == per_thread * n_threads
 
-    def test_parallel_opens_respect_the_bound(self, drugtree):
-        server = DrugTreeServer(drugtree,
-                                ServerConfig(max_sessions=8))
+    def test_parallel_opens_respect_the_bound(self, drugtree,
+                                              monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_SESSIONS", 8)
+        server = DrugTreeServer(drugtree)
         opened = []
         lock = threading.Lock()
 

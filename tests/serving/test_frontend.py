@@ -14,7 +14,13 @@ from repro.serving import (
     ServingFrontend,
     TenantConfig,
 )
-from repro.sources.scheduler import FetchScheduler
+from repro.sources import (
+    BreakerConfig,
+    FaultSchedule,
+    FetchScheduler,
+    Outage,
+    wrap_registry,
+)
 from repro.workloads import (
     DatasetConfig,
     LoadConfig,
@@ -114,11 +120,11 @@ class TestServing:
         assert report.shed == 0
         assert frontend.outcomes[0].reason == "MobileError"
 
-    def test_session_reopened_after_server_eviction(self):
+    def test_session_reopened_after_server_eviction(self, monkeypatch):
+        monkeypatch.setattr("repro.mobile.server.MAX_SESSIONS", 1)
         dataset, _ = _world()
         server = DrugTreeServer(
-            dataset.drugtree(),
-            ServerConfig(use_delta=False, max_sessions=1),
+            dataset.drugtree(), ServerConfig(use_delta=False),
             federation=FetchScheduler(dataset.registry))
         # No cache front: every render must reach the server and trip
         # over the evicted session.
@@ -186,3 +192,56 @@ class TestServing:
         report = frontend.run(_renders("a", 3))
         payload = report.as_dict()
         assert json.loads(json.dumps(payload)) == payload
+
+
+class TestCacheFrontUnderFaults:
+    """The shared cache keeps answers, never descriptions of a fault."""
+
+    DETAILS_QUERY = "SELECT protein_id, method FROM proteins"
+
+    def _requests(self, dataset, tenant, at_s):
+        protein = dataset.family.protein_ids[0]
+        return [
+            Request(tenant=tenant, session=f"{tenant}-u0", kind="details",
+                    target=protein, arrival_s=at_s),
+            Request(tenant=tenant, session=f"{tenant}-u0", kind="query",
+                    target=self.DETAILS_QUERY, arrival_s=at_s + 1.0),
+        ]
+
+    def test_degraded_answers_do_not_outlive_the_outage(self):
+        dataset = build_dataset(DatasetConfig(n_leaves=24, n_ligands=40,
+                                              seed=17))
+        drugtree = dataset.drugtree()
+        now = dataset.clock.now()
+        outage = FaultSchedule([Outage(now, now + 50.0)])
+        scheduler = FetchScheduler(
+            wrap_registry(dataset.registry,
+                          {source.name: outage
+                           for source in dataset.registry.sources()}),
+            breaker_config=BreakerConfig(failure_threshold=2,
+                                         reset_timeout_s=10.0))
+        server = DrugTreeServer(
+            drugtree, ServerConfig(use_delta=False, tap_deadline_s=0.8),
+            federation=scheduler)
+        frontend = _frontend(dataset, server, tenants=[
+            TenantConfig("a"), TenantConfig("b")])
+
+        report = frontend.run(
+            self._requests(dataset, "a", 1.0)      # into the outage
+            + self._requests(dataset, "b", 5.0)    # still dark
+            + self._requests(dataset, "a", 200.0)  # healed
+            + self._requests(dataset, "b", 210.0))
+        assert report.completed == 8
+        by_arrival = sorted(frontend.outcomes,
+                            key=lambda o: o.request.arrival_s)
+        # Nothing answered during the outage was stored: tenant b's
+        # taps miss, and so do tenant a's first taps after the heal.
+        assert [o.cache for o in by_arrival] == ["miss"] * 6 + ["hit"] * 2
+        assert get_metrics().counter(
+            "mobile.degraded_responses").value >= 4
+        # What the front holds now came from the healthy sources.
+        stored = [entry.value for entry in frontend.cache._entries.values()]
+        assert len(stored) == 2
+        assert all(response.status == "fresh" for response in stored)
+        assert all("status" not in response.message.payload()
+                   for response in stored)

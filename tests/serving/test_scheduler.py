@@ -132,11 +132,3 @@ class TestFairScheduler:
         scheduler.pop()
         assert scheduler.queued_cost("a") == pytest.approx(0.25)
         assert scheduler.total_queued_cost() == pytest.approx(0.25)
-
-    def test_drop_tenant_clears_the_queue(self):
-        scheduler = FairScheduler(_registry(TenantConfig("a")))
-        for seq in range(4):
-            scheduler.try_enqueue(_request("a", seq), 0.0, 1.0)
-        assert scheduler.drop_tenant("a") == 4
-        assert len(scheduler) == 0
-        assert scheduler.pop() is None

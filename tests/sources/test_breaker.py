@@ -22,13 +22,11 @@ def fresh_metrics():
     set_metrics(MetricsRegistry())
 
 
-def make_breaker(clock, threshold=3, reset_s=10.0, probes=1,
-                 name="pdb.protein"):
+def make_breaker(clock, threshold=3, reset_s=10.0, name="pdb.protein"):
     return CircuitBreaker(
         clock,
         BreakerConfig(failure_threshold=threshold,
-                      reset_timeout_s=reset_s,
-                      half_open_probes=probes),
+                      reset_timeout_s=reset_s),
         name=name,
     )
 
@@ -38,15 +36,12 @@ class TestConfig:
         config = BreakerConfig()
         assert config.failure_threshold == 5
         assert config.reset_timeout_s == 30.0
-        assert config.half_open_probes == 1
 
     def test_validation(self):
         with pytest.raises(SourceError):
             BreakerConfig(failure_threshold=0)
         with pytest.raises(SourceError):
             BreakerConfig(reset_timeout_s=0.0)
-        with pytest.raises(SourceError):
-            BreakerConfig(half_open_probes=0)
 
 
 class TestStateMachine:
@@ -94,10 +89,9 @@ class TestStateMachine:
 
     def test_half_open_admits_bounded_probes(self):
         clock = SimulatedClock()
-        breaker = make_breaker(clock, threshold=1, reset_s=5.0, probes=2)
+        breaker = make_breaker(clock, threshold=1, reset_s=5.0)
         breaker.record_failure()
         clock.advance(5.0)
-        assert breaker.allow()
         assert breaker.allow()
         assert not breaker.allow()  # probe budget spent
 

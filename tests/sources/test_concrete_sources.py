@@ -8,6 +8,11 @@ from repro.sources import (
     AnnotationEntry,
     AnnotationSource,
     CompoundEntry,
+    KIND_ACTIVITY_BY_LIGAND,
+    KIND_ACTIVITY_BY_PROTEIN,
+    KIND_PROTEIN,
+    KIND_PROTEINS_BY_FAMILY,
+    KIND_PROTEINS_BY_ORGANISM,
     LigandActivitySource,
     ProteinEntry,
     ProteinStructureSource,
@@ -47,7 +52,7 @@ def _activities():
 class TestProteinSource:
     def test_get_entry(self, clock):
         source = ProteinStructureSource(clock, _proteins())
-        entry = source.get_entry("P1")
+        entry = source.fetch(KIND_PROTEIN, "P1")
         assert entry.organism == "Homo sapiens"
         assert entry.ligand_ids == ("L1", "L2")
 
@@ -59,14 +64,13 @@ class TestProteinSource:
 
     def test_list_ids(self, clock):
         source = ProteinStructureSource(clock, _proteins())
-        assert source.list_protein_ids() == ["P1", "P2", "P3"]
+        assert source.scan_keys(KIND_PROTEIN) == ["P1", "P2", "P3"]
 
     def test_by_organism(self, clock):
         source = ProteinStructureSource(clock, _proteins())
-        assert set(source.proteins_of_organism("Homo sapiens")) == {
-            "P1", "P3",
-        }
-        assert source.proteins_of_organism("Rattus") == ()
+        assert set(source.fetch(KIND_PROTEINS_BY_ORGANISM,
+                                "Homo sapiens")) == {"P1", "P3"}
+        assert source.fetch(KIND_PROTEINS_BY_ORGANISM, "Rattus") is None
 
     def test_duplicate_ids_rejected(self, clock):
         entries = _proteins() + [ProteinEntry("P1", "MKT", "X")]
@@ -95,18 +99,18 @@ class TestActivitySource:
 
     def test_activities_by_protein(self, clock):
         source = LigandActivitySource(clock, _compounds(), _activities())
-        records = source.activities_for_protein("P1")
+        records = source.fetch(KIND_ACTIVITY_BY_PROTEIN, "P1")
         assert {r.ligand_id for r in records} == {"L1", "L2"}
-        assert source.activities_for_protein("P9") == ()
+        assert source.fetch(KIND_ACTIVITY_BY_PROTEIN, "P9") is None
 
     def test_activities_by_ligand(self, clock):
         source = LigandActivitySource(clock, _compounds(), _activities())
-        records = source.activities_for_ligand("L1")
+        records = source.fetch(KIND_ACTIVITY_BY_LIGAND, "L1")
         assert {r.protein_id for r in records} == {"P1", "P2"}
 
     def test_batch_by_proteins(self, clock):
         source = LigandActivitySource(clock, _compounds(), _activities())
-        out = source.activities_for_proteins(["P1", "P2"])
+        out = source.fetch_many(KIND_ACTIVITY_BY_PROTEIN, ["P1", "P2"])
         assert len(out["P1"]) == 2
         assert len(out["P2"]) == 1
         assert source.stats.roundtrips == 1
@@ -134,13 +138,13 @@ class TestAnnotationSource:
         source = AnnotationSource(clock, self._entries())
         ann = source.annotation("P1")
         assert ann.ec_number == "1.5.1.3"
-        assert ann.has_go_term("GO:0004146")
-        assert not ann.has_go_term("GO:9999999")
+        assert "GO:0004146" in ann.go_terms
 
     def test_family_index(self, clock):
         source = AnnotationSource(clock, self._entries())
-        assert set(source.proteins_of_family("DHFR")) == {"P1", "P2"}
-        assert source.proteins_of_family("unknown") == ()
+        assert set(source.fetch(KIND_PROTEINS_BY_FAMILY, "DHFR")) == {
+            "P1", "P2"}
+        assert source.fetch(KIND_PROTEINS_BY_FAMILY, "unknown") is None
 
     def test_batch(self, clock):
         source = AnnotationSource(clock, self._entries())

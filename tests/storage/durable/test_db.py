@@ -11,6 +11,7 @@ from repro.storage.durable import (
     StorageConfig,
     failpoints,
 )
+from repro.storage.durable.db import LEVEL_FANOUT
 
 
 @pytest.fixture(autouse=True)
@@ -28,7 +29,6 @@ def config(tmp_path, **overrides):
         "data_dir": str(tmp_path / "db"),
         "fsync": "never",
         "memtable_flush_bytes": 512,
-        "level_fanout": 2,
     }
     kwargs.update(overrides)
     return StorageConfig(**kwargs)
@@ -99,14 +99,13 @@ class TestBasics:
 
 class TestCompaction:
     def test_leveling_respects_fanout(self, tmp_path):
-        db = open_db(tmp_path, memtable_flush_bytes=1 << 20,
-                     level_fanout=2)
+        db = open_db(tmp_path, memtable_flush_bytes=1 << 20)
         for round_number in range(7):
             for i in range(8):
                 db.put(f"k/{round_number}/{i}", round_number)
             db.flush()
         for stats in db.level_stats():
-            assert stats["segments"] <= 2
+            assert stats["segments"] <= LEVEL_FANOUT
         assert db.compactions > 0
 
     def test_tombstone_gc_only_at_bottom(self, tmp_path):

@@ -33,13 +33,6 @@ class TestHashIndex:
     def test_no_range_support(self):
         assert not HashIndex("ix", ("col",)).supports_range
 
-    def test_distinct_keys(self):
-        index = HashIndex("ix", ("col",))
-        index.insert("a", 1)
-        index.insert("b", 2)
-        index.insert("a", 3)
-        assert index.distinct_keys() == 2
-
 
 class TestSortedIndex:
     def _index(self, pairs):

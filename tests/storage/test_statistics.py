@@ -37,10 +37,6 @@ class TestAnalyze:
         assert score.min_value == 1.0
         assert score.max_value == 2.0
 
-    def test_null_fraction(self):
-        stats = analyze(_table([None, None, 1.0, 2.0]))
-        assert stats.column("score").null_fraction == 0.5
-
     def test_string_column_has_no_histogram(self):
         stats = analyze(_table([1.0]))
         assert stats.column("name").histogram is None

@@ -122,13 +122,6 @@ class TestIndexMaintenance:
         with pytest.raises(StorageError):
             table.create_index(["ligand_id", "protein_id"], kind="sorted")
 
-    def test_drop_index(self, table):
-        table.create_index(["ligand_id"], kind="hash", name="ix")
-        table.drop_index("ix")
-        assert table.indexes() == {}
-        with pytest.raises(StorageError):
-            table.drop_index("ix")
-
     def test_index_on_prefers_range_support(self, table):
         table.create_index(["p_affinity"], kind="hash")
         table.create_index(["p_affinity"], kind="sorted")

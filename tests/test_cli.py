@@ -49,13 +49,6 @@ class TestCommands:
         slow = capsys.readouterr().out.splitlines()[0]
         assert fast == slow
 
-    def test_query_explain(self, capsys):
-        assert main(["query", "SELECT * FROM bindings "
-                     "WHERE p_affinity >= 7.0", "--explain",
-                     *WORLD]) == 0
-        out = capsys.readouterr().out
-        assert "cost=" in out
-
     def test_query_max_rows(self, capsys):
         assert main(["query", "SELECT ligand_id FROM bindings",
                      "--max-rows", "3", *WORLD]) == 0
@@ -283,34 +276,6 @@ class TestLintCommand:
         for code in ("L001", "L002", "L004", "L007"):
             assert code in out
 
-    def test_sarif_round_trip(self, tmp_path, capsys):
-        import json
-
-        bad = tmp_path / "bad.py"
-        bad.write_text("import time\nx = time.time()\n")
-        assert main(["lint", "--sarif", str(bad)]) == 1
-        log = json.loads(capsys.readouterr().out)
-        assert log["version"] == "2.1.0"
-        run = log["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        [result] = run["results"]
-        assert result["ruleId"] == "L001"
-        assert result["level"] == "error"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == str(bad)
-        assert location["region"]["startLine"] == 2
-
-    def test_check_sarif_output(self, capsys):
-        import json
-
-        assert main(["check", "SELECT nope FROM proteins",
-                     "--sarif"]) == 1
-        log = json.loads(capsys.readouterr().out)
-        run = log["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-check"
-        assert any(result["ruleId"].startswith("DTQL")
-                   for result in run["results"])
-
 
 class TestRaceCommand:
     RACY = (
@@ -362,25 +327,6 @@ class TestRaceCommand:
         assert payload["summary"] == {
             "shared_classes": 1, "guarded_writes": 0, "locks": 0}
 
-    def test_sarif_round_trip(self, tmp_path, capsys):
-        import json
-
-        bad = tmp_path / "racy.py"
-        bad.write_text(self.RACY)
-        assert main(["race", "--sarif", str(bad)]) == 1
-        log = json.loads(capsys.readouterr().out)
-        assert log["version"] == "2.1.0"
-        run = log["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-race"
-        [result] = run["results"]
-        assert result["ruleId"] == "CONC101"
-        assert result["level"] == "error"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == str(bad)
-        assert location["region"]["startLine"] == 8
-        rules = run["tool"]["driver"]["rules"]
-        assert rules[result["ruleIndex"]]["id"] == "CONC101"
-
     def test_rules_listing(self, capsys):
         assert main(["race", "--rules"]) == 0
         out = capsys.readouterr().out
@@ -394,16 +340,16 @@ class TestDurableCommands:
     def test_recover_bootstraps_then_reopens(self, tmp_path, capsys):
         data_dir = str(tmp_path / "db")
         assert main(["recover", data_dir, *self.WORLD_SMALL]) == 0
-        out = capsys.readouterr().out
-        assert "bootstrapping a durable world" in out
-        assert "-- recovered" in out
+        out, err = capsys.readouterr()
+        assert "bootstrapping a durable world" in err
+        assert out.startswith("-- recovered")
         assert "Restored overlay" in out
         assert "bindings" in out
 
         # Second run adopts the existing store: no bootstrap note.
         assert main(["recover", data_dir, *self.WORLD_SMALL]) == 0
-        out = capsys.readouterr().out
-        assert "bootstrapping" not in out
+        out, err = capsys.readouterr()
+        assert err == ""
         assert "0 torn byte(s)" in out
 
     def test_recover_json(self, tmp_path, capsys):
@@ -412,8 +358,7 @@ class TestDurableCommands:
         data_dir = str(tmp_path / "db")
         assert main(["recover", data_dir, "--json",
                      *self.WORLD_SMALL]) == 0
-        out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
+        payload = json.loads(capsys.readouterr().out)
         assert payload["recovery"]["torn_bytes"] == 0
         assert payload["tables"]["proteins"] == 8
         assert payload["tables"]["ligands"] == 10
@@ -433,8 +378,7 @@ class TestDurableCommands:
         data_dir = str(tmp_path / "db")
         assert main(["compact", data_dir, "--json", "--flush-bytes",
                      "2048", *self.WORLD_SMALL]) == 0
-        out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
+        payload = json.loads(capsys.readouterr().out)
         assert sum(r["segments"] for r in payload["after"]) == 1
         assert payload["tombstones_collected"] >= 0
 
@@ -447,8 +391,7 @@ class TestDurableCommands:
         capsys.readouterr()
         assert main(["recover", data_dir, "--json",
                      *self.WORLD_SMALL]) == 0
-        out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
+        payload = json.loads(capsys.readouterr().out)
         assert payload["recovery"]["segments"] == 1
 
     def test_fsync_choice_validated(self):
@@ -506,8 +449,7 @@ class TestClusterCommands:
 
         assert main(["chaos", "node_crash", "--taps", "8", "--json",
                      *self.WORLD_SMALL]) == 0
-        out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
+        payload = json.loads(capsys.readouterr().out)
         assert payload["scenario"] == "node_crash"
         assert sum(payload["outcomes"].values()) == 8
         assert "anti_entropy" in payload

@@ -8,7 +8,7 @@ import pytest
 
 import repro
 from repro.errors import WorkloadError
-from repro.workloads import DatasetConfig, build_dataset
+from repro.workloads import DatasetConfig, build_dataset, datasets
 from repro.workloads.datasets import generate_bindings
 
 
@@ -21,15 +21,13 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(WorkloadError):
             DatasetConfig(n_leaves=1)
-        with pytest.raises(WorkloadError):
-            DatasetConfig(assay_coverage=1.5)
 
 
 class TestBuild:
     def test_sources_populated(self, dataset):
-        assert dataset.protein_source.record_count("protein") == 20
-        assert dataset.activity_source.record_count("compound") == 30
-        assert dataset.annotation_source.record_count("annotation") == 20
+        assert len(dataset.protein_source.scan_keys("protein")) == 20
+        assert len(dataset.activity_source.scan_keys("compound")) == 30
+        assert len(dataset.annotation_source.scan_keys("annotation")) == 20
 
     def test_registry_serves_all_kinds(self, dataset):
         assert {"protein", "compound", "annotation",
@@ -105,17 +103,16 @@ class TestPhylogeneticSignal:
         assert partner_mean < overall_mean
 
     def test_detection_floor_respected(self, dataset):
-        floor = dataset.config.detection_floor
+        floor = datasets.DETECTION_FLOOR
         for record in dataset.bindings:
             assert record.p_affinity >= floor - 1e-9
 
-    def test_coverage_controls_density(self):
-        sparse = build_dataset(DatasetConfig(
-            n_leaves=15, n_ligands=20, seed=3, assay_coverage=0.2,
-        ))
-        dense = build_dataset(DatasetConfig(
-            n_leaves=15, n_ligands=20, seed=3, assay_coverage=0.9,
-        ))
+    def test_coverage_controls_density(self, monkeypatch):
+        config = DatasetConfig(n_leaves=15, n_ligands=20, seed=3)
+        monkeypatch.setattr(datasets, "ASSAY_COVERAGE", 0.2)
+        sparse = build_dataset(config)
+        monkeypatch.setattr(datasets, "ASSAY_COVERAGE", 0.9)
+        dense = build_dataset(config)
         assert len(sparse.bindings) < len(dense.bindings)
 
     def test_generate_bindings_deterministic(self, dataset):

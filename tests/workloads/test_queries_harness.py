@@ -41,8 +41,6 @@ class TestQueryGenerator:
     def test_workload_config_validation(self):
         with pytest.raises(WorkloadError):
             WorkloadConfig(n_queries=0)
-        with pytest.raises(WorkloadError):
-            WorkloadConfig(mix=(("quantum", 1.0),))
 
     def test_navigation_session_narrows(self, generator):
         session = generator.navigation_session(steps=8,
