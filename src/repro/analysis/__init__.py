@@ -12,14 +12,14 @@ and one severity-tagged rule catalog (:mod:`repro.analysis.registry`):
   repository source itself, enforcing the determinism invariants the
   runtime relies on (single wall-clock path, ``with``-guarded locks,
   seeded randomness);
-* :mod:`repro.analysis.concurrency` — whole-program analysis: call
-  graph, unguarded-write detection in lock-owning (shared) classes,
-  and lock-order graphs with deadlock-cycle detection.
+* :mod:`repro.analysis.concurrency` — one lock-owning (shared) class
+  at a time: unguarded ``self`` writes, the class's own locks taken in
+  opposite orders, locks held across blocking calls.
 
 ``python -m repro check`` / ``lint`` / ``race`` expose the layers from
 the command line (text, or JSON under ``--json``); the query engine and
-the mobile server run the DTQL layer on every query they accept, and
-the runtime half of the concurrency story lives in
+the mobile server run the DTQL layer on every query they accept.
+Lock order *between* classes is checked at runtime, by
 :mod:`repro.obs.lockwatch`.
 """
 

@@ -33,7 +33,8 @@ from a seeded ``random.Random``. These rules enforce each mechanically:
 ========  ==============================================================
 
 These are per-module rules; unguarded writes in lock-owning classes
-are ``repro race``'s CONC101 (:mod:`repro.analysis.concurrency`).
+are ``repro race``'s CONC101 (:mod:`repro.analysis.concurrency`, one
+class at a time).
 Suppress a finding with ``# noqa`` (all rules) or ``# noqa: L001,L004``
 (listed rules) on the flagged line. ``repro lint`` runs these as the CI
 gate; :func:`lint_paths` is the library entry point.

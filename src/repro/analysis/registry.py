@@ -8,8 +8,8 @@ finding has one code and one owner:
 
 * ``L0xx``    — per-module repository invariants (``repro lint``);
 * ``CONC1xx`` — shared-state race rules (``repro race``);
-* ``CONC2xx`` — lock-order rules (deadlock cycles, lock held across
-  blocking calls).
+* ``CONC2xx`` — lock-order rules (a class's own locks in opposite
+  orders, lock held across blocking calls).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ RULES: dict[str, Rule] = {rule.code: rule for rule in (
          "per-row dispatch inside the vectorized batch path", "lint"),
     Rule("L007", Severity.ERROR,
          "direct file mutation outside storage/durable and obs", "lint"),
-    # -- whole-program concurrency rules (repro race) ----------------------
+    # -- per-class concurrency rules (repro race) --------------------------
     Rule("CONC000", Severity.ERROR,
          "source file failed to parse", "concurrency"),
     Rule("CONC101", Severity.ERROR,

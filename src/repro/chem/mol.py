@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.errors import ChemError
 
 #: Average atomic masses of the elements the SMILES subset supports.
@@ -106,7 +104,6 @@ class Molecule:
         self._adjacency: dict[int, list[Bond]] = {}
         self._frozen = False
         self._rings: list[list[int]] | None = None
-        self._graph: nx.Graph | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -157,7 +154,6 @@ class Molecule:
                     if existing is bond:
                         adjacency[slot] = fresh
         self._rings = None
-        self._graph = None
 
     def freeze(self) -> "Molecule":
         """Validate and finalise the molecule; returns self."""
@@ -170,15 +166,6 @@ class Molecule:
         return self
 
     # -- graph access ---------------------------------------------------
-
-    @property
-    def graph(self) -> nx.Graph:
-        if self._graph is None:
-            graph = nx.Graph()
-            graph.add_nodes_from(range(len(self.atoms)))
-            graph.add_edges_from(bond.key for bond in self.bonds)
-            self._graph = graph
-        return self._graph
 
     def neighbors(self, index: int) -> list[int]:
         return [bond.other(index) for bond in self._adjacency[index]]
@@ -220,11 +207,40 @@ class Molecule:
         )
 
     def rings(self) -> list[list[int]]:
-        """Smallest cycle basis of the molecular graph (atom indexes)."""
+        """A cycle basis of the molecular graph (atom indexes).
+
+        The fundamental cycles of a depth-first forest: one per back
+        edge, closed through the tree path between its ends. Callers
+        read the ring count and the union of ring atoms, which every
+        basis agrees on.
+        """
         if self._rings is None:
-            self._rings = [
-                sorted(cycle) for cycle in nx.cycle_basis(self.graph)
-            ]
+            parent: dict[int, int] = {}
+            depth: dict[int, int] = {}
+            rings: list[list[int]] = []
+            for root in range(len(self.atoms)):
+                if root in parent:
+                    continue
+                parent[root], depth[root] = root, 0
+                stack = [(root, iter(self.neighbors(root)))]
+                while stack:
+                    atom, pending = stack[-1]
+                    for neighbor in pending:
+                        if neighbor not in parent:
+                            parent[neighbor] = atom
+                            depth[neighbor] = depth[atom] + 1
+                            stack.append(
+                                (neighbor, iter(self.neighbors(neighbor))))
+                            break
+                        if neighbor != parent[atom] \
+                                and depth[neighbor] < depth[atom]:
+                            cycle = [atom]
+                            while cycle[-1] != neighbor:
+                                cycle.append(parent[cycle[-1]])
+                            rings.append(sorted(cycle))
+                    else:
+                        stack.pop()
+            self._rings = rings
         return self._rings
 
     def ring_bonds(self) -> set[tuple[int, int]]:
@@ -241,7 +257,14 @@ class Molecule:
         return out
 
     def is_connected(self) -> bool:
-        return nx.is_connected(self.graph)
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            for neighbor in self.neighbors(frontier.pop()):
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    frontier.append(neighbor)
+        return len(seen) == len(self.atoms)
 
     @property
     def heavy_atom_count(self) -> int:

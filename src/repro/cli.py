@@ -20,9 +20,9 @@ Offers the zero-code tour of the system:
 * ``export``  — write the world as FASTA / Newick / SMILES / CSV;
 * ``check``   — static semantic analysis of DTQL (no world is built);
 * ``lint``    — repository invariant lint rules over Python sources;
-* ``race``    — whole-program concurrency analysis: unguarded writes
-  in lock-owning classes, lock-order cycles, locks held across
-  blocking calls;
+* ``race``    — per-class concurrency analysis: unguarded writes in
+  lock-owning classes, a class's own locks taken in opposite orders,
+  locks held across blocking calls;
 * ``chaos``   — replay a mobile tap session under a seeded fault
   scenario with circuit breakers, deadlines, and degradation on;
 * ``cluster`` — shard the overlay into a simulated cluster and print
@@ -973,7 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("lint", _cmd_lint, _text_lint,
          "repository invariant lint rules"),
         ("race", _cmd_race, _text_race,
-         "whole-program concurrency analysis (CONC rules)"),
+         "per-class concurrency analysis (CONC rules)"),
     ):
         sub = command(name, handler, text, world=False, help=summary,
                       json_help="emit machine-readable findings")

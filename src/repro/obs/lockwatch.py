@@ -1,15 +1,19 @@
-"""Runtime lock-order witness: the dynamic half of the race analyzer.
+"""Runtime lock-order witness: the one detector of cross-class cycles.
 
-The static analyzer (:mod:`repro.analysis.concurrency`) proves lock
-discipline from source; this module checks it against real executions.
+The static analyzer (:mod:`repro.analysis.concurrency`) checks one
+class at a time — its writes, and the order of its *own* locks.  The
+order of locks that belong to different classes (a breaker reading the
+clock under its lock, a source bumping a counter under its meter lock)
+is checked here and nowhere else, against the acquisitions real
+executions make: a cycle on a path no test drives is not reported.
 :func:`install` replaces the ``threading.Lock`` / ``threading.RLock``
 factories with ones that wrap locks *created inside repro code* (the
 creating frame's filename decides — stdlib, executor, and test-harness
 locks stay raw).  Every wrapped acquisition records, per thread, the
 stack of locks currently held and adds edges ``held → acquired`` to a
-global lock-order graph keyed by each lock's **creation site** — the
-same identity the static analyzer uses, so one graph can be compared
-against the other.
+global lock-order graph keyed by each lock's **creation site**
+(``repro/sources/clock.py:53``), so every instance of a class shares
+one node.
 
 Adding an edge that closes a cycle records a violation with both
 acquisition stacks (first witness per edge).  Re-acquiring a wrapped

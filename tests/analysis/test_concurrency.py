@@ -1,4 +1,4 @@
-"""Fixture tests for the whole-program concurrency analyzer.
+"""Fixture tests for the per-class concurrency analyzer.
 
 Each fixture seeds one violation shape — a lock-order cycle, an
 unguarded write in a lock-owning class, a reentrant re-acquire — and
@@ -85,7 +85,7 @@ class TestLockOrderGraph:
 
     def test_interprocedural_cycle_flagged(self):
         # Neither function nests two `with` blocks; the opposite
-        # orders only exist across the call graph.
+        # orders only exist across `self._x()` calls.
         result = analyze("""\
             import threading
 

@@ -11,7 +11,7 @@ def run(source, path="src/repro/example.py"):
 
 
 def race(source, path="src/repro/example.py"):
-    """The whole-program findings ``repro race`` reports for *source*."""
+    """The findings ``repro race`` reports for *source*."""
     return analyze_sources([(path, textwrap.dedent(source))]).findings
 
 

@@ -114,8 +114,8 @@ def guarded_blocks():
     program = analyze_with().program
     cases = []
     for qual in sorted({qual for qual, _ in program.shared_writes}):
-        fn = program.functions[qual]
-        path = program.path_of(fn)
+        fn = program.methods[qual]
+        path = fn.path
         lines = {write.line for owner, write in program.shared_writes
                  if owner == qual}
         module = ast.parse(tree()[0][path])
@@ -240,6 +240,23 @@ class TestNamedPlants:
             with_statement(SERVER, "DrugTreeServer", "navigate",
                            "self.last_focus = focus"),
             "repro.mobile.server.DrugTreeServer.navigate:last_focus")
+
+    def test_details_lock_held_across_the_resilient_fetch(self):
+        # What the server docstring promises never happens; until
+        # `fetch_all_resilient` joined BLOCKING_CALLS nothing caught it.
+        mutated = tree()[0][SERVER].replace(
+            "        outcome = self.federation.fetch_all_resilient(\n"
+            "            requests, deadline=self._tap_deadline())\n",
+            "        with self._details_lock:\n"
+            "            outcome = self.federation.fetch_all_resilient(\n"
+            "                requests, deadline=self._tap_deadline())\n")
+        assert mutated != tree()[0][SERVER]
+        result = analyze_with(SERVER, mutated)
+        assert [(f.code, f.key) for f in result.findings] == [(
+            "CONC202",
+            "repro.mobile.server.DrugTreeServer._prefetch_details:"
+            "repro.mobile.server.DrugTreeServer._details_lock:"
+            "fetch_all_resilient")]
 
     def test_metrics_reset_fix_is_what_keeps_the_tree_clean(self):
         # With this PR's MetricsRegistry.reset fix reverted, the gate

@@ -1,9 +1,10 @@
 """Tests for the molecular graph model."""
 
+import networkx as nx
 import pytest
 
 from repro.chem.mol import Atom, Bond, Molecule
-from repro.chem import parse_smiles
+from repro.chem import generate_library, parse_smiles
 from repro.errors import ChemError
 
 
@@ -159,3 +160,46 @@ class TestDerived:
         assert _ethanol().is_connected()
         salt = parse_smiles("[NH4+].[Cl-]")
         assert not salt.is_connected()
+
+
+#: Fused, bridged, spiro and caged ring systems the generator never
+#: assembles, plus a chain and a two-fragment salt.
+RING_SYSTEMS = {
+    "anthracene": "c1ccc2cc3ccccc3cc2c1",
+    "norbornane": "C1CC2CCC1C2",
+    "spiro[4.5]decane": "C1CCC2(C1)CCCCC2",
+    "cubane": "C12C3C4C1C5C2C3C45",
+    "adamantane": "C1C2CC3CC1CC(C2)C3",
+    "biphenyl": "c1ccccc1-c1ccccc1",
+    "salt": "[NH4+].[Cl-]",
+}
+
+
+class TestRingsAgainstNetworkx:
+    """``rings()`` is *a* cycle basis, not networkx's: what callers
+    read — ring count, ring-atom union, ring bonds, connectivity — must
+    be what ``nx.cycle_basis`` / ``nx.is_connected`` say."""
+
+    def check(self, mol):
+        graph = nx.Graph()
+        graph.add_nodes_from(range(len(mol.atoms)))
+        graph.add_edges_from(bond.key for bond in mol.bonds)
+        basis = nx.cycle_basis(graph)
+        assert len(mol.rings()) == len(basis)
+        assert set().union(*mol.rings()) == set().union(*basis)
+        bridges = set(nx.bridges(graph))
+        assert mol.ring_bonds() == {
+            bond.key for bond in mol.bonds
+            if bond.key not in bridges and bond.key[::-1] not in bridges}
+        assert mol.is_connected() == nx.is_connected(graph)
+        for ring in mol.rings():
+            assert ring == sorted(ring)
+            assert nx.cycle_basis(graph.subgraph(ring))  # a real cycle
+
+    @pytest.mark.parametrize("name", sorted(RING_SYSTEMS))
+    def test_hand_written_ring_systems(self, name):
+        self.check(parse_smiles(RING_SYSTEMS[name]))
+
+    def test_generated_library(self):
+        for ligand in generate_library(200, seed=7):
+            self.check(ligand.molecule)

@@ -20,6 +20,8 @@ from repro.obs.lockwatch import (
     get_lockwatch,
     installed,
 )
+from repro.sources.clock import SimulatedClock
+from repro.sources.resilience import BreakerConfig, CircuitBreaker
 
 
 def make_pair(watch):
@@ -140,6 +142,49 @@ class TestLockOrderWitness:
         assert watch.edges == {}
         assert watch.violations == []
         watch.assert_acyclic()
+
+
+class TestCrossClassOrderOnRealClasses:
+    """Lock order between classes has one detector — this witness
+    (``repro race`` checks one class at a time).  The observer
+    inversion: a breaker reads the clock under its own lock; a clock
+    that notified a breaker under the clock lock would close a cycle
+    no single class shows."""
+
+    def test_observer_inversion_names_both_creation_sites(
+            self, monkeypatch):
+        watch = LockWatch()  # not the singleton conftest asserts on
+        monkeypatch.setattr(lockwatch, "_WATCH", watch)
+        observers = []
+
+        class NotifyingClock(SimulatedClock):
+            def advance(self, seconds):
+                with self._lock:
+                    for observer in observers:
+                        observer.state  # takes the observer's lock
+                    return super().advance(seconds)
+
+        lockwatch.install()
+        try:
+            clock = NotifyingClock()
+            breaker = CircuitBreaker(
+                clock, BreakerConfig(failure_threshold=1))
+        finally:
+            lockwatch.uninstall()
+        observers.append(breaker)
+        breaker.record_failure()  # trips: breaker lock, then clock lock
+        assert not breaker.allow()
+        assert watch.violations == []
+        clock.advance(1.0)        # clock lock, then breaker lock
+        [violation] = watch.violations
+        assert "cycle" in violation
+        sites = (clock._lock.site, breaker._lock.site)
+        assert sites[0].startswith("repro/sources/clock.py:")
+        assert sites[1].startswith("repro/sources/resilience.py:")
+        assert f"{sites[0]} -> {sites[1]}" in violation
+        assert f"{sites[1]} -> {sites[0]}" in violation
+        with pytest.raises(LockOrderViolation, match="cycle"):
+            watch.assert_acyclic()
 
 
 class TestInstallation:
