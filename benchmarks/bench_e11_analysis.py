@@ -12,16 +12,16 @@ including one SIMILAR TO query) through three configurations on
 identically-seeded cold worlds:
 
 - ``naive``           — NaiveEngine: every query pays federation prices
-- ``opt, analysis off``— QueryEngine with the analyzer disabled (the
-                         plan-time rewriter still catches
-                         contradictions, but only after similarity
+- ``opt, analysis off``— QueryEngine with the analyzer disabled
+                         (contradictions are planned and scanned
+                         from the overlay, after similarity
                          resolution has run)
 - ``opt, analysis on`` — the default engine
 
 Expected shape: the analyzer short-circuits exactly the unsatisfiable
 queries; round-trips saved vs naive scale with the unsatisfiable
 fraction; on the optimized engine the visible win is the skipped
-similarity-candidate enumeration (the rewriter already avoids scans).
+similarity-candidate enumeration (the overlay scan fetches nothing).
 """
 
 from __future__ import annotations
@@ -133,8 +133,8 @@ def test_e11_short_circuit_savings(benchmark, report):
     # provably-empty ones; the optimized engines never fetch for them.
     assert naive[1] > off[1]
     assert on[1] <= off[1]
-    # Only the analyzer skips similarity-candidate enumeration — the
-    # plan-time rewriter runs after fingerprint resolution.
+    # Only the analyzer skips similarity-candidate enumeration, which
+    # runs before planning.
     assert off[3] > 0
     assert on[3] < off[3]
 

@@ -23,7 +23,7 @@ Lock order *between* classes is checked at runtime, by
 :mod:`repro.obs.lockwatch`.
 """
 
-from repro.analysis.catalog import Catalog, ColumnInfo
+from repro.analysis.catalog import Catalog
 from repro.analysis.concurrency import (
     AnalysisResult,
     CONC_RULES,
@@ -45,7 +45,6 @@ __all__ = [
     "AnalysisResult",
     "CONC_RULES",
     "Catalog",
-    "ColumnInfo",
     "Diagnostic",
     "Finding",
     "LINT_RULES",

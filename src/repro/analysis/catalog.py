@@ -1,26 +1,25 @@
 """Typed column catalog for the DTQL semantic analyzer.
 
 The catalog is the analyzer's view of the star schema: every overlay
-column with its :class:`~repro.storage.schema.ColumnType`, which tables
-carry it, and whether resolving it costs a run-time federation fetch.
-It is built once from the same overlay :class:`Schema` objects the
-storage layer validates rows against, so the analyzer can never drift
-from what the executor will actually accept.
+column with its :class:`~repro.storage.schema.ColumnType` and which
+tables carry it, plus the federation-resolved detail columns (no
+type). It reads the query model's own column registry
+(:data:`~repro.core.query.ast.COLUMN_OWNERS`, built from the overlay
+:class:`Schema` objects the storage layer validates rows against), so
+the analyzer can never drift from what the executor will accept.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from repro.core.overlay import (
-    BINDINGS_TABLE,
-    LIGANDS_TABLE,
-    PROTEINS_TABLE,
-    bindings_schema,
-    ligands_schema,
-    proteins_schema,
+from repro.core.overlay import BINDINGS_TABLE, LIGANDS_TABLE, PROTEINS_TABLE
+from repro.core.query.ast import (
+    COLUMN_OWNERS,
+    COLUMN_TYPES,
+    REMOTE_DETAIL_COLUMNS,
 )
-from repro.core.query.ast import REMOTE_DETAIL_COLUMNS
 from repro.storage.schema import ColumnType
 
 
@@ -33,8 +32,6 @@ class ColumnInfo:
     #: by the backing source, not the overlay schema.
     type: ColumnType | None
     tables: tuple[str, ...]
-    nullable: bool = False
-    remote: bool = False
 
 
 def _levenshtein(a: str, b: str, cap: int) -> int:
@@ -59,6 +56,20 @@ def _levenshtein(a: str, b: str, cap: int) -> int:
     return previous[-1]
 
 
+def _closest(name: str, candidates: Iterable[str],
+             limit: int) -> tuple[str, ...]:
+    """The *candidates* within edit distance ``len(name) // 3`` (at
+    least 1) of a misspelt *name*, nearest first."""
+    cap = max(1, len(name) // 3)
+    scored = []
+    for candidate in candidates:
+        distance = _levenshtein(name.lower(), candidate.lower(), cap)
+        if distance <= cap:
+            scored.append((distance, candidate))
+    scored.sort()
+    return tuple(candidate for _, candidate in scored[:limit])
+
+
 class Catalog:
     """Name → :class:`ColumnInfo` lookup with did-you-mean support."""
 
@@ -70,69 +81,25 @@ class Catalog:
     @classmethod
     def default(cls) -> "Catalog":
         """The catalog for the three overlay tables + remote details."""
-        columns: dict[str, ColumnInfo] = {}
-        schemas = {
-            BINDINGS_TABLE: bindings_schema(),
-            PROTEINS_TABLE: proteins_schema(),
-            LIGANDS_TABLE: ligands_schema(),
-        }
-        for table, schema in schemas.items():
-            for column in schema:
-                info = columns.get(column.name)
-                if info is None:
-                    columns[column.name] = ColumnInfo(
-                        name=column.name,
-                        type=column.type,
-                        tables=(table,),
-                        nullable=column.nullable,
-                    )
-                else:
-                    columns[column.name] = ColumnInfo(
-                        name=info.name,
-                        type=info.type,
-                        tables=info.tables + (table,),
-                        nullable=info.nullable or column.nullable,
-                    )
+        columns = {name: ColumnInfo(name, COLUMN_TYPES[name], owners)
+                   for name, owners in COLUMN_OWNERS.items()}
         for name, (_, _, owner) in REMOTE_DETAIL_COLUMNS.items():
-            columns[name] = ColumnInfo(
-                name=name, type=None, tables=(owner,),
-                nullable=True, remote=True,
-            )
-        return cls(columns, tuple(schemas))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._columns
+            columns[name] = ColumnInfo(name, None, (owner,))
+        return cls(columns, (BINDINGS_TABLE, PROTEINS_TABLE, LIGANDS_TABLE))
 
     def get(self, name: str) -> ColumnInfo | None:
         return self._columns.get(name)
-
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(self._columns)
 
     def column_type(self, name: str) -> ColumnType | None:
         info = self._columns.get(name)
         return info.type if info is not None else None
 
-    def suggest(self, name: str, limit: int = 3) -> tuple[str, ...]:
-        """Closest known column names to a misspelt *name*."""
-        cap = max(1, len(name) // 3)
-        scored = []
-        for candidate in self._columns:
-            distance = _levenshtein(name.lower(), candidate.lower(), cap)
-            if distance <= cap:
-                scored.append((distance, candidate))
-        scored.sort()
-        return tuple(candidate for _, candidate in scored[:limit])
-
-    def suggest_table(self, name: str, limit: int = 3) -> tuple[str, ...]:
-        cap = max(1, len(name) // 3)
-        scored = []
-        for candidate in self.tables:
-            distance = _levenshtein(name.lower(), candidate.lower(), cap)
-            if distance <= cap:
-                scored.append((distance, candidate))
-        scored.sort()
-        return tuple(candidate for _, candidate in scored[:limit])
+    def suggest(self, name: str, table: bool = False,
+                limit: int = 3) -> tuple[str, ...]:
+        """Closest known column (or, with *table*, table) names to a
+        misspelt *name*."""
+        return _closest(name, self.tables if table else self._columns,
+                        limit)
 
     def aggregate_output_type(self, output_name: str) -> ColumnType | None:
         """Type of an aggregate output column like ``mean_p_affinity``.

@@ -9,14 +9,14 @@ produces an :class:`AnalysisReport`:
   the catalog's column types (``DTQL101``/``102``/``104``);
 * **constant folding** — duplicate ``IN`` elements are deduplicated,
   single-element ``IN`` folds to ``=``, predicates implied by a
-  stronger sibling are subsumed (``DTQL202``–``204``); the folded query
-  is exposed on the report;
+  stronger sibling (or, of two that imply each other, the later one)
+  are subsumed (``DTQL202``–``204``); the folded query on the report
+  is what the engine plans;
 * **range analysis** — AND-ed predicates per column are tested for
-  unsatisfiability with the *same* decision procedure the plan-time
-  rewriter uses (:func:`repro.core.query.rules.column_contradiction`),
-  so a query the analyzer proves empty is exactly one the planner
-  would answer with zero rows — the engine can short-circuit it before
-  any source round-trip (``DTQL201``);
+  unsatisfiability (:func:`column_contradiction`); the engine answers
+  a query proven empty without planning it or making any source
+  round-trip (``DTQL201``). This is the only emptiness verdict: the
+  planner has none of its own;
 * **cost advisories** — predicates that force an implicit join
   (``DTQL301``), selected federation-resolved columns that cost
   run-time round-trips (``DTQL302``), and an ``ORDER BY`` column the
@@ -28,7 +28,6 @@ the EXPLAIN ANALYZE ``-- analysis:`` trailer.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Any
@@ -37,28 +36,10 @@ from repro.analysis.catalog import Catalog
 from repro.analysis.diag import Diagnostic, Severity, Span, sort_diagnostics
 from repro.core.query.ast import Comparison, Query
 from repro.core.query.parser import parse_query, tokenize
-from repro.core.query.rules import column_contradiction
 from repro.errors import ParseError
 from repro.storage.schema import ColumnType
 
 _ORDERING_OPS = ("<", "<=", ">", ">=")
-
-#: Messages from Query construction that are semantic (the text parsed,
-#: the query it describes is ill-formed) rather than syntactic.
-_SEMANTIC_MARKERS = (
-    "HAVING references",
-    "HAVING requires",
-    "group_by requires",
-    "plain columns alongside",
-    "similarity threshold",
-    "only count(*)",
-    "unknown aggregate",
-    "limit must be positive",
-)
-
-_UNKNOWN_COLUMN_RE = re.compile(
-    r"unknown (?:group-by |order-by )?column '([^']*)'")
-_UNKNOWN_TABLE_RE = re.compile(r"unknown table '([^']*)'")
 
 
 @dataclass(frozen=True)
@@ -168,8 +149,8 @@ def _literal_ok(expected: ColumnType, value: Any) -> bool:
 class SemanticAnalyzer:
     """Runs every analysis pass over one query; stateless between calls."""
 
-    def __init__(self, catalog: Catalog | None = None) -> None:
-        self.catalog = catalog if catalog is not None else Catalog.default()
+    def __init__(self) -> None:
+        self.catalog = Catalog.default()
 
     # -- entry points ------------------------------------------------------
 
@@ -213,30 +194,21 @@ class SemanticAnalyzer:
     # -- parse-failure classification --------------------------------------
 
     def _parse_diagnostic(self, exc: ParseError, text: str) -> Diagnostic:
-        message = str(exc)
         span = Span(*exc.span) if exc.span is not None else None
-        for pattern, code, noun, suggest in (
-                (_UNKNOWN_COLUMN_RE, "DTQL002", "column",
-                 self.catalog.suggest),
-                (_UNKNOWN_TABLE_RE, "DTQL003", "table",
-                 self.catalog.suggest_table)):
-            match = pattern.search(message)
-            if match is None:
-                continue
-            name = match.group(1)
-            if span is None:
-                # Raised while the Query was built, so the text did
-                # tokenize; only this error path tokenizes it again.
-                span = _SpanIndex(tokenize(text)).find(name)
-            suggestions = suggest(name)
-            hint = ("did you mean " + " or ".join(
-                repr(s) for s in suggestions) + "?") if suggestions else None
-            return Diagnostic(code, Severity.ERROR,
-                              f"unknown {noun} {name!r}", span=span,
-                              hint=hint)
-        if any(marker in message for marker in _SEMANTIC_MARKERS):
-            return Diagnostic("DTQL004", Severity.ERROR, message, span=span)
-        return Diagnostic("DTQL001", Severity.ERROR, message, span=span)
+        if exc.name is None:
+            return Diagnostic(exc.code or "DTQL001", Severity.ERROR,
+                              str(exc), span=span)
+        table = exc.code == "DTQL003"
+        if span is None:
+            # Raised while the Query was built, so the text did
+            # tokenize; only this error path tokenizes it again.
+            span = _SpanIndex(tokenize(text)).find(exc.name)
+        suggestions = self.catalog.suggest(exc.name, table=table)
+        hint = ("did you mean " + " or ".join(
+            repr(s) for s in suggestions) + "?") if suggestions else None
+        return Diagnostic(exc.code, Severity.ERROR,
+                          f"unknown {'table' if table else 'column'} "
+                          f"{exc.name!r}", span=span, hint=hint)
 
     # -- the passes --------------------------------------------------------
 
@@ -317,13 +289,14 @@ class SemanticAnalyzer:
                         span=span))
             folded.append(predicate)
         # Subsumption: drop predicates implied by a strictly stronger
-        # sibling (x > 3 AND x > 5 keeps only x > 5).
+        # sibling (x > 3 AND x > 5 keeps only x > 5) and, of two that
+        # imply each other (x IN (1, 2) AND x IN (2, 1)), the later.
         kept: list[Comparison] = []
-        for candidate in folded:
+        for position, candidate in enumerate(folded):
             stronger = next(
-                (other for other in folded
-                 if other is not candidate and other.implies(candidate)
-                 and not candidate.implies(other)),
+                (other for index, other in enumerate(folded)
+                 if index != position and other.implies(candidate)
+                 and (index < position or not candidate.implies(other))),
                 None,
             )
             if stronger is not None:
@@ -416,6 +389,55 @@ class SemanticAnalyzer:
             # ORDER BY's mention of the column is the last in the text.
             span=_SpanIndex(tokens[::-1]).find(column),
             hint="add it to SELECT"))
+
+
+def column_contradiction(predicates: list[Comparison]) -> bool:
+    """True if AND-ing *predicates* (all on one column) is unsatisfiable.
+
+    Conservative: incomparable literals never prove anything.
+    """
+    equalities = [p.value for p in predicates if p.op == "="]
+    if len(set(map(repr, equalities))) > 1:
+        return True
+    in_sets = [set(p.value) for p in predicates if p.op == "in"]
+    if in_sets:
+        common = set.intersection(*in_sets)
+        if not common:
+            return True
+        if equalities and equalities[0] not in common:
+            return True
+    lower: tuple[float, bool] | None = None  # (bound, inclusive)
+    upper: tuple[float, bool] | None = None
+    for predicate in predicates:
+        value = predicate.value
+        if predicate.op in (">", ">="):
+            inclusive = predicate.op == ">="
+            if lower is None or (value, not inclusive) > (lower[0],
+                                                          not lower[1]):
+                lower = (value, inclusive)
+        elif predicate.op in ("<", "<="):
+            inclusive = predicate.op == "<="
+            if upper is None or (value, inclusive) < (upper[0], upper[1]):
+                upper = (value, inclusive)
+    if lower is not None and upper is not None:
+        try:
+            if lower[0] > upper[0]:
+                return True
+            if lower[0] == upper[0] and not (lower[1] and upper[1]):
+                return True
+        except TypeError:
+            return False
+    if equalities:
+        for predicate in predicates:
+            if predicate.op in _ORDERING_OPS:
+                try:
+                    if not predicate.matches(equalities[0]):
+                        return True
+                except TypeError:
+                    return False
+            if predicate.op == "!=" and predicate.value == equalities[0]:
+                return True
+    return False
 
 
 def empty_result_rows(query: Query) -> list[dict[str, Any]]:

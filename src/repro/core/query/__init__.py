@@ -23,7 +23,6 @@ from repro.core.query.predicates import (
     compile_comparison,
     compile_residual,
 )
-from repro.core.query.rules import NormalizedQuery, normalize
 from repro.core.query.vectorized import Batch, VectorizedLowering
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "EngineChoice",
     "EngineConfig",
     "HavingCondition",
-    "NormalizedQuery",
     "OrderBy",
     "PlanReport",
     "Planner",
@@ -54,6 +52,5 @@ __all__ = [
     "compile_columns",
     "compile_comparison",
     "compile_residual",
-    "normalize",
     "parse_query",
 ]

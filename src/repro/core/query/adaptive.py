@@ -1,9 +1,9 @@
 """The row rule: which engine runs an optimized logical plan.
 
 Every plan runs on the batch engine (:mod:`repro.core.query.vectorized`)
-unless it contains a node that has no batch form — a provably-empty
-plan, the materialized clade fast path, or a nested-loop join — in which
-case the whole plan runs on the row engine. The perf ledger found no
+unless it contains a node that has no batch form — the materialized
+clade fast path or a nested-loop join — in which case the whole plan
+runs on the row engine. The perf ledger found no
 plan shape where a priced choice beat this rule, so there is no cost
 model and nothing to memoize: one walk over a handful of nodes per
 planned query. The reason for a row choice is surfaced in EXPLAIN
@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 from repro.core.query.logical import (
     LogicalCladeAggregate,
-    LogicalEmpty,
     LogicalJoin,
     LogicalNode,
 )
@@ -33,8 +32,6 @@ _VECTORIZED = EngineChoice("vectorized")
 
 
 def _row_only_reason(node: LogicalNode) -> str | None:
-    if isinstance(node, LogicalEmpty):
-        return "provably-empty plan"
     if isinstance(node, LogicalCladeAggregate):
         return "materialized clade fast path"
     if isinstance(node, LogicalJoin) and node.method == "nested_loop":

@@ -25,6 +25,7 @@ from repro.core.overlay import (
     proteins_schema,
 )
 from repro.errors import QueryError
+from repro.storage.schema import ColumnType
 
 #: Comparison operators supported in predicates.
 COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=", "in")
@@ -41,10 +42,14 @@ _SCHEMAS = {
 }
 
 COLUMN_OWNERS: dict[str, tuple[str, ...]] = {}
+#: Each overlay column's type (a shared key column has the same type in
+#: every table that carries it).
+COLUMN_TYPES: dict[str, ColumnType] = {}
 for _table, _schema in _SCHEMAS.items():
-    for _column in _schema.column_names:
-        COLUMN_OWNERS.setdefault(_column, ())
-        COLUMN_OWNERS[_column] = COLUMN_OWNERS[_column] + (_table,)
+    for _column in _schema:
+        COLUMN_OWNERS[_column.name] = \
+            COLUMN_OWNERS.get(_column.name, ()) + (_table,)
+        COLUMN_TYPES[_column.name] = _column.type
 
 #: Detail columns that are *not* materialized in the overlay: selecting
 #: one makes the executor fetch the backing record from the federation
@@ -72,7 +77,8 @@ class Comparison:
                 f"unknown operator {self.op!r} (known: {COMPARISON_OPS})"
             )
         if self.column not in COLUMN_OWNERS:
-            raise QueryError(f"unknown column {self.column!r}")
+            raise QueryError(f"unknown column {self.column!r}",
+                             code="DTQL002", name=self.column)
         if self.op == "in" and not isinstance(self.value, (tuple, list,
                                                            set, frozenset)):
             raise QueryError("'in' needs a collection of values")
@@ -158,7 +164,8 @@ class SimilarityFilter:
         if not self.smiles:
             raise QueryError("similarity filter needs a SMILES probe")
         if not 0.0 < self.threshold <= 1.0:
-            raise QueryError("similarity threshold must be in (0, 1]")
+            raise QueryError("similarity threshold must be in (0, 1]",
+                             code="DTQL004")
 
     def __str__(self) -> str:
         return f"SIMILAR TO {self.smiles!r} >= {self.threshold}"
@@ -188,12 +195,15 @@ class AggregateSpec:
     def __post_init__(self) -> None:
         if self.func not in AGGREGATE_FUNCS:
             raise QueryError(
-                f"unknown aggregate {self.func!r} (known: {AGGREGATE_FUNCS})"
+                f"unknown aggregate {self.func!r} (known: {AGGREGATE_FUNCS})",
+                code="DTQL004",
             )
         if self.column != "*" and self.column not in COLUMN_OWNERS:
-            raise QueryError(f"unknown column {self.column!r}")
+            raise QueryError(f"unknown column {self.column!r}",
+                             code="DTQL002", name=self.column)
         if self.column == "*" and self.func != "count":
-            raise QueryError("only count(*) may aggregate '*'")
+            raise QueryError("only count(*) may aggregate '*'",
+                             code="DTQL004")
 
     @property
     def output_name(self) -> str:
@@ -276,21 +286,24 @@ class Query:
         known = (BINDINGS_TABLE, PROTEINS_TABLE, LIGANDS_TABLE)
         for table in self.from_tables:
             if table not in known:
-                raise QueryError(f"unknown table {table!r}")
+                raise QueryError(f"unknown table {table!r}",
+                                 code="DTQL003", name=table)
         if self.aggregates and self.select:
             extra = set(self.select) - ({self.group_by} if self.group_by
                                         else set())
             if extra:
                 raise QueryError(
                     "plain columns alongside aggregates must be the "
-                    f"group-by column; got {sorted(extra)}"
+                    f"group-by column; got {sorted(extra)}",
+                    code="DTQL004",
                 )
         if self.group_by is not None and not self.aggregates:
-            raise QueryError("group_by requires aggregates")
+            raise QueryError("group_by requires aggregates", code="DTQL004")
         if self.group_by is not None and self.group_by not in COLUMN_OWNERS:
-            raise QueryError(f"unknown group-by column {self.group_by!r}")
+            raise QueryError(f"unknown group-by column {self.group_by!r}",
+                             code="DTQL002", name=self.group_by)
         if self.having and not self.aggregates:
-            raise QueryError("HAVING requires aggregates")
+            raise QueryError("HAVING requires aggregates", code="DTQL004")
         if self.having:
             visible = {agg.output_name for agg in self.aggregates}
             if self.group_by:
@@ -300,21 +313,24 @@ class Query:
                     raise QueryError(
                         f"HAVING references {condition.column!r}, not an "
                         f"output of this query (outputs: "
-                        f"{sorted(visible)})"
+                        f"{sorted(visible)})",
+                        code="DTQL004",
                     )
         if self.limit is not None and self.limit < 1:
-            raise QueryError("limit must be positive")
+            raise QueryError("limit must be positive", code="DTQL004")
         for column in self.select:
             if (column not in COLUMN_OWNERS
                     and column not in REMOTE_DETAIL_COLUMNS):
-                raise QueryError(f"unknown column {column!r}")
+                raise QueryError(f"unknown column {column!r}",
+                                 code="DTQL002", name=column)
         if self.order_by is not None:
             valid = set(self.select) | {
                 agg.output_name for agg in self.aggregates
             } | set(COLUMN_OWNERS)
             if self.order_by.column not in valid:
                 raise QueryError(
-                    f"unknown order-by column {self.order_by.column!r}"
+                    f"unknown order-by column {self.order_by.column!r}",
+                    code="DTQL002", name=self.order_by.column,
                 )
 
     # -- table resolution --------------------------------------------------

@@ -28,7 +28,6 @@ from repro.core.query.cards import CardinalityEstimator
 from repro.core.query.logical import (
     LogicalAggregate,
     LogicalCladeAggregate,
-    LogicalEmpty,
     LogicalHaving,
     LogicalJoin,
     LogicalLimit,
@@ -40,7 +39,6 @@ from repro.core.query.logical import (
 )
 from repro.core.query.parser import parse_query
 from repro.core.query.physical import (
-    EmptyOp,
     ExecCounters,
     FilterOp,
     HashAggregateOp,
@@ -61,6 +59,7 @@ from repro.core.query.physical import (
 from repro.core.query.planner import Planner, PlannerConfig, PlanReport
 from repro.core.query.vectorized import IndexOrderScanOp, VectorizedLowering
 from repro.errors import (
+    ParseError,
     PlanError,
     QueryError,
     SourceError,
@@ -78,11 +77,8 @@ from repro.storage.index import SortedIndex
 
 
 def _intake(query: Query | str) -> Query:
-    """The one way DTQL text enters an engine: parsed here, once.
-
-    The parsed query keeps its tokens, so the semantic pass in ``_run``
-    reads its spans from them instead of tokenizing the text again.
-    """
+    """DTQL text parsed once, where no analyzer parses it (analysis
+    off, the cluster router); the query keeps its tokens for spans."""
     return parse_query(query) if isinstance(query, str) else query
 
 
@@ -95,9 +91,10 @@ class EngineConfig:
     use_materialized_aggregates: bool = True
     use_semantic_cache: bool = True
     #: Run the typed-catalog semantic pass (repro.analysis.dtql) on
-    #: every query: reject type/name errors before any work, and answer
+    #: every query: reject type/name errors before any work, answer
     #: provably-empty WHERE clauses without planning, scanning, or any
-    #: source round-trip.
+    #: source round-trip, and plan the folded query. Off, the raw
+    #: query is planned and a contradictory WHERE is scanned.
     use_semantic_analysis: bool = True
     use_fingerprint_prefilter: bool = True
     use_substructure_screen: bool = True
@@ -219,21 +216,27 @@ class QueryEngine:
         """Static analysis only: the semantic report, nothing executed."""
         return self.analyzer.check(query)
 
-    def _analyze_query(self, query: Query):
-        """Run the pre-plan semantic pass; errors stop the query here."""
+    def _analyze_query(self, query: Query | str):
+        """The front end of ``execute``, ``analyze`` and ``explain``:
+        ``(query to plan, analysis report)``.
+
+        The analyzer parses text, resolves names, checks types, folds,
+        and proves emptiness; its errors stop the query here, carried
+        on the raised error's ``diagnostics`` (a :class:`ParseError`
+        when the text did not parse). With analysis off the raw query
+        is planned and the report is None.
+        """
         if not self.config.use_semantic_analysis:
-            return None
+            return _intake(query), None
         report = self.analyzer.check(query)
         if report.errors:
-            raise QueryError(
+            error = ParseError if report.query is None else QueryError
+            raise error(
                 "semantic analysis rejected query: "
-                + "; ".join(d.render() for d in report.errors)
+                + "; ".join(d.render() for d in report.errors),
+                diagnostics=report.errors,
             )
-        return report
-
-    def _empty_rows(self, query: Query) -> list[dict[str, Any]]:
-        from repro.analysis.dtql import empty_result_rows
-        return empty_result_rows(query)
+        return report.folded, report
 
     def _as_deadline(self, deadline) -> Deadline | None:
         """Accept a :class:`Deadline` or a float budget in virtual
@@ -260,20 +263,24 @@ class QueryEngine:
         result from the semantic cache's stale store, flagged
         ``cache_outcome == "stale"``.
         """
-        query = _intake(query)
         metrics = self._obs_metrics()
         timer = WallTimer().start()
+        query, analysis = self._analyze_query(query)
         self.queries_executed += 1
         metrics.counter("query.executed").inc()
-        result = self._run(query, deadline, instrument=False)
+        result = self._run(query, analysis, deadline, instrument=False)
         result.wall_time_s = timer.stop()
         metrics.histogram("query.wall_s").observe(result.wall_time_s)
         metrics.counter("query.rows_returned").inc(len(result.rows))
         return result
 
     def explain(self, query: Query | str) -> str:
-        """The plan the engine would run, as indented text."""
-        query = _intake(query)
+        """The plan the engine would run, as indented text; for a query
+        the analyzer proves empty, its ``-- analysis:`` lines instead."""
+        query, analysis = self._analyze_query(query)
+        if analysis is not None and analysis.provably_empty:
+            return "\n".join(f"-- analysis: {line}"
+                             for line in analysis.summary_lines())
         ligand_keys, _, __ = self._resolve_ligand_filters(query)
         plan = self.planner.plan(query, similar_keys=ligand_keys)
         return plan.explain()
@@ -289,10 +296,12 @@ class QueryEngine:
         metrics registry, so remote traffic during execution (or its
         absence — the point of the integrated overlay) is visible.
         """
-        return self._run(_intake(query), deadline, instrument=True)
+        query, analysis = self._analyze_query(query)
+        return self._run(query, analysis, deadline, instrument=True)
 
-    def _run(self, query: Query, deadline, instrument: bool):
-        """The one query path behind ``execute`` and ``analyze``.
+    def _run(self, query: Query, analysis, deadline, instrument: bool):
+        """The one query path behind ``execute`` and ``analyze``, given
+        what :meth:`_analyze_query` returned.
 
         ``instrument=False`` answers from the semantic cache when it
         can, stores fresh answers, falls back to the stale store, and
@@ -311,13 +320,13 @@ class QueryEngine:
             missed = "off (semantic cache disabled)" if instrument else "off"
         with tracer.span("query.explain_analyze" if instrument
                          else "query.execute") as span:
-            analysis = self._analyze_query(query)
             if analysis is not None and analysis.provably_empty:
                 # The WHERE clause cannot be satisfied: answer without
                 # planning, scanning, resolving similarity filters, or
                 # any source round-trip.
+                from repro.analysis.dtql import empty_result_rows
                 with WallTimer() as timer:
-                    rows = self._empty_rows(query)
+                    rows = empty_result_rows(query)
                 span.set("analysis", "short_circuit")
                 span.set("rows", len(rows))
                 metrics.counter("query.analysis_short_circuit").inc()
@@ -383,13 +392,6 @@ class QueryEngine:
                 with tracer.span("query.run") as run_span, \
                         WallTimer() as timer:
                     rows = list(physical.rows())
-                    if isinstance(plan.logical, LogicalEmpty):
-                        # The rewriter proved the WHERE empty and
-                        # dropped the whole tree, aggregates included;
-                        # restore the SQL shape (count→0, mean→NULL)
-                        # the naive engine and the analyzer
-                        # short-circuit both produce.
-                        rows = self._empty_rows(query)
                     run_span.set("rows", len(rows))
                     run_span.set("rows_scanned", counters.rows_scanned)
             except SourceError:
@@ -667,8 +669,6 @@ class RowLowering:
     def _lower(self, node: LogicalNode,
                stats: OperatorStats | None) -> PhysicalOp:
         counters = self.counters
-        if isinstance(node, LogicalEmpty):
-            return EmptyOp(counters)
         if isinstance(node, LogicalCladeAggregate):
             return self._clade_fast_path(node)
         if isinstance(node, LogicalScan):

@@ -1,6 +1,6 @@
 """Logical plan nodes.
 
-The planner lowers a normalised :class:`~repro.core.query.ast.Query`
+The planner lowers a folded :class:`~repro.core.query.ast.Query`
 into this small relational algebra, then converts it to physical
 operators. Keeping the logical layer explicit makes plans printable
 (``EXPLAIN``) and lets the optimizer tests assert on plan *shape*
@@ -181,16 +181,6 @@ class LogicalLimit(LogicalNode):
 
     def describe(self) -> str:
         return f"Limit({self.limit})"
-
-
-@dataclass(frozen=True)
-class LogicalEmpty(LogicalNode):
-    """A contradictory query: produces no rows, touches no table."""
-
-    reason: str = "contradictory predicates"
-
-    def describe(self) -> str:
-        return f"Empty({self.reason})"
 
 
 @dataclass(frozen=True)

@@ -198,11 +198,12 @@ class _Parser:
             threshold = self._literal()
             if not isinstance(threshold, (int, float)):
                 raise ParseError("similarity threshold must be a number",
-                                 span=threshold_span)
+                                 span=threshold_span, code="DTQL004")
             try:
                 similar = SimilarityFilter(smiles, float(threshold))
             except QueryError as exc:
-                raise ParseError(str(exc), span=threshold_span) from None
+                raise ParseError(str(exc), span=threshold_span,
+                                 code=exc.code) from None
         substructure = None
         if self._keyword("CONTAINING"):
             substructure = SubstructureFilter(self._string())
@@ -290,7 +291,7 @@ class _Parser:
         if name not in _KNOWN_TABLES:
             raise ParseError(
                 f"unknown table {name!r} (known: {_KNOWN_TABLES})",
-                span=span,
+                span=span, code="DTQL003", name=name,
             )
         return name
 
@@ -339,9 +340,10 @@ class _Parser:
 def parse_query(text: str) -> Query:
     """Parse DTQL *text* into a :class:`Query`.
 
-    Raised :class:`ParseError` objects keep the ``span`` of the inner
-    failure (when one is known) even though the message is rewrapped,
-    so callers can still point at the offending token. Spans index into
+    Raised :class:`ParseError` objects keep the ``span``, ``code`` and
+    ``name`` of the inner failure even though the message is rewrapped,
+    so callers can still point at the offending token and say what
+    went wrong. Spans index into
     *text* exactly as given (tokenization skips whitespace in place).
     """
     if not text or not text.strip():
@@ -351,5 +353,5 @@ def parse_query(text: str) -> Query:
     except QueryError as exc:
         # Covers ParseError plus AST validation errors (bad columns,
         # aggregates, thresholds) surfaced while building the Query.
-        raise ParseError(f"bad query {text!r}: {exc}",
-                         span=exc.span) from None
+        raise ParseError(f"bad query {text!r}: {exc}", span=exc.span,
+                         code=exc.code, name=exc.name) from None

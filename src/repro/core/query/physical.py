@@ -502,11 +502,6 @@ class RemoteFetchOp(PhysicalOp):
         return outcome.records
 
 
-class EmptyOp(PhysicalOp):
-    def rows(self) -> Iterator[dict[str, Any]]:
-        return iter(())
-
-
 class StaticRowsOp(PhysicalOp):
     """Emit precomputed rows (materialized-aggregate fast path)."""
 

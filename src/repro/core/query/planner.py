@@ -1,6 +1,7 @@
 """Cost-based query planner.
 
-Lowers a normalised query to a logical plan in four steps:
+Lowers a query (the semantic analyzer's folded one, unless analysis
+is off) to a logical plan in four steps:
 
 1. **Predicate placement** — every predicate is pushed down to the one
    table that owns its column (shared key columns go to the bindings
@@ -25,9 +26,8 @@ clade-aggregate queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
-from typing import Any
 
 from repro.core.labeling import IntervalLabeling
 from repro.core.overlay import (
@@ -49,7 +49,6 @@ from repro.core.query.cost import Cost
 from repro.core.query.logical import (
     LogicalAggregate,
     LogicalCladeAggregate,
-    LogicalEmpty,
     LogicalHaving,
     LogicalJoin,
     LogicalLimit,
@@ -58,7 +57,6 @@ from repro.core.query.logical import (
     LogicalProject,
     LogicalScan,
 )
-from repro.core.query.rules import normalize
 from repro.errors import PlanError
 from repro.storage.table import Table
 
@@ -97,7 +95,6 @@ class PlanReport:
     estimated_rows: float = 0.0
     estimated_cost: float = 0.0
     join_order: tuple[str, ...] = ()
-    rewrites: dict[str, Any] = field(default_factory=dict)
 
     def explain(self) -> str:
         header = (
@@ -127,22 +124,12 @@ class Planner:
         """Produce a plan. *similar_keys* is the pre-resolved ligand-id
         set of the query's similarity filter (the executor resolves it
         through the fingerprint library before planning)."""
-        normalized = normalize(query)
-        query = normalized.query
-        rewrites: dict[str, Any] = {
-            "removed_predicates": normalized.removed_predicates,
-        }
-        if normalized.contradiction:
-            return PlanReport(LogicalEmpty(), rewrites=rewrites)
-
         fast = self._try_clade_fast_path(query)
         if fast is not None:
-            rewrites["clade_fast_path"] = True
-            return PlanReport(fast, estimated_rows=1.0, estimated_cost=1.0,
-                              rewrites=rewrites)
+            return PlanReport(fast, estimated_rows=1.0, estimated_cost=1.0)
 
         table_names = query.tables()
-        placed = self._place_predicates(query, table_names, rewrites)
+        placed = self._place_predicates(query, table_names)
         if similar_keys is not None:
             target = (LIGANDS_TABLE if LIGANDS_TABLE in table_names
                       else BINDINGS_TABLE)
@@ -192,7 +179,6 @@ class Planner:
             estimated_rows=estimated_rows,
             estimated_cost=total_cost.total,
             join_order=join_order,
-            rewrites=rewrites,
         )
 
     # -- clade fast path -------------------------------------------------------
@@ -219,7 +205,6 @@ class Planner:
 
     def _place_predicates(self, query: Query,
                           table_names: tuple[str, ...],
-                          rewrites: dict[str, Any],
                           ) -> dict[str, list[Comparison]]:
         placed: dict[str, list[Comparison]] = {}
         for predicate in query.predicates:
@@ -238,15 +223,13 @@ class Planner:
             target = (BINDINGS_TABLE if BINDINGS_TABLE in table_names
                       else PROTEINS_TABLE)
             placed.setdefault(target, []).extend(
-                self._subtree_predicates(query.subtree.node_name, rewrites)
+                self._subtree_predicates(query.subtree.node_name)
             )
         return placed
 
-    def _subtree_predicates(self, node_name: str,
-                            rewrites: dict[str, Any]) -> list[Comparison]:
+    def _subtree_predicates(self, node_name: str) -> list[Comparison]:
         if self.config.use_interval_labeling:
             low, high = self.labeling.leaf_range(node_name)
-            rewrites["subtree_rewrite"] = f"leaf_pre in [{low}, {high})"
             return [
                 Comparison("leaf_pre", ">=", low),
                 Comparison("leaf_pre", "<", high),
@@ -261,7 +244,6 @@ class Planner:
         if target is None:
             raise PlanError(f"no tree node named {node_name!r}")
         names = frozenset(leaf.name for leaf in target.leaves())
-        rewrites["subtree_rewrite"] = f"protein_id IN ({len(names)} names)"
         return [Comparison("protein_id", "in", names)]
 
     # -- access paths ------------------------------------------------------------

@@ -101,12 +101,26 @@ class QueryError(DrugTreeError):
     while building a :class:`~repro.core.query.ast.Query` from
     programmatic dataclasses have no text to point into and leave it
     ``None``.
+
+    ``code`` says what kind of error a query-building one is, as its
+    DTQL diagnostic code (``DTQL002`` unknown column, ``DTQL003``
+    unknown table, ``DTQL004`` ill-formed query; ``None`` for a plain
+    syntax error), and ``name`` is the unknown column or table. Both
+    survive :func:`~repro.core.query.parser.parse_query`'s re-wrap, so
+    the semantic analyzer never reads a message to classify one.
+    ``diagnostics`` holds the error findings of a query the semantic
+    analyzer rejected.
     """
 
     def __init__(self, message: str = "",
-                 span: "tuple[int, int] | None" = None) -> None:
+                 span: "tuple[int, int] | None" = None,
+                 code: str | None = None, name: str | None = None,
+                 diagnostics: tuple = ()) -> None:
         super().__init__(message)
         self.span = span
+        self.code = code
+        self.name = name
+        self.diagnostics = diagnostics
 
 
 class ParseError(QueryError):

@@ -233,11 +233,10 @@ class DrugTreeServer:
 
         The engine rejects a malformed tap (bad column from a stale
         client UI, type-mismatched literal, unparseable text) before any
-        execution or fetch, so it never costs a source round-trip. A
-        rejected tap, and only a rejected one, is then analyzed again
-        for its findings: the raised :class:`MobileError` carries them
-        machine-readable on ``.diagnostics`` so clients can highlight
-        the offending span.
+        execution or fetch, so it never costs a source round-trip. The
+        raised :class:`MobileError` carries the findings the engine's
+        one analysis of the tap produced, machine-readable on
+        ``.diagnostics``, so clients can highlight the offending span.
         """
         self._session(session_id)  # validates
         with get_tracer().span("mobile.query",
@@ -246,16 +245,15 @@ class DrugTreeServer:
             try:
                 result = self.engine.execute(
                     dtql, deadline=self._tap_deadline())
-            except QueryError:
-                errors = self.engine.check(dtql).errors
-                if not errors:
+            except QueryError as exc:
+                if not exc.diagnostics:
                     raise  # the query was sound; running it failed
                 get_metrics().counter("mobile.query_rejected").inc()
                 error = MobileError(
                     "query rejected by semantic analysis: "
-                    + "; ".join(d.render() for d in errors)
+                    + "; ".join(d.render() for d in exc.diagnostics)
                 )
-                error.diagnostics = [d.as_dict() for d in errors]
+                error.diagnostics = [d.as_dict() for d in exc.diagnostics]
                 raise error from None
             payload = {"rows": result.rows,
                        "cache": result.cache_outcome}

@@ -11,7 +11,7 @@ class TestDefaultCatalog:
     def test_overlay_columns_present(self):
         for name in ("ligand_id", "protein_id", "value_nm", "p_affinity",
                      "potent", "organism", "family", "smiles", "logp"):
-            assert name in self.catalog
+            assert self.catalog.get(name) is not None
 
     def test_types_match_overlay_schemas(self):
         assert self.catalog.column_type("organism") is ColumnType.STRING
@@ -26,12 +26,11 @@ class TestDefaultCatalog:
     def test_remote_columns_flagged(self):
         for name in ("method", "go_terms", "keywords"):
             info = self.catalog.get(name)
-            assert info.remote
             assert info.type is None
-        assert not self.catalog.get("organism").remote
+            assert info.tables == ("proteins",)
+        assert self.catalog.get("organism").type is not None
 
     def test_unknown_name(self):
-        assert "warp_factor" not in self.catalog
         assert self.catalog.get("warp_factor") is None
         assert self.catalog.column_type("warp_factor") is None
 
@@ -48,8 +47,9 @@ class TestSuggestions:
         assert self.catalog.suggest("zzzzqqqq") == ()
 
     def test_table_suggestion(self):
-        assert "proteins" in self.catalog.suggest_table("protein")
-        assert "bindings" in self.catalog.suggest_table("binding")
+        assert "proteins" in self.catalog.suggest("protein", table=True)
+        assert "bindings" in self.catalog.suggest("binding", table=True)
+        assert "proteins" not in self.catalog.suggest("protein")
 
     def test_limit_respected(self):
         assert len(self.catalog.suggest("ligand_i", limit=2)) <= 2

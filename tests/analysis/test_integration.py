@@ -86,8 +86,24 @@ class TestShortCircuit:
             use_semantic_analysis=False))
         result = off.execute(CONTRADICTION)
         assert result.rows == []
-        assert result.counters["rows_scanned"] == 0
-        assert result.plan is not None  # the planner did the work
+        assert result.plan is not None  # planned and scanned
+
+    @pytest.mark.parametrize("mode", ["row", "vectorized"])
+    def test_analysis_off_aggregates_keep_sql_semantics(
+            self, dataset, drugtree, mode):
+        """Planned and scanned, a contradiction still aggregates to the
+        SQL empty shape: both aggregate operators emit it."""
+        off = QueryEngine(drugtree, EngineConfig(
+            use_semantic_analysis=False, use_semantic_cache=False,
+            execution_mode=mode))
+        naive = NaiveEngine(dataset.tree, dataset.registry)
+        for dtql in ("SELECT count(*), mean(p_affinity) FROM bindings "
+                     "WHERE p_affinity > 9 AND p_affinity < 2",
+                     "SELECT count(*) FROM bindings WHERE organism = 'a' "
+                     "AND organism = 'b'"):
+            rows = off.execute(dtql).rows
+            assert rows == naive.execute(dtql).rows
+            assert rows[0]["count_all"] == 0
 
     def test_rejects_semantic_errors(self, drugtree):
         engine = QueryEngine(drugtree)
@@ -100,6 +116,23 @@ class TestShortCircuit:
             use_semantic_analysis=False, use_semantic_cache=False))
         # Type-mismatched equality silently matches nothing, as before.
         assert off.execute("SELECT * WHERE organism = 5").rows == []
+
+    def test_explain_raises_what_execute_raises(self, drugtree):
+        engine = QueryEngine(drugtree)
+        dtql = "SELECT * WHERE organism = 5"
+        with pytest.raises(QueryError) as executed:
+            engine.execute(dtql)
+        with pytest.raises(QueryError) as explained:
+            engine.explain(dtql)
+        assert type(explained.value) is type(executed.value)
+        assert str(explained.value) == str(executed.value)
+        assert explained.value.diagnostics == executed.value.diagnostics
+
+    def test_explain_of_provably_empty_prints_the_contradiction(
+            self, drugtree):
+        text = QueryEngine(drugtree).explain(CONTRADICTION)
+        assert text == ("-- analysis: provably empty: value_nm < 10 "
+                        "AND value_nm > 100")
 
     def test_check_method_exposes_report(self, drugtree):
         engine = QueryEngine(drugtree)
@@ -231,6 +264,28 @@ class TestMobileGate:
         assert dataset.registry.combined_stats()["roundtrips"] \
             == roundtrips
         assert server.engine.cache.stats() == cache_before
+
+    @pytest.mark.parametrize("dtql", [
+        "SELECT ffamily FROM proteins",
+        "SELECT * FROM bindings WHERE organism = 5",
+        "SELECT * FROM bindings WHERE value_nm <",
+    ])
+    def test_rejected_tap_is_checked_once(self, drugtree, monkeypatch,
+                                          dtql):
+        server = DrugTreeServer(drugtree, ServerConfig())
+        session_id, _ = server.open_session()
+        calls = []
+        check = dtql_module.SemanticAnalyzer.check
+
+        def counting_check(self, *args, **kwargs):
+            calls.append(args)
+            return check(self, *args, **kwargs)
+
+        monkeypatch.setattr(dtql_module.SemanticAnalyzer, "check",
+                            counting_check)
+        with pytest.raises(MobileError):
+            server.query(session_id, dtql)
+        assert len(calls) == 1
 
     def test_engine_still_raises_parse_error(self, drugtree):
         with pytest.raises(ParseError):

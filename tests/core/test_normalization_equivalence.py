@@ -1,18 +1,19 @@
-"""Property: query normalisation never changes results.
+"""Property: the semantic analyzer's folding never changes results.
 
 Random conjunctive predicate sets (including redundant and contradictory
-combinations) must produce identical rows whether or not the rewrite
+combinations) must produce identical rows whether or not the fold
 rules fire — executed against a real overlay via both the optimized
-engine (which normalises) and direct row filtering (which does not).
+engine (which plans the folded query) and direct row filtering (which
+does not), and checked against the folded predicate set itself.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import SemanticAnalyzer
 from repro.core import EngineConfig, QueryEngine
 from repro.core.query.ast import Comparison, Query
-from repro.core.query.rules import normalize
 from repro.workloads import DatasetConfig, build_dataset
 
 _AFFINITY_BOUNDS = st.tuples(
@@ -31,9 +32,15 @@ predicate_sets = st.lists(
         st.sampled_from(["Ki", "Kd", "IC50", "EC50"]).map(
             lambda v: Comparison("activity_type", "=", v)
         ),
+        st.lists(st.sampled_from(["Ki", "Kd", "IC50"]), min_size=1,
+                 max_size=3).map(
+            lambda v: Comparison("activity_type", "in", tuple(v))
+        ),
     ),
     min_size=1, max_size=5,
 )
+
+_ANALYZER = SemanticAnalyzer()
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +53,12 @@ def world():
     return engine, rows
 
 
+def _filtered(rows, predicates):
+    return sorted(
+        repr(row) for row in rows
+        if all(pred.matches(row.get(pred.column)) for pred in predicates))
+
+
 @settings(max_examples=60, deadline=None)
 @given(predicates=predicate_sets)
 def test_property_normalized_query_matches_direct_filter(world,
@@ -53,45 +66,27 @@ def test_property_normalized_query_matches_direct_filter(world,
     engine, all_rows = world
     query = Query(predicates=tuple(predicates))
     result = engine.execute(query)
-    expected = [
-        row for row in all_rows
-        if all(pred.matches(row.get(pred.column)) for pred in predicates)
-    ]
-    assert sorted(map(repr, result.rows)) == sorted(map(repr, expected))
+    assert sorted(map(repr, result.rows)) \
+        == _filtered(all_rows, predicates)
 
 
 @settings(max_examples=60, deadline=None)
 @given(predicates=predicate_sets)
 def test_property_contradiction_flag_is_sound(world, predicates):
-    """If normalisation declares a contradiction, the direct filter must
-    find zero rows (the flag may be conservative, never wrong)."""
+    """If the analyzer proves the query empty, the direct filter must
+    find zero rows (the verdict may be conservative, never wrong)."""
     engine, all_rows = world
-    outcome = normalize(Query(predicates=tuple(predicates)))
-    if outcome.contradiction:
-        surviving = [
-            row for row in all_rows
-            if all(pred.matches(row.get(pred.column))
-                   for pred in predicates)
-        ]
-        assert surviving == []
+    report = _ANALYZER.check(Query(predicates=tuple(predicates)))
+    if report.provably_empty:
+        assert _filtered(all_rows, predicates) == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(predicates=predicate_sets)
 def test_property_dropped_predicates_were_redundant(world, predicates):
-    """Filtering with the normalised predicate set must equal filtering
+    """Filtering with the folded predicate set must equal filtering
     with the original set."""
     engine, all_rows = world
-    outcome = normalize(Query(predicates=tuple(predicates)))
-    if outcome.contradiction:
-        return
-    original = [
-        row for row in all_rows
-        if all(pred.matches(row.get(pred.column)) for pred in predicates)
-    ]
-    reduced = [
-        row for row in all_rows
-        if all(pred.matches(row.get(pred.column))
-               for pred in outcome.query.predicates)
-    ]
-    assert sorted(map(repr, original)) == sorted(map(repr, reduced))
+    report = _ANALYZER.check(Query(predicates=tuple(predicates)))
+    assert _filtered(all_rows, report.folded.predicates) \
+        == _filtered(all_rows, predicates)

@@ -164,6 +164,20 @@ class TestErrors:
         with pytest.raises(ParseError, match="bad query"):
             parse_query("SELECT !!!")
 
+    @pytest.mark.parametrize("bad, code, name", [
+        ("SELECT * WHERE p_affinity >=", None, None),
+        ("SELECT ffamily", "DTQL002", "ffamily"),
+        ("SELECT * ORDER BY nope", "DTQL002", "nope"),
+        ("SELECT * FROM Protein", "DTQL003", "protein"),
+        ("SELECT organism HAVING count_all >= 5", "DTQL004", None),
+        ("SELECT * SIMILAR TO 'CCO' >= 1.5", "DTQL004", None),
+        ("SELECT * SIMILAR TO 'CCO' >= 'x'", "DTQL004", None),
+    ])
+    def test_error_kind_survives_the_rewrap(self, bad, code, name):
+        with pytest.raises(ParseError) as info:
+            parse_query(bad)
+        assert (info.value.code, info.value.name) == (code, name)
+
 
 class TestRoundtrip:
     def test_parse_of_signature_equals_query(self):

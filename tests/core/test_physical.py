@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.query.ast import AggregateSpec, Comparison, OrderBy
 from repro.core.query.physical import (
-    EmptyOp,
     ExecCounters,
     FilterOp,
     HashAggregateOp,
@@ -69,9 +68,6 @@ class TestScansAndFilters:
             {"p_affinity": None},
         ]), (Comparison("p_affinity", "!=", 5.0),))
         assert list(op.rows()) == []
-
-    def test_empty_op(self):
-        assert list(EmptyOp(ExecCounters()).rows()) == []
 
 
 class TestProjections:

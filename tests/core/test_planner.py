@@ -1,4 +1,5 @@
-"""Tests for the cost-based planner: access paths, join orders, rewrites."""
+"""Tests for the cost-based planner: access paths, join orders, the
+subtree rewrite."""
 
 import pytest
 
@@ -12,7 +13,6 @@ from repro.core.query.ast import (
 from repro.core.query.cards import CardinalityEstimator
 from repro.core.query.logical import (
     LogicalCladeAggregate,
-    LogicalEmpty,
     LogicalJoin,
     LogicalScan,
 )
@@ -108,17 +108,22 @@ class TestSubtreeRewrite:
         plan = _planner(drugtree).plan(Query(
             subtree=SubtreeFilter(clade),
         ))
-        assert "leaf_pre" in plan.rewrites["subtree_rewrite"]
         scan = _find_scans(plan.logical)[0]
         assert scan.access == "index_range"
         assert scan.access_column == "leaf_pre"
+        assert (scan.range_low, scan.range_high) \
+            == drugtree.labeling.leaf_range(clade)
 
     def test_fallback_rewrite_without_labeling(self, drugtree):
         clade = drugtree.tree.root.children[0].name
         plan = _planner(drugtree, use_interval_labeling=False).plan(Query(
             subtree=SubtreeFilter(clade),
         ))
-        assert "protein_id IN" in plan.rewrites["subtree_rewrite"]
+        leaves = {leaf.name for leaf in drugtree.tree.root.children[0]
+                  .leaves()}
+        scan = _find_scans(plan.logical)[0]
+        assert [(p.column, p.op, set(p.value)) for p in scan.residual] \
+            == [("protein_id", "in", leaves)]
 
 
 class TestCladeFastPath:
@@ -206,13 +211,6 @@ class TestJoinOrdering:
 
 
 class TestContradictionsAndExplain:
-    def test_contradiction_plans_empty(self, drugtree):
-        plan = _planner(drugtree).plan(Query(predicates=(
-            Comparison("p_affinity", ">=", 9.0),
-            Comparison("p_affinity", "<=", 5.0),
-        )))
-        assert isinstance(plan.logical, LogicalEmpty)
-
     def test_explain_is_readable(self, drugtree):
         engine = QueryEngine(drugtree)
         text = engine.explain(

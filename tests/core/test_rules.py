@@ -1,35 +1,35 @@
-"""Tests for query normalisation rewrite rules."""
+"""Tests for the analyzer's rewrite rules: folding away redundant
+predicates, and proving one column's predicates contradictory."""
 
+from repro.analysis import SemanticAnalyzer
+from repro.analysis.dtql import column_contradiction
 from repro.core.query.ast import Comparison, Query
-from repro.core.query.rules import normalize
 
 
-def _q(*predicates):
-    return Query(predicates=tuple(predicates))
+def _folded(*predicates):
+    return SemanticAnalyzer().check(Query(predicates=predicates)).folded
 
 
 class TestDeduplication:
     def test_exact_duplicates_removed(self):
         pred = Comparison("p_affinity", ">=", 5.0)
-        result = normalize(_q(pred, pred))
-        assert len(result.query.predicates) == 1
-        assert result.removed_predicates == 1
+        assert _folded(pred, pred).predicates == (pred,)
 
     def test_implied_bound_removed(self):
-        result = normalize(_q(
+        folded = _folded(
             Comparison("p_affinity", ">=", 5.0),
             Comparison("p_affinity", ">=", 7.0),
-        ))
-        assert result.query.predicates == (
+        )
+        assert folded.predicates == (
             Comparison("p_affinity", ">=", 7.0),
         )
 
     def test_mixed_strictness_keeps_stronger(self):
-        result = normalize(_q(
+        folded = _folded(
             Comparison("p_affinity", ">", 5.0),
             Comparison("p_affinity", ">=", 5.0),
-        ))
-        assert result.query.predicates == (
+        )
+        assert folded.predicates == (
             Comparison("p_affinity", ">", 5.0),
         )
 
@@ -38,73 +38,64 @@ class TestDeduplication:
             Comparison("p_affinity", ">=", 5.0),
             Comparison("organism", "=", "x"),
         )
-        result = normalize(_q(*preds))
-        assert result.query.predicates == preds
-        assert result.removed_predicates == 0
+        assert _folded(*preds).predicates == preds
 
 
 class TestContradictions:
     def test_conflicting_equalities(self):
-        result = normalize(_q(
+        assert column_contradiction([
             Comparison("organism", "=", "a"),
             Comparison("organism", "=", "b"),
-        ))
-        assert result.contradiction
+        ])
 
     def test_empty_band(self):
-        result = normalize(_q(
+        assert column_contradiction([
             Comparison("p_affinity", ">=", 8.0),
             Comparison("p_affinity", "<=", 6.0),
-        ))
-        assert result.contradiction
+        ])
 
     def test_touching_band_with_strict_bound(self):
-        result = normalize(_q(
+        assert column_contradiction([
             Comparison("p_affinity", ">", 6.0),
             Comparison("p_affinity", "<=", 6.0),
-        ))
-        assert result.contradiction
+        ])
 
     def test_touching_band_inclusive_is_fine(self):
-        result = normalize(_q(
+        assert not column_contradiction([
             Comparison("p_affinity", ">=", 6.0),
             Comparison("p_affinity", "<=", 6.0),
-        ))
-        assert not result.contradiction
+        ])
 
     def test_equality_outside_range(self):
-        result = normalize(_q(
+        assert column_contradiction([
             Comparison("p_affinity", "=", 3.0),
             Comparison("p_affinity", ">=", 5.0),
-        ))
-        assert result.contradiction
+        ])
 
     def test_equality_vs_not_equal(self):
-        result = normalize(_q(
+        assert column_contradiction([
             Comparison("organism", "=", "a"),
             Comparison("organism", "!=", "a"),
-        ))
-        assert result.contradiction
+        ])
 
     def test_disjoint_in_sets(self):
-        result = normalize(_q(
+        assert column_contradiction([
             Comparison("organism", "in", ("a", "b")),
             Comparison("organism", "in", ("c",)),
-        ))
-        assert result.contradiction
+        ])
 
     def test_equality_outside_in_set(self):
-        result = normalize(_q(
+        assert column_contradiction([
             Comparison("organism", "=", "z"),
             Comparison("organism", "in", ("a", "b")),
-        ))
-        assert result.contradiction
+        ])
 
     def test_satisfiable_query_not_flagged(self):
-        result = normalize(_q(
+        assert not column_contradiction([
             Comparison("p_affinity", ">=", 5.0),
             Comparison("p_affinity", "<=", 9.0),
+        ])
+        assert not column_contradiction([
             Comparison("organism", "in", ("a", "b")),
             Comparison("organism", "=", "a"),
-        ))
-        assert not result.contradiction
+        ])

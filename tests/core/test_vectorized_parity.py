@@ -356,8 +356,6 @@ class TestRowRule:
     whole, under the default mode, with today's answers."""
 
     CASES = {
-        "empty": (dict(use_semantic_analysis=False), None,
-                  "provably-empty plan"),
         "clade_fast_path": ({}, "clade_agg",
                             "materialized clade fast path"),
         "nested_loop": (dict(join_method="nested_loop"), "join",
@@ -373,12 +371,8 @@ class TestRowRule:
             use_semantic_cache=False, execution_mode="row", **knobs))
         default = QueryEngine(drugtree, EngineConfig(
             use_semantic_cache=False, **knobs))
-        if kind is None:
-            query = ("SELECT count(*), mean(p_affinity) FROM bindings "
-                     "WHERE p_affinity > 5 AND p_affinity < 4")
-        else:
-            query = QueryGenerator(dataset.family, dataset.ligands,
-                                   seed=17).draw(kind)
+        query = QueryGenerator(dataset.family, dataset.ligands,
+                               seed=17).draw(kind)
         assert_parity(row, default, query)
         report = default.analyze(query)
         assert report.execution == {"mode": "row", "reason": reason}
