@@ -70,11 +70,10 @@ class Cluster:
 
     def __init__(self, labeling: IntervalLabeling,
                  config: ClusterConfig | None = None,
-                 clock: SimulatedClock | None = None,
-                 schedule: FaultSchedule | None = None) -> None:
+                 clock: SimulatedClock | None = None) -> None:
         self.config = config or ClusterConfig()
         self.clock = clock or SimulatedClock()
-        self.schedule = schedule or FaultSchedule()
+        self.schedule = FaultSchedule()
         self.partitioner = CladePartitioner(
             labeling, n_partitions=self.config.partitions,
         )

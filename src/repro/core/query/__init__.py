@@ -17,7 +17,7 @@ from repro.core.query.cache import CacheHit, SemanticCache
 from repro.core.query.cards import CardinalityEstimator
 from repro.core.query.executor import EngineConfig, QueryEngine, QueryResult
 from repro.core.query.parser import parse_query
-from repro.core.query.planner import Planner, PlannerConfig, PlanReport
+from repro.core.query.planner import Planner, PlanReport
 from repro.core.query.predicates import (
     compile_columns,
     compile_comparison,
@@ -39,7 +39,6 @@ __all__ = [
     "OrderBy",
     "PlanReport",
     "Planner",
-    "PlannerConfig",
     "Query",
     "QueryEngine",
     "QueryResult",

@@ -56,7 +56,7 @@ from repro.core.query.physical import (
     StaticRowsOp,
     TopKOp,
 )
-from repro.core.query.planner import Planner, PlannerConfig, PlanReport
+from repro.core.query.planner import Planner, PlanReport
 from repro.core.query.vectorized import IndexOrderScanOp, VectorizedLowering
 from repro.errors import (
     ParseError,
@@ -98,8 +98,8 @@ class EngineConfig:
     use_semantic_analysis: bool = True
     use_fingerprint_prefilter: bool = True
     use_substructure_screen: bool = True
-    join_strategy: str = "dp"
-    join_method: str = "hash"
+    join_strategy: str = "dp"      # "dp" | "greedy" | "fixed"
+    join_method: str = "hash"      # "hash" | "nested_loop"
     #: ``"vectorized"`` (the default: batch-at-a-time over columnar
     #: projections, except that a plan holding a node with no batch
     #: form runs on the row engine whole — see docs/EXECUTION.md) or
@@ -117,15 +117,12 @@ class EngineConfig:
             )
         if self.vector_batch_size < 1:
             raise QueryError("vector_batch_size must be positive")
-
-    def planner_config(self) -> PlannerConfig:
-        return PlannerConfig(
-            use_indexes=self.use_indexes,
-            use_interval_labeling=self.use_interval_labeling,
-            use_materialized_aggregates=self.use_materialized_aggregates,
-            join_strategy=self.join_strategy,
-            join_method=self.join_method,
-        )
+        if self.join_strategy not in ("dp", "greedy", "fixed"):
+            raise PlanError(
+                f"unknown join strategy {self.join_strategy!r}"
+            )
+        if self.join_method not in ("hash", "nested_loop"):
+            raise PlanError(f"unknown join method {self.join_method!r}")
 
 
 @dataclass
@@ -181,7 +178,7 @@ class QueryEngine:
             estimator=CardinalityEstimator(drugtree.statistics,
                                            tables=drugtree.tables,
                                            metrics=metrics),
-            config=self.config.planner_config(),
+            config=self.config,
         )
         self.cache = SemanticCache(drugtree.labeling)
         if self.config.use_semantic_cache:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from typing import TYPE_CHECKING
 
 from repro.core.labeling import IntervalLabeling
 from repro.core.overlay import (
@@ -60,31 +61,15 @@ from repro.core.query.logical import (
 from repro.errors import PlanError
 from repro.storage.table import Table
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.query.executor import EngineConfig
+
 #: Aggregates answerable straight from the clade materialized stats.
 _CLADE_FAST_AGGS = {
     ("count", "*"), ("count", "p_affinity"),
     ("mean", "p_affinity"), ("max", "p_affinity"),
     ("sum", "p_affinity"),
 }
-
-
-@dataclass(frozen=True)
-class PlannerConfig:
-    """Optimizer feature toggles (the knobs of ablation experiment E2)."""
-
-    use_indexes: bool = True
-    use_interval_labeling: bool = True
-    use_materialized_aggregates: bool = True
-    join_strategy: str = "dp"      # "dp" | "greedy" | "fixed"
-    join_method: str = "hash"      # "hash" | "nested_loop"
-
-    def __post_init__(self) -> None:
-        if self.join_strategy not in ("dp", "greedy", "fixed"):
-            raise PlanError(
-                f"unknown join strategy {self.join_strategy!r}"
-            )
-        if self.join_method not in ("hash", "nested_loop"):
-            raise PlanError(f"unknown join method {self.join_method!r}")
 
 
 @dataclass
@@ -106,16 +91,21 @@ class PlanReport:
 
 
 class Planner:
-    """Builds logical plans against one DrugTree's overlay."""
+    """Builds logical plans against one DrugTree's overlay.
+
+    Reads its engine's :class:`~repro.core.query.executor.EngineConfig`
+    toggles: indexes, interval labeling, materialized aggregates, join
+    strategy and join method.
+    """
 
     def __init__(self, tables: dict[str, Table],
                  labeling: IntervalLabeling,
                  estimator: CardinalityEstimator,
-                 config: PlannerConfig | None = None) -> None:
+                 config: EngineConfig) -> None:
         self.tables = tables
         self.labeling = labeling
         self.estimator = estimator
-        self.config = config or PlannerConfig()
+        self.config = config
 
     # -- entry point ---------------------------------------------------------
 

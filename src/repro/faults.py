@@ -1,4 +1,4 @@
-"""One fault plane: seeded virtual-time fault windows for sources and nodes.
+"""One fault plane: seeded fault events for sources, nodes and the store.
 
 The paper's pain point — "data is being obtained from multiple sources"
 — is really about surviving *flaky* services, so whole failure
@@ -6,7 +6,7 @@ scenarios are first-class and replayable. A :class:`FaultSchedule` is a
 composition of windows in **virtual time**, each naming its *target*: a
 source name, a cluster node id, a set of them, or nobody in particular
 (the window then hits whoever consults the schedule). Four shapes cover
-both layers:
+sources and nodes:
 
 * :class:`Outage` — the target answers nothing: a source outage, a node
   crash, or (with a set target) a network partition, which is exactly
@@ -17,13 +17,17 @@ both layers:
 * :class:`ErrorBurst` — calls fail with a probability drawn from the
   schedule's seeded per-target stream.
 
+A fifth event, :class:`Crash`, kills the durable store at one of its
+:data:`CRASH_POINTS` — once, by raising :exc:`CrashPoint`.
+
 Windows compose: a spike overlapping a burst yields slow *and* flaky
 round-trips. The schedule is plain data — the effect on a target at
 time *t* is a fold over the windows covering it — so the same
 ``(seed, schedule)`` replays the same failure timeline round-trip for
-round-trip. Its two consumers are
-:class:`~repro.sources.chaos.ChaosSource` and
-:class:`~repro.cluster.node.ClusterNode`; :func:`scenario_schedule`
+round-trip. Its three consumers are
+:class:`~repro.sources.chaos.ChaosSource`,
+:class:`~repro.cluster.node.ClusterNode` and
+:class:`~repro.storage.durable.db.Database`; :func:`scenario_schedule`
 builds the named scenarios ``repro chaos`` replays.
 """
 
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import difflib
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 
 from repro.errors import ChaosError
@@ -142,6 +147,42 @@ class ErrorBurst(FaultWindow):
             raise ChaosError("error-burst rate must be in (0, 1]")
 
 
+#: Where the durable store can be killed: mid-append (half a WAL frame
+#: reaches the disk), after a record's WAL append, and after a flush's
+#: or a compaction's segment is written but before the manifest adopts
+#: it.
+CRASH_POINTS = ("wal.append.torn", "db.after_append",
+                "flush.before_manifest", "compact.before_manifest")
+
+
+class CrashPoint(Exception):
+    """A simulated process kill at a named crash point.
+
+    Deliberately **not** a :class:`~repro.errors.DrugTreeError`: nothing
+    in the library may catch and survive a simulated kill, the way a
+    real ``kill -9`` cannot be caught. The caller reopens the store from
+    disk, as a restarted process would.
+    """
+
+
+@dataclass(frozen=True)
+class Crash:
+    """Kill the store the schedule is installed on when it reaches *at*.
+
+    Fires once; it has no window and no target, so it never changes a
+    source's or a node's effect.
+    """
+
+    at: str
+
+    def __post_init__(self) -> None:
+        if self.at not in CRASH_POINTS:
+            raise ChaosError(
+                f"unknown crash point {self.at!r} "
+                f"(one of {', '.join(CRASH_POINTS)})"
+            )
+
+
 @dataclass(frozen=True)
 class FaultEffect:
     """The combined fault state of one target at one instant."""
@@ -157,27 +198,29 @@ CLEAN = FaultEffect()
 
 
 class FaultSchedule:
-    """A composable, seeded set of fault windows.
+    """A composable, seeded set of fault windows and crashes.
 
     Error-burst draws come from one RNG stream per target: the *n*-th
     distinct target the windows name draws from ``Random(seed + n)``,
     anyone else (reached through untargeted windows) from
     ``Random(seed)`` — so one target's traffic never shifts another's
-    victim sequence.
+    victim sequence. Each :class:`Crash` fires once per schedule.
     """
 
-    def __init__(self, events: tuple[FaultWindow, ...] | list[FaultWindow]
-                 = (), seed: int = 0) -> None:
+    def __init__(self, events: Iterable[FaultWindow | Crash] = (),
+                 seed: int = 0) -> None:
         self.events = tuple(events)
         self.seed = seed
-        named = dict.fromkeys(name for event in self.events
+        windows = [e for e in self.events if isinstance(e, FaultWindow)]
+        #: Crash points still armed; :meth:`crash_at` consumes them.
+        self._crashes = [e.at for e in self.events if isinstance(e, Crash)]
+        named = dict.fromkeys(name for event in windows
                               for name in event.names())
         self._windows = {
-            name: tuple(e for e in self.events if e.covers(name))
+            name: tuple(e for e in windows if e.covers(name))
             for name in named
         }
-        self._untargeted = tuple(e for e in self.events
-                                 if e.target is None)
+        self._untargeted = tuple(e for e in windows if e.target is None)
         self._streams = {name: random.Random(seed + n)
                          for n, name in enumerate(named)}
         self._rng = random.Random(seed)
@@ -213,9 +256,17 @@ class FaultSchedule:
         return (rate > 0
                 and self._streams.get(target, self._rng).random() < rate)
 
+    def crash_at(self, point: str) -> bool:
+        """Whether a pending :class:`Crash` names *point*; consumes it."""
+        if point in self._crashes:
+            self._crashes.remove(point)
+            return True
+        return False
+
     def horizon_s(self) -> float:
         """Virtual time at which the last window ends."""
-        return max((event.end_s for event in self.events), default=0.0)
+        return max((event.end_s for event in self.events
+                    if isinstance(event, FaultWindow)), default=0.0)
 
     def shifted(self, offset_s: float) -> "FaultSchedule":
         """The same schedule with every window moved by *offset_s*.
@@ -227,6 +278,7 @@ class FaultSchedule:
         return FaultSchedule(
             tuple(replace(event, start_s=event.start_s + offset_s,
                           end_s=event.end_s + offset_s)
+                  if isinstance(event, FaultWindow) else event
                   for event in self.events),
             seed=self.seed,
         )
@@ -234,6 +286,9 @@ class FaultSchedule:
     def describe(self) -> list[str]:
         lines = []
         for event in self.events:
+            if isinstance(event, Crash):
+                lines.append(f"Crash at {event.at}")
+                continue
             knobs = "".join(
                 f" {f.name}={getattr(event, f.name):g}"
                 for f in fields(event)[len(fields(FaultWindow)):]

@@ -96,9 +96,7 @@ def run_tap_session(dataset, schedule: FaultSchedule, *, taps: int,
     """
     clock = dataset.clock
     scheduler = FetchScheduler(
-        wrap_registry(dataset.registry,
-                      {source.name: schedule
-                       for source in dataset.registry.sources()}),
+        wrap_registry(dataset.registry, schedule),
         clock=clock, breaker_config=breaker_config,
     )
     server = DrugTreeServer(dataset.drugtree(),

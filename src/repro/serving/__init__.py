@@ -34,7 +34,6 @@ from repro.serving.tenancy import (
     DEFAULT_TENANT,
     TenantConfig,
     TenantRegistry,
-    TenantStats,
     TokenBucket,
 )
 
@@ -61,6 +60,5 @@ __all__ = [
     "TenantConfig",
     "TenantRegistry",
     "TenantReport",
-    "TenantStats",
     "TokenBucket",
 ]

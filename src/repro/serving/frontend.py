@@ -275,8 +275,6 @@ class ServingFrontend:
             self.cache = SharedCacheFront(self.tenants)
         #: (tenant, session) -> server session id.
         self._server_sessions: dict[tuple[str, str], str] = {}
-        self._latencies: dict[str, list[float]] = {}
-        self._queued: dict[str, list[float]] = {}
         self.outcomes: list[Outcome] = []
 
     # -- the run ------------------------------------------------------------
@@ -291,8 +289,6 @@ class ServingFrontend:
                          key=lambda r: (r.arrival_s, r.seq))
         base = self.clock.now()
         self.outcomes = []
-        self._latencies = {}
-        self._queued = {}
         with get_tracer().span("serving.run",
                                requests=len(ordered)):
             with self.clock.concurrently() as region:
@@ -329,7 +325,6 @@ class ServingFrontend:
                 busy: list, workers: list, tick, base: float) -> None:
         metrics = get_metrics()
         metrics.counter("serving.requests").inc()
-        self.tenants.stats(request.tenant).offered += 1
         if self.admission is not None:
             rejection = self.admission.decide(request, now,
                                               self.scheduler)
@@ -342,7 +337,6 @@ class ServingFrontend:
             self._shed(request, Rejection(REASON_QUEUE_FULL, 0.0))
             return
         metrics.counter("serving.admitted").inc()
-        self.tenants.stats(request.tenant).admitted += 1
         metrics.gauge("serving.queue_depth").set(len(self.scheduler))
         if free:
             self._dispatch_ready(now, free, busy, workers, tick, base)
@@ -352,8 +346,6 @@ class ServingFrontend:
         metrics = get_metrics()
         metrics.counter("serving.shed").inc()
         metrics.counter(f"serving.shed.{rejection.reason}").inc()
-        stats = self.tenants.stats(request.tenant)
-        stats.shed += 1
         error = OverloadError(
             f"request shed ({rejection.reason}); retry after "
             f"{rejection.retry_after_s:.3f}s",
@@ -379,7 +371,6 @@ class ServingFrontend:
                     and queued_s >= self.config.slo_s):
                 # The SLO is already spent in queue: executing would
                 # burn a worker on a guaranteed-late answer.
-                self.tenants.stats(request.tenant).admitted -= 1
                 self._shed(request, Rejection(REASON_LATE, 0.0))
                 continue
             widx = free.pop()
@@ -416,7 +407,6 @@ class ServingFrontend:
             entry = self.cache.get(key, request.tenant)
             if entry is not None:
                 timeline.advance(hit_cost)
-                self.tenants.stats(request.tenant).cache_hits += 1
                 self.cost_model.observe(request.kind, hit_cost)
                 return Outcome(request=request, status="ok",
                                cache="hit",
@@ -479,15 +469,11 @@ class ServingFrontend:
     def _complete(self, outcome: Outcome) -> None:
         metrics = get_metrics()
         tenant = outcome.request.tenant
-        stats = self.tenants.stats(tenant)
         if outcome.status == "failed":
-            stats.failed += 1
             metrics.counter("serving.failed").inc()
         else:
-            stats.completed += 1
             metrics.counter("serving.completed").inc()
             if outcome.latency_s <= self.config.slo_s:
-                stats.within_slo += 1
                 metrics.counter("serving.goodput").inc()
         metrics.histogram("serving.latency_s").observe(
             outcome.latency_s)
@@ -496,34 +482,40 @@ class ServingFrontend:
             outcome.latency_s)
         metrics.histogram("serving.queue_wait_s").observe(
             outcome.queued_s)
-        self._latencies.setdefault(tenant, []).append(
-            outcome.latency_s)
-        self._queued.setdefault(tenant, []).append(outcome.queued_s)
         self.outcomes.append(outcome)
 
     def _report(self, makespan_s: float) -> ServingReport:
+        """Every tenant figure is a fold over this run's outcomes."""
+        by_tenant: dict[str, list[Outcome]] = {}
+        for outcome in self.outcomes:
+            by_tenant.setdefault(outcome.request.tenant, []).append(outcome)
         tenants: dict[str, TenantReport] = {}
         for tenant_id in self.tenants.tenant_ids():
-            stats = self.tenants.stats(tenant_id)
-            if stats.offered == 0:
+            outcomes = by_tenant.get(tenant_id)
+            if not outcomes:
                 continue
-            latencies = self._latencies.get(tenant_id, [])
-            queued = self._queued.get(tenant_id, [])
+            # An admitted request ends served or failed; a late one is
+            # shed, never admitted.
+            ran = [o for o in outcomes if not o.shed]
+            latencies = [o.latency_s for o in ran]
+            queued = [o.queued_s for o in ran]
             shed_reasons: dict[str, int] = {}
-            for outcome in self.outcomes:
-                if outcome.shed and outcome.request.tenant == tenant_id:
+            for outcome in outcomes:
+                if outcome.shed:
                     shed_reasons[outcome.reason] = (
                         shed_reasons.get(outcome.reason, 0) + 1)
+            served = [o for o in ran if o.status == "ok"]
             tenants[tenant_id] = TenantReport(
                 tenant=tenant_id,
-                offered=stats.offered,
-                admitted=stats.admitted,
-                shed=stats.shed,
+                offered=len(outcomes),
+                admitted=len(ran),
+                shed=len(outcomes) - len(ran),
                 shed_reasons=shed_reasons,
-                completed=stats.completed,
-                failed=stats.failed,
-                within_slo=stats.within_slo,
-                cache_hits=stats.cache_hits,
+                completed=len(served),
+                failed=len(ran) - len(served),
+                within_slo=sum(o.latency_s <= self.config.slo_s
+                               for o in served),
+                cache_hits=sum(o.cache == "hit" for o in served),
                 p50_s=percentile(latencies, 0.50),
                 p99_s=percentile(latencies, 0.99),
                 p999_s=percentile(latencies, 0.999),

@@ -1,4 +1,4 @@
-"""Tenants: weights, rate limits, and per-tenant accounting.
+"""Tenants: weights, rate limits, and queue bounds.
 
 A *tenant* is one organization's worth of mobile users sharing the
 DrugTree service — a pharma group, a university lab, a public demo key.
@@ -59,32 +59,8 @@ class TenantConfig:
             raise ServingError("cache quota fraction must be in (0, 1]")
 
 
-@dataclass
-class TenantStats:
-    """Per-tenant serving tallies (all counts of requests)."""
-
-    offered: int = 0
-    admitted: int = 0
-    shed: int = 0
-    completed: int = 0
-    failed: int = 0
-    within_slo: int = 0
-    cache_hits: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "completed": self.completed,
-            "failed": self.failed,
-            "within_slo": self.within_slo,
-            "cache_hits": self.cache_hits,
-        }
-
-
 class TenantRegistry:
-    """The frontend's tenant table: configs, buckets, live stats.
+    """The frontend's tenant table: configs and rate-limit buckets.
 
     Tenants not registered up front are materialized on first use with
     ``default_config`` (id swapped in) so an open-loop generator can
@@ -97,7 +73,6 @@ class TenantRegistry:
         self._default = default_config or TenantConfig(DEFAULT_TENANT)
         self._configs: dict[str, TenantConfig] = {}
         self._buckets: dict[str, TokenBucket] = {}
-        self._stats: dict[str, TenantStats] = {}
         self._now0 = now
         for config in configs or ():
             self.register(config)
@@ -112,7 +87,6 @@ class TenantRegistry:
             self._buckets[config.tenant_id] = TokenBucket(
                 config.rate_limit_rps, config.burst, now=self._now0,
             )
-        self._stats[config.tenant_id] = TenantStats()
 
     def config(self, tenant_id: str) -> TenantConfig:
         config = self._configs.get(tenant_id)
@@ -132,10 +106,6 @@ class TenantRegistry:
     def bucket(self, tenant_id: str) -> TokenBucket | None:
         self.config(tenant_id)  # materialize on first touch
         return self._buckets.get(tenant_id)
-
-    def stats(self, tenant_id: str) -> TenantStats:
-        self.config(tenant_id)
-        return self._stats[tenant_id]
 
     def tenant_ids(self) -> list[str]:
         return list(self._configs)

@@ -23,7 +23,6 @@ from repro.sources.base import (
     DataSource,
     LatencyModel,
     SourceStats,
-    SourceWrapper,
     TableBackedSource,
 )
 from repro.faults import (
@@ -98,7 +97,6 @@ __all__ = [
     "SimulatedClock",
     "SourceRegistry",
     "SourceStats",
-    "SourceWrapper",
     "Stopwatch",
     "TableBackedSource",
     "TaskTimeline",

@@ -5,8 +5,9 @@ being obtained from multiple sources, integrated and then presented to
 the user". Each source here simulates a remote service: every call costs
 a round-trip of virtual latency, results are paged, the service may rate
 limit, and all traffic is metered so experiments can report round-trip
-counts next to latencies. Transient failures are injected from outside,
-by :class:`~repro.sources.chaos.ChaosSource`.
+counts next to latencies. Transient failures are injected from outside:
+:class:`~repro.sources.chaos.ChaosSource` wraps a source and applies
+the federation's :class:`~repro.faults.FaultSchedule` to it.
 
 All sources speak one uniform key-value dialect:
 
@@ -236,42 +237,3 @@ class TableBackedSource(DataSource):
 
     def _all_keys(self, kind: str) -> list[str]:
         return sorted(self._tables[kind])
-
-
-class SourceWrapper:
-    """Delegating base for source wrappers (shares the uniform dialect)."""
-
-    def __init__(self, inner: DataSource) -> None:
-        self.inner = inner
-
-    @property
-    def name(self) -> str:
-        return self.inner.name
-
-    @property
-    def clock(self):
-        return self.inner.clock
-
-    @property
-    def stats(self):
-        return self.inner.stats
-
-    @property
-    def page_size(self) -> int:
-        return self.inner.page_size
-
-    def kinds(self) -> frozenset[str]:
-        return self.inner.kinds()
-
-    def fetch_many(self, kind: str,
-                   keys: Iterable[str]) -> dict[str, object]:
-        return self.inner.fetch_many(kind, keys)
-
-    def fetch(self, kind: str, key: str) -> object | None:
-        return self.fetch_many(kind, [key]).get(key)
-
-    def scan_keys(self, kind: str) -> list[str]:
-        return self.inner.scan_keys(kind)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.inner!r})"

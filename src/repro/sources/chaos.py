@@ -1,7 +1,10 @@
 """Fault injection at the source layer: :class:`ChaosSource`.
 
 Applies a :class:`~repro.faults.FaultSchedule` to any source that
-speaks the uniform dialect. Every effect is driven by the
+speaks the uniform dialect — the source-layer consumer of the fault
+plane, beside :class:`~repro.cluster.node.ClusterNode` (nodes) and
+:class:`~repro.storage.durable.db.Database` (store crashes). Every
+effect is driven by the
 :class:`~repro.sources.clock.SimulatedClock` and the schedule's seeded
 RNG, so the same ``(seed, schedule)`` pair replays the exact same
 failure timeline, round-trip for round-trip — which is what lets
@@ -13,12 +16,13 @@ zero-overhead happy path).
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.errors import SourceError, SourceUnavailableError
 from repro.faults import CLEAN, FaultSchedule
 from repro.obs import get_metrics, get_tracer
-from repro.sources.base import DataSource, SourceWrapper
+from repro.sources.base import DataSource
 
 
 @dataclass
@@ -37,11 +41,12 @@ class ChaosStats:
         }
 
 
-class ChaosSource(SourceWrapper):
+class ChaosSource:
     """Applies a :class:`~repro.faults.FaultSchedule` to one source.
 
-    A call landing in a down window charges ``timeout_s`` of virtual
-    latency (a real client pays for its timeouts) and raises
+    Speaks the uniform dialect by delegating to *inner*. A call landing
+    in a down window charges ``timeout_s`` of virtual latency (a real
+    client pays for its timeouts) and raises
     :class:`SourceUnavailableError`; a call in a latency window pays
     the extra/multiplied cost; a call in an error burst fails per the
     schedule's seeded RNG. Outside every window the wrapper delegates
@@ -50,9 +55,9 @@ class ChaosSource(SourceWrapper):
 
     def __init__(self, inner: DataSource, schedule: FaultSchedule,
                  timeout_s: float = 0.25) -> None:
-        super().__init__(inner)
         if timeout_s < 0:
             raise SourceError("chaos timeout must be >= 0")
+        self.inner = inner
         self.schedule = schedule
         self.timeout_s = timeout_s
         self.chaos_stats = ChaosStats()
@@ -60,6 +65,28 @@ class ChaosSource(SourceWrapper):
         # increments are read-modify-writes and need the guard.  Clock
         # charges stay outside it so waiters never pay for advances.
         self._chaos_lock = threading.Lock()
+
+    @property
+    def name(self) -> str:
+        return self.inner.name
+
+    @property
+    def clock(self):
+        return self.inner.clock
+
+    @property
+    def stats(self):
+        return self.inner.stats
+
+    @property
+    def page_size(self) -> int:
+        return self.inner.page_size
+
+    def kinds(self) -> frozenset[str]:
+        return self.inner.kinds()
+
+    def __repr__(self) -> str:
+        return f"ChaosSource({self.inner!r})"
 
     # -- fault application ------------------------------------------------
 
@@ -108,31 +135,33 @@ class ChaosSource(SourceWrapper):
                 return result
             return call()
 
-    def fetch_many(self, kind: str, keys) -> dict[str, object]:
+    def fetch_many(self, kind: str,
+                   keys: Iterable[str]) -> dict[str, object]:
         key_list = list(keys)
         return self._guarded(
             lambda: self.inner.fetch_many(kind, key_list)
         )
 
+    def fetch(self, kind: str, key: str) -> object | None:
+        return self.fetch_many(kind, [key]).get(key)
+
     def scan_keys(self, kind: str) -> list[str]:
         return self._guarded(lambda: self.inner.scan_keys(kind))
 
 
-def wrap_registry(registry, schedules: dict[str, FaultSchedule],
+def wrap_registry(registry, schedule: FaultSchedule,
                   timeout_s: float = 0.25):
-    """A new registry with each source wrapped in its schedule's chaos.
+    """A new registry with *schedule*'s chaos on the sources it touches.
 
-    *schedules* maps source names to schedules; one schedule whose
-    windows name their sources may stand under every name. Sources no
-    window of their schedule ever covers are passed through unwrapped,
-    keeping the happy path allocation-free.
+    The schedule's windows name their sources (an untargeted window
+    touches every source). Sources no window ever covers are passed
+    through unwrapped, keeping the happy path allocation-free.
     """
     from repro.sources.registry import SourceRegistry
 
     wrapped = SourceRegistry()
     for source in registry.sources():
-        schedule = schedules.get(source.name)
-        if schedule is None or not schedule.touches(source.name):
+        if not schedule.touches(source.name):
             wrapped.register(source)
         else:
             wrapped.register(ChaosSource(source, schedule,

@@ -11,10 +11,11 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.errors import SourceError
-from repro.sources.base import DataSource, SourceWrapper
+from repro.sources.base import DataSource
+from repro.sources.chaos import ChaosSource
 
 #: Anything that speaks the uniform source dialect.
-SourceLike = DataSource | SourceWrapper
+SourceLike = DataSource | ChaosSource
 
 
 class SourceRegistry:

@@ -18,7 +18,6 @@ from repro.storage.durable.db import (
     parse_row_key,
     row_key,
 )
-from repro.storage.durable.failpoints import CrashPoint
 from repro.storage.durable.memtable import TOMBSTONE, MemTable
 from repro.storage.durable.sstable import (
     BloomFilter,
@@ -29,7 +28,6 @@ from repro.storage.durable.wal import WriteAheadLog
 
 __all__ = [
     "BloomFilter",
-    "CrashPoint",
     "Database",
     "DurableTableAdapter",
     "MemTable",

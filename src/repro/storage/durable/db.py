@@ -18,6 +18,10 @@ into one new segment; tombstones are garbage-collected only when the
 merge lands on the bottom level (below which no older version of any
 key can hide).
 
+A :class:`~repro.faults.Crash` in the schedule installed with
+:meth:`Database.set_schedule` kills the store at its crash point (see
+:data:`~repro.faults.CRASH_POINTS`), once.
+
 Recovery (:meth:`Database.open`) is the inverse: read the manifest,
 drop orphaned segment files the manifest never adopted (the residue of
 a crash mid-flush), replay the WAL — truncating a torn tail — into a
@@ -41,8 +45,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import StorageError
+from repro.faults import CrashPoint, FaultSchedule
 from repro.obs import get_metrics, get_tracer
-from repro.storage.durable import failpoints
 from repro.storage.durable.memtable import TOMBSTONE, MemTable
 from repro.storage.durable.sstable import SSTableReader, write_sstable
 from repro.storage.durable.wal import WriteAheadLog
@@ -154,6 +158,7 @@ class Database:
             os.path.join(data_dir, WAL_NAME),
             fsync=self.config.fsync,
         )
+        self.set_schedule(FaultSchedule())
         self._publish_gauges()
 
     @classmethod
@@ -161,6 +166,15 @@ class Database:
              config: StorageConfig | None = None) -> "Database":
         """Open (and recover) the database at *data_dir*."""
         return cls(data_dir, config)
+
+    def set_schedule(self, schedule: FaultSchedule) -> None:
+        """Install a fault schedule; its crashes kill this store."""
+        self.schedule = schedule
+        self.wal.schedule = schedule
+
+    def _crash(self, point: str) -> None:
+        if self.schedule.crash_at(point):
+            raise CrashPoint(point)
 
     # -- recovery ----------------------------------------------------------
 
@@ -244,7 +258,7 @@ class Database:
         value = TOMBSTONE if record["op"] == "del" else record["value"]
         self.memtable.put(record["key"], value, len(payload))
         get_metrics().gauge("memtable.bytes").set(self.memtable.bytes)
-        failpoints.hit("db.after_append")
+        self._crash("db.after_append")
         if not self._in_batch \
                 and self.memtable.bytes >= self.config.memtable_flush_bytes:
             self.flush()
@@ -335,7 +349,7 @@ class Database:
                                           level=0)
             # A kill here leaves the segment orphaned and the WAL
             # intact: recovery drops the file and replays the log.
-            failpoints.hit("flush.before_manifest")
+            self._crash("flush.before_manifest")
             self.segments.append(segment)
             self._write_manifest()
             self.wal.reset()
@@ -390,7 +404,7 @@ class Database:
                 segment = self._write_segment(items, level=level + 1)
             else:
                 segment = None
-            failpoints.hit("compact.before_manifest")
+            self._crash("compact.before_manifest")
             self.segments = survivors + ([segment] if segment else [])
             self._write_manifest()
             for old in merging:

@@ -21,6 +21,11 @@ Durability cost is a policy, not a constant:
 ``never``
     OS-buffered writes only; survives process crashes (the kernel has
     the data) but not power loss. The E14 benchmark measures all three.
+
+A :class:`~repro.faults.Crash` at ``wal.append.torn`` in the log's
+``schedule`` (its database's, see
+:meth:`~repro.storage.durable.db.Database.set_schedule`) kills the
+next append half-way through its frame.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ import os
 import struct
 import zlib
 
+from repro.faults import CrashPoint, FaultSchedule
 from repro.obs import get_metrics
-from repro.storage.durable import failpoints
 
 #: Frame header: crc32 of the payload, then payload byte length.
 _FRAME = struct.Struct("<II")
@@ -53,6 +58,7 @@ class WriteAheadLog:
         self.batch_bytes = batch_bytes
         self._file = open(path, "ab")
         self._unsynced = 0
+        self.schedule = FaultSchedule()
 
     # -- writes ------------------------------------------------------------
 
@@ -63,17 +69,16 @@ class WriteAheadLog:
         the caller promises an explicit :meth:`sync` at batch end.
         """
         frame = _FRAME.pack(zlib.crc32(payload), len(payload)) + payload
-        if failpoints.consume("wal.append.torn"):
+        if self.schedule.crash_at("wal.append.torn"):
             # Simulated mid-append kill: half a frame reaches the disk.
             self._file.write(frame[:max(1, len(frame) // 2)])
             self._file.flush()
-            raise failpoints.CrashPoint("wal.append.torn")
+            raise CrashPoint("wal.append.torn")
         self._file.write(frame)
         self._unsynced += len(frame)
         metrics = get_metrics()
         metrics.counter("wal.appends").inc()
         metrics.counter("wal.bytes").inc(len(frame))
-        failpoints.hit("wal.append.after")
         if defer_sync:
             return
         if self.fsync == "always":

@@ -126,9 +126,9 @@ class TestFederatedParity:
 
     def _resilient_engine(self, mode):
         dataset = make_dataset(seed=17, n_leaves=12, n_ligands=12)
-        registry = wrap_registry(dataset.registry, {
-            "pdb-sim": FaultSchedule([Outage(0.0, 1000.0)]),
-        })
+        registry = wrap_registry(dataset.registry, FaultSchedule([
+            Outage(0.0, 1000.0, target="pdb-sim"),
+        ]))
         scheduler = FetchScheduler(
             registry, max_attempts=1,
             breaker_config=BreakerConfig(failure_threshold=3),

@@ -13,8 +13,9 @@ committed state exactly.
 import pytest
 
 from repro.core import DrugTree, EngineConfig, QueryEngine
+from repro.faults import Crash, CrashPoint, FaultSchedule
 from repro.obs import MetricsRegistry, set_metrics
-from repro.storage.durable import StorageConfig, failpoints
+from repro.storage.durable import StorageConfig
 from repro.workloads import DatasetConfig, QueryGenerator, build_dataset
 from repro.workloads.queries import ALL_KINDS
 
@@ -24,9 +25,7 @@ WORLD = DatasetConfig(n_leaves=16, n_ligands=24, seed=17)
 @pytest.fixture(autouse=True)
 def fresh_state():
     set_metrics(MetricsRegistry())
-    failpoints.clear()
     yield
-    failpoints.clear()
     set_metrics(MetricsRegistry())
 
 
@@ -131,8 +130,9 @@ class TestCrashRecoveryEndToEnd:
             if index == 10:
                 break
             drugtree.add_protein(protein_id=protein_id)
-        failpoints.arm("db.after_append")
-        with pytest.raises(failpoints.CrashPoint):
+        drugtree.database.set_schedule(
+            FaultSchedule([Crash(at="db.after_append")]))
+        with pytest.raises(CrashPoint):
             drugtree.add_ligand(
                 "LIG-crash", dataset.ligands[0].smiles,
                 dataset.ligands[0].descriptors.as_dict(),

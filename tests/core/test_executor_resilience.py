@@ -37,9 +37,9 @@ def make_world(dark_until_s=None):
                                           seed=17))
     registry = dataset.registry
     if dark_until_s is not None:
-        registry = wrap_registry(registry, {
-            "pdb-sim": FaultSchedule([Outage(0.0, dark_until_s)]),
-        })
+        registry = wrap_registry(registry, FaultSchedule([
+            Outage(0.0, dark_until_s, target="pdb-sim"),
+        ]))
     return dataset, dataset.drugtree(), registry
 
 

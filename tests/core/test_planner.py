@@ -16,7 +16,7 @@ from repro.core.query.logical import (
     LogicalJoin,
     LogicalScan,
 )
-from repro.core.query.planner import Planner, PlannerConfig
+from repro.core.query.planner import Planner
 from repro.errors import PlanError
 from repro.workloads import DatasetConfig, build_dataset
 
@@ -31,7 +31,7 @@ def drugtree():
 
 
 def _planner(drugtree, **overrides):
-    config = PlannerConfig(**overrides)
+    config = EngineConfig(**overrides)
     return Planner(
         tables=drugtree.tables,
         labeling=drugtree.labeling,
@@ -221,6 +221,6 @@ class TestContradictionsAndExplain:
 
     def test_bad_config_rejected(self):
         with pytest.raises(PlanError):
-            PlannerConfig(join_strategy="quantum")
+            EngineConfig(join_strategy="quantum")
         with pytest.raises(PlanError):
-            PlannerConfig(join_method="sort_merge")
+            EngineConfig(join_method="sort_merge")

@@ -35,8 +35,7 @@ def _flaky_registry(dataset, failure_rate: float) -> SourceRegistry:
     burst = FaultSchedule([ErrorBurst(0.0, 1e9,
                                       failure_rate=failure_rate)],
                           seed=dataset.config.seed)
-    return wrap_registry(dataset.registry, {
-        source.name: burst for source in dataset.registry.sources()})
+    return wrap_registry(dataset.registry, burst)
 
 
 def _retrying(registry: SourceRegistry,

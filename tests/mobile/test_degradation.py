@@ -20,10 +20,9 @@ from repro.sources import (
 )
 from repro.workloads import DatasetConfig, build_dataset
 
-DARK = {
-    "pdb-sim": FaultSchedule([Outage(0.0, 10_000.0)]),
-    "go-sim": FaultSchedule([Outage(0.0, 10_000.0)]),
-}
+DARK = FaultSchedule([
+    Outage(0.0, 10_000.0, target=frozenset({"pdb-sim", "go-sim"})),
+])
 
 
 @pytest.fixture(autouse=True)
@@ -94,7 +93,7 @@ class TestPartialCardsAreNotCached:
     def test_a_card_without_annotations_does_not_outlive_the_fault(
             self, fresh_metrics):
         dataset, server, _ = make_server(
-            dark={"go-sim": FaultSchedule([Outage(0.0, 50.0)])},
+            dark=FaultSchedule([Outage(0.0, 50.0, target="go-sim")]),
             breakers=False, config=ServerConfig(tap_deadline_s=5.0))
         protein_id = dataset.family.protein_ids[0]
         # The viewport prefetch and the tap both see only pdb-sim.

@@ -98,6 +98,23 @@ class TestServing:
         assert len(hits) == 5
         assert all(o.service_s < 0.01 for o in hits)
 
+    def test_a_second_run_reports_only_its_own_requests(self):
+        dataset, server = _world()
+        frontend = _frontend(dataset, server, workers=1)
+        requests = _renders("a", 13, spacing=0.01)
+        first = frontend.run(requests)
+        second = frontend.run(requests)
+        assert len(frontend.outcomes) == 13
+        for report in (first, second):
+            tenant = report.tenants["a"]
+            assert report.offered == tenant.offered == 13
+            assert tenant.admitted + tenant.shed == 13
+            assert tenant.completed + tenant.failed == tenant.admitted
+        tenant = second.tenants["a"]
+        assert tenant.shed == sum(o.shed for o in frontend.outcomes)
+        assert tenant.cache_hits == sum(o.cache == "hit"
+                                        for o in frontend.outcomes)
+
     def test_queries_execute_against_the_engine(self):
         dataset, server = _world()
         clade = dataset.family.clade_names[0]
@@ -215,9 +232,7 @@ class TestCacheFrontUnderFaults:
         now = dataset.clock.now()
         outage = FaultSchedule([Outage(now, now + 50.0)])
         scheduler = FetchScheduler(
-            wrap_registry(dataset.registry,
-                          {source.name: outage
-                           for source in dataset.registry.sources()}),
+            wrap_registry(dataset.registry, outage),
             breaker_config=BreakerConfig(failure_threshold=2,
                                          reset_timeout_s=10.0))
         server = DrugTreeServer(

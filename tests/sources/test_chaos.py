@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.errors import ChaosError, SourceUnavailableError
+from repro.errors import ChaosError, DrugTreeError, SourceUnavailableError
 from repro.faults import (
     CLEAN,
     SCENARIOS,
+    Crash,
+    CrashPoint,
     ErrorBurst,
     FaultSchedule,
     Flapping,
@@ -253,25 +255,95 @@ class TestScenarios:
         assert not any(scenario_schedule("calm").touches(name)
                        for name in SOURCES)
 
-    def test_wrap_registry_skips_empty_schedules(self):
+    # -- wrap_registry wraps exactly the sources the schedule touches ----
+
+    def _registry(self):
         clock = SimulatedClock()
         registry = SourceRegistry()
-        source = make_source(clock)
-        registry.register(source)
-        wrapped = wrap_registry(registry,
-                                {"alpha-src": FaultSchedule()})
-        assert wrapped.sources()[0] is source
+        for kind in ("alpha", "beta"):
+            registry.register(make_source(clock, kind=kind))
+        return registry
+
+    def _wrapped_names(self, wrapped):
+        return [source.name for source in wrapped.sources()
+                if isinstance(source, ChaosSource)]
+
+    def test_wrap_registry_skips_empty_schedules(self):
+        registry = self._registry()
+        wrapped = wrap_registry(registry, FaultSchedule())
+        assert wrapped.sources() == registry.sources()
 
     def test_wrap_registry_wraps_scheduled_sources(self):
-        clock = SimulatedClock()
-        registry = SourceRegistry()
-        registry.register(make_source(clock))
+        registry = self._registry()
         wrapped = wrap_registry(
-            registry, {"alpha-src": FaultSchedule([Outage(0.0, 5.0)])},
+            registry, FaultSchedule([Outage(0.0, 5.0, target="alpha-src")]),
         )
-        assert isinstance(wrapped.sources()[0], ChaosSource)
+        assert self._wrapped_names(wrapped) == ["alpha-src"]
+        assert wrapped.sources()[1] is registry.sources()[1]
         with pytest.raises(SourceUnavailableError):
             wrapped.fetch_many("alpha", ["alpha0"])
+        assert wrapped.fetch_many("beta", ["beta0"]) == {"beta0": "v0"}
+
+    def test_wrap_registry_untargeted_window_wraps_every_source(self):
+        wrapped = wrap_registry(self._registry(),
+                                FaultSchedule([Outage(0.0, 5.0)]))
+        assert self._wrapped_names(wrapped) == ["alpha-src", "beta-src"]
+        for kind in ("alpha", "beta"):
+            with pytest.raises(SourceUnavailableError):
+                wrapped.fetch_many(kind, [f"{kind}0"])
+
+    def test_wrap_registry_ignores_crashes(self):
+        registry = self._registry()
+        wrapped = wrap_registry(
+            registry, FaultSchedule([Crash(at="db.after_append")]))
+        assert wrapped.sources() == registry.sources()
+
+
+class TestCrashEvents:
+    """A :class:`Crash` rides in the same schedule as the windows."""
+
+    def _schedule(self):
+        return FaultSchedule([Outage(1.0, 3.0, target="pdb-sim"),
+                              Crash(at="flush.before_manifest")])
+
+    def test_describe_lists_window_and_crash(self):
+        assert self._schedule().describe() == [
+            "Outage pdb-sim [1, 3)",
+            "Crash at flush.before_manifest",
+        ]
+
+    def test_shifted_keeps_the_crash(self):
+        shifted = self._schedule().shifted(10.0)
+        assert shifted.describe() == [
+            "Outage pdb-sim [11, 13)",
+            "Crash at flush.before_manifest",
+        ]
+        assert shifted.crash_at("flush.before_manifest")
+
+    def test_touches_and_effect_for_ignore_it(self):
+        schedule = self._schedule()
+        assert schedule.touches("pdb-sim")
+        assert not schedule.touches("go-sim")
+        assert schedule.effect_for("go-sim", 2.0) == CLEAN
+        assert schedule.effect_for("pdb-sim", 5.0) == CLEAN
+        assert schedule.horizon_s() == 3.0
+        crash_only = FaultSchedule([Crash(at="db.after_append")])
+        assert not crash_only.touches("anyone")
+        assert crash_only.effect_for("anyone", 0.0) == CLEAN
+        assert crash_only.horizon_s() == 0.0
+
+    def test_crash_fires_once(self):
+        schedule = self._schedule()
+        assert not schedule.crash_at("db.after_append")
+        assert schedule.crash_at("flush.before_manifest")
+        assert not schedule.crash_at("flush.before_manifest")
+
+    def test_unknown_crash_point_rejected(self):
+        with pytest.raises(ChaosError, match="unknown crash point"):
+            Crash(at="wal.append.after")
+
+    def test_crash_point_is_not_a_library_error(self):
+        assert not issubclass(CrashPoint, DrugTreeError)
 
 
 class TestStatsUnderContention:

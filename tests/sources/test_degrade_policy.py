@@ -46,10 +46,9 @@ def dark_world(breakers):
     """A world whose protein source is dark, and a scheduler over it."""
     dataset = build_dataset(DatasetConfig(n_leaves=12, n_ligands=12,
                                           seed=17))
-    registry = wrap_registry(dataset.registry, {
-        "pdb-sim": FaultSchedule([Outage(0.0, 10_000.0)]),
-        "go-sim": FaultSchedule([Outage(0.0, 10_000.0)]),
-    })
+    registry = wrap_registry(dataset.registry, FaultSchedule([
+        Outage(0.0, 10_000.0, target=frozenset({"pdb-sim", "go-sim"})),
+    ]))
     scheduler = FetchScheduler(
         registry, max_attempts=1,
         breaker_config=(BreakerConfig(failure_threshold=100)

@@ -1,13 +1,14 @@
-"""Tests for the source registry and the ``SourceWrapper`` delegate."""
+"""Tests for the source registry, bare and wrapped sources alike."""
 
 import pytest
 
 from repro.errors import SourceError
+from repro.faults import FaultSchedule
 from repro.sources import (
+    ChaosSource,
     LatencyModel,
     SimulatedClock,
     SourceRegistry,
-    SourceWrapper,
     TableBackedSource,
 )
 
@@ -55,5 +56,6 @@ class TestRegistry:
     def test_wrapped_source_registers(self):
         clock = SimulatedClock()
         registry = SourceRegistry()
-        registry.register(SourceWrapper(_source(clock)))
+        registry.register(ChaosSource(_source(clock), FaultSchedule()))
         assert registry.fetch("thing", "k2") == "v2"
+        assert registry.combined_stats()["roundtrips"] == 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults import Crash, CrashPoint, FaultSchedule
 from repro.obs import MetricsRegistry, set_metrics
 from repro.storage import (
     Schema,
@@ -14,16 +15,13 @@ from repro.storage.durable import (
     Database,
     DurableTableAdapter,
     StorageConfig,
-    failpoints,
 )
 
 
 @pytest.fixture(autouse=True)
 def fresh_state():
     set_metrics(MetricsRegistry())
-    failpoints.clear()
     yield
-    failpoints.clear()
     set_metrics(MetricsRegistry())
 
 
@@ -52,8 +50,8 @@ class TestMutationLogging:
     def test_insert_reaches_the_wal_before_memory(self, tmp_path):
         db = open_db(tmp_path)
         table = durable_table(db)
-        failpoints.arm("db.after_append")
-        with pytest.raises(failpoints.CrashPoint):
+        db.set_schedule(FaultSchedule([Crash(at="db.after_append")]))
+        with pytest.raises(CrashPoint):
             table.insert({"name": "a", "rank": 1, "score": 0.5})
         # Crash after the WAL append, before the in-memory apply:
         # memory never saw the row, recovery has it.

@@ -4,23 +4,21 @@ import os
 
 import pytest
 
+from repro.faults import Crash, CrashPoint, FaultSchedule
 from repro.obs import MetricsRegistry, get_metrics, set_metrics
-from repro.storage.durable import (
-    CrashPoint,
-    Database,
-    StorageConfig,
-    failpoints,
-)
+from repro.storage.durable import Database, StorageConfig
 from repro.storage.durable.db import LEVEL_FANOUT
 
 
 @pytest.fixture(autouse=True)
 def fresh_state():
     set_metrics(MetricsRegistry())
-    failpoints.clear()
     yield
-    failpoints.clear()
     set_metrics(MetricsRegistry())
+
+
+def crash_at(db, point):
+    db.set_schedule(FaultSchedule([Crash(at=point)]))
 
 
 def config(tmp_path, **overrides):
@@ -158,7 +156,7 @@ class TestRecovery:
         db = open_db(tmp_path, memtable_flush_bytes=1 << 20)
         db.put("before", 1)
         db.wal.sync()
-        failpoints.arm("wal.append.torn")
+        crash_at(db, "wal.append.torn")
         with pytest.raises(CrashPoint):
             db.put("torn", 2)
         db2 = open_db(tmp_path)
@@ -170,7 +168,7 @@ class TestRecovery:
         db = open_db(tmp_path, memtable_flush_bytes=1 << 20,
                      fsync="always")
         db.put("a", 1)
-        failpoints.arm("db.after_append")
+        crash_at(db, "db.after_append")
         with pytest.raises(CrashPoint):
             db.put("b", 2)
         # The WAL got the record even though the crash hit right after.
@@ -182,7 +180,7 @@ class TestRecovery:
         db = open_db(tmp_path, memtable_flush_bytes=1 << 20)
         for i in range(10):
             db.put(f"k/{i}", i)
-        failpoints.arm("flush.before_manifest")
+        crash_at(db, "flush.before_manifest")
         with pytest.raises(CrashPoint):
             db.flush()
         # The segment file exists but the manifest never adopted it.
@@ -198,13 +196,26 @@ class TestRecovery:
             db.put(f"k/{i}", i)
             if i % 2 == 1:
                 db.flush()
-        failpoints.arm("compact.before_manifest")
+        crash_at(db, "compact.before_manifest")
         with pytest.raises(CrashPoint):
             db.compact_level(0)
         db2 = open_db(tmp_path)
         # The merged output is dropped as an orphan; inputs survive.
         assert db2.recovery.orphans_removed == 1
         assert [v for _, v in db2.scan()] == list(range(6))
+
+    def test_crash_fires_once_and_only_in_its_store(self, tmp_path):
+        doomed = open_db(tmp_path / "a", memtable_flush_bytes=1 << 20)
+        other = open_db(tmp_path / "b", memtable_flush_bytes=1 << 20)
+        crash_at(doomed, "db.after_append")
+        other.put("k/0", 0)  # the crash is not other's to take
+        with pytest.raises(CrashPoint):
+            doomed.put("k/0", 0)
+        doomed.put("k/1", 1)  # one-shot: the store writes again
+        other.put("k/1", 1)
+        assert [v for _, v in other.scan()] == [0, 1]
+        doomed.wal.sync()
+        assert [v for _, v in open_db(tmp_path / "a").scan()] == [0, 1]
 
     def test_reopen_is_idempotent(self, tmp_path):
         db = open_db(tmp_path)

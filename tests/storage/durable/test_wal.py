@@ -5,17 +5,15 @@ import os
 import pytest
 
 from repro.errors import StorageError
+from repro.faults import Crash, CrashPoint, FaultSchedule
 from repro.obs import MetricsRegistry, get_metrics, set_metrics
 from repro.storage.durable import WriteAheadLog
-from repro.storage.durable import failpoints
 
 
 @pytest.fixture(autouse=True)
 def fresh_state():
     set_metrics(MetricsRegistry())
-    failpoints.clear()
     yield
-    failpoints.clear()
     set_metrics(MetricsRegistry())
 
 
@@ -52,8 +50,8 @@ class TestTornTail:
         wal = WriteAheadLog(path, fsync="never")
         wal.append(b"committed-1")
         wal.append(b"committed-2")
-        failpoints.arm("wal.append.torn")
-        with pytest.raises(failpoints.CrashPoint):
+        wal.schedule = FaultSchedule([Crash(at="wal.append.torn")])
+        with pytest.raises(CrashPoint):
             wal.append(b"torn-record")
         replayed, torn = WriteAheadLog.replay(path)
         assert replayed == [b"committed-1", b"committed-2"]
