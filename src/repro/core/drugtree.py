@@ -89,6 +89,13 @@ class DrugTree:
         #: Bumped whenever any table's statistics are (re)collected or
         #: adopted; ``repro stats`` reports it and nothing keys on it.
         self.stats_epoch = 0
+        #: Bumped on every row inserted into or deleted from an overlay
+        #: table, after the table's indexes and the clade aggregates
+        #: have taken the row: what is derived from the overlay after
+        #: reading ``v`` may be reused while this still reads ``v``
+        #: (the mobile server stamps its render memos with it). Like
+        #: the tables, it assumes one writer at a time.
+        self.data_version = 0
         self._mutations_since_analyze: dict[str, int] = {
             name: 0 for name in self.tables
         }
@@ -322,6 +329,7 @@ class DrugTree:
             self._mutations_since_analyze[name] = (
                 self._mutations_since_analyze.get(name, 0) + 1
             )
+            self.data_version += 1
             for listener in self._mutation_listeners:
                 listener()
         return on_mutation

@@ -3,14 +3,22 @@
 Holds one :class:`~repro.core.drugtree.DrugTree` behind a
 :class:`~repro.core.query.executor.QueryEngine` and serves per-client
 sessions. Each response is framed through :mod:`repro.mobile.protocol`;
-the server remembers the last payload it sent each session so it can
-ship deltas, and renders through the LOD module unless configured for
+the server remembers the last view it sent each session so it can ship
+deltas, and renders through the LOD module unless configured for
 full-tree responses (the baselines of experiments E5/E6).
+
+A viewport is rendered once per data version: its payload, encoded full
+frame and visible leaves are memoized, stamped with
+:attr:`DrugTree.data_version`, and shared read-only by every session
+that navigates to it; the frame chosen between two memoized views is
+memoized too. Any overlay mutation bumps the version, so no memoized
+view is served after an insert. Degraded renders are never memoized.
 
 The server is safe for concurrent use by a worker pool: the bounded,
 LRU-ordered session table is guarded by one table lock, each session's
-view state by a per-session lock, and the detail-prefetch cache by its
-own lock — none of them ever held across a render or federation fetch.
+view state by a per-session lock, and the detail-prefetch cache and the
+render memos by a lock each — none of them ever held across a render,
+an encode or a federation fetch.
 Requests naming an evicted session raise a typed
 :class:`~repro.errors.UnknownSessionError` so frontends (see
 :mod:`repro.serving`) can transparently reopen.
@@ -38,6 +46,9 @@ from repro.sources.resilience import Deadline
 #: Detail records retained before the prefetch cache drops the oldest
 #: entries.
 DETAIL_CACHE_CAPACITY = 4096
+#: Memoized views, and separately memoized view-to-view frames,
+#: retained before each memo drops its oldest entries.
+RENDER_MEMO_CAPACITY = 4096
 #: Viewport bounds used instead of ``lod_max_depth`` / ``lod_max_nodes``
 #: while the federation is degraded (open breakers): ship a smaller tree
 #: rather than an error.
@@ -79,12 +90,29 @@ class ServerResponse:
     status: str = "fresh"
 
 
+@dataclass(frozen=True, eq=False)
+class _View:
+    """One rendered viewport with its encoded full frame.
+
+    Never mutated: a memoized view is shared by every session that
+    navigates to it. ``serial`` names the render (frames between two
+    views are memoized under their serials); it is ``None`` for a
+    degraded render, which no other session ever sees.
+    """
+
+    payload: dict[str, Any]
+    full: Message
+    leaves: list[str]
+    serial: int | None
+
+
 @dataclass
 class _Session:
     session_id: str
     focus: str
-    last_payload: dict[str, Any] | None = None
-    #: Guards this session's view state (``focus``, ``last_payload``)
+    #: The view last sent, which the client holds (the delta base).
+    view: _View | None = None
+    #: Guards this session's view state (``focus``, ``view``)
     #: against concurrent gestures on the same session.
     lock: threading.RLock = field(default_factory=threading.RLock,
                                   repr=False, compare=False)
@@ -117,6 +145,15 @@ class DrugTreeServer:
         #: rather than one waiting on a lock across the round-trip).
         self._details: dict[str, dict[str, Any]] = {}
         self._details_lock = threading.Lock()
+        #: View key -> (data version it was rendered at, view), and
+        #: (previous view serial, next view serial) -> chosen frame.
+        #: Guarded by ``_memo_lock``; renders and encodes run outside
+        #: it (two sessions missing the same view at once both render
+        #: it, and the later store wins).
+        self._views: dict[tuple | None, tuple[int, _View]] = {}
+        self._frames: dict[tuple[int, int], Message] = {}
+        self._memo_lock = threading.Lock()
+        self._view_serials = itertools.count()
 
     def _pick_root_name(self) -> str:
         root = self.drugtree.tree.root
@@ -441,54 +478,99 @@ class DrugTreeServer:
                 self._details.pop(next(iter(self._details)))
         return {}
 
+    def _render_payload(self, focus: str, max_depth: int,
+                        max_nodes: int) -> dict[str, Any]:
+        if self.config.use_lod:
+            return render_viewport(self.drugtree, focus,
+                                   max_depth=max_depth,
+                                   max_nodes=max_nodes)
+        return render_full(self.drugtree)
+
+    def _degraded_view(self, focus: str) -> _View:
+        # Breakers are open: serve a smaller viewport now rather than a
+        # full one after the dark sources' timeouts (or not at all).
+        payload = self._render_payload(
+            focus,
+            min(self.config.lod_max_depth, DEGRADED_LOD_MAX_DEPTH),
+            min(self.config.lod_max_nodes, DEGRADED_LOD_MAX_NODES))
+        payload["status"] = "degraded"
+        return _View(payload, full_message(payload), [], None)
+
+    def _view(self, focus: str) -> tuple[_View, bool]:
+        """The memoized view of *focus* at the current data version
+        (rendered on a miss); the flag says whether it was a hit."""
+        max_depth = self.config.lod_max_depth
+        max_nodes = self.config.lod_max_nodes
+        key = (focus, max_depth, max_nodes) if self.config.use_lod else None
+        # Read before rendering: a render that races an insert is
+        # stamped with the version before it and never served after.
+        version = self.drugtree.data_version
+        with self._memo_lock:
+            entry = self._views.get(key)
+        if entry is not None and entry[0] == version:
+            return entry[1], True
+        payload = self._render_payload(focus, max_depth, max_nodes)
+        view = _View(payload, full_message(payload),
+                     self._visible_leaves(payload),
+                     next(self._view_serials))
+        with self._memo_lock:
+            self._views[key] = (version, view)
+            while len(self._views) > RENDER_MEMO_CAPACITY:
+                self._views.pop(next(iter(self._views)))
+        return view, False
+
+    def _frame(self, previous: _View, view: _View) -> tuple[Message, bool]:
+        """The frame moving a client from *previous* to *view*, memoized
+        when both views are; the flag says whether it was a hit."""
+        key = (previous.serial, view.serial)
+        shared = None not in key
+        if shared:
+            with self._memo_lock:
+                message = self._frames.get(key)
+            if message is not None:
+                return message, True
+        # Adaptive framing: a big viewport jump can make the delta
+        # larger than the fresh payload — ship whichever is smaller.
+        delta = delta_message(previous.payload, view.payload)
+        message = (delta if delta.wire_bytes < view.full.wire_bytes
+                   else view.full)
+        if shared:
+            with self._memo_lock:
+                self._frames[key] = message
+                while len(self._frames) > RENDER_MEMO_CAPACITY:
+                    self._frames.pop(next(iter(self._frames)))
+        return message, False
+
     def _render(self, session: _Session, focus: str) -> ServerResponse:
         with get_tracer().span("mobile.render", focus=focus) as span, \
                 WallTimer() as timer:
             degraded = self._federation_degraded()
-            if self.config.use_lod:
-                max_depth = self.config.lod_max_depth
-                max_nodes = self.config.lod_max_nodes
-                if degraded:
-                    # Breakers are open: serve a smaller viewport now
-                    # rather than a full one after the dark sources'
-                    # timeouts (or not at all).
-                    max_depth = min(max_depth, DEGRADED_LOD_MAX_DEPTH)
-                    max_nodes = min(max_nodes, DEGRADED_LOD_MAX_NODES)
-                payload = render_viewport(
-                    self.drugtree, focus,
-                    max_depth=max_depth,
-                    max_nodes=max_nodes,
-                )
-            else:
-                payload = render_full(self.drugtree)
             if degraded:
-                payload["status"] = "degraded"
+                view, hit = self._degraded_view(focus), False
                 get_metrics().counter("mobile.degraded_responses").inc()
                 span.set("degraded", True)
-            if (self.federation is not None
-                    and self.config.prefetch_details
-                    and not degraded):
-                # No speculative pulls into a dark federation; probes
-                # go through explicit details taps instead.
-                self._prefetch_details(self._visible_leaves(payload))
-            with session.lock:
-                previous = session.last_payload
-            if self.config.use_delta and previous is not None:
-                # Adaptive framing: a big viewport jump can make the
-                # delta larger than the fresh payload — ship whichever
-                # is smaller.
-                delta = delta_message(previous, payload)
-                full = full_message(payload)
-                message = (delta if delta.wire_bytes < full.wire_bytes
-                           else full)
             else:
-                message = full_message(payload)
+                view, hit = self._view(focus)
+                if (self.federation is not None
+                        and self.config.prefetch_details):
+                    # No speculative pulls into a dark federation;
+                    # probes go through explicit details taps instead.
+                    self._prefetch_details(view.leaves)
             with session.lock:
-                session.last_payload = payload
+                previous = session.view
+            message = view.full
+            if self.config.use_delta and previous is not None:
+                message, framed = self._frame(previous, view)
+                hit = hit and framed
+            with session.lock:
+                session.view = view
+            # "hit": no LOD walk, encode or diff ran for this gesture.
+            span.set("memo", "skipped" if degraded
+                     else "hit" if hit else "miss")
             span.set("wire_bytes", message.wire_bytes)
         return self._account("render", ServerResponse(
             message=message,
             server_wall_s=timer.elapsed_s,
-            payload_rows=len(payload.get("nodes", {})),
+            payload_rows=len(view.payload.get("nodes", {})),
             status="degraded" if degraded else "fresh",
         ))

@@ -3,7 +3,8 @@
 The serving layer models concurrency in virtual time, but a real
 deployment also drives one :class:`DrugTreeServer` from a thread pool —
 these tests hammer the server with real threads and check the session
-table's bounds and typed errors.
+table's bounds and typed errors, and that the render memos serve no
+view an insert made stale.
 """
 
 import sys
@@ -11,9 +12,12 @@ import threading
 
 import pytest
 
+from repro.chem.affinity import ActivityType, BindingRecord
 from repro.errors import MobileError, UnknownSessionError
 from repro.mobile import DrugTreeServer
 from repro.mobile import server as server_module
+from repro.mobile.lod import render_viewport
+from repro.mobile.protocol import delta_message, full_message
 from repro.sources.scheduler import FetchScheduler
 from repro.workloads import DatasetConfig, build_dataset
 
@@ -155,6 +159,68 @@ class TestConcurrentHammer:
         stats = server.engine.cache.stats()
         assert (stats["exact_hits"] + stats["subsumption_hits"]
                 + stats["misses"]) == per_thread * n_threads
+
+    def test_navigations_racing_inserts_never_serve_a_stale_view(self):
+        # A world of its own: this test inserts bindings.
+        dataset = build_dataset(DatasetConfig(n_leaves=24, n_ligands=40,
+                                              seed=11))
+        drugtree = dataset.drugtree()
+        server = DrugTreeServer(drugtree)
+        foci = [server._root_name, "clade_0001", "clade_0002",
+                "clade_0003"]
+        session_ids = [server.open_session()[0] for _ in range(4)]
+        for session_id, focus in zip(session_ids, foci):
+            server.navigate(session_id, focus)  # every view memoized
+        proteins = dataset.family.protein_ids
+        errors = []
+
+        def navigator(worker):
+            try:
+                for i in range(60):
+                    response = server.navigate(
+                        session_ids[(worker + i) % len(session_ids)],
+                        foci[(worker * 3 + i) % len(foci)])
+                    response.message.payload()  # every frame decodes
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        def inserter():
+            try:
+                for i in range(40):
+                    drugtree.add_binding(BindingRecord(
+                        "LIG00000", proteins[i % len(proteins)],
+                        ActivityType.KI, 10.0 + i))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=navigator, args=(worker,))
+                       for worker in range(4)]
+            threads.append(threading.Thread(target=inserter))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+        # No view filled before an insert survives it: from the root,
+        # every focus ships exactly what a direct render at the final
+        # version frames.
+        root = render_viewport(drugtree, server._root_name)
+        for focus in foci:
+            session_id, opened = server.open_session()
+            assert opened.message.data == full_message(root).data
+            current = render_viewport(drugtree, focus)
+            full = full_message(current)
+            delta = delta_message(root, current)
+            expected = delta if delta.wire_bytes < full.wire_bytes else full
+            assert server.navigate(session_id, focus).message.data \
+                == expected.data, focus
 
     def test_parallel_opens_respect_the_bound(self, drugtree,
                                               monkeypatch):
