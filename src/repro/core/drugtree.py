@@ -83,7 +83,6 @@ class DrugTree:
         self.molecules: dict[str, Molecule] = {}
         self.sequence_index = KmerIndex()
         self._statistics: dict[str, TableStatistics] | None = None
-        self._mutation_listeners: list[Any] = []
         self._known_proteins: set[str] = set()
         self._known_ligands: set[str] = set()
         #: Bumped whenever any table's statistics are (re)collected or
@@ -92,9 +91,9 @@ class DrugTree:
         #: Bumped on every row inserted into or deleted from an overlay
         #: table, after the table's indexes and the clade aggregates
         #: have taken the row: what is derived from the overlay after
-        #: reading ``v`` may be reused while this still reads ``v``
-        #: (the mobile server stamps its render memos with it). Like
-        #: the tables, it assumes one writer at a time.
+        #: reading ``v`` may be reused while this still reads ``v`` —
+        #: it is the freshness stamp of every cached answer. Like the
+        #: tables, it assumes one writer at a time.
         self.data_version = 0
         self._mutations_since_analyze: dict[str, int] = {
             name: 0 for name in self.tables
@@ -320,18 +319,12 @@ class DrugTree:
             self._analyze_table(name)
         return self._statistics
 
-    def add_mutation_listener(self, listener) -> None:
-        """Called on any overlay change (the semantic cache hooks this)."""
-        self._mutation_listeners.append(listener)
-
     def _make_mutation_listener(self, name: str):
         def on_mutation(row_id: int, row: tuple) -> None:
             self._mutations_since_analyze[name] = (
                 self._mutations_since_analyze.get(name, 0) + 1
             )
             self.data_version += 1
-            for listener in self._mutation_listeners:
-                listener()
         return on_mutation
 
     # -- convenience reads ---------------------------------------------------------

@@ -14,20 +14,17 @@ On a subsumption hit the engine re-applies the new query's predicates,
 subtree range, projection, order and limit to the cached rows — pure
 in-memory work, no table or source access.
 
-Any mutation of an overlay table invalidates the whole cache (DrugTree
-workloads are read-dominated; finer-grained invalidation is future
-work, as it was for the poster).
+Entries are stamped with :attr:`DrugTree.data_version`: the caller
+reads it before its lookup and hands the same version to the store. A
+lookup or store carrying a newer version empties the whole cache
+(finer-grained invalidation is future work, as it was for the poster);
+a store carrying an older one was computed before a write the cache has
+seen, and is dropped. An insert costs the cache nothing.
 
-Invalidated and LRU-evicted entries are not discarded outright: they
-move to a bounded *stale* store. When the federation cannot answer — a
-source in an outage, a tripped circuit breaker, an expired deadline —
-the engine may call :meth:`SemanticCache.lookup_stale` and serve the
-last known result, clearly flagged ``stale`` (see docs/RESILIENCE.md).
-An answer that is seconds out of date beats no answer on a phone.
-
-A server's worker threads share one engine, hence one cache: the two
-LRU maps and the hit counters change only under one lock. Subsumption
-derives from a snapshot outside it, so the lock stays a leaf.
+A server's worker threads share one engine, hence one cache: the LRU
+map, its version and the counters change only under one lock.
+Subsumption derives from a snapshot outside it, so the lock stays a
+leaf.
 """
 
 from __future__ import annotations
@@ -49,8 +46,7 @@ class CacheHit:
     """A cache answer plus how it was derived."""
 
     rows: list[dict[str, Any]]
-    kind: str  # "exact" | "subsumed" | "stale"
-    source_signature: str
+    kind: str  # "exact" | "subsumed"
 
 
 @dataclass
@@ -69,13 +65,10 @@ class SemanticCache:
         self.labeling = labeling
         self.capacity = capacity
         self._entries: OrderedDict[str, _Entry] = OrderedDict()
-        #: Last-known results displaced by invalidation or LRU
-        #: eviction; servable only through :meth:`lookup_stale`.
-        self._stale: OrderedDict[str, _Entry] = OrderedDict()
+        self._version = 0  # the data version every entry was computed at
         self._lock = threading.Lock()
         self.exact_hits = 0
         self.subsumption_hits = 0
-        self.stale_hits = 0
         self.misses = 0
         self.invalidations = 0
 
@@ -84,9 +77,9 @@ class SemanticCache:
 
     # -- lookup ---------------------------------------------------------------
 
-    def lookup(self, query: Query) -> CacheHit | None:
+    def lookup(self, query: Query, version: int) -> CacheHit | None:
         with get_tracer().span("semantic_cache.lookup") as span:
-            hit = self._lookup(query)
+            hit = self._lookup(query, version)
             span.set("outcome", hit.kind if hit is not None else "miss")
         get_metrics().counter(
             "semantic_cache."
@@ -94,15 +87,18 @@ class SemanticCache:
         ).inc()
         return hit
 
-    def _lookup(self, query: Query) -> CacheHit | None:
+    def _lookup(self, query: Query, version: int) -> CacheHit | None:
         own = query.signature()
         with self._lock:
+            emptied = self._restamp(version)
             exact = self._entries.get(own)
             if exact is not None:
                 self._entries.move_to_end(own)
                 self.exact_hits += 1
-                return CacheHit(list(exact.rows), "exact", own)
+                return CacheHit(list(exact.rows), "exact")
             candidates = list(self._entries.items())
+        if emptied:
+            get_metrics().counter("semantic_cache.invalidations").inc()
 
         # Entries are immutable once stored: derive from the snapshot.
         for signature, entry in candidates:
@@ -114,33 +110,10 @@ class SemanticCache:
                     if signature in self._entries:
                         self._entries.move_to_end(signature)
                     self.subsumption_hits += 1
-                return CacheHit(rows, "subsumed", signature)
+                return CacheHit(rows, "subsumed")
         with self._lock:
             self.misses += 1
         return None
-
-    def lookup_stale(self, query: Query) -> CacheHit | None:
-        """Last-known result for *query* from the stale store.
-
-        The degradation path: called only when live execution cannot
-        answer (open breakers, expired deadline, dark sources). A live
-        entry still wins if one exists; otherwise an exact-signature
-        stale entry is served, flagged ``"stale"`` so callers surface
-        the freshness downgrade instead of hiding it.
-        """
-        signature = query.signature()
-        with self._lock:
-            live = self._entries.get(signature)
-            if live is not None:
-                return CacheHit(list(live.rows), "stale", signature)
-            entry = self._stale.get(signature)
-            if entry is None:
-                return None
-            self._stale.move_to_end(signature)
-            self.stale_hits += 1
-            rows = list(entry.rows)
-        get_metrics().counter("semantic_cache.stale_hits").inc()
-        return CacheHit(rows, "stale", signature)
 
     def _subsumes(self, cached: Query, query: Query) -> bool:
         """Is the new query's result provably contained in *cached*'s?"""
@@ -217,38 +190,35 @@ class SemanticCache:
             out = [dict(row) for row in out]
         return out
 
-    # -- store / invalidate -----------------------------------------------------
+    # -- store / version -------------------------------------------------------
 
-    def store(self, query: Query, rows: list[dict[str, Any]]) -> None:
+    def store(self, query: Query, rows: list[dict[str, Any]],
+              version: int) -> None:
         """Cache a result. Aggregate/limited results are stored for
         exact reuse; full-width results additionally serve subsumption."""
         signature = query.signature()
         entry = _Entry(query, list(rows))
         with self._lock:
+            emptied = self._restamp(version)
+            if version < self._version:
+                return  # computed before a write this cache has seen
             self._entries[signature] = entry
             self._entries.move_to_end(signature)
-            self._stale.pop(signature, None)  # live entry shadows stale
             while len(self._entries) > self.capacity:
-                evicted_signature, evicted = self._entries.popitem(
-                    last=False)
-                self._demote(evicted_signature, evicted)
+                self._entries.popitem(last=False)
+        if emptied:
+            get_metrics().counter("semantic_cache.invalidations").inc()
 
-    def invalidate(self) -> None:
-        # Demote rather than discard: an invalidated entry is no longer
-        # a correct answer, but it is still the *last known* one, which
-        # the degradation path may serve (flagged) when sources are dark.
-        with self._lock:
-            for signature, entry in self._entries.items():
-                self._demote(signature, entry)
-            self._entries.clear()
-            self.invalidations += 1
-        get_metrics().counter("semantic_cache.invalidations").inc()
-
-    def _demote(self, signature: str, entry: _Entry) -> None:
-        self._stale[signature] = entry
-        self._stale.move_to_end(signature)
-        while len(self._stale) > self.capacity:
-            self._stale.popitem(last=False)
+    def _restamp(self, version: int) -> bool:
+        """Empty the cache if *version* is newer than its entries'; True
+        when that dropped any (caller holds the lock)."""
+        if version <= self._version:
+            return False
+        self._version = version
+        emptied = bool(self._entries)
+        self._entries.clear()
+        self.invalidations += emptied
+        return emptied
 
     @property
     def hit_rate(self) -> float:
@@ -260,10 +230,8 @@ class SemanticCache:
         with self._lock:
             return {
                 "entries": len(self._entries),
-                "stale_entries": len(self._stale),
                 "exact_hits": self.exact_hits,
                 "subsumption_hits": self.subsumption_hits,
-                "stale_hits": self.stale_hits,
                 "misses": self.misses,
                 "invalidations": self.invalidations,
                 "hit_rate": round(self.hit_rate, 4),

@@ -62,7 +62,6 @@ from repro.errors import (
     ParseError,
     PlanError,
     QueryError,
-    SourceError,
 )
 from repro.obs import (
     AnalyzeReport,
@@ -131,7 +130,7 @@ class QueryResult:
 
     rows: list[dict[str, Any]]
     plan: PlanReport | None = None
-    #: "miss" | "exact" | "subsumed" | "stale" | "off"
+    #: "miss" | "exact" | "subsumed" | "off"
     cache_outcome: str = "miss"
     counters: dict[str, Any] = field(default_factory=dict)
     wall_time_s: float = 0.0
@@ -141,7 +140,7 @@ class QueryResult:
     #: path ran; empty otherwise.
     resilience: dict[str, str] = field(default_factory=dict)
     #: True when any part of the answer is not fresh-and-complete
-    #: (partial/missing remote details, or a stale cache serve).
+    #: (partial/missing remote details).
     degraded: bool = False
 
     def __len__(self) -> int:
@@ -181,9 +180,6 @@ class QueryEngine:
             config=self.config,
         )
         self.cache = SemanticCache(drugtree.labeling)
-        if self.config.use_semantic_cache:
-            drugtree.add_mutation_listener(self.cache.invalidate)
-        self.queries_executed = 0
         #: Per-engine overrides; ``None`` means the process-wide default.
         self.tracer = tracer
         self.metrics = metrics
@@ -255,15 +251,11 @@ class QueryEngine:
         With *deadline* (a :class:`Deadline` or a virtual-seconds
         budget), remote fetches are cancelled once the budget is gone
         and the answer degrades — per-kind statuses in
-        :attr:`QueryResult.resilience` — instead of stalling. When live
-        execution fails entirely, the engine serves the last known
-        result from the semantic cache's stale store, flagged
-        ``cache_outcome == "stale"``.
+        :attr:`QueryResult.resilience` — instead of stalling.
         """
         metrics = self._obs_metrics()
         timer = WallTimer().start()
         query, analysis = self._analyze_query(query)
-        self.queries_executed += 1
         metrics.counter("query.executed").inc()
         result = self._run(query, analysis, deadline, instrument=False)
         result.wall_time_s = timer.stop()
@@ -301,12 +293,13 @@ class QueryEngine:
         what :meth:`_analyze_query` returned.
 
         ``instrument=False`` answers from the semantic cache when it
-        can, stores fresh answers, falls back to the stale store, and
-        returns a :class:`QueryResult`; ``instrument=True`` always
-        plans and runs, wraps every operator for actuals, and returns
-        an :class:`AnalyzeReport`. The deadline, the fetch statuses and
-        the engine choice are locals handed to the lowering: nothing
-        about one query is kept on the engine.
+        can, stores fresh answers under the data version read before
+        the lookup, and returns a :class:`QueryResult`;
+        ``instrument=True`` always plans and runs, wraps every operator
+        for actuals, and returns an :class:`AnalyzeReport`. The
+        deadline, the fetch statuses and the engine choice are locals
+        handed to the lowering: nothing about one query is kept on the
+        engine.
         """
         tracer = self._obs_tracer()
         metrics = self._obs_metrics()
@@ -351,7 +344,8 @@ class QueryEngine:
                     execution={"mode": self.config.execution_mode},
                 )
 
-            hit = self.cache.lookup(query) if caching else None
+            version = self.drugtree.data_version
+            hit = self.cache.lookup(query, version) if caching else None
             if hit is not None and not instrument:
                 span.set("cache", hit.kind)
                 span.set("rows", len(hit.rows))
@@ -364,47 +358,32 @@ class QueryEngine:
             counters = ExecCounters()
             root = OperatorStats("plan") if instrument else None
             clock = getattr(tracer, "clock", None) if instrument else None
-            try:
-                with tracer.span("query.resolve_filters"):
-                    ligand_keys, candidates, sub_candidates = \
-                        self._resolve_ligand_filters(query)
-                # Refresh the estimator if statistics went stale
-                # (bulk loads).
-                self.planner.estimator = CardinalityEstimator(
-                    self.drugtree.statistics,
-                    tables=self.drugtree.tables,
-                    metrics=metrics,
-                )
-                with tracer.span("query.plan"):
-                    plan = self.planner.plan(query,
-                                             similar_keys=ligand_keys)
-                physical, choice = self._build_physical(
-                    plan.logical, counters, root, clock, deadline,
-                    statuses if resilient else None)
-                if instrument:
-                    before = metrics.counter_values("source.roundtrips.")
-                    scheduler_before = metrics.counter_values("scheduler.")
-                    virtual_before = (clock.now() if clock is not None
-                                      else 0.0)
-                with tracer.span("query.run") as run_span, \
-                        WallTimer() as timer:
-                    rows = list(physical.rows())
-                    run_span.set("rows", len(rows))
-                    run_span.set("rows_scanned", counters.rows_scanned)
-            except SourceError:
-                stale = (self.cache.lookup_stale(query)
-                         if resilient and caching and not instrument
-                         else None)
-                if stale is None:
-                    raise
-                # Last line of degradation: the live answer is gone,
-                # but the last known one is not. Serve it, flagged.
-                span.set("cache", "stale")
-                span.set("rows", len(stale.rows))
-                metrics.counter("query.served_stale").inc()
-                metrics.counter("query.degraded_results").inc()
-                return QueryResult(rows=stale.rows, cache_outcome="stale",
-                                   degraded=True)
+            with tracer.span("query.resolve_filters"):
+                ligand_keys, candidates, sub_candidates = \
+                    self._resolve_ligand_filters(query)
+            # Refresh the estimator if statistics went stale
+            # (bulk loads).
+            self.planner.estimator = CardinalityEstimator(
+                self.drugtree.statistics,
+                tables=self.drugtree.tables,
+                metrics=metrics,
+            )
+            with tracer.span("query.plan"):
+                plan = self.planner.plan(query,
+                                         similar_keys=ligand_keys)
+            physical, choice = self._build_physical(
+                plan.logical, counters, root, clock, deadline,
+                statuses if resilient else None)
+            if instrument:
+                before = metrics.counter_values("source.roundtrips.")
+                scheduler_before = metrics.counter_values("scheduler.")
+                virtual_before = (clock.now() if clock is not None
+                                  else 0.0)
+            with tracer.span("query.run") as run_span, \
+                    WallTimer() as timer:
+                rows = list(physical.rows())
+                run_span.set("rows", len(rows))
+                run_span.set("rows_scanned", counters.rows_scanned)
 
             span.set("rows", len(rows))
             degraded = any(status != STATUS_FRESH
@@ -414,7 +393,7 @@ class QueryEngine:
                 # never upgrade a partial result to a future "fresh"
                 # hit.
                 if caching and not degraded:
-                    self.cache.store(query, rows)
+                    self.cache.store(query, rows, version)
                 if degraded:
                     span.set("degraded", True)
                     metrics.counter("query.degraded_results").inc()

@@ -8,11 +8,12 @@ deltas, and renders through the LOD module unless configured for
 full-tree responses (the baselines of experiments E5/E6).
 
 A viewport is rendered once per data version: its payload, encoded full
-frame and visible leaves are memoized, stamped with
-:attr:`DrugTree.data_version`, and shared read-only by every session
-that navigates to it; the frame chosen between two memoized views is
-memoized too. Any overlay mutation bumps the version, so no memoized
-view is served after an insert. Degraded renders are never memoized.
+frame and visible leaves are memoized and shared read-only by every
+session that navigates to it; the frame chosen between two memoized
+views is memoized too. The memos are stamped with
+:attr:`DrugTree.data_version` like every cached answer (see
+:mod:`repro.core.query.cache`), so no memoized view is served after an
+insert. Degraded renders are never memoized.
 
 The server is safe for concurrent use by a worker pool: the bounded,
 LRU-ordered session table is guarded by one table lock, each session's
@@ -85,8 +86,8 @@ class ServerResponse:
     server_wall_s: float
     payload_rows: int = 0
     #: "fresh" for a normal response; "degraded" when the answer was
-    #: downgraded (partial details, reduced LOD), "stale" when served
-    #: from a last-known copy.
+    #: downgraded (partial details, reduced LOD), "stale" for a detail
+    #: card built from the overlay's own columns.
     status: str = "fresh"
 
 
@@ -108,12 +109,9 @@ class _View:
 
 @dataclass
 class _Session:
-    session_id: str
-    focus: str
     #: The view last sent, which the client holds (the delta base).
     view: _View | None = None
-    #: Guards this session's view state (``focus``, ``view``)
-    #: against concurrent gestures on the same session.
+    #: Guards ``view`` against concurrent gestures on the same session.
     lock: threading.RLock = field(default_factory=threading.RLock,
                                   repr=False, compare=False)
 
@@ -145,13 +143,14 @@ class DrugTreeServer:
         #: rather than one waiting on a lock across the round-trip).
         self._details: dict[str, dict[str, Any]] = {}
         self._details_lock = threading.Lock()
-        #: View key -> (data version it was rendered at, view), and
-        #: (previous view serial, next view serial) -> chosen frame.
-        #: Guarded by ``_memo_lock``; renders and encodes run outside
-        #: it (two sessions missing the same view at once both render
-        #: it, and the later store wins).
-        self._views: dict[tuple | None, tuple[int, _View]] = {}
+        #: View key -> view, and (previous view serial, next view
+        #: serial) -> chosen frame, every view rendered at data version
+        #: ``_memo_version``. Guarded by ``_memo_lock``; renders and
+        #: encodes run outside it (two sessions missing the same view
+        #: at once both render it, and the later store wins).
+        self._views: dict[tuple | None, _View] = {}
         self._frames: dict[tuple[int, int], Message] = {}
+        self._memo_version = 0
         self._memo_lock = threading.Lock()
         self._view_serials = itertools.count()
 
@@ -176,7 +175,7 @@ class DrugTreeServer:
         :class:`~repro.errors.UnknownSessionError` so callers reopen.
         """
         session_id = f"s{next(self._session_counter)}"
-        session = _Session(session_id, focus=self._root_name)
+        session = _Session()
         evicted = 0
         with self._sessions_lock:
             self._sessions[session_id] = session
@@ -259,11 +258,7 @@ class DrugTreeServer:
 
     def navigate(self, session_id: str, focus: str) -> ServerResponse:
         """Move the session viewport to *focus* and render it."""
-        session = self._session(session_id)
-        response = self._render(session, focus)
-        with session.lock:
-            session.focus = focus
-        return response
+        return self._render(self._session(session_id), focus)
 
     def query(self, session_id: str, dtql: str) -> ServerResponse:
         """Run a DTQL query on behalf of the session.
@@ -296,8 +291,7 @@ class DrugTreeServer:
                        "cache": result.cache_outcome}
             status = "fresh"
             if result.degraded:
-                status = ("stale" if result.cache_outcome == "stale"
-                          else "degraded")
+                status = "degraded"
                 payload["status"] = status
                 if result.resilience:
                     payload["resilience"] = dict(result.resilience)
@@ -502,22 +496,31 @@ class DrugTreeServer:
         max_depth = self.config.lod_max_depth
         max_nodes = self.config.lod_max_nodes
         key = (focus, max_depth, max_nodes) if self.config.use_lod else None
-        # Read before rendering: a render that races an insert is
-        # stamped with the version before it and never served after.
+        # Read before rendering: a render that races an insert carries
+        # the version before it and is never stored after.
         version = self.drugtree.data_version
         with self._memo_lock:
-            entry = self._views.get(key)
-        if entry is not None and entry[0] == version:
-            return entry[1], True
+            self._restamp(version)
+            view = self._views.get(key)
+        if view is not None:
+            return view, True
         payload = self._render_payload(focus, max_depth, max_nodes)
         view = _View(payload, full_message(payload),
                      self._visible_leaves(payload),
                      next(self._view_serials))
         with self._memo_lock:
-            self._views[key] = (version, view)
-            while len(self._views) > RENDER_MEMO_CAPACITY:
-                self._views.pop(next(iter(self._views)))
+            if version == self._memo_version:  # else older: not stored
+                self._views[key] = view
+                while len(self._views) > RENDER_MEMO_CAPACITY:
+                    self._views.pop(next(iter(self._views)))
         return view, False
+
+    def _restamp(self, version: int) -> None:
+        """Empty the memos if *version* is newer (caller holds the lock)."""
+        if version > self._memo_version:
+            self._memo_version = version
+            self._views.clear()
+            self._frames.clear()
 
     def _frame(self, previous: _View, view: _View) -> tuple[Message, bool]:
         """The frame moving a client from *previous* to *view*, memoized

@@ -15,6 +15,10 @@ entries first; a global-capacity eviction picks its victim among
 tenants at-or-over quota. Under-quota tenants' working sets survive a
 flood by construction (see ``tests/serving/test_cache.py``).
 
+Entries are stamped with :attr:`DrugTree.data_version` like every
+cached answer (see :mod:`repro.core.query.cache`), so no response
+outlives an insert.
+
 Driven by the frontend's deterministic event loop; not thread-safe.
 """
 
@@ -48,6 +52,7 @@ class SharedCacheFront:
         self.capacity = capacity
         self._entries: OrderedDict[Any, _Entry] = OrderedDict()
         self._owned: dict[str, int] = {}
+        self._version = 0  # the data version every entry was computed at
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -70,7 +75,9 @@ class SharedCacheFront:
 
     # -- lookup / insert ----------------------------------------------------
 
-    def get(self, key: Any, tenant_id: str) -> _Entry | None:
+    def get(self, key: Any, tenant_id: str,
+            version: int) -> _Entry | None:
+        self._restamp(version)
         entry = self._entries.get(key)
         metrics = get_metrics()
         if entry is None:
@@ -86,8 +93,11 @@ class SharedCacheFront:
             metrics.counter("serving.cache.cross_tenant_hits").inc()
         return entry
 
-    def put(self, key: Any, tenant_id: str, value: Any,
+    def put(self, key: Any, tenant_id: str, value: Any, version: int,
             cost_s: float = 0.0) -> None:
+        self._restamp(version)
+        if version < self._version:
+            return  # computed before a write this front has seen
         existing = self._entries.get(key)
         if existing is not None:
             # Refresh in place; ownership stays with the first warmer.
@@ -101,6 +111,13 @@ class SharedCacheFront:
             self._evict_over_quota()
         self._entries[key] = _Entry(tenant_id, value, cost_s)
         self._owned[tenant_id] = self.owned(tenant_id) + 1
+
+    def _restamp(self, version: int) -> None:
+        """Empty the front if *version* is newer than its entries'."""
+        if version > self._version:
+            self._version = version
+            self._entries.clear()
+            self._owned.clear()
 
     # -- eviction -----------------------------------------------------------
 

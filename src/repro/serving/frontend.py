@@ -403,8 +403,9 @@ class ServingFrontend:
         """Run one admitted request on a worker timeline."""
         hit_cost = SERVICE_COST_S["hit"]
         key = self._cache_key(request)
+        version = self.server.drugtree.data_version
         if key is not None:
-            entry = self.cache.get(key, request.tenant)
+            entry = self.cache.get(key, request.tenant, version)
             if entry is not None:
                 timeline.advance(hit_cost)
                 self.cost_model.observe(request.kind, hit_cost)
@@ -435,7 +436,7 @@ class ServingFrontend:
         if key is not None and response.status == "fresh":
             # A degraded or stale answer describes the fault, not the
             # data: it must not outlive the fault in a shared cache.
-            self.cache.put(key, request.tenant, response,
+            self.cache.put(key, request.tenant, response, version,
                            cost_s=service)
         return Outcome(request=request, status="ok",
                        cache="miss" if key is not None else "",

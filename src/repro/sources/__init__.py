@@ -51,7 +51,6 @@ from repro.sources.resilience import (
     STATUS_FRESH,
     STATUS_MISSING,
     STATUS_PARTIAL,
-    STATUS_STALE,
     BreakerBoard,
     BreakerConfig,
     CircuitBreaker,
@@ -71,7 +70,6 @@ __all__ = [
     "STATUS_FRESH",
     "STATUS_MISSING",
     "STATUS_PARTIAL",
-    "STATUS_STALE",
     "AnnotationEntry",
     "AnnotationSource",
     "BreakerBoard",

@@ -21,7 +21,7 @@ four primitives the resilient path is built from:
   expired, remaining pages are cancelled instead of charged.
 * :class:`FetchOutcome` + the ``STATUS_*`` constants — the vocabulary of
   graceful degradation: every kind in a resilient fetch is annotated
-  ``fresh`` / ``partial`` / ``stale`` / ``missing`` so partial answers
+  ``fresh`` / ``partial`` / ``missing`` so partial answers
   are *flagged*, never silently passed off as complete.
 
 Everything here runs against a :class:`~repro.sources.clock
@@ -44,19 +44,15 @@ from repro.sources.clock import SimulatedClock
 STATUS_FRESH = "fresh"
 #: Some keys answered, some lost to faults/deadline — flagged partial.
 STATUS_PARTIAL = "partial"
-#: Served from a cache past its freshness horizon (better than nothing).
-STATUS_STALE = "stale"
 #: Nothing could be served for this kind.
 STATUS_MISSING = "missing"
 
 #: Degradation order; a batch's status is the worst of its flushes.
-_STATUS_SEVERITY = {STATUS_FRESH: 0, STATUS_STALE: 1,
-                    STATUS_PARTIAL: 2, STATUS_MISSING: 3}
+_STATUS_SEVERITY = {STATUS_FRESH: 0, STATUS_PARTIAL: 1, STATUS_MISSING: 2}
 
 
 def worst_status(first: str, second: str) -> str:
-    """The more degraded of two statuses (fresh < stale < partial <
-    missing)."""
+    """The more degraded of two statuses (fresh < partial < missing)."""
     if _STATUS_SEVERITY[second] > _STATUS_SEVERITY[first]:
         return second
     return first

@@ -217,13 +217,13 @@ class TestNamedPlants:
                    "repro.core.query.cache.SemanticCache._lookup:misses")
 
     def test_cache_store_without_lock(self):
-        # store's lock also covered its private helper _demote.
+        # store's lock also covered its private helper _restamp.
         result = analyze_with(
             CACHE, unwrapped(CACHE, "SemanticCache", "store", 0))
         prefix = "repro.core.query.cache.SemanticCache."
         assert {f.key for f in result.findings} == {
-            prefix + "store:_entries", prefix + "store:_stale",
-            prefix + "_demote:_stale"}
+            prefix + "store:_entries", prefix + "_restamp:_entries",
+            prefix + "_restamp:_version", prefix + "_restamp:invalidations"}
 
     def test_server_details_update_unlocked(self):
         method = find_method(ast.parse(tree()[0][SERVER]),

@@ -114,11 +114,18 @@ class TestBuildAndDesign:
         assert drugtree.stale_tables() == []
 
     def test_mutation_listener_fires(self, tree):
+        # Every row any overlay table takes bumps the data version once;
+        # reads and rejected inserts leave it alone.
         drugtree = DrugTree(tree)
-        events = []
-        drugtree.add_mutation_listener(lambda: events.append(1))
+        assert drugtree.data_version == 0
         drugtree.add_protein("a")
-        assert events
+        assert drugtree.data_version == 1
+        drugtree.add_binding(BindingRecord("L1", "a", ActivityType.KI, 10.0))
+        assert drugtree.data_version == 2
+        drugtree.bindings_for_protein("a")
+        with pytest.raises(QueryError):
+            drugtree.add_protein("a")
+        assert drugtree.data_version == 2
 
     def test_bindings_for_protein(self, tree):
         drugtree = DrugTree.build(

@@ -1,4 +1,4 @@
-"""Engine-level graceful degradation: deadlines, breakers, stale serves.
+"""Engine-level graceful degradation: deadlines and breakers.
 
 The resilient path is opt-in: a plain federated engine keeps the
 historical raise-on-fault behaviour, and only a caller-supplied
@@ -9,7 +9,7 @@ degrade-don't-raise.
 import pytest
 
 from repro.core import QueryEngine
-from repro.errors import QueryError, SourceUnavailableError
+from repro.errors import QueryError, SourceError, SourceUnavailableError
 from repro.obs import MetricsRegistry, set_metrics
 from repro.sources import (
     BreakerConfig,
@@ -57,6 +57,20 @@ class TestActivation:
         with pytest.raises(QueryError, match="federated"):
             engine.execute("SELECT protein_id FROM proteins",
                            deadline=1.0)
+
+    def test_unserved_kind_raises_when_resilient(self):
+        # Degradation covers faults of sources that exist; a kind no
+        # registered source serves is a configuration error.
+        dataset, drugtree, _ = make_world()
+        gutted = SourceRegistry()
+        gutted.register(dataset.activity_source)
+        engine = QueryEngine(drugtree, federation=FetchScheduler(
+            gutted, clock=dataset.clock, breaker_config=BreakerConfig()))
+        assert engine.federation.degrades()
+        with pytest.raises(SourceError, match="no source serves kind"):
+            engine.execute(REMOTE_QUERY)
+        with pytest.raises(SourceError, match="no source serves kind"):
+            engine.execute(REMOTE_QUERY, deadline=5.0)
 
 
 class TestDegradedExecution:
@@ -117,38 +131,13 @@ class TestCacheInteraction:
         third = engine.execute(REMOTE_QUERY)
         assert third.cache_outcome == "exact"  # the fresh run was cached
 
-    def test_served_stale_when_the_federation_is_lost(self, fresh_metrics):
-        dataset, drugtree, _ = make_world()
-        engine = QueryEngine(
-            drugtree,
-            federation=FetchScheduler(dataset.registry,
-                                      breaker_config=BreakerConfig()),
-        )
-        fresh = engine.execute(REMOTE_QUERY)
-        assert not fresh.degraded
-
-        # Overlay churn demotes the live entry to the stale store, and
-        # the protein source disappears from the registry entirely.
-        engine.cache.invalidate()
-        gutted = SourceRegistry()
-        gutted.register(dataset.activity_source)
-        engine.federation = FetchScheduler(
-            gutted, clock=dataset.clock,
-            breaker_config=BreakerConfig(),
-        )
-
-        result = engine.execute(REMOTE_QUERY)
-        assert result.cache_outcome == "stale"
-        assert result.degraded
-        assert result.rows == fresh.rows
-
     def test_without_resilience_a_lost_federation_raises(self):
         dataset, drugtree, _ = make_world()
         engine = QueryEngine(
             drugtree, federation=FetchScheduler(dataset.registry),
         )
         engine.execute(REMOTE_QUERY)
-        engine.cache.invalidate()
+        drugtree.add_binding(dataset.bindings[0])  # expires the cache
         gutted = SourceRegistry()
         gutted.register(dataset.activity_source)
         engine.federation = FetchScheduler(gutted, clock=dataset.clock)

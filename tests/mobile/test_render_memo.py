@@ -159,16 +159,12 @@ def test_every_render_equals_a_from_scratch_render(world):
 # -- planted bugs: each must fail the property --------------------------------
 
 class StampBlindServer(DrugTreeServer):
-    """Planted bug: a memo hit that ignores the data version, so an
-    insert's new clade summaries never reach a memoized viewport."""
+    """Planted bug: a newer data version is adopted without emptying
+    the memos, so an insert's new clade summaries never reach a
+    memoized viewport."""
 
-    def _view(self, focus):
-        key = (focus, self.config.lod_max_depth, self.config.lod_max_nodes)
-        with self._memo_lock:
-            entry = self._views.get(key)
-        if entry is not None:
-            return entry[1], True
-        return super()._view(focus)
+    def _restamp(self, version):
+        self._memo_version = max(self._memo_version, version)
 
 
 class MemoizesDegradedServer(DrugTreeServer):
@@ -182,7 +178,8 @@ class MemoizesDegradedServer(DrugTreeServer):
                                      next(self._view_serials))
         key = (focus, self.config.lod_max_depth, self.config.lod_max_nodes)
         with self._memo_lock:
-            self._views[key] = (self.drugtree.data_version, shared)
+            self._restamp(self.drugtree.data_version)
+            self._views[key] = shared
         return shared
 
 

@@ -222,6 +222,64 @@ class TestConcurrentHammer:
             assert server.navigate(session_id, focus).message.data \
                 == expected.data, focus
 
+    def test_queries_racing_inserts_never_keep_a_stale_answer(self):
+        # A world of its own: this test inserts bindings. The queries
+        # overlap, so some are answered by subsumption.
+        dataset = build_dataset(DatasetConfig(n_leaves=24, n_ligands=40,
+                                              seed=11))
+        drugtree = dataset.drugtree()
+        server = DrugTreeServer(drugtree)
+        texts = ["SELECT * FROM bindings IN SUBTREE 'clade_0001'",
+                 "SELECT * FROM bindings WHERE p_affinity >= 6.0 "
+                 "IN SUBTREE 'clade_0001'",
+                 "SELECT count(*) FROM bindings IN SUBTREE 'clade_0002'",
+                 "SELECT ligand_id, p_affinity FROM bindings "
+                 "ORDER BY p_affinity DESC LIMIT 5"]
+        session_ids = [server.open_session()[0] for _ in range(4)]
+        proteins = dataset.family.protein_ids
+        errors = []
+
+        def reader(worker):
+            try:
+                for i in range(60):
+                    server.query(session_ids[worker],
+                                 texts[(worker + i) % len(texts)])
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        def inserter():
+            try:
+                for i in range(40):
+                    drugtree.add_binding(BindingRecord(
+                        "LIG00000", proteins[i % len(proteins)],
+                        ActivityType.KI, 10.0 + i))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(worker,))
+                       for worker in range(4)]
+            threads.append(threading.Thread(target=inserter))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+        # No answer filled before an insert survives it: the shared
+        # cache answers every text as an uncached engine does now.
+        fresh = DrugTreeServer(drugtree)
+        fresh_id, _ = fresh.open_session()
+        for dtql in texts:
+            shared = server.query(session_ids[0], dtql).message.payload()
+            assert shared["rows"] == fresh.query(
+                fresh_id, dtql).message.payload()["rows"], dtql
+
     def test_parallel_opens_respect_the_bound(self, drugtree,
                                               monkeypatch):
         monkeypatch.setattr(server_module, "MAX_SESSIONS", 8)

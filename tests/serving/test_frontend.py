@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from repro.chem import ActivityType, BindingRecord
 from repro.errors import OverloadError, ServingError
+from repro.mobile.lod import render_viewport
+from repro.mobile.protocol import full_message
 from repro.mobile.server import DrugTreeServer, ServerConfig
 from repro.obs import MetricsRegistry, get_metrics, set_metrics
 from repro.serving import (
@@ -209,6 +212,41 @@ class TestServing:
         report = frontend.run(_renders("a", 3))
         payload = report.as_dict()
         assert json.loads(json.dumps(payload)) == payload
+
+
+class TestCacheFrontAcrossAnInsert:
+    """No front entry outlives a write to the overlay."""
+
+    def test_query_and_render_entries_expire_with_the_data_version(self):
+        dataset, server = _world()
+        drugtree = server.drugtree
+        clade = dataset.family.clade_names[1]
+        text = f"SELECT * FROM bindings IN SUBTREE '{clade}'"
+        frontend = _frontend(dataset, server, workers=1)
+
+        def requests(at_s):
+            return [Request(tenant="a", session="a-u0", kind=kind,
+                            target=target, arrival_s=at_s + offset)
+                    for offset, kind, target in ((0.0, "query", text),
+                                                 (1.0, "render", clade))]
+
+        frontend.run(requests(0.0))
+        frontend.run(requests(10.0))
+        assert [o.cache for o in frontend.outcomes] == ["hit", "hit"]
+        before = frontend.outcomes[0].rows
+        leaf = next(name for name in drugtree.tree.leaf_names()
+                    if drugtree.labeling.is_ancestor(clade, name))
+        drugtree.add_binding(BindingRecord("LIG00000", leaf,
+                                           ActivityType.KI, 5.0))
+
+        frontend.run(requests(20.0))
+        assert [o.cache for o in frontend.outcomes] == ["miss", "miss"]
+        assert frontend.outcomes[0].rows == before + 1
+        # What the front holds now is the post-insert render.
+        entry = frontend.cache.get(("render", clade), "a",
+                                   drugtree.data_version)
+        assert entry.value.message.data == full_message(
+            render_viewport(drugtree, clade)).data
 
 
 class TestCacheFrontUnderFaults:

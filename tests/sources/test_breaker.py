@@ -223,10 +223,11 @@ class TestDeadline:
 
 class TestStatuses:
     def test_worst_status_ordering(self):
-        assert worst_status("fresh", "stale") == "stale"
-        assert worst_status("stale", "fresh") == "stale"
-        assert worst_status("stale", "partial") == "partial"
+        assert worst_status("fresh", "partial") == "partial"
+        assert worst_status("partial", "fresh") == "partial"
+        assert worst_status("fresh", "missing") == "missing"
         assert worst_status("partial", "missing") == "missing"
+        assert worst_status("missing", "partial") == "missing"
         assert worst_status("fresh", "fresh") == "fresh"
 
     def test_outcome_degraded_and_summary(self):
