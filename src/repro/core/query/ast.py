@@ -14,6 +14,7 @@ these dataclasses; programmatic callers can build them directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.core.overlay import (
@@ -395,7 +396,12 @@ class Query:
                      if c in REMOTE_DETAIL_COLUMNS)
 
     def signature(self) -> str:
-        """Canonical text form (used as the semantic-cache key base)."""
+        """Canonical text form (the semantic-cache key), rendered once
+        per query: a frozen query's text never changes."""
+        return self._signature
+
+    @cached_property
+    def _signature(self) -> str:
         parts = [
             "SELECT",
             ", ".join(

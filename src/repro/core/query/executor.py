@@ -9,7 +9,9 @@ benchmarks aggregate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.chem.fingerprint import circular_fingerprint, tanimoto
@@ -75,10 +77,29 @@ from repro.sources.resilience import STATUS_FRESH, Deadline
 from repro.storage.index import SortedIndex
 
 
+#: DTQL texts whose analysis one engine keeps before it drops the
+#: oldest. A text's analysis depends on nothing but the text and the
+#: static catalog, so no write ever makes a kept one stale.
+ANALYSIS_MEMO_CAPACITY = 1024
+
+
 def _intake(query: Query | str) -> Query:
     """DTQL text parsed once, where no analyzer parses it (analysis
     off, the cluster router); the query keeps its tokens for spans."""
     return parse_query(query) if isinstance(query, str) else query
+
+
+def _token_free(report):
+    """*report* with its queries' parser tokens dropped: what the
+    analysis memo keeps (every span is already on the diagnostics)."""
+    query = report.query
+    if query is None:
+        return report
+    slim = replace(query, tokens=())
+    folded = report.folded
+    if folded is not None:
+        folded = slim if folded is query else replace(folded, tokens=())
+    return replace(report, query=slim, folded=folded)
 
 
 @dataclass(frozen=True)
@@ -183,25 +204,23 @@ class QueryEngine:
         #: Per-engine overrides; ``None`` means the process-wide default.
         self.tracer = tracer
         self.metrics = metrics
-        self._analyzer = None  # built lazily; see the analyzer property
+        # Imported here: repro.analysis imports the query parser, so a
+        # module-level import would be circular.
+        from repro.analysis.dtql import SemanticAnalyzer
+        self.analyzer = SemanticAnalyzer()
+        #: DTQL text -> its token-free analysis report, oldest first.
+        #: Guarded by ``_lock``, a leaf that also covers the planner's
+        #: estimator swap; no check, plan or run happens under it (two
+        #: threads missing one text both check it, the later store
+        #: wins).
+        self._analyses: OrderedDict[str, Any] = OrderedDict()
+        self._lock = threading.Lock()
 
     def _obs_tracer(self):
         return self.tracer if self.tracer is not None else get_tracer()
 
     def _obs_metrics(self):
         return self.metrics if self.metrics is not None else get_metrics()
-
-    @property
-    def analyzer(self):
-        """The engine's semantic analyzer (built on first use).
-
-        Imported lazily: :mod:`repro.analysis` imports the query parser,
-        so a module-level import here would be circular.
-        """
-        if self._analyzer is None:
-            from repro.analysis.dtql import SemanticAnalyzer
-            self._analyzer = SemanticAnalyzer()
-        return self._analyzer
 
     # -- public API ------------------------------------------------------------
 
@@ -211,7 +230,7 @@ class QueryEngine:
 
     def _analyze_query(self, query: Query | str):
         """The front end of ``execute``, ``analyze`` and ``explain``:
-        ``(query to plan, analysis report)``.
+        ``(query to plan, analysis report, "memo" | "fresh" | "off")``.
 
         The analyzer parses text, resolves names, checks types, folds,
         and proves emptiness; its errors stop the query here, carried
@@ -220,8 +239,8 @@ class QueryEngine:
         is planned and the report is None.
         """
         if not self.config.use_semantic_analysis:
-            return _intake(query), None
-        report = self.analyzer.check(query)
+            return _intake(query), None, "off"
+        report, analyzed = self._analysis(query)
         if report.errors:
             error = ParseError if report.query is None else QueryError
             raise error(
@@ -229,7 +248,24 @@ class QueryEngine:
                 + "; ".join(d.render() for d in report.errors),
                 diagnostics=report.errors,
             )
-        return report.folded, report
+        return report.folded, report, analyzed
+
+    def _analysis(self, query: Query | str):
+        """``(report, "memo" | "fresh")``: DTQL text is analyzed once
+        per engine, rejected text included (its report carries the
+        diagnostics); a query built in code is checked every time."""
+        if not isinstance(query, str):
+            return self.analyzer.check(query), "fresh"
+        with self._lock:
+            report = self._analyses.get(query)
+        if report is not None:
+            return report, "memo"
+        report = _token_free(self.analyzer.check(query))
+        with self._lock:
+            self._analyses[query] = report
+            while len(self._analyses) > ANALYSIS_MEMO_CAPACITY:
+                self._analyses.popitem(last=False)
+        return report, "fresh"
 
     def _as_deadline(self, deadline) -> Deadline | None:
         """Accept a :class:`Deadline` or a float budget in virtual
@@ -255,9 +291,10 @@ class QueryEngine:
         """
         metrics = self._obs_metrics()
         timer = WallTimer().start()
-        query, analysis = self._analyze_query(query)
+        query, analysis, analyzed = self._analyze_query(query)
         metrics.counter("query.executed").inc()
-        result = self._run(query, analysis, deadline, instrument=False)
+        result = self._run(query, analysis, analyzed, deadline,
+                           instrument=False)
         result.wall_time_s = timer.stop()
         metrics.histogram("query.wall_s").observe(result.wall_time_s)
         metrics.counter("query.rows_returned").inc(len(result.rows))
@@ -266,7 +303,7 @@ class QueryEngine:
     def explain(self, query: Query | str) -> str:
         """The plan the engine would run, as indented text; for a query
         the analyzer proves empty, its ``-- analysis:`` lines instead."""
-        query, analysis = self._analyze_query(query)
+        query, analysis, _ = self._analyze_query(query)
         if analysis is not None and analysis.provably_empty:
             return "\n".join(f"-- analysis: {line}"
                              for line in analysis.summary_lines())
@@ -285,10 +322,12 @@ class QueryEngine:
         metrics registry, so remote traffic during execution (or its
         absence — the point of the integrated overlay) is visible.
         """
-        query, analysis = self._analyze_query(query)
-        return self._run(query, analysis, deadline, instrument=True)
+        query, analysis, analyzed = self._analyze_query(query)
+        return self._run(query, analysis, analyzed, deadline,
+                         instrument=True)
 
-    def _run(self, query: Query, analysis, deadline, instrument: bool):
+    def _run(self, query: Query, analysis, analyzed: str, deadline,
+             instrument: bool):
         """The one query path behind ``execute`` and ``analyze``, given
         what :meth:`_analyze_query` returned.
 
@@ -310,6 +349,7 @@ class QueryEngine:
             missed = "off (semantic cache disabled)" if instrument else "off"
         with tracer.span("query.explain_analyze" if instrument
                          else "query.execute") as span:
+            span.set("analysis", analyzed)
             if analysis is not None and analysis.provably_empty:
                 # The WHERE clause cannot be satisfied: answer without
                 # planning, scanning, resolving similarity filters, or
@@ -317,7 +357,7 @@ class QueryEngine:
                 from repro.analysis.dtql import empty_result_rows
                 with WallTimer() as timer:
                     rows = empty_result_rows(query)
-                span.set("analysis", "short_circuit")
+                span.set("provably_empty", True)
                 span.set("rows", len(rows))
                 metrics.counter("query.analysis_short_circuit").inc()
                 counters = {"rows_scanned": 0, "rows_emitted": len(rows),
@@ -363,11 +403,13 @@ class QueryEngine:
                     self._resolve_ligand_filters(query)
             # Refresh the estimator if statistics went stale
             # (bulk loads).
-            self.planner.estimator = CardinalityEstimator(
+            estimator = CardinalityEstimator(
                 self.drugtree.statistics,
                 tables=self.drugtree.tables,
                 metrics=metrics,
             )
+            with self._lock:
+                self.planner.estimator = estimator
             with tracer.span("query.plan"):
                 plan = self.planner.plan(query,
                                          similar_keys=ligand_keys)

@@ -217,12 +217,15 @@ class TestNamedPlants:
                    "repro.core.query.cache.SemanticCache._lookup:misses")
 
     def test_cache_store_without_lock(self):
-        # store's lock also covered its private helper _restamp.
+        # store's lock also covered its private helpers _restamp and
+        # _touch.
         result = analyze_with(
             CACHE, unwrapped(CACHE, "SemanticCache", "store", 0))
         prefix = "repro.core.query.cache.SemanticCache."
         assert {f.key for f in result.findings} == {
-            prefix + "store:_entries", prefix + "_restamp:_entries",
+            prefix + "store:_entries", prefix + "store:_subsumers",
+            prefix + "_touch:_entries", prefix + "_touch:_subsumers",
+            prefix + "_restamp:_entries", prefix + "_restamp:_subsumers",
             prefix + "_restamp:_version", prefix + "_restamp:invalidations"}
 
     def test_server_details_update_unlocked(self):

@@ -1,8 +1,11 @@
 """Tests for the semantic query-result cache."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bio import parse_newick
+from repro.core import QueryEngine
 from repro.core.labeling import IntervalLabeling
 from repro.core.query.ast import (
     AggregateSpec,
@@ -13,6 +16,7 @@ from repro.core.query.ast import (
 )
 from repro.core.query.cache import SemanticCache
 from repro.errors import QueryError
+from repro.workloads import DatasetConfig, build_dataset
 
 
 @pytest.fixture
@@ -179,3 +183,140 @@ class TestLifecycle:
     def test_capacity_validation(self, cache):
         with pytest.raises(QueryError):
             SemanticCache(cache.labeling, capacity=0)
+
+
+BROAD = Query(predicates=(Comparison("p_affinity", ">=", 6.0),))
+NARROW = Query(predicates=(Comparison("p_affinity", ">=", 8.0),))
+
+
+def _exact_only(i):
+    """An aggregate: reusable for its own signature only."""
+    return Query(aggregates=(AggregateSpec("count", "*"),),
+                 predicates=(Comparison("hbd", "=", i),))
+
+
+class TestRowsAreNeverShared:
+    def test_a_store_keeps_its_own_copy(self, cache):
+        rows = _rows()
+        cache.store(Query(limit=3), rows, 0)
+        rows[0]["p_affinity"] = -1.0
+        assert cache.lookup(Query(limit=3), 0).rows == _rows()
+
+    def test_an_exact_hit_hands_out_copies(self, cache):
+        cache.store(Query(limit=3), _rows(), 0)
+        cache.lookup(Query(limit=3), 0).rows[0]["p_affinity"] = -1.0
+        assert cache.lookup(Query(limit=3), 0).rows == _rows()
+
+    def test_a_hit_keeps_every_row_s_column_order(self, cache):
+        # Packed as one column tuple when the rows share an order,
+        # kept as dicts when they do not: either way, as stored.
+        for rows in (_rows(),
+                     [{"ligand_id": "L1", "p_affinity": 7.5},
+                      {"p_affinity": 6.0, "ligand_id": "L2"}]):
+            cache.store(Query(limit=9), rows, 0)
+            hit = cache.lookup(Query(limit=9), 0)
+            assert hit.rows == rows
+            assert [list(row) for row in hit.rows] \
+                == [list(row) for row in rows]
+
+    def test_mutating_an_engine_result_leaves_the_next_hit_intact(self):
+        dataset = build_dataset(DatasetConfig(n_leaves=12, n_ligands=12,
+                                              seed=17))
+        engine = QueryEngine(dataset.drugtree())
+        text = ("SELECT ligand_id, p_affinity FROM bindings "
+                "ORDER BY p_affinity DESC LIMIT 5")
+        first = engine.execute(text)
+        expected = [dict(row) for row in first.rows]
+        first.rows[0]["p_affinity"] = -1.0
+        second = engine.execute(text)
+        assert second.cache_outcome == "exact"
+        assert second.rows == expected
+        second.rows[0]["p_affinity"] = -1.0
+        assert engine.execute(text).rows == expected
+
+
+class ScanEveryEntry(SemanticCache):
+    """Planted: every entry joins the subsumer map, so a miss tests
+    them all (answers stay right: ``_subsumes`` still rejects them)."""
+
+    def store(self, query, rows, version):
+        super().store(query, rows, version)
+        with self._lock:
+            if query.signature() in self._entries:
+                self._subsumers[query.signature()] = query
+
+
+def assert_a_miss_tests_only_subsumers(cache_class, labeling,
+                                       monkeypatch):
+    cache = cache_class(labeling, capacity=2000)
+    cache.store(BROAD, _rows(), 0)
+    for i in range(1000):
+        cache.store(_exact_only(i), [{"count_all": i}], 0)
+    calls = []
+    subsumes = SemanticCache._subsumes
+
+    def counting(self, cached, query):
+        calls.append(cached)
+        return subsumes(self, cached, query)
+
+    monkeypatch.setattr(SemanticCache, "_subsumes", counting)
+    loose = Query(predicates=(Comparison("p_affinity", ">=", 2.0),))
+    assert cache.lookup(loose, 0) is None
+    assert calls == [BROAD]
+
+
+class TestSubsumerMap:
+    def test_a_subsumer_is_found_behind_a_thousand_exact_entries(
+            self, cache):
+        big = SemanticCache(cache.labeling, capacity=2000)
+        big.store(BROAD, _rows(), 0)
+        for i in range(1000):
+            big.store(_exact_only(i), [{"count_all": i}], 0)
+        assert len(big) == 1001
+        hit = big.lookup(NARROW, 0)
+        assert hit.kind == "subsumed"
+        assert [row["ligand_id"] for row in hit.rows] == ["L3"]
+        assert big.lookup(_exact_only(999), 0).rows == [{"count_all": 999}]
+
+    def test_a_miss_tests_only_the_subsumers(self, cache, monkeypatch):
+        assert_a_miss_tests_only_subsumers(SemanticCache, cache.labeling,
+                                           monkeypatch)
+
+    def test_planted_scan_of_every_entry_fails_the_count(self, cache,
+                                                         monkeypatch):
+        with pytest.raises(AssertionError):
+            assert_a_miss_tests_only_subsumers(
+                ScanEveryEntry, cache.labeling, monkeypatch)
+
+    def test_lru_eviction_empties_both_maps(self, cache):
+        cache.store(BROAD, _rows(), 0)
+        for i in range(8):
+            cache.store(_exact_only(i), [{"count_all": i}], 0)
+        assert len(cache) == 8
+        assert not cache._subsumers
+        assert cache.lookup(NARROW, 0) is None
+
+    def test_a_hit_keeps_a_subsumer_from_eviction(self, cache):
+        cache.store(BROAD, _rows(), 0)
+        for i in range(7):
+            cache.store(_exact_only(i), [{"count_all": i}], 0)
+        assert cache.lookup(NARROW, 0).kind == "subsumed"  # touches BROAD
+        cache.store(_exact_only(7), [{"count_all": 7}], 0)
+        assert cache.lookup(_exact_only(0), 0) is None  # the oldest went
+        assert list(cache._subsumers) == [BROAD.signature()]
+
+    def test_a_restamp_empties_both_maps(self, cache):
+        cache.store(BROAD, _rows(), 0)
+        cache.store(_exact_only(0), [{"count_all": 0}], 0)
+        assert cache.lookup(NARROW, 1) is None
+        assert len(cache) == 0
+        assert not cache._subsumers
+
+
+class TestSignature:
+    def test_rendered_once_per_query(self):
+        assert BROAD.signature() is BROAD.signature()
+        assert BROAD == Query(predicates=(Comparison("p_affinity", ">=",
+                                                     6.0),))
+        assert replace(BROAD, limit=3).signature() \
+            == BROAD.signature() + " LIMIT 3"
