@@ -48,7 +48,12 @@ from repro.errors import StorageError
 from repro.faults import CrashPoint, FaultSchedule
 from repro.obs import get_metrics, get_tracer
 from repro.storage.durable.memtable import TOMBSTONE, MemTable
-from repro.storage.durable.sstable import SSTableReader, write_sstable
+from repro.storage.durable.sstable import (
+    JSON_DECODER,
+    JSON_ENCODER,
+    SSTableReader,
+    write_sstable,
+)
 from repro.storage.durable.wal import WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -151,7 +156,8 @@ class Database:
         self.recovery = RecoveryReport()
         self.compactions = 0
         self.tombstones_collected = 0
-        self._in_batch = False
+        #: Open :meth:`batch` groups; the outermost one commits.
+        self._batch_depth = 0
         self._closed = False
         self._recover()
         self.wal = WriteAheadLog(
@@ -217,7 +223,7 @@ class Database:
                 os.path.join(self.data_dir, WAL_NAME)
             )
             for payload in payloads:
-                record = json.loads(payload)
+                record = JSON_DECODER.decode(payload.decode("utf-8"))
                 value = (TOMBSTONE if record["op"] == "del"
                          else record["value"])
                 self.memtable.put(record["key"], value, len(payload))
@@ -253,29 +259,35 @@ class Database:
         self._log({"op": "del", "key": key})
 
     def _log(self, record: dict[str, Any]) -> None:
-        payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
-        self.wal.append(payload, defer_sync=self._in_batch)
+        payload = JSON_ENCODER.encode(record).encode("utf-8")
+        in_batch = self._batch_depth > 0
+        self.wal.append(payload, defer_sync=in_batch)
         value = TOMBSTONE if record["op"] == "del" else record["value"]
         self.memtable.put(record["key"], value, len(payload))
         get_metrics().gauge("memtable.bytes").set(self.memtable.bytes)
         self._crash("db.after_append")
-        if not self._in_batch \
+        if not in_batch \
                 and self.memtable.bytes >= self.config.memtable_flush_bytes:
             self.flush()
 
     class _Batch:
-        """Group commit: one fsync (and flush check) per batch."""
+        """Group commit: one fsync (and flush check) per batch.
+
+        Batches nest: a group opened inside another (a table delete
+        logs its tombstone and watermark as one) joins it, and only the
+        outermost exit syncs and may flush.
+        """
 
         def __init__(self, db: "Database") -> None:
             self.db = db
 
         def __enter__(self) -> "Database":
-            self.db._in_batch = True
+            self.db._batch_depth += 1
             return self.db
 
         def __exit__(self, exc_type, exc, tb) -> None:
-            self.db._in_batch = False
-            if exc_type is None:
+            self.db._batch_depth -= 1
+            if exc_type is None and not self.db._batch_depth:
                 self.db.wal.sync()
                 if self.db.memtable.bytes \
                         >= self.db.config.memtable_flush_bytes:
@@ -305,14 +317,14 @@ class Database:
         newest version of each key wins; tombstoned keys are dropped.
         Segment-id recency is sound because compaction always consumes
         *whole* levels: a merged segment's id is newer than everything
-        it replaced.
+        it replaced. Each segment is read only across *prefix*'s keys
+        (:meth:`SSTableReader.scan`), so scanning every table in turn
+        decodes each stored value once.
         """
         merged: dict[str, Any] = {}
         for segment in sorted(self.segments,
                               key=lambda s: s.segment_id):
-            for key, value in segment.reader.entries():
-                if key.startswith(prefix):
-                    merged[key] = value
+            merged.update(segment.reader.scan(prefix))
         for key in self.memtable.keys():
             if key.startswith(prefix):
                 merged[key] = self.memtable.get(key)
@@ -389,8 +401,7 @@ class Database:
                          inputs=len(merging)) as span:
             merged: dict[str, Any] = {}
             for segment in sorted(merging, key=lambda s: s.segment_id):
-                for key, value in segment.reader.entries():
-                    merged[key] = value
+                merged.update(segment.reader.entries())
             items = []
             dropped = 0
             for key in sorted(merged):
@@ -508,37 +519,60 @@ def _table_meta(items: list[tuple[str, Any]]) -> dict[str, Any]:
     a position whose values are all NULL stores ``null``, which any
     comparison predicate refutes outright (NULL never matches).
     """
-    tables: dict[str, dict[str, Any]] = {}
+    groups: dict[str, tuple[list[str], list[list]]] = {}
     for key, value in items:
         if value is TOMBSTONE or not key.startswith("t/") \
                 or not isinstance(value, list):
             continue  # zone maps only describe positional row values
-        table, rid = parse_row_key(key)
-        meta = tables.get(table)
-        if meta is None:
-            meta = tables[table] = {
-                "rid_min": rid, "rid_max": rid,
-                "zones": [None] * len(value),
-            }
-        else:
-            meta["rid_min"] = min(meta["rid_min"], rid)
-            meta["rid_max"] = max(meta["rid_max"], rid)
-            if len(meta["zones"]) < len(value):
-                meta["zones"].extend(
-                    [None] * (len(value) - len(meta["zones"]))
-                )
-        for position, cell in enumerate(value):
-            if cell is None:
-                continue
-            zone = meta["zones"][position]
-            if zone is None:
-                meta["zones"][position] = [cell, cell]
-            else:
-                if _zone_less(cell, zone[0]):
-                    zone[0] = cell
-                if _zone_less(zone[1], cell):
-                    zone[1] = cell
+        _, table, rid = key.split("/", 2)
+        group = groups.get(table)
+        if group is None:
+            group = groups[table] = ([], [])
+        group[0].append(rid)
+        group[1].append(value)
+    tables: dict[str, dict[str, Any]] = {}
+    for table, (rids, rows) in groups.items():
+        row_ids = list(map(int, rids))
+        tables[table] = {"rid_min": min(row_ids), "rid_max": max(row_ids),
+                         "zones": _zones(rows)}
     return tables
+
+
+#: Cell types :func:`_zones` may take ``min``/``max`` over directly:
+#: within each set every pair is comparable, as :func:`_zone_less` has it.
+_ONE_KIND = (frozenset({int, float}), frozenset({bool}), frozenset({str}))
+
+
+def _zones(rows: list[list]) -> list[list[Any] | None]:
+    """``[min, max]`` of each column position over non-NULL cells.
+
+    A column whose cells are all one kind (numbers, bools or strings)
+    takes ``min``/``max``, which keep the first of equal extremes just
+    as the cell-by-cell fold does; any other column folds cell by cell
+    through :func:`_zone_less`, which skips incomparable pairs.
+    """
+    width = max(map(len, rows))
+    if min(map(len, rows)) == width:
+        columns = zip(*rows)
+    else:
+        columns = ([row[position] for row in rows if position < len(row)]
+                   for position in range(width))
+    zones: list[list[Any] | None] = []
+    for cells in columns:
+        present = [cell for cell in cells if cell is not None]
+        if not present:
+            zones.append(None)
+        elif any(set(map(type, present)) <= kind for kind in _ONE_KIND):
+            zones.append([min(present), max(present)])
+        else:
+            low = high = present[0]
+            for cell in present:
+                if _zone_less(cell, low):
+                    low = cell
+                if _zone_less(high, cell):
+                    high = cell
+            zones.append([low, high])
+    return zones
 
 
 def _zone_less(left: Any, right: Any) -> bool:

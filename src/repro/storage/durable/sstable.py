@@ -10,8 +10,8 @@ key order. The JSON footer carries everything a reader needs without
 scanning the data area:
 
 * ``block_index`` — ``[first_key, offset]`` pairs, one per
-  ``block_bytes`` of entries, so point lookups seek to one block and
-  scan at most a block's worth of entries;
+  ``block_bytes`` of entries, so point lookups read one block and
+  prefix scans read only the blocks their keys can occupy;
 * ``bloom`` — a bloom filter over every key (tombstones included), so
   lookups for absent keys skip the file without touching the data area;
 * ``min_key`` / ``max_key`` — the segment's key range;
@@ -29,8 +29,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import struct
+from bisect import bisect_right
+from collections.abc import Iterator
 from typing import Any
 
 from repro.errors import StorageError
@@ -38,6 +41,13 @@ from repro.storage.durable.memtable import TOMBSTONE
 
 _ENTRY = struct.Struct("<BII")  # flag, key length, value length
 _FOOTER_LEN = struct.Struct("<Q")
+
+#: The one codec of entry values and WAL records (footers are written
+#: with the encoder too): compact separators, everything else JSON's
+#: defaults — the bytes ``json.dumps(value, separators=(",", ":"))``
+#: writes, without building an encoder per value.
+JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
+JSON_DECODER = json.JSONDecoder()
 
 _FLAG_PUT = 0
 _FLAG_TOMBSTONE = 1
@@ -86,15 +96,6 @@ class BloomFilter:
         return cls(data["m"], data["k"], bytearray.fromhex(data["bits"]))
 
 
-def _encode_entry(key: str, value: Any) -> bytes:
-    key_bytes = key.encode("utf-8")
-    if value is TOMBSTONE:
-        return _ENTRY.pack(_FLAG_TOMBSTONE, len(key_bytes), 0) + key_bytes
-    value_bytes = json.dumps(value, separators=(",", ":")).encode("utf-8")
-    return (_ENTRY.pack(_FLAG_PUT, len(key_bytes), len(value_bytes))
-            + key_bytes + value_bytes)
-
-
 def write_sstable(path: str, items: list[tuple[str, Any]],
                   meta: dict[str, Any] | None = None,
                   block_bytes: int = 4096) -> None:
@@ -104,39 +105,46 @@ def write_sstable(path: str, items: list[tuple[str, Any]],
     mid-write leaves a file the manifest never references (recovery
     removes such orphans).
     """
-    if items and any(items[i][0] >= items[i + 1][0]
-                     for i in range(len(items) - 1)):
+    keys = [key for key, _ in items]
+    if any(map(operator.ge, keys, keys[1:])):
         raise StorageError("sstable items must be strictly sorted by key")
     bloom = BloomFilter.for_count(max(1, len(items)))
+    encode = JSON_ENCODER.encode
+    pack = _ENTRY.pack
+    parts: list[bytes] = []
     block_index: list[tuple[str, int]] = []
     offset = 0
-    block_start: int | None = None
+    block_start = -block_bytes  # the first entry opens the first block
     tombstones = 0
+    for key, value in items:
+        bloom.add(key)
+        key_bytes = key.encode("utf-8")
+        if value is TOMBSTONE:
+            tombstones += 1
+            entry = pack(_FLAG_TOMBSTONE, len(key_bytes), 0) + key_bytes
+        else:
+            value_bytes = encode(value).encode("utf-8")
+            entry = (pack(_FLAG_PUT, len(key_bytes), len(value_bytes))
+                     + key_bytes + value_bytes)
+        if offset - block_start >= block_bytes:
+            block_index.append((key, offset))
+            block_start = offset
+        parts.append(entry)
+        offset += len(entry)
+    footer = {
+        "block_index": block_index,
+        "bloom": bloom.as_dict(),
+        "min_key": keys[0] if keys else None,
+        "max_key": keys[-1] if keys else None,
+        "count": len(items),
+        "tombstones": tombstones,
+        "data_end": offset,
+        "meta": meta or {},
+    }
+    footer_bytes = JSON_ENCODER.encode(footer).encode("utf-8")
+    parts += (footer_bytes, _FOOTER_LEN.pack(len(footer_bytes)))
     with open(path, "wb") as handle:
-        for key, value in items:
-            bloom.add(key)
-            if value is TOMBSTONE:
-                tombstones += 1
-            if block_start is None or offset - block_start >= block_bytes:
-                block_index.append((key, offset))
-                block_start = offset
-            encoded = _encode_entry(key, value)
-            handle.write(encoded)
-            offset += len(encoded)
-        footer = {
-            "block_index": block_index,
-            "bloom": bloom.as_dict(),
-            "min_key": items[0][0] if items else None,
-            "max_key": items[-1][0] if items else None,
-            "count": len(items),
-            "tombstones": tombstones,
-            "data_end": offset,
-            "meta": meta or {},
-        }
-        footer_bytes = json.dumps(
-            footer, separators=(",", ":")).encode("utf-8")
-        handle.write(footer_bytes)
-        handle.write(_FOOTER_LEN.pack(len(footer_bytes)))
+        handle.write(b"".join(parts))
         handle.flush()
         os.fsync(handle.fileno())
 
@@ -168,17 +176,13 @@ class SSTableReader:
         self.data_end: int = footer["data_end"]
         self.meta: dict[str, Any] = footer["meta"]
         self.size_bytes = size
+        #: Each block's first key, and its data offset (one more
+        #: offset: the end of the data area), for bisecting.
+        self._first_keys = [key for key, _ in self.block_index]
+        self._edges = [offset for _, offset in self.block_index] \
+            + [self.data_end]
 
     # -- reads -------------------------------------------------------------
-
-    def _block_offset(self, key: str) -> int | None:
-        """Data offset of the block that could hold *key*."""
-        candidate: int | None = None
-        for first_key, offset in self.block_index:
-            if first_key > key:
-                break
-            candidate = offset
-        return candidate
 
     def get(self, key: str) -> tuple[bool, Any]:
         """``(found, value-or-TOMBSTONE)`` for *key* in this segment."""
@@ -186,34 +190,59 @@ class SSTableReader:
             return False, None
         if not self.bloom.might_contain(key):
             return False, None
-        offset = self._block_offset(key)
-        if offset is None:
+        block = bisect_right(self._first_keys, key) - 1
+        if block < 0:
             return False, None
-        for entry_key, value in self._entries_from(offset):
-            if entry_key == key:
-                return True, value
-            if entry_key > key:
-                break
-        return False, None
+        entry = next(self._entries(self._edges[block],
+                                   self._edges[block + 1], key), None)
+        if entry is None or entry[0] != key:
+            return False, None
+        return True, entry[1]
 
-    def _entries_from(self, offset: int):
-        with open(self.path, "rb") as handle:
-            handle.seek(offset)
-            position = offset
-            while position < self.data_end:
-                header = handle.read(_ENTRY.size)
-                flag, key_len, value_len = _ENTRY.unpack(header)
-                key = handle.read(key_len).decode("utf-8")
-                if flag == _FLAG_TOMBSTONE:
-                    yield key, TOMBSTONE
-                else:
-                    yield key, json.loads(handle.read(value_len))
-                position += _ENTRY.size + key_len + value_len
+    def scan(self, prefix: str = "") -> Iterator[tuple[str, Any]]:
+        """``(key, value-or-TOMBSTONE)`` of every key starting with
+        *prefix*, in key order. Reads from the block that could hold
+        the first such key to the first block that starts past them,
+        and decodes only their values."""
+        if not self.count:
+            return
+        first_keys = self._first_keys
+        above = bisect_right(first_keys, prefix)
+        stop = above
+        while stop < len(first_keys) and first_keys[stop].startswith(prefix):
+            stop += 1
+        yield from self._entries(self._edges[max(above - 1, 0)],
+                                 self._edges[stop], prefix)
 
-    def entries(self):
+    def entries(self) -> Iterator[tuple[str, Any]]:
         """Every ``(key, value-or-TOMBSTONE)`` in key order."""
-        if self.count:
-            yield from self._entries_from(self.block_index[0][1])
+        return self.scan()
+
+    def _entries(self, start: int, end: int,
+                 prefix: str) -> Iterator[tuple[str, Any]]:
+        """The entries of data bytes ``[start, end)`` whose key starts
+        with *prefix*: one read, keys below *prefix* skipped without
+        decoding their value, the walk ended by the first key past it."""
+        with open(self.path, "rb") as handle:
+            handle.seek(start)
+            data = handle.read(end - start)
+        decode = JSON_DECODER.decode
+        unpack = _ENTRY.unpack_from
+        header = _ENTRY.size
+        position = 0
+        while position < len(data):
+            flag, key_len, value_len = unpack(data, position)
+            key_end = position + header + key_len
+            key = data[position + header:key_end].decode("utf-8")
+            position = key_end + value_len
+            if key < prefix:
+                continue
+            if not key.startswith(prefix):
+                return
+            if flag == _FLAG_TOMBSTONE:
+                yield key, TOMBSTONE
+            else:
+                yield key, decode(data[key_end:position].decode("utf-8"))
 
     def __repr__(self) -> str:
         return (f"SSTableReader({self.path!r}, count={self.count}, "

@@ -10,9 +10,10 @@ Two access structures cover every plan the optimizer produces:
 
 from __future__ import annotations
 
-import bisect
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterator
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterable, Iterator
+from operator import itemgetter
 from typing import Any
 
 from repro.errors import StorageError
@@ -40,6 +41,11 @@ class Index(ABC):
     @abstractmethod
     def lookup(self, key: Any) -> list[int]:
         """Row ids with exactly this key."""
+
+    def load(self, entries: Iterable[tuple[Any, int]]) -> None:
+        """Add ``(key, row_id)`` *entries* (a backfill)."""
+        for key, row_id in entries:
+            self.insert(key, row_id)
 
     @property
     @abstractmethod
@@ -79,20 +85,39 @@ class HashIndex(Index):
         return sorted(self._buckets.get(key, ()))
 
 
+#: A sorted index's chunk list: (chunk maxima, key chunks, row-id chunks).
+_Layout = tuple[list[Any], list[list[Any]], list[list[int]]]
+#: (chunk, offset) into a layout; ``(len(chunks), 0)`` is the end.
+_Position = tuple[int, int]
+
+
 class SortedIndex(Index):
     """Ordered index over one column supporting range scans.
 
     Keys must be mutually comparable (the schema's typing guarantees
     that); ``None`` keys are kept aside and only served by equality
     lookups for ``None``.
+
+    Entries live in sorted *chunks* of about :attr:`CHUNK` keys, beside
+    a parallel chunk of row ids, plus the list of chunk maxima that a
+    bisect picks the chunk with. An insert shifts one chunk, not the
+    whole index, so a write costs the same at any table size. A run of
+    equal keys may span chunks. The three lists are published as one
+    tuple, and a chunk that splits or empties is replaced by swapping
+    that tuple whole: a reader takes it once and keeps a consistent
+    view of the chunk list while a writer inserts.
     """
+
+    #: Keys per chunk a bulk load writes; a chunk splits in two when it
+    #: grows past twice this. A constant, not a knob: no output depends
+    #: on it (tests shrink it to cross chunk boundaries).
+    CHUNK = 512
 
     def __init__(self, name: str, column_names: tuple[str, ...]) -> None:
         super().__init__(name, column_names)
         if len(column_names) != 1:
             raise StorageError("sorted indexes are single-column")
-        self._keys: list[Any] = []
-        self._row_ids: list[int] = []
+        self._layout: _Layout = ([], [], [])
         self._nulls: set[int] = set()
 
     @property
@@ -103,9 +128,45 @@ class SortedIndex(Index):
         if key is None:
             self._nulls.add(row_id)
             return
-        position = bisect.bisect_right(self._keys, key)
-        self._keys.insert(position, key)
-        self._row_ids.insert(position, row_id)
+        maxes, keys, row_ids = self._layout
+        if not maxes:
+            self._layout = ([key], [[key]], [[row_id]])
+            return
+        at = min(bisect_right(maxes, key), len(maxes) - 1)
+        chunk = keys[at]
+        position = bisect_right(chunk, key)
+        chunk.insert(position, key)
+        row_ids[at].insert(position, row_id)
+        if position == len(chunk) - 1:
+            maxes[at] = key
+        if len(chunk) > 2 * self.CHUNK:
+            half = len(chunk) // 2
+            self._layout = (
+                maxes[:at] + [chunk[half - 1], chunk[-1]] + maxes[at + 1:],
+                keys[:at] + [chunk[:half], chunk[half:]] + keys[at + 1:],
+                row_ids[:at] + [row_ids[at][:half], row_ids[at][half:]]
+                + row_ids[at + 1:],
+            )
+
+    def load(self, entries: Iterable[tuple[Any, int]]) -> None:
+        """Bulk-load: one sort, then full chunks (any entries already
+        held are merged in)."""
+        pairs = []
+        for key, row_id in entries:
+            if key is None:
+                self._nulls.add(row_id)
+            else:
+                pairs.append((key, row_id))
+        _, keys, row_ids = self._layout
+        for chunk, ids in zip(keys, row_ids):
+            pairs.extend(zip(chunk, ids))
+        pairs.sort(key=itemgetter(0))
+        step = self.CHUNK
+        keys = [[key for key, _ in pairs[start:start + step]]
+                for start in range(0, len(pairs), step)]
+        row_ids = [[row_id for _, row_id in pairs[start:start + step]]
+                   for start in range(0, len(pairs), step)]
+        self._layout = ([chunk[-1] for chunk in keys], keys, row_ids)
 
     def delete(self, key: Any, row_id: int) -> None:
         if key is None:
@@ -115,49 +176,90 @@ class SortedIndex(Index):
                 )
             self._nulls.discard(row_id)
             return
-        low = bisect.bisect_left(self._keys, key)
-        for position in range(low, len(self._keys)):
-            if self._keys[position] != key:
-                break
-            if self._row_ids[position] == row_id:
-                del self._keys[position]
-                del self._row_ids[position]
-                return
+        maxes, keys, row_ids = self._layout
+        at = bisect_left(maxes, key)
+        while at < len(maxes):
+            chunk, ids = keys[at], row_ids[at]
+            position = bisect_left(chunk, key)
+            while position < len(chunk) and chunk[position] == key:
+                if ids[position] == row_id:
+                    del chunk[position]
+                    del ids[position]
+                    if not chunk:
+                        self._layout = (maxes[:at] + maxes[at + 1:],
+                                        keys[:at] + keys[at + 1:],
+                                        row_ids[:at] + row_ids[at + 1:])
+                    elif position == len(chunk):
+                        maxes[at] = chunk[-1]
+                    return
+                position += 1
+            if position < len(chunk):
+                break  # the run of *key* ended inside this chunk
+            at += 1
         raise StorageError(
             f"index {self.name!r}: row {row_id} not found under "
             f"key {key!r}"
         )
 
+    # -- positions -----------------------------------------------------------
+
+    @staticmethod
+    def _first(layout: _Layout, key: Any, above: bool) -> _Position:
+        """Position of the first key ``> key`` (*above*) or ``>= key``."""
+        maxes, keys, _ = layout
+        search = bisect_right if above else bisect_left
+        at = search(maxes, key)
+        if at == len(maxes):
+            return at, 0
+        return at, search(keys[at], key)
+
+    def _bounds(self, layout: _Layout, low: Any, high: Any,
+                include_low: bool,
+                include_high: bool) -> tuple[_Position, _Position]:
+        """``[start, stop)`` positions of the interval (may cross)."""
+        start = (0, 0) if low is None \
+            else self._first(layout, low, not include_low)
+        stop = (len(layout[0]), 0) if high is None \
+            else self._first(layout, high, include_high)
+        return start, stop
+
+    @staticmethod
+    def _row_ids_between(row_ids: list[list[int]], start: _Position,
+                         stop: _Position) -> list[int]:
+        (first, offset), (last, end) = start, stop
+        if start >= stop:
+            return []
+        if first == last:
+            return row_ids[first][offset:end]
+        found = row_ids[first][offset:]
+        for chunk in range(first + 1, last):
+            found += row_ids[chunk]
+        if end:
+            found += row_ids[last][:end]
+        return found
+
+    # -- reads -------------------------------------------------------------
+
     def lookup(self, key: Any) -> list[int]:
         if key is None:
             return sorted(self._nulls)
-        low = bisect.bisect_left(self._keys, key)
-        high = bisect.bisect_right(self._keys, key)
-        return sorted(self._row_ids[low:high])
-
-    def _slice(self, low: Any, high: Any, include_low: bool,
-               include_high: bool) -> tuple[int, int]:
-        """``[start, stop)`` of the keys in the interval (may cross)."""
-        if low is None:
-            start = 0
-        elif include_low:
-            start = bisect.bisect_left(self._keys, low)
-        else:
-            start = bisect.bisect_right(self._keys, low)
-        if high is None:
-            stop = len(self._keys)
-        elif include_high:
-            stop = bisect.bisect_right(self._keys, high)
-        else:
-            stop = bisect.bisect_left(self._keys, high)
-        return start, stop
+        layout = self._layout
+        found = self._row_ids_between(layout[2],
+                                      self._first(layout, key, False),
+                                      self._first(layout, key, True))
+        found.sort()
+        return found
 
     def range(self, low: Any = None, high: Any = None,
               include_low: bool = True,
               include_high: bool = True) -> list[int]:
         """Row ids with key in the given (optionally open) interval."""
-        start, stop = self._slice(low, high, include_low, include_high)
-        return sorted(self._row_ids[start:stop])
+        layout = self._layout
+        found = self._row_ids_between(
+            layout[2],
+            *self._bounds(layout, low, high, include_low, include_high))
+        found.sort()
+        return found
 
     def ordered(self, descending: bool = False, low: Any = None,
                 high: Any = None, include_low: bool = True,
@@ -167,27 +269,82 @@ class SortedIndex(Index):
         a row-id-ordered scan yields. ``None`` keys join only an
         unbounded walk (no range predicate matches NULL): first
         ascending, last descending, like the executor's sort key."""
-        keys, row_ids = self._keys, self._row_ids
-        start, stop = self._slice(low, high, include_low, include_high)
+        layout = self._layout
+        start, stop = self._bounds(layout, low, high, include_low,
+                                   include_high)
         nulls = self._nulls if low is None and high is None else ()
+        walk = _runs_down if descending else _runs_up
+        if not descending:
+            yield from sorted(nulls)
+        for run in walk(layout[1], layout[2], start, stop):
+            run.sort()
+            yield from run
         if descending:
-            while start < stop:
-                run = bisect.bisect_left(keys, keys[stop - 1], start, stop)
-                yield from sorted(row_ids[run:stop])
-                stop = run
             yield from sorted(nulls)
-        else:
-            yield from sorted(nulls)
-            while start < stop:
-                run = bisect.bisect_right(keys, keys[start], start, stop)
-                yield from sorted(row_ids[start:run])
-                start = run
 
     def min_key(self) -> Any:
-        return self._keys[0] if self._keys else None
+        keys = self._layout[1]
+        return keys[0][0] if keys else None
 
     def max_key(self) -> Any:
-        return self._keys[-1] if self._keys else None
+        maxes = self._layout[0]
+        return maxes[-1] if maxes else None
 
     def __len__(self) -> int:
-        return len(self._keys) + len(self._nulls)
+        return sum(map(len, self._layout[1])) + len(self._nulls)
+
+
+def _runs_up(keys: list[list[Any]], row_ids: list[list[int]],
+             start: _Position, stop: _Position) -> Iterator[list[int]]:
+    """Row ids of each run of equal keys in ``[start, stop)``, lowest
+    key first; a run that reaches a chunk's end is held until the next
+    chunk shows whether it goes on."""
+    (first, offset), (last, end) = start, stop
+    run: list[int] | None = None
+    run_key = None
+    for at in range(first, min(last + 1, len(keys))):
+        chunk, ids = keys[at], row_ids[at]
+        left = offset if at == first else 0
+        right = end if at == last else len(chunk)
+        while left < right:
+            key = chunk[left]
+            after = bisect_right(chunk, key, left, right)
+            if run is not None and key == run_key:
+                run += ids[left:after]
+            else:
+                if run is not None:
+                    yield run
+                run, run_key = ids[left:after], key
+            if after < right:
+                yield run
+                run = None
+            left = after
+    if run is not None:
+        yield run
+
+
+def _runs_down(keys: list[list[Any]], row_ids: list[list[int]],
+               start: _Position, stop: _Position) -> Iterator[list[int]]:
+    """:func:`_runs_up` walked from the highest key down."""
+    (first, offset), (last, end) = start, stop
+    run: list[int] | None = None
+    run_key = None
+    for at in range(min(last, len(keys) - 1), first - 1, -1):
+        chunk, ids = keys[at], row_ids[at]
+        left = offset if at == first else 0
+        right = end if at == last else len(chunk)
+        while right > left:
+            key = chunk[right - 1]
+            before = bisect_left(chunk, key, left, right)
+            if run is not None and key == run_key:
+                run += ids[before:right]
+            else:
+                if run is not None:
+                    yield run
+                run, run_key = ids[before:right], key
+            if before > left:
+                yield run
+                run = None
+            right = before
+    if run is not None:
+        yield run

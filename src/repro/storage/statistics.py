@@ -10,7 +10,10 @@ and join orders.
 from __future__ import annotations
 
 import bisect
+import heapq
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any
 
 from repro.errors import StorageError
@@ -113,47 +116,68 @@ class TableStatistics:
 def analyze(table: Table,
             histogram_buckets: int = DEFAULT_HISTOGRAM_BUCKETS,
             mcv_count: int = DEFAULT_MCV_COUNT) -> TableStatistics:
-    """Collect statistics for every column of *table*."""
+    """Collect statistics for every column of *table*.
+
+    One pass transposes the rows into columns; each column is then
+    counted once (:class:`~collections.Counter`), and min, max, the
+    most-common values and the histogram all come from its distinct
+    values and their counts, not from the rows again.
+    """
     if histogram_buckets < 1:
         raise StorageError("need at least one histogram bucket")
     row_count = table.row_count
+    schema_columns = table.schema.columns
+    cells = list(zip(*table.scan_rows())) or [()] * len(schema_columns)
     columns: dict[str, ColumnStatistics] = {}
-    for position, column in enumerate(table.schema.columns):
-        values = [row[position] for row in table.scan_rows()]
-        non_null = [value for value in values if value is not None]
-        counts: dict[Any, int] = {}
-        for value in non_null:
-            counts[value] = counts.get(value, 0) + 1
-        most_common = tuple(sorted(
-            counts.items(), key=lambda item: (-item[1], str(item[0])),
-        )[:mcv_count])
-        histogram = None
-        numeric = non_null and all(
-            isinstance(value, (int, float)) and not isinstance(value, bool)
-            for value in non_null
+    for column, values in zip(schema_columns, cells):
+        counts = Counter(values)
+        non_null = len(values) - counts.pop(None, 0)
+        kinds = set(map(type, values)) - {type(None)}
+        numeric = counts and all(
+            issubclass(kind, (int, float)) and not issubclass(kind, bool)
+            for kind in kinds
         )
-        if numeric:
-            histogram = _equi_depth(sorted(non_null), histogram_buckets)
         columns[column.name] = ColumnStatistics(
             name=column.name,
             row_count=row_count,
-            null_count=row_count - len(non_null),
+            null_count=row_count - non_null,
             distinct_count=len(counts),
-            min_value=min(non_null) if non_null else None,
-            max_value=max(non_null) if non_null else None,
-            most_common=most_common,
-            histogram=histogram,
+            min_value=min(counts) if counts else None,
+            max_value=max(counts) if counts else None,
+            most_common=_most_common(counts, mcv_count),
+            histogram=(_equi_depth(counts, histogram_buckets)
+                       if numeric else None),
         )
     return TableStatistics(table.name, row_count, columns)
 
 
-def _equi_depth(sorted_values: list[float], buckets: int) -> Histogram:
-    total = len(sorted_values)
+def _most_common(counts: Counter, limit: int) -> tuple[tuple[Any, int], ...]:
+    """The *limit* highest counts, ties broken by ``str(value)`` and
+    then by first appearance. Only the values whose count reaches the
+    *limit*-th highest are ranked (and passed to ``str``), not every
+    distinct value of the column."""
+    if limit <= 0 or not counts:
+        return ()
+    cut = heapq.nlargest(limit, counts.values())[-1]
+    above = sorted((item for item in counts.items() if item[1] > cut),
+                   key=lambda item: (-item[1], str(item[0])))
+    tied = [item for item in counts.items() if item[1] == cut]
+    return tuple(above + heapq.nsmallest(limit - len(above), tied,
+                                         key=lambda item: str(item[0])))
+
+
+def _equi_depth(counts: Counter, buckets: int) -> Histogram:
+    """Equi-depth bounds over the values *counts* counts: the value at
+    each bucket's last sorted position, found on cumulative counts."""
+    total = sum(counts.values())
     if total == 0:
         return Histogram((), 0)
+    values = sorted(counts)
+    cumulative = list(accumulate(counts[value] for value in values))
     buckets = min(buckets, total)
     bounds = []
     for bucket in range(1, buckets + 1):
         position = min(total - 1, round(bucket * total / buckets) - 1)
-        bounds.append(float(sorted_values[position]))
+        bounds.append(float(values[bisect.bisect_right(cumulative,
+                                                       position)]))
     return Histogram(tuple(bounds), total)

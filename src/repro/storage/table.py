@@ -151,7 +151,8 @@ class Table:
     def create_index(self, column_names: list[str],
                      kind: str = "hash",
                      name: str = "") -> Index:
-        """Create and backfill a secondary index.
+        """Create and backfill a secondary index (a sorted index is
+        bulk-loaded with one sort).
 
         *kind* is ``"hash"`` (equality, any number of columns) or
         ``"sorted"`` (single column, supports ranges).
@@ -169,9 +170,9 @@ class Table:
             index = SortedIndex(index_name, tuple(column_names))
         else:
             raise StorageError(f"unknown index kind {kind!r}")
-        index.key_of = itemgetter(*positions)
-        for row_id, row in self._rows.items():
-            index.insert(index.key_of(row), row_id)
+        index.key_of = key_of = itemgetter(*positions)
+        index.load((key_of(row), row_id)
+                   for row_id, row in self._rows.items())
         self._indexes[index_name] = index
         return index
 

@@ -461,7 +461,9 @@ def test_planted_bug_ties_in_descending_row_id_is_caught(monkeypatch):
     ordered = SortedIndex.ordered
 
     def ties_reversed(self, *args):
-        key_of = dict(zip(self._row_ids, self._keys))
+        # check_tie_rule's keys, read back through the public lookup.
+        key_of = {row_id: key for key in (6.0, 7.0)
+                  for row_id in self.lookup(key)}
         runs = groupby(ordered(self, *args), key=key_of.get)
         return iter([row_id for _, run in runs
                      for row_id in reversed(list(run))])

@@ -122,6 +122,21 @@ class TestMutationLogging:
         after = get_metrics().counter_values()["wal.fsyncs"]
         assert after - before == 1  # tombstone + watermark, one sync
 
+    def test_a_delete_inside_a_batch_keeps_the_group_commit(self,
+                                                            tmp_path):
+        db = open_db(tmp_path, fsync="always")
+        table = durable_table(db)
+        table.insert({"name": "doomed", "rank": 0, "score": None})
+        from repro.obs import get_metrics
+        before = get_metrics().counter_values().get("wal.fsyncs", 0)
+        with db.batch():
+            table.insert({"name": "a", "rank": 1, "score": None})
+            table.delete(0)
+            for i in range(10):
+                table.insert({"name": f"r{i}", "rank": i, "score": 0.5})
+        after = get_metrics().counter_values()["wal.fsyncs"]
+        assert after - before == 1
+
 
 class Pred:
     """Comparison stand-in: pruning only reads column/op/value.

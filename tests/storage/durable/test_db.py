@@ -94,6 +94,47 @@ class TestBasics:
         # Group commit: far fewer fsyncs than appends.
         assert counters["wal.fsyncs"] < 20
 
+    def test_a_nested_batch_joins_the_outer_group_commit(self, tmp_path):
+        db = open_db(tmp_path, fsync="always",
+                     memtable_flush_bytes=1 << 20)
+        with db.batch():
+            db.put("k/a", 1)
+            with db.batch():  # what a table delete opens
+                db.delete("k/b")
+                db.put("m/k/rowid", 2)
+            for i in range(10):
+                db.put(f"k/{i}", i)
+        # One outer group, one fsync; the inner exit used to end the
+        # group, leaving ten puts to sync one by one (12 in all).
+        assert get_metrics().counter_values()["wal.fsyncs"] == 1
+
+    def test_no_flush_fires_inside_an_outer_batch(self, tmp_path):
+        db = open_db(tmp_path, memtable_flush_bytes=128)
+        with db.batch():
+            with db.batch():
+                db.put("k/first", "v" * 20)
+            for i in range(20):
+                db.put(f"k/{i}", "v" * 20)
+            mid_batch_segments = len(db.segments)
+        assert mid_batch_segments == 0
+        assert len(db.segments) == 1
+        assert len(db.memtable) == 0
+
+    def test_a_failed_inner_batch_leaves_the_outer_one_open(self,
+                                                            tmp_path):
+        db = open_db(tmp_path, fsync="always",
+                     memtable_flush_bytes=1 << 20)
+        with db.batch():
+            with pytest.raises(RuntimeError):
+                with db.batch():
+                    db.put("k/a", 1)
+                    raise RuntimeError("abandon the inner group")
+            db.put("k/b", 2)
+            assert get_metrics().counter_values().get("wal.fsyncs", 0) \
+                == 0
+        assert get_metrics().counter_values()["wal.fsyncs"] == 1
+        assert list(db.scan()) == [("k/a", 1), ("k/b", 2)]
+
 
 class TestCompaction:
     def test_leveling_respects_fanout(self, tmp_path):

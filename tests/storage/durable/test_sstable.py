@@ -80,6 +80,21 @@ class TestBlockIndex:
         for key, value in items[::37]:
             assert reader.get(key) == (True, value)
 
+    @pytest.mark.parametrize("prefix", [
+        "", "a/", "b/", "b/0000", "b/00001", "b/000042", "c/", "d/",
+        "b", "bb", "0", "z"])
+    def test_prefix_scan_equals_the_filtered_walk(self, tmp_path, prefix):
+        items = sorted(make_items(60, "a") + make_items(150, "b")
+                       + [("b/000042x", 1), ("bb", TOMBSTONE)]
+                       + make_items(40, "c"))
+        reader = write(tmp_path, items, block_bytes=96)
+        assert len(reader.block_index) > 20
+        assert list(reader.scan(prefix)) \
+            == [item for item in items if item[0].startswith(prefix)]
+        assert reader.get(prefix) == (
+            (True, dict(items)[prefix]) if prefix in dict(items)
+            else (False, None))
+
 
 class TestBloom:
     def test_no_false_negatives(self, tmp_path):

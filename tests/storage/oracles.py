@@ -1,0 +1,204 @@
+"""Reference implementations the storage kernels are checked against.
+
+Each is the straightforward version the kernel replaced, kept verbatim
+in behaviour: a flat two-list sorted index, a row-at-a-time ANALYZE and
+a cell-at-a-time zone-map fold. The tests hold the kernels to
+``==`` with these on generated inputs.
+"""
+
+from __future__ import annotations
+
+import bisect
+from collections.abc import Iterator
+from typing import Any
+
+from repro.storage.durable.db import parse_row_key
+from repro.storage.durable.memtable import TOMBSTONE
+from repro.storage.statistics import (
+    DEFAULT_HISTOGRAM_BUCKETS,
+    DEFAULT_MCV_COUNT,
+    ColumnStatistics,
+    Histogram,
+    TableStatistics,
+)
+
+
+class FlatSortedIndex:
+    """A sorted index as two parallel flat lists (O(n) inserts)."""
+
+    def __init__(self) -> None:
+        self._keys: list[Any] = []
+        self._row_ids: list[int] = []
+        self._nulls: set[int] = set()
+
+    def insert(self, key: Any, row_id: int) -> None:
+        if key is None:
+            self._nulls.add(row_id)
+            return
+        position = bisect.bisect_right(self._keys, key)
+        self._keys.insert(position, key)
+        self._row_ids.insert(position, row_id)
+
+    def delete(self, key: Any, row_id: int) -> None:
+        if key is None:
+            if row_id not in self._nulls:
+                raise KeyError(row_id)
+            self._nulls.discard(row_id)
+            return
+        low = bisect.bisect_left(self._keys, key)
+        for position in range(low, len(self._keys)):
+            if self._keys[position] != key:
+                break
+            if self._row_ids[position] == row_id:
+                del self._keys[position]
+                del self._row_ids[position]
+                return
+        raise KeyError(row_id)
+
+    def lookup(self, key: Any) -> list[int]:
+        if key is None:
+            return sorted(self._nulls)
+        low = bisect.bisect_left(self._keys, key)
+        high = bisect.bisect_right(self._keys, key)
+        return sorted(self._row_ids[low:high])
+
+    def _slice(self, low, high, include_low, include_high):
+        if low is None:
+            start = 0
+        elif include_low:
+            start = bisect.bisect_left(self._keys, low)
+        else:
+            start = bisect.bisect_right(self._keys, low)
+        if high is None:
+            stop = len(self._keys)
+        elif include_high:
+            stop = bisect.bisect_right(self._keys, high)
+        else:
+            stop = bisect.bisect_left(self._keys, high)
+        return start, stop
+
+    def range(self, low=None, high=None, include_low=True,
+              include_high=True) -> list[int]:
+        start, stop = self._slice(low, high, include_low, include_high)
+        return sorted(self._row_ids[start:stop])
+
+    def ordered(self, descending=False, low=None, high=None,
+                include_low=True, include_high=True) -> Iterator[int]:
+        keys, row_ids = self._keys, self._row_ids
+        start, stop = self._slice(low, high, include_low, include_high)
+        nulls = self._nulls if low is None and high is None else ()
+        if descending:
+            while start < stop:
+                run = bisect.bisect_left(keys, keys[stop - 1], start, stop)
+                yield from sorted(row_ids[run:stop])
+                stop = run
+            yield from sorted(nulls)
+        else:
+            yield from sorted(nulls)
+            while start < stop:
+                run = bisect.bisect_right(keys, keys[start], start, stop)
+                yield from sorted(row_ids[start:run])
+                start = run
+
+    def min_key(self) -> Any:
+        return self._keys[0] if self._keys else None
+
+    def max_key(self) -> Any:
+        return self._keys[-1] if self._keys else None
+
+    def __len__(self) -> int:
+        return len(self._keys) + len(self._nulls)
+
+
+def analyze_rowwise(table, histogram_buckets=DEFAULT_HISTOGRAM_BUCKETS,
+                    mcv_count=DEFAULT_MCV_COUNT) -> TableStatistics:
+    """ANALYZE one column at a time, one row at a time."""
+    row_count = table.row_count
+    columns: dict[str, ColumnStatistics] = {}
+    for position, column in enumerate(table.schema.columns):
+        values = [row[position] for row in table.scan_rows()]
+        non_null = [value for value in values if value is not None]
+        counts: dict[Any, int] = {}
+        for value in non_null:
+            counts[value] = counts.get(value, 0) + 1
+        most_common = tuple(sorted(
+            counts.items(), key=lambda item: (-item[1], str(item[0])),
+        )[:mcv_count])
+        histogram = None
+        numeric = non_null and all(
+            isinstance(value, (int, float)) and not isinstance(value, bool)
+            for value in non_null
+        )
+        if numeric:
+            histogram = _equi_depth_rowwise(sorted(non_null),
+                                            histogram_buckets)
+        columns[column.name] = ColumnStatistics(
+            name=column.name,
+            row_count=row_count,
+            null_count=row_count - len(non_null),
+            distinct_count=len(counts),
+            min_value=min(non_null) if non_null else None,
+            max_value=max(non_null) if non_null else None,
+            most_common=most_common,
+            histogram=histogram,
+        )
+    return TableStatistics(table.name, row_count, columns)
+
+
+def _equi_depth_rowwise(sorted_values: list[float],
+                        buckets: int) -> Histogram:
+    total = len(sorted_values)
+    if total == 0:
+        return Histogram((), 0)
+    buckets = min(buckets, total)
+    bounds = []
+    for bucket in range(1, buckets + 1):
+        position = min(total - 1, round(bucket * total / buckets) - 1)
+        bounds.append(float(sorted_values[position]))
+    return Histogram(tuple(bounds), total)
+
+
+def table_meta_cellwise(items: list[tuple[str, Any]]) -> dict[str, Any]:
+    """Segment zone maps, one cell at a time."""
+    tables: dict[str, dict[str, Any]] = {}
+    for key, value in items:
+        if value is TOMBSTONE or not key.startswith("t/") \
+                or not isinstance(value, list):
+            continue
+        table, rid = parse_row_key(key)
+        meta = tables.get(table)
+        if meta is None:
+            meta = tables[table] = {
+                "rid_min": rid, "rid_max": rid,
+                "zones": [None] * len(value),
+            }
+        else:
+            meta["rid_min"] = min(meta["rid_min"], rid)
+            meta["rid_max"] = max(meta["rid_max"], rid)
+            if len(meta["zones"]) < len(value):
+                meta["zones"].extend(
+                    [None] * (len(value) - len(meta["zones"]))
+                )
+        for position, cell in enumerate(value):
+            if cell is None:
+                continue
+            zone = meta["zones"][position]
+            if zone is None:
+                meta["zones"][position] = [cell, cell]
+            else:
+                if _zone_less(cell, zone[0]):
+                    zone[0] = cell
+                if _zone_less(zone[1], cell):
+                    zone[1] = cell
+    return tables
+
+
+def _zone_less(left: Any, right: Any) -> bool:
+    if isinstance(left, bool) or isinstance(right, bool):
+        return isinstance(left, bool) and isinstance(right, bool) \
+            and left < right
+    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
+        return left < right
+    if isinstance(left, str) and isinstance(right, str):
+        return left < right
+    return False

@@ -1,11 +1,16 @@
 """Tests for hash and sorted indexes."""
 
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.storage import HashIndex, SortedIndex
+from tests.storage.oracles import FlatSortedIndex
 
 
 class TestHashIndex:
@@ -174,3 +179,154 @@ class TestSortedIndex:
             reverse=descending)  # stable: ties stay in row-id order
         assert list(index.ordered(descending, low, high, include_low,
                                   include_high)) == expected
+
+
+class SmallChunks(SortedIndex):
+    """Chunks of two keys: every few inserts split a chunk, so runs of
+    equal keys cross chunk boundaries all the time."""
+
+    CHUNK = 2
+
+
+_KEYS = st.one_of(st.none(), st.integers(0, 8))
+#: Inserts carry their own row id (not ascending: a walk must sort each
+#: run, also when it spans chunks); deletes pick a live row by rank.
+_OPS = st.lists(st.tuples(
+    st.sampled_from(("insert", "insert", "insert", "delete")), _KEYS,
+    st.integers(0, 300)), min_size=8, max_size=150)
+
+
+def _same_reads(index, oracle, low, high, include_low, include_high):
+    assert len(index) == len(oracle)
+    assert index.min_key() == oracle.min_key()
+    assert index.max_key() == oracle.max_key()
+    for key in (None, *range(-1, 10)):
+        assert index.lookup(key) == oracle.lookup(key)
+    assert index.range(low, high, include_low, include_high) \
+        == oracle.range(low, high, include_low, include_high)
+    for descending in (False, True):
+        assert list(index.ordered(descending, low, high, include_low,
+                                  include_high)) \
+            == list(oracle.ordered(descending, low, high, include_low,
+                                   include_high))
+
+
+class TestBlockedSortedIndex:
+    """The chunked index answers exactly what the flat two-list index
+    it replaced answers, at every chunk size and after any history."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_OPS, st.one_of(st.none(), st.integers(-1, 9)),
+           st.one_of(st.none(), st.integers(-1, 9)),
+           st.booleans(), st.booleans(), st.booleans())
+    def test_matches_the_flat_index(self, ops, low, high, include_low,
+                                    include_high, bulk):
+        index, oracle = SmallChunks("ix", ("col",)), FlatSortedIndex()
+        live: dict[int, object] = {}
+        for op, key, number in ops:
+            if op == "insert" and number not in live:
+                index.insert(key, number)
+                oracle.insert(key, number)
+                live[number] = key
+            elif op == "delete" and live:
+                row_id = sorted(live)[number % len(live)]
+                index.delete(live[row_id], row_id)
+                oracle.delete(live.pop(row_id), row_id)
+        if bulk:
+            # The same rows through the bulk loader, in insertion order.
+            index = SmallChunks("ix", ("col",))
+            index.load((key, row_id) for row_id, key in live.items())
+        _same_reads(index, oracle, low, high, include_low, include_high)
+
+    def test_equal_keys_span_many_chunks(self):
+        index, oracle = SmallChunks("ix", ("col",)), FlatSortedIndex()
+        for row_id in range(40):
+            key = 5 if row_id % 5 else row_id // 10
+            index.insert(key, row_id)
+            oracle.insert(key, row_id)
+        assert len(index._layout[1]) > 10  # the run crosses chunks
+        _same_reads(index, oracle, 0, 5, True, True)
+        for row_id in range(1, 40, 5):
+            index.delete(5, row_id)
+            oracle.delete(5, row_id)
+        _same_reads(index, oracle, 5, None, False, True)
+
+    def test_a_split_keeps_the_walk_lazy(self):
+        index = SmallChunks("ix", ("col",))
+        index.load((key, key) for key in range(100))
+        walk = index.ordered(descending=True)
+        assert [next(walk), next(walk)] == [99, 98]
+        walk = index.ordered()
+        assert [next(walk), next(walk)] == [0, 1]
+
+    def test_bulk_load_fills_whole_chunks(self):
+        index = SortedIndex("ix", ("col",))
+        index.load((key % 7, row_id) for row_id, key in enumerate(
+            range(3 * SortedIndex.CHUNK + 1)))
+        sizes = [len(chunk) for chunk in index._layout[1]]
+        assert sizes == [SortedIndex.CHUNK] * 3 + [1]
+        assert index.lookup(3) == [row_id for row_id in range(len(index))
+                                   if row_id % 7 == 3]
+
+    def test_delete_missing_under_a_spanning_run_raises(self):
+        index = SmallChunks("ix", ("col",))
+        for row_id in range(9):
+            index.insert(4, row_id)
+        with pytest.raises(StorageError):
+            index.delete(4, 99)
+        with pytest.raises(StorageError):
+            index.delete(5, 0)
+
+    def test_readers_never_raise_while_a_writer_inserts(self):
+        """Real threads, a switch every microsecond: four readers walk
+        and probe while one thread inserts; then the index equals the
+        flat oracle fed the same rows."""
+        index = SmallChunks("ix", ("col",))
+        oracle = FlatSortedIndex()
+        rng = random.Random(7)
+        keys = [rng.randrange(30) for _ in range(3000)]
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def reader(seed: int) -> None:
+            probe = random.Random(seed)
+            try:
+                while not done.is_set():
+                    low = probe.randrange(30)
+                    index.range(low, low + 5)
+                    index.lookup(probe.randrange(30))
+                    walk = index.ordered(probe.random() < 0.5, low)
+                    for _ in range(20):
+                        if next(walk, None) is None:
+                            break
+                    index.min_key(), index.max_key()
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        def writer() -> None:
+            try:
+                for row_id, key in enumerate(keys):
+                    index.insert(key, row_id)
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+            finally:
+                done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(seed,))
+                       for seed in range(4)]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for row_id, key in enumerate(keys):
+            oracle.insert(key, row_id)
+        _same_reads(index, oracle, None, None, True, True)
+        _same_reads(index, oracle, 3, 20, False, True)
