@@ -1,6 +1,6 @@
 """E14 — durability cost and recovery speed (extension).
 
-Three questions about the opt-in LSM storage layer:
+Two questions about the opt-in LSM storage layer:
 
 1. **Write cost.** What does WAL-first logging add to ingest, and how
    much of it is fsync policy? The same synthetic binding stream is
@@ -16,11 +16,6 @@ Three questions about the opt-in LSM storage layer:
    makes cold starts common, so warm-start recovery is the win that
    justifies the storage layer.
 
-3. **Scan pruning.** With row-id-clustered segments on disk, how many
-   segments does a selective vectorized range scan skip via the
-   min/max zone maps? Reported as read/pruned counts, not time — at
-   Python scale the bookkeeping noise would swamp the I/O saved.
-
 Results feed EXPERIMENTS.md E14.
 """
 
@@ -31,7 +26,7 @@ import statistics
 import tempfile
 from pathlib import Path
 
-from repro.core import DrugTree, EngineConfig, QueryEngine
+from repro.core import DrugTree
 from repro.obs import WallTimer, get_metrics
 from repro.storage.durable import StorageConfig
 from repro.workloads import DatasetConfig, TextTable, build_dataset
@@ -174,35 +169,6 @@ def _recovery_round(world: DatasetConfig) -> dict:
     }
 
 
-def scan_pruning(world: DatasetConfig) -> dict:
-    """Segment read/prune counts for a selective vectorized scan.
-
-    The world is integrated with a small flush threshold so bindings
-    span several row-id-clustered segments, then a ``leaf_pre`` range
-    query (no index: forced seq scan) is executed vectorized and the
-    zone-map counters are read back from EXPLAIN ANALYZE.
-    """
-    with tempfile.TemporaryDirectory() as tmp:
-        dataset = build_dataset(world)
-        tree, _ = dataset.integrate(
-            storage=_storage(Path(tmp) / "db", flush_bytes=2 * 1024))
-        engine = QueryEngine(tree, EngineConfig(
-            use_semantic_cache=False, execution_mode="vectorized",
-            use_indexes=False))
-        report = engine.analyze(
-            "SELECT ligand_id, p_affinity FROM bindings "
-            "WHERE leaf_pre >= 2 AND leaf_pre <= 3")
-        tree.close()
-    storage = report.storage
-    total = storage["segments_read"] + storage["segments_pruned"]
-    return {
-        "segments_total": total,
-        "segments_read": storage["segments_read"],
-        "segments_pruned": storage["segments_pruned"],
-        "result_rows": report.rows,
-    }
-
-
 def collect_metrics(n_write_rows: int = N_WRITE_ROWS,
                     world: DatasetConfig = WORLD) -> dict:
     """E14 numbers as one JSON-ready dict."""
@@ -210,7 +176,6 @@ def collect_metrics(n_write_rows: int = N_WRITE_ROWS,
     results = {
         "write_cost": write_cost(n_write_rows),
         "recovery": recovery_speed(world),
-        "pruning": scan_pruning(world),
     }
     results["wal_appends_during_run"] = (
         get_metrics().counter_values().get("wal.appends", 0) - wal_before
@@ -245,15 +210,6 @@ def test_e14_durability(report):
     table.add_row("speedup", f"{recovery['speedup']:.2f}x")
     report(table)
 
-    pruning = metrics["pruning"]
-    table = TextTable(
-        ["segments", "read", "pruned", "result rows"],
-        title="E14c  zone-map pruning on a leaf_pre range scan",
-    )
-    table.add_row(pruning["segments_total"], pruning["segments_read"],
-                  pruning["segments_pruned"], pruning["result_rows"])
-    report(table)
-
     # Group commit must not cost more than per-record fsync in the
     # median of three back-to-back pairs (a 1.25 noise allowance: on
     # tmpfs-backed CI, fsync is nearly free and the two policies
@@ -262,11 +218,9 @@ def test_e14_durability(report):
     # median of three rounds.
     assert metrics["write_cost"]["batch"]["vs_always"] <= 1.25
     assert recovery["speedup"] > 1.0
-    assert pruning["segments_pruned"] >= 1
 
 
 def test_e14_quick_guard(report):
-    """CI-sized: durable ingest works end to end and prunes something."""
+    """CI-sized: durable ingest and recovery work end to end."""
     metrics = collect_metrics(**QUICK_KWARGS)
     assert metrics["recovery"]["rows_restored"] > 0
-    assert metrics["pruning"]["segments_total"] >= 1

@@ -40,12 +40,14 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any
 
 from repro.core.labeling import IntervalLabeling
 from repro.core.query.ast import Query
-from repro.core.query.predicates import compile_residual
+from repro.core.query.predicates import compile_columns
 from repro.errors import QueryError
 from repro.obs import get_metrics, get_tracer
 
@@ -95,6 +97,16 @@ def _unpack(packed: _Packed) -> list[dict[str, Any]]:
     if columns is None:
         return [dict(row) for row in rows]
     return [dict(zip(columns, values)) for values in rows]
+
+
+def _reader(columns: tuple[str, ...] | None,
+            column: str) -> Callable[[Any], Any]:
+    """``stored row -> its value of column``, NULL when it has none."""
+    if columns is None:
+        return lambda row: row.get(column)
+    if column not in columns:
+        return lambda row: None
+    return itemgetter(columns.index(column))
 
 
 class SemanticCache:
@@ -154,7 +166,7 @@ class SemanticCache:
         # Entries are immutable once stored: derive from the snapshot.
         for signature, cached, rows in candidates:
             if self._subsumes(cached, query):
-                rows = self._derive(_unpack(rows), query)
+                rows = self._derive(rows, query)
                 if rows is None:
                     continue
                 with self._lock:
@@ -200,47 +212,47 @@ class SemanticCache:
             return False
         return self.labeling.is_ancestor(outer, inner)
 
-    def _derive(self, rows: list[dict[str, Any]],
+    def _derive(self, packed: _Packed,
                 query: Query) -> list[dict[str, Any]] | None:
-        """Recompute *query* over cached full-width rows.
+        """Recompute *query* over a cached full-width entry.
 
-        Predicates compile once per derivation (same closures the
-        engines share, see ``predicates.py``) — cached entries can
-        hold tens of thousands of full-width rows, and per-row
-        ``matches`` dispatch over them used to cost more than simply
-        re-executing the query.
+        Works on the stored rows: each predicate is one compiled
+        closure (the one the vectorized scans use) over one column's
+        values, and dicts are built only for the rows returned.
+        Unpacking the whole entry first cost more than re-executing.
         """
-        residual = compile_residual(query.predicates)
-        out = [row for row in rows if residual(row)]
-        if query.subtree is not None:
-            if not self.labeling.has_name(query.subtree.node_name):
-                return None
-            low, high = self.labeling.leaf_range(query.subtree.node_name)
-            if rows and "leaf_pre" not in rows[0]:
-                return None
-            out = [row for row in out if low <= row["leaf_pre"] < high]
         if query.aggregates:
             return None  # engine re-aggregates itself; keep cache simple
-        if query.order_by is not None:
-            column = query.order_by.column
-            out.sort(
-                key=lambda row: (row.get(column) is not None,
-                                 row.get(column)),
-                reverse=query.order_by.descending,
-            )
-        if query.limit is not None:
-            out = out[:query.limit]
-        if query.select:
-            try:
-                out = [
-                    {column: row[column] for column in query.select}
-                    for row in out
-                ]
-            except KeyError:
+        columns, rows = packed
+        out = rows
+        if query.subtree is not None:  # a drill-down's narrowest filter
+            name = query.subtree.node_name
+            if not self.labeling.has_name(name) or rows and "leaf_pre" \
+                    not in (rows[0] if columns is None else columns):
                 return None
-        else:
-            out = [dict(row) for row in out]
-        return out
+            low, high = self.labeling.leaf_range(name)
+            leaf_pre = _reader(columns, "leaf_pre")
+            out = [row for row in out if low <= leaf_pre(row) < high]
+        for column, test in compile_columns(query.predicates):
+            value = _reader(columns, column)
+            out = [row for row in out if test(value(row))]
+        if query.order_by is not None:
+            value = _reader(columns, query.order_by.column)
+            out = sorted(out, key=lambda row: (value(row) is not None,
+                                               value(row)),
+                         reverse=query.order_by.descending)
+        out = out[:query.limit]
+        if not out or not query.select:
+            return _unpack((columns, out))
+        try:
+            if columns is None:
+                return [{column: row[column] for column in query.select}
+                        for row in out]
+            at = [columns.index(column) for column in query.select]
+        except (KeyError, ValueError):
+            return None
+        return [dict(zip(query.select, map(row.__getitem__, at)))
+                for row in out]
 
     # -- store / version -------------------------------------------------------
 

@@ -493,14 +493,6 @@ class QueryEngine:
                 )
                 execution["batch_size"] = self.config.vector_batch_size
 
-            storage: dict[str, Any] = {}
-            if getattr(self.drugtree, "database", None) is not None:
-                storage = {
-                    "durable": True,
-                    "segments_read": counters.segments_read,
-                    "segments_pruned": counters.segments_pruned,
-                }
-
             operators = root.children[0] if root.children else root
             self._emit_operator_spans(tracer, operators)
             return AnalyzeReport(
@@ -521,7 +513,6 @@ class QueryEngine:
                           if analysis is not None else ()),
                 resilience=resilience,
                 execution=execution,
-                storage=storage,
             )
 
     def explain_analyze(self, query: Query | str) -> str:

@@ -40,11 +40,6 @@ class ExecCounters:
     batches_emitted: int = 0
     #: Total rows across those batches (drives the mean batch size).
     batch_rows: int = 0
-    #: Durable-mode segment accounting: SSTables consulted by scans
-    #: whose zone maps could not refute the residual...
-    segments_read: int = 0
-    #: ...and SSTables skipped wholesale because a zone map refuted it.
-    segments_pruned: int = 0
 
     def snapshot(self) -> dict[str, Any]:
         data: dict[str, Any] = {
@@ -58,9 +53,6 @@ class ExecCounters:
             data["rows_per_batch"] = round(
                 self.batch_rows / self.batches_emitted, 2
             )
-        if self.segments_read or self.segments_pruned:
-            data["segments_read"] = self.segments_read
-            data["segments_pruned"] = self.segments_pruned
         return data
 
 

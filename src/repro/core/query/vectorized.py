@@ -231,7 +231,6 @@ class _VecScanBase(VectorOp):
                  batch_size: int) -> None:
         super().__init__(counters)
         self.store = store
-        self.residual = residual
         self.compiled = compile_columns(residual)
         if columns is None:
             self.columns = store.column_names
@@ -252,8 +251,7 @@ class _VecScanBase(VectorOp):
                    for name in self.columns}
         return Batch(self.columns, columns, len(selected))
 
-    def _scan_positions(self, positions: Sequence[int],
-                        ) -> Iterator[Batch]:
+    def _batches_of(self, positions: Sequence[int]) -> Iterator[Batch]:
         size = self.batch_size
         for start in range(0, len(positions), size):
             batch = self._scan_chunk(positions[start:start + size])
@@ -262,26 +260,10 @@ class _VecScanBase(VectorOp):
 
 
 class VecSeqScanOp(_VecScanBase):
-    """Full-table scan: selection vectors over all live positions.
-
-    On a durable table with residual predicates, flushed segments'
-    zone maps are consulted first: segments whose min/max intervals
-    refute a predicate are skipped without touching their positions,
-    and only the surviving row-id ranges (plus the memtable's) are
-    scanned. The positions come back in insertion order, so output
-    order and row counts match the unpruned scan exactly.
-    """
+    """Full-table scan: selection vectors over all live positions."""
 
     def batches(self) -> Iterator[Batch]:
-        durable = self.store.table.durable
-        if durable is not None and self.residual:
-            positions = durable.scan_positions(
-                self.store, self.residual, self.counters,
-            )
-            if positions is not None:
-                yield from self._scan_positions(positions)
-                return
-        yield from self._scan_positions(self.store.live_positions())
+        yield from self._batches_of(self.store.live_positions())
 
 
 class VecIndexEqScanOp(_VecScanBase):
@@ -298,7 +280,7 @@ class VecIndexEqScanOp(_VecScanBase):
         position_of = self.store.position_of
         positions = [position_of(row_id)
                      for row_id in self.index.lookup(self.value)]
-        yield from self._scan_positions(positions)
+        yield from self._batches_of(positions)
 
 
 class VecIndexRangeScanOp(_VecScanBase):
@@ -320,7 +302,7 @@ class VecIndexRangeScanOp(_VecScanBase):
                                    self.include_low, self.include_high)
         position_of = self.store.position_of
         positions = [position_of(row_id) for row_id in row_ids]
-        yield from self._scan_positions(positions)
+        yield from self._batches_of(positions)
 
 
 class VecKeySetScanOp(_VecScanBase):
@@ -339,7 +321,7 @@ class VecKeySetScanOp(_VecScanBase):
 
     def batches(self) -> Iterator[Batch]:
         if self.index is None:
-            yield from self._scan_positions(self.store.live_positions())
+            yield from self._batches_of(self.store.live_positions())
             return
         # Same key order (and per-key probe accounting) as the row
         # operator: deterministic across runs and engines.
@@ -349,7 +331,7 @@ class VecKeySetScanOp(_VecScanBase):
             self.counters.index_probes += 1
             positions.extend(position_of(row_id)
                              for row_id in self.index.lookup(key))
-        yield from self._scan_positions(positions)
+        yield from self._batches_of(positions)
 
 
 class IndexOrderScanOp(_VecScanBase):

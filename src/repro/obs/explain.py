@@ -146,10 +146,6 @@ class AnalyzeReport:
     #: batches flowed; empty when built by callers that predate the
     #: vectorized engine.
     execution: dict[str, Any] = field(default_factory=dict)
-    #: Durable-storage facts: ``durable`` plus ``segments_read`` /
-    #: ``segments_pruned`` (zone-map pruning during this execution);
-    #: empty for purely in-memory DrugTrees.
-    storage: dict[str, Any] = field(default_factory=dict)
     #: Cluster routing facts: ``shards_contacted`` / ``shards_total`` /
     #: ``shards_pruned``, quorum geometry (``rf``/``read_quorum``), and
     #: ``read_repairs`` / ``hints_queued`` during this execution, and
@@ -203,12 +199,6 @@ class AnalyzeReport:
             reason = self.execution.get("reason")
             if reason:
                 lines.append(f"-- execution: chose row: {reason}")
-        if self.storage:
-            lines.append(
-                "-- storage: durable, segments read="
-                f"{self.storage.get('segments_read', 0)}, "
-                f"pruned={self.storage.get('segments_pruned', 0)}"
-            )
         if self.cluster:
             view = self.cluster.get("view")
             if view == "absorbed":
@@ -281,7 +271,6 @@ class AnalyzeReport:
             "analysis": list(self.analysis),
             "resilience": dict(self.resilience),
             "execution": dict(self.execution),
-            "storage": dict(self.storage),
             "cluster": dict(self.cluster),
             "operators": self.operators.as_dict(),
         }

@@ -26,7 +26,6 @@ same either way in CPython.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import StorageError
@@ -99,38 +98,6 @@ class ColumnStore:
                 f"table {self.table.name!r}: no live row {row_id} in "
                 "column store"
             ) from None
-
-    def positions_in_row_id_ranges(
-        self, intervals: list[tuple[int, int]],
-    ) -> list[int]:
-        """Live positions whose row ids fall inside any interval.
-
-        *intervals* are inclusive ``(low, high)`` row-id ranges — the
-        durable engine's non-pruned segment intervals plus the
-        memtable's. Relies on ``_row_ids`` being ascending, which holds
-        for append-only tables whose ids are assigned monotonically
-        (true for every overlay table: inserts take increasing ids,
-        recovery replays in id order, deletes only tombstone). Ranges
-        are merged and walked in ascending order, so the result keeps
-        insertion order — the order scans must emit.
-        """
-        row_ids = self._row_ids
-        dead = self._dead
-        positions: list[int] = []
-        previous_end = 0
-        for low, high in sorted(intervals):
-            start = bisect_left(row_ids, low)
-            end = bisect_right(row_ids, high)
-            start = max(start, previous_end)  # overlapping ranges
-            if end <= start:
-                continue
-            previous_end = end
-            if dead:
-                positions.extend(p for p in range(start, end)
-                                 if p not in dead)
-            else:
-                positions.extend(range(start, end))
-        return positions
 
     def gather(self, name: str, positions: list[int]) -> list[Any]:
         buffer = self.column(name)

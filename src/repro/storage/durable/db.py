@@ -42,7 +42,7 @@ import json
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.errors import StorageError
 from repro.faults import CrashPoint, FaultSchedule
@@ -56,14 +56,8 @@ from repro.storage.durable.sstable import (
 )
 from repro.storage.durable.wal import WriteAheadLog
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.storage.columnar import ColumnStore
-
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "wal.log"
-
-#: Operators a zone map can refute (NULL never matches any of them).
-_ZONE_OPS = frozenset({"=", "<", "<=", ">", ">="})
 
 #: Segments a level tolerates before compacting into the next.
 LEVEL_FANOUT = 4
@@ -340,10 +334,7 @@ class Database:
         segment_id = self.next_segment_id
         self.next_segment_id += 1
         name = f"seg-{segment_id:06d}.sst"
-        write_sstable(
-            os.path.join(self.data_dir, name), items,
-            meta=_table_meta(items),
-        )
+        write_sstable(os.path.join(self.data_dir, name), items)
         return SegmentInfo(
             segment_id=segment_id, level=level, file=name,
             reader=SSTableReader(os.path.join(self.data_dir, name)),
@@ -466,30 +457,6 @@ class Database:
         return [{"level": level, **stats}
                 for level, stats in sorted(levels.items())]
 
-    def table_segments(self, table: str) -> list[dict[str, Any]]:
-        """Segment metadata rows relevant to *table* (for pruning)."""
-        relevant = []
-        for segment in self.segments:
-            meta = segment.reader.meta.get(table)
-            if meta is not None:
-                relevant.append(meta)
-        return relevant
-
-    def memtable_row_interval(self, table: str) -> tuple[int, int] | None:
-        """Inclusive row-id interval of *table*'s unflushed puts."""
-        prefix = f"t/{table}/"
-        low = high = None
-        for key in self.memtable.keys():
-            if not key.startswith(prefix) \
-                    or self.memtable.get(key) is TOMBSTONE:
-                continue
-            rid = int(key.rsplit("/", 1)[1])
-            low = rid if low is None else min(low, rid)
-            high = rid if high is None else max(high, rid)
-        if low is None:
-            return None
-        return low, high
-
     def close(self) -> None:
         """Clean shutdown: flush what's pending, release the WAL.
 
@@ -509,115 +476,6 @@ class Database:
                 f"memtable={len(self.memtable)})")
 
 
-def _table_meta(items: list[tuple[str, Any]]) -> dict[str, Any]:
-    """Per-table row-id intervals and column zone maps of a segment.
-
-    Only ``t/<table>/<rid>`` *puts* contribute: tombstones carry no
-    values and their row ids must not widen the interval (a segment
-    holding only the tombstone of row 3 does not contain row 3).
-    Zones hold ``[min, max]`` per column position over non-NULL values;
-    a position whose values are all NULL stores ``null``, which any
-    comparison predicate refutes outright (NULL never matches).
-    """
-    groups: dict[str, tuple[list[str], list[list]]] = {}
-    for key, value in items:
-        if value is TOMBSTONE or not key.startswith("t/") \
-                or not isinstance(value, list):
-            continue  # zone maps only describe positional row values
-        _, table, rid = key.split("/", 2)
-        group = groups.get(table)
-        if group is None:
-            group = groups[table] = ([], [])
-        group[0].append(rid)
-        group[1].append(value)
-    tables: dict[str, dict[str, Any]] = {}
-    for table, (rids, rows) in groups.items():
-        row_ids = list(map(int, rids))
-        tables[table] = {"rid_min": min(row_ids), "rid_max": max(row_ids),
-                         "zones": _zones(rows)}
-    return tables
-
-
-#: Cell types :func:`_zones` may take ``min``/``max`` over directly:
-#: within each set every pair is comparable, as :func:`_zone_less` has it.
-_ONE_KIND = (frozenset({int, float}), frozenset({bool}), frozenset({str}))
-
-
-def _zones(rows: list[list]) -> list[list[Any] | None]:
-    """``[min, max]`` of each column position over non-NULL cells.
-
-    A column whose cells are all one kind (numbers, bools or strings)
-    takes ``min``/``max``, which keep the first of equal extremes just
-    as the cell-by-cell fold does; any other column folds cell by cell
-    through :func:`_zone_less`, which skips incomparable pairs.
-    """
-    width = max(map(len, rows))
-    if min(map(len, rows)) == width:
-        columns = zip(*rows)
-    else:
-        columns = ([row[position] for row in rows if position < len(row)]
-                   for position in range(width))
-    zones: list[list[Any] | None] = []
-    for cells in columns:
-        present = [cell for cell in cells if cell is not None]
-        if not present:
-            zones.append(None)
-        elif any(set(map(type, present)) <= kind for kind in _ONE_KIND):
-            zones.append([min(present), max(present)])
-        else:
-            low = high = present[0]
-            for cell in present:
-                if _zone_less(cell, low):
-                    low = cell
-                if _zone_less(high, cell):
-                    high = cell
-            zones.append([low, high])
-    return zones
-
-
-def _zone_less(left: Any, right: Any) -> bool:
-    """``left < right`` only between comparable (same-kind) values."""
-    if isinstance(left, bool) or isinstance(right, bool):
-        return isinstance(left, bool) and isinstance(right, bool) \
-            and left < right
-    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-        return left < right
-    if isinstance(left, str) and isinstance(right, str):
-        return left < right
-    return False
-
-
-def _comparable(value: Any, bound: Any) -> bool:
-    if isinstance(value, bool) or isinstance(bound, bool):
-        return isinstance(value, bool) and isinstance(bound, bool)
-    if isinstance(value, (int, float)):
-        return isinstance(bound, (int, float))
-    if isinstance(value, str):
-        return isinstance(bound, str)
-    return False
-
-
-def _zone_refutes(zone: list[Any] | None, op: str, literal: Any) -> bool:
-    """True when no value inside *zone* can satisfy ``op literal``."""
-    if zone is None:
-        # Every value in the segment is NULL, and NULL matches nothing.
-        return True
-    low, high = zone
-    if not (_comparable(low, literal) and _comparable(high, literal)):
-        return False
-    if op == "=":
-        return literal < low or literal > high
-    if op == "<":
-        return low >= literal
-    if op == "<=":
-        return low > literal
-    if op == ">":
-        return high <= literal
-    if op == ">=":
-        return high < literal
-    return False
-
-
 class DurableTableAdapter:
     """Bridge between one :class:`~repro.storage.table.Table` and the
     shared :class:`Database`.
@@ -633,7 +491,6 @@ class DurableTableAdapter:
     def __init__(self, database: Database, table_name: str) -> None:
         self.database = database
         self.table_name = table_name
-        self._column_positions: dict[str, int] | None = None
 
     # -- write-ahead logging -----------------------------------------------
 
@@ -668,46 +525,3 @@ class DurableTableAdapter:
             restored += 1
         self.restore_watermark(table)
         return restored
-
-    # -- segment pruning ---------------------------------------------------
-
-    def scan_positions(self, store: "ColumnStore", residual: Any,
-                       counters: Any) -> list[int] | None:
-        """Buffer positions a residual-filtered scan must visit.
-
-        Checks every flushed segment's zone maps against the residual
-        predicates; segments refuted by a zone are skipped wholesale.
-        Returns ``None`` when nothing was prunable (caller scans all
-        live positions — same work, no position list built), otherwise
-        the kept positions: non-pruned segments' row-id intervals plus
-        the memtable's, mapped through the column store.
-        """
-        segments = self.database.table_segments(self.table_name)
-        if not segments:
-            return None
-        schema = store.table.schema
-        checks = []
-        for pred in residual:
-            if pred.op in _ZONE_OPS and schema.has_column(pred.column):
-                checks.append((schema.index_of(pred.column), pred.op,
-                               pred.value))
-        if not checks:
-            return None
-        kept: list[tuple[int, int]] = []
-        pruned = 0
-        for meta in segments:
-            zones = meta["zones"]
-            if any(_zone_refutes(
-                    zones[position] if position < len(zones) else None,
-                    op, literal) for position, op, literal in checks):
-                pruned += 1
-                continue
-            kept.append((meta["rid_min"], meta["rid_max"]))
-        counters.segments_read += len(segments) - pruned
-        counters.segments_pruned += pruned
-        if not pruned:
-            return None
-        interval = self.database.memtable_row_interval(self.table_name)
-        if interval is not None:
-            kept.append(interval)
-        return store.positions_in_row_id_ranges(kept)

@@ -14,10 +14,12 @@ scanning the data area:
   prefix scans read only the blocks their keys can occupy;
 * ``bloom`` — a bloom filter over every key (tombstones included), so
   lookups for absent keys skip the file without touching the data area;
-* ``min_key`` / ``max_key`` — the segment's key range;
-* ``meta`` — caller-supplied annotations; the database stores per-table
-  row-id intervals and per-column min/max *zone maps* here, which is
-  what lets the vectorized scan prune whole segments.
+* ``min_key`` / ``max_key`` — the segment's key range.
+
+Segments are read to recover and compact the store; queries scan the
+tables in memory. So a footer describes keys, never values. Older
+footers also carry a ``meta`` key of per-column summaries, which a
+reader ignores.
 
 The bloom hashes derive from :func:`hashlib.md5` double hashing, not
 Python's builtin ``hash`` — the builtin is salted per process, and a
@@ -97,7 +99,6 @@ class BloomFilter:
 
 
 def write_sstable(path: str, items: list[tuple[str, Any]],
-                  meta: dict[str, Any] | None = None,
                   block_bytes: int = 4096) -> None:
     """Write sorted ``(key, value-or-TOMBSTONE)`` *items* to *path*.
 
@@ -139,7 +140,6 @@ def write_sstable(path: str, items: list[tuple[str, Any]],
         "count": len(items),
         "tombstones": tombstones,
         "data_end": offset,
-        "meta": meta or {},
     }
     footer_bytes = JSON_ENCODER.encode(footer).encode("utf-8")
     parts += (footer_bytes, _FOOTER_LEN.pack(len(footer_bytes)))
@@ -174,7 +174,6 @@ class SSTableReader:
         self.count: int = footer["count"]
         self.tombstones: int = footer["tombstones"]
         self.data_end: int = footer["data_end"]
-        self.meta: dict[str, Any] = footer["meta"]
         self.size_bytes = size
         #: Each block's first key, and its data offset (one more
         #: offset: the end of the data area), for bisecting.

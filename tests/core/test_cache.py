@@ -1,11 +1,12 @@
 """Tests for the semantic query-result cache."""
 
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
 from repro.bio import parse_newick
-from repro.core import QueryEngine
+from repro.core import EngineConfig, QueryEngine
 from repro.core.labeling import IntervalLabeling
 from repro.core.query.ast import (
     AggregateSpec,
@@ -15,6 +16,7 @@ from repro.core.query.ast import (
     SubtreeFilter,
 )
 from repro.core.query.cache import SemanticCache
+from repro.core.query.predicates import compile_residual
 from repro.errors import QueryError
 from repro.workloads import DatasetConfig, build_dataset
 
@@ -320,3 +322,88 @@ class TestSignature:
                                                      6.0),))
         assert replace(BROAD, limit=3).signature() \
             == BROAD.signature() + " LIMIT 3"
+
+
+def derive_rowwise(labeling, rows, query):
+    """Subsumption one row dict at a time: the derivation the packed
+    one replaced, kept verbatim in behaviour."""
+    residual = compile_residual(query.predicates)
+    out = [row for row in rows if residual(row)]
+    if query.subtree is not None:
+        low, high = labeling.leaf_range(query.subtree.node_name)
+        out = [row for row in out if low <= row["leaf_pre"] < high]
+    if query.order_by is not None:
+        column = query.order_by.column
+        out.sort(key=lambda row: (row.get(column) is not None,
+                                  row.get(column)),
+                 reverse=query.order_by.descending)
+    out = out[:query.limit]
+    if query.select:
+        return [{column: row[column] for column in query.select}
+                for row in out]
+    return [dict(row) for row in out]
+
+
+def narrowings(drugtree):
+    """Queries a ``p_affinity >= 5`` entry subsumes: tighter predicates
+    × clade × SELECT × ORDER BY × LIMIT."""
+    clades = (None, drugtree.tree.root.children[0].name,
+              drugtree.tree.leaf_names()[3])
+    for threshold, potent, clade, select, order, limit in product(
+            (5.5, 7.0), (False, True), clades,
+            ((), ("ligand_id", "p_affinity"), ("leaf_pre",)),
+            (None, OrderBy("p_affinity", descending=True),
+             OrderBy("ligand_id")),
+            (None, 4)):
+        predicates = (Comparison("p_affinity", ">=", threshold),)
+        if potent:
+            predicates += (Comparison("potent", "=", True),)
+        yield Query(predicates=predicates, select=select, order_by=order,
+                    limit=limit,
+                    subtree=SubtreeFilter(clade) if clade else None)
+
+
+class TestDerivedEqualsExecuted:
+    @pytest.fixture(scope="class")
+    def world(self):
+        dataset = build_dataset(DatasetConfig(n_leaves=12, n_ligands=12,
+                                              seed=17))
+        drugtree = dataset.drugtree()
+        engine = QueryEngine(drugtree,
+                             EngineConfig(use_semantic_cache=False))
+        rows = engine.execute(BROAD_ENTRY).rows
+        assert rows and len({tuple(row) for row in rows}) == 1
+        return drugtree, engine, rows
+
+    @pytest.mark.parametrize("form", ["packed", "dicts"])
+    def test_every_narrowing(self, world, form):
+        drugtree, engine, rows = world
+        if form == "dicts":  # rows whose columns share no one order
+            rows = [dict(reversed(row.items())) if i % 2 else row
+                    for i, row in enumerate(rows)]
+        cache = SemanticCache(drugtree.labeling)
+        cache.store(BROAD_ENTRY, rows, 0)
+        columns, _ = cache._entries[BROAD_ENTRY.signature()]
+        assert (columns is None) == (form == "dicts")
+        for query in narrowings(drugtree):
+            hit = cache.lookup(query, 0)
+            assert hit.kind == "subsumed", query
+            want = derive_rowwise(drugtree.labeling, rows, query)
+            assert hit.rows == want, query
+            assert [list(row) for row in hit.rows] \
+                == [list(row) for row in want]
+            executed = engine.execute(query).rows
+            assert len(hit.rows) == len(executed), query
+            column = query.order_by and query.order_by.column
+            if column in (query.select or rows[0]):
+                assert [row[column] for row in hit.rows] \
+                    == [row[column] for row in executed], query
+            if query.limit is None:
+                assert _multiset(hit.rows) == _multiset(executed), query
+
+
+def _multiset(rows):
+    return sorted(repr(sorted(row.items())) for row in rows)
+
+
+BROAD_ENTRY = Query(predicates=(Comparison("p_affinity", ">=", 5.0),))

@@ -136,103 +136,3 @@ class TestMutationLogging:
                 table.insert({"name": f"r{i}", "rank": i, "score": 0.5})
         after = get_metrics().counter_values()["wal.fsyncs"]
         assert after - before == 1
-
-
-class Pred:
-    """Comparison stand-in: pruning only reads column/op/value.
-
-    The real :class:`~repro.core.query.ast.Comparison` validates its
-    column against the overlay schemas, which this synthetic table is
-    not part of.
-    """
-
-    def __init__(self, column, op, value):
-        self.column = column
-        self.op = op
-        self.value = value
-
-
-class TestSegmentPruning:
-    def make_flushed_table(self, tmp_path):
-        db = open_db(tmp_path)
-        table = durable_table(db)
-        # Three disjoint rank bands, one segment each.
-        for band in range(3):
-            for i in range(10):
-                table.insert({
-                    "name": f"b{band}-{i}",
-                    "rank": band * 100 + i,
-                    "score": float(band),
-                })
-            db.flush()
-        return db, table
-
-    def test_refuted_segments_are_pruned(self, tmp_path):
-        from repro.core.query.physical import ExecCounters
-
-        db, table = self.make_flushed_table(tmp_path)
-        store = table.column_store()
-        counters = ExecCounters()
-        residual = (Pred("rank", ">=", 200),)
-        positions = table.durable.scan_positions(store, residual,
-                                                 counters)
-        assert positions is not None
-        assert counters.segments_pruned == 2
-        assert counters.segments_read == 1
-        ranks = store.gather("rank", positions)
-        assert ranks == [200 + i for i in range(10)]
-
-    def test_unprunable_predicate_returns_none(self, tmp_path):
-        from repro.core.query.physical import ExecCounters
-
-        db, table = self.make_flushed_table(tmp_path)
-        counters = ExecCounters()
-        residual = (Pred("rank", ">=", 0),)  # matches every band
-        positions = table.durable.scan_positions(
-            table.column_store(), residual, counters,
-        )
-        assert positions is None  # nothing pruned: scan everything
-
-    def test_memtable_rows_always_kept(self, tmp_path):
-        from repro.core.query.physical import ExecCounters
-
-        db, table = self.make_flushed_table(tmp_path)
-        table.insert({"name": "fresh", "rank": 500, "score": None})
-        counters = ExecCounters()
-        positions = table.durable.scan_positions(
-            table.column_store(),
-            (Pred("rank", ">=", 300),), counters,
-        )
-        assert positions is not None
-        assert counters.segments_pruned == 3
-        assert store_names(table, positions) == ["fresh"]
-
-
-def store_names(table, positions):
-    return table.column_store().gather("name", positions)
-
-
-class TestPositionsInRowIdRanges:
-    def test_interval_walk_matches_filter(self, tmp_path):
-        db = open_db(tmp_path)
-        table = durable_table(db)
-        for i in range(20):
-            table.insert({"name": f"r{i}", "rank": i, "score": None})
-        table.delete(5)
-        table.delete(12)
-        store = table.column_store()
-        intervals = [(3, 8), (10, 14)]
-        got = store.positions_in_row_id_ranges(intervals)
-        expected = [p for p in store.live_positions()
-                    if any(low <= store._row_ids[p] <= high
-                           for low, high in intervals)]
-        assert got == expected
-
-    def test_overlapping_intervals_deduplicated(self, tmp_path):
-        db = open_db(tmp_path)
-        table = durable_table(db)
-        for i in range(10):
-            table.insert({"name": f"r{i}", "rank": i, "score": None})
-        store = table.column_store()
-        got = store.positions_in_row_id_ranges([(0, 6), (4, 9)])
-        assert got == list(range(10))

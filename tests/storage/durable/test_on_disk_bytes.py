@@ -1,9 +1,10 @@
 """The durable store's bytes are a function of what was written.
 
 A golden digest pins a fixed-seed data directory (segments, manifest
-and WAL) as the straightforward flush and compaction code wrote it; the
-zone-map kernel is held to the cell-at-a-time fold on generated rows;
-and reopening decodes each stored value at most once.
+and WAL) as the straightforward flush and compaction code wrote it;
+a directory whose segment footers still carry the retired ``meta`` key
+opens, reads, compacts and recovers like a current one; and reopening
+decodes each stored value at most once.
 """
 
 import hashlib
@@ -11,23 +12,20 @@ import json
 import os
 from pathlib import Path
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.chem.affinity import ActivityType, BindingRecord
 from repro.core import DrugTree
 from repro.storage.durable import StorageConfig, sstable
-from repro.storage.durable.db import _table_meta
+from repro.storage.durable.db import row_key
 from repro.storage.durable.memtable import TOMBSTONE
 from repro.workloads import DatasetConfig, build_dataset
-from tests.storage.oracles import table_meta_cellwise
 
 WORLD = DatasetConfig(n_leaves=24, n_ligands=40, seed=1103)
 #: sha256 over (name, sha256(bytes)) of every file, sorted by name:
 #: after the writes (two levels, tombstones, a WAL tail) and after a
-#: major compaction. Captured from the row-at-a-time implementation.
-WRITTEN = "0081281eae0dfcee3722d0ea348bb216a72aa3ac8029e9714abb620525e3d1ef"
-COMPACTED = "b02f60ed9234fb2332fc363ac5dce3138f3217de72a0cc8f1c34d32e4d1ff6b8"
+#: major compaction. Re-captured when segment footers dropped their
+#: ``meta`` key, a deliberate format change; nothing else moved.
+WRITTEN = "924750e960442b3bb00257a38edf65a344aac389b6b077afffed38af2f5173f7"
+COMPACTED = "909721c45c2a7a743bbe54146aacc4416b98c4badca7f1eff17106d18ba93205"
 
 
 def digest(data_dir: Path) -> str:
@@ -100,48 +98,88 @@ def test_reopen_decodes_each_stored_value_at_most_once(tmp_path,
     drugtree.close()
 
 
-_CELLS = {
-    "int": st.integers(-5, 5),
-    "float": st.floats(-5, 5, allow_nan=False).map(lambda x: x + 0.0),
-    "number": st.one_of(st.integers(-3, 3),
-                        st.sampled_from([-1.0, 0.0, 1.0, 2.5])),
-    "bool": st.booleans(),
-    "str": st.sampled_from(["", "a", "b", "ab", "10", "9"]),
-    "mixed": st.one_of(st.booleans(), st.integers(0, 2),
-                       st.sampled_from([0.0, 1.0, 1.5]),
-                       st.sampled_from(["0", "1", "a"])),
-    "null": st.none(),
-}
+#: ``write_world``'s directory as written while segment footers carried
+#: a ``meta`` key (the ``WRITTEN`` digest of that format).
+LEGACY_WRITTEN = \
+    "0081281eae0dfcee3722d0ea348bb216a72aa3ac8029e9714abb620525e3d1ef"
 
 
-@st.composite
-def segment_items(draw):
-    """Sorted, unique ``(key, value)`` items as a flush or compaction
-    hands them over: rows of a few tables (NULLs, ragged widths,
-    same-kind and mixed columns), tombstones, and non-row keys."""
-    items = {}
-    for table in draw(st.lists(st.sampled_from(["a", "bb", "c"]),
-                               unique=True, max_size=3)):
-        kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)),
-                              min_size=1, max_size=5))
-        for rid in draw(st.lists(st.integers(0, 60), unique=True,
-                                 max_size=25)):
-            key = f"t/{table}/{rid:012d}"
-            if draw(st.integers(0, 7)) == 0:
-                items[key] = TOMBSTONE
+def legacy_meta(items):
+    """The retired footer ``meta``: per table, the row-id interval of
+    its puts and each column position's ``[min, max]`` over non-NULL
+    cells (``None`` when all are NULL), folded one cell at a time."""
+    tables = {}
+    for key, value in items:
+        if value is TOMBSTONE or not key.startswith("t/") \
+                or not isinstance(value, list):
+            continue
+        _, table, rid = key.split("/", 2)
+        meta = tables.setdefault(table, {"rid_min": int(rid),
+                                         "rid_max": int(rid), "zones": []})
+        meta["rid_min"] = min(meta["rid_min"], int(rid))
+        meta["rid_max"] = max(meta["rid_max"], int(rid))
+        zones = meta["zones"]
+        zones.extend([None] * (len(value) - len(zones)))
+        for position, cell in enumerate(value):
+            if cell is None:
                 continue
-            width = draw(st.integers(max(0, len(kinds) - 1), len(kinds)))
-            items[key] = [draw(st.one_of(st.none(), _CELLS[kind]))
-                          for kind in kinds[:width]]
-    if draw(st.booleans()):
-        items["m/a/rowid"] = draw(st.integers(0, 99))
-    return sorted(items.items())
+            if zones[position] is None:
+                zones[position] = [cell, cell]
+            low, high = zones[position]
+            if _kind(cell) is _kind(low):  # other kinds never compare
+                zones[position] = [min(low, cell), max(high, cell)]
+    return tables
 
 
-@settings(max_examples=200, deadline=None)
-@given(segment_items())
-def test_zone_kernel_matches_the_cell_fold(items):
-    got, want = _table_meta(items), table_meta_cellwise(items)
-    assert got == want
-    # JSON tells 1 from 1.0 from True: the footer bytes are equal too.
-    assert json.dumps(got) == json.dumps(want)
+def _kind(cell):
+    return bool if isinstance(cell, bool) \
+        else str if isinstance(cell, str) else float
+
+
+def with_legacy_footers(data_dir: Path) -> None:
+    """Rewrite every segment's footer the way the previous format did:
+    the same keys, then ``meta`` last."""
+    for name in sorted(os.listdir(data_dir)):
+        if not name.endswith(".sst"):
+            continue
+        path = data_dir / name
+        reader = sstable.SSTableReader(str(path))
+        data = path.read_bytes()
+        length = sstable._FOOTER_LEN
+        footer = json.loads(data[reader.data_end:-length.size])
+        footer["meta"] = legacy_meta(list(reader.entries()))
+        footer_bytes = sstable.JSON_ENCODER.encode(footer).encode("utf-8")
+        path.write_bytes(data[:reader.data_end] + footer_bytes
+                         + length.pack(len(footer_bytes)))
+
+
+def test_a_segment_with_the_old_meta_footer_still_works(tmp_path):
+    data_dir = tmp_path / "db"
+    dataset, drugtree = write_world(data_dir)
+    rows = {name: dict(table.scan())
+            for name, table in drugtree.tables.items()}
+    drugtree.database.wal.close()  # the writer exits without a flush
+    with_legacy_footers(data_dir)
+    assert digest(data_dir) == LEGACY_WRITTEN
+
+    def reopen():
+        return DrugTree(dataset.tree, storage=StorageConfig(
+            durable=True, data_dir=str(data_dir)))
+
+    reopened = reopen()
+    assert {name: dict(table.scan())
+            for name, table in reopened.tables.items()} == rows
+    database = reopened.database
+    bindings = rows["bindings"]
+    for row_id in sorted(bindings)[::7]:
+        assert database.get(row_key("bindings", row_id)) \
+            == list(bindings[row_id])
+    assert [int(key.rsplit("/", 1)[1])
+            for key, _ in database.scan("t/bindings/")] == sorted(bindings)
+    database.compact()
+    assert digest(data_dir) == COMPACTED
+    reopened.close()
+    recovered = reopen()
+    assert {name: dict(table.scan())
+            for name, table in recovered.tables.items()} == rows
+    recovered.close()

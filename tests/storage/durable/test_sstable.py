@@ -1,4 +1,4 @@
-"""SSTable layout: entries, block index, bloom filter, zone meta."""
+"""SSTable layout: entries, block index, bloom filter, footer."""
 
 import pytest
 
@@ -127,12 +127,6 @@ class TestBloom:
 
 
 class TestMeta:
-    def test_meta_roundtrip(self, tmp_path):
-        meta = {"bindings": {"rid_min": 0, "rid_max": 9,
-                             "zones": [[1.5, 9.5], None]}}
-        reader = write(tmp_path, make_items(3), meta=meta)
-        assert reader.meta == meta
-
     def test_corrupt_footer_detected(self, tmp_path):
         path = str(tmp_path / "seg.sst")
         write_sstable(path, make_items(3))

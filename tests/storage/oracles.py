@@ -1,9 +1,8 @@
 """Reference implementations the storage kernels are checked against.
 
 Each is the straightforward version the kernel replaced, kept verbatim
-in behaviour: a flat two-list sorted index, a row-at-a-time ANALYZE and
-a cell-at-a-time zone-map fold. The tests hold the kernels to
-``==`` with these on generated inputs.
+in behaviour: a flat two-list sorted index and a row-at-a-time ANALYZE.
+The tests hold the kernels to ``==`` with these on generated inputs.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ import bisect
 from collections.abc import Iterator
 from typing import Any
 
-from repro.storage.durable.db import parse_row_key
-from repro.storage.durable.memtable import TOMBSTONE
 from repro.storage.statistics import (
     DEFAULT_HISTOGRAM_BUCKETS,
     DEFAULT_MCV_COUNT,
@@ -156,49 +153,3 @@ def _equi_depth_rowwise(sorted_values: list[float],
         position = min(total - 1, round(bucket * total / buckets) - 1)
         bounds.append(float(sorted_values[position]))
     return Histogram(tuple(bounds), total)
-
-
-def table_meta_cellwise(items: list[tuple[str, Any]]) -> dict[str, Any]:
-    """Segment zone maps, one cell at a time."""
-    tables: dict[str, dict[str, Any]] = {}
-    for key, value in items:
-        if value is TOMBSTONE or not key.startswith("t/") \
-                or not isinstance(value, list):
-            continue
-        table, rid = parse_row_key(key)
-        meta = tables.get(table)
-        if meta is None:
-            meta = tables[table] = {
-                "rid_min": rid, "rid_max": rid,
-                "zones": [None] * len(value),
-            }
-        else:
-            meta["rid_min"] = min(meta["rid_min"], rid)
-            meta["rid_max"] = max(meta["rid_max"], rid)
-            if len(meta["zones"]) < len(value):
-                meta["zones"].extend(
-                    [None] * (len(value) - len(meta["zones"]))
-                )
-        for position, cell in enumerate(value):
-            if cell is None:
-                continue
-            zone = meta["zones"][position]
-            if zone is None:
-                meta["zones"][position] = [cell, cell]
-            else:
-                if _zone_less(cell, zone[0]):
-                    zone[0] = cell
-                if _zone_less(zone[1], cell):
-                    zone[1] = cell
-    return tables
-
-
-def _zone_less(left: Any, right: Any) -> bool:
-    if isinstance(left, bool) or isinstance(right, bool):
-        return isinstance(left, bool) and isinstance(right, bool) \
-            and left < right
-    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-        return left < right
-    if isinstance(left, str) and isinstance(right, str):
-        return left < right
-    return False
