@@ -105,12 +105,10 @@ class DrugTree:
         if self.database is not None:
             # Recovery: replay the committed store into the fresh overlay.
             with get_tracer().span("durable.recover.overlay") as span:
-                span.set("rows", self.load_rows({
-                    name: table.durable.committed_rows()
-                    for name, table in self.tables.items()
-                }))
-                for table in self.tables.values():
-                    table.durable.restore_watermark(table)
+                rows, watermarks = self.database.committed_tables()
+                span.set("rows", self.load_rows(rows))
+                for name, watermark in watermarks.items():
+                    self.tables[name].bump_next_row_id(watermark)
 
     def load_rows(self, rows: Mapping[str, Iterable[tuple[int, tuple]]],
                   ) -> int:

@@ -15,19 +15,13 @@ from repro.storage.durable.db import (
     SegmentInfo,
     StorageConfig,
     meta_key,
-    parse_row_key,
     row_key,
 )
 from repro.storage.durable.memtable import TOMBSTONE, MemTable
-from repro.storage.durable.sstable import (
-    BloomFilter,
-    SSTableReader,
-    write_sstable,
-)
+from repro.storage.durable.sstable import SSTableReader, write_sstable
 from repro.storage.durable.wal import WriteAheadLog
 
 __all__ = [
-    "BloomFilter",
     "Database",
     "DurableTableAdapter",
     "MemTable",
@@ -38,7 +32,6 @@ __all__ = [
     "TOMBSTONE",
     "WriteAheadLog",
     "meta_key",
-    "parse_row_key",
     "row_key",
     "write_sstable",
 ]

@@ -86,11 +86,6 @@ def row_key(table: str, row_id: int) -> str:
     return f"t/{table}/{row_id:012d}"
 
 
-def parse_row_key(key: str) -> tuple[str, int]:
-    _, table, rid = key.split("/", 2)
-    return table, int(rid)
-
-
 def meta_key(table: str) -> str:
     return f"m/{table}/rowid"
 
@@ -133,6 +128,22 @@ class RecoveryReport:
             "torn_bytes": self.torn_bytes,
             "orphans_removed": self.orphans_removed,
         }
+
+
+def _merge(segments: list[SegmentInfo]) -> dict[str, Any]:
+    """Every key of *segments* and its newest value (or TOMBSTONE).
+
+    Reads the segments oldest-to-newest: deepest level first, then by
+    segment id. A compaction merges a level into the one below it
+    whole, so a level's versions are newer than any below it, and only
+    level 0 holds more than one segment. The id alone is not recency:
+    merging levels 1 and 2 mints an id newer than level 0's segments.
+    """
+    merged: dict[str, Any] = {}
+    for segment in sorted(segments,
+                          key=lambda s: (-s.level, s.segment_id)):
+        merged.update(segment.reader.entries())
+    return merged
 
 
 class Database:
@@ -185,14 +196,20 @@ class Database:
         tracer = get_tracer()
         with tracer.span("durable.recover",
                          data_dir=self.data_dir) as span:
-            manifest: dict[str, Any] = {"segments": [],
-                                        "next_segment_id": 1}
+            segments: list[dict[str, Any]] = []
+            next_segment_id = 1
             path = self._manifest_path()
             if os.path.exists(path):
-                with open(path, encoding="utf-8") as handle:
-                    manifest = json.load(handle)
+                try:
+                    with open(path, encoding="utf-8") as handle:
+                        manifest = json.load(handle)
+                    segments = manifest["segments"]
+                    next_segment_id = manifest["next_segment_id"]
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise StorageError(
+                        f"manifest {path!r} is corrupt: {exc!r}") from exc
             adopted: set[str] = set()
-            for entry in manifest["segments"]:
+            for entry in segments:
                 file_path = os.path.join(self.data_dir, entry["file"])
                 if not os.path.exists(file_path):
                     raise StorageError(
@@ -205,7 +222,7 @@ class Database:
                     reader=SSTableReader(file_path),
                 ))
                 adopted.add(entry["file"])
-            self.next_segment_id = manifest["next_segment_id"]
+            self.next_segment_id = next_segment_id
             # Orphans: segment files a crash wrote but the manifest
             # never adopted. The manifest is the authority; drop them.
             for name in sorted(os.listdir(self.data_dir)):
@@ -292,40 +309,34 @@ class Database:
 
     # -- read path ---------------------------------------------------------
 
-    def get(self, key: str) -> Any:
-        """Newest committed value of *key*, or ``None``."""
-        if key in self.memtable:
-            value = self.memtable.get(key)
-            return None if value is TOMBSTONE else value
-        for segment in sorted(self.segments,
-                              key=lambda s: s.segment_id, reverse=True):
-            found, value = segment.reader.get(key)
-            if found:
-                return None if value is TOMBSTONE else value
-        return None
-
-    def scan(self, prefix: str = ""):
-        """Live ``(key, value)`` pairs under *prefix*, in key order.
+    def scan(self) -> Iterator[tuple[str, Any]]:
+        """Every live ``(key, value)`` pair, in key order.
 
         Merges segments oldest-to-newest, then the memtable, so the
         newest version of each key wins; tombstoned keys are dropped.
-        Segment-id recency is sound because compaction always consumes
-        *whole* levels: a merged segment's id is newer than everything
-        it replaced. Each segment is read only across *prefix*'s keys
-        (:meth:`SSTableReader.scan`), so scanning every table in turn
-        decodes each stored value once.
+        Each segment is read once, whole.
         """
-        merged: dict[str, Any] = {}
-        for segment in sorted(self.segments,
-                              key=lambda s: s.segment_id):
-            merged.update(segment.reader.scan(prefix))
-        for key in self.memtable.keys():
-            if key.startswith(prefix):
-                merged[key] = self.memtable.get(key)
+        merged = _merge(self.segments)
+        merged.update(self.memtable.items())
         for key in sorted(merged):
             value = merged[key]
             if value is not TOMBSTONE:
                 yield key, value
+
+    def committed_tables(self) -> tuple[
+            dict[str, list[tuple[int, tuple[Any, ...]]]], dict[str, int]]:
+        """Each table's committed ``(row_id, row)`` pairs in ascending
+        row id, and each table's row-id watermark, from one
+        :meth:`scan` — what recovery hands the overlay."""
+        rows: dict[str, list[tuple[int, tuple[Any, ...]]]] = {}
+        watermarks: dict[str, int] = {}
+        for key, value in self.scan():
+            kind, table, rest = key.split("/", 2)
+            if kind == "t":
+                rows.setdefault(table, []).append((int(rest), tuple(value)))
+            elif kind == "m":
+                watermarks[table] = int(value)
+        return rows, watermarks
 
     # -- flush & compaction ------------------------------------------------
 
@@ -390,9 +401,7 @@ class Database:
         tracer = get_tracer()
         with tracer.span("durable.compact", level=level,
                          inputs=len(merging)) as span:
-            merged: dict[str, Any] = {}
-            for segment in sorted(merging, key=lambda s: s.segment_id):
-                merged.update(segment.reader.entries())
+            merged = _merge(merging)
             items = []
             dropped = 0
             for key in sorted(merged):
@@ -481,18 +490,14 @@ class DurableTableAdapter:
     shared :class:`Database`.
 
     The table calls :meth:`log_insert` / :meth:`log_delete` *before*
-    touching its in-memory state (write-ahead order), and
-    :meth:`restore_into` replays the store back through the table's
-    normal listener machinery on open — secondary indexes, column
-    stores, and materialized aggregates rebuild themselves exactly as
-    they would under live inserts.
+    touching its in-memory state (write-ahead order). Recovery goes
+    through the store, not the adapter: :meth:`Database.committed_tables`
+    hands the DrugTree every table's rows and watermark at once.
     """
 
     def __init__(self, database: Database, table_name: str) -> None:
         self.database = database
         self.table_name = table_name
-
-    # -- write-ahead logging -----------------------------------------------
 
     def log_insert(self, row_id: int, row: tuple[Any, ...]) -> None:
         self.database.put(row_key(self.table_name, row_id), list(row))
@@ -503,25 +508,3 @@ class DurableTableAdapter:
         with self.database.batch() as db:
             db.delete(row_key(self.table_name, row_id))
             db.put(meta_key(self.table_name), next_row_id)
-
-    # -- recovery ----------------------------------------------------------
-
-    def committed_rows(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
-        """Committed ``(row_id, row)`` pairs in ascending row id."""
-        for key, value in self.database.scan(f"t/{self.table_name}/"):
-            yield parse_row_key(key)[1], tuple(value)
-
-    def restore_watermark(self, table: Any) -> None:
-        """Raise *table*'s next row id to the logged watermark."""
-        watermark = self.database.get(meta_key(self.table_name))
-        if watermark is not None:
-            table.bump_next_row_id(int(watermark))
-
-    def restore_into(self, table: Any) -> int:
-        """Replay committed rows into *table*; returns rows restored."""
-        restored = 0
-        for row_id, row in self.committed_rows():
-            table.restore_row(row_id, row)
-            restored += 1
-        self.restore_watermark(table)
-        return restored

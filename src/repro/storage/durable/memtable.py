@@ -37,9 +37,6 @@ class MemTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
     def put(self, key: str, value: Any, size: int) -> None:
         """Record *value* (or :data:`TOMBSTONE`) under *key*.
 
@@ -50,16 +47,13 @@ class MemTable:
         self._sizes[key] = size
         self._entries[key] = value
 
-    def get(self, key: str) -> Any:
-        """The stored value, :data:`TOMBSTONE`, or ``None`` if absent."""
-        return self._entries.get(key)
+    def items(self):
+        """Every ``(key, value-or-TOMBSTONE)``, in insertion order."""
+        return self._entries.items()
 
     def items_sorted(self) -> list[tuple[str, Any]]:
         """Every entry in key order (the flush order)."""
         return sorted(self._entries.items())
-
-    def keys(self):
-        return self._entries.keys()
 
     def clear(self) -> None:
         self._entries.clear()

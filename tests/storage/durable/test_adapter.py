@@ -1,4 +1,5 @@
-"""Table + DurableTableAdapter: WAL-first mutations and restore."""
+"""Table + DurableTableAdapter: WAL-first mutations, and restore from
+the store's committed tables."""
 
 import pytest
 
@@ -46,6 +47,18 @@ def durable_table(db, name="things"):
                  durable=DurableTableAdapter(db, name))
 
 
+def restore(table):
+    """Replay the store's committed rows and row-id watermark into
+    *table*, as DrugTree recovery does; returns the rows restored."""
+    rows, watermarks = table.durable.database.committed_tables()
+    mine = rows.get(table.name, [])
+    for row_id, row in mine:
+        table.restore_row(row_id, row)
+    if table.name in watermarks:
+        table.bump_next_row_id(watermarks[table.name])
+    return len(mine)
+
+
 class TestMutationLogging:
     def test_insert_reaches_the_wal_before_memory(self, tmp_path):
         db = open_db(tmp_path)
@@ -59,7 +72,7 @@ class TestMutationLogging:
         db.wal.sync()
         db2 = open_db(tmp_path)
         table2 = durable_table(db2)
-        assert table2.durable.restore_into(table2) == 1
+        assert restore(table2) == 1
         assert table2.get(0) == ("a", 1, 0.5)
 
     def test_restore_rebuilds_table_exactly(self, tmp_path):
@@ -73,7 +86,7 @@ class TestMutationLogging:
 
         db2 = open_db(tmp_path)
         table2 = durable_table(db2)
-        restored = table2.durable.restore_into(table2)
+        restored = restore(table2)
         assert restored == 2
         assert dict(table2.scan()) == {0: ("a", 1, 0.25),
                                        2: ("c", 3, 9.75)}
@@ -89,7 +102,7 @@ class TestMutationLogging:
         seen = []
         table2.add_insert_listener(lambda rid, row: seen.append(rid))
         table2.create_index(["name"], kind="hash")
-        table2.durable.restore_into(table2)
+        restore(table2)
         assert seen == [0]
         index = table2.index_on("name")
         assert list(index.lookup("a")) == [0]
@@ -106,7 +119,7 @@ class TestMutationLogging:
 
         db2 = open_db(tmp_path)
         table2 = durable_table(db2)
-        table2.durable.restore_into(table2)
+        restore(table2)
         # The watermark keeps id 2 burned even though its tombstone
         # was collected.
         new_id = table2.insert({"name": "new", "rank": 9, "score": None})

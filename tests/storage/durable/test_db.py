@@ -1,12 +1,20 @@
-"""Database engine: LSM lifecycle, crash-recovery matrix, GC."""
+"""Database engine: LSM lifecycle, crash-recovery matrix, GC, and a
+dict model the store is checked against."""
 
+import inspect
 import os
+import tempfile
+import textwrap
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
-from repro.faults import Crash, CrashPoint, FaultSchedule
+from repro.faults import CRASH_POINTS, Crash, CrashPoint, FaultSchedule
 from repro.obs import MetricsRegistry, get_metrics, set_metrics
 from repro.storage.durable import Database, StorageConfig
+from repro.storage.durable import db as db_module
 from repro.storage.durable.db import LEVEL_FANOUT
 
 
@@ -42,11 +50,10 @@ class TestBasics:
         db = open_db(tmp_path, memtable_flush_bytes=1 << 20)
         db.put("a", {"x": 1})
         db.put("b", [1, 2.5, None, True])
-        assert db.get("a") == {"x": 1}
-        assert db.get("b") == [1, 2.5, None, True]
+        assert list(db.scan()) == [("a", {"x": 1}),
+                                   ("b", [1, 2.5, None, True])]
         db.delete("a")
-        assert db.get("a") is None
-        assert db.get("missing") is None
+        db.delete("missing")
         assert list(db.scan()) == [("b", [1, 2.5, None, True])]
 
     def test_overwrite_newest_wins_across_flushes(self, tmp_path):
@@ -54,9 +61,8 @@ class TestBasics:
         db.put("k", "old")
         db.flush()
         db.put("k", "new")
-        assert db.get("k") == "new"
+        assert list(db.scan()) == [("k", "new")]
         db.flush()
-        assert db.get("k") == "new"
         assert list(db.scan()) == [("k", "new")]
 
     def test_scan_prefix_and_order(self, tmp_path):
@@ -66,9 +72,9 @@ class TestBasics:
         db.put("t/b/000", 99)
         db.flush()
         db.put("t/a/000", 0)
-        assert [k for k, _ in db.scan("t/a/")] \
-            == ["t/a/000", "t/a/001", "t/a/002", "t/a/003"]
-        assert [v for _, v in db.scan("t/a/")] == [0, 1, 2, 3]
+        assert list(db.scan()) == [("t/a/000", 0), ("t/a/001", 1),
+                                   ("t/a/002", 2), ("t/a/003", 3),
+                                   ("t/b/000", 99)]
 
     def test_threshold_triggers_flush(self, tmp_path):
         db = open_db(tmp_path, memtable_flush_bytes=256)
@@ -191,7 +197,7 @@ class TestRecovery:
         # Simulated kill: no close(), no flush. Reopen from disk.
         db2 = open_db(tmp_path)
         assert db2.recovery.wal_records == 1
-        assert db2.get("committed") == "yes"
+        assert list(db2.scan()) == [("committed", "yes")]
 
     def test_crash_mid_wal_append_truncates_tear(self, tmp_path):
         db = open_db(tmp_path, memtable_flush_bytes=1 << 20)
@@ -202,8 +208,7 @@ class TestRecovery:
             db.put("torn", 2)
         db2 = open_db(tmp_path)
         assert db2.recovery.torn_bytes > 0
-        assert db2.get("before") == 1
-        assert db2.get("torn") is None
+        assert list(db2.scan()) == [("before", 1)]
 
     def test_crash_post_append_pre_apply_replays_record(self, tmp_path):
         db = open_db(tmp_path, memtable_flush_bytes=1 << 20,
@@ -214,8 +219,7 @@ class TestRecovery:
             db.put("b", 2)
         # The WAL got the record even though the crash hit right after.
         db2 = open_db(tmp_path)
-        assert db2.get("a") == 1
-        assert db2.get("b") == 2
+        assert list(db2.scan()) == [("a", 1), ("b", 2)]
 
     def test_crash_mid_flush_leaves_orphan_and_wal(self, tmp_path):
         db = open_db(tmp_path, memtable_flush_bytes=1 << 20)
@@ -280,8 +284,7 @@ class TestRecovery:
         db.delete("a")
         db.wal.sync()
         db2 = open_db(tmp_path)
-        assert db2.get("a") is None
-        assert db2.get("b") == 2
+        assert list(db2.scan()) == [("b", 2)]
 
 
 class TestObservability:
@@ -319,3 +322,121 @@ class TestObservability:
             assert "durable.flush" in names
         finally:
             set_tracer(previous)
+
+
+# -- the dict model ----------------------------------------------------------
+
+KEYS = st.sampled_from(["k/0", "k/1"])
+PUT = st.tuples(st.just("put"), KEYS, st.integers(0, 9))
+WRITES = st.recursive(
+    st.one_of(PUT, st.tuples(st.just("delete"), KEYS)),
+    lambda inner: st.tuples(st.just("batch"), st.lists(inner, max_size=4)),
+    max_leaves=6,
+)
+FLUSH = st.tuples(st.just("flush"))
+COMPACT_LEVEL = st.tuples(st.just("compact_level"), st.integers(0, 1))
+COMPACT = st.tuples(st.just("compact"))
+OPS = st.lists(st.one_of(
+    WRITES, FLUSH, COMPACT_LEVEL, COMPACT_LEVEL, COMPACT,
+    st.tuples(st.just("reopen")),
+    st.tuples(st.just("crash"), st.sampled_from(CRASH_POINTS),
+              st.one_of(PUT, FLUSH, COMPACT_LEVEL, COMPACT)),
+), min_size=12, max_size=30)
+
+
+def apply(db, model, op):
+    """Run one write or maintenance *op* on *db* and, once it returns,
+    on *model* (a batch commits when its outermost group exits)."""
+    kind = op[0]
+    if kind == "put":
+        db.put(op[1], op[2])
+        model[op[1]] = op[2]
+    elif kind == "delete":
+        db.delete(op[1])
+        model.pop(op[1], None)
+    elif kind == "batch":
+        with db.batch():
+            for inner in op[1]:
+                apply(db, model, inner)
+    elif kind == "flush":
+        db.flush()
+    elif kind == "compact_level":
+        db.compact_level(op[1])
+    else:
+        db.compact()
+
+
+def check_against_model(database_cls, ops):
+    """After every op, the store's live pairs equal the committed ones.
+
+    A crash is a process kill, not a power loss, so ``os.fsync`` is a
+    no-op here; ``fsync="always"`` still hands every append outside a
+    batch to the OS. A 48-byte memtable flushes every second write.
+    """
+    with tempfile.TemporaryDirectory() as data_dir, \
+            mock.patch.object(os, "fsync", lambda fd: None):
+        cfg = StorageConfig(durable=True, data_dir=data_dir,
+                            fsync="always", memtable_flush_bytes=48)
+        db = database_cls(data_dir, cfg)
+        model = {}
+        for op in ops:
+            if op[0] == "reopen":
+                db.close()
+                db = database_cls(data_dir, cfg)
+            elif op[0] == "crash":
+                _, point, action = op
+                db.set_schedule(FaultSchedule([Crash(at=point)]))
+                try:
+                    apply(db, model, action)
+                except CrashPoint as crash:
+                    # A put is committed once its frame is whole.
+                    if action[0] == "put" and crash.args[0] != \
+                            "wal.append.torn":
+                        model[action[1]] = action[2]
+                # Every append outside a batch already reached the OS,
+                # so closing the log writes nothing a kill would not.
+                db.wal.close()
+                db = database_cls(data_dir, cfg)
+            else:
+                apply(db, model, op)
+            assert dict(db.scan()) == model, ops
+        db.close()
+
+
+def model_property(database_cls, **overrides):
+    options = {"max_examples": 60, "deadline": None, "derandomize": True,
+               "database": None,
+               "suppress_health_check": [HealthCheck.too_slow]}
+    options.update(overrides)
+
+    @settings(**options)
+    @given(OPS)
+    def prop(ops):
+        check_against_model(database_cls, ops)
+
+    return prop
+
+
+def with_planted_bug(method, bug):
+    """A ``Database`` whose *method* has one line replaced, compiled in
+    memory against the real module's globals."""
+    source = textwrap.dedent(inspect.getsource(getattr(Database, method)))
+    assert source.count(bug[0]) == 1
+    namespace = dict(vars(db_module))
+    exec(compile(source.replace(*bug), db_module.__file__, "exec"),
+         namespace)
+    return type("PlantedDatabase", (Database,), {method: namespace[method]})
+
+
+class TestModel:
+    def test_database_matches_a_dict_model(self):
+        model_property(Database)()
+
+    def test_a_tombstone_dropped_above_the_bottom_fails_the_model(self):
+        # Compaction that garbage-collects tombstones on any level lets
+        # an older value in a lower level resurface.
+        leaky = with_planted_bug("compact_level", (
+            "if value is TOMBSTONE and bottom:", "if value is TOMBSTONE:"))
+        with pytest.raises(AssertionError):
+            model_property(leaky, max_examples=200,
+                           phases=[Phase.generate])()

@@ -2,9 +2,10 @@
 
 A golden digest pins a fixed-seed data directory (segments, manifest
 and WAL) as the straightforward flush and compaction code wrote it;
-a directory whose segment footers still carry the retired ``meta`` key
-opens, reads, compacts and recovers like a current one; and reopening
-decodes each stored value at most once.
+a directory in either older footer format (with the retired key
+filter and block index, and before that also ``meta``) opens, reads,
+compacts and recovers like a current one; and reopening decodes each
+stored value at most once.
 """
 
 import hashlib
@@ -18,14 +19,16 @@ from repro.storage.durable import StorageConfig, sstable
 from repro.storage.durable.db import row_key
 from repro.storage.durable.memtable import TOMBSTONE
 from repro.workloads import DatasetConfig, build_dataset
+from tests.storage.oracles import retired_key_index
 
 WORLD = DatasetConfig(n_leaves=24, n_ligands=40, seed=1103)
 #: sha256 over (name, sha256(bytes)) of every file, sorted by name:
 #: after the writes (two levels, tombstones, a WAL tail) and after a
 #: major compaction. Re-captured when segment footers dropped their
-#: ``meta`` key, a deliberate format change; nothing else moved.
-WRITTEN = "924750e960442b3bb00257a38edf65a344aac389b6b077afffed38af2f5173f7"
-COMPACTED = "909721c45c2a7a743bbe54146aacc4416b98c4badca7f1eff17106d18ba93205"
+#: ``meta`` key, and again when they dropped the key filter and block
+#: index: deliberate format changes; nothing else moved.
+WRITTEN = "c0e992b78e9f47276b712d5617a2c1e0271225392b71cf1fbea2f8ccbea62276"
+COMPACTED = "94f4162178848d45bc008f78300f8bc9a4c2aac386013da6110407cba12e7667"
 
 
 def digest(data_dir: Path) -> str:
@@ -99,8 +102,12 @@ def test_reopen_decodes_each_stored_value_at_most_once(tmp_path,
 
 
 #: ``write_world``'s directory as written while segment footers carried
-#: a ``meta`` key (the ``WRITTEN`` digest of that format).
-LEGACY_WRITTEN = \
+#: the key filter and block index (``KEY_INDEX_WRITTEN``), and before
+#: that also a ``meta`` key (``META_WRITTEN``): the ``WRITTEN`` digests
+#: of those formats.
+KEY_INDEX_WRITTEN = \
+    "924750e960442b3bb00257a38edf65a344aac389b6b077afffed38af2f5173f7"
+META_WRITTEN = \
     "0081281eae0dfcee3722d0ea348bb216a72aa3ac8029e9714abb620525e3d1ef"
 
 
@@ -136,9 +143,20 @@ def _kind(cell):
         else str if isinstance(cell, str) else float
 
 
-def with_legacy_footers(data_dir: Path) -> None:
-    """Rewrite every segment's footer the way the previous format did:
-    the same keys, then ``meta`` last."""
+def with_key_index(entry_area, footer, reader):
+    """The footer with the retired key filter and block index first."""
+    return {**retired_key_index(entry_area), **footer}
+
+
+def with_meta(entry_area, footer, reader):
+    """The format before that: the same keys, then ``meta`` last."""
+    return {**with_key_index(entry_area, footer, reader),
+            "meta": legacy_meta(list(reader.entries()))}
+
+
+def rewrite_footers(data_dir: Path, footer_of) -> None:
+    """Rewrite every segment's footer as ``footer_of(entry_area,
+    footer, reader)`` returns it."""
     for name in sorted(os.listdir(data_dir)):
         if not name.endswith(".sst"):
             continue
@@ -147,39 +165,41 @@ def with_legacy_footers(data_dir: Path) -> None:
         data = path.read_bytes()
         length = sstable._FOOTER_LEN
         footer = json.loads(data[reader.data_end:-length.size])
-        footer["meta"] = legacy_meta(list(reader.entries()))
+        footer = footer_of(data[:reader.data_end], footer, reader)
         footer_bytes = sstable.JSON_ENCODER.encode(footer).encode("utf-8")
         path.write_bytes(data[:reader.data_end] + footer_bytes
                          + length.pack(len(footer_bytes)))
 
 
+def reopen(dataset, data_dir: Path) -> DrugTree:
+    return DrugTree(dataset.tree, storage=StorageConfig(
+        durable=True, data_dir=str(data_dir)))
+
+
 def test_a_segment_with_the_old_meta_footer_still_works(tmp_path):
-    data_dir = tmp_path / "db"
-    dataset, drugtree = write_world(data_dir)
-    rows = {name: dict(table.scan())
-            for name, table in drugtree.tables.items()}
-    drugtree.database.wal.close()  # the writer exits without a flush
-    with_legacy_footers(data_dir)
-    assert digest(data_dir) == LEGACY_WRITTEN
-
-    def reopen():
-        return DrugTree(dataset.tree, storage=StorageConfig(
-            durable=True, data_dir=str(data_dir)))
-
-    reopened = reopen()
-    assert {name: dict(table.scan())
-            for name, table in reopened.tables.items()} == rows
-    database = reopened.database
-    bindings = rows["bindings"]
-    for row_id in sorted(bindings)[::7]:
-        assert database.get(row_key("bindings", row_id)) \
-            == list(bindings[row_id])
-    assert [int(key.rsplit("/", 1)[1])
-            for key, _ in database.scan("t/bindings/")] == sorted(bindings)
-    database.compact()
-    assert digest(data_dir) == COMPACTED
-    reopened.close()
-    recovered = reopen()
-    assert {name: dict(table.scan())
-            for name, table in recovered.tables.items()} == rows
-    recovered.close()
+    for footer_of, written in ((with_key_index, KEY_INDEX_WRITTEN),
+                               (with_meta, META_WRITTEN)):
+        data_dir = tmp_path / footer_of.__name__
+        dataset, drugtree = write_world(data_dir)
+        rows = {name: dict(table.scan())
+                for name, table in drugtree.tables.items()}
+        drugtree.database.wal.close()  # the writer exits without a flush
+        rewrite_footers(data_dir, footer_of)
+        assert digest(data_dir) == written
+        reopened = reopen(dataset, data_dir)
+        assert {name: dict(table.scan())
+                for name, table in reopened.tables.items()} == rows
+        database = reopened.database
+        live = dict(database.scan())
+        bindings = rows["bindings"]
+        for row_id in sorted(bindings)[::7]:
+            assert live[row_key("bindings", row_id)] == list(bindings[row_id])
+        assert [int(key.rsplit("/", 1)[1]) for key in live
+                if key.startswith("t/bindings/")] == sorted(bindings)
+        database.compact()
+        assert digest(data_dir) == COMPACTED
+        reopened.close()
+        recovered = reopen(dataset, data_dir)
+        assert {name: dict(table.scan())
+                for name, table in recovered.tables.items()} == rows
+        recovered.close()

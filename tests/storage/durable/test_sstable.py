@@ -1,23 +1,26 @@
-"""SSTable layout: entries, block index, bloom filter, footer."""
+"""SSTable layout: entries and footer, and what a corrupt file raises."""
+
+import json
 
 import pytest
 
 from repro.errors import StorageError
 from repro.storage.durable import (
-    BloomFilter,
+    Database,
     SSTableReader,
     TOMBSTONE,
     write_sstable,
 )
+from repro.storage.durable.sstable import _ENTRY, _FOOTER_LEN
 
 
 def make_items(count, prefix="k"):
     return [(f"{prefix}/{i:06d}", {"n": i}) for i in range(count)]
 
 
-def write(tmp_path, items, **kwargs):
+def write(tmp_path, items):
     path = str(tmp_path / "seg.sst")
-    write_sstable(path, items, **kwargs)
+    write_sstable(path, items)
     return SSTableReader(path)
 
 
@@ -31,19 +34,10 @@ class TestRoundtrip:
         assert reader.min_key == items[0][0]
         assert reader.max_key == items[-1][0]
 
-    def test_point_lookup(self, tmp_path):
-        reader = write(tmp_path, make_items(100))
-        assert reader.get("k/000042") == (True, {"n": 42})
-        assert reader.get("k/000099") == (True, {"n": 99})
-        assert reader.get("k/000100") == (False, None)
-        assert reader.get("a/missing") == (False, None)
-
     def test_tombstones_roundtrip(self, tmp_path):
         items = [("k/0", {"n": 0}), ("k/1", TOMBSTONE), ("k/2", {"n": 2})]
         reader = write(tmp_path, items)
         assert reader.tombstones == 1
-        found, value = reader.get("k/1")
-        assert found and value is TOMBSTONE
         assert [v is TOMBSTONE for _, v in reader.entries()] \
             == [False, True, False]
 
@@ -56,7 +50,8 @@ class TestRoundtrip:
     def test_empty_segment(self, tmp_path):
         reader = write(tmp_path, [])
         assert list(reader.entries()) == []
-        assert reader.get("anything") == (False, None)
+        assert (reader.count, reader.min_key, reader.max_key) \
+            == (0, None, None)
 
     def test_float_values_bit_identical(self, tmp_path):
         # JSON round-trips floats via repr: recovery must be bit-exact.
@@ -64,66 +59,6 @@ class TestRoundtrip:
         items = [(f"k/{i}", v) for i, v in enumerate(values)]
         reader = write(tmp_path, items)
         assert [v for _, v in reader.entries()] == values
-
-
-class TestBlockIndex:
-    def test_multiple_blocks_created(self, tmp_path):
-        reader = write(tmp_path, make_items(200), block_bytes=256)
-        assert len(reader.block_index) > 1
-        # Every indexed first_key is a real key at increasing offsets.
-        offsets = [offset for _, offset in reader.block_index]
-        assert offsets == sorted(offsets)
-
-    def test_lookup_correct_across_blocks(self, tmp_path):
-        items = make_items(300)
-        reader = write(tmp_path, items, block_bytes=128)
-        for key, value in items[::37]:
-            assert reader.get(key) == (True, value)
-
-    @pytest.mark.parametrize("prefix", [
-        "", "a/", "b/", "b/0000", "b/00001", "b/000042", "c/", "d/",
-        "b", "bb", "0", "z"])
-    def test_prefix_scan_equals_the_filtered_walk(self, tmp_path, prefix):
-        items = sorted(make_items(60, "a") + make_items(150, "b")
-                       + [("b/000042x", 1), ("bb", TOMBSTONE)]
-                       + make_items(40, "c"))
-        reader = write(tmp_path, items, block_bytes=96)
-        assert len(reader.block_index) > 20
-        assert list(reader.scan(prefix)) \
-            == [item for item in items if item[0].startswith(prefix)]
-        assert reader.get(prefix) == (
-            (True, dict(items)[prefix]) if prefix in dict(items)
-            else (False, None))
-
-
-class TestBloom:
-    def test_no_false_negatives(self, tmp_path):
-        items = make_items(500)
-        reader = write(tmp_path, items)
-        for key, _ in items:
-            assert reader.bloom.might_contain(key)
-
-    def test_filters_absent_keys(self):
-        bloom = BloomFilter.for_count(100)
-        for i in range(100):
-            bloom.add(f"present/{i}")
-        misses = sum(not bloom.might_contain(f"absent/{i}")
-                     for i in range(1000))
-        assert misses > 900  # ~1% false positives at 10 bits/key
-
-    def test_serialization_is_process_independent(self):
-        # md5-based positions, not the per-process-salted hash().
-        bloom = BloomFilter.for_count(10)
-        bloom.add("stable-key")
-        clone = BloomFilter.from_dict(bloom.as_dict())
-        assert clone.might_contain("stable-key")
-        assert clone.bits == bloom.bits
-
-    def test_invalid_sizes_rejected(self):
-        with pytest.raises(StorageError):
-            BloomFilter(0, 3)
-        with pytest.raises(StorageError):
-            BloomFilter(64, 0)
 
 
 class TestMeta:
@@ -134,3 +69,82 @@ class TestMeta:
             handle.truncate(4)  # shorter than the footer-length field
         with pytest.raises(StorageError):
             SSTableReader(path)
+
+    def test_footer_holds_the_key_range_and_counts_only(self, tmp_path):
+        path = tmp_path / "seg.sst"
+        write_sstable(str(path), [("k/0", 1), ("k/1", TOMBSTONE)])
+        data = path.read_bytes()
+        (length,) = _FOOTER_LEN.unpack(data[-_FOOTER_LEN.size:])
+        footer_start = len(data) - _FOOTER_LEN.size - length
+        footer = json.loads(data[footer_start:-_FOOTER_LEN.size])
+        assert footer == {"min_key": "k/0", "max_key": "k/1", "count": 2,
+                          "tombstones": 1,
+                          "data_end": footer_start}
+
+
+def one_segment_store(tmp_path):
+    """A closed store holding one segment of three rows; its path."""
+    db = Database.open(str(tmp_path / "db"))
+    for i in range(3):
+        db.put(f"t/x/{i:012d}", {"n": i})
+    db.close()
+    return tmp_path / "db" / "seg-000001.sst"
+
+
+def recover(segment):
+    """Open the store holding *segment* and read it back whole, as a
+    DrugTree recovering it does."""
+    db = Database.open(str(segment.parent))
+    try:
+        return list(db.scan())
+    finally:
+        db.close()
+
+
+class TestCorruptFilesRaiseStorageError:
+    """Each names the file; none escapes as a decoding error."""
+
+    def test_garbled_footer_byte(self, tmp_path):
+        segment = one_segment_store(tmp_path)
+        segment.write_bytes(segment.read_bytes().replace(b'"min_key"',
+                                                         b'"min_kez"'))
+        with pytest.raises(StorageError, match="seg-000001.sst"):
+            recover(segment)
+
+    def test_entry_length_past_the_data(self, tmp_path):
+        segment = one_segment_store(tmp_path)
+        data = bytearray(segment.read_bytes())
+        flag, key_len, value_len = _ENTRY.unpack_from(data, 0)
+        _ENTRY.pack_into(data, 0, flag, key_len, value_len + 1000)
+        segment.write_bytes(bytes(data))
+        with pytest.raises(StorageError, match="seg-000001.sst"):
+            recover(segment)
+
+    def test_non_utf8_key_byte(self, tmp_path):
+        segment = one_segment_store(tmp_path)
+        data = bytearray(segment.read_bytes())
+        data[_ENTRY.size] = 0xFF  # the first key's first byte
+        segment.write_bytes(bytes(data))
+        with pytest.raises(StorageError, match="seg-000001.sst"):
+            recover(segment)
+
+    def test_data_end_past_the_file(self, tmp_path):
+        segment = one_segment_store(tmp_path)
+        data = segment.read_bytes()
+        (length,) = _FOOTER_LEN.unpack(data[-_FOOTER_LEN.size:])
+        footer_start = len(data) - _FOOTER_LEN.size - length
+        footer = json.loads(data[footer_start:-_FOOTER_LEN.size])
+        footer["data_end"] = len(data) + 100
+        footer_bytes = json.dumps(footer).encode()
+        segment.write_bytes(data[:footer_start] + footer_bytes
+                            + _FOOTER_LEN.pack(len(footer_bytes)))
+        with pytest.raises(StorageError, match="seg-000001.sst"):
+            recover(segment)
+
+    @pytest.mark.parametrize("manifest",
+                             ["not json {", '{"next_segment_id": 2}'])
+    def test_unreadable_manifest(self, tmp_path, manifest):
+        segment = one_segment_store(tmp_path)
+        (segment.parent / "MANIFEST.json").write_text(manifest)
+        with pytest.raises(StorageError, match="MANIFEST.json"):
+            recover(segment)

@@ -3,11 +3,15 @@
 Each is the straightforward version the kernel replaced, kept verbatim
 in behaviour: a flat two-list sorted index and a row-at-a-time ANALYZE.
 The tests hold the kernels to ``==`` with these on generated inputs.
+The retired per-key footer of a segment is kept the same way, so a
+directory in that format can be rebuilt byte for byte.
 """
 
 from __future__ import annotations
 
 import bisect
+import hashlib
+import struct
 from collections.abc import Iterator
 from typing import Any
 
@@ -153,3 +157,43 @@ def _equi_depth_rowwise(sorted_values: list[float],
         position = min(total - 1, round(bucket * total / buckets) - 1)
         bounds.append(float(sorted_values[position]))
     return Histogram(tuple(bounds), total)
+
+
+_ENTRY = struct.Struct("<BII")  # flag, key length, value length
+
+
+def retired_key_index(data: bytes, block_bytes: int = 4096,
+                      bits_per_key: int = 10,
+                      k_hashes: int = 7) -> dict[str, Any]:
+    """The ``block_index`` and ``bloom`` footer keys a segment whose
+    entry area is *data* carried before segments were only read whole.
+
+    ``block_index`` holds ``[first_key, offset]`` for the entry opening
+    each ``block_bytes`` run of entries. ``bloom`` is a filter over
+    every key, tombstones included: ``max(64, 10 * count)`` bits and 7
+    positions per key, by md5 double hashing.
+    """
+    keys: list[str] = []
+    block_index: list[tuple[str, int]] = []
+    offset = 0
+    block_start = -block_bytes  # the first entry opens the first block
+    while offset < len(data):
+        _, key_len, value_len = _ENTRY.unpack_from(data, offset)
+        key_start = offset + _ENTRY.size
+        key = data[key_start:key_start + key_len].decode("utf-8")
+        if offset - block_start >= block_bytes:
+            block_index.append((key, offset))
+            block_start = offset
+        keys.append(key)
+        offset = key_start + key_len + value_len
+    m_bits = max(64, max(1, len(keys)) * bits_per_key)
+    bits = bytearray((m_bits + 7) // 8)
+    for key in keys:
+        digest = hashlib.md5(key.encode("utf-8")).digest()
+        h1 = int.from_bytes(digest[:8], "little")
+        h2 = int.from_bytes(digest[8:], "little") | 1
+        for i in range(k_hashes):
+            position = (h1 + i * h2) % m_bits
+            bits[position >> 3] |= 1 << (position & 7)
+    return {"block_index": block_index,
+            "bloom": {"m": m_bits, "k": k_hashes, "bits": bits.hex()}}
