@@ -117,25 +117,24 @@ class DrugTree:
         The one loader behind durable recovery, cluster view builds
         and cluster view deltas: *rows* maps a table name to
         ``(row_id, row)`` pairs in ascending row id, every id above
-        the highest its table has issued (:meth:`Table.restore_row`
+        the highest its table has issued (:meth:`Table.restore_rows`
         refuses anything else — appending in row-id order is what
         keeps scan, index and aggregate order equal to a live
-        overlay's). They flow through ``restore_row`` (no validation,
+        overlay's). They flow through ``restore_rows`` (no validation,
         no write-ahead log, the listeners of a live insert), and each
         protein and ligand row handed in joins the known-id sets and
         the chemistry state. Returns the number of rows loaded.
         """
         loaded = 0
         for name, table in self.tables.items():
-            for row_id, row in rows.get(name, ()):
-                table.restore_row(row_id, row)
-                if name == PROTEINS_TABLE:
-                    self._known_proteins.add(
-                        table.value(row, "protein_id"))
-                elif name == LIGANDS_TABLE:
-                    self._register_ligand(table.value(row, "ligand_id"),
-                                          table.value(row, "smiles"))
-                loaded += 1
+            pairs = list(rows.get(name, ()))
+            table.restore_rows(pairs)
+            loaded += len(pairs)
+            for _, row in pairs if name == PROTEINS_TABLE else ():
+                self._known_proteins.add(table.value(row, "protein_id"))
+            for _, row in pairs if name == LIGANDS_TABLE else ():
+                self._register_ligand(table.value(row, "ligand_id"),
+                                      table.value(row, "smiles"))
         return loaded
 
     def _register_ligand(self, ligand_id: str, smiles: str,

@@ -1,11 +1,11 @@
 """Columnar projection of a row-store table.
 
 A :class:`ColumnStore` mirrors one :class:`~repro.storage.table.Table`
-as dense per-column Python lists, kept in sync through the table's
-insert/delete change listeners — the same contract secondary indexes
-and materialized views already use, so the row store stays the single
-source of truth and E10's write-amplification accounting extends to it
-naturally (every insert now also appends one value per column).
+as dense per-column Python lists, which the table keeps in sync on
+every insert and delete like its secondary indexes — so the row store
+stays the single source of truth and E10's write-amplification
+accounting extends to it naturally (every insert now also appends one
+value per column).
 
 Layout
 ------
@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class ColumnStore:
-    """Per-column buffers over one table, listener-maintained."""
+    """Per-column buffers over one table, maintained by the table."""
 
     #: Compact once tombstones exceed this count *and* half the buffer.
     MIN_COMPACT_TOMBSTONES = 64
@@ -55,8 +55,6 @@ class ColumnStore:
         self.tombstones = 0
         self.compactions = 0
         self._rebuild()
-        table.add_insert_listener(self._on_insert)
-        table.add_delete_listener(self._on_delete)
 
     # -- reads -------------------------------------------------------------
 
@@ -109,7 +107,7 @@ class ColumnStore:
     def compact_threshold(self) -> int:
         return max(self.MIN_COMPACT_TOMBSTONES, len(self._row_ids) // 2)
 
-    def _on_insert(self, row_id: int, row: tuple[Any, ...]) -> None:
+    def append(self, row_id: int, row: tuple[Any, ...]) -> None:
         position = len(self._row_ids)
         self._row_ids.append(row_id)
         self._position_of[row_id] = position
@@ -117,7 +115,7 @@ class ColumnStore:
             self._columns[name].append(row[value_index])
         self.appends += 1
 
-    def _on_delete(self, row_id: int, row: tuple[Any, ...]) -> None:
+    def remove(self, row_id: int) -> None:
         position = self._position_of.pop(row_id, None)
         if position is None:
             return  # never materialized here; nothing to tombstone
@@ -160,8 +158,8 @@ class ColumnStore:
     def verify_against_rows(self) -> bool:
         """True when every live position mirrors the row store.
 
-        A consistency probe for tests; the listeners keep this
-        invariant without it.
+        A consistency probe for tests; the table's inserts and deletes
+        keep this invariant without it.
         """
         live = [self._row_ids[p] for p in self.live_positions()]
         if live != [row_id for row_id, _ in self.table.scan()]:

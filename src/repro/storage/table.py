@@ -8,7 +8,8 @@ experiment (E2) toggles.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+import threading
+from collections.abc import Callable, Iterable, Iterator
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
@@ -31,6 +32,10 @@ class Table:
     it touches the in-memory state — so what recovery replays is
     exactly what the listeners saw. Without one (the default), nothing
     changes: the table is purely in-memory, as before.
+
+    One writer, any number of readers. Each mutation runs under
+    ``_lock``; readers take it only to build the column store, so no
+    insert lands between the store's backfill and its attach.
     """
 
     def __init__(self, name: str, schema: Schema,
@@ -46,6 +51,7 @@ class Table:
         self._on_insert: list[ChangeListener] = []
         self._on_delete: list[ChangeListener] = []
         self._column_store = None
+        self._lock = threading.Lock()
 
     # -- rows -------------------------------------------------------------
 
@@ -68,12 +74,8 @@ class Table:
         row_id = self._next_row_id
         if self.durable is not None:
             self.durable.log_insert(row_id, row)
-        self._next_row_id = row_id + 1
-        self._rows[row_id] = row
-        for index in self._indexes.values():
-            index.insert(index.key_of(row), row_id)
-        for listener in self._on_insert:
-            listener(row_id, row)
+        with self._lock:
+            self._append(row_id, row)
         return row_id
 
     def delete(self, row_id: int) -> None:
@@ -84,29 +86,43 @@ class Table:
             )
         if self.durable is not None:
             self.durable.log_delete(row_id, self._next_row_id)
-        del self._rows[row_id]
-        for index in self._indexes.values():
-            index.delete(index.key_of(row), row_id)
-        for listener in self._on_delete:
-            listener(row_id, row)
+        with self._lock:  # _append's order, reversed
+            for index in self._indexes.values():
+                index.delete(index.key_of(row), row_id)
+            if self._column_store is not None:
+                self._column_store.remove(row_id)
+            del self._rows[row_id]
+            for listener in self._on_delete:
+                listener(row_id, row)
 
-    def restore_row(self, row_id: int, row: tuple[Any, ...]) -> None:
-        """Re-apply one recovered row, bypassing the WAL.
+    def restore_rows(self, pairs: Iterable[tuple[int, tuple]]) -> None:
+        """Re-apply recovered ``(row_id, row)`` pairs, bypassing the WAL.
 
-        The recovery path's insert: the row was already committed, so
-        logging it again would double it. Indexes and listeners fire
-        exactly as on a live insert, which is how column stores and
-        materialized aggregates rebuild themselves on reopen. Rows
+        The recovery path's insert: the rows were already committed, so
+        logging them again would double them. The column store, indexes
+        and listeners take each exactly as on a live insert, which is
+        how materialized aggregates rebuild themselves on reopen. Rows
         only ever append: an id at or below one already issued is
         refused, so insertion order stays row-id order.
         """
-        if row_id < self._next_row_id:
-            raise StorageError(
-                f"table {self.name!r}: row {row_id} is not above every "
-                f"id issued so far (next is {self._next_row_id})"
-            )
-        self._rows[row_id] = row
+        with self._lock:
+            for row_id, row in pairs:
+                if row_id < self._next_row_id:
+                    raise StorageError(
+                        f"table {self.name!r}: row {row_id} is not above "
+                        f"every id issued so far (next is "
+                        f"{self._next_row_id})"
+                    )
+                self._append(row_id, row)
+
+    def _append(self, row_id: int, row: tuple[Any, ...]) -> None:
+        """Store, mirror, index, announce (the caller holds the lock): no
+        index or listener (the overlay's data-version stamp) names a row
+        the column store or the row map lacks; delete reverses it."""
         self._next_row_id = row_id + 1
+        self._rows[row_id] = row
+        if self._column_store is not None:
+            self._column_store.append(row_id, row)
         for index in self._indexes.values():
             index.insert(index.key_of(row), row_id)
         for listener in self._on_insert:
@@ -123,7 +139,8 @@ class Table:
         Deleting the highest rows and compacting away their tombstones
         would otherwise let a reopened table re-issue their ids.
         """
-        self._next_row_id = max(self._next_row_id, watermark)
+        with self._lock:
+            self._next_row_id = max(self._next_row_id, watermark)
 
     def get(self, row_id: int) -> tuple[Any, ...]:
         try:
@@ -171,9 +188,10 @@ class Table:
         else:
             raise StorageError(f"unknown index kind {kind!r}")
         index.key_of = key_of = itemgetter(*positions)
-        index.load((key_of(row), row_id)
-                   for row_id, row in self._rows.items())
-        self._indexes[index_name] = index
+        with self._lock:
+            index.load((key_of(row), row_id)
+                       for row_id, row in self._rows.items())
+            self._indexes[index_name] = index
         return index
 
     def indexes(self) -> dict[str, Index]:
@@ -200,24 +218,28 @@ class Table:
     def column_store(self):
         """The table's columnar projection, built on first use.
 
-        Lazily constructed (the row engine never pays for it) and then
-        listener-maintained like any secondary index; subsequent calls
-        return the same instance. Imported here, not at module level,
-        because :mod:`repro.storage.columnar` imports this module's
-        types for annotation.
+        Built lazily (the row engine never pays for it) under the lock,
+        as a reader may build it while the writer inserts, then kept
+        like an index; later calls return the same instance. Imported
+        here because :mod:`repro.storage.columnar` imports this
+        module's types for annotation.
         """
         if self._column_store is None:
             from repro.storage.columnar import ColumnStore
-            self._column_store = ColumnStore(self)
+            with self._lock:
+                if self._column_store is None:
+                    self._column_store = ColumnStore(self)
         return self._column_store
 
     # -- listeners -----------------------------------------------------------
 
     def add_insert_listener(self, listener: ChangeListener) -> None:
-        self._on_insert.append(listener)
+        with self._lock:
+            self._on_insert.append(listener)
 
     def add_delete_listener(self, listener: ChangeListener) -> None:
-        self._on_delete.append(listener)
+        with self._lock:
+            self._on_delete.append(listener)
 
     def __repr__(self) -> str:
         return (

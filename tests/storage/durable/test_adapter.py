@@ -52,8 +52,7 @@ def restore(table):
     *table*, as DrugTree recovery does; returns the rows restored."""
     rows, watermarks = table.durable.database.committed_tables()
     mine = rows.get(table.name, [])
-    for row_id, row in mine:
-        table.restore_row(row_id, row)
+    table.restore_rows(mine)
     if table.name in watermarks:
         table.bump_next_row_id(watermarks[table.name])
     return len(mine)

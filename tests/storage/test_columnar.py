@@ -1,4 +1,7 @@
-"""ColumnStore: listener-maintained columnar mirror of a table."""
+"""ColumnStore: the table-maintained columnar mirror of a table."""
+
+import sys
+import threading
 
 import pytest
 
@@ -114,3 +117,74 @@ class TestCompaction:
         table = make_table(10)
         store = table.column_store()
         assert store.gather("score", [0, 3, 7]) == [0.0, 3.0, 7.0]
+
+
+class TestOrderAgainstReaders:
+    """Readers take no lock, so the order in which one insert reaches
+    the store, the indexes and the listeners is what they can see."""
+
+    def test_store_holds_a_row_before_its_index_or_listeners_see_it(self):
+        table = make_table(4)
+        index = table.create_index(["score"], kind="sorted")
+        seen = []
+        # Registered before the store exists, as the overlay's
+        # data-version stamp is.
+        table.add_insert_listener(
+            lambda row_id, row: seen.append(store.position_of(row_id)))
+        store = table.column_store()
+        insert = index.insert
+
+        def checked_insert(key, row_id):
+            store.position_of(row_id)  # raises if the store lacks it
+            insert(key, row_id)
+
+        index.insert = checked_insert
+        table.insert({"sample_id": "s100", "score": 1.5, "tag": "odd"})
+        assert seen == [4]
+        assert store.verify_against_rows()
+
+    def test_an_indexed_row_stays_in_the_store_until_unindexed(self):
+        table = make_table(4)
+        index = table.create_index(["score"], kind="sorted")
+        store = table.column_store()
+        gone = []
+        table.add_delete_listener(
+            lambda row_id, row: gone.append(row_id not in [
+                store._row_ids[p] for p in store.live_positions()]))
+        delete = index.delete
+
+        def checked_delete(key, row_id):
+            store.position_of(row_id)  # raises if already dropped
+            delete(key, row_id)
+
+        index.delete = checked_delete
+        table.delete(2)
+        assert gone == [True]
+        assert store.verify_against_rows()
+
+    def test_a_reader_builds_the_store_while_the_writer_inserts(self):
+        failures = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                table = make_table(2000)
+
+                def writer():
+                    for i in range(200):
+                        table.insert({"sample_id": f"w{i:03d}",
+                                      "score": -float(i), "tag": "new"})
+
+                thread = threading.Thread(target=writer)
+                thread.start()
+                try:
+                    table.column_store()
+                except RuntimeError as error:
+                    failures.append(error)
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+                if not table.column_store().verify_against_rows():
+                    failures.append("the store lost or doubled a row")
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []

@@ -141,7 +141,7 @@ class TestHistogram:
 
 
 #: Column cells as they can reach ANALYZE: through validation (typed)
-#: or through ``restore_row`` (recovered or loaded rows, unchecked), so
+#: or through ``restore_rows`` (recovered or loaded rows, unchecked), so
 #: a column may mix ints and floats, or bools and ints.
 _COLUMN_CELLS = {
     "int": st.integers(-4, 4),
@@ -166,8 +166,7 @@ def _tables(draw):
     rows = draw(st.lists(st.tuples(*[
         st.one_of(st.none(), _COLUMN_CELLS[kind]) for kind in kinds]),
         max_size=40))
-    for row_id, row in enumerate(rows):
-        table.restore_row(row_id, row)
+    table.restore_rows(enumerate(rows))
     return table
 
 
