@@ -57,8 +57,8 @@ class DrugTree:
     tables write ahead to one shared
     :class:`~repro.storage.durable.db.Database`, and constructing the
     DrugTree over a non-empty data directory *recovers* it: committed
-    rows replay through the normal insert listeners (indexes, column
-    stores, and clade aggregates rebuild themselves), and ligand
+    rows replay through the path of a live insert (column stores,
+    indexes and the clade aggregates rebuild themselves), and ligand
     fingerprints are recomputed from the stored SMILES. The k-mer
     sequence index is the one piece not recovered — sequences live in
     the federation, not the overlay, matching the snapshot layer's
@@ -88,20 +88,18 @@ class DrugTree:
         #: Bumped whenever any table's statistics are (re)collected or
         #: adopted; ``repro stats`` reports it and nothing keys on it.
         self.stats_epoch = 0
-        #: Bumped on every row inserted into or deleted from an overlay
-        #: table, after the table's indexes and the clade aggregates
-        #: have taken the row: what is derived from the overlay after
-        #: reading ``v`` may be reused while this still reads ``v`` —
-        #: it is the freshness stamp of every cached answer. Like the
-        #: tables, it assumes one writer at a time.
+        #: Bumped on every row inserted into an overlay table (rows are
+        #: never deleted), after the table's indexes and the clade
+        #: aggregates have taken the row: what is derived from the
+        #: overlay after reading ``v`` may be reused while this still
+        #: reads ``v`` — it is the freshness stamp of every cached
+        #: answer. Like the tables, it assumes one writer at a time.
         self.data_version = 0
         self._mutations_since_analyze: dict[str, int] = {
             name: 0 for name in self.tables
         }
         for name, table in self.tables.items():
-            listener = self._make_mutation_listener(name)
-            table.add_insert_listener(listener)
-            table.add_delete_listener(listener)
+            table.add_insert_listener(self._make_mutation_listener(name))
         if self.database is not None:
             # Recovery: replay the committed store into the fresh overlay.
             with get_tracer().span("durable.recover.overlay") as span:
@@ -121,7 +119,7 @@ class DrugTree:
         refuses anything else — appending in row-id order is what
         keeps scan, index and aggregate order equal to a live
         overlay's). They flow through ``restore_rows`` (no validation,
-        no write-ahead log, the listeners of a live insert), and each
+        no write-ahead log, the path of a live insert), and each
         protein and ligand row handed in joins the known-id sets and
         the chemistry state. Returns the number of rows loaded.
         """

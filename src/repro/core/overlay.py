@@ -112,15 +112,13 @@ class CladeAggregates:
 
     Subscribes to the ``bindings`` table: every inserted binding updates
     the O(depth) nodes on the path from its protein's leaf to the root.
-    Reads are O(1) per clade. Deletes trigger a subtree recompute for
-    ``max`` (the other aggregates fold exactly).
+    Reads are O(1) per clade. The table only appends, so every
+    aggregate, ``max`` included, folds exactly.
     """
 
     def __init__(self, tree: PhyloTree, labeling: IntervalLabeling,
                  bindings: Table) -> None:
         self.tree = tree
-        self.labeling = labeling
-        self.bindings = bindings
         self._paff_pos = bindings.schema.index_of("p_affinity")
         self._potent_pos = bindings.schema.index_of("potent")
         self._leaf_pos = bindings.schema.index_of("leaf_pre")
@@ -130,7 +128,6 @@ class CladeAggregates:
         #: memoised: the tree is fixed for the aggregates' life.
         self._paths: dict[int, tuple[int, ...]] = {}
         self._node_by_name: dict[str, PhyloNode] = {}
-        self._max_dirty: set[int] = set()
         self.maintenance_ops = 0
         for node in tree.preorder():
             if node.name:
@@ -138,10 +135,9 @@ class CladeAggregates:
         for leaf in tree.leaves():
             position = labeling.leaf_position(leaf.name)
             self._leaf_by_position[position] = leaf
-        for _, row in bindings.scan():
-            self._apply(row, sign=+1)
+        for row in bindings.scan_rows():
+            self._apply(row)
         bindings.add_insert_listener(self._on_insert)
-        bindings.add_delete_listener(self._on_delete)
 
     # -- maintenance ---------------------------------------------------------
 
@@ -158,29 +154,22 @@ class CladeAggregates:
                 leaf.node_id, *(node.node_id for node in leaf.ancestors()))
         return path
 
-    def _apply(self, row: tuple, sign: int) -> None:
+    def _apply(self, row: tuple) -> None:
         p_affinity = row[self._paff_pos]
-        potent = row[self._potent_pos]
+        potent = 1 if row[self._potent_pos] else 0
         states = self._states
         for node_id in self._path_of(row):
             state = states.get(node_id)
             if state is None:
                 state = states[node_id] = _CladeState()
-            state.count += sign
-            state.total += sign * p_affinity
-            state.potent += sign * (1 if potent else 0)
-            if sign > 0:
-                if state.maximum is None or p_affinity > state.maximum:
-                    state.maximum = p_affinity
-            elif p_affinity == state.maximum:
-                self._max_dirty.add(node_id)
+            state.count += 1
+            state.total += p_affinity
+            state.potent += potent
+            if state.maximum is None or p_affinity > state.maximum:
+                state.maximum = p_affinity
 
     def _on_insert(self, row_id: int, row: tuple) -> None:
-        self._apply(row, sign=+1)
-        self.maintenance_ops += 1
-
-    def _on_delete(self, row_id: int, row: tuple) -> None:
-        self._apply(row, sign=-1)
+        self._apply(row)
         self.maintenance_ops += 1
 
     # -- reads ---------------------------------------------------------------
@@ -188,16 +177,13 @@ class CladeAggregates:
     def stats_for(self, node: PhyloNode) -> dict[str, float]:
         """Aggregate statistics of the bindings in *node*'s subtree."""
         state = self._states.get(node.node_id)
-        if state is None or state.count == 0:
+        if state is None:
             return {"count": 0.0, "mean": 0.0, "max": 0.0,
                     "potent_fraction": 0.0}
-        if node.node_id in self._max_dirty:
-            self._recompute_max(node)
-            state = self._states[node.node_id]
         return {
             "count": float(state.count),
             "mean": state.total / state.count,
-            "max": state.maximum if state.maximum is not None else 0.0,
+            "max": state.maximum,
             "potent_fraction": state.potent / state.count,
         }
 
@@ -206,16 +192,3 @@ class CladeAggregates:
         if node is None:
             raise QueryError(f"no node named {node_name!r}")
         return self.stats_for(node)
-
-    def _recompute_max(self, node: PhyloNode) -> None:
-        label = self.labeling.label_of_node(node)
-        best: float | None = None
-        for _, row in self.bindings.scan():
-            position = row[self._leaf_pos]
-            if label.leaf_low <= position < label.leaf_high:
-                value = row[self._paff_pos]
-                if best is None or value > best:
-                    best = value
-        state = self._states[node.node_id]
-        state.maximum = best
-        self._max_dirty.discard(node.node_id)

@@ -32,8 +32,11 @@ survives.
 Keys are strings. Overlay rows use ``t/<table>/<row_id:012d>`` (zero
 padding makes lexicographic order equal numeric row-id order) with the
 row tuple JSON-encoded — floats round-trip bit-exactly through
-``repr``. ``m/<table>/rowid`` holds the table's next-row-id watermark,
-written on delete so tombstone GC can never regress row-id assignment.
+``repr``. Overlay tables only append, so their adapter writes puts
+only. A directory written while tables could still drop rows holds row
+tombstones and ``m/<table>/rowid``, the table's next-row-id watermark,
+logged with each tombstone so that tombstone GC can never regress
+row-id assignment. Recovery reads both.
 """
 
 from __future__ import annotations
@@ -284,9 +287,8 @@ class Database:
     class _Batch:
         """Group commit: one fsync (and flush check) per batch.
 
-        Batches nest: a group opened inside another (a table delete
-        logs its tombstone and watermark as one) joins it, and only the
-        outermost exit syncs and may flush.
+        Batches nest: a group opened inside another joins it, and only
+        the outermost exit syncs and may flush.
         """
 
         def __init__(self, db: "Database") -> None:
@@ -489,10 +491,11 @@ class DurableTableAdapter:
     """Bridge between one :class:`~repro.storage.table.Table` and the
     shared :class:`Database`.
 
-    The table calls :meth:`log_insert` / :meth:`log_delete` *before*
-    touching its in-memory state (write-ahead order). Recovery goes
-    through the store, not the adapter: :meth:`Database.committed_tables`
-    hands the DrugTree every table's rows and watermark at once.
+    The table calls :meth:`log_insert` *before* touching its in-memory
+    state (write-ahead order); tables only append, so that is the
+    adapter's one write. Recovery goes through the store, not the
+    adapter: :meth:`Database.committed_tables` hands the DrugTree every
+    table's rows and watermark at once.
     """
 
     def __init__(self, database: Database, table_name: str) -> None:
@@ -501,10 +504,3 @@ class DurableTableAdapter:
 
     def log_insert(self, row_id: int, row: tuple[Any, ...]) -> None:
         self.database.put(row_key(self.table_name, row_id), list(row))
-
-    def log_delete(self, row_id: int, next_row_id: int) -> None:
-        # One group commit: the tombstone and the row-id watermark land
-        # under a single fsync, so GC can never regress id assignment.
-        with self.database.batch() as db:
-            db.delete(row_key(self.table_name, row_id))
-            db.put(meta_key(self.table_name), next_row_id)

@@ -6,6 +6,10 @@ Two access structures cover every plan the optimizer produces:
 * :class:`SortedIndex` — bisect-backed ordered index supporting range
   scans, which is what makes the tree interval labeling (the paper's
   "novel mechanism") turn subtree queries into cheap range lookups.
+
+Indexes only grow, and their table hands them row ids in ascending
+order (inserts, recovery and a backfill all append), so a hash bucket
+and a sorted index's NULL keys are each an ascending list of row ids.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from repro.errors import StorageError
 
 
 class Index(ABC):
-    """Maps column value(s) to the set of row ids holding them."""
+    """Maps column value(s) to the row ids holding them."""
 
     def __init__(self, name: str, column_names: tuple[str, ...]) -> None:
         if not column_names:
@@ -33,14 +37,12 @@ class Index(ABC):
         self.key_of: Callable[[tuple], Any] | None = None
 
     @abstractmethod
-    def insert(self, key: Any, row_id: int) -> None: ...
-
-    @abstractmethod
-    def delete(self, key: Any, row_id: int) -> None: ...
+    def insert(self, key: Any, row_id: int) -> None:
+        """Add *row_id*, above every row id added so far."""
 
     @abstractmethod
     def lookup(self, key: Any) -> list[int]:
-        """Row ids with exactly this key."""
+        """Row ids with exactly this key, ascending."""
 
     def load(self, entries: Iterable[tuple[Any, int]]) -> None:
         """Add ``(key, row_id)`` *entries* (a backfill)."""
@@ -57,32 +59,21 @@ class Index(ABC):
 
 
 class HashIndex(Index):
-    """Equality-only index backed by a dict of row-id sets."""
+    """Equality-only index backed by a dict of ascending row-id lists."""
 
     def __init__(self, name: str, column_names: tuple[str, ...]) -> None:
         super().__init__(name, column_names)
-        self._buckets: dict[Any, set[int]] = {}
+        self._buckets: dict[Any, list[int]] = {}
 
     @property
     def supports_range(self) -> bool:
         return False
 
     def insert(self, key: Any, row_id: int) -> None:
-        self._buckets.setdefault(key, set()).add(row_id)
-
-    def delete(self, key: Any, row_id: int) -> None:
-        bucket = self._buckets.get(key)
-        if bucket is None or row_id not in bucket:
-            raise StorageError(
-                f"index {self.name!r}: row {row_id} not found under "
-                f"key {key!r}"
-            )
-        bucket.discard(row_id)
-        if not bucket:
-            del self._buckets[key]
+        self._buckets.setdefault(key, []).append(row_id)
 
     def lookup(self, key: Any) -> list[int]:
-        return sorted(self._buckets.get(key, ()))
+        return self._buckets.get(key, [])[:]
 
 
 #: A sorted index's chunk list: (chunk maxima, key chunks, row-id chunks).
@@ -118,7 +109,7 @@ class SortedIndex(Index):
         if len(column_names) != 1:
             raise StorageError("sorted indexes are single-column")
         self._layout: _Layout = ([], [], [])
-        self._nulls: set[int] = set()
+        self._nulls: list[int] = []
 
     @property
     def supports_range(self) -> bool:
@@ -126,7 +117,7 @@ class SortedIndex(Index):
 
     def insert(self, key: Any, row_id: int) -> None:
         if key is None:
-            self._nulls.add(row_id)
+            self._nulls.append(row_id)
             return
         maxes, keys, row_ids = self._layout
         if not maxes:
@@ -154,7 +145,7 @@ class SortedIndex(Index):
         pairs = []
         for key, row_id in entries:
             if key is None:
-                self._nulls.add(row_id)
+                self._nulls.append(row_id)
             else:
                 pairs.append((key, row_id))
         _, keys, row_ids = self._layout
@@ -167,39 +158,6 @@ class SortedIndex(Index):
         row_ids = [[row_id for _, row_id in pairs[start:start + step]]
                    for start in range(0, len(pairs), step)]
         self._layout = ([chunk[-1] for chunk in keys], keys, row_ids)
-
-    def delete(self, key: Any, row_id: int) -> None:
-        if key is None:
-            if row_id not in self._nulls:
-                raise StorageError(
-                    f"index {self.name!r}: null row {row_id} not found"
-                )
-            self._nulls.discard(row_id)
-            return
-        maxes, keys, row_ids = self._layout
-        at = bisect_left(maxes, key)
-        while at < len(maxes):
-            chunk, ids = keys[at], row_ids[at]
-            position = bisect_left(chunk, key)
-            while position < len(chunk) and chunk[position] == key:
-                if ids[position] == row_id:
-                    del chunk[position]
-                    del ids[position]
-                    if not chunk:
-                        self._layout = (maxes[:at] + maxes[at + 1:],
-                                        keys[:at] + keys[at + 1:],
-                                        row_ids[:at] + row_ids[at + 1:])
-                    elif position == len(chunk):
-                        maxes[at] = chunk[-1]
-                    return
-                position += 1
-            if position < len(chunk):
-                break  # the run of *key* ended inside this chunk
-            at += 1
-        raise StorageError(
-            f"index {self.name!r}: row {row_id} not found under "
-            f"key {key!r}"
-        )
 
     # -- positions -----------------------------------------------------------
 
@@ -242,7 +200,7 @@ class SortedIndex(Index):
 
     def lookup(self, key: Any) -> list[int]:
         if key is None:
-            return sorted(self._nulls)
+            return self._nulls[:]
         layout = self._layout
         found = self._row_ids_between(layout[2],
                                       self._first(layout, key, False),
@@ -272,15 +230,15 @@ class SortedIndex(Index):
         layout = self._layout
         start, stop = self._bounds(layout, low, high, include_low,
                                    include_high)
-        nulls = self._nulls if low is None and high is None else ()
+        nulls = self._nulls[:] if low is None and high is None else ()
         walk = _runs_down if descending else _runs_up
         if not descending:
-            yield from sorted(nulls)
+            yield from nulls
         for run in walk(layout[1], layout[2], start, stop):
             run.sort()
             yield from run
         if descending:
-            yield from sorted(nulls)
+            yield from nulls
 
     def min_key(self) -> Any:
         keys = self._layout[1]

@@ -125,9 +125,10 @@ def analyze(table: Table,
     """
     if histogram_buckets < 1:
         raise StorageError("need at least one histogram bucket")
-    row_count = table.row_count
+    rows = tuple(table.scan_rows())  # one snapshot: a writer may insert
+    row_count = len(rows)
     schema_columns = table.schema.columns
-    cells = list(zip(*table.scan_rows())) or [()] * len(schema_columns)
+    cells = list(zip(*rows)) or [()] * len(schema_columns)
     columns: dict[str, ColumnStatistics] = {}
     for column, values in zip(schema_columns, cells):
         counts = Counter(values)

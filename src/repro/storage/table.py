@@ -1,9 +1,10 @@
-"""Row-store tables with index maintenance and change listeners.
+"""Append-only row-store tables with their indexes and insert listeners.
 
-Tables hold tuples in schema order under integer row ids. Secondary
-indexes and materialized views register as listeners and are maintained
-synchronously on every insert/delete — the behaviour the ablation
-experiment (E2) toggles.
+Tables hold tuples in schema order under integer row ids, issued in
+ascending order and never reused. Every insert reaches the column
+store, then the secondary indexes, then the insert listeners
+(materialized views and the overlay's data-version stamp),
+synchronously — the behaviour the ablation experiment (E2) toggles.
 """
 
 from __future__ import annotations
@@ -20,22 +21,25 @@ from repro.storage.schema import Schema
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.durable.db import DurableTableAdapter
 
-#: Change listeners receive (row_id, row_tuple).
+#: Insert listeners receive (row_id, row_tuple).
 ChangeListener = Callable[[int, tuple[Any, ...]], None]
 
 
 class Table:
     """An in-memory row store with typed schema and secondary indexes.
 
+    Rows only append: once inserted, a row stays as it is.
+
     With a :class:`~repro.storage.durable.db.DurableTableAdapter`
-    attached, every mutation is logged to the write-ahead log *before*
+    attached, every insert is logged to the write-ahead log *before*
     it touches the in-memory state — so what recovery replays is
     exactly what the listeners saw. Without one (the default), nothing
     changes: the table is purely in-memory, as before.
 
-    One writer, any number of readers. Each mutation runs under
-    ``_lock``; readers take it only to build the column store, so no
-    insert lands between the store's backfill and its attach.
+    One writer, any number of readers. Each insert runs under
+    ``_lock``; readers take it to build the column store, so no insert
+    lands between the store's backfill and its attach, and to snapshot
+    the rows a scan walks.
     """
 
     def __init__(self, name: str, schema: Schema,
@@ -49,7 +53,6 @@ class Table:
         self._next_row_id = 0
         self._indexes: dict[str, Index] = {}
         self._on_insert: list[ChangeListener] = []
-        self._on_delete: list[ChangeListener] = []
         self._column_store = None
         self._lock = threading.Lock()
 
@@ -78,23 +81,6 @@ class Table:
             self._append(row_id, row)
         return row_id
 
-    def delete(self, row_id: int) -> None:
-        row = self._rows.get(row_id)
-        if row is None:
-            raise StorageError(
-                f"table {self.name!r}: no row {row_id}"
-            )
-        if self.durable is not None:
-            self.durable.log_delete(row_id, self._next_row_id)
-        with self._lock:  # _append's order, reversed
-            for index in self._indexes.values():
-                index.delete(index.key_of(row), row_id)
-            if self._column_store is not None:
-                self._column_store.remove(row_id)
-            del self._rows[row_id]
-            for listener in self._on_delete:
-                listener(row_id, row)
-
     def restore_rows(self, pairs: Iterable[tuple[int, tuple]]) -> None:
         """Re-apply recovered ``(row_id, row)`` pairs, bypassing the WAL.
 
@@ -118,7 +104,7 @@ class Table:
     def _append(self, row_id: int, row: tuple[Any, ...]) -> None:
         """Store, mirror, index, announce (the caller holds the lock): no
         index or listener (the overlay's data-version stamp) names a row
-        the column store or the row map lacks; delete reverses it."""
+        the column store or the row map lacks."""
         self._next_row_id = row_id + 1
         self._rows[row_id] = row
         if self._column_store is not None:
@@ -136,8 +122,9 @@ class Table:
     def bump_next_row_id(self, watermark: int) -> None:
         """Raise the next row id to *watermark* (recovery only).
 
-        Deleting the highest rows and compacting away their tombstones
-        would otherwise let a reopened table re-issue their ids.
+        A store may hold a watermark above its highest recovered row
+        (rows it tombstoned while tables could still drop them): those
+        ids stay burned, never reissued.
         """
         with self._lock:
             self._next_row_id = max(self._next_row_id, watermark)
@@ -154,11 +141,15 @@ class Table:
         return self.schema.row_as_dict(self.get(row_id))
 
     def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
-        """All (row_id, row) pairs in insertion order."""
-        yield from self._rows.items()
+        """All (row_id, row) pairs in insertion order, as of the call:
+        rows inserted while the caller iterates are not seen."""
+        with self._lock:
+            return zip(tuple(self._rows), tuple(self._rows.values()))
 
     def scan_rows(self) -> Iterator[tuple[Any, ...]]:
-        yield from self._rows.values()
+        """Every row in insertion order, as of the call."""
+        with self._lock:
+            return iter(tuple(self._rows.values()))
 
     def value(self, row: tuple[Any, ...], column: str) -> Any:
         return row[self.schema.index_of(column)]
@@ -236,10 +227,6 @@ class Table:
     def add_insert_listener(self, listener: ChangeListener) -> None:
         with self._lock:
             self._on_insert.append(listener)
-
-    def add_delete_listener(self, listener: ChangeListener) -> None:
-        with self._lock:
-            self._on_delete.append(listener)
 
     def __repr__(self) -> str:
         return (

@@ -303,7 +303,6 @@ def test_changed_version_of_a_held_row_rebuilds():
     clustered.router.write("bindings", row_id,
                            bindings.schema.validate_row(changed),
                            leaf_pre=changed["leaf_pre"])
-    bindings.delete(row_id)
     rows = clustered.execute(query).rows
     assert clustered.last_route["view"] == "built"
     assert rows[0]["p_affinity"] == 11.5

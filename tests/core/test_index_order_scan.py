@@ -3,8 +3,8 @@
 The walk must return exactly what a scan plus a stable top-k returns —
 same rows, same order, equal keys in ascending row id, NULL keys first
 ascending / last descending — and stop early. The property runs random
-small tables (heavy ties, NULL keys, deletes, a ``compact()``, later
-re-inserts) through the default engine, the row engine and
+small tables (heavy ties, NULL keys, rows bulk-loaded into the indexes,
+later live inserts) through the default engine, the row engine and
 ``NaiveEngine``; the directed cases pin the plan shapes the walk is and
 is not offered for, the adversarial clade, the cluster path, and one
 planted bug per rule of ``SortedIndex.ordered``.
@@ -63,8 +63,8 @@ class _NoSources:
 
 class OverlayNaive(NaiveEngine):
     """``NaiveEngine``'s filter → project → stable sort → slice over the
-    overlay's live rows in row-id order. Its own row source, the
-    simulated federation, cannot see an overlay delete or insert."""
+    overlay's rows in row-id order. Its own row source, the simulated
+    federation, cannot see an overlay insert."""
 
     def __init__(self, drugtree):
         super().__init__(drugtree.tree, _NoSources())
@@ -110,20 +110,18 @@ SHAPES = {
 }
 
 
-def build_world(table_name, cells, doomed, late_cells):
-    """Insert *cells*, delete the rows picked by *doomed*, compact the
-    column store, then insert *late_cells* (ids above every old one)."""
+def build_world(table_name, cells, late_cells):
+    """Insert *cells*, then build the indexes (a bulk load) and the
+    column store (a backfill) over them, then insert *late_cells*
+    through both (ids above every old one)."""
     _, make_row, _, _ = SHAPES[table_name]
     drugtree = DrugTree(parse_newick(NEWICK))
+    table = drugtree.tables[table_name]
+    for serial, (leaf, key) in enumerate(cells):
+        table.insert(make_row(leaf, key, serial))
     drugtree.create_default_indexes()
     drugtree.tables["proteins"].create_index(["resolution"], kind="sorted")
-    table = drugtree.tables[table_name]
     store = table.column_store()
-    ids = [table.insert(make_row(leaf, key, serial))
-           for serial, (leaf, key) in enumerate(cells)]
-    for row_id in {ids[pick % len(ids)] for pick in doomed} if ids else ():
-        table.delete(row_id)
-    store.compact()
     for serial, (leaf, key) in enumerate(late_cells, start=len(cells)):
         table.insert(make_row(leaf, key, serial))
     assert store.verify_against_rows()
@@ -136,7 +134,6 @@ def worlds_and_queries(draw):
     column, _, keys, residuals = SHAPES[table_name]
     cell = st.tuples(st.sampled_from(LEAVES), st.sampled_from(keys))
     cells = draw(st.lists(cell, max_size=40))
-    doomed = draw(st.lists(st.integers(0, 39), max_size=20))
     late_cells = draw(st.lists(cell, max_size=10))
     bounds = [value for value in keys if value is not None]
     predicates = list(draw(st.lists(st.sampled_from(residuals),
@@ -155,7 +152,7 @@ def worlds_and_queries(draw):
         order_by=OrderBy(column, descending=draw(st.booleans())),
         limit=draw(st.integers(1, len(cells) + len(late_cells) + 3)),
     )
-    return (table_name, cells, doomed, late_cells), query
+    return (table_name, cells, late_cells), query
 
 
 def free_walk():
@@ -423,7 +420,7 @@ def test_cluster_topk_after_an_absorbed_insert_equals_the_mirror():
 def check_tie_rule():
     """Equal keys come back in ascending row id, both directions."""
     cells = [(leaf, key) for key in (6.0, 7.0, 6.0) for leaf in LEAVES]
-    drugtree = build_world("bindings", cells, doomed=[1, 8], late_cells=[
+    drugtree = build_world("bindings", cells, late_cells=[
         ("a", 7.0), ("f", 6.0)])
     for descending in (True, False):
         query = Query(from_tables=("bindings",),
@@ -436,7 +433,7 @@ def check_tie_rule():
 def check_walk_respects_its_bounds():
     """A clade with fewer than k rows inside the bound: short answer."""
     cells = [(leaf, key) for key in KEYS for leaf in LEAVES]
-    drugtree = build_world("bindings", cells, doomed=[], late_cells=[])
+    drugtree = build_world("bindings", cells, late_cells=[])
     for predicate, descending in (
             (Comparison("p_affinity", ">=", 6.5), True),
             (Comparison("p_affinity", "<", 5.5), False)):

@@ -80,27 +80,6 @@ class TestCladeAggregates:
         with pytest.raises(QueryError):
             _drugtree().clade_stats("nope")
 
-    def test_delete_folds_out(self):
-        drugtree = _drugtree()
-        row = None
-        _bind(drugtree, "L1", "c", 100.0)
-        row = drugtree.add_binding(
-            BindingRecord("L2", "d", ActivityType.KI, 10.0)
-        )
-        drugtree.tables["bindings"].delete(row)
-        stats = drugtree.clade_stats("cd")
-        assert stats["count"] == 1
-        assert stats["mean"] == pytest.approx(7.0)
-
-    def test_max_recomputed_after_extremum_delete(self):
-        drugtree = _drugtree()
-        _bind(drugtree, "L1", "c", 100.0)          # pAff 7
-        strongest = drugtree.add_binding(
-            BindingRecord("L2", "d", ActivityType.KI, 1.0)  # pAff 9
-        )
-        drugtree.tables["bindings"].delete(strongest)
-        assert drugtree.clade_stats("cd")["max"] == pytest.approx(7.0)
-
     def test_maintenance_cost_is_path_length(self):
         drugtree = _drugtree()
         before = drugtree.clade_aggregates.maintenance_ops

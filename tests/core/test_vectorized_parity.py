@@ -213,26 +213,6 @@ class TestFederatedParity:
 
 
 class TestMutationParity:
-    def test_deletes_then_compaction_keep_parity(self):
-        dataset = make_dataset(seed=41, n_leaves=12, n_ligands=16)
-        drugtree = dataset.drugtree()
-        row = QueryEngine(drugtree, EngineConfig(
-            use_semantic_cache=False, execution_mode="row"))
-        vec = QueryEngine(drugtree, EngineConfig(
-            use_semantic_cache=False, execution_mode="vectorized"))
-        table = drugtree.tables["bindings"]
-        store = table.column_store()
-        dtql = ("SELECT ligand_id, protein_id, p_affinity FROM bindings "
-                "WHERE p_affinity >= 5.0")
-        doomed = [row_id for row_id, _ in list(table.scan())[::3]]
-        for row_id in doomed:
-            table.delete(row_id)
-        assert store.verify_against_rows()
-        assert vec.execute(dtql).rows == row.execute(dtql).rows
-        store.compact()
-        assert store.verify_against_rows()
-        assert vec.execute(dtql).rows == row.execute(dtql).rows
-
     def test_inserts_visible_to_both(self):
         dataset = make_dataset(seed=41, n_leaves=12, n_ligands=16)
         drugtree = dataset.drugtree()

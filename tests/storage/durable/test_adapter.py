@@ -1,5 +1,6 @@
-"""Table + DurableTableAdapter: WAL-first mutations, and restore from
-the store's committed tables."""
+"""Table + DurableTableAdapter: WAL-first inserts, and restore from
+the store's committed tables, including the row tombstones and row-id
+watermarks a store written while rows could be deleted holds."""
 
 import pytest
 
@@ -16,6 +17,8 @@ from repro.storage.durable import (
     Database,
     DurableTableAdapter,
     StorageConfig,
+    meta_key,
+    row_key,
 )
 
 
@@ -45,6 +48,14 @@ def open_db(tmp_path, **overrides):
 def durable_table(db, name="things"):
     return Table(name, schema(),
                  durable=DurableTableAdapter(db, name))
+
+
+def tombstone(table, row_id):
+    """Write a row delete as the store holds one: the row's tombstone
+    and the table's row-id watermark in one group commit."""
+    with table.durable.database.batch() as db:
+        db.delete(row_key(table.name, row_id))
+        db.put(meta_key(table.name), table.next_row_id)
 
 
 def restore(table):
@@ -80,7 +91,7 @@ class TestMutationLogging:
         rows = [("a", 1, 0.25), ("b", 2, None), ("c", 3, 9.75)]
         for name, rank, score in rows:
             table.insert({"name": name, "rank": rank, "score": score})
-        table.delete(1)
+        tombstone(table, 1)
         db.close()
 
         db2 = open_db(tmp_path)
@@ -111,7 +122,7 @@ class TestMutationLogging:
         table = durable_table(db)
         for i in range(3):
             table.insert({"name": f"r{i}", "rank": i, "score": None})
-        table.delete(2)  # highest row id
+        tombstone(table, 2)  # highest row id
         db.compact()  # GC drops the tombstone entirely
         assert sum(s.reader.tombstones for s in db.segments) == 0
         db.close()
@@ -124,16 +135,6 @@ class TestMutationLogging:
         new_id = table2.insert({"name": "new", "rank": 9, "score": None})
         assert new_id == 3
 
-    def test_delete_and_watermark_share_one_batch(self, tmp_path):
-        db = open_db(tmp_path, fsync="always")
-        table = durable_table(db)
-        table.insert({"name": "a", "rank": 1, "score": None})
-        from repro.obs import get_metrics
-        before = get_metrics().counter_values().get("wal.fsyncs", 0)
-        table.delete(0)
-        after = get_metrics().counter_values()["wal.fsyncs"]
-        assert after - before == 1  # tombstone + watermark, one sync
-
     def test_a_delete_inside_a_batch_keeps_the_group_commit(self,
                                                             tmp_path):
         db = open_db(tmp_path, fsync="always")
@@ -143,7 +144,7 @@ class TestMutationLogging:
         before = get_metrics().counter_values().get("wal.fsyncs", 0)
         with db.batch():
             table.insert({"name": "a", "rank": 1, "score": None})
-            table.delete(0)
+            tombstone(table, 0)
             for i in range(10):
                 table.insert({"name": f"r{i}", "rank": i, "score": 0.5})
         after = get_metrics().counter_values()["wal.fsyncs"]

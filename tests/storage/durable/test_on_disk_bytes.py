@@ -16,7 +16,7 @@ from pathlib import Path
 from repro.chem.affinity import ActivityType, BindingRecord
 from repro.core import DrugTree
 from repro.storage.durable import StorageConfig, sstable
-from repro.storage.durable.db import row_key
+from repro.storage.durable.db import meta_key, row_key
 from repro.storage.durable.memtable import TOMBSTONE
 from repro.workloads import DatasetConfig, build_dataset
 from tests.storage.oracles import retired_key_index
@@ -40,14 +40,21 @@ def digest(data_dir: Path) -> str:
 
 
 def write_world(data_dir: Path):
-    """Integrate in small flushes, delete every fifth binding, then log
-    a few more bindings in one batch that stays in the WAL."""
+    """Integrate in small flushes, tombstone every fifth binding in the
+    store (each as a row delete was once logged: the tombstone and the
+    row-id watermark in one group commit), then log a few more bindings
+    in one batch that stays in the WAL. Returns the dataset, the
+    DrugTree and the rows a reopen recovers: the overlay's, less the
+    tombstoned bindings."""
     dataset = build_dataset(WORLD)
     drugtree, _ = dataset.integrate(storage=StorageConfig(
         durable=True, data_dir=str(data_dir), memtable_flush_bytes=8192))
     bindings = drugtree.tables["bindings"]
-    for row_id in range(0, bindings.next_row_id, 5):
-        bindings.delete(row_id)
+    tombstoned = range(0, bindings.next_row_id, 5)
+    for row_id in tombstoned:
+        with drugtree.database.batch() as database:
+            database.delete(row_key("bindings", row_id))
+            database.put(meta_key("bindings"), bindings.next_row_id)
     proteins = sorted(dataset.family.protein_ids)
     with drugtree.database.batch():
         for i in range(5):
@@ -55,11 +62,15 @@ def write_world(data_dir: Path):
                 ligand_id=dataset.ligands[i % 3].ligand_id,
                 protein_id=proteins[i % len(proteins)],
                 activity_type=ActivityType.KI, value_nm=10.0 ** (i % 5)))
-    return dataset, drugtree
+    rows = {name: dict(table.scan())
+            for name, table in drugtree.tables.items()}
+    for row_id in tombstoned:
+        del rows["bindings"][row_id]
+    return dataset, drugtree, rows
 
 
 def test_golden_directory_digest(tmp_path):
-    _, drugtree = write_world(tmp_path / "db")
+    _, drugtree, _ = write_world(tmp_path / "db")
     levels = [stats["level"] for stats in drugtree.database.level_stats()]
     assert levels == [0, 1]
     assert len(drugtree.database.memtable) > 0
@@ -82,9 +93,7 @@ class CountingDecoder(json.JSONDecoder):
 
 def test_reopen_decodes_each_stored_value_at_most_once(tmp_path,
                                                       monkeypatch):
-    dataset, drugtree = write_world(tmp_path / "db")
-    rows = {name: dict(table.scan())
-            for name, table in drugtree.tables.items()}
+    dataset, drugtree, rows = write_world(tmp_path / "db")
     drugtree.database.wal.sync()
     entries = sum(segment.reader.count
                   for segment in drugtree.database.segments)
@@ -180,9 +189,7 @@ def test_a_segment_with_the_old_meta_footer_still_works(tmp_path):
     for footer_of, written in ((with_key_index, KEY_INDEX_WRITTEN),
                                (with_meta, META_WRITTEN)):
         data_dir = tmp_path / footer_of.__name__
-        dataset, drugtree = write_world(data_dir)
-        rows = {name: dict(table.scan())
-                for name, table in drugtree.tables.items()}
+        dataset, drugtree, rows = write_world(data_dir)
         drugtree.database.wal.close()  # the writer exits without a flush
         rewrite_footers(data_dir, footer_of)
         assert digest(data_dir) == written

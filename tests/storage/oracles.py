@@ -40,22 +40,6 @@ class FlatSortedIndex:
         self._keys.insert(position, key)
         self._row_ids.insert(position, row_id)
 
-    def delete(self, key: Any, row_id: int) -> None:
-        if key is None:
-            if row_id not in self._nulls:
-                raise KeyError(row_id)
-            self._nulls.discard(row_id)
-            return
-        low = bisect.bisect_left(self._keys, key)
-        for position in range(low, len(self._keys)):
-            if self._keys[position] != key:
-                break
-            if self._row_ids[position] == row_id:
-                del self._keys[position]
-                del self._row_ids[position]
-                return
-        raise KeyError(row_id)
-
     def lookup(self, key: Any) -> list[int]:
         if key is None:
             return sorted(self._nulls)

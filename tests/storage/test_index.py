@@ -3,13 +3,14 @@
 import random
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
-from repro.storage import HashIndex, SortedIndex
+from repro.storage import HashIndex, Schema, SortedIndex, Table, int_column
 from tests.storage.oracles import FlatSortedIndex
 
 
@@ -22,18 +23,6 @@ class TestHashIndex:
         assert index.lookup("a") == [1, 2]
         assert index.lookup("b") == [3]
         assert index.lookup("zz") == []
-
-    def test_delete(self):
-        index = HashIndex("ix", ("col",))
-        index.insert("a", 1)
-        index.insert("a", 2)
-        index.delete("a", 1)
-        assert index.lookup("a") == [2]
-
-    def test_delete_missing_raises(self):
-        index = HashIndex("ix", ("col",))
-        with pytest.raises(StorageError):
-            index.delete("a", 1)
 
     def test_no_range_support(self):
         assert not HashIndex("ix", ("col",)).supports_range
@@ -70,24 +59,10 @@ class TestSortedIndex:
         index = self._index([(i, i) for i in range(5)])
         assert index.range(4, 2) == []
 
-    def test_delete_specific_row(self):
-        index = self._index([(5, 0), (5, 1), (5, 2)])
-        index.delete(5, 1)
-        assert index.lookup(5) == [0, 2]
-
-    def test_delete_missing_raises(self):
-        index = self._index([(5, 0)])
-        with pytest.raises(StorageError):
-            index.delete(5, 99)
-        with pytest.raises(StorageError):
-            index.delete(7, 0)
-
     def test_null_keys(self):
         index = self._index([(None, 0), (1, 1), (None, 2)])
         assert index.lookup(None) == [0, 2]
         assert index.range() == [1]  # nulls excluded from ranges
-        index.delete(None, 0)
-        assert index.lookup(None) == [2]
 
     def test_min_max(self):
         index = self._index([(5, 0), (3, 1), (9, 2)])
@@ -111,17 +86,6 @@ class TestSortedIndex:
             row_id for row_id, key in enumerate(keys) if low <= key <= high
         )
         assert index.range(low, high) == expected
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.integers(0, 20), min_size=1, max_size=40))
-    def test_property_insert_delete_roundtrip(self, keys):
-        index = SortedIndex("ix", ("col",))
-        for row_id, key in enumerate(keys):
-            index.insert(key, row_id)
-        for row_id, key in enumerate(keys):
-            index.delete(key, row_id)
-        assert len(index) == 0
-        assert index.range() == []
 
     def test_ordered_walks_ties_in_ascending_row_id(self):
         index = SortedIndex("ix", ("col",))
@@ -189,11 +153,41 @@ class SmallChunks(SortedIndex):
 
 
 _KEYS = st.one_of(st.none(), st.integers(0, 8))
-#: Inserts carry their own row id (not ascending: a walk must sort each
-#: run, also when it spans chunks); deletes pick a live row by rank.
-_OPS = st.lists(st.tuples(
-    st.sampled_from(("insert", "insert", "insert", "delete")), _KEYS,
-    st.integers(0, 300)), min_size=8, max_size=150)
+#: Rows as (key, gap): ids rise by each gap, as a table issues them
+#: (gap 1) or a cluster view restores a partition's sparse ids.
+_ROWS = st.lists(st.tuples(_KEYS, st.integers(1, 5)), min_size=8,
+                 max_size=150)
+#: How the rows reach the indexes: live inserts, a bulk load, or a
+#: table's ``restore_rows`` into indexes created beforehand.
+_FILLS = st.sampled_from(("insert", "load", "restore"))
+
+
+def _entries(rows):
+    """``(key, row_id)`` pairs, row ids ascending by each row's gap."""
+    entries, row_id = [], -1
+    for key, gap in rows:
+        row_id += gap
+        entries.append((key, row_id))
+    return entries
+
+
+def _fill(entries, fill):
+    """A hash and a sorted index (two-key chunks) holding *entries*."""
+    if fill == "restore":
+        table = Table("t", Schema([int_column("col", nullable=True)]))
+        with mock.patch.object(SortedIndex, "CHUNK", 2):
+            hashed = table.create_index(["col"], kind="hash")
+            ordered = table.create_index(["col"], kind="sorted")
+            table.restore_rows((row_id, (key,)) for key, row_id in entries)
+        return hashed, ordered
+    hashed, ordered = HashIndex("h", ("col",)), SmallChunks("ix", ("col",))
+    for index in (hashed, ordered):
+        if fill == "load":
+            index.load(entries)
+        else:
+            for key, row_id in entries:
+                index.insert(key, row_id)
+    return hashed, ordered
 
 
 def _same_reads(index, oracle, low, high, include_low, include_high):
@@ -211,32 +205,44 @@ def _same_reads(index, oracle, low, high, include_low, include_high):
                                    include_high))
 
 
+def check_matches_the_flat_index(entries, fill, low=None, high=None,
+                                 include_low=True, include_high=True):
+    """Both indexes answer what the flat oracle answers; every lookup
+    comes back in ascending row id."""
+    hashed, ordered = _fill(entries, fill)
+    oracle = FlatSortedIndex()
+    for key, row_id in entries:
+        oracle.insert(key, row_id)
+    _same_reads(ordered, oracle, low, high, include_low, include_high)
+    for key in (None, *range(-1, 10)):
+        assert hashed.lookup(key) == oracle.lookup(key)
+
+
 class TestBlockedSortedIndex:
     """The chunked index answers exactly what the flat two-list index
-    it replaced answers, at every chunk size and after any history."""
+    it replaced answers, at every chunk size and however its rows
+    arrived."""
 
     @settings(max_examples=150, deadline=None)
-    @given(_OPS, st.one_of(st.none(), st.integers(-1, 9)),
+    @given(_ROWS, _FILLS, st.one_of(st.none(), st.integers(-1, 9)),
            st.one_of(st.none(), st.integers(-1, 9)),
-           st.booleans(), st.booleans(), st.booleans())
-    def test_matches_the_flat_index(self, ops, low, high, include_low,
-                                    include_high, bulk):
-        index, oracle = SmallChunks("ix", ("col",)), FlatSortedIndex()
-        live: dict[int, object] = {}
-        for op, key, number in ops:
-            if op == "insert" and number not in live:
-                index.insert(key, number)
-                oracle.insert(key, number)
-                live[number] = key
-            elif op == "delete" and live:
-                row_id = sorted(live)[number % len(live)]
-                index.delete(live[row_id], row_id)
-                oracle.delete(live.pop(row_id), row_id)
-        if bulk:
-            # The same rows through the bulk loader, in insertion order.
-            index = SmallChunks("ix", ("col",))
-            index.load((key, row_id) for row_id, key in live.items())
-        _same_reads(index, oracle, low, high, include_low, include_high)
+           st.booleans(), st.booleans())
+    def test_matches_the_flat_index(self, rows, fill, low, high,
+                                    include_low, include_high):
+        check_matches_the_flat_index(_entries(rows), fill, low, high,
+                                     include_low, include_high)
+
+    @pytest.mark.parametrize("fill", ["insert", "load", "restore"])
+    def test_planted_bug_a_bucket_that_prepends_is_caught(self, fill):
+        entries = _entries([(key % 3 or None, 1 + key % 2)
+                            for key in range(12)])
+
+        def prepend(index, key, row_id):
+            index._buckets.setdefault(key, []).insert(0, row_id)
+
+        with mock.patch.object(HashIndex, "insert", prepend), \
+                pytest.raises(AssertionError):
+            check_matches_the_flat_index(entries, fill)
 
     def test_equal_keys_span_many_chunks(self):
         index, oracle = SmallChunks("ix", ("col",)), FlatSortedIndex()
@@ -246,9 +252,6 @@ class TestBlockedSortedIndex:
             oracle.insert(key, row_id)
         assert len(index._layout[1]) > 10  # the run crosses chunks
         _same_reads(index, oracle, 0, 5, True, True)
-        for row_id in range(1, 40, 5):
-            index.delete(5, row_id)
-            oracle.delete(5, row_id)
         _same_reads(index, oracle, 5, None, False, True)
 
     def test_a_split_keeps_the_walk_lazy(self):
@@ -267,15 +270,6 @@ class TestBlockedSortedIndex:
         assert sizes == [SortedIndex.CHUNK] * 3 + [1]
         assert index.lookup(3) == [row_id for row_id in range(len(index))
                                    if row_id % 7 == 3]
-
-    def test_delete_missing_under_a_spanning_run_raises(self):
-        index = SmallChunks("ix", ("col",))
-        for row_id in range(9):
-            index.insert(4, row_id)
-        with pytest.raises(StorageError):
-            index.delete(4, 99)
-        with pytest.raises(StorageError):
-            index.delete(5, 0)
 
     def test_readers_never_raise_while_a_writer_inserts(self):
         """Real threads, a switch every microsecond: four readers walk

@@ -1,7 +1,11 @@
 """Tests for the row-store table."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.core.query.physical import ExecCounters, SeqScanOp
 from repro.errors import SchemaError, StorageError
 from repro.storage import (
     Schema,
@@ -10,6 +14,7 @@ from repro.storage import (
     int_column,
     string_column,
 )
+from repro.storage.statistics import analyze
 
 
 @pytest.fixture
@@ -23,9 +28,9 @@ def table():
     return Table("bindings", schema)
 
 
-def _insert_sample(table, n=6):
+def _insert_sample(table, n=6, start=0):
     ids = []
-    for i in range(n):
+    for i in range(start, start + n):
         ids.append(table.insert({
             "ligand_id": f"L{i % 3}",
             "protein_id": f"P{i}",
@@ -53,19 +58,6 @@ class TestRowOperations:
         with pytest.raises(SchemaError):
             table.insert({"ligand_id": "L1"})
 
-    def test_delete(self, table):
-        ids = _insert_sample(table)
-        table.delete(ids[0])
-        assert table.row_count == len(ids) - 1
-        with pytest.raises(StorageError):
-            table.get(ids[0])
-
-    def test_delete_twice_raises(self, table):
-        ids = _insert_sample(table)
-        table.delete(ids[0])
-        with pytest.raises(StorageError):
-            table.delete(ids[0])
-
     def test_scan_in_insertion_order(self, table):
         ids = _insert_sample(table)
         assert [row_id for row_id, _ in table.scan()] == ids
@@ -86,12 +78,6 @@ class TestIndexMaintenance:
         index = table.create_index(["ligand_id"], kind="hash")
         _insert_sample(table)
         assert len(index.lookup("L1")) == 2
-
-    def test_index_updated_on_delete(self, table):
-        index = table.create_index(["protein_id"], kind="hash")
-        ids = _insert_sample(table)
-        table.delete(ids[0])
-        assert index.lookup("P0") == []
 
     def test_sorted_index_range(self, table):
         index = table.create_index(["p_affinity"], kind="sorted")
@@ -140,10 +126,72 @@ class TestListeners:
         ids = _insert_sample(table, 3)
         assert seen == ids
 
-    def test_delete_listener_called(self, table):
-        seen = []
-        table.add_delete_listener(lambda row_id, row: seen.append(row))
-        ids = _insert_sample(table, 2)
-        table.delete(ids[1])
-        assert len(seen) == 1
-        assert seen[0][1] == "P1"
+
+class TestScanSnapshot:
+    """A scan walks the rows as of its call: readers run on other
+    threads than the writer, and an insert must neither break their
+    iteration nor show up half-way through it."""
+
+    def test_an_insert_during_a_scan_is_not_seen(self, table):
+        ids = _insert_sample(table, 3)
+        pairs, rows = table.scan(), table.scan_rows()
+        first_pair, first_row = next(pairs), next(rows)
+        _insert_sample(table, 1, start=3)
+        assert [first_pair[0]] + [row_id for row_id, _ in pairs] == ids
+        assert [first_row, *rows] == [table.get(row_id) for row_id in ids]
+
+    def test_analyze_counts_the_rows_it_read(self, table):
+        _insert_sample(table, 4)
+        scan_rows = table.scan_rows
+
+        def scan_then_insert():
+            rows = scan_rows()
+            _insert_sample(table, 1, start=4)  # the writer gets in
+            return rows
+
+        table.scan_rows = scan_then_insert
+        stats = analyze(table)
+        assert stats.row_count == 4
+        assert all(column.row_count == 4 and column.null_count == 0
+                   for column in stats.columns.values())
+
+    def test_readers_never_raise_while_a_writer_inserts(self, table):
+        """Real threads, a switch every microsecond: readers analyze
+        and run the row engine's seq scan while one thread inserts."""
+        _insert_sample(table, 200)
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def reader() -> None:
+            try:
+                while not done.is_set():
+                    stats = analyze(table)
+                    assert stats.columns["ligand_id"].null_count == 0
+                    scan = SeqScanOp(ExecCounters(), table).rows()
+                    assert all(record["assay_count"] >= 0
+                               for record in scan)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        def writer() -> None:
+            try:
+                _insert_sample(table, 2000, start=200)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+            finally:
+                done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(3)]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert [row_id for row_id, _ in table.scan()] == list(range(2200))
