@@ -8,14 +8,21 @@ over the tables' :class:`~repro.storage.columnar.ColumnStore`
 projections, amortizing interpreter overhead across
 ``EngineConfig.vector_batch_size`` rows:
 
-* scans build **selection vectors** (lists of live buffer positions)
-  and narrow them with compiled predicate closures applied straight to
-  the column buffers — no row dicts exist until the plan's output;
+* scans build **selection vectors** (buffer positions) and narrow
+  them one predicate at a time: a comparison of a mirrored numeric or
+  bool column with a literal of its kind is one numpy mask over the
+  column's typed mirror; every other predicate (strings, ``IN``, the
+  key-set membership test) runs its compiled closure on the list
+  buffer. Values are gathered from the lists, so a batch holds the row
+  store's own objects — no row dicts exist until the plan's output;
 * filters, projections, joins, sorts, and limits operate on
   :class:`Batch` objects (column name → value list);
-* aggregation folds whole column slices via ``_AggState.fold_many``,
-  accumulating in the same left-to-right order as the row engine so
-  float results are bit-identical;
+* aggregation folds a scan batch's typed slice where the column has a
+  mirror — ``np.add.accumulate`` seeded with the running total (a
+  sequential sum, bit-identical to the row engine's ``total += v``;
+  ``np.sum`` is pairwise and is not), first-occurrence ``argmin``/
+  ``argmax`` answered with the list's object — and folds anything else
+  via ``_AggState.fold_many``, in the same left-to-right order;
 * ``RemoteFetchOp`` has no batch form: its child drains through it as
   rows and :class:`RowSourceAdapterOp` re-batches the enriched output.
   Plans holding any other batch-less node (provably empty, clade fast
@@ -33,7 +40,11 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterator, Sequence
+from itertools import compress, count
+from operator import itemgetter
 from typing import Any
+
+import numpy as np
 
 from repro.core.query.ast import REMOTE_DETAIL_COLUMNS, AggregateSpec, OrderBy
 from repro.core.query.logical import (
@@ -48,11 +59,11 @@ from repro.core.query.logical import (
     rows_estimate,
 )
 from repro.core.query.physical import ExecCounters, _AggState, _sort_key
-from repro.core.query.predicates import compile_columns
+from repro.core.query.predicates import compile_columns, compile_comparison
 from repro.errors import PlanError, QueryError
 from repro.obs.explain import OperatorStats
 from repro.obs.timing import now_wall
-from repro.storage.columnar import ColumnStore
+from repro.storage.columnar import EXACT_INT_LIMIT, ColumnStore
 from repro.storage.index import SortedIndex
 
 #: Default rows per batch; EngineConfig.vector_batch_size overrides.
@@ -65,16 +76,20 @@ class Batch:
     ``columns`` maps column name to a value list; every list has
     ``length`` entries and position ``i`` across all lists is one row.
     ``order`` fixes the column order rows materialize with, mirroring
-    the key order of the row engine's dicts.
+    the key order of the row engine's dicts. A scan's batch also keeps
+    its ``source`` — the column store and the buffer positions it
+    gathered — so a fold can read the same rows from the typed mirrors.
     """
 
-    __slots__ = ("order", "columns", "length")
+    __slots__ = ("order", "columns", "length", "source")
 
     def __init__(self, order: tuple[str, ...],
-                 columns: dict[str, list[Any]], length: int) -> None:
+                 columns: dict[str, list[Any]], length: int,
+                 source: tuple[ColumnStore, Any] | None = None) -> None:
         self.order = order
         self.columns = columns
         self.length = length
+        self.source = source
 
     def __len__(self) -> int:
         return self.length
@@ -85,6 +100,23 @@ class Batch:
         if name in self.columns:
             return self.columns[name]
         return [None] * self.length
+
+    def typed(self, name: str) -> tuple[np.ndarray, Any] | None:
+        """``(data, valid)`` of one column from its typed mirror, aligned
+        with this batch's rows (``valid`` is None for a column that
+        cannot hold NULL); None when the batch is not a scan's or the
+        column has no mirror. Built on demand: only folds read it."""
+        if self.source is None or name not in self.columns:
+            return None
+        store, positions = self.source
+        mirror = store.typed(name)
+        if mirror is None:
+            return None
+        where = _where(positions)
+        if type(where) is not slice:
+            self.source = (store, where)
+        data, valid = mirror
+        return data[where], None if valid is None else valid[where]
 
     def take(self, positions: Sequence[int]) -> "Batch":
         """A new batch keeping *positions*, in the given order."""
@@ -214,13 +246,60 @@ class RowSourceAdapterOp(VectorOp):
             yield self._emit(batch_from_rows(buffer))
 
 
-def _filter_positions(positions: Sequence[int], store: ColumnStore,
-                      compiled) -> Sequence[int]:
-    """Narrow a selection vector, one compiled predicate at a time."""
-    for name, test in compiled:
-        buffer = store.column(name)
-        positions = [p for p in positions if test(buffer[p])]
-    return positions
+#: Comparisons a typed mirror answers as one mask over a chunk.
+_MASK_OPS = {
+    "=": np.equal, "!=": np.not_equal, "<": np.less,
+    "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
+}
+
+
+def _literal_fits(exact: type | None, literal: Any) -> bool:
+    """True when comparing *literal* with a mirror holding *exact*
+    values in numpy answers exactly as Python compares it with the
+    list's values: a number (not a bool, NaN or an int past float64's
+    exact range) for a FLOAT/INT column, a bool for a BOOL column."""
+    if exact is None:
+        return False
+    cls = type(literal)
+    if exact is bool:
+        return cls is bool
+    if cls is float:
+        return literal == literal
+    return cls is int and -EXACT_INT_LIMIT < literal < EXACT_INT_LIMIT
+
+
+def compile_scan_tests(store: ColumnStore, residual) -> tuple:
+    """Compile a residual list to ``(column, closure, mask_op, literal)``.
+
+    ``mask_op`` is the numpy comparison to run on the column's typed
+    mirror, or None when only the closure applies (a string column, a
+    non-comparison operator, a literal of another kind).
+    """
+    tests = []
+    for pred in residual:
+        mask_op = _MASK_OPS.get(pred.op)
+        if mask_op is not None and not _literal_fits(
+                store.mirror_types.get(pred.column), pred.value):
+            mask_op = None
+        tests.append((pred.column, compile_comparison(pred), mask_op,
+                      pred.value))
+    return tuple(tests)
+
+
+def _where(positions) -> Any:
+    """Buffer positions as an index: a ``range`` as a slice (a view of a
+    mirror, a copy of a list), anything else as an ``intp`` array."""
+    if isinstance(positions, range):
+        return slice(positions.start, positions.stop)
+    return np.asarray(positions, dtype=np.intp)
+
+
+def _take(buffer: list[Any], getter) -> list[Any]:
+    """Gather through ``itemgetter(*positions)`` (one position: a bare
+    index, as ``itemgetter`` then returns the item, not a tuple)."""
+    if type(getter) is int:
+        return [buffer[getter]]
+    return list(getter(buffer))
 
 
 class _VecScanBase(VectorOp):
@@ -231,7 +310,7 @@ class _VecScanBase(VectorOp):
                  batch_size: int) -> None:
         super().__init__(counters)
         self.store = store
-        self.compiled = compile_columns(residual)
+        self.tests = compile_scan_tests(store, residual)
         if columns is None:
             self.columns = store.column_names
         else:
@@ -239,19 +318,59 @@ class _VecScanBase(VectorOp):
                                  if c in columns)
         self.batch_size = batch_size
 
-    def _scan_chunk(self, chunk: Sequence[int]) -> Batch | None:
+    def _select(self, chunk):
+        """The positions of *chunk* that pass every test, in order.
+
+        *chunk* is a ``range`` (a seq scan's window) or an ``intp``
+        array (an index scan's positions); so is the answer, or a list
+        once a closure ran. Typed views are taken here, after the
+        positions exist, so a concurrent append never leaves one short.
+        """
+        store = self.store
+        selected = chunk
+        for name, test, mask_op, literal in self.tests:
+            mirror = store.typed(name) if mask_op is not None else None
+            if mirror is None:
+                buffer = store.column(name)
+                if isinstance(selected, np.ndarray):
+                    selected = selected.tolist()
+                selected = list(compress(
+                    selected, map(test, map(buffer.__getitem__, selected))))
+            else:
+                data, valid = mirror
+                where = _where(selected)
+                mask = mask_op(data[where], literal)
+                if valid is not None:
+                    mask &= valid[where]
+                selected = (np.flatnonzero(mask) + where.start
+                            if type(where) is slice else where[mask])
+            if not len(selected):
+                break
+        return selected
+
+    def _scan_chunk(self, chunk) -> Batch | None:
         """Count, filter, and gather one chunk of buffer positions."""
         self.counters.rows_scanned += len(chunk)
-        selected = _filter_positions(chunk, self.store, self.compiled)
-        if not selected:
+        selected = self._select(chunk)
+        if not len(selected):
             return None
         self.counters.rows_emitted += len(selected)
         store = self.store
-        columns = {name: store.gather(name, list(selected))
-                   for name in self.columns}
-        return Batch(self.columns, columns, len(selected))
+        if isinstance(selected, range):
+            window = _where(selected)
+            columns = {name: store.column(name)[window]
+                       for name in self.columns}
+        else:
+            positions = (selected.tolist()
+                         if isinstance(selected, np.ndarray) else selected)
+            getter = (positions[0] if len(positions) == 1
+                      else itemgetter(*positions))
+            columns = {name: _take(store.column(name), getter)
+                       for name in self.columns}
+        return Batch(self.columns, columns, len(selected),
+                     (store, selected))
 
-    def _batches_of(self, positions: Sequence[int]) -> Iterator[Batch]:
+    def _batches_of(self, positions) -> Iterator[Batch]:
         size = self.batch_size
         for start in range(0, len(positions), size):
             batch = self._scan_chunk(positions[start:start + size])
@@ -277,9 +396,7 @@ class VecIndexEqScanOp(_VecScanBase):
 
     def batches(self) -> Iterator[Batch]:
         self.counters.index_probes += 1
-        position_of = self.store.position_of
-        positions = [position_of(row_id)
-                     for row_id in self.index.lookup(self.value)]
+        positions = self.store.positions_of(self.index.lookup(self.value))
         yield from self._batches_of(positions)
 
 
@@ -300,9 +417,7 @@ class VecIndexRangeScanOp(_VecScanBase):
         self.counters.index_probes += 1
         row_ids = self.index.range(self.low, self.high,
                                    self.include_low, self.include_high)
-        position_of = self.store.position_of
-        positions = [position_of(row_id) for row_id in row_ids]
-        yield from self._batches_of(positions)
+        yield from self._batches_of(self.store.positions_of(row_ids))
 
 
 class VecKeySetScanOp(_VecScanBase):
@@ -317,7 +432,8 @@ class VecKeySetScanOp(_VecScanBase):
         self.index = store.table.index_on(column)
         if self.index is None:
             # No index: a full scan whose first predicate is membership.
-            self.compiled = ((column, keys.__contains__), *self.compiled)
+            self.tests = ((column, keys.__contains__, None, None),
+                          *self.tests)
 
     def batches(self) -> Iterator[Batch]:
         if self.index is None:
@@ -325,13 +441,11 @@ class VecKeySetScanOp(_VecScanBase):
             return
         # Same key order (and per-key probe accounting) as the row
         # operator: deterministic across runs and engines.
-        position_of = self.store.position_of
-        positions: list[int] = []
+        row_ids: list[int] = []
         for key in sorted(self.keys, key=repr):
             self.counters.index_probes += 1
-            positions.extend(position_of(row_id)
-                             for row_id in self.index.lookup(key))
-        yield from self._batches_of(positions)
+            row_ids.extend(self.index.lookup(key))
+        yield from self._batches_of(self.store.positions_of(row_ids))
 
 
 class IndexOrderScanOp(_VecScanBase):
@@ -361,7 +475,7 @@ class IndexOrderScanOp(_VecScanBase):
     def _walk(self) -> Batch:
         node, store = self.node, self.store
         tests = [(store.column(name), test)
-                 for name, test in self.compiled]
+                 for name, test, _, _ in self.tests]
         position_of = store.position_of
         selected: list[int] = []
         walked = 0
@@ -436,7 +550,7 @@ class VecProjectOp(VectorOp):
             projected = {name: batch.columns[name]
                          for name in self.columns}
             yield self._emit(Batch(self.columns, projected,
-                                   len(batch)))
+                                   len(batch), batch.source))
 
 
 class VecHashAggregateOp(VectorOp):
@@ -453,14 +567,17 @@ class VecHashAggregateOp(VectorOp):
     def batches(self) -> Iterator[Batch]:
         groups: dict[Any, dict[str, _AggState]] = {}
         saw_rows = False
-        for batch in self.child.batches():
-            if not len(batch):
-                continue
-            saw_rows = True
-            if self.group_by is None:
-                self._fold_scalar(groups, batch)
-            else:
-                self._fold_grouped(groups, batch)
+        # inf + -inf is NaN and 1e308 + 1e308 is inf for ``total += v``
+        # too, but without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for batch in self.child.batches():
+                if not len(batch):
+                    continue
+                saw_rows = True
+                if self.group_by is None:
+                    self._fold_scalar(groups, batch)
+                else:
+                    self._fold_grouped(groups, batch)
         if not saw_rows and self.group_by is None:
             # Scalar aggregate over an empty input still yields one row.
             groups[None] = {
@@ -489,29 +606,90 @@ class VecHashAggregateOp(VectorOp):
             state = states[agg.output_name]
             if agg.column == "*":
                 state.count += len(batch)
+                continue
+            values = batch.values(agg.column)
+            typed = batch.typed(agg.column)
+            if typed is None:
+                state.fold_many(values)
             else:
-                state.fold_many(batch.values(agg.column))
+                fold_typed(state, values, *typed)
 
     def _fold_grouped(self, groups, batch: Batch) -> None:
+        """Encode the keys once (each row's code is the batch position
+        of its key's first row), then fold each group's rows, in scan
+        order, as one slice per aggregate."""
         keys = batch.values(self.group_by)
-        folds = [
-            (agg.output_name,
-             None if agg.column == "*" else batch.values(agg.column))
-            for agg in self.aggregates
-        ]
-        fresh = {agg.output_name: None for agg in self.aggregates}
-        for i, key in enumerate(keys):
+        first: dict[Any, int] = {}
+        codes = np.fromiter(map(first.setdefault, keys, count()),
+                            dtype=np.intp, count=len(keys))
+        if len(first) == 1:
+            members = [np.arange(len(keys))]
+        else:
+            order = np.argsort(codes, kind="stable")
+            edges = np.flatnonzero(np.diff(codes[order])) + 1
+            members = np.split(order, edges)
+        folds = []
+        for agg in self.aggregates:
+            if agg.column == "*":
+                folds.append((agg.output_name, None, None))
+            else:
+                folds.append((agg.output_name, batch.values(agg.column),
+                              batch.typed(agg.column)))
+        for rows in members:
+            key = keys[rows[0]]
             states = groups.get(key)
             if states is None:
                 states = groups[key] = {
-                    name: _AggState() for name in fresh
+                    agg.output_name: _AggState() for agg in self.aggregates
                 }
-            for name, values in folds:
+            for name, values, typed in folds:
                 state = states[name]
                 if values is None:
-                    state.count += 1
+                    state.count += len(rows)
+                elif typed is None:
+                    state.fold_many([values[i] for i in rows.tolist()])
                 else:
-                    state.fold(values[i])
+                    data, valid = typed
+                    fold_typed(state, values, data[rows],
+                               None if valid is None else valid[rows],
+                               rows)
+
+
+def fold_typed(state: _AggState, values: list[Any], data: np.ndarray,
+               valid: np.ndarray | None,
+               rows: np.ndarray | None = None) -> None:
+    """``state.fold_many`` over typed data, with the same answer.
+
+    ``data``/``valid`` are the mirrored slice of the rows folded;
+    ``rows`` maps an entry of ``data`` to its index in ``values`` (the
+    list the batch gathered; None when they align). NULLs are skipped.
+    The sum is ``np.add.accumulate`` seeded with the running total —
+    the same sequential additions as ``total += v``, so floats stay
+    bit-identical (``np.sum`` adds pairwise and is not). ``min``/``max``
+    take the *first* extreme (``argmin``/``argmax``), as the strict
+    ``<``/``>`` of the row fold keeps the first of equal values (which
+    decides between ``-0.0`` and ``0.0``), and answer with the list's
+    object at that row. Bools, as in the row fold, add nothing to the
+    total.
+    """
+    if valid is not None and not valid.all():
+        kept = np.flatnonzero(valid)
+        data = data[kept]
+        rows = kept if rows is None else rows[kept]
+    if not len(data):
+        return
+    state.count += len(data)
+    if data.dtype != np.bool_:
+        state.total = float(np.add.accumulate(
+            np.concatenate(((state.total,), data)))[-1])
+    low, high = int(np.argmin(data)), int(np.argmax(data))
+    if rows is not None:
+        low, high = int(rows[low]), int(rows[high])
+    minimum, maximum = values[low], values[high]
+    if state.minimum is None or minimum < state.minimum:
+        state.minimum = minimum
+    if state.maximum is None or maximum > state.maximum:
+        state.maximum = maximum
 
 
 class _Materializing(VectorOp):
@@ -631,14 +809,17 @@ class VecHashJoinOp(_Materializing):
         build_keys = build.values(self.key)
         for position, key in enumerate(build_keys):
             buckets.setdefault(key, []).append(position)
+        hit = buckets.__contains__
         for batch in self.probe.batches():
             probe_keys = batch.values(self.key)
             build_positions: list[int] = []
             probe_positions: list[int] = []
-            for i, key in enumerate(probe_keys):
-                for position in buckets.get(key, ()):
-                    build_positions.append(position)
-                    probe_positions.append(i)
+            # Only the hits are expanded; most probe keys miss.
+            for i in compress(range(len(probe_keys)),
+                              map(hit, probe_keys)):
+                bucket = buckets[probe_keys[i]]
+                build_positions += bucket
+                probe_positions += [i] * len(bucket)
             if not build_positions:
                 continue
             self.counters.rows_emitted += len(build_positions)

@@ -18,6 +18,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator
 from operator import itemgetter
+from time import sleep
 from typing import Any
 
 from repro.errors import StorageError
@@ -96,7 +97,10 @@ class SortedIndex(Index):
     equal keys may span chunks. The three lists are published as one
     tuple, and a chunk that splits or empties is replaced by swapping
     that tuple whole: a reader takes it once and keeps a consistent
-    view of the chunk list while a writer inserts.
+    view of the chunk list while a writer inserts. Within a chunk an
+    insert shifts entries in place, so ``range`` and ``lookup`` read
+    again when an insert overlapped them; the lazy ``ordered`` walk
+    does not.
     """
 
     #: Keys per chunk a bulk load writes; a chunk splits in two when it
@@ -110,6 +114,11 @@ class SortedIndex(Index):
             raise StorageError("sorted indexes are single-column")
         self._layout: _Layout = ([], [], [])
         self._nulls: list[int] = []
+        #: Keyed entries held, and whether an insert is shifting a chunk
+        #: in place: a read that found no insert under way and the same
+        #: count before and after itself overlapped none (``_read``).
+        self._count = 0
+        self._inserting = False
 
     @property
     def supports_range(self) -> bool:
@@ -119,6 +128,14 @@ class SortedIndex(Index):
         if key is None:
             self._nulls.append(row_id)
             return
+        self._inserting = True
+        try:
+            self._place(key, row_id)
+            self._count += 1
+        finally:
+            self._inserting = False
+
+    def _place(self, key: Any, row_id: int) -> None:
         maxes, keys, row_ids = self._layout
         if not maxes:
             self._layout = ([key], [[key]], [[row_id]])
@@ -158,6 +175,7 @@ class SortedIndex(Index):
         row_ids = [[row_id for _, row_id in pairs[start:start + step]]
                    for start in range(0, len(pairs), step)]
         self._layout = ([chunk[-1] for chunk in keys], keys, row_ids)
+        self._count = len(pairs)
 
     # -- positions -----------------------------------------------------------
 
@@ -198,26 +216,39 @@ class SortedIndex(Index):
 
     # -- reads -------------------------------------------------------------
 
+    def _read(self, low: Any, high: Any, include_low: bool,
+              include_high: bool) -> list[int]:
+        """Row ids with keys in the interval, sorted, read from a state
+        no insert touched.
+
+        Readers take no lock, and an insert shifts one chunk in place:
+        one landing between the bisect and the slice would move the
+        slice off the keys it was meant for. So a read that overlapped
+        an insert (one under way, or a count that moved) is read again.
+        """
+        while True:
+            count = self._count
+            if self._inserting:
+                sleep(0)  # let the writer finish its insert
+                continue
+            layout = self._layout
+            found = self._row_ids_between(
+                layout[2],
+                *self._bounds(layout, low, high, include_low, include_high))
+            if not self._inserting and self._count == count:
+                found.sort()
+                return found
+
     def lookup(self, key: Any) -> list[int]:
         if key is None:
             return self._nulls[:]
-        layout = self._layout
-        found = self._row_ids_between(layout[2],
-                                      self._first(layout, key, False),
-                                      self._first(layout, key, True))
-        found.sort()
-        return found
+        return self._read(key, key, True, True)
 
     def range(self, low: Any = None, high: Any = None,
               include_low: bool = True,
               include_high: bool = True) -> list[int]:
         """Row ids with key in the given (optionally open) interval."""
-        layout = self._layout
-        found = self._row_ids_between(
-            layout[2],
-            *self._bounds(layout, low, high, include_low, include_high))
-        found.sort()
-        return found
+        return self._read(low, high, include_low, include_high)
 
     def ordered(self, descending: bool = False, low: Any = None,
                 high: Any = None, include_low: bool = True,
@@ -249,7 +280,7 @@ class SortedIndex(Index):
         return maxes[-1] if maxes else None
 
     def __len__(self) -> int:
-        return sum(map(len, self._layout[1])) + len(self._nulls)
+        return self._count + len(self._nulls)
 
 
 def _runs_up(keys: list[list[Any]], row_ids: list[list[int]],

@@ -271,6 +271,30 @@ class TestBlockedSortedIndex:
         assert index.lookup(3) == [row_id for row_id in range(len(index))
                                    if row_id % 7 == 3]
 
+    @pytest.mark.parametrize("read", ["range", "lookup"])
+    def test_a_read_an_insert_interrupts_is_read_again(self, read):
+        """Readers take no lock: an insert lands after a read found its
+        bounds and before it sliced the row ids. The answer is still
+        the index's, before or after that insert."""
+        index = SortedIndex("ix", ("col",))
+        for row_id in range(20):
+            index.insert(row_id % 10, row_id)
+        first, calls = index._first, []
+
+        def insert_after_the_bounds(layout, key, above):
+            found = first(layout, key, above)
+            calls.append(key)
+            if len(calls) == 2:  # both bounds found, nothing sliced yet
+                index.insert(-1, 100)
+            return found
+
+        index._first = insert_after_the_bounds
+        if read == "range":
+            assert index.range(3, 5) == [3, 4, 5, 13, 14, 15]
+        else:
+            assert index.lookup(7) == [7, 17]
+        assert len(calls) == 4  # read once more, with no insert
+
     def test_readers_never_raise_while_a_writer_inserts(self):
         """Real threads, a switch every microsecond: four readers walk
         and probe while one thread inserts; then the index equals the
