@@ -12,12 +12,14 @@ single-node engine), has it adopt the cluster-wide table statistics so
 the planner makes the same choices, and then delegates
 to a stock :class:`~repro.core.query.executor.QueryEngine`.
 
-Views are cached per partition set, so a navigation session re-reading
-the same clade pays the fan-out once until a write moves the store
-version. The read after a write quorum-reads again, and a view whose
-rows all came back unchanged *absorbs* the rows the write added —
-appended in global row-id order, exactly what a live insert does to
-the single-node overlay — instead of being rebuilt; anything else
+Views are kept per partition set for the engine's life — pruning
+yields at most P(P+1)+1 non-empty sets over P interval partitions —
+so a session re-reading a clade pays the fan-out once until a write
+moves the store version. The read after a write quorum-reads again
+(agreeing replicas cost one dict compare), and a view whose rows all
+came back unchanged *absorbs* the rows the write added — appended in
+global row-id order, exactly what a live insert does to the
+single-node overlay — instead of being rebuilt; anything else
 rebuilds it. The engine is single-caller: its views are mutated in
 place.
 """
@@ -49,10 +51,6 @@ from repro.errors import ClusterError
 from repro.obs import get_metrics
 from repro.obs.explain import AnalyzeReport
 from repro.sources.resilience import Deadline
-
-#: Cached materialized views kept per engine (a navigation session
-#: typically alternates between a clade view and the full view).
-_VIEW_CACHE_CAPACITY = 4
 
 
 @dataclass
@@ -222,14 +220,9 @@ class ClusterEngine:
         view = self._views.get(pids)
         if (view is not None
                 and view.store_version == self.router.store_version):
-            # LRU touch: move to the end of the (ordered) dict.
-            self._views.pop(pids)
             view.outcome, view.rows_absorbed = "reused", 0
         else:
-            view = self._materialize(pids, deadline)
-            while len(self._views) >= _VIEW_CACHE_CAPACITY:
-                self._views.pop(next(iter(self._views)))
-        self._views[pids] = view
+            view = self._views[pids] = self._materialize(pids, deadline)
         metrics = get_metrics()
         metrics.counter(f"cluster.views.{view.outcome}").inc()
         if view.rows_absorbed:

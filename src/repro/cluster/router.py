@@ -5,9 +5,9 @@ version counter that orders writes, and implements the three replica
 protocols:
 
 * **Quorum reads** — contact a partition's replicas in preference
-  order until ``read_quorum`` answer; merge newest-version-wins; push
-  winners back to any contacted replica that returned stale or missing
-  rows (*read repair*).
+  order until ``read_quorum`` answer; unless they agree, merge
+  newest-version-wins and push winners back to any contacted replica
+  that returned stale or missing rows (*read repair*).
 * **Sloppy-quorum writes** — try every replica of the group; a write
   succeeds with ``write_quorum`` acks, and each missed replica gets a
   :class:`~repro.cluster.node.Hint` parked on an acked node, replayed
@@ -228,7 +228,11 @@ class Router:
     def read_partition(self, pid: int,
                        deadline: Deadline | None = None
                        ) -> dict[tuple[str, int], VersionedRow]:
-        """R-of-N read of one partition, merged newest-version-wins."""
+        """R-of-N read of one partition, merged newest-version-wins.
+
+        Replicas that agree (every answer ``==`` the first: ``write``
+        hands each the same rows) return that answer as it is.
+        """
         group = self.cluster.group_for(pid)
         answers: list[tuple[ClusterNode, dict]] = []
         for node_id in group.node_ids:
@@ -249,6 +253,9 @@ class Router:
                 f"read quorum failed on partition {pid}: "
                 f"{len(answers)}/{self.config.read_quorum} replicas"
             )
+        first = answers[0][1]
+        if all(data == first for _, data in answers[1:]):
+            return first
         merged: dict[tuple[str, int], VersionedRow] = {}
         for _, data in answers:
             for key, versioned in data.items():

@@ -4,10 +4,12 @@ import contextlib
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bio import parse_newick
 from repro.cluster import Cluster, ClusterConfig, Router
-from repro.cluster.node import BASE_LATENCY_S, RPC_TIMEOUT_S
+from repro.cluster.node import BASE_LATENCY_S, RPC_TIMEOUT_S, VersionedRow
 from repro.core.labeling import IntervalLabeling
 from repro.errors import (
     ClusterError,
@@ -161,6 +163,75 @@ class TestQuorumReads:
         router = make_router()
         with pytest.raises(ClusterError):
             router.read_partition(99)
+
+
+#: How one replica holds one key of the newest write: the very object
+#: the router handed every replica, an equal but distinct one, an older
+#: version, or not at all.
+REPLICA_STATES = ("shared", "equal", "older", "missing")
+
+
+def reference_read(answers):
+    """Newest-version-wins merge plus the repairs it implies, with no
+    shortcut for replicas that agree."""
+    merged = {}
+    for data in answers:
+        for key, versioned in data.items():
+            current = merged.get(key)
+            if current is None or versioned.version > current.version:
+                merged[key] = versioned
+    stale = [{key: versioned for key, versioned in merged.items()
+              if key not in data or data[key].version < versioned.version}
+             for data in answers]
+    repaired = [{**data, **pushed} for data, pushed in zip(answers, stale)]
+    return merged, sum(map(len, stale)), repaired
+
+
+class TestReadPartitionMatchesTheReferenceMerge:
+    """Replicas that agree skip the merge; the answer, the repair count
+    and every replica afterwards must still be the reference's."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(newest=st.dictionaries(st.integers(0, 7), st.integers(2, 9),
+                                  max_size=6),
+           states=st.lists(st.lists(st.sampled_from(REPLICA_STATES),
+                                    min_size=8, max_size=8),
+                           min_size=3, max_size=3))
+    def test_answer_repairs_and_replicas(self, newest, states):
+        router = make_router()
+        pid = router.cluster.partitioner.partition_for_position(0).pid
+        replicas = [router.cluster.node(node_id) for node_id
+                    in router.cluster.group_for(pid).node_ids]
+        shared = {("bindings", key): VersionedRow(version, row(key))
+                  for key, version in newest.items()}
+        for node, held in zip(replicas, states):
+            contents = {}
+            for (table, key), versioned in shared.items():
+                state = held[key]
+                if state == "shared":
+                    contents[table, key] = versioned
+                elif state == "equal":
+                    contents[table, key] = VersionedRow(
+                        versioned.version, row(key))
+                elif state == "older":
+                    contents[table, key] = VersionedRow(
+                        versioned.version - 1, ("old",) + row(key)[1:])
+            node.put_bulk(pid, contents)
+        contacted = replicas[:router.config.read_quorum]
+        before = [node.get_partition(pid) for node in replicas]
+        expected, repairs, repaired = reference_read(
+            before[:len(contacted)])
+
+        got = router.read_partition(pid)
+
+        assert got == expected
+        assert router.stats.read_repairs == repairs
+        assert [node.get_partition(pid) for node in contacted] == repaired
+        assert [node.get_partition(pid)
+                for node in replicas[len(contacted):]] \
+            == before[len(contacted):]
+        got.clear()  # the answer is the caller's, not a replica's store
+        assert [node.get_partition(pid) for node in contacted] == repaired
 
 
 def interval_pids(router):

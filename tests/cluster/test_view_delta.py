@@ -97,7 +97,8 @@ def assert_same_overlay(served: DrugTree, fresh: DrugTree, statistics):
 
 
 def served_view(clustered):
-    """``(pids, view)`` of the most recently served view."""
+    """``(pids, view)`` of the most recently built or absorbed view
+    (a reused view keeps its place)."""
     return next(reversed(clustered._views.items()))
 
 
@@ -387,3 +388,43 @@ def test_outcomes_reach_the_trailer_and_the_counters():
         "cluster.views.built": 1, "cluster.views.reused": 1,
         "cluster.views.absorbed": 1, "cluster.views.rows_absorbed": 2,
     }
+
+
+def reachable_partition_queries(clustered):
+    """One query per partition set pruning can yield: every contiguous
+    run of interval partitions, with and without the ligands
+    partition, and the ligands partition alone."""
+    runs = clustered.partitioner.interval_partitions
+    ligands = clustered.partitioner.ligands_partition.pid
+    queries = {}
+    for first in range(len(runs)):
+        for last in range(first, len(runs)):
+            pids = frozenset(p.pid for p in runs[first:last + 1])
+            where = (f"WHERE leaf_pre >= {runs[first].low} "
+                     f"AND leaf_pre < {runs[last].high}")
+            queries[pids] = f"SELECT * FROM bindings {where}"
+            queries[pids | {ligands}] = (
+                f"SELECT ligand_id, p_affinity FROM bindings, ligands "
+                f"{where}")
+    queries[frozenset({ligands})] = "SELECT * FROM ligands"
+    return queries
+
+
+def test_every_reachable_partition_set_keeps_its_view():
+    _, single, clustered = make_pair(seed=7)
+    interval_count = len(clustered.partitioner.interval_partitions)
+    assert interval_count == 4
+    bound = interval_count * (interval_count + 1) + 1
+    queries = reachable_partition_queries(clustered)
+    assert len(queries) == bound
+    for visit in ("built", "reused"):
+        for pids, query in queries.items():
+            assert clustered.execute(query).rows \
+                == single.execute(query).rows, query
+            assert clustered.last_route["shards_contacted"] == len(pids)
+            assert clustered.last_route["view"] == visit, query
+    counters = get_metrics().counter_values("cluster.views.")
+    assert counters["cluster.views.built"] == len(queries)
+    assert counters["cluster.views.reused"] == len(queries)
+    assert set(clustered._views) == set(queries)
+    assert len(clustered._views) <= bound
