@@ -38,12 +38,12 @@ from repro.core.overlay import (
 from repro.errors import QueryError
 from repro.obs import get_metrics, get_tracer
 from repro.storage.durable import Database, StorageConfig
-from repro.storage.statistics import TableStatistics, analyze
+from repro.storage.statistics import TableCounts, TableStatistics, analyze
 from repro.storage.table import Table
 
-#: A table is re-ANALYZEd once it has seen more than
+#: A table is re-ANALYZEd once it holds more than
 #: ``max(STALE_MIN_MUTATIONS, STALE_FRACTION * analyzed_rows)``
-#: mutations since its last ANALYZE. Below that, slightly stale
+#: rows its statistics did not count. Below that, slightly stale
 #: statistics only perturb cost estimates — never correctness.
 STALE_MIN_MUTATIONS = 16
 STALE_FRACTION = 0.1
@@ -95,11 +95,13 @@ class DrugTree:
         #: reads ``v`` — it is the freshness stamp of every cached
         #: answer. Like the tables, it assumes one writer at a time.
         self.data_version = 0
-        self._mutations_since_analyze: dict[str, int] = {
-            name: 0 for name in self.tables
-        }
-        for name, table in self.tables.items():
-            table.add_insert_listener(self._make_mutation_listener(name))
+        #: Kept from a table's first re-ANALYZE on; a read-only one has none.
+        self._counts: dict[str, TableCounts] = {}
+        #: Each table's row count when it adopted statistics it did not
+        #: count itself; its own statistics count ``row_count`` rows.
+        self._adopted_rows: dict[str, int] = {}
+        for table in self.tables.values():
+            table.add_insert_listener(self._on_insert)
         if self.database is not None:
             # Recovery: replay the committed store into the fresh overlay.
             with get_tracer().span("durable.recover.overlay") as span:
@@ -258,9 +260,11 @@ class DrugTree:
 
     def refresh_statistics(self) -> dict[str, TableStatistics]:
         """ANALYZE every overlay table; call after bulk loading."""
-        return self.adopt_statistics({
+        statistics = self.adopt_statistics({
             name: analyze(table) for name, table in self.tables.items()
         })
+        self._adopted_rows = {}  # counted here, not adopted
+        return statistics
 
     def adopt_statistics(self, statistics: Mapping[str, TableStatistics],
                          ) -> dict[str, TableStatistics]:
@@ -268,35 +272,36 @@ class DrugTree:
         (a cluster view holds a subset of the rows but must cost plans
         like the single-node engine, so it adopts the cluster's)."""
         self._statistics = dict(statistics)
-        for name in self.tables:
-            self._mutations_since_analyze[name] = 0
+        self._adopted_rows = {name: table.row_count
+                              for name, table in self.tables.items()}
         self.stats_epoch += 1
         return self._statistics
 
     def _analyze_table(self, name: str) -> TableStatistics:
-        """Re-ANALYZE one table and reset its staleness counter."""
-        stats = analyze(self.tables[name])
+        """Re-ANALYZE one table, counting only the rows its kept counts
+        have not seen; the statistics say how many rows they count."""
+        table = self.tables[name]
+        counts = self._counts.setdefault(
+            name, TableCounts(len(table.schema.columns)))
+        stats = analyze(table, counts=counts)
         self._statistics[name] = stats
-        self._mutations_since_analyze[name] = 0
+        self._adopted_rows.pop(name, None)
         self.stats_epoch += 1
         return stats
 
     def _stale_table_names(self) -> list[str]:
-        """Tables whose mutation count since ANALYZE crossed threshold."""
+        """Tables holding more rows than their statistics counted, by
+        more than the threshold."""
         if self._statistics is None:
             return sorted(self.tables)
         stale = []
-        for name in self.tables:
-            count = self._mutations_since_analyze.get(name, 0)
-            if not count:
-                continue
+        for name, table in self.tables.items():
             analyzed = self._statistics.get(name)
-            if analyzed is None:
-                stale.append(name)
-                continue
-            threshold = max(STALE_MIN_MUTATIONS,
-                            int(STALE_FRACTION * analyzed.row_count))
-            if count > threshold:
+            counted = self._adopted_rows.get(
+                name, analyzed.row_count if analyzed else 0)
+            threshold = 0 if analyzed is None else max(
+                STALE_MIN_MUTATIONS, int(STALE_FRACTION * analyzed.row_count))
+            if table.row_count - counted > threshold:
                 stale.append(name)
         return stale
 
@@ -314,13 +319,8 @@ class DrugTree:
             self._analyze_table(name)
         return self._statistics
 
-    def _make_mutation_listener(self, name: str):
-        def on_mutation(row_id: int, row: tuple) -> None:
-            self._mutations_since_analyze[name] = (
-                self._mutations_since_analyze.get(name, 0) + 1
-            )
-            self.data_version += 1
-        return on_mutation
+    def _on_insert(self, row_id: int, row: tuple) -> None:
+        self.data_version += 1
 
     # -- convenience reads ---------------------------------------------------------
 

@@ -1,9 +1,9 @@
-"""Durable storage engine: WAL + memtable + leveled SSTables.
+"""Durable storage engine: WAL + memtable + append-only SSTables.
 
 The opt-in persistence layer beneath :mod:`repro.storage.table`. See
 ``docs/DURABILITY.md`` for file formats, the recovery protocol, and
-the compaction policy; :mod:`repro.storage.durable.db` for the write
-path. This package (plus :mod:`repro.obs`) is the only place allowed
+why flushes never compact; :mod:`repro.storage.durable.db` for the
+write path. This package (plus :mod:`repro.obs`) is the only place allowed
 to mutate files directly — lint rule L007 enforces that everything
 else persists through the WAL.
 """

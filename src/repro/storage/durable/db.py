@@ -1,4 +1,4 @@
-"""The durable key-value database: WAL + memtable + leveled SSTables.
+"""The durable key-value database: WAL + memtable + append-only SSTables.
 
 One :class:`Database` persists every overlay table of a DrugTree under
 a single data directory::
@@ -6,15 +6,16 @@ a single data directory::
     data_dir/
         MANIFEST.json     # the authority: segment list + WAL name
         wal.log           # CRC-framed records since the last flush
-        seg-000001.sst    # immutable sorted segments, leveled
+        seg-000001.sst    # immutable sorted segments, one per flush
 
 Write path: a mutation is framed into the WAL *first* (group commit
 and fsync policy per :class:`StorageConfig`), then applied to the
 memtable; once the memtable passes ``memtable_flush_bytes`` it is
 written as a level-0 SSTable, the manifest is swapped atomically
-(``tmp`` + ``os.replace``), and the WAL resets. When a level collects
-more than :data:`LEVEL_FANOUT` segments, it is merged with the level below
-into one new segment; tombstones are garbage-collected only when the
+(``tmp`` + ``os.replace``), and the WAL resets. Flushes only append:
+overlay rows are written once each, so merging segments would reclaim
+nothing. Only :meth:`Database.compact` (``repro compact``) merges, level
+by level into one segment; tombstones are garbage-collected only when a
 merge lands on the bottom level (below which no older version of any
 key can hide).
 
@@ -61,9 +62,6 @@ from repro.storage.durable.wal import WriteAheadLog
 
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "wal.log"
-
-#: Segments a level tolerates before compacting into the next.
-LEVEL_FANOUT = 4
 
 
 @dataclass(frozen=True)
@@ -373,20 +371,7 @@ class Database:
             span.set("segment", segment.file)
             get_metrics().counter("lsm.flushes").inc()
         self._publish_gauges()
-        self.maybe_compact()
         return segment
-
-    def maybe_compact(self) -> None:
-        """Compact any level holding more than ``LEVEL_FANOUT`` segments."""
-        while True:
-            counts: dict[int, int] = {}
-            for segment in self.segments:
-                counts[segment.level] = counts.get(segment.level, 0) + 1
-            overfull = [level for level, count in counts.items()
-                        if count > LEVEL_FANOUT]
-            if not overfull:
-                return
-            self.compact_level(min(overfull))
 
     def compact_level(self, level: int) -> SegmentInfo | None:
         """Merge all of *level* and *level + 1* into one new segment.

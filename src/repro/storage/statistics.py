@@ -4,19 +4,22 @@ An ``ANALYZE``-style pass over a table collects per-column row counts,
 distinct-value counts, min/max, most-common values and an equi-depth
 histogram. The optimizer's cardinality estimator
 (:mod:`repro.core.query.cards`) consumes these to choose access paths
-and join orders.
+and join orders. Re-ANALYZE of a growing table keeps its counts
+(:class:`TableCounts`) and counts only the rows appended since.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Any
 
 from repro.errors import StorageError
+from repro.obs import get_metrics
 from repro.storage.table import Table
 
 DEFAULT_HISTOGRAM_BUCKETS = 64
@@ -113,43 +116,91 @@ class TableStatistics:
             ) from None
 
 
+class TableCounts:
+    """What ANALYZE has counted of one table so far: per column, a
+    :class:`~collections.Counter` of the non-null values, the null count
+    and the value types seen (a counter merges ``1``, ``1.0`` and
+    ``True`` into one key), plus how many rows it has counted.
+
+    Tables only append, so a count of the first *n* rows updated with
+    the rows after *n* equals a count of all rows, down to each value's
+    first appearance: statistics built from kept counts are identical
+    to a full pass. The lock makes concurrent readers count a row once.
+    """
+
+    def __init__(self, width: int) -> None:
+        self.rows = 0
+        self._values = [Counter() for _ in range(width)]
+        self._nulls = [0] * width
+        self._kinds: list[set[type]] = [set() for _ in range(width)]
+        self._lock = threading.Lock()
+
+    def analyze(self, table: Table, histogram_buckets: int,
+                mcv_count: int) -> tuple[TableStatistics, int]:
+        """Count the rows of *table* past those counted so far, read
+        from one snapshot; the statistics of every row counted, and how
+        many rows this call counted."""
+        with self._lock:
+            fresh = tuple(islice(table.scan_rows(), self.rows, None))
+            for position, values in enumerate(zip(*fresh)):
+                self._values[position].update(values)
+                self._nulls[position] += self._values[position].pop(None, 0)
+                self._kinds[position].update(map(type, values))
+            self.rows += len(fresh)
+            columns = {
+                column.name: _column_statistics(
+                    column.name, self.rows, counts, nulls, kinds,
+                    histogram_buckets, mcv_count)
+                for column, counts, nulls, kinds in zip(
+                    table.schema.columns, self._values, self._nulls,
+                    self._kinds)
+            }
+            return TableStatistics(table.name, self.rows, columns), \
+                len(fresh)
+
+
 def analyze(table: Table,
             histogram_buckets: int = DEFAULT_HISTOGRAM_BUCKETS,
-            mcv_count: int = DEFAULT_MCV_COUNT) -> TableStatistics:
+            mcv_count: int = DEFAULT_MCV_COUNT,
+            counts: TableCounts | None = None) -> TableStatistics:
     """Collect statistics for every column of *table*.
 
     One pass transposes the rows into columns; each column is then
     counted once (:class:`~collections.Counter`), and min, max, the
     most-common values and the histogram all come from its distinct
-    values and their counts, not from the rows again.
+    values and their counts, not from the rows again. With *counts*,
+    the :class:`TableCounts` kept for *table*, only the rows it has not
+    counted yet are read, and the ``stats.rows_counted`` counter says
+    how many (re-ANALYZE); without, every row is, and nothing is kept.
     """
     if histogram_buckets < 1:
         raise StorageError("need at least one histogram bucket")
-    rows = tuple(table.scan_rows())  # one snapshot: a writer may insert
-    row_count = len(rows)
-    schema_columns = table.schema.columns
-    cells = list(zip(*rows)) or [()] * len(schema_columns)
-    columns: dict[str, ColumnStatistics] = {}
-    for column, values in zip(schema_columns, cells):
-        counts = Counter(values)
-        non_null = len(values) - counts.pop(None, 0)
-        kinds = set(map(type, values)) - {type(None)}
-        numeric = counts and all(
-            issubclass(kind, (int, float)) and not issubclass(kind, bool)
-            for kind in kinds
-        )
-        columns[column.name] = ColumnStatistics(
-            name=column.name,
-            row_count=row_count,
-            null_count=row_count - non_null,
-            distinct_count=len(counts),
-            min_value=min(counts) if counts else None,
-            max_value=max(counts) if counts else None,
-            most_common=_most_common(counts, mcv_count),
-            histogram=(_equi_depth(counts, histogram_buckets)
-                       if numeric else None),
-        )
-    return TableStatistics(table.name, row_count, columns)
+    if counts is None:
+        return TableCounts(len(table.schema.columns)).analyze(
+            table, histogram_buckets, mcv_count)[0]
+    stats, counted = counts.analyze(table, histogram_buckets, mcv_count)
+    get_metrics().counter("stats.rows_counted").inc(counted)
+    return stats
+
+
+def _column_statistics(name: str, row_count: int, counts: Counter,
+                       nulls: int, kinds: set[type], histogram_buckets: int,
+                       mcv_count: int) -> ColumnStatistics:
+    numeric = counts and all(
+        issubclass(kind, (int, float)) and not issubclass(kind, bool)
+        for kind in kinds - {type(None)}
+    )
+    return ColumnStatistics(
+        name=name,
+        row_count=row_count,
+        null_count=nulls,
+        distinct_count=len(counts),
+        min_value=min(counts) if counts else None,
+        max_value=max(counts) if counts else None,
+        most_common=_most_common(counts, mcv_count),
+        histogram=(_equi_depth(counts, histogram_buckets)
+                   if numeric else None),
+    )
 
 
 def _most_common(counts: Counter, limit: int) -> tuple[tuple[Any, int], ...]:

@@ -2,8 +2,8 @@
 
 The same deterministic world is integrated twice — once purely
 in-memory, once in durable mode over a temp directory with an
-aggressive flush threshold (so real SSTables and compactions happen
-mid-integration) — and every workload family the generator can draw
+aggressive flush threshold (so real SSTables happen mid-integration,
+several level-0 segments that recovery merges) — and every workload family the generator can draw
 must come back bit-identical under both execution modes. Then the
 durable world is closed and *recovered from disk* into a third
 DrugTree, and the whole matrix must still agree: recovery replays the
@@ -34,8 +34,8 @@ def durable_config(tmp_path, **overrides):
         "durable": True,
         "data_dir": str(tmp_path / "db"),
         "fsync": "never",
-        # Aggressive enough that integration crosses several flushes
-        # and at least one compaction.
+        # Aggressive enough that integration crosses several flushes,
+        # leaving several segments for recovery to merge.
         "memtable_flush_bytes": 4 * 1024,
     }
     kwargs.update(overrides)

@@ -15,7 +15,6 @@ from repro.faults import CRASH_POINTS, Crash, CrashPoint, FaultSchedule
 from repro.obs import MetricsRegistry, get_metrics, set_metrics
 from repro.storage.durable import Database, StorageConfig
 from repro.storage.durable import db as db_module
-from repro.storage.durable.db import LEVEL_FANOUT
 
 
 @pytest.fixture(autouse=True)
@@ -143,15 +142,25 @@ class TestBasics:
 
 
 class TestCompaction:
-    def test_leveling_respects_fanout(self, tmp_path):
+    def test_flush_never_compacts(self, tmp_path):
         db = open_db(tmp_path, memtable_flush_bytes=1 << 20)
-        for round_number in range(7):
+        rounds = 7
+        for round_number in range(rounds):
             for i in range(8):
                 db.put(f"k/{round_number}/{i}", round_number)
+                db.put(f"k/shared/{i}", round_number)  # shadows the last
             db.flush()
-        for stats in db.level_stats():
-            assert stats["segments"] <= LEVEL_FANOUT
-        assert db.compactions > 0
+        assert [segment.level for segment in db.segments] == [0] * rounds
+        assert db.compactions == 0
+        assert get_metrics().counter_values().get("lsm.compactions", 0) == 0
+        want = dict(db.scan())
+        assert {key: value for key, value in want.items()
+                if key.startswith("k/shared/")} \
+            == {f"k/shared/{i}": rounds - 1 for i in range(8)}
+        db.close()
+        reopened = open_db(tmp_path)
+        assert len(reopened.segments) == rounds
+        assert dict(reopened.scan()) == want
 
     def test_tombstone_gc_only_at_bottom(self, tmp_path):
         db = open_db(tmp_path, memtable_flush_bytes=1 << 20)

@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
@@ -14,7 +14,8 @@ from repro.storage import (
     float_column,
     string_column,
 )
-from repro.storage.statistics import Histogram, _equi_depth
+from repro.storage import statistics
+from repro.storage.statistics import Histogram, TableCounts, _equi_depth
 from tests.storage.oracles import analyze_rowwise
 
 
@@ -152,22 +153,43 @@ _COLUMN_CELLS = {
     "bool": st.booleans(),
     "bool_and_int": st.one_of(st.booleans(), st.integers(0, 2)),
     "string": st.sampled_from(["", "a", "b", "10", "9", "1.0"]),
+    # Equal under ==, so one counter key: only the kept types tell.
+    "one_in_three_types": st.sampled_from([1, 1.0, True, 0, 0.0, False]),
     "all_null": st.none(),
 }
 
 
+def _rows(kinds):
+    return st.tuples(*[st.one_of(st.none(), _COLUMN_CELLS[kind])
+                       for kind in kinds])
+
+
+def _empty_table(width):
+    return Table("t", Schema([string_column(f"c{i}", nullable=True)
+                              for i in range(width)]))
+
+
+_KINDS = st.lists(st.sampled_from(sorted(_COLUMN_CELLS)), min_size=1,
+                  max_size=4)
+
+
 @st.composite
 def _tables(draw):
-    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_CELLS)),
-                          min_size=1, max_size=4))
-    schema = Schema([string_column(f"c{i}", nullable=True)
-                     for i in range(len(kinds))])
-    table = Table("t", schema)
-    rows = draw(st.lists(st.tuples(*[
-        st.one_of(st.none(), _COLUMN_CELLS[kind]) for kind in kinds]),
-        max_size=40))
-    table.restore_rows(enumerate(rows))
+    kinds = draw(_KINDS)
+    table = _empty_table(len(kinds))
+    table.restore_rows(enumerate(draw(st.lists(_rows(kinds),
+                                               max_size=40))))
     return table
+
+
+@st.composite
+def _appends(draw):
+    """A column layout and the row batches appended to it in turn, each
+    followed by a re-ANALYZE or not."""
+    kinds = draw(_KINDS)
+    return len(kinds), draw(st.lists(
+        st.tuples(st.lists(_rows(kinds), max_size=12), st.booleans()),
+        min_size=1, max_size=6))
 
 
 class TestColumnAtATime:
@@ -191,3 +213,50 @@ class TestColumnAtATime:
         assert stats.column("score").most_common \
             == ((1.0, 2), (2.0, 2), (3.0, 2))
         assert stats == analyze_rowwise(_table(values), mcv_count=3)
+
+
+
+def _kept_counts_match(appends, buckets, mcv):
+    width, batches = appends
+    table, counts = _empty_table(width), TableCounts(width)
+    for rows, reanalyze in batches + [([], True)]:
+        table.restore_rows(enumerate(rows, start=table.next_row_id))
+        if reanalyze:
+            got = analyze(table, histogram_buckets=buckets, mcv_count=mcv,
+                          counts=counts)
+            want = analyze_rowwise(table, histogram_buckets=buckets,
+                                   mcv_count=mcv)
+            assert got == want
+            assert repr(got) == repr(want)
+    assert counts.rows == table.row_count
+
+
+class TestKeptCounts:
+    """Re-ANALYZE that counts only the rows appended since its last
+    count returns exactly what the row-at-a-time pass over every row
+    returns, however appends and re-ANALYZEs interleave."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_appends(), st.integers(1, 80), st.integers(0, 15))
+    def test_matches_the_row_at_a_time_pass(self, appends, buckets, mcv):
+        _kept_counts_match(appends, buckets, mcv)
+
+    def test_planted_types_read_from_the_counter_keys_is_caught(
+            self, monkeypatch):
+        column_statistics = statistics._column_statistics
+
+        def types_from_keys(name, row_count, counts, nulls, kinds, *rest):
+            return column_statistics(name, row_count, counts, nulls,
+                                     set(map(type, counts)), *rest)
+
+        monkeypatch.setattr(statistics, "_column_statistics",
+                            types_from_keys)
+
+        @settings(max_examples=200, deadline=None, database=None,
+                  phases=[Phase.generate])  # found is enough: no shrink
+        @given(_appends(), st.integers(1, 80), st.integers(0, 15))
+        def planted(appends, buckets, mcv):
+            _kept_counts_match(appends, buckets, mcv)
+
+        with pytest.raises(AssertionError):
+            planted()

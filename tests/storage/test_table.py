@@ -14,7 +14,7 @@ from repro.storage import (
     int_column,
     string_column,
 )
-from repro.storage.statistics import analyze
+from repro.storage.statistics import TableCounts, analyze
 
 
 @pytest.fixture
@@ -146,7 +146,8 @@ class TestScanSnapshot:
 
         def scan_then_insert():
             rows = scan_rows()
-            _insert_sample(table, 1, start=4)  # the writer gets in
+            # the writer gets in
+            _insert_sample(table, 1, start=table.next_row_id)
             return rows
 
         table.scan_rows = scan_then_insert
@@ -154,6 +155,14 @@ class TestScanSnapshot:
         assert stats.row_count == 4
         assert all(column.row_count == 4 and column.null_count == 0
                    for column in stats.columns.values())
+        # Kept counts count the rows of their snapshot, and the next
+        # re-ANALYZE the one the writer slipped in after it.
+        counts = TableCounts(len(table.schema.columns))
+        assert analyze(table, counts=counts).row_count == 5
+        assert counts.rows == 5
+        table.scan_rows = scan_rows
+        assert analyze(table, counts=counts) == analyze(table)
+        assert counts.rows == table.row_count == 6
 
     def test_readers_never_raise_while_a_writer_inserts(self, table):
         """Real threads, a switch every microsecond: readers analyze
