@@ -24,7 +24,7 @@ def _lockwatch_session():
     if os.environ.get("REPRO_LOCKWATCH", "1") == "0":
         yield None
         return
-    from repro.obs import lockwatch
+    from tests.obs import lockwatch
 
     watch = lockwatch.install()
     try:

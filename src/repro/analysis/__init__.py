@@ -19,8 +19,8 @@ and one severity-tagged rule catalog (:mod:`repro.analysis.registry`):
 ``python -m repro check`` / ``lint`` / ``race`` expose the layers from
 the command line (text, or JSON under ``--json``); the query engine and
 the mobile server run the DTQL layer on every query they accept.
-Lock order *between* classes is checked at runtime, by
-:mod:`repro.obs.lockwatch`.
+Lock order *between* classes is checked at runtime, by the test
+suite's lock-order witness (``tests/obs/lockwatch.py``).
 """
 
 from repro.analysis.catalog import Catalog

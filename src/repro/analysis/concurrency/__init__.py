@@ -12,7 +12,7 @@ Two layers:
   ``analyze_sources`` entry points used by ``repro race``.
 
 Lock order *across* classes has one detector, and it is not here: the
-runtime witness in :mod:`repro.obs.lockwatch`, enabled suite-wide via
+runtime witness in ``tests/obs/lockwatch.py``, enabled suite-wide via
 ``conftest``.
 """
 

@@ -26,7 +26,7 @@ calls between them — no call leaves its class chain:
 ==========  ==========================================================
 
 Lock order *between* classes is not computed here: the runtime witness
-(:mod:`repro.obs.lockwatch`) records it from the acquisitions the test
+(``tests/obs/lockwatch.py``) records it from the acquisitions the test
 suite actually makes.
 
 Suppression mirrors the linter: a ``# noqa`` / ``# noqa: CONC101``

@@ -73,7 +73,6 @@ _WALL_CLOCK = frozenset({
 _SOURCE_ERRORS = frozenset({
     "SourceError",
     "SourceUnavailableError",
-    "RateLimitError",
     "BreakerOpenError",
     "DeadlineExceededError",
 })

@@ -6,34 +6,24 @@ neighbor-joining trees.
 """
 
 from repro.bio.align import PairwiseAlignment, global_align, local_align
-from repro.bio.bootstrap import annotate_support, bootstrap_support
-from repro.bio.consensus import (
-    majority_rule_consensus,
-    strict_consensus,
-    support_values,
-)
-from repro.bio.draw import ascii_tree, leaf_aligned_tree
+from repro.bio.bootstrap import bootstrap_support
+from repro.bio.consensus import majority_rule_consensus
+from repro.bio.draw import ascii_tree
 from repro.bio.distance import (
     DistanceMatrix,
     distance_matrix,
     distance_matrix_from_msa,
     kimura_distance,
     p_distance,
-    poisson_distance,
 )
-from repro.bio.matrices import BLOSUM62, PAM250, SubstitutionMatrix, get_matrix
+from repro.bio.matrices import BLOSUM62, PAM250, SubstitutionMatrix
 from repro.bio.msa import MultipleAlignment, progressive_align
 from repro.bio.nj import neighbor_joining
 from repro.bio.seq import ProteinSequence, parse_fasta, write_fasta
 from repro.bio.seqsearch import KmerIndex, SearchHit
-from repro.bio.simulate import (
-    EvolutionModel,
-    birth_death_tree,
-    caterpillar_tree,
-    evolve_sequences,
-)
-from repro.bio.tree import PhyloNode, PhyloTree, balanced_tree, parse_newick
-from repro.bio.upgma import upgma, wpgma
+from repro.bio.simulate import EvolutionModel, birth_death_tree, evolve_sequences
+from repro.bio.tree import PhyloNode, PhyloTree, parse_newick
+from repro.bio.upgma import upgma
 
 __all__ = [
     "BLOSUM62",
@@ -48,30 +38,21 @@ __all__ = [
     "SubstitutionMatrix",
     "KmerIndex",
     "SearchHit",
-    "annotate_support",
     "ascii_tree",
-    "balanced_tree",
     "birth_death_tree",
     "bootstrap_support",
-    "caterpillar_tree",
     "distance_matrix",
     "distance_matrix_from_msa",
     "evolve_sequences",
-    "get_matrix",
     "global_align",
     "kimura_distance",
-    "leaf_aligned_tree",
     "local_align",
     "majority_rule_consensus",
     "neighbor_joining",
     "p_distance",
     "parse_fasta",
     "parse_newick",
-    "poisson_distance",
     "progressive_align",
-    "strict_consensus",
-    "support_values",
     "upgma",
-    "wpgma",
     "write_fasta",
 ]

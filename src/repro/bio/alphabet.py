@@ -30,18 +30,6 @@ THREE_LETTER: dict[str, str] = {
     "S": "SER", "T": "THR", "V": "VAL", "W": "TRP", "Y": "TYR",
 }
 
-#: Average residue masses in Daltons (monoisotopic masses are not needed
-#: for this system; averages match what sequence viewers report).
-RESIDUE_MASS: dict[str, float] = {
-    "A": 71.08, "C": 103.14, "D": 115.09, "E": 129.12, "F": 147.18,
-    "G": 57.05, "H": 137.14, "I": 113.16, "K": 128.17, "L": 113.16,
-    "M": 131.19, "N": 114.10, "P": 97.12, "Q": 128.13, "R": 156.19,
-    "S": 87.08, "T": 101.10, "V": 99.13, "W": 186.21, "Y": 163.18,
-}
-
-#: Mass of one water molecule, added once per peptide chain.
-WATER_MASS: float = 18.02
-
 _VALID = set(AMINO_ACIDS) | set(AMBIGUOUS)
 
 #: Ambiguity resolution used by :func:`canonicalize`. ``B`` resolves to
@@ -72,9 +60,3 @@ def canonicalize(residues: str) -> str:
     if not any(char in _RESOLVE for char in residues):
         return residues
     return "".join(_RESOLVE.get(char, char) for char in residues)
-
-
-def molecular_weight(residues: str) -> float:
-    """Average molecular weight of the peptide, in Daltons."""
-    canonical = canonicalize(validate(residues))
-    return WATER_MASS + sum(RESIDUE_MASS[aa] for aa in canonical)

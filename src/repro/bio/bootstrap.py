@@ -60,24 +60,3 @@ def bootstrap_support(reference: PhyloTree,
             if split in found:
                 counts[split] += 1
     return {split: count / replicates for split, count in counts.items()}
-
-
-def annotate_support(tree: PhyloTree,
-                     support: dict[frozenset[str], float]) -> None:
-    """Write support percentages into internal node names, in place.
-
-    Nodes whose clade matches a scored bipartition get a name like
-    ``"87"``; others are left untouched.
-    """
-    all_leaves = frozenset(tree.leaf_names())
-    clades = tree.clades()
-    by_id = {node.node_id: node for node in tree.preorder()}
-    for node_id, clade in clades.items():
-        node = by_id[node_id]
-        if node.is_leaf or node.is_root:
-            continue
-        other = all_leaves - clade
-        canonical = min(clade, other, key=lambda s: (len(s), sorted(s)))
-        value = support.get(frozenset(canonical))
-        if value is not None:
-            node.name = str(round(value * 100))

@@ -1,9 +1,8 @@
 """Consensus trees from tree collections.
 
-Majority-rule consensus: a bipartition appears in the consensus iff it
-occurs in more than the threshold fraction of input trees (0.5 for the
-classic majority rule, 1.0 - epsilon for strict consensus). Used to
-summarise bootstrap replicates into a single displayable tree.
+Majority-rule consensus: a clade appears in the consensus iff it occurs
+in more than half of the input trees. Used to summarise bootstrap
+replicates into a single displayable tree.
 """
 
 from __future__ import annotations
@@ -14,20 +13,20 @@ from collections.abc import Sequence
 from repro.bio.tree import PhyloNode, PhyloTree
 from repro.errors import TreeError
 
+#: A clade is kept when strictly more than this fraction of trees has it.
+MAJORITY = 0.5
 
-def majority_rule_consensus(trees: Sequence[PhyloTree],
-                            threshold: float = 0.5) -> PhyloTree:
+
+def majority_rule_consensus(trees: Sequence[PhyloTree]) -> PhyloTree:
     """Majority-rule consensus of *trees* (all over the same taxa).
 
-    Returns a tree containing every bipartition whose frequency is
-    strictly greater than *threshold*; internal nodes are labeled with
-    the percentage of input trees supporting them. Compatible splits
-    above threshold always nest, so the construction is well-defined.
+    Returns a tree containing every clade in more than half of the
+    trees; internal nodes are labeled with the percentage of input trees
+    supporting them. Majority clades always nest, so the construction is
+    well-defined.
     """
     if not trees:
         raise TreeError("consensus of an empty tree collection")
-    if not 0.5 <= threshold < 1.0:
-        raise TreeError("threshold must be in [0.5, 1.0)")
     taxa = frozenset(trees[0].leaf_names())
     for tree in trees[1:]:
         if frozenset(tree.leaf_names()) != taxa:
@@ -45,14 +44,9 @@ def majority_rule_consensus(trees: Sequence[PhyloTree],
     majority = {
         clade: count / total
         for clade, count in counts.items()
-        if count / total > threshold
+        if count / total > MAJORITY
     }
     return _assemble(taxa, majority)
-
-
-def strict_consensus(trees: Sequence[PhyloTree]) -> PhyloTree:
-    """Clades present in every input tree."""
-    return majority_rule_consensus(trees, threshold=1.0 - 1e-9)
 
 
 def _assemble(taxa: frozenset[str],
@@ -110,19 +104,3 @@ def _smallest_superset(root: PhyloNode, clade: frozenset[str],
                 descended = True
                 break
     return current
-
-
-def support_values(consensus: PhyloTree) -> dict[frozenset[str], float]:
-    """Read back clade → support fraction from a consensus tree."""
-    out: dict[frozenset[str], float] = {}
-    clades = consensus.clades()
-    by_id = {node.node_id: node for node in consensus.preorder()}
-    for node_id, clade in clades.items():
-        node = by_id[node_id]
-        if node.is_leaf or node.is_root or not node.name:
-            continue
-        try:
-            out[frozenset(clade)] = float(node.name) / 100.0
-        except ValueError:
-            continue
-    return out

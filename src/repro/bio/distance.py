@@ -1,7 +1,7 @@
 """Evolutionary distances between protein sequences.
 
 Provides the classic distance corrections used to build phylogenies from
-alignments (p-distance, Poisson, Kimura) and a :class:`DistanceMatrix`
+alignments (p-distance, Kimura) and a :class:`DistanceMatrix`
 value type shared by the tree-building algorithms.
 """
 
@@ -32,18 +32,6 @@ def p_distance(alignment: PairwiseAlignment) -> float:
     return diffs / len(columns)
 
 
-def poisson_distance(alignment: PairwiseAlignment) -> float:
-    """Poisson-corrected distance, ``-ln(1 - p)``.
-
-    Corrects for multiple substitutions at the same site under a simple
-    Poisson model; saturates at :data:`MAX_DISTANCE`.
-    """
-    p = p_distance(alignment)
-    if p >= 1.0:
-        return MAX_DISTANCE
-    return min(-math.log(1.0 - p), MAX_DISTANCE)
-
-
 def kimura_distance(alignment: PairwiseAlignment) -> float:
     """Kimura's (1983) empirical protein distance correction.
 
@@ -60,7 +48,6 @@ def kimura_distance(alignment: PairwiseAlignment) -> float:
 #: Named correction functions, for configuration-driven selection.
 CORRECTIONS: dict[str, Callable[[PairwiseAlignment], float]] = {
     "p": p_distance,
-    "poisson": poisson_distance,
     "kimura": kimura_distance,
 }
 
@@ -102,30 +89,6 @@ class DistanceMatrix:
         """Distance between two taxa by name."""
         return float(self.values[self.index_of(name_a), self.index_of(name_b)])
 
-    def is_additive(self, tolerance: float = 1e-6) -> bool:
-        """Check the four-point condition on every quartet.
-
-        Used by tests to verify that simulated tree distances are additive
-        (so neighbor-joining must reconstruct the tree exactly). O(n^4);
-        intended for small matrices only.
-        """
-        n = len(self.names)
-        d = self.values
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    for l in range(k + 1, n):
-                        sums = sorted(
-                            (
-                                d[i, j] + d[k, l],
-                                d[i, k] + d[j, l],
-                                d[i, l] + d[j, k],
-                            )
-                        )
-                        if sums[2] - sums[1] > tolerance:
-                            return False
-        return True
-
 
 def distance_matrix(sequences: Sequence[ProteinSequence],
                     correction: str = "kimura",
@@ -135,7 +98,7 @@ def distance_matrix(sequences: Sequence[ProteinSequence],
     """All-pairs evolutionary distances from global alignments.
 
     Aligns every pair with Needleman–Wunsch and applies the named
-    *correction* (one of ``p``, ``poisson``, ``kimura``).
+    *correction* (``p`` or ``kimura``).
     """
     try:
         correct = CORRECTIONS[correction]

@@ -68,48 +68,3 @@ def ascii_tree(tree: PhyloTree,
 
     walk(tree.root, "", "", 0)
     return "\n".join(lines)
-
-
-def leaf_aligned_tree(tree: PhyloTree, width: int = 48) -> str:
-    """A cladogram with leaves right-aligned at a fixed column.
-
-    Branch lengths map to horizontal distance (normalised so the
-    deepest leaf reaches *width* characters), which is the compact form
-    field biologists expect in terminal output.
-    """
-    depths = {
-        node.node_id: node.distance_to_root()
-        for node in tree.preorder()
-    }
-    max_depth = max(
-        (depths[leaf.node_id] for leaf in tree.leaves()), default=0.0,
-    )
-    scale = (width / max_depth) if max_depth > 0 else 0.0
-
-    lines: list[str] = []
-
-    def column(node: PhyloNode) -> int:
-        return int(round(depths[node.node_id] * scale))
-
-    def walk(node: PhyloNode, prefix: str, is_last: bool) -> None:
-        if node.is_leaf:
-            bar = "─" * max(1, column(node) - len(prefix) - 1)
-            joint = "└" if is_last else "├"
-            if node.is_root:
-                lines.append(f"{node.name}")
-            else:
-                lines.append(f"{prefix}{joint}{bar} {node.name}")
-            return
-        joint = "" if node.is_root else ("└" if is_last else "├")
-        label = node.name or ""
-        if not node.is_root:
-            lines.append(f"{prefix}{joint}─┐ {label}".rstrip())
-        child_prefix = prefix if node.is_root else (
-            prefix + ("  " if is_last else "│ ")
-        )
-        for position, child in enumerate(node.children):
-            walk(child, child_prefix,
-                 position == len(node.children) - 1)
-
-    walk(tree.root, "", True)
-    return "\n".join(lines)

@@ -123,20 +123,3 @@ class SubstitutionMatrix:
 
 BLOSUM62 = SubstitutionMatrix.from_rows("BLOSUM62", _parse_rows(_BLOSUM62_ROWS))
 PAM250 = SubstitutionMatrix.from_rows("PAM250", _parse_rows(_PAM250_ROWS))
-
-#: Matrices by name, for configuration-driven lookup.
-MATRICES: dict[str, SubstitutionMatrix] = {
-    "BLOSUM62": BLOSUM62,
-    "PAM250": PAM250,
-}
-
-
-def get_matrix(name: str) -> SubstitutionMatrix:
-    """Look up a matrix by (case-insensitive) name."""
-    try:
-        return MATRICES[name.upper()]
-    except KeyError:
-        known = ", ".join(sorted(MATRICES))
-        raise SequenceError(
-            f"unknown substitution matrix {name!r} (known: {known})"
-        ) from None

@@ -8,7 +8,6 @@ higher layers use them as dictionary keys and set members.
 from __future__ import annotations
 
 import io
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -52,17 +51,6 @@ class ProteinSequence:
     def canonical(self) -> str:
         """Residues with ambiguity codes resolved."""
         return alphabet.canonicalize(self.residues)
-
-    @property
-    def molecular_weight(self) -> float:
-        """Average molecular weight in Daltons."""
-        return alphabet.molecular_weight(self.residues)
-
-    def composition(self) -> dict[str, float]:
-        """Fraction of each canonical residue present in the sequence."""
-        counts = Counter(self.canonical)
-        total = len(self.residues)
-        return {aa: counts.get(aa, 0) / total for aa in alphabet.AMINO_ACIDS}
 
     def identity(self, other: "ProteinSequence") -> float:
         """Fraction of matching positions against *other*.

@@ -115,21 +115,3 @@ class KmerIndex:
             ))
         hits.sort(key=lambda hit: (-hit.score, hit.seq_id))
         return hits[:top_k]
-
-    def exhaustive_search(self, query: ProteinSequence,
-                          top_k: int = 10,
-                          matrix: SubstitutionMatrix = BLOSUM62,
-                          ) -> list[SearchHit]:
-        """Alignment against everything (the ground truth the filter
-        approximates; used by tests and the E-series benchmarks)."""
-        hits = []
-        for seq_id, target in self._sequences.items():
-            alignment = local_align(query, target, matrix=matrix)
-            hits.append(SearchHit(
-                seq_id=seq_id,
-                score=alignment.score,
-                identity=round(alignment.identity, 4),
-                shared_kmers=0,
-            ))
-        hits.sort(key=lambda hit: (-hit.score, hit.seq_id))
-        return hits[:top_k]

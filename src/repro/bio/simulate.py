@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.bio import alphabet
@@ -191,18 +190,3 @@ def evolve_sequences(tree: PhyloTree,
         ProteinSequence(name, sequences[name])
         for name in tree.leaf_names()
     ]
-
-
-def caterpillar_tree(leaf_names: Sequence[str],
-                     branch_length: float = 1.0) -> PhyloTree:
-    """Maximally unbalanced (caterpillar) tree, for worst-case tests."""
-    if len(leaf_names) < 2:
-        raise TreeError("need at least two leaves")
-    node = PhyloNode(leaf_names[0], branch_length)
-    for name in leaf_names[1:]:
-        parent = PhyloNode("", branch_length)
-        parent.add_child(node)
-        parent.add_child(PhyloNode(name, branch_length))
-        node = parent
-    node.branch_length = 0.0
-    return PhyloTree(node)

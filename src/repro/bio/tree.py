@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from collections.abc import Iterable, Iterator
 from typing import Optional
 
@@ -97,14 +96,6 @@ class PhyloNode:
             stack.extend(node.children)
         return iter(reversed(out))
 
-    def levelorder(self) -> Iterator["PhyloNode"]:
-        """Breadth-first, shallow nodes first."""
-        queue = deque([self])
-        while queue:
-            node = queue.popleft()
-            yield node
-            queue.extend(node.children)
-
     def leaves(self) -> Iterator["PhyloNode"]:
         """Leaves of the subtree rooted here, in preorder."""
         return (node for node in self.preorder() if node.is_leaf)
@@ -124,12 +115,6 @@ class PhyloNode:
 
     def leaf_count(self) -> int:
         return sum(1 for _ in self.leaves())
-
-    def height(self) -> int:
-        """Edges on the longest root-to-leaf path of this subtree."""
-        if self.is_leaf:
-            return 0
-        return 1 + max(child.height() for child in self.children)
 
     def distance_to_root(self) -> float:
         """Sum of branch lengths from this node up to the root."""
@@ -187,9 +172,6 @@ class PhyloTree:
 
     def postorder(self) -> Iterator[PhyloNode]:
         return self.root.postorder()
-
-    def levelorder(self) -> Iterator[PhyloNode]:
-        return self.root.levelorder()
 
     def find(self, name: str) -> PhyloNode:
         """Find a node by name; raises TreeError if absent."""
@@ -554,23 +536,3 @@ def parse_newick(text: str) -> PhyloTree:
     if not text or not text.strip():
         raise TreeError("empty Newick text")
     return PhyloTree(_NewickParser(text.strip()).parse())
-
-
-def balanced_tree(leaf_names: list[str],
-                  branch_length: float = 1.0) -> PhyloTree:
-    """Build a balanced binary tree over *leaf_names* (test helper)."""
-    if not leaf_names:
-        raise TreeError("need at least one leaf")
-
-    def build(names: list[str]) -> PhyloNode:
-        if len(names) == 1:
-            return PhyloNode(names[0], branch_length)
-        mid = len(names) // 2
-        node = PhyloNode("", branch_length)
-        node.add_child(build(names[:mid]))
-        node.add_child(build(names[mid:]))
-        return node
-
-    root = build(list(leaf_names))
-    root.branch_length = 0.0
-    return PhyloTree(root)

@@ -1,4 +1,4 @@
-"""UPGMA and WPGMA hierarchical clustering tree construction.
+"""UPGMA hierarchical clustering tree construction.
 
 UPGMA produces an ultrametric (clock-like) rooted tree; it is the method
 used for guide trees in progressive multiple alignment and the fast
@@ -14,13 +14,9 @@ from repro.bio.tree import PhyloNode, PhyloTree
 from repro.errors import TreeError
 
 
-def upgma(matrix: DistanceMatrix, weighted: bool = False) -> PhyloTree:
-    """Build a rooted ultrametric tree by average-linkage clustering.
-
-    With ``weighted=True`` this is WPGMA (simple average of the two
-    merged clusters); the default is UPGMA proper (average weighted by
-    cluster sizes).
-    """
+def upgma(matrix: DistanceMatrix) -> PhyloTree:
+    """Build a rooted ultrametric tree by average-linkage clustering
+    (the merged cluster's distances are averaged by cluster size)."""
     n = len(matrix)
     if n < 2:
         raise TreeError("UPGMA needs at least two taxa")
@@ -50,12 +46,9 @@ def upgma(matrix: DistanceMatrix, weighted: bool = False) -> PhyloTree:
         parent.add_child(node_j)
 
         # Merge cluster j into slot i; retire slot j.
-        if weighted:
-            merged = (dist[i, :] + dist[j, :]) / 2.0
-        else:
-            weight_i = sizes[i] / (sizes[i] + sizes[j])
-            weight_j = sizes[j] / (sizes[i] + sizes[j])
-            merged = weight_i * dist[i, :] + weight_j * dist[j, :]
+        weight_i = sizes[i] / (sizes[i] + sizes[j])
+        weight_j = sizes[j] / (sizes[i] + sizes[j])
+        merged = weight_i * dist[i, :] + weight_j * dist[j, :]
         dist[i, :] = merged
         dist[:, i] = merged
         dist[i, i] = np.inf
@@ -72,8 +65,3 @@ def upgma(matrix: DistanceMatrix, weighted: bool = False) -> PhyloTree:
     root = nodes[root_index]
     assert root is not None
     return PhyloTree(root)
-
-
-def wpgma(matrix: DistanceMatrix) -> PhyloTree:
-    """WPGMA clustering (see :func:`upgma` with ``weighted=True``)."""
-    return upgma(matrix, weighted=True)

@@ -6,13 +6,7 @@ affinity records, and the random library generator used in place of
 proprietary screening collections.
 """
 
-from repro.chem.affinity import (
-    ActivityType,
-    BindingRecord,
-    aggregate_p_affinity,
-    p_affinity,
-    to_nanomolar,
-)
+from repro.chem.affinity import ActivityType, BindingRecord, p_affinity
 from repro.chem.descriptors import (
     DescriptorSet,
     compute_descriptors,
@@ -22,13 +16,7 @@ from repro.chem.descriptors import (
     rotatable_bonds,
     topological_polar_surface_area,
 )
-from repro.chem.fingerprint import (
-    Fingerprint,
-    bulk_tanimoto,
-    circular_fingerprint,
-    dice,
-    tanimoto,
-)
+from repro.chem.fingerprint import Fingerprint, circular_fingerprint, tanimoto
 from repro.chem.generator import (
     Ligand,
     Recipe,
@@ -40,12 +28,8 @@ from repro.chem.generator import (
 )
 from repro.chem.mol import Atom, Bond, Molecule
 from repro.chem.search import FingerprintIndex
-from repro.chem.smiles import parse_smiles, write_smiles
-from repro.chem.substructure import (
-    SubstructurePattern,
-    filter_library,
-    has_substructure,
-)
+from repro.chem.smiles import parse_smiles
+from repro.chem.substructure import SubstructurePattern, filter_library
 
 __all__ = [
     "ActivityType",
@@ -59,17 +43,13 @@ __all__ = [
     "Molecule",
     "Recipe",
     "SubstructurePattern",
-    "aggregate_p_affinity",
     "build_ligand",
-    "bulk_tanimoto",
     "circular_fingerprint",
     "compute_descriptors",
-    "dice",
     "estimate_logp",
     "generate_library",
     "filter_library",
     "generate_ligand",
-    "has_substructure",
     "hydrogen_bond_acceptors",
     "hydrogen_bond_donors",
     "mutate_recipe",
@@ -78,7 +58,5 @@ __all__ = [
     "random_recipe",
     "rotatable_bonds",
     "tanimoto",
-    "to_nanomolar",
     "topological_polar_surface_area",
-    "write_smiles",
 ]

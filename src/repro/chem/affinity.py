@@ -25,28 +25,6 @@ class ActivityType(enum.Enum):
     EC50 = "EC50"
 
 
-#: Multipliers to nanomolar.
-_UNIT_TO_NM: dict[str, float] = {
-    "pM": 1e-3,
-    "nM": 1.0,
-    "uM": 1e3,
-    "µM": 1e3,
-    "mM": 1e6,
-    "M": 1e9,
-}
-
-
-def to_nanomolar(value: float, unit: str) -> float:
-    """Convert an affinity *value* in *unit* to nanomolar."""
-    if value <= 0:
-        raise ChemError(f"affinity must be positive, got {value}")
-    try:
-        return value * _UNIT_TO_NM[unit]
-    except KeyError:
-        known = ", ".join(sorted(_UNIT_TO_NM))
-        raise ChemError(f"unknown unit {unit!r} (known: {known})") from None
-
-
 def p_affinity(nanomolar: float) -> float:
     """pAffinity = 9 - log10(value in nM); 1 nM → 9.0, 1 µM → 6.0."""
     if nanomolar <= 0:
@@ -98,24 +76,3 @@ class BindingRecord:
     def is_potent(self) -> bool:
         """Sub-micromolar binding (the usual hit threshold)."""
         return self.value_nm < 1000.0
-
-
-def aggregate_p_affinity(records: list[BindingRecord]) -> dict[str, float]:
-    """Summary statistics over a set of binding records.
-
-    Returns count / mean / min / max of pAffinity plus the fraction of
-    potent (sub-µM) records; the same statistics the clade materialized
-    views maintain.
-    """
-    if not records:
-        return {"count": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0,
-                "potent_fraction": 0.0}
-    values = [record.p_affinity for record in records]
-    potent = sum(record.is_potent for record in records)
-    return {
-        "count": float(len(records)),
-        "mean": sum(values) / len(values),
-        "min": min(values),
-        "max": max(values),
-        "potent_fraction": potent / len(records),
-    }

@@ -140,21 +140,6 @@ class DescriptorSet:
         """Lipinski's rule of five: at most one violation."""
         return self.lipinski_violations <= 1
 
-    def as_dict(self) -> dict[str, float | int | bool]:
-        return {
-            "molecular_weight": self.molecular_weight,
-            "logp": self.logp,
-            "tpsa": self.tpsa,
-            "hbd": self.hbd,
-            "hba": self.hba,
-            "rotatable_bonds": self.rotatable_bonds,
-            "ring_count": self.ring_count,
-            "heavy_atoms": self.heavy_atoms,
-            "aromatic_atoms": self.aromatic_atoms,
-            "lipinski_violations": self.lipinski_violations,
-            "is_drug_like": self.is_drug_like,
-        }
-
 
 def compute_descriptors(mol: Molecule) -> DescriptorSet:
     """Compute the full descriptor set for one molecule."""

@@ -62,17 +62,6 @@ def tanimoto(first: Fingerprint, second: Fingerprint) -> float:
     return intersection / union
 
 
-def dice(first: Fingerprint, second: Fingerprint) -> float:
-    """Dice similarity; 1.0 for two empty sets."""
-    if first.n_bits != second.n_bits:
-        raise ChemError("fingerprints have different widths")
-    total = first.popcount + second.popcount
-    if total == 0:
-        return 1.0
-    intersection = (first.bits & second.bits).bit_count()
-    return 2.0 * intersection / total
-
-
 _ELEMENT_CODE = {
     "H": 1, "B": 5, "C": 6, "N": 7, "O": 8, "F": 9, "P": 15, "S": 16,
     "Cl": 17, "Br": 35, "I": 53,
@@ -122,9 +111,3 @@ def circular_fingerprint(mol: Molecule,
             bits |= 1 << (fresh % n_bits)
         invariants = updated
     return Fingerprint(bits, n_bits)
-
-
-def bulk_tanimoto(query: Fingerprint,
-                  library: list[Fingerprint]) -> list[float]:
-    """Tanimoto of *query* against every fingerprint in *library*."""
-    return [tanimoto(query, other) for other in library]

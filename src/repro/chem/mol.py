@@ -256,42 +256,9 @@ class Molecule:
                     break
         return out
 
-    def is_connected(self) -> bool:
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            for neighbor in self.neighbors(frontier.pop()):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        return len(seen) == len(self.atoms)
-
     @property
     def heavy_atom_count(self) -> int:
         return sum(1 for atom in self.atoms if atom.element != "H")
-
-    @property
-    def formula(self) -> str:
-        """Hill-system molecular formula, counting implicit hydrogens."""
-        counts: dict[str, int] = {}
-        hydrogens = 0
-        for atom in self.atoms:
-            counts[atom.element] = counts.get(atom.element, 0) + 1
-            hydrogens += self.implicit_hydrogens(atom.index)
-        hydrogens += counts.pop("H", 0)
-        parts: list[str] = []
-        for element in ("C", "H"):
-            count = counts.pop(element, 0) + (hydrogens if element == "H"
-                                              else 0)
-            if element == "C" and count == 0:
-                continue
-            if element == "H" and count == 0:
-                continue
-            parts.append(element + (str(count) if count > 1 else ""))
-        for element in sorted(counts):
-            count = counts[element]
-            parts.append(element + (str(count) if count > 1 else ""))
-        return "".join(parts)
 
     @property
     def molecular_weight(self) -> float:
@@ -305,5 +272,5 @@ class Molecule:
         return len(self.atoms)
 
     def __repr__(self) -> str:
-        label = self.name or self.formula
-        return f"Molecule({label}, atoms={len(self.atoms)}, bonds={len(self.bonds)})"
+        return (f"Molecule({self.name!r}, atoms={len(self.atoms)}, "
+                f"bonds={len(self.bonds)})")

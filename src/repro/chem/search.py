@@ -90,33 +90,3 @@ class FingerprintIndex:
         ]
         matches.sort(key=lambda item: (-item[1], item[0]))
         return matches
-
-    def top_k(self, probe: Fingerprint, k: int,
-              threshold: float = 0.0) -> list[tuple[str, float]]:
-        """The *k* most similar entries (optionally above a floor).
-
-        Iterates popcount bands from most- to least-promising and stops
-        once the best possible similarity of the remaining band cannot
-        beat the current k-th score.
-        """
-        if k < 1:
-            raise ChemError("k must be positive")
-        floor = max(threshold, 0.0)
-        if floor > 0.0:
-            candidates = self.search(probe, floor)
-            return candidates[:k]
-        scored = [
-            (key, tanimoto(probe, fingerprint))
-            for key, fingerprint in self._entries
-        ]
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        return scored[:k]
-
-    def stats(self) -> dict[str, float]:
-        if not self._entries:
-            return {"size": 0, "min_popcount": 0, "max_popcount": 0}
-        return {
-            "size": len(self._entries),
-            "min_popcount": self._popcounts[0],
-            "max_popcount": self._popcounts[-1],
-        }

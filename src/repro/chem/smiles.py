@@ -1,4 +1,4 @@
-"""A mini SMILES dialect: parser and writer.
+"""A mini SMILES dialect: the parser.
 
 Supports the subset of SMILES that covers drug-like small molecules:
 
@@ -212,127 +212,3 @@ def parse_smiles(text: str, name: str = "") -> Molecule:
         raise ChemError(f"bad SMILES {text!r}: {exc}") from None
     mol.name = name or text.strip()
     return mol
-
-
-def write_smiles(mol: Molecule) -> str:
-    """Write a molecule back to SMILES (DFS order, not canonical).
-
-    The output re-parses to a molecule with the same formula, ring count
-    and descriptor values — sufficient for storage and transfer; canonical
-    ordering is out of scope.
-    """
-    if not mol.atoms:
-        raise ChemError("cannot write an empty molecule")
-    visited: set[int] = set()
-    ring_bonds = _ring_closure_bonds(mol)
-    ring_numbers: dict[tuple[int, int], int] = {}
-    next_ring = [1]
-
-    def atom_token(index: int) -> str:
-        atom = mol.atoms[index]
-        element = atom.element
-        symbol = element.lower() if atom.aromatic else element
-        needs_bracket = (
-            atom.charge != 0
-            or atom.explicit_hydrogens is not None
-            or (atom.aromatic and element not in ("C",) and _needs_h(index))
-        )
-        if not needs_bracket:
-            return symbol
-        parts = [symbol]
-        h_count = (atom.explicit_hydrogens
-                   if atom.explicit_hydrogens is not None
-                   else mol.implicit_hydrogens(index))
-        if h_count == 1:
-            parts.append("H")
-        elif h_count > 1:
-            parts.append(f"H{h_count}")
-        if atom.charge > 0:
-            parts.append("+" if atom.charge == 1 else f"+{atom.charge}")
-        elif atom.charge < 0:
-            parts.append("-" if atom.charge == -1 else f"-{-atom.charge}")
-        return f"[{''.join(parts)}]"
-
-    def _needs_h(index: int) -> bool:
-        return (mol.atoms[index].explicit_hydrogens or 0) > 0
-
-    def bond_token(order: int, aromatic: bool, between_aromatic: bool) -> str:
-        if aromatic:
-            return "" if between_aromatic else ":"
-        if order == 1:
-            return ""
-        return {2: "=", 3: "#"}[order]
-
-    def walk(index: int, via: tuple[int, int] | None) -> str:
-        visited.add(index)
-        pieces = [atom_token(index)]
-        # Ring-closure digits on this atom; the bond symbol (if any) is
-        # written at the opening endpoint.
-        for key in sorted(ring_bonds):
-            if index in key:
-                number = ring_numbers.get(key)
-                prefix = ""
-                if number is None:
-                    number = next_ring[0]
-                    next_ring[0] += 1
-                    ring_numbers[key] = number
-                    bond = mol.bond_between(*key)
-                    assert bond is not None
-                    other = bond.other(index)
-                    both_aromatic = (
-                        mol.atoms[index].aromatic
-                        and mol.atoms[other].aromatic
-                    )
-                    prefix = bond_token(bond.order, bond.aromatic,
-                                        both_aromatic)
-                token = str(number) if number < 10 else f"%{number:02d}"
-                pieces.append(prefix + token)
-        branches: list[str] = []
-        for bond in mol.bonds_of(index):
-            if bond.key in ring_bonds or bond.key == via:
-                continue
-            other = bond.other(index)
-            if other in visited:
-                continue
-            both_aromatic = (
-                mol.atoms[index].aromatic and mol.atoms[other].aromatic
-            )
-            prefix = bond_token(bond.order, bond.aromatic, both_aromatic)
-            branches.append(prefix + walk(other, bond.key))
-        for branch in branches[:-1]:
-            pieces.append(f"({branch})")
-        if branches:
-            pieces.append(branches[-1])
-        return "".join(pieces)
-
-    components: list[str] = []
-    for index in range(len(mol.atoms)):
-        if index not in visited:
-            components.append(walk(index, None))
-    return ".".join(components)
-
-
-def _ring_closure_bonds(mol: Molecule) -> set[tuple[int, int]]:
-    """One bond per basis cycle to break during the DFS write."""
-    closures: set[tuple[int, int]] = set()
-    seen_edges: set[tuple[int, int]] = set()
-    parent: dict[int, int | None] = {}
-    for start in range(len(mol.atoms)):
-        if start in parent:
-            continue
-        parent[start] = None
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for bond in mol.bonds_of(node):
-                other = bond.other(node)
-                if bond.key in seen_edges:
-                    continue
-                if other in parent:
-                    closures.add(bond.key)
-                    seen_edges.add(bond.key)
-                else:
-                    parent[other] = node
-                    seen_edges.add(bond.key)
-                    stack.append(other)
-    return closures

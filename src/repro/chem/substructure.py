@@ -117,19 +117,8 @@ class SubstructurePattern:
             return False
         return any(True for _ in self._mappings(mol, []))
 
-    def match_count(self, mol: Molecule) -> int:
-        """Number of distinct atom mappings (symmetry included)."""
-        if not self.screen(mol):
-            return 0
-        return sum(1 for _ in self._mappings(mol, []))
-
     def __repr__(self) -> str:
         return f"SubstructurePattern({self.smiles!r})"
-
-
-def has_substructure(mol: Molecule, fragment_smiles: str) -> bool:
-    """One-shot convenience wrapper around :class:`SubstructurePattern`."""
-    return SubstructurePattern(fragment_smiles).matches(mol)
 
 
 def filter_library(patterns: SubstructurePattern,

@@ -19,8 +19,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from typing import Any
 
-from repro.bio.seq import ProteinSequence
-from repro.bio.seqsearch import KmerIndex, SearchHit
 from repro.bio.tree import PhyloTree
 from repro.chem.affinity import BindingRecord
 from repro.chem.fingerprint import Fingerprint, circular_fingerprint
@@ -59,10 +57,7 @@ class DrugTree:
     DrugTree over a non-empty data directory *recovers* it: committed
     rows replay through the path of a live insert (column stores,
     indexes and the clade aggregates rebuild themselves), and ligand
-    fingerprints are recomputed from the stored SMILES. The k-mer
-    sequence index is the one piece not recovered — sequences live in
-    the federation, not the overlay, matching the snapshot layer's
-    derived-state policy.
+    fingerprints are recomputed from the stored SMILES.
     """
 
     def __init__(self, tree: PhyloTree,
@@ -81,7 +76,6 @@ class DrugTree:
         self.fingerprints: dict[str, Fingerprint] = {}
         self.fingerprint_index = FingerprintIndex()
         self.molecules: dict[str, Molecule] = {}
-        self.sequence_index = KmerIndex()
         self._statistics: dict[str, TableStatistics] | None = None
         self._known_proteins: set[str] = set()
         self._known_ligands: set[str] = set()
@@ -160,13 +154,8 @@ class DrugTree:
                     organism: str | None = None,
                     family: str | None = None,
                     ec_number: str | None = None,
-                    resolution: float | None = None,
-                    sequence: str | None = None) -> int:
-        """Attach one protein record to its tree leaf.
-
-        When *sequence* is given, it also enters the k-mer index so the
-        DrugTree can answer "which proteins resemble this sequence?".
-        """
+                    resolution: float | None = None) -> int:
+        """Attach one protein record to its tree leaf."""
         if protein_id in self._known_proteins:
             raise QueryError(f"protein {protein_id!r} already added")
         leaf_pre = self.labeling.leaf_position(protein_id)
@@ -178,23 +167,8 @@ class DrugTree:
             "resolution": resolution,
             "leaf_pre": leaf_pre,
         })
-        if sequence:
-            self.sequence_index.add(
-                ProteinSequence(protein_id, sequence)
-            )
         self._known_proteins.add(protein_id)
         return row_id
-
-    def search_similar_proteins(self, residues: str,
-                                top_k: int = 5) -> list[SearchHit]:
-        """K-mer + local-alignment search over the stored sequences."""
-        if len(self.sequence_index) == 0:
-            raise QueryError(
-                "no sequences stored; integrate with sequences or pass "
-                "them to add_protein"
-            )
-        query = ProteinSequence("query", residues)
-        return self.sequence_index.search(query, top_k=top_k)
 
     def add_ligand(self, ligand_id: str, smiles: str,
                    descriptors: dict[str, Any],

@@ -60,14 +60,8 @@ def is_drug_like(molecular_weight: float, logp: float,
 
 def protein_row(protein_id: str,
                 entry: ProteinEntry | None,
-                annotation: AnnotationEntry | None,
-                include_sequence: bool = False) -> dict[str, Any]:
-    """Merge a structure entry and its annotation into protein columns.
-
-    ``include_sequence`` additionally carries the sequence through (the
-    integrator wants it for the k-mer index; the naive engine's row
-    comparison does not, since sequences are not a table column).
-    """
+                annotation: AnnotationEntry | None) -> dict[str, Any]:
+    """Merge a structure entry and its annotation into protein columns."""
     row = {
         "protein_id": protein_id,
         "organism": entry.organism if entry else None,
@@ -79,8 +73,6 @@ def protein_row(protein_id: str,
                       if annotation and annotation.ec_number else None),
         "resolution": entry.resolution_angstrom if entry else None,
     }
-    if include_sequence:
-        row["sequence"] = entry.sequence if entry else None
     return row
 
 
@@ -127,20 +119,6 @@ class IntegrationReport:
     @property
     def degraded(self) -> bool:
         return any(status != "fresh" for status in self.statuses.values())
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "mode": self.mode,
-            "proteins": self.proteins,
-            "ligands": self.ligands,
-            "bindings": self.bindings,
-            "roundtrips": self.roundtrips,
-            "virtual_latency_s": round(self.virtual_latency_s, 4),
-            "overlap_saved_s": round(self.overlap_saved_s, 4),
-            "wall_time_s": round(self.wall_time_s, 6),
-            "statuses": dict(self.statuses),
-            "degraded": self.degraded,
-        }
 
 
 class IntegrationPipeline:
@@ -279,7 +257,6 @@ class IntegrationPipeline:
                     protein_id,
                     entries.get(protein_id),
                     annotations.get(protein_id),
-                    include_sequence=True,
                 ))
                 report.proteins += 1
 

@@ -36,16 +36,6 @@ class SourceUnavailableError(SourceError):
     """The source is temporarily unavailable (simulated outage)."""
 
 
-class RateLimitError(SourceError):
-    """The source rejected the request because of rate limiting."""
-
-    #: Virtual seconds until the rejecting source's bucket holds a
-    #: token again. An attribute, not a constructor argument: under
-    #: the raiser's meter lock ``repro race`` reads any
-    #: ``super().__init__`` as a call that may block.
-    retry_after_s: float = 0.0
-
-
 class BreakerOpenError(SourceError):
     """A circuit breaker is open: the call was skipped, not attempted.
 
@@ -152,7 +142,7 @@ class OverloadError(ServingError):
     """Admission control rejected the request before execution.
 
     Carries the machine-usable shed decision: ``reason`` is one of
-    ``rate_limited`` / ``queue_full`` / ``overload``, and
+    ``queue_full`` / ``overload`` / ``late``, and
     ``retry_after_s`` is the virtual-seconds hint after which the same
     request would plausibly be admitted. Rejections are charged ~zero
     virtual latency — shedding that costs latency would defeat its

@@ -79,14 +79,6 @@ class MobileClient:
         return self._receive("query", dtql[:40], response,
                              is_view=False)
 
-    def search_sequence(self, residues: str,
-                        top_k: int = 5) -> Interaction:
-        """Paste a sequence and ask where it belongs in the tree."""
-        response = self.server.search_sequence(self.session_id,
-                                               residues, top_k=top_k)
-        return self._receive("sequence_search", residues[:20],
-                             response, is_view=False)
-
     # -- bookkeeping ---------------------------------------------------------------
 
     def _receive(self, kind: str, target: str,

@@ -306,41 +306,6 @@ class DrugTreeServer:
             status=status,
         ))
 
-    def search_sequence(self, session_id: str, residues: str,
-                        top_k: int = 5) -> ServerResponse:
-        """Find tree proteins similar to a pasted sequence.
-
-        The field workflow behind it: a scientist gets a new enzyme
-        sequence and asks the phone where it belongs in the tree.
-        """
-        self._session(session_id)  # validates
-        with get_tracer().span("mobile.search_sequence",
-                               session=session_id) as span, \
-                WallTimer() as timer:
-            hits = self.drugtree.search_similar_proteins(residues,
-                                                         top_k=top_k)
-            payload = {
-                "hits": [
-                    {
-                        "protein_id": hit.seq_id,
-                        "score": hit.score,
-                        "identity": hit.identity,
-                        "leaf_pre":
-                            self.drugtree.labeling.leaf_position(
-                                hit.seq_id
-                            ),
-                    }
-                    for hit in hits
-                ],
-            }
-            message = full_message(payload)
-            span.set("hits", len(hits))
-        return self._account("search_sequence", ServerResponse(
-            message=message,
-            server_wall_s=timer.elapsed_s,
-            payload_rows=len(hits),
-        ))
-
     def protein_details(self, session_id: str,
                         protein_id: str) -> ServerResponse:
         """Serve one protein's remote detail card (the details tap).

@@ -7,7 +7,7 @@ concerning querying the tree") is unanswerable without per-layer
 signals. This package provides them:
 
 * :class:`Tracer` / :class:`Span` — hierarchical spans with wall *and*
-  virtual durations, a bounded ring buffer, and JSON export;
+  virtual durations and a bounded ring buffer;
 * :class:`MetricsRegistry` — counters, gauges, fixed-bucket histograms,
   snapshotting to JSON-native dicts;
 * :class:`WallTimer` — the single wall-clock timing code path;
@@ -25,7 +25,7 @@ their own lock per update. Opt in with::
     tracer = obs.Tracer(clock=dataset.clock)
     obs.set_tracer(tracer)
     ...
-    print(tracer.to_json(indent=2))
+    print(tracer.summary())
     print(obs.get_metrics().snapshot())
 """
 

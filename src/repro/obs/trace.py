@@ -15,8 +15,9 @@ and two durations: wall seconds (through the single
 simulated clock — virtual seconds, so a span can show "0.3 ms of CPU,
 4.1 s of simulated remote latency".
 
-Finished spans land in a bounded ring buffer (oldest evicted first) and
-export to plain dicts / JSON for offline analysis.
+Finished spans land in a bounded ring buffer (oldest evicted first),
+read back through :meth:`Tracer.finished_spans` and
+:meth:`Tracer.summary`.
 
 The default tracer of the whole system is :data:`NULL_TRACER`: its
 ``span()`` returns one shared, do-nothing span, so instrumented hot
@@ -26,7 +27,6 @@ paths cost a method call and nothing else until somebody opts in
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import deque
 from typing import Any
@@ -79,18 +79,6 @@ class Span:
             self.attributes["error"] = exc_type.__name__
         self.tracer._pop(self)
 
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-ready representation."""
-        return {
-            "name": self.name,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "depth": self.depth,
-            "attributes": dict(self.attributes),
-            "wall_s": self.wall_s,
-            "virtual_s": self.virtual_s,
-        }
-
     def __repr__(self) -> str:
         return (f"Span({self.name!r}, id={self.span_id}, "
                 f"wall={self.wall_s * 1000:.3f}ms)")
@@ -128,12 +116,6 @@ class NullTracer:
 
     def finished_spans(self) -> list[Span]:
         return []
-
-    def export(self) -> list[dict[str, Any]]:
-        return []
-
-    def to_json(self, indent: int | None = None) -> str:
-        return "[]"
 
     def reset(self) -> None:
         pass
@@ -240,13 +222,6 @@ class Tracer:
     def finished_spans(self) -> list[Span]:
         """Finished spans, oldest first (completion order)."""
         return list(self._finished)
-
-    def export(self) -> list[dict[str, Any]]:
-        """All finished spans as JSON-ready dicts."""
-        return [span.as_dict() for span in self._finished]
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.export(), indent=indent)
 
     def reset(self) -> None:
         """Drop finished spans (open spans keep nesting correctly)."""

@@ -9,7 +9,6 @@ from repro.serving.admission import (
     REASON_LATE,
     REASON_OVERLOAD,
     REASON_QUEUE_FULL,
-    REASON_RATE_LIMITED,
     AdmissionConfig,
     AdmissionController,
     Rejection,
@@ -30,12 +29,7 @@ from repro.serving.scheduler import (
     FairScheduler,
     QueuedRequest,
 )
-from repro.serving.tenancy import (
-    DEFAULT_TENANT,
-    TenantConfig,
-    TenantRegistry,
-    TokenBucket,
-)
+from repro.serving.tenancy import DEFAULT_TENANT, TenantConfig, TenantRegistry
 
 __all__ = [
     "DEFAULT_TENANT",
@@ -44,7 +38,6 @@ __all__ = [
     "REASON_LATE",
     "REASON_OVERLOAD",
     "REASON_QUEUE_FULL",
-    "REASON_RATE_LIMITED",
     "AdmissionConfig",
     "AdmissionController",
     "FairScheduler",
@@ -60,5 +53,4 @@ __all__ = [
     "TenantConfig",
     "TenantRegistry",
     "TenantReport",
-    "TokenBucket",
 ]

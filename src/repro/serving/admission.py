@@ -8,11 +8,10 @@ finishing inside its SLO, or rejected immediately (typed
 :class:`~repro.errors.OverloadError`, ~zero virtual latency, honest
 ``retry_after_s`` hint) so the client can back off.
 
-Three tests run at arrival time, cheapest first:
+Two tests run at arrival time, cheapest first:
 
-1. **Rate limit** — the tenant's virtual-time token bucket.
-2. **Queue bound** — the tenant's own queue depth against its limit.
-3. **Cost-based overload** — the estimated completion time under
+1. **Queue bound** — the tenant's own queue depth against its limit.
+2. **Cost-based overload** — the estimated completion time under
    weighted fair scheduling: the tenant's queued virtual cost divided
    by its effective share of the worker pool, plus the request's own
    estimated cost. If that exceeds the SLO budget, finishing late is
@@ -34,7 +33,6 @@ from repro.serving.scheduler import FairScheduler
 from repro.serving.tenancy import TenantRegistry
 
 #: Shed reasons carried on OverloadError / outcomes / metrics names.
-REASON_RATE_LIMITED = "rate_limited"
 REASON_QUEUE_FULL = "queue_full"
 REASON_OVERLOAD = "overload"
 REASON_LATE = "late"  # dispatch-side: SLO already spent in queue
@@ -153,18 +151,11 @@ class AdmissionController:
 
     # -- the decision -------------------------------------------------------
 
-    def decide(self, request, now: float,
+    def decide(self, request,
                scheduler: FairScheduler) -> Rejection | None:
         """``None`` to admit, or the :class:`Rejection` to shed."""
         tenant_id = request.tenant
         config = self.tenants.config(tenant_id)
-        bucket = self.tenants.bucket(tenant_id)
-        if bucket is not None and not bucket.try_take(now):
-            return Rejection(
-                REASON_RATE_LIMITED,
-                max(_MIN_RETRY_AFTER_S,
-                    bucket.retry_after_s(now)),
-            )
         if scheduler.depth(tenant_id) >= config.queue_limit:
             # Retry once roughly half the backlog has drained.
             wait = self.estimated_wait_s(tenant_id, scheduler)

@@ -256,8 +256,7 @@ class ServingFrontend:
         self.server = server
         self.clock = clock
         self.config = config or FrontendConfig()
-        self.tenants = TenantRegistry(tenants, default_tenant,
-                                      now=clock.now())
+        self.tenants = TenantRegistry(tenants, default_tenant)
         self.scheduler = FairScheduler(self.tenants,
                                        policy=self.config.policy)
         self.cost_model = ServiceCostModel(
@@ -326,8 +325,7 @@ class ServingFrontend:
         metrics = get_metrics()
         metrics.counter("serving.requests").inc()
         if self.admission is not None:
-            rejection = self.admission.decide(request, now,
-                                              self.scheduler)
+            rejection = self.admission.decide(request, self.scheduler)
             if rejection is not None:
                 self._shed(request, rejection)
                 return

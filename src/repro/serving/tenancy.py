@@ -1,16 +1,10 @@
-"""Tenants: weights, rate limits, and queue bounds.
+"""Tenants: weights, queue bounds and cache quotas.
 
 A *tenant* is one organization's worth of mobile users sharing the
 DrugTree service — a pharma group, a university lab, a public demo key.
 The serving layer promises each tenant a weighted fair share of the
 worker pool and protects every tenant from every other one: a flooding
-tenant is rate-limited and queue-bounded before it can inflate anyone
-else's p99.
-
-All rate limiting runs in *virtual* time against the same
-:class:`~repro.sources.clock.SimulatedClock` the rest of the system
-charges, so a whole million-user traffic scenario replays
-bit-identically from its seed.
+tenant is queue-bounded before it can inflate anyone else's p99.
 """
 
 from __future__ import annotations
@@ -18,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ServingError
-from repro.sources.clock import TokenBucket
 
 #: Tenant id used when a request does not name one.
 DEFAULT_TENANT = "default"
@@ -34,11 +27,6 @@ class TenantConfig:
     weight: float = 1.0
     #: Bounded queue depth; arrivals beyond it are shed ``queue_full``.
     queue_limit: int = 64
-    #: Sustained admitted requests per virtual second (token-bucket
-    #: refill rate). ``None`` disables rate limiting for the tenant.
-    rate_limit_rps: float | None = None
-    #: Token-bucket burst size (capacity), in requests.
-    burst: float = 8.0
     #: Fraction of the shared cache front this tenant may own. ``None``
     #: derives the fraction from the tenant's weight share.
     cache_quota_fraction: float | None = None
@@ -50,17 +38,13 @@ class TenantConfig:
             raise ServingError("tenant weight must be positive")
         if self.queue_limit < 1:
             raise ServingError("tenant queue limit must be >= 1")
-        if self.rate_limit_rps is not None and self.rate_limit_rps <= 0:
-            raise ServingError("tenant rate limit must be positive")
-        if self.burst < 1:
-            raise ServingError("tenant burst must be >= 1 request")
         if self.cache_quota_fraction is not None \
                 and not 0.0 < self.cache_quota_fraction <= 1.0:
             raise ServingError("cache quota fraction must be in (0, 1]")
 
 
 class TenantRegistry:
-    """The frontend's tenant table: configs and rate-limit buckets.
+    """The frontend's tenant table.
 
     Tenants not registered up front are materialized on first use with
     ``default_config`` (id swapped in) so an open-loop generator can
@@ -68,12 +52,9 @@ class TenantRegistry:
     """
 
     def __init__(self, configs: list[TenantConfig] | None = None,
-                 default_config: TenantConfig | None = None,
-                 now: float = 0.0) -> None:
+                 default_config: TenantConfig | None = None) -> None:
         self._default = default_config or TenantConfig(DEFAULT_TENANT)
         self._configs: dict[str, TenantConfig] = {}
-        self._buckets: dict[str, TokenBucket] = {}
-        self._now0 = now
         for config in configs or ():
             self.register(config)
 
@@ -83,10 +64,6 @@ class TenantRegistry:
                 f"tenant {config.tenant_id!r} already registered"
             )
         self._configs[config.tenant_id] = config
-        if config.rate_limit_rps is not None:
-            self._buckets[config.tenant_id] = TokenBucket(
-                config.rate_limit_rps, config.burst, now=self._now0,
-            )
 
     def config(self, tenant_id: str) -> TenantConfig:
         config = self._configs.get(tenant_id)
@@ -96,16 +73,10 @@ class TenantRegistry:
                 tenant_id=tenant_id,
                 weight=base.weight,
                 queue_limit=base.queue_limit,
-                rate_limit_rps=base.rate_limit_rps,
-                burst=base.burst,
                 cache_quota_fraction=base.cache_quota_fraction,
             )
             self.register(config)
         return config
-
-    def bucket(self, tenant_id: str) -> TokenBucket | None:
-        self.config(tenant_id)  # materialize on first touch
-        return self._buckets.get(tenant_id)
 
     def tenant_ids(self) -> list[str]:
         return list(self._configs)

@@ -2,7 +2,7 @@
 
 Stands in for the live services the paper's system federated (PDB,
 ligand activity databases, annotation services): every call costs
-virtual latency, results are paged, and services can rate-limit or fail.
+virtual latency, results are paged, and services can fail.
 See DESIGN.md for why this substitution preserves the paper's behaviour.
 """
 
@@ -38,7 +38,6 @@ from repro.sources.clock import (
     SimulatedClock,
     Stopwatch,
     TaskTimeline,
-    TokenBucket,
 )
 from repro.sources.protein import (
     KIND_PROTEIN,
@@ -98,6 +97,5 @@ __all__ = [
     "Stopwatch",
     "TableBackedSource",
     "TaskTimeline",
-    "TokenBucket",
     "wrap_registry",
 ]

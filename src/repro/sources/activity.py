@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from repro.chem.affinity import BindingRecord
 from repro.errors import SourceError
 from repro.sources.base import LatencyModel, TableBackedSource
-from repro.sources.clock import SimulatedClock, TokenBucket
+from repro.sources.clock import SimulatedClock
 
 KIND_COMPOUND = "compound"
 KIND_ACTIVITY_BY_PROTEIN = "activity_by_protein"
@@ -54,8 +54,7 @@ class LigandActivitySource(TableBackedSource):
                  activities: list[BindingRecord],
                  name: str = "chembl-sim",
                  latency: LatencyModel | None = None,
-                 page_size: int = 100,
-                 rate_limit: TokenBucket | None = None) -> None:
+                 page_size: int = 100) -> None:
         compound_table: dict[str, object] = {}
         for compound in compounds:
             if compound.ligand_id in compound_table:
@@ -77,7 +76,7 @@ class LigandActivitySource(TableBackedSource):
                 key: tuple(value) for key, value in by_ligand.items()
             },
         }
-        super().__init__(name, clock, tables, latency, page_size, rate_limit)
+        super().__init__(name, clock, tables, latency, page_size)
 
     # -- typed helpers ----------------------------------------------------
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import SourceError
 from repro.sources.base import LatencyModel, TableBackedSource
-from repro.sources.clock import SimulatedClock, TokenBucket
+from repro.sources.clock import SimulatedClock
 
 KIND_ANNOTATION = "annotation"
 KIND_PROTEINS_BY_FAMILY = "proteins_by_family"
@@ -45,8 +45,7 @@ class AnnotationSource(TableBackedSource):
                  entries: list[AnnotationEntry],
                  name: str = "go-sim",
                  latency: LatencyModel | None = None,
-                 page_size: int = 100,
-                 rate_limit: TokenBucket | None = None) -> None:
+                 page_size: int = 100) -> None:
         by_id: dict[str, object] = {}
         by_family: dict[str, list[str]] = {}
         for entry in entries:
@@ -65,7 +64,7 @@ class AnnotationSource(TableBackedSource):
                 family: tuple(ids) for family, ids in by_family.items()
             },
         }
-        super().__init__(name, clock, tables, latency, page_size, rate_limit)
+        super().__init__(name, clock, tables, latency, page_size)
 
     # -- typed helpers ----------------------------------------------------
 

@@ -3,9 +3,8 @@
 DrugTree's defining problem (per the paper abstract) is that "data is
 being obtained from multiple sources, integrated and then presented to
 the user". Each source here simulates a remote service: every call costs
-a round-trip of virtual latency, results are paged, the service may rate
-limit, and all traffic is metered so experiments can report round-trip
-counts next to latencies. Transient failures are injected from outside:
+a round-trip of virtual latency, results are paged, and all traffic is
+metered so experiments can report round-trip counts next to latencies. Transient failures are injected from outside:
 :class:`~repro.sources.chaos.ChaosSource` wraps a source and applies
 the federation's :class:`~repro.faults.FaultSchedule` to it.
 
@@ -30,9 +29,9 @@ from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from repro.errors import RateLimitError, SourceError
+from repro.errors import SourceError
 from repro.obs import get_metrics, get_tracer
-from repro.sources.clock import SimulatedClock, TokenBucket
+from repro.sources.clock import SimulatedClock
 
 
 @dataclass
@@ -72,7 +71,6 @@ class SourceStats:
     roundtrips: int = 0
     records_returned: int = 0
     keys_requested: int = 0
-    errors: int = 0
     virtual_latency_s: float = 0.0
 
     def snapshot(self) -> dict[str, float]:
@@ -80,7 +78,6 @@ class SourceStats:
             "roundtrips": self.roundtrips,
             "records_returned": self.records_returned,
             "keys_requested": self.keys_requested,
-            "errors": self.errors,
             "virtual_latency_s": round(self.virtual_latency_s, 6),
         }
 
@@ -88,33 +85,25 @@ class SourceStats:
         self.roundtrips = 0
         self.records_returned = 0
         self.keys_requested = 0
-        self.errors = 0
         self.virtual_latency_s = 0.0
 
 
 class DataSource(ABC):
-    """Base class for simulated remote sources.
-
-    ``rate_limit`` is the service's own limiter: each round-trip spends
-    one token, and a round-trip that finds the bucket empty raises
-    :class:`RateLimitError` without charging latency.
-    """
+    """Base class for simulated remote sources."""
 
     def __init__(self, name: str, clock: SimulatedClock,
                  latency: LatencyModel | None = None,
-                 page_size: int = 100,
-                 rate_limit: TokenBucket | None = None) -> None:
+                 page_size: int = 100) -> None:
         if page_size < 1:
             raise SourceError("page size must be positive")
         self.name = name
         self.clock = clock
         self.latency = latency or LatencyModel()
         self.page_size = page_size
-        self.rate_limit = rate_limit
         self.stats = SourceStats()
         # Several caller threads may fetch from one source (a shared
-        # scheduler under a server pool); the meters, rate-limit bucket
-        # and latency RNG are shared state and need one lock.
+        # scheduler under a server pool); the meters and latency RNG are
+        # shared state and need one lock.
         self._meter_lock = threading.Lock()
 
     # -- protocol -------------------------------------------------------
@@ -182,19 +171,6 @@ class DataSource(ABC):
     def _charge(self, records: int, requested: int) -> None:
         metrics = get_metrics()
         with self._meter_lock:
-            if self.rate_limit is not None:
-                now = self.clock.now()
-                if not self.rate_limit.try_take(now):
-                    self.stats.errors += 1
-                    metrics.counter(
-                        f"source.rate_limited.{self.name}"
-                    ).inc()
-                    error = RateLimitError(
-                        f"source {self.name!r} rate limit of "
-                        f"{self.rate_limit.rate:g} calls/s exceeded"
-                    )
-                    error.retry_after_s = self.rate_limit.retry_after_s(now)
-                    raise error
             cost = self.latency.sample(records)
             self.stats.roundtrips += 1
             self.stats.records_returned += records
@@ -223,9 +199,8 @@ class TableBackedSource(DataSource):
     def __init__(self, name: str, clock: SimulatedClock,
                  tables: dict[str, dict[str, object]],
                  latency: LatencyModel | None = None,
-                 page_size: int = 100,
-                 rate_limit: TokenBucket | None = None) -> None:
-        super().__init__(name, clock, latency, page_size, rate_limit)
+                 page_size: int = 100) -> None:
+        super().__init__(name, clock, latency, page_size)
         self._tables = tables
 
     def kinds(self) -> frozenset[str]:

@@ -1,7 +1,7 @@
 """Simulated (virtual) time, with sequential *and* parallel regions.
 
-Every latency in the federation layer — remote round-trips, rate-limit
-windows, cache TTLs, network transfer times — is charged against a
+Every latency in the federation layer — remote round-trips, retry
+backoffs, cache TTLs, network transfer times — is charged against a
 :class:`SimulatedClock` rather than the wall clock. That keeps the
 experiments deterministic and lets a benchmark "spend" minutes of remote
 latency in microseconds of real time, while still measuring real CPU cost
@@ -227,57 +227,3 @@ class Stopwatch:
     def __exit__(self, *exc_info: object) -> None:
         assert self._start is not None
         self.elapsed = self._clock.now() - self._start
-
-
-#: Refill rounding error a grant forgives, in tokens.
-_TOKEN_SLACK = 1e-9
-
-
-class TokenBucket:
-    """A virtual-time token bucket (``rate`` tokens/s, ``burst`` cap).
-
-    Deterministic by construction: refill is computed lazily from the
-    caller-supplied virtual ``now``, no background thread involved.
-    The serving layer holds one per rate-limited tenant, a rate-limited
-    :class:`~repro.sources.base.DataSource` holds one for itself.
-    """
-
-    __slots__ = ("rate", "burst", "tokens", "updated_at")
-
-    def __init__(self, rate: float, burst: float,
-                 now: float = 0.0) -> None:
-        if rate <= 0:
-            raise SourceError("token bucket needs a positive rate")
-        if burst < 1:
-            # try_take spends whole tokens: a cap below one could never
-            # grant any, while retry_after_s kept promising a refill.
-            raise SourceError("token bucket burst must be >= 1")
-        self.rate = rate
-        self.burst = burst
-        self.tokens = burst
-        self.updated_at = now
-
-    def _refill(self, now: float) -> None:
-        if now > self.updated_at:
-            self.tokens = min(self.burst,
-                              self.tokens + (now - self.updated_at)
-                              * self.rate)
-            self.updated_at = now
-
-    def try_take(self, now: float, amount: float = 1.0) -> bool:
-        """Spend *amount* tokens if available at virtual *now*."""
-        self._refill(now)
-        # A caller that slept exactly retry_after_s() lands a rounding
-        # error short of a whole token; the slack lets it through.
-        if self.tokens >= amount - _TOKEN_SLACK:
-            self.tokens -= amount
-            return True
-        return False
-
-    def retry_after_s(self, now: float, amount: float = 1.0) -> float:
-        """Virtual seconds until *amount* tokens will have refilled."""
-        self._refill(now)
-        missing = amount - self.tokens
-        if missing <= 0:
-            return 0.0
-        return missing / self.rate

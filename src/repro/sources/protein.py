@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from repro.bio.seq import ProteinSequence
 from repro.errors import SourceError
 from repro.sources.base import LatencyModel, TableBackedSource
-from repro.sources.clock import SimulatedClock, TokenBucket
+from repro.sources.clock import SimulatedClock
 
 KIND_PROTEIN = "protein"
 KIND_PROTEINS_BY_ORGANISM = "proteins_by_organism"
@@ -55,8 +55,7 @@ class ProteinStructureSource(TableBackedSource):
                  entries: list[ProteinEntry],
                  name: str = "pdb-sim",
                  latency: LatencyModel | None = None,
-                 page_size: int = 100,
-                 rate_limit: TokenBucket | None = None) -> None:
+                 page_size: int = 100) -> None:
         by_id: dict[str, object] = {}
         by_organism: dict[str, list[str]] = {}
         for entry in entries:
@@ -75,7 +74,7 @@ class ProteinStructureSource(TableBackedSource):
                 for organism, ids in by_organism.items()
             },
         }
-        super().__init__(name, clock, tables, latency, page_size, rate_limit)
+        super().__init__(name, clock, tables, latency, page_size)
 
     # -- typed helpers ----------------------------------------------------
 

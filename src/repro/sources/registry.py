@@ -75,7 +75,6 @@ class SourceRegistry:
             "roundtrips": 0.0,
             "records_returned": 0.0,
             "keys_requested": 0.0,
-            "errors": 0.0,
             "virtual_latency_s": 0.0,
         }
         for source in self._sources:

@@ -6,9 +6,8 @@ slow source could stall a whole mobile tap. This module provides the
 four primitives the resilient path is built from:
 
 * :class:`RetryLadder` — the one retry policy: an unavailable source is
-  retried a bounded number of times with exponential *virtual* backoff,
-  a rate-limited one waits out its ``retry_after_s`` a bounded number
-  of times. The fetch scheduler holds it.
+  retried a bounded number of times with exponential *virtual* backoff.
+  The fetch scheduler holds it.
 * :class:`CircuitBreaker` / :class:`BreakerBoard` — per ``(source,
   kind)`` closed → open → half-open state machines in *virtual* time.
   After ``failure_threshold`` consecutive failures the breaker opens and
@@ -36,7 +35,7 @@ from collections.abc import Callable, Iterator
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 
-from repro.errors import RateLimitError, SourceError, SourceUnavailableError
+from repro.errors import SourceError, SourceUnavailableError
 from repro.obs import get_metrics
 from repro.sources.clock import SimulatedClock
 
@@ -283,25 +282,21 @@ class RetryLadder:
             with attempt:
                 return source.fetch_many(kind, keys)
 
-    *note* is the holder's meter: it is called with ``"retries"`` or
-    ``"rate_limit_waits"`` each time a call climbs a rung, so the
-    holder counts under its own lock and metric names.
+    *note* is the holder's meter: it is called with ``"retries"`` each
+    time a call climbs a rung, so the holder counts under its own lock
+    and metric names.
     """
 
     def __init__(self, clock: SimulatedClock, note: Callable[[str], None],
-                 max_attempts: int = 3, backoff_s: float = 0.0,
-                 max_rate_limit_waits: int = 8) -> None:
+                 max_attempts: int = 3, backoff_s: float = 0.0) -> None:
         if max_attempts < 1:
             raise SourceError("need at least one attempt")
         if backoff_s < 0:
             raise SourceError("backoff must be non-negative")
-        if max_rate_limit_waits < 0:
-            raise SourceError("rate-limit wait budget must be >= 0")
         self.clock = clock
         self.note = note
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
-        self.max_rate_limit_waits = max_rate_limit_waits
 
     def attempts(self, breaker: CircuitBreaker | None = None,
                  ) -> Iterator["_Attempt"]:
@@ -314,14 +309,13 @@ class RetryLadder:
 
 @dataclass
 class _Attempt(AbstractContextManager):
-    """One rung of the ladder: leaving the context with a retryable
-    fault charges the backoff (or waits out ``retry_after_s``) and
-    swallows it, until the budget is spent and the fault propagates."""
+    """One rung of the ladder: leaving the context with an unavailable
+    source charges the backoff and swallows the fault, until the budget
+    is spent and the fault propagates."""
 
     ladder: RetryLadder
     breaker: CircuitBreaker | None
     failures: int = 0
-    rate_waits: int = 0
 
     def __exit__(self, exc_type, exc, traceback) -> bool:
         ladder = self.ladder
@@ -336,15 +330,6 @@ class _Attempt(AbstractContextManager):
                 ladder.clock.advance(
                     ladder.backoff_s * (2 ** (self.failures - 1))
                 )
-            return True
-        if isinstance(exc, RateLimitError):
-            # Rate limiting is load shedding, not darkness: it never
-            # feeds the breaker.
-            self.rate_waits += 1
-            if self.rate_waits > ladder.max_rate_limit_waits:
-                return False
-            ladder.note("rate_limit_waits")
-            ladder.clock.sleep(exc.retry_after_s)
             return True
         if exc is None and self.breaker is not None:
             self.breaker.record_success()

@@ -20,7 +20,7 @@ scatter/gather layer for this reproduction:
   callers asking for the same key at once each pay their round-trip.
 * **Resilience** — every page runs under the primitives of
   :mod:`repro.sources.resilience`: the scheduler's ``RetryLadder``
-  (bounded retries and rate-limit waits), an optional per-``(source,
+  (bounded retries with backoff), an optional per-``(source,
   kind)`` circuit breaker that refuses a dark source's pages without
   charging latency, and the caller's ``Deadline``, past which remaining
   pages are cancelled instead of charged. :meth:`fetch_all_resilient`
@@ -67,7 +67,6 @@ class SchedulerStats:
     pages_dispatched: int = 0
     coalesced: int = 0
     retries: int = 0
-    rate_limit_waits: int = 0
     breaker_skips: int = 0
     deadline_cancelled: int = 0
     degraded_batches: int = 0
@@ -103,7 +102,6 @@ class FetchScheduler:
                  clock: SimulatedClock | None = None,
                  max_attempts: int = 3,
                  backoff_s: float = 0.0,
-                 max_rate_limit_waits: int = 8,
                  page_size: int | None = None,
                  breakers: BreakerBoard | None = None,
                  breaker_config: BreakerConfig | None = None) -> None:
@@ -119,7 +117,7 @@ class FetchScheduler:
         self.registry = registry
         self.clock = clock
         self.ladder = RetryLadder(clock, self._note, max_attempts,
-                                  backoff_s, max_rate_limit_waits)
+                                  backoff_s)
         self.page_size = page_size
         #: Per-(source, kind) circuit breakers; ``None`` disables the
         #: breaker path entirely (the zero-overhead default).

@@ -6,11 +6,7 @@ from repro.workloads.datasets import (
     build_dataset,
     generate_bindings,
 )
-from repro.workloads.export import (
-    export_dataset,
-    load_bindings_csv,
-    load_smiles_file,
-)
+from repro.workloads.export import export_dataset
 from repro.workloads.families import (
     FAMILY_POOL,
     ORGANISM_POOL,
@@ -55,8 +51,6 @@ __all__ = [
     "build_dataset",
     "export_dataset",
     "generate_load",
-    "load_bindings_csv",
-    "load_smiles_file",
     "generate_bindings",
     "make_family",
     "mean",

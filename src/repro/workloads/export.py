@@ -3,8 +3,7 @@
 A downstream user should be able to take a synthetic world out of this
 library and into their own tools: sequences as FASTA, the tree as
 Newick, compounds as a SMILES file, bindings and protein metadata as
-CSV. The CSV reader round-trips bindings so exported worlds can be
-re-ingested.
+CSV.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ import csv
 from pathlib import Path
 
 from repro.bio.seq import write_fasta
-from repro.chem.affinity import ActivityType, BindingRecord
-from repro.errors import WorkloadError
 from repro.workloads.datasets import Dataset
 
 #: Column order of bindings.csv.
@@ -80,53 +77,3 @@ def export_dataset(dataset: Dataset,
                 dataset.family.families[protein_id],
             ])
     return paths
-
-
-def load_bindings_csv(path: str | Path) -> list[BindingRecord]:
-    """Read a ``bindings.csv`` written by :func:`export_dataset`."""
-    source = Path(path)
-    try:
-        text = source.read_text("utf-8")
-    except OSError as exc:
-        raise WorkloadError(f"cannot read {source}: {exc}") from None
-    records: list[BindingRecord] = []
-    reader = csv.DictReader(text.splitlines())
-    missing = set(BINDING_COLUMNS[:4]) - set(reader.fieldnames or ())
-    if missing:
-        raise WorkloadError(
-            f"bindings CSV is missing columns {sorted(missing)}"
-        )
-    for line_number, row in enumerate(reader, start=2):
-        try:
-            records.append(BindingRecord(
-                ligand_id=row["ligand_id"],
-                protein_id=row["protein_id"],
-                activity_type=ActivityType(row["activity_type"]),
-                value_nm=float(row["value_nm"]),
-                assay_id=row.get("assay_id", ""),
-                source=row.get("source", ""),
-            ))
-        except (KeyError, ValueError) as exc:
-            raise WorkloadError(
-                f"bad bindings row at line {line_number}: {exc}"
-            ) from None
-    return records
-
-
-def load_smiles_file(path: str | Path) -> list[tuple[str, str]]:
-    """Read a ``.smi`` file as (smiles, name) pairs."""
-    source = Path(path)
-    try:
-        text = source.read_text("utf-8")
-    except OSError as exc:
-        raise WorkloadError(f"cannot read {source}: {exc}") from None
-    pairs: list[tuple[str, str]] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split(None, 1)
-        smiles = parts[0]
-        name = parts[1].strip() if len(parts) > 1 else f"mol_{line_number}"
-        pairs.append((smiles, name))
-    return pairs

@@ -76,6 +76,8 @@ class TestTypeChecking:
         report = analyzer.check("SELECT * WHERE potent > false")
         assert "DTQL103" in codes(report)
         assert report.ok  # a warning, not an error
+        assert [d.code for d in report.warnings] == ["DTQL103"]
+        assert report.errors == ()
 
     def test_bool_column_vs_string(self, analyzer):
         report = analyzer.check("SELECT * WHERE potent = 'yes'")

@@ -294,7 +294,7 @@ class TestL005SwallowedSourceFaults:
             def fetch():
                 try:
                     pull()
-                except (ValueError, RateLimitError):
+                except (ValueError, BreakerOpenError):
                     pass
         """)
         assert codes(found) == ["L005"]

@@ -1,6 +1,5 @@
 """Tests for the amino-acid alphabet module."""
 
-import math
 
 import pytest
 from hypothesis import given
@@ -49,26 +48,7 @@ class TestCanonicalize:
         assert len(out) == len(text)
 
 
-class TestMolecularWeight:
-    def test_single_glycine(self):
-        expected = alphabet.RESIDUE_MASS["G"] + alphabet.WATER_MASS
-        assert math.isclose(alphabet.molecular_weight("G"), expected)
-
-    def test_water_added_once(self):
-        two = alphabet.molecular_weight("GG")
-        one = alphabet.molecular_weight("G")
-        assert math.isclose(two - one, alphabet.RESIDUE_MASS["G"])
-
-    def test_ambiguous_resolved(self):
-        assert math.isclose(
-            alphabet.molecular_weight("B"), alphabet.molecular_weight("D")
-        )
-
-    @given(st.text(alphabet=alphabet.AMINO_ACIDS, min_size=1, max_size=40))
-    def test_weight_positive_and_additive(self, text):
-        weight = alphabet.molecular_weight(text)
-        assert weight > len(text) * 50  # smallest residue is glycine @ 57
-
+class TestIndex:
     def test_index_covers_alphabet(self):
         assert len(alphabet.AA_INDEX) == 20
         assert all(

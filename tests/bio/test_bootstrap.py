@@ -6,7 +6,6 @@ import pytest
 
 from repro.bio import (
     MultipleAlignment,
-    annotate_support,
     bootstrap_support,
     neighbor_joining,
     parse_newick,
@@ -82,19 +81,3 @@ class TestBootstrapSupport:
         with pytest.raises(TreeError):
             bootstrap_support(tree, msa, replicates=0)
 
-
-class TestAnnotate:
-    def test_annotation_writes_percentages(self):
-        tree = parse_newick("((a,b),(c,d));")
-        split = frozenset({"a", "b"})
-        annotate_support(tree, {split: 0.87})
-        labels = {
-            node.name for node in tree.preorder()
-            if not node.is_leaf and node.name
-        }
-        assert "87" in labels
-
-    def test_leaves_untouched(self):
-        tree = parse_newick("((a,b),(c,d));")
-        annotate_support(tree, {frozenset({"a", "b"}): 1.0})
-        assert sorted(tree.leaf_names()) == ["a", "b", "c", "d"]

@@ -15,7 +15,6 @@ from repro.bio import (
     global_align,
     kimura_distance,
     p_distance,
-    poisson_distance,
 )
 from repro.bio.distance import MAX_DISTANCE
 from repro.errors import AlignmentError, TreeError
@@ -34,14 +33,6 @@ class TestCorrections:
         aln = _aln("AAAA", "AAWW")
         assert p_distance(aln) == pytest.approx(0.5)
 
-    def test_poisson_exceeds_p(self):
-        aln = _aln("AAAA", "AAWW")
-        assert poisson_distance(aln) > p_distance(aln)
-
-    def test_poisson_formula(self):
-        aln = _aln("AAAA", "AAWW")
-        assert poisson_distance(aln) == pytest.approx(-math.log(0.5))
-
     def test_kimura_formula(self):
         aln = _aln("AAAA", "AAWW")
         p = 0.5
@@ -51,12 +42,11 @@ class TestCorrections:
 
     def test_corrections_agree_at_zero(self):
         aln = _aln("MKTAY", "MKTAY")
-        assert poisson_distance(aln) == kimura_distance(aln) == 0.0
+        assert p_distance(aln) == kimura_distance(aln) == 0.0
 
     def test_saturation_is_capped(self):
-        # Completely different residues: p = 1 → corrections saturate.
+        # Completely different residues: p = 1 → the correction saturates.
         aln = _aln("AAAA", "WWWW")
-        assert poisson_distance(aln) == MAX_DISTANCE
         assert kimura_distance(aln) == MAX_DISTANCE
 
 
@@ -104,27 +94,6 @@ class TestDistanceMatrix:
         dm = self._matrix()
         with pytest.raises(ValueError):
             dm.values[0, 1] = 9.0
-
-    def test_additivity_check_on_additive_matrix(self):
-        # Distances from a 4-leaf tree: ((a:1,b:2):1,(c:3,d:4):1)
-        values = np.array([
-            [0.0, 3.0, 6.0, 7.0],
-            [3.0, 0.0, 7.0, 8.0],
-            [6.0, 7.0, 0.0, 7.0],
-            [7.0, 8.0, 7.0, 0.0],
-        ])
-        dm = DistanceMatrix(("a", "b", "c", "d"), values)
-        assert dm.is_additive()
-
-    def test_additivity_check_rejects_non_additive(self):
-        values = np.array([
-            [0.0, 1.0, 4.0, 4.0],
-            [1.0, 0.0, 1.0, 4.0],
-            [4.0, 1.0, 0.0, 1.0],
-            [4.0, 4.0, 1.0, 0.0],
-        ])
-        dm = DistanceMatrix(("a", "b", "c", "d"), values)
-        assert not dm.is_additive()
 
 
 class TestBuildFromSequences:

@@ -1,6 +1,6 @@
 """Tests for ASCII tree rendering."""
 
-from repro.bio import ascii_tree, leaf_aligned_tree, parse_newick
+from repro.bio import ascii_tree, parse_newick
 from repro.bio.simulate import birth_death_tree
 
 
@@ -47,21 +47,3 @@ class TestAsciiTree:
         for line in text.splitlines()[1:]:
             assert line.lstrip("│ ├└─")[0:1] != " "
 
-
-class TestLeafAligned:
-    def test_all_leaves_present(self):
-        tree = parse_newick("((a:1,b:2)ab:1,(c:1,d:1)cd:2)root;")
-        text = leaf_aligned_tree(tree)
-        for name in "abcd":
-            assert name in text
-
-    def test_longer_path_further_right(self):
-        tree = parse_newick("((a:1,b:5)ab:1,c:9)root;")
-        text = leaf_aligned_tree(tree, width=40)
-        lines = {line.strip()[-1]: len(line) for line in
-                 text.splitlines() if line.strip()[-1] in "abc"}
-        assert lines["b"] > lines["a"]
-
-    def test_zero_length_tree_does_not_crash(self):
-        tree = parse_newick("((a:0,b:0):0,c:0);")
-        assert "a" in leaf_aligned_tree(tree)

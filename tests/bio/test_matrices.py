@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.bio import BLOSUM62, PAM250, get_matrix
+from repro.bio import BLOSUM62, PAM250
 from repro.bio import alphabet
 from repro.errors import SequenceError
 
@@ -66,12 +66,3 @@ class TestMatrixProperties:
         with pytest.raises(SequenceError):
             BLOSUM62.score("A", "1")
 
-
-class TestLookup:
-    def test_get_matrix_case_insensitive(self):
-        assert get_matrix("blosum62") is BLOSUM62
-        assert get_matrix("PAM250") is PAM250
-
-    def test_get_matrix_unknown(self):
-        with pytest.raises(SequenceError, match="unknown substitution"):
-            get_matrix("BLOSUM999")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bio import DistanceMatrix, neighbor_joining, upgma, wpgma
+from repro.bio import DistanceMatrix, neighbor_joining, upgma
 from repro.bio.simulate import birth_death_tree
 from repro.errors import TreeError
 
@@ -103,19 +103,6 @@ class TestUpgma:
         dm = DistanceMatrix(("a",), np.zeros((1, 1)))
         with pytest.raises(TreeError):
             upgma(dm)
-
-    def test_wpgma_differs_on_unbalanced_clusters(self):
-        # Matrix engineered so weighted/unweighted averages diverge.
-        values = np.array([
-            [0.0, 2.0, 8.0, 8.0],
-            [2.0, 0.0, 9.0, 9.0],
-            [8.0, 9.0, 0.0, 6.0],
-            [8.0, 9.0, 6.0, 0.0],
-        ])
-        dm = DistanceMatrix(("a", "b", "c", "d"), values)
-        tree_u = upgma(dm)
-        tree_w = wpgma(dm)
-        assert sorted(tree_u.leaf_names()) == sorted(tree_w.leaf_names())
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=3, max_value=20), st.integers(0, 10_000))

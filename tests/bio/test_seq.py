@@ -48,17 +48,6 @@ class TestProteinSequence:
         with pytest.raises(SequenceError):
             a.identity(ProteinSequence("b", "MKT"))
 
-    def test_composition_sums_to_one(self):
-        seq = ProteinSequence("a", "AACCGGTT")
-        comp = seq.composition()
-        assert abs(sum(comp.values()) - 1.0) < 1e-9
-        assert comp["A"] == 0.25
-
-    @given(residue_text)
-    def test_composition_always_normalised(self, text):
-        comp = ProteinSequence("x", text).composition()
-        assert abs(sum(comp.values()) - 1.0) < 1e-9
-
 
 class TestFasta:
     def test_parse_single_record(self):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bio import PhyloNode, PhyloTree, balanced_tree, parse_newick
-from repro.bio.simulate import birth_death_tree, caterpillar_tree
+from repro.bio import PhyloNode, PhyloTree, parse_newick
+from repro.bio.simulate import birth_death_tree
 from repro.errors import TreeError
+from tests.bio.trees import caterpillar
 
 
 @pytest.fixture
@@ -74,22 +75,16 @@ class TestTraversals:
                 assert child.node_id in seen
             seen.add(node.node_id)
 
-    def test_levelorder_by_depth(self, small_tree):
-        depths = [sum(1 for _ in node.ancestors())
-                  for node in small_tree.levelorder()]
-        assert depths == sorted(depths)
-
     def test_traversals_cover_all_nodes(self, small_tree):
         pre = {n.node_id for n in small_tree.preorder()}
         post = {n.node_id for n in small_tree.postorder()}
-        level = {n.node_id for n in small_tree.levelorder()}
-        assert pre == post == level
+        assert pre == post
         assert len(pre) == small_tree.node_count
 
     def test_deep_tree_traversal_does_not_recurse(self):
         # 2000-leaf caterpillar would blow the default recursion limit
         # if traversals were recursive.
-        tree = caterpillar_tree([f"t{i}" for i in range(2000)])
+        tree = caterpillar(2000)
         assert sum(1 for _ in tree.postorder()) == tree.node_count
 
 
@@ -244,18 +239,6 @@ class TestNewick:
                           rel=1e-4, abs=1e-9)
 
 
-class TestAdditivity:
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(4, 9), st.integers(0, 500))
-    def test_property_tree_distances_are_additive(self, n, seed):
-        """Cophenetic matrices of real trees satisfy the four-point
-        condition — the precondition for NJ's exact-recovery guarantee."""
-        from repro.bio import DistanceMatrix
-        tree = birth_death_tree(n, seed=seed)
-        names, matrix = tree.cophenetic_matrix()
-        assert DistanceMatrix(names, matrix).is_additive(tolerance=1e-6)
-
-
 class TestNewickFuzz:
     @settings(max_examples=150, deadline=None)
     @given(st.text(alphabet="(),;:abc10.' ", max_size=40))
@@ -267,13 +250,3 @@ class TestNewickFuzz:
         except TreeError:
             pass
 
-
-class TestHelpers:
-    def test_balanced_tree_shape(self):
-        tree = balanced_tree([f"t{i}" for i in range(8)])
-        assert tree.leaf_count == 8
-        assert tree.root.height() == 3
-
-    def test_caterpillar_height(self):
-        tree = caterpillar_tree([f"t{i}" for i in range(10)])
-        assert tree.root.height() == 9

@@ -2,37 +2,8 @@
 
 import pytest
 
-from repro.chem import (
-    ActivityType,
-    BindingRecord,
-    aggregate_p_affinity,
-    p_affinity,
-    to_nanomolar,
-)
+from repro.chem import ActivityType, BindingRecord, p_affinity
 from repro.errors import ChemError
-
-
-class TestUnits:
-    @pytest.mark.parametrize("value,unit,expected", [
-        (1.0, "nM", 1.0),
-        (1.0, "uM", 1000.0),
-        (1.0, "µM", 1000.0),
-        (1.0, "mM", 1e6),
-        (1.0, "M", 1e9),
-        (500.0, "pM", 0.5),
-    ])
-    def test_conversion(self, value, unit, expected):
-        assert to_nanomolar(value, unit) == pytest.approx(expected)
-
-    def test_unknown_unit(self):
-        with pytest.raises(ChemError, match="unknown unit"):
-            to_nanomolar(1.0, "furlongs")
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(ChemError):
-            to_nanomolar(0.0, "nM")
-        with pytest.raises(ChemError):
-            to_nanomolar(-5.0, "nM")
 
 
 class TestPAffinity:
@@ -76,21 +47,3 @@ class TestBindingRecord:
         b = BindingRecord("L1", "P1", ActivityType.KI, 1.0, assay_id="y")
         assert a == b
 
-
-class TestAggregation:
-    def test_empty(self):
-        stats = aggregate_p_affinity([])
-        assert stats["count"] == 0.0
-        assert stats["potent_fraction"] == 0.0
-
-    def test_known_values(self):
-        records = [
-            BindingRecord("L1", "P1", ActivityType.KI, 1.0),     # pAff 9
-            BindingRecord("L2", "P1", ActivityType.KI, 1000.0),  # pAff 6
-        ]
-        stats = aggregate_p_affinity(records)
-        assert stats["count"] == 2.0
-        assert stats["mean"] == pytest.approx(7.5)
-        assert stats["min"] == pytest.approx(6.0)
-        assert stats["max"] == pytest.approx(9.0)
-        assert stats["potent_fraction"] == pytest.approx(0.5)

@@ -118,12 +118,26 @@ class TestDescriptorSet:
         assert desc.lipinski_violations >= 2
         assert not desc.is_drug_like
 
-    def test_as_dict_round_trip(self):
-        desc = compute_descriptors(parse_smiles("CCO"))
-        data = desc.as_dict()
-        assert data["hbd"] == 1
-        assert data["is_drug_like"] is True
-        assert set(data) >= {
-            "molecular_weight", "logp", "tpsa", "hbd", "hba",
-            "rotatable_bonds", "ring_count",
-        }
+
+class TestDrugProfiles:
+    """Lipinski counts of known drugs and building blocks: donors are
+    N-H/O-H groups, acceptors every N and O, rotatable bonds the single
+    non-ring bonds between two non-terminal heavy atoms."""
+
+    @pytest.mark.parametrize("smiles,hbd,hba,rotatable,rings", [
+        ("CC(=O)Oc1ccccc1C(=O)O", 1, 4, 3, 1),        # aspirin
+        ("Cn1cnc2c1c(=O)n(C)c(=O)n2C", 0, 6, 0, 2),   # caffeine
+        ("CC(C)Cc1ccc(cc1)C(C)C(=O)O", 1, 2, 4, 1),   # ibuprofen
+        ("c1ccc2c(c1)cccc2", 0, 0, 0, 2),             # naphthalene
+        ("c1cc[nH]c1", 1, 1, 0, 1),                   # pyrrole
+        ("CS(=O)(=O)c1ccccc1", 0, 2, 1, 1),           # methyl phenyl sulfone
+        ("OP(=O)(O)OC", 2, 4, 1, 0),                  # methyl phosphate
+        ("[NH4+].[Cl-]", 1, 1, 0, 0),                 # ammonium chloride
+    ])
+    def test_known_counts(self, smiles, hbd, hba, rotatable, rings):
+        desc = compute_descriptors(parse_smiles(smiles))
+        assert desc.hbd == hbd
+        assert desc.hba == hba
+        assert desc.rotatable_bonds == rotatable
+        assert desc.ring_count == rings
+        assert desc.is_drug_like

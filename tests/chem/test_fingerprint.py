@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chem import (
-    Fingerprint,
-    bulk_tanimoto,
-    circular_fingerprint,
-    dice,
-    parse_smiles,
-    tanimoto,
-)
+from repro.chem import Fingerprint, circular_fingerprint, parse_smiles, tanimoto
 from repro.errors import ChemError
 
 SMILES_POOL = [
@@ -53,18 +46,10 @@ class TestSimilarity:
     def test_empty_fingerprints_similar(self):
         empty = Fingerprint(0, 8)
         assert tanimoto(empty, empty) == 1.0
-        assert dice(empty, empty) == 1.0
 
     def test_width_mismatch(self):
         with pytest.raises(ChemError):
             tanimoto(Fingerprint(0, 8), Fingerprint(0, 16))
-        with pytest.raises(ChemError):
-            dice(Fingerprint(0, 8), Fingerprint(0, 16))
-
-    def test_dice_geq_tanimoto(self):
-        a = Fingerprint(0b1110, 8)
-        b = Fingerprint(0b0111, 8)
-        assert dice(a, b) >= tanimoto(a, b)
 
 
 class TestCircularFingerprint:
@@ -101,13 +86,6 @@ class TestCircularFingerprint:
             parse_smiles("Cn1cnc2c1c(=O)n(C)c(=O)n2C")
         )
         assert tanimoto(ethanol, propanol) > tanimoto(ethanol, caffeine)
-
-    def test_bulk_matches_single(self):
-        fps = [circular_fingerprint(parse_smiles(s)) for s in SMILES_POOL]
-        scores = bulk_tanimoto(fps[0], fps)
-        assert scores[0] == 1.0
-        for score, fp in zip(scores, fps):
-            assert score == tanimoto(fps[0], fp)
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(SMILES_POOL), st.sampled_from(SMILES_POOL))

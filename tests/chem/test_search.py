@@ -53,12 +53,6 @@ class TestConstruction:
         assert index.get(library[0].ligand_id) == library[0].fingerprint
         assert index.get("nope") is None
 
-    def test_stats(self, index):
-        stats = index.stats()
-        assert stats["size"] == len(index)
-        assert stats["min_popcount"] <= stats["max_popcount"]
-        assert FingerprintIndex().stats()["size"] == 0
-
 
 class TestCandidateBand:
     def test_band_is_sound(self, index, library):
@@ -108,22 +102,6 @@ class TestSearch:
         results = index.search(probe.fingerprint, 0.99)
         assert results
         assert results[0][1] == 1.0
-
-    def test_top_k_bounds_results(self, index, library):
-        probe = library[3].fingerprint
-        top = index.top_k(probe, 5)
-        assert len(top) == 5
-        scores = [score for _, score in top]
-        assert scores == sorted(scores, reverse=True)
-
-    def test_top_k_with_floor(self, index, library):
-        probe = library[3].fingerprint
-        top = index.top_k(probe, 50, threshold=0.8)
-        assert all(score >= 0.8 for _, score in top)
-
-    def test_top_k_validation(self, index, library):
-        with pytest.raises(ChemError):
-            index.top_k(library[0].fingerprint, 0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 59), st.floats(0.2, 0.95))

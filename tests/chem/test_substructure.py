@@ -9,7 +9,6 @@ from repro.chem import (
     SubstructurePattern,
     filter_library,
     generate_library,
-    has_substructure,
     parse_smiles,
 )
 from repro.core import EngineConfig, NaiveEngine, QueryEngine
@@ -30,24 +29,30 @@ class TestMatching:
         ("FC(F)(F)c1ccccc1", "C(F)(F)F", True),
     ])
     def test_known_pairs(self, target, fragment, expected):
-        assert has_substructure(parse_smiles(target), fragment) is expected
+        assert SubstructurePattern(fragment).matches(
+            parse_smiles(target)) is expected
 
     def test_molecule_contains_itself(self):
         for smiles in ("CCO", "c1ccccc1", "Cn1cnc2c1c(=O)n(C)c(=O)n2C"):
-            assert has_substructure(parse_smiles(smiles), smiles)
+            assert SubstructurePattern(smiles).matches(parse_smiles(smiles))
 
     def test_bond_order_respected(self):
-        assert has_substructure(parse_smiles("C=CC"), "C=C")
-        assert not has_substructure(parse_smiles("CCC"), "C=C")
+        assert SubstructurePattern("C=C").matches(parse_smiles("C=CC"))
+        assert not SubstructurePattern("C=C").matches(parse_smiles("CCC"))
 
     def test_match_count_symmetries(self):
         pattern = SubstructurePattern("c1ccccc1")
         # One benzene ring has 12 automorphisms.
-        assert pattern.match_count(parse_smiles("c1ccccc1")) == 12
+        assert _mapping_count(pattern, parse_smiles("c1ccccc1")) == 12
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(ChemError):
             SubstructurePattern("")
+
+
+def _mapping_count(pattern, mol) -> int:
+    """How many ways the pattern maps onto *mol*, automorphisms included."""
+    return sum(1 for _ in pattern._mappings(mol, []))
 
 
 def _vf2_mapping_count(fragment, mol) -> int:
@@ -92,7 +97,6 @@ class TestSearchAgainstVF2:
         assert sum(1 for _ in pattern._mappings(mol, [])) == want
         assert pattern.matches(mol, screen=False) is (want > 0)
         assert pattern.matches(mol) is (want > 0)
-        assert pattern.match_count(mol) == want
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 39), st.integers(0, 39))
@@ -108,7 +112,7 @@ class TestSearchAgainstVF2:
     def test_disconnected_fragment_needs_distinct_atoms(self):
         pattern = SubstructurePattern("C.C")
         assert not pattern.matches(parse_smiles("CO"))
-        assert pattern.match_count(parse_smiles("CCO")) == 2
+        assert _mapping_count(pattern, parse_smiles("CCO")) == 2
 
     def test_aromatic_ring_bond_is_not_a_biaryl_link(self):
         # Phenanthrene's two outer rings are joined by an aromatic ring
@@ -117,12 +121,13 @@ class TestSearchAgainstVF2:
         phenanthrene = parse_smiles("c1ccc2c(c1)ccc1ccccc21")
         assert _vf2_mapping_count(biphenyl.fragment, phenanthrene) == 0
         assert not biphenyl.matches(phenanthrene, screen=False)
-        assert biphenyl.match_count(parse_smiles("Cc1ccccc1c1ccccc1")) == 8
+        assert _mapping_count(
+            biphenyl, parse_smiles("Cc1ccccc1c1ccccc1")) == 8
 
     def test_extra_target_bonds_are_allowed(self):
         # Monomorphism, not induced: the open chain is in the ring.
-        assert has_substructure(parse_smiles("C1CC1"), "CCC")
-        assert SubstructurePattern("CCC").match_count(
+        assert SubstructurePattern("CCC").matches(parse_smiles("C1CC1"))
+        assert _mapping_count(SubstructurePattern("CCC"),
             parse_smiles("C1CC1")) == 6
 
 
@@ -167,8 +172,8 @@ class TestContainingClause:
         )
         assert result.rows
         for row in result.rows:
-            assert has_substructure(parse_smiles(row["smiles"]),
-                                    "c1ccccc1")
+            assert SubstructurePattern("c1ccccc1").matches(
+                parse_smiles(row["smiles"]))
 
     def test_screen_ablation_identical_results(self, world):
         dataset, drugtree = world

@@ -47,6 +47,14 @@ class TestPartitionDataclass:
         assert not partition.contains(5)
 
 
+    def test_describe_names_the_interval_or_global(self):
+        assert Partition(pid=0, low=2, high=5, name="ab").describe() == \
+            "p0 [2, 5) ab"
+        assert Partition(pid=7, low=None, high=None,
+                         name="ligands").describe() == \
+            "p7 (global) ligands"
+
+
 class TestCladePartitioner:
     def test_intervals_cover_leaves_exactly(self, labeling):
         partitioner = CladePartitioner(labeling, n_partitions=3)
@@ -115,6 +123,16 @@ class TestCladePartitioner:
         first = CladePartitioner(labeling, n_partitions=3)
         second = CladePartitioner(labeling, n_partitions=3)
         assert first.partitions == second.partitions
+
+
+    def test_describe_lists_every_partition_in_order(self, labeling):
+        partitioner = CladePartitioner(labeling, n_partitions=3)
+        lines = partitioner.describe()
+        assert lines == [p.describe() for p in partitioner.partitions]
+        assert [line.split()[0] for line in lines] == [
+            f"p{p.pid}" for p in partitioner.partitions]
+        assert lines[-1].startswith(f"p{partitioner.partitions[-1].pid} "
+                                    "(global)")
 
 
 class TestScanInterval:

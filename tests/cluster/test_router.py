@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.bio import parse_newick
 from repro.cluster import Cluster, ClusterConfig, Router
 from repro.cluster.node import BASE_LATENCY_S, RPC_TIMEOUT_S, VersionedRow
+from repro.cluster.router import VerifyReport
 from repro.core.labeling import IntervalLabeling
 from repro.errors import (
     ClusterError,
@@ -457,3 +458,30 @@ class TestPerNodeBreakers:
         assert router.stats.node_errors == errors_before
         elapsed = router.clock.now() - before
         assert elapsed < RPC_TIMEOUT_S
+
+
+def _group(pid, roots_equal=True, diff_keys=0, skipped=False):
+    return {"pid": pid, "replicas": [0, 1, 2], "live": [0, 1, 2],
+            "roots_equal": roots_equal, "diff_keys": diff_keys,
+            "skipped": skipped}
+
+
+class TestVerifyReport:
+    @pytest.mark.parametrize("groups,converged,divergent", [
+        ([], True, 0),
+        ([_group(0), _group(1)], True, 0),
+        ([_group(0), _group(1, roots_equal=False, diff_keys=3)], False, 3),
+        ([_group(0, skipped=True)], False, 0),
+    ])
+    def test_converged_needs_equal_roots_and_no_skipped_group(
+            self, groups, converged, divergent):
+        report = VerifyReport(groups)
+        assert report.converged is converged
+        assert report.divergent_keys == divergent
+
+    def test_as_dict_is_what_cluster_verify_prints(self):
+        groups = [_group(0, roots_equal=False, diff_keys=2), _group(1)]
+        data = VerifyReport(groups).as_dict()
+        assert data == {"converged": False, "divergent_keys": 2,
+                        "groups": groups}
+        assert data["groups"] is not groups

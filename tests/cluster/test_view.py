@@ -51,3 +51,17 @@ def test_views_keep_the_global_row_ids():
     subset = dict(view.drugtree.tables["bindings"].scan())
     assert 0 < len(subset) < len(bindings)
     assert subset.items() <= bindings.items()
+
+
+def test_explain_plans_over_the_view_as_the_single_node_does():
+    # The view shares the cluster's statistics, so a plan over the
+    # partitions a query touches is the plan the single node prints.
+    _, single, clustered = make_pair()
+    clade = next(node.name for node in clustered.tree.preorder()
+                 if node.name and not node.is_leaf)
+    for query in (
+            "SELECT ligand_id, p_affinity FROM bindings "
+            "WHERE p_affinity >= 7.0",
+            "SELECT count(*) FROM ligands",
+            f"SELECT count(*) FROM bindings IN SUBTREE '{clade}'"):
+        assert clustered.explain(query) == single.explain(query), query

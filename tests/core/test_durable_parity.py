@@ -10,6 +10,8 @@ DrugTree, and the whole matrix must still agree: recovery replays the
 committed state exactly.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core import DrugTree, EngineConfig, QueryEngine
@@ -135,7 +137,7 @@ class TestCrashRecoveryEndToEnd:
         with pytest.raises(CrashPoint):
             drugtree.add_ligand(
                 "LIG-crash", dataset.ligands[0].smiles,
-                dataset.ligands[0].descriptors.as_dict(),
+                dataclasses.asdict(dataset.ligands[0].descriptors),
             )
         # No close: reopen straight from disk, as after a kill -9.
         recovered = DrugTree(build_dataset(WORLD).tree,

@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bio import parse_newick
-from repro.bio.simulate import birth_death_tree, caterpillar_tree
+from repro.bio.simulate import birth_death_tree
 from repro.core.labeling import IntervalLabeling
 from repro.errors import TreeError
 from repro.workloads.families import name_internal_clades
+from tests.bio.trees import caterpillar
 
 
 @pytest.fixture
@@ -56,7 +57,7 @@ class TestLabels:
         assert labeled.label_of("c").depth == 3
 
     def test_deep_tree_does_not_recurse(self):
-        tree = caterpillar_tree([f"t{i}" for i in range(3000)])
+        tree = caterpillar(3000)
         labeling = IntervalLabeling(tree)
         assert labeling.leaf_count == 3000
 

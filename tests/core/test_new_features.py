@@ -1,11 +1,9 @@
-"""Tests for later-added features: sequence search in DrugTree,
-EXPLAIN ANALYZE, and the cache-soundness property."""
+"""Tests for later-added features: EXPLAIN ANALYZE and the
+cache-soundness property."""
 
 import pytest
 
-from repro.bio import parse_newick
-from repro.core import DrugTree, EngineConfig, QueryEngine
-from repro.errors import QueryError
+from repro.core import EngineConfig, QueryEngine
 from repro.workloads import (
     DatasetConfig,
     QueryGenerator,
@@ -23,35 +21,6 @@ def dataset():
 @pytest.fixture(scope="module")
 def drugtree(dataset):
     return dataset.drugtree()
-
-
-class TestSequenceSearchInDrugTree:
-    def test_integration_populates_sequence_index(self, drugtree):
-        assert len(drugtree.sequence_index) == drugtree.protein_count
-
-    def test_exact_sequence_finds_its_protein(self, dataset, drugtree):
-        target = dataset.family.sequences[5]
-        hits = drugtree.search_similar_proteins(target.residues,
-                                                top_k=3)
-        assert hits[0].seq_id == target.seq_id
-        assert hits[0].identity == 1.0
-
-    def test_empty_index_raises(self):
-        tree = parse_newick("((a,b),c);")
-        empty = DrugTree(tree)
-        empty.add_protein("a")  # no sequence given
-        with pytest.raises(QueryError, match="no sequences"):
-            empty.search_similar_proteins("MKTAYIAKQR")
-
-    def test_manual_sequence_via_add_protein(self):
-        tree = parse_newick("((a,b),c);")
-        drugtree = DrugTree(tree)
-        drugtree.add_protein("a", sequence="MKTAYIAKQRQISFVKSHFSRQ")
-        drugtree.add_protein("b", sequence="MKTAYIAKQRQISFVKAAASRQ")
-        hits = drugtree.search_similar_proteins(
-            "MKTAYIAKQRQISFVKSHFSRQ", top_k=2,
-        )
-        assert hits[0].seq_id == "a"
 
 
 class TestExplainAnalyze:

@@ -8,20 +8,14 @@ unreliable, and that the scheduler's retry ladder (``mode=
 import pytest
 
 from repro.core import IntegrationPipeline
-from repro.errors import RateLimitError, SourceUnavailableError
+from repro.errors import SourceUnavailableError
 from repro.sources import (
     ErrorBurst,
     FaultSchedule,
     FetchScheduler,
-    LatencyModel,
     SourceRegistry,
-    TokenBucket,
     wrap_registry,
 )
-from repro.sources.activity import LigandActivitySource
-from repro.sources.annotation import AnnotationSource
-from repro.sources.protein import ProteinStructureSource
-from repro.sources.clock import SimulatedClock
 from repro.workloads import DatasetConfig, build_dataset
 
 
@@ -90,38 +84,3 @@ class TestFlakyIntegration:
             noisy_rows = sorted(map(repr,
                                     noisy_tree.tables[name].scan_rows()))
             assert clean_rows == noisy_rows
-
-
-class TestRateLimitedIntegration:
-    def _limited_registry(self, dataset) -> SourceRegistry:
-        """The dataset's proteins behind a "5 calls per second" PDB."""
-        clock = SimulatedClock()
-        registry = SourceRegistry()
-        registry.register(ProteinStructureSource(
-            clock,
-            [dataset.protein_source.fetch("protein", pid)
-             for pid in dataset.family.protein_ids],
-            latency=LatencyModel(base_s=0.01, jitter_fraction=0.0),
-            rate_limit=TokenBucket(rate=5.0, burst=5),
-        ))
-        registry.register(LigandActivitySource(
-            clock, [], [], latency=LatencyModel(jitter_fraction=0.0),
-        ))
-        registry.register(AnnotationSource(
-            clock, [], latency=LatencyModel(jitter_fraction=0.0),
-        ))
-        return registry
-
-    def test_rate_limited_source_with_batching(self):
-        """Batched integration fits under a rate limit that per-item
-        integration blows through."""
-        dataset = build_dataset(DatasetConfig(n_leaves=12, n_ligands=15,
-                                              seed=63))
-        pipeline = IntegrationPipeline(self._limited_registry(dataset),
-                                       mode="batched")
-        drugtree, _ = pipeline.build_drugtree(dataset.tree)
-        assert drugtree.protein_count == 12
-        pipeline = IntegrationPipeline(self._limited_registry(dataset),
-                                       mode="per_item")
-        with pytest.raises(RateLimitError):
-            pipeline.build_drugtree(dataset.tree)

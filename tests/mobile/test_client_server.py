@@ -131,31 +131,6 @@ class TestClient:
             wifi_client.interactions[0].network_s
 
 
-class TestSequenceSearchEndpoint:
-    def test_search_returns_located_hits(self, dataset, drugtree):
-        client = _client(dataset, drugtree)
-        probe = dataset.family.sequences[3]
-        interaction = client.search_sequence(probe.residues, top_k=3)
-        assert interaction.kind == "sequence_search"
-        assert interaction.rows == 3
-        payload = client.server.search_sequence(
-            client.session_id, probe.residues, top_k=3,
-        ).message.payload()
-        best = payload["hits"][0]
-        assert best["protein_id"] == probe.seq_id
-        assert best["identity"] == 1.0
-        assert best["leaf_pre"] == drugtree.labeling.leaf_position(
-            probe.seq_id
-        )
-
-    def test_search_charges_network_time(self, dataset, drugtree):
-        client = _client(dataset, drugtree)
-        interaction = client.search_sequence(
-            dataset.family.sequences[0].residues
-        )
-        assert interaction.network_s > 0
-
-
 class TestGestureWorkload:
     def test_plan_is_deterministic(self):
         assert plan_session(20, seed=4) == plan_session(20, seed=4)

@@ -12,8 +12,8 @@ import threading
 
 import pytest
 
-from repro.obs import lockwatch
-from repro.obs.lockwatch import (
+from tests.obs import lockwatch
+from tests.obs.lockwatch import (
     LockOrderViolation,
     LockWatch,
     WatchedLock,

@@ -1,6 +1,4 @@
-"""Tracer: span nesting, ordering, ring buffer, export, no-op path."""
-
-import json
+"""Tracer: span nesting, ordering, ring buffer, summary, no-op path."""
 
 import pytest
 
@@ -117,21 +115,7 @@ class TestRingBuffer:
             Tracer(capacity=0)
 
 
-class TestExport:
-    def test_export_round_trips_through_json(self):
-        clock = SimulatedClock()
-        tracer = Tracer(clock=clock)
-        with tracer.span("outer", table="bindings"):
-            with tracer.span("inner") as inner:
-                inner.set("rows", 7)
-                clock.advance(0.5)
-        exported = tracer.export()
-        assert exported == json.loads(tracer.to_json())
-        by_name = {entry["name"]: entry for entry in exported}
-        assert by_name["outer"]["attributes"] == {"table": "bindings"}
-        assert by_name["inner"]["attributes"] == {"rows": 7}
-        assert by_name["inner"]["parent_id"] == by_name["outer"]["span_id"]
-
+class TestRecordAndSummary:
     def test_record_emits_a_finished_span_with_given_durations(self):
         tracer = Tracer()
         parent = tracer.record("parent", wall_s=0.5)
@@ -162,8 +146,6 @@ class TestNullTracer:
         with NULL_TRACER.span("noop") as span:
             span.set("rows", 1)
         assert NULL_TRACER.finished_spans() == []
-        assert NULL_TRACER.export() == []
-        assert NULL_TRACER.to_json() == "[]"
 
     def test_disabled_flag(self):
         assert NullTracer.enabled is False

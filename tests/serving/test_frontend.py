@@ -164,21 +164,20 @@ class TestServing:
 
     def test_rejected_requests_cost_no_virtual_time(self):
         dataset, server = _world()
-        # One token, no refill to speak of: everything but the first
-        # request per burst is shed at the door.
+        # One worker and a one-deep queue: of 500 simultaneous arrivals
+        # one runs, one waits, and the rest are shed at the door.
         frontend = _frontend(
-            dataset, server,
-            tenants=[TenantConfig("a", rate_limit_rps=0.001,
-                                  burst=1.0)])
+            dataset, server, workers=1,
+            tenants=[TenantConfig("a", queue_limit=1)])
         before = dataset.clock.now()
         requests = [Request(tenant="a", session="a-u0", kind="render",
                             target="clade_0001", arrival_s=0.0, seq=i)
                     for i in range(500)]
         report = frontend.run(requests)
         elapsed = dataset.clock.now() - before
-        assert report.shed == 499
-        assert report.completed == 1
-        # 499 rejections charge nothing: the makespan is one render.
+        assert report.shed == 498
+        assert report.completed == 2
+        # 498 rejections charge nothing: the makespan is two renders.
         assert elapsed < 0.5
         shed = [o for o in frontend.outcomes if o.shed]
         assert all(o.latency_s == 0.0 and o.service_s == 0.0

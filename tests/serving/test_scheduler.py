@@ -1,14 +1,11 @@
 """Tests for the weighted fair scheduler and tenant primitives."""
 
+import dataclasses
+
 import pytest
 
-from repro.errors import ServingError, SourceError
-from repro.serving import (
-    FairScheduler,
-    TenantConfig,
-    TenantRegistry,
-    TokenBucket,
-)
+from repro.errors import ServingError
+from repro.serving import FairScheduler, TenantConfig, TenantRegistry
 from repro.serving.frontend import Request
 
 
@@ -20,42 +17,6 @@ def _request(tenant, seq, arrival=0.0):
 
 def _registry(*configs):
     return TenantRegistry(list(configs))
-
-
-class TestTokenBucket:
-    def test_burst_then_refill(self):
-        bucket = TokenBucket(rate=2.0, burst=3.0, now=0.0)
-        assert all(bucket.try_take(0.0) for _ in range(3))
-        assert not bucket.try_take(0.0)
-        # Half a second refills one token at 2 rps.
-        assert bucket.try_take(0.5)
-        assert not bucket.try_take(0.5)
-
-    def test_retry_after_names_the_refill_time(self):
-        bucket = TokenBucket(rate=4.0, burst=1.0, now=0.0)
-        assert bucket.try_take(0.0)
-        assert bucket.retry_after_s(0.0) == pytest.approx(0.25)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(SourceError):
-            TokenBucket(rate=0.0, burst=1.0)
-
-    def test_rejects_a_burst_that_can_never_grant_a_token(self):
-        # A cap below one token sheds forever while retry_after_s
-        # keeps promising a refill.
-        with pytest.raises(SourceError):
-            TokenBucket(rate=10.0, burst=0.5)
-        with pytest.raises(ServingError):
-            TenantConfig("a", rate_limit_rps=10.0, burst=0.5)
-
-    def test_waiting_out_retry_after_is_enough(self):
-        bucket = TokenBucket(rate=3.0, burst=1.0)
-        now = 0.0
-        for step in range(1, 200):
-            now += 0.07 * (step % 5)
-            if not bucket.try_take(now):
-                now += bucket.retry_after_s(now)
-                assert bucket.try_take(now), now
 
 
 class TestTenantRegistry:
@@ -74,6 +35,47 @@ class TestTenantRegistry:
         registry = _registry(TenantConfig("a", weight=3.0),
                              TenantConfig("b", weight=1.0))
         assert registry.weight_share("a") == pytest.approx(0.75)
+
+
+    def test_materialized_tenant_copies_every_default_field(self):
+        default = TenantConfig("default", weight=2.5, queue_limit=9,
+                               cache_quota_fraction=0.3)
+        registry = TenantRegistry(default_config=default)
+        assert registry.config("walk-in") == dataclasses.replace(
+            default, tenant_id="walk-in")
+
+    def test_materialized_tenant_is_registered_once(self):
+        registry = _registry(TenantConfig("a"))
+        first = registry.config("walk-in")
+        assert registry.config("walk-in") is first
+        assert len(registry) == 2
+        assert registry.tenant_ids() == ["a", "walk-in"]
+
+    def test_weight_share_counts_materialized_tenants(self):
+        registry = _registry(TenantConfig("a", weight=1.0))
+        # "b" joins at the default weight 1.0: the pool splits in two.
+        assert registry.weight_share("b") == pytest.approx(0.5)
+        assert registry.weight_share("a") == pytest.approx(0.5)
+
+
+class TestTenantConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"tenant_id": ""},
+        {"tenant_id": "a", "weight": 0.0},
+        {"tenant_id": "a", "weight": -1.0},
+        {"tenant_id": "a", "queue_limit": 0},
+        {"tenant_id": "a", "cache_quota_fraction": 0.0},
+        {"tenant_id": "a", "cache_quota_fraction": 1.5},
+    ])
+    def test_rejects_an_impossible_contract(self, kwargs):
+        with pytest.raises(ServingError):
+            TenantConfig(**kwargs)
+
+    def test_accepts_the_boundaries(self):
+        config = TenantConfig("a", weight=0.01, queue_limit=1,
+                              cache_quota_fraction=1.0)
+        assert config.queue_limit == 1
+        assert config.cache_quota_fraction == 1.0
 
 
 class TestFairScheduler:
@@ -132,3 +134,28 @@ class TestFairScheduler:
         scheduler.pop()
         assert scheduler.queued_cost("a") == pytest.approx(0.25)
         assert scheduler.total_queued_cost() == pytest.approx(0.25)
+
+    def test_pop_on_an_empty_scheduler_returns_none(self):
+        scheduler = FairScheduler(_registry())
+        assert scheduler.pop() is None
+        assert len(scheduler) == 0
+
+    def test_fifo_queues_past_the_tenant_bound(self):
+        # The naive baseline has no bound: that is how it collapses.
+        scheduler = FairScheduler(
+            _registry(TenantConfig("a", queue_limit=1)), policy="fifo")
+        assert all(scheduler.try_enqueue(_request("a", seq), 0.0, 1.0)
+                   for seq in range(3))
+        assert scheduler.depth("a") == 3
+
+    def test_active_tenants_are_those_with_a_queue(self):
+        scheduler = FairScheduler(
+            _registry(TenantConfig("a"), TenantConfig("b")))
+        scheduler.try_enqueue(_request("a", 0), 0.0, 1.0)
+        scheduler.try_enqueue(_request("b", 1), 0.0, 1.0)
+        assert sorted(scheduler.active_tenants()) == ["a", "b"]
+        served = scheduler.pop().request.tenant
+        assert scheduler.active_tenants() == ["b" if served == "a"
+                                              else "a"]
+        assert len(scheduler) == 1
+        assert scheduler.depth(served) == 0

@@ -1,27 +1,20 @@
-"""Tests for the data-source protocol, latency, rate limit, paging."""
+"""Tests for the data-source protocol, latency, paging."""
 
 import pytest
 
-from repro.errors import RateLimitError, SourceError
-from repro.sources import (
-    LatencyModel,
-    SimulatedClock,
-    TableBackedSource,
-    TokenBucket,
-)
+from repro.errors import SourceError
+from repro.sources import LatencyModel, SimulatedClock, TableBackedSource
 
 FREE = LatencyModel(base_s=0.0, per_item_s=0, jitter_fraction=0)
 
 
-def _source(clock=None, latency=None, rate_limit=None, page_size=100,
-            n=10):
+def _source(clock=None, latency=None, page_size=100, n=10):
     clock = clock or SimulatedClock()
     tables = {
         "thing": {f"k{i}": f"v{i}" for i in range(n)},
     }
     return TableBackedSource("test-src", clock, tables,
-                             latency=latency, page_size=page_size,
-                             rate_limit=rate_limit)
+                             latency=latency, page_size=page_size)
 
 
 class TestLatencyModel:
@@ -125,38 +118,6 @@ class TestCostAccounting:
         assert source.stats.roundtrips == 0
 
 
-class TestFaults:
-    """The one fault a source raises by itself is its rate limit;
-    outages and error bursts are ``ChaosSource``'s (test_chaos.py)."""
-
-    def test_rate_limit_within_window(self):
-        # "2 calls per 10 s". Zero latency: the clock never moves, so
-        # the bucket never refills.
-        source = _source(rate_limit=TokenBucket(rate=0.2, burst=2),
-                         latency=FREE)
-        source.fetch("thing", "k1")
-        source.fetch("thing", "k2")
-        with pytest.raises(RateLimitError) as caught:
-            source.fetch("thing", "k3")
-        assert caught.value.retry_after_s == pytest.approx(5.0)
-        assert source.stats.errors == 1
-        assert source.stats.roundtrips == 2  # the refusal cost nothing
-
-    def test_rate_limit_window_resets(self):
-        clock = SimulatedClock()
-        source = _source(clock=clock, latency=FREE,
-                         rate_limit=TokenBucket(rate=1.0, burst=1))
-        source.fetch("thing", "k1")
-        clock.advance(1.5)
-        source.fetch("thing", "k2")  # a token has refilled; no error
-
-    def test_invalid_fault_parameters(self):
-        with pytest.raises(SourceError):
-            _source(rate_limit=TokenBucket(rate=0.0, burst=1))
-        with pytest.raises(SourceError):
-            _source(rate_limit=TokenBucket(rate=10.0, burst=0.5))
-
-
 class TestEmptyKeyLists:
     """Regression: an empty request must not cost a round-trip."""
 
@@ -165,15 +126,6 @@ class TestEmptyKeyLists:
         assert source.fetch_many("thing", []) == {}
         assert source.stats.roundtrips == 0
         assert source.clock.now() == 0.0
-
-    def test_fetch_many_with_no_keys_skips_faults(self):
-        # Even a source with no token left cannot refuse a request
-        # that is never issued.
-        source = _source(rate_limit=TokenBucket(rate=0.1, burst=1),
-                         latency=FREE)
-        source.fetch("thing", "k1")
-        assert source.fetch_many("thing", []) == {}
-        assert source.stats.errors == 0
 
     def test_scan_keys_of_empty_table_is_free(self):
         clock = SimulatedClock()

@@ -10,6 +10,7 @@ from repro.sources import (
     CompoundEntry,
     KIND_ACTIVITY_BY_LIGAND,
     KIND_ACTIVITY_BY_PROTEIN,
+    KIND_COMPOUND,
     KIND_PROTEIN,
     KIND_PROTEINS_BY_FAMILY,
     KIND_PROTEINS_BY_ORGANISM,
@@ -96,6 +97,15 @@ class TestActivitySource:
         compound = source.compound("L1")
         assert compound.smiles == "CCO"
         assert source.compound("zz") is None
+
+    def test_compounds_batch_and_kinds(self, clock):
+        source = LigandActivitySource(clock, _compounds(), _activities())
+        batch = source.compounds(["L1", "zz"])
+        assert set(batch) == {"L1"}
+        assert batch["L1"].smiles == "CCO"
+        assert source.kinds() == {KIND_COMPOUND, KIND_ACTIVITY_BY_PROTEIN,
+                                  KIND_ACTIVITY_BY_LIGAND}
+        assert source.stats.roundtrips == 1
 
     def test_activities_by_protein(self, clock):
         source = LigandActivitySource(clock, _compounds(), _activities())

@@ -6,7 +6,6 @@ import threading
 import pytest
 
 from repro.errors import (
-    RateLimitError,
     SourceError,
     SourceUnavailableError,
 )
@@ -29,7 +28,6 @@ from repro.sources import (
     SimulatedClock,
     SourceRegistry,
     TableBackedSource,
-    TokenBucket,
 )
 
 
@@ -42,13 +40,13 @@ def fresh_metrics():
 
 
 def make_source(clock, kind, n=20, base_s=0.1, page_size=100,
-                name=None, rate_limit=None):
+                name=None):
     tables = {kind: {f"{kind}{i}": f"v{i}" for i in range(n)}}
     return TableBackedSource(
         name or f"{kind}-src", clock, tables,
         latency=LatencyModel(base_s=base_s, per_item_s=0.0,
                              jitter_fraction=0.0),
-        page_size=page_size, rate_limit=rate_limit,
+        page_size=page_size,
     )
 
 
@@ -186,38 +184,6 @@ class TestResilience:
             scheduler.fetch_many("alpha", ["alpha0"])
         # Backoff 0.1 then 0.2 on the failing task's timeline.
         assert clock.now() == pytest.approx(0.3)
-
-    def test_rate_limited_page_waits_out_the_window(self):
-        clock = SimulatedClock()
-        registry = SourceRegistry()
-        # 0.7 calls/s: the wait is no float the clock lands on cleanly.
-        registry.register(make_source(
-            clock, "alpha", base_s=0.01, page_size=1,
-            rate_limit=TokenBucket(rate=0.7, burst=1)))
-        scheduler = FetchScheduler(registry)
-        out = scheduler.fetch_many("alpha", ["alpha0", "alpha1"])
-        assert len(out) == 2
-        # Exactly retry_after_s, once: no guessed sleep, no second rung.
-        assert scheduler.stats.rate_limit_waits == 1
-        assert clock.now() == pytest.approx(1 / 0.7 + 0.01)
-
-    def test_rate_limit_wait_budget_is_bounded(self):
-        clock = SimulatedClock()
-        registry = SourceRegistry()
-        source = make_source(clock, "alpha", base_s=0.0,
-                             rate_limit=TokenBucket(rate=1.0, burst=1))
-        registry.register(source)
-        source.fetch("alpha", "alpha0")  # spends the only token
-        scheduler = FetchScheduler(registry, max_rate_limit_waits=0)
-        with pytest.raises(RateLimitError):
-            scheduler.fetch_many("alpha", ["alpha1"])
-        assert scheduler.stats.rate_limit_waits == 0
-        assert clock.now() == 0.0  # refused, not slept on
-        patient = FetchScheduler(registry, max_rate_limit_waits=1)
-        assert patient.fetch_many("alpha", ["alpha1"]) == {
-            "alpha1": "v1"}
-        assert patient.stats.rate_limit_waits == 1
-        assert clock.now() == pytest.approx(1.0)
 
     def test_unknown_kind_raises_before_dispatch(self):
         _, registry = make_world(kinds=("alpha",))

@@ -21,7 +21,6 @@ from repro.sources import (
     SimulatedClock,
     SourceRegistry,
     TableBackedSource,
-    TokenBucket,
 )
 
 
@@ -34,13 +33,13 @@ def fresh_metrics():
 
 
 def make_source(clock, kind, n=20, base_s=0.1, page_size=100,
-                name=None, rate_limit=None):
+                name=None):
     tables = {kind: {f"{kind}{i}": f"v{i}" for i in range(n)}}
     return TableBackedSource(
         name or f"{kind}-src", clock, tables,
         latency=LatencyModel(base_s=base_s, per_item_s=0.0,
                              jitter_fraction=0.0),
-        page_size=page_size, rate_limit=rate_limit,
+        page_size=page_size,
     )
 
 
@@ -213,23 +212,6 @@ class TestBreakers:
         out = scheduler.fetch_many("alpha", ["alpha0"])
         assert out == {"alpha0": "v0"}
         assert breaker.state == "closed"
-
-    def test_rate_limits_do_not_feed_the_breaker(self):
-        clock = SimulatedClock()
-        registry = SourceRegistry()
-        registry.register(make_source(
-            clock, "alpha", base_s=0.01, page_size=1,
-            rate_limit=TokenBucket(rate=1.0, burst=1)))
-        scheduler = FetchScheduler(
-            registry,
-            breaker_config=BreakerConfig(failure_threshold=1),
-        )
-        out = scheduler.fetch_many("alpha", ["alpha0", "alpha1"])
-        assert len(out) == 2
-        assert scheduler.stats.rate_limit_waits >= 1
-        breaker = scheduler.breakers.breaker("alpha-src", "alpha")
-        assert breaker.state == "closed"
-        assert breaker.trips == 0
 
     def test_open_breaker_degrades_resilient_batch(self):
         _, registry = dark_world("alpha")

@@ -1,15 +1,16 @@
-"""Tests for dataset export/import."""
+"""Tests for dataset export: every artefact reads back with a standard reader."""
+
+import csv
 
 import pytest
 
 from repro.bio import parse_fasta, parse_newick
-from repro.chem import parse_smiles
-from repro.errors import WorkloadError
+from repro.chem import ActivityType, p_affinity, parse_smiles
 from repro.workloads import DatasetConfig, build_dataset
 from repro.workloads.export import (
+    BINDING_COLUMNS,
+    PROTEIN_COLUMNS,
     export_dataset,
-    load_bindings_csv,
-    load_smiles_file,
 )
 
 
@@ -43,7 +44,8 @@ class TestExport:
         assert tree.robinson_foulds(dataset.tree) == 0
 
     def test_smiles_file_parses_back(self, dataset, exported):
-        pairs = load_smiles_file(exported["ligands"])
+        lines = exported["ligands"].read_text("utf-8").splitlines()
+        pairs = [line.split("\t") for line in lines]
         assert len(pairs) == len(dataset.ligands)
         for (smiles, name), ligand in zip(pairs, dataset.ligands):
             assert name == ligand.ligand_id
@@ -51,47 +53,57 @@ class TestExport:
             assert parse_smiles(smiles).heavy_atom_count > 0
 
     def test_bindings_roundtrip(self, dataset, exported):
-        records = load_bindings_csv(exported["bindings"])
-        assert len(records) == len(dataset.bindings)
-        for loaded, original in zip(records, dataset.bindings):
-            assert loaded.ligand_id == original.ligand_id
-            assert loaded.protein_id == original.protein_id
-            assert loaded.activity_type == original.activity_type
-            assert loaded.value_nm == pytest.approx(original.value_nm,
-                                                    rel=1e-5)
+        with exported["bindings"].open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(dataset.bindings)
+        for row, original in zip(rows, dataset.bindings):
+            assert row["ligand_id"] == original.ligand_id
+            assert row["protein_id"] == original.protein_id
+            assert row["activity_type"] == original.activity_type.value
+            assert float(row["value_nm"]) == pytest.approx(
+                original.value_nm, rel=1e-5)
 
     def test_proteins_csv_has_metadata(self, dataset, exported):
         text = exported["proteins"].read_text("utf-8")
         assert "protein_id,organism,family" in text.splitlines()[0]
         assert len(text.splitlines()) == dataset.config.n_leaves + 1
 
+    def test_bindings_csv_columns_in_documented_order(self, exported):
+        with exported["bindings"].open(newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh))
+        assert tuple(header) == BINDING_COLUMNS
 
-class TestLoaders:
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(WorkloadError):
-            load_bindings_csv(tmp_path / "ghost.csv")
-        with pytest.raises(WorkloadError):
-            load_smiles_file(tmp_path / "ghost.smi")
+    def test_bindings_csv_reads_back_as_records(self, dataset, exported):
+        with exported["bindings"].open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        for row, original in zip(rows, dataset.bindings):
+            # The activity type names its enum member; the pAffinity
+            # column agrees with the value column it was derived from.
+            assert ActivityType(row["activity_type"]) is \
+                original.activity_type
+            assert float(row["p_affinity"]) == pytest.approx(
+                p_affinity(float(row["value_nm"])), abs=1e-4)
+            assert row["assay_id"] == original.assay_id
+            assert row["source"] == original.source
 
-    def test_missing_columns(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("ligand_id,protein_id\nL1,P1\n")
-        with pytest.raises(WorkloadError, match="missing columns"):
-            load_bindings_csv(path)
+    def test_proteins_csv_rows_match_the_family(self, dataset, exported):
+        with exported["proteins"].open(newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            assert tuple(reader.fieldnames) == PROTEIN_COLUMNS
+            rows = list(reader)
+        family = dataset.family
+        assert [row["protein_id"] for row in rows] == family.protein_ids
+        for row in rows:
+            assert row["organism"] == family.organisms[row["protein_id"]]
+            assert row["family"] == family.families[row["protein_id"]]
 
-    def test_bad_row_reports_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(
-            "ligand_id,protein_id,activity_type,value_nm\n"
-            "L1,P1,Ki,10.0\n"
-            "L2,P2,Ki,not_a_number\n"
-        )
-        with pytest.raises(WorkloadError, match="line 3"):
-            load_bindings_csv(path)
+    def test_tree_leaves_are_the_exported_proteins(self, dataset, exported):
+        tree = parse_newick(exported["tree"].read_text("utf-8").strip())
+        assert sorted(tree.leaf_names()) == sorted(
+            dataset.family.protein_ids)
 
-    def test_smi_comments_and_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "lib.smi"
-        path.write_text("# header\n\nCCO ethanol\nc1ccccc1\n")
-        pairs = load_smiles_file(path)
-        assert pairs[0] == ("CCO", "ethanol")
-        assert pairs[1][0] == "c1ccccc1"  # auto-named
+    def test_export_is_deterministic_and_makes_its_directory(
+            self, dataset, exported, tmp_path):
+        again = export_dataset(dataset, tmp_path / "nested" / "out")
+        for name, path in again.items():
+            assert path.read_bytes() == exported[name].read_bytes(), name

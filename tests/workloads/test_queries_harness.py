@@ -13,6 +13,7 @@ from repro.workloads import (
     percentile,
     speedup,
 )
+from repro.workloads.harness import time_wall
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +93,33 @@ class TestTextTable:
             TextTable([])
 
 
+    @pytest.mark.parametrize("value,cell", [
+        (False, "no"),
+        (0.0, "0"),
+        (2.5, "2.50"),
+        (-1500.0, "-1,500"),
+        (7, "7"),
+        ("abc", "abc"),
+    ])
+    def test_cell_format_by_type_and_magnitude(self, value, cell):
+        table = TextTable(["x"])
+        table.add_row(value)
+        assert table.rows == [[cell]]
+
+    def test_numbers_align_right_and_text_left(self):
+        table = TextTable(["label", "count"])
+        table.add_row("a", 5)
+        table.add_row("longer", 12345)
+        rows = table.render().splitlines()[2:]
+        assert rows[0] == "a           5"
+        assert rows[1] == "longer  12345"
+
+    def test_str_is_the_rendered_table(self):
+        table = TextTable(["a"], title="t")
+        table.add_row(1)
+        assert str(table) == table.render()
+
+
 class TestStatsHelpers:
     def test_mean(self):
         assert mean([1.0, 2.0, 3.0]) == 2.0
@@ -108,3 +136,8 @@ class TestStatsHelpers:
     def test_speedup_formatting(self):
         assert speedup(10.0, 2.0) == "5.0x"
         assert speedup(10.0, 0.0) == "inf"
+
+    def test_time_wall_returns_the_result_and_its_duration(self):
+        result, elapsed = time_wall(lambda: sum(range(1000)))
+        assert result == 499500
+        assert elapsed >= 0.0
