@@ -35,7 +35,7 @@ from repro.analysis.diag import Diagnostic, Severity, Span
 from repro.analysis.dtql import (
     AnalysisReport,
     SemanticAnalyzer,
-    empty_result_rows,
+    empty_result,
 )
 from repro.analysis.lint import LINT_RULES, lint_file, lint_paths, lint_source
 from repro.analysis.registry import RULES, Rule, rules_for
@@ -55,7 +55,7 @@ __all__ = [
     "Span",
     "analyze_paths",
     "analyze_sources",
-    "empty_result_rows",
+    "empty_result",
     "lint_file",
     "lint_paths",
     "lint_source",

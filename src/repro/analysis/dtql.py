@@ -440,8 +440,8 @@ def column_contradiction(predicates: list[Comparison]) -> bool:
     return False
 
 
-def empty_result_rows(query: Query) -> list[dict[str, Any]]:
-    """Correct result rows for a query whose WHERE is provably empty.
+def empty_result(query: Query) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
+    """The ``(columns, values)`` of a query whose WHERE is provably empty.
 
     Plain selects and grouped aggregates yield no rows; *scalar*
     aggregates still yield their one summary row (``count`` of nothing
@@ -449,11 +449,11 @@ def empty_result_rows(query: Query) -> list[dict[str, Any]]:
     to it — matching what a full scan of zero matching rows produces.
     """
     if not query.aggregates or query.group_by is not None:
-        return []
+        return (), ()
     row: dict[str, Any] = {}
     for aggregate in query.aggregates:
         row[aggregate.output_name] = 0 if aggregate.func == "count" else None
     for condition in query.having:
         if not condition.matches(row.get(condition.column)):
-            return []
-    return [row]
+            return (), ()
+    return tuple(row), (tuple(row.values()),)

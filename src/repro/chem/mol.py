@@ -8,6 +8,7 @@ descriptors over them, and fingerprint them for similarity search.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.errors import ChemError
@@ -89,6 +90,19 @@ class Bond:
         raise ChemError(f"atom {index} is not part of this bond")
 
 
+@dataclass(frozen=True)
+class MatchProfile:
+    """What substructure search reads of a frozen molecule, built on its
+    first search: screen counts, atom kinds, neighbour -> bond maps."""
+
+    bond_count: int
+    ring_count: int
+    aromatic_atoms: int
+    elements: Counter
+    kinds: tuple[tuple[str, bool], ...]
+    bonds: tuple[dict[int, Bond], ...]
+
+
 class Molecule:
     """An immutable-after-construction molecular graph.
 
@@ -104,6 +118,7 @@ class Molecule:
         self._adjacency: dict[int, list[Bond]] = {}
         self._frozen = False
         self._rings: list[list[int]] | None = None
+        self._profile: MatchProfile | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -176,12 +191,6 @@ class Molecule:
     def degree(self, index: int) -> int:
         return len(self._adjacency[index])
 
-    def bond_between(self, first: int, second: int) -> Bond | None:
-        for bond in self._adjacency.get(first, []):
-            if bond.other(first) == second:
-                return bond
-        return None
-
     # -- derived chemistry ----------------------------------------------
 
     def implicit_hydrogens(self, index: int) -> int:
@@ -242,6 +251,20 @@ class Molecule:
                         stack.pop()
             self._rings = rings
         return self._rings
+
+    def match_profile(self) -> MatchProfile:
+        """Built on first use, not in :meth:`freeze`, and kept."""
+        if self._profile is None:
+            if not self._frozen:
+                raise ChemError("only a frozen molecule has a profile")
+            kinds = tuple((atom.element, atom.aromatic) for atom in self.atoms)
+            self._profile = MatchProfile(
+                len(self.bonds), len(self.rings()),
+                sum(aromatic for _, aromatic in kinds),
+                Counter(element for element, _ in kinds), kinds,
+                tuple({bond.other(index): bond for bond in bonds}
+                      for index, bonds in self._adjacency.items()))
+        return self._profile
 
     def ring_bonds(self) -> set[tuple[int, int]]:
         ring_sets = [set(ring) for ring in self.rings()]

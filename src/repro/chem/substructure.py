@@ -10,18 +10,18 @@ The classic chemical-database query, implemented the classic way:
    allowed), with element and aromaticity matched per atom and bond
    order per bond: a depth-first search that places the fragment's
    atoms in a connected order, each on a neighbour of an atom already
-   placed (the answers of VF2 with those match functions —
-   property-tested against networkx's — without its per-state cost).
+   placed, counting mappings up to a limit (``matches`` stops at one).
+   Its counts are VF2's with those match functions (property-tested
+   against networkx's) without its per-state cost.
 
 The screen is sound (never discards a true match — property-tested) but
-not complete; the search settles the survivors.
+not complete; the search settles the survivors. Both read the target's
+:class:`~repro.chem.mol.MatchProfile`, built on its first search.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
-from repro.chem.mol import Atom, Bond, Molecule
+from repro.chem.mol import Bond, Molecule
 from repro.chem.smiles import parse_smiles
 from repro.errors import ChemError
 
@@ -34,21 +34,23 @@ def _bonds_match(target: Bond | None, pattern: Bond) -> bool:
     return pattern.order == target.order
 
 
-def _search_order(fragment: Molecule) -> list[tuple[Atom, list]]:
-    """The fragment's atoms breadth-first, component by component, each
-    with its bonds back to atoms placed before it, as ``(their place in
-    the order, bond)`` pairs."""
+def _search_order(fragment: Molecule) -> list[tuple]:
+    """The fragment's atoms breadth-first, component by component (from
+    a heteroatom if it has one: targets hold few of those), each as its
+    ``(element, aromatic)`` kind with its bonds back to atoms placed
+    before it, as ``(their place in the order, bond)`` pairs."""
+    profile = fragment.match_profile()
+    kinds, bonds = profile.kinds, profile.bonds
     place: dict[int, int] = {}
-    for root in range(len(fragment.atoms)):
+    for root in sorted(range(len(kinds)), key=lambda i: kinds[i][0] == "C"):
         queue = [root]
         for index in queue:  # grows as it is walked
             if index not in place:
                 place[index] = len(place)
-                queue.extend(fragment.neighbors(index))
-    return [(fragment.atoms[index],
-             [(place[bond.other(index)], bond)
-              for bond in fragment.bonds_of(index)
-              if place[bond.other(index)] < place[index]])
+                queue.extend(bonds[index])
+    return [(kinds[index], [(place[other], bond)
+                            for other, bond in bonds[index].items()
+                            if place[other] < place[index]])
             for index in place]
 
 
@@ -60,54 +62,51 @@ class SubstructurePattern:
             raise ChemError("substructure pattern needs SMILES text")
         self.smiles = smiles
         self.fragment = parse_smiles(smiles)
+        self.profile = self.fragment.match_profile()
         self._order = _search_order(self.fragment)
-        self.element_counts = Counter(
-            atom.element for atom in self.fragment.atoms
-        )
-        self.bond_count = len(self.fragment.bonds)
-        self.ring_count = len(self.fragment.rings())
-        self.aromatic_atoms = sum(
-            1 for atom in self.fragment.atoms if atom.aromatic
-        )
 
     # -- stage 1: the count screen ----------------------------------------
 
     def screen(self, mol: Molecule) -> bool:
         """Can *mol* possibly contain the fragment? (Sound, incomplete.)"""
-        if len(mol.bonds) < self.bond_count:
-            return False
-        if len(mol.rings()) < self.ring_count:
-            return False
-        if sum(1 for a in mol.atoms if a.aromatic) < self.aromatic_atoms:
-            return False
-        counts = Counter(atom.element for atom in mol.atoms)
-        return all(
-            counts.get(element, 0) >= needed
-            for element, needed in self.element_counts.items()
-        )
+        have, need = mol.match_profile(), self.profile
+        return (have.bond_count >= need.bond_count
+                and have.ring_count >= need.ring_count
+                and have.aromatic_atoms >= need.aromatic_atoms
+                and all(have.elements[element] >= count
+                        for element, count in need.elements.items()))
 
     # -- stage 2: exact matching ----------------------------------------------
 
-    def _mappings(self, mol: Molecule, placed: list[int]):
-        """Every way to place the rest of the fragment on atoms of *mol*
-        not in *placed* (the target atom of each fragment atom placed so
-        far, in search order); yields once per complete mapping."""
-        if len(placed) == len(self._order):
-            yield
-            return
-        wanted, back = self._order[len(placed)]
-        for candidate in (mol.neighbors(placed[back[0][0]]) if back
-                          else range(len(mol.atoms))):
-            atom = mol.atoms[candidate]
-            if (atom.element == wanted.element
-                    and atom.aromatic == wanted.aromatic
-                    and candidate not in placed
-                    and all(_bonds_match(
-                        mol.bond_between(placed[earlier], candidate), bond)
-                        for earlier, bond in back)):
-                placed.append(candidate)
-                yield from self._mappings(mol, placed)
-                placed.pop()
+    def count_mappings(self, mol: Molecule, limit: int | None = None) -> int:
+        """Ways the fragment maps onto *mol*, counted up to *limit*."""
+        profile = mol.match_profile()
+        kinds, bonds = profile.kinds, profile.bonds
+        order = self._order
+        placed: list[int] = []  # the target atom of each placed atom
+        found = 0
+
+        def place(depth: int) -> bool:  # True once *limit* are found
+            nonlocal found
+            if depth == len(order):
+                found += 1
+                return found == limit
+            wanted, back = order[depth]
+            for candidate in (bonds[placed[back[0][0]]] if back
+                              else range(len(kinds))):
+                if (kinds[candidate] == wanted
+                        and candidate not in placed
+                        and all(_bonds_match(
+                            bonds[placed[earlier]].get(candidate), bond)
+                            for earlier, bond in back)):
+                    placed.append(candidate)
+                    if place(depth + 1):
+                        return True
+                    placed.pop()
+            return False
+
+        place(0)
+        return found
 
     def matches(self, mol: Molecule, screen: bool = True) -> bool:
         """True if *mol* contains the fragment (screen, then search;
@@ -115,7 +114,7 @@ class SubstructurePattern:
         measures what the screen saves)."""
         if screen and not self.screen(mol):
             return False
-        return any(True for _ in self._mappings(mol, []))
+        return self.count_mappings(mol, limit=1) == 1
 
     def __repr__(self) -> str:
         return f"SubstructurePattern({self.smiles!r})"

@@ -151,14 +151,16 @@ def _cmd_query(args: argparse.Namespace) -> tuple[dict, int]:
         result = NaiveEngine(dataset.tree, dataset.registry).execute(
             args.dtql
         )
+        rows = result.rows[:args.max_rows]
         cost = (f"{result.roundtrips} round-trips, "
                 f"{result.virtual_latency_s:.2f}s simulated latency")
     else:
         result = QueryEngine(drugtree).execute(args.dtql)
+        rows = [dict(zip(result.columns, values))
+                for values in result.values[:args.max_rows]]
         cost = (f"{result.counters.get('rows_scanned', 0)} rows scanned, "
                 f"cache: {result.cache_outcome}")
-    return {"rows": result.rows[:args.max_rows],
-            "row_count": len(result.rows), "cost": cost}, 0
+    return {"rows": rows, "row_count": len(result), "cost": cost}, 0
 
 
 def _text_query(payload: dict, args: argparse.Namespace) -> None:
@@ -449,10 +451,10 @@ def _cmd_similar(args: argparse.Namespace) -> tuple[dict, int]:
             f"SIMILAR TO '{args.smiles}' >= {args.threshold}")
     result = engine.execute(dtql)
     return {
-        "matches": [[row["ligand_id"], row["smiles"][:40],
-                     row["molecular_weight"], row["logp"]]
-                    for row in result.rows[:args.max_rows]],
-        "matched": len(result.rows),
+        "matches": [[ligand_id, smiles[:40], weight, logp]
+                    for ligand_id, smiles, weight, logp
+                    in result.values[:args.max_rows]],
+        "matched": len(result),
         "candidates": result.similarity_candidates,
         "ligand_count": drugtree.ligand_count,
     }, 0

@@ -20,8 +20,8 @@ query, in a second map of its own; every other entry keeps its rows
 and answers its own signature only. A lookup is one dict probe for the
 exact signature, and a miss tests only the entries in the subsumer map
 — none at all under the mobile tap mix, whose every query aggregates
-or carries a LIMIT. Rows are copied on the way in and on the way out,
-so no caller ever holds a dict the cache serves again.
+or carries a LIMIT. An entry is the engine's answer as it came, columns
+and a tuple of value tuples: nothing in it can change, so none is copied.
 
 Entries are stamped with :attr:`DrugTree.data_version`: the caller
 reads it before its lookup and hands the same version to the store. A
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any
@@ -58,11 +58,16 @@ from repro.obs import get_metrics, get_tracer
 CACHE_CAPACITY = 1024
 
 
+#: An answer as stored: its columns and one value tuple per row.
+_Entry = tuple[tuple[str, ...], tuple[tuple, ...]]
+
+
 @dataclass
 class CacheHit:
-    """A cache answer plus how it was derived."""
+    """A cache answer in result form plus how it was derived."""
 
-    rows: list[dict[str, Any]]
+    columns: tuple[str, ...]
+    values: tuple[tuple, ...]
     kind: str  # "exact" | "subsumed"
 
 
@@ -75,37 +80,11 @@ def _can_subsume(query: Query) -> bool:
             and query.substructure is None)
 
 
-#: Rows as stored: ``(columns, value tuples)``, or ``(None, dict
-#: copies)`` for rows that do not share one column order.
-_Packed = tuple[tuple[str, ...] | None, list]
-
-
-def _pack(rows: list[dict[str, Any]]) -> _Packed:
-    """Copy *rows* into the cache's form. An engine result lists every
-    row's columns in one order, so one column tuple plus a value tuple
-    per row keeps it, in far less memory than a dict per row."""
-    if rows:
-        columns = tuple(rows[0])
-        if all(tuple(row) == columns for row in rows):
-            return columns, [tuple(row.values()) for row in rows]
-    return None, [dict(row) for row in rows]
-
-
-def _unpack(packed: _Packed) -> list[dict[str, Any]]:
-    """Fresh row dicts, in the stored column order, for one caller."""
-    columns, rows = packed
-    if columns is None:
-        return [dict(row) for row in rows]
-    return [dict(zip(columns, values)) for values in rows]
-
-
-def _reader(columns: tuple[str, ...] | None,
-            column: str) -> Callable[[Any], Any]:
-    """``stored row -> its value of column``, NULL when it has none."""
-    if columns is None:
-        return lambda row: row.get(column)
+def column_reader(columns: tuple[str, ...],
+                  column: str) -> Callable[[tuple], Any]:
+    """``value tuple -> its value of column``, NULL when it has none."""
     if column not in columns:
-        return lambda row: None
+        return lambda values: None
     return itemgetter(columns.index(column))
 
 
@@ -118,9 +97,9 @@ class SemanticCache:
             raise QueryError("cache capacity must be positive")
         self.labeling = labeling
         self.capacity = capacity
-        #: Signature -> packed rows of every entry (see :func:`_pack`),
-        #: least recently used first.
-        self._entries: OrderedDict[str, _Packed] = OrderedDict()
+        #: Signature -> the stored answer of every entry, least
+        #: recently used first.
+        self._entries: OrderedDict[str, _Entry] = OrderedDict()
         #: Signature -> query of the entries that can subsume (see
         #: :func:`_can_subsume`), in the same relative order.
         self._subsumers: OrderedDict[str, Query] = OrderedDict()
@@ -159,21 +138,21 @@ class SemanticCache:
                               for signature, cached
                               in self._subsumers.items()]
         if exact is not None:
-            return CacheHit(_unpack(exact), "exact")
+            return CacheHit(*exact, "exact")
         if emptied:
             get_metrics().counter("semantic_cache.invalidations").inc()
 
         # Entries are immutable once stored: derive from the snapshot.
-        for signature, cached, rows in candidates:
+        for signature, cached, entry in candidates:
             if self._subsumes(cached, query):
-                rows = self._derive(rows, query)
-                if rows is None:
+                derived = self._derive(entry, query)
+                if derived is None:
                     continue
                 with self._lock:
                     if signature in self._entries:
                         self._touch(signature)
                     self.subsumption_hits += 1
-                return CacheHit(rows, "subsumed")
+                return CacheHit(*derived, "subsumed")
         with self._lock:
             self.misses += 1
         return None
@@ -212,63 +191,61 @@ class SemanticCache:
             return False
         return self.labeling.is_ancestor(outer, inner)
 
-    def _derive(self, packed: _Packed,
-                query: Query) -> list[dict[str, Any]] | None:
+    def _derive(self, entry: _Entry, query: Query) -> _Entry | None:
         """Recompute *query* over a cached full-width entry.
 
-        Works on the stored rows: each predicate is one compiled
-        closure (the one the vectorized scans use) over one column's
-        values, and dicts are built only for the rows returned.
-        Unpacking the whole entry first cost more than re-executing.
+        Works on the stored value tuples: each predicate is one
+        compiled closure (the one the vectorized scans use) over one
+        column position; a projection builds tuples only for the rows
+        returned. None when the entry cannot answer *query*.
         """
         if query.aggregates:
             return None  # engine re-aggregates itself; keep cache simple
-        columns, rows = packed
-        out = rows
+        columns, out = entry
         if query.subtree is not None:  # a drill-down's narrowest filter
             name = query.subtree.node_name
-            if not self.labeling.has_name(name) or rows and "leaf_pre" \
-                    not in (rows[0] if columns is None else columns):
+            if not self.labeling.has_name(name) \
+                    or out and "leaf_pre" not in columns:
                 return None
             low, high = self.labeling.leaf_range(name)
-            leaf_pre = _reader(columns, "leaf_pre")
-            out = [row for row in out if low <= leaf_pre(row) < high]
+            leaf_pre = column_reader(columns, "leaf_pre")
+            out = [values for values in out
+                   if low <= leaf_pre(values) < high]
         for column, test in compile_columns(query.predicates):
-            value = _reader(columns, column)
-            out = [row for row in out if test(value(row))]
+            value = column_reader(columns, column)
+            out = [values for values in out if test(value(values))]
         if query.order_by is not None:
-            value = _reader(columns, query.order_by.column)
-            out = sorted(out, key=lambda row: (value(row) is not None,
-                                               value(row)),
+            value = column_reader(columns, query.order_by.column)
+            out = sorted(out, key=lambda values: (value(values) is not None,
+                                                  value(values)),
                          reverse=query.order_by.descending)
         out = out[:query.limit]
-        if not out or not query.select:
-            return _unpack((columns, out))
+        if not out:
+            return (), ()
+        if not query.select:
+            return columns, tuple(out)
         try:
-            if columns is None:
-                return [{column: row[column] for column in query.select}
-                        for row in out]
             at = [columns.index(column) for column in query.select]
-        except (KeyError, ValueError):
+        except ValueError:
             return None
-        return [dict(zip(query.select, map(row.__getitem__, at)))
-                for row in out]
+        return query.select, tuple(tuple(map(values.__getitem__, at))
+                                   for values in out)
 
     # -- store / version -------------------------------------------------------
 
-    def store(self, query: Query, rows: list[dict[str, Any]],
-              version: int) -> None:
-        """Cache a copy of a result. Aggregate/limited results are stored
-        for exact reuse; full-width results additionally serve
-        subsumption."""
+    def store(self, query: Query, columns: tuple[str, ...],
+              values: Sequence[tuple], version: int) -> None:
+        """Cache an answer as it is (*values* frozen as a tuple, as the
+        engine's are). Aggregate/limited results are stored for exact
+        reuse; full-width results additionally serve subsumption."""
         signature = query.signature()
-        rows = _pack(rows)
+        entry = (columns, tuple(values))
         subsumer = _can_subsume(query)
         with self._lock:
             emptied = self._restamp(version)
             if version < self._version:
                 return  # computed before a write this cache has seen
-            self._entries[signature] = rows
+            self._entries[signature] = entry
             if subsumer:
                 self._subsumers[signature] = query
             self._touch(signature)

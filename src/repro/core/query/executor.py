@@ -12,6 +12,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any
 
 from repro.chem.fingerprint import circular_fingerprint, tanimoto
@@ -25,7 +26,7 @@ from repro.core.query.ast import (
     SimilarityFilter,
     SubstructureFilter,
 )
-from repro.core.query.cache import SemanticCache
+from repro.core.query.cache import SemanticCache, column_reader
 from repro.core.query.cards import CardinalityEstimator
 from repro.core.query.logical import (
     LogicalAggregate,
@@ -102,6 +103,24 @@ def _token_free(report):
     return replace(report, query=slim, folded=folded)
 
 
+def _drain(root, mode: str) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
+    """A plan's answer as its one column order and a value tuple per
+    row: no dict for a batch plan, the row engine's converted here."""
+    if mode == "vectorized":
+        parts = ((batch.order, batch.tuples())
+                 for batch in root.batches() if len(batch))
+    else:
+        parts = ((tuple(row), (tuple(row.values()),)) for row in root.rows())
+    columns, values = None, []
+    for order, rows in parts:  # each batch read as it comes
+        if columns is None:
+            columns = order
+        elif order != columns:
+            raise QueryError("engine bug: result rows differ in column order")
+        values.extend(rows)
+    return columns or (), tuple(values)
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """All optimizer/engine feature toggles (ablation knobs)."""
@@ -147,9 +166,11 @@ class EngineConfig:
 
 @dataclass
 class QueryResult:
-    """Rows plus everything the experiments need to know about the run."""
+    """An answer — ``columns`` and one value tuple per row — plus
+    everything the experiments need to know about the run."""
 
-    rows: list[dict[str, Any]]
+    columns: tuple[str, ...]
+    values: tuple[tuple, ...]
     plan: PlanReport | None = None
     #: "miss" | "exact" | "subsumed" | "off"
     cache_outcome: str = "miss"
@@ -164,19 +185,25 @@ class QueryResult:
     #: (partial/missing remote details).
     degraded: bool = False
 
+    @cached_property
+    def rows(self) -> list[dict[str, Any]]:
+        """One dict per row, built on first access and kept."""
+        columns = self.columns
+        return [dict(zip(columns, values)) for values in self.values]
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.values)
 
     def column(self, name: str) -> list[Any]:
-        return [row.get(name) for row in self.rows]
+        return list(map(column_reader(self.columns, name), self.values))
 
     def scalar(self) -> Any:
         """The single value of a one-row, one-column result."""
-        if len(self.rows) != 1 or len(self.rows[0]) != 1:
+        if len(self.values) != 1 or len(self.columns) != 1:
             raise QueryError(
-                f"scalar() needs a 1x1 result, got {len(self.rows)} rows"
+                f"scalar() needs a 1x1 result, got {len(self.values)} rows"
             )
-        return next(iter(self.rows[0].values()))
+        return self.values[0][0]
 
 
 class QueryEngine:
@@ -297,7 +324,7 @@ class QueryEngine:
                            instrument=False)
         result.wall_time_s = timer.stop()
         metrics.histogram("query.wall_s").observe(result.wall_time_s)
-        metrics.counter("query.rows_returned").inc(len(result.rows))
+        metrics.counter("query.rows_returned").inc(len(result))
         return result
 
     def explain(self, query: Query | str) -> str:
@@ -354,26 +381,26 @@ class QueryEngine:
                 # The WHERE clause cannot be satisfied: answer without
                 # planning, scanning, resolving similarity filters, or
                 # any source round-trip.
-                from repro.analysis.dtql import empty_result_rows
+                from repro.analysis.dtql import empty_result
                 with WallTimer() as timer:
-                    rows = empty_result_rows(query)
+                    columns, values = empty_result(query)
                 span.set("provably_empty", True)
-                span.set("rows", len(rows))
+                span.set("rows", len(values))
                 metrics.counter("query.analysis_short_circuit").inc()
-                counters = {"rows_scanned": 0, "rows_emitted": len(rows),
+                counters = {"rows_scanned": 0, "rows_emitted": len(values),
                             "index_probes": 0, "operators": []}
                 if not instrument:
-                    return QueryResult(rows=rows, cache_outcome=missed,
+                    return QueryResult(columns, values, cache_outcome=missed,
                                        counters=counters)
                 # The report still renders the analysis trailer naming
                 # the contradicted predicates.
                 stats = OperatorStats("AnalysisEmpty(provably empty WHERE)")
-                stats.rows_out = len(rows)
+                stats.rows_out = len(values)
                 stats.loops = 1
                 return AnalyzeReport(
                     plan_text="",
                     operators=stats,
-                    rows=len(rows),
+                    rows=len(values),
                     wall_s=timer.elapsed_s,
                     virtual_s=0.0,
                     estimated_rows=0.0,
@@ -388,8 +415,9 @@ class QueryEngine:
             hit = self.cache.lookup(query, version) if caching else None
             if hit is not None and not instrument:
                 span.set("cache", hit.kind)
-                span.set("rows", len(hit.rows))
-                return QueryResult(rows=hit.rows, cache_outcome=hit.kind)
+                span.set("rows", len(hit.values))
+                return QueryResult(hit.columns, hit.values,
+                                   cache_outcome=hit.kind)
 
             resilient = (self.federation is not None
                          and self.federation.degrades(deadline))
@@ -423,11 +451,11 @@ class QueryEngine:
                                   else 0.0)
             with tracer.span("query.run") as run_span, \
                     WallTimer() as timer:
-                rows = list(physical.rows())
-                run_span.set("rows", len(rows))
+                columns, values = _drain(physical, choice.mode)
+                run_span.set("rows", len(values))
                 run_span.set("rows_scanned", counters.rows_scanned)
 
-            span.set("rows", len(rows))
+            span.set("rows", len(values))
             degraded = any(status != STATUS_FRESH
                            for status in statuses.values())
             if not instrument:
@@ -435,7 +463,7 @@ class QueryEngine:
                 # never upgrade a partial result to a future "fresh"
                 # hit.
                 if caching and not degraded:
-                    self.cache.store(query, rows, version)
+                    self.cache.store(query, columns, values, version)
                 if degraded:
                     span.set("degraded", True)
                     metrics.counter("query.degraded_results").inc()
@@ -444,7 +472,7 @@ class QueryEngine:
                     counters.rows_scanned
                 )
                 return QueryResult(
-                    rows=rows,
+                    columns, values,
                     plan=plan,
                     cache_outcome=missed,
                     counters=counters.snapshot(),
@@ -498,7 +526,7 @@ class QueryEngine:
             return AnalyzeReport(
                 plan_text=plan.explain(),
                 operators=operators,
-                rows=len(rows),
+                rows=len(values),
                 wall_s=timer.elapsed_s,
                 virtual_s=virtual_s,
                 estimated_rows=plan.estimated_rows,
@@ -610,9 +638,10 @@ class QueryEngine:
                         statuses: dict[str, str] | None):
         """Lower *node* on the engine the row rule picks for it.
 
-        Returns the operator (exposing ``rows()``, identical results
-        either way) and the :class:`EngineChoice`; *deadline* and
-        *statuses* reach ``RemoteFetchOp`` through the lowering.
+        Returns the operator (drained as batches or as rows, as the
+        choice's mode says; identical results either way) and the
+        :class:`EngineChoice`; *deadline* and *statuses* reach
+        ``RemoteFetchOp`` through the lowering.
         """
         if self.config.execution_mode == "row":
             choice = EngineChoice("row")

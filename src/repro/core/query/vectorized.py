@@ -14,7 +14,8 @@ projections, amortizing interpreter overhead across
   column's typed mirror; every other predicate (strings, ``IN``, the
   key-set membership test) runs its compiled closure on the list
   buffer. Values are gathered from the lists, so a batch holds the row
-  store's own objects — no row dicts exist until the plan's output;
+  store's own objects, and the plan's output leaves as value tuples
+  (``Batch.tuples``): no row dict exists unless a caller asks for one;
 * filters, projections, joins, sorts, and limits operate on
   :class:`Batch` objects (column name → value list);
 * aggregation folds a scan batch's typed slice where the column has a
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterator, Sequence
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import itemgetter
 from typing import Any
 
@@ -126,16 +127,16 @@ class Batch:
         }
         return Batch(self.order, taken, len(positions))
 
+    def tuples(self) -> Iterator[tuple]:
+        """The rows as value tuples in ``order``, ``()`` if it is empty."""
+        if not self.order:
+            return repeat((), self.length)
+        return zip(*[self.columns[name] for name in self.order])
+
     def iter_rows(self) -> Iterator[dict[str, Any]]:
-        """Materialize dict rows (the batch/row boundary)."""
+        """Dict rows, for the row operators that drain a batch one."""
         order = self.order
-        if not order:
-            for _ in range(self.length):
-                yield {}
-            return
-        buffers = [self.columns[name] for name in order]
-        for values in zip(*buffers):
-            yield dict(zip(order, values))
+        return (dict(zip(order, values)) for values in self.tuples())
 
     def __repr__(self) -> str:
         return f"Batch(rows={self.length}, columns={list(self.order)})"
@@ -155,9 +156,9 @@ class VectorOp:
 
     Mirrors :class:`~repro.core.query.physical.PhysicalOp`: registers
     itself in the shared counters' operator list and exposes ``rows()``
-    so any consumer of the row protocol (the executor's final
-    ``list(...)``, ``RemoteFetchOp``) can drain it without knowing
-    about batches.
+    so ``RemoteFetchOp``, the one row operator over a batch child, can
+    drain it without knowing about batches. The executor drains the
+    plan root's ``batches()`` into value tuples itself.
     """
 
     def __init__(self, counters: ExecCounters) -> None:
@@ -216,9 +217,7 @@ class InstrumentedVecOp:
             stats.rows_out += len(batch)
             yield batch
 
-    def rows(self) -> Iterator[dict[str, Any]]:
-        for batch in self.batches():
-            yield from batch.iter_rows()
+    rows = VectorOp.rows
 
 
 class RowSourceAdapterOp(VectorOp):

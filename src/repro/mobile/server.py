@@ -297,12 +297,12 @@ class DrugTreeServer:
                     payload["resilience"] = dict(result.resilience)
                 get_metrics().counter("mobile.degraded_responses").inc()
             message = full_message(payload)
-            span.set("rows", len(result.rows))
+            span.set("rows", len(result))
             span.set("wire_bytes", message.wire_bytes)
         return self._account("query", ServerResponse(
             message=message,
             server_wall_s=timer.elapsed_s,
-            payload_rows=len(result.rows),
+            payload_rows=len(result),
             status=status,
         ))
 

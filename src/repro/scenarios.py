@@ -261,10 +261,10 @@ def run_divergence_repair(dataset, engine: ClusterEngine,
         "SELECT protein_id, p_affinity FROM bindings "
         "ORDER BY p_affinity DESC LIMIT 10",
     ]
-    failures.extend(
-        f"parity mismatch: {dtql}" for dtql in checks
-        if single.execute(dtql).rows != engine.execute(dtql).rows
-    )
+    for dtql in checks:
+        want, got = single.execute(dtql), engine.execute(dtql)
+        if (want.columns, want.values) != (got.columns, got.values):
+            failures.append(f"parity mismatch: {dtql}")
     return {
         "victim": victim,
         "divergent_keys_before": before.divergent_keys,

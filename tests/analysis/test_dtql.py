@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import SemanticAnalyzer, Severity, empty_result_rows
+from repro.analysis import SemanticAnalyzer, Severity, empty_result
 from repro.core.query.ast import Comparison, Query
 from repro.core.query.parser import parse_query
 
@@ -357,32 +357,32 @@ class TestSpanParity:
 
 class TestEmptyResultRows:
     def test_plain_select_is_empty(self):
-        assert empty_result_rows(parse_query("SELECT * ")) == []
+        assert empty_result(parse_query("SELECT * ")) == ((), ())
 
     def test_scalar_count_is_zero(self):
-        rows = empty_result_rows(
+        rows = empty_result(
             parse_query("SELECT count(*) FROM bindings"))
-        assert rows == [{"count_all": 0}]
+        assert rows == (("count_all",), ((0,),))
 
     def test_other_scalar_aggregates_are_null(self):
-        rows = empty_result_rows(parse_query(
+        rows = empty_result(parse_query(
             "SELECT count(*), mean(p_affinity), max(value_nm) "
             "FROM bindings"))
-        assert rows == [{"count_all": 0, "mean_p_affinity": None,
-                         "max_value_nm": None}]
+        assert rows == (("count_all", "mean_p_affinity", "max_value_nm"),
+                        ((0, None, None),))
 
     def test_grouped_aggregates_have_no_groups(self):
-        rows = empty_result_rows(parse_query(
+        rows = empty_result(parse_query(
             "SELECT organism, count(*) FROM bindings, proteins "
             "GROUP BY organism"))
-        assert rows == []
+        assert rows == ((), ())
 
     def test_having_filters_the_empty_summary(self):
-        rows = empty_result_rows(parse_query(
+        rows = empty_result(parse_query(
             "SELECT count(*) FROM bindings HAVING count_all >= 1"))
-        assert rows == []
+        assert rows == ((), ())
 
     def test_having_satisfied_by_zero_count(self):
-        rows = empty_result_rows(parse_query(
+        rows = empty_result(parse_query(
             "SELECT count(*) FROM bindings HAVING count_all <= 5"))
-        assert rows == [{"count_all": 0}]
+        assert rows == (("count_all",), ((0,),))

@@ -1,5 +1,8 @@
 """Tests for substructure matching and the CONTAINING clause."""
 
+import functools
+from collections import Counter
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from repro.chem import (
     generate_library,
     parse_smiles,
 )
+from repro.chem.mol import Atom, MatchProfile, Molecule
 from repro.core import EngineConfig, NaiveEngine, QueryEngine
 from repro.errors import ChemError
 from repro.workloads import DatasetConfig, QueryGenerator, build_dataset
@@ -50,15 +54,21 @@ class TestMatching:
             SubstructurePattern("")
 
 
+@functools.cache
+def _library(count, seed):
+    """One generated library per (count, seed), shared by the examples."""
+    return generate_library(count, seed=seed)
+
+
 def _mapping_count(pattern, mol) -> int:
     """How many ways the pattern maps onto *mol*, automorphisms included."""
-    return sum(1 for _ in pattern._mappings(mol, []))
+    return pattern.count_mappings(mol)
 
 
-def _vf2_mapping_count(fragment, mol) -> int:
-    """The reference: networkx's VF2 monomorphisms under the documented
-    atom (element, aromaticity) and bond (aromatic flag, else order)
-    match rules."""
+def _vf2(fragment, mol):
+    """The reference: networkx's VF2 matcher of *fragment* in *mol*
+    under the documented atom (element, aromaticity) and bond (aromatic
+    flag, else order) match rules."""
     def typed(molecule):
         graph = nx.Graph()
         for atom in molecule.atoms:
@@ -73,11 +83,15 @@ def _vf2_mapping_count(fragment, mol) -> int:
             return pattern["aromatic"] == target["aromatic"]
         return pattern["order"] == target["order"]
 
-    matcher = nx.algorithms.isomorphism.GraphMatcher(
+    return nx.algorithms.isomorphism.GraphMatcher(
         typed(mol), typed(fragment),
         node_match=lambda target, pattern: target["kind"] == pattern["kind"],
         edge_match=bonds_match)
-    return sum(1 for _ in matcher.subgraph_monomorphisms_iter())
+
+
+def _vf2_mapping_count(fragment, mol) -> int:
+    """VF2's monomorphisms of *fragment* in *mol*, all of them."""
+    return sum(1 for _ in _vf2(fragment, mol).subgraph_monomorphisms_iter())
 
 
 class TestSearchAgainstVF2:
@@ -91,22 +105,44 @@ class TestSearchAgainstVF2:
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 79), st.sampled_from(FRAGMENTS))
     def test_property_mapping_count_equals_vf2(self, position, fragment):
-        mol = generate_library(80, seed=5)[position].molecule
+        mol = _library(80, 5)[position].molecule
         pattern = SubstructurePattern(fragment)
         want = _vf2_mapping_count(pattern.fragment, mol)
-        assert sum(1 for _ in pattern._mappings(mol, [])) == want
+        assert pattern.count_mappings(mol) == want
         assert pattern.matches(mol, screen=False) is (want > 0)
         assert pattern.matches(mol) is (want > 0)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 79), st.sampled_from(FRAGMENTS))
+    def test_property_matches_equals_vf2_early_exit(self, position,
+                                                    fragment):
+        """``matches`` stops at the first mapping; VF2's own early exit
+        (``subgraph_is_monomorphic``) is its oracle."""
+        mol = _library(80, 5)[position].molecule
+        pattern = SubstructurePattern(fragment)
+        want = _vf2(pattern.fragment, mol).subgraph_is_monomorphic()
+        assert pattern.matches(mol, screen=False) is want
+        assert pattern.matches(mol) is want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 79), st.sampled_from(FRAGMENTS),
+           st.integers(1, 5))
+    def test_property_a_limit_stops_the_count(self, position, fragment,
+                                              limit):
+        mol = _library(80, 5)[position].molecule
+        pattern = SubstructurePattern(fragment)
+        assert pattern.count_mappings(mol, limit=limit) \
+            == min(limit, pattern.count_mappings(mol))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 39), st.integers(0, 39))
     def test_property_whole_molecules_as_fragments(self, first, second):
         """Large, branched, fused-ring patterns: every library molecule
         searched for in every other."""
-        library = generate_library(40, seed=17)
+        library = _library(40, 17)
         pattern = SubstructurePattern(library[first].smiles)
         mol = library[second].molecule
-        assert (sum(1 for _ in pattern._mappings(mol, []))
+        assert (pattern.count_mappings(mol)
                 == _vf2_mapping_count(pattern.fragment, mol))
 
     def test_disconnected_fragment_needs_distinct_atoms(self):
@@ -131,6 +167,42 @@ class TestSearchAgainstVF2:
             parse_smiles("C1CC1")) == 6
 
 
+def _recomputed_profile(mol) -> MatchProfile:
+    """The profile derived afresh from the molecule's atoms, bonds and
+    rings, with nothing cached."""
+    bonds = tuple({} for _ in mol.atoms)
+    for bond in mol.bonds:
+        bonds[bond.first][bond.second] = bond
+        bonds[bond.second][bond.first] = bond
+    return MatchProfile(
+        bond_count=len(mol.bonds),
+        ring_count=len(mol.rings()),
+        aromatic_atoms=sum(atom.aromatic for atom in mol.atoms),
+        elements=Counter(atom.element for atom in mol.atoms),
+        kinds=tuple((atom.element, atom.aromatic) for atom in mol.atoms),
+        bonds=bonds)
+
+
+class TestProfile:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 79))
+    def test_property_cached_profile_equals_a_recomputed_one(self,
+                                                             position):
+        mol = _library(80, 5)[position].molecule
+        assert mol.match_profile() == _recomputed_profile(mol)
+
+    def test_built_once_and_kept(self):
+        mol = parse_smiles("c1ccncc1CC(=O)O")
+        assert mol.match_profile() is mol.match_profile()
+        assert mol.match_profile().kinds[3] == ("N", True)
+
+    def test_an_unfrozen_molecule_has_none(self):
+        mol = Molecule()
+        mol.add_atom(Atom("C"))
+        with pytest.raises(ChemError):
+            mol.match_profile()
+
+
 class TestScreen:
     def test_screen_prunes_impossible(self):
         pattern = SubstructurePattern("c1ccncc1")  # needs aromatic N
@@ -142,14 +214,14 @@ class TestScreen:
            st.sampled_from(["c1ccccc1", "C(=O)O", "C1CCNCC1", "CCN"]))
     def test_property_screen_is_sound(self, position, fragment):
         """The screen must never discard a true match."""
-        library = generate_library(60, seed=90)
+        library = _library(60, 90)
         pattern = SubstructurePattern(fragment)
         mol = library[position].molecule
         if pattern.matches(mol, screen=False):
             assert pattern.screen(mol)
 
     def test_filter_library_counts_screened(self):
-        library = generate_library(40, seed=12)
+        library = _library(40, 12)
         molecules = {lig.ligand_id: lig.molecule for lig in library}
         pattern = SubstructurePattern("c1ccccc1")
         matches, screened = filter_library(pattern, molecules)

@@ -42,15 +42,25 @@ def _rows():
     ]
 
 
+def _store(cache, query, rows, version):
+    """Store dict *rows* in the engine's result form."""
+    columns = tuple(rows[0]) if rows else ()
+    cache.store(query, columns, [tuple(row.values()) for row in rows],
+                version)
+
+
+def _rows_of(hit):
+    return [dict(zip(hit.columns, values)) for values in hit.values]
+
+
 class TestExactHits:
-    def test_exact_hit_returns_copy(self, cache):
+    def test_exact_hit_returns_the_stored_answer(self, cache):
         query = Query(predicates=(Comparison("p_affinity", ">=", 6.0),))
-        cache.store(query, _rows(), 0)
+        _store(cache, query, _rows(), 0)
         hit = cache.lookup(query, 0)
         assert hit is not None
         assert hit.kind == "exact"
-        hit.rows.clear()
-        assert cache.lookup(query, 0).rows  # stored copy untouched
+        assert _rows_of(hit) == _rows()
 
     def test_miss_on_empty_cache(self, cache):
         assert cache.lookup(Query(), 0) is None
@@ -58,69 +68,69 @@ class TestExactHits:
 
     def test_aggregate_queries_exact_only(self, cache):
         aggregate = Query(aggregates=(AggregateSpec("count", "*"),))
-        cache.store(aggregate, [{"count_all": 3}], 0)
+        _store(cache, aggregate, [{"count_all": 3}], 0)
         assert cache.lookup(aggregate, 0).kind == "exact"
 
 
 class TestSubsumption:
     def test_tighter_predicate_served_from_broader_result(self, cache):
         broad = Query(predicates=(Comparison("p_affinity", ">=", 6.0),))
-        cache.store(broad, _rows(), 0)
+        _store(cache, broad, _rows(), 0)
         narrow = Query(predicates=(Comparison("p_affinity", ">=", 8.0),))
         hit = cache.lookup(narrow, 0)
         assert hit is not None
         assert hit.kind == "subsumed"
-        assert [row["ligand_id"] for row in hit.rows] == ["L3"]
+        assert [row["ligand_id"] for row in _rows_of(hit)] == ["L3"]
 
     def test_extra_predicate_is_applied(self, cache):
-        cache.store(Query(), _rows(), 0)
+        _store(cache, Query(), _rows(), 0)
         narrowed = Query(predicates=(
             Comparison("activity_type", "=", "Kd"),
         ))
         hit = cache.lookup(narrowed, 0)
         assert hit.kind == "subsumed"
-        assert len(hit.rows) == 1
+        assert len(_rows_of(hit)) == 1
 
     def test_child_subtree_served_from_parent_subtree(self, cache):
         parent = Query(subtree=SubtreeFilter("cde"))
-        cache.store(parent, _rows()[1:], 0)  # rows under cde
+        _store(cache, parent, _rows()[1:], 0)  # rows under cde
         child = Query(subtree=SubtreeFilter("cd"))
         hit = cache.lookup(child, 0)
         assert hit is not None
-        assert {row["protein_id"] for row in hit.rows} == {"c", "d"}
+        assert {row["protein_id"] for row in _rows_of(hit)} == {"c", "d"}
 
     def test_parent_subtree_not_served_from_child(self, cache):
-        cache.store(Query(subtree=SubtreeFilter("cd")), _rows()[1:], 0)
+        _store(cache, Query(subtree=SubtreeFilter("cd")), _rows()[1:], 0)
         assert cache.lookup(Query(subtree=SubtreeFilter("cde")), 0) is None
 
     def test_unrelated_subtrees_do_not_subsume(self, cache):
-        cache.store(Query(subtree=SubtreeFilter("ab")), _rows()[:1], 0)
+        _store(cache, Query(subtree=SubtreeFilter("ab")), _rows()[:1], 0)
         assert cache.lookup(Query(subtree=SubtreeFilter("cd")), 0) is None
 
     def test_looser_query_not_served_from_tighter(self, cache):
-        cache.store(
-            Query(predicates=(Comparison("p_affinity", ">=", 8.0),)),
+        _store(
+            cache, Query(predicates=(Comparison("p_affinity", ">=", 8.0),)),
             [_rows()[2]], 0,
         )
         loose = Query(predicates=(Comparison("p_affinity", ">=", 6.0),))
         assert cache.lookup(loose, 0) is None
 
     def test_projection_applied_on_hit(self, cache):
-        cache.store(Query(), _rows(), 0)
+        _store(cache, Query(), _rows(), 0)
         projected = Query(select=("ligand_id",))
         hit = cache.lookup(projected, 0)
-        assert hit.rows[0] == {"ligand_id": "L1"}
+        assert _rows_of(hit)[0] == {"ligand_id": "L1"}
 
     def test_order_and_limit_applied_on_hit(self, cache):
-        cache.store(Query(), _rows(), 0)
+        _store(cache, Query(), _rows(), 0)
         query = Query(
             order_by=OrderBy("p_affinity", descending=True), limit=2,
         )
         hit = cache.lookup(query, 0)
-        assert [row["ligand_id"] for row in hit.rows] == ["L3", "L1"]
+        assert [row["ligand_id"] for row in _rows_of(hit)] == ["L3", "L1"]
 
     def test_limited_results_never_subsume(self, cache):
-        cache.store(Query(limit=2), _rows()[:2], 0)
+        _store(cache, Query(limit=2), _rows()[:2], 0)
         narrow = Query(
             predicates=(Comparison("p_affinity", ">=", 6.0),), limit=2,
         )
@@ -128,8 +138,8 @@ class TestSubsumption:
         assert cache.lookup(narrow, 0) is None
 
     def test_projected_results_never_subsume(self, cache):
-        cache.store(Query(select=("ligand_id",)),
-                    [{"ligand_id": "L1"}], 0)
+        _store(cache, Query(select=("ligand_id",)),
+               [{"ligand_id": "L1"}], 0)
         assert cache.lookup(
             Query(predicates=(Comparison("ligand_id", "=", "L1"),)), 0,
         ) is None
@@ -138,15 +148,15 @@ class TestSubsumption:
 class TestLifecycle:
     def test_lru_eviction(self, cache):
         for i in range(10):
-            cache.store(
-                Query(predicates=(Comparison("hbd", "=", i),)), [], 0,
+            _store(
+                cache, Query(predicates=(Comparison("hbd", "=", i),)), [], 0,
             )
         assert len(cache) == 8
 
     def test_invalidate_clears_everything(self, cache):
         # A lookup carrying a newer data version empties the cache.
-        cache.store(Query(), _rows(), 0)
-        cache.store(Query(limit=1), _rows()[:1], 0)
+        _store(cache, Query(), _rows(), 0)
+        _store(cache, Query(limit=1), _rows()[:1], 0)
         assert cache.lookup(Query(), 1) is None
         assert len(cache) == 0
         assert cache.invalidations == 1
@@ -154,15 +164,15 @@ class TestLifecycle:
         assert cache.invalidations == 1  # one version move, counted once
 
     def test_a_newer_store_empties_the_cache(self, cache):
-        cache.store(Query(), _rows(), 0)
-        cache.store(Query(limit=1), _rows()[:1], 1)
+        _store(cache, Query(), _rows(), 0)
+        _store(cache, Query(limit=1), _rows()[:1], 1)
         assert cache.lookup(Query(), 1) is None
         assert cache.lookup(Query(limit=1), 1).kind == "exact"
         assert cache.invalidations == 1
 
     def test_a_store_carrying_an_older_version_is_dropped(self, cache):
         assert cache.lookup(Query(), 1) is None
-        cache.store(Query(), _rows(), 0)  # computed before the write
+        _store(cache, Query(), _rows(), 0)  # computed before the write
         assert len(cache) == 0
         assert cache.lookup(Query(), 1) is None
 
@@ -173,7 +183,7 @@ class TestLifecycle:
 
     def test_hit_rate_accounting(self, cache):
         query = Query()
-        cache.store(query, _rows(), 0)
+        _store(cache, query, _rows(), 0)
         cache.lookup(query, 0)
         cache.lookup(Query(predicates=(Comparison("potent", "=", True),)), 0)
         stats = cache.stats()
@@ -199,27 +209,19 @@ def _exact_only(i):
 
 class TestRowsAreNeverShared:
     def test_a_store_keeps_its_own_copy(self, cache):
-        rows = _rows()
-        cache.store(Query(limit=3), rows, 0)
-        rows[0]["p_affinity"] = -1.0
-        assert cache.lookup(Query(limit=3), 0).rows == _rows()
+        values = [tuple(row.values()) for row in _rows()]
+        cache.store(Query(limit=3), tuple(_rows()[0]), values, 0)
+        values.append(values[0])
+        assert _rows_of(cache.lookup(Query(limit=3), 0)) == _rows()
 
-    def test_an_exact_hit_hands_out_copies(self, cache):
-        cache.store(Query(limit=3), _rows(), 0)
-        cache.lookup(Query(limit=3), 0).rows[0]["p_affinity"] = -1.0
-        assert cache.lookup(Query(limit=3), 0).rows == _rows()
-
-    def test_a_hit_keeps_every_row_s_column_order(self, cache):
-        # Packed as one column tuple when the rows share an order,
-        # kept as dicts when they do not: either way, as stored.
-        for rows in (_rows(),
-                     [{"ligand_id": "L1", "p_affinity": 7.5},
-                      {"p_affinity": 6.0, "ligand_id": "L2"}]):
-            cache.store(Query(limit=9), rows, 0)
-            hit = cache.lookup(Query(limit=9), 0)
-            assert hit.rows == rows
-            assert [list(row) for row in hit.rows] \
-                == [list(row) for row in rows]
+    def test_an_exact_hit_hands_out_the_frozen_entry(self, cache):
+        # Tuples all the way down: nothing a caller could mutate, so
+        # every hit gets the one stored object and no copy.
+        _store(cache, Query(limit=3), _rows(), 0)
+        hit = cache.lookup(Query(limit=3), 0)
+        assert type(hit.values) is tuple
+        assert all(type(values) is tuple for values in hit.values)
+        assert cache.lookup(Query(limit=3), 0).values is hit.values
 
     def test_mutating_an_engine_result_leaves_the_next_hit_intact(self):
         dataset = build_dataset(DatasetConfig(n_leaves=12, n_ligands=12,
@@ -241,8 +243,8 @@ class ScanEveryEntry(SemanticCache):
     """Planted: every entry joins the subsumer map, so a miss tests
     them all (answers stay right: ``_subsumes`` still rejects them)."""
 
-    def store(self, query, rows, version):
-        super().store(query, rows, version)
+    def store(self, query, columns, values, version):
+        super().store(query, columns, values, version)
         with self._lock:
             if query.signature() in self._entries:
                 self._subsumers[query.signature()] = query
@@ -251,9 +253,9 @@ class ScanEveryEntry(SemanticCache):
 def assert_a_miss_tests_only_subsumers(cache_class, labeling,
                                        monkeypatch):
     cache = cache_class(labeling, capacity=2000)
-    cache.store(BROAD, _rows(), 0)
+    _store(cache, BROAD, _rows(), 0)
     for i in range(1000):
-        cache.store(_exact_only(i), [{"count_all": i}], 0)
+        _store(cache, _exact_only(i), [{"count_all": i}], 0)
     calls = []
     subsumes = SemanticCache._subsumes
 
@@ -271,14 +273,15 @@ class TestSubsumerMap:
     def test_a_subsumer_is_found_behind_a_thousand_exact_entries(
             self, cache):
         big = SemanticCache(cache.labeling, capacity=2000)
-        big.store(BROAD, _rows(), 0)
+        _store(big, BROAD, _rows(), 0)
         for i in range(1000):
-            big.store(_exact_only(i), [{"count_all": i}], 0)
+            _store(big, _exact_only(i), [{"count_all": i}], 0)
         assert len(big) == 1001
         hit = big.lookup(NARROW, 0)
         assert hit.kind == "subsumed"
-        assert [row["ligand_id"] for row in hit.rows] == ["L3"]
-        assert big.lookup(_exact_only(999), 0).rows == [{"count_all": 999}]
+        assert [row["ligand_id"] for row in _rows_of(hit)] == ["L3"]
+        assert _rows_of(big.lookup(_exact_only(999), 0)) \
+            == [{"count_all": 999}]
 
     def test_a_miss_tests_only_the_subsumers(self, cache, monkeypatch):
         assert_a_miss_tests_only_subsumers(SemanticCache, cache.labeling,
@@ -291,25 +294,25 @@ class TestSubsumerMap:
                 ScanEveryEntry, cache.labeling, monkeypatch)
 
     def test_lru_eviction_empties_both_maps(self, cache):
-        cache.store(BROAD, _rows(), 0)
+        _store(cache, BROAD, _rows(), 0)
         for i in range(8):
-            cache.store(_exact_only(i), [{"count_all": i}], 0)
+            _store(cache, _exact_only(i), [{"count_all": i}], 0)
         assert len(cache) == 8
         assert not cache._subsumers
         assert cache.lookup(NARROW, 0) is None
 
     def test_a_hit_keeps_a_subsumer_from_eviction(self, cache):
-        cache.store(BROAD, _rows(), 0)
+        _store(cache, BROAD, _rows(), 0)
         for i in range(7):
-            cache.store(_exact_only(i), [{"count_all": i}], 0)
+            _store(cache, _exact_only(i), [{"count_all": i}], 0)
         assert cache.lookup(NARROW, 0).kind == "subsumed"  # touches BROAD
-        cache.store(_exact_only(7), [{"count_all": 7}], 0)
+        _store(cache, _exact_only(7), [{"count_all": 7}], 0)
         assert cache.lookup(_exact_only(0), 0) is None  # the oldest went
         assert list(cache._subsumers) == [BROAD.signature()]
 
     def test_a_restamp_empties_both_maps(self, cache):
-        cache.store(BROAD, _rows(), 0)
-        cache.store(_exact_only(0), [{"count_all": 0}], 0)
+        _store(cache, BROAD, _rows(), 0)
+        _store(cache, _exact_only(0), [{"count_all": 0}], 0)
         assert cache.lookup(NARROW, 1) is None
         assert len(cache) == 0
         assert not cache._subsumers
@@ -325,8 +328,8 @@ class TestSignature:
 
 
 def derive_rowwise(labeling, rows, query):
-    """Subsumption one row dict at a time: the derivation the packed
-    one replaced, kept verbatim in behaviour."""
+    """Subsumption one row dict at a time: the derivation the one over
+    value tuples replaced, kept verbatim in behaviour."""
     residual = compile_residual(query.predicates)
     out = [row for row in rows if residual(row)]
     if query.subtree is not None:
@@ -375,31 +378,25 @@ class TestDerivedEqualsExecuted:
         assert rows and len({tuple(row) for row in rows}) == 1
         return drugtree, engine, rows
 
-    @pytest.mark.parametrize("form", ["packed", "dicts"])
-    def test_every_narrowing(self, world, form):
+    def test_every_narrowing(self, world):
         drugtree, engine, rows = world
-        if form == "dicts":  # rows whose columns share no one order
-            rows = [dict(reversed(row.items())) if i % 2 else row
-                    for i, row in enumerate(rows)]
         cache = SemanticCache(drugtree.labeling)
-        cache.store(BROAD_ENTRY, rows, 0)
-        columns, _ = cache._entries[BROAD_ENTRY.signature()]
-        assert (columns is None) == (form == "dicts")
+        _store(cache, BROAD_ENTRY, rows, 0)
         for query in narrowings(drugtree):
             hit = cache.lookup(query, 0)
             assert hit.kind == "subsumed", query
             want = derive_rowwise(drugtree.labeling, rows, query)
-            assert hit.rows == want, query
-            assert [list(row) for row in hit.rows] \
+            assert _rows_of(hit) == want, query
+            assert [list(row) for row in _rows_of(hit)] \
                 == [list(row) for row in want]
             executed = engine.execute(query).rows
-            assert len(hit.rows) == len(executed), query
+            assert len(_rows_of(hit)) == len(executed), query
             column = query.order_by and query.order_by.column
             if column in (query.select or rows[0]):
-                assert [row[column] for row in hit.rows] \
+                assert [row[column] for row in _rows_of(hit)] \
                     == [row[column] for row in executed], query
             if query.limit is None:
-                assert _multiset(hit.rows) == _multiset(executed), query
+                assert _multiset(_rows_of(hit)) == _multiset(executed), query
 
 
 def _multiset(rows):

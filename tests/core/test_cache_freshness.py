@@ -85,8 +85,8 @@ class VersionBlindCache(SemanticCache):
     """Planted bug: ``store`` files every answer under the newest
     version the cache has seen, not the one its lookup carried."""
 
-    def store(self, query, rows, version):
-        super().store(query, rows, self._version)
+    def store(self, query, columns, values, version):
+        super().store(query, columns, values, self._version)
 
 
 def test_planted_version_blind_store_fails_the_replay():

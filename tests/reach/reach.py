@@ -194,6 +194,7 @@ def entry_points() -> list[EntryPoint]:
                                  "--json"], 0),
             ("module", "repro", ["recover", "@D", "--json"], 0),
             ("module", "repro", ["info"], 0)]),
+        EntryPoint("ci export", [("module", "repro", ["export", "@D"], 0)]),
         _cli("ci lint", "lint", "src/"),
         _cli("ci race", "race", "src/"),
         _cli("ci check", "check", "--file", "docs/DTQL.md"),
