@@ -754,7 +754,7 @@ def _ensure_durable_world(args: argparse.Namespace) -> None:
     drugtree.close()
 
 
-_LEVEL_KEYS = ["level", "segments", "keys", "tombstones", "bytes"]
+_LEVEL_KEYS = ["level", "segments", "keys", "bytes"]
 
 
 def _cmd_compact(args: argparse.Namespace) -> tuple[dict, int]:
@@ -766,12 +766,7 @@ def _cmd_compact(args: argparse.Namespace) -> tuple[dict, int]:
     database.compact()
     after = database.level_stats()
     database.close()
-    return {
-        "before": before,
-        "after": after,
-        "tombstones_collected": int(obs.get_metrics().counter_values().get(
-            "lsm.tombstones_collected", 0)),
-    }, 0
+    return {"before": before, "after": after}, 0
 
 
 def _text_compact(payload: dict, args: argparse.Namespace) -> None:
@@ -780,8 +775,7 @@ def _text_compact(payload: dict, args: argparse.Namespace) -> None:
     print(_table(_LEVEL_KEYS, after, "\nAfter", keys=_LEVEL_KEYS))
     print(f"-- major compaction: "
           f"{sum(r['segments'] for r in before)} segment(s) -> "
-          f"{sum(r['segments'] for r in after)}, "
-          f"{payload['tombstones_collected']} tombstone(s) collected")
+          f"{sum(r['segments'] for r in after)}")
 
 
 def _cmd_recover(args: argparse.Namespace) -> tuple[dict, int]:
@@ -809,7 +803,7 @@ def _text_recover(payload: dict, args: argparse.Namespace) -> None:
           f"{report['wal_records']} WAL record(s) replayed, "
           f"{report['torn_bytes']} torn byte(s) truncated, "
           f"{report['orphans_removed']} orphan(s) removed")
-    keys = ["id", "level", "keys", "tombstones", "bytes"]
+    keys = ["id", "level", "keys", "bytes"]
     print(_table(keys, payload["segments"], "Segments", keys=keys))
     print(_table(["table", "rows"], sorted(payload["tables"].items()),
                  "\nRestored overlay"))

@@ -99,10 +99,8 @@ class DrugTree:
         if self.database is not None:
             # Recovery: replay the committed store into the fresh overlay.
             with get_tracer().span("durable.recover.overlay") as span:
-                rows, watermarks = self.database.committed_tables()
+                rows = self.database.committed_tables(self.tables)
                 span.set("rows", self.load_rows(rows))
-                for name, watermark in watermarks.items():
-                    self.tables[name].bump_next_row_id(watermark)
 
     def load_rows(self, rows: Mapping[str, Iterable[tuple[int, tuple]]],
                   ) -> int:

@@ -14,10 +14,9 @@ from repro.storage.durable.db import (
     RecoveryReport,
     SegmentInfo,
     StorageConfig,
-    meta_key,
     row_key,
 )
-from repro.storage.durable.memtable import TOMBSTONE, MemTable
+from repro.storage.durable.memtable import MemTable
 from repro.storage.durable.sstable import SSTableReader, write_sstable
 from repro.storage.durable.wal import WriteAheadLog
 
@@ -29,9 +28,7 @@ __all__ = [
     "SSTableReader",
     "SegmentInfo",
     "StorageConfig",
-    "TOMBSTONE",
     "WriteAheadLog",
-    "meta_key",
     "row_key",
     "write_sstable",
 ]

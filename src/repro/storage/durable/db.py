@@ -8,16 +8,14 @@ a single data directory::
         wal.log           # CRC-framed records since the last flush
         seg-000001.sst    # immutable sorted segments, one per flush
 
-Write path: a mutation is framed into the WAL *first* (group commit
-and fsync policy per :class:`StorageConfig`), then applied to the
+Write path: a put is framed into the WAL *first* (group commit and
+fsync policy per :class:`StorageConfig`), then applied to the
 memtable; once the memtable passes ``memtable_flush_bytes`` it is
 written as a level-0 SSTable, the manifest is swapped atomically
 (``tmp`` + ``os.replace``), and the WAL resets. Flushes only append:
 overlay rows are written once each, so merging segments would reclaim
 nothing. Only :meth:`Database.compact` (``repro compact``) merges, level
-by level into one segment; tombstones are garbage-collected only when a
-merge lands on the bottom level (below which no older version of any
-key can hide).
+by level into one segment.
 
 A :class:`~repro.faults.Crash` in the schedule installed with
 :meth:`Database.set_schedule` kills the store at its crash point (see
@@ -33,25 +31,26 @@ survives.
 Keys are strings. Overlay rows use ``t/<table>/<row_id:012d>`` (zero
 padding makes lexicographic order equal numeric row-id order) with the
 row tuple JSON-encoded — floats round-trip bit-exactly through
-``repr``. Overlay tables only append, so their adapter writes puts
-only. A directory written while tables could still drop rows holds row
-tombstones and ``m/<table>/rowid``, the table's next-row-id watermark,
-logged with each tombstone so that tombstone GC can never regress
-row-id assignment. Recovery reads both.
+``repr``. Overlay tables only append, so the store holds puts only.
+What a directory written while tables could still drop rows holds
+beyond that (a tombstone in a segment, a ``"del"`` WAL record, an
+``m/<table>/rowid`` watermark) is a format no longer read: recovery
+refuses it with a :class:`~repro.errors.StorageError` naming the file
+or key.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import StorageError
 from repro.faults import CrashPoint, FaultSchedule
 from repro.obs import get_metrics, get_tracer
-from repro.storage.durable.memtable import TOMBSTONE, MemTable
+from repro.storage.durable.memtable import MemTable
 from repro.storage.durable.sstable import (
     JSON_DECODER,
     JSON_ENCODER,
@@ -87,10 +86,6 @@ def row_key(table: str, row_id: int) -> str:
     return f"t/{table}/{row_id:012d}"
 
 
-def meta_key(table: str) -> str:
-    return f"m/{table}/rowid"
-
-
 @dataclass
 class SegmentInfo:
     """One manifest-adopted SSTable."""
@@ -106,7 +101,6 @@ class SegmentInfo:
             "level": self.level,
             "file": self.file,
             "keys": self.reader.count,
-            "tombstones": self.reader.tombstones,
             "bytes": self.reader.size_bytes,
             "min_key": self.reader.min_key,
             "max_key": self.reader.max_key,
@@ -132,7 +126,7 @@ class RecoveryReport:
 
 
 def _merge(segments: list[SegmentInfo]) -> dict[str, Any]:
-    """Every key of *segments* and its newest value (or TOMBSTONE).
+    """Every key of *segments* and its newest value.
 
     Reads the segments oldest-to-newest: deepest level first, then by
     segment id. A compaction merges a level into the one below it
@@ -160,8 +154,6 @@ class Database:
         self.next_segment_id = 1
         self.memtable = MemTable()
         self.recovery = RecoveryReport()
-        self.compactions = 0
-        self.tombstones_collected = 0
         #: Open :meth:`batch` groups; the outermost one commits.
         self._batch_depth = 0
         self._closed = False
@@ -231,14 +223,17 @@ class Database:
                         and name not in adopted:
                     os.remove(os.path.join(self.data_dir, name))
                     self.recovery.orphans_removed += 1
-            payloads, torn = WriteAheadLog.replay(
-                os.path.join(self.data_dir, WAL_NAME)
-            )
+            wal_path = os.path.join(self.data_dir, WAL_NAME)
+            payloads, torn = WriteAheadLog.replay(wal_path)
             for payload in payloads:
                 record = JSON_DECODER.decode(payload.decode("utf-8"))
-                value = (TOMBSTONE if record["op"] == "del"
-                         else record["value"])
-                self.memtable.put(record["key"], value, len(payload))
+                if record["op"] != "put":
+                    raise StorageError(
+                        f"WAL {wal_path!r} holds a {record['op']!r} record "
+                        f"for key {record.get('key')!r}: a format no "
+                        f"longer read, since the store holds puts only")
+                self.memtable.put(record["key"], record["value"],
+                                  len(payload))
             self.recovery.segments = len(self.segments)
             self.recovery.wal_records = len(payloads)
             self.recovery.torn_bytes = torn
@@ -265,17 +260,11 @@ class Database:
     # -- write path --------------------------------------------------------
 
     def put(self, key: str, value: Any) -> None:
-        self._log({"op": "put", "key": key, "value": value})
-
-    def delete(self, key: str) -> None:
-        self._log({"op": "del", "key": key})
-
-    def _log(self, record: dict[str, Any]) -> None:
-        payload = JSON_ENCODER.encode(record).encode("utf-8")
+        payload = JSON_ENCODER.encode(
+            {"op": "put", "key": key, "value": value}).encode("utf-8")
         in_batch = self._batch_depth > 0
         self.wal.append(payload, defer_sync=in_batch)
-        value = TOMBSTONE if record["op"] == "del" else record["value"]
-        self.memtable.put(record["key"], value, len(payload))
+        self.memtable.put(key, value, len(payload))
         get_metrics().gauge("memtable.bytes").set(self.memtable.bytes)
         self._crash("db.after_append")
         if not in_batch \
@@ -310,33 +299,36 @@ class Database:
     # -- read path ---------------------------------------------------------
 
     def scan(self) -> Iterator[tuple[str, Any]]:
-        """Every live ``(key, value)`` pair, in key order.
+        """Every ``(key, value)`` pair, in key order.
 
         Merges segments oldest-to-newest, then the memtable, so the
-        newest version of each key wins; tombstoned keys are dropped.
-        Each segment is read once, whole.
+        newest version of each key wins. Each segment is read once,
+        whole.
         """
         merged = _merge(self.segments)
         merged.update(self.memtable.items())
         for key in sorted(merged):
-            value = merged[key]
-            if value is not TOMBSTONE:
-                yield key, value
+            yield key, merged[key]
 
-    def committed_tables(self) -> tuple[
-            dict[str, list[tuple[int, tuple[Any, ...]]]], dict[str, int]]:
-        """Each table's committed ``(row_id, row)`` pairs in ascending
-        row id, and each table's row-id watermark, from one
-        :meth:`scan` — what recovery hands the overlay."""
+    def committed_tables(self, tables: Collection[str],
+                         ) -> dict[str, list[tuple[int, tuple[Any, ...]]]]:
+        """Each of *tables*' committed ``(row_id, row)`` pairs in
+        ascending row id, from one :meth:`scan` — what recovery hands
+        the overlay. A key that is not ``t/<table>/<row id>`` of one of
+        *tables* (an ``m/`` row-id watermark among them) raises
+        :class:`~repro.errors.StorageError`: no row is dropped."""
         rows: dict[str, list[tuple[int, tuple[Any, ...]]]] = {}
-        watermarks: dict[str, int] = {}
         for key, value in self.scan():
-            kind, table, rest = key.split("/", 2)
-            if kind == "t":
-                rows.setdefault(table, []).append((int(rest), tuple(value)))
-            elif kind == "m":
-                watermarks[table] = int(value)
-        return rows, watermarks
+            parts = key.split("/")
+            if len(parts) != 3 or parts[0] != "t" \
+                    or parts[1] not in tables or not parts[2].isdecimal():
+                raise StorageError(
+                    f"store {self.data_dir!r} holds key {key!r}, not a row "
+                    f"of {sorted(tables)}: a format no longer read, or "
+                    f"another program's store")
+            rows.setdefault(parts[1], []).append(
+                (int(parts[2]), tuple(value)))
+        return rows
 
     # -- flush & compaction ------------------------------------------------
 
@@ -374,56 +366,32 @@ class Database:
         return segment
 
     def compact_level(self, level: int) -> SegmentInfo | None:
-        """Merge all of *level* and *level + 1* into one new segment.
-
-        Tombstones are dropped only when the output becomes the
-        bottom-most level — below it no older segment can still hold a
-        value the tombstone must keep shadowing.
-        """
+        """Merge all of *level* and *level + 1* into one new segment."""
         merging = [s for s in self.segments
                    if s.level in (level, level + 1)]
         if not merging:
             return None
-        bottom = all(s.level <= level + 1 for s in self.segments)
         tracer = get_tracer()
         with tracer.span("durable.compact", level=level,
                          inputs=len(merging)) as span:
-            merged = _merge(merging)
-            items = []
-            dropped = 0
-            for key in sorted(merged):
-                value = merged[key]
-                if value is TOMBSTONE and bottom:
-                    dropped += 1
-                    continue
-                items.append((key, value))
+            segment = self._write_segment(
+                sorted(_merge(merging).items()), level=level + 1)
             survivors = [s for s in self.segments if s not in merging]
-            if items:
-                segment = self._write_segment(items, level=level + 1)
-            else:
-                segment = None
             self._crash("compact.before_manifest")
-            self.segments = survivors + ([segment] if segment else [])
+            self.segments = survivors + [segment]
             self._write_manifest()
             for old in merging:
                 os.remove(os.path.join(self.data_dir, old.file))
-            self.compactions += 1
-            self.tombstones_collected += dropped
-            metrics = get_metrics()
-            metrics.counter("lsm.compactions").inc()
-            metrics.counter("lsm.tombstones_collected").inc(dropped)
-            span.set("output", segment.file if segment else None)
-            span.set("tombstones_dropped", dropped)
+            get_metrics().counter("lsm.compactions").inc()
+            span.set("output", segment.file)
         self._publish_gauges()
         return segment
 
     def compact(self) -> None:
-        """Major compaction: everything into one tombstone-free segment."""
+        """Major compaction: everything into one segment."""
         self.flush()
         while len(self.segments) > 1:
             self.compact_level(min(s.level for s in self.segments))
-        if self.segments and self.segments[0].reader.tombstones:
-            self.compact_level(self.segments[0].level)
 
     def _publish_gauges(self) -> None:
         metrics = get_metrics()
@@ -444,11 +412,10 @@ class Database:
         for segment in self.segments:
             stats = levels.setdefault(
                 segment.level,
-                {"segments": 0, "keys": 0, "tombstones": 0, "bytes": 0},
+                {"segments": 0, "keys": 0, "bytes": 0},
             )
             stats["segments"] += 1
             stats["keys"] += segment.reader.count
-            stats["tombstones"] += segment.reader.tombstones
             stats["bytes"] += segment.reader.size_bytes
         return [{"level": level, **stats}
                 for level, stats in sorted(levels.items())]
@@ -480,7 +447,7 @@ class DurableTableAdapter:
     state (write-ahead order); tables only append, so that is the
     adapter's one write. Recovery goes through the store, not the
     adapter: :meth:`Database.committed_tables` hands the DrugTree every
-    table's rows and watermark at once.
+    table's rows at once.
     """
 
     def __init__(self, database: Database, table_name: str) -> None:

@@ -1,11 +1,8 @@
 """The mutable in-memory head of the LSM tree.
 
-A :class:`MemTable` absorbs every WAL-logged mutation until it grows
-past the flush threshold, at which point the database writes its
-entries — sorted, tombstones included — into an immutable SSTable and
-starts a fresh one. Deletes are recorded as :data:`TOMBSTONE` markers
-rather than removals, because the deleted key may live on in an older
-segment that only a compaction can forget.
+A :class:`MemTable` absorbs every WAL-logged put until it grows past
+the flush threshold, at which point the database writes its entries,
+sorted, into an immutable SSTable and starts a fresh one.
 """
 
 from __future__ import annotations
@@ -13,21 +10,8 @@ from __future__ import annotations
 from typing import Any
 
 
-class _Tombstone:
-    """Sentinel marking a deleted key (singleton :data:`TOMBSTONE`)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "TOMBSTONE"
-
-
-#: The delete marker stored in memtables and SSTables.
-TOMBSTONE = _Tombstone()
-
-
 class MemTable:
-    """Key → value map with tombstones and approximate byte accounting."""
+    """Key → value map with approximate byte accounting."""
 
     def __init__(self) -> None:
         self._entries: dict[str, Any] = {}
@@ -38,7 +22,7 @@ class MemTable:
         return len(self._entries)
 
     def put(self, key: str, value: Any, size: int) -> None:
-        """Record *value* (or :data:`TOMBSTONE`) under *key*.
+        """Record *value* under *key*.
 
         *size* is the encoded payload size the WAL just wrote — close
         enough for the flush threshold without re-serializing here.
@@ -48,7 +32,7 @@ class MemTable:
         self._entries[key] = value
 
     def items(self):
-        """Every ``(key, value-or-TOMBSTONE)``, in insertion order."""
+        """Every ``(key, value)``, in insertion order."""
         return self._entries.items()
 
     def items_sorted(self) -> list[tuple[str, Any]]:

@@ -4,18 +4,19 @@ File layout::
 
     entry*  footer-json  footer-length:u64
 
-Each entry is ``flag:u8 · key_len:u32 · value_len:u32 · key · value``;
-``flag`` 1 marks a tombstone (no value bytes). Entries are written in
-key order. The JSON footer carries ``min_key`` / ``max_key`` (the
-segment's key range), ``count``, ``tombstones`` and ``data_end`` (the
-length of the entry area).
+Each entry is ``flag:u8 · key_len:u32 · value_len:u32 · key · value``
+and every entry is a put: ``flag`` is 0. Entries are written in key
+order. The JSON footer carries ``min_key`` / ``max_key`` (the segment's
+key range), ``count`` and ``data_end`` (the length of the entry area).
 
 Segments are read only to recover and compact the store, and both read
 every key; queries scan the tables in memory. So a segment has no
 per-key index. Older footers carry more keys (a key filter, a block
-index, per-column summaries); a reader ignores every key it does not
-name. A footer or entry that does not parse raises
-:class:`~repro.errors.StorageError` naming the file.
+index, per-column summaries, a tombstone count); a reader ignores
+every key it does not name. A footer or entry that does not parse
+raises :class:`~repro.errors.StorageError` naming the file, and so
+does an entry whose flag is not 0: flag 1 was a tombstone, a format no
+longer read.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from collections.abc import Iterator
 from typing import Any
 
 from repro.errors import StorageError
-from repro.storage.durable.memtable import TOMBSTONE
 
 _ENTRY = struct.Struct("<BII")  # flag, key length, value length
 _FOOTER_LEN = struct.Struct("<Q")
@@ -41,11 +41,10 @@ JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
 JSON_DECODER = json.JSONDecoder()
 
 _FLAG_PUT = 0
-_FLAG_TOMBSTONE = 1
 
 
 def write_sstable(path: str, items: list[tuple[str, Any]]) -> None:
-    """Write sorted ``(key, value-or-TOMBSTONE)`` *items* to *path*.
+    """Write sorted ``(key, value)`` *items* to *path*.
 
     The file is complete only once the footer length lands; a crash
     mid-write leaves a file the manifest never references (recovery
@@ -58,23 +57,17 @@ def write_sstable(path: str, items: list[tuple[str, Any]]) -> None:
     pack = _ENTRY.pack
     parts: list[bytes] = []
     offset = 0
-    tombstones = 0
     for key, value in items:
         key_bytes = key.encode("utf-8")
-        if value is TOMBSTONE:
-            tombstones += 1
-            entry = pack(_FLAG_TOMBSTONE, len(key_bytes), 0) + key_bytes
-        else:
-            value_bytes = encode(value).encode("utf-8")
-            entry = (pack(_FLAG_PUT, len(key_bytes), len(value_bytes))
-                     + key_bytes + value_bytes)
+        value_bytes = encode(value).encode("utf-8")
+        entry = (pack(_FLAG_PUT, len(key_bytes), len(value_bytes))
+                 + key_bytes + value_bytes)
         parts.append(entry)
         offset += len(entry)
     footer = {
         "min_key": keys[0] if keys else None,
         "max_key": keys[-1] if keys else None,
         "count": len(items),
-        "tombstones": tombstones,
         "data_end": offset,
     }
     footer_bytes = JSON_ENCODER.encode(footer).encode("utf-8")
@@ -106,7 +99,6 @@ class SSTableReader:
                 self.min_key: str | None = footer["min_key"]
                 self.max_key: str | None = footer["max_key"]
                 self.count: int = footer["count"]
-                self.tombstones: int = footer["tombstones"]
                 self.data_end: int = footer["data_end"]
                 if not 0 <= self.data_end <= footer_start:
                     raise StorageError(
@@ -118,8 +110,8 @@ class SSTableReader:
         self.size_bytes = size
 
     def entries(self) -> Iterator[tuple[str, Any]]:
-        """Every ``(key, value-or-TOMBSTONE)`` in key order: one read of
-        the data area, walked with ``unpack_from``."""
+        """Every ``(key, value)`` in key order: one read of the data
+        area, walked with ``unpack_from``."""
         with open(self.path, "rb") as handle:
             data = handle.read(self.data_end)
         decode = JSON_DECODER.decode
@@ -135,10 +127,12 @@ class SSTableReader:
                 position = key_end + value_len
                 if position > end:
                     break
-                if flag == _FLAG_TOMBSTONE:
-                    yield key, TOMBSTONE
-                else:
-                    yield key, decode(data[key_end:position].decode("utf-8"))
+                if flag != _FLAG_PUT:
+                    raise StorageError(
+                        f"sstable {self.path!r} entry {key!r} has flag "
+                        f"{flag}, not a put: a format no longer read "
+                        f"(flag 1 was a tombstone)")
+                yield key, decode(data[key_end:position].decode("utf-8"))
         except (ValueError, struct.error) as exc:
             raise StorageError(f"sstable {self.path!r} is corrupt near "
                                f"byte {position}: {exc!r}") from exc
@@ -147,5 +141,4 @@ class SSTableReader:
                                f"its data area ({position} > {end})")
 
     def __repr__(self) -> str:
-        return (f"SSTableReader({self.path!r}, count={self.count}, "
-                f"tombstones={self.tombstones})")
+        return f"SSTableReader({self.path!r}, count={self.count})"

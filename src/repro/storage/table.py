@@ -119,16 +119,6 @@ class Table:
         """The id the next insert gets; every row held is below it."""
         return self._next_row_id
 
-    def bump_next_row_id(self, watermark: int) -> None:
-        """Raise the next row id to *watermark* (recovery only).
-
-        A store may hold a watermark above its highest recovered row
-        (rows it tombstoned while tables could still drop them): those
-        ids stay burned, never reissued.
-        """
-        with self._lock:
-            self._next_row_id = max(self._next_row_id, watermark)
-
     def get(self, row_id: int) -> tuple[Any, ...]:
         try:
             return self._rows[row_id]

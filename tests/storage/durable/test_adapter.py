@@ -1,11 +1,16 @@
-"""Table + DurableTableAdapter: WAL-first inserts, and restore from
-the store's committed tables, including the row tombstones and row-id
-watermarks a store written while rows could be deleted holds."""
+"""Table + DurableTableAdapter: WAL-first inserts, restore from the
+store's committed tables, and recovery refusing any key it cannot
+place."""
+
+import re
 
 import pytest
 
+from repro.bio import parse_newick
+from repro.core import DrugTree
+from repro.errors import StorageError
 from repro.faults import Crash, CrashPoint, FaultSchedule
-from repro.obs import MetricsRegistry, set_metrics
+from repro.obs import MetricsRegistry, get_metrics, set_metrics
 from repro.storage import (
     Schema,
     Table,
@@ -17,8 +22,6 @@ from repro.storage.durable import (
     Database,
     DurableTableAdapter,
     StorageConfig,
-    meta_key,
-    row_key,
 )
 
 
@@ -50,22 +53,12 @@ def durable_table(db, name="things"):
                  durable=DurableTableAdapter(db, name))
 
 
-def tombstone(table, row_id):
-    """Write a row delete as the store holds one: the row's tombstone
-    and the table's row-id watermark in one group commit."""
-    with table.durable.database.batch() as db:
-        db.delete(row_key(table.name, row_id))
-        db.put(meta_key(table.name), table.next_row_id)
-
-
 def restore(table):
-    """Replay the store's committed rows and row-id watermark into
-    *table*, as DrugTree recovery does; returns the rows restored."""
-    rows, watermarks = table.durable.database.committed_tables()
+    """Replay the store's committed rows into *table*, as DrugTree
+    recovery does; returns the rows restored."""
+    rows = table.durable.database.committed_tables([table.name])
     mine = rows.get(table.name, [])
     table.restore_rows(mine)
-    if table.name in watermarks:
-        table.bump_next_row_id(watermarks[table.name])
     return len(mine)
 
 
@@ -91,15 +84,14 @@ class TestMutationLogging:
         rows = [("a", 1, 0.25), ("b", 2, None), ("c", 3, 9.75)]
         for name, rank, score in rows:
             table.insert({"name": name, "rank": rank, "score": score})
-        tombstone(table, 1)
         db.close()
 
         db2 = open_db(tmp_path)
         table2 = durable_table(db2)
         restored = restore(table2)
-        assert restored == 2
-        assert dict(table2.scan()) == {0: ("a", 1, 0.25),
-                                       2: ("c", 3, 9.75)}
+        assert restored == 3
+        assert dict(table2.scan()) == dict(enumerate(rows))
+        assert table2.insert({"name": "d", "rank": 4, "score": None}) == 3
 
     def test_restore_fires_listeners(self, tmp_path):
         db = open_db(tmp_path)
@@ -117,35 +109,38 @@ class TestMutationLogging:
         index = table2.index_on("name")
         assert list(index.lookup("a")) == [0]
 
-    def test_row_ids_never_reused_after_tombstone_gc(self, tmp_path):
-        db = open_db(tmp_path)
-        table = durable_table(db)
-        for i in range(3):
-            table.insert({"name": f"r{i}", "rank": i, "score": None})
-        tombstone(table, 2)  # highest row id
-        db.compact()  # GC drops the tombstone entirely
-        assert sum(s.reader.tombstones for s in db.segments) == 0
-        db.close()
-
-        db2 = open_db(tmp_path)
-        table2 = durable_table(db2)
-        restore(table2)
-        # The watermark keeps id 2 burned even though its tombstone
-        # was collected.
-        new_id = table2.insert({"name": "new", "rank": 9, "score": None})
-        assert new_id == 3
-
-    def test_a_delete_inside_a_batch_keeps_the_group_commit(self,
-                                                            tmp_path):
+    def test_a_nested_batch_keeps_the_table_s_group_commit(self,
+                                                           tmp_path):
         db = open_db(tmp_path, fsync="always")
         table = durable_table(db)
-        table.insert({"name": "doomed", "rank": 0, "score": None})
-        from repro.obs import get_metrics
+        table.insert({"name": "first", "rank": 0, "score": None})
         before = get_metrics().counter_values().get("wal.fsyncs", 0)
         with db.batch():
             table.insert({"name": "a", "rank": 1, "score": None})
-            tombstone(table, 0)
+            with db.batch():
+                table.insert({"name": "b", "rank": 2, "score": None})
             for i in range(10):
                 table.insert({"name": f"r{i}", "rank": i, "score": 0.5})
         after = get_metrics().counter_values()["wal.fsyncs"]
         assert after - before == 1
+
+
+TREE = "((a:1,b:1)ab:1,(c:1,d:1)cd:1)root;"
+
+
+class TestRecoveryRefusesKeysItCannotPlace:
+    """A key that is no row of an overlay table stops the reopen with a
+    ``StorageError`` naming the data directory and the key: nothing is
+    dropped or misread in silence."""
+
+    @pytest.mark.parametrize("key", ["t/nosuch/000000000001",
+                                     "x/bindings/1", "junk"])
+    def test_a_key_of_no_overlay_row_is_refused(self, tmp_path, key):
+        data_dir = str(tmp_path / "db")
+        storage = StorageConfig(durable=True, data_dir=data_dir)
+        drugtree = DrugTree(parse_newick(TREE), storage=storage)
+        drugtree.database.put(key, ["a", 1])
+        drugtree.close()
+        with pytest.raises(StorageError, match=re.escape(repr(data_dir))
+                           + ".*" + re.escape(repr(key))):
+            DrugTree(parse_newick(TREE), storage=storage)

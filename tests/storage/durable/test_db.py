@@ -1,5 +1,5 @@
-"""Database engine: LSM lifecycle, crash-recovery matrix, GC, and a
-dict model the store is checked against."""
+"""Database engine: LSM lifecycle, crash-recovery matrix, compaction,
+and a dict model the store is checked against."""
 
 import inspect
 import os
@@ -45,15 +45,12 @@ def open_db(tmp_path, **overrides):
 
 
 class TestBasics:
-    def test_put_get_delete(self, tmp_path):
+    def test_put_and_scan(self, tmp_path):
         db = open_db(tmp_path, memtable_flush_bytes=1 << 20)
         db.put("a", {"x": 1})
         db.put("b", [1, 2.5, None, True])
         assert list(db.scan()) == [("a", {"x": 1}),
                                    ("b", [1, 2.5, None, True])]
-        db.delete("a")
-        db.delete("missing")
-        assert list(db.scan()) == [("b", [1, 2.5, None, True])]
 
     def test_overwrite_newest_wins_across_flushes(self, tmp_path):
         db = open_db(tmp_path)
@@ -104,9 +101,9 @@ class TestBasics:
                      memtable_flush_bytes=1 << 20)
         with db.batch():
             db.put("k/a", 1)
-            with db.batch():  # what a table delete opens
-                db.delete("k/b")
-                db.put("m/k/rowid", 2)
+            with db.batch():  # a callee's own group
+                db.put("k/b", 2)
+                db.put("k/c", 3)
             for i in range(10):
                 db.put(f"k/{i}", i)
         # One outer group, one fsync; the inner exit used to end the
@@ -151,7 +148,6 @@ class TestCompaction:
                 db.put(f"k/shared/{i}", round_number)  # shadows the last
             db.flush()
         assert [segment.level for segment in db.segments] == [0] * rounds
-        assert db.compactions == 0
         assert get_metrics().counter_values().get("lsm.compactions", 0) == 0
         want = dict(db.scan())
         assert {key: value for key, value in want.items()
@@ -161,21 +157,6 @@ class TestCompaction:
         reopened = open_db(tmp_path)
         assert len(reopened.segments) == rounds
         assert dict(reopened.scan()) == want
-
-    def test_tombstone_gc_only_at_bottom(self, tmp_path):
-        db = open_db(tmp_path, memtable_flush_bytes=1 << 20)
-        db.put("k/keep", 1)
-        db.put("k/dead", 2)
-        db.flush()
-        db.delete("k/dead")
-        db.flush()
-        total_tombstones = sum(s.reader.tombstones for s in db.segments)
-        assert total_tombstones == 1
-        db.compact()
-        assert len(db.segments) == 1
-        assert db.segments[0].reader.tombstones == 0
-        assert list(db.scan()) == [("k/keep", 1)]
-        assert db.tombstones_collected == 1
 
     def test_major_compact_single_segment(self, tmp_path):
         db = open_db(tmp_path, memtable_flush_bytes=1 << 20)
@@ -285,16 +266,6 @@ class TestRecovery:
             state = rows
             db.close()
 
-    def test_deletes_survive_reopen(self, tmp_path):
-        db = open_db(tmp_path, memtable_flush_bytes=1 << 20)
-        db.put("a", 1)
-        db.put("b", 2)
-        db.flush()
-        db.delete("a")
-        db.wal.sync()
-        db2 = open_db(tmp_path)
-        assert list(db2.scan()) == [("b", 2)]
-
 
 class TestObservability:
     def test_gauges_published(self, tmp_path):
@@ -338,7 +309,7 @@ class TestObservability:
 KEYS = st.sampled_from(["k/0", "k/1"])
 PUT = st.tuples(st.just("put"), KEYS, st.integers(0, 9))
 WRITES = st.recursive(
-    st.one_of(PUT, st.tuples(st.just("delete"), KEYS)),
+    PUT,
     lambda inner: st.tuples(st.just("batch"), st.lists(inner, max_size=4)),
     max_leaves=6,
 )
@@ -360,9 +331,6 @@ def apply(db, model, op):
     if kind == "put":
         db.put(op[1], op[2])
         model[op[1]] = op[2]
-    elif kind == "delete":
-        db.delete(op[1])
-        model.pop(op[1], None)
     elif kind == "batch":
         with db.batch():
             for inner in op[1]:
@@ -426,26 +394,29 @@ def model_property(database_cls, **overrides):
     return prop
 
 
-def with_planted_bug(method, bug):
-    """A ``Database`` whose *method* has one line replaced, compiled in
+def with_planted_bug(function, bug):
+    """*function* of the db module with one line replaced, compiled in
     memory against the real module's globals."""
-    source = textwrap.dedent(inspect.getsource(getattr(Database, method)))
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(bug[0]) == 1
     namespace = dict(vars(db_module))
     exec(compile(source.replace(*bug), db_module.__file__, "exec"),
          namespace)
-    return type("PlantedDatabase", (Database,), {method: namespace[method]})
+    return namespace[function.__name__]
 
 
 class TestModel:
     def test_database_matches_a_dict_model(self):
         model_property(Database)()
 
-    def test_a_tombstone_dropped_above_the_bottom_fails_the_model(self):
-        # Compaction that garbage-collects tombstones on any level lets
-        # an older value in a lower level resurface.
-        leaky = with_planted_bug("compact_level", (
-            "if value is TOMBSTONE and bottom:", "if value is TOMBSTONE:"))
-        with pytest.raises(AssertionError):
-            model_property(leaky, max_examples=200,
+    def test_merging_segments_by_id_alone_fails_the_model(self):
+        # The recency bug the model once found: merging levels 1 and 2
+        # mints an id newer than level 0's segments, so reading by id
+        # alone lets that merge's older values shadow level 0's.
+        by_id = with_planted_bug(db_module._merge, (
+            "key=lambda s: (-s.level, s.segment_id)",
+            "key=lambda s: s.segment_id"))
+        with mock.patch.object(db_module, "_merge", by_id), \
+                pytest.raises(AssertionError):
+            model_property(Database, max_examples=200,
                            phases=[Phase.generate])()

@@ -3,9 +3,9 @@
 A golden digest pins a fixed-seed data directory (segments, manifest
 and WAL) as the straightforward flush and compaction code wrote it;
 a directory in either older footer format (with the retired key
-filter and block index, and before that also ``meta``) opens, reads,
-compacts and recovers like a current one; and reopening decodes each
-stored value at most once.
+filter, block index and tombstone count, and before that also
+``meta``) opens, reads, compacts and recovers like a current one; and
+reopening decodes each stored value at most once.
 """
 
 import hashlib
@@ -16,21 +16,22 @@ from pathlib import Path
 from repro.chem.affinity import ActivityType, BindingRecord
 from repro.core import DrugTree
 from repro.storage.durable import StorageConfig, sstable
-from repro.storage.durable.db import meta_key, row_key
-from repro.storage.durable.memtable import TOMBSTONE
+from repro.storage.durable.db import row_key
 from repro.workloads import DatasetConfig, build_dataset
-from tests.storage.oracles import retired_key_index
+from tests.storage.oracles import retired_key_index, with_tombstone_count
 
 WORLD = DatasetConfig(n_leaves=24, n_ligands=40, seed=1103)
 #: sha256 over (name, sha256(bytes)) of every file, sorted by name:
-#: after the writes (level-0 segments only, tombstones, a WAL tail) and
-#: after a major compaction. Re-captured when segment footers dropped
-#: their ``meta`` key, and again when they dropped the key filter and
-#: block index: deliberate format changes; nothing else moved. Again
-#: when flushes stopped compacting: the segments and their ids moved,
-#: the format did not.
-WRITTEN = "d2e773e935ab3a0acd8651fd8beaf855feacb0dce1a7478566073796ccceb8ef"
-COMPACTED = "659ed8d9e3119c74594a61ba956800724448d7b9d0f6e9ad1a02727199a90592"
+#: after the writes (level-0 segments only, a WAL tail) and after a
+#: major compaction. Re-captured when segment footers dropped their
+#: ``meta`` key, and again when they dropped the key filter and block
+#: index: deliberate format changes; nothing else moved. Again when
+#: flushes stopped compacting: the segments and their ids moved, the
+#: format did not. Again when the store came to hold puts only: this
+#: directory stopped holding tombstones and row-id watermarks, and
+#: footers dropped their ``tombstones`` count.
+WRITTEN = "daf2cfec2bf4bc7f22918d1873c739a3edacf8beb16e2d5ff92b6aed35697e3d"
+COMPACTED = "0526f188673da8661633b397ab5a556910befc2498c2e621e9bbf67a28844193"
 
 
 def digest(data_dir: Path) -> str:
@@ -42,21 +43,12 @@ def digest(data_dir: Path) -> str:
 
 
 def write_world(data_dir: Path):
-    """Integrate in small flushes, tombstone every fifth binding in the
-    store (each as a row delete was once logged: the tombstone and the
-    row-id watermark in one group commit), then log a few more bindings
-    in one batch that stays in the WAL. Returns the dataset, the
-    DrugTree and the rows a reopen recovers: the overlay's, less the
-    tombstoned bindings."""
+    """Integrate in small flushes, then log a few more bindings in one
+    batch that stays in the WAL. Returns the dataset, the DrugTree and
+    the rows a reopen recovers: the overlay's."""
     dataset = build_dataset(WORLD)
     drugtree, _ = dataset.integrate(storage=StorageConfig(
         durable=True, data_dir=str(data_dir), memtable_flush_bytes=8192))
-    bindings = drugtree.tables["bindings"]
-    tombstoned = range(0, bindings.next_row_id, 5)
-    for row_id in tombstoned:
-        with drugtree.database.batch() as database:
-            database.delete(row_key("bindings", row_id))
-            database.put(meta_key("bindings"), bindings.next_row_id)
     proteins = sorted(dataset.family.protein_ids)
     with drugtree.database.batch():
         for i in range(5):
@@ -66,8 +58,6 @@ def write_world(data_dir: Path):
                 activity_type=ActivityType.KI, value_nm=10.0 ** (i % 5)))
     rows = {name: dict(table.scan())
             for name, table in drugtree.tables.items()}
-    for row_id in tombstoned:
-        del rows["bindings"][row_id]
     return dataset, drugtree, rows
 
 
@@ -105,21 +95,21 @@ def test_reopen_decodes_each_stored_value_at_most_once(tmp_path,
         durable=True, data_dir=str(tmp_path / "db")))
     assert {name: dict(table.scan())
             for name, table in reopened.tables.items()} == rows
-    # Three table scans and three watermark reads; scanning every
-    # segment whole per table would decode 3 * entries.
+    # One merged scan; scanning every segment whole per table would
+    # decode 3 * entries.
     assert 0 < decoder.calls <= entries
     reopened.close()
     drugtree.close()
 
 
 #: ``write_world``'s directory as written while segment footers carried
-#: the key filter and block index (``KEY_INDEX_WRITTEN``), and before
-#: that also a ``meta`` key (``META_WRITTEN``): the ``WRITTEN`` digests
-#: of those formats.
+#: the key filter, block index and tombstone count
+#: (``KEY_INDEX_WRITTEN``), and before that also a ``meta`` key
+#: (``META_WRITTEN``): the ``WRITTEN`` digests of those formats.
 KEY_INDEX_WRITTEN = \
-    "eb86fe4c6ae1782934031be899bc2819102e217655084526e5a8ee236f7a014b"
+    "3a6c50997a17a2403780cccfdabfc4707504860766aa07d88170ad08008f6853"
 META_WRITTEN = \
-    "d235039c4bdee28c625f19d890c49476d2cbdc5c76344807ebb415ecf2267023"
+    "ca42391c0bf617dc412b0a733f91b3489a0dc5b634cc5e7d7301104d56933a1a"
 
 
 def legacy_meta(items):
@@ -128,8 +118,7 @@ def legacy_meta(items):
     cells (``None`` when all are NULL), folded one cell at a time."""
     tables = {}
     for key, value in items:
-        if value is TOMBSTONE or not key.startswith("t/") \
-                or not isinstance(value, list):
+        if not key.startswith("t/") or not isinstance(value, list):
             continue
         _, table, rid = key.split("/", 2)
         meta = tables.setdefault(table, {"rid_min": int(rid),
@@ -155,8 +144,9 @@ def _kind(cell):
 
 
 def with_key_index(entry_area, footer, reader):
-    """The footer with the retired key filter and block index first."""
-    return {**retired_key_index(entry_area), **footer}
+    """The footer with the retired key filter and block index first,
+    and the retired tombstone count."""
+    return {**retired_key_index(entry_area), **with_tombstone_count(footer)}
 
 
 def with_meta(entry_area, footer, reader):

@@ -5,12 +5,7 @@ import json
 import pytest
 
 from repro.errors import StorageError
-from repro.storage.durable import (
-    Database,
-    SSTableReader,
-    TOMBSTONE,
-    write_sstable,
-)
+from repro.storage.durable import Database, SSTableReader, write_sstable
 from repro.storage.durable.sstable import _ENTRY, _FOOTER_LEN
 
 
@@ -30,16 +25,8 @@ class TestRoundtrip:
         reader = write(tmp_path, items)
         assert list(reader.entries()) == items
         assert reader.count == 25
-        assert reader.tombstones == 0
         assert reader.min_key == items[0][0]
         assert reader.max_key == items[-1][0]
-
-    def test_tombstones_roundtrip(self, tmp_path):
-        items = [("k/0", {"n": 0}), ("k/1", TOMBSTONE), ("k/2", {"n": 2})]
-        reader = write(tmp_path, items)
-        assert reader.tombstones == 1
-        assert [v is TOMBSTONE for _, v in reader.entries()] \
-            == [False, True, False]
 
     def test_unsorted_items_rejected(self, tmp_path):
         with pytest.raises(StorageError):
@@ -72,13 +59,12 @@ class TestMeta:
 
     def test_footer_holds_the_key_range_and_counts_only(self, tmp_path):
         path = tmp_path / "seg.sst"
-        write_sstable(str(path), [("k/0", 1), ("k/1", TOMBSTONE)])
+        write_sstable(str(path), [("k/0", 1), ("k/1", None)])
         data = path.read_bytes()
         (length,) = _FOOTER_LEN.unpack(data[-_FOOTER_LEN.size:])
         footer_start = len(data) - _FOOTER_LEN.size - length
         footer = json.loads(data[footer_start:-_FOOTER_LEN.size])
         assert footer == {"min_key": "k/0", "max_key": "k/1", "count": 2,
-                          "tombstones": 1,
                           "data_end": footer_start}
 
 

@@ -3,15 +3,18 @@
 Each is the straightforward version the kernel replaced, kept verbatim
 in behaviour: a flat two-list sorted index and a row-at-a-time ANALYZE.
 The tests hold the kernels to ``==`` with these on generated inputs.
-The retired per-key footer of a segment is kept the same way, so a
-directory in that format can be rebuilt byte for byte.
+The retired per-key footer of a segment and the retired writer of
+tombstones are kept the same way, so a directory in those formats can
+be rebuilt byte for byte.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+import json
 import struct
+import zlib
 from collections.abc import Iterator
 from typing import Any
 
@@ -181,3 +184,49 @@ def retired_key_index(data: bytes, block_bytes: int = 4096,
             bits[position >> 3] |= 1 << (position & 7)
     return {"block_index": block_index,
             "bloom": {"m": m_bits, "k": k_hashes, "bits": bits.hex()}}
+
+
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+#: A value of the retired writer's items that marks a tombstone.
+DELETED = object()
+
+
+def with_tombstone_count(footer: dict[str, Any],
+                         tombstones: int = 0) -> dict[str, Any]:
+    """*footer* as the retired writer ordered it: a ``tombstones``
+    count between ``count`` and ``data_end``."""
+    keys = {key: value for key, value in footer.items()
+            if key != "data_end"}
+    return {**keys, "tombstones": tombstones,
+            "data_end": footer["data_end"]}
+
+
+def retired_segment(items: list[tuple[str, Any]]) -> bytes:
+    """The segment the writer of the tombstone format made of sorted
+    ``(key, value)`` *items*: a value of :data:`DELETED` became a
+    flag-1 entry without value bytes, counted in the footer."""
+    parts: list[bytes] = []
+    tombstones = 0
+    for key, value in items:
+        key_bytes = key.encode("utf-8")
+        if value is DELETED:
+            tombstones += 1
+            parts.append(_ENTRY.pack(1, len(key_bytes), 0) + key_bytes)
+        else:
+            value_bytes = _ENCODE(value).encode("utf-8")
+            parts.append(_ENTRY.pack(0, len(key_bytes), len(value_bytes))
+                         + key_bytes + value_bytes)
+    data = b"".join(parts)
+    footer = with_tombstone_count(
+        {"min_key": items[0][0] if items else None,
+         "max_key": items[-1][0] if items else None,
+         "count": len(items), "data_end": len(data)}, tombstones)
+    footer_bytes = _ENCODE(footer).encode("utf-8")
+    return data + footer_bytes + struct.pack("<Q", len(footer_bytes))
+
+
+def retired_delete_frame(key: str) -> bytes:
+    """The WAL frame ``Database.delete(key)`` appended: a CRC-framed
+    ``{"op":"del","key":…}`` record."""
+    payload = _ENCODE({"op": "del", "key": key}).encode("utf-8")
+    return struct.pack("<II", zlib.crc32(payload), len(payload)) + payload

@@ -380,7 +380,7 @@ class TestDurableCommands:
                      "2048", *self.WORLD_SMALL]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert sum(r["segments"] for r in payload["after"]) == 1
-        assert payload["tombstones_collected"] >= 0
+        assert set(payload) == {"before", "after"}
 
     def test_recover_after_compact_agrees(self, tmp_path, capsys):
         import json
