@@ -55,6 +55,7 @@ from repro.storage.durable.sstable import (
     JSON_DECODER,
     JSON_ENCODER,
     SSTableReader,
+    write_encoded,
     write_sstable,
 )
 from repro.storage.durable.wal import WriteAheadLog
@@ -123,6 +124,27 @@ class RecoveryReport:
             "torn_bytes": self.torn_bytes,
             "orphans_removed": self.orphans_removed,
         }
+
+
+def _put_record(path: str, ordinal: int,
+                payload: bytes) -> tuple[str, Any]:
+    """The key and value of WAL frame *ordinal* (from 1) at *path*;
+    a frame holding no put record raises a :class:`StorageError`
+    naming both."""
+    where = f"WAL {path!r} frame {ordinal}"
+    try:
+        record = JSON_DECODER.decode(payload.decode("utf-8"))
+        op, key = record["op"], record.get("key")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise StorageError(f"{where} is not a put record: {exc!r}") from exc
+    if op != "put":
+        raise StorageError(
+            f"{where} holds a {op!r} record for key {key!r}: a format "
+            f"no longer read, since the store holds puts only")
+    if not isinstance(key, str) or "value" not in record:
+        raise StorageError(f"{where} is not a put record: key {key!r}, "
+                           f"fields {sorted(record)}")
+    return key, record["value"]
 
 
 def _merge(segments: list[SegmentInfo]) -> dict[str, Any]:
@@ -225,14 +247,9 @@ class Database:
                     self.recovery.orphans_removed += 1
             wal_path = os.path.join(self.data_dir, WAL_NAME)
             payloads, torn = WriteAheadLog.replay(wal_path)
-            for payload in payloads:
-                record = JSON_DECODER.decode(payload.decode("utf-8"))
-                if record["op"] != "put":
-                    raise StorageError(
-                        f"WAL {wal_path!r} holds a {record['op']!r} record "
-                        f"for key {record.get('key')!r}: a format no "
-                        f"longer read, since the store holds puts only")
-                self.memtable.put(record["key"], record["value"],
+            for ordinal, payload in enumerate(payloads, 1):
+                key, value = _put_record(wal_path, ordinal, payload)
+                self.memtable.put(key, JSON_ENCODER.encode(value),
                                   len(payload))
             self.recovery.segments = len(self.segments)
             self.recovery.wal_records = len(payloads)
@@ -260,12 +277,20 @@ class Database:
     # -- write path --------------------------------------------------------
 
     def put(self, key: str, value: Any) -> None:
-        payload = JSON_ENCODER.encode(
-            {"op": "put", "key": key, "value": value}).encode("utf-8")
+        """Log ``key → value``, then apply it. The value is encoded once:
+        the WAL record (the bytes ``JSON_ENCODER`` writes for the record
+        dict) is built around that text, and the memtable keeps it."""
+        if self._closed:
+            raise StorageError(f"store {self.data_dir!r} is closed")
+        encode = JSON_ENCODER.encode
+        text = encode(value)
+        payload = ('{"op":"put","key":' + encode(key) + ',"value":'
+                   + text + "}").encode("utf-8")
         in_batch = self._batch_depth > 0
         self.wal.append(payload, defer_sync=in_batch)
-        self.memtable.put(key, value, len(payload))
-        get_metrics().gauge("memtable.bytes").set(self.memtable.bytes)
+        self.memtable.put(key, text, len(payload))
+        if not in_batch:
+            self._publish_memtable_bytes()
         self._crash("db.after_append")
         if not in_batch \
                 and self.memtable.bytes >= self.config.memtable_flush_bytes:
@@ -275,7 +300,8 @@ class Database:
         """Group commit: one fsync (and flush check) per batch.
 
         Batches nest: a group opened inside another joins it, and only
-        the outermost exit syncs and may flush.
+        the outermost exit publishes ``memtable.bytes``, syncs and may
+        flush.
         """
 
         def __init__(self, db: "Database") -> None:
@@ -287,7 +313,10 @@ class Database:
 
         def __exit__(self, exc_type, exc, tb) -> None:
             self.db._batch_depth -= 1
-            if exc_type is None and not self.db._batch_depth:
+            if self.db._batch_depth:
+                return
+            self.db._publish_memtable_bytes()
+            if exc_type is None:
                 self.db.wal.sync()
                 if self.db.memtable.bytes \
                         >= self.db.config.memtable_flush_bytes:
@@ -306,7 +335,9 @@ class Database:
         whole.
         """
         merged = _merge(self.segments)
-        merged.update(self.memtable.items())
+        decode = JSON_DECODER.decode
+        for key, text in self.memtable.items():
+            merged[key] = decode(text)
         for key in sorted(merged):
             yield key, merged[key]
 
@@ -332,12 +363,12 @@ class Database:
 
     # -- flush & compaction ------------------------------------------------
 
-    def _write_segment(self, items: list[tuple[str, Any]],
+    def _write_segment(self, write, items: list[tuple[str, Any]],
                        level: int) -> SegmentInfo:
         segment_id = self.next_segment_id
         self.next_segment_id += 1
         name = f"seg-{segment_id:06d}.sst"
-        write_sstable(os.path.join(self.data_dir, name), items)
+        write(os.path.join(self.data_dir, name), items)
         return SegmentInfo(
             segment_id=segment_id, level=level, file=name,
             reader=SSTableReader(os.path.join(self.data_dir, name)),
@@ -351,8 +382,8 @@ class Database:
         with tracer.span("durable.flush",
                          entries=len(self.memtable)) as span:
             self.wal.sync()
-            segment = self._write_segment(self.memtable.items_sorted(),
-                                          level=0)
+            segment = self._write_segment(
+                write_encoded, self.memtable.items_sorted(), level=0)
             # A kill here leaves the segment orphaned and the WAL
             # intact: recovery drops the file and replays the log.
             self._crash("flush.before_manifest")
@@ -375,7 +406,8 @@ class Database:
         with tracer.span("durable.compact", level=level,
                          inputs=len(merging)) as span:
             segment = self._write_segment(
-                sorted(_merge(merging).items()), level=level + 1)
+                write_sstable, sorted(_merge(merging).items()),
+                level=level + 1)
             survivors = [s for s in self.segments if s not in merging]
             self._crash("compact.before_manifest")
             self.segments = survivors + [segment]
@@ -393,9 +425,14 @@ class Database:
         while len(self.segments) > 1:
             self.compact_level(min(s.level for s in self.segments))
 
+    def _publish_memtable_bytes(self) -> None:
+        """Set after an un-batched put, at the outermost batch exit, and
+        with the other gauges."""
+        get_metrics().gauge("memtable.bytes").set(self.memtable.bytes)
+
     def _publish_gauges(self) -> None:
         metrics = get_metrics()
-        metrics.gauge("memtable.bytes").set(self.memtable.bytes)
+        self._publish_memtable_bytes()
         counts: dict[int, int] = {}
         for segment in self.segments:
             counts[segment.level] = counts.get(segment.level, 0) + 1
@@ -455,4 +492,4 @@ class DurableTableAdapter:
         self.table_name = table_name
 
     def log_insert(self, row_id: int, row: tuple[Any, ...]) -> None:
-        self.database.put(row_key(self.table_name, row_id), list(row))
+        self.database.put(row_key(self.table_name, row_id), row)

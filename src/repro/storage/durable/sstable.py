@@ -44,7 +44,15 @@ _FLAG_PUT = 0
 
 
 def write_sstable(path: str, items: list[tuple[str, Any]]) -> None:
-    """Write sorted ``(key, value)`` *items* to *path*.
+    """Write sorted ``(key, value)`` *items* to *path*: each value
+    encoded, then :func:`write_encoded`."""
+    encode = JSON_ENCODER.encode
+    write_encoded(path, [(key, encode(value)) for key, value in items])
+
+
+def write_encoded(path: str, items: list[tuple[str, str]]) -> None:
+    """Write sorted ``(key, value_text)`` *items* to *path*, each value
+    already :data:`JSON_ENCODER` text.
 
     The file is complete only once the footer length lands; a crash
     mid-write leaves a file the manifest never references (recovery
@@ -53,13 +61,12 @@ def write_sstable(path: str, items: list[tuple[str, Any]]) -> None:
     keys = [key for key, _ in items]
     if any(map(operator.ge, keys, keys[1:])):
         raise StorageError("sstable items must be strictly sorted by key")
-    encode = JSON_ENCODER.encode
     pack = _ENTRY.pack
     parts: list[bytes] = []
     offset = 0
-    for key, value in items:
+    for key, text in items:
         key_bytes = key.encode("utf-8")
-        value_bytes = encode(value).encode("utf-8")
+        value_bytes = text.encode("utf-8")
         entry = (pack(_FLAG_PUT, len(key_bytes), len(value_bytes))
                  + key_bytes + value_bytes)
         parts.append(entry)

@@ -44,6 +44,11 @@ class ColumnType(enum.Enum):
         return value
 
 
+#: Per column type, the type a value is stored as without a check.
+_EXACT_TYPE = {ColumnType.STRING: str, ColumnType.INT: int,
+               ColumnType.FLOAT: float, ColumnType.BOOL: bool}
+
+
 @dataclass(frozen=True)
 class Column:
     """One column of a schema."""
@@ -55,6 +60,21 @@ class Column:
     def __post_init__(self) -> None:
         if not self.name or not self.name.isidentifier():
             raise SchemaError(f"bad column name {self.name!r}")
+
+    def check(self, value: Any) -> Any:
+        """*value* as stored: nullability, ``accepts``, then ``coerce``."""
+        if value is None:
+            if not self.nullable:
+                raise SchemaError(
+                    f"column {self.name!r} is not nullable"
+                )
+            return None
+        if not self.type.accepts(value):
+            raise SchemaError(
+                f"column {self.name!r} expects {self.type.value}, "
+                f"got {type(value).__name__} ({value!r})"
+            )
+        return self.type.coerce(value)
 
 
 class Schema:
@@ -68,6 +88,8 @@ class Schema:
             raise SchemaError("duplicate column names")
         self.columns = tuple(columns)
         self._index = {column.name: i for i, column in enumerate(columns)}
+        self._plan = tuple((column.name, _EXACT_TYPE[column.type], column)
+                           for column in columns)
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -101,26 +123,17 @@ class Schema:
         Unknown keys, missing non-nullable columns, and type mismatches
         all raise :class:`~repro.errors.SchemaError`.
         """
-        unknown = set(values) - set(self._index)
-        if unknown:
+        if not values.keys() <= self._index.keys():
+            unknown = values.keys() - self._index.keys()
             raise SchemaError(f"unknown columns {sorted(unknown)}")
-        row: list[Any] = []
-        for column in self.columns:
-            value = values.get(column.name)
-            if value is None:
-                if not column.nullable:
-                    raise SchemaError(
-                        f"column {column.name!r} is not nullable"
-                    )
-                row.append(None)
-                continue
-            if not column.type.accepts(value):
-                raise SchemaError(
-                    f"column {column.name!r} expects {column.type.value}, "
-                    f"got {type(value).__name__} ({value!r})"
-                )
-            row.append(column.type.coerce(value))
-        return tuple(row)
+        get = values.get
+        # A value of its column's exact type is taken as is; anything
+        # else (None, a subclass, an int in a FLOAT column) is checked.
+        return tuple([
+            value if type(value := get(name)) is exact
+            else column.check(value)
+            for name, exact, column in self._plan
+        ])
 
     def row_as_dict(self, row: tuple[Any, ...]) -> dict[str, Any]:
         return dict(zip(self.column_names, row))

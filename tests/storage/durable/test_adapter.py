@@ -7,6 +7,7 @@ import re
 import pytest
 
 from repro.bio import parse_newick
+from repro.chem.affinity import ActivityType, BindingRecord
 from repro.core import DrugTree
 from repro.errors import StorageError
 from repro.faults import Crash, CrashPoint, FaultSchedule
@@ -126,6 +127,47 @@ class TestMutationLogging:
 
 
 TREE = "((a:1,b:1)ab:1,(c:1,d:1)cd:1)root;"
+
+
+class TestWritingAfterClose:
+    """An insert into a closed store raises ``StorageError`` naming the
+    data directory before anything is written: no WAL byte, no memtable
+    entry, no row."""
+
+    def test_a_table_insert_after_close(self, tmp_path):
+        db = open_db(tmp_path)
+        table = durable_table(db)
+        table.insert({"name": "a", "rank": 1, "score": None})
+        db.close()
+        wal = (tmp_path / "db" / "wal.log").read_bytes()
+        with pytest.raises(StorageError, match=re.escape(
+                repr(str(tmp_path / "db"))) + " is closed"):
+            table.insert({"name": "b", "rank": 2, "score": None})
+        assert table.row_count == 1
+        assert table.next_row_id == 1
+        assert len(db.memtable) == 0
+        assert (tmp_path / "db" / "wal.log").read_bytes() == wal
+
+    def test_add_binding_after_drugtree_close(self, tmp_path):
+        data_dir = str(tmp_path / "db")
+        drugtree = DrugTree(parse_newick(TREE), storage=StorageConfig(
+            durable=True, data_dir=data_dir))
+        drugtree.add_protein("a")
+        record = BindingRecord(ligand_id="L1", protein_id="a",
+                               activity_type=ActivityType.KI,
+                               value_nm=10.0)
+        drugtree.add_binding(record)
+        drugtree.close()
+        bindings = drugtree.tables["bindings"]
+        version = drugtree.data_version
+        wal = (tmp_path / "db" / "wal.log").read_bytes()
+        with pytest.raises(StorageError,
+                           match=re.escape(repr(data_dir)) + " is closed"):
+            drugtree.add_binding(record)
+        assert bindings.row_count == 1
+        assert drugtree.data_version == version
+        assert len(drugtree.database.memtable) == 0
+        assert (tmp_path / "db" / "wal.log").read_bytes() == wal
 
 
 class TestRecoveryRefusesKeysItCannotPlace:

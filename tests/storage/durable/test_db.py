@@ -1,20 +1,21 @@
 """Database engine: LSM lifecycle, crash-recovery matrix, compaction,
 and a dict model the store is checked against."""
 
-import inspect
 import os
+import re
 import tempfile
-import textwrap
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import StorageError
 from repro.faults import CRASH_POINTS, Crash, CrashPoint, FaultSchedule
 from repro.obs import MetricsRegistry, get_metrics, set_metrics
-from repro.storage.durable import Database, StorageConfig
+from repro.storage.durable import Database, StorageConfig, WriteAheadLog
 from repro.storage.durable import db as db_module
+from tests.storage.oracles import with_planted_bug
 
 
 @pytest.fixture(autouse=True)
@@ -267,6 +268,56 @@ class TestRecovery:
             db.close()
 
 
+class TestRecoveryRefusesWalFramesThatAreNoPut:
+    """A CRC-valid frame whose payload is no put record stops recovery
+    with a ``StorageError`` naming the WAL and the frame's ordinal, as
+    segments and manifests do, never a decoding error."""
+
+    @pytest.mark.parametrize("payload", [
+        b"hello",
+        b"\xff\xfe",
+        b"[1,2]",
+        b'{"op":"put","value":1}',
+        b'{"key":"k","value":1}',
+        b'{"op":"put","key":5,"value":1}',
+        b'{"op":"put","key":"k"}',
+    ], ids=["not-json", "not-utf8", "an-array", "no-key", "no-op",
+            "int-key", "no-value"])
+    def test_the_frame_is_refused_by_path_and_ordinal(self, tmp_path,
+                                                      payload):
+        cfg = config(tmp_path)
+        db = Database.open(cfg.data_dir, cfg)
+        db.put("a", 1)
+        db.wal.close()  # killed before any flush: one frame logged
+        wal_path = os.path.join(cfg.data_dir, "wal.log")
+        wal = WriteAheadLog(wal_path)
+        wal.append(payload)
+        wal.close()
+        with pytest.raises(StorageError, match=re.escape(repr(wal_path))
+                           + " frame 2 "):
+            Database.open(cfg.data_dir, cfg)
+
+
+class TestWritingToAClosedStore:
+    def test_put_after_close_raises_and_changes_nothing(self, tmp_path):
+        cfg = config(tmp_path, memtable_flush_bytes=1 << 20)
+        db = Database.open(cfg.data_dir, cfg)
+        db.put("a", 1)
+        db.close()
+        wal_path = os.path.join(cfg.data_dir, "wal.log")
+        wal_bytes = open(wal_path, "rb").read()
+        entries = list(db.memtable.items())
+        with pytest.raises(StorageError,
+                           match=re.escape(repr(cfg.data_dir))):
+            db.put("b", 2)
+        with pytest.raises(StorageError, match="closed"):
+            with db.batch():
+                db.put("b", 2)
+        assert list(db.memtable.items()) == entries
+        assert open(wal_path, "rb").read() == wal_bytes
+        assert dict(Database.open(cfg.data_dir, cfg).scan()) == {"a": 1}
+
+
 class TestObservability:
     def test_gauges_published(self, tmp_path):
         db = open_db(tmp_path, memtable_flush_bytes=1 << 20)
@@ -277,6 +328,18 @@ class TestObservability:
         gauges = get_metrics().snapshot()["gauges"]
         assert gauges["memtable.bytes"] == 0
         assert gauges["lsm.level_0.segments"] == 1
+
+    def test_memtable_bytes_is_published_once_per_batch(self, tmp_path):
+        db = open_db(tmp_path, memtable_flush_bytes=1 << 20)
+        gauge = get_metrics().gauge("memtable.bytes")
+        with db.batch():
+            db.put("a", 1)
+            with db.batch():
+                db.put("b", 2)
+            assert gauge.value == 0
+        assert gauge.value == db.memtable.bytes > 0
+        db.put("c", 3)
+        assert gauge.value == db.memtable.bytes
 
     def test_counters_cover_wal_and_lsm(self, tmp_path):
         db = open_db(tmp_path, memtable_flush_bytes=1 << 20)
@@ -392,17 +455,6 @@ def model_property(database_cls, **overrides):
         check_against_model(database_cls, ops)
 
     return prop
-
-
-def with_planted_bug(function, bug):
-    """*function* of the db module with one line replaced, compiled in
-    memory against the real module's globals."""
-    source = textwrap.dedent(inspect.getsource(function))
-    assert source.count(bug[0]) == 1
-    namespace = dict(vars(db_module))
-    exec(compile(source.replace(*bug), db_module.__file__, "exec"),
-         namespace)
-    return namespace[function.__name__]
 
 
 class TestModel:

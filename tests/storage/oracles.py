@@ -5,19 +5,27 @@ in behaviour: a flat two-list sorted index and a row-at-a-time ANALYZE.
 The tests hold the kernels to ``==`` with these on generated inputs.
 The retired per-key footer of a segment and the retired writer of
 tombstones are kept the same way, so a directory in those formats can
-be rebuilt byte for byte.
+be rebuilt byte for byte; so are the WAL frame a put wrote when it
+encoded its record as a dict, and the row validator that dispatched on
+each column's type for every value. :func:`with_planted_bug` compiles a
+program function with one line changed, for tests that check a property
+fails on a known bug.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+import inspect
 import json
 import struct
+import sys
+import textwrap
 import zlib
 from collections.abc import Iterator
 from typing import Any
 
+from repro.errors import SchemaError
 from repro.storage.statistics import (
     DEFAULT_HISTOGRAM_BUCKETS,
     DEFAULT_MCV_COUNT,
@@ -230,3 +238,47 @@ def retired_delete_frame(key: str) -> bytes:
     ``{"op":"del","key":…}`` record."""
     payload = _ENCODE({"op": "del", "key": key}).encode("utf-8")
     return struct.pack("<II", zlib.crc32(payload), len(payload)) + payload
+
+
+def put_frame(key: str, value: Any) -> bytes:
+    """The WAL frame ``Database.put(key, value)`` appended when it
+    encoded the whole ``{"op","key","value"}`` record dict."""
+    payload = _ENCODE({"op": "put", "key": key,
+                       "value": value}).encode("utf-8")
+    return struct.pack("<II", zlib.crc32(payload), len(payload)) + payload
+
+
+def validate_row_loop(schema, values: dict[str, Any]) -> tuple[Any, ...]:
+    """``Schema.validate_row`` as one loop over the columns, asking
+    ``ColumnType.accepts`` about every value."""
+    unknown = set(values) - set(schema._index)
+    if unknown:
+        raise SchemaError(f"unknown columns {sorted(unknown)}")
+    row: list[Any] = []
+    for column in schema.columns:
+        value = values.get(column.name)
+        if value is None:
+            if not column.nullable:
+                raise SchemaError(
+                    f"column {column.name!r} is not nullable"
+                )
+            row.append(None)
+            continue
+        if not column.type.accepts(value):
+            raise SchemaError(
+                f"column {column.name!r} expects {column.type.value}, "
+                f"got {type(value).__name__} ({value!r})"
+            )
+        row.append(column.type.coerce(value))
+    return tuple(row)
+
+
+def with_planted_bug(function, bug: tuple[str, str]):
+    """*function* with the one line ``bug[0]`` replaced by ``bug[1]``,
+    compiled in memory against the globals of its own module."""
+    module = sys.modules[function.__module__]
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(bug[0]) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(*bug), module.__file__, "exec"), namespace)
+    return namespace[function.__name__]

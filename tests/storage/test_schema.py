@@ -1,6 +1,11 @@
 """Tests for schemas and column typing."""
 
+from unittest import mock
+
+import numpy
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchemaError
 from repro.storage import (
@@ -12,6 +17,7 @@ from repro.storage import (
     int_column,
     string_column,
 )
+from tests.storage.oracles import validate_row_loop, with_planted_bug
 
 
 @pytest.fixture
@@ -118,3 +124,96 @@ class TestValidateRow:
         values = {"protein_id": "P1", "affinity": 7.5,
                   "assay_count": 3, "potent": True}
         assert schema.row_as_dict(schema.validate_row(values)) == values
+
+
+class Label(str):
+    """A ``str`` subclass: accepted by STRING through ``isinstance``."""
+
+
+#: Values of every kind a column meets: exact types, None, bools and
+#: ints where numbers go, numpy scalars, a ``str`` subclass, and junk.
+VALUES = st.sampled_from([
+    None, True, False, 0, 7, -3, 2 ** 70, 1.5, -0.0, float("inf"),
+    numpy.float64(2.5), numpy.int64(3), numpy.bool_(True), "s", "",
+    Label("sub"), b"bytes", [1],
+])
+SCHEMAS = st.lists(st.tuples(st.sampled_from(list(ColumnType)),
+                             st.booleans()),
+                   min_size=1, max_size=5).map(lambda specs: Schema([
+                       Column(f"c{i}", kind, nullable)
+                       for i, (kind, nullable) in enumerate(specs)]))
+
+
+@st.composite
+def schemas_and_values(draw):
+    """A schema and a values dict that may miss any column (so it reads
+    as None) and may carry an unknown key."""
+    schema = draw(SCHEMAS)
+    present = draw(st.lists(st.sampled_from(schema.column_names),
+                            unique=True))
+    if draw(st.integers(0, 4)) == 0:
+        present.append("unknown")  # now and then an unknown key
+    return schema, {name: draw(VALUES) for name in present}
+
+
+def outcome(validate, schema, values):
+    try:
+        row = validate(schema, values)
+    except SchemaError as exc:
+        return "raises", str(exc)
+    return row, tuple(type(value) for value in row)
+
+
+def validator_property(**overrides):
+    options = {"max_examples": 300, "deadline": None, "derandomize": True,
+               "database": None}
+    options.update(overrides)
+
+    @settings(**options)
+    @given(schemas_and_values())
+    def prop(case):
+        schema, values = case
+        assert outcome(Schema.validate_row, schema, values) \
+            == outcome(validate_row_loop, schema, values), values
+
+    return prop
+
+
+class TestValidatorMatchesTheLoop:
+    """``validate_row`` takes a value of its column's exact type as is
+    and checks everything else; it returns the tuple the per-column
+    ``accepts``/``coerce`` loop returned, element types included (an int
+    in a FLOAT column stays a float), or raises the same message."""
+
+    def test_the_validator_matches_the_loop(self):
+        validator_property()()
+
+    @pytest.mark.parametrize("kind, value, expected", [
+        (ColumnType.FLOAT, 3, 3.0),
+        (ColumnType.FLOAT, numpy.float64(2.5), numpy.float64(2.5)),
+        (ColumnType.STRING, Label("x"), Label("x")),
+    ])
+    def test_values_not_of_the_exact_type_are_checked(self, kind, value,
+                                                      expected):
+        schema = Schema([Column("c", kind)])
+        (row,) = schema.validate_row({"c": value})
+        assert row == expected and type(row) is type(expected)
+
+    @pytest.mark.parametrize("kind, value", [
+        (ColumnType.INT, True), (ColumnType.FLOAT, False),
+        (ColumnType.INT, numpy.int64(3)), (ColumnType.INT, 1.0),
+    ])
+    def test_a_wrong_type_raises_the_loop_s_message(self, kind, value):
+        schema = Schema([Column("c", kind)])
+        with pytest.raises(SchemaError) as raised:
+            schema.validate_row({"c": value})
+        assert str(raised.value) == outcome(
+            validate_row_loop, schema, {"c": value})[1]
+
+    def test_a_validator_taking_bool_as_int_fails_the_property(self):
+        by_isinstance = with_planted_bug(Schema.validate_row, (
+            "type(value := get(name)) is exact",
+            "isinstance(value := get(name), exact)"))
+        with mock.patch.object(Schema, "validate_row", by_isinstance), \
+                pytest.raises(AssertionError):
+            validator_property(phases=[Phase.generate])()
