@@ -108,7 +108,6 @@ def build_world(n_rows: int, seed: int = WORLD_SEED) -> DrugTree:
             "leaf_pre": leaf_pre[protein_id],
         })
     bindings.create_index(["ligand_id"], kind="hash")
-    tree.refresh_statistics()  # ANALYZE outside the timers
     return tree
 
 

@@ -254,8 +254,7 @@ def run_read_after_write(n_leaves: int, n_ligands: int,
         mode = ("rebuild", "absorb")[serial % 2]
         _insert_mirrored(engine, single, serial)
         reader = engine if mode == "absorb" else ClusterEngine(
-            engine.tree, engine.router, statistics=engine.statistics,
-            config=engine.config)
+            engine.tree, engine.router, config=engine.config)
         started = time.perf_counter()
         rows = reader.execute(query).rows
         wall_us[mode].append((time.perf_counter() - started) * 1e6)

@@ -8,8 +8,6 @@ Offers the zero-code tour of the system:
   (``--estimate-only`` prints the cost-based plan without executing);
 * ``stats``   — run a representative workload, print the metrics
   registry snapshot and a span summary;
-* ``analyze`` — ANALYZE the world's tables and print the optimizer
-  statistics (row counts, NDVs, MCVs, histogram edges);
 * ``clades``  — per-clade materialized statistics of the tree;
 * ``tree``    — draw the annotated tree as ASCII art;
 * ``mobile``  — replay a gesture session on a chosen network profile;
@@ -225,86 +223,6 @@ def _text_stats(payload: dict, args: argparse.Namespace) -> None:
          for name, agg in sorted(payload["spans"].items())],
         "\nSpans",
     ))
-
-
-def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, int]:
-    dataset = _build_world(args)
-    drugtree = dataset.drugtree()
-    statistics = drugtree.statistics
-    if args.table is not None:
-        if args.table not in statistics:
-            raise _UsageError(
-                f"no such table {args.table!r}; "
-                f"known: {', '.join(sorted(statistics))}")
-        selected = {args.table: statistics[args.table]}
-    else:
-        selected = dict(sorted(statistics.items()))
-    stale = drugtree.stale_tables()
-    return {
-        "stats_epoch": drugtree.stats_epoch,
-        "stale_tables": sorted(stale),
-        "stale_gauge":
-            obs.get_metrics().gauge("stats.stale_tables").value,
-        "tables": {
-            name: {
-                "row_count": stats.row_count,
-                "columns": {
-                    column.name: {
-                        "row_count": column.row_count,
-                        "null_count": column.null_count,
-                        "distinct_count": column.distinct_count,
-                        "min": column.min_value,
-                        "max": column.max_value,
-                        "most_common": [
-                            [value, count] for value, count
-                            in column.most_common
-                        ],
-                        "histogram_bounds": (
-                            list(column.histogram.bounds)
-                            if column.histogram is not None
-                            else None
-                        ),
-                    }
-                    for column in stats.columns.values()
-                },
-            }
-            for name, stats in selected.items()
-        },
-    }, 0
-
-
-def _text_analyze(payload: dict, args: argparse.Namespace) -> None:
-    for name, table in payload["tables"].items():
-        rows = []
-        for column, stats in table["columns"].items():
-            mcvs = ", ".join(f"{value!r}x{count}"
-                             for value, count in stats["most_common"][:3])
-            bounds = stats["histogram_bounds"]
-            if bounds is None:
-                edges = "-"
-            elif bounds:
-                edges = (f"{len(bounds)} buckets "
-                         f"[{bounds[0]:g} .. {bounds[-1]:g}]")
-            else:
-                edges = "empty"
-            rows.append((column, stats["row_count"], stats["null_count"],
-                         stats["distinct_count"], _brief(stats["min"]),
-                         _brief(stats["max"]), mcvs or "-", edges))
-        print(_table(["column", "rows", "nulls", "NDV", "min", "max",
-                      "top MCVs", "histogram"], rows,
-                     f"{name} ({table['row_count']} rows)"))
-        print()
-    stale = payload["stale_tables"]
-    print(f"-- epoch {payload['stats_epoch']}; "
-          f"{len(stale)} stale table(s)"
-          + (f": {', '.join(stale)}" if stale else ""))
-
-
-def _brief(value, width: int = 12) -> str:
-    if isinstance(value, float):
-        return f"{value:g}"
-    text = str(value)
-    return text if len(text) <= width else text[:width - 1] + "…"
 
 
 def _cmd_clades(args: argparse.Namespace) -> tuple[dict, int]:
@@ -860,13 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
     command("stats", _cmd_stats, _text_stats,
             json_help="emit the metrics snapshot as JSON",
             help="run a representative workload, print metrics + spans")
-
-    analyze = command(
-        "analyze", _cmd_analyze, _text_analyze,
-        json_help="emit the statistics as JSON",
-        help="ANALYZE the tables, print optimizer statistics")
-    analyze.add_argument("--table", default=None,
-                         help="restrict to one table (default: all)")
 
     clades = command("clades", _cmd_clades, _text_clades,
                      help="materialized clade statistics")

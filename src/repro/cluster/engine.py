@@ -8,9 +8,9 @@ the router, materializes the rows into a local overlay *view* (a plain
 :class:`~repro.core.drugtree.DrugTree` recovered from those rows in
 global row-id order, the way a durable overlay recovers from its store,
 so every scan and index path emits rows in the same order as the
-single-node engine), has it adopt the cluster-wide table statistics so
-the planner makes the same choices, and then delegates
-to a stock :class:`~repro.core.query.executor.QueryEngine`.
+single-node engine), indexes it, and then delegates to a stock
+:class:`~repro.core.query.executor.QueryEngine`, whose planner prices
+from the view's own indexes.
 
 Views are kept per partition set for the engine's life — pruning
 yields at most P(P+1)+1 non-empty sets over P interval partitions —
@@ -93,7 +93,6 @@ class ClusterEngine:
     """
 
     def __init__(self, tree, router: Router,
-                 statistics: dict | None = None,
                  config: EngineConfig | None = None) -> None:
         self.tree = tree
         self.router = router
@@ -101,9 +100,6 @@ class ClusterEngine:
         self.partitioner = router.cluster.partitioner
         self.labeling = self.partitioner.labeling
         self.config = config or EngineConfig()
-        #: Cluster-wide table statistics injected into every view so
-        #: planner decisions match the single-node engine.
-        self.statistics = dict(statistics or {})
         self._schemas = {
             PROTEINS_TABLE: proteins_schema(),
             LIGANDS_TABLE: ligands_schema(),
@@ -131,8 +127,7 @@ class ClusterEngine:
             for row_id, row in table.scan():
                 leaf_pre = row[leaf_idx] if leaf_idx is not None else None
                 router.write(name, row_id, row, leaf_pre=leaf_pre)
-        return cls(drugtree.tree, router,
-                   statistics=dict(drugtree.statistics), config=config)
+        return cls(drugtree.tree, router, config=config)
 
     # -- writes ---------------------------------------------------------------
 
@@ -270,10 +265,3 @@ class ClusterEngine:
             by_table.setdefault(table, []).append(
                 (row_id, merged[table, row_id].row))
         drugtree.load_rows(by_table)
-        if self.statistics:
-            # Cluster-wide statistics, not the subset's: the planner
-            # must cost plans exactly like the single-node engine. Again
-            # after every absorb — loading counts as mutations, and past
-            # the staleness threshold the view would re-ANALYZE its own
-            # subset and plan unlike a freshly built one.
-            drugtree.adopt_statistics(self.statistics)

@@ -6,8 +6,7 @@ on a protein-motivated phylogenetic tree". It owns:
 * the :class:`~repro.bio.tree.PhyloTree` and its interval labeling;
 * the three overlay tables (``proteins``, ``ligands``, ``bindings``);
 * the materialized per-clade aggregates;
-* the ligand fingerprint library for similarity search;
-* table statistics for the optimizer.
+* the ligand fingerprint library for similarity search.
 
 Use :meth:`DrugTree.build` for the common case, or construct empty and
 populate through :meth:`add_protein` / :meth:`add_ligand` /
@@ -34,17 +33,9 @@ from repro.core.overlay import (
     make_overlay_tables,
 )
 from repro.errors import QueryError
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 from repro.storage.durable import Database, StorageConfig
-from repro.storage.statistics import TableCounts, TableStatistics, analyze
 from repro.storage.table import Table
-
-#: A table is re-ANALYZEd once it holds more than
-#: ``max(STALE_MIN_MUTATIONS, STALE_FRACTION * analyzed_rows)``
-#: rows its statistics did not count. Below that, slightly stale
-#: statistics only perturb cost estimates — never correctness.
-STALE_MIN_MUTATIONS = 16
-STALE_FRACTION = 0.1
 
 
 class DrugTree:
@@ -76,12 +67,8 @@ class DrugTree:
         self.fingerprints: dict[str, Fingerprint] = {}
         self.fingerprint_index = FingerprintIndex()
         self.molecules: dict[str, Molecule] = {}
-        self._statistics: dict[str, TableStatistics] | None = None
         self._known_proteins: set[str] = set()
         self._known_ligands: set[str] = set()
-        #: Bumped whenever any table's statistics are (re)collected or
-        #: adopted; ``repro stats`` reports it and nothing keys on it.
-        self.stats_epoch = 0
         #: Bumped on every row inserted into an overlay table (rows are
         #: never deleted), after the table's indexes and the clade
         #: aggregates have taken the row: what is derived from the
@@ -89,11 +76,6 @@ class DrugTree:
         #: reads ``v`` — it is the freshness stamp of every cached
         #: answer. Like the tables, it assumes one writer at a time.
         self.data_version = 0
-        #: Kept from a table's first re-ANALYZE on; a read-only one has none.
-        self._counts: dict[str, TableCounts] = {}
-        #: Each table's row count when it adopted statistics it did not
-        #: count itself; its own statistics count ``row_count`` rows.
-        self._adopted_rows: dict[str, int] = {}
         for table in self.tables.values():
             table.add_insert_listener(self._on_insert)
         if self.database is not None:
@@ -230,67 +212,6 @@ class DrugTree:
         ligands.create_index(["molecular_weight"], kind="sorted")
         ligands.create_index(["logp"], kind="sorted")
 
-    def refresh_statistics(self) -> dict[str, TableStatistics]:
-        """ANALYZE every overlay table; call after bulk loading."""
-        statistics = self.adopt_statistics({
-            name: analyze(table) for name, table in self.tables.items()
-        })
-        self._adopted_rows = {}  # counted here, not adopted
-        return statistics
-
-    def adopt_statistics(self, statistics: Mapping[str, TableStatistics],
-                         ) -> dict[str, TableStatistics]:
-        """Take *statistics* as every table's current ANALYZE result
-        (a cluster view holds a subset of the rows but must cost plans
-        like the single-node engine, so it adopts the cluster's)."""
-        self._statistics = dict(statistics)
-        self._adopted_rows = {name: table.row_count
-                              for name, table in self.tables.items()}
-        self.stats_epoch += 1
-        return self._statistics
-
-    def _analyze_table(self, name: str) -> TableStatistics:
-        """Re-ANALYZE one table, counting only the rows its kept counts
-        have not seen; the statistics say how many rows they count."""
-        table = self.tables[name]
-        counts = self._counts.setdefault(
-            name, TableCounts(len(table.schema.columns)))
-        stats = analyze(table, counts=counts)
-        self._statistics[name] = stats
-        self._adopted_rows.pop(name, None)
-        self.stats_epoch += 1
-        return stats
-
-    def _stale_table_names(self) -> list[str]:
-        """Tables holding more rows than their statistics counted, by
-        more than the threshold."""
-        if self._statistics is None:
-            return sorted(self.tables)
-        stale = []
-        for name, table in self.tables.items():
-            analyzed = self._statistics.get(name)
-            counted = self._adopted_rows.get(
-                name, analyzed.row_count if analyzed else 0)
-            threshold = 0 if analyzed is None else max(
-                STALE_MIN_MUTATIONS, int(STALE_FRACTION * analyzed.row_count))
-            if table.row_count - counted > threshold:
-                stale.append(name)
-        return stale
-
-    def stale_tables(self) -> list[str]:
-        """Names of tables with stale statistics; updates the gauge."""
-        stale = self._stale_table_names()
-        get_metrics().gauge("stats.stale_tables").set(len(stale))
-        return stale
-
-    @property
-    def statistics(self) -> dict[str, TableStatistics]:
-        if self._statistics is None:
-            return self.refresh_statistics()
-        for name in self._stale_table_names():
-            self._analyze_table(name)
-        return self._statistics
-
     def _on_insert(self, row_id: int, row: tuple) -> None:
         self.data_version += 1
 
@@ -359,5 +280,4 @@ class DrugTree:
             drugtree.add_binding(record)
         if create_indexes:
             drugtree.create_default_indexes()
-        drugtree.refresh_statistics()
         return drugtree

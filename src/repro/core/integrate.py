@@ -293,7 +293,6 @@ class IntegrationPipeline:
             with tracer.span("integrate.index_and_materialize"):
                 if create_indexes:
                     drugtree.create_default_indexes()
-                drugtree.refresh_statistics()
             span.set("ligands", report.ligands)
             span.set("bindings", report.bindings)
 

@@ -1,23 +1,29 @@
-"""Cardinality estimation from table statistics.
+"""Cardinality estimation from the live tables' indexes.
 
-Classic System-R style estimation: per-predicate selectivities from
-histograms / distinct counts multiplied under an independence
-assumption, and equi-join cardinality via ``|L| * |R| / max(ndv)``.
+The indexes :meth:`~repro.core.drugtree.DrugTree.create_default_indexes`
+keeps current on every insert are the optimizer's catalog: a hash
+bucket's length is an exact equality count, a sorted index counts any
+band with two bisects, and the number of hash buckets is a join key's
+distinct count. A predicate on a column with no index gets
+:data:`DEFAULT_SELECTIVITY`; several predicates multiply under the
+independence assumption, and an equi-join is ``|L| * |R| / max(ndv)``.
+Nothing is collected ahead of a query, so nothing goes stale.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.core.query.ast import Comparison
-from repro.storage.statistics import TableStatistics
+from repro.storage.index import HashIndex, Index
+from repro.storage.table import Table
 
-#: Selectivity assumed when nothing better is known.
+#: Selectivity assumed of a predicate no index can count.
 DEFAULT_SELECTIVITY = 0.33
 #: Floor preventing zero estimates from wiping out join products.
 MIN_ROWS = 0.5
-#: Last-resort guess when neither statistics nor a live table exist.
-FALLBACK_ROWS = 1000.0
+
+_RANGE_OPS = ("<", "<=", ">", ">=")
 
 
 def combine_bounds(bounds) -> tuple:
@@ -38,107 +44,68 @@ def combine_bounds(bounds) -> tuple:
 
 
 class CardinalityEstimator:
-    """Estimates row counts for scans and joins of the overlay tables.
+    """Estimates row counts for scans and joins of the overlay tables,
+    reading their indexes and row counts at the moment it is asked and
+    no row."""
 
-    When a table has no collected statistics the estimator falls back
-    to the live ``Table`` row count (if *tables* was provided) rather
-    than a fixed guess, bumps the ``stats.missing`` counter, and
-    records the table in :attr:`blind_tables` so EXPLAIN can flag the
-    estimate as made blind.
-    """
-
-    def __init__(self, statistics: dict[str, TableStatistics],
-                 tables: Optional[Mapping[str, object]] = None,
-                 metrics=None) -> None:
-        self._stats = statistics
-        self._tables = tables or {}
-        self._metrics = metrics
-        #: Tables priced without statistics during this estimator's life.
-        self.blind_tables: set[str] = set()
-
-    def _record_blind(self, table: str) -> None:
-        if table in self.blind_tables:
-            return  # planning re-prices the same scan many times
-        self.blind_tables.add(table)
-        metrics = self._metrics
-        if metrics is None:
-            from repro.obs import get_metrics
-            metrics = get_metrics()
-        metrics.counter("stats.missing").inc()
+    def __init__(self, tables: Mapping[str, Table]) -> None:
+        self._tables = tables
 
     def table_rows(self, table: str) -> float:
-        stats = self._stats.get(table)
-        if stats is not None:
-            return float(stats.row_count)
-        self._record_blind(table)
-        live = self._tables.get(table)
-        if live is not None:
-            return float(max(live.row_count, 1))
-        return FALLBACK_ROWS
-
-    def predicate_selectivity(self, table: str,
-                              predicate: Comparison) -> float:
-        stats = self._stats.get(table)
-        if stats is None or predicate.column not in stats.columns:
-            return DEFAULT_SELECTIVITY
-        column = stats.columns[predicate.column]
-        if predicate.op == "=":
-            return min(1.0, column.equality_selectivity(predicate.value))
-        if predicate.op == "!=":
-            return max(
-                0.0, 1.0 - column.equality_selectivity(predicate.value)
-            )
-        if predicate.op == "in":
-            total = sum(
-                column.equality_selectivity(value)
-                for value in predicate.value
-            )
-            return min(1.0, total)
-        if predicate.op in ("<", "<="):
-            return column.range_selectivity(
-                low=None, high=predicate.value,
-                include_high=predicate.op == "<=",
-            )
-        # ">" or ">="
-        return column.range_selectivity(
-            low=predicate.value, high=None,
-            include_low=predicate.op == ">=",
-        )
+        return float(self._tables[table].row_count)
 
     def scan_rows(self, table: str,
                   predicates: tuple[Comparison, ...]) -> float:
         """Estimated output of scanning *table* under *predicates*.
 
-        Range bounds on the same column are combined into one joint
-        band before the independence multiplication — multiplying
-        ``x >= 5`` and ``x < 6`` separately would square-count the
-        column's selectivity (the classic estimator mistake, and the
+        Range bounds on the same column are counted as one band before
+        the independence multiplication — multiplying ``x >= 5`` and
+        ``x < 6`` separately would square-count the column (the
         dominant error for interval-labeling subtree predicates, which
-        always arrive as a bound pair).
+        always arrive as a bound pair). One predicate on an indexed
+        column is counted exactly.
         """
         rows = self.table_rows(table)
+        if not rows:
+            return MIN_ROWS
         bands: dict[str, list[Comparison]] = {}
+        counts = []
         for predicate in predicates:
-            if predicate.op in ("<", "<=", ">", ">="):
+            if predicate.op in _RANGE_OPS:
                 bands.setdefault(predicate.column, []).append(predicate)
             else:
-                rows *= self.predicate_selectivity(table, predicate)
-        for column, bounds in bands.items():
-            rows *= self._band_selectivity(table, column, bounds)
-        return max(rows, MIN_ROWS)
+                counts.append(self._matches(table, predicate))
+        counts.extend(self._band_matches(table, column, bounds)
+                      for column, bounds in bands.items())
+        estimate = rows
+        for count in counts:
+            if count is None:
+                estimate *= DEFAULT_SELECTIVITY
+            else:
+                estimate = estimate * count / rows
+        return max(estimate, MIN_ROWS)
 
-    def _band_selectivity(self, table: str, column: str,
-                          bounds: list[Comparison]) -> float:
-        if len(bounds) == 1:
-            return self.predicate_selectivity(table, bounds[0])
-        stats = self._stats.get(table)
-        if stats is None or column not in stats.columns:
-            return DEFAULT_SELECTIVITY
-        low, high, include_low, include_high = combine_bounds(bounds)
-        return stats.columns[column].range_selectivity(
-            low=low, high=high,
-            include_low=include_low, include_high=include_high,
-        )
+    def _matches(self, table: str, predicate: Comparison) -> int | None:
+        """Rows an ``=``, ``!=`` or ``IN`` predicate keeps (NULL never
+        matches), or ``None`` when no index on its column can say."""
+        live = self._tables[table]
+        index = live.index_on(predicate.column)
+        if index is None:
+            return None
+        if predicate.op == "in":
+            return sum(_equal(index, value)
+                       for value in set(predicate.value))
+        matching = _equal(index, predicate.value)
+        if predicate.op == "!=":
+            return live.row_count - len(index.lookup(None)) - matching
+        return matching
+
+    def _band_matches(self, table: str, column: str,
+                      bounds: list[Comparison]) -> int | None:
+        index = self._tables[table].index_on(column, require_range=True)
+        if index is None:
+            return None
+        return index.count(*combine_bounds(bounds))
 
     def join_rows(self, left_rows: float, right_rows: float,
                   left_table: str, right_table: str, key: str) -> float:
@@ -149,7 +116,16 @@ class CardinalityEstimator:
         return max(left_rows * right_rows / denominator, MIN_ROWS)
 
     def _distinct(self, table: str, column: str) -> float:
-        stats = self._stats.get(table)
-        if stats is None or column not in stats.columns:
-            return 1.0
-        return float(max(stats.columns[column].distinct_count, 1))
+        index = self._tables[table].index_on(column)
+        if isinstance(index, HashIndex):
+            return float(len(index._buckets))
+        return 1.0
+
+
+def _equal(index: Index, value) -> int:
+    """Entries of *index* whose key equals *value* (none for NULL)."""
+    if value is None:
+        return 0
+    if isinstance(index, HashIndex):
+        return len(index._buckets.get(value, ()))
+    return index.count(value, value)

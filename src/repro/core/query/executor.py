@@ -222,9 +222,7 @@ class QueryEngine:
         self.planner = Planner(
             tables=drugtree.tables,
             labeling=drugtree.labeling,
-            estimator=CardinalityEstimator(drugtree.statistics,
-                                           tables=drugtree.tables,
-                                           metrics=metrics),
+            estimator=CardinalityEstimator(drugtree.tables),
             config=self.config,
         )
         self.cache = SemanticCache(drugtree.labeling)
@@ -236,10 +234,9 @@ class QueryEngine:
         from repro.analysis.dtql import SemanticAnalyzer
         self.analyzer = SemanticAnalyzer()
         #: DTQL text -> its token-free analysis report, oldest first.
-        #: Guarded by ``_lock``, a leaf that also covers the planner's
-        #: estimator swap; no check, plan or run happens under it (two
-        #: threads missing one text both check it, the later store
-        #: wins).
+        #: Guarded by ``_lock``, a leaf: no check, plan or run happens
+        #: under it (two threads missing one text both check it, the
+        #: later store wins).
         self._analyses: OrderedDict[str, Any] = OrderedDict()
         self._lock = threading.Lock()
 
@@ -429,15 +426,6 @@ class QueryEngine:
             with tracer.span("query.resolve_filters"):
                 ligand_keys, candidates, sub_candidates = \
                     self._resolve_ligand_filters(query)
-            # Refresh the estimator if statistics went stale
-            # (bulk loads).
-            estimator = CardinalityEstimator(
-                self.drugtree.statistics,
-                tables=self.drugtree.tables,
-                metrics=metrics,
-            )
-            with self._lock:
-                self.planner.estimator = estimator
             with tracer.span("query.plan"):
                 plan = self.planner.plan(query,
                                          similar_keys=ligand_keys)

@@ -11,7 +11,7 @@ is off) to a logical plan in four steps:
    ``IN`` over the clade's protein ids (the ablation baseline).
 3. **Access-path selection** — per table, the cheapest of sequential
    scan / hash-index equality / sorted-index range / key-set probe,
-   costed with the statistics-driven cardinality estimator; under a
+   costed with the index-driven cardinality estimator; under a
    single-table ``ORDER BY c LIMIT k``, also an ordered walk of the
    sorted index on ``c`` that stops after ``k`` matches, priced against
    the best of the others *plus* the top-k it would feed.

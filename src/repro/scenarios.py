@@ -336,5 +336,3 @@ def run_representative_session(dataset) -> None:
     cluster_engine.execute(
         "SELECT protein_id FROM proteins WHERE leaf_pre < 4"
     )
-    # Publish the statistics-staleness gauge alongside the rest.
-    drugtree.stale_tables()

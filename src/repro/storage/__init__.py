@@ -1,7 +1,8 @@
-"""Embedded storage layer: tables, indexes, statistics.
+"""Embedded storage layer: tables and their indexes.
 
 The integrator lands federated records in these tables; the query
-optimizer plans against their indexes and statistics.
+optimizer plans against their indexes, which also count for its
+estimates.
 """
 
 from repro.storage.columnar import ColumnStore
@@ -20,30 +21,20 @@ from repro.storage.schema import (
     int_column,
     string_column,
 )
-from repro.storage.statistics import (
-    ColumnStatistics,
-    Histogram,
-    TableStatistics,
-    analyze,
-)
 from repro.storage.table import Table
 
 __all__ = [
     "Column",
-    "ColumnStatistics",
     "ColumnStore",
     "ColumnType",
     "Database",
     "DurableTableAdapter",
     "HashIndex",
-    "Histogram",
     "Index",
     "Schema",
     "SortedIndex",
     "StorageConfig",
     "Table",
-    "TableStatistics",
-    "analyze",
     "bool_column",
     "float_column",
     "int_column",

@@ -7,6 +7,10 @@ Two access structures cover every plan the optimizer produces:
   scans, which is what makes the tree interval labeling (the paper's
   "novel mechanism") turn subtree queries into cheap range lookups.
 
+Both are also the optimizer's statistics: a bucket's length and a
+sorted band's :meth:`SortedIndex.count` are exact row counts that no
+insert leaves stale (:mod:`repro.core.query.cards`).
+
 Indexes only grow, and their table hands them row ids in ascending
 order (inserts, recovery and a backfill all append), so a hash bucket
 and a sorted index's NULL keys are each an ascending list of row ids.
@@ -249,6 +253,20 @@ class SortedIndex(Index):
               include_high: bool = True) -> list[int]:
         """Row ids with key in the given (optionally open) interval."""
         return self._read(low, high, include_low, include_high)
+
+    def count(self, low: Any = None, high: Any = None,
+              include_low: bool = True, include_high: bool = True) -> int:
+        """How many keyed entries lie in the interval: two bisects and
+        the lengths of the chunks between, no row id read. It reads one
+        layout and does not retry like ``_read``: an insert it overlaps
+        moves the count by one, and the planner only estimates with it."""
+        layout = self._layout
+        start, stop = self._bounds(layout, low, high, include_low,
+                                   include_high)
+        if start >= stop:
+            return 0
+        (first, offset), (last, end) = start, stop
+        return sum(map(len, layout[1][first:last])) - offset + end
 
     def ordered(self, descending: bool = False, low: Any = None,
                 high: Any = None, include_low: bool = True,

@@ -4,8 +4,8 @@ After a write the next read quorum-reads again; a cached view whose
 rows all came back unchanged takes just the new rows through
 ``DrugTree.load_rows`` instead of being rebuilt. The state machine
 checks the equivalence that makes that safe — tables, scan order,
-indexes, column stores, clade aggregates, fingerprints and statistics
-of the served view equal a fresh build's after every read, and the
+indexes, column stores, clade aggregates and fingerprints of the
+served view equal a fresh build's after every read, and the
 answer equals the single-node mirror's — under inserts, a crashed
 replica, healing and anti-entropy. The directed cases pin each way a
 view must *refuse* to absorb, and one planted bug per guard proves the
@@ -25,7 +25,7 @@ from hypothesis.stateful import (
 import repro.core.drugtree as drugtree_module
 from repro.cluster import ClusterConfig, ClusterEngine
 from repro.core import EngineConfig, QueryEngine
-from repro.core.drugtree import STALE_MIN_MUTATIONS, DrugTree
+from repro.core.drugtree import DrugTree
 from repro.errors import StorageError
 from repro.faults import FaultSchedule, Outage
 from repro.obs import MetricsRegistry, get_metrics, set_metrics
@@ -64,7 +64,6 @@ def insert_binding(clustered, drugtree, protein_id, ligand_id="LIG-NEW",
 def rebuilt(clustered, pids):
     """The view of *pids* a cold engine over the same router builds."""
     cold = ClusterEngine(clustered.tree, clustered.router,
-                         statistics=clustered.statistics,
                          config=clustered.config)
     return cold._view(pids, None).drugtree
 
@@ -74,7 +73,7 @@ def index_state(index):
             if name != "key_of"}
 
 
-def assert_same_overlay(served: DrugTree, fresh: DrugTree, statistics):
+def assert_same_overlay(served: DrugTree, fresh: DrugTree):
     """Everything a query can observe of *served* equals *fresh*."""
     for name, table in fresh.tables.items():
         mine = served.tables[name]
@@ -93,7 +92,6 @@ def assert_same_overlay(served: DrugTree, fresh: DrugTree, statistics):
     assert sorted(served.molecules) == sorted(fresh.molecules)
     assert served.protein_count == fresh.protein_count
     assert served.ligand_count == fresh.ligand_count
-    assert served.statistics == fresh.statistics == statistics
 
 
 def served_view(clustered):
@@ -103,13 +101,7 @@ def served_view(clustered):
 
 
 class ViewDeltaMachine(RuleBasedStateMachine):
-    """Writes, reads and node faults against one cluster + mirror.
-
-    Inserts per table stay at or under ``STALE_MIN_MUTATIONS``: past
-    it the mirror re-ANALYZEs and the cluster (statistics frozen at
-    ``from_drugtree``) may order join rows differently — the known gap
-    ``tests/cluster/test_statistics_drift.py`` pins.
-    """
+    """Writes, reads and node faults against one cluster + mirror."""
 
     def __init__(self):
         super().__init__()
@@ -120,11 +112,9 @@ class ViewDeltaMachine(RuleBasedStateMachine):
                                         self.dataset.ligands, seed=7)
         self.proteins = list(self.dataset.family.protein_ids)
         self.nodes = self.clustered.router.cluster.node_ids
-        self.new_bindings = 0
         self.new_ligands = 0
         self.crashed = False
 
-    @precondition(lambda self: self.new_bindings < STALE_MIN_MUTATIONS)
     @rule(protein=st.integers(0, 15), ligand=st.integers(0, 23),
           p_affinity=st.integers(3000, 10000))
     def insert_binding(self, protein, ligand, p_affinity):
@@ -132,9 +122,7 @@ class ViewDeltaMachine(RuleBasedStateMachine):
             self.clustered, self.drugtree,
             self.proteins[protein % len(self.proteins)],
             self.dataset.ligands[ligand].ligand_id, p_affinity / 1000)
-        self.new_bindings += 1
 
-    @precondition(lambda self: self.new_ligands < STALE_MIN_MUTATIONS)
     @rule(template=st.integers(0, 23))
     def insert_ligand(self, template):
         # A new compound with a known structure: through the mirror
@@ -158,8 +146,7 @@ class ViewDeltaMachine(RuleBasedStateMachine):
                 continue  # untouched since the read that checked it
             pids, view = served_view(self.clustered)
             assert_same_overlay(view.drugtree,
-                                rebuilt(self.clustered, pids),
-                                self.clustered.statistics)
+                                rebuilt(self.clustered, pids))
 
     @precondition(lambda self: not self.crashed)
     @rule(victim=st.integers(0, 4))
@@ -242,56 +229,17 @@ def check_late_row_forces_a_rebuild():
     assert clustered.last_route["view"] == "built"
     pids, view = served_view(clustered)
     assert missed in dict(view.drugtree.tables["bindings"].scan())
-    assert_same_overlay(view.drugtree, rebuilt(clustered, pids),
-                        clustered.statistics)
-
-
-def check_statistics_survive_many_absorbs(rows=200):
-    """Absorbed rows fire the view's own mutation listeners; without
-    re-adopting the cluster's statistics the view would re-ANALYZE its
-    subset past the staleness threshold and plan unlike a fresh one."""
-    dataset, single, clustered = make_pair(seed=7)
-    proteins = dataset.family.protein_ids
-    query = "SELECT count(*) FROM bindings"
-    clustered.execute(query)
-    for index in range(rows):
-        insert_binding(clustered, single.drugtree,
-                       proteins[index % len(proteins)])
-        if index % 25 == 24:
-            assert clustered.execute(query).rows \
-                == single.execute(query).rows
-            assert clustered.last_route["view"] == "absorbed"
-    _, view = served_view(clustered)
-    assert view.drugtree.binding_count == single.drugtree.binding_count
-    assert view.drugtree.stale_tables() == []
-    assert view.drugtree.statistics == clustered.statistics
+    assert_same_overlay(view.drugtree, rebuilt(clustered, pids))
 
 
 def test_late_row_below_the_watermark_rebuilds():
     check_late_row_forces_a_rebuild()
 
 
-def test_statistics_equal_the_clusters_after_200_absorbed_rows():
-    check_statistics_survive_many_absorbs()
-
-
 def test_planted_bug_no_watermark_check_is_caught(monkeypatch):
     monkeypatch.setattr(Table, "next_row_id", property(lambda self: 0))
     with pytest.raises((AssertionError, StorageError)):
         check_late_row_forces_a_rebuild()
-
-
-def test_planted_bug_no_statistics_readopt_is_caught(monkeypatch):
-    adopt = DrugTree.adopt_statistics
-
-    def adopt_once(self, statistics):
-        if self._statistics is None:
-            return adopt(self, statistics)
-        return self._statistics
-
-    monkeypatch.setattr(DrugTree, "adopt_statistics", adopt_once)
-    with pytest.raises(AssertionError):
-        check_statistics_survive_many_absorbs()
 
 
 def test_changed_version_of_a_held_row_rebuilds():
@@ -308,8 +256,7 @@ def test_changed_version_of_a_held_row_rebuilds():
     assert clustered.last_route["view"] == "built"
     assert rows[0]["p_affinity"] == 11.5
     pids, view = served_view(clustered)
-    assert_same_overlay(view.drugtree, rebuilt(clustered, pids),
-                        clustered.statistics)
+    assert_same_overlay(view.drugtree, rebuilt(clustered, pids))
 
 
 def test_a_failed_load_drops_the_view(monkeypatch):

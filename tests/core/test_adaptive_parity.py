@@ -9,16 +9,16 @@ every workload family runs under the row reference and the default
 accounting counters ``rows_scanned`` / ``rows_emitted`` /
 ``index_probes``.
 
-The suite also pins the rule itself and the statistics-staleness
-trigger. ``test_vectorized_parity.py`` holds the batch-size sweeps, the
+The suite also pins the rule itself, and that inserts reach the
+estimates at once. ``test_vectorized_parity.py`` holds the batch-size sweeps, the
 bare-LIMIT exception and the diagnostics of the explicit modes.
 """
 
 import pytest
 
 from repro.core import EngineConfig, QueryEngine
-from repro.core.drugtree import STALE_MIN_MUTATIONS
 from repro.core.query import parse_query
+from repro.core.query.ast import Comparison
 from repro.core.query.adaptive import choose_engine
 from repro.obs import MetricsRegistry, set_metrics
 from repro.sources import (
@@ -199,8 +199,8 @@ class TestAdaptiveChoice:
         assert choice(generator.draw("join")).mode == "vectorized"
 
 
-class TestMutationReanalyze:
-    def test_mutations_trigger_reanalyze_and_invalidation(self):
+class TestMutations:
+    def test_inserts_reach_the_estimates_and_both_engines(self):
         dataset = make_dataset(seed=41, n_leaves=12, n_ligands=16)
         drugtree = dataset.drugtree()
         engines = make_pair(dataset)
@@ -208,28 +208,25 @@ class TestMutationReanalyze:
         dtql = ("SELECT ligand_id, p_affinity FROM bindings "
                 "WHERE p_affinity >= 6.0")
         assert_parity(engines, dtql)
-        epoch_before = drugtree.stats_epoch
         count_dtql = ("SELECT count(*) FROM bindings "
                       "WHERE p_affinity >= 9.0")
         base_count = default.execute(count_dtql).rows[0]["count_all"]
 
         table = drugtree.tables["bindings"]
         template = table.schema.row_as_dict(next(iter(table.scan()))[1])
-        rows_before = table.row_count
-        for i in range(STALE_MIN_MUTATIONS + 1):
+        inserted = 17
+        for i in range(inserted):
             fresh = dict(template)
             fresh["ligand_id"] = f"lig_mut_{i}"
             fresh["p_affinity"] = 9.0 + i / 100.0
             table.insert(fresh)
-        assert "bindings" in drugtree.stale_tables()
 
-        # The next statistics read re-ANALYZEs the stale table...
-        stats = drugtree.statistics["bindings"]
-        assert stats.row_count == rows_before + STALE_MIN_MUTATIONS + 1
-        assert drugtree.stats_epoch > epoch_before
-        assert drugtree.stale_tables() == []
+        # The planner's next estimate counts the new rows: it reads the
+        # index, so there is nothing to re-collect...
+        assert default.planner.estimator.scan_rows(
+            "bindings", (Comparison("p_affinity", ">=", 9.0),)) \
+            == base_count + inserted
         # ...and both engines still agree on the mutated data.
         assert_parity(engines, dtql)
         got = default.execute(count_dtql)
-        assert got.rows[0]["count_all"] == \
-            base_count + STALE_MIN_MUTATIONS + 1
+        assert got.rows[0]["count_all"] == base_count + inserted

@@ -1,139 +1,188 @@
-"""Tests for the cardinality estimator."""
+"""The cardinality estimator counts through the live indexes.
+
+One predicate on an indexed column is estimated at exactly the rows it
+keeps (q-error 1.0): ``=``, ``!=`` and ``IN`` on every indexed column,
+ranges and two-sided bands on every sorted-indexed one, however many
+rows were inserted since the indexes were built. The reference is the
+naive engine's: on the integrated world its own count, after inserts
+its filter (:meth:`Comparison.matches`, NULL never matching) over the
+table's rows. Sorted indexes hold two keys per chunk here, so bands
+start and stop at chunk edges all the time.
+"""
+
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.query.ast import Comparison
-from repro.core.query.cards import CardinalityEstimator
-from repro.storage import (
-    Schema,
-    Table,
-    analyze,
-    float_column,
-    string_column,
+from repro.core import DrugTree, NaiveEngine
+from repro.core.query.ast import AggregateSpec, Comparison, Query
+from repro.core.query.cards import (
+    DEFAULT_SELECTIVITY,
+    MIN_ROWS,
+    CardinalityEstimator,
 )
+from repro.storage import Schema, SortedIndex, Table, float_column
+from repro.storage.schema import ColumnType
+from repro.workloads import DatasetConfig, build_dataset
+
+SMALL_CHUNK = 2
 
 
 @pytest.fixture(scope="module")
-def estimator():
-    schema = Schema([
-        string_column("organism"),
-        float_column("p_affinity"),
-    ])
-    table = Table("bindings", schema)
-    for i in range(400):
-        table.insert({
-            "organism": f"org_{i % 8}",
-            "p_affinity": 4.0 + (i % 100) / 20.0,  # uniform 4.0..8.95
-        })
-    return CardinalityEstimator({"bindings": analyze(table)})
+def dataset():
+    return build_dataset(DatasetConfig(n_leaves=12, n_ligands=16, seed=41))
 
 
-class TestTableRows:
-    def test_known_table(self, estimator):
-        assert estimator.table_rows("bindings") == 400.0
-
-    def test_unknown_table_defaults(self, estimator):
-        assert estimator.table_rows("ghost") == 1000.0
+@pytest.fixture(scope="module")
+def world(dataset):
+    with mock.patch.object(SortedIndex, "CHUNK", SMALL_CHUNK):
+        return dataset.drugtree()
 
 
-class TestLiveRowFallback:
-    """No statistics != no knowledge: live tables beat the constant."""
-
-    def _table(self, rows=250):
-        schema = Schema([string_column("organism"),
-                         float_column("p_affinity")])
-        table = Table("bindings", schema)
-        for i in range(rows):
-            table.insert({"organism": f"org_{i % 4}",
-                          "p_affinity": 5.0 + i / 100.0})
-        return table
-
-    def test_live_table_row_count_used(self):
-        table = self._table(rows=250)
-        estimator = CardinalityEstimator({}, tables={"bindings": table})
-        assert estimator.table_rows("bindings") == 250.0
-        assert "bindings" in estimator.blind_tables
-
-    def test_unknown_table_still_falls_back(self):
-        estimator = CardinalityEstimator({}, tables={})
-        assert estimator.table_rows("ghost") == 1000.0
-        assert "ghost" in estimator.blind_tables
-
-    def test_analyzed_table_is_not_blind(self):
-        table = self._table(rows=250)
-        estimator = CardinalityEstimator({"bindings": analyze(table)},
-                                         tables={"bindings": table})
-        assert estimator.table_rows("bindings") == 250.0
-        assert estimator.blind_tables == set()
-
-    def test_blind_estimates_counted(self):
-        from repro.obs import MetricsRegistry
-
-        metrics = MetricsRegistry()
-        table = self._table(rows=50)
-        estimator = CardinalityEstimator({}, tables={"bindings": table},
-                                         metrics=metrics)
-        estimator.table_rows("bindings")
-        estimator.table_rows("ghost")
-        estimator.table_rows("bindings")  # same table counts once
-        assert metrics.counter_values()["stats.missing"] == 2
+def indexed_columns(drugtree):
+    """``(table, column, sorted?)`` of every single-column index."""
+    return [(name, index.column_names[0], isinstance(index, SortedIndex))
+            for name, table in sorted(drugtree.tables.items())
+            for index in table.indexes().values()]
 
 
-class TestSelectivity:
-    def test_equality_on_uniform_column(self, estimator):
-        sel = estimator.predicate_selectivity(
-            "bindings", Comparison("organism", "=", "org_3"),
-        )
-        assert sel == pytest.approx(1 / 8, rel=0.2)
-
-    def test_inequality_complements(self, estimator):
-        eq = estimator.predicate_selectivity(
-            "bindings", Comparison("organism", "=", "org_3"),
-        )
-        ne = estimator.predicate_selectivity(
-            "bindings", Comparison("organism", "!=", "org_3"),
-        )
-        assert eq + ne == pytest.approx(1.0)
-
-    def test_in_sums_members(self, estimator):
-        sel = estimator.predicate_selectivity(
-            "bindings", Comparison("organism", "in",
-                                   ("org_1", "org_2", "org_3")),
-        )
-        assert sel == pytest.approx(3 / 8, rel=0.2)
-
-    def test_range_on_uniform_column(self, estimator):
-        sel = estimator.predicate_selectivity(
-            "bindings", Comparison("p_affinity", ">=", 6.5),
-        )
-        # Values uniform on [4.0, 8.95): above 6.5 is ~half.
-        assert sel == pytest.approx(0.5, abs=0.1)
-
-    def test_band_multiplies_down(self, estimator):
-        rows = estimator.scan_rows("bindings", (
-            Comparison("p_affinity", ">=", 5.0),
-            Comparison("p_affinity", "<", 6.0),
-        ))
-        assert rows == pytest.approx(400 * 0.2, rel=0.3)
-
-    def test_unknown_column_uses_default(self, estimator):
-        sel = estimator.predicate_selectivity(
-            "ghost", Comparison("p_affinity", ">=", 5.0),
-        )
-        assert sel == 0.33
-
-    def test_scan_rows_floor(self, estimator):
-        rows = estimator.scan_rows("bindings", (
-            Comparison("organism", "=", "never_seen"),
-        ) * 4)
-        assert rows >= 0.5
+def reference(table, predicates):
+    """Rows of *table* every predicate keeps, by the naive filter."""
+    positions = [table.schema.index_of(p.column) for p in predicates]
+    return sum(all(p.matches(row[at])
+                   for p, at in zip(predicates, positions))
+               for row in table.scan_rows())
 
 
-class TestJoinEstimates:
-    def test_join_divides_by_max_ndv(self, estimator):
-        rows = estimator.join_rows(400.0, 8.0, "bindings", "bindings",
-                                   "organism")
-        assert rows == pytest.approx(400 * 8 / 8)
+def values_of(table, column):
+    """The column's distinct non-null values, ascending, plus one
+    value no row holds."""
+    at = table.schema.index_of(column)
+    held = sorted({row[at] for row in table.scan_rows()} - {None})
+    if table.schema.column(column).type is ColumnType.STRING:
+        return held + ["~absent"]
+    return held + [held[-1] + 1]
 
-    def test_join_floor(self, estimator):
-        assert estimator.join_rows(0.0, 0.0, "a", "b", "k") >= 0.5
+
+def predicates_for(data, table, column, ranged):
+    """One drawn predicate, or a two-sided band on a sorted column."""
+    pool = st.sampled_from(values_of(table, column))
+    ops = ["=", "!=", "in"] + (["<", "<=", ">", ">=", "band"]
+                               if ranged else [])
+    op = data.draw(st.sampled_from(ops))
+    if op == "in":
+        members = data.draw(st.lists(pool, min_size=1, max_size=4))
+        return (Comparison(column, "in", tuple(members)),)
+    if op == "band":
+        low, high = data.draw(pool), data.draw(pool)
+        return (Comparison(column, data.draw(st.sampled_from((">", ">="))),
+                           low),
+                Comparison(column, data.draw(st.sampled_from(("<", "<="))),
+                           high))
+    return (Comparison(column, op, data.draw(pool)),)
+
+
+def insert_like(data, drugtree):
+    """Insert a copy of a drawn row with one indexed column changed to
+    a held value, a new one, or NULL where the column allows it."""
+    name, column, _ = data.draw(st.sampled_from(indexed_columns(drugtree)))
+    table = drugtree.tables[name]
+    values = table.schema.row_as_dict(
+        data.draw(st.sampled_from(list(table.scan_rows()))))
+    choices = values_of(table, column)
+    if table.schema.column(column).nullable:
+        choices.append(None)
+    values[column] = data.draw(st.sampled_from(choices))
+    table.insert(values)
+
+
+def fresh_copy(world):
+    """The integrated world's rows in a new overlay (two-key chunks)."""
+    drugtree = DrugTree(world.tree)
+    drugtree.load_rows({name: list(table.scan())
+                        for name, table in world.tables.items()})
+    drugtree.create_default_indexes()
+    return drugtree
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_one_indexed_predicate_is_counted_exactly(world, data):
+    with mock.patch.object(SortedIndex, "CHUNK", SMALL_CHUNK):
+        drugtree = fresh_copy(world)
+        estimator = CardinalityEstimator(drugtree.tables)
+        for _ in range(data.draw(st.integers(1, 8))):
+            if data.draw(st.booleans()):
+                insert_like(data, drugtree)
+            name, column, ranged = data.draw(
+                st.sampled_from(indexed_columns(drugtree)))
+            table = drugtree.tables[name]
+            predicates = predicates_for(data, table, column, ranged)
+            assert estimator.scan_rows(name, predicates) \
+                == max(reference(table, predicates), MIN_ROWS), predicates
+
+
+def test_the_naive_engine_counts_what_the_estimator_counts(dataset, world):
+    naive = NaiveEngine(dataset.tree, dataset.registry)
+    estimator = CardinalityEstimator(world.tables)
+    for name, column, ranged in indexed_columns(world):
+        table = world.tables[name]
+        held = values_of(table, column)
+        middle = held[len(held) // 2]
+        predicates = [(Comparison(column, "=", middle),),
+                      (Comparison(column, "!=", middle),),
+                      (Comparison(column, "in", (held[0], held[-1])),)]
+        if ranged:
+            predicates += [(Comparison(column, "<", middle),),
+                           (Comparison(column, ">=", held[1]),
+                            Comparison(column, "<=", middle))]
+        for preds in predicates:
+            answer = naive.execute(Query(
+                aggregates=(AggregateSpec("count", "*"),),
+                predicates=preds, from_tables=(name,)))
+            count = answer.rows[0]["count_all"]
+            assert estimator.scan_rows(name, preds) \
+                == max(count, MIN_ROWS), (name, preds)
+
+
+def test_a_column_without_an_index_gets_the_default(world):
+    estimator = CardinalityEstimator(world.tables)
+    rows = world.tables["bindings"].row_count
+    assert estimator.scan_rows(
+        "bindings", (Comparison("potent", "=", True),)) \
+        == rows * DEFAULT_SELECTIVITY
+
+
+def test_columns_multiply_under_independence(world):
+    estimator = CardinalityEstimator(world.tables)
+    proteins = world.tables["proteins"]
+    organism = Comparison("organism", "=",
+                          values_of(proteins, "organism")[0])
+    band = (Comparison("leaf_pre", ">=", 2), Comparison("leaf_pre", "<", 7))
+    expected = (proteins.row_count * reference(proteins, (organism,))
+                / proteins.row_count * reference(proteins, band)
+                / proteins.row_count)
+    assert estimator.scan_rows("proteins", (organism, *band)) \
+        == pytest.approx(max(expected, MIN_ROWS))
+
+
+def test_join_divides_by_the_larger_bucket_count(world):
+    estimator = CardinalityEstimator(world.tables)
+    ligands = {row[0] for row in world.tables["ligands"].scan_rows()}
+    bound = {row[0] for row in world.tables["bindings"].scan_rows()}
+    rows = estimator.join_rows(100.0, 16.0, "bindings", "ligands",
+                               "ligand_id")
+    assert rows == pytest.approx(100 * 16 / max(len(ligands), len(bound)))
+    assert estimator.join_rows(0.0, 0.0, "bindings", "ligands",
+                               "ligand_id") == MIN_ROWS
+
+
+def test_an_empty_table_is_the_floor():
+    table = Table("bindings", Schema([float_column("p_affinity")]))
+    table.create_index(["p_affinity"], kind="sorted")
+    estimator = CardinalityEstimator({"bindings": table})
+    assert estimator.table_rows("bindings") == 0.0
+    assert estimator.scan_rows(
+        "bindings", (Comparison("p_affinity", ">=", 5.0),)) == MIN_ROWS

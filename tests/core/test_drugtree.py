@@ -1,17 +1,11 @@
 """Tests for the DrugTree facade."""
 
-import contextlib
-import sys
-import threading
-
 import pytest
 
 from repro.bio import parse_newick
 from repro.chem import ActivityType, BindingRecord
 from repro.core import DrugTree
-from repro.core.drugtree import STALE_MIN_MUTATIONS
 from repro.errors import QueryError
-from repro.storage.statistics import TableCounts, analyze
 
 
 @pytest.fixture
@@ -82,7 +76,7 @@ class TestPopulation:
 
 
 class TestBuildAndDesign:
-    def test_build_creates_indexes_and_stats(self, tree):
+    def test_build_creates_indexes(self, tree):
         drugtree = DrugTree.build(
             tree,
             proteins=[{"protein_id": leaf} for leaf in "abcd"],
@@ -92,60 +86,6 @@ class TestBuildAndDesign:
         )
         assert drugtree.tables["bindings"].index_on("leaf_pre",
                                                     require_range=True)
-        assert drugtree.statistics["bindings"].row_count == 1
-
-    def test_statistics_refresh_at_staleness_threshold(self, tree):
-        # A single mutation is below the staleness threshold: slightly
-        # stale statistics are kept (they only perturb cost estimates).
-        drugtree = DrugTree.build(
-            tree, proteins=[{"protein_id": leaf} for leaf in "abcd"],
-        )
-        drugtree.add_binding(
-            BindingRecord("L1", "a", ActivityType.KI, 10.0)
-        )
-        assert drugtree.statistics["bindings"].row_count == 0
-        assert "bindings" not in drugtree.stale_tables()
-        # Crossing the threshold marks the table stale and the next
-        # statistics read re-ANALYZEs just that table.
-        for _ in range(STALE_MIN_MUTATIONS):
-            drugtree.add_binding(
-                BindingRecord("L1", "a", ActivityType.KI, 10.0)
-            )
-        assert "bindings" in drugtree.stale_tables()
-        epoch_before = drugtree.stats_epoch
-        stats_after = drugtree.statistics
-        assert stats_after["bindings"].row_count == STALE_MIN_MUTATIONS + 1
-        assert drugtree.stats_epoch > epoch_before
-        assert drugtree.stale_tables() == []
-
-    def test_a_row_inserted_during_reanalyze_stays_pending(self, tree):
-        # The writer gets in between re-ANALYZE's snapshot and its
-        # return: the row is not in the statistics, so it must still
-        # count towards the next threshold.
-        drugtree = DrugTree.build(
-            tree, proteins=[{"protein_id": leaf} for leaf in "abcd"],
-        )
-        record = BindingRecord("L1", "a", ActivityType.KI, 10.0)
-        for _ in range(STALE_MIN_MUTATIONS + 1):
-            drugtree.add_binding(record)
-        bindings = drugtree.tables["bindings"]
-        scan_rows = bindings.scan_rows
-
-        def scan_then_insert():
-            rows = scan_rows()
-            bindings.scan_rows = scan_rows
-            drugtree.add_binding(record)
-            return rows
-
-        bindings.scan_rows = scan_then_insert
-        counted = STALE_MIN_MUTATIONS + 1
-        assert drugtree.statistics["bindings"].row_count == counted
-        for _ in range(STALE_MIN_MUTATIONS):
-            drugtree.add_binding(record)
-        # One row past the threshold: the slipped-in one is pending.
-        assert "bindings" in drugtree.stale_tables()
-        assert drugtree.statistics["bindings"].row_count \
-            == bindings.row_count == counted + STALE_MIN_MUTATIONS + 1
 
     def test_mutation_listener_fires(self, tree):
         # Every row any overlay table takes bumps the data version once;
@@ -173,78 +113,3 @@ class TestBuildAndDesign:
         )
         rows = drugtree.bindings_for_protein("a")
         assert {row["ligand_id"] for row in rows} == {"L1", "L2"}
-
-
-def _reanalyze_while_inserting(tree, readers=4, rows=1500):
-    """Real threads, a switch every microsecond: *readers* threads read
-    ``DrugTree.statistics`` (re-ANALYZEing whenever the table is stale)
-    while one thread inserts *rows* bindings. Returns the errors raised
-    and, once every thread has stopped, one more re-ANALYZE of the
-    bindings next to a full ANALYZE of them."""
-    drugtree = DrugTree.build(
-        tree, proteins=[{"protein_id": leaf} for leaf in "abcd"],
-    )
-    errors: list[BaseException] = []
-    done = threading.Event()
-
-    def reader() -> None:
-        try:
-            while not done.is_set():
-                stats = drugtree.statistics["bindings"]
-                assert stats.column("ligand_id").null_count == 0
-        except Exception as error:  # noqa: BLE001 - reported below
-            errors.append(error)
-
-    def writer() -> None:
-        try:
-            for i in range(rows):
-                drugtree.add_binding(BindingRecord(
-                    f"L{i % 7}", "abcd"[i % 4], ActivityType.KI,
-                    float(1 + i % 97)))
-        except Exception as error:  # noqa: BLE001 - reported below
-            errors.append(error)
-        finally:
-            done.set()
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=reader) for _ in range(readers)]
-        threads.append(threading.Thread(target=writer))
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    bindings = drugtree.tables["bindings"]
-    assert bindings.row_count == rows
-    return (errors, drugtree._analyze_table("bindings"),
-            analyze(bindings))
-
-
-class TestConcurrentReanalyze:
-    def test_kept_counts_survive_concurrent_readers(self, tree):
-        for _ in range(3):
-            errors, reanalyzed, full = _reanalyze_while_inserting(tree)
-            assert errors == []
-            assert reanalyzed == full
-            assert repr(reanalyzed) == repr(full)
-
-    def test_planted_fold_without_the_lock_is_caught(self, tree,
-                                                     monkeypatch):
-        init = TableCounts.__init__
-
-        def unlocked(self, width):
-            init(self, width)
-            self._lock = contextlib.nullcontext()
-
-        monkeypatch.setattr(TableCounts, "__init__", unlocked)
-        # Two readers must fold the same rows at once: a few rounds so
-        # that missing it needs every one of them to go by luck.
-        for _ in range(20):
-            errors, reanalyzed, full = _reanalyze_while_inserting(tree)
-            if errors or reanalyzed != full:
-                return
-        pytest.fail("a fold without the lock went unnoticed")

@@ -35,7 +35,7 @@ def _planner(drugtree, **overrides):
     return Planner(
         tables=drugtree.tables,
         labeling=drugtree.labeling,
-        estimator=CardinalityEstimator(drugtree.statistics),
+        estimator=CardinalityEstimator(drugtree.tables),
         config=config,
     )
 

@@ -1,7 +1,7 @@
 """Reference implementations the storage kernels are checked against.
 
 Each is the straightforward version the kernel replaced, kept verbatim
-in behaviour: a flat two-list sorted index and a row-at-a-time ANALYZE.
+in behaviour: a flat two-list sorted index.
 The tests hold the kernels to ``==`` with these on generated inputs.
 The retired per-key footer of a segment and the retired writer of
 tombstones are kept the same way, so a directory in those formats can
@@ -26,13 +26,6 @@ from collections.abc import Iterator
 from typing import Any
 
 from repro.errors import SchemaError
-from repro.storage.statistics import (
-    DEFAULT_HISTOGRAM_BUCKETS,
-    DEFAULT_MCV_COUNT,
-    ColumnStatistics,
-    Histogram,
-    TableStatistics,
-)
 
 
 class FlatSortedIndex:
@@ -78,6 +71,11 @@ class FlatSortedIndex:
         start, stop = self._slice(low, high, include_low, include_high)
         return sorted(self._row_ids[start:stop])
 
+    def count(self, low=None, high=None, include_low=True,
+              include_high=True) -> int:
+        start, stop = self._slice(low, high, include_low, include_high)
+        return max(0, stop - start)
+
     def ordered(self, descending=False, low=None, high=None,
                 include_low=True, include_high=True) -> Iterator[int]:
         keys, row_ids = self._keys, self._row_ids
@@ -104,54 +102,6 @@ class FlatSortedIndex:
 
     def __len__(self) -> int:
         return len(self._keys) + len(self._nulls)
-
-
-def analyze_rowwise(table, histogram_buckets=DEFAULT_HISTOGRAM_BUCKETS,
-                    mcv_count=DEFAULT_MCV_COUNT) -> TableStatistics:
-    """ANALYZE one column at a time, one row at a time."""
-    row_count = table.row_count
-    columns: dict[str, ColumnStatistics] = {}
-    for position, column in enumerate(table.schema.columns):
-        values = [row[position] for row in table.scan_rows()]
-        non_null = [value for value in values if value is not None]
-        counts: dict[Any, int] = {}
-        for value in non_null:
-            counts[value] = counts.get(value, 0) + 1
-        most_common = tuple(sorted(
-            counts.items(), key=lambda item: (-item[1], str(item[0])),
-        )[:mcv_count])
-        histogram = None
-        numeric = non_null and all(
-            isinstance(value, (int, float)) and not isinstance(value, bool)
-            for value in non_null
-        )
-        if numeric:
-            histogram = _equi_depth_rowwise(sorted(non_null),
-                                            histogram_buckets)
-        columns[column.name] = ColumnStatistics(
-            name=column.name,
-            row_count=row_count,
-            null_count=row_count - len(non_null),
-            distinct_count=len(counts),
-            min_value=min(non_null) if non_null else None,
-            max_value=max(non_null) if non_null else None,
-            most_common=most_common,
-            histogram=histogram,
-        )
-    return TableStatistics(table.name, row_count, columns)
-
-
-def _equi_depth_rowwise(sorted_values: list[float],
-                        buckets: int) -> Histogram:
-    total = len(sorted_values)
-    if total == 0:
-        return Histogram((), 0)
-    buckets = min(buckets, total)
-    bounds = []
-    for bucket in range(1, buckets + 1):
-        position = min(total - 1, round(bucket * total / buckets) - 1)
-        bounds.append(float(sorted_values[position]))
-    return Histogram(tuple(bounds), total)
 
 
 _ENTRY = struct.Struct("<BII")  # flag, key length, value length

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.storage import HashIndex, Schema, SortedIndex, Table, int_column
-from tests.storage.oracles import FlatSortedIndex
+from tests.storage.oracles import FlatSortedIndex, with_planted_bug
 
 
 class TestHashIndex:
@@ -196,8 +196,12 @@ def _same_reads(index, oracle, low, high, include_low, include_high):
     assert index.max_key() == oracle.max_key()
     for key in (None, *range(-1, 10)):
         assert index.lookup(key) == oracle.lookup(key)
+    for key in range(-1, 10):
+        assert index.count(key, key) == len(oracle.lookup(key))
     assert index.range(low, high, include_low, include_high) \
         == oracle.range(low, high, include_low, include_high)
+    assert index.count(low, high, include_low, include_high) \
+        == oracle.count(low, high, include_low, include_high)
     for descending in (False, True):
         assert list(index.ordered(descending, low, high, include_low,
                                   include_high)) \
@@ -243,6 +247,18 @@ class TestBlockedSortedIndex:
         with mock.patch.object(HashIndex, "insert", prepend), \
                 pytest.raises(AssertionError):
             check_matches_the_flat_index(entries, fill)
+
+    def test_planted_bug_a_count_that_ignores_include_high_is_caught(self):
+        # Two keys per chunk: the band's exclusive top, key 2, opens a
+        # chunk, so a count that takes it inclusively reads one chunk
+        # too many.
+        planted = with_planted_bug(SortedIndex.count,
+                                   ("include_high)", "True)"))
+        entries = _entries([(key // 2, 1) for key in range(12)])
+        check_matches_the_flat_index(entries, "load", 0, 2, True, False)
+        with mock.patch.object(SortedIndex, "count", planted), \
+                pytest.raises(AssertionError):
+            check_matches_the_flat_index(entries, "load", 0, 2, True, False)
 
     def test_equal_keys_span_many_chunks(self):
         index, oracle = SmallChunks("ix", ("col",)), FlatSortedIndex()
@@ -312,6 +328,7 @@ class TestBlockedSortedIndex:
                 while not done.is_set():
                     low = probe.randrange(30)
                     index.range(low, low + 5)
+                    index.count(low, low + 5)
                     index.lookup(probe.randrange(30))
                     walk = index.ordered(probe.random() < 0.5, low)
                     for _ in range(20):

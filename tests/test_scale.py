@@ -1,13 +1,15 @@
 """Moderate-scale smoke tests: the system at its intended working size.
 
 These run a 250-leaf, 300-ligand world end to end — big enough to
-exercise paging, histogram statistics, deep trees, and the LOD budget,
+exercise paging, index-count estimates, deep trees, and the LOD budget,
 small enough to stay within seconds.
 """
 
 import pytest
 
 from repro.core import EngineConfig, QueryEngine
+from repro.core.query.ast import Comparison
+from repro.core.query.cards import CardinalityEstimator
 from repro.mobile import (
     DrugTreeServer,
     MobileClient,
@@ -77,9 +79,11 @@ class TestScale:
         ]
         assert max(view_bytes) < 20_000
 
-    def test_statistics_histograms_cover_all_tables(self, big_drugtree):
-        for name, stats in big_drugtree.statistics.items():
-            assert stats.row_count == big_drugtree.tables[name].row_count
-        paff = big_drugtree.statistics["bindings"].column("p_affinity")
-        assert paff.histogram is not None
-        assert len(paff.histogram.bounds) == 64
+    def test_band_estimate_is_the_index_count(self, big_drugtree):
+        estimator = CardinalityEstimator(big_drugtree.tables)
+        bindings = big_drugtree.tables["bindings"]
+        band = (Comparison("p_affinity", ">=", 6.0),
+                Comparison("p_affinity", "<", 7.5))
+        expected = sum(1 for row in bindings.scan_rows()
+                       if 6.0 <= bindings.value(row, "p_affinity") < 7.5)
+        assert estimator.scan_rows("bindings", band) == expected > 0
