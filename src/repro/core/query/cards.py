@@ -3,8 +3,8 @@
 The indexes :meth:`~repro.core.drugtree.DrugTree.create_default_indexes`
 keeps current on every insert are the optimizer's catalog: a hash
 bucket's length is an exact equality count, a sorted index counts any
-band with two bisects, and the number of hash buckets is a join key's
-distinct count. A predicate on a column with no index gets
+band with two bisects, and the number of non-NULL hash buckets is a
+join key's distinct count. A predicate on a column with no index gets
 :data:`DEFAULT_SELECTIVITY`; several predicates multiply under the
 independence assumption, and an equi-join is ``|L| * |R| / max(ndv)``.
 Nothing is collected ahead of a query, so nothing goes stale.
@@ -118,7 +118,8 @@ class CardinalityEstimator:
     def _distinct(self, table: str, column: str) -> float:
         index = self._tables[table].index_on(column)
         if isinstance(index, HashIndex):
-            return float(len(index._buckets))
+            buckets = index._buckets
+            return float(len(buckets) - (None in buckets))
         return 1.0
 
 

@@ -52,6 +52,19 @@ def test_views_keep_the_global_row_ids():
     assert subset.items() <= bindings.items()
 
 
+def test_a_clade_view_counts_only_its_own_rows():
+    drugtree, clustered = make_cluster()
+    clade = clustered.partitioner.interval_partitions[-1].name
+    clustered.execute(f"SELECT count(*) FROM bindings IN SUBTREE '{clade}'")
+    view = next(view for pids, view in clustered._views.items()
+                if len(pids) == 1)
+    estimator = view.engine.planner.estimator
+    for name, table in view.drugtree.tables.items():
+        assert estimator.table_rows(name) == table.row_count, name
+    assert estimator.table_rows("bindings") \
+        < drugtree.tables["bindings"].row_count
+
+
 def test_explain_plans_over_the_view_as_the_single_node_does():
     # A view holds every row of the partitions a query touches, so the
     # counts its indexes give the planner are the single node's, and so

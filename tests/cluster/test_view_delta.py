@@ -25,6 +25,8 @@ from hypothesis.stateful import (
 import repro.core.drugtree as drugtree_module
 from repro.cluster import ClusterConfig, ClusterEngine
 from repro.core import EngineConfig, QueryEngine
+from repro.core.query.ast import Comparison
+from repro.core.query.cards import MIN_ROWS
 from repro.core.drugtree import DrugTree
 from repro.errors import StorageError
 from repro.faults import FaultSchedule, Outage
@@ -295,6 +297,28 @@ def test_semantic_cache_on_read_insert_read_sees_the_row():
     assert after.cache_outcome == "miss"
     assert after.rows[0]["count_all"] == before + 1
     assert clustered.last_route["view"] == "absorbed"
+
+
+def test_an_absorbed_row_reaches_the_views_estimates():
+    # A view prices plans from its own indexes, which the absorb
+    # advances: nothing is adopted or re-collected after it.
+    _, single, clustered = make_pair(seed=7)
+    query = "SELECT count(*) FROM bindings"
+    clustered.execute(query)
+    _, view = served_view(clustered)
+    estimator = view.engine.planner.estimator
+    fresh = (Comparison("p_affinity", "=", 9.875),)
+    assert estimator.scan_rows("bindings", fresh) == MIN_ROWS
+    rows = estimator.table_rows("bindings")
+    insert_binding(clustered, single.drugtree,
+                   single.drugtree.tables["proteins"].get_dict(0)
+                   ["protein_id"], p_affinity=9.875)
+    clustered.execute(query)
+    assert clustered.last_route["view"] == "absorbed"
+    assert served_view(clustered)[1] is view
+    assert view.engine.planner.estimator is estimator
+    assert estimator.table_rows("bindings") == rows + 1
+    assert estimator.scan_rows("bindings", fresh) == 1.0
 
 
 def test_bindings_insert_leaves_the_ligands_view_alone(monkeypatch):

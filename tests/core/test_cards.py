@@ -22,8 +22,16 @@ from repro.core.query.cards import (
     DEFAULT_SELECTIVITY,
     MIN_ROWS,
     CardinalityEstimator,
+    combine_bounds,
 )
-from repro.storage import Schema, SortedIndex, Table, float_column
+from repro.storage import (
+    Schema,
+    SortedIndex,
+    Table,
+    bool_column,
+    float_column,
+    string_column,
+)
 from repro.storage.schema import ColumnType
 from repro.workloads import DatasetConfig, build_dataset
 
@@ -186,3 +194,198 @@ def test_an_empty_table_is_the_floor():
     assert estimator.table_rows("bindings") == 0.0
     assert estimator.scan_rows(
         "bindings", (Comparison("p_affinity", ">=", 5.0),)) == MIN_ROWS
+
+
+def hand_built(rows=400):
+    """A table the counts below can be read off: ``organism`` cycles
+    through eight values (NULL on every 40th row) under a hash index,
+    ``p_affinity`` runs 4.0..8.95 in steps of 0.05 (NULL on every 50th
+    row) under a sorted index, and ``potent`` has no index."""
+    table = Table("bindings", Schema([
+        string_column("organism", nullable=True),
+        float_column("p_affinity", nullable=True),
+        bool_column("potent"),
+    ]))
+    for i in range(rows):
+        table.insert({
+            "organism": None if i % 40 == 39 else f"org_{i % 8}",
+            "p_affinity": None if i % 50 == 49 else 4.0 + (i % 100) / 20,
+            "potent": i % 2 == 0,
+        })
+    table.create_index(["organism"], kind="hash")
+    table.create_index(["p_affinity"], kind="sorted")
+    return table, CardinalityEstimator({"bindings": table})
+
+
+def exact(table, *predicates):
+    return max(reference(table, predicates), MIN_ROWS)
+
+
+class TestTableRows:
+    def test_the_live_row_count(self):
+        _, estimator = hand_built()
+        assert estimator.table_rows("bindings") == 400.0
+
+    def test_an_insert_reaches_the_next_count(self):
+        table, estimator = hand_built()
+        table.insert({"organism": "org_3", "p_affinity": 9.5,
+                      "potent": True})
+        assert estimator.table_rows("bindings") == 401.0
+        assert estimator.scan_rows(
+            "bindings", (Comparison("p_affinity", ">", 9.0),)) == 1.0
+
+
+class TestEquality:
+    def test_a_hash_bucket_is_counted_exactly(self):
+        table, estimator = hand_built()
+        org_3 = Comparison("organism", "=", "org_3")
+        assert estimator.scan_rows("bindings", (org_3,)) \
+            == exact(table, org_3) == 50.0
+
+    def test_a_sorted_index_counts_equality(self):
+        table, estimator = hand_built()
+        predicate = Comparison("p_affinity", "=", 4.05)
+        assert estimator.scan_rows("bindings", (predicate,)) \
+            == exact(table, predicate) == 4.0
+
+    def test_a_value_no_row_holds_is_the_floor(self):
+        _, estimator = hand_built()
+        assert estimator.scan_rows(
+            "bindings", (Comparison("organism", "=", "org_99"),)) \
+            == MIN_ROWS
+
+    def test_null_matches_nothing(self):
+        _, estimator = hand_built()
+        for column in ("organism", "p_affinity"):
+            assert estimator.scan_rows(
+                "bindings", (Comparison(column, "=", None),)) == MIN_ROWS
+
+    def test_in_sums_its_members(self):
+        table, estimator = hand_built()
+        predicate = Comparison("organism", "in", ("org_1", "org_2",
+                                                  "org_99"))
+        assert estimator.scan_rows("bindings", (predicate,)) \
+            == exact(table, predicate) == 100.0
+
+    def test_in_counts_a_repeated_member_once(self):
+        _, estimator = hand_built()
+        once = Comparison("organism", "in", ("org_1",))
+        twice = Comparison("organism", "in", ("org_1", "org_1"))
+        assert estimator.scan_rows("bindings", (twice,)) \
+            == estimator.scan_rows("bindings", (once,)) == 50.0
+
+    def test_in_on_a_sorted_index(self):
+        table, estimator = hand_built()
+        predicate = Comparison("p_affinity", "in", (4.0, 8.9, None))
+        assert estimator.scan_rows("bindings", (predicate,)) \
+            == exact(table, predicate) == 8.0
+
+    @pytest.mark.parametrize("column, value", [("organism", "org_3"),
+                                               ("p_affinity", 4.05)])
+    def test_inequality_leaves_out_the_nulls(self, column, value):
+        table, estimator = hand_built()
+        equal = estimator.scan_rows(
+            "bindings", (Comparison(column, "=", value),))
+        unequal = estimator.scan_rows(
+            "bindings", (Comparison(column, "!=", value),))
+        nulls = len(table.index_on(column).lookup(None))
+        assert nulls > 0
+        assert unequal == exact(table, Comparison(column, "!=", value))
+        assert equal + unequal + nulls == table.row_count
+
+
+class TestRanges:
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    def test_one_bound_is_counted_exactly(self, op):
+        table, estimator = hand_built()
+        predicate = Comparison("p_affinity", op, 6.5)
+        assert estimator.scan_rows("bindings", (predicate,)) \
+            == exact(table, predicate)
+
+    def test_a_band_is_counted_once_not_squared(self):
+        table, estimator = hand_built()
+        band = (Comparison("p_affinity", ">=", 5.0),
+                Comparison("p_affinity", "<", 6.0))
+        assert estimator.scan_rows("bindings", band) \
+            == exact(table, *band) == 80.0
+
+    def test_the_tightest_bounds_win(self):
+        table, estimator = hand_built()
+        bounds = (Comparison("p_affinity", ">", 4.5),
+                  Comparison("p_affinity", ">=", 6.0),
+                  Comparison("p_affinity", "<", 8.0),
+                  Comparison("p_affinity", "<=", 7.0))
+        assert estimator.scan_rows("bindings", bounds) \
+            == exact(table, *bounds)
+
+    def test_an_empty_band_is_the_floor(self):
+        _, estimator = hand_built()
+        assert estimator.scan_rows("bindings", (
+            Comparison("p_affinity", ">=", 7.0),
+            Comparison("p_affinity", "<", 5.0))) == MIN_ROWS
+
+    def test_a_hash_index_cannot_count_a_range(self):
+        _, estimator = hand_built()
+        assert estimator.scan_rows(
+            "bindings", (Comparison("organism", ">", "org_3"),)) \
+            == 400 * DEFAULT_SELECTIVITY
+
+
+class TestNoIndex:
+    def test_each_unindexed_predicate_multiplies_the_default(self):
+        _, estimator = hand_built()
+        potent = Comparison("potent", "=", True)
+        assert estimator.scan_rows("bindings", (potent,)) \
+            == pytest.approx(400 * DEFAULT_SELECTIVITY)
+        assert estimator.scan_rows(
+            "bindings", (potent, Comparison("potent", "!=", False))) \
+            == pytest.approx(400 * DEFAULT_SELECTIVITY ** 2)
+
+    def test_an_unindexed_predicate_scales_an_exact_count(self):
+        table, estimator = hand_built()
+        org_3 = Comparison("organism", "=", "org_3")
+        assert estimator.scan_rows(
+            "bindings", (org_3, Comparison("potent", "=", True))) \
+            == pytest.approx(exact(table, org_3) * DEFAULT_SELECTIVITY)
+
+
+class TestJoins:
+    def test_join_divides_by_the_bucket_count(self):
+        _, estimator = hand_built()
+        assert estimator.join_rows(400.0, 8.0, "bindings", "bindings",
+                                   "organism") == pytest.approx(400.0)
+
+    def test_the_null_bucket_is_no_distinct_key(self):
+        # NULL never joins, so the rows holding it are no key value.
+        table, estimator = hand_built()
+        assert table.index_on("organism").lookup(None)
+        assert estimator.join_rows(9.0, 8.0, "bindings", "bindings",
+                                   "organism") == 9.0
+
+    def test_a_key_without_a_hash_index_divides_by_one(self):
+        _, estimator = hand_built()
+        for key in ("p_affinity", "potent"):
+            assert estimator.join_rows(40.0, 3.0, "bindings", "bindings",
+                                       key) == 120.0
+
+    def test_an_empty_join_is_the_floor(self):
+        _, estimator = hand_built()
+        assert estimator.join_rows(0.0, 8.0, "bindings", "bindings",
+                                   "organism") == MIN_ROWS
+
+
+def bound(op, value):
+    return Comparison("p_affinity", op, value)
+
+
+@pytest.mark.parametrize("bounds, interval", [
+    ((), (None, None, True, True)),
+    ((bound(">", 1.0),), (1.0, None, False, True)),
+    ((bound("<=", 2.0),), (None, 2.0, True, True)),
+    ((bound(">=", 1.0), bound(">", 3.0)), (3.0, None, False, True)),
+    ((bound(">", 3.0), bound(">=", 1.0)), (3.0, None, False, True)),
+    ((bound("<", 5.0), bound("<=", 4.0)), (None, 4.0, True, True)),
+    ((bound(">=", 1.0), bound("<", 5.0)), (1.0, 5.0, True, False)),
+])
+def test_combine_bounds_keeps_the_tightest_interval(bounds, interval):
+    assert combine_bounds(bounds) == interval

@@ -260,6 +260,63 @@ class TestBlockedSortedIndex:
                 pytest.raises(AssertionError):
             check_matches_the_flat_index(entries, "load", 0, 2, True, False)
 
+    #: Keys 0..5, two rows each, loaded into two-key chunks: chunk k
+    #: holds exactly key k, so every integer bound sits on a chunk edge.
+    EDGE_ENTRIES = [(row_id // 2, row_id) for row_id in range(12)]
+
+    @pytest.mark.parametrize("low, high, include_low, include_high", [
+        (0, 2, True, False),
+        (0, 2, True, True),
+        (0, 2, False, False),
+        (1, 1, True, True),
+        (1, 1, False, True),
+        (1, 1, True, False),
+        (None, 3, True, False),
+        (3, None, False, True),
+        (None, None, True, True),
+        (-1, 9, False, False),
+        (2.5, 3.5, True, True),
+        (4, 2, True, True),
+    ])
+    def test_count_at_chunk_edges(self, low, high, include_low,
+                                  include_high):
+        index, oracle = SmallChunks("ix", ("col",)), FlatSortedIndex()
+        index.load(self.EDGE_ENTRIES)
+        for key, row_id in self.EDGE_ENTRIES:
+            oracle.insert(key, row_id)
+        assert [len(chunk) for chunk in index._layout[1]] == [2] * 6
+        expected = len(index.range(low, high, include_low, include_high))
+        assert index.count(low, high, include_low, include_high) \
+            == oracle.count(low, high, include_low, include_high) \
+            == expected
+
+    def test_count_leaves_out_null_keys(self):
+        index = SmallChunks("ix", ("col",))
+        for row_id, key in enumerate((None, 1, None, 2, 3, None)):
+            index.insert(key, row_id)
+        assert len(index) == 6
+        assert index.count() == 3
+        assert index.count(None, 2) == 2
+
+    def test_count_of_an_empty_index_is_zero(self):
+        index = SmallChunks("ix", ("col",))
+        assert index.count() == 0
+        assert index.count(0, 10) == 0
+
+    def test_count_follows_inserts_that_split_chunks(self):
+        index, oracle = SmallChunks("ix", ("col",)), FlatSortedIndex()
+        rng = random.Random(5)
+        for row_id in range(60):
+            key = rng.randrange(10)
+            index.insert(key, row_id)
+            oracle.insert(key, row_id)
+            low, high = sorted((rng.randrange(-1, 11),
+                                rng.randrange(-1, 11)))
+            flags = rng.random() < 0.5, rng.random() < 0.5
+            assert index.count(low, high, *flags) \
+                == oracle.count(low, high, *flags)
+        assert len(index._layout[1]) > 10
+
     def test_equal_keys_span_many_chunks(self):
         index, oracle = SmallChunks("ix", ("col",)), FlatSortedIndex()
         for row_id in range(40):
