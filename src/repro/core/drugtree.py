@@ -195,13 +195,16 @@ class DrugTree:
 
         Hash indexes on every join/lookup key, sorted indexes on the
         interval-labeling column and the numeric columns queries range
-        over. Idempotent-by-name is not attempted: call once.
+        over, and value counts (for the estimator only) on the two bool
+        columns queries filter on. Idempotent-by-name is not attempted:
+        call once.
         """
         bindings = self.tables[BINDINGS_TABLE]
         bindings.create_index(["leaf_pre"], kind="sorted")
         bindings.create_index(["protein_id"], kind="hash")
         bindings.create_index(["ligand_id"], kind="hash")
         bindings.create_index(["p_affinity"], kind="sorted")
+        bindings.keep_value_counts("potent")
         proteins = self.tables[PROTEINS_TABLE]
         proteins.create_index(["protein_id"], kind="hash")
         proteins.create_index(["leaf_pre"], kind="sorted")
@@ -211,6 +214,7 @@ class DrugTree:
         ligands.create_index(["ligand_id"], kind="hash")
         ligands.create_index(["molecular_weight"], kind="sorted")
         ligands.create_index(["logp"], kind="sorted")
+        ligands.keep_value_counts("drug_like")
 
     def _on_insert(self, row_id: int, row: tuple) -> None:
         self.data_version += 1

@@ -4,21 +4,24 @@ The indexes :meth:`~repro.core.drugtree.DrugTree.create_default_indexes`
 keeps current on every insert are the optimizer's catalog: a hash
 bucket's length is an exact equality count, a sorted index counts any
 band with two bisects, and the number of non-NULL hash buckets is a
-join key's distinct count. A predicate on a column with no index gets
-:data:`DEFAULT_SELECTIVITY`; several predicates multiply under the
-independence assumption, and an equi-join is ``|L| * |R| / max(ndv)``.
-Nothing is collected ahead of a query, so nothing goes stale.
+join key's distinct count. A bool column no index serves has the
+table's value counts, kept on insert the same way. A predicate on a
+column with neither gets :data:`DEFAULT_SELECTIVITY`; several
+predicates multiply under the independence assumption, and an
+equi-join is ``|L| * |R| / max(ndv)``. Nothing is collected ahead of
+a query, so nothing goes stale.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Callable, Mapping
+from typing import Any
 
 from repro.core.query.ast import Comparison
-from repro.storage.index import HashIndex, Index
+from repro.storage.index import HashIndex, SortedIndex
 from repro.storage.table import Table
 
-#: Selectivity assumed of a predicate no index can count.
+#: Selectivity assumed of a predicate nothing counts.
 DEFAULT_SELECTIVITY = 0.33
 #: Floor preventing zero estimates from wiping out join products.
 MIN_ROWS = 0.5
@@ -87,17 +90,17 @@ class CardinalityEstimator:
 
     def _matches(self, table: str, predicate: Comparison) -> int | None:
         """Rows an ``=``, ``!=`` or ``IN`` predicate keeps (NULL never
-        matches), or ``None`` when no index on its column can say."""
+        matches), or ``None`` when nothing counts its column."""
         live = self._tables[table]
-        index = live.index_on(predicate.column)
-        if index is None:
+        equal = _equality_count(live, predicate.column)
+        if equal is None:
             return None
-        if predicate.op == "in":
-            return sum(_equal(index, value)
-                       for value in set(predicate.value))
-        matching = _equal(index, predicate.value)
+        values = (set(predicate.value) if predicate.op == "in"
+                  else {predicate.value})
+        values.discard(None)
+        matching = sum(map(equal, values))
         if predicate.op == "!=":
-            return live.row_count - len(index.lookup(None)) - matching
+            return live.row_count - equal(None) - matching
         return matching
 
     def _band_matches(self, table: str, column: str,
@@ -116,17 +119,25 @@ class CardinalityEstimator:
         return max(left_rows * right_rows / denominator, MIN_ROWS)
 
     def _distinct(self, table: str, column: str) -> float:
-        index = self._tables[table].index_on(column)
-        if isinstance(index, HashIndex):
-            buckets = index._buckets
-            return float(len(buckets) - (None in buckets))
+        for index in self._tables[table].indexes().values():
+            if (isinstance(index, HashIndex)
+                    and index.column_names == (column,)):
+                return float(index.distinct())
         return 1.0
 
 
-def _equal(index: Index, value) -> int:
-    """Entries of *index* whose key equals *value* (none for NULL)."""
-    if value is None:
-        return 0
+def _equality_count(table: Table,
+                    column: str) -> Callable[[Any], int] | None:
+    """How many rows of *table* hold a given value of *column* (``None``:
+    how many hold NULL), from an index on it or its value counts, or
+    ``None`` when neither is kept."""
+    index = table.index_on(column)
     if isinstance(index, HashIndex):
-        return len(index._buckets.get(value, ()))
-    return index.count(value, value)
+        return index.count
+    if isinstance(index, SortedIndex):
+        return lambda key: (index.null_count() if key is None
+                            else index.count(key, key))
+    counts = table.value_counts(column)
+    if counts is None:
+        return None
+    return lambda key: counts.get(key, 0)

@@ -80,6 +80,16 @@ class HashIndex(Index):
     def lookup(self, key: Any) -> list[int]:
         return self._buckets.get(key, [])[:]
 
+    def count(self, key: Any) -> int:
+        """How many entries have exactly this key (``None``: the NULL
+        keys), no row id copied."""
+        return len(self._buckets.get(key, ()))
+
+    def distinct(self) -> int:
+        """How many non-NULL keys the index holds."""
+        buckets = self._buckets
+        return len(buckets) - (None in buckets)
+
 
 #: A sorted index's chunk list: (chunk maxima, key chunks, row-id chunks).
 _Layout = tuple[list[Any], list[list[Any]], list[list[int]]]
@@ -288,6 +298,9 @@ class SortedIndex(Index):
             yield from run
         if descending:
             yield from nulls
+
+    def null_count(self) -> int:
+        return len(self._nulls)
 
     def min_key(self) -> Any:
         keys = self._layout[1]

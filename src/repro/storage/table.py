@@ -2,15 +2,16 @@
 
 Tables hold tuples in schema order under integer row ids, issued in
 ascending order and never reused. Every insert reaches the column
-store, then the secondary indexes, then the insert listeners
-(materialized views and the overlay's data-version stamp),
+store, then the secondary indexes and value counts, then the insert
+listeners (materialized views and the overlay's data-version stamp),
 synchronously — the behaviour the ablation experiment (E2) toggles.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Iterable, Iterator
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
@@ -52,6 +53,8 @@ class Table:
         self._rows: dict[int, tuple[Any, ...]] = {}
         self._next_row_id = 0
         self._indexes: dict[str, Index] = {}
+        #: column -> (position, how many rows hold each value).
+        self._value_counts: dict[str, tuple[int, Counter]] = {}
         self._on_insert: list[ChangeListener] = []
         self._column_store = None
         self._lock = threading.Lock()
@@ -111,6 +114,8 @@ class Table:
             self._column_store.append(row_id, row)
         for index in self._indexes.values():
             index.insert(index.key_of(row), row_id)
+        for position, counts in self._value_counts.values():
+            counts[row[position]] += 1
         for listener in self._on_insert:
             listener(row_id, row)
 
@@ -193,6 +198,21 @@ class Table:
                                 and not best.supports_range):
                 best = index
         return best
+
+    def keep_value_counts(self, column: str) -> None:
+        """Count how many rows hold each value of *column*, current on
+        every insert: an exact equality count for a low-cardinality
+        column that no index serves (a bool)."""
+        position = self.schema.index_of(column)
+        with self._lock:
+            counts = Counter(row[position] for row in self._rows.values())
+            self._value_counts[column] = (position, counts)
+
+    def value_counts(self, column: str) -> Mapping[Any, int] | None:
+        """Rows per value of *column* (``None`` keys the NULLs), if
+        :meth:`keep_value_counts` was asked for it."""
+        kept = self._value_counts.get(column)
+        return None if kept is None else kept[1]
 
     # -- columnar projection ---------------------------------------------------
 

@@ -66,9 +66,12 @@ def test_a_clade_view_counts_only_its_own_rows():
 
 
 def test_explain_plans_over_the_view_as_the_single_node_does():
-    # A view holds every row of the partitions a query touches, so the
-    # counts its indexes give the planner are the single node's, and so
-    # is the plan.
+    # A view prices from its own indexes, which hold only the
+    # partitions it was built for. These three queries either read
+    # every partition or range over a leaf_pre band the view holds in
+    # full, so their counts, and so their plans, match the single
+    # node's. For these queries only: a pruned view can plan another
+    # query differently (ROADMAP item 2a).
     _, single, clustered = make_pair()
     clade = next(node.name for node in clustered.tree.preorder()
                  if node.name and not node.is_leaf)

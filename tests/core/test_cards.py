@@ -1,9 +1,10 @@
 """The cardinality estimator counts through the live indexes.
 
-One predicate on an indexed column is estimated at exactly the rows it
-keeps (q-error 1.0): ``=``, ``!=`` and ``IN`` on every indexed column,
-ranges and two-sided bands on every sorted-indexed one, however many
-rows were inserted since the indexes were built. The reference is the
+One predicate on a counted column is estimated at exactly the rows it
+keeps (q-error 1.0): ``=``, ``!=`` and ``IN`` on every indexed column
+and every column the table keeps value counts of, ranges and
+two-sided bands on every sorted-indexed one, however many rows were
+inserted since the indexes were built. The reference is the
 naive engine's: on the integrated world its own count, after inserts
 its filter (:meth:`Comparison.matches`, NULL never matching) over the
 table's rows. Sorted indexes hold two keys per chunk here, so bands
@@ -49,11 +50,15 @@ def world(dataset):
         return dataset.drugtree()
 
 
-def indexed_columns(drugtree):
-    """``(table, column, sorted?)`` of every single-column index."""
-    return [(name, index.column_names[0], isinstance(index, SortedIndex))
+def counted_columns(drugtree):
+    """``(table, column, sorted?)`` of every column with a single-column
+    index or value counts."""
+    return [(name, column.name,
+             isinstance(table.index_on(column.name), SortedIndex))
             for name, table in sorted(drugtree.tables.items())
-            for index in table.indexes().values()]
+            for column in table.schema
+            if table.index_on(column.name) is not None
+            or table.value_counts(column.name) is not None]
 
 
 def reference(table, predicates):
@@ -69,6 +74,8 @@ def values_of(table, column):
     value no row holds."""
     at = table.schema.index_of(column)
     held = sorted({row[at] for row in table.scan_rows()} - {None})
+    if table.schema.column(column).type is ColumnType.BOOL:
+        return [False, True]
     if table.schema.column(column).type is ColumnType.STRING:
         return held + ["~absent"]
     return held + [held[-1] + 1]
@@ -93,9 +100,9 @@ def predicates_for(data, table, column, ranged):
 
 
 def insert_like(data, drugtree):
-    """Insert a copy of a drawn row with one indexed column changed to
+    """Insert a copy of a drawn row with one counted column changed to
     a held value, a new one, or NULL where the column allows it."""
-    name, column, _ = data.draw(st.sampled_from(indexed_columns(drugtree)))
+    name, column, _ = data.draw(st.sampled_from(counted_columns(drugtree)))
     table = drugtree.tables[name]
     values = table.schema.row_as_dict(
         data.draw(st.sampled_from(list(table.scan_rows()))))
@@ -117,7 +124,7 @@ def fresh_copy(world):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
-def test_one_indexed_predicate_is_counted_exactly(world, data):
+def test_one_counted_predicate_is_counted_exactly(world, data):
     with mock.patch.object(SortedIndex, "CHUNK", SMALL_CHUNK):
         drugtree = fresh_copy(world)
         estimator = CardinalityEstimator(drugtree.tables)
@@ -125,7 +132,7 @@ def test_one_indexed_predicate_is_counted_exactly(world, data):
             if data.draw(st.booleans()):
                 insert_like(data, drugtree)
             name, column, ranged = data.draw(
-                st.sampled_from(indexed_columns(drugtree)))
+                st.sampled_from(counted_columns(drugtree)))
             table = drugtree.tables[name]
             predicates = predicates_for(data, table, column, ranged)
             assert estimator.scan_rows(name, predicates) \
@@ -135,7 +142,10 @@ def test_one_indexed_predicate_is_counted_exactly(world, data):
 def test_the_naive_engine_counts_what_the_estimator_counts(dataset, world):
     naive = NaiveEngine(dataset.tree, dataset.registry)
     estimator = CardinalityEstimator(world.tables)
-    for name, column, ranged in indexed_columns(world):
+    columns = counted_columns(world)
+    assert {("bindings", "potent"), ("ligands", "drug_like")} \
+        <= {(name, column) for name, column, _ in columns}
+    for name, column, ranged in columns:
         table = world.tables[name]
         held = values_of(table, column)
         middle = held[len(held) // 2]
@@ -155,11 +165,11 @@ def test_the_naive_engine_counts_what_the_estimator_counts(dataset, world):
                 == max(count, MIN_ROWS), (name, preds)
 
 
-def test_a_column_without_an_index_gets_the_default(world):
+def test_a_column_nothing_counts_gets_the_default(world):
     estimator = CardinalityEstimator(world.tables)
     rows = world.tables["bindings"].row_count
     assert estimator.scan_rows(
-        "bindings", (Comparison("potent", "=", True),)) \
+        "bindings", (Comparison("activity_type", "=", "Ki"),)) \
         == rows * DEFAULT_SELECTIVITY
 
 
@@ -288,7 +298,8 @@ class TestEquality:
             "bindings", (Comparison(column, "=", value),))
         unequal = estimator.scan_rows(
             "bindings", (Comparison(column, "!=", value),))
-        nulls = len(table.index_on(column).lookup(None))
+        at = table.schema.index_of(column)
+        nulls = sum(row[at] is None for row in table.scan_rows())
         assert nulls > 0
         assert unequal == exact(table, Comparison(column, "!=", value))
         assert equal + unequal + nulls == table.row_count
@@ -349,6 +360,43 @@ class TestNoIndex:
             == pytest.approx(exact(table, org_3) * DEFAULT_SELECTIVITY)
 
 
+class TestValueCounts:
+    def test_equality_is_counted_exactly(self):
+        table, estimator = hand_built()
+        table.keep_value_counts("potent")
+        for predicate in (Comparison("potent", "=", True),
+                          Comparison("potent", "!=", True),
+                          Comparison("potent", "in", (True, False))):
+            assert estimator.scan_rows("bindings", (predicate,)) \
+                == exact(table, predicate)
+
+    def test_an_insert_reaches_the_next_count(self):
+        table, estimator = hand_built()
+        table.keep_value_counts("potent")
+        table.insert({"organism": "org_3", "p_affinity": 9.5,
+                      "potent": True})
+        assert estimator.scan_rows(
+            "bindings", (Comparison("potent", "=", True),)) == 201.0
+
+    def test_inequality_leaves_out_the_nulls(self):
+        table = Table("t", Schema([bool_column("potent", nullable=True)]))
+        for potent in (True, False, None, True, None):
+            table.insert({"potent": potent})
+        table.keep_value_counts("potent")
+        estimator = CardinalityEstimator({"t": table})
+        assert estimator.scan_rows(
+            "t", (Comparison("potent", "!=", True),)) == 1.0
+        assert estimator.scan_rows(
+            "t", (Comparison("potent", "=", None),)) == MIN_ROWS
+
+    def test_a_range_is_not_counted(self):
+        table, estimator = hand_built()
+        table.keep_value_counts("potent")
+        assert estimator.scan_rows(
+            "bindings", (Comparison("potent", ">", False),)) \
+            == 400 * DEFAULT_SELECTIVITY
+
+
 class TestJoins:
     def test_join_divides_by_the_bucket_count(self):
         _, estimator = hand_built()
@@ -361,6 +409,15 @@ class TestJoins:
         assert table.index_on("organism").lookup(None)
         assert estimator.join_rows(9.0, 8.0, "bindings", "bindings",
                                    "organism") == 9.0
+
+    def test_a_key_with_a_sorted_index_too_counts_its_hash_buckets(self):
+        table, estimator = hand_built()
+        table.create_index(["p_affinity"], kind="hash")
+        assert isinstance(table.index_on("p_affinity"), SortedIndex)
+        keys = {row[1] for row in table.scan_rows()} - {None}
+        assert estimator.join_rows(400.0, 4.0, "bindings", "bindings",
+                                   "p_affinity") \
+            == pytest.approx(400 * 4 / len(keys))
 
     def test_a_key_without_a_hash_index_divides_by_one(self):
         _, estimator = hand_built()

@@ -27,6 +27,16 @@ class TestHashIndex:
     def test_no_range_support(self):
         assert not HashIndex("ix", ("col",)).supports_range
 
+    def test_counts_without_copying_row_ids(self):
+        index = HashIndex("ix", ("col",))
+        for row_id, key in enumerate(("a", None, "a", "b", None, "a")):
+            index.insert(key, row_id)
+        assert index.count("a") == 3
+        assert index.count("zz") == 0
+        assert index.count(None) == 2
+        assert index.distinct() == 2  # NULL is no key value
+        assert HashIndex("ix", ("col",)).distinct() == 0
+
 
 class TestSortedIndex:
     def _index(self, pairs):
@@ -297,6 +307,7 @@ class TestBlockedSortedIndex:
         assert len(index) == 6
         assert index.count() == 3
         assert index.count(None, 2) == 2
+        assert index.null_count() == 3
 
     def test_count_of_an_empty_index_is_zero(self):
         index = SmallChunks("ix", ("col",))

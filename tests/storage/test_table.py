@@ -120,6 +120,35 @@ class TestIndexMaintenance:
         assert table.index_on("p_affinity") is None
 
 
+class TestValueCounts:
+    def test_backfilled_then_kept_on_insert(self, table):
+        _insert_sample(table, n=5)
+        table.keep_value_counts("ligand_id")
+        assert dict(table.value_counts("ligand_id")) == {"L0": 2, "L1": 2,
+                                                         "L2": 1}
+        _insert_sample(table, n=2, start=5)
+        assert dict(table.value_counts("ligand_id")) == {"L0": 3, "L1": 2,
+                                                         "L2": 2}
+
+    def test_nulls_are_counted_under_none(self):
+        table = Table("t", Schema([string_column("tag", nullable=True)]))
+        table.keep_value_counts("tag")
+        for tag in ("a", None, None):
+            table.insert({"tag": tag})
+        assert dict(table.value_counts("tag")) == {"a": 1, None: 2}
+
+    def test_none_unless_asked_for(self, table):
+        assert table.value_counts("ligand_id") is None
+
+    def test_unknown_column_rejected(self, table):
+        with pytest.raises(SchemaError):
+            table.keep_value_counts("nope")
+
+    def test_no_index_is_created(self, table):
+        table.keep_value_counts("ligand_id")
+        assert table.index_on("ligand_id") is None
+
+
 class TestListeners:
     def test_insert_listener_called(self, table):
         seen = []
