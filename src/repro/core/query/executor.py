@@ -46,15 +46,12 @@ from repro.core.query.physical import (
     FilterOp,
     HashAggregateOp,
     HashJoinOp,
-    IndexEqScanOp,
-    IndexRangeScanOp,
-    KeySetScanOp,
     LimitOp,
     NestedLoopJoinOp,
     PhysicalOp,
     ProjectOp,
     RemoteFetchOp,
-    SeqScanOp,
+    ScanOp,
     SortOp,
     StaticRowsOp,
     TopKOp,
@@ -75,7 +72,6 @@ from repro.obs import (
     get_tracer,
 )
 from repro.sources.resilience import STATUS_FRESH, Deadline
-from repro.storage.index import SortedIndex
 
 
 #: DTQL texts whose analysis one engine keeps before it drops the
@@ -727,41 +723,11 @@ class RowLowering:
         raise PlanError(f"cannot lower {type(node).__name__}")
 
     def _scan_op(self, node: LogicalScan, stats=None) -> PhysicalOp:
-        counters = self.counters
         table = self.engine.drugtree.tables[node.table]
         if node.access == "index_order":
             # The one scan with no row twin: both lowerings share it.
-            return IndexOrderScanOp(counters, table, node, stats=stats)
-        if node.access == "seq":
-            return SeqScanOp(counters, table, node.residual)
-        if node.access == "index_eq":
-            assert node.access_column is not None
-            index = table.index_on(node.access_column)
-            if index is None:
-                raise PlanError(
-                    f"plan needs an index on {node.access_column!r}"
-                )
-            return IndexEqScanOp(counters, table, index, node.eq_value,
-                                 node.residual)
-        if node.access == "index_range":
-            assert node.access_column is not None
-            index = table.index_on(node.access_column, require_range=True)
-            if not isinstance(index, SortedIndex):
-                raise PlanError(
-                    f"plan needs a sorted index on {node.access_column!r}"
-                )
-            return IndexRangeScanOp(
-                counters, table, index,
-                node.range_low, node.range_high,
-                node.include_low, node.include_high,
-                node.residual,
-            )
-        if node.access == "key_set":
-            assert node.access_column is not None
-            assert node.key_set is not None
-            return KeySetScanOp(counters, table, node.access_column,
-                                node.key_set, node.residual)
-        raise PlanError(f"unknown access path {node.access!r}")
+            return IndexOrderScanOp(self.counters, table, node, stats=stats)
+        return ScanOp(self.counters, table, node)
 
     def _join_op(self, node: LogicalJoin,
                  stats: OperatorStats | None) -> PhysicalOp:

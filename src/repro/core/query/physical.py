@@ -3,21 +3,33 @@
 Every operator exposes ``rows()`` yielding ``dict`` rows and counts the
 rows it examines into a shared :class:`ExecCounters`, which is how the
 experiments report "rows touched" next to latency.
+
+One operator, :class:`ScanOp`, reads a table whatever its access path.
+:func:`resolve_access` is the one reading of a ``LogicalScan``'s
+``seq``/``index_eq``/``index_range``/``key_set`` path, for this engine
+and the batch engine's ``VecScanOp`` alike: which row ids are read, in
+what order, and how many index probes that costs. ``ScanOp`` reads them
+from the row store (``Table.scan_rows``/``Table.get``), never from the
+column store, so the row engine stays an independent oracle for the
+batch engine. The ordered index walk (``index_order``) has one operator
+both engines share, ``vectorized.IndexOrderScanOp``.
 """
 
 from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.core.query.ast import AggregateSpec, Comparison, OrderBy
+from repro.core.query.logical import LogicalScan
 from repro.core.query.predicates import compile_residual
-from repro.errors import QueryError
+from repro.errors import PlanError, QueryError
 from repro.sources.resilience import worst_status
-from repro.storage.index import HashIndex, SortedIndex
+from repro.storage.index import SortedIndex
 from repro.storage.table import Table
 
 
@@ -67,117 +79,80 @@ class PhysicalOp(ABC):
     def rows(self) -> Iterator[dict[str, Any]]: ...
 
 
-class SeqScanOp(PhysicalOp):
-    def __init__(self, counters: ExecCounters, table: Table,
-                 residual: tuple[Comparison, ...] = ()) -> None:
-        super().__init__(counters)
-        self.table = table
-        self.residual = residual
-        self._passes = compile_residual(residual)
+def resolve_access(table: Table, node: LogicalScan) -> tuple[
+        tuple[Callable[[], list[int]], ...] | None,
+        tuple[str, frozenset] | None]:
+    """Resolve a scan's ``seq``/``index_eq``/``index_range``/``key_set``
+    path against *table*: the one reading of the access path both
+    lowerings share (``index_order`` keeps its own operator).
 
-    def rows(self) -> Iterator[dict[str, Any]]:
-        as_dict = self.table.schema.row_as_dict
-        passes = self._passes
-        for row in self.table.scan_rows():
-            self.counters.rows_scanned += 1
-            record = as_dict(row)
-            if passes(record):
-                self.counters.rows_emitted += 1
-                yield record
-
-
-class IndexEqScanOp(PhysicalOp):
-    def __init__(self, counters: ExecCounters, table: Table,
-                 index: HashIndex | SortedIndex, value: Any,
-                 residual: tuple[Comparison, ...] = ()) -> None:
-        super().__init__(counters)
-        self.table = table
-        self.index = index
-        self.value = value
-        self.residual = residual
-        self._passes = compile_residual(residual)
-
-    def rows(self) -> Iterator[dict[str, Any]]:
-        self.counters.index_probes += 1
-        as_dict = self.table.schema.row_as_dict
-        passes = self._passes
-        for row_id in self.index.lookup(self.value):
-            self.counters.rows_scanned += 1
-            record = as_dict(self.table.get(row_id))
-            if passes(record):
-                self.counters.rows_emitted += 1
-                yield record
-
-
-class IndexRangeScanOp(PhysicalOp):
-    def __init__(self, counters: ExecCounters, table: Table,
-                 index: SortedIndex,
-                 low: Any, high: Any,
-                 include_low: bool, include_high: bool,
-                 residual: tuple[Comparison, ...] = ()) -> None:
-        super().__init__(counters)
-        self.table = table
-        self.index = index
-        self.low = low
-        self.high = high
-        self.include_low = include_low
-        self.include_high = include_high
-        self.residual = residual
-        self._passes = compile_residual(residual)
-
-    def rows(self) -> Iterator[dict[str, Any]]:
-        self.counters.index_probes += 1
-        as_dict = self.table.schema.row_as_dict
-        passes = self._passes
-        row_ids = self.index.range(self.low, self.high,
-                                   self.include_low, self.include_high)
-        for row_id in row_ids:
-            self.counters.rows_scanned += 1
-            record = as_dict(self.table.get(row_id))
-            if passes(record):
-                self.counters.rows_emitted += 1
-                yield record
-
-
-class KeySetScanOp(PhysicalOp):
-    """Fetch rows whose column value lies in a known key set.
-
-    Uses a hash index when present (one probe per key), otherwise falls
-    back to a filtered sequential scan.
+    Returns ``(probes, membership)``. ``probes`` is None when the scan
+    reads every row in insertion order; otherwise it is the index reads
+    to make, in order, each a function returning row ids and costing one
+    ``index_probes`` (a key set probes one key at a time, keys sorted by
+    ``repr``: deterministic across runs and engines). ``membership`` is
+    ``(column, keys)`` for a key set with no index to probe: a full scan
+    whose first test is membership.
     """
+    access, column = node.access, node.access_column
+    if access == "seq":
+        return None, None
+    if access == "key_set":
+        index = table.index_on(column)
+        if index is None:
+            return None, (column, node.key_set)
+        return tuple(partial(index.lookup, key)
+                     for key in sorted(node.key_set, key=repr)), None
+    if access == "index_eq":
+        index = table.index_on(column)
+        if index is None:
+            raise PlanError(f"plan needs an index on {column!r}")
+        return (partial(index.lookup, node.eq_value),), None
+    if access == "index_range":
+        index = table.index_on(column, require_range=True)
+        if not isinstance(index, SortedIndex):
+            raise PlanError(f"plan needs a sorted index on {column!r}")
+        return (partial(index.range, node.range_low, node.range_high,
+                        node.include_low, node.include_high),), None
+    raise PlanError(f"unknown access path {access!r}")
+
+
+class ScanOp(PhysicalOp):
+    """Read one table through its plan's access path, from the row
+    store (``Table.scan_rows``/``Table.get``): the reference the batch
+    engine's column-store scan is held to."""
 
     def __init__(self, counters: ExecCounters, table: Table,
-                 column: str, keys: frozenset,
-                 residual: tuple[Comparison, ...] = ()) -> None:
+                 node: LogicalScan) -> None:
         super().__init__(counters)
         self.table = table
-        self.column = column
-        self.keys = keys
-        self.residual = residual
-        self._passes = compile_residual(residual)
+        self.probes, self.membership = resolve_access(table, node)
+        self._passes = compile_residual(node.residual)
+
+    def _row_ids(self) -> Iterator[int]:
+        for probe in self.probes:
+            self.counters.index_probes += 1
+            yield from probe()
 
     def rows(self) -> Iterator[dict[str, Any]]:
+        counters = self.counters
         as_dict = self.table.schema.row_as_dict
         passes = self._passes
-        index = self.table.index_on(self.column)
-        if index is not None:
-            for key in sorted(self.keys, key=repr):
-                self.counters.index_probes += 1
-                for row_id in index.lookup(key):
-                    self.counters.rows_scanned += 1
-                    record = as_dict(self.table.get(row_id))
-                    if passes(record):
-                        self.counters.rows_emitted += 1
-                        yield record
-            return
-        position = self.table.schema.index_of(self.column)
-        for row in self.table.scan_rows():
-            self.counters.rows_scanned += 1
-            if row[position] not in self.keys:
+        if self.probes is None:
+            source = self.table.scan_rows()
+        else:
+            source = map(self.table.get, self._row_ids())
+        position = keys = None
+        if self.membership is not None:
+            column, keys = self.membership
+            position = self.table.schema.index_of(column)
+        for row in source:
+            counters.rows_scanned += 1
+            if keys is not None and row[position] not in keys:
                 continue
             record = as_dict(row)
             if passes(record):
-                self.counters.rows_emitted += 1
+                counters.rows_emitted += 1
                 yield record
 
 

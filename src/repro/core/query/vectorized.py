@@ -8,6 +8,11 @@ over the tables' :class:`~repro.storage.columnar.ColumnStore`
 projections, amortizing interpreter overhead across
 ``EngineConfig.vector_batch_size`` rows:
 
+* one :class:`VecScanOp` reads a table through any access path but
+  the ordered index walk: it maps the row ids
+  :func:`~repro.core.query.physical.resolve_access` names (the row
+  engine's, in the same order, at the same probe cost) to buffer
+  positions, or takes every live position for a full scan;
 * scans build **selection vectors** (buffer positions) and narrow
   them one predicate at a time: a comparison of a mirrored numeric or
   bool column with a literal of its kind is one numpy mask over the
@@ -59,7 +64,12 @@ from repro.core.query.logical import (
     LogicalScan,
     rows_estimate,
 )
-from repro.core.query.physical import ExecCounters, _AggState, _sort_key
+from repro.core.query.physical import (
+    ExecCounters,
+    _AggState,
+    _sort_key,
+    resolve_access,
+)
 from repro.core.query.predicates import compile_columns, compile_comparison
 from repro.errors import PlanError, QueryError
 from repro.obs.explain import OperatorStats
@@ -302,7 +312,7 @@ def _take(buffer: list[Any], getter) -> list[Any]:
 
 
 class _VecScanBase(VectorOp):
-    """Shared gather/filter machinery of the four scan shapes."""
+    """Shared gather/filter machinery of the two scans."""
 
     def __init__(self, counters: ExecCounters, store: ColumnStore,
                  residual, columns: tuple[str, ...] | None,
@@ -377,73 +387,35 @@ class _VecScanBase(VectorOp):
                 yield self._emit(batch)
 
 
-class VecSeqScanOp(_VecScanBase):
-    """Full-table scan: selection vectors over all live positions."""
+class VecScanOp(_VecScanBase):
+    """Read one table through its plan's access path, from the column
+    store: every live position for a full scan, else ``positions_of``
+    the row ids the index probes return (the same probes, in the same
+    order, as the row engine's :class:`ScanOp`)."""
 
-    def batches(self) -> Iterator[Batch]:
-        yield from self._batches_of(self.store.live_positions())
-
-
-class VecIndexEqScanOp(_VecScanBase):
-    def __init__(self, counters: ExecCounters, store: ColumnStore,
-                 index, value: Any, residual=(),
+    def __init__(self, counters: ExecCounters, table, node: LogicalScan,
                  columns: tuple[str, ...] | None = None,
                  batch_size: int = DEFAULT_BATCH_SIZE) -> None:
-        super().__init__(counters, store, residual, columns, batch_size)
-        self.index = index
-        self.value = value
-
-    def batches(self) -> Iterator[Batch]:
-        self.counters.index_probes += 1
-        positions = self.store.positions_of(self.index.lookup(self.value))
-        yield from self._batches_of(positions)
-
-
-class VecIndexRangeScanOp(_VecScanBase):
-    def __init__(self, counters: ExecCounters, store: ColumnStore,
-                 index: SortedIndex, low: Any, high: Any,
-                 include_low: bool, include_high: bool, residual=(),
-                 columns: tuple[str, ...] | None = None,
-                 batch_size: int = DEFAULT_BATCH_SIZE) -> None:
-        super().__init__(counters, store, residual, columns, batch_size)
-        self.index = index
-        self.low = low
-        self.high = high
-        self.include_low = include_low
-        self.include_high = include_high
-
-    def batches(self) -> Iterator[Batch]:
-        self.counters.index_probes += 1
-        row_ids = self.index.range(self.low, self.high,
-                                   self.include_low, self.include_high)
-        yield from self._batches_of(self.store.positions_of(row_ids))
-
-
-class VecKeySetScanOp(_VecScanBase):
-    """Key-set scan: index probes per key, or a filtered seq scan."""
-
-    def __init__(self, counters: ExecCounters, store: ColumnStore,
-                 column: str, keys: frozenset, residual=(),
-                 columns: tuple[str, ...] | None = None,
-                 batch_size: int = DEFAULT_BATCH_SIZE) -> None:
-        super().__init__(counters, store, residual, columns, batch_size)
-        self.keys = keys
-        self.index = store.table.index_on(column)
-        if self.index is None:
-            # No index: a full scan whose first predicate is membership.
+        super().__init__(counters, table.column_store(), node.residual,
+                         columns, batch_size)
+        self.probes, membership = resolve_access(table, node)
+        if membership is not None:
+            column, keys = membership
             self.tests = ((column, keys.__contains__, None, None),
                           *self.tests)
 
     def batches(self) -> Iterator[Batch]:
-        if self.index is None:
+        if self.probes is None:
             yield from self._batches_of(self.store.live_positions())
             return
-        # Same key order (and per-key probe accounting) as the row
-        # operator: deterministic across runs and engines.
-        row_ids: list[int] = []
-        for key in sorted(self.keys, key=repr):
+        if len(self.probes) == 1:  # no copy: big ranges would lift peak RSS
             self.counters.index_probes += 1
-            row_ids.extend(self.index.lookup(key))
+            row_ids = self.probes[0]()
+        else:
+            row_ids = []
+            for probe in self.probes:
+                self.counters.index_probes += 1
+                row_ids += probe()
         yield from self._batches_of(self.store.positions_of(row_ids))
 
 
@@ -946,44 +918,8 @@ class VectorizedLowering:
 
     def _scan_op(self, node: LogicalScan, stats=None) -> VectorOp:
         table = self.engine.drugtree.tables[node.table]
-        columns = self.needed
         if node.access == "index_order":
-            return IndexOrderScanOp(self.counters, table, node, columns,
+            return IndexOrderScanOp(self.counters, table, node, self.needed,
                                     stats)
-        store = table.column_store()
-        if node.access == "seq":
-            return VecSeqScanOp(self.counters, store, node.residual,
-                                columns, self.batch_size)
-        if node.access == "index_eq":
-            assert node.access_column is not None
-            index = table.index_on(node.access_column)
-            if index is None:
-                raise PlanError(
-                    f"plan needs an index on {node.access_column!r}"
-                )
-            return VecIndexEqScanOp(self.counters, store, index,
-                                    node.eq_value, node.residual,
-                                    columns, self.batch_size)
-        if node.access == "index_range":
-            assert node.access_column is not None
-            index = table.index_on(node.access_column,
-                                   require_range=True)
-            if not isinstance(index, SortedIndex):
-                raise PlanError(
-                    f"plan needs a sorted index on "
-                    f"{node.access_column!r}"
-                )
-            return VecIndexRangeScanOp(
-                self.counters, store, index,
-                node.range_low, node.range_high,
-                node.include_low, node.include_high,
-                node.residual, columns, self.batch_size,
-            )
-        if node.access == "key_set":
-            assert node.access_column is not None
-            assert node.key_set is not None
-            return VecKeySetScanOp(self.counters, store,
-                                   node.access_column, node.key_set,
-                                   node.residual, columns,
-                                   self.batch_size)
-        raise PlanError(f"unknown access path {node.access!r}")
+        return VecScanOp(self.counters, table, node, self.needed,
+                         self.batch_size)

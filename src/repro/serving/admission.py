@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ServingError
+from repro.serving import tenancy
 from repro.serving.scheduler import FairScheduler
 from repro.serving.tenancy import TenantRegistry
 
@@ -155,8 +156,7 @@ class AdmissionController:
                scheduler: FairScheduler) -> Rejection | None:
         """``None`` to admit, or the :class:`Rejection` to shed."""
         tenant_id = request.tenant
-        config = self.tenants.config(tenant_id)
-        if scheduler.depth(tenant_id) >= config.queue_limit:
+        if scheduler.depth(tenant_id) >= tenancy.QUEUE_LIMIT:
             # Retry once roughly half the backlog has drained.
             wait = self.estimated_wait_s(tenant_id, scheduler)
             return Rejection(

@@ -9,11 +9,11 @@ tenant-independent, so tenant B hits entries tenant A warmed.
 Sharing creates an attack surface: one tenant streaming distinct
 requests would churn the LRU and evict everyone else's working set.
 Every entry is therefore *owned* by the tenant that inserted it, and
-each tenant has a quota (an explicit fraction, or its fair weight
-share). Inserting over quota evicts from the inserting tenant's own
-entries first; a global-capacity eviction picks its victim among
-tenants at-or-over quota. Under-quota tenants' working sets survive a
-flood by construction (see ``tests/serving/test_cache.py``).
+each tenant has a quota, its fair weight share. Inserting over quota
+evicts from the inserting tenant's own entries first; a
+global-capacity eviction picks its victim among tenants at-or-over
+quota. Under-quota tenants' working sets survive a flood by
+construction (see ``tests/serving/test_cache.py``).
 
 Entries are stamped with :attr:`DrugTree.data_version` like every
 cached answer (see :mod:`repro.core.query.cache`), so no response
@@ -64,11 +64,8 @@ class SharedCacheFront:
 
     def quota(self, tenant_id: str) -> int:
         """Entries *tenant_id* may own before evicting its own LRU."""
-        config = self.tenants.config(tenant_id)
-        fraction = config.cache_quota_fraction
-        if fraction is None:
-            fraction = self.tenants.weight_share(tenant_id)
-        return max(1, int(self.capacity * fraction))
+        share = self.tenants.weight_share(tenant_id)
+        return max(1, int(self.capacity * share))
 
     def owned(self, tenant_id: str) -> int:
         return self._owned.get(tenant_id, 0)
@@ -137,17 +134,14 @@ class SharedCacheFront:
     def _evict_over_quota(self) -> None:
         """Global-capacity eviction: LRU among at-or-over-quota owners.
 
-        The capacity being full while every owner is under quota can
-        only happen when quota fractions under-cover the capacity; the
-        plain LRU fallback handles that configuration.
+        A full front always has one: an owner below its quota holds
+        less than its weight share of the capacity, and the shares sum
+        to 1.
         """
         for key, entry in self._entries.items():
             if self.owned(entry.owner) >= self.quota(entry.owner):
                 self._remove(key)
                 return
-        oldest = next(iter(self._entries), None)
-        if oldest is not None:
-            self._remove(oldest)
 
     def stats(self) -> dict[str, Any]:
         return {

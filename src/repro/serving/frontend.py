@@ -251,12 +251,11 @@ class ServingFrontend:
     def __init__(self, server: DrugTreeServer, clock: SimulatedClock,
                  config: FrontendConfig | None = None,
                  tenants: list[TenantConfig] | None = None,
-                 default_tenant: TenantConfig | None = None,
                  breakers=None) -> None:
         self.server = server
         self.clock = clock
         self.config = config or FrontendConfig()
-        self.tenants = TenantRegistry(tenants, default_tenant)
+        self.tenants = TenantRegistry(tenants)
         self.scheduler = FairScheduler(self.tenants,
                                        policy=self.config.policy)
         self.cost_model = ServiceCostModel(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ServingError
+from repro.serving import tenancy
 from repro.serving.tenancy import TenantRegistry
 
 #: Scheduling policies the frontend accepts.
@@ -96,7 +97,7 @@ class FairScheduler:
         queue = self._queues.get(tenant_id)
         if queue is None:
             queue = self._queues[tenant_id] = deque()
-        if self.policy == "wfq" and len(queue) >= config.queue_limit:
+        if self.policy == "wfq" and len(queue) >= tenancy.QUEUE_LIMIT:
             return False
         item = QueuedRequest(request, now, cost_s)
         if self.policy == "wfq":

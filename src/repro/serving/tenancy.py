@@ -15,45 +15,36 @@ from repro.errors import ServingError
 
 #: Tenant id used when a request does not name one.
 DEFAULT_TENANT = "default"
+#: Bounded queue depth of every tenant; arrivals beyond it are shed
+#: ``queue_full``.
+QUEUE_LIMIT = 64
 
 
 @dataclass(frozen=True)
 class TenantConfig:
-    """One tenant's serving contract."""
+    """One tenant's serving contract. Its share of the shared cache
+    front is its weight share."""
 
     tenant_id: str
     #: Weighted-fair-scheduling weight: a tenant with weight 2 drains
     #: its queue twice as fast as a weight-1 tenant under contention.
     weight: float = 1.0
-    #: Bounded queue depth; arrivals beyond it are shed ``queue_full``.
-    queue_limit: int = 64
-    #: Fraction of the shared cache front this tenant may own. ``None``
-    #: derives the fraction from the tenant's weight share.
-    cache_quota_fraction: float | None = None
 
     def __post_init__(self) -> None:
         if not self.tenant_id:
             raise ServingError("tenant needs a non-empty id")
         if self.weight <= 0:
             raise ServingError("tenant weight must be positive")
-        if self.queue_limit < 1:
-            raise ServingError("tenant queue limit must be >= 1")
-        if self.cache_quota_fraction is not None \
-                and not 0.0 < self.cache_quota_fraction <= 1.0:
-            raise ServingError("cache quota fraction must be in (0, 1]")
 
 
 class TenantRegistry:
     """The frontend's tenant table.
 
-    Tenants not registered up front are materialized on first use with
-    ``default_config`` (id swapped in) so an open-loop generator can
-    invent tenants freely.
+    Tenants not registered up front are materialized on first use, at
+    weight 1, so an open-loop generator can invent tenants freely.
     """
 
-    def __init__(self, configs: list[TenantConfig] | None = None,
-                 default_config: TenantConfig | None = None) -> None:
-        self._default = default_config or TenantConfig(DEFAULT_TENANT)
+    def __init__(self, configs: list[TenantConfig] | None = None) -> None:
         self._configs: dict[str, TenantConfig] = {}
         for config in configs or ():
             self.register(config)
@@ -68,13 +59,7 @@ class TenantRegistry:
     def config(self, tenant_id: str) -> TenantConfig:
         config = self._configs.get(tenant_id)
         if config is None:
-            base = self._default
-            config = TenantConfig(
-                tenant_id=tenant_id,
-                weight=base.weight,
-                queue_limit=base.queue_limit,
-                cache_quota_fraction=base.cache_quota_fraction,
-            )
+            config = TenantConfig(tenant_id=tenant_id)
             self.register(config)
         return config
 

@@ -4,7 +4,8 @@ Tables hold tuples in schema order under integer row ids, issued in
 ascending order and never reused. Every insert reaches the column
 store, then the secondary indexes and value counts, then the insert
 listeners (materialized views and the overlay's data-version stamp),
-synchronously — the behaviour the ablation experiment (E2) toggles.
+synchronously; E10 (``benchmarks/bench_e10_write_amplification.py``)
+measures what that costs an insert.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.query.ast import AggregateSpec, Comparison, OrderBy
+from repro.core.query.logical import LogicalScan
 from repro.core.query.physical import (
     ExecCounters,
     FilterOp,
@@ -15,7 +16,7 @@ from repro.core.query.physical import (
     LimitOp,
     NestedLoopJoinOp,
     ProjectOp,
-    SeqScanOp,
+    ScanOp,
     SortOp,
     StaticRowsOp,
     TopKOp,
@@ -47,14 +48,14 @@ def _frozen(rows):
 class TestScansAndFilters:
     def test_seq_scan_emits_all(self):
         table = _table([("a", 1.0), ("b", 2.0)])
-        op = SeqScanOp(ExecCounters(), table)
+        op = ScanOp(ExecCounters(), table, LogicalScan("t", "seq"))
         assert len(list(op.rows())) == 2
         assert op.counters.rows_scanned == 2
 
     def test_seq_scan_residual(self):
         table = _table([("a", 1.0), ("b", 8.0)])
-        op = SeqScanOp(ExecCounters(), table,
-                       (Comparison("p_affinity", ">=", 5.0),))
+        op = ScanOp(ExecCounters(), table, LogicalScan(
+            "t", "seq", residual=(Comparison("p_affinity", ">=", 5.0),)))
         assert [r["ligand_id"] for r in op.rows()] == ["b"]
 
     def test_filter_op(self):

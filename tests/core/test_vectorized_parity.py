@@ -312,19 +312,20 @@ class TestKeySetScanWithoutIndex:
 
     def test_operators_agree(self):
         from repro.core.query.ast import Comparison
-        from repro.core.query.physical import ExecCounters, KeySetScanOp
-        from repro.core.query.vectorized import VecKeySetScanOp
+        from repro.core.query.logical import LogicalScan
+        from repro.core.query.physical import ExecCounters, ScanOp
+        from repro.core.query.vectorized import VecScanOp
 
         table = make_dataset(seed=23).drugtree().tables["bindings"]
         assert table.index_on("activity_type") is None
-        keys = frozenset({"Ki", "IC50"})
-        residual = (Comparison("p_affinity", ">=", 6.0),)
+        node = LogicalScan(
+            "bindings", "key_set", access_column="activity_type",
+            key_set=frozenset({"Ki", "IC50"}),
+            residual=(Comparison("p_affinity", ">=", 6.0),))
         row_counters, vec_counters = ExecCounters(), ExecCounters()
-        expected = list(KeySetScanOp(
-            row_counters, table, "activity_type", keys, residual).rows())
-        got = list(VecKeySetScanOp(
-            vec_counters, table.column_store(), "activity_type", keys,
-            residual, batch_size=16).rows())
+        expected = list(ScanOp(row_counters, table, node).rows())
+        got = list(VecScanOp(vec_counters, table, node,
+                             batch_size=16).rows())
         assert expected and got == expected
         for key in COUNTER_KEYS:
             assert getattr(vec_counters, key) == getattr(row_counters, key)

@@ -16,21 +16,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.query.ast import AggregateSpec, Comparison
+from repro.core.query.logical import LogicalScan
 from repro.core.query.physical import (
     ExecCounters,
     HashAggregateOp,
-    IndexEqScanOp,
-    IndexRangeScanOp,
-    KeySetScanOp,
-    SeqScanOp,
+    ScanOp,
     _AggState,
 )
 from repro.core.query.vectorized import (
     VecHashAggregateOp,
-    VecIndexEqScanOp,
-    VecIndexRangeScanOp,
-    VecKeySetScanOp,
-    VecSeqScanOp,
+    VecScanOp,
     fold_typed,
 )
 from repro.storage import (
@@ -115,12 +110,12 @@ def fold_table(rows, restore, poison):
 
 def run_aggregate(table, group_by, batch_size=None):
     counters = ExecCounters()
+    node = LogicalScan(table.name, "seq")
     if batch_size is None:
-        op = HashAggregateOp(counters, SeqScanOp(counters, table),
+        op = HashAggregateOp(counters, ScanOp(counters, table, node),
                              AGGREGATES, group_by)
     else:
-        scan = VecSeqScanOp(counters, table.column_store(), (), None,
-                            batch_size)
+        scan = VecScanOp(counters, table, node, None, batch_size)
         op = VecHashAggregateOp(counters, scan, AGGREGATES, group_by)
     return list(op.rows())
 
@@ -267,30 +262,28 @@ OPS = ("=", "!=", "<", "<=", ">", ">=")
 KEYS = frozenset({"L01", "L04", "L07", "L12", "P1", "P3"})
 
 
+def grid_scan(shape, table, residual):
+    """The ``LogicalScan`` of one scan shape over the grid table."""
+    if shape == "seq":
+        return LogicalScan(table.name, "seq", residual=residual)
+    if shape == "index_eq":
+        return LogicalScan(table.name, "index_eq", access_column="leaf_pre",
+                           eq_value=7, residual=residual)
+    if shape == "index_range":
+        return LogicalScan(table.name, "index_range",
+                           access_column="p_affinity", range_low=-0.0,
+                           range_high=1e300, include_low=True,
+                           include_high=False, residual=residual)
+    column = "ligand_id" if shape == "key_set_indexed" else "protein_id"
+    return LogicalScan(table.name, "key_set", access_column=column,
+                       key_set=KEYS, residual=residual)
+
+
 def grid_ops(shape, table, residual, batch_size):
     """(row operator, vectorized operator) of one scan shape."""
-    store = table.column_store()
-    row_counters, vec_counters = ExecCounters(), ExecCounters()
-    if shape == "seq":
-        return (SeqScanOp(row_counters, table, residual),
-                VecSeqScanOp(vec_counters, store, residual, None,
-                             batch_size))
-    if shape == "index_eq":
-        index = table.index_on("leaf_pre")
-        return (IndexEqScanOp(row_counters, table, index, 7, residual),
-                VecIndexEqScanOp(vec_counters, store, index, 7, residual,
-                                 None, batch_size))
-    if shape == "index_range":
-        index = table.index_on("p_affinity", require_range=True)
-        return (IndexRangeScanOp(row_counters, table, index, -0.0, 1e300,
-                                 True, False, residual),
-                VecIndexRangeScanOp(vec_counters, store, index, -0.0,
-                                    1e300, True, False, residual, None,
-                                    batch_size))
-    column = "ligand_id" if shape == "key_set_indexed" else "protein_id"
-    return (KeySetScanOp(row_counters, table, column, KEYS, residual),
-            VecKeySetScanOp(vec_counters, store, column, KEYS, residual,
-                            None, batch_size))
+    node = grid_scan(shape, table, residual)
+    return (ScanOp(ExecCounters(), table, node),
+            VecScanOp(ExecCounters(), table, node, None, batch_size))
 
 
 SHAPES = ("seq", "index_eq", "index_range", "key_set_indexed",
@@ -344,6 +337,6 @@ class TestMaskParityGrid:
                                                              ("<", ">=")):
             if literal == BIG + 1:
                 continue
-            kept = list(SeqScanOp(ExecCounters(), table, (
-                Comparison(column, op, literal),)).rows())
+            kept = list(ScanOp(ExecCounters(), table, grid_scan(
+                "seq", table, (Comparison(column, op, literal),))).rows())
             assert 0 < len(kept) < len(table), (column, op, literal)

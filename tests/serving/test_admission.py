@@ -12,6 +12,7 @@ from repro.serving import (
     ServiceCostModel,
     TenantConfig,
     TenantRegistry,
+    tenancy,
 )
 from repro.serving.frontend import Request
 
@@ -87,17 +88,16 @@ class TestAdmission:
         controller, scheduler, _ = _controller(TenantConfig("a"))
         assert controller.decide(_request("a"), scheduler) is None
 
-    def test_queue_full_sheds(self):
-        controller, scheduler, _ = _controller(
-            TenantConfig("a", queue_limit=1))
+    def test_queue_full_sheds(self, monkeypatch):
+        monkeypatch.setattr(tenancy, "QUEUE_LIMIT", 1)
+        controller, scheduler, _ = _controller(TenantConfig("a"))
         scheduler.try_enqueue(_request("a"), 0.0, 0.1)
         rejection = controller.decide(_request("a", seq=1), scheduler)
         assert rejection.reason == REASON_QUEUE_FULL
 
     def test_overload_sheds_when_backlog_exceeds_slo(self):
         controller, scheduler, _ = _controller(
-            TenantConfig("a", queue_limit=100),
-            workers=1, slo_s=0.5)
+            TenantConfig("a"), workers=1, slo_s=0.5)
         for seq in range(10):
             scheduler.try_enqueue(_request("a", seq=seq), 0.0, 0.2)
         rejection = controller.decide(_request("a", seq=99), scheduler)
@@ -107,16 +107,14 @@ class TestAdmission:
 
     def test_one_tenants_backlog_does_not_shed_another(self):
         controller, scheduler, _ = _controller(
-            TenantConfig("flood", queue_limit=100),
-            TenantConfig("calm"),
+            TenantConfig("flood"), TenantConfig("calm"),
             workers=2, slo_s=0.5)
         for seq in range(50):
             scheduler.try_enqueue(_request("flood", seq=seq), 0.0, 0.2)
         assert controller.decide(_request("calm"), scheduler) is None
 
     def test_fifo_backlog_sheds_everyone(self):
-        tenants = TenantRegistry([TenantConfig("flood",
-                                               queue_limit=100),
+        tenants = TenantRegistry([TenantConfig("flood"),
                                   TenantConfig("calm")])
         model = ServiceCostModel({"render": 0.1})
         scheduler = FairScheduler(tenants, policy="fifo")
@@ -154,11 +152,12 @@ class TestAdmission:
         assert error.tenant == "a"
         assert error.retry_after_s == pytest.approx(0.4)
 
-    def test_queue_full_hint_has_a_floor(self):
+    def test_queue_full_hint_has_a_floor(self, monkeypatch):
         # A queued request with a near-zero estimate still gets a
         # back-off hint clients cannot busy-loop on.
+        monkeypatch.setattr(tenancy, "QUEUE_LIMIT", 1)
         controller, scheduler, _ = _controller(
-            TenantConfig("a", queue_limit=1), priors={"render": 1e-6})
+            TenantConfig("a"), priors={"render": 1e-6})
         scheduler.try_enqueue(_request("a"), 0.0, 1e-6)
         rejection = controller.decide(_request("a", seq=1), scheduler)
         assert rejection.reason == REASON_QUEUE_FULL

@@ -36,13 +36,13 @@ class TestSharedCacheFront:
         assert cache.quota("a") == 6
         assert cache.quota("b") == 2
 
-    def test_explicit_quota_fraction_wins(self):
-        cache = _cache(8, TenantConfig("a", cache_quota_fraction=0.25))
-        assert cache.quota("a") == 2
+    def test_a_lone_tenant_may_fill_the_front(self):
+        cache = _cache(8, TenantConfig("a", weight=0.25))
+        assert cache.quota("a") == 8
 
     def test_over_quota_insert_evicts_own_lru(self):
-        cache = _cache(8, TenantConfig("a", cache_quota_fraction=0.25),
-                       TenantConfig("b"))
+        cache = _cache(8, TenantConfig("a", weight=1.0),
+                       TenantConfig("b", weight=3.0))
         cache.put("a1", "a", 1, 0)
         cache.put("b1", "b", 1, 0)
         cache.put("a2", "a", 2, 0)
@@ -63,14 +63,15 @@ class TestSharedCacheFront:
         assert cache.owned("flood") <= cache.quota("flood")
 
     def test_capacity_eviction_picks_over_quota_owner(self):
-        cache = _cache(4, TenantConfig("a", cache_quota_fraction=0.5),
-                       TenantConfig("b", cache_quota_fraction=1.0))
+        cache = _cache(4, TenantConfig("a"))
         cache.put("a1", "a", 1, 0)
         cache.put("a2", "a", 2, 0)
+        # b joins at three times a's weight: a's quota falls to 1.
+        cache.tenants.register(TenantConfig("b", weight=3.0))
         cache.put("b1", "b", 1, 0)
         cache.put("b2", "b", 2, 0)
-        # Cache full; b is under its (100%) quota only because a holds
-        # half — b's next insert must claim a slot from a (at quota),
+        # Cache full; b is under its quota of 3 only because a holds
+        # half — b's next insert must claim a slot from a (over quota),
         # not from b's own newer entries.
         cache.put("b3", "b", 3, 0)
         assert cache.get("a1", "a", 0) is None

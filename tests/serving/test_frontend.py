@@ -162,13 +162,13 @@ class TestServing:
             "serving.sessions_reopened").value
         assert reopened >= 1
 
-    def test_rejected_requests_cost_no_virtual_time(self):
+    def test_rejected_requests_cost_no_virtual_time(self, monkeypatch):
+        monkeypatch.setattr("repro.serving.tenancy.QUEUE_LIMIT", 1)
         dataset, server = _world()
         # One worker and a one-deep queue: of 500 simultaneous arrivals
         # one runs, one waits, and the rest are shed at the door.
-        frontend = _frontend(
-            dataset, server, workers=1,
-            tenants=[TenantConfig("a", queue_limit=1)])
+        frontend = _frontend(dataset, server, workers=1,
+                             tenants=[TenantConfig("a")])
         before = dataset.clock.now()
         requests = [Request(tenant="a", session="a-u0", kind="render",
                             target="clade_0001", arrival_s=0.0, seq=i)

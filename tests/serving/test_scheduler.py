@@ -1,11 +1,10 @@
 """Tests for the weighted fair scheduler and tenant primitives."""
 
-import dataclasses
-
 import pytest
 
 from repro.errors import ServingError
 from repro.serving import FairScheduler, TenantConfig, TenantRegistry
+from repro.serving import tenancy
 from repro.serving.frontend import Request
 
 
@@ -21,9 +20,8 @@ def _registry(*configs):
 
 class TestTenantRegistry:
     def test_unknown_tenant_materializes_from_default(self):
-        registry = TenantRegistry(
-            default_config=TenantConfig("default", queue_limit=7))
-        assert registry.config("walk-in").queue_limit == 7
+        registry = TenantRegistry()
+        assert registry.config("walk-in") == TenantConfig("walk-in")
         assert "walk-in" in registry.tenant_ids()
 
     def test_duplicate_registration_rejected(self):
@@ -37,12 +35,9 @@ class TestTenantRegistry:
         assert registry.weight_share("a") == pytest.approx(0.75)
 
 
-    def test_materialized_tenant_copies_every_default_field(self):
-        default = TenantConfig("default", weight=2.5, queue_limit=9,
-                               cache_quota_fraction=0.3)
-        registry = TenantRegistry(default_config=default)
-        assert registry.config("walk-in") == dataclasses.replace(
-            default, tenant_id="walk-in")
+    def test_materialized_tenant_takes_the_default_weight(self):
+        registry = _registry(TenantConfig("a", weight=2.5))
+        assert registry.config("walk-in").weight == 1.0
 
     def test_materialized_tenant_is_registered_once(self):
         registry = _registry(TenantConfig("a"))
@@ -63,19 +58,14 @@ class TestTenantConfig:
         {"tenant_id": ""},
         {"tenant_id": "a", "weight": 0.0},
         {"tenant_id": "a", "weight": -1.0},
-        {"tenant_id": "a", "queue_limit": 0},
-        {"tenant_id": "a", "cache_quota_fraction": 0.0},
-        {"tenant_id": "a", "cache_quota_fraction": 1.5},
     ])
     def test_rejects_an_impossible_contract(self, kwargs):
         with pytest.raises(ServingError):
             TenantConfig(**kwargs)
 
     def test_accepts_the_boundaries(self):
-        config = TenantConfig("a", weight=0.01, queue_limit=1,
-                              cache_quota_fraction=1.0)
-        assert config.queue_limit == 1
-        assert config.cache_quota_fraction == 1.0
+        config = TenantConfig("a", weight=0.01)
+        assert config.weight == 0.01
 
 
 class TestFairScheduler:
@@ -116,10 +106,10 @@ class TestFairScheduler:
         assert served.count("heavy") == 4
         assert served.count("light") == 2
 
-    def test_queue_bound_is_per_tenant(self):
+    def test_queue_bound_is_per_tenant(self, monkeypatch):
+        monkeypatch.setattr(tenancy, "QUEUE_LIMIT", 2)
         scheduler = FairScheduler(
-            _registry(TenantConfig("a", queue_limit=2),
-                      TenantConfig("b", queue_limit=2)))
+            _registry(TenantConfig("a"), TenantConfig("b")))
         assert scheduler.try_enqueue(_request("a", 0), 0.0, 1.0)
         assert scheduler.try_enqueue(_request("a", 1), 0.0, 1.0)
         assert not scheduler.try_enqueue(_request("a", 2), 0.0, 1.0)
@@ -140,10 +130,11 @@ class TestFairScheduler:
         assert scheduler.pop() is None
         assert len(scheduler) == 0
 
-    def test_fifo_queues_past_the_tenant_bound(self):
+    def test_fifo_queues_past_the_tenant_bound(self, monkeypatch):
         # The naive baseline has no bound: that is how it collapses.
-        scheduler = FairScheduler(
-            _registry(TenantConfig("a", queue_limit=1)), policy="fifo")
+        monkeypatch.setattr(tenancy, "QUEUE_LIMIT", 1)
+        scheduler = FairScheduler(_registry(TenantConfig("a")),
+                                  policy="fifo")
         assert all(scheduler.try_enqueue(_request("a", seq), 0.0, 1.0)
                    for seq in range(3))
         assert scheduler.depth("a") == 3

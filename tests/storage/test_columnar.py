@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.query.ast import AggregateSpec, Comparison
+from repro.core.query.logical import LogicalScan
 from repro.core.query.physical import (
     ExecCounters,
     HashAggregateOp,
@@ -15,8 +16,7 @@ from repro.core.query.physical import (
 )
 from repro.core.query.vectorized import (
     VecHashAggregateOp,
-    VecIndexRangeScanOp,
-    VecSeqScanOp,
+    VecScanOp,
 )
 from repro.errors import StorageError
 from repro.storage import (
@@ -310,20 +310,24 @@ def serial_grouped(k):
     return list(op.rows())
 
 
+SEQ_SCAN = LogicalScan("typed", "seq", residual=(AT_LEAST,))
+RANGE_SCAN = LogicalScan("typed", "index_range", access_column="p_affinity",
+                         range_low=10.0, range_high=20.0, include_high=False)
+
+
 def vec_seq(store, batch_size=64):
-    return list(VecSeqScanOp(ExecCounters(), store, (AT_LEAST,),
-                             SEQ_COLUMNS, batch_size).rows())
+    return list(VecScanOp(ExecCounters(), store.table, SEQ_SCAN,
+                          SEQ_COLUMNS, batch_size).rows())
 
 
-def vec_range(store, index, batch_size=64):
-    return list(VecIndexRangeScanOp(
-        ExecCounters(), store, index, 10.0, 20.0, True, False,
-        (), SEQ_COLUMNS, batch_size).rows())
+def vec_range(store, batch_size=64):
+    return list(VecScanOp(ExecCounters(), store.table, RANGE_SCAN,
+                          SEQ_COLUMNS, batch_size).rows())
 
 
 def vec_grouped(store, batch_size=64):
     counters = ExecCounters()
-    scan = VecSeqScanOp(counters, store, (AT_LEAST,), None, batch_size)
+    scan = VecScanOp(counters, store.table, SEQ_SCAN, None, batch_size)
     return list(VecHashAggregateOp(counters, scan, AGGREGATES,
                                    "activity_type").rows())
 
@@ -344,7 +348,7 @@ class TestMirrorsAgainstReaders:
             # The store holds row 30; the index does not yet.
             assert all(len(store.typed(name)[0]) > row_id for name in
                        ("p_affinity", "leaf_pre", "potent", "resolution"))
-            seen.append((vec_seq(store, 7), vec_range(store, index, 7),
+            seen.append((vec_seq(store, 7), vec_range(store, 7),
                          vec_grouped(store, 7)))
             insert(key, row_id)
 
@@ -360,7 +364,7 @@ class TestMirrorsAgainstReaders:
         the scans after the append may lose the row: a mirror built
         lazily by that first reader would miss it for good."""
         table = typed_table(30)
-        index = table.create_index(["p_affinity"], kind="sorted")
+        table.create_index(["p_affinity"], kind="sorted")
         store = table.column_store()
         paused, resume = threading.Event(), threading.Event()
 
@@ -376,13 +380,13 @@ class TestMirrorsAgainstReaders:
         writer.start()
         try:
             assert paused.wait(30)
-            during = (vec_seq(store, 7), vec_range(store, index, 7),
+            during = (vec_seq(store, 7), vec_range(store, 7),
                       vec_grouped(store, 7))
         finally:
             resume.set()
             writer.join(timeout=30)
         assert not writer.is_alive()
-        after = (vec_seq(store, 7), vec_range(store, index, 7),
+        after = (vec_seq(store, 7), vec_range(store, 7),
                  vec_grouped(store, 7))
         assert during == (serial_seq(30), serial_range(30),
                           serial_grouped(30))
@@ -404,9 +408,9 @@ class TestMirrorsAgainstReaders:
         try:
             for _ in range(8):
                 table = typed_table(start)
-                index = table.create_index(["p_affinity"], kind="sorted")
+                table.create_index(["p_affinity"], kind="sorted")
                 store = table.column_store()
-                answers, errors = race_scans(table, index, store, start,
+                answers, errors = race_scans(table, store, start,
                                              start + per_table)
                 assert errors == []
                 assert store.verify_against_rows()
@@ -423,12 +427,12 @@ class TestMirrorsAgainstReaders:
             sys.setswitchinterval(interval)
 
 
-def race_scans(table, index, store, start, stop):
+def race_scans(table, store, start, stop):
     """Three reader threads scan while one thread inserts rows
     ``start..stop``; the first answer per ``(len before, len after)``
     of each scan, and any error raised."""
     run = {"seq": lambda: vec_seq(store),
-           "range": lambda: vec_range(store, index),
+           "range": lambda: vec_range(store),
            "grouped": lambda: vec_grouped(store)}
     answers = {name: {} for name in run}
     errors: list[BaseException] = []

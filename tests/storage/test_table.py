@@ -7,7 +7,8 @@ import pytest
 
 from repro.core.query.ast import Comparison
 from repro.core.query.cards import CardinalityEstimator
-from repro.core.query.physical import ExecCounters, SeqScanOp
+from repro.core.query.logical import LogicalScan
+from repro.core.query.physical import ExecCounters, ScanOp
 from repro.errors import SchemaError, StorageError
 from repro.storage import (
     Schema,
@@ -187,7 +188,8 @@ class TestScanSnapshot:
             try:
                 while not done.is_set():
                     assert estimator.scan_rows("bindings", predicates) > 0
-                    scan = SeqScanOp(ExecCounters(), table).rows()
+                    scan = ScanOp(ExecCounters(), table,
+                                  LogicalScan(table.name, "seq")).rows()
                     assert all(record["assay_count"] >= 0
                                for record in scan)
             except Exception as error:  # noqa: BLE001 - reported below
