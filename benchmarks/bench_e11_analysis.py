@@ -30,7 +30,7 @@ import random
 import time
 
 from repro.core import EngineConfig, NaiveEngine, QueryEngine
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, get_metrics, set_metrics
 from repro.workloads import DatasetConfig, TextTable, build_dataset
 
 N_LEAVES = 60
@@ -89,28 +89,32 @@ def test_e11_short_circuit_savings(benchmark, report):
         # round-trip counts are comparable.
         data = build_dataset(DatasetConfig(
             n_leaves=N_LEAVES, n_ligands=N_LIGANDS, seed=WORLD_SEED))
-        metrics = MetricsRegistry()
-        engine = make_engine(data, metrics)
+        engine = make_engine(data)
         before = data.registry.combined_stats()["roundtrips"]
         candidates = 0
-        started = time.perf_counter()
-        for dtql in workload:
-            result = engine.execute(dtql)
-            candidates += getattr(result, "similarity_candidates", 0) or 0
-        wall_ms = (time.perf_counter() - started) * 1e3
+        # This configuration's own registry, so its counters start at 0.
+        session = get_metrics()
+        metrics = MetricsRegistry()
+        set_metrics(metrics)
+        try:
+            started = time.perf_counter()
+            for dtql in workload:
+                result = engine.execute(dtql)
+                candidates += getattr(result, "similarity_candidates",
+                                      0) or 0
+            wall_ms = (time.perf_counter() - started) * 1e3
+        finally:
+            set_metrics(session)
         roundtrips = data.registry.combined_stats()["roundtrips"] - before
         skipped = metrics.counter("query.analysis_short_circuit").value
         return (label, roundtrips, skipped, candidates, wall_ms)
 
     def sweep():
         return [
-            run("naive", lambda d, m: NaiveEngine(
-                d.tree, d.registry)),
-            run("opt, analysis off", lambda d, m: QueryEngine(
-                d.drugtree(), EngineConfig(use_semantic_analysis=False),
-                metrics=m)),
-            run("opt, analysis on", lambda d, m: QueryEngine(
-                d.drugtree(), metrics=m)),
+            run("naive", lambda d: NaiveEngine(d.tree, d.registry)),
+            run("opt, analysis off", lambda d: QueryEngine(
+                d.drugtree(), EngineConfig(use_semantic_analysis=False))),
+            run("opt, analysis on", lambda d: QueryEngine(d.drugtree())),
         ]
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)

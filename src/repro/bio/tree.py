@@ -30,8 +30,7 @@ class PhyloNode:
     _id_counter = itertools.count()
 
     def __init__(self, name: str = "",
-                 branch_length: float = 0.0,
-                 children: Optional[list["PhyloNode"]] = None) -> None:
+                 branch_length: float = 0.0) -> None:
         if branch_length < 0:
             raise TreeError(f"negative branch length {branch_length}")
         self.name = name
@@ -39,8 +38,6 @@ class PhyloNode:
         self.children: list[PhyloNode] = []
         self.parent: Optional[PhyloNode] = None
         self._id = next(PhyloNode._id_counter)
-        for child in children or []:
-            self.add_child(child)
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else f"internal/{len(self.children)}"

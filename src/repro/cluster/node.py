@@ -60,14 +60,10 @@ class ClusterNode:
     """One simulated storage node of the cluster."""
 
     def __init__(self, node_id: str, clock: SimulatedClock,
-                 schedule: FaultSchedule | None = None,
-                 base_latency_s: float = BASE_LATENCY_S,
-                 timeout_s: float = RPC_TIMEOUT_S) -> None:
+                 schedule: FaultSchedule | None = None) -> None:
         self.node_id = node_id
         self.clock = clock
         self.schedule = schedule or FaultSchedule()
-        self.base_latency_s = base_latency_s
-        self.timeout_s = timeout_s
         self._lock = threading.Lock()
         self._store: dict[int, dict[tuple[str, int], VersionedRow]] = {}
         self._hints: list[Hint] = []
@@ -92,11 +88,11 @@ class ClusterNode:
         if effect.down or self.schedule.draw_failure(
                 self.node_id, effect.failure_rate):
             # An unreachable node costs the full timeout to discover.
-            self.clock.sleep(self.timeout_s)
+            self.clock.sleep(RPC_TIMEOUT_S)
             with self._lock:
                 self.failed_rpcs += 1
             raise NodeDownError(f"node {self.node_id} unreachable")
-        self.clock.sleep(self.base_latency_s * effect.latency_factor
+        self.clock.sleep(BASE_LATENCY_S * effect.latency_factor
                          + effect.extra_latency_s)
         with self._lock:
             self.rpcs += 1

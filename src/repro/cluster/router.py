@@ -111,12 +111,11 @@ class Router:
     """Fronts a :class:`~repro.cluster.replication.Cluster`."""
 
     def __init__(self, cluster: Cluster,
-                 breakers: BreakerBoard | None = None,
                  breaker_config: BreakerConfig | None = None) -> None:
         self.cluster = cluster
         self.clock = cluster.clock
         self.config = cluster.config
-        self.breakers = breakers or BreakerBoard(
+        self.breakers = BreakerBoard(
             self.clock,
             breaker_config or BreakerConfig(failure_threshold=3,
                                             reset_timeout_s=10.0),

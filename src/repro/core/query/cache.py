@@ -31,7 +31,7 @@ a store carrying an older one was computed before a write the cache has
 seen, and is dropped. An insert costs the cache nothing.
 
 A server's worker threads share one engine, hence one cache: the two
-maps, their version and the counters change only under one lock.
+maps and their version change only under one lock.
 Subsumption derives from a snapshot outside it, so the lock stays a
 leaf.
 """
@@ -48,7 +48,6 @@ from typing import Any
 from repro.core.labeling import IntervalLabeling
 from repro.core.query.ast import Query
 from repro.core.query.predicates import compile_columns
-from repro.errors import QueryError
 from repro.obs import get_metrics, get_tracer
 
 #: Entries kept before the least recently used is dropped. Replaying
@@ -91,12 +90,8 @@ def column_reader(columns: tuple[str, ...],
 class SemanticCache:
     """LRU semantic result cache (safe to share across threads)."""
 
-    def __init__(self, labeling: IntervalLabeling,
-                 capacity: int = CACHE_CAPACITY) -> None:
-        if capacity < 1:
-            raise QueryError("cache capacity must be positive")
+    def __init__(self, labeling: IntervalLabeling) -> None:
         self.labeling = labeling
-        self.capacity = capacity
         #: Signature -> the stored answer of every entry, least
         #: recently used first.
         self._entries: OrderedDict[str, _Entry] = OrderedDict()
@@ -105,10 +100,6 @@ class SemanticCache:
         self._subsumers: OrderedDict[str, Query] = OrderedDict()
         self._version = 0  # the data version every entry was computed at
         self._lock = threading.Lock()
-        self.exact_hits = 0
-        self.subsumption_hits = 0
-        self.misses = 0
-        self.invalidations = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -132,7 +123,6 @@ class SemanticCache:
             exact = self._entries.get(own)
             if exact is not None:
                 self._touch(own)
-                self.exact_hits += 1
             else:
                 candidates = [(signature, cached, self._entries[signature])
                               for signature, cached
@@ -151,10 +141,7 @@ class SemanticCache:
                 with self._lock:
                     if signature in self._entries:
                         self._touch(signature)
-                    self.subsumption_hits += 1
                 return CacheHit(*derived, "subsumed")
-        with self._lock:
-            self.misses += 1
         return None
 
     def _touch(self, signature: str) -> None:
@@ -249,7 +236,7 @@ class SemanticCache:
             if subsumer:
                 self._subsumers[signature] = query
             self._touch(signature)
-            while len(self._entries) > self.capacity:
+            while len(self._entries) > CACHE_CAPACITY:
                 evicted, _ = self._entries.popitem(last=False)
                 self._subsumers.pop(evicted, None)
         if emptied:
@@ -264,22 +251,4 @@ class SemanticCache:
         emptied = bool(self._entries)
         self._entries.clear()
         self._subsumers.clear()
-        self.invalidations += emptied
         return emptied
-
-    @property
-    def hit_rate(self) -> float:
-        hits = self.exact_hits + self.subsumption_hits
-        total = hits + self.misses
-        return hits / total if total else 0.0
-
-    def stats(self) -> dict[str, float]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "exact_hits": self.exact_hits,
-                "subsumption_hits": self.subsumption_hits,
-                "misses": self.misses,
-                "invalidations": self.invalidations,
-                "hit_rate": round(self.hit_rate, 4),
-            }

@@ -19,6 +19,7 @@ from repro.chem.fingerprint import circular_fingerprint, tanimoto
 from repro.chem.smiles import parse_smiles
 from repro.core.drugtree import DrugTree
 from repro.chem.substructure import SubstructurePattern, filter_library
+from repro.core.query import vectorized
 from repro.core.query.adaptive import EngineChoice, choose_engine
 from repro.core.query.ast import (
     REMOTE_DETAIL_COLUMNS,
@@ -141,8 +142,6 @@ class EngineConfig:
     #: ``"row"`` (volcano iterators: the reference the parity suites
     #: compare against). Results are identical in both modes.
     execution_mode: str = "vectorized"
-    #: Rows per batch on the vectorized path.
-    vector_batch_size: int = 1024
 
     def __post_init__(self) -> None:
         if self.execution_mode not in ("vectorized", "row"):
@@ -150,8 +149,6 @@ class EngineConfig:
                 f"unknown execution mode {self.execution_mode!r} "
                 "(known: 'vectorized', 'row')"
             )
-        if self.vector_batch_size < 1:
-            raise QueryError("vector_batch_size must be positive")
         if self.join_strategy not in ("dp", "greedy", "fixed"):
             raise PlanError(
                 f"unknown join strategy {self.join_strategy!r}"
@@ -207,8 +204,6 @@ class QueryEngine:
 
     def __init__(self, drugtree: DrugTree,
                  config: EngineConfig | None = None,
-                 tracer=None,
-                 metrics=None,
                  federation=None) -> None:
         self.drugtree = drugtree
         self.config = config or EngineConfig()
@@ -222,9 +217,6 @@ class QueryEngine:
             config=self.config,
         )
         self.cache = SemanticCache(drugtree.labeling)
-        #: Per-engine overrides; ``None`` means the process-wide default.
-        self.tracer = tracer
-        self.metrics = metrics
         # Imported here: repro.analysis imports the query parser, so a
         # module-level import would be circular.
         from repro.analysis.dtql import SemanticAnalyzer
@@ -235,12 +227,6 @@ class QueryEngine:
         #: later store wins).
         self._analyses: OrderedDict[str, Any] = OrderedDict()
         self._lock = threading.Lock()
-
-    def _obs_tracer(self):
-        return self.tracer if self.tracer is not None else get_tracer()
-
-    def _obs_metrics(self):
-        return self.metrics if self.metrics is not None else get_metrics()
 
     # -- public API ------------------------------------------------------------
 
@@ -309,7 +295,7 @@ class QueryEngine:
         and the answer degrades — per-kind statuses in
         :attr:`QueryResult.resilience` — instead of stalling.
         """
-        metrics = self._obs_metrics()
+        metrics = get_metrics()
         timer = WallTimer().start()
         query, analysis, analyzed = self._analyze_query(query)
         metrics.counter("query.executed").inc()
@@ -360,8 +346,8 @@ class QueryEngine:
         handed to the lowering: nothing about one query is kept on the
         engine.
         """
-        tracer = self._obs_tracer()
-        metrics = self._obs_metrics()
+        tracer = get_tracer()
+        metrics = get_metrics()
         caching = self.config.use_semantic_cache
         if caching:
             missed = "miss"
@@ -503,7 +489,7 @@ class QueryEngine:
                 execution["rows_per_batch"] = round(
                     counters.batch_rows / counters.batches_emitted, 2
                 )
-                execution["batch_size"] = self.config.vector_batch_size
+                execution["batch_size"] = vectorized.BATCH_SIZE
 
             operators = root.children[0] if root.children else root
             self._emit_operator_spans(tracer, operators)
@@ -662,8 +648,8 @@ class RowLowering:
     vectorized engine is held to, and the only form some nodes have)."""
 
     def __init__(self, engine: QueryEngine, counters: ExecCounters,
-                 probe: OperatorStats | None = None, clock=None,
-                 deadline=None, statuses=None) -> None:
+                 probe: OperatorStats | None, clock, deadline,
+                 statuses) -> None:
         self.engine = engine
         self.counters = counters
         self.probe = probe

@@ -390,13 +390,17 @@ class LimitOp(PhysicalOp):
             yield record
 
 
+#: Child rows a :class:`RemoteFetchOp` buffers per fetch batch.
+REMOTE_LOOKAHEAD = 64
+
+
 class RemoteFetchOp(PhysicalOp):
     """Enrich rows with remote detail columns via the fetch scheduler.
 
-    Buffers ``lookahead`` child rows at a time, collects their distinct
-    keys, and issues *one* scatter/gather batch per buffer: every
-    record kind the projected detail columns need is fetched in the
-    same :meth:`FetchScheduler.fetch_all_resilient` call, so
+    Buffers :data:`REMOTE_LOOKAHEAD` child rows at a time, collects
+    their distinct keys, and issues *one* scatter/gather batch per
+    buffer: every record kind the projected detail columns need is
+    fetched in the same :meth:`FetchScheduler.fetch_all_resilient` call, so
     round-trips to different sources overlap and repeated keys
     collapse. Rows whose record is missing at the source get ``None``
     details.
@@ -411,27 +415,22 @@ class RemoteFetchOp(PhysicalOp):
     def __init__(self, counters: ExecCounters, child: PhysicalOp,
                  scheduler, key_column: str,
                  specs: tuple[tuple[str, str, str], ...],
-                 lookahead: int = 64, deadline=None,
+                 deadline=None,
                  statuses: dict[str, str] | None = None) -> None:
-        if lookahead < 1:
-            raise QueryError("remote fetch lookahead must be positive")
         super().__init__(counters)
         self.child = child
         self.scheduler = scheduler
         self.key_column = key_column
         #: (output column, record kind, record attribute) triples.
         self.specs = specs
-        self.lookahead = lookahead
         self.deadline = deadline
         self.statuses = statuses
-        self.batches = 0
-        self.keys_fetched = 0
 
     def rows(self) -> Iterator[dict[str, Any]]:
         buffer: list[dict[str, Any]] = []
         for record in self.child.rows():
             buffer.append(record)
-            if len(buffer) >= self.lookahead:
+            if len(buffer) >= REMOTE_LOOKAHEAD:
                 yield from self._flush(buffer)
                 buffer = []
         if buffer:
@@ -446,8 +445,6 @@ class RemoteFetchOp(PhysicalOp):
         kinds = sorted({kind for _, kind, _ in self.specs})
         requests = [(kind, keys) for kind in kinds]
         fetched = self._fetch(requests)
-        self.batches += 1
-        self.keys_fetched += len(keys)
         for record in buffer:
             key = record.get(self.key_column)
             for column, kind, attribute in self.specs:

@@ -6,7 +6,7 @@ generator resumption per operator, and (before PR 5) per-row predicate
 dispatch. This module executes the *same* logical plans batch-at-a-time
 over the tables' :class:`~repro.storage.columnar.ColumnStore`
 projections, amortizing interpreter overhead across
-``EngineConfig.vector_batch_size`` rows:
+:data:`BATCH_SIZE` rows:
 
 * one :class:`VecScanOp` reads a table through any access path but
   the ordered index walk: it maps the row ids
@@ -77,8 +77,8 @@ from repro.obs.timing import now_wall
 from repro.storage.columnar import EXACT_INT_LIMIT, ColumnStore
 from repro.storage.index import SortedIndex
 
-#: Default rows per batch; EngineConfig.vector_batch_size overrides.
-DEFAULT_BATCH_SIZE = 1024
+#: Rows per batch.
+BATCH_SIZE = 1024
 
 
 class Batch:
@@ -238,17 +238,15 @@ class RowSourceAdapterOp(VectorOp):
     adapter only columnarizes.
     """
 
-    def __init__(self, counters: ExecCounters, row_op: Any,
-                 batch_size: int) -> None:
+    def __init__(self, counters: ExecCounters, row_op: Any) -> None:
         super().__init__(counters)
         self.row_op = row_op
-        self.batch_size = batch_size
 
     def batches(self) -> Iterator[Batch]:
         buffer: list[dict[str, Any]] = []
         for record in self.row_op.rows():
             buffer.append(record)
-            if len(buffer) >= self.batch_size:
+            if len(buffer) >= BATCH_SIZE:
                 yield self._emit(batch_from_rows(buffer))
                 buffer = []
         if buffer:
@@ -315,8 +313,7 @@ class _VecScanBase(VectorOp):
     """Shared gather/filter machinery of the two scans."""
 
     def __init__(self, counters: ExecCounters, store: ColumnStore,
-                 residual, columns: tuple[str, ...] | None,
-                 batch_size: int) -> None:
+                 residual, columns: tuple[str, ...] | None) -> None:
         super().__init__(counters)
         self.store = store
         self.tests = compile_scan_tests(store, residual)
@@ -325,7 +322,6 @@ class _VecScanBase(VectorOp):
         else:
             self.columns = tuple(c for c in store.column_names
                                  if c in columns)
-        self.batch_size = batch_size
 
     def _select(self, chunk):
         """The positions of *chunk* that pass every test, in order.
@@ -380,7 +376,7 @@ class _VecScanBase(VectorOp):
                      (store, selected))
 
     def _batches_of(self, positions) -> Iterator[Batch]:
-        size = self.batch_size
+        size = BATCH_SIZE
         for start in range(0, len(positions), size):
             batch = self._scan_chunk(positions[start:start + size])
             if batch is not None:
@@ -394,10 +390,9 @@ class VecScanOp(_VecScanBase):
     order, as the row engine's :class:`ScanOp`)."""
 
     def __init__(self, counters: ExecCounters, table, node: LogicalScan,
-                 columns: tuple[str, ...] | None = None,
-                 batch_size: int = DEFAULT_BATCH_SIZE) -> None:
+                 columns: tuple[str, ...] | None = None) -> None:
         super().__init__(counters, table.column_store(), node.residual,
-                         columns, batch_size)
+                         columns)
         self.probes, membership = resolve_access(table, node)
         if membership is not None:
             column, keys = membership
@@ -433,7 +428,7 @@ class IndexOrderScanOp(_VecScanBase):
                  columns: tuple[str, ...] | None = None,
                  stats: OperatorStats | None = None) -> None:
         super().__init__(counters, table.column_store(), node.residual,
-                         columns, DEFAULT_BATCH_SIZE)
+                         columns)
         self.index = table.index_on(node.access_column,
                                     require_range=True)
         if not isinstance(self.index, SortedIndex):
@@ -683,12 +678,10 @@ class _Materializing(VectorOp):
 
 class VecSortOp(_Materializing):
     def __init__(self, counters: ExecCounters, child,
-                 order_by: OrderBy,
-                 batch_size: int = DEFAULT_BATCH_SIZE) -> None:
+                 order_by: OrderBy) -> None:
         super().__init__(counters)
         self.child = child
         self.order_by = order_by
-        self.batch_size = batch_size
 
     def batches(self) -> Iterator[Batch]:
         merged = self._materialize(self.child)
@@ -700,7 +693,7 @@ class VecSortOp(_Materializing):
         indices = sorted(range(len(merged)),
                          key=lambda i: _sort_key(keys[i]),
                          reverse=self.order_by.descending)
-        size = self.batch_size
+        size = BATCH_SIZE
         for start in range(0, len(indices), size):
             yield self._emit(merged.take(indices[start:start + size]))
 
@@ -848,15 +841,14 @@ class VectorizedLowering:
     here: ``choose_engine`` sends them to the row engine."""
 
     def __init__(self, engine, counters: ExecCounters,
-                 probe: OperatorStats | None = None, clock=None,
-                 deadline=None, statuses=None) -> None:
+                 probe: OperatorStats | None, clock, deadline,
+                 statuses) -> None:
         self.engine = engine
         self.counters = counters
         self.probe = probe
         self.clock = clock
         self.deadline = deadline
         self.statuses = statuses
-        self.batch_size = engine.config.vector_batch_size
         self.needed: set[str] | None = None
 
     def lower_plan(self, node: LogicalNode):
@@ -901,16 +893,14 @@ class VectorizedLowering:
                 fetch = self.engine._remote_fetch_op(
                     remote, child, self.counters,
                     self.deadline, self.statuses)
-                child = RowSourceAdapterOp(self.counters, fetch,
-                                           self.batch_size)
+                child = RowSourceAdapterOp(self.counters, fetch)
             return VecProjectOp(self.counters, child, node.columns)
         if isinstance(node, LogicalOrder):
             child = self._to_vector(node.child, stats)
             if node.limit is not None:
                 return VecTopKOp(self.counters, child, node.order_by,
                                  node.limit)
-            return VecSortOp(self.counters, child, node.order_by,
-                             self.batch_size)
+            return VecSortOp(self.counters, child, node.order_by)
         if isinstance(node, LogicalLimit):
             child = self._to_vector(node.child, stats)
             return VecLimitOp(self.counters, child, node.limit)
@@ -921,5 +911,4 @@ class VectorizedLowering:
         if node.access == "index_order":
             return IndexOrderScanOp(self.counters, table, node, self.needed,
                                     stats)
-        return VecScanOp(self.counters, table, node, self.needed,
-                         self.batch_size)
+        return VecScanOp(self.counters, table, node, self.needed)

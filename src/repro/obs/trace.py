@@ -34,6 +34,9 @@ from typing import Any
 from repro.errors import ObservabilityError
 from repro.obs.timing import now_wall
 
+#: Finished spans a tracer keeps; older ones are dropped.
+TRACE_CAPACITY = 2048
+
 
 class Span:
     """One traced operation. Context manager; finishes on exit."""
@@ -138,13 +141,9 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, clock: Any | None = None,
-                 capacity: int = 2048) -> None:
-        if capacity < 1:
-            raise ObservabilityError("tracer capacity must be positive")
+    def __init__(self, clock: Any | None = None) -> None:
         self.clock = clock
-        self.capacity = capacity
-        self._finished: deque[Span] = deque(maxlen=capacity)
+        self._finished: deque[Span] = deque(maxlen=TRACE_CAPACITY)
         # Span nesting is per thread: callers sharing one tracer from
         # several threads must not interleave with (or corrupt) each
         # other's open-span stacks. The ring buffer
@@ -244,4 +243,4 @@ class Tracer:
 
     def __repr__(self) -> str:
         return (f"Tracer(finished={len(self._finished)}, "
-                f"open={len(self._local_stack)}, capacity={self.capacity})")
+                f"open={len(self._local_stack)}, capacity={TRACE_CAPACITY})")

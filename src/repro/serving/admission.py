@@ -47,21 +47,21 @@ class Rejection:
     retry_after_s: float
 
 
+#: Virtual service seconds assumed for a kind with no prior and no
+#: observation yet.
+DEFAULT_COST_S = 0.05
+#: EWMA weight of each new observation.
+COST_ALPHA = 0.2
+
+
 class ServiceCostModel:
     """Per-kind EWMA of observed virtual service seconds."""
 
-    def __init__(self, priors: dict[str, float],
-                 default_s: float = 0.05, alpha: float = 0.2) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ServingError("EWMA alpha must be in (0, 1]")
-        if default_s <= 0:
-            raise ServingError("default cost must be positive")
+    def __init__(self, priors: dict[str, float]) -> None:
         self._estimates = dict(priors)
-        self._default = default_s
-        self._alpha = alpha
 
     def estimate_s(self, kind: str) -> float:
-        return self._estimates.get(kind, self._default)
+        return self._estimates.get(kind, DEFAULT_COST_S)
 
     def observe(self, kind: str, service_s: float) -> None:
         previous = self._estimates.get(kind)
@@ -69,7 +69,7 @@ class ServiceCostModel:
             self._estimates[kind] = service_s
         else:
             self._estimates[kind] = (
-                previous + self._alpha * (service_s - previous)
+                previous + COST_ALPHA * (service_s - previous)
             )
 
     def snapshot(self) -> dict[str, float]:

@@ -28,9 +28,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import ServingError
 from repro.obs import get_metrics
 from repro.serving.tenancy import TenantRegistry
+
+#: Entries the front holds across all tenants.
+FRONT_CAPACITY = 512
 
 
 @dataclass
@@ -44,12 +46,8 @@ class _Entry:
 class SharedCacheFront:
     """Keyed LRU response cache with tenant ownership quotas."""
 
-    def __init__(self, tenants: TenantRegistry,
-                 capacity: int = 512) -> None:
-        if capacity < 1:
-            raise ServingError("cache capacity must be positive")
+    def __init__(self, tenants: TenantRegistry) -> None:
         self.tenants = tenants
-        self.capacity = capacity
         self._entries: OrderedDict[Any, _Entry] = OrderedDict()
         self._owned: dict[str, int] = {}
         self._version = 0  # the data version every entry was computed at
@@ -65,7 +63,7 @@ class SharedCacheFront:
     def quota(self, tenant_id: str) -> int:
         """Entries *tenant_id* may own before evicting its own LRU."""
         share = self.tenants.weight_share(tenant_id)
-        return max(1, int(self.capacity * share))
+        return max(1, int(FRONT_CAPACITY * share))
 
     def owned(self, tenant_id: str) -> int:
         return self._owned.get(tenant_id, 0)
@@ -104,7 +102,7 @@ class SharedCacheFront:
             return
         if self.owned(tenant_id) >= self.quota(tenant_id):
             self._evict_owned_by(tenant_id)
-        elif len(self._entries) >= self.capacity:
+        elif len(self._entries) >= FRONT_CAPACITY:
             self._evict_over_quota()
         self._entries[key] = _Entry(tenant_id, value, cost_s)
         self._owned[tenant_id] = self.owned(tenant_id) + 1
@@ -146,7 +144,7 @@ class SharedCacheFront:
     def stats(self) -> dict[str, Any]:
         return {
             "entries": len(self._entries),
-            "capacity": self.capacity,
+            "capacity": FRONT_CAPACITY,
             "hits": self.hits,
             "misses": self.misses,
             "cross_tenant_hits": self.cross_tenant_hits,

@@ -250,8 +250,7 @@ class ServingFrontend:
 
     def __init__(self, server: DrugTreeServer, clock: SimulatedClock,
                  config: FrontendConfig | None = None,
-                 tenants: list[TenantConfig] | None = None,
-                 breakers=None) -> None:
+                 tenants: list[TenantConfig] | None = None) -> None:
         self.server = server
         self.clock = clock
         self.config = config or FrontendConfig()
@@ -260,13 +259,12 @@ class ServingFrontend:
                                        policy=self.config.policy)
         self.cost_model = ServiceCostModel(
             priors=dict(SERVICE_COST_S))
-        if breakers is None:
-            breakers = getattr(server.federation, "breakers", None)
         self.admission: AdmissionController | None = None
         if self.config.admission is not None:
             self.admission = AdmissionController(
                 self.config.admission, self.tenants, self.cost_model,
-                workers=self.config.workers, breakers=breakers,
+                workers=self.config.workers,
+                breakers=getattr(server.federation, "breakers", None),
             )
         self.cache: SharedCacheFront | None = None
         if self.config.use_cache:

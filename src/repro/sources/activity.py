@@ -52,9 +52,7 @@ class LigandActivitySource(TableBackedSource):
     def __init__(self, clock: SimulatedClock,
                  compounds: list[CompoundEntry],
                  activities: list[BindingRecord],
-                 name: str = "chembl-sim",
-                 latency: LatencyModel | None = None,
-                 page_size: int = 100) -> None:
+                 latency: LatencyModel | None = None) -> None:
         compound_table: dict[str, object] = {}
         for compound in compounds:
             if compound.ligand_id in compound_table:
@@ -76,7 +74,7 @@ class LigandActivitySource(TableBackedSource):
                 key: tuple(value) for key, value in by_ligand.items()
             },
         }
-        super().__init__(name, clock, tables, latency, page_size)
+        super().__init__("chembl-sim", clock, tables, latency)
 
     # -- typed helpers ----------------------------------------------------
 

@@ -43,9 +43,7 @@ class AnnotationSource(TableBackedSource):
 
     def __init__(self, clock: SimulatedClock,
                  entries: list[AnnotationEntry],
-                 name: str = "go-sim",
-                 latency: LatencyModel | None = None,
-                 page_size: int = 100) -> None:
+                 latency: LatencyModel | None = None) -> None:
         by_id: dict[str, object] = {}
         by_family: dict[str, list[str]] = {}
         for entry in entries:
@@ -64,7 +62,7 @@ class AnnotationSource(TableBackedSource):
                 family: tuple(ids) for family, ids in by_family.items()
             },
         }
-        super().__init__(name, clock, tables, latency, page_size)
+        super().__init__("go-sim", clock, tables, latency)
 
     # -- typed helpers ----------------------------------------------------
 

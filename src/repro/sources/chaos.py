@@ -19,10 +19,13 @@ import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from repro.errors import SourceError, SourceUnavailableError
+from repro.errors import SourceUnavailableError
 from repro.faults import CLEAN, FaultSchedule
 from repro.obs import get_metrics, get_tracer
 from repro.sources.base import DataSource
+
+#: Virtual seconds a call into a down window waits before it fails.
+CHAOS_TIMEOUT_S = 0.25
 
 
 @dataclass
@@ -45,21 +48,17 @@ class ChaosSource:
     """Applies a :class:`~repro.faults.FaultSchedule` to one source.
 
     Speaks the uniform dialect by delegating to *inner*. A call landing
-    in a down window charges ``timeout_s`` of virtual latency (a real
-    client pays for its timeouts) and raises
+    in a down window charges :data:`CHAOS_TIMEOUT_S` of virtual latency
+    (a real client pays for its timeouts) and raises
     :class:`SourceUnavailableError`; a call in a latency window pays
     the extra/multiplied cost; a call in an error burst fails per the
     schedule's seeded RNG. Outside every window the wrapper delegates
     untouched.
     """
 
-    def __init__(self, inner: DataSource, schedule: FaultSchedule,
-                 timeout_s: float = 0.25) -> None:
-        if timeout_s < 0:
-            raise SourceError("chaos timeout must be >= 0")
+    def __init__(self, inner: DataSource, schedule: FaultSchedule) -> None:
         self.inner = inner
         self.schedule = schedule
-        self.timeout_s = timeout_s
         self.chaos_stats = ChaosStats()
         # Caller threads may hit the same wrapper concurrently; stats
         # increments are read-modify-writes and need the guard.  Clock
@@ -93,11 +92,11 @@ class ChaosSource:
     def _fail(self, reason: str) -> None:
         with self._chaos_lock:
             self.chaos_stats.injected_failures += 1
-            self.chaos_stats.injected_latency_s += self.timeout_s
+            self.chaos_stats.injected_latency_s += CHAOS_TIMEOUT_S
         metrics = get_metrics()
         metrics.counter(f"chaos.injected_failures.{self.name}").inc()
         # A timeout is paid for: the client waited before giving up.
-        self.clock.advance(self.timeout_s)
+        self.clock.advance(CHAOS_TIMEOUT_S)
         raise SourceUnavailableError(
             f"source {self.name!r} {reason} (chaos-injected)"
         )
@@ -149,8 +148,7 @@ class ChaosSource:
         return self._guarded(lambda: self.inner.scan_keys(kind))
 
 
-def wrap_registry(registry, schedule: FaultSchedule,
-                  timeout_s: float = 0.25):
+def wrap_registry(registry, schedule: FaultSchedule):
     """A new registry with *schedule*'s chaos on the sources it touches.
 
     The schedule's windows name their sources (an untargeted window
@@ -164,6 +162,5 @@ def wrap_registry(registry, schedule: FaultSchedule,
         if not schedule.touches(source.name):
             wrapped.register(source)
         else:
-            wrapped.register(ChaosSource(source, schedule,
-                                         timeout_s=timeout_s))
+            wrapped.register(ChaosSource(source, schedule))
     return wrapped

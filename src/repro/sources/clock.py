@@ -46,10 +46,8 @@ class SimulatedClock:
     else advances the global time under a lock.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise SourceError("clock cannot start before time zero")
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._lock = threading.RLock()
         self._local = threading.local()
 

@@ -53,9 +53,7 @@ class ProteinStructureSource(TableBackedSource):
 
     def __init__(self, clock: SimulatedClock,
                  entries: list[ProteinEntry],
-                 name: str = "pdb-sim",
-                 latency: LatencyModel | None = None,
-                 page_size: int = 100) -> None:
+                 latency: LatencyModel | None = None) -> None:
         by_id: dict[str, object] = {}
         by_organism: dict[str, list[str]] = {}
         for entry in entries:
@@ -74,7 +72,7 @@ class ProteinStructureSource(TableBackedSource):
                 for organism, ids in by_organism.items()
             },
         }
-        super().__init__(name, clock, tables, latency, page_size)
+        super().__init__("pdb-sim", clock, tables, latency)
 
     # -- typed helpers ----------------------------------------------------
 

@@ -102,11 +102,7 @@ class FetchScheduler:
                  clock: SimulatedClock | None = None,
                  max_attempts: int = 3,
                  backoff_s: float = 0.0,
-                 page_size: int | None = None,
-                 breakers: BreakerBoard | None = None,
                  breaker_config: BreakerConfig | None = None) -> None:
-        if page_size is not None and page_size < 1:
-            raise SourceError("page size must be positive")
         if clock is None:
             sources = registry.sources()
             if not sources:
@@ -118,12 +114,10 @@ class FetchScheduler:
         self.clock = clock
         self.ladder = RetryLadder(clock, self._note, max_attempts,
                                   backoff_s)
-        self.page_size = page_size
         #: Per-(source, kind) circuit breakers; ``None`` disables the
         #: breaker path entirely (the zero-overhead default).
-        if breakers is None and breaker_config is not None:
-            breakers = BreakerBoard(clock, breaker_config)
-        self.breakers = breakers
+        self.breakers = (BreakerBoard(clock, breaker_config)
+                         if breaker_config is not None else None)
         self.stats = SchedulerStats()
         self._lock = threading.Lock()
 
@@ -276,9 +270,7 @@ class FetchScheduler:
     ) -> list[tuple[str, list[str]]]:
         pages: list[tuple[str, list[str]]] = []
         for kind, keys in wanted.items():
-            size = self.page_size or getattr(
-                sources[kind], "page_size", len(keys) or 1
-            )
+            size = getattr(sources[kind], "page_size", len(keys) or 1)
             for start in range(0, len(keys), size):
                 pages.append((kind, keys[start:start + size]))
         return pages

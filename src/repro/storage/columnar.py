@@ -149,8 +149,6 @@ class ColumnStore:
         self._writers: list[_MirrorWriter] = []
         self._row_ids: list[int] = []
         self._position_of: dict[int, int] = {}
-        # Maintenance accounting (surfaced by docs/EXECUTION.md tests).
-        self.appends = 0
         self._rebuild()
 
     # -- reads -------------------------------------------------------------
@@ -238,7 +236,6 @@ class ColumnStore:
             self._columns[name].append(row[value_index])
         self._position_of[row_id] = position
         self._row_ids.append(row_id)
-        self.appends += 1
 
     def _grow(self, writer: "_MirrorWriter") -> None:
         """Swap in copies of a full mirror at double the capacity."""

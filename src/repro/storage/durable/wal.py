@@ -14,8 +14,8 @@ Durability cost is a policy, not a constant:
     ``fsync`` after every append — maximum safety, one disk sync per
     record.
 ``batch``
-    group commit: syncs are deferred until ``batch_bytes`` (64 KiB) of
-    unsynced frames accumulate (or an explicit :meth:`sync`, which
+    group commit: syncs are deferred until :data:`BATCH_BYTES` (64 KiB)
+    of unsynced frames accumulate (or an explicit :meth:`sync`, which
     :meth:`~repro.storage.durable.db.Database.batch` issues once per
     logical batch).
 ``never``
@@ -41,13 +41,14 @@ from repro.obs import get_metrics
 _FRAME = struct.Struct("<II")
 
 _POLICIES = ("always", "batch", "never")
+#: Unsynced frame bytes after which the ``batch`` policy syncs.
+BATCH_BYTES = 64 * 1024
 
 
 class WriteAheadLog:
     """One append-only log file plus its sync policy."""
 
-    def __init__(self, path: str, fsync: str = "batch",
-                 batch_bytes: int = 64 * 1024) -> None:
+    def __init__(self, path: str, fsync: str = "batch") -> None:
         if fsync not in _POLICIES:
             from repro.errors import StorageError
             raise StorageError(
@@ -55,7 +56,6 @@ class WriteAheadLog:
             )
         self.path = path
         self.fsync = fsync
-        self.batch_bytes = batch_bytes
         self._file = open(path, "ab")
         self._unsynced = 0
         self.schedule = FaultSchedule()
@@ -83,7 +83,7 @@ class WriteAheadLog:
             return
         if self.fsync == "always":
             self.sync()
-        elif self.fsync == "batch" and self._unsynced >= self.batch_bytes:
+        elif self.fsync == "batch" and self._unsynced >= BATCH_BYTES:
             self.sync()
 
     def sync(self) -> None:

@@ -47,23 +47,23 @@ _QUERY_TEMPLATES = (
 _SESSION_STEPS = 8
 #: Fraction of render gestures that become details taps.
 _DETAILS_FRACTION = 0.15
+#: Zipf exponent of clade and protein popularity.
+ZIPF_S = 1.1
 
 
 class ZipfSampler:
-    """Draw items with probability proportional to ``1 / rank**s``.
+    """Draw items with probability proportional to ``1 / rank**ZIPF_S``.
 
     Rank order is the order of *items*; the caller shuffles first if it
     wants a different popularity assignment. Sampling is O(log n) via a
     cumulative-weight table.
     """
 
-    def __init__(self, items: Sequence[str], s: float = 1.1) -> None:
+    def __init__(self, items: Sequence[str]) -> None:
         if not items:
             raise ServingError("zipf sampler needs at least one item")
-        if s < 0:
-            raise ServingError("zipf exponent must be >= 0")
         self.items = list(items)
-        weights = [1.0 / (rank ** s)
+        weights = [1.0 / (rank ** ZIPF_S)
                    for rank in range(1, len(self.items) + 1)]
         self._cumulative = list(accumulate(weights))
 

@@ -8,7 +8,7 @@ from repro.core import EngineConfig, NaiveEngine, QueryEngine
 from repro.core.query import parser as parser_module
 from repro.errors import MobileError, ParseError, QueryError
 from repro.mobile import DrugTreeServer, ServerConfig
-from repro.obs import MetricsRegistry, get_metrics
+from repro.obs import get_metrics
 from repro.sources import FetchScheduler
 from repro.workloads import DatasetConfig, build_dataset
 
@@ -41,12 +41,12 @@ class TestShortCircuit:
         assert result.plan is None  # never planned
 
     def test_short_circuit_counter_increments(self, drugtree):
-        metrics = MetricsRegistry()
-        engine = QueryEngine(drugtree, metrics=metrics)
+        counter = get_metrics().counter("query.analysis_short_circuit")
+        before = counter.value
+        engine = QueryEngine(drugtree)
         engine.execute(CONTRADICTION)
         engine.execute("SELECT count(*) FROM bindings")
-        assert metrics.counter(
-            "query.analysis_short_circuit").value == 1
+        assert counter.value == before + 1
 
     def test_similarity_filter_not_resolved(self, drugtree):
         """An unsatisfiable SIMILAR TO query skips fingerprint
@@ -251,7 +251,8 @@ class TestMobileGate:
         rejected = get_metrics().counter("mobile.query_rejected")
         rejected_before = rejected.value
         roundtrips = dataset.registry.combined_stats()["roundtrips"]
-        cache_before = server.engine.cache.stats()
+        cache_before = (len(server.engine.cache),
+                        get_metrics().counter_values("semantic_cache."))
         with pytest.raises(MobileError) as info:
             server.query(session_id, dtql)
         errors = server.engine.check(dtql).errors
@@ -263,7 +264,9 @@ class TestMobileGate:
         assert rejected.value == rejected_before + 1
         assert dataset.registry.combined_stats()["roundtrips"] \
             == roundtrips
-        assert server.engine.cache.stats() == cache_before
+        assert (len(server.engine.cache),
+                get_metrics().counter_values("semantic_cache.")) \
+            == cache_before
 
     @pytest.mark.parametrize("dtql", [
         "SELECT ffamily FROM proteins",

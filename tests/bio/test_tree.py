@@ -190,10 +190,10 @@ class TestNewick:
         )
 
     def test_quoted_labels(self):
-        tree = PhyloTree(PhyloNode("", children=[
-            PhyloNode("taxon one", 1.0), PhyloNode("O'Brien", 2.0),
-        ]))
-        parsed = parse_newick(tree.to_newick())
+        root = PhyloNode("")
+        root.add_child(PhyloNode("taxon one", 1.0))
+        root.add_child(PhyloNode("O'Brien", 2.0))
+        parsed = parse_newick(PhyloTree(root).to_newick())
         assert sorted(parsed.leaf_names()) == ["O'Brien", "taxon one"]
 
     def test_whitespace_tolerated(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import node as node_module
 from repro.cluster.node import ClusterNode, VersionedRow
 from repro.errors import ChaosError, NodeDownError
 from repro.faults import (
@@ -124,9 +125,10 @@ class TestScenarios:
 
 
 class TestNodeRpcBehaviour:
-    def test_crashed_node_charges_timeout_and_raises(self):
+    def test_crashed_node_charges_timeout_and_raises(self, monkeypatch):
+        monkeypatch.setattr(node_module, "RPC_TIMEOUT_S", 0.5)
         clock = SimulatedClock()
-        node = ClusterNode("node-0", clock, timeout_s=0.5,
+        node = ClusterNode("node-0", clock,
                            schedule=FaultSchedule(
                                (Outage(0.0, 10.0, target="node-0"),)
                            ))
@@ -137,9 +139,10 @@ class TestNodeRpcBehaviour:
         assert node.failed_rpcs == 1
         assert node.is_down()
 
-    def test_slow_node_charges_extra_latency(self):
+    def test_slow_node_charges_extra_latency(self, monkeypatch):
+        monkeypatch.setattr(node_module, "BASE_LATENCY_S", 0.01)
         clock = SimulatedClock()
-        node = ClusterNode("node-0", clock, base_latency_s=0.01,
+        node = ClusterNode("node-0", clock,
                            schedule=FaultSchedule(
                                (LatencySpike(0.0, 10.0, extra_s=0.2,
                                              target="node-0"),)
@@ -168,9 +171,10 @@ class TestNodeRpcBehaviour:
         assert node.get_partition(0)[("bindings", 0)].row == ("new",)
         assert node.key_count(0) == 1
 
-    def test_latency_factor_stretches_the_base_latency(self):
+    def test_latency_factor_stretches_the_base_latency(self, monkeypatch):
+        monkeypatch.setattr(node_module, "BASE_LATENCY_S", 0.01)
         clock = SimulatedClock()
-        node = ClusterNode("node-0", clock, base_latency_s=0.01,
+        node = ClusterNode("node-0", clock,
                            schedule=FaultSchedule(
                                (LatencySpike(0.0, 10.0, factor=3.0,
                                              target="node-0"),)

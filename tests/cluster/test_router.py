@@ -26,7 +26,7 @@ from repro.obs import (
     set_metrics,
     set_tracer,
 )
-from repro.sources.resilience import Deadline
+from repro.sources.resilience import BreakerConfig, Deadline
 
 NEWICK = "((a:1,b:1)ab:1,((c:1,d:1)cd:1,(e:1,f:1)ef:1)cdef:1)root;"
 
@@ -65,6 +65,17 @@ def heal(router):
 
 def row(i):
     return (f"LIG-{i}", "a", "IC50", 10.0, 8.0, True, 0)
+
+
+class TestBreakerBoard:
+    def test_breaker_config_is_the_one_route_to_the_board(self):
+        # Default: 3 failures trip a node's breaker, 10 s resets it.
+        assert make_router().breakers.config == BreakerConfig(
+            failure_threshold=3, reset_timeout_s=10.0)
+        router = Router(make_router().cluster,
+                        breaker_config=BreakerConfig(failure_threshold=1))
+        assert router.breakers.config.failure_threshold == 1
+        assert router.breakers.clock is router.clock
 
 
 class TestVersionsAndRouting:

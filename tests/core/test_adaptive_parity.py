@@ -19,6 +19,7 @@ import pytest
 from repro.core import EngineConfig, QueryEngine
 from repro.core.query import parse_query
 from repro.core.query.ast import Comparison
+from repro.core.query import vectorized
 from repro.core.query.adaptive import choose_engine
 from repro.obs import MetricsRegistry, set_metrics
 from repro.sources import (
@@ -106,11 +107,12 @@ class TestDtqlParity:
 
     @pytest.mark.parametrize("batch_size", (1, 2, 8))
     @pytest.mark.parametrize("dtql", QUERIES)
-    def test_dtql_parity(self, dtql, batch_size):
+    def test_dtql_parity(self, dtql, batch_size, monkeypatch):
         """Tiny batches put a batch boundary inside every group and
         fold: float aggregates must not drift with the batch size."""
+        monkeypatch.setattr(vectorized, "BATCH_SIZE", batch_size)
         dataset = make_dataset(seed=23)
-        engines = make_pair(dataset, vector_batch_size=batch_size)
+        engines = make_pair(dataset)
         assert_parity(engines, dtql)
 
 

@@ -19,7 +19,7 @@ from repro.core import EngineConfig, QueryEngine
 from repro.core.query import executor as executor_module
 from repro.errors import MobileError, ParseError, QueryError
 from repro.mobile import DrugTreeServer
-from repro.obs import MetricsRegistry, Tracer, get_metrics
+from repro.obs import Tracer, get_metrics, get_tracer, set_tracer
 from repro.workloads import DatasetConfig, build_dataset
 
 EMPTY = ("SELECT count(*) FROM bindings WHERE p_affinity > 9 "
@@ -136,15 +136,16 @@ class TestMemoEqualsFresh:
 
 class TestShortCircuitKept:
     def test_provably_empty_twice(self, drugtree):
-        metrics = MetricsRegistry()
-        engine = QueryEngine(drugtree, metrics=metrics)
+        counter = get_metrics().counter("query.analysis_short_circuit")
+        before = counter.value
+        engine = QueryEngine(drugtree)
         for _ in range(2):
             result = engine.execute(EMPTY)
             assert result.plan is None  # never planned
             assert result.rows == [{"count_all": 0}]
             assert engine.explain(EMPTY).startswith(
                 "-- analysis: provably empty: ")
-        assert metrics.counter("query.analysis_short_circuit").value == 2
+        assert counter.value == before + 2
 
 
 class TestMobileRejection:
@@ -179,10 +180,13 @@ class TestBound:
 
 class TestSpanAttribute:
     def run_traced(self, engine, *queries):
-        tracer = Tracer()
-        engine.tracer = tracer
-        for query in queries:
-            engine.execute(query)
+        tracer, previous = Tracer(), get_tracer()
+        set_tracer(tracer)
+        try:
+            for query in queries:
+                engine.execute(query)
+        finally:
+            set_tracer(previous)
         return [span.attributes["analysis"]
                 for span in tracer.finished_spans()
                 if span.name == "query.execute"]

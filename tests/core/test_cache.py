@@ -8,6 +8,7 @@ import pytest
 from repro.bio import parse_newick
 from repro.core import EngineConfig, QueryEngine
 from repro.core.labeling import IntervalLabeling
+from repro.core.query import cache as cache_module
 from repro.core.query.ast import (
     AggregateSpec,
     Comparison,
@@ -17,14 +18,29 @@ from repro.core.query.ast import (
 )
 from repro.core.query.cache import SemanticCache
 from repro.core.query.predicates import compile_residual
-from repro.errors import QueryError
+from repro.obs import MetricsRegistry, get_metrics, set_metrics
 from repro.workloads import DatasetConfig, build_dataset
 
 
 @pytest.fixture
-def cache():
+def cache(monkeypatch):
+    monkeypatch.setattr(cache_module, "CACHE_CAPACITY", 8)
     tree = parse_newick("((a:1,b:1)ab:1,((c:1,d:1)cd:1,e:1)cde:1)root;")
-    return SemanticCache(IntervalLabeling(tree), capacity=8)
+    return SemanticCache(IntervalLabeling(tree))
+
+
+@pytest.fixture
+def metrics():
+    previous = get_metrics()
+    registry = MetricsRegistry()
+    set_metrics(registry)
+    yield registry
+    set_metrics(previous)
+
+
+def _count(registry, event):
+    return registry.counter_values("semantic_cache.").get(
+        f"semantic_cache.{event}", 0)
 
 
 def _rows():
@@ -62,9 +78,9 @@ class TestExactHits:
         assert hit.kind == "exact"
         assert _rows_of(hit) == _rows()
 
-    def test_miss_on_empty_cache(self, cache):
+    def test_miss_on_empty_cache(self, cache, metrics):
         assert cache.lookup(Query(), 0) is None
-        assert cache.misses == 1
+        assert _count(metrics, "misses") == 1
 
     def test_aggregate_queries_exact_only(self, cache):
         aggregate = Query(aggregates=(AggregateSpec("count", "*"),))
@@ -153,22 +169,23 @@ class TestLifecycle:
             )
         assert len(cache) == 8
 
-    def test_invalidate_clears_everything(self, cache):
+    def test_invalidate_clears_everything(self, cache, metrics):
         # A lookup carrying a newer data version empties the cache.
         _store(cache, Query(), _rows(), 0)
         _store(cache, Query(limit=1), _rows()[:1], 0)
         assert cache.lookup(Query(), 1) is None
         assert len(cache) == 0
-        assert cache.invalidations == 1
+        assert _count(metrics, "invalidations") == 1
         assert cache.lookup(Query(limit=1), 1) is None
-        assert cache.invalidations == 1  # one version move, counted once
+        # One version move, counted once.
+        assert _count(metrics, "invalidations") == 1
 
-    def test_a_newer_store_empties_the_cache(self, cache):
+    def test_a_newer_store_empties_the_cache(self, cache, metrics):
         _store(cache, Query(), _rows(), 0)
         _store(cache, Query(limit=1), _rows()[:1], 1)
         assert cache.lookup(Query(), 1) is None
         assert cache.lookup(Query(limit=1), 1).kind == "exact"
-        assert cache.invalidations == 1
+        assert _count(metrics, "invalidations") == 1
 
     def test_a_store_carrying_an_older_version_is_dropped(self, cache):
         assert cache.lookup(Query(), 1) is None
@@ -177,24 +194,19 @@ class TestLifecycle:
         assert cache.lookup(Query(), 1) is None
 
     def test_adopting_a_version_on_an_empty_cache_invalidates_nothing(
-            self, cache):
+            self, cache, metrics):
         assert cache.lookup(Query(), 7) is None
-        assert cache.invalidations == 0
+        assert _count(metrics, "invalidations") == 0
 
-    def test_hit_rate_accounting(self, cache):
+    def test_each_outcome_is_counted_once(self, cache, metrics):
         query = Query()
         _store(cache, query, _rows(), 0)
         cache.lookup(query, 0)
         cache.lookup(Query(predicates=(Comparison("potent", "=", True),)), 0)
-        stats = cache.stats()
-        assert stats["exact_hits"] == 1
-        # The hbd query hits via subsumption of the unfiltered store.
-        assert stats["subsumption_hits"] == 1
-        assert stats["hit_rate"] == 1.0
-
-    def test_capacity_validation(self, cache):
-        with pytest.raises(QueryError):
-            SemanticCache(cache.labeling, capacity=0)
+        assert _count(metrics, "exact_hits") == 1
+        # The potent query hits via subsumption of the unfiltered store.
+        assert _count(metrics, "subsumed_hits") == 1
+        assert _count(metrics, "misses") == 0
 
 
 BROAD = Query(predicates=(Comparison("p_affinity", ">=", 6.0),))
@@ -252,7 +264,8 @@ class ScanEveryEntry(SemanticCache):
 
 def assert_a_miss_tests_only_subsumers(cache_class, labeling,
                                        monkeypatch):
-    cache = cache_class(labeling, capacity=2000)
+    monkeypatch.setattr(cache_module, "CACHE_CAPACITY", 2000)
+    cache = cache_class(labeling)
     _store(cache, BROAD, _rows(), 0)
     for i in range(1000):
         _store(cache, _exact_only(i), [{"count_all": i}], 0)
@@ -271,8 +284,9 @@ def assert_a_miss_tests_only_subsumers(cache_class, labeling,
 
 class TestSubsumerMap:
     def test_a_subsumer_is_found_behind_a_thousand_exact_entries(
-            self, cache):
-        big = SemanticCache(cache.labeling, capacity=2000)
+            self, cache, monkeypatch):
+        monkeypatch.setattr(cache_module, "CACHE_CAPACITY", 2000)
+        big = SemanticCache(cache.labeling)
         _store(big, BROAD, _rows(), 0)
         for i in range(1000):
             _store(big, _exact_only(i), [{"count_all": i}], 0)

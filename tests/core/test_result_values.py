@@ -14,6 +14,7 @@ import pytest
 
 import repro.core.query.executor as executor
 from repro.core import EngineConfig, NaiveEngine, QueryEngine
+from repro.core.query import vectorized
 from repro.core.query.ast import Query
 from repro.core.query.cache import SemanticCache
 from repro.core.query.vectorized import Batch
@@ -206,10 +207,11 @@ def assert_a_mutated_hit_leaves_the_next_hit_intact(drugtree,
 
 
 class TestPlantedBugs:
-    def test_a_small_batch_size_drains_every_row(self, world):
+    def test_a_small_batch_size_drains_every_row(self, world, monkeypatch):
+        monkeypatch.setattr(vectorized, "BATCH_SIZE", 4)
         dataset, drugtree, naive = world
         engine = QueryEngine(drugtree, EngineConfig(
-            use_semantic_cache=False, vector_batch_size=4))
+            use_semantic_cache=False))
         assert_answers_match_naive(engine, naive,
                                    _queries(dataset, "subtree_filter"))
 
@@ -217,8 +219,9 @@ class TestPlantedBugs:
             self, world, monkeypatch):
         dataset, drugtree, naive = world
         monkeypatch.setattr(executor, "_drain", drop_last_partial_batch)
+        monkeypatch.setattr(vectorized, "BATCH_SIZE", 4)
         engine = QueryEngine(drugtree, EngineConfig(
-            use_semantic_cache=False, vector_batch_size=4))
+            use_semantic_cache=False))
         with pytest.raises(AssertionError):
             assert_answers_match_naive(engine, naive,
                                        _queries(dataset, "subtree_filter"))

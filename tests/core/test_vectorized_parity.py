@@ -19,6 +19,7 @@ import dataclasses
 import pytest
 
 from repro.core import EngineConfig, QueryEngine
+from repro.core.query import vectorized
 from repro.errors import QueryError
 from repro.obs import MetricsRegistry, set_metrics
 from repro.sources import (
@@ -46,7 +47,7 @@ def make_dataset(seed=17, n_leaves=16, n_ligands=24):
                                        n_ligands=n_ligands, seed=seed))
 
 
-def make_engines(dataset, federated=False, batch_size=1024):
+def make_engines(dataset, federated=False):
     """One row engine and one vectorized engine over the same tree."""
     drugtree = dataset.drugtree()
     kwargs = {}
@@ -60,8 +61,7 @@ def make_engines(dataset, federated=False, batch_size=1024):
     vec = QueryEngine(
         drugtree,
         EngineConfig(use_semantic_cache=False,
-                     execution_mode="vectorized",
-                     vector_batch_size=batch_size),
+                     execution_mode="vectorized"),
         **kwargs,
     )
     return row, vec
@@ -100,9 +100,11 @@ class TestWorkloadFamilies:
             assert_parity(row, vec, query)
 
     @pytest.mark.parametrize("batch_size", [1, 7, 64, 1024])
-    def test_batch_size_never_changes_answers(self, batch_size):
+    def test_batch_size_never_changes_answers(self, batch_size,
+                                              monkeypatch):
+        monkeypatch.setattr(vectorized, "BATCH_SIZE", batch_size)
         dataset = make_dataset(seed=9, n_leaves=12, n_ligands=16)
-        row, vec = make_engines(dataset, batch_size=batch_size)
+        row, vec = make_engines(dataset)
         generator = QueryGenerator(dataset.family, dataset.ligands,
                                    seed=9)
         for kind in ("clade_agg", "property_range", "topk", "join"):
@@ -154,10 +156,11 @@ class TestDtqlQueries:
 class TestLimitException:
     """Bare LIMIT is the one sanctioned rows_scanned divergence."""
 
-    def test_rows_match_and_scan_gap_is_bounded(self):
-        dataset = make_dataset(seed=31)
+    def test_rows_match_and_scan_gap_is_bounded(self, monkeypatch):
         batch_size = 64
-        row, vec = make_engines(dataset, batch_size=batch_size)
+        monkeypatch.setattr(vectorized, "BATCH_SIZE", batch_size)
+        dataset = make_dataset(seed=31)
+        row, vec = make_engines(dataset)
         dtql = "SELECT ligand_id, p_affinity FROM bindings LIMIT 5"
         got_row = row.execute(dtql)
         got_vec = vec.execute(dtql)
@@ -168,9 +171,10 @@ class TestLimitException:
                - got_row.counters["rows_scanned"])
         assert 0 <= gap < batch_size
 
-    def test_ordered_limit_has_no_gap(self):
+    def test_ordered_limit_has_no_gap(self, monkeypatch):
+        monkeypatch.setattr(vectorized, "BATCH_SIZE", 64)
         dataset = make_dataset(seed=31)
-        row, vec = make_engines(dataset, batch_size=64)
+        row, vec = make_engines(dataset)
         dtql = ("SELECT ligand_id, p_affinity FROM bindings "
                 "ORDER BY p_affinity DESC LIMIT 5")
         assert_parity(row, vec, dtql)
@@ -264,22 +268,21 @@ class TestDiagnostics:
     def test_config_validation(self):
         with pytest.raises(QueryError, match="execution mode"):
             EngineConfig(execution_mode="simd")
-        with pytest.raises(QueryError, match="batch"):
-            EngineConfig(vector_batch_size=0)
         with pytest.raises(QueryError, match="execution mode"):
             EngineConfig(execution_mode="adaptive")
         assert EngineConfig().execution_mode == "vectorized"
-        assert len(dataclasses.fields(EngineConfig)) == 11
+        assert len(dataclasses.fields(EngineConfig)) == 10
 
-    def test_default_mode_honours_vector_batch_size(self):
-        """The configured batch size is the batch size: a 16-row batch
-        over a wider scan yields many batches, and the same answers."""
+    def test_default_mode_honours_the_batch_size(self, monkeypatch):
+        """``BATCH_SIZE`` is the batch size: a 16-row batch over a
+        wider scan yields many batches, and the same answers."""
+        monkeypatch.setattr(vectorized, "BATCH_SIZE", 16)
         dataset = make_dataset(seed=13, n_leaves=20, n_ligands=30)
         drugtree = dataset.drugtree()
         row = QueryEngine(drugtree, EngineConfig(
             use_semantic_cache=False, execution_mode="row"))
         default = QueryEngine(drugtree, EngineConfig(
-            use_semantic_cache=False, vector_batch_size=16))
+            use_semantic_cache=False))
         dtql = ("SELECT organism, count(*), mean(p_affinity), "
                 "min(logp), max(logp) FROM bindings "
                 "GROUP BY organism ORDER BY organism")
@@ -310,7 +313,7 @@ class TestKeySetScanWithoutIndex:
     """The planner only picks a key-set scan over an index; driven
     directly, both operators fall back to a membership-filtered scan."""
 
-    def test_operators_agree(self):
+    def test_operators_agree(self, monkeypatch):
         from repro.core.query.ast import Comparison
         from repro.core.query.logical import LogicalScan
         from repro.core.query.physical import ExecCounters, ScanOp
@@ -324,8 +327,8 @@ class TestKeySetScanWithoutIndex:
             residual=(Comparison("p_affinity", ">=", 6.0),))
         row_counters, vec_counters = ExecCounters(), ExecCounters()
         expected = list(ScanOp(row_counters, table, node).rows())
-        got = list(VecScanOp(vec_counters, table, node,
-                             batch_size=16).rows())
+        monkeypatch.setattr(vectorized, "BATCH_SIZE", 16)
+        got = list(VecScanOp(vec_counters, table, node).rows())
         assert expected and got == expected
         for key in COUNTER_KEYS:
             assert getattr(vec_counters, key) == getattr(row_counters, key)

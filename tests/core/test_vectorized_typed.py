@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.query import vectorized
 from repro.core.query.ast import AggregateSpec, Comparison
 from repro.core.query.logical import LogicalScan
 from repro.core.query.physical import (
@@ -114,10 +115,12 @@ def run_aggregate(table, group_by, batch_size=None):
     if batch_size is None:
         op = HashAggregateOp(counters, ScanOp(counters, table, node),
                              AGGREGATES, group_by)
-    else:
-        scan = VecScanOp(counters, table, node, None, batch_size)
+        return list(op.rows())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vectorized, "BATCH_SIZE", batch_size)
+        scan = VecScanOp(counters, table, node, None)
         op = VecHashAggregateOp(counters, scan, AGGREGATES, group_by)
-    return list(op.rows())
+        return list(op.rows())
 
 
 def assert_same_folds(table):
@@ -279,11 +282,11 @@ def grid_scan(shape, table, residual):
                        key_set=KEYS, residual=residual)
 
 
-def grid_ops(shape, table, residual, batch_size):
+def grid_ops(shape, table, residual):
     """(row operator, vectorized operator) of one scan shape."""
     node = grid_scan(shape, table, residual)
     return (ScanOp(ExecCounters(), table, node),
-            VecScanOp(ExecCounters(), table, node, None, batch_size))
+            VecScanOp(ExecCounters(), table, node, None))
 
 
 SHAPES = ("seq", "index_eq", "index_range", "key_set_indexed",
@@ -300,9 +303,11 @@ class TestMaskParityGrid:
     @pytest.mark.parametrize("kind, column, literal, masked", LITERALS,
                              ids=[entry[0] for entry in LITERALS])
     def test_rows_and_counters_equal_the_row_engine(
-            self, table, shape, op, kind, column, literal, masked):
+            self, table, shape, op, kind, column, literal, masked,
+            monkeypatch):
+        monkeypatch.setattr(vectorized, "BATCH_SIZE", 4)
         residual = (Comparison(column, op, literal),)
-        row_op, vec_op = grid_ops(shape, table, residual, 4)
+        row_op, vec_op = grid_ops(shape, table, residual)
         # The grid's point: these literals take the mask, the others
         # keep the closure.
         assert [t[2] is not None for t in vec_op.tests][-1] is masked
@@ -314,7 +319,7 @@ class TestMaskParityGrid:
             assert getattr(vec_op.counters, key) == \
                 getattr(row_op.counters, key), key
         # Batch boundaries are those of the closure-only evaluation.
-        _, closures = grid_ops(shape, table, residual, 4)
+        _, closures = grid_ops(shape, table, residual)
         closures.tests = tuple((name, test, None, value)
                                for name, test, _, value in closures.tests)
         assert list(closures.rows()) == expected
@@ -322,11 +327,13 @@ class TestMaskParityGrid:
             vec_op.counters.batches_emitted
 
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_two_masks_and_a_closure_in_one_scan(self, table, shape):
+    def test_two_masks_and_a_closure_in_one_scan(self, table, shape,
+                                                 monkeypatch):
+        monkeypatch.setattr(vectorized, "BATCH_SIZE", 3)
         residual = (Comparison("p_affinity", ">=", 0),
                     Comparison("ligand_id", "!=", "L04"),
                     Comparison("resolution", "<", 7.25))
-        row_op, vec_op = grid_ops(shape, table, residual, 3)
+        row_op, vec_op = grid_ops(shape, table, residual)
         assert list(vec_op.rows()) == list(row_op.rows())
         assert vec_op.counters.rows_emitted == row_op.counters.rows_emitted
 

@@ -18,6 +18,7 @@ from repro.mobile import DrugTreeServer
 from repro.mobile import server as server_module
 from repro.mobile.lod import render_viewport
 from repro.mobile.protocol import delta_message, full_message
+from repro.obs import get_metrics
 from repro.sources.scheduler import FetchScheduler
 from repro.workloads import DatasetConfig, build_dataset
 
@@ -123,9 +124,16 @@ class TestConcurrentHammer:
         def rows_of(server, session_id, dtql):
             return server.query(session_id, dtql).message.payload()["rows"]
 
+        def lookups():
+            counts = get_metrics().counter_values("semantic_cache.")
+            return sum(counts.get(f"semantic_cache.{outcome}", 0)
+                       for outcome in ("exact_hits", "subsumed_hits",
+                                       "misses"))
+
         server = DrugTreeServer(drugtree)
         session_ids = [server.open_session()[0]
                        for _ in range(n_threads)]
+        lookups_before = lookups()
         answers = {}
         errors = []
 
@@ -151,14 +159,12 @@ class TestConcurrentHammer:
             sys.setswitchinterval(interval)
         assert errors == []
         assert len(answers) == per_thread * n_threads
+        assert lookups() - lookups_before == per_thread * n_threads
 
         serial = DrugTreeServer(drugtree)
         session_id, _ = serial.open_session()
         for dtql, rows in answers.items():
             assert rows == rows_of(serial, session_id, dtql), dtql
-        stats = server.engine.cache.stats()
-        assert (stats["exact_hits"] + stats["subsumption_hits"]
-                + stats["misses"]) == per_thread * n_threads
 
     def test_navigations_racing_inserts_never_serve_a_stale_view(self):
         # A world of its own: this test inserts bindings.

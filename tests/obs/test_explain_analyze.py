@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.core import EngineConfig, QueryEngine
 from repro.obs import MetricsRegistry, Tracer
+from repro.sources import FetchScheduler
 from repro.workloads import DatasetConfig, build_dataset
 
 QUERY = "SELECT * FROM bindings WHERE p_affinity >= 6.0"
@@ -17,7 +19,6 @@ def world():
     integration round-trips are attributable (and isolated from other
     test modules)."""
     metrics = MetricsRegistry()
-    from repro import obs
     previous = obs.get_metrics()
     obs.set_metrics(metrics)
     try:
@@ -30,10 +31,24 @@ def world():
 
 
 @pytest.fixture()
-def engine(world):
+def installed():
+    """``installed(metrics, tracer=None)`` makes them the process-wide
+    registry and tracer until the test ends."""
+    previous = obs.get_metrics(), obs.get_tracer()
+
+    def install(metrics, tracer=None):
+        obs.set_metrics(metrics)
+        obs.set_tracer(tracer)
+
+    yield install
+    install(*previous)
+
+
+@pytest.fixture()
+def engine(world, installed):
     dataset, drugtree, metrics = world
-    return QueryEngine(drugtree, metrics=metrics,
-                       tracer=Tracer(clock=dataset.clock))
+    installed(metrics, Tracer(clock=dataset.clock))
+    return QueryEngine(drugtree)
 
 
 class TestRowCounts:
@@ -81,11 +96,33 @@ class TestSourceRoundTrips:
         assert "-- source round-trips: " in text
         assert "total" in text
 
-    def test_empty_registry_renders_none_recorded(self, world):
+    def test_empty_registry_renders_none_recorded(self, world, installed):
         _, drugtree, _ = world
-        isolated = QueryEngine(drugtree, metrics=MetricsRegistry())
-        text = isolated.analyze(QUERY).render()
+        installed(MetricsRegistry())
+        text = QueryEngine(drugtree).analyze(QUERY).render()
         assert "-- source round-trips: none recorded" in text
+
+    def test_a_federated_query_reports_the_round_trips_it_made(
+            self, world, installed):
+        # One registry per process: the sources, the scheduler and
+        # EXPLAIN ANALYZE all count into the one set_metrics installed.
+        dataset, drugtree, _ = world
+        installed(MetricsRegistry())
+        engine = QueryEngine(drugtree,
+                             federation=FetchScheduler(dataset.registry))
+        sources = dataset.registry.sources()
+        before = {source.name: source.stats.roundtrips
+                  for source in sources}
+        report = engine.analyze(
+            "SELECT protein_id, method, go_terms FROM proteins LIMIT 3")
+        made = {source.name: source.stats.roundtrips - before[source.name]
+                for source in sources}
+        assert sum(made.values()) > 0
+        assert {name: delta["during"] for name, delta
+                in report.source_roundtrips.items()} \
+            == {name: count for name, count in made.items() if count}
+        assert report.federation["scheduler.batches"] == 1
+        assert "-- fetch scheduler: batches=1" in report.render()
 
 
 class TestRender:
@@ -107,12 +144,11 @@ class TestRender:
         assert report.cache_outcome == \
             "exact (result recomputed for analysis)"
 
-    def test_cache_off_is_reported(self, world):
+    def test_cache_off_is_reported(self, world, installed):
         _, drugtree, _ = world
+        installed(MetricsRegistry())
         no_cache = QueryEngine(
-            drugtree, EngineConfig(use_semantic_cache=False),
-            metrics=MetricsRegistry(),
-        )
+            drugtree, EngineConfig(use_semantic_cache=False))
         report = no_cache.analyze(QUERY)
         assert report.cache_outcome == "off (semantic cache disabled)"
 
@@ -126,10 +162,11 @@ class TestRender:
 
 
 class TestOperatorSpans:
-    def test_analyze_emits_per_operator_spans(self, world):
+    def test_analyze_emits_per_operator_spans(self, world, installed):
         dataset, drugtree, metrics = world
         tracer = Tracer(clock=dataset.clock)
-        engine = QueryEngine(drugtree, metrics=metrics, tracer=tracer)
+        installed(metrics, tracer)
+        engine = QueryEngine(drugtree)
         report = engine.analyze(QUERY)
         op_spans = [span for span in tracer.finished_spans()
                     if span.name.startswith("op.")]
@@ -138,12 +175,14 @@ class TestOperatorSpans:
                  if span.attributes["label"] == report.operators.label]
         assert roots and roots[0].attributes["rows"] == report.rows
 
-    def test_nested_loop_inner_folds_into_one_node(self, world):
+    def test_nested_loop_inner_folds_into_one_node(self, world,
+                                                   installed):
         """A join that re-lowers its inner side per outer row must show
         one merged stats node with a loop count, not one child per
         rescan."""
         dataset, drugtree, metrics = world
-        engine = QueryEngine(drugtree, metrics=metrics)
+        installed(metrics)
+        engine = QueryEngine(drugtree)
         text = (
             "SELECT ligand_id, organism FROM bindings, proteins "
             "WHERE p_affinity >= 5.0"

@@ -12,6 +12,7 @@ from repro.serving import (
     ServiceCostModel,
     TenantConfig,
     TenantRegistry,
+    admission,
     tenancy,
 )
 from repro.serving.frontend import Request
@@ -35,26 +36,19 @@ def _controller(*tenant_configs, workers=2, slo_s=1.0,
 
 
 class TestServiceCostModel:
-    def test_ewma_tracks_observations(self):
-        model = ServiceCostModel({"render": 0.1}, alpha=0.5)
+    def test_ewma_tracks_observations(self, monkeypatch):
+        monkeypatch.setattr(admission, "COST_ALPHA", 0.5)
+        model = ServiceCostModel({"render": 0.1})
         model.observe("render", 0.3)
         assert model.estimate_s("render") == pytest.approx(0.2)
 
-    def test_unknown_kind_uses_default(self):
-        model = ServiceCostModel({}, default_s=0.07)
+    def test_unknown_kind_uses_default(self, monkeypatch):
+        monkeypatch.setattr(admission, "DEFAULT_COST_S", 0.07)
+        model = ServiceCostModel({})
         assert model.estimate_s("query") == pytest.approx(0.07)
 
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ServingError):
-            ServiceCostModel({}, alpha=0.0)
-
-
-    def test_rejects_non_positive_default(self):
-        with pytest.raises(ServingError):
-            ServiceCostModel({}, default_s=0.0)
-
     def test_first_observation_replaces_the_default(self):
-        model = ServiceCostModel({}, default_s=0.05, alpha=0.2)
+        model = ServiceCostModel({})
         model.observe("query", 0.4)
         assert model.estimate_s("query") == pytest.approx(0.4)
 

@@ -3,45 +3,41 @@ its data-version stamp."""
 
 import pytest
 
-from repro.errors import ServingError
 from repro.serving import SharedCacheFront, TenantConfig, TenantRegistry
+from repro.serving import cache as cache_module
 
 
-def _cache(capacity=4, *configs):
-    return SharedCacheFront(TenantRegistry(list(configs)),
-                            capacity=capacity)
+def _cache(monkeypatch, capacity, *configs):
+    monkeypatch.setattr(cache_module, "FRONT_CAPACITY", capacity)
+    return SharedCacheFront(TenantRegistry(list(configs)))
 
 
 class TestSharedCacheFront:
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ServingError):
-            _cache(0)
-
-    def test_hit_after_put(self):
-        cache = _cache(4, TenantConfig("a"))
+    def test_hit_after_put(self, monkeypatch):
+        cache = _cache(monkeypatch, 4, TenantConfig("a"))
         cache.put("k", "a", "value", 0, cost_s=0.2)
         entry = cache.get("k", "a", 0)
         assert entry.value == "value"
         assert cache.saved_virtual_s == pytest.approx(0.2)
 
-    def test_cross_tenant_hits_are_counted(self):
-        cache = _cache(4, TenantConfig("a"), TenantConfig("b"))
+    def test_cross_tenant_hits_are_counted(self, monkeypatch):
+        cache = _cache(monkeypatch, 4, TenantConfig("a"), TenantConfig("b"))
         cache.put("k", "a", "value", 0)
         assert cache.get("k", "b", 0) is not None
         assert cache.cross_tenant_hits == 1
 
-    def test_quota_from_weight_share(self):
-        cache = _cache(8, TenantConfig("a", weight=3.0),
+    def test_quota_from_weight_share(self, monkeypatch):
+        cache = _cache(monkeypatch, 8, TenantConfig("a", weight=3.0),
                        TenantConfig("b", weight=1.0))
         assert cache.quota("a") == 6
         assert cache.quota("b") == 2
 
-    def test_a_lone_tenant_may_fill_the_front(self):
-        cache = _cache(8, TenantConfig("a", weight=0.25))
+    def test_a_lone_tenant_may_fill_the_front(self, monkeypatch):
+        cache = _cache(monkeypatch, 8, TenantConfig("a", weight=0.25))
         assert cache.quota("a") == 8
 
-    def test_over_quota_insert_evicts_own_lru(self):
-        cache = _cache(8, TenantConfig("a", weight=1.0),
+    def test_over_quota_insert_evicts_own_lru(self, monkeypatch):
+        cache = _cache(monkeypatch, 8, TenantConfig("a", weight=1.0),
                        TenantConfig("b", weight=3.0))
         cache.put("a1", "a", 1, 0)
         cache.put("b1", "b", 1, 0)
@@ -53,8 +49,8 @@ class TestSharedCacheFront:
         assert cache.get("b1", "b", 0) is not None
         assert cache.owned("a") == 2
 
-    def test_flood_cannot_evict_under_quota_tenant(self):
-        cache = _cache(4, TenantConfig("flood", weight=1.0),
+    def test_flood_cannot_evict_under_quota_tenant(self, monkeypatch):
+        cache = _cache(monkeypatch, 4, TenantConfig("flood", weight=1.0),
                        TenantConfig("calm", weight=1.0))
         cache.put("calm-key", "calm", "kept", 0)
         for i in range(20):
@@ -62,8 +58,8 @@ class TestSharedCacheFront:
         assert cache.get("calm-key", "calm", 0) is not None
         assert cache.owned("flood") <= cache.quota("flood")
 
-    def test_capacity_eviction_picks_over_quota_owner(self):
-        cache = _cache(4, TenantConfig("a"))
+    def test_capacity_eviction_picks_over_quota_owner(self, monkeypatch):
+        cache = _cache(monkeypatch, 4, TenantConfig("a"))
         cache.put("a1", "a", 1, 0)
         cache.put("a2", "a", 2, 0)
         # b joins at three times a's weight: a's quota falls to 1.
@@ -77,16 +73,16 @@ class TestSharedCacheFront:
         assert cache.get("a1", "a", 0) is None
         assert cache.get("b1", "b", 0) is not None
 
-    def test_refresh_keeps_original_owner(self):
-        cache = _cache(4, TenantConfig("a"), TenantConfig("b"))
+    def test_refresh_keeps_original_owner(self, monkeypatch):
+        cache = _cache(monkeypatch, 4, TenantConfig("a"), TenantConfig("b"))
         cache.put("k", "a", "old", 0)
         cache.put("k", "b", "new", 0)
         assert cache.get("k", "a", 0).value == "new"
         assert cache.owned("a") == 1
         assert cache.owned("b") == 0
 
-    def test_stats_shape(self):
-        cache = _cache(4, TenantConfig("a"))
+    def test_stats_shape(self, monkeypatch):
+        cache = _cache(monkeypatch, 4, TenantConfig("a"))
         cache.put("k", "a", "v", 0)
         cache.get("k", "a", 0)
         cache.get("missing", "a", 0)
@@ -95,8 +91,8 @@ class TestSharedCacheFront:
         assert stats["misses"] == 1
         assert stats["owned"] == {"a": 1}
 
-    def test_a_newer_version_empties_the_front(self):
-        cache = _cache(4, TenantConfig("a"), TenantConfig("b"))
+    def test_a_newer_version_empties_the_front(self, monkeypatch):
+        cache = _cache(monkeypatch, 4, TenantConfig("a"), TenantConfig("b"))
         cache.put("k", "a", "v1", 3)
         cache.put("j", "b", "v1", 3)
         assert cache.get("k", "a", 4) is None
@@ -104,8 +100,8 @@ class TestSharedCacheFront:
         assert cache.owned("a") == cache.owned("b") == 0
         assert cache.evictions == 0  # an expiry is not an eviction
 
-    def test_a_fill_carrying_an_older_version_is_dropped(self):
-        cache = _cache(4, TenantConfig("a"))
+    def test_a_fill_carrying_an_older_version_is_dropped(self, monkeypatch):
+        cache = _cache(monkeypatch, 4, TenantConfig("a"))
         assert cache.get("k", "a", 5) is None
         cache.put("k", "a", "computed before the write", 4)
         assert cache.get("k", "a", 5) is None

@@ -65,6 +65,19 @@ def _renders(tenant, count, spacing=0.5, target="clade_0001"):
             for i in range(count)]
 
 
+class TestBreakerBoard:
+    def test_admission_reads_the_servers_scheduler_board(self):
+        dataset, plain = _world()
+        assert _frontend(dataset, plain).admission.breakers is None
+        scheduler = FetchScheduler(dataset.registry,
+                                   breaker_config=BreakerConfig())
+        server = DrugTreeServer(dataset.drugtree(),
+                                ServerConfig(use_delta=False),
+                                federation=scheduler)
+        board = _frontend(dataset, server).admission.breakers
+        assert board is scheduler.breakers is not None
+
+
 class TestRequestValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ServingError):

@@ -24,6 +24,7 @@ from repro.sources import (
     TableBackedSource,
     wrap_registry,
 )
+from repro.sources.chaos import CHAOS_TIMEOUT_S
 
 SOURCES = ("pdb-sim", "chembl-sim", "go-sim")
 SOURCE_SCENARIOS = [name for name, level in SCENARIOS.items()
@@ -117,8 +118,7 @@ class TestChaosSource:
     def test_outage_charges_timeout_and_raises(self):
         clock = SimulatedClock()
         source = make_source(clock)
-        chaos = ChaosSource(source, FaultSchedule([Outage(0.0, 10.0)]),
-                            timeout_s=0.25)
+        chaos = ChaosSource(source, FaultSchedule([Outage(0.0, 10.0)]))
         before = clock.now()
         with pytest.raises(SourceUnavailableError):
             chaos.fetch_many("alpha", ["alpha0"])
@@ -185,7 +185,6 @@ class TestDeterminism:
                  LatencySpike(8.0, 12.0, extra_s=0.2)],
                 seed=seed,
             ),
-            timeout_s=0.25,
         )
         timeline = []
         outcomes = []
@@ -390,4 +389,4 @@ class TestStatsUnderContention:
             thread.join()
         assert chaos.chaos_stats.injected_failures == 200
         assert chaos.chaos_stats.injected_latency_s == \
-            pytest.approx(200 * chaos.timeout_s)
+            pytest.approx(200 * CHAOS_TIMEOUT_S)

@@ -42,7 +42,8 @@ class TestMaxSemantics:
             assert clock.now() == pytest.approx(cost)
 
     def test_empty_region_is_free(self):
-        clock = SimulatedClock(start=2.0)
+        clock = SimulatedClock()
+        clock.advance(2.0)
         run_region(clock, [])
         assert clock.now() == pytest.approx(2.0)
 
@@ -54,7 +55,8 @@ class TestMaxSemantics:
         assert region.overlap_saved_s == pytest.approx(0.4)
 
     def test_tasks_each_start_at_region_base(self):
-        clock = SimulatedClock(start=1.0)
+        clock = SimulatedClock()
+        clock.advance(1.0)
         with clock.concurrently() as region:
             with region.task() as timeline:
                 assert timeline.now() == pytest.approx(1.0)

@@ -28,6 +28,7 @@ from repro.sources import (
     SimulatedClock,
     SourceRegistry,
     TableBackedSource,
+    chaos,
 )
 
 
@@ -115,11 +116,16 @@ class TestPaging:
         # of virtual time (the source would charge 0.4 sequentially).
         assert clock.now() == pytest.approx(0.1)
 
-    def test_explicit_page_size_override(self):
-        _, registry = make_world(kinds=("alpha",))
-        scheduler = FetchScheduler(registry, page_size=7)
-        scheduler.fetch_many("alpha", [f"alpha{i}" for i in range(20)])
-        assert scheduler.stats.pages_dispatched == 3
+    def test_each_source_pages_by_its_own_size(self):
+        clock = SimulatedClock()
+        registry = SourceRegistry()
+        registry.register(make_source(clock, "alpha", page_size=7))
+        registry.register(make_source(clock, "beta", page_size=5))
+        scheduler = FetchScheduler(registry)
+        scheduler.fetch_all([
+            (kind, [f"{kind}{i}" for i in range(20)])
+            for kind in ("alpha", "beta")])
+        assert scheduler.stats.pages_dispatched == 3 + 4
 
 
 class TestCoalescing:
@@ -142,11 +148,10 @@ class TestCoalescing:
         assert scheduler.stats.coalesced == 0
 
 
-def dark(source, until_s=1000.0, timeout_s=0.25):
+def dark(source, until_s=1000.0):
     """*source* inside an outage window: every call before *until_s*
-    pays *timeout_s* and fails."""
-    return ChaosSource(source, FaultSchedule([Outage(0.0, until_s)]),
-                       timeout_s=timeout_s)
+    pays ``CHAOS_TIMEOUT_S`` and fails."""
+    return ChaosSource(source, FaultSchedule([Outage(0.0, until_s)]))
 
 
 class TestResilience:
@@ -173,11 +178,11 @@ class TestResilience:
             single.fetch_many("alpha", ["alpha0"])
         assert single.stats.retries == 0
 
-    def test_retry_backoff_charges_virtual_time(self):
+    def test_retry_backoff_charges_virtual_time(self, monkeypatch):
+        monkeypatch.setattr(chaos, "CHAOS_TIMEOUT_S", 0.0)
         clock = SimulatedClock()
         registry = SourceRegistry()
-        registry.register(dark(make_source(clock, "alpha"),
-                               timeout_s=0.0))
+        registry.register(dark(make_source(clock, "alpha")))
         scheduler = FetchScheduler(registry, max_attempts=3,
                                    backoff_s=0.1)
         with pytest.raises(SourceUnavailableError):
@@ -276,16 +281,17 @@ class TestOneThread:
             for span in by_name[name]:
                 assert "scheduler.fetch_all" in ancestors(span), name
 
-    def test_failing_middle_task_still_charges_the_max(self):
+    def test_failing_middle_task_still_charges_the_max(self, monkeypatch):
         # Three one-page tasks; the second fails after its timeout.
         # Every task runs to its end, the region charges the slowest,
         # and the failing task's error surfaces after the join.
+        monkeypatch.setattr(chaos, "CHAOS_TIMEOUT_S", 0.2)
         clock = SimulatedClock()
         registry = SourceRegistry()
         registry.register(make_source(clock, "alpha", base_s=0.1))
         registry.register(ChaosSource(
             make_source(clock, "beta"),
-            FaultSchedule([Outage(0.0, 100.0)]), timeout_s=0.2,
+            FaultSchedule([Outage(0.0, 100.0)]),
         ))
         registry.register(make_source(clock, "gamma", base_s=0.5))
         scheduler = FetchScheduler(registry, max_attempts=1)
@@ -315,6 +321,10 @@ class TestSharedAcrossThreads:
     THREADS = 6
     ROUNDS = 40
 
+    @pytest.fixture(autouse=True)
+    def _short_timeouts(self, monkeypatch):
+        monkeypatch.setattr(chaos, "CHAOS_TIMEOUT_S", 0.01)
+
     def _world(self):
         clock = SimulatedClock()
         registry = SourceRegistry()
@@ -324,7 +334,7 @@ class TestSharedAcrossThreads:
         ))
         registry.register(ChaosSource(
             make_source(clock, "beta"),
-            FaultSchedule([Outage(0.0, 1e9)]), timeout_s=0.01,
+            FaultSchedule([Outage(0.0, 1e9)]),
         ))
         registry.register(make_source(clock, "gamma", page_size=4))
         scheduler = FetchScheduler(

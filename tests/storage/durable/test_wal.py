@@ -8,6 +8,7 @@ from repro.errors import StorageError
 from repro.faults import Crash, CrashPoint, FaultSchedule
 from repro.obs import MetricsRegistry, get_metrics, set_metrics
 from repro.storage.durable import WriteAheadLog
+from repro.storage.durable import wal as wal_module
 
 
 @pytest.fixture(autouse=True)
@@ -96,9 +97,9 @@ class TestFsyncPolicies:
         assert self.counters()["wal.fsyncs"] == 5
         assert self.counters()["wal.appends"] == 5
 
-    def test_batch_syncs_on_threshold(self, tmp_path):
-        wal = WriteAheadLog(wal_path(tmp_path), fsync="batch",
-                            batch_bytes=100)
+    def test_batch_syncs_on_threshold(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wal_module, "BATCH_BYTES", 100)
+        wal = WriteAheadLog(wal_path(tmp_path), fsync="batch")
         wal.append(b"x" * 30)  # 38 framed bytes: below threshold
         assert "wal.fsyncs" not in self.counters()
         wal.append(b"x" * 80)  # crosses 100 unsynced bytes

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.query import vectorized
 from repro.core.query.ast import AggregateSpec, Comparison
 from repro.core.query.logical import LogicalScan
 from repro.core.query.physical import (
@@ -75,7 +76,6 @@ class TestListeners:
         table.insert({"sample_id": "s999", "score": 99.0, "tag": "odd"})
         assert len(store) == 5
         assert store.column("score")[-1] == 99.0
-        assert store.appends == 1
         assert store.verify_against_rows()
 
     def test_live_positions_keep_insertion_order(self):
@@ -315,19 +315,19 @@ RANGE_SCAN = LogicalScan("typed", "index_range", access_column="p_affinity",
                          range_low=10.0, range_high=20.0, include_high=False)
 
 
-def vec_seq(store, batch_size=64):
+def vec_seq(store):
     return list(VecScanOp(ExecCounters(), store.table, SEQ_SCAN,
-                          SEQ_COLUMNS, batch_size).rows())
+                          SEQ_COLUMNS).rows())
 
 
-def vec_range(store, batch_size=64):
+def vec_range(store):
     return list(VecScanOp(ExecCounters(), store.table, RANGE_SCAN,
-                          SEQ_COLUMNS, batch_size).rows())
+                          SEQ_COLUMNS).rows())
 
 
-def vec_grouped(store, batch_size=64):
+def vec_grouped(store):
     counters = ExecCounters()
-    scan = VecScanOp(counters, store.table, SEQ_SCAN, None, batch_size)
+    scan = VecScanOp(counters, store.table, SEQ_SCAN, None)
     return list(VecHashAggregateOp(counters, scan, AGGREGATES,
                                    "activity_type").rows())
 
@@ -336,6 +336,10 @@ class TestMirrorsAgainstReaders:
     """A scan takes its positions (live positions, an index), then the
     typed views: a mirror must never be behind the positions that name
     its rows."""
+
+    @pytest.fixture(autouse=True)
+    def small_batches(self, monkeypatch):
+        monkeypatch.setattr(vectorized, "BATCH_SIZE", 7)
 
     def test_a_scan_between_the_store_and_the_index_sees_the_row(self):
         table = typed_table(30)
@@ -348,8 +352,8 @@ class TestMirrorsAgainstReaders:
             # The store holds row 30; the index does not yet.
             assert all(len(store.typed(name)[0]) > row_id for name in
                        ("p_affinity", "leaf_pre", "potent", "resolution"))
-            seen.append((vec_seq(store, 7), vec_range(store, 7),
-                         vec_grouped(store, 7)))
+            seen.append((vec_seq(store), vec_range(store),
+                         vec_grouped(store)))
             insert(key, row_id)
 
         index.insert = scan_then_insert
@@ -380,26 +384,26 @@ class TestMirrorsAgainstReaders:
         writer.start()
         try:
             assert paused.wait(30)
-            during = (vec_seq(store, 7), vec_range(store, 7),
-                      vec_grouped(store, 7))
+            during = (vec_seq(store), vec_range(store),
+                      vec_grouped(store))
         finally:
             resume.set()
             writer.join(timeout=30)
         assert not writer.is_alive()
-        after = (vec_seq(store, 7), vec_range(store, 7),
-                 vec_grouped(store, 7))
+        after = (vec_seq(store), vec_range(store), vec_grouped(store))
         assert during == (serial_seq(30), serial_range(30),
                           serial_grouped(30))
         assert after == (serial_seq(31), serial_range(31),
                          serial_grouped(31))
         assert store.verify_against_rows()
 
-    def test_scans_racing_inserts_answer_some_prefix(self):
+    def test_scans_racing_inserts_answer_some_prefix(self, monkeypatch):
         """Real threads, a switch every microsecond: a vectorized seq
         scan, index range scan and grouped aggregate race 2,000 inserts
         (eight fresh tables of 250, so the first scans of a store race
         the writer too); each answer is the serial answer over some
         prefix."""
+        monkeypatch.setattr(vectorized, "BATCH_SIZE", 64)
         start, per_table = 300, 250
         serial = {"seq": serial_seq, "range": serial_range,
                   "grouped": serial_grouped}

@@ -17,6 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.cluster import ClusterConfig, ClusterEngine
+from repro.cluster import node as node_module
 from repro.cluster.node import ClusterNode
 from repro.core import EngineConfig
 from repro.errors import ChaosError, NodeDownError, SourceUnavailableError
@@ -186,7 +187,8 @@ class TestOneFaultPlane:
     """One schedule, a source and two nodes, one clock: each target
     sees its own windows and nobody else's."""
 
-    def test_mixed_schedule_drives_source_and_nodes(self):
+    def test_mixed_schedule_drives_source_and_nodes(self, monkeypatch):
+        monkeypatch.setattr(node_module, "BASE_LATENCY_S", 0.01)
         clock = SimulatedClock()
         schedule = FaultSchedule((
             Outage(0.0, 10.0, target="alpha-src"),
@@ -200,12 +202,10 @@ class TestOneFaultPlane:
                                      jitter_fraction=0.0),
                 page_size=10,
             ),
-            schedule, timeout_s=0.25,
+            schedule,
         )
-        crashed = ClusterNode("node-0", clock, schedule=schedule,
-                              base_latency_s=0.01, timeout_s=0.05)
-        slow = ClusterNode("node-1", clock, schedule=schedule,
-                           base_latency_s=0.01, timeout_s=0.05)
+        crashed = ClusterNode("node-0", clock, schedule=schedule)
+        slow = ClusterNode("node-1", clock, schedule=schedule)
 
         def source_up():
             try:

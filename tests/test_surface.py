@@ -7,22 +7,33 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from repro.cli import build_parser, main
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
 #: Config fields no production caller passes, and why each stays.
 ALLOWED = {
-    "vector_batch_size",  # the parity suites drive batch boundaries with it
     "lod_max_depth", "lod_max_nodes",  # read by ledger/workloads/tap_mix.py
     "prefetch_details",  # tests isolate the details tap from the prefetch
 }
 
 
-def test_every_config_field_is_passed_by_production_code():
-    trees = {path: ast.parse(path.read_text())
-             for top in ("src", "ledger", "benchmarks", "examples")
-             for path in (ROOT / top).rglob("*.py")}
+@pytest.fixture(scope="module")
+def trees():
+    """Every program file's syntax tree, by path."""
+    return {path: ast.parse(path.read_text())
+            for top in ("src", "ledger", "benchmarks", "examples")
+            for path in (ROOT / top).rglob("*.py")}
+
+
+@pytest.fixture(scope="module")
+def unset(trees):
+    return _unset_options(trees)
+
+
+def test_every_config_field_is_passed_by_production_code(trees):
     passed: dict[str, set] = {}
     for node in (n for tree in trees.values() for n in ast.walk(tree)):
         if isinstance(node, ast.Call):
@@ -34,9 +45,142 @@ def test_every_config_field_is_passed_by_production_code():
               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
               and node.name.endswith("Config")
               for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
-    assert 40 <= len(fields) <= 48
+    assert 40 <= len(fields) <= 47
     assert [f"{cls}.{field}" for cls, field in fields
             if field not in passed.get(cls, ()) and field not in ALLOWED] == []
+
+
+#: Constructor keyword options no production caller passes, and why
+#: each stays. Every other option a caller never sets is a constant.
+CONSTRUCTOR_ALLOWED = {
+    "IntegrationPipeline.scheduler":
+        "tests inject a scheduler with their own retry budget",
+    "TableBackedSource.page_size":
+        "a per-source property the scheduler reads source by source",
+    "QueryError.diagnostics":
+        "passed as `error(..., diagnostics=...)` by QueryEngine, whose "
+        "`error` is ParseError or QueryError",
+    "Molecule.name":
+        "data, not a setting: the SMILES parser names a molecule once "
+        "it has read it",
+}
+
+
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", ""))
+
+
+def _init_owners(trees):
+    """``(class name -> its ClassDef, class name -> the class whose
+    __init__ builds it)`` for every class under src/ (owner None when
+    no class in the chain defines ``__init__``)."""
+    classes = {node.name: node for path, tree in trees.items()
+               if ROOT / "src" in path.parents
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+    def owner(name, seen=()):
+        node = classes.get(name)
+        if node is None or name in seen:
+            return None
+        for stmt in node.body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                return name
+        for base in node.bases:
+            found = owner(_name(base), (*seen, name))
+            if found:
+                return found
+        return None
+
+    return classes, {name: owner(name) for name in classes}
+
+
+def _passes(call, params, option):
+    """Does *call* set *option* of an ``__init__`` taking *params*?"""
+    if any(keyword.arg in (option, None) for keyword in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return option in params and len(call.args) > params.index(option)
+
+
+def _unset_options(trees):
+    """``Class.option`` of every public constructor keyword option
+    that no call under src/, ledger/, benchmarks/ or examples/ sets."""
+    classes, owners = _init_owners(trees)
+    calls: dict[str, list] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _name(node.func) in owners:
+                calls.setdefault(owners[_name(node.func)], []).append(node)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            # super().__init__(...) and cls(...) build classes too.
+            base = owners.get(_name(node.bases[0])) if node.bases else None
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if isinstance(func, ast.Name) and func.id == "cls":
+                    calls.setdefault(owners.get(node.name),
+                                     []).append(call)
+                elif (_name(func) == "__init__"
+                      and isinstance(func.value, ast.Call)
+                      and _name(func.value.func) == "super"):
+                    calls.setdefault(base, []).append(call)
+    unset = set()
+    for name, owner in owners.items():
+        if name != owner or name.startswith("_"):
+            continue
+        init = next(stmt for stmt in classes[name].body
+                    if isinstance(stmt, ast.FunctionDef)
+                    and stmt.name == "__init__")
+        args = init.args
+        params = [arg.arg for arg in args.posonlyargs + args.args][1:]
+        options = params[len(params) - len(args.defaults):] + [
+            arg.arg for arg, default in zip(args.kwonlyargs,
+                                            args.kw_defaults)
+            if default is not None]
+        unset.update(f"{name}.{option}" for option in options
+                     if not any(_passes(call, params, option)
+                                for call in calls.get(name, ())))
+    return unset
+
+
+def test_every_constructor_option_is_passed_by_production_code(unset):
+    assert sorted(unset - set(CONSTRUCTOR_ALLOWED)) == []
+    # An entry that became passed, or names nothing, is stale.
+    assert sorted(set(CONSTRUCTOR_ALLOWED) - unset) == []
+    assert all(CONSTRUCTOR_ALLOWED.values())
+
+
+def _planted(trees, path, old, new):
+    """*trees* with *old* replaced by *new* in one file."""
+    text = (ROOT / path).read_text()
+    assert text.count(old) == 1
+    return {**trees, ROOT / path: ast.parse(text.replace(old, new))}
+
+
+def test_the_gate_catches_an_option_only_tests_would_pass(trees, unset):
+    planted = _planted(
+        trees, "src/repro/core/query/cache.py",
+        "def __init__(self, labeling: IntervalLabeling) -> None:",
+        "def __init__(self, labeling: IntervalLabeling,\n"
+        "             capacity: int = 1024) -> None:")
+    assert _unset_options(planted) - unset == {"SemanticCache.capacity"}
+
+
+def test_the_gate_counts_super_and_cls_calls(trees, unset):
+    # TableBackedSource hands DataSource its options through
+    # super().__init__; Database.open builds through cls(...).
+    dropped = _planted(trees, "src/repro/sources/base.py",
+                       "super().__init__(name, clock, latency, page_size)",
+                       "super().__init__(name, clock)")
+    assert _unset_options(dropped) - unset \
+        == {"DataSource.latency", "DataSource.page_size"}
+    dropped = _planted(trees, "src/repro/storage/durable/db.py",
+                       "return cls(data_dir, config)",
+                       "return cls(data_dir)")
+    assert _unset_options(dropped) - unset == {"Database.config"}
 
 
 def _run(argv, tmp_path, capsys):

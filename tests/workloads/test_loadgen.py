@@ -15,7 +15,7 @@ PROTEINS = [f"P{i:05d}" for i in range(40)]
 
 class TestZipfSampler:
     def test_rank_one_dominates(self):
-        sampler = ZipfSampler(CLADES, s=1.1)
+        sampler = ZipfSampler(CLADES)
         rng = random.Random(0)
         counts = Counter(sampler.sample(rng) for _ in range(3000))
         assert counts[CLADES[0]] > counts[CLADES[-1]] * 3
