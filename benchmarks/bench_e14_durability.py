@@ -73,8 +73,9 @@ def _ingest_seconds(dataset, n_rows: int,
                     storage: StorageConfig | None) -> float:
     """Wall seconds to insert *n_rows* bindings, batched per 100 rows
     when durable so group commit gets the shot it would get in the real
-    integration pipeline. The world and the row stream are built
-    outside the timer."""
+    integration pipeline: each batch writes its frames once and is
+    applied as one append at its exit. The world and the row stream are
+    built outside the timer."""
     tree = DrugTree(dataset.tree, storage=storage)
     for protein_id in dataset.family.protein_ids:
         tree.add_protein(protein_id)

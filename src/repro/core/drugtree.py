@@ -10,12 +10,12 @@ on a protein-motivated phylogenetic tree". It owns:
 
 Use :meth:`DrugTree.build` for the common case, or construct empty and
 populate through :meth:`add_protein` / :meth:`add_ligand` /
-:meth:`add_binding` (which is what the integration pipeline does).
+:meth:`add_bindings` (which is what the integration pipeline does).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from typing import Any
 
 from repro.bio.tree import PhyloTree
@@ -84,25 +84,28 @@ class DrugTree:
                 rows = self.database.committed_tables(self.tables)
                 span.set("rows", self.load_rows(rows))
 
-    def load_rows(self, rows: Mapping[str, Iterable[tuple[int, tuple]]],
+    def load_rows(self, rows: Mapping[str, list[tuple[int, tuple]]],
                   ) -> int:
         """Append already-validated rows to this overlay.
 
         The one loader behind durable recovery, cluster view builds
-        and cluster view deltas: *rows* maps a table name to
+        and cluster view deltas: *rows* maps a table name to a list of
         ``(row_id, row)`` pairs in ascending row id, every id above
-        the highest its table has issued (:meth:`Table.restore_rows`
-        refuses anything else — appending in row-id order is what
-        keeps scan, index and aggregate order equal to a live
-        overlay's). They flow through ``restore_rows`` (no validation,
-        no write-ahead log, the path of a live insert), and each
-        protein and ligand row handed in joins the known-id sets and
-        the chemistry state. Returns the number of rows loaded.
+        the highest its table has issued — appending in row-id order is
+        what keeps scan, index and aggregate order equal to a live
+        overlay's. Every table's ids are checked before any row is
+        appended, so a refused load leaves the overlay as it was. Each
+        table's rows flow through ``append_rows(..., log=False)`` as
+        one batch (no validation, no write-ahead log), and each protein
+        and ligand row joins the known-id sets and the chemistry state.
+        Returns the number of rows loaded.
         """
+        for name, table in self.tables.items():
+            table.check_append(rows.get(name, []))
         loaded = 0
         for name, table in self.tables.items():
-            pairs = list(rows.get(name, ()))
-            table.restore_rows(pairs)
+            pairs = rows.get(name, [])
+            table.append_rows(pairs, log=False)
             loaded += len(pairs)
             for _, row in pairs if name == PROTEINS_TABLE else ():
                 self._known_proteins.add(table.value(row, "protein_id"))
@@ -173,20 +176,32 @@ class DrugTree:
 
     def add_binding(self, record: BindingRecord) -> int:
         """Attach one binding measurement (protein must be added first)."""
+        return self.tables[BINDINGS_TABLE].insert(self._binding_values(record))
+
+    def add_bindings(self, records: list[BindingRecord]) -> range:
+        """Attach binding measurements as one append, checking them all
+        first (an unknown protein rejects the list); returns their ids."""
+        table = self.tables[BINDINGS_TABLE]
+        validate = table.schema.validate_row
+        rows = [validate(self._binding_values(record)) for record in records]
+        first = table.next_row_id
+        table.append_rows(list(enumerate(rows, first)))
+        return range(first, first + len(rows))
+
+    def _binding_values(self, record: BindingRecord) -> dict[str, Any]:
         if record.protein_id not in self._known_proteins:
             raise QueryError(
                 f"binding references unknown protein {record.protein_id!r}"
             )
-        leaf_pre = self.labeling.leaf_position(record.protein_id)
-        return self.tables[BINDINGS_TABLE].insert({
+        return {
             "ligand_id": record.ligand_id,
             "protein_id": record.protein_id,
             "activity_type": record.activity_type.value,
             "value_nm": record.value_nm,
             "p_affinity": record.p_affinity,
             "potent": record.is_potent,
-            "leaf_pre": leaf_pre,
-        })
+            "leaf_pre": self.labeling.leaf_position(record.protein_id),
+        }
 
     # -- physical design ---------------------------------------------------------
 
@@ -216,8 +231,8 @@ class DrugTree:
         ligands.create_index(["logp"], kind="sorted")
         ligands.keep_value_counts("drug_like")
 
-    def _on_insert(self, row_id: int, row: tuple) -> None:
-        self.data_version += 1
+    def _on_insert(self, pairs: list[tuple[int, tuple]]) -> None:
+        self.data_version += len(pairs)
 
     # -- convenience reads ---------------------------------------------------------
 
@@ -280,8 +295,7 @@ class DrugTree:
             drugtree.add_protein(**protein)
         for ligand in ligands or []:
             drugtree.add_ligand(**ligand)
-        for record in bindings or []:
-            drugtree.add_binding(record)
+        drugtree.add_bindings(bindings or [])
         if create_indexes:
             drugtree.create_default_indexes()
         return drugtree

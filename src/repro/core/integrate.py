@@ -284,11 +284,9 @@ class IntegrationPipeline:
                 report.ligands += 1
 
             known_ligands = set(compounds)
-            for record in all_records:
-                if record.ligand_id not in known_ligands:
-                    continue
-                drugtree.add_binding(record)
-                report.bindings += 1
+            report.bindings = len(drugtree.add_bindings([
+                record for record in all_records
+                if record.ligand_id in known_ligands]))
 
             with tracer.span("integrate.index_and_materialize"):
                 if create_indexes:

@@ -8,13 +8,12 @@ predicates become integer ranges (see :mod:`repro.core.labeling`).
 
 :class:`CladeAggregates` is the second "novel mechanism": every tree
 node keeps materialized statistics of the bindings under it, maintained
-incrementally in O(depth) per binding insert, so clade-aggregate queries
-read one precomputed record instead of re-aggregating the overlay.
+incrementally on every appended batch of bindings, so clade-aggregate
+queries read one precomputed record instead of re-aggregating the
+overlay.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.bio.tree import PhyloNode, PhyloTree
 from repro.core.labeling import IntervalLabeling
@@ -99,21 +98,13 @@ JOIN_KEYS: dict[tuple[str, str], str] = {
 }
 
 
-@dataclass
-class _CladeState:
-    count: int = 0
-    total: float = 0.0
-    maximum: float | None = None
-    potent: int = 0
-
-
 class CladeAggregates:
     """Per-clade binding statistics, maintained on the ancestor path.
 
-    Subscribes to the ``bindings`` table: every inserted binding updates
-    the O(depth) nodes on the path from its protein's leaf to the root.
-    Reads are O(1) per clade. The table only appends, so every
-    aggregate, ``max`` included, folds exactly.
+    Subscribes to the ``bindings`` table: every appended batch of
+    bindings updates the nodes on the paths from their proteins' leaves
+    to the root. Reads are O(1) per clade. The table only appends, so
+    every aggregate, ``max`` included, folds exactly.
     """
 
     def __init__(self, tree: PhyloTree, labeling: IntervalLabeling,
@@ -122,69 +113,85 @@ class CladeAggregates:
         self._paff_pos = bindings.schema.index_of("p_affinity")
         self._potent_pos = bindings.schema.index_of("potent")
         self._leaf_pos = bindings.schema.index_of("leaf_pre")
-        self._states: dict[int, _CladeState] = {}
-        self._leaf_by_position: dict[int, PhyloNode] = {}
-        #: Leaf position -> node ids from the leaf up to the root,
-        #: memoised: the tree is fixed for the aggregates' life.
-        self._paths: dict[int, tuple[int, ...]] = {}
+        #: Each node's statistics sit at its slot of four lists.
+        self._slots: dict[int, int] = {}
         self._node_by_name: dict[str, PhyloNode] = {}
-        self.maintenance_ops = 0
         for node in tree.preorder():
+            self._slots[node.node_id] = len(self._slots)
             if node.name:
                 self._node_by_name.setdefault(node.name, node)
-        for leaf in tree.leaves():
-            position = labeling.leaf_position(leaf.name)
-            self._leaf_by_position[position] = leaf
-        for row in bindings.scan_rows():
-            self._apply(row)
-        bindings.add_insert_listener(self._on_insert)
+        self._count = [0] * len(self._slots)
+        self._total = [0.0] * len(self._slots)
+        self._maximum: list[float | None] = [None] * len(self._slots)
+        self._potent = [0] * len(self._slots)
+        #: Leaf position -> slots from the leaf up to the root.
+        self._paths = {
+            labeling.leaf_position(leaf.name): tuple(
+                self._slots[node.node_id]
+                for node in (leaf, *leaf.ancestors()))
+            for leaf in tree.leaves()}
+        self.maintenance_ops = 0  # rows folded in, backfill included
+        self._fold(list(bindings.scan()))
+        bindings.add_insert_listener(self._fold)
 
     # -- maintenance ---------------------------------------------------------
 
-    def _path_of(self, row: tuple) -> tuple[int, ...]:
-        position = row[self._leaf_pos]
-        path = self._paths.get(position)
-        if path is None:
-            leaf = self._leaf_by_position.get(position)
-            if leaf is None:
-                raise QueryError(
-                    f"binding references unknown leaf position {position}"
-                )
-            path = self._paths[position] = (
-                leaf.node_id, *(node.node_id for node in leaf.ancestors()))
-        return path
+    def _fold(self, pairs: list[tuple[int, tuple]]) -> None:
+        """Fold a batch of binding rows into every node on their paths.
 
-    def _apply(self, row: tuple) -> None:
-        p_affinity = row[self._paff_pos]
-        potent = 1 if row[self._potent_pos] else 0
-        states = self._states
-        for node_id in self._path_of(row):
-            state = states.get(node_id)
-            if state is None:
-                state = states[node_id] = _CladeState()
-            state.count += 1
-            state.total += p_affinity
-            state.potent += potent
-            if state.maximum is None or p_affinity > state.maximum:
-                state.maximum = p_affinity
-
-    def _on_insert(self, row_id: int, row: tuple) -> None:
-        self._apply(row)
-        self.maintenance_ops += 1
+        ``count``, ``potent`` and ``max`` are exact (``max`` for any
+        affinity but NaN, which no binding record carries), so they
+        fold per distinct leaf first and then walk each leaf's path
+        once. The float ``total`` keeps row-order addition at every
+        node, as one insert at a time would: a per-leaf partial sum
+        rounds differently. So each row adds its value up its own path.
+        Every leaf is resolved before any statistic changes.
+        """
+        paff, potent_pos, leaf_pos = (self._paff_pos, self._potent_pos,
+                                      self._leaf_pos)
+        paths = self._paths
+        leaves: dict[int, list] = {}
+        for _, row in pairs:
+            value, leaf = row[paff], row[leaf_pos]
+            kept = leaves.get(leaf)
+            if kept is None:
+                if leaf not in paths:
+                    raise QueryError(
+                        f"binding references unknown leaf position {leaf}")
+                kept = leaves[leaf] = [paths[leaf], 0, 0, value]
+            kept[1] += 1
+            if row[potent_pos]:
+                kept[2] += 1
+            if value > kept[3]:
+                kept[3] = value
+        count, potent, maximum = self._count, self._potent, self._maximum
+        for path, rows, potent_rows, highest in leaves.values():
+            for slot in path:
+                count[slot] += rows
+                potent[slot] += potent_rows
+                if maximum[slot] is None or highest > maximum[slot]:
+                    maximum[slot] = highest
+        total = self._total
+        for _, row in pairs:
+            value = row[paff]
+            for slot in paths[row[leaf_pos]]:
+                total[slot] += value
+        self.maintenance_ops += len(pairs)
 
     # -- reads ---------------------------------------------------------------
 
     def stats_for(self, node: PhyloNode) -> dict[str, float]:
         """Aggregate statistics of the bindings in *node*'s subtree."""
-        state = self._states.get(node.node_id)
-        if state is None:
+        slot = self._slots.get(node.node_id)
+        count = 0 if slot is None else self._count[slot]
+        if not count:
             return {"count": 0.0, "mean": 0.0, "max": 0.0,
                     "potent_fraction": 0.0}
         return {
-            "count": float(state.count),
-            "mean": state.total / state.count,
-            "max": state.maximum,
-            "potent_fraction": state.potent / state.count,
+            "count": float(count),
+            "mean": self._total[slot] / count,
+            "max": self._maximum[slot],
+            "potent_fraction": self._potent[slot] / count,
         }
 
     def stats_for_name(self, node_name: str) -> dict[str, float]:

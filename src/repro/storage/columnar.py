@@ -25,22 +25,25 @@ row store's own object. Beside them, each schema ``FLOAT``/``INT``/
 vectorized engine compares and folds instead of calling Python per
 row. A mirror holds only values it represents exactly and that compare
 and sum as the Python value does: no NaN, no int with ``|v| >= 2**53``,
-no value of another type (``restore_rows`` bypasses validation, so a
-bool can reach an INT column). The first such value drops the column's
-mirror for good; readers then take the list path.
+no value of another type (an unlogged ``append_rows`` bypasses
+validation, so a bool can reach an INT column). The first such value
+drops the column's mirror for good; readers then take the list path.
 
-A mirror grows by capacity doubling. An append writes its value into
-the mirror — into a new, larger buffer that is swapped in whole when
-the old one is full — before the lists, and the row id is published
-last. The table runs the append under its lock, before its indexes see
-the row, so a reader that holds a position (from ``live_positions`` or
-an index) and *then* takes :meth:`typed` always finds it filled.
+The table appends a batch at a time, and the store's backfill is one
+such batch. A mirror grows by capacity doubling. A batch's values are
+checked together (:func:`_mirrored`) and written into the mirror by
+slice — into a new, larger buffer that is swapped in whole when the
+old one is too small — before the lists, and the row ids are
+published last. The table runs the append under its lock, before its
+indexes see the rows, so a reader that holds a position (from
+``live_positions`` or an index) and *then* takes :meth:`typed` always
+finds it filled.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import is_not
+from collections.abc import Sequence
+from math import isnan
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -66,62 +69,46 @@ EXACT_INT_LIMIT = 2 ** 53
 Mirror = tuple[np.ndarray, "np.ndarray | None"]
 
 
-def _build_mirror(exact: type, nullable: bool,
-                  values: list[Any]) -> Mirror | None:
-    """The mirror of a whole column, or None when a value refuses it.
-    A FLOAT mirror also takes an exact int (only ``restore_rows`` can
-    put one there)."""
+def _mirrored(exact: type, nullable: bool,
+              values: Sequence[Any]) -> tuple[Sequence[Any], Any] | None:
+    """*values* as a mirror of *exact* holds them (a NULL as 0) and
+    their validity (``True``: no NULL), or None when one refuses it: a
+    NULL without a mask, another type (a FLOAT mirror takes an exact
+    int), a NaN, or an int with ``|v| >= 2**53``."""
     present = set(map(type, values))
-    has_null = type(None) in present
-    present.discard(type(None))
-    admits = {float, int} if exact is float else {exact}
-    if not present <= admits or (has_null and not nullable):
-        return None
-    valid = None
-    if has_null:
-        valid = np.fromiter(map(is_not, values, repeat(None)),
-                            dtype=np.bool_, count=len(values))
+    validity: Any = True
+    if type(None) in present:
+        if not nullable:
+            return None
+        present.discard(type(None))
+        validity = [value is not None for value in values]
         values = [0 if value is None else value for value in values]
-    elif nullable:
-        valid = np.ones(len(values), dtype=np.bool_)
-    if exact is float and int in present and not all(
-            -EXACT_INT_LIMIT < value < EXACT_INT_LIMIT
-            for value in values if type(value) is int):
+    if not present <= ({float, int} if exact is float else {exact}):
         return None
-    try:
-        data = np.array(values, dtype=_DTYPES[exact])
-    except OverflowError:  # an int past int64
+    ints = values if exact is int else ()
+    if exact is float and int in present:
+        ints = [value for value in values if type(value) is int]
+    if ints and not (-EXACT_INT_LIMIT < min(ints)
+                     and max(ints) < EXACT_INT_LIMIT):
         return None
-    if len(data) and exact is not bool:
-        low = data.min()
-        if low != low:  # NaN
-            return None
-        if exact is int and not (-EXACT_INT_LIMIT < low
-                                 and data.max() < EXACT_INT_LIMIT):
-            return None
-    return data, valid
+    if exact is float and any(map(isnan, values)):
+        return None
+    return values, validity
 
 
 class _MirrorWriter:
     """The appending side of one mirror: which row value feeds it, and
-    memoryviews of its current buffers (storing through one costs about
-    half a numpy item assignment)."""
+    its current buffers."""
 
-    __slots__ = ("name", "index", "exact", "data", "valid",
-                 "data_view", "valid_view")
+    __slots__ = ("name", "index", "exact", "data", "valid")
 
     def __init__(self, name: str, index: int, exact: type,
                  data: np.ndarray, valid: np.ndarray | None) -> None:
         self.name = name
         self.index = index
         self.exact = exact
-        self.attach(data, valid)
-
-    def attach(self, data: np.ndarray, valid: np.ndarray | None) -> None:
         self.data = data
         self.valid = valid
-        self.data_view = memoryview(data)
-        self.valid_view = None if valid is None else memoryview(valid)
 
 
 class ColumnStore:
@@ -144,12 +131,21 @@ class ColumnStore:
         #: (``float``, ``int`` or ``bool``), mirror held or refused.
         self.mirror_types = {name: exact
                              for name, _, exact, _ in self._typed_specs}
-        self._columns: dict[str, list[Any]] = {}
-        self._typed: dict[str, Mirror] = {}
-        self._writers: list[_MirrorWriter] = []
+        self._columns: dict[str, list[Any]] = {
+            name: [] for name in self.column_names}
+        self._writers = [
+            _MirrorWriter(name, index, exact, np.zeros(0, _DTYPES[exact]),
+                          np.zeros(0, np.bool_) if nullable else None)
+            for name, index, exact, nullable in self._typed_specs]
+        self._typed: dict[str, Mirror] = {
+            writer.name: (writer.data, writer.valid)
+            for writer in self._writers}
         self._row_ids: list[int] = []
         self._position_of: dict[int, int] = {}
-        self._rebuild()
+        # The backfill: the table builds the store under its lock, so
+        # this reads the row map itself (a scan would take the lock).
+        if table._rows:
+            self.extend(list(table._rows), list(table._rows.values()))
 
     # -- reads -------------------------------------------------------------
 
@@ -203,74 +199,46 @@ class ColumnStore:
 
     # -- maintenance -------------------------------------------------------
 
-    def append(self, row_id: int, row: tuple[Any, ...]) -> None:
-        """Mirrors, then lists, then the row id: a position is
+    def extend(self, row_ids: list[int],
+               rows: list[tuple[Any, ...]]) -> None:
+        """Mirrors by slice, then lists, then the row ids: a position is
         published only once every buffer holds it."""
-        position = len(self._row_ids)
+        start = len(self._row_ids)
+        stop = start + len(rows)
+        values = list(zip(*rows))
         refused = []
         for writer in self._writers:
-            value = row[writer.index]
-            exact = writer.exact
-            if not (type(value) is exact and value == value
-                    and (exact is not int
-                         or -EXACT_INT_LIMIT < value < EXACT_INT_LIMIT)):
-                if value is None and writer.valid is not None:
-                    pass
-                elif (exact is float and type(value) is int
-                      and -EXACT_INT_LIMIT < value < EXACT_INT_LIMIT):
-                    value = float(value)  # an exact int
-                else:
-                    refused.append(writer)
-                    continue
-            if position == len(writer.data):
-                self._grow(writer)
-            if value is not None:
-                writer.data_view[position] = value
+            held = _mirrored(writer.exact, writer.valid is not None,
+                             values[writer.index])
+            if held is None:
+                refused.append(writer)
+                continue
+            if stop > len(writer.data):
+                self._grow(writer, stop)
+            writer.data[start:stop] = held[0]
             if writer.valid is not None:
-                writer.valid_view[position] = value is not None
+                writer.valid[start:stop] = held[1]
         if refused:
             self._writers = [w for w in self._writers if w not in refused]
             for writer in refused:
                 del self._typed[writer.name]
         for name, value_index in zip(self.column_names, self._positions):
-            self._columns[name].append(row[value_index])
-        self._position_of[row_id] = position
-        self._row_ids.append(row_id)
+            self._columns[name].extend(values[value_index])
+        self._position_of.update(zip(row_ids, range(start, stop)))
+        self._row_ids.extend(row_ids)
 
-    def _grow(self, writer: "_MirrorWriter") -> None:
-        """Swap in copies of a full mirror at double the capacity."""
-        capacity = max(16, 2 * len(writer.data))
+    def _grow(self, writer: "_MirrorWriter", size: int) -> None:
+        """Swap in copies of a mirror with room for *size* positions, at
+        least double its capacity."""
+        capacity = max(size, 2 * len(writer.data))
         data = np.zeros(capacity, dtype=writer.data.dtype)
         data[:len(writer.data)] = writer.data
         valid = writer.valid
         if valid is not None:
             valid = np.zeros(capacity, dtype=np.bool_)
             valid[:len(writer.valid)] = writer.valid
-        writer.attach(data, valid)
+        writer.data, writer.valid = data, valid
         self._typed[writer.name] = (data, valid)
-
-    def _rebuild(self) -> None:
-        """Backfill from the row store. The table builds the store
-        under its lock, so this reads the row map itself: a scan would
-        take that lock again."""
-        self._columns = {name: [] for name in self.column_names}
-        self._row_ids = []
-        self._position_of = {}
-        for row_id, row in self.table._rows.items():
-            position = len(self._row_ids)
-            self._row_ids.append(row_id)
-            self._position_of[row_id] = position
-            for name, value_index in zip(self.column_names,
-                                         self._positions):
-                self._columns[name].append(row[value_index])
-        self._typed = {}
-        self._writers = []
-        for name, index, exact, nullable in self._typed_specs:
-            mirror = _build_mirror(exact, nullable, self._columns[name])
-            if mirror is not None:
-                self._typed[name] = mirror
-                self._writers.append(_MirrorWriter(name, index, exact,
-                                                   *mirror))
 
     def verify_against_rows(self) -> bool:
         """True when every position mirrors the row store, in the

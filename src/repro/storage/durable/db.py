@@ -45,7 +45,7 @@ import json
 import os
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import StorageError
 from repro.faults import CrashPoint, FaultSchedule
@@ -59,6 +59,9 @@ from repro.storage.durable.sstable import (
     write_sstable,
 )
 from repro.storage.durable.wal import WriteAheadLog
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.storage.table import Table
 
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "wal.log"
@@ -178,6 +181,8 @@ class Database:
         self.recovery = RecoveryReport()
         #: Open :meth:`batch` groups; the outermost one commits.
         self._batch_depth = 0
+        #: Tables holding rows staged in the open batch.
+        self._staged: dict["Table", None] = {}
         self._closed = False
         self._recover()
         self.wal = WriteAheadLog(
@@ -297,12 +302,10 @@ class Database:
             self.flush()
 
     class _Batch:
-        """Group commit: one fsync (and flush check) per batch.
-
-        Batches nest: a group opened inside another joins it, and only
-        the outermost exit publishes ``memtable.bytes``, syncs and may
-        flush.
-        """
+        """Group commit. Batches nest: the outermost exit writes their
+        WAL frames in one write, applies the staged rows (readers see
+        the batch whole), and, unless the group raised, syncs and may
+        flush."""
 
         def __init__(self, db: "Database") -> None:
             self.db = db
@@ -312,15 +315,26 @@ class Database:
             return self.db
 
         def __exit__(self, exc_type, exc, tb) -> None:
-            self.db._batch_depth -= 1
-            if self.db._batch_depth:
+            db = self.db
+            db._batch_depth -= 1
+            if db._batch_depth:
                 return
-            self.db._publish_memtable_bytes()
+            db.wal.write_pending()
+            staged, db._staged = db._staged, {}
+            for table in staged:
+                table.apply_staged()
+            db._publish_memtable_bytes()
             if exc_type is None:
-                self.db.wal.sync()
-                if self.db.memtable.bytes \
-                        >= self.db.config.memtable_flush_bytes:
-                    self.db.flush()
+                db.wal.sync()
+                if db.memtable.bytes >= db.config.memtable_flush_bytes:
+                    db.flush()
+
+    def stage(self, table: "Table") -> bool:
+        """Whether *table*'s rows just logged wait for the batch exit."""
+        if not self._batch_depth:
+            return False
+        self._staged[table] = None
+        return True
 
     def batch(self) -> "_Batch":
         return self._Batch(self)
@@ -480,7 +494,7 @@ class DurableTableAdapter:
     """Bridge between one :class:`~repro.storage.table.Table` and the
     shared :class:`Database`.
 
-    The table calls :meth:`log_insert` *before* touching its in-memory
+    The table calls :meth:`log_rows` *before* touching its in-memory
     state (write-ahead order); tables only append, so that is the
     adapter's one write. Recovery goes through the store, not the
     adapter: :meth:`Database.committed_tables` hands the DrugTree every
@@ -491,5 +505,11 @@ class DurableTableAdapter:
         self.database = database
         self.table_name = table_name
 
-    def log_insert(self, row_id: int, row: tuple[Any, ...]) -> None:
-        self.database.put(row_key(self.table_name, row_id), row)
+    def log_rows(self, table: "Table", pairs: list[tuple[int, tuple]],
+                 ) -> bool:
+        """Put *table*'s ``(row_id, row)`` *pairs*, in order; True when
+        they wait for the open batch (:meth:`Database.stage`)."""
+        put, name = self.database.put, self.table_name
+        for row_id, row in pairs:
+            put(row_key(name, row_id), row)
+        return self.database.stage(table)

@@ -33,11 +33,26 @@ from repro.errors import StorageError
 _ENTRY = struct.Struct("<BII")  # flag, key length, value length
 _FOOTER_LEN = struct.Struct("<Q")
 
-#: The one codec of entry values and WAL records (footers are written
-#: with the encoder too): compact separators, everything else JSON's
-#: defaults — the bytes ``json.dumps(value, separators=(",", ":"))``
-#: writes, without building an encoder per value.
-JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+class _CompactEncoder(json.JSONEncoder):
+    """The text ``json.dumps(value, separators=(",", ":"))`` writes; the
+    C encoder ``JSONEncoder.encode`` builds per call is built once."""
+
+    def __init__(self) -> None:
+        super().__init__(separators=(",", ":"))
+        make = json.encoder.c_make_encoder  # None without the C module
+        self._once = make and make(None, self.default,
+                                   json.encoder.encode_basestring_ascii,
+                                   None, ":", ",", False, False, True)
+
+    def encode(self, o: Any) -> str:
+        if self._once is None or isinstance(o, str):
+            return super().encode(o)
+        return "".join(self._once(o, 0))
+
+
+#: The one codec of entry values, WAL records and footers.
+JSON_ENCODER = _CompactEncoder()
 JSON_DECODER = json.JSONDecoder()
 
 _FLAG_PUT = 0

@@ -17,7 +17,7 @@ Durability cost is a policy, not a constant:
     group commit: syncs are deferred until :data:`BATCH_BYTES` (64 KiB)
     of unsynced frames accumulate (or an explicit :meth:`sync`, which
     :meth:`~repro.storage.durable.db.Database.batch` issues once per
-    logical batch).
+    logical batch, after writing its buffered frames in one write).
 ``never``
     OS-buffered writes only; survives process crashes (the kernel has
     the data) but not power loss. The E14 benchmark measures all three.
@@ -58,6 +58,7 @@ class WriteAheadLog:
         self.fsync = fsync
         self._file = open(path, "ab")
         self._unsynced = 0
+        self._pending: list[bytes] = []  # appended, not yet written
         self.schedule = FaultSchedule()
 
     # -- writes ------------------------------------------------------------
@@ -65,29 +66,42 @@ class WriteAheadLog:
     def append(self, payload: bytes, defer_sync: bool = False) -> None:
         """Frame and append one record; sync per policy.
 
-        With *defer_sync* (group commit) the policy sync is skipped;
-        the caller promises an explicit :meth:`sync` at batch end.
+        With *defer_sync* (group commit) the frame waits for
+        :meth:`write_pending` and the policy sync is skipped: the
+        caller promises both at batch end.
         """
         frame = _FRAME.pack(zlib.crc32(payload), len(payload)) + payload
         if self.schedule.crash_at("wal.append.torn"):
-            # Simulated mid-append kill: half a frame reaches the disk.
+            # Simulated mid-append kill: half a frame reaches the disk,
+            # after the frames appended before it.
+            self.write_pending()
             self._file.write(frame[:max(1, len(frame) // 2)])
             self._file.flush()
             raise CrashPoint("wal.append.torn")
-        self._file.write(frame)
-        self._unsynced += len(frame)
-        metrics = get_metrics()
-        metrics.counter("wal.appends").inc()
-        metrics.counter("wal.bytes").inc(len(frame))
+        self._pending.append(frame)
         if defer_sync:
             return
+        self.write_pending()
         if self.fsync == "always":
             self.sync()
         elif self.fsync == "batch" and self._unsynced >= BATCH_BYTES:
             self.sync()
 
+    def write_pending(self) -> None:
+        """Write the frames appended since the last write, in one write
+        (each still counts as one append)."""
+        if self._pending:
+            data = b"".join(self._pending)
+            self._file.write(data)
+            self._unsynced += len(data)
+            get_metrics().counter("wal.appends").inc(len(self._pending))
+            get_metrics().counter("wal.bytes").inc(len(data))
+            self._pending = []
+
     def sync(self) -> None:
-        """Flush to the OS and (policy permitting) to the platter."""
+        """Write, flush to the OS and (policy permitting) to the
+        platter."""
+        self.write_pending()
         self._file.flush()
         if self.fsync != "never":
             os.fsync(self._file.fileno())

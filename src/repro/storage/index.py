@@ -41,9 +41,13 @@ class Index(ABC):
         #: table, which knows the column positions.
         self.key_of: Callable[[tuple], Any] | None = None
 
-    @abstractmethod
     def insert(self, key: Any, row_id: int) -> None:
         """Add *row_id*, above every row id added so far."""
+        self.extend(((key, row_id),))
+
+    @abstractmethod
+    def extend(self, entries: Iterable[tuple[Any, int]]) -> None:
+        """Add ``(key, row_id)`` *entries*, row ids ascending."""
 
     @abstractmethod
     def lookup(self, key: Any) -> list[int]:
@@ -51,8 +55,7 @@ class Index(ABC):
 
     def load(self, entries: Iterable[tuple[Any, int]]) -> None:
         """Add ``(key, row_id)`` *entries* (a backfill)."""
-        for key, row_id in entries:
-            self.insert(key, row_id)
+        self.extend(entries)
 
     @property
     @abstractmethod
@@ -74,8 +77,9 @@ class HashIndex(Index):
     def supports_range(self) -> bool:
         return False
 
-    def insert(self, key: Any, row_id: int) -> None:
-        self._buckets.setdefault(key, []).append(row_id)
+    def extend(self, entries: Iterable[tuple[Any, int]]) -> None:
+        for key, row_id in entries:
+            self._buckets.setdefault(key, []).append(row_id)
 
     def lookup(self, key: Any) -> list[int]:
         return self._buckets.get(key, [])[:]
@@ -138,14 +142,16 @@ class SortedIndex(Index):
     def supports_range(self) -> bool:
         return True
 
-    def insert(self, key: Any, row_id: int) -> None:
-        if key is None:
-            self._nulls.append(row_id)
-            return
+    def extend(self, entries: Iterable[tuple[Any, int]]) -> None:
+        """A read that overlaps the batch reads again (``_read``)."""
         self._inserting = True
         try:
-            self._place(key, row_id)
-            self._count += 1
+            for key, row_id in entries:
+                if key is None:
+                    self._nulls.append(row_id)
+                else:
+                    self._place(key, row_id)
+                    self._count += 1
         finally:
             self._inserting = False
 

@@ -1,18 +1,18 @@
 """Append-only row-store tables with their indexes and insert listeners.
 
 Tables hold tuples in schema order under integer row ids, issued in
-ascending order and never reused. Every insert reaches the column
-store, then the secondary indexes and value counts, then the insert
-listeners (materialized views and the overlay's data-version stamp),
-synchronously; E10 (``benchmarks/bench_e10_write_amplification.py``)
-measures what that costs an insert.
+ascending order and never reused. Every row arrives through
+:meth:`Table.append_rows`, a batch at a time, and the column store,
+the secondary indexes, the value counts and the insert listeners
+(materialized views, the overlay's data-version stamp) each take the
+batch at once; E10 (``bench_e10_write_amplification.py``) measures it.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
@@ -23,8 +23,10 @@ from repro.storage.schema import Schema
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.durable.db import DurableTableAdapter
 
-#: Insert listeners receive (row_id, row_tuple).
-ChangeListener = Callable[[int, tuple[Any, ...]], None]
+#: ``(row_id, row)`` pairs in ascending row id.
+Rows = list[tuple[int, tuple[Any, ...]]]
+#: Insert listeners receive each appended batch, once.
+ChangeListener = Callable[[Rows], None]
 
 
 class Table:
@@ -38,8 +40,8 @@ class Table:
     exactly what the listeners saw. Without one (the default), nothing
     changes: the table is purely in-memory, as before.
 
-    One writer, any number of readers. Each insert runs under
-    ``_lock``; readers take it to build the column store, so no insert
+    One writer, any number of readers. Each batch is applied under
+    ``_lock``; readers take it to build the column store, so no batch
     lands between the store's backfill and its attach, and to snapshot
     the rows a scan walks.
     """
@@ -57,6 +59,8 @@ class Table:
         #: column -> (position, how many rows hold each value).
         self._value_counts: dict[str, tuple[int, Counter]] = {}
         self._on_insert: list[ChangeListener] = []
+        #: Rows logged inside the store's open batch, not yet applied.
+        self._staged: Rows = []
         self._column_store = None
         self._lock = threading.Lock()
 
@@ -70,60 +74,71 @@ class Table:
         return len(self._rows)
 
     def insert(self, values: dict[str, Any]) -> int:
-        """Validate and insert one row; returns its row id.
-
-        In durable mode the row hits the WAL before any in-memory
-        structure: a crash between the two leaves the committed (WAL)
-        state a superset of memory, never the reverse, and recovery
-        replays the difference.
-        """
-        row = self.schema.validate_row(values)
-        row_id = self._next_row_id
-        if self.durable is not None:
-            self.durable.log_insert(row_id, row)
-        with self._lock:
-            self._append(row_id, row)
+        """Validate and insert one row; returns its row id (a one-row
+        :meth:`append_rows`)."""
+        row_id = self.next_row_id
+        self.append_rows([(row_id, self.schema.validate_row(values))])
         return row_id
 
-    def restore_rows(self, pairs: Iterable[tuple[int, tuple]]) -> None:
-        """Re-apply recovered ``(row_id, row)`` pairs, bypassing the WAL.
+    def check_append(self, pairs: Rows) -> None:
+        """Refuse *pairs* unless their ids ascend above every id issued
+        so far: rows only append, so insertion order is row-id order."""
+        previous = self.next_row_id - 1
+        for row_id, _ in pairs:
+            if row_id <= previous:
+                raise StorageError(f"table {self.name!r}: row {row_id} "
+                                   f"is not above {previous}")
+            previous = row_id
 
-        The recovery path's insert: the rows were already committed, so
-        logging them again would double them. The column store, indexes
-        and listeners take each exactly as on a live insert, which is
-        how materialized aggregates rebuild themselves on reopen. Rows
-        only ever append: an id at or below one already issued is
-        refused, so insertion order stays row-id order.
+    def append_rows(self, pairs: Rows, log: bool = True) -> None:
+        """Append validated ``(row_id, row)`` *pairs*: the one write path.
+
+        Every id is checked before anything is logged or applied. With
+        *log*, a durable table logs the rows first, so the committed
+        (WAL) state is a superset of memory, never the reverse; inside
+        an open ``Database.batch()`` they are then staged for its
+        outermost exit (:meth:`apply_staged`). Recovery and cluster
+        views pass ``log=False``: their rows were committed already.
+        Applying takes the lock once: the row map, the column store,
+        each index, the value counts, then each listener with the whole
+        batch — no index or listener names a row the store lacks, and
+        a reader sees a batch whole or not at all.
         """
+        if not pairs:
+            return
+        self.check_append(pairs)
+        if log and self.durable is not None \
+                and self.durable.log_rows(self, pairs):
+            with self._lock:
+                self._staged += pairs
+            return
+        row_ids = [row_id for row_id, _ in pairs]
+        rows = [row for _, row in pairs]
         with self._lock:
-            for row_id, row in pairs:
-                if row_id < self._next_row_id:
-                    raise StorageError(
-                        f"table {self.name!r}: row {row_id} is not above "
-                        f"every id issued so far (next is "
-                        f"{self._next_row_id})"
-                    )
-                self._append(row_id, row)
+            self._next_row_id = row_ids[-1] + 1
+            self._rows.update(pairs)
+            if self._column_store is not None:
+                self._column_store.extend(row_ids, rows)
+            for index in self._indexes.values():
+                index.extend(zip(map(index.key_of, rows), row_ids))
+            for position, counts in self._value_counts.values():
+                for row in rows:
+                    counts[row[position]] += 1
+            for listener in self._on_insert:
+                listener(pairs)
 
-    def _append(self, row_id: int, row: tuple[Any, ...]) -> None:
-        """Store, mirror, index, announce (the caller holds the lock): no
-        index or listener (the overlay's data-version stamp) names a row
-        the column store or the row map lacks."""
-        self._next_row_id = row_id + 1
-        self._rows[row_id] = row
-        if self._column_store is not None:
-            self._column_store.append(row_id, row)
-        for index in self._indexes.values():
-            index.insert(index.key_of(row), row_id)
-        for position, counts in self._value_counts.values():
-            counts[row[position]] += 1
-        for listener in self._on_insert:
-            listener(row_id, row)
+    def apply_staged(self) -> None:
+        """Apply the rows staged for the store's batch, at its exit."""
+        with self._lock:
+            pairs, self._staged = self._staged, []
+        self.append_rows(pairs, log=False)
 
     @property
     def next_row_id(self) -> int:
-        """The id the next insert gets; every row held is below it."""
-        return self._next_row_id
+        """The id the next insert gets; every row held or staged is
+        below it."""
+        staged = self._staged
+        return staged[-1][0] + 1 if staged else self._next_row_id
 
     def get(self, row_id: int) -> tuple[Any, ...]:
         try:

@@ -35,6 +35,7 @@ from repro.storage.table import Table
 from repro.workloads import DatasetConfig, QueryGenerator, build_dataset
 from repro.workloads.queries import ALL_KINDS
 from tests.cluster.test_parity import make_pair
+from tests.storage.oracles import clade_states
 
 
 @pytest.fixture(autouse=True)
@@ -88,8 +89,8 @@ def assert_same_overlay(served: DrugTree, fresh: DrugTree):
         store, fresh_store = mine.column_store(), table.column_store()
         assert store._row_ids == fresh_store._row_ids, name
         assert store._columns == fresh_store._columns, name
-    assert (list(served.clade_aggregates._states.items())
-            == list(fresh.clade_aggregates._states.items()))
+    assert (clade_states(served.clade_aggregates)
+            == clade_states(fresh.clade_aggregates))
     assert served.fingerprints == fresh.fingerprints
     assert sorted(served.molecules) == sorted(fresh.molecules)
     assert served.protein_count == fresh.protein_count

@@ -67,7 +67,8 @@ floats = st.one_of(st.sampled_from(SPECIAL_FLOATS),
                    st.floats(allow_nan=False, width=64))
 ints = st.one_of(st.sampled_from([0, 1, -1, 3, BIG - 1, -(BIG - 1)]),
                  st.integers(-(BIG - 1), BIG - 1))
-#: FLOAT cells as ``restore_rows`` may deliver them: exact ints too.
+#: FLOAT cells as an unlogged ``append_rows`` may deliver them: exact
+#: ints too.
 float_cells = st.one_of(floats, ints)
 
 row_strategy = st.fixed_dictionaries({
@@ -80,7 +81,7 @@ row_strategy = st.fixed_dictionaries({
     "drug_like": st.none() | st.booleans(),
 })
 
-#: Values that refuse a mirror: (column, value, through restore_rows).
+#: Values that refuse a mirror: (column, value, through append_rows).
 POISONS = {
     "nan": ("p_affinity", float("nan")),
     "nullable_nan": ("resolution", float("nan")),
@@ -100,9 +101,9 @@ def fold_table(rows, restore, poison):
         target = len(cells) // 2
         cells[target] = cells[target][:at] + (value,) + cells[target][at + 1:]
     if restore or poison is not None:
-        # restore_rows bypasses validation: exact ints stay ints in the
+        # append_rows bypasses validation: exact ints stay ints in the
         # FLOAT columns, and a poison lands as it is.
-        table.restore_rows(enumerate(cells))
+        table.append_rows(list(enumerate(cells)), log=False)
     else:
         for row in rows:
             table.insert(row)

@@ -384,6 +384,12 @@ OPS = st.lists(st.one_of(
     st.tuples(st.just("reopen")),
     st.tuples(st.just("crash"), st.sampled_from(CRASH_POINTS),
               st.one_of(PUT, FLUSH, COMPACT_LEVEL, COMPACT)),
+    # A kill inside an open batch: puts logged, then a crash armed at
+    # one of the two points a put passes, then more puts.
+    st.tuples(st.just("crash_in_batch"),
+              st.sampled_from(["wal.append.torn", "db.after_append"]),
+              st.lists(PUT, max_size=3), st.lists(PUT, min_size=1,
+                                                  max_size=3)),
 ), min_size=12, max_size=30)
 
 
@@ -423,6 +429,25 @@ def check_against_model(database_cls, ops):
             if op[0] == "reopen":
                 db.close()
                 db = database_cls(data_dir, cfg)
+            elif op[0] == "crash_in_batch":
+                _, point, before, after = op
+                # The store may keep any in-order prefix of the batch's
+                # puts, and nothing else.
+                prefixes, state = [dict(model)], dict(model)
+                for _, key, value in before + after:
+                    state[key] = value
+                    prefixes.append(dict(state))
+                with pytest.raises(CrashPoint):
+                    with db.batch():
+                        for _, key, value in before:
+                            db.put(key, value)
+                        db.set_schedule(FaultSchedule([Crash(at=point)]))
+                        for _, key, value in after:
+                            db.put(key, value)
+                db.wal.close()
+                db = database_cls(data_dir, cfg)
+                model = dict(db.scan())
+                assert model in prefixes, ops
             elif op[0] == "crash":
                 _, point, action = op
                 db.set_schedule(FaultSchedule([Crash(at=point)]))

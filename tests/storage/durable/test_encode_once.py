@@ -25,6 +25,7 @@ from repro.core.overlay import (
 )
 from repro.storage.durable import Database, StorageConfig, write_sstable
 from repro.storage.durable.db import row_key
+from repro.storage.durable.sstable import JSON_ENCODER
 from repro.storage.schema import ColumnType
 from tests.storage.oracles import put_frame, with_planted_bug
 
@@ -124,6 +125,14 @@ def bytes_property(**overrides):
 
 def test_a_put_writes_the_bytes_of_the_record_dict():
     bytes_property()()
+
+
+def test_the_fallback_without_a_c_encoder_writes_the_same_bytes(
+        monkeypatch):
+    # JSON_ENCODER builds the C encoder once; where json has none it
+    # takes JSONEncoder.encode's own path.
+    monkeypatch.setattr(JSON_ENCODER, "_once", None)
+    bytes_property(max_examples=20)()
 
 
 def test_a_writer_with_default_separators_fails_the_property():

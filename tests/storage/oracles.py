@@ -1,7 +1,9 @@
 """Reference implementations the storage kernels are checked against.
 
 Each is the straightforward version the kernel replaced, kept verbatim
-in behaviour: a flat two-list sorted index.
+in behaviour: a flat two-list sorted index, and a bindings table's
+derived state kept one row at a time (the per-row append and clade
+walk the batch append path replaced).
 The tests hold the kernels to ``==`` with these on generated inputs.
 The retired per-key footer of a segment and the retired writer of
 tombstones are kept the same way, so a directory in those formats can
@@ -22,6 +24,7 @@ import struct
 import sys
 import textwrap
 import zlib
+from collections import Counter
 from collections.abc import Iterator
 from typing import Any
 
@@ -232,3 +235,98 @@ def with_planted_bug(function, bug: tuple[str, str]):
     namespace = dict(vars(module))
     exec(compile(source.replace(*bug), module.__file__, "exec"), namespace)
     return namespace[function.__name__]
+
+
+def clade_states(aggregates) -> dict[int, tuple]:
+    """``node_id -> (count, total as hex, max, potent)`` of every clade
+    of a :class:`~repro.core.overlay.CladeAggregates` holding a binding:
+    the hex makes two totals equal only bit for bit."""
+    return {node_id: (aggregates._count[slot],
+                      aggregates._total[slot].hex(),
+                      aggregates._maximum[slot],
+                      aggregates._potent[slot])
+            for node_id, slot in aggregates._slots.items()
+            if aggregates._count[slot]}
+
+
+#: Ints at or beyond this magnitude refuse a typed mirror.
+EXACT_INT_LIMIT = 2 ** 53
+_MIRRORED = {"float": float, "int": int, "bool": bool}
+
+
+class PerRowBindings:
+    """A bindings table's rows, column lists, typed mirrors, indexes,
+    value counts, clade statistics and data version, each kept one row
+    at a time as the per-row append kept them.
+
+    *sorted_on* and *hashed_on* name indexed columns (a
+    :class:`FlatSortedIndex` and a dict of row-id lists), *counted* the
+    value-counted ones. A mirror holds ``(valid, value)`` per position
+    until the first value it cannot hold drops it for good: a value of
+    the column's exact type (no NaN, no int with ``|v| >= 2**53``), a
+    NULL in a nullable column, or an exact int in a FLOAT column (held
+    as a float). Each clade's statistics are
+    ``[count, total, max, potent]``, the total added row by row.
+    """
+
+    def __init__(self, schema, tree, labeling, sorted_on=(), hashed_on=(),
+                 counted=()) -> None:
+        self.schema = schema
+        self.rows: dict[int, tuple] = {}
+        self.columns = {name: [] for name in schema.column_names}
+        self.mirrors = {column.name: [] for column in schema.columns
+                        if column.type.value in _MIRRORED}
+        self.sorted = {name: FlatSortedIndex() for name in sorted_on}
+        self.hashed: dict[str, dict] = {name: {} for name in hashed_on}
+        self.counts = {name: Counter() for name in counted}
+        self.paths = {
+            labeling.leaf_position(leaf.name):
+                (leaf.node_id, *(node.node_id for node in leaf.ancestors()))
+            for leaf in tree.leaves()}
+        self.clades: dict[int, list] = {}
+        self.version = 0
+
+    def insert(self, row_id: int, row: tuple) -> None:
+        position_of = self.schema.index_of
+        self.rows[row_id] = row
+        for name, value in zip(self.schema.column_names, row):
+            self.columns[name].append(value)
+        for name, held in self.mirrors.items():
+            if held is None:
+                continue
+            column = self.schema.column(name)
+            exact = _MIRRORED[column.type.value]
+            value = row[position_of(name)]
+            if type(value) is exact and value == value and (
+                    exact is not int
+                    or -EXACT_INT_LIMIT < value < EXACT_INT_LIMIT):
+                held.append((True, value))
+            elif value is None and column.nullable:
+                held.append((False, None))
+            elif exact is float and type(value) is int \
+                    and -EXACT_INT_LIMIT < value < EXACT_INT_LIMIT:
+                held.append((True, float(value)))
+            else:
+                self.mirrors[name] = None
+        for name, index in self.sorted.items():
+            index.insert(row[position_of(name)], row_id)
+        for name, buckets in self.hashed.items():
+            buckets.setdefault(row[position_of(name)], []).append(row_id)
+        for name, counts in self.counts.items():
+            counts[row[position_of(name)]] += 1
+        p_affinity = row[position_of("p_affinity")]
+        potent = 1 if row[position_of("potent")] else 0
+        for node_id in self.paths[row[position_of("leaf_pre")]]:
+            state = self.clades.setdefault(node_id, [0, 0.0, None, 0])
+            state[0] += 1
+            state[1] += p_affinity
+            state[3] += potent
+            if state[2] is None or p_affinity > state[2]:
+                state[2] = p_affinity
+        self.version += 1
+
+    def clade_states(self) -> dict[int, tuple]:
+        """The shape :func:`clade_states` reads off the real fold."""
+        return {node_id: (count, total.hex(), maximum, potent)
+                for node_id, (count, total, maximum, potent)
+                in self.clades.items()}

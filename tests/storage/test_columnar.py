@@ -97,18 +97,25 @@ class TestOrderAgainstReaders:
         seen = []
         # Registered before the store exists, as the overlay's
         # data-version stamp is.
-        table.add_insert_listener(
-            lambda row_id, row: seen.append(store.position_of(row_id)))
+        table.add_insert_listener(lambda pairs: seen.extend(
+            store.position_of(row_id) for row_id, _ in pairs))
         store = table.column_store()
-        insert = index.insert
+        extend = index.extend
 
-        def checked_insert(key, row_id):
-            store.position_of(row_id)  # raises if the store lacks it
-            insert(key, row_id)
+        def checked_extend(entries):
+            entries = list(entries)
+            for _, row_id in entries:
+                store.position_of(row_id)  # raises if the store lacks it
+            extend(entries)
 
-        index.insert = checked_insert
+        index.extend = checked_extend
         table.insert({"sample_id": "s100", "score": 1.5, "tag": "odd"})
-        assert seen == [4]
+        validate = table.schema.validate_row
+        table.append_rows([
+            (5, validate({"sample_id": "s101", "score": 2.5, "tag": "a"})),
+            (6, validate({"sample_id": "s102", "score": 0.5, "tag": "b"})),
+        ])
+        assert seen == [4, 5, 6]
         assert store.verify_against_rows()
 
     def test_a_reader_builds_the_store_while_the_writer_inserts(self):
@@ -243,7 +250,7 @@ class TestTypedMirrors:
         ("p_affinity", None),      # NULL in a column that has no mask
         ("p_affinity", np.float64(1.5)),
     ])
-    def test_a_wrong_type_through_restore_rows_drops_the_mirror(
+    def test_a_wrong_type_through_append_rows_drops_the_mirror(
             self, built_before, column, value):
         table = typed_table(4)
         if built_before:
@@ -251,7 +258,7 @@ class TestTypedMirrors:
         schema = table.schema
         row = list(schema.validate_row(typed_row(4)))
         row[schema.index_of(column)] = value
-        table.restore_rows([(4, tuple(row))])
+        table.append_rows([(4, tuple(row))], log=False)
         store = table.column_store()
         assert store.typed(column) is None
         assert store.verify_against_rows()
@@ -262,7 +269,7 @@ class TestTypedMirrors:
         schema = table.schema
         row = list(schema.validate_row(typed_row(4)))
         row[schema.index_of("p_affinity")] = 3
-        table.restore_rows([(4, tuple(row))])
+        table.append_rows([(4, tuple(row))], log=False)
         data, _ = store.typed("p_affinity")
         assert data[4] == 3.0
         assert type(store.column("p_affinity")[4]) is int  # the list's
@@ -346,17 +353,18 @@ class TestMirrorsAgainstReaders:
         index = table.create_index(["p_affinity"], kind="sorted")
         store = table.column_store()
         seen = []
-        insert = index.insert
+        extend = index.extend
 
-        def scan_then_insert(key, row_id):
+        def scan_then_extend(entries):
+            entries = list(entries)
             # The store holds row 30; the index does not yet.
-            assert all(len(store.typed(name)[0]) > row_id for name in
+            assert all(len(store.typed(name)[0]) > 30 for name in
                        ("p_affinity", "leaf_pre", "potent", "resolution"))
             seen.append((vec_seq(store), vec_range(store),
                          vec_grouped(store)))
-            insert(key, row_id)
+            extend(entries)
 
-        index.insert = scan_then_insert
+        index.extend = scan_then_extend
         table.insert(typed_row(30))
         assert seen == [(serial_seq(31), serial_range(30),
                          serial_grouped(31))]
@@ -373,10 +381,10 @@ class TestMirrorsAgainstReaders:
         paused, resume = threading.Event(), threading.Event()
 
         class PausingPositions(dict):
-            def __setitem__(self, row_id, position):
+            def update(self, positions):
                 paused.set()
                 assert resume.wait(30)
-                super().__setitem__(row_id, position)
+                super().update(positions)
 
         store._position_of = PausingPositions(store._position_of)
         writer = threading.Thread(target=table.insert,

@@ -168,7 +168,7 @@ _KEYS = st.one_of(st.none(), st.integers(0, 8))
 _ROWS = st.lists(st.tuples(_KEYS, st.integers(1, 5)), min_size=8,
                  max_size=150)
 #: How the rows reach the indexes: live inserts, a bulk load, or a
-#: table's ``restore_rows`` into indexes created beforehand.
+#: table's unlogged ``append_rows`` into indexes created beforehand.
 _FILLS = st.sampled_from(("insert", "load", "restore"))
 
 
@@ -188,7 +188,8 @@ def _fill(entries, fill):
         with mock.patch.object(SortedIndex, "CHUNK", 2):
             hashed = table.create_index(["col"], kind="hash")
             ordered = table.create_index(["col"], kind="sorted")
-            table.restore_rows((row_id, (key,)) for key, row_id in entries)
+            table.append_rows([(row_id, (key,)) for key, row_id in entries],
+                              log=False)
         return hashed, ordered
     hashed, ordered = HashIndex("h", ("col",)), SmallChunks("ix", ("col",))
     for index in (hashed, ordered):
@@ -251,10 +252,11 @@ class TestBlockedSortedIndex:
         entries = _entries([(key % 3 or None, 1 + key % 2)
                             for key in range(12)])
 
-        def prepend(index, key, row_id):
-            index._buckets.setdefault(key, []).insert(0, row_id)
+        def prepend(index, entries):
+            for key, row_id in entries:
+                index._buckets.setdefault(key, []).insert(0, row_id)
 
-        with mock.patch.object(HashIndex, "insert", prepend), \
+        with mock.patch.object(HashIndex, "extend", prepend), \
                 pytest.raises(AssertionError):
             check_matches_the_flat_index(entries, fill)
 

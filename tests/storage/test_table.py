@@ -153,9 +153,10 @@ class TestValueCounts:
 class TestListeners:
     def test_insert_listener_called(self, table):
         seen = []
-        table.add_insert_listener(lambda row_id, row: seen.append(row_id))
+        table.add_insert_listener(
+            lambda pairs: seen.append([row_id for row_id, _ in pairs]))
         ids = _insert_sample(table, 3)
-        assert seen == ids
+        assert seen == [[row_id] for row_id in ids]
 
 
 class TestScanSnapshot:
