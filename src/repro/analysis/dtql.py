@@ -34,12 +34,10 @@ from typing import Any
 
 from repro.analysis.catalog import Catalog
 from repro.analysis.diag import Diagnostic, Severity, Span, sort_diagnostics
-from repro.core.query.ast import Comparison, Query
+from repro.core.query.ast import RANGE_OPS, Band, Comparison, Query
 from repro.core.query.parser import parse_query, tokenize
 from repro.errors import ParseError
 from repro.storage.schema import ColumnType
-
-_ORDERING_OPS = ("<", "<=", ">", ">=")
 
 
 @dataclass(frozen=True)
@@ -236,7 +234,7 @@ class SemanticAnalyzer:
                     f"{predicate.column!r} ({expected.value} column)",
                     span=span))
             elif (expected is ColumnType.BOOL
-                    and predicate.op in _ORDERING_OPS):
+                    and predicate.op in RANGE_OPS):
                 diagnostics.append(Diagnostic(
                     "DTQL103", Severity.WARNING,
                     f"ordering comparison {predicate.op!r} on bool "
@@ -319,11 +317,10 @@ class SemanticAnalyzer:
         for predicate in folded.predicates:
             by_column.setdefault(predicate.column, []).append(predicate)
         for column, group in by_column.items():
-            witness: tuple[Comparison, ...] | None = None
-            for first, second in combinations(group, 2):
-                if column_contradiction([first, second]):
-                    witness = (first, second)
-                    break
+            # Bands meet if every two do: past a pair, only the IN and
+            # != sets can need the whole group.
+            witness = next((pair for pair in combinations(group, 2)
+                            if column_contradiction(list(pair))), None)
             if witness is None and len(group) > 2 \
                     and column_contradiction(group):
                 witness = tuple(group)
@@ -392,52 +389,20 @@ class SemanticAnalyzer:
 
 
 def column_contradiction(predicates: list[Comparison]) -> bool:
-    """True if AND-ing *predicates* (all on one column) is unsatisfiable.
-
-    Conservative: incomparable literals never prove anything.
+    """True if AND-ing *predicates* (all on one column) is unsatisfiable:
+    no value is in every ``=``/``IN`` and outside every ``!=``, or the
+    column's :class:`Band` is empty. Conservative: literals that cannot
+    be compared (or hashed) never prove anything.
     """
-    equalities = [p.value for p in predicates if p.op == "="]
-    if len(set(map(repr, equalities))) > 1:
-        return True
-    in_sets = [set(p.value) for p in predicates if p.op == "in"]
-    if in_sets:
-        common = set.intersection(*in_sets)
-        if not common:
-            return True
-        if equalities and equalities[0] not in common:
-            return True
-    lower: tuple[float, bool] | None = None  # (bound, inclusive)
-    upper: tuple[float, bool] | None = None
-    for predicate in predicates:
-        value = predicate.value
-        if predicate.op in (">", ">="):
-            inclusive = predicate.op == ">="
-            if lower is None or (value, not inclusive) > (lower[0],
-                                                          not lower[1]):
-                lower = (value, inclusive)
-        elif predicate.op in ("<", "<="):
-            inclusive = predicate.op == "<="
-            if upper is None or (value, inclusive) < (upper[0], upper[1]):
-                upper = (value, inclusive)
-    if lower is not None and upper is not None:
-        try:
-            if lower[0] > upper[0]:
-                return True
-            if lower[0] == upper[0] and not (lower[1] and upper[1]):
-                return True
-        except TypeError:
-            return False
-    if equalities:
-        for predicate in predicates:
-            if predicate.op in _ORDERING_OPS:
-                try:
-                    if not predicate.matches(equalities[0]):
-                        return True
-                except TypeError:
-                    return False
-            if predicate.op == "!=" and predicate.value == equalities[0]:
-                return True
-    return False
+    try:
+        members = [set(p.value) if p.op == "in" else {p.value}
+                   for p in predicates if p.op in ("=", "in")]
+        excluded = {p.value for p in predicates if p.op == "!="}
+        return ((bool(members)
+                 and not set.intersection(*members) - excluded)
+                or Band.of(predicates).empty)
+    except TypeError:
+        return False
 
 
 def empty_result(query: Query) -> tuple[tuple[str, ...], tuple[tuple, ...]]:

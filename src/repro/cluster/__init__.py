@@ -25,8 +25,8 @@ from repro.cluster.node import ClusterNode, Hint, VersionedRow
 from repro.cluster.partitioning import (
     CladePartitioner,
     Partition,
+    leaf_span,
     partitions_for_query,
-    scan_interval,
 )
 from repro.cluster.replication import Cluster, ClusterConfig, ReplicaGroup
 from repro.cluster.router import AntiEntropyReport, Router, VerifyReport
@@ -45,6 +45,6 @@ __all__ = [
     "Router",
     "VerifyReport",
     "VersionedRow",
+    "leaf_span",
     "partitions_for_query",
-    "scan_interval",
 ]

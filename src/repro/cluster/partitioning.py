@@ -25,7 +25,7 @@ from repro.core.overlay import (
     LIGANDS_TABLE,
     PROTEINS_TABLE,
 )
-from repro.core.query.ast import Query
+from repro.core.query.ast import Band, Query
 from repro.errors import ClusterError
 
 #: Tables keyed by ``leaf_pre`` and split across the interval partitions.
@@ -162,47 +162,23 @@ class CladePartitioner:
         return [p.describe() for p in self.partitions]
 
 
-def scan_interval(query: Query,
-                  labeling: IntervalLabeling) -> tuple[int, int] | None:
-    """The half-open ``leaf_pre`` interval a query can touch, if bounded.
-
-    Combines the subtree filter (rewritten by the planner into exactly
-    this leaf range) with any explicit ``leaf_pre`` comparisons.
-    ``None`` means unbounded — every interval partition may hold rows.
-    An unknown subtree name is left to the engine, which reports it the
-    same way the single-node engine would.
-    """
-    low, high = 0, labeling.leaf_count
-    constrained = False
+def leaf_span(query: Query,
+              labeling: IntervalLabeling) -> tuple[int, int] | None:
+    """The half-open ``leaf_pre`` interval a query can touch: the
+    integers of the :class:`Band` of its ``leaf_pre`` comparisons and
+    its clade's leaf range. ``None`` when unbounded, or bounded by
+    literals no leaf position compares with: every interval partition
+    may hold rows. An unknown clade is left to the engine to report."""
+    bounds = [p for p in query.predicates if p.column == "leaf_pre"]
     if (query.subtree is not None
             and labeling.has_name(query.subtree.node_name)):
-        node_low, node_high = labeling.leaf_range(query.subtree.node_name)
-        low, high = max(low, node_low), min(high, node_high)
-        constrained = True
-    for predicate in query.predicates:
-        if predicate.column != "leaf_pre":
-            continue
-        op, value = predicate.op, predicate.value
-        if op == "=":
-            low, high = max(low, int(value)), min(high, int(value) + 1)
-        elif op == ">=":
-            low = max(low, int(value))
-        elif op == ">":
-            low = max(low, int(value) + 1)
-        elif op == "<":
-            high = min(high, int(value))
-        elif op == "<=":
-            high = min(high, int(value) + 1)
-        elif op == "in" and predicate.value:
-            values = [int(v) for v in predicate.value]
-            low = max(low, min(values))
-            high = min(high, max(values) + 1)
-        else:
-            continue
-        constrained = True
-    if not constrained:
+        bounds += query.subtree.bounds(labeling)
+    try:
+        band = Band.of(bounds)
+        return None if band == Band() \
+            else band.integers(0, labeling.leaf_count)
+    except TypeError:
         return None
-    return (low, max(low, high))
 
 
 def partitions_for_query(query: Query,
@@ -217,7 +193,7 @@ def partitions_for_query(query: Query,
     tables = query.tables()
     pids: list[int] = []
     if any(table in tables for table in PARTITIONED_TABLES):
-        interval = scan_interval(query, partitioner.labeling)
+        interval = leaf_span(query, partitioner.labeling)
         if interval is None:
             pids.extend(p.pid for p in partitioner.interval_partitions)
         else:

@@ -13,9 +13,11 @@ these dataclasses; programmatic callers can build them directly.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.overlay import (
     BINDINGS_TABLE,
@@ -30,6 +32,8 @@ from repro.storage.schema import ColumnType
 
 #: Comparison operators supported in predicates.
 COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=", "in")
+#: The ones that bound one end of a range.
+RANGE_OPS = ("<", "<=", ">", ">=")
 
 #: Aggregate functions.
 AGGREGATE_FUNCS = ("count", "sum", "mean", "min", "max")
@@ -103,41 +107,124 @@ class Comparison:
         return value in self.value  # "in"
 
     def implies(self, other: "Comparison") -> bool:
-        """True if satisfying self guarantees satisfying *other*.
-
-        Used by the semantic cache's subsumption check. Conservative:
-        returns False whenever implication cannot be proven.
-        """
+        """True if satisfying self guarantees satisfying *other*
+        (conservative: False when it cannot be proven). A range or
+        ``=`` is exactly its :class:`Band`: containment decides it."""
         if self.column != other.column:
             return False
         if self == other:
             return True
         try:
-            if other.op == "in" and self.op == "=":
-                return self.value in other.value
-            if self.op == "in" and other.op == "in":
-                return set(self.value) <= set(other.value)
-            if self.op == "=":
-                return other.matches(self.value)
-            if self.op in ("<", "<=") and other.op in ("<", "<="):
-                if self.op == "<" and other.op == "<=":
-                    return self.value <= other.value
-                return self.value <= other.value if self.op == other.op \
-                    else self.value < other.value
-            if self.op in (">", ">=") and other.op in (">", ">="):
-                if self.op == ">" and other.op == ">=":
-                    return self.value >= other.value
-                return self.value >= other.value if self.op == other.op \
-                    else self.value > other.value
+            if other.op == "in":
+                if self.op == "=":
+                    return self.value in other.value
+                return self.op == "in" and \
+                    set(self.value) <= set(other.value)
+            if other.op == "!=":
+                return self.op == "=" and other.matches(self.value)
+            return Band.of((other,)).contains(Band.of((self,)))
         except TypeError:
             return False
-        return False
 
     def __str__(self) -> str:
         if self.op == "in":
             inner = ", ".join(repr(v) for v in self.value)
             return f"{self.column} IN ({inner})"
         return f"{self.column} {self.op} {self.value!r}"
+
+
+#: Per bounding operator, whether its bound is inclusive.
+_LOWER_BOUNDS = {">": False, ">=": True, "=": True}
+_UPPER_BOUNDS = {"<": False, "<=": True, "=": True}
+
+
+def range_bounds(predicates: Iterable[Comparison]) -> dict[str, list]:
+    """The range comparisons among *predicates*, by column."""
+    by_column: dict[str, list[Comparison]] = {}
+    for predicate in predicates:
+        if predicate.op in RANGE_OPS:
+            by_column.setdefault(predicate.column, []).append(predicate)
+    return by_column
+
+
+class Band(NamedTuple):
+    """The values one column may take under AND-ed comparisons: the
+    interval ``SortedIndex.range``/``count``/``ordered`` take (``None``
+    is an open end), so a band splats straight into them. The planner,
+    the estimator, the analyzer's proofs and the cluster's pruning all
+    read bounds through it."""
+
+    low: Any = None
+    high: Any = None
+    include_low: bool = True
+    include_high: bool = True
+
+    @classmethod
+    def of(cls, comparisons: Iterable[Comparison]) -> "Band":
+        """The tightest band holding every value *comparisons* allow.
+
+        Ranges bound one end and ``=`` both; ``IN`` bounds by its least
+        and greatest member; ``!=`` (and an empty ``IN``) bounds
+        nothing. Of two bounds at one value the strict one wins,
+        whichever comes first. Raises ``TypeError`` when two literals
+        cannot be compared.
+        """
+        low = high = None
+        include_low = include_high = True
+        for comparison in comparisons:
+            op, bottom = comparison.op, comparison.value
+            top = bottom
+            if op == "in":
+                if not bottom:
+                    continue
+                op, bottom, top = "=", min(bottom), max(bottom)
+            # Tuples order bounds by value, then strictness.
+            if op in _LOWER_BOUNDS and (low is None or (
+                    bottom, not _LOWER_BOUNDS[op]) > (low, not include_low)):
+                low, include_low = bottom, _LOWER_BOUNDS[op]
+            if op in _UPPER_BOUNDS and (high is None or (
+                    top, _UPPER_BOUNDS[op]) < (high, include_high)):
+                high, include_high = top, _UPPER_BOUNDS[op]
+        return cls(low, high, include_low, include_high)
+
+    @property
+    def empty(self) -> bool:
+        """True if no value lies in the band (``TypeError`` when its
+        ends cannot be compared)."""
+        return (self.low is not None and self.high is not None
+                and (self.low > self.high or self.low == self.high
+                     and not (self.include_low and self.include_high)))
+
+    def contains(self, other: "Band") -> bool:
+        """True if every value *other* holds, this band holds too."""
+        return ((self.low is None or other.low is not None and (
+                    other.low, not other.include_low)
+                 >= (self.low, not self.include_low))
+                and (self.high is None or other.high is not None and (
+                    other.high, other.include_high)
+                     <= (self.high, self.include_high)))
+
+    def integers(self, start: int, stop: int) -> tuple[int, int]:
+        """The integers of this band in ``[start, stop)`` as a half-open
+        ``(low, high)``: ends clamped to the range (so no infinity), then
+        rounded inward by floor and ceil (``< 11.5`` keeps 11)."""
+        low, high = start, stop
+        if self.low is not None:
+            edge = min(max(self.low, start - 1), stop)
+            low = max(start, math.ceil(edge) if self.include_low
+                      else math.floor(edge) + 1)
+        if self.high is not None:
+            edge = min(max(self.high, start - 1), stop)
+            high = min(stop, math.floor(edge) + 1 if self.include_high
+                       else math.ceil(edge))
+        low = min(low, stop)
+        return low, max(low, high)
+
+    def __str__(self) -> str:
+        low = "" if self.low is None else repr(self.low)
+        high = "" if self.high is None else repr(self.high)
+        return (f"{'[' if self.include_low else '('}{low}, "
+                f"{high}{']' if self.include_high else ')'}")
 
 
 @dataclass(frozen=True)
@@ -149,6 +236,13 @@ class SubtreeFilter:
     def __post_init__(self) -> None:
         if not self.node_name:
             raise QueryError("subtree filter needs a node name")
+
+    def bounds(self, labeling) -> tuple[Comparison, Comparison]:
+        """The ``leaf_pre`` range the clade's leaves occupy under
+        *labeling* (an ``IntervalLabeling``)."""
+        low, high = labeling.leaf_range(self.node_name)
+        return (Comparison("leaf_pre", ">=", low),
+                Comparison("leaf_pre", "<", high))
 
     def __str__(self) -> str:
         return f"IN SUBTREE {self.node_name!r}"
@@ -238,14 +332,9 @@ class HavingCondition:
                                                            set, frozenset)):
             raise QueryError("'in' needs a collection of values")
 
-    def matches(self, value: Any) -> bool:
-        return Comparison.matches(self, value)  # same NULL/op semantics
-
-    def __str__(self) -> str:
-        if self.op == "in":
-            inner = ", ".join(repr(v) for v in self.value)
-            return f"{self.column} IN ({inner})"
-        return f"{self.column} {self.op} {self.value!r}"
+    # The same NULL/op semantics and text as a Comparison.
+    matches = Comparison.matches
+    __str__ = Comparison.__str__
 
 
 @dataclass(frozen=True)

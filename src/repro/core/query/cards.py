@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from typing import Any
 
-from repro.core.query.ast import Comparison
+from repro.core.query.ast import RANGE_OPS, Band, Comparison, range_bounds
 from repro.storage.index import HashIndex, SortedIndex
 from repro.storage.table import Table
 
@@ -25,25 +25,6 @@ from repro.storage.table import Table
 DEFAULT_SELECTIVITY = 0.33
 #: Floor preventing zero estimates from wiping out join products.
 MIN_ROWS = 0.5
-
-_RANGE_OPS = ("<", "<=", ">", ">=")
-
-
-def combine_bounds(bounds) -> tuple:
-    """Tightest ``(low, high, include_low, include_high)`` interval of
-    range comparisons on one column (``None`` = open end)."""
-    low = high = None
-    include_low = include_high = True
-    for bound in bounds:
-        if bound.op in (">", ">="):
-            if low is None or bound.value > low:
-                low = bound.value
-                include_low = bound.op == ">="
-        else:
-            if high is None or bound.value < high:
-                high = bound.value
-                include_high = bound.op == "<="
-    return low, high, include_low, include_high
 
 
 class CardinalityEstimator:
@@ -71,15 +52,10 @@ class CardinalityEstimator:
         rows = self.table_rows(table)
         if not rows:
             return MIN_ROWS
-        bands: dict[str, list[Comparison]] = {}
-        counts = []
-        for predicate in predicates:
-            if predicate.op in _RANGE_OPS:
-                bands.setdefault(predicate.column, []).append(predicate)
-            else:
-                counts.append(self._matches(table, predicate))
-        counts.extend(self._band_matches(table, column, bounds)
-                      for column, bounds in bands.items())
+        counts = [self._matches(table, predicate) for predicate in predicates
+                  if predicate.op not in RANGE_OPS]
+        counts.extend(self._band_matches(table, column, bounds) for
+                      column, bounds in range_bounds(predicates).items())
         estimate = rows
         for count in counts:
             if count is None:
@@ -108,7 +84,7 @@ class CardinalityEstimator:
         index = self._tables[table].index_on(column, require_range=True)
         if index is None:
             return None
-        return index.count(*combine_bounds(bounds))
+        return index.count(*Band.of(bounds))
 
     def join_rows(self, left_rows: float, right_rows: float,
                   left_table: str, right_table: str, key: str) -> float:

@@ -14,6 +14,7 @@ from typing import Any
 
 from repro.core.query.ast import (
     AggregateSpec,
+    Band,
     Comparison,
     HavingCondition,
     OrderBy,
@@ -46,10 +47,9 @@ class LogicalScan(LogicalNode):
     access: str
     access_column: str | None = None
     eq_value: Any = None
-    range_low: Any = None
-    range_high: Any = None
-    include_low: bool = True
-    include_high: bool = True
+    #: ``index_range``/``index_order``: the band of the access column
+    #: the index reads.
+    band: Band = Band()
     key_set: frozenset | None = None
     residual: tuple[Comparison, ...] = field(default_factory=tuple)
     estimated_rows: float = 0.0
@@ -59,13 +59,6 @@ class LogicalScan(LogicalNode):
     limit: int | None = None
     estimated_walk: float = 0.0
 
-    def _interval(self) -> str:
-        low = "" if self.range_low is None else repr(self.range_low)
-        high = "" if self.range_high is None else repr(self.range_high)
-        lo_b = "[" if self.include_low else "("
-        hi_b = "]" if self.include_high else ")"
-        return f"{lo_b}{low}, {high}{hi_b}"
-
     def describe(self) -> str:
         estimate = f"~{self.estimated_rows:.0f} rows"
         if self.access == "seq":
@@ -73,12 +66,11 @@ class LogicalScan(LogicalNode):
         elif self.access == "index_eq":
             path = f"IndexEqScan({self.access_column}={self.eq_value!r})"
         elif self.access == "index_range":
-            path = (f"IndexRangeScan({self.access_column} in "
-                    f"{self._interval()})")
+            path = f"IndexRangeScan({self.access_column} in {self.band})"
         elif self.access == "index_order":
             direction = "DESC" if self.descending else "ASC"
-            if self.range_low is not None or self.range_high is not None:
-                direction += f" in {self._interval()}"
+            if self.band != Band():
+                direction += f" in {self.band}"
             path = (f"IndexOrderScan({self.access_column} {direction}, "
                     f"first {self.limit})")
             estimate += f", walk ~{self.estimated_walk:.0f}"

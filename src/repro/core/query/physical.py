@@ -112,8 +112,7 @@ def resolve_access(table: Table, node: LogicalScan) -> tuple[
         index = table.index_on(column, require_range=True)
         if not isinstance(index, SortedIndex):
             raise PlanError(f"plan needs a sorted index on {column!r}")
-        return (partial(index.range, node.range_low, node.range_high,
-                        node.include_low, node.include_high),), None
+        return (partial(index.range, *node.band),), None
     raise PlanError(f"unknown access path {access!r}")
 
 

@@ -41,11 +41,14 @@ from repro.core.query import cost as cost_model
 from repro.core.query.ast import (
     COLUMN_OWNERS,
     REMOTE_DETAIL_COLUMNS,
+    Band,
     Comparison,
     OrderBy,
     Query,
+    SubtreeFilter,
+    range_bounds,
 )
-from repro.core.query.cards import CardinalityEstimator, combine_bounds
+from repro.core.query.cards import CardinalityEstimator
 from repro.core.query.cost import Cost
 from repro.core.query.logical import (
     LogicalAggregate,
@@ -213,26 +216,23 @@ class Planner:
             target = (BINDINGS_TABLE if BINDINGS_TABLE in table_names
                       else PROTEINS_TABLE)
             placed.setdefault(target, []).extend(
-                self._subtree_predicates(query.subtree.node_name)
+                self._subtree_predicates(query.subtree)
             )
         return placed
 
-    def _subtree_predicates(self, node_name: str) -> list[Comparison]:
+    def _subtree_predicates(self,
+                            subtree: SubtreeFilter) -> list[Comparison]:
         if self.config.use_interval_labeling:
-            low, high = self.labeling.leaf_range(node_name)
-            return [
-                Comparison("leaf_pre", ">=", low),
-                Comparison("leaf_pre", "<", high),
-            ]
+            return list(subtree.bounds(self.labeling))
         # Ablation baseline: enumerate the clade by actually walking the
         # tree (the pre-labeling behaviour), then filter by name set.
         target = None
         for node in self.labeling.tree.preorder():
-            if node.name == node_name:
+            if node.name == subtree.node_name:
                 target = node
                 break
         if target is None:
-            raise PlanError(f"no tree node named {node_name!r}")
+            raise PlanError(f"no tree node named {subtree.node_name!r}")
         names = frozenset(leaf.name for leaf in target.leaves())
         return [Comparison("protein_id", "in", names)]
 
@@ -284,16 +284,13 @@ class Planner:
         if (table.index_on(column, require_range=True) is None
                 or any(p.op == "in" for p in predicates)):
             return None
-        bounds = tuple(p for p in predicates if p.column == column
-                       and p.op in ("<", "<=", ">", ">="))
+        bounds = tuple(range_bounds(predicates).get(column, ()))
         residual = tuple(p for p in predicates if p not in bounds)
         in_range = self.estimator.scan_rows(table_name, bounds)
         walked = min(in_range, limit * in_range / output_rows)
-        low, high, include_low, include_high = combine_bounds(bounds)
         scan = LogicalScan(
             table_name, "index_order", access_column=column,
-            range_low=low, range_high=high, include_low=include_low,
-            include_high=include_high, residual=residual,
+            band=Band.of(bounds), residual=residual,
             estimated_rows=min(output_rows, float(limit)),
             descending=order_by.descending, limit=limit,
             estimated_walk=walked)
@@ -346,25 +343,18 @@ class Planner:
                           output_rows: float,
                           ) -> list[tuple[Cost, LogicalScan]]:
         """Combine all range bounds on one indexed column into one scan."""
-        by_column: dict[str, list[Comparison]] = {}
-        for predicate in predicates:
-            if predicate.op in ("<", "<=", ">", ">="):
-                by_column.setdefault(predicate.column, []).append(predicate)
         candidates: list[tuple[Cost, LogicalScan]] = []
-        for column, bounds in by_column.items():
+        for column, bounds in range_bounds(predicates).items():
             index = table.index_on(column, require_range=True)
             if index is None:
                 continue
-            low, high, include_low, include_high = combine_bounds(bounds)
             residual = tuple(p for p in predicates if p not in bounds)
             matches = self.estimator.scan_rows(table_name, tuple(bounds))
             candidates.append((
                 cost_model.index_range_cost(matches, len(residual)),
                 LogicalScan(table_name, "index_range",
                             access_column=column,
-                            range_low=low, range_high=high,
-                            include_low=include_low,
-                            include_high=include_high,
+                            band=Band.of(bounds),
                             residual=residual,
                             estimated_rows=output_rows),
             ))

@@ -445,9 +445,7 @@ class IndexOrderScanOp(_VecScanBase):
         position_of = store.position_of
         selected: list[int] = []
         walked = 0
-        for row_id in self.index.ordered(
-                node.descending, node.range_low, node.range_high,
-                node.include_low, node.include_high):
+        for row_id in self.index.ordered(node.descending, *node.band):
             walked += 1
             position = position_of(row_id)
             for buffer, test in tests:

@@ -62,7 +62,8 @@ class Column:
             raise SchemaError(f"bad column name {self.name!r}")
 
     def check(self, value: Any) -> Any:
-        """*value* as stored: nullability, ``accepts``, then ``coerce``."""
+        """*value* as stored: nullability, ``accepts``, no NaN in a FLOAT
+        column (no comparison or mean survives one), then ``coerce``."""
         if value is None:
             if not self.nullable:
                 raise SchemaError(
@@ -74,6 +75,8 @@ class Column:
                 f"column {self.name!r} expects {self.type.value}, "
                 f"got {type(value).__name__} ({value!r})"
             )
+        if self.type is ColumnType.FLOAT and value != value:
+            raise SchemaError(f"column {self.name!r} refuses NaN")
         return self.type.coerce(value)
 
 
@@ -90,6 +93,8 @@ class Schema:
         self._index = {column.name: i for i, column in enumerate(columns)}
         self._plan = tuple((column.name, _EXACT_TYPE[column.type], column)
                            for column in columns)
+        self._floats = tuple(i for i, column in enumerate(columns)
+                             if column.type is ColumnType.FLOAT)
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -129,11 +134,16 @@ class Schema:
         get = values.get
         # A value of its column's exact type is taken as is; anything
         # else (None, a subclass, an int in a FLOAT column) is checked.
-        return tuple([
+        row = tuple([
             value if type(value := get(name)) is exact
             else column.check(value)
             for name, exact, column in self._plan
         ])
+        # A NaN is an exact float: only the FLOAT positions look again.
+        for position in self._floats:
+            if row[position] != row[position]:
+                self.columns[position].check(row[position])
+        return row
 
     def row_as_dict(self, row: tuple[Any, ...]) -> dict[str, Any]:
         return dict(zip(self.column_names, row))

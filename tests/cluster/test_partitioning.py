@@ -3,17 +3,20 @@
 import pytest
 
 from repro.bio import parse_newick
+from repro.cluster import ClusterEngine
 from repro.cluster.partitioning import (
     CladePartitioner,
     Partition,
+    leaf_span,
     partitions_for_query,
-    scan_interval,
 )
+from repro.core import QueryEngine
 from repro.core.labeling import IntervalLabeling
 from repro.core.query.ast import Comparison, Query
 from repro.core.query.parser import parse_query
 from repro.errors import ClusterError
 from repro.workloads import DatasetConfig, build_dataset
+from tests.cluster.test_parity import CLUSTER
 
 NEWICK = "((a:1,b:1)ab:1,((c:1,d:1)cd:1,(e:1,f:1)ef:1)cdef:1)root;"
 
@@ -138,15 +141,15 @@ class TestCladePartitioner:
 class TestScanInterval:
     def test_unbounded_query(self, labeling):
         query = parse_query("SELECT * FROM bindings")
-        assert scan_interval(query, labeling) is None
+        assert leaf_span(query, labeling) is None
 
     def test_subtree_filter(self, labeling):
         query = parse_query("SELECT * FROM bindings IN SUBTREE 'cd'")
-        assert scan_interval(query, labeling) == labeling.leaf_range("cd")
+        assert leaf_span(query, labeling) == labeling.leaf_range("cd")
 
     def test_unknown_subtree_left_to_engine(self, labeling):
         query = parse_query("SELECT * FROM bindings IN SUBTREE 'nope'")
-        assert scan_interval(query, labeling) is None
+        assert leaf_span(query, labeling) is None
 
     def test_leaf_pre_comparisons(self, labeling):
         cases = {
@@ -160,7 +163,39 @@ class TestScanInterval:
             query = parse_query(
                 f"SELECT * FROM proteins WHERE {predicate}"
             )
-            assert scan_interval(query, labeling) == expected, predicate
+            assert leaf_span(query, labeling) == expected, predicate
+
+    @pytest.mark.parametrize("predicate, expected", [
+        ("leaf_pre < 11.5", (0, 12)),
+        ("leaf_pre <= 11.5", (0, 12)),
+        ("leaf_pre > 10.5", (11, 16)),
+        ("leaf_pre >= -0.5", (0, 16)),
+        ("leaf_pre = 2.5", (3, 3)),
+        ("leaf_pre IN (2.5, 7)", (3, 8)),
+        ("leaf_pre < 1e999", (0, 16)),
+    ])
+    def test_fractional_literals_keep_every_integer_they_allow(
+            self, predicate, expected):
+        labeling = IntervalLabeling(parse_newick(
+            "(" + ",".join(f"l{i}:1" for i in range(16)) + ")root;"))
+        query = parse_query(f"SELECT * FROM proteins WHERE {predicate}")
+        assert leaf_span(query, labeling) == expected
+
+    @pytest.mark.parametrize("bound", ["<=", "<"])
+    def test_a_bound_at_the_subtree_edge_keeps_the_clade(self, labeling,
+                                                         bound):
+        low, high = labeling.leaf_range("cd")
+        query = parse_query(
+            f"SELECT * FROM bindings WHERE leaf_pre {bound} {high} "
+            "IN SUBTREE 'cd'"
+        )
+        assert leaf_span(query, labeling) == (low, high)
+
+    def test_literals_that_do_not_compare_prune_nothing(self, labeling):
+        query = parse_query(
+            "SELECT * FROM bindings WHERE leaf_pre >= 'c' IN SUBTREE 'cd'"
+        )
+        assert leaf_span(query, labeling) is None
 
     def test_subtree_and_predicate_intersect(self, labeling):
         low, high = labeling.leaf_range("cdef")
@@ -168,7 +203,7 @@ class TestScanInterval:
             f"SELECT * FROM bindings WHERE leaf_pre < {high - 1} "
             "IN SUBTREE 'cdef'"
         )
-        assert scan_interval(query, labeling) == (low, high - 1)
+        assert leaf_span(query, labeling) == (low, high - 1)
 
 
 class TestPartitionsForQuery:
@@ -197,6 +232,24 @@ class TestPartitionsForQuery:
             f"SELECT * FROM bindings IN SUBTREE '{target.name}'"
         )
         assert partitions_for_query(query, partitioner) == [target.pid]
+
+    def test_a_fractional_bound_keeps_the_partition_it_opens(self):
+        # Leaf 11 opens the partition [11, 24): ``leaf_pre < 11.5``
+        # holds it, so pruning must keep it.
+        dataset = build_dataset(
+            DatasetConfig(n_leaves=40, n_ligands=60, seed=42)
+        )
+        drugtree = dataset.drugtree()
+        clustered = ClusterEngine.from_drugtree(
+            drugtree, cluster_config=CLUSTER, clock=dataset.clock)
+        assert [(p.low, p.high) for p in
+                clustered.partitioner.interval_partitions][:2] \
+            == [(0, 11), (11, 24)]
+        text = "SELECT count(*) FROM bindings WHERE leaf_pre < 11.5"
+        assert partitions_for_query(parse_query(text),
+                                    clustered.partitioner) == [0, 1]
+        assert clustered.execute(text).values \
+            == QueryEngine(drugtree).execute(text).values == ((476,),)
 
     def test_ligands_query_hits_only_global_shard(self, world):
         _, partitioner = world

@@ -18,12 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DrugTree, NaiveEngine
-from repro.core.query.ast import AggregateSpec, Comparison, Query
+from repro.core.query.ast import AggregateSpec, Band, Comparison, Query
 from repro.core.query.cards import (
     DEFAULT_SELECTIVITY,
     MIN_ROWS,
     CardinalityEstimator,
-    combine_bounds,
 )
 from repro.storage import (
     Schema,
@@ -443,6 +442,82 @@ def bound(op, value):
     ((bound(">", 3.0), bound(">=", 1.0)), (3.0, None, False, True)),
     ((bound("<", 5.0), bound("<=", 4.0)), (None, 4.0, True, True)),
     ((bound(">=", 1.0), bound("<", 5.0)), (1.0, 5.0, True, False)),
+    # Two bounds at one value: the strict one wins, in either order.
+    ((bound(">=", 2.0), bound(">", 2.0)), (2.0, None, False, True)),
+    ((bound(">", 2.0), bound(">=", 2.0)), (2.0, None, False, True)),
+    ((bound("<=", 2.0), bound("<", 2.0)), (None, 2.0, True, False)),
+    ((bound("<", 2.0), bound("<=", 2.0)), (None, 2.0, True, False)),
+    # ``=`` bounds both ends, and meets a range like any other bound.
+    ((bound("=", 3.0), bound("<", 5.0)), (3.0, 3.0, True, True)),
+    ((bound("<", 3.0), bound("=", 3.0)), (3.0, 3.0, True, False)),
+    # ``IN`` bounds by its hull; ``!=`` bounds nothing.
+    ((bound("in", (4.0, 1.0, 2.5)),), (1.0, 4.0, True, True)),
+    ((bound("in", (4.0, 1.0)), bound(">", 1.0)), (1.0, 4.0, False, True)),
+    ((bound("!=", 3.0), bound("<=", 6.0)), (None, 6.0, True, True)),
 ])
-def test_combine_bounds_keeps_the_tightest_interval(bounds, interval):
-    assert combine_bounds(bounds) == interval
+def test_band_keeps_the_tightest_interval(bounds, interval):
+    assert Band.of(bounds) == interval
+
+
+@pytest.mark.parametrize("bounds", [
+    (bound(">", 1.0), Comparison("p_affinity", ">", "a")),
+    (Comparison("p_affinity", "in", (1.0, "a")),),
+])
+def test_band_of_literals_that_do_not_compare_raises(bounds):
+    with pytest.raises(TypeError):
+        Band.of(bounds)
+
+
+@pytest.mark.parametrize("bounds, empty", [
+    ((), False),
+    ((bound(">", 2.0), bound("<", 2.0)), True),
+    ((bound(">=", 2.0), bound("<=", 2.0)), False),
+    ((bound(">=", 2.0), bound("<", 2.0)), True),
+    ((bound("=", 2.0), bound(">", 2.0)), True),
+    ((bound("in", (1.0, 2.0)), bound(">", 5.0)), True),
+    ((bound(">", 3.0), bound("<", 1.0)), True),
+])
+def test_band_is_empty_when_no_value_fits(bounds, empty):
+    assert Band.of(bounds).empty is empty
+
+
+@pytest.mark.parametrize("outer, inner, contained", [
+    (Band(), Band(1.0, 2.0), True),
+    (Band(1.0, 2.0), Band(), False),
+    (Band(1.0), Band(1.0, include_low=False), True),
+    (Band(1.0, include_low=False), Band(1.0), False),
+    (Band(None, 5.0), Band(None, 4.0), True),
+    (Band(None, 5.0, include_high=False), Band(None, 5.0), False),
+    (Band(1.0, 5.0), Band(2.0, 6.0), False),
+])
+def test_band_containment(outer, inner, contained):
+    assert outer.contains(inner) is contained
+
+
+@pytest.mark.parametrize("band, integers", [
+    (Band(None, 11.5, include_high=False), (0, 12)),
+    (Band(None, 11.5), (0, 12)),
+    (Band(None, 11, include_high=False), (0, 11)),
+    (Band(None, 11), (0, 12)),
+    (Band(10.5, include_low=False), (11, 40)),
+    (Band(10, include_low=False), (11, 40)),
+    (Band(-0.5), (0, 40)),
+    (Band(2.5, 2.5), (3, 3)),
+    (Band(float("-inf"), float("inf")), (0, 40)),
+    (Band(float("inf")), (40, 40)),
+    (Band(50, 60), (40, 40)),
+    (Band(None, -3), (0, 0)),
+])
+def test_band_integers_round_inward(band, integers):
+    assert band.integers(0, 40) == integers
+
+
+@pytest.mark.parametrize("band, text", [
+    (Band(), "[, ]"),
+    (Band(0, 33, include_high=False), "[0, 33)"),
+    (Band(6.0), "[6.0, ]"),
+    (Band(None, 8.0, include_low=False), "(, 8.0]"),
+    (Band("a", "b"), "['a', 'b']"),
+])
+def test_band_renders_as_explain_does(band, text):
+    assert str(band) == text

@@ -5,7 +5,7 @@ import pytest
 from repro.bio import parse_newick
 from repro.chem import ActivityType, BindingRecord
 from repro.core import DrugTree
-from repro.errors import QueryError
+from repro.errors import QueryError, SchemaError
 
 
 @pytest.fixture
@@ -113,3 +113,49 @@ class TestBuildAndDesign:
         )
         rows = drugtree.bindings_for_protein("a")
         assert {row["ligand_id"] for row in rows} == {"L1", "L2"}
+
+
+class TestNaNIsRefused:
+    """A NaN affinity would make every clade mean above it ``nan`` and
+    drop the ``p_affinity`` mirror for good: validation refuses it, so
+    nothing the table keeps moves."""
+
+    @pytest.fixture
+    def drugtree(self, tree):
+        drugtree = DrugTree(tree)
+        for leaf in "abcd":
+            drugtree.add_protein(leaf)
+        drugtree.create_default_indexes()
+        drugtree.add_bindings([
+            BindingRecord("L1", "a", ActivityType.KI, 10.0),
+            BindingRecord("L2", "c", ActivityType.KD, 200.0),
+        ])
+        drugtree.tables["bindings"].column_store()
+        return drugtree
+
+    @staticmethod
+    def state(drugtree):
+        bindings = drugtree.tables["bindings"]
+        mirror = bindings.column_store().typed("p_affinity")
+        return (len(bindings), drugtree.data_version,
+                drugtree.clade_stats("root"), drugtree.clade_stats("ab"),
+                mirror is not None and mirror[0][:len(bindings)].tolist())
+
+    def test_insert_refuses_a_nan_affinity(self, drugtree):
+        before = self.state(drugtree)
+        with pytest.raises(SchemaError, match="'p_affinity' refuses NaN"):
+            drugtree.tables["bindings"].insert({
+                "ligand_id": "L3", "protein_id": "b",
+                "activity_type": "Ki", "value_nm": 5.0,
+                "p_affinity": float("nan"), "potent": True,
+                "leaf_pre": drugtree.labeling.leaf_position("b")})
+        assert self.state(drugtree) == before
+
+    def test_add_bindings_refuses_the_whole_list(self, drugtree):
+        before = self.state(drugtree)
+        with pytest.raises(SchemaError, match="refuses NaN"):
+            drugtree.add_bindings([
+                BindingRecord("L3", "b", ActivityType.KI, 50.0),
+                BindingRecord("L4", "d", ActivityType.KI, float("nan")),
+            ])
+        assert self.state(drugtree) == before

@@ -240,7 +240,7 @@ class TestPlanShape:
         scan = scan_of(drugtree,
                        TAP_TEMPLATE.format(clade=root, threshold=6.0))
         assert scan.access == "index_order"
-        assert (scan.range_low, scan.include_low) == (6.0, True)
+        assert (scan.band.low, scan.band.include_low) == (6.0, True)
         assert {p.column for p in scan.residual} == {"leaf_pre"}
         assert "IndexOrderScan(p_affinity DESC in [6.0, ], first 10) " \
             "on bindings filter leaf_pre >= " in scan.describe()

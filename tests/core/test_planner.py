@@ -67,9 +67,9 @@ class TestAccessPaths:
         ))
         scan = _find_scans(plan.logical)[0]
         assert scan.access == "index_range"
-        assert scan.range_low == 6.0
-        assert scan.range_high == 8.0
-        assert not scan.include_high
+        assert scan.band.low == 6.0
+        assert scan.band.high == 8.0
+        assert not scan.band.include_high
 
     def test_indexes_disabled_forces_seq_scan(self, drugtree):
         plan = _planner(drugtree, use_indexes=False).plan(Query(
@@ -111,7 +111,7 @@ class TestSubtreeRewrite:
         scan = _find_scans(plan.logical)[0]
         assert scan.access == "index_range"
         assert scan.access_column == "leaf_pre"
-        assert (scan.range_low, scan.range_high) \
+        assert (scan.band.low, scan.band.high) \
             == drugtree.labeling.leaf_range(clade)
 
     def test_fallback_rewrite_without_labeling(self, drugtree):

@@ -79,6 +79,25 @@ class TestImplication:
         eq = Comparison("organism", "=", "a")
         assert eq.implies(Comparison("organism", "in", ("a", "b")))
 
+    def test_in_set_implies_the_range_holding_its_hull(self):
+        small = Comparison("p_affinity", "in", (6.0, 7.0))
+        assert small.implies(Comparison("p_affinity", ">=", 6.0))
+        assert not small.implies(Comparison("p_affinity", ">", 6.0))
+        assert not Comparison("p_affinity", ">=", 6.0).implies(small)
+
+    def test_no_range_implies_not_equal(self):
+        assert not Comparison("p_affinity", ">", 5.0).implies(
+            Comparison("p_affinity", "!=", 3.0)
+        )
+        assert Comparison("p_affinity", "=", 5.0).implies(
+            Comparison("p_affinity", "!=", 3.0)
+        )
+
+    def test_literals_that_do_not_compare_imply_nothing(self):
+        assert not Comparison("p_affinity", ">", 5.0).implies(
+            Comparison("p_affinity", ">", "a")
+        )
+
     def test_different_columns_never_imply(self):
         assert not Comparison("p_affinity", ">=", 5.0).implies(
             Comparison("logp", ">=", 1.0)

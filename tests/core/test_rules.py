@@ -99,3 +99,38 @@ class TestContradictions:
             Comparison("organism", "in", ("a", "b")),
             Comparison("organism", "=", "a"),
         ])
+
+    def test_equality_at_a_strict_bound(self):
+        for first, second in ((("=", 5.0), (">", 5.0)),
+                              ((">", 5.0), ("=", 5.0))):
+            assert column_contradiction([
+                Comparison("p_affinity", *first),
+                Comparison("p_affinity", *second),
+            ])
+
+    def test_in_set_outside_range(self):
+        assert column_contradiction([
+            Comparison("p_affinity", "in", (1.0, 2.0)),
+            Comparison("p_affinity", ">", 5.0),
+        ])
+
+    def test_literals_that_do_not_compare_prove_nothing(self):
+        assert not column_contradiction([
+            Comparison("p_affinity", ">", 5.0),
+            Comparison("p_affinity", "<", "a"),
+        ])
+        assert not column_contradiction([
+            Comparison("p_affinity", ">", 5.0),
+            Comparison("p_affinity", ">", "a"),
+        ])
+
+    def test_in_set_emptied_by_not_equals(self):
+        assert column_contradiction([
+            Comparison("organism", "in", ("a", "b")),
+            Comparison("organism", "!=", "a"),
+            Comparison("organism", "!=", "b"),
+        ])
+        assert not column_contradiction([
+            Comparison("organism", "in", ("a", "b")),
+            Comparison("organism", "!=", "a"),
+        ])

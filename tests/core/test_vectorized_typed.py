@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.query import vectorized
-from repro.core.query.ast import AggregateSpec, Comparison
+from repro.core.query.ast import AggregateSpec, Band, Comparison
 from repro.core.query.logical import LogicalScan
 from repro.core.query.physical import (
     ExecCounters,
@@ -275,9 +275,10 @@ def grid_scan(shape, table, residual):
                            eq_value=7, residual=residual)
     if shape == "index_range":
         return LogicalScan(table.name, "index_range",
-                           access_column="p_affinity", range_low=-0.0,
-                           range_high=1e300, include_low=True,
-                           include_high=False, residual=residual)
+                           access_column="p_affinity",
+                           band=Band(-0.0, 1e300, include_low=True,
+                                     include_high=False),
+                           residual=residual)
     column = "ligand_id" if shape == "key_set_indexed" else "protein_id"
     return LogicalScan(table.name, "key_set", access_column=column,
                        key_set=KEYS, residual=residual)

@@ -204,6 +204,10 @@ def entry_points() -> list[EntryPoint]:
         _cli("ci explain ill-typed", "explain", "--estimate-only",
              "SELECT * WHERE organism = 5", expect=1),
     ]
+    edge = ("SELECT count(*) FROM bindings WHERE leaf_pre <= 33 "
+            "IN SUBTREE 'clade_0001'")
+    points += [_cli("ci query clade edge", "query", edge),
+               _cli("ci query --naive clade edge", "query", "--naive", edge)]
     return points
 
 

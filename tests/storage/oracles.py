@@ -226,14 +226,17 @@ def validate_row_loop(schema, values: dict[str, Any]) -> tuple[Any, ...]:
     return tuple(row)
 
 
-def with_planted_bug(function, bug: tuple[str, str]):
-    """*function* with the one line ``bug[0]`` replaced by ``bug[1]``,
-    compiled in memory against the globals of its own module."""
+def with_planted_bug(function, *bugs: tuple[str, str]):
+    """*function* with, for each ``(old, new)`` of *bugs*, the one
+    occurrence of ``old`` replaced by ``new``, compiled in memory
+    against the globals of its own module."""
     module = sys.modules[function.__module__]
     source = textwrap.dedent(inspect.getsource(function))
-    assert source.count(bug[0]) == 1
+    for bug in bugs:
+        assert source.count(bug[0]) == 1
+        source = source.replace(*bug)
     namespace = dict(vars(module))
-    exec(compile(source.replace(*bug), module.__file__, "exec"), namespace)
+    exec(compile(source, module.__file__, "exec"), namespace)
     return namespace[function.__name__]
 
 

@@ -66,6 +66,19 @@ class TestSchema:
         with pytest.raises(SchemaError):
             Column("has space", ColumnType.STRING)
 
+    @pytest.mark.parametrize("nullable", [False, True])
+    @pytest.mark.parametrize("value", [float("nan"), numpy.float64("nan")])
+    def test_a_float_column_refuses_nan(self, value, nullable):
+        # An exact float takes the fast path, a numpy one Column.check.
+        schema = Schema([string_column("s"), float_column("f", nullable),
+                         float_column("g")])
+        with pytest.raises(SchemaError, match="column 'f' refuses NaN"):
+            schema.validate_row({"s": "x", "f": value, "g": 1.0})
+        with pytest.raises(SchemaError, match="column 'f' refuses NaN"):
+            schema.column("f").check(value)
+        assert schema.validate_row({"s": "x", "f": float("inf"),
+                                    "g": 1.0}) == ("x", float("inf"), 1.0)
+
     def test_index_of(self, schema):
         assert schema.index_of("affinity") == 1
         with pytest.raises(SchemaError, match="unknown column"):
