@@ -28,7 +28,6 @@ CONFIGS = [
     ("nothing (all off)", EngineConfig(
         use_indexes=False, use_interval_labeling=False,
         use_materialized_aggregates=False, use_semantic_cache=False,
-        join_strategy="fixed",
     )),
 ]
 

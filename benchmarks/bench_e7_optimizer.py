@@ -1,14 +1,14 @@
 """E7 — optimizer plan quality: join ordering and estimation accuracy.
 
-Four measurements:
+Three measurements:
 
-* **E7a** — hash-join strategies. DrugTree's overlay is a star schema
+* **E7a** — the dp hash-join order. DrugTree's overlay is a star schema
   around the ``bindings`` fact table, so every *connected* left-deep
-  hash-join order performs the same scans; the optimizer's win here is
-  bounded (build-side choice). The table documents that honestly.
-* **E7b** — the same strategies under nested-loop joins, where order is
-  everything: the fixed canonical order re-scans the fact table per
-  outer row, while dp starts from the selective dimension.
+  hash-join order performs the same scans; dp enumerates them (at most
+  six) and picks the build sides. The greedy and fixed orders it was
+  once compared with, and E7b's nested-loop joins, are retired: their
+  last numbers are history in EXPERIMENTS.md, and ``NaiveEngine`` is
+  the unoptimized floor.
 * **E7c** — cardinality estimation quality (q-error). Single-table
   estimates are tight; subtree+affinity queries show real correlation
   error, because the dataset's phylogenetic signal (strong binders
@@ -29,12 +29,10 @@ from unittest import mock
 
 from repro.core import EngineConfig, QueryEngine
 from repro.core.query import cost as cost_model
-from repro.core.query.ast import Comparison, Query
 from repro.core.query.cost import Cost
 from repro.workloads import QueryGenerator, TextTable, mean
 from repro.workloads.loadgen import _QUERY_TEMPLATES
 
-STRATEGIES = ("dp", "greedy", "fixed")
 N_QUERIES = 10
 
 
@@ -43,89 +41,35 @@ def _join_queries(dataset):
     return [generator.draw("join") for _ in range(N_QUERIES)]
 
 
-def test_e7a_hash_join_strategies(benchmark, world_medium, report):
+def test_e7a_hash_join_order(benchmark, world_medium, report):
     dataset = world_medium
     queries = _join_queries(dataset)
 
     def sweep():
-        rows = []
-        for strategy in STRATEGIES:
-            engine = QueryEngine(dataset.drugtree(), EngineConfig(
-                use_semantic_cache=False, join_strategy=strategy,
-            ))
-            wall = []
-            scanned = 0
-            estimated_cost = 0.0
-            for query in queries:
-                started = time.perf_counter()
-                result = engine.execute(query)
-                wall.append(time.perf_counter() - started)
-                scanned += result.counters["rows_scanned"]
-                assert result.plan is not None
-                estimated_cost += result.plan.estimated_cost
-            rows.append((strategy, estimated_cost / N_QUERIES,
-                         scanned, mean(wall) * 1000))
-        return rows
+        engine = QueryEngine(dataset.drugtree(),
+                             EngineConfig(use_semantic_cache=False))
+        wall = []
+        scanned = 0
+        estimated_cost = 0.0
+        for query in queries:
+            started = time.perf_counter()
+            result = engine.execute(query)
+            wall.append(time.perf_counter() - started)
+            scanned += result.counters["rows_scanned"]
+            assert len(result.plan.join_order) == len(query.tables())
+            estimated_cost += result.plan.estimated_cost
+        return estimated_cost / N_QUERIES, scanned, mean(wall) * 1000
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    row = benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = TextTable(
         ["strategy", "mean est. cost", "rows scanned",
          "mean wall ms/query"],
-        title=f"E7a  hash-join ordering over {N_QUERIES} three-table "
-              "queries (star schema: orders tie on I/O, differ on "
-              "build side)",
+        title=f"E7a  dp hash-join ordering over {N_QUERIES} three-table "
+              "queries (star schema: connected orders tie on I/O)",
     )
-    for row in rows:
-        table.add_row(*row)
+    table.add_row("dp", *row)
     report(table)
-
-    by_strategy = {row[0]: row for row in rows}
-    assert by_strategy["dp"][1] <= by_strategy["fixed"][1]
-    assert by_strategy["dp"][2] <= by_strategy["fixed"][2]
-    assert by_strategy["greedy"][2] <= by_strategy["fixed"][2]
-
-
-def test_e7b_nested_loop_strategies(benchmark, world_small, report):
-    """Under nested-loop joins the join order dominates everything."""
-    dataset = world_small
-    drugtree = dataset.drugtree()
-    organism = sorted(set(dataset.family.organisms.values()))[0]
-    query = Query(
-        select=("protein_id", "ligand_id", "p_affinity", "organism"),
-        predicates=(Comparison("organism", "=", organism),),
-    )
-
-    def sweep():
-        rows = []
-        for strategy in ("dp", "fixed"):
-            # Indexes off: the inner side is a sequential re-scan, the
-            # regime where join order makes or breaks the plan.
-            engine = QueryEngine(drugtree, EngineConfig(
-                use_semantic_cache=False, join_strategy=strategy,
-                join_method="nested_loop", use_indexes=False,
-            ))
-            started = time.perf_counter()
-            result = engine.execute(query)
-            wall_s = time.perf_counter() - started
-            rows.append((strategy, result.plan.join_order,
-                         result.counters["rows_scanned"], wall_s * 1000,
-                         len(result.rows)))
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    table = TextTable(
-        ["strategy", "join order", "rows scanned", "wall ms",
-         "result rows"],
-        title="E7b  nested-loop join: order dominates "
-              f"({world_small.config.n_leaves}-leaf world)",
-    )
-    for strategy, order, scanned, wall_ms, n in rows:
-        table.add_row(strategy, ">".join(order), scanned, wall_ms, n)
-    report(table)
-
-    by_strategy = {row[0]: row for row in rows}
-    assert by_strategy["dp"][4] == by_strategy["fixed"][4]  # same answer
-    assert by_strategy["dp"][2] <= by_strategy["fixed"][2]
+    assert row[1] > 0
 
 
 def test_e7c_cardinality_estimation(benchmark, world_medium, report):

@@ -927,10 +927,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DrugTreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        args.text(payload, args)
+    try:
+        if getattr(args, "json", False):
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            args.text(payload, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head -n 1``) and has what it
+        # wanted; stdout now points at /dev/null so the flush at exit
+        # cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -12,7 +12,7 @@ from repro.core.query.ast import (
     SubstructureFilter,
     SubtreeFilter,
 )
-from repro.core.query.adaptive import EngineChoice, choose_engine
+from repro.core.query.adaptive import choose_engine
 from repro.core.query.cache import CacheHit, SemanticCache
 from repro.core.query.cards import CardinalityEstimator
 from repro.core.query.executor import EngineConfig, QueryEngine, QueryResult
@@ -33,7 +33,6 @@ __all__ = [
     "CacheHit",
     "CardinalityEstimator",
     "Comparison",
-    "EngineChoice",
     "EngineConfig",
     "HavingCondition",
     "OrderBy",

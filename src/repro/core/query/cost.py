@@ -18,7 +18,6 @@ INDEX_MATCH_COST = 2.0  # random access: dearer than sequential
 FILTER_ROW_COST = 0.25
 HASH_BUILD_ROW_COST = 1.2
 HASH_PROBE_ROW_COST = 0.9
-NESTED_LOOP_PAIR_COST = 0.4
 SORT_ROW_FACTOR = 0.8
 AGGREGATE_ROW_COST = 0.5
 TOPK_ROW_COST = 0.4
@@ -81,12 +80,6 @@ def hash_join_cost(build_rows: float, probe_rows: float,
              + probe_rows * HASH_PROBE_ROW_COST
              + output_rows * 0.1)
     return Cost(total, f"hash join {build_rows:.0f}x{probe_rows:.0f}")
-
-
-def nested_loop_cost(outer_rows: float, inner_scan_cost: float) -> Cost:
-    """Nested loop re-runs the inner scan once per outer row."""
-    total = outer_rows * max(inner_scan_cost, 1.0) * NESTED_LOOP_PAIR_COST
-    return Cost(total, f"nested loop {outer_rows:.0f} outer rescans")
 
 
 def sort_cost(rows: float) -> Cost:

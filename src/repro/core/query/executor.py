@@ -20,7 +20,7 @@ from repro.chem.smiles import parse_smiles
 from repro.core.drugtree import DrugTree
 from repro.chem.substructure import SubstructurePattern, filter_library
 from repro.core.query import vectorized
-from repro.core.query.adaptive import EngineChoice, choose_engine
+from repro.core.query.adaptive import choose_engine
 from repro.core.query.ast import (
     REMOTE_DETAIL_COLUMNS,
     Query,
@@ -48,17 +48,20 @@ from repro.core.query.physical import (
     HashAggregateOp,
     HashJoinOp,
     LimitOp,
-    NestedLoopJoinOp,
     PhysicalOp,
     ProjectOp,
-    RemoteFetchOp,
     ScanOp,
     SortOp,
-    StaticRowsOp,
     TopKOp,
 )
 from repro.core.query.planner import Planner, PlanReport
-from repro.core.query.vectorized import IndexOrderScanOp, VectorizedLowering
+from repro.core.query.vectorized import (
+    CladeAggregateOp,
+    IndexOrderScanOp,
+    RemoteFetchOp,
+    RowSourceAdapterOp,
+    VectorizedLowering,
+)
 from repro.errors import (
     ParseError,
     PlanError,
@@ -134,13 +137,10 @@ class EngineConfig:
     use_semantic_analysis: bool = True
     use_fingerprint_prefilter: bool = True
     use_substructure_screen: bool = True
-    join_strategy: str = "dp"      # "dp" | "greedy" | "fixed"
-    join_method: str = "hash"      # "hash" | "nested_loop"
-    #: ``"vectorized"`` (the default: batch-at-a-time over columnar
-    #: projections, except that a plan holding a node with no batch
-    #: form runs on the row engine whole — see docs/EXECUTION.md) or
-    #: ``"row"`` (volcano iterators: the reference the parity suites
-    #: compare against). Results are identical in both modes.
+    #: ``"vectorized"`` (the default: every plan runs batch-at-a-time
+    #: over columnar projections — see docs/EXECUTION.md) or ``"row"``
+    #: (volcano iterators: the reference the parity suites compare
+    #: against). Results are identical in both modes.
     execution_mode: str = "vectorized"
 
     def __post_init__(self) -> None:
@@ -149,12 +149,6 @@ class EngineConfig:
                 f"unknown execution mode {self.execution_mode!r} "
                 "(known: 'vectorized', 'row')"
             )
-        if self.join_strategy not in ("dp", "greedy", "fixed"):
-            raise PlanError(
-                f"unknown join strategy {self.join_strategy!r}"
-            )
-        if self.join_method not in ("hash", "nested_loop"):
-            raise PlanError(f"unknown join method {self.join_method!r}")
 
 
 @dataclass
@@ -411,7 +405,7 @@ class QueryEngine:
             with tracer.span("query.plan"):
                 plan = self.planner.plan(query,
                                          similar_keys=ligand_keys)
-            physical, choice = self._build_physical(
+            physical, mode = self._build_physical(
                 plan.logical, counters, root, clock, deadline,
                 statuses if resilient else None)
             if instrument:
@@ -421,7 +415,7 @@ class QueryEngine:
                                   else 0.0)
             with tracer.span("query.run") as run_span, \
                     WallTimer() as timer:
-                columns, values = _drain(physical, choice.mode)
+                columns, values = _drain(physical, mode)
                 run_span.set("rows", len(values))
                 run_span.set("rows_scanned", counters.rows_scanned)
 
@@ -481,9 +475,7 @@ class QueryEngine:
                 if snap:
                     resilience["breakers"] = snap
 
-            execution: dict[str, Any] = {"mode": choice.mode}
-            if choice.reason:
-                execution["reason"] = choice.reason
+            execution: dict[str, Any] = {"mode": mode}
             if counters.batches_emitted:
                 execution["batches"] = counters.batches_emitted
                 execution["rows_per_batch"] = round(
@@ -606,27 +598,28 @@ class QueryEngine:
                         probe: OperatorStats | None, clock,
                         deadline: Deadline | None,
                         statuses: dict[str, str] | None):
-        """Lower *node* on the engine the row rule picks for it.
+        """Lower *node* on the batch engine, or on the row engine when
+        ``execution_mode="row"`` asks for the reference.
 
         Returns the operator (drained as batches or as rows, as the
-        choice's mode says; identical results either way) and the
-        :class:`EngineChoice`; *deadline* and *statuses* reach
-        ``RemoteFetchOp`` through the lowering.
+        mode says; identical results either way) and the mode;
+        *deadline* and *statuses* reach ``RemoteFetchOp`` through the
+        lowering.
         """
         if self.config.execution_mode == "row":
-            choice = EngineChoice("row")
+            mode = "row"
         else:
-            choice = choose_engine(node)
-        lowering = (VectorizedLowering if choice.mode == "vectorized"
+            mode = choose_engine(node)
+        lowering = (VectorizedLowering if mode == "vectorized"
                     else RowLowering)
         physical = lowering(self, counters, probe, clock,
                             deadline, statuses).lower_plan(node)
-        return physical, choice
+        return physical, mode
 
     def _remote_fetch_op(self, remote: tuple[str, ...], child,
                          counters: ExecCounters,
                          deadline: Deadline | None,
-                         statuses: dict[str, str] | None) -> PhysicalOp:
+                         statuses: dict[str, str] | None) -> RemoteFetchOp:
         if self.federation is None:
             raise QueryError(
                 f"columns {sorted(remote)} live at the remote sources; "
@@ -644,8 +637,10 @@ class QueryEngine:
 
 
 class RowLowering:
-    """Lower logical plans to volcano row operators (the reference the
-    vectorized engine is held to, and the only form some nodes have)."""
+    """Lower logical plans to volcano row operators: the reference the
+    vectorized engine is held to. The ordered index walk, the clade
+    aggregate and the remote fetch are the batch engine's operators,
+    drained as rows."""
 
     def __init__(self, engine: QueryEngine, counters: ExecCounters,
                  probe: OperatorStats | None, clock, deadline,
@@ -678,11 +673,18 @@ class RowLowering:
                stats: OperatorStats | None) -> PhysicalOp:
         counters = self.counters
         if isinstance(node, LogicalCladeAggregate):
-            return self._clade_fast_path(node)
+            return CladeAggregateOp(counters, self.engine.drugtree, node)
         if isinstance(node, LogicalScan):
             return self._scan_op(node, stats)
         if isinstance(node, LogicalJoin):
-            return self._join_op(node, stats)
+            left = self._to_physical(node.left, stats)
+            right = self._to_physical(node.right, stats)
+            # Build on the smaller estimated side.
+            if rows_estimate(node.left) <= rows_estimate(node.right):
+                return HashJoinOp(counters, build=left, probe=right,
+                                  key=node.key)
+            return HashJoinOp(counters, build=right, probe=left,
+                              key=node.key)
         if isinstance(node, LogicalAggregate):
             child = self._to_physical(node.child, stats)
             return HashAggregateOp(counters, child, node.aggregates,
@@ -696,7 +698,8 @@ class RowLowering:
                            if c in REMOTE_DETAIL_COLUMNS)
             if remote:
                 child = self.engine._remote_fetch_op(
-                    remote, child, counters, self.deadline, self.statuses)
+                    remote, RowSourceAdapterOp(counters, child), counters,
+                    self.deadline, self.statuses)
             return ProjectOp(counters, child, node.columns)
         if isinstance(node, LogicalOrder):
             child = self._to_physical(node.child, stats)
@@ -714,57 +717,3 @@ class RowLowering:
             # The one scan with no row twin: both lowerings share it.
             return IndexOrderScanOp(self.counters, table, node, stats=stats)
         return ScanOp(self.counters, table, node)
-
-    def _join_op(self, node: LogicalJoin,
-                 stats: OperatorStats | None) -> PhysicalOp:
-        counters = self.counters
-        left = self._to_physical(node.left, stats)
-        if node.method == "hash":
-            right = self._to_physical(node.right, stats)
-            # Build on the smaller estimated side.
-            if rows_estimate(node.left) <= rows_estimate(node.right):
-                return HashJoinOp(counters, build=left, probe=right,
-                                  key=node.key)
-            return HashJoinOp(counters, build=right, probe=left,
-                              key=node.key)
-        inner_logical = node.right
-
-        if stats is not None:
-            # The inner side is re-lowered per outer row; fold every
-            # rescan into one stats node (loops counts the rescans).
-            inner_stats = stats.child(
-                inner_logical.describe(),
-                getattr(inner_logical, "estimated_rows", None),
-            )
-            inner_stats.merge_children = True
-
-            def inner_factory() -> PhysicalOp:
-                op = self._lower(inner_logical, inner_stats)
-                return InstrumentedOp(op, inner_stats, self.clock)
-        else:
-            def inner_factory() -> PhysicalOp:
-                return self._lower(inner_logical, None)
-
-        return NestedLoopJoinOp(counters, left, inner_factory, node.key)
-
-    def _clade_fast_path(self, node: LogicalCladeAggregate) -> PhysicalOp:
-        stats = self.engine.drugtree.clade_stats(node.node_name)
-        row: dict[str, Any] = {}
-        for aggregate in node.aggregates:
-            if aggregate.func == "count":
-                row[aggregate.output_name] = int(stats["count"])
-            elif aggregate.func == "mean":
-                row[aggregate.output_name] = (
-                    stats["mean"] if stats["count"] else None
-                )
-            elif aggregate.func == "max":
-                row[aggregate.output_name] = (
-                    stats["max"] if stats["count"] else None
-                )
-            elif aggregate.func == "sum":
-                row[aggregate.output_name] = stats["mean"] * stats["count"]
-            else:
-                raise PlanError(
-                    f"clade fast path cannot serve {aggregate}"
-                )
-        return StaticRowsOp(self.counters, [row])

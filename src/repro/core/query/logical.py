@@ -90,17 +90,13 @@ class LogicalJoin(LogicalNode):
     left: LogicalNode
     right: LogicalNode
     key: str
-    method: str = "hash"  # "hash" | "nested_loop"
     estimated_rows: float = 0.0
 
     def children(self) -> tuple[LogicalNode, ...]:
         return (self.left, self.right)
 
     def describe(self) -> str:
-        return (
-            f"{'HashJoin' if self.method == 'hash' else 'NestedLoopJoin'}"
-            f"(on {self.key}) (~{self.estimated_rows:.0f} rows)"
-        )
+        return f"HashJoin(on {self.key}) (~{self.estimated_rows:.0f} rows)"
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,13 @@
 
 Every operator exposes ``rows()`` yielding ``dict`` rows and counts the
 rows it examines into a shared :class:`ExecCounters`, which is how the
-experiments report "rows touched" next to latency.
+experiments report "rows touched" next to latency. This is the row
+engine: the reference ``execution_mode="row"`` runs and the parity
+suites hold the batch engine to. No plan needs it, since every logical
+node has a batch form; it lowers the nodes that are only lookups or
+fetches (the ordered index walk, the materialized clade aggregate, the
+remote fetch) with the batch engine's operators and drains their
+``rows()``.
 
 One operator, :class:`ScanOp`, reads a table whatever its access path.
 :func:`resolve_access` is the one reading of a ``LogicalScan``'s
@@ -11,8 +17,7 @@ and the batch engine's ``VecScanOp`` alike: which row ids are read, in
 what order, and how many index probes that costs. ``ScanOp`` reads them
 from the row store (``Table.scan_rows``/``Table.get``), never from the
 column store, so the row engine stays an independent oracle for the
-batch engine. The ordered index walk (``index_order``) has one operator
-both engines share, ``vectorized.IndexOrderScanOp``.
+batch engine.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from repro.core.query.ast import AggregateSpec, Comparison, OrderBy
 from repro.core.query.logical import LogicalScan
 from repro.core.query.predicates import compile_residual
 from repro.errors import PlanError, QueryError
-from repro.sources.resilience import worst_status
 from repro.storage.index import SortedIndex
 from repro.storage.table import Table
 
@@ -40,8 +44,9 @@ class ExecCounters:
     ``rows_scanned``/``rows_emitted``/``index_probes`` mean the same
     thing under both execution modes (asserted by the parity suite), so
     E1/E7 "rows touched" numbers stay comparable. The batch fields are
-    only touched by the vectorized operators; the snapshot omits them
-    when zero so row-mode counters are byte-identical to before.
+    only touched by batches the vectorized operators emit (in row
+    mode, only those of a remote fetch); the snapshot omits them when
+    zero.
     """
 
     rows_scanned: int = 0
@@ -174,24 +179,6 @@ class HashJoinOp(PhysicalOp):
                 merged = {**match, **record}
                 self.counters.rows_emitted += 1
                 yield merged
-
-
-class NestedLoopJoinOp(PhysicalOp):
-    """Equi-join by re-scanning the inner side per outer row (baseline)."""
-
-    def __init__(self, counters: ExecCounters, outer: PhysicalOp,
-                 inner_factory, key: str) -> None:
-        super().__init__(counters)
-        self.outer = outer
-        self.inner_factory = inner_factory
-        self.key = key
-
-    def rows(self) -> Iterator[dict[str, Any]]:
-        for outer_record in self.outer.rows():
-            for inner_record in self.inner_factory().rows():
-                if inner_record.get(self.key) == outer_record.get(self.key):
-                    self.counters.rows_emitted += 1
-                    yield {**inner_record, **outer_record}
 
 
 class FilterOp(PhysicalOp):
@@ -385,95 +372,5 @@ class LimitOp(PhysicalOp):
         for position, record in enumerate(self.child.rows()):
             if position >= self.limit:
                 break
-            self.counters.rows_emitted += 1
-            yield record
-
-
-#: Child rows a :class:`RemoteFetchOp` buffers per fetch batch.
-REMOTE_LOOKAHEAD = 64
-
-
-class RemoteFetchOp(PhysicalOp):
-    """Enrich rows with remote detail columns via the fetch scheduler.
-
-    Buffers :data:`REMOTE_LOOKAHEAD` child rows at a time, collects
-    their distinct keys, and issues *one* scatter/gather batch per
-    buffer: every record kind the projected detail columns need is
-    fetched in the same :meth:`FetchScheduler.fetch_all_resilient` call, so
-    round-trips to different sources overlap and repeated keys
-    collapse. Rows whose record is missing at the source get ``None``
-    details.
-
-    Whether a source fault aborts the query or comes back flagged is
-    the scheduler's ``degrades(deadline)`` policy; the engine passes a
-    *statuses* sink exactly when it degrades, and per-kind statuses are
-    merged into it (worst across flushes). *deadline* bounds the
-    virtual time the fetches may spend.
-    """
-
-    def __init__(self, counters: ExecCounters, child: PhysicalOp,
-                 scheduler, key_column: str,
-                 specs: tuple[tuple[str, str, str], ...],
-                 deadline=None,
-                 statuses: dict[str, str] | None = None) -> None:
-        super().__init__(counters)
-        self.child = child
-        self.scheduler = scheduler
-        self.key_column = key_column
-        #: (output column, record kind, record attribute) triples.
-        self.specs = specs
-        self.deadline = deadline
-        self.statuses = statuses
-
-    def rows(self) -> Iterator[dict[str, Any]]:
-        buffer: list[dict[str, Any]] = []
-        for record in self.child.rows():
-            buffer.append(record)
-            if len(buffer) >= REMOTE_LOOKAHEAD:
-                yield from self._flush(buffer)
-                buffer = []
-        if buffer:
-            yield from self._flush(buffer)
-
-    def _flush(self, buffer: list[dict[str, Any]],
-               ) -> Iterator[dict[str, Any]]:
-        keys = sorted({
-            record[self.key_column] for record in buffer
-            if record.get(self.key_column) is not None
-        })
-        kinds = sorted({kind for _, kind, _ in self.specs})
-        requests = [(kind, keys) for kind in kinds]
-        fetched = self._fetch(requests)
-        for record in buffer:
-            key = record.get(self.key_column)
-            for column, kind, attribute in self.specs:
-                remote = fetched.get(kind, {}).get(key)
-                record[column] = (getattr(remote, attribute, None)
-                                  if remote is not None else None)
-            self.counters.rows_emitted += 1
-            yield record
-
-    def _fetch(self, requests) -> dict[str, dict[str, Any]]:
-        outcome = self.scheduler.fetch_all_resilient(
-            requests, deadline=self.deadline)
-        if self.statuses is not None:
-            # Missing kinds came back flagged, not raised; the engine
-            # decides what a partial answer means.
-            for kind, status in outcome.statuses.items():
-                self.statuses[kind] = worst_status(
-                    self.statuses.get(kind, status), status)
-        return outcome.records
-
-
-class StaticRowsOp(PhysicalOp):
-    """Emit precomputed rows (materialized-aggregate fast path)."""
-
-    def __init__(self, counters: ExecCounters,
-                 records: list[dict[str, Any]]) -> None:
-        super().__init__(counters)
-        self.records = records
-
-    def rows(self) -> Iterator[dict[str, Any]]:
-        for record in self.records:
             self.counters.rows_emitted += 1
             yield record

@@ -15,10 +15,10 @@ is off) to a logical plan in four steps:
    single-table ``ORDER BY c LIMIT k``, also an ordered walk of the
    sorted index on ``c`` that stops after ``k`` matches, priced against
    the best of the others *plus* the top-k it would feed.
-4. **Join ordering** — left-deep order chosen by Selinger-style dynamic
-   programming (``dp``), a greedy smallest-intermediate heuristic
-   (``greedy``), or the fixed canonical order (``fixed``, the naive
-   baseline).
+4. **Join ordering** — left-deep hash-join order chosen by
+   Selinger-style dynamic programming over the connected orders (at
+   most six, for the overlay's three tables). The unoptimized floor is
+   :class:`~repro.core.baseline.NaiveEngine`.
 
 The materialized clade fast path short-circuits all of this for pure
 clade-aggregate queries.
@@ -97,8 +97,7 @@ class Planner:
     """Builds logical plans against one DrugTree's overlay.
 
     Reads its engine's :class:`~repro.core.query.executor.EngineConfig`
-    toggles: indexes, interval labeling, materialized aggregates, join
-    strategy and join method.
+    toggles: indexes, interval labeling and materialized aggregates.
     """
 
     def __init__(self, tables: dict[str, Table],
@@ -370,17 +369,8 @@ class Planner:
             scan, cost = scans[only]
             return scan, cost, (only,)
 
-        orders: list[tuple[str, ...]]
-        if self.config.join_strategy == "fixed":
-            orders = [table_names]
-        elif self.config.join_strategy == "greedy":
-            orders = [self._greedy_order(table_names, scans)]
-        else:  # dp: enumerate all connected left-deep orders
-            orders = [
-                order for order in permutations(table_names)
-                if self._connected_prefixes(order)
-            ]
-
+        orders = [order for order in permutations(table_names)
+                  if self._connected_prefixes(order)]
         best: tuple[Cost, LogicalNode, tuple[str, ...]] | None = None
         for order in orders:
             plan, cost = self._build_left_deep(order, scans)
@@ -392,37 +382,6 @@ class Planner:
             )
         cost, plan, order = best
         return plan, cost, order
-
-    def _greedy_order(self, table_names: tuple[str, ...],
-                      scans: dict[str, tuple[LogicalScan, Cost]],
-                      ) -> tuple[str, ...]:
-        remaining = set(table_names)
-        start = min(remaining,
-                    key=lambda t: scans[t][0].estimated_rows)
-        order = [start]
-        remaining.discard(start)
-        current_rows = scans[start][0].estimated_rows
-        while remaining:
-            joinable = [t for t in remaining
-                        if any((t, placed) in JOIN_KEYS
-                               for placed in order)]
-            if not joinable:
-                raise PlanError("join graph is disconnected")
-
-            def joined_rows(candidate: str) -> float:
-                partner = next(placed for placed in order
-                               if (candidate, placed) in JOIN_KEYS)
-                key = JOIN_KEYS[(candidate, partner)]
-                return self.estimator.join_rows(
-                    current_rows, scans[candidate][0].estimated_rows,
-                    partner, candidate, key,
-                )
-
-            chosen = min(joinable, key=joined_rows)
-            current_rows = joined_rows(chosen)
-            order.append(chosen)
-            remaining.discard(chosen)
-        return tuple(order)
 
     @staticmethod
     def _connected_prefixes(order: tuple[str, ...]) -> bool:
@@ -449,19 +408,12 @@ class Planner:
             output_rows = self.estimator.join_rows(
                 plan_rows, scan.estimated_rows, partner, table_name, key,
             )
-            if self.config.join_method == "hash":
-                join_cost = cost_model.hash_join_cost(
-                    min(plan_rows, scan.estimated_rows),
-                    max(plan_rows, scan.estimated_rows),
-                    output_rows,
-                )
-            else:
-                join_cost = cost_model.nested_loop_cost(
-                    plan_rows, scan_cost.total,
-                )
-            plan = LogicalJoin(plan, scan, key,
-                               method=self.config.join_method,
-                               estimated_rows=output_rows)
+            join_cost = cost_model.hash_join_cost(
+                min(plan_rows, scan.estimated_rows),
+                max(plan_rows, scan.estimated_rows),
+                output_rows,
+            )
+            plan = LogicalJoin(plan, scan, key, estimated_rows=output_rows)
             total_cost = total_cost + scan_cost + join_cost
             plan_rows = output_rows
             joined.append(table_name)

@@ -29,11 +29,13 @@ projections, amortizing interpreter overhead across
   ``np.sum`` is pairwise and is not), first-occurrence ``argmin``/
   ``argmax`` answered with the list's object — and folds anything else
   via ``_AggState.fold_many``, in the same left-to-right order;
-* ``RemoteFetchOp`` has no batch form: its child drains through it as
-  rows and :class:`RowSourceAdapterOp` re-batches the enriched output.
-  Plans holding any other batch-less node (provably empty, clade fast
-  path, nested-loop join) never reach this module — the row rule in
-  :mod:`repro.core.query.adaptive` sends them to the row engine whole.
+* a clade aggregate the materialized stats answer is one lookup
+  (:class:`CladeAggregateOp`, one one-row batch), and remote detail
+  columns are fetched by :class:`RemoteFetchOp` in groups of
+  :data:`REMOTE_LOOKAHEAD` rows that span batch boundaries. Both
+  operators, and the ordered index walk, serve the row engine too, so
+  every logical node has a batch form and every plan runs here unless
+  ``execution_mode="row"`` asks for the reference.
 
 Result parity is a hard contract: same rows, same order, same
 ``rows_scanned``/``rows_emitted``/``index_probes``. The one documented
@@ -55,6 +57,7 @@ import numpy as np
 from repro.core.query.ast import REMOTE_DETAIL_COLUMNS, AggregateSpec, OrderBy
 from repro.core.query.logical import (
     LogicalAggregate,
+    LogicalCladeAggregate,
     LogicalHaving,
     LogicalJoin,
     LogicalLimit,
@@ -74,6 +77,7 @@ from repro.core.query.predicates import compile_columns, compile_comparison
 from repro.errors import PlanError, QueryError
 from repro.obs.explain import OperatorStats
 from repro.obs.timing import now_wall
+from repro.sources.resilience import worst_status
 from repro.storage.columnar import EXACT_INT_LIMIT, ColumnStore
 from repro.storage.index import SortedIndex
 
@@ -166,9 +170,9 @@ class VectorOp:
 
     Mirrors :class:`~repro.core.query.physical.PhysicalOp`: registers
     itself in the shared counters' operator list and exposes ``rows()``
-    so ``RemoteFetchOp``, the one row operator over a batch child, can
-    drain it without knowing about batches. The executor drains the
-    plan root's ``batches()`` into value tuples itself.
+    so the row engine can drain the batch operators it shares without
+    knowing about batches. The executor drains the plan root's
+    ``batches()`` into value tuples itself.
     """
 
     def __init__(self, counters: ExecCounters) -> None:
@@ -228,29 +232,6 @@ class InstrumentedVecOp:
             yield batch
 
     rows = VectorOp.rows
-
-
-class RowSourceAdapterOp(VectorOp):
-    """Decay adapter: re-batch a row operator's output.
-
-    Wraps ``RemoteFetchOp``, the one operator that only exists in row
-    form. The wrapped operator does its own row accounting; this
-    adapter only columnarizes.
-    """
-
-    def __init__(self, counters: ExecCounters, row_op: Any) -> None:
-        super().__init__(counters)
-        self.row_op = row_op
-
-    def batches(self) -> Iterator[Batch]:
-        buffer: list[dict[str, Any]] = []
-        for record in self.row_op.rows():
-            buffer.append(record)
-            if len(buffer) >= BATCH_SIZE:
-                yield self._emit(batch_from_rows(buffer))
-                buffer = []
-        if buffer:
-            yield self._emit(batch_from_rows(buffer))
 
 
 #: Comparisons a typed mirror answers as one mask over a chunk.
@@ -412,6 +393,150 @@ class VecScanOp(_VecScanBase):
                 self.counters.index_probes += 1
                 row_ids += probe()
         yield from self._batches_of(self.store.positions_of(row_ids))
+
+
+class CladeAggregateOp(VectorOp):
+    """A clade aggregate answered from the materialized clade stats
+    (``DrugTree.clade_stats``) as one one-row batch: a lookup, not a
+    scan. Shared by both lowerings (the row engine drains ``rows()``,
+    which counts no batches)."""
+
+    def __init__(self, counters: ExecCounters, drugtree,
+                 node: LogicalCladeAggregate) -> None:
+        super().__init__(counters)
+        self.drugtree = drugtree
+        self.node = node
+
+    def _answer(self) -> Batch:
+        stats = self.drugtree.clade_stats(self.node.node_name)
+        count = stats["count"]
+        columns: dict[str, list[Any]] = {}
+        for aggregate in self.node.aggregates:
+            func = aggregate.func
+            if func == "count":
+                value = int(count)
+            elif func == "sum":
+                value = stats["mean"] * count
+            else:  # mean or max: the planner offers no other
+                value = stats[func] if count else None
+            columns[aggregate.output_name] = [value]
+        self.counters.rows_emitted += 1
+        return Batch(tuple(columns), columns, 1)
+
+    def batches(self) -> Iterator[Batch]:
+        yield self._emit(self._answer())
+
+    def rows(self) -> Iterator[dict[str, Any]]:
+        yield from self._answer().iter_rows()
+
+
+#: Rows whose remote details one :class:`RemoteFetchOp` request fetches.
+REMOTE_LOOKAHEAD = 64
+
+
+class RemoteFetchOp(VectorOp):
+    """Enrich rows with remote detail columns via the fetch scheduler.
+
+    Cuts the child's row stream into groups of :data:`REMOTE_LOOKAHEAD`
+    rows, across the child's batch boundaries, so the groups (and with
+    them every round trip, status and virtual second) do not depend on
+    the batch size. Each group's distinct keys go out in *one*
+    scatter/gather batch: every record kind the projected detail
+    columns need is fetched in the same
+    :meth:`FetchScheduler.fetch_all_resilient` call, so round-trips to
+    different sources overlap and repeated keys collapse. Each group
+    leaves as one batch, so a LIMIT above stops the fetching at the
+    group that fills it. Rows whose record is missing at the source get
+    ``None`` details.
+
+    Whether a source fault aborts the query or comes back flagged is
+    the scheduler's ``degrades(deadline)`` policy; the engine passes a
+    *statuses* sink exactly when it degrades, and per-kind statuses are
+    merged into it (worst across groups). *deadline* bounds the
+    virtual time the fetches may spend.
+    """
+
+    def __init__(self, counters: ExecCounters, child,
+                 scheduler, key_column: str,
+                 specs: tuple[tuple[str, str, str], ...],
+                 deadline=None,
+                 statuses: dict[str, str] | None = None) -> None:
+        super().__init__(counters)
+        self.child = child
+        self.scheduler = scheduler
+        self.key_column = key_column
+        #: (output column, record kind, record attribute) triples.
+        self.specs = specs
+        self.deadline = deadline
+        self.statuses = statuses
+
+    def batches(self) -> Iterator[Batch]:
+        size = REMOTE_LOOKAHEAD
+        held: Batch | None = None
+        for batch in self.child.batches():
+            if not len(batch):
+                continue
+            if held is not None:
+                batch = Batch(held.order, {
+                    name: held.columns[name] + batch.values(name)
+                    for name in held.order
+                }, len(held) + len(batch))
+            whole = len(batch) - len(batch) % size
+            for start in range(0, whole, size):
+                yield self._enrich(batch.take(range(start, start + size)))
+            held = (batch.take(range(whole, len(batch)))
+                    if whole < len(batch) else None)
+        if held is not None:
+            yield self._enrich(held)
+
+    def _enrich(self, group: Batch) -> Batch:
+        keys = group.values(self.key_column)
+        wanted = sorted({key for key in keys if key is not None})
+        kinds = sorted({kind for _, kind, _ in self.specs})
+        fetched = self._fetch([(kind, wanted) for kind in kinds])
+        columns = dict(group.columns)
+        for column, kind, attribute in self.specs:
+            records = fetched.get(kind, {})
+            columns[column] = [getattr(records.get(key), attribute, None)
+                               for key in keys]
+        order = tuple(dict.fromkeys(
+            (*group.order, *(column for column, _, _ in self.specs))))
+        self.counters.rows_emitted += len(group)
+        return self._emit(Batch(order, columns, len(group)))
+
+    def _fetch(self, requests) -> dict[str, dict[str, Any]]:
+        outcome = self.scheduler.fetch_all_resilient(
+            requests, deadline=self.deadline)
+        if self.statuses is not None:
+            # Missing kinds came back flagged, not raised; the engine
+            # decides what a partial answer means.
+            for kind, status in outcome.statuses.items():
+                self.statuses[kind] = worst_status(
+                    self.statuses.get(kind, status), status)
+        return outcome.records
+
+
+class RowSourceAdapterOp(VectorOp):
+    """Batch a row operator's output: the row engine's way into
+    :class:`RemoteFetchOp`. A batch holds one fetch group
+    (:data:`REMOTE_LOOKAHEAD` rows), so the row engine reads no more of
+    its child than the fetches need. The wrapped operator does its own
+    row accounting; this adapter only columnarizes.
+    """
+
+    def __init__(self, counters: ExecCounters, row_op: Any) -> None:
+        super().__init__(counters)
+        self.row_op = row_op
+
+    def batches(self) -> Iterator[Batch]:
+        buffer: list[dict[str, Any]] = []
+        for record in self.row_op.rows():
+            buffer.append(record)
+            if len(buffer) >= REMOTE_LOOKAHEAD:
+                yield self._emit(batch_from_rows(buffer))
+                buffer = []
+        if buffer:
+            yield self._emit(batch_from_rows(buffer))
 
 
 class IndexOrderScanOp(_VecScanBase):
@@ -835,8 +960,7 @@ def needed_columns(node: LogicalNode) -> set[str] | None:
 
 class VectorizedLowering:
     """Lower logical plans to batch operators (the vectorized mirror of
-    ``RowLowering``). Plans holding a node with no batch form never get
-    here: ``choose_engine`` sends them to the row engine."""
+    ``RowLowering``): every logical node has a batch form."""
 
     def __init__(self, engine, counters: ExecCounters,
                  probe: OperatorStats | None, clock, deadline,
@@ -866,6 +990,9 @@ class VectorizedLowering:
                stats: OperatorStats | None) -> VectorOp:
         if isinstance(node, LogicalScan):
             return self._scan_op(node, stats)
+        if isinstance(node, LogicalCladeAggregate):
+            return CladeAggregateOp(self.counters, self.engine.drugtree,
+                                    node)
         if isinstance(node, LogicalJoin):
             left = self._to_vector(node.left, stats)
             right = self._to_vector(node.right, stats)
@@ -886,12 +1013,9 @@ class VectorizedLowering:
             remote = tuple(c for c in node.columns
                            if c in REMOTE_DETAIL_COLUMNS)
             if remote:
-                # RemoteFetchOp has no batch form: drain the child as
-                # rows through it, then re-batch its enriched output.
-                fetch = self.engine._remote_fetch_op(
+                child = self.engine._remote_fetch_op(
                     remote, child, self.counters,
                     self.deadline, self.statuses)
-                child = RowSourceAdapterOp(self.counters, fetch)
             return VecProjectOp(self.counters, child, node.columns)
         if isinstance(node, LogicalOrder):
             child = self._to_vector(node.child, stats)

@@ -31,20 +31,13 @@ class OperatorStats:
     wall_s: float = 0.0
     virtual_s: float = 0.0
     children: list["OperatorStats"] = field(default_factory=list)
-    #: Re-lowered subtrees (nested-loop inners) fold into one node.
-    merge_children: bool = False
     #: Index entries an ``IndexOrderScan`` touched before it stopped
     #: (its label carries the planner's ``walk ~N`` estimate).
     walked: int | None = None
 
     def child(self, label: str,
               estimated_rows: float | None = None) -> "OperatorStats":
-        if self.merge_children:
-            for existing in self.children:
-                if existing.label == label:
-                    return existing
-        node = OperatorStats(label, estimated_rows=estimated_rows,
-                             merge_children=self.merge_children)
+        node = OperatorStats(label, estimated_rows=estimated_rows)
         self.children.append(node)
         return node
 
@@ -196,9 +189,6 @@ class AnalyzeReport:
                     f"batch_size={self.execution['batch_size']}"
                 )
             lines.append("-- execution: " + ", ".join(parts))
-            reason = self.execution.get("reason")
-            if reason:
-                lines.append(f"-- execution: chose row: {reason}")
         if self.cluster:
             view = self.cluster.get("view")
             if view == "absorbed":

@@ -1,15 +1,14 @@
 """Differential suite: the zero-knob default must match the row engine.
 
-``EngineConfig()`` leaves ``execution_mode`` alone, so each query runs
-on the batch engine unless the row rule
-(:func:`repro.core.query.adaptive.choose_engine`) finds a node with no
-batch form in its plan. Neither outcome may ever change an answer:
+``EngineConfig()`` leaves ``execution_mode`` alone, so every query runs
+on the batch engine (:func:`repro.core.query.adaptive.choose_engine`
+answers vectorized for every plan). That may never change an answer:
 every workload family runs under the row reference and the default
 (semantic cache off) and both must agree bit-for-bit on rows and on the
 accounting counters ``rows_scanned`` / ``rows_emitted`` /
 ``index_probes``.
 
-The suite also pins the rule itself, and that inserts reach the
+The suite also pins the choice itself, and that inserts reach the
 estimates at once. ``test_vectorized_parity.py`` holds the batch-size sweeps, the
 bare-LIMIT exception and the diagnostics of the explicit modes.
 """
@@ -160,7 +159,6 @@ class TestAdaptiveChoice:
         assert report.execution["mode"] == "vectorized"
         rendered = report.render()
         assert "-- execution: mode=vectorized, batches=" in rendered
-        assert "chose row" not in rendered
 
     def test_explicit_modes_have_no_adaptive_keys(self):
         dataset = make_dataset(seed=23)
@@ -169,36 +167,28 @@ class TestAdaptiveChoice:
         assert report.execution == {"mode": "row"}
 
     def test_choose_engine_unit(self):
-        """Row, with the reason, for each node kind that has no batch
-        form — wherever it sits in the plan; vectorized otherwise,
-        index point probes included."""
+        """Vectorized for every plan: each generated kind (the
+        materialized clade aggregate included), a join under an
+        aggregate, and an index point probe."""
         dataset = make_dataset(seed=23, n_leaves=20, n_ligands=30)
         drugtree = dataset.drugtree()
         generator = QueryGenerator(dataset.family, dataset.ligands,
                                    seed=23)
+        planner = make_engine(drugtree).planner
 
-        def choice(query, **knobs):
+        def choice(query):
             if isinstance(query, str):
                 query = parse_query(query)
-            planner = make_engine(drugtree, **knobs).planner
             return choose_engine(planner.plan(query).logical)
 
-        assert choice(generator.draw("clade_agg")) == \
-            ("row", "materialized clade fast path")
-        # Nested under Project (the generator's join) and under
-        # Aggregate: one batch-less node anywhere decides the plan.
-        nested = ("row", "nested-loop join has no batch form")
-        assert choice(generator.draw("join"),
-                      join_method="nested_loop") == nested
-        assert choice("SELECT count(*) FROM bindings, proteins "
-                      "WHERE organism = 'Homo sapiens'",
-                      join_method="nested_loop") == nested
-
         ligand = next(iter(drugtree.tables["ligands"].scan()))[1][0]
-        probe = choice(
-            f"SELECT * FROM bindings WHERE ligand_id = '{ligand}'")
-        assert probe == ("vectorized", None)
-        assert choice(generator.draw("join")).mode == "vectorized"
+        queries = [generator.draw(kind) for kind in ALL_KINDS] + [
+            "SELECT count(*) FROM bindings, proteins "
+            "WHERE organism = 'Homo sapiens'",
+            f"SELECT * FROM bindings WHERE ligand_id = '{ligand}'",
+        ]
+        assert [choice(query) for query in queries] == \
+            ["vectorized"] * len(queries)
 
 
 class TestMutations:

@@ -142,19 +142,6 @@ class TestJoins:
         )
         assert all(row["logp"] <= 3.0 for row in result.rows)
 
-    def test_nested_loop_matches_hash(self, drugtree):
-        text = ("SELECT protein_id, ligand_id, p_affinity, organism "
-                "WHERE p_affinity >= 7.5")
-        hash_engine = QueryEngine(drugtree, EngineConfig(
-            use_semantic_cache=False, join_method="hash",
-        ))
-        loop_engine = QueryEngine(drugtree, EngineConfig(
-            use_semantic_cache=False, join_method="nested_loop",
-        ))
-        hash_rows = sorted(map(repr, hash_engine.execute(text).rows))
-        loop_rows = sorted(map(repr, loop_engine.execute(text).rows))
-        assert hash_rows == loop_rows
-
 
 class TestCladeFastPath:
     def test_fast_path_matches_slow_path(self, drugtree):
@@ -304,8 +291,6 @@ class TestAblations:
                      use_interval_labeling=False),
         EngineConfig(use_semantic_cache=False,
                      use_materialized_aggregates=False),
-        EngineConfig(use_semantic_cache=False, join_strategy="fixed"),
-        EngineConfig(use_semantic_cache=False, join_strategy="greedy"),
     ]
 
     QUERIES = [

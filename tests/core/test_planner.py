@@ -17,7 +17,6 @@ from repro.core.query.logical import (
     LogicalScan,
 )
 from repro.core.query.planner import Planner
-from repro.errors import PlanError
 from repro.workloads import DatasetConfig, build_dataset
 
 import pytest
@@ -169,32 +168,12 @@ class TestJoinOrdering:
         )
 
     def test_dp_explores_connected_orders_only(self, drugtree):
-        plan = _planner(drugtree, join_strategy="dp").plan(
-            self._three_table_query()
-        )
+        plan = _planner(drugtree).plan(self._three_table_query())
         assert len(plan.join_order) == 3
         # bindings must be adjacent to both other tables; ligands and
         # proteins cannot be adjacent to each other first.
         assert plan.join_order[:2] != ("proteins", "ligands")
         assert plan.join_order[:2] != ("ligands", "proteins")
-
-    def test_fixed_order_is_canonical(self, drugtree):
-        plan = _planner(drugtree, join_strategy="fixed").plan(
-            self._three_table_query()
-        )
-        assert plan.join_order == ("bindings", "proteins", "ligands")
-
-    def test_dp_never_costlier_than_fixed(self, drugtree):
-        query = self._three_table_query()
-        dp = _planner(drugtree, join_strategy="dp").plan(query)
-        fixed = _planner(drugtree, join_strategy="fixed").plan(query)
-        assert dp.estimated_cost <= fixed.estimated_cost
-
-    def test_greedy_produces_connected_order(self, drugtree):
-        plan = _planner(drugtree, join_strategy="greedy").plan(
-            self._three_table_query()
-        )
-        assert len(plan.join_order) == 3
 
     def test_join_nodes_in_plan(self, drugtree):
         plan = _planner(drugtree).plan(self._three_table_query())
@@ -218,9 +197,3 @@ class TestContradictionsAndExplain:
         )
         assert "cost=" in text
         assert "bindings" in text
-
-    def test_bad_config_rejected(self):
-        with pytest.raises(PlanError):
-            EngineConfig(join_strategy="quantum")
-        with pytest.raises(PlanError):
-            EngineConfig(join_method="sort_merge")

@@ -271,7 +271,7 @@ class TestDiagnostics:
         with pytest.raises(QueryError, match="execution mode"):
             EngineConfig(execution_mode="adaptive")
         assert EngineConfig().execution_mode == "vectorized"
-        assert len(dataclasses.fields(EngineConfig)) == 10
+        assert len(dataclasses.fields(EngineConfig)) == 8
 
     def test_default_mode_honours_the_batch_size(self, monkeypatch):
         """``BATCH_SIZE`` is the batch size: a 16-row batch over a
@@ -335,30 +335,24 @@ class TestKeySetScanWithoutIndex:
         assert vec_counters.rows_scanned == table.row_count
 
 
-class TestRowRule:
-    """Plans holding a node with no batch form run on the row engine
-    whole, under the default mode, with today's answers."""
+class TestCladeAggregate:
+    """The materialized clade aggregate runs on the batch engine under
+    the default mode, as one one-row batch, with the row engine's
+    answers and counters; the row engine drains it as one row."""
 
-    CASES = {
-        "clade_fast_path": ({}, "clade_agg",
-                            "materialized clade fast path"),
-        "nested_loop": (dict(join_method="nested_loop"), "join",
-                        "nested-loop join has no batch form"),
-    }
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_no_batch_form_plan_runs_on_row_engine(self, case):
-        knobs, kind, reason = self.CASES[case]
+    def test_clade_fast_path_runs_batched(self):
         dataset = make_dataset(seed=17)
         drugtree = dataset.drugtree()
         row = QueryEngine(drugtree, EngineConfig(
-            use_semantic_cache=False, execution_mode="row", **knobs))
+            use_semantic_cache=False, execution_mode="row"))
         default = QueryEngine(drugtree, EngineConfig(
-            use_semantic_cache=False, **knobs))
+            use_semantic_cache=False))
         query = QueryGenerator(dataset.family, dataset.ligands,
-                               seed=17).draw(kind)
-        assert_parity(row, default, query)
+                               seed=17).draw("clade_agg")
+        got_row, _ = assert_parity(row, default, query)
+        assert got_row.counters["operators"] == ["CladeAggregateOp"]
+        assert "batches_emitted" not in got_row.counters
         report = default.analyze(query)
-        assert report.execution == {"mode": "row", "reason": reason}
-        assert f"-- execution: chose row: {reason}" in report.render()
-        assert "batches_emitted" not in report.counters
+        assert report.execution["mode"] == "vectorized"
+        assert report.execution["batches"] == 1
+        assert report.counters["rows_per_batch"] == 1.0

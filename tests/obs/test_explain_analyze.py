@@ -175,23 +175,3 @@ class TestOperatorSpans:
                  if span.attributes["label"] == report.operators.label]
         assert roots and roots[0].attributes["rows"] == report.rows
 
-    def test_nested_loop_inner_folds_into_one_node(self, world,
-                                                   installed):
-        """A join that re-lowers its inner side per outer row must show
-        one merged stats node with a loop count, not one child per
-        rescan."""
-        dataset, drugtree, metrics = world
-        installed(metrics)
-        engine = QueryEngine(drugtree)
-        text = (
-            "SELECT ligand_id, organism FROM bindings, proteins "
-            "WHERE p_affinity >= 5.0"
-        )
-        report = engine.analyze(text)
-        labels = [node.label for node in self._walk(report.operators)]
-        assert len(labels) == len(set(labels)), labels
-
-    def _walk(self, stats):
-        yield stats
-        for child in stats.children:
-            yield from self._walk(child)

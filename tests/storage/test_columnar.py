@@ -3,6 +3,7 @@ table."""
 
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,11 +11,7 @@ import pytest
 from repro.core.query import vectorized
 from repro.core.query.ast import AggregateSpec, Band, Comparison
 from repro.core.query.logical import LogicalScan
-from repro.core.query.physical import (
-    ExecCounters,
-    HashAggregateOp,
-    StaticRowsOp,
-)
+from repro.core.query.physical import ExecCounters, HashAggregateOp
 from repro.core.query.vectorized import (
     VecHashAggregateOp,
     VecScanOp,
@@ -318,9 +315,9 @@ def serial_range(k):
 def serial_grouped(k):
     records = [r for r in map(typed_record, range(k))
                if r["p_affinity"] >= 12.0]
-    op = HashAggregateOp(ExecCounters(),
-                         StaticRowsOp(ExecCounters(), records),
-                         AGGREGATES, "activity_type")
+    source = SimpleNamespace(rows=lambda: iter(records))
+    op = HashAggregateOp(ExecCounters(), source, AGGREGATES,
+                         "activity_type")
     return list(op.rows())
 
 

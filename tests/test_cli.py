@@ -1,10 +1,16 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 
 WORLD = ["--leaves", "16", "--ligands", "20", "--seed", "3"]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParser:
@@ -95,6 +101,27 @@ class TestCommands:
     def test_similar_bad_smiles(self, capsys):
         assert main(["similar", "not-a-smiles", *WORLD]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestClosedPipe:
+    def test_query_exits_with_its_status_when_the_reader_leaves(self):
+        """``repro query ... | head -n 1``: the reader closes the pipe
+        after the first line while the answer (~160 KB, more than a
+        pipe holds) is still being printed. The command exits with its
+        own status and prints no traceback."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "query",
+             "SELECT * FROM bindings", "--max-rows", "100000",
+             "--leaves", "40", "--ligands", "40", "--seed", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0, err.decode()
+        assert first.startswith(b"{'ligand_id': ")
+        assert err == b""
 
 
 class TestObservabilityCommands:
