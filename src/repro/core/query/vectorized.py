@@ -12,7 +12,10 @@ projections, amortizing interpreter overhead across
   the ordered index walk: it maps the row ids
   :func:`~repro.core.query.physical.resolve_access` names (the row
   engine's, in the same order, at the same probe cost) to buffer
-  positions, or takes every live position for a full scan;
+  positions, or takes every live position for a full scan. An index
+  range holding :data:`RANGE_MASK_SHARE` of the table or more, on a
+  mirrored column with literals of its kind, is instead one mask over
+  the mirror: the same positions, ascending, with the same counters;
 * scans build **selection vectors** (buffer positions) and narrow
   them one predicate at a time: a comparison of a mirrored numeric or
   bool column with a literal of its kind is one numpy mask over the
@@ -83,6 +86,10 @@ from repro.storage.index import SortedIndex
 
 #: Rows per batch.
 BATCH_SIZE = 1024
+#: An index range holding at least this share of its table's rows is
+#: read as one mask over the access column's typed mirror, not the
+#: index (measured in docs/EXECUTION.md, "The batch operator set").
+RANGE_MASK_SHARE = 1 / 32
 
 
 class Batch:
@@ -379,10 +386,42 @@ class VecScanOp(_VecScanBase):
             column, keys = membership
             self.tests = ((column, keys.__contains__, None, None),
                           *self.tests)
+        #: ``(index, column, band)`` of a range the mirror may answer.
+        column, band = node.access_column, node.band
+        exact = self.store.mirror_types.get(column)
+        self.band = (table.index_on(column, True), column, band) if (
+            node.access == "index_range" and all(
+                end is None or _literal_fits(exact, end) for end in band[:2])
+        ) else None
+
+    def _masked(self) -> np.ndarray | None:
+        """A wide band's positions as one mask over its column's mirror,
+        ascending (position order is row-id order: ``check_append``);
+        None when the band is narrow or the mirror was refused."""
+        index, column, band = self.band
+        n = len(self.store)  # before the mirror: it holds every position
+        mirror = self.store.typed(column)
+        if mirror is None or index.count(*band) < n * RANGE_MASK_SHARE:
+            return None
+        low, high, include_low, include_high = band
+        data, valid = mirror[0][:n], mirror[1]
+        mask = None if valid is None else valid[:n]
+        for end, op in ((low, ">=" if include_low else ">"),
+                        (high, "<=" if include_high else "<")):
+            if end is not None:  # `valid` is the store's: and into `test`
+                test = _MASK_OPS[op](data, end)
+                mask = test if mask is None else np.logical_and(
+                    mask, test, out=test)
+        return np.arange(n) if mask is None else np.flatnonzero(mask)
 
     def batches(self) -> Iterator[Batch]:
         if self.probes is None:
             yield from self._batches_of(self.store.live_positions())
+            return
+        positions = None if self.band is None else self._masked()
+        if positions is not None:
+            self.counters.index_probes += 1
+            yield from self._batches_of(positions)
             return
         if len(self.probes) == 1:  # no copy: big ranges would lift peak RSS
             self.counters.index_probes += 1

@@ -82,7 +82,8 @@ class Table:
 
     def check_append(self, pairs: Rows) -> None:
         """Refuse *pairs* unless their ids ascend above every id issued
-        so far: rows only append, so insertion order is row-id order."""
+        so far: rows only append, so insertion order is row-id order
+        (the order a wide range's mirror mask emits rows in)."""
         previous = self.next_row_id - 1
         for row_id, _ in pairs:
             if row_id <= previous:

@@ -9,7 +9,9 @@ so here the reference is :class:`NaiveEngine`, which filters every row
 with :meth:`Comparison.matches` and shares nothing else. The draws aim
 at the shapes that decide a band: two bounds at one value with
 different strictness (in either order), a bound at a clade's edge, and
-fractional literals on the integer ``leaf_pre``.
+fractional literals on the integer ``leaf_pre``. The draws run twice:
+with each range resolved as the cutoff decides, and with every range
+forced onto the mask over the column's typed mirror.
 """
 
 from unittest import mock
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, ClusterEngine
 from repro.core import EngineConfig, NaiveEngine, QueryEngine
+from repro.core.query import vectorized
 from repro.core.query.ast import (
     Band,
     Comparison,
@@ -159,6 +162,13 @@ def check_every_engine(world):
 
 
 def test_every_engine_bounds_columns_as_the_naive_engine(world):
+    check_every_engine(world)
+
+
+def test_every_engine_bounds_columns_on_the_mirror_mask(world, monkeypatch):
+    # Every index range over a mirrored column with literals of its
+    # kind is one mask over the mirror, however narrow.
+    monkeypatch.setattr(vectorized, "RANGE_MASK_SHARE", 0.0)
     check_every_engine(world)
 
 

@@ -208,6 +208,10 @@ def entry_points() -> list[EntryPoint]:
             "IN SUBTREE 'clade_0001'")
     points += [_cli("ci query clade edge", "query", edge),
                _cli("ci query --naive clade edge", "query", "--naive", edge)]
+    wide = ("SELECT count(*), mean(p_affinity), max(p_affinity) "
+            "FROM bindings WHERE p_affinity >= 7.5")
+    points += [_cli("ci query wide range", "query", wide),
+               _cli("ci query --naive wide range", "query", "--naive", wide)]
     return points
 
 

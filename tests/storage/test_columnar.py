@@ -443,6 +443,76 @@ class TestMirrorsAgainstReaders:
             sys.setswitchinterval(interval)
 
 
+    def test_wide_range_scans_racing_batch_appends(self):
+        """Real threads, a switch every microsecond: two readers run a
+        wide index range scan, which masks the column's mirror and never
+        reads the index, while a writer appends 100-row batches. Every
+        answer is in row-id order, inside the band, and holds each batch
+        whole or not at all."""
+        start, size, batches = 300, 100, 6
+        serial = {k: serial_range(k)
+                  for k in range(start, start + size * batches + 1, size)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):
+                table = typed_table(start)
+                table.create_index(["p_affinity"], kind="sorted")
+                store = table.column_store()
+                assert VecScanOp(ExecCounters(), table,
+                                 RANGE_SCAN)._masked() is not None
+                seen, errors = race_batches(table, store, start, size,
+                                            batches)
+                assert errors == []
+                assert seen
+                for got in seen:
+                    ids = [int(row["ligand_id"][1:]) for row in got]
+                    assert ids == sorted(set(ids))
+                    assert all(10.0 <= row["p_affinity"] < 20.0
+                               for row in got)
+                    assert got in serial.values(), len(got)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def race_batches(table, store, start, size, batches):
+    """Two readers scan ``RANGE_SCAN`` while one thread appends
+    *batches* batches of *size* rows from row ``start``; every answer
+    the readers saw, and any error raised."""
+    seen: list[list] = []
+    errors: list[BaseException] = []
+    done = threading.Event()
+
+    def reader():
+        try:
+            while True:  # at least one scan, however fast the writer
+                seen.append(vec_range(store))
+                if done.is_set():
+                    break
+        except Exception as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    def writer():
+        try:
+            for first in range(start, start + size * batches, size):
+                table.append_rows([
+                    (k, table.schema.validate_row(typed_row(k)))
+                    for k in range(first, first + size)])
+        except Exception as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+        finally:
+            done.set()
+
+    threads = [threading.Thread(target=writer)]
+    threads += [threading.Thread(target=reader) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    return seen, errors
+
+
 def race_scans(table, store, start, stop):
     """Three reader threads scan while one thread inserts rows
     ``start..stop``; the first answer per ``(len before, len after)``
