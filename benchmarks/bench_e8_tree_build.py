@@ -1,20 +1,20 @@
 """E8 — substrate scalability: tree construction.
 
 Sanity-checks the phylogenetics substrate under the sizes the system
-serves: neighbor-joining vs UPGMA on growing distance matrices, plus
-the cost of computing a distance matrix from pairwise alignments at a
-modest size (the expensive step in practice).
+serves: neighbor-joining on growing distance matrices, plus the cost of
+computing a distance matrix from pairwise alignments at a modest size
+(the expensive step in practice).
 
-Expected shape: both clustering algorithms are polynomial (roughly
-cubic-ish here) and comfortably handle hundreds of taxa; NJ costs more
-per merge than UPGMA but reconstructs non-ultrametric trees exactly.
+Expected shape: neighbor-joining is polynomial (roughly cubic-ish here),
+comfortably handles hundreds of taxa and reconstructs non-ultrametric
+trees exactly.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.bio import DistanceMatrix, neighbor_joining, upgma
+from repro.bio import DistanceMatrix, neighbor_joining
 from repro.bio.distance import distance_matrix
 from repro.bio.simulate import birth_death_tree, evolve_sequences
 from repro.workloads import TextTable
@@ -36,24 +36,19 @@ def test_e8_clustering_scalability(benchmark, report):
             started = time.perf_counter()
             nj_tree = neighbor_joining(matrix)
             nj_s = time.perf_counter() - started
-            started = time.perf_counter()
-            upgma_tree = upgma(matrix)
-            upgma_s = time.perf_counter() - started
-            rows.append((n, nj_s * 1000, upgma_s * 1000,
-                         nj_tree.leaf_count == n
-                         and upgma_tree.leaf_count == n))
+            rows.append((n, nj_s * 1000, nj_tree.leaf_count == n))
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = TextTable(
-        ["taxa", "NJ ms", "UPGMA ms", "complete"],
+        ["taxa", "NJ ms", "complete"],
         title="E8  tree construction from a distance matrix",
     )
     for row in rows:
         table.add_row(*row)
     report(table)
 
-    assert all(row[3] for row in rows)
+    assert all(row[2] for row in rows)
     nj_times = [row[1] for row in rows]
     assert nj_times[-1] > nj_times[0]  # grows with input, sanely
 
@@ -64,11 +59,6 @@ def test_e8_nj_wall_time(benchmark):
                        rounds=3, iterations=1)
 
 
-def test_e8_upgma_wall_time(benchmark):
-    matrix = _matrix(100)
-    benchmark.pedantic(lambda: upgma(matrix), rounds=3, iterations=1)
-
-
 def test_e8_alignment_distance_matrix_wall_time(benchmark, report):
     """The expensive real-world step: all-pairs global alignment."""
     tree = birth_death_tree(16, seed=3)
@@ -77,7 +67,7 @@ def test_e8_alignment_distance_matrix_wall_time(benchmark, report):
     sequences = evolve_sequences(tree, length=120, seed=4)
 
     result = benchmark.pedantic(
-        lambda: distance_matrix(sequences, correction="kimura"),
+        lambda: distance_matrix(sequences),
         rounds=1, iterations=1,
     )
     rebuilt = neighbor_joining(result)

@@ -2,15 +2,11 @@
 
 The other examples start from a known tree; this one does what the
 original system had to do — infer the phylogeny from the federation's
-own sequence data, judge its reliability, and only then hang the ligand
-overlay on it:
+own sequence data, and only then hang the ligand overlay on it:
 
 1. pull sequences from the (simulated) structure source;
 2. infer a neighbor-joining tree with midpoint rooting;
-3. bootstrap the alignment and build a majority-rule consensus to see
-   which clades are trustworthy;
-4. find where a *novel* sequence belongs via k-mer search;
-5. integrate the overlay onto the inferred tree and query it.
+3. integrate the overlay onto the inferred tree and query it.
 
 Run with::
 
@@ -18,17 +14,7 @@ Run with::
 """
 
 from repro import DatasetConfig, QueryEngine, build_dataset
-from repro.bio import (
-    KmerIndex,
-    ProteinSequence,
-    ascii_tree,
-    bootstrap_support,
-    distance_matrix_from_msa,
-    majority_rule_consensus,
-    neighbor_joining,
-    progressive_align,
-)
-from repro.bio.bootstrap import resample_alignment
+from repro.bio import ascii_tree
 from repro.core import IntegrationPipeline
 
 
@@ -38,57 +24,20 @@ def main() -> None:
     pipeline = IntegrationPipeline(dataset.registry)
 
     # -- 1+2. sequences -> distances -> rooted NJ tree ----------------------
-    tree = pipeline.build_tree_from_sources(method="nj")
+    tree = pipeline.build_tree_from_sources(dataset.tree.leaf_names())
     print(f"inferred tree: {tree.leaf_count} proteins, "
           f"RF distance to the (hidden) true tree = "
           f"{tree.robinson_foulds(dataset.tree)}")
+    print(ascii_tree(tree, max_depth=3))
 
-    # -- 3. bootstrap + consensus -------------------------------------------
-    entries = dataset.protein_source.get_entries(tree.leaf_names())
-    sequences = [entries[name].to_sequence()
-                 for name in tree.leaf_names()]
-    alignment = progressive_align(sequences)
-    support = bootstrap_support(tree, alignment, replicates=25, seed=1)
-    solid = sum(1 for value in support.values() if value >= 0.7)
-    print(f"bootstrap: {solid}/{len(support)} splits at >=70% support")
-
-    replicates = []
-    import random
-    rng = random.Random(2)
-    for _ in range(15):
-        draw = resample_alignment(alignment, rng)
-        matrix = distance_matrix_from_msa(draw.names, draw.rows,
-                                          correction="p")
-        replicates.append(neighbor_joining(matrix))
-    consensus = majority_rule_consensus(
-        [tree.reroot_at_midpoint() for tree in replicates]
-    )
-    print("\nmajority-rule consensus of 15 bootstrap trees "
-          "(internal labels = % support):")
-    print(ascii_tree(consensus, max_depth=3))
-
-    # -- 4. placing a novel sequence ----------------------------------------
-    index = KmerIndex(k=3)
-    index.add_many(sequences)
-    template = sequences[4]
-    mutated = list(template.residues)
-    for position in range(0, len(mutated), 11):
-        mutated[position] = "A" if mutated[position] != "A" else "S"
-    novel = ProteinSequence("novel_enzyme", "".join(mutated))
-    hits = index.search(novel, top_k=3)
-    print("\nk-mer search for a novel enzyme:")
-    for hit in hits:
-        print(f"  {hit.seq_id}: SW score {hit.score}, "
-              f"identity {hit.identity:.0%}, "
-              f"{hit.shared_kmers} shared 3-mers")
-
-    # -- 5. overlay + query on the inferred tree ----------------------------
+    # -- 3. overlay + query on the inferred tree ----------------------------
     drugtree, report = pipeline.build_drugtree(tree)
     engine = QueryEngine(drugtree)
+    protein = tree.leaf_names()[0]
     home_clade = next(
         node.name for node in tree.preorder()
         if node.name and not node.is_leaf
-        and hits[0].seq_id in {leaf.name for leaf in node.leaves()}
+        and protein in {leaf.name for leaf in node.leaves()}
         and node.leaf_count() <= 4
     )
     result = engine.execute(
@@ -96,8 +45,8 @@ def main() -> None:
         f"WHERE potent = true IN SUBTREE '{home_clade}' "
         "ORDER BY p_affinity DESC LIMIT 5"
     )
-    print(f"\npotent chemical matter near the novel enzyme's home "
-          f"clade ({home_clade}):")
+    print(f"\npotent chemical matter near {protein} "
+          f"(its clade {home_clade}):")
     for row in result.rows:
         print(f"  {row['ligand_id']} -> {row['protein_id']} "
               f"(pAff {row['p_affinity']:.2f})")

@@ -4,7 +4,7 @@ protein-ligand data analysis system (SIGMOD 2013).
 The package layers four subsystems:
 
 * :mod:`repro.bio` — phylogenetics substrate (alignment, distances,
-  tree building, simulation);
+  neighbor-joining, simulation);
 * :mod:`repro.chem` — cheminformatics substrate (SMILES, descriptors,
   fingerprints, affinities);
 * :mod:`repro.sources` / :mod:`repro.storage` — the simulated remote
@@ -33,13 +33,11 @@ Quickstart::
 
 from repro.bio import (
     DistanceMatrix,
-    MultipleAlignment,
     PhyloNode,
     PhyloTree,
     ProteinSequence,
     neighbor_joining,
     parse_newick,
-    upgma,
 )
 from repro.chem import (
     ActivityType,
@@ -93,7 +91,6 @@ __all__ = [
     "MetricsRegistry",
     "MobileClient",
     "Molecule",
-    "MultipleAlignment",
     "NaiveEngine",
     "NetworkLink",
     "NetworkProfile",
@@ -115,5 +112,4 @@ __all__ = [
     "parse_query",
     "parse_smiles",
     "tanimoto",
-    "upgma",
 ]

@@ -40,8 +40,7 @@ CONTAINER_MUTATORS = frozenset({
 #: waiter's latency) — CONC202.  Matched by name, whatever the receiver.
 BLOCKING_CALLS = frozenset({
     "advance", "fetch", "fetch_all", "fetch_all_resilient", "fetch_many",
-    "join", "render_full", "render_viewport", "result", "scan_keys",
-    "sleep", "wait",
+    "join", "render_full", "render_viewport", "result", "sleep", "wait",
 })
 
 

@@ -1,9 +1,8 @@
-"""Pairwise protein alignment: Needleman–Wunsch and Smith–Waterman.
+"""Pairwise protein alignment: Needleman–Wunsch with BLOSUM62.
 
-Both algorithms use affine gap penalties (Gotoh's three-state recurrence)
-and vectorised numpy inner loops so that aligning the hundreds of
-sequence pairs needed to build a distance matrix stays fast enough for
-interactive use.
+Affine gap penalties (Gotoh's three-state recurrence) and a vectorised
+numpy inner loop keep aligning the hundreds of sequence pairs needed to
+build a distance matrix fast enough for interactive use.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bio import alphabet
-from repro.bio.matrices import BLOSUM62, SubstitutionMatrix
+from repro.bio.matrices import BLOSUM62
 from repro.bio.seq import ProteinSequence
 from repro.errors import AlignmentError
 
@@ -25,7 +24,7 @@ _FROM_MATCH, _FROM_GAP_A, _FROM_GAP_B = 0, 1, 2
 
 @dataclass(frozen=True, slots=True)
 class PairwiseAlignment:
-    """Result of aligning two sequences.
+    """Result of globally aligning two sequences.
 
     ``aligned_a`` and ``aligned_b`` are equal-length strings over the
     residue alphabet plus the gap character ``-``.
@@ -36,7 +35,6 @@ class PairwiseAlignment:
     aligned_a: str
     aligned_b: str
     score: int
-    mode: str
 
     def __post_init__(self) -> None:
         if len(self.aligned_a) != len(self.aligned_b):
@@ -44,19 +42,6 @@ class PairwiseAlignment:
 
     def __len__(self) -> int:
         return len(self.aligned_a)
-
-    @property
-    def identity(self) -> float:
-        """Fraction of aligned (non-double-gap) columns that match."""
-        matches = 0
-        columns = 0
-        for res_a, res_b in zip(self.aligned_a, self.aligned_b):
-            if res_a == alphabet.GAP and res_b == alphabet.GAP:
-                continue
-            columns += 1
-            if res_a == res_b:
-                matches += 1
-        return matches / columns if columns else 0.0
 
     def matched_columns(self) -> list[tuple[str, str]]:
         """Columns where neither side is a gap, as residue pairs."""
@@ -76,9 +61,8 @@ def _encode(residues: str) -> np.ndarray:
     )
 
 
-def _pair_scores(matrix: SubstitutionMatrix,
-                 enc_a: np.ndarray, enc_b: np.ndarray) -> np.ndarray:
-    table = matrix.as_array(alphabet.AMINO_ACIDS)
+def _pair_scores(enc_a: np.ndarray, enc_b: np.ndarray) -> np.ndarray:
+    table = BLOSUM62.as_array(alphabet.AMINO_ACIDS)
     return table[np.ix_(enc_a, enc_b)]
 
 
@@ -90,7 +74,6 @@ def _validate_gaps(gap_open: int, gap_extend: int) -> None:
 
 
 def global_align(seq_a: ProteinSequence, seq_b: ProteinSequence,
-                 matrix: SubstitutionMatrix = BLOSUM62,
                  gap_open: int = 11, gap_extend: int = 1,
                  ) -> PairwiseAlignment:
     """Needleman–Wunsch global alignment with affine gaps.
@@ -102,7 +85,7 @@ def global_align(seq_a: ProteinSequence, seq_b: ProteinSequence,
     _validate_gaps(gap_open, gap_extend)
     enc_a, enc_b = _encode(seq_a.residues), _encode(seq_b.residues)
     n, m = len(enc_a), len(enc_b)
-    pair = _pair_scores(matrix, enc_a, enc_b)
+    pair = _pair_scores(enc_a, enc_b)
 
     # Three-state Gotoh. match[i,j]: best ending in residue/residue;
     # gap_a[i,j]: best ending with a gap in seq_a (consumes b);
@@ -167,8 +150,7 @@ def global_align(seq_a: ProteinSequence, seq_b: ProteinSequence,
         seq_a.residues, seq_b.residues, state,
         tb_match, tb_gap_a, tb_gap_b,
     )
-    return PairwiseAlignment(seq_a, seq_b, aligned_a, aligned_b, score,
-                             mode="global")
+    return PairwiseAlignment(seq_a, seq_b, aligned_a, aligned_b, score)
 
 
 def _traceback_global(res_a: str, res_b: str, state: int,
@@ -207,98 +189,4 @@ def _traceback_global(res_a: str, res_b: str, state: int,
             out_b.append(alphabet.GAP)
             i -= 1
             state = prev
-    return "".join(reversed(out_a)), "".join(reversed(out_b))
-
-
-def local_align(seq_a: ProteinSequence, seq_b: ProteinSequence,
-                matrix: SubstitutionMatrix = BLOSUM62,
-                gap_open: int = 11, gap_extend: int = 1,
-                ) -> PairwiseAlignment:
-    """Smith–Waterman local alignment with affine gaps.
-
-    Returns the highest-scoring local alignment; for sequences with no
-    positively-scoring pair the alignment is empty with score 0.
-    """
-    _validate_gaps(gap_open, gap_extend)
-    enc_a, enc_b = _encode(seq_a.residues), _encode(seq_b.residues)
-    n, m = len(enc_a), len(enc_b)
-    pair = _pair_scores(matrix, enc_a, enc_b)
-
-    match = np.zeros((n + 1, m + 1), dtype=np.int64)
-    gap_a = np.full((n + 1, m + 1), _NEG_INF, dtype=np.int64)
-    gap_b = np.full((n + 1, m + 1), _NEG_INF, dtype=np.int64)
-    best_score = 0
-    best_pos = (0, 0)
-
-    for i in range(1, n + 1):
-        prev_m, prev_b = match[i - 1], gap_b[i - 1]
-        row_pair = pair[i - 1]
-        gap_b[i] = np.maximum(prev_m - gap_open, prev_b - gap_extend)
-        row_m, row_a, row_b = match[i], gap_a[i], gap_b[i]
-        for j in range(1, m + 1):
-            row_a[j] = max(row_m[j - 1] - gap_open, row_a[j - 1] - gap_extend)
-            diag = max(prev_m[j - 1], gap_a[i - 1][j - 1], prev_b[j - 1], 0)
-            cell = max(0, diag + row_pair[j - 1], row_a[j], row_b[j])
-            row_m[j] = cell
-            if cell > best_score:
-                best_score = int(cell)
-                best_pos = (i, j)
-
-    aligned_a, aligned_b = _traceback_local(
-        seq_a.residues, seq_b.residues, pair, match, gap_a, gap_b,
-        best_pos, gap_open, gap_extend,
-    )
-    return PairwiseAlignment(seq_a, seq_b, aligned_a, aligned_b,
-                             int(best_score), mode="local")
-
-
-def _traceback_local(res_a: str, res_b: str, pair: np.ndarray,
-                     match: np.ndarray, gap_a: np.ndarray,
-                     gap_b: np.ndarray, start: tuple[int, int],
-                     gap_open: int, gap_extend: int) -> tuple[str, str]:
-    # Local traceback recomputes which move produced each cell; this keeps
-    # the fill loop free of traceback bookkeeping.
-    i, j = start
-    out_a: list[str] = []
-    out_b: list[str] = []
-    state = _FROM_MATCH
-    while i > 0 and j > 0:
-        if state == _FROM_MATCH:
-            if match[i, j] <= 0:
-                break
-            cell = match[i, j]
-            if cell == gap_a[i, j]:
-                state = _FROM_GAP_A
-                continue
-            if cell == gap_b[i, j]:
-                state = _FROM_GAP_B
-                continue
-            out_a.append(res_a[i - 1])
-            out_b.append(res_b[j - 1])
-            diag_m = match[i - 1, j - 1]
-            diag_a = gap_a[i - 1, j - 1]
-            diag_b = gap_b[i - 1, j - 1]
-            i -= 1
-            j -= 1
-            best = max(diag_m, diag_a, diag_b, 0)
-            if best == 0:
-                break
-            if best == diag_m:
-                state = _FROM_MATCH
-            elif best == diag_a:
-                state = _FROM_GAP_A
-            else:
-                state = _FROM_GAP_B
-        elif state == _FROM_GAP_A:
-            out_a.append(alphabet.GAP)
-            out_b.append(res_b[j - 1])
-            came_from_open = gap_a[i, j] == match[i, j - 1] - gap_open
-            j -= 1
-            state = _FROM_MATCH if came_from_open else _FROM_GAP_A
-        else:  # _FROM_GAP_B
-            out_a.append(res_a[i - 1])
-            out_b.append(alphabet.GAP)
-            came_from_open = gap_b[i, j] == match[i - 1, j] - gap_open
-            i -= 1
-            state = _FROM_MATCH if came_from_open else _FROM_GAP_B
     return "".join(reversed(out_a)), "".join(reversed(out_b))

@@ -1,25 +1,24 @@
 """Evolutionary distances between protein sequences.
 
-Provides the classic distance corrections used to build phylogenies from
-alignments (p-distance, Kimura) and a :class:`DistanceMatrix`
-value type shared by the tree-building algorithms.
+Provides Kimura's protein distance correction, which turns a global
+alignment's proportion of differing residues into an evolutionary
+distance, and the :class:`DistanceMatrix` value type neighbor-joining
+reads.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bio import alphabet
 from repro.bio.align import PairwiseAlignment, global_align
-from repro.bio.matrices import BLOSUM62, SubstitutionMatrix
 from repro.bio.seq import ProteinSequence
 from repro.errors import AlignmentError, TreeError
 
-#: Cap applied when a correction formula diverges (p close to saturation).
+#: Cap applied when Kimura's formula diverges (p close to saturation).
 MAX_DISTANCE = 10.0
 
 
@@ -43,13 +42,6 @@ def kimura_distance(alignment: PairwiseAlignment) -> float:
     if inner <= 0.0:
         return MAX_DISTANCE
     return min(-math.log(inner), MAX_DISTANCE)
-
-
-#: Named correction functions, for configuration-driven selection.
-CORRECTIONS: dict[str, Callable[[PairwiseAlignment], float]] = {
-    "p": p_distance,
-    "kimura": kimura_distance,
-}
 
 
 @dataclass(frozen=True)
@@ -90,23 +82,8 @@ class DistanceMatrix:
         return float(self.values[self.index_of(name_a), self.index_of(name_b)])
 
 
-def distance_matrix(sequences: Sequence[ProteinSequence],
-                    correction: str = "kimura",
-                    matrix: SubstitutionMatrix = BLOSUM62,
-                    gap_open: int = 11, gap_extend: int = 1,
-                    ) -> DistanceMatrix:
-    """All-pairs evolutionary distances from global alignments.
-
-    Aligns every pair with Needleman–Wunsch and applies the named
-    *correction* (``p`` or ``kimura``).
-    """
-    try:
-        correct = CORRECTIONS[correction]
-    except KeyError:
-        known = ", ".join(sorted(CORRECTIONS))
-        raise AlignmentError(
-            f"unknown distance correction {correction!r} (known: {known})"
-        ) from None
+def distance_matrix(sequences: Sequence[ProteinSequence]) -> DistanceMatrix:
+    """All-pairs Kimura distances from Needleman–Wunsch alignments."""
     names = tuple(seq.seq_id for seq in sequences)
     n = len(sequences)
     if n < 2:
@@ -114,49 +91,7 @@ def distance_matrix(sequences: Sequence[ProteinSequence],
     values = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
         for j in range(i + 1, n):
-            aln = global_align(sequences[i], sequences[j], matrix=matrix,
-                               gap_open=gap_open, gap_extend=gap_extend)
-            dist = correct(aln)
+            dist = kimura_distance(global_align(sequences[i], sequences[j]))
             values[i, j] = dist
             values[j, i] = dist
     return DistanceMatrix(names, values)
-
-
-def distance_matrix_from_msa(names: Sequence[str],
-                             rows: Sequence[str],
-                             correction: str = "kimura") -> DistanceMatrix:
-    """Distances from pre-aligned rows of a multiple alignment.
-
-    *rows* are equal-length aligned strings (with gaps); pairwise
-    distances consider only columns where neither row has a gap.
-    """
-    try:
-        correct = CORRECTIONS[correction]
-    except KeyError:
-        known = ", ".join(sorted(CORRECTIONS))
-        raise AlignmentError(
-            f"unknown distance correction {correction!r} (known: {known})"
-        ) from None
-    if len(names) != len(rows):
-        raise AlignmentError("names and rows must have equal length")
-    widths = {len(row) for row in rows}
-    if len(widths) > 1:
-        raise AlignmentError("alignment rows have differing widths")
-    n = len(rows)
-    values = np.zeros((n, n), dtype=np.float64)
-    # Wrap each row pair in a PairwiseAlignment so the correction
-    # functions see the same interface as the pairwise path.
-    placeholder = {
-        name: ProteinSequence(name, rows[i].replace(alphabet.GAP, "") or "A")
-        for i, name in enumerate(names)
-    }
-    for i in range(n):
-        for j in range(i + 1, n):
-            aln = PairwiseAlignment(
-                placeholder[names[i]], placeholder[names[j]],
-                rows[i], rows[j], score=0, mode="msa",
-            )
-            dist = correct(aln)
-            values[i, j] = dist
-            values[j, i] = dist
-    return DistanceMatrix(tuple(names), values)

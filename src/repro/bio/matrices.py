@@ -1,6 +1,6 @@
-"""Substitution matrices (BLOSUM62, PAM250) for protein alignment.
+"""The BLOSUM62 substitution matrix for protein alignment.
 
-The matrices are stored in the conventional ``ARNDCQEGHILKMFPSTWYV``
+The matrix is stored in the conventional ``ARNDCQEGHILKMFPSTWYV``
 publication order and exposed through :class:`SubstitutionMatrix`, which
 resolves ambiguity codes and validates symmetry on construction.
 """
@@ -14,7 +14,7 @@ import numpy as np
 from repro.bio import alphabet
 from repro.errors import SequenceError
 
-#: Residue order used by the raw matrix literals below.
+#: Residue order used by the raw matrix literal below.
 MATRIX_ORDER = "ARNDCQEGHILKMFPSTWYV"
 
 _BLOSUM62_ROWS = """
@@ -39,30 +39,6 @@ _BLOSUM62_ROWS = """
 -2 -2 -2 -3 -2 -1 -2 -3  2 -1 -1 -2 -1  3 -3 -2 -2  2  7 -1
  0 -3 -3 -3 -1 -2 -2 -3 -3  3  1 -2  1 -1 -2 -2  0 -3 -1  4
 """
-
-_PAM250_ROWS = """
- 2 -2  0  0 -2  0  0  1 -1 -1 -2 -1 -1 -3  1  1  1 -6 -3  0
--2  6  0 -1 -4  1 -1 -3  2 -2 -3  3  0 -4  0  0 -1  2 -4 -2
- 0  0  2  2 -4  1  1  0  2 -2 -3  1 -2 -3  0  1  0 -4 -2 -2
- 0 -1  2  4 -5  2  3  1  1 -2 -4  0 -3 -6 -1  0  0 -7 -4 -2
--2 -4 -4 -5 12 -5 -5 -3 -3 -2 -6 -5 -5 -4 -3  0 -2 -8  0 -2
- 0  1  1  2 -5  4  2 -1  3 -2 -2  1 -1 -5  0 -1 -1 -5 -4 -2
- 0 -1  1  3 -5  2  4  0  1 -2 -3  0 -2 -5 -1  0  0 -7 -4 -2
- 1 -3  0  1 -3 -1  0  5 -2 -3 -4 -2 -3 -5  0  1  0 -7 -5 -1
--1  2  2  1 -3  3  1 -2  6 -2 -2  0 -2 -2  0 -1 -1 -3  0 -2
--1 -2 -2 -2 -2 -2 -2 -3 -2  5  2 -2  2  1 -2 -1  0 -5 -1  4
--2 -3 -3 -4 -6 -2 -3 -4 -2  2  6 -3  4  2 -3 -3 -2 -2 -1  2
--1  3  1  0 -5  1  0 -2  0 -2 -3  5  0 -5 -1  0  0 -3 -4 -2
--1  0 -2 -3 -5 -1 -2 -3 -2  2  4  0  6  0 -2 -2 -1 -4 -2  2
--3 -4 -3 -6 -4 -5 -5 -5 -2  1  2 -5  0  9 -5 -3 -3  0  7 -1
- 1  0  0 -1 -3  0 -1  0  0 -2 -3 -1 -2 -5  6  1  0 -6 -5 -1
- 1  0  1  0  0 -1  0  1 -1 -1 -3  0 -2 -3  1  2  1 -2 -3 -1
- 1 -1  0  0 -2 -1  0  0 -1  0 -2  0 -1 -3  0  1  3 -5 -3  0
--6  2 -4 -7 -8 -5 -7 -7 -3 -5 -2 -3 -4  0 -6 -2 -5 17  0 -6
--3 -4 -2 -4  0 -4 -4 -5  0 -1 -1 -4 -2  7 -5 -3 -3  0 10 -2
- 0 -2 -2 -2 -2 -2 -2 -1 -2  4  2 -2  2 -1 -1 -1  0 -6 -2  4
-"""
-
 
 def _parse_rows(text: str) -> np.ndarray:
     rows = [
@@ -122,4 +98,3 @@ class SubstitutionMatrix:
 
 
 BLOSUM62 = SubstitutionMatrix.from_rows("BLOSUM62", _parse_rows(_BLOSUM62_ROWS))
-PAM250 = SubstitutionMatrix.from_rows("PAM250", _parse_rows(_PAM250_ROWS))

@@ -254,21 +254,6 @@ class PhyloTree:
             below[node.node_id] = merged
         return names, dist
 
-    def clades(self) -> dict[int, frozenset[str]]:
-        """Leaf-name set under every node, keyed by node id."""
-        result: dict[int, frozenset[str]] = {}
-        sets: dict[int, frozenset[str]] = {}
-        for node in self.postorder():
-            if node.is_leaf:
-                clade = frozenset((node.name,))
-            else:
-                clade = frozenset().union(
-                    *(sets[child.node_id] for child in node.children)
-                )
-            sets[node.node_id] = clade
-            result[node.node_id] = clade
-        return result
-
     # -- editing ------------------------------------------------------
 
     def copy(self) -> "PhyloTree":
@@ -356,7 +341,18 @@ class PhyloTree:
             prev = node
             attach_length = next_attach
             node = parent
-        return PhyloTree(_suppress_unary(new_root))
+        # The old root gave up a child and got no parent in exchange: left
+        # with one child it is a unary node, and its edge merges into the
+        # child's.
+        if len(prev.children) == 1:
+            (only,) = prev.children
+            keeper = prev.parent
+            assert keeper is not None
+            keeper.remove_child(prev)
+            prev.remove_child(only)
+            only.branch_length += prev.branch_length
+            keeper.add_child(only)
+        return PhyloTree(new_root)
 
     # -- comparison ---------------------------------------------------
 
@@ -367,13 +363,19 @@ class PhyloTree:
         canonically so two trees over the same taxa can be compared.
         """
         all_leaves = frozenset(self.leaf_names())
+        below: dict[int, frozenset[str]] = {}   # node id -> its leaf set
         splits: set[frozenset[str]] = set()
-        for node_id, clade in self.clades().items():
-            if len(clade) <= 1 or len(clade) >= len(all_leaves) - 1:
-                continue
-            other = all_leaves - clade
-            canonical = min(clade, other, key=lambda s: (len(s), sorted(s)))
-            splits.add(frozenset(canonical))
+        for node in self.postorder():
+            if node.is_leaf:
+                clade = frozenset((node.name,))
+            else:
+                clade = frozenset().union(
+                    *(below.pop(child.node_id) for child in node.children))
+            below[node.node_id] = clade
+            if 1 < len(clade) < len(all_leaves) - 1:
+                other = all_leaves - clade
+                splits.add(min(clade, other,
+                               key=lambda s: (len(s), sorted(s))))
         return splits
 
     def robinson_foulds(self, other: "PhyloTree") -> int:
@@ -398,26 +400,6 @@ class PhyloTree:
             return text
 
         return f"{render(self.root)};"
-
-
-def _suppress_unary(root: PhyloNode) -> PhyloNode:
-    """Collapse unary internal nodes, merging their branch lengths."""
-    while len(root.children) == 1 and not root.children[0].is_leaf:
-        only = root.children[0]
-        root.remove_child(only)
-        only.parent = None
-        only.branch_length = 0.0
-        root = only
-    for node in list(root.preorder()):
-        for child in list(node.children):
-            while len(child.children) == 1:
-                grandchild = child.children[0]
-                child.remove_child(grandchild)
-                node.remove_child(child)
-                grandchild.branch_length += child.branch_length
-                node.add_child(grandchild)
-                child = grandchild
-    return root
 
 
 def _quote_label(label: str) -> str:

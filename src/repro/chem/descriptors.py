@@ -107,6 +107,14 @@ def topological_polar_surface_area(mol: Molecule) -> float:
     return round(total, 2)
 
 
+def is_drug_like(molecular_weight: float, logp: float,
+                 hbd: int, hba: int) -> bool:
+    """Lipinski's rule of five: at most one of MW > 500, logP > 5,
+    HBD > 5 and HBA > 10."""
+    violations = sum((molecular_weight > 500, logp > 5, hbd > 5, hba > 10))
+    return violations <= 1
+
+
 @dataclass(frozen=True)
 class DescriptorSet:
     """All per-compound descriptors, as stored in the ligand tables."""
@@ -122,23 +130,10 @@ class DescriptorSet:
     aromatic_atoms: int
 
     @property
-    def lipinski_violations(self) -> int:
-        """Number of rule-of-five violations (MW/logP/HBD/HBA)."""
-        violations = 0
-        if self.molecular_weight > 500:
-            violations += 1
-        if self.logp > 5:
-            violations += 1
-        if self.hbd > 5:
-            violations += 1
-        if self.hba > 10:
-            violations += 1
-        return violations
-
-    @property
     def is_drug_like(self) -> bool:
-        """Lipinski's rule of five: at most one violation."""
-        return self.lipinski_violations <= 1
+        """Lipinski's rule of five (see :func:`is_drug_like`)."""
+        return is_drug_like(self.molecular_weight, self.logp, self.hbd,
+                            self.hba)
 
 
 def compute_descriptors(mol: Molecule) -> DescriptorSet:

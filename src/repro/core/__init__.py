@@ -14,7 +14,6 @@ from repro.core.drugtree import DrugTree
 from repro.core.integrate import (
     IntegrationPipeline,
     IntegrationReport,
-    is_drug_like,
     ligand_row,
     protein_row,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "SimilarityFilter",
     "SubstructureFilter",
     "SubtreeFilter",
-    "is_drug_like",
     "ligand_row",
     "make_overlay_tables",
     "parse_query",

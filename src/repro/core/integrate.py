@@ -27,7 +27,7 @@ from typing import Any
 from repro.bio.distance import distance_matrix
 from repro.bio.nj import neighbor_joining
 from repro.bio.tree import PhyloTree
-from repro.bio.upgma import upgma
+from repro.chem.descriptors import is_drug_like
 from repro.core.drugtree import DrugTree
 from repro.errors import QueryError
 from repro.obs import WallTimer, get_metrics, get_tracer
@@ -44,18 +44,6 @@ from repro.sources.scheduler import FetchScheduler
 from repro.storage.durable import StorageConfig
 
 FETCH_MODES = ("batched", "per_item", "concurrent")
-
-
-def is_drug_like(molecular_weight: float, logp: float,
-                 hbd: int, hba: int) -> bool:
-    """Lipinski rule-of-five verdict from stored descriptor columns."""
-    violations = sum((
-        molecular_weight > 500,
-        logp > 5,
-        hbd > 5,
-        hba > 10,
-    ))
-    return violations <= 1
 
 
 def protein_row(protein_id: str,
@@ -164,25 +152,16 @@ class IntegrationPipeline:
 
     # -- the protein-motivated tree ------------------------------------------
 
-    def build_tree_from_sources(self, protein_ids: list[str] | None = None,
-                                method: str = "nj",
-                                correction: str = "kimura",
-                                clade_prefix: str = "clade",
-                                ) -> PhyloTree:
-        """Infer the phylogeny from the federation's own sequences.
+    def build_tree_from_sources(self, protein_ids: list[str]) -> PhyloTree:
+        """Infer the phylogeny of *protein_ids* from the federation's own
+        sequences.
 
         This is the "protein-motivated" step of the paper's title: fetch
         each protein's sequence from the structure source, compute
-        pairwise evolutionary distances, and build the tree (``nj`` with
-        midpoint rooting, or ``upgma``). Internal nodes get stable
-        preorder clade names so queries can address them.
-
-        With *protein_ids* omitted, the whole structure source is used.
+        pairwise Kimura distances, and build a neighbor-joining tree
+        rooted at its midpoint. Internal nodes get stable preorder clade
+        names so queries can address them.
         """
-        if method not in ("nj", "upgma"):
-            raise QueryError(f"unknown tree method {method!r}")
-        if protein_ids is None:
-            protein_ids = self.registry.scan_keys(KIND_PROTEIN)
         if len(protein_ids) < 2:
             raise QueryError("need at least two proteins for a tree")
         entries = self._fetch_map(KIND_PROTEIN, protein_ids)
@@ -192,15 +171,12 @@ class IntegrationPipeline:
                 f"structure source has no sequence for {missing[:5]}"
             )
         sequences = [entries[pid].to_sequence() for pid in protein_ids]
-        matrix = distance_matrix(sequences, correction=correction)
-        if method == "upgma":
-            tree = upgma(matrix)
-        else:
-            tree = neighbor_joining(matrix).reroot_at_midpoint()
+        tree = neighbor_joining(distance_matrix(sequences))
+        tree = tree.reroot_at_midpoint()
         counter = 0
         for node in tree.preorder():
             if not node.is_leaf and not node.name:
-                node.name = f"{clade_prefix}_{counter:04d}"
+                node.name = f"clade_{counter:04d}"
                 counter += 1
         return tree
 

@@ -13,11 +13,10 @@ All sources speak one uniform key-value dialect:
 * ``kinds()`` — the record kinds this source serves (``"protein"``,
   ``"activity_by_protein"``, ...);
 * ``fetch_many(kind, keys)`` — one round-trip returning a dict of the
-  found records;
-* ``scan_keys(kind)`` — all keys of a kind, charged per page.
+  found records.
 
 Typed convenience methods on the concrete sources are sugar over these
-three, which is what lets the scheduler, the chaos wrapper and the
+two, which is what lets the scheduler, the chaos wrapper and the
 integration pipeline stay generic.
 """
 
@@ -116,10 +115,6 @@ class DataSource(ABC):
     def _lookup(self, kind: str, keys: Sequence[str]) -> dict[str, object]:
         """Backend lookup; no cost accounting (subclasses implement)."""
 
-    @abstractmethod
-    def _all_keys(self, kind: str) -> list[str]:
-        """All keys of *kind*; no cost accounting."""
-
     def fetch_many(self, kind: str,
                    keys: Iterable[str]) -> dict[str, object]:
         """Fetch several records in a single charged round-trip.
@@ -148,17 +143,6 @@ class DataSource(ABC):
     def fetch(self, kind: str, key: str) -> object | None:
         """Fetch one record (one full round-trip — the naive pattern)."""
         return self.fetch_many(kind, [key]).get(key)
-
-    def scan_keys(self, kind: str) -> list[str]:
-        """List every key of *kind*, charged one round-trip per page."""
-        self._check_kind(kind)
-        all_keys = self._all_keys(kind)
-        with get_tracer().span("source.scan_keys", source=self.name,
-                               kind=kind, keys=len(all_keys)):
-            for start in range(0, len(all_keys), self.page_size):
-                page = all_keys[start:start + self.page_size]
-                self._charge(len(page), len(page))
-        return all_keys
 
     # -- cost accounting --------------------------------------------------
 
@@ -209,6 +193,3 @@ class TableBackedSource(DataSource):
     def _lookup(self, kind: str, keys: Sequence[str]) -> dict[str, object]:
         table = self._tables[kind]
         return {key: table[key] for key in keys if key in table}
-
-    def _all_keys(self, kind: str) -> list[str]:
-        return sorted(self._tables[kind])

@@ -144,9 +144,6 @@ class ChaosSource:
     def fetch(self, kind: str, key: str) -> object | None:
         return self.fetch_many(kind, [key]).get(key)
 
-    def scan_keys(self, kind: str) -> list[str]:
-        return self._guarded(lambda: self.inner.scan_keys(kind))
-
 
 def wrap_registry(registry, schedule: FaultSchedule):
     """A new registry with *schedule*'s chaos on the sources it touches.

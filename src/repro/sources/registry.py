@@ -64,9 +64,6 @@ class SourceRegistry:
                    keys: Iterable[str]) -> dict[str, object]:
         return self.source_for(kind).fetch_many(kind, keys)
 
-    def scan_keys(self, kind: str) -> list[str]:
-        return self.source_for(kind).scan_keys(kind)
-
     # -- fleet statistics --------------------------------------------------
 
     def combined_stats(self) -> dict[str, float]:

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from repro.bio import (
     DistanceMatrix,
+    alphabet,
     ProteinSequence,
     distance_matrix,
-    distance_matrix_from_msa,
     global_align,
     kimura_distance,
     p_distance,
 )
+from repro.bio.align import PairwiseAlignment
 from repro.bio.distance import MAX_DISTANCE
 from repro.errors import AlignmentError, TreeError
 
@@ -26,6 +27,14 @@ def _aln(text_a, text_b):
 
 
 class TestCorrections:
+    @pytest.mark.parametrize("text_a,text_b", [
+        ("MKTAY", "MKTAY"), ("AAAA", "AAWW"), ("MKTAYIAKQR", "MKTWYIWKQR"),
+        ("AAAA", "WWWW"), ("MKTAYWWWWIAKQR", "MKTAYIAKQR"),
+    ])
+    def test_kimura_never_below_p(self, text_a, text_b):
+        aln = _aln(text_a, text_b)
+        assert p_distance(aln) <= kimura_distance(aln) <= MAX_DISTANCE
+
     def test_p_distance_identical(self):
         assert p_distance(_aln("MKTAY", "MKTAY")) == 0.0
 
@@ -43,6 +52,35 @@ class TestCorrections:
     def test_corrections_agree_at_zero(self):
         aln = _aln("MKTAY", "MKTAY")
         assert p_distance(aln) == kimura_distance(aln) == 0.0
+
+    def test_p_distance_reads_only_gap_free_columns(self):
+        seq = ProteinSequence("x", "AKW")
+        aln = PairwiseAlignment(seq, seq, "AKW-", "AR-W", 0)
+        assert p_distance(aln) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("correction", [p_distance, kimura_distance])
+    def test_all_gap_alignment_has_no_distance(self, correction):
+        seq = ProteinSequence("x", "A")
+        aln = PairwiseAlignment(seq, seq, "A-", "-W", 0)
+        with pytest.raises(AlignmentError):
+            correction(aln)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.data())
+    def test_property_kimura_grows_with_p(self, length, data):
+        """More differing columns never give a shorter distance, and the
+        correction stays within [p, MAX_DISTANCE]."""
+        fewer = data.draw(st.integers(0, length))
+        more = data.draw(st.integers(fewer, length))
+        seq = ProteinSequence("x", "A")
+
+        def aln(diffs):
+            return PairwiseAlignment(seq, seq, "A" * length,
+                                     "W" * diffs + "A" * (length - diffs), 0)
+
+        near, far = kimura_distance(aln(fewer)), kimura_distance(aln(more))
+        assert near <= far
+        assert p_distance(aln(more)) <= far <= MAX_DISTANCE
 
     def test_saturation_is_capped(self):
         # Completely different residues: p = 1 → the correction saturates.
@@ -90,6 +128,11 @@ class TestDistanceMatrix:
         with pytest.raises(TreeError, match="shape"):
             DistanceMatrix(("a", "b"), np.zeros((3, 3)))
 
+    def test_length_and_index(self):
+        dm = self._matrix()
+        assert len(dm) == 3
+        assert [dm.index_of(name) for name in ("c", "a", "b")] == [2, 0, 1]
+
     def test_values_are_frozen(self):
         dm = self._matrix()
         with pytest.raises(ValueError):
@@ -103,41 +146,32 @@ class TestBuildFromSequences:
             ProteinSequence("s2", "MKTAYIAKQR"),
             ProteinSequence("s3", "MKTWYIWKQR"),
         ]
-        dm = distance_matrix(seqs, correction="p")
+        dm = distance_matrix(seqs)
         assert dm.get("s1", "s2") == 0.0
-        assert dm.get("s1", "s3") == pytest.approx(0.2)
+        p = 0.2
+        assert dm.get("s1", "s3") == pytest.approx(
+            -math.log(1 - p - 0.2 * p * p))
+
+    def test_rows_follow_the_input_order(self):
+        seqs = [ProteinSequence("z", "MKTAY"), ProteinSequence("a", "MKTWY"),
+                ProteinSequence("m", "MKTAY")]
+        dm = distance_matrix(seqs)
+        assert dm.names == ("z", "a", "m")
+        assert dm.get("z", "m") == 0.0
+        assert dm.get("z", "a") == dm.get("a", "m") > 0.0
 
     def test_requires_two_sequences(self):
         with pytest.raises(AlignmentError):
             distance_matrix([ProteinSequence("s1", "MKT")])
 
-    def test_unknown_correction(self):
-        seqs = [ProteinSequence("s1", "MKT"), ProteinSequence("s2", "MKT")]
-        with pytest.raises(AlignmentError, match="unknown distance"):
-            distance_matrix(seqs, correction="jukes")
-
-    def test_from_msa_ignores_gap_columns(self):
-        names = ["a", "b"]
-        rows = ["MK-AY", "MKTAY"]
-        dm = distance_matrix_from_msa(names, rows, correction="p")
-        assert dm.get("a", "b") == 0.0
-
-    def test_from_msa_counts_substitutions(self):
-        dm = distance_matrix_from_msa(["a", "b"], ["MKTAY", "MKTWY"],
-                                      correction="p")
-        assert dm.get("a", "b") == pytest.approx(0.2)
-
-    def test_from_msa_rejects_ragged(self):
-        with pytest.raises(AlignmentError, match="widths"):
-            distance_matrix_from_msa(["a", "b"], ["MKT", "MKTA"])
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.lists(
-        st.text(alphabet="ACDE", min_size=8, max_size=8),
-        min_size=2, max_size=5, unique=True,
-    ))
-    def test_property_msa_distances_valid(self, rows):
-        names = [f"t{i}" for i in range(len(rows))]
-        dm = distance_matrix_from_msa(names, rows, correction="p")
-        assert (dm.values >= 0).all()
-        assert (dm.values <= 1).all()
+    @settings(max_examples=8, deadline=None)
+    @given(st.lists(st.text(alphabet=alphabet.AMINO_ACIDS, min_size=3,
+                            max_size=12), min_size=2, max_size=4))
+    def test_property_entries_are_pairwise_kimura(self, texts):
+        seqs = [ProteinSequence(f"s{i}", text) for i, text in enumerate(texts)]
+        dm = distance_matrix(seqs)
+        for i, seq_i in enumerate(seqs):
+            assert dm.values[i, i] == 0.0
+            for j in range(i + 1, len(seqs)):
+                expected = kimura_distance(global_align(seq_i, seqs[j]))
+                assert dm.values[i, j] == dm.values[j, i] == expected

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.bio import BLOSUM62, PAM250
+from repro.bio import BLOSUM62
 from repro.bio import alphabet
 from repro.errors import SequenceError
 
@@ -13,7 +13,7 @@ residues = st.sampled_from(alphabet.AMINO_ACIDS)
 
 
 class TestKnownScores:
-    """Spot-check published values of both matrices."""
+    """Spot-check published values of the matrix."""
 
     @pytest.mark.parametrize("a,b,score", [
         ("W", "W", 11), ("A", "A", 4), ("C", "C", 9),
@@ -24,21 +24,26 @@ class TestKnownScores:
         assert BLOSUM62.score(a, b) == score
 
     @pytest.mark.parametrize("a,b,score", [
-        ("W", "W", 17), ("C", "C", 12), ("A", "A", 2),
-        ("F", "Y", 7), ("W", "C", -8), ("I", "V", 4),
+        ("H", "Y", 2), ("N", "D", 1), ("S", "T", 1), ("I", "L", 2),
+        ("G", "W", -2), ("P", "F", -4), ("M", "L", 2), ("E", "Q", 2),
+        ("W", "Y", 2), ("C", "E", -4),
     ])
-    def test_pam250(self, a, b, score):
-        assert PAM250.score(a, b) == score
+    def test_blosum62_off_diagonal(self, a, b, score):
+        assert BLOSUM62.score(a, b) == BLOSUM62.score(b, a) == score
+
+    @pytest.mark.parametrize("residue,score", list(zip(
+        "ARNDCQEGHILKMFPSTWYV",
+        (4, 5, 6, 6, 9, 5, 5, 6, 8, 4, 4, 5, 5, 6, 7, 4, 5, 11, 7, 4),
+    )))
+    def test_blosum62_diagonal(self, residue, score):
+        """The published self-substitution score of every residue."""
+        assert BLOSUM62.score(residue, residue) == score
 
 
 class TestMatrixProperties:
     @given(residues, residues)
     def test_blosum62_symmetric(self, a, b):
         assert BLOSUM62.score(a, b) == BLOSUM62.score(b, a)
-
-    @given(residues, residues)
-    def test_pam250_symmetric(self, a, b):
-        assert PAM250.score(a, b) == PAM250.score(b, a)
 
     @given(residues)
     def test_diagonal_dominates_blosum(self, a):
@@ -59,8 +64,16 @@ class TestMatrixProperties:
                 assert table[i, j] == BLOSUM62.score(a, b)
 
     def test_as_array_symmetric(self):
-        table = PAM250.as_array()
+        table = BLOSUM62.as_array()
         assert np.array_equal(table, table.T)
+
+    def test_scores_span_the_published_range(self):
+        table = BLOSUM62.as_array()
+        assert table.min() == -4 and table.max() == 11
+
+    def test_ambiguity_z_reads_as_glutamate(self):
+        assert all(BLOSUM62.score("Z", b) == BLOSUM62.score("E", b)
+                   for b in alphabet.AMINO_ACIDS)
 
     def test_bad_residue_raises(self):
         with pytest.raises(SequenceError):

@@ -1,11 +1,11 @@
-"""Tests for neighbor-joining and UPGMA tree construction."""
+"""Tests for neighbor-joining tree construction."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bio import DistanceMatrix, neighbor_joining, upgma
+from repro.bio import DistanceMatrix, neighbor_joining
 from repro.bio.simulate import birth_death_tree
 from repro.errors import TreeError
 
@@ -51,6 +51,33 @@ class TestNeighborJoining:
         assert frozenset({"a", "b"}) in splits
         assert frozenset({"d", "e"}) in splits
 
+    def test_three_taxa_limbs(self):
+        """Three taxa solve exactly: limbs 1, 2 and 3 give the pairwise
+        distances 3, 4 and 5."""
+        values = np.array([[0.0, 3.0, 4.0], [3.0, 0.0, 5.0],
+                           [4.0, 5.0, 0.0]])
+        tree = neighbor_joining(DistanceMatrix(("a", "b", "c"), values))
+        limbs = {node.name: node.branch_length for node in tree.leaves()}
+        assert limbs == pytest.approx({"a": 1.0, "b": 2.0, "c": 3.0})
+        assert len(tree.root.children) == 3
+
+    def test_identical_taxa_are_joined_at_zero(self):
+        values = np.array([
+            [0.0, 0.0, 4.0, 5.0],
+            [0.0, 0.0, 4.0, 5.0],
+            [4.0, 4.0, 0.0, 3.0],
+            [5.0, 5.0, 3.0, 0.0],
+        ])
+        tree = neighbor_joining(DistanceMatrix(("a", "b", "c", "d"), values))
+        assert frozenset({"a", "b"}) in tree.bipartitions()
+        assert tree.distance("a", "b") == pytest.approx(0.0)
+
+    def test_input_matrix_is_not_changed(self):
+        dm = _wikipedia_nj_matrix()
+        before = dm.values.copy()
+        neighbor_joining(dm)
+        assert np.array_equal(dm.values, before)
+
     def test_root_is_trifurcation(self):
         tree = neighbor_joining(_wikipedia_nj_matrix())
         assert len(tree.root.children) == 3
@@ -68,57 +95,36 @@ class TestNeighborJoining:
         order = [names2.index(name) for name in names]
         assert np.allclose(matrix, matrix2[np.ix_(order, order)], atol=1e-6)
 
-
-class TestUpgma:
-    def _ultrametric_matrix(self):
-        # Clock-like tree: ((a:2,b:2):1,(c:1.5,d:1.5):1.5)
-        values = np.array([
-            [0.0, 4.0, 6.0, 6.0],
-            [4.0, 0.0, 6.0, 6.0],
-            [6.0, 6.0, 0.0, 3.0],
-            [6.0, 6.0, 3.0, 0.0],
-        ])
-        return DistanceMatrix(("a", "b", "c", "d"), values)
-
-    def test_recovers_ultrametric_tree(self):
-        tree = upgma(self._ultrametric_matrix())
-        assert tree.distance("a", "b") == pytest.approx(4.0)
-        assert tree.distance("c", "d") == pytest.approx(3.0)
-        assert tree.distance("a", "c") == pytest.approx(6.0)
-
-    def test_result_is_ultrametric(self):
-        tree = upgma(self._ultrametric_matrix())
-        depths = {
-            leaf.name: leaf.distance_to_root() for leaf in tree.leaves()
-        }
-        values = list(depths.values())
-        assert all(abs(v - values[0]) < 1e-9 for v in values)
-
-    def test_result_is_binary_and_rooted(self):
-        tree = upgma(self._ultrametric_matrix())
-        assert tree.is_binary()
-        assert len(tree.root.children) == 2
-
-    def test_one_taxon_rejected(self):
-        dm = DistanceMatrix(("a",), np.zeros((1, 1)))
-        with pytest.raises(TreeError):
-            upgma(dm)
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(min_value=3, max_value=20), st.integers(0, 10_000))
-    def test_property_upgma_always_ultrametric(self, n, seed):
-        """UPGMA output is ultrametric regardless of the input matrix."""
-        tree = birth_death_tree(n, seed=seed)
-        names, matrix = tree.cophenetic_matrix()
-        clustered = upgma(DistanceMatrix(names, matrix))
-        depths = [leaf.distance_to_root() for leaf in clustered.leaves()]
-        assert max(depths) - min(depths) < 1e-9
-
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=3, max_value=15), st.integers(0, 10_000))
     def test_property_all_leaves_present(self, n, seed):
         tree = birth_death_tree(n, seed=seed)
         names, matrix = tree.cophenetic_matrix()
         dm = DistanceMatrix(names, matrix)
-        assert sorted(upgma(dm).leaf_names()) == sorted(names)
         assert sorted(neighbor_joining(dm).leaf_names()) == sorted(names)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=3, max_value=12), st.integers(0, 10_000))
+    def test_property_branch_lengths_never_negative(self, n, seed):
+        """On non-additive distances NJ's limb estimates can go negative;
+        they are clamped at zero."""
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.uniform(0.1, 5.0, size=(n, n)), 1)
+        names = tuple(f"t{i}" for i in range(n))
+        tree = neighbor_joining(DistanceMatrix(names, upper + upper.T))
+        assert all(node.branch_length >= 0.0 for node in tree.preorder())
+        assert sorted(tree.leaf_names()) == sorted(names)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=4, max_value=15), st.integers(0, 10_000),
+           st.randoms(use_true_random=False))
+    def test_property_taxon_order_does_not_matter(self, n, seed, rnd):
+        """Listing the taxa of an additive matrix in another order
+        rebuilds the same tree."""
+        true_tree = birth_death_tree(n, seed=seed)
+        names, matrix = true_tree.cophenetic_matrix()
+        order = list(range(n))
+        rnd.shuffle(order)
+        shuffled = DistanceMatrix(tuple(names[i] for i in order),
+                                  matrix[np.ix_(order, order)])
+        assert neighbor_joining(shuffled).robinson_foulds(true_tree) == 0

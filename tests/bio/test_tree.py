@@ -99,6 +99,16 @@ class TestRelationships:
     def test_lca_single_leaf(self, small_tree):
         assert small_tree.lca(["a"]).name == "a"
 
+    def test_lca_of_every_leaf_is_the_root(self, small_tree):
+        assert small_tree.lca(small_tree.leaf_names()) is small_tree.root
+
+    def test_lca_of_nothing_raises(self, small_tree):
+        with pytest.raises(TreeError):
+            small_tree.lca([])
+
+    def test_distance_to_self_is_zero(self, small_tree):
+        assert small_tree.distance("c", "c") == 0.0
+
     def test_patristic_distance(self, small_tree):
         assert small_tree.distance("a", "b") == pytest.approx(3.0)
         assert small_tree.distance("a", "c") == pytest.approx(5.0)
@@ -113,11 +123,10 @@ class TestRelationships:
                 )
                 assert matrix[i, j] == pytest.approx(expected)
 
-    def test_clades(self, small_tree):
-        clades = set(small_tree.clades().values())
-        assert frozenset({"d", "e"}) in clades
-        assert frozenset({"c", "d", "e"}) in clades
-        assert frozenset({"a", "b", "c", "d", "e"}) in clades
+    def test_bipartitions(self, small_tree):
+        # The root's two edges are one split: {a, b} | {c, d, e}.
+        assert small_tree.bipartitions() == {frozenset({"a", "b"}),
+                                             frozenset({"d", "e"})}
 
 
 class TestEditing:
@@ -160,6 +169,42 @@ class TestMidpointRooting:
         order = [names2.index(name) for name in names]
         assert np.allclose(original, rerooted[np.ix_(order, order)])
 
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=3, max_value=20), st.integers(0, 1000))
+    def test_property_rerooting_keeps_the_unrooted_topology(self, n, seed):
+        tree = birth_death_tree(n, seed=seed)
+        assert tree.reroot_at_midpoint().robinson_foulds(tree) == 0
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=3, max_value=20), st.integers(0, 1000))
+    def test_property_old_binary_root_is_spliced_out(self, n, seed):
+        """A rooted binary tree's old root is left with one child; it is
+        merged away, so the rerooted tree has as many nodes and no
+        unary node."""
+        tree = birth_death_tree(n, seed=seed)
+        rooted = tree.reroot_at_midpoint()
+        assert rooted.is_binary()
+        assert rooted.node_count == tree.node_count
+
+    def test_input_tree_is_left_as_it_was(self, small_tree):
+        before = small_tree.to_newick()
+        small_tree.reroot_at_midpoint()
+        assert small_tree.to_newick() == before
+
+    def test_old_trifurcating_root_stays(self):
+        """An unrooted (trifurcating) root keeps two children after the
+        reroot, so rerooting adds exactly the new root."""
+        tree = parse_newick("(a:1,b:2,(c:1,d:6):1);")
+        rooted = tree.reroot_at_midpoint()
+        assert rooted.node_count == tree.node_count + 1
+        assert rooted.is_binary()
+        assert rooted.robinson_foulds(tree) == 0
+
+    def test_single_leaf_is_copied(self):
+        tree = parse_newick("a;")
+        rooted = tree.reroot_at_midpoint()
+        assert rooted is not tree and rooted.leaf_names() == ["a"]
+
 
 class TestBipartitionsAndRF:
     def test_identical_trees(self, small_tree):
@@ -178,6 +223,24 @@ class TestBipartitionsAndRF:
     def test_star_tree_has_no_bipartitions(self):
         star = parse_newick("(a,b,c,d);")
         assert star.bipartitions() == set()
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=3, max_value=25), st.integers(0, 1000))
+    def test_property_binary_tree_has_n_minus_3_splits(self, n, seed):
+        tree = birth_death_tree(n, seed=seed)
+        splits = tree.bipartitions()
+        assert len(splits) == n - 3
+        assert all(2 <= len(split) <= n // 2 for split in splits)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=4, max_value=15), st.integers(0, 1000),
+           st.integers(0, 1000))
+    def test_property_rf_is_a_symmetric_even_count(self, n, seed_a, seed_b):
+        first = birth_death_tree(n, seed=seed_a)
+        second = birth_death_tree(n, seed=seed_b)
+        distance = first.robinson_foulds(second)
+        assert distance == second.robinson_foulds(first)
+        assert distance % 2 == 0 and distance <= 2 * (n - 3)
 
 
 class TestNewick:

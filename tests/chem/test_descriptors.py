@@ -1,6 +1,8 @@
 """Tests for molecular descriptors."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.chem import (
     compute_descriptors,
@@ -11,6 +13,7 @@ from repro.chem import (
     rotatable_bonds,
     topological_polar_surface_area,
 )
+from repro.chem.descriptors import DescriptorSet, is_drug_like
 
 
 class TestHydrogenBonding:
@@ -115,8 +118,39 @@ class TestDescriptorSet:
         # A long greasy chain: high MW and high logP → 2 violations.
         grease = parse_smiles("C" * 60)
         desc = compute_descriptors(grease)
-        assert desc.lipinski_violations >= 2
+        assert desc.molecular_weight > 500 and desc.logp > 5
         assert not desc.is_drug_like
+
+
+class TestRuleOfFive:
+    """One rule of five, read by the descriptor set and by integration."""
+
+    @pytest.mark.parametrize("mw,logp,hbd,hba", [
+        (500.0, 5.0, 5, 10),      # every limit is allowed
+        (500.01, 5.0, 5, 10),     # one violation each...
+        (500.0, 5.01, 5, 10),
+        (500.0, 5.0, 6, 10),
+        (500.0, 5.0, 5, 11),
+    ])
+    def test_at_most_one_violation_is_drug_like(self, mw, logp, hbd, hba):
+        assert is_drug_like(mw, logp, hbd, hba)
+
+    @pytest.mark.parametrize("mw,logp,hbd,hba", [
+        (501.0, 5.5, 5, 10),
+        (501.0, 5.0, 6, 10),
+        (501.0, 5.0, 5, 11),
+        (500.0, 5.5, 6, 10),
+        (500.0, 5.5, 5, 11),
+        (500.0, 5.0, 6, 11),
+    ])
+    def test_two_violations_are_not(self, mw, logp, hbd, hba):
+        assert not is_drug_like(mw, logp, hbd, hba)
+
+    @given(st.floats(0, 1000), st.floats(-5, 10), st.integers(0, 12),
+           st.integers(0, 20))
+    def test_descriptor_set_reads_the_same_rule(self, mw, logp, hbd, hba):
+        descriptors = DescriptorSet(mw, logp, 0.0, hbd, hba, 0, 0, 0, 0)
+        assert descriptors.is_drug_like is is_drug_like(mw, logp, hbd, hba)
 
 
 class TestDrugProfiles:

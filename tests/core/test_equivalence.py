@@ -15,6 +15,7 @@ from repro.workloads import (
     WorkloadConfig,
     build_dataset,
 )
+from tests.reach.reach import PARITY_QUERIES
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +121,16 @@ class TestCostAsymmetry:
         query = generator.draw("clade_agg")
         result = naive.execute(query)
         assert result.nodes_visited > 0
+
+
+class TestCiParityQueries:
+    """The query shapes CI compares through ``repro query`` and
+    ``repro query --naive`` agree row for row here too, in order."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_QUERIES))
+    def test_rows_agree_in_order(self, world, name):
+        dataset, optimized, naive, generator = world
+        fast = optimized.execute(PARITY_QUERIES[name])
+        slow = naive.execute(PARITY_QUERIES[name])
+        assert fast.rows == slow.rows
+        assert fast.rows

@@ -1,9 +1,11 @@
 """Tests for the multi-source integration pipeline."""
 
+import numpy as np
 import pytest
 
+from repro.chem.descriptors import is_drug_like
 from repro.core import IntegrationPipeline
-from repro.core.integrate import is_drug_like, ligand_row, protein_row
+from repro.core.integrate import ligand_row, protein_row
 from repro.errors import QueryError
 from repro.sources.activity import CompoundEntry
 from repro.sources.annotation import AnnotationEntry
@@ -49,6 +51,16 @@ class TestRowMappers:
     def test_is_drug_like(self, mw, logp, hbd, hba, expected):
         assert is_drug_like(mw, logp, hbd, hba) is expected
 
+    def test_ligand_rows_agree_with_the_library(self, dataset):
+        """A compound record integrated from the activity source gets the
+        verdict its ligand's descriptor set gives."""
+        compounds = dataset.activity_source.fetch_many(
+            "compound", [ligand.ligand_id for ligand in dataset.ligands])
+        for ligand in dataset.ligands:
+            row = ligand_row(compounds[ligand.ligand_id])
+            assert (row["descriptors"]["is_drug_like"]
+                    is ligand.descriptors.is_drug_like)
+
 
 class TestPipeline:
     def test_batched_integration_covers_everything(self, dataset):
@@ -92,10 +104,10 @@ class TestPipeline:
 class TestTreeFromSources:
     @pytest.fixture(scope="class")
     def nj_tree(self, dataset):
-        """The default (NJ) inference over the whole family, built once:
-        it is the slow step and four tests read the same tree."""
-        return IntegrationPipeline(
-            dataset.registry).build_tree_from_sources()
+        """The inference over the whole family, built once: it is the
+        slow step and four tests read the same tree."""
+        return IntegrationPipeline(dataset.registry).build_tree_from_sources(
+            dataset.tree.leaf_names())
 
     def test_nj_tree_covers_all_proteins(self, dataset, nj_tree):
         assert sorted(nj_tree.leaf_names()) == sorted(
@@ -109,21 +121,39 @@ class TestTreeFromSources:
         max_rf = 2 * (dataset.config.n_leaves - 3)
         assert nj_tree.robinson_foulds(dataset.tree) <= max_rf // 2
 
-    def test_upgma_variant(self, dataset):
-        pipeline = IntegrationPipeline(dataset.registry)
-        tree = pipeline.build_tree_from_sources(method="upgma")
-        depths = [leaf.distance_to_root() for leaf in tree.leaves()]
-        assert max(depths) - min(depths) < 1e-9  # ultrametric
-
     def test_internal_clades_named(self, nj_tree):
         internal = [n for n in nj_tree.preorder() if not n.is_leaf]
         assert all(node.name for node in internal)
 
+    def test_clades_are_numbered_in_preorder(self, nj_tree):
+        internal = [n.name for n in nj_tree.preorder() if not n.is_leaf]
+        assert internal == [f"clade_{i:04d}" for i in range(len(internal))]
+
+    def test_tree_is_midpoint_rooted(self, nj_tree):
+        names, matrix = nj_tree.cophenetic_matrix()
+        i, j = np.unravel_index(np.argmax(matrix), matrix.shape)
+        for name in (names[i], names[j]):
+            assert nj_tree.find(name).distance_to_root() == pytest.approx(
+                matrix[i, j] / 2)
+
     def test_explicit_subset(self, dataset):
         pipeline = IntegrationPipeline(dataset.registry)
         subset = dataset.family.protein_ids[:5]
-        tree = pipeline.build_tree_from_sources(protein_ids=subset)
+        tree = pipeline.build_tree_from_sources(subset)
         assert sorted(tree.leaf_names()) == sorted(subset)
+
+    def test_order_of_ids_does_not_change_the_topology(self, dataset):
+        pipeline = IntegrationPipeline(dataset.registry)
+        subset = dataset.family.protein_ids[:6]
+        forward = pipeline.build_tree_from_sources(subset)
+        backward = pipeline.build_tree_from_sources(subset[::-1])
+        assert forward.robinson_foulds(backward) == 0
+
+    def test_missing_sequence_is_named(self, dataset):
+        pipeline = IntegrationPipeline(dataset.registry)
+        with pytest.raises(QueryError, match="ghost_z"):
+            pipeline.build_tree_from_sources(
+                [dataset.family.protein_ids[0], "ghost_z"])
 
     def test_inferred_tree_is_integrable(self, dataset, nj_tree):
         drugtree, report = IntegrationPipeline(
@@ -133,13 +163,9 @@ class TestTreeFromSources:
     def test_validation(self, dataset):
         pipeline = IntegrationPipeline(dataset.registry)
         with pytest.raises(QueryError):
-            pipeline.build_tree_from_sources(method="parsimony")
+            pipeline.build_tree_from_sources(["one"])
         with pytest.raises(QueryError):
-            pipeline.build_tree_from_sources(protein_ids=["one"])
-        with pytest.raises(QueryError):
-            pipeline.build_tree_from_sources(
-                protein_ids=["ghost_a", "ghost_b"]
-            )
+            pipeline.build_tree_from_sources(["ghost_a", "ghost_b"])
 
 
 class TestConcurrentMode:

@@ -161,7 +161,6 @@ def test_reach_is_by_code_location_not_by_name(tmp_path):
 
 
 def test_entry_points_cover_every_program_surface():
-    import glob
     import json
 
     from ledger.metrics import WORKLOADS
@@ -172,9 +171,31 @@ def test_entry_points_cover_every_program_surface():
     assert "ledger --smoke" in names
     assert {f"ledger {w}" for w in WORKLOADS} <= set(names)
     assert {f"ci chaos {s}" for s in SCENARIOS} <= set(names)
-    examples = glob.glob("examples/*.py", root_dir=ROOT)
-    assert examples and set(examples) <= set(names)
     golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
     n_golden = (len(golden["json"]) + len(golden["text"])
                 + len(golden["masked"]))
     assert sum(name.startswith("golden ") for name in names) == n_golden
+
+
+def test_no_entry_point_is_an_example_script():
+    """An example keeps nothing alive: no step of any entry point runs a
+    script under ``examples/``."""
+    from tests.reach.reach import entry_points
+    targets = [target for point in entry_points()
+               for _, target, _, _ in point.steps]
+    assert targets
+    assert not [target for target in targets
+                if target.startswith("examples/")]
+
+
+def test_ci_runs_the_cli_lines_the_gate_counts():
+    """The parity queries and the LOD-off mobile session are CI lines:
+    the gate may count them only while CI runs them."""
+    from tests.reach.reach import PARITY_QUERIES, ROOT, entry_points
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    names = {point.name for point in entry_points()}
+    for name, dtql in PARITY_QUERIES.items():
+        assert dtql in ci
+        assert {f"ci query {name}", f"ci query --naive {name}"} <= names
+    assert "python -m repro mobile --no-lod --gestures 5" in ci
+    assert "ci mobile --no-lod" in names

@@ -55,10 +55,6 @@ class TestFetch:
         with pytest.raises(SourceError, match="does not serve"):
             source.fetch("other", "k1")
 
-    def test_scan_keys_sorted(self):
-        source = _source(n=5)
-        assert source.scan_keys("thing") == [f"k{i}" for i in range(5)]
-
 
 class TestCostAccounting:
     def test_each_fetch_charges_base_latency(self):
@@ -102,11 +98,6 @@ class TestCostAccounting:
         source.fetch_many("thing", [f"k{i}" for i in range(10)])
         assert source.stats.roundtrips == 4  # ceil(10 / 3)
 
-    def test_scan_pages(self):
-        source = _source(page_size=4, n=10)
-        source.scan_keys("thing")
-        assert source.stats.roundtrips == 3  # ceil(10 / 4)
-
     def test_stats_snapshot_and_reset(self):
         source = _source()
         source.fetch_many("thing", ["k1", "k2"])
@@ -126,10 +117,3 @@ class TestEmptyKeyLists:
         assert source.fetch_many("thing", []) == {}
         assert source.stats.roundtrips == 0
         assert source.clock.now() == 0.0
-
-    def test_scan_keys_of_empty_table_is_free(self):
-        clock = SimulatedClock()
-        source = TableBackedSource("empty-src", clock, {"thing": {}})
-        assert source.scan_keys("thing") == []
-        assert source.stats.roundtrips == 0
-        assert clock.now() == 0.0

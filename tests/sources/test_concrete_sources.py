@@ -63,10 +63,6 @@ class TestProteinSource:
         assert set(out) == {"P1", "P3"}
         assert source.stats.roundtrips == 1
 
-    def test_list_ids(self, clock):
-        source = ProteinStructureSource(clock, _proteins())
-        assert source.scan_keys(KIND_PROTEIN) == ["P1", "P2", "P3"]
-
     def test_by_organism(self, clock):
         source = ProteinStructureSource(clock, _proteins())
         assert set(source.fetch(KIND_PROTEINS_BY_ORGANISM,

@@ -25,9 +25,14 @@ class TestConfig:
 
 class TestBuild:
     def test_sources_populated(self, dataset):
-        assert len(dataset.protein_source.scan_keys("protein")) == 20
-        assert len(dataset.activity_source.scan_keys("compound")) == 30
-        assert len(dataset.annotation_source.scan_keys("annotation")) == 20
+        proteins = dataset.tree.leaf_names()
+        ligands = [ligand.ligand_id for ligand in dataset.ligands]
+        assert len(dataset.protein_source.fetch_many("protein",
+                                                     proteins)) == 20
+        assert len(dataset.activity_source.fetch_many("compound",
+                                                      ligands)) == 30
+        assert len(dataset.annotation_source.fetch_many("annotation",
+                                                        proteins)) == 20
 
     def test_registry_serves_all_kinds(self, dataset):
         assert {"protein", "compound", "annotation",
