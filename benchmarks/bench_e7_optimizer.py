@@ -3,12 +3,13 @@
 Three measurements:
 
 * **E7a** — the dp hash-join order. DrugTree's overlay is a star schema
-  around the ``bindings`` fact table, so every *connected* left-deep
-  hash-join order performs the same scans; dp enumerates them (at most
-  six) and picks the build sides. The greedy and fixed orders it was
-  once compared with, and E7b's nested-loop joins, are retired: their
-  last numbers are history in EXPERIMENTS.md, and ``NaiveEngine`` is
-  the unoptimized floor.
+  around the ``bindings`` fact table; dp enumerates the *connected*
+  left-deep orders (at most six), picks the build sides, and prices a
+  keyed probe of each join's probe side (look up only the build side's
+  keys in the hash index on the join key) against its scan. The
+  greedy and fixed orders it was once compared with, and E7b's
+  nested-loop joins, are retired: their last numbers are history in
+  EXPERIMENTS.md, and ``NaiveEngine`` is the unoptimized floor.
 * **E7c** — cardinality estimation quality (q-error). Single-table
   estimates are tight; subtree+affinity queries show real correlation
   error, because the dataset's phylogenetic signal (strong binders
@@ -65,7 +66,7 @@ def test_e7a_hash_join_order(benchmark, world_medium, report):
         ["strategy", "mean est. cost", "rows scanned",
          "mean wall ms/query"],
         title=f"E7a  dp hash-join ordering over {N_QUERIES} three-table "
-              "queries (star schema: connected orders tie on I/O)",
+              "queries (keyed probes where they cost less)",
     )
     table.add_row("dp", *row)
     report(table)

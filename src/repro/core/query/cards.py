@@ -89,12 +89,14 @@ class CardinalityEstimator:
     def join_rows(self, left_rows: float, right_rows: float,
                   left_table: str, right_table: str, key: str) -> float:
         """Equi-join estimate via the containment assumption."""
-        ndv_left = self._distinct(left_table, key)
-        ndv_right = self._distinct(right_table, key)
+        ndv_left = self.distinct(left_table, key)
+        ndv_right = self.distinct(right_table, key)
         denominator = max(ndv_left, ndv_right, 1.0)
         return max(left_rows * right_rows / denominator, MIN_ROWS)
 
-    def _distinct(self, table: str, column: str) -> float:
+    def distinct(self, table: str, column: str) -> float:
+        """Distinct non-NULL values of *column*, from a hash index on it
+        (1 when none is kept)."""
         for index in self._tables[table].indexes().values():
             if (isinstance(index, HashIndex)
                     and index.column_names == (column,)):

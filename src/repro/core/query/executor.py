@@ -39,7 +39,6 @@ from repro.core.query.logical import (
     LogicalOrder,
     LogicalProject,
     LogicalScan,
-    rows_estimate,
 )
 from repro.core.query.parser import parse_query
 from repro.core.query.physical import (
@@ -679,12 +678,8 @@ class RowLowering:
         if isinstance(node, LogicalJoin):
             left = self._to_physical(node.left, stats)
             right = self._to_physical(node.right, stats)
-            # Build on the smaller estimated side.
-            if rows_estimate(node.left) <= rows_estimate(node.right):
-                return HashJoinOp(counters, build=left, probe=right,
-                                  key=node.key)
-            return HashJoinOp(counters, build=right, probe=left,
-                              key=node.key)
+            build, probe = (left, right) if node.build_left else (right, left)
+            return HashJoinOp(counters, build, probe, node.key, node.keyed)
         if isinstance(node, LogicalAggregate):
             child = self._to_physical(node.child, stats)
             return HashAggregateOp(counters, child, node.aggregates,

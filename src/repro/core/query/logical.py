@@ -44,6 +44,7 @@ class LogicalScan(LogicalNode):
 
     table: str
     #: "seq" | "index_eq" | "index_range" | "key_set" | "index_order"
+    #: | "join_keys" (a join's probe side: the keys its build side holds)
     access: str
     access_column: str | None = None
     eq_value: Any = None
@@ -74,6 +75,8 @@ class LogicalScan(LogicalNode):
             path = (f"IndexOrderScan({self.access_column} {direction}, "
                     f"first {self.limit})")
             estimate += f", walk ~{self.estimated_walk:.0f}"
+        elif self.access == "join_keys":
+            path = f"JoinKeyScan({self.access_column} from build)"
         else:
             size = len(self.key_set or ())
             path = f"KeySetScan({self.access_column} in {size} keys)"
@@ -91,9 +94,19 @@ class LogicalJoin(LogicalNode):
     right: LogicalNode
     key: str
     estimated_rows: float = 0.0
+    #: The hash table is built on the left input (the smaller estimate
+    #: when planned) and the right one probes it, or the other way round.
+    build_left: bool = True
 
     def children(self) -> tuple[LogicalNode, ...]:
         return (self.left, self.right)
+
+    @property
+    def keyed(self) -> bool:
+        """True when the probe side is a ``join_keys`` scan, reading
+        only the keys the build side holds."""
+        probe = self.right if self.build_left else self.left
+        return getattr(probe, "access", None) == "join_keys"
 
     def describe(self) -> str:
         return f"HashJoin(on {self.key}) (~{self.estimated_rows:.0f} rows)"
@@ -181,10 +194,3 @@ class LogicalCladeAggregate(LogicalNode):
     def describe(self) -> str:
         aggs = ", ".join(map(str, self.aggregates))
         return f"MaterializedCladeAggregate({self.node_name!r}: {aggs})"
-
-
-def rows_estimate(node: LogicalNode) -> float:
-    """The planner's row estimate for *node*, huge when it has none
-    (both engines build hash joins on the smaller estimated side)."""
-    estimated = getattr(node, "estimated_rows", None)
-    return float(estimated) if estimated is not None else 1e9

@@ -11,10 +11,10 @@ remote fetch) with the batch engine's operators and drains their
 ``rows()``.
 
 One operator, :class:`ScanOp`, reads a table whatever its access path.
-:func:`resolve_access` is the one reading of a ``LogicalScan``'s
-``seq``/``index_eq``/``index_range``/``key_set`` path, for this engine
-and the batch engine's ``VecScanOp`` alike: which row ids are read, in
-what order, and how many index probes that costs. ``ScanOp`` reads them
+:func:`resolve_access` is the one reading of every ``LogicalScan``
+path but the ordered walk, for this engine and the batch engine's
+``VecScanOp`` alike: which row ids are read, in what order, and how
+many index probes that costs. ``ScanOp`` reads them
 from the row store (``Table.scan_rows``/``Table.get``), never from the
 column store, so the row engine stays an independent oracle for the
 batch engine.
@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterator
+from bisect import bisect_left
+from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from typing import Any
 
 from repro.core.query.ast import AggregateSpec, Comparison, OrderBy
@@ -84,12 +86,13 @@ class PhysicalOp(ABC):
     def rows(self) -> Iterator[dict[str, Any]]: ...
 
 
-def resolve_access(table: Table, node: LogicalScan) -> tuple[
+def resolve_access(table: Table, node: LogicalScan,
+                   keys: Collection = ()) -> tuple[
         tuple[Callable[[], list[int]], ...] | None,
         tuple[str, frozenset] | None]:
-    """Resolve a scan's ``seq``/``index_eq``/``index_range``/``key_set``
-    path against *table*: the one reading of the access path both
-    lowerings share (``index_order`` keeps its own operator).
+    """Resolve a scan's ``seq``/``index_eq``/``index_range``/``key_set``/
+    ``join_keys`` path against *table*: the one reading of the access
+    path both lowerings share (``index_order`` keeps its own operator).
 
     Returns ``(probes, membership)``. ``probes`` is None when the scan
     reads every row in insertion order; otherwise it is the index reads
@@ -98,27 +101,41 @@ def resolve_access(table: Table, node: LogicalScan) -> tuple[
     ``repr``: deterministic across runs and engines). ``membership`` is
     ``(column, keys)`` for a key set with no index to probe: a full scan
     whose first test is membership.
+
+    A ``join_keys`` scan probes *keys*, the distinct keys its join's
+    build side holds (none until the join hands them over: no lookup),
+    the same way, ``None`` included; its reader merges the row ids
+    ascending, so rows come in the order a full scan reads them. Every
+    key lookup drops the ids at or above one batch boundary read first,
+    so a batch appended meanwhile is seen whole or not at all.
     """
     access, column = node.access, node.access_column
     if access == "seq":
         return None, None
-    if access == "key_set":
-        index = table.index_on(column)
-        if index is None:
-            return None, (column, node.key_set)
-        return tuple(partial(index.lookup, key)
-                     for key in sorted(node.key_set, key=repr)), None
-    if access == "index_eq":
-        index = table.index_on(column)
-        if index is None:
-            raise PlanError(f"plan needs an index on {column!r}")
-        return (partial(index.lookup, node.eq_value),), None
     if access == "index_range":
         index = table.index_on(column, require_range=True)
         if not isinstance(index, SortedIndex):
             raise PlanError(f"plan needs a sorted index on {column!r}")
         return (partial(index.range, *node.band),), None
-    raise PlanError(f"unknown access path {access!r}")
+    if access not in ("index_eq", "key_set", "join_keys"):
+        raise PlanError(f"unknown access path {access!r}")
+    index = table.index_on(column)
+    if index is None:
+        if access == "key_set":
+            return None, (column, node.key_set)
+        raise PlanError(f"plan needs an index on {column!r}")
+    if access != "join_keys":
+        keys = (node.eq_value,) if access == "index_eq" else node.key_set
+    bound = table.batch_boundary() if keys else 0
+    return tuple(partial(_ids_below, index, key, bound)
+                 for key in sorted(keys, key=repr)), None
+
+
+def _ids_below(index, key: Any, bound: int) -> list[int]:
+    """The row ids *index* holds for *key* (ascending) below *bound*."""
+    row_ids = index.lookup(key)
+    del row_ids[bisect_left(row_ids, bound):]
+    return row_ids
 
 
 class ScanOp(PhysicalOp):
@@ -130,8 +147,14 @@ class ScanOp(PhysicalOp):
                  node: LogicalScan) -> None:
         super().__init__(counters)
         self.table = table
+        self.node = node
         self.probes, self.membership = resolve_access(table, node)
         self._passes = compile_residual(node.residual)
+
+    def set_join_keys(self, keys: Collection) -> None:
+        """Probe *keys*, a ``join_keys`` scan's build keys (the join
+        hands them over once its hash table is built)."""
+        self.probes, _ = resolve_access(self.table, self.node, keys)
 
     def _row_ids(self) -> Iterator[int]:
         for probe in self.probes:
@@ -144,6 +167,8 @@ class ScanOp(PhysicalOp):
         passes = self._passes
         if self.probes is None:
             source = self.table.scan_rows()
+        elif self.node.access == "join_keys":
+            source = map(self.table.get, sorted(self._row_ids()))
         else:
             source = map(self.table.get, self._row_ids())
         position = keys = None
@@ -161,19 +186,24 @@ class ScanOp(PhysicalOp):
 
 
 class HashJoinOp(PhysicalOp):
-    """Equi-join; builds a hash table on the (smaller) left input."""
+    """Equi-join: builds a hash table on *build*, then probes it with
+    each row of *probe*; when *keyed*, *probe* is a ``join_keys`` scan
+    and reads only the keys the table holds."""
 
     def __init__(self, counters: ExecCounters, build: PhysicalOp,
-                 probe: PhysicalOp, key: str) -> None:
+                 probe: PhysicalOp, key: str, keyed: bool = False) -> None:
         super().__init__(counters)
         self.build = build
         self.probe = probe
         self.key = key
+        self.keyed = keyed
 
     def rows(self) -> Iterator[dict[str, Any]]:
         buckets: dict[Any, list[dict[str, Any]]] = {}
         for record in self.build.rows():
             buckets.setdefault(record.get(self.key), []).append(record)
+        if self.keyed:
+            self.probe.set_join_keys(buckets)
         for record in self.probe.rows():
             for match in buckets.get(record.get(self.key), ()):
                 merged = {**match, **record}
@@ -369,8 +399,7 @@ class LimitOp(PhysicalOp):
         self.limit = limit
 
     def rows(self) -> Iterator[dict[str, Any]]:
-        for position, record in enumerate(self.child.rows()):
-            if position >= self.limit:
-                break
+        # islice pulls no row past the limit.
+        for record in islice(self.child.rows(), self.limit):
             self.counters.rows_emitted += 1
             yield record

@@ -17,8 +17,11 @@ is off) to a logical plan in four steps:
    the best of the others *plus* the top-k it would feed.
 4. **Join ordering** — left-deep hash-join order chosen by
    Selinger-style dynamic programming over the connected orders (at
-   most six, for the overlay's three tables). The unoptimized floor is
-   :class:`~repro.core.baseline.NaiveEngine`.
+   most six, for the overlay's three tables). Each join builds on its
+   smaller estimated side; a bare scan probing it may instead read only
+   the build side's keys through a hash index on the join key (a
+   keyed probe), when that costs less than the scan's own path. The
+   unoptimized floor is :class:`~repro.core.baseline.NaiveEngine`.
 
 The materialized clade fast path short-circuits all of this for pure
 clade-aggregate queries.
@@ -62,10 +65,14 @@ from repro.core.query.logical import (
     LogicalScan,
 )
 from repro.errors import PlanError
+from repro.storage.index import HashIndex
 from repro.storage.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.query.executor import EngineConfig
+
+#: A table's chosen scan, its cost and the predicates placed on it.
+_Access = tuple[LogicalScan, Cost, tuple[Comparison, ...]]
 
 #: Aggregates answerable straight from the clade materialized stats.
 _CLADE_FAST_AGGS = {
@@ -130,11 +137,11 @@ class Planner:
             )
 
         top = _walkable_top_k(query, table_names)
-        scans: dict[str, tuple[LogicalScan, Cost]] = {}
+        scans: dict[str, _Access] = {}
         for table_name in table_names:
             predicates = tuple(placed.get(table_name, ()))
-            scans[table_name] = self._choose_access_path(
-                table_name, predicates, top)
+            scans[table_name] = (*self._choose_access_path(
+                table_name, predicates, top), predicates)
 
         root, total_cost, join_order = self._order_joins(table_names, scans)
         estimated_rows = _estimated_rows(root)
@@ -362,11 +369,11 @@ class Planner:
     # -- join ordering ------------------------------------------------------------
 
     def _order_joins(self, table_names: tuple[str, ...],
-                     scans: dict[str, tuple[LogicalScan, Cost]],
+                     scans: dict[str, _Access],
                      ) -> tuple[LogicalNode, Cost, tuple[str, ...]]:
         if len(table_names) == 1:
             only = table_names[0]
-            scan, cost = scans[only]
+            scan, cost, _ = scans[only]
             return scan, cost, (only,)
 
         orders = [order for order in permutations(table_names)
@@ -392,32 +399,65 @@ class Planner:
         return True
 
     def _build_left_deep(self, order: tuple[str, ...],
-                         scans: dict[str, tuple[LogicalScan, Cost]],
+                         scans: dict[str, _Access],
                          ) -> tuple[LogicalNode, Cost]:
-        first_scan, total_cost = scans[order[0]]
-        plan: LogicalNode = first_scan
-        plan_rows = first_scan.estimated_rows
+        plan, total_cost, _ = scans[order[0]]
         joined = [order[0]]
         for table_name in order[1:]:
-            scan, scan_cost = scans[table_name]
+            scan, scan_cost, predicates = scans[table_name]
             partner = next(
                 placed for placed in joined
                 if (table_name, placed) in JOIN_KEYS
             )
             key = JOIN_KEYS[(table_name, partner)]
+            rows = (plan.estimated_rows, scan.estimated_rows)
             output_rows = self.estimator.join_rows(
-                plan_rows, scan.estimated_rows, partner, table_name, key,
+                *rows, partner, table_name, key,
             )
+            build_left = rows[0] <= rows[1]
+            if build_left:
+                scan, scan_cost = self._keyed_probe(
+                    scan, scan_cost, predicates, key, rows[0], partner)
+            elif isinstance(plan, LogicalScan):  # the first join's left
+                plan, total_cost = self._keyed_probe(
+                    plan, total_cost, scans[order[0]][2], key, rows[1],
+                    table_name)
+            probe = scan if build_left else plan
             join_cost = cost_model.hash_join_cost(
-                min(plan_rows, scan.estimated_rows),
-                max(plan_rows, scan.estimated_rows),
-                output_rows,
+                min(rows), probe.estimated_rows, output_rows,
             )
-            plan = LogicalJoin(plan, scan, key, estimated_rows=output_rows)
+            plan = LogicalJoin(plan, scan, key, estimated_rows=output_rows,
+                               build_left=build_left)
             total_cost = total_cost + scan_cost + join_cost
-            plan_rows = output_rows
             joined.append(table_name)
         return plan, total_cost
+
+    def _keyed_probe(self, scan: LogicalScan, cost: Cost,
+                     predicates: tuple[Comparison, ...], key: str,
+                     build_rows: float, build_table: str,
+                     ) -> tuple[LogicalScan, Cost]:
+        """*scan* as the probe side of a join on *key*: a keyed probe,
+        which looks up each distinct build key in the hash index on
+        *key* and keeps *predicates* as its residual, when that costs
+        less than *scan*'s own path; else *scan* itself. It expects
+        ``min(build rows, ndv of the build key)`` keys, each matching
+        ``table rows / ndv`` rows."""
+        table = self.tables[scan.table]
+        if not (self.config.use_indexes
+                and isinstance(table.index_on(key), HashIndex)):
+            return scan, cost
+        estimator = self.estimator
+        keys = min(build_rows, estimator.distinct(build_table, key))
+        ndv = max(estimator.distinct(scan.table, key), 1.0)
+        keyed_cost = cost_model.key_set_cost(
+            keys, keys * estimator.table_rows(scan.table) / ndv,
+            len(predicates))
+        if not keyed_cost < cost:
+            return scan, cost
+        return LogicalScan(scan.table, "join_keys", access_column=key,
+                           residual=predicates,
+                           estimated_rows=keys * scan.estimated_rows / ndv,
+                           ), keyed_cost
 
 
 def _walkable_top_k(query: Query, table_names: tuple[str, ...],

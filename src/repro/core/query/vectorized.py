@@ -43,8 +43,9 @@ projections, amortizing interpreter overhead across
 Result parity is a hard contract: same rows, same order, same
 ``rows_scanned``/``rows_emitted``/``index_probes``. The one documented
 exception is early termination (a bare ``LIMIT`` without ``ORDER BY``):
-scans work at batch granularity, so an abandoned scan may have counted
-up to one batch more than the row engine's row-granular stop.
+scans work at chunk granularity (the limit, then doubling up to a
+batch), so an abandoned scan may have counted up to one chunk more
+than the row engine's row-granular stop.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from repro.core.query.logical import (
     LogicalOrder,
     LogicalProject,
     LogicalScan,
-    rows_estimate,
 )
 from repro.core.query.physical import (
     ExecCounters,
@@ -240,6 +240,9 @@ class InstrumentedVecOp:
 
     rows = VectorOp.rows
 
+    def set_join_keys(self, keys) -> None:
+        self.inner.set_join_keys(keys)
+
 
 #: Comparisons a typed mirror answers as one mask over a chunk.
 _MASK_OPS = {
@@ -363,24 +366,26 @@ class _VecScanBase(VectorOp):
         return Batch(self.columns, columns, len(selected),
                      (store, selected))
 
-    def _batches_of(self, positions) -> Iterator[Batch]:
-        size = BATCH_SIZE
-        for start in range(0, len(positions), size):
-            batch = self._scan_chunk(positions[start:start + size])
-            if batch is not None:
-                yield self._emit(batch)
-
 
 class VecScanOp(_VecScanBase):
     """Read one table through its plan's access path, from the column
     store: every live position for a full scan, else ``positions_of``
     the row ids the index probes return (the same probes, in the same
-    order, as the row engine's :class:`ScanOp`)."""
+    order, as the row engine's :class:`ScanOp`).
+
+    Positions are read in chunks of :data:`BATCH_SIZE`; under a bare
+    ``LIMIT`` the first chunk holds *first_chunk* (the limit) and each
+    next one twice the last, so the scan reads about what the limit
+    needs, not a whole batch."""
 
     def __init__(self, counters: ExecCounters, table, node: LogicalScan,
-                 columns: tuple[str, ...] | None = None) -> None:
+                 columns: tuple[str, ...] | None = None,
+                 first_chunk: int | None = None) -> None:
         super().__init__(counters, table.column_store(), node.residual,
                          columns)
+        self.table = table
+        self.node = node
+        self.first_chunk = first_chunk
         self.probes, membership = resolve_access(table, node)
         if membership is not None:
             column, keys = membership
@@ -393,6 +398,21 @@ class VecScanOp(_VecScanBase):
             node.access == "index_range" and all(
                 end is None or _literal_fits(exact, end) for end in band[:2])
         ) else None
+
+    def set_join_keys(self, keys) -> None:
+        """Probe *keys*, a ``join_keys`` scan's build keys (the join
+        hands them over once its hash table is built)."""
+        self.probes, _ = resolve_access(self.table, self.node, keys)
+
+    def _batches_of(self, positions) -> Iterator[Batch]:
+        start = 0
+        size = min(self.first_chunk or BATCH_SIZE, BATCH_SIZE)
+        while start < len(positions):
+            batch = self._scan_chunk(positions[start:start + size])
+            start += size
+            size = min(2 * size, BATCH_SIZE)
+            if batch is not None:
+                yield self._emit(batch)
 
     def _masked(self) -> np.ndarray | None:
         """A wide band's positions as one mask over its column's mirror,
@@ -431,6 +451,8 @@ class VecScanOp(_VecScanBase):
             for probe in self.probes:
                 self.counters.index_probes += 1
                 row_ids += probe()
+        if self.node.access == "join_keys":
+            row_ids.sort()
         yield from self._batches_of(self.store.positions_of(row_ids))
 
 
@@ -915,7 +937,8 @@ class VecLimitOp(VectorOp):
 
 
 class VecHashJoinOp(_Materializing):
-    """Batch equi-join; buckets of build positions, probed per batch.
+    """Batch equi-join; buckets of build positions, probed per batch
+    (when *keyed*, by a ``join_keys`` scan of the buckets' keys).
 
     Merged rows replicate the row engine's ``{**build, **probe}``:
     build columns first, probe-only columns appended, and a column
@@ -923,11 +946,12 @@ class VecHashJoinOp(_Materializing):
     """
 
     def __init__(self, counters: ExecCounters, build, probe,
-                 key: str) -> None:
+                 key: str, keyed: bool = False) -> None:
         super().__init__(counters)
         self.build = build
         self.probe = probe
         self.key = key
+        self.keyed = keyed
 
     def batches(self) -> Iterator[Batch]:
         build = self._materialize(self.build)
@@ -935,6 +959,8 @@ class VecHashJoinOp(_Materializing):
         build_keys = build.values(self.key)
         for position, key in enumerate(build_keys):
             buckets.setdefault(key, []).append(position)
+        if self.keyed:
+            self.probe.set_join_keys(buckets)
         hit = buckets.__contains__
         for batch in self.probe.batches():
             probe_keys = batch.values(self.key)
@@ -1011,6 +1037,7 @@ class VectorizedLowering:
         self.deadline = deadline
         self.statuses = statuses
         self.needed: set[str] | None = None
+        self.first_chunk: int | None = None
 
     def lower_plan(self, node: LogicalNode):
         self.needed = needed_columns(node)
@@ -1035,11 +1062,9 @@ class VectorizedLowering:
         if isinstance(node, LogicalJoin):
             left = self._to_vector(node.left, stats)
             right = self._to_vector(node.right, stats)
-            if rows_estimate(node.left) <= rows_estimate(node.right):
-                return VecHashJoinOp(self.counters, build=left,
-                                     probe=right, key=node.key)
-            return VecHashJoinOp(self.counters, build=right,
-                                 probe=left, key=node.key)
+            build, probe = (left, right) if node.build_left else (right, left)
+            return VecHashJoinOp(self.counters, build, probe, node.key,
+                                 node.keyed)
         if isinstance(node, LogicalAggregate):
             child = self._to_vector(node.child, stats)
             return VecHashAggregateOp(self.counters, child,
@@ -1063,6 +1088,11 @@ class VectorizedLowering:
                                  node.limit)
             return VecSortOp(self.counters, child, node.order_by)
         if isinstance(node, LogicalLimit):
+            below = node.child
+            if isinstance(below, LogicalProject):
+                below = below.child
+            if isinstance(below, LogicalScan):  # read what the limit needs
+                self.first_chunk = max(node.limit, 1)
             child = self._to_vector(node.child, stats)
             return VecLimitOp(self.counters, child, node.limit)
         raise PlanError(f"cannot lower {type(node).__name__}")
@@ -1072,4 +1102,5 @@ class VectorizedLowering:
         if node.access == "index_order":
             return IndexOrderScanOp(self.counters, table, node, self.needed,
                                     stats)
-        return VecScanOp(self.counters, table, node, self.needed)
+        return VecScanOp(self.counters, table, node, self.needed,
+                         self.first_chunk)

@@ -104,6 +104,9 @@ class InstrumentedOp:
             stats.rows_out += 1
             yield row
 
+    def set_join_keys(self, keys) -> None:
+        self.inner.set_join_keys(keys)
+
 
 @dataclass
 class AnalyzeReport:

@@ -141,6 +141,14 @@ class Table:
         staged = self._staged
         return staged[-1][0] + 1 if staged else self._next_row_id
 
+    def batch_boundary(self) -> int:
+        """The id every row below which has been applied everywhere (row
+        map, column store, indexes), read between two batches: a reader
+        that drops the ids an index returns at or above it sees the
+        table whole as of one batch."""
+        with self._lock:
+            return self._next_row_id
+
     def get(self, row_id: int) -> tuple[Any, ...]:
         try:
             return self._rows[row_id]

@@ -125,7 +125,10 @@ class TestCostAsymmetry:
 
 class TestCiParityQueries:
     """The query shapes CI compares through ``repro query`` and
-    ``repro query --naive`` agree row for row here too, in order."""
+    ``repro query --naive`` agree row for row here too, in order; only
+    the join whose build side holds no key answers nothing."""
+
+    EMPTY = "keyed join, no key"
 
     @pytest.mark.parametrize("name", sorted(PARITY_QUERIES))
     def test_rows_agree_in_order(self, world, name):
@@ -133,4 +136,17 @@ class TestCiParityQueries:
         fast = optimized.execute(PARITY_QUERIES[name])
         slow = naive.execute(PARITY_QUERIES[name])
         assert fast.rows == slow.rows
-        assert fast.rows
+        assert bool(fast.rows) == (name != self.EMPTY)
+
+    @pytest.mark.parametrize("name", ["keyed join", EMPTY])
+    def test_joins_read_only_the_build_keys(self, world, name):
+        dataset, optimized, naive, generator = world
+        report = optimized.analyze(PARITY_QUERIES[name])
+        assert "JoinKeyScan(protein_id from build) on bindings" in \
+            report.plan_text
+        # One protein (or none) holds the organism: its bindings only.
+        bindings = optimized.drugtree.tables["bindings"]
+        assert report.counters["rows_scanned"] < len(bindings) / 4
+        if name == self.EMPTY:
+            assert report.counters["rows_scanned"] == 0
+            assert report.counters["index_probes"] == 1  # proteins only

@@ -73,8 +73,14 @@ def test_planning_reads_no_row():
     dataset, engine = grown_world()
     texts = queries(dataset)
     assert len(texts) == 3 * len(ALL_KINDS) + 2 * len(SCAN_TEMPLATES)
+    keyed = 0
     for query in texts:
-        assert run_gated(engine, query).columns, query
+        result = run_gated(engine, query)
+        assert result.columns, query
+        keyed += "JoinKeyScan" in result.plan.explain()
+    # organism_filter and join plan keyed probes: pricing one reads
+    # index counts only, and its build keys arrive at execution.
+    assert keyed
 
 
 def test_a_row_read_before_execution_is_caught(monkeypatch):

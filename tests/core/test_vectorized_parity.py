@@ -9,9 +9,10 @@ bit-for-bit on rows *and* on the accounting counters ``rows_scanned``
 
 One documented exception: a bare ``LIMIT`` (no ORDER BY) lets the row
 engine stop its scan at row granularity while the vectorized engine
-stops at batch granularity, so ``rows_scanned`` may differ there by up
-to one batch.  Rows still match exactly; the LIMIT test below pins the
-bound.
+stops at chunk granularity (the limit, then doubling up to a batch), so
+``rows_scanned`` may differ there by up to one batch.  Rows still match
+exactly; the LIMIT tests below pin the bound, and no gap at all when
+every row passes.
 """
 
 import dataclasses
@@ -170,6 +171,17 @@ class TestLimitException:
         gap = (got_vec.counters["rows_scanned"]
                - got_row.counters["rows_scanned"])
         assert 0 <= gap < batch_size
+
+    def test_limit_with_no_residual_has_no_gap(self, monkeypatch):
+        """The scan under a bare LIMIT reads its first chunk at the
+        limit: with no residual every row passes, so it stops where the
+        row engine does."""
+        monkeypatch.setattr(vectorized, "BATCH_SIZE", 64)
+        dataset = make_dataset(seed=31)
+        row, vec = make_engines(dataset)
+        got_row, got_vec = assert_parity(
+            row, vec, "SELECT ligand_id, p_affinity FROM bindings LIMIT 5")
+        assert got_vec.counters["rows_scanned"] == 5
 
     def test_ordered_limit_has_no_gap(self, monkeypatch):
         monkeypatch.setattr(vectorized, "BATCH_SIZE", 64)

@@ -180,6 +180,12 @@ PARITY_QUERIES = {
                       "ORDER BY p_affinity ASC LIMIT 10",
     "limit": "SELECT ligand_id, p_affinity FROM bindings "
              "WHERE p_affinity >= 5 LIMIT 10",
+    "keyed join": "SELECT protein_id, ligand_id, p_affinity "
+                  "FROM bindings, proteins "
+                  "WHERE organism = 'Homo sapiens' AND potent = true",
+    "keyed join, no key": "SELECT protein_id, ligand_id, p_affinity "
+                          "FROM bindings, proteins "
+                          "WHERE organism = 'no such organism'",
 }
 
 
