@@ -53,7 +53,9 @@ class IntervalLabeling:
     def __init__(self, tree: PhyloTree) -> None:
         self.tree = tree
         self._by_node_id: dict[int, NodeLabel] = {}
-        self._by_name: dict[str, NodeLabel] = {}
+        #: Name -> node; an internal name may repeat (e.g. bootstrap
+        #: values), and the first node in preorder keeps it.
+        self._by_name: dict[str, PhyloNode] = {}
         self._leaf_name_by_position: list[str] = []
         self._label_all()
 
@@ -75,13 +77,9 @@ class IntervalLabeling:
                     leaf_high=len(self._leaf_name_by_position),
                 )
                 self._by_node_id[node.node_id] = label
-                if node.name:
-                    # Leaf names are unique (tree invariant); internal
-                    # labels may repeat (e.g. bootstrap values) — first
-                    # one wins, and callers needing exact addressing use
-                    # node ids.
-                    self._by_name.setdefault(node.name, label)
                 continue
+            if node.name:
+                self._by_name.setdefault(node.name, node)
             pre = counter
             counter += 1
             leaf_low = len(self._leaf_name_by_position)
@@ -93,11 +91,16 @@ class IntervalLabeling:
 
     # -- lookup -------------------------------------------------------------
 
-    def label_of(self, name: str) -> NodeLabel:
+    def node_named(self, name: str) -> PhyloNode:
+        """The node called *name* (the first in preorder): a dict
+        lookup, not a walk."""
         try:
             return self._by_name[name]
         except KeyError:
             raise TreeError(f"no labeled node named {name!r}") from None
+
+    def label_of(self, name: str) -> NodeLabel:
+        return self._by_node_id[self.node_named(name).node_id]
 
     def label_of_node(self, node: PhyloNode) -> NodeLabel:
         try:

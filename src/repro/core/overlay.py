@@ -115,11 +115,9 @@ class CladeAggregates:
         self._leaf_pos = bindings.schema.index_of("leaf_pre")
         #: Each node's statistics sit at its slot of four lists.
         self._slots: dict[int, int] = {}
-        self._node_by_name: dict[str, PhyloNode] = {}
+        self.labeling = labeling
         for node in tree.preorder():
             self._slots[node.node_id] = len(self._slots)
-            if node.name:
-                self._node_by_name.setdefault(node.name, node)
         self._count = [0] * len(self._slots)
         self._total = [0.0] * len(self._slots)
         self._maximum: list[float | None] = [None] * len(self._slots)
@@ -195,7 +193,6 @@ class CladeAggregates:
         }
 
     def stats_for_name(self, node_name: str) -> dict[str, float]:
-        node = self._node_by_name.get(node_name)
-        if node is None:
+        if not self.labeling.has_name(node_name):
             raise QueryError(f"no node named {node_name!r}")
-        return self.stats_for(node)
+        return self.stats_for(self.labeling.node_named(node_name))

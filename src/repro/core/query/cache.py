@@ -201,7 +201,10 @@ class SemanticCache:
         for column, test in compile_columns(query.predicates):
             value = column_reader(columns, column)
             out = [values for values in out if test(value(values))]
-        if query.order_by is not None:
+        if query.order_by is not None and (
+                not query.select or query.order_by.column in query.select):
+            # A sort column the projection drops sorts nothing, as in
+            # the engine, whose sort runs above the projection.
             value = column_reader(columns, query.order_by.column)
             out = sorted(out, key=lambda values: (value(values) is not None,
                                                   value(values)),

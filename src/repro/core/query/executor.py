@@ -678,8 +678,7 @@ class RowLowering:
         if isinstance(node, LogicalJoin):
             left = self._to_physical(node.left, stats)
             right = self._to_physical(node.right, stats)
-            build, probe = (left, right) if node.build_left else (right, left)
-            return HashJoinOp(counters, build, probe, node.key, node.keyed)
+            return HashJoinOp(counters, right, left, node.key, node.keyed)
         if isinstance(node, LogicalAggregate):
             child = self._to_physical(node.child, stats)
             return HashAggregateOp(counters, child, node.aggregates,

@@ -88,15 +88,14 @@ class LogicalScan(LogicalNode):
 
 @dataclass(frozen=True)
 class LogicalJoin(LogicalNode):
-    """Equi-join of two subplans on a shared key column."""
+    """Equi-join of two subplans on a shared key column: the hash table
+    is built on *right*, a dimension table, and *left*, the side holding
+    ``bindings``, probes it."""
 
     left: LogicalNode
     right: LogicalNode
     key: str
     estimated_rows: float = 0.0
-    #: The hash table is built on the left input (the smaller estimate
-    #: when planned) and the right one probes it, or the other way round.
-    build_left: bool = True
 
     def children(self) -> tuple[LogicalNode, ...]:
         return (self.left, self.right)
@@ -105,8 +104,7 @@ class LogicalJoin(LogicalNode):
     def keyed(self) -> bool:
         """True when the probe side is a ``join_keys`` scan, reading
         only the keys the build side holds."""
-        probe = self.right if self.build_left else self.left
-        return getattr(probe, "access", None) == "join_keys"
+        return getattr(self.left, "access", None) == "join_keys"
 
     def describe(self) -> str:
         return f"HashJoin(on {self.key}) (~{self.estimated_rows:.0f} rows)"

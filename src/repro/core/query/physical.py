@@ -96,18 +96,18 @@ def resolve_access(table: Table, node: LogicalScan,
 
     Returns ``(probes, membership)``. ``probes`` is None when the scan
     reads every row in insertion order; otherwise it is the index reads
-    to make, in order, each a function returning row ids and costing one
-    ``index_probes`` (a key set probes one key at a time, keys sorted by
-    ``repr``: deterministic across runs and engines). ``membership`` is
-    ``(column, keys)`` for a key set with no index to probe: a full scan
-    whose first test is membership.
+    to make, each a function returning row ids (ascending) and costing
+    one ``index_probes``: one per key of an ``index_eq``, ``key_set`` or
+    ``join_keys`` lookup, ``None`` included. Its reader merges their
+    row ids ascending, so every access path reads rows in row-id order,
+    the order a full scan reads them. ``membership`` is ``(column,
+    keys)`` for a key set with no index to probe: a full scan whose
+    first test is membership.
 
     A ``join_keys`` scan probes *keys*, the distinct keys its join's
-    build side holds (none until the join hands them over: no lookup),
-    the same way, ``None`` included; its reader merges the row ids
-    ascending, so rows come in the order a full scan reads them. Every
-    key lookup drops the ids at or above one batch boundary read first,
-    so a batch appended meanwhile is seen whole or not at all.
+    build side holds (none until the join hands them over: no lookup).
+    Every key lookup drops the ids at or above one batch boundary read
+    first, so a batch appended meanwhile is seen whole or not at all.
     """
     access, column = node.access, node.access_column
     if access == "seq":
@@ -128,7 +128,7 @@ def resolve_access(table: Table, node: LogicalScan,
         keys = (node.eq_value,) if access == "index_eq" else node.key_set
     bound = table.batch_boundary() if keys else 0
     return tuple(partial(_ids_below, index, key, bound)
-                 for key in sorted(keys, key=repr)), None
+                 for key in keys), None
 
 
 def _ids_below(index, key: Any, bound: int) -> list[int]:
@@ -167,10 +167,8 @@ class ScanOp(PhysicalOp):
         passes = self._passes
         if self.probes is None:
             source = self.table.scan_rows()
-        elif self.node.access == "join_keys":
-            source = map(self.table.get, sorted(self._row_ids()))
         else:
-            source = map(self.table.get, self._row_ids())
+            source = map(self.table.get, sorted(self._row_ids()))
         position = keys = None
         if self.membership is not None:
             column, keys = self.membership

@@ -16,12 +16,14 @@ is off) to a logical plan in four steps:
    sorted index on ``c`` that stops after ``k`` matches, priced against
    the best of the others *plus* the top-k it would feed.
 4. **Join ordering** — left-deep hash-join order chosen by
-   Selinger-style dynamic programming over the connected orders (at
-   most six, for the overlay's three tables). Each join builds on its
-   smaller estimated side; a bare scan probing it may instead read only
-   the build side's keys through a hash index on the join key (a
-   keyed probe), when that costs less than the scan's own path. The
-   unoptimized floor is :class:`~repro.core.baseline.NaiveEngine`.
+   Selinger-style dynamic programming over the orders that start with
+   ``bindings`` (at most two, for the overlay's three tables: every
+   join key joins ``bindings``). Each join builds on its dimension
+   table and ``bindings`` probes it, so rows come in ``bindings`` row-id
+   order; a bare ``bindings`` scan may instead read only the build
+   side's keys through a hash index on the join key (a keyed probe),
+   when that costs less than the scan's own path. The unoptimized floor
+   is :class:`~repro.core.baseline.NaiveEngine`.
 
 The materialized clade fast path short-circuits all of this for pure
 clade-aggregate queries.
@@ -284,11 +286,9 @@ class Planner:
         """Walk the sorted index on the ORDER BY column, stop at *limit*:
         range bounds on that column bound the walk, the rest is residual,
         and it expects to touch ``limit / residual selectivity`` of the
-        entries in range. Not under a key-set predicate, whose scan emits
-        in key order: ties would come back in another order."""
+        entries in range."""
         column = order_by.column
-        if (table.index_on(column, require_range=True) is None
-                or any(p.op == "in" for p in predicates)):
+        if table.index_on(column, require_range=True) is None:
             return None
         bounds = tuple(range_bounds(predicates).get(column, ()))
         residual = tuple(p for p in predicates if p not in bounds)
@@ -371,65 +371,46 @@ class Planner:
     def _order_joins(self, table_names: tuple[str, ...],
                      scans: dict[str, _Access],
                      ) -> tuple[LogicalNode, Cost, tuple[str, ...]]:
+        """The cheapest left-deep order that starts with ``bindings``,
+        the one table every join key joins: it is the probe side of
+        every join, each dimension table a build side."""
         if len(table_names) == 1:
             only = table_names[0]
             scan, cost, _ = scans[only]
             return scan, cost, (only,)
-
-        orders = [order for order in permutations(table_names)
-                  if self._connected_prefixes(order)]
+        dimensions = [t for t in table_names if t != BINDINGS_TABLE]
         best: tuple[Cost, LogicalNode, tuple[str, ...]] | None = None
-        for order in orders:
+        for rest in permutations(dimensions):
+            order = (BINDINGS_TABLE, *rest)
             plan, cost = self._build_left_deep(order, scans)
             if best is None or cost < best[0]:
                 best = (cost, plan, order)
-        if best is None:
-            raise PlanError(
-                f"no connected join order for tables {table_names}"
-            )
         cost, plan, order = best
         return plan, cost, order
-
-    @staticmethod
-    def _connected_prefixes(order: tuple[str, ...]) -> bool:
-        for position in range(1, len(order)):
-            if not any((order[position], earlier) in JOIN_KEYS
-                       for earlier in order[:position]):
-                return False
-        return True
 
     def _build_left_deep(self, order: tuple[str, ...],
                          scans: dict[str, _Access],
                          ) -> tuple[LogicalNode, Cost]:
-        plan, total_cost, _ = scans[order[0]]
-        joined = [order[0]]
+        """Join *order*'s dimension tables onto its ``bindings`` scan,
+        each building its hash table; the first join's bindings scan
+        may read only the build side's keys (a keyed probe)."""
+        plan, total_cost, predicates = scans[BINDINGS_TABLE]
         for table_name in order[1:]:
-            scan, scan_cost, predicates = scans[table_name]
-            partner = next(
-                placed for placed in joined
-                if (table_name, placed) in JOIN_KEYS
-            )
-            key = JOIN_KEYS[(table_name, partner)]
-            rows = (plan.estimated_rows, scan.estimated_rows)
+            scan, scan_cost, _ = scans[table_name]
+            key = JOIN_KEYS[(BINDINGS_TABLE, table_name)]
             output_rows = self.estimator.join_rows(
-                *rows, partner, table_name, key,
+                plan.estimated_rows, scan.estimated_rows, BINDINGS_TABLE,
+                table_name, key,
             )
-            build_left = rows[0] <= rows[1]
-            if build_left:
-                scan, scan_cost = self._keyed_probe(
-                    scan, scan_cost, predicates, key, rows[0], partner)
-            elif isinstance(plan, LogicalScan):  # the first join's left
+            if isinstance(plan, LogicalScan):
                 plan, total_cost = self._keyed_probe(
-                    plan, total_cost, scans[order[0]][2], key, rows[1],
-                    table_name)
-            probe = scan if build_left else plan
+                    plan, total_cost, predicates, key,
+                    scan.estimated_rows, table_name)
             join_cost = cost_model.hash_join_cost(
-                min(rows), probe.estimated_rows, output_rows,
+                scan.estimated_rows, plan.estimated_rows, output_rows,
             )
-            plan = LogicalJoin(plan, scan, key, estimated_rows=output_rows,
-                               build_left=build_left)
+            plan = LogicalJoin(plan, scan, key, estimated_rows=output_rows)
             total_cost = total_cost + scan_cost + join_cost
-            joined.append(table_name)
         return plan, total_cost
 
     def _keyed_probe(self, scan: LogicalScan, cost: Cost,

@@ -446,12 +446,11 @@ class VecScanOp(_VecScanBase):
         if len(self.probes) == 1:  # no copy: big ranges would lift peak RSS
             self.counters.index_probes += 1
             row_ids = self.probes[0]()
-        else:
+        else:  # each probe's ids ascend: merge them
             row_ids = []
             for probe in self.probes:
                 self.counters.index_probes += 1
                 row_ids += probe()
-        if self.node.access == "join_keys":
             row_ids.sort()
         yield from self._batches_of(self.store.positions_of(row_ids))
 
@@ -1062,8 +1061,7 @@ class VectorizedLowering:
         if isinstance(node, LogicalJoin):
             left = self._to_vector(node.left, stats)
             right = self._to_vector(node.right, stats)
-            build, probe = (left, right) if node.build_left else (right, left)
-            return VecHashJoinOp(self.counters, build, probe, node.key,
+            return VecHashJoinOp(self.counters, right, left, node.key,
                                  node.keyed)
         if isinstance(node, LogicalAggregate):
             child = self._to_vector(node.child, stats)

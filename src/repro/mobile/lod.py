@@ -27,13 +27,6 @@ def _node_key(drugtree: DrugTree, node: PhyloNode) -> str:
     return f"n{drugtree.labeling.label_of_node(node).pre}"
 
 
-def _find_named(drugtree: DrugTree, name: str) -> PhyloNode:
-    for node in drugtree.tree.preorder():
-        if node.name == name:
-            return node
-    raise MobileError(f"no tree node named {name!r}")
-
-
 def _base_entry(drugtree: DrugTree, node: PhyloNode) -> dict[str, Any]:
     label = drugtree.labeling.label_of_node(node)
     return {
@@ -68,7 +61,9 @@ def render_viewport(drugtree: DrugTree, focus: str,
         raise MobileError("max_depth must be non-negative")
     if max_nodes < 1:
         raise MobileError("max_nodes must be positive")
-    focus_node = _find_named(drugtree, focus)
+    if not drugtree.labeling.has_name(focus):
+        raise MobileError(f"no tree node named {focus!r}")
+    focus_node = drugtree.labeling.node_named(focus)
     nodes: dict[str, Any] = {}
     edges: list[tuple[str, str]] = []
     queue: deque[tuple[PhyloNode, int]] = deque([(focus_node, 0)])

@@ -343,22 +343,21 @@ class TestSignature:
 
 def derive_rowwise(labeling, rows, query):
     """Subsumption one row dict at a time: the derivation the one over
-    value tuples replaced, kept verbatim in behaviour."""
+    value tuples replaced, sorting above the projection as the engine
+    does (a dropped sort column sorts nothing)."""
     residual = compile_residual(query.predicates)
     out = [row for row in rows if residual(row)]
     if query.subtree is not None:
         low, high = labeling.leaf_range(query.subtree.node_name)
         out = [row for row in out if low <= row["leaf_pre"] < high]
-    if query.order_by is not None:
+    out = [{column: row[column] for column in query.select or row}
+           for row in out]
+    if query.order_by is not None:  # above the projection, as executed
         column = query.order_by.column
         out.sort(key=lambda row: (row.get(column) is not None,
                                   row.get(column)),
                  reverse=query.order_by.descending)
-    out = out[:query.limit]
-    if query.select:
-        return [{column: row[column] for column in query.select}
-                for row in out]
-    return [dict(row) for row in out]
+    return out[:query.limit]
 
 
 def narrowings(drugtree):
@@ -403,18 +402,7 @@ class TestDerivedEqualsExecuted:
             assert _rows_of(hit) == want, query
             assert [list(row) for row in _rows_of(hit)] \
                 == [list(row) for row in want]
-            executed = engine.execute(query).rows
-            assert len(_rows_of(hit)) == len(executed), query
-            column = query.order_by and query.order_by.column
-            if column in (query.select or rows[0]):
-                assert [row[column] for row in _rows_of(hit)] \
-                    == [row[column] for row in executed], query
-            if query.limit is None:
-                assert _multiset(_rows_of(hit)) == _multiset(executed), query
-
-
-def _multiset(rows):
-    return sorted(repr(sorted(row.items())) for row in rows)
+            assert _rows_of(hit) == engine.execute(query).rows, query
 
 
 BROAD_ENTRY = Query(predicates=(Comparison("p_affinity", ">=", 5.0),))

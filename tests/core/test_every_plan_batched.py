@@ -3,10 +3,9 @@
 For each query shape the workloads send — every ``QueryGenerator`` kind,
 both mobile tap templates, a HAVING query and the clade aggregate with
 the materialized stats on and off — EXPLAIN ANALYZE says
-``mode=vectorized`` and the answer is ``NaiveEngine``'s (compared as a
-multiset with floats to 9 places, as ``test_equivalence.py`` compares;
-an ordered LIMIT compares its ordered sort column, since ties may
-resolve differently). A remote-detail projection, which
+``mode=vectorized`` and the answer is ``NaiveEngine``'s, row for row and
+in order, with floats to 9 places (as ``test_equivalence.py``
+compares). A remote-detail projection, which
 ``NaiveEngine`` does not serve, is held to ``execution_mode="row"``.
 
 The remote fetch cuts the row stream into groups of
@@ -18,7 +17,7 @@ virtual time and the per-kind statuses equal the row engine's.
 import pytest
 
 from repro.core import EngineConfig, NaiveEngine, QueryEngine
-from repro.core.query import parse_query, vectorized
+from repro.core.query import vectorized
 from repro.obs import MetricsRegistry, get_metrics, set_metrics
 from repro.sources import (
     BreakerConfig,
@@ -30,6 +29,7 @@ from repro.sources import (
 from repro.workloads import DatasetConfig, QueryGenerator, build_dataset
 from repro.workloads.loadgen import _QUERY_TEMPLATES
 from repro.workloads.queries import ALL_KINDS
+from tests.core.test_equivalence import rounded
 
 HAVING = ("SELECT organism, count(*), max(p_affinity) "
           "FROM bindings, proteins GROUP BY organism "
@@ -55,16 +55,6 @@ def world():
                                                     dataset.registry)
 
 
-def _rounded(value):
-    return round(value, 9) if isinstance(value, float) else value
-
-
-def _canonical(rows):
-    return sorted(tuple(sorted((key, _rounded(value))
-                               for key, value in row.items()))
-                  for row in rows)
-
-
 #: Every generator kind, the two tap templates by position, HAVING.
 SHAPES = (*ALL_KINDS, *(f"tap_{i}" for i in range(len(_QUERY_TEMPLATES))),
           "having")
@@ -85,13 +75,7 @@ def _assert_batched_and_naive(engine, naive, query):
     assert engine.analyze(query).execution["mode"] == "vectorized"
     fast = engine.execute(query)
     slow = naive.execute(query)
-    parsed = parse_query(query) if isinstance(query, str) else query
-    if parsed.order_by is not None and parsed.limit is not None:
-        column = parsed.order_by.column
-        assert list(map(_rounded, fast.column(column))) == \
-            [_rounded(row[column]) for row in slow.rows], query
-    else:
-        assert _canonical(fast.rows) == _canonical(slow.rows), query
+    assert rounded(fast.rows) == rounded(slow.rows), query
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -196,8 +196,7 @@ class TestSemanticCacheIntegration:
         assert narrow.cache_outcome == "subsumed"
         expected = [row for row in broad.rows
                     if row["p_affinity"] >= 8.0]
-        assert sorted(map(repr, narrow.rows)) == sorted(map(repr,
-                                                            expected))
+        assert narrow.rows == expected
 
     def test_mutation_invalidates_cache(self, dataset):
         drugtree, _ = dataset.integrate()
@@ -263,8 +262,7 @@ class TestSimilarity:
         exhaustive = QueryEngine(drugtree, EngineConfig(
             use_semantic_cache=False, use_fingerprint_prefilter=False,
         )).execute(query)
-        assert sorted(map(repr, with_prefilter.rows)) == \
-            sorted(map(repr, exhaustive.rows))
+        assert with_prefilter.values == exhaustive.values
         assert with_prefilter.similarity_candidates <= \
             exhaustive.similarity_candidates
 
@@ -282,7 +280,8 @@ class TestSimilarity:
 
 
 class TestAblations:
-    """Every config combination must return identical rows."""
+    """Every config combination must return identical rows, in the
+    same order."""
 
     CONFIGS = [
         EngineConfig(use_semantic_cache=False),
@@ -305,11 +304,10 @@ class TestAblations:
         reference = None
         for config in self.CONFIGS:
             rows = QueryEngine(drugtree, config).execute(text).rows
-            canonical = sorted(map(repr, rows))
             if reference is None:
-                reference = canonical
+                reference = rows
             else:
-                assert canonical == reference, f"config {config} differs"
+                assert rows == reference, f"config {config} differs"
 
     def test_subtree_query_configs_agree(self, drugtree):
         clade = drugtree.tree.root.children[0].name

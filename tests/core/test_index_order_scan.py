@@ -263,10 +263,6 @@ class TestPlanShape:
             "GROUP BY p_affinity ORDER BY p_affinity DESC LIMIT 3",
             id="aggregate"),
         pytest.param(
-            "SELECT * FROM bindings WHERE ligand_id IN ('LIG0001', "
-            "'LIG0002') ORDER BY p_affinity DESC LIMIT 5",
-            id="in-predicate"),
-        pytest.param(
             "SELECT protein_id, leaf_pre, method FROM proteins "
             "ORDER BY leaf_pre LIMIT 3",
             id="remote-detail-column"),
@@ -295,16 +291,33 @@ class TestPlanShape:
             assert scan_of(drugtree, self.TOPK,
                            use_indexes=False).access == "seq"
 
-    def test_walk_is_not_offered_without_interval_labeling(self, world):
-        # The ablation rewrites the clade to protein_id IN (...): a
-        # key-set predicate.
+    @pytest.mark.parametrize("query,config", [
+        pytest.param(
+            "SELECT * FROM bindings WHERE ligand_id IN ('LIG0001', "
+            "'LIG0002') ORDER BY p_affinity DESC LIMIT 5", {},
+            id="in-predicate"),
+        pytest.param(
+            # The ablation rewrites the clade to protein_id IN (...).
+            "root", {"use_interval_labeling": False},
+            id="clade-as-key-set"),
+    ])
+    def test_walk_under_a_key_set_breaks_ties_as_the_scan_does(
+            self, world, query, config):
+        # A key-set scan reads its row ids ascending, so its top-k
+        # breaks ties in row-id order, as the walk does.
         dataset, drugtree = world
-        root = clades_by_size(dataset, drugtree)[-1]
+        if query == "root":
+            root = clades_by_size(dataset, drugtree)[-1]
+            query = TAP_TEMPLATE.format(clade=root, threshold=6.0)
+        scanned = QueryEngine(drugtree, EngineConfig(
+            use_semantic_cache=False, **config)).execute(query)
         with free_walk():
-            scan = scan_of(
-                drugtree, TAP_TEMPLATE.format(clade=root, threshold=6.0),
-                use_interval_labeling=False)
-        assert scan.access != "index_order"
+            assert scan_of(drugtree, query, **config).access == \
+                "index_order"
+            walked = QueryEngine(drugtree, EngineConfig(
+                use_semantic_cache=False, **config)).execute(query)
+        assert walked.values == scanned.values
+        assert walked.rows == OverlayNaive(drugtree).execute(query).rows
 
     def test_dropped_sort_column_still_answers_in_scan_order(self, world):
         # Kept semantics (the oracle agrees); DTQL303 is the warning.

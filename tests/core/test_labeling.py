@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from repro.bio import parse_newick
 from repro.bio.simulate import birth_death_tree
+from repro.core import DrugTree
 from repro.core.labeling import IntervalLabeling
 from repro.errors import TreeError
+from repro.mobile.lod import render_viewport
 from repro.workloads.families import name_internal_clades
 from tests.bio.trees import caterpillar
 
@@ -175,3 +177,16 @@ class TestIntervalEdgeCases:
         # The old labeling is a snapshot: it still answers for the
         # pre-mutation world and does not know the new leaf.
         assert not labeled.has_name("d2")
+
+
+class TestNameLookup:
+    """One name map: the labeling and the viewport find a node by name
+    the way ``PhyloTree.find`` walks to it, without walking."""
+
+    def test_a_repeated_name_is_the_first_node_in_preorder(self):
+        tree = parse_newick("((a:1,b:1)90:1,(c:1,d:1)90:1)90;")
+        drugtree = DrugTree(tree)
+        assert drugtree.labeling.node_named("90") is tree.find("90")
+        assert drugtree.labeling.leaves_under("90") == ["a", "b", "c", "d"]
+        payload = render_viewport(drugtree, "90", max_depth=0)
+        assert next(iter(payload["nodes"].values()))["leaves"] == 4

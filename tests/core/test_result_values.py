@@ -21,6 +21,7 @@ from repro.core.query.vectorized import Batch
 from repro.errors import QueryError
 from repro.workloads import DatasetConfig, QueryGenerator, build_dataset
 from repro.workloads.queries import ALL_KINDS
+from tests.core.test_equivalence import rounded
 
 PATHS = ("off", "exact", "subsumed")
 
@@ -36,14 +37,6 @@ def world():
 def _queries(dataset, kind, count=3):
     generator = QueryGenerator(dataset.family, dataset.ligands, seed=5)
     return [generator.draw(kind) for _ in range(count)]
-
-
-def _canonical(rows):
-    def freeze(row):
-        return tuple(sorted(
-            (key, round(value, 9) if isinstance(value, float) else value)
-            for key, value in row.items()))
-    return sorted(map(freeze, rows))
 
 
 def _derivable(query):
@@ -71,14 +64,7 @@ def assert_answers_match_naive(engine, naive, queries, path="off"):
                                for values in result.values], query
         assert len(result) == len(result.rows)
         expected = naive.execute(query).rows
-        if query.order_by is not None and query.limit is not None:
-            # Top-k ties may resolve differently: the ordered sort
-            # column is what has to agree.
-            column = query.order_by.column
-            assert [row[column] for row in result.rows] \
-                == [row[column] for row in expected], query
-        else:
-            assert _canonical(result.rows) == _canonical(expected), query
+        assert rounded(result.rows) == rounded(expected), query
 
 
 class TestEveryKindEveryPath:

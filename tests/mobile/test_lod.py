@@ -1,11 +1,17 @@
 """Tests for level-of-detail rendering."""
 
+from unittest import mock
+
 import pytest
 
+from repro.bio.simulate import birth_death_tree
+from repro.bio.tree import PhyloNode
+from repro.core import DrugTree
 from repro.errors import MobileError
 from repro.mobile.lod import expandable_nodes, render_full, render_viewport
 from repro.mobile.protocol import full_message
 from repro.workloads import DatasetConfig, build_dataset
+from repro.workloads.families import name_internal_clades
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +128,19 @@ class TestExpandable:
     def test_nothing_expandable_in_full_render(self, drugtree):
         payload = render_full(drugtree)
         assert expandable_nodes(payload) == []
+
+
+def test_a_render_at_protein_family_size_walks_no_tree():
+    """The focus is a lookup in the labeling's name map: rendering the
+    last clade of a 2,400-leaf tree makes no preorder walk."""
+    tree = birth_death_tree(2_400, seed=5)
+    last = name_internal_clades(tree)[-1]
+    drugtree = DrugTree(tree)
+    walk = PhyloNode.preorder
+    with mock.patch.object(PhyloNode, "preorder", autospec=True,
+                           side_effect=walk) as preorder:
+        payload = render_viewport(drugtree, last, max_depth=2)
+        with pytest.raises(MobileError):
+            render_viewport(drugtree, "not_a_node")
+    assert preorder.call_count == 0
+    assert payload["nodes"]

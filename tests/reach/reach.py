@@ -186,6 +186,11 @@ PARITY_QUERIES = {
     "keyed join, no key": "SELECT protein_id, ligand_id, p_affinity "
                           "FROM bindings, proteins "
                           "WHERE organism = 'no such organism'",
+    "key set, limit": "SELECT protein_id, ligand_id FROM bindings "
+                      "WHERE protein_id IN ('prot_0030', 'prot_0009') "
+                      "LIMIT 2",
+    "join, limit": "SELECT protein_id, ligand_id FROM bindings, ligands "
+                   "WHERE p_affinity >= 9 LIMIT 3",
 }
 
 
