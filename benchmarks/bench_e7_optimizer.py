@@ -32,7 +32,6 @@ from unittest import mock
 
 from repro.core import EngineConfig, QueryEngine
 from repro.core.query import cost as cost_model
-from repro.core.query.cost import Cost
 from repro.workloads import QueryGenerator, TextTable, mean
 from repro.workloads.loadgen import _QUERY_TEMPLATES
 
@@ -152,7 +151,7 @@ def test_e7d_ordered_walk_choice(world_medium, report):
 
     def scanned(price) -> list[int]:
         with mock.patch.object(cost_model, "index_order_cost",
-                               lambda walked, residuals: Cost(price)):
+                               lambda walked, residuals: price):
             return [engine.execute(query).counters["rows_scanned"]
                     for query in grid]
 

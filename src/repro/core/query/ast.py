@@ -439,15 +439,21 @@ class Query:
         return columns
 
     def tables(self) -> tuple[str, ...]:
-        """Overlay tables this query touches, in canonical join order.
+        """Overlay tables this query touches, in canonical join order,
+        derived once per query: a frozen query's tables never change.
 
         Shared key columns (``ligand_id``/``protein_id``) do not force a
         table by themselves; non-key columns do. The subtree filter
         touches ``leaf_pre`` (bindings or proteins); the similarity
         filter touches ``ligands``.
         """
+        return self._tables
+
+    @cached_property
+    def _tables(self) -> tuple[str, ...]:
+        referenced = self.referenced_columns()
         needed: set[str] = set(self.from_tables)
-        for column in self.referenced_columns():
+        for column in referenced:
             owners = COLUMN_OWNERS.get(column)
             if owners is None:
                 # Remote detail columns anchor to their owner table so
@@ -465,7 +471,7 @@ class Query:
             needed.add(BINDINGS_TABLE)
         # A referenced shared-key column must still be readable: if none
         # of its owners made it into the set, pull one in.
-        for column in self.referenced_columns():
+        for column in referenced:
             owners = COLUMN_OWNERS.get(column)
             if owners is None:
                 continue  # remote detail: owner table already added

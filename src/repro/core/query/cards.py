@@ -14,7 +14,7 @@ a query, so nothing goes stale.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from typing import Any
 
 from repro.core.query.ast import RANGE_OPS, Band, Comparison, range_bounds
@@ -40,22 +40,40 @@ class CardinalityEstimator:
 
     def scan_rows(self, table: str,
                   predicates: tuple[Comparison, ...]) -> float:
-        """Estimated output of scanning *table* under *predicates*.
+        """Estimated output of scanning *table* under *predicates*: the
+        product of their :meth:`terms`."""
+        return self.rows_under(table, [count for _, count in
+                                       self.terms(table, predicates)])
 
-        Range bounds on the same column are counted as one band before
-        the independence multiplication — multiplying ``x >= 5`` and
+    def terms(self, table: str, predicates: tuple[Comparison, ...],
+              ) -> list[tuple[tuple[Comparison, ...], int | None]]:
+        """The factors of a scan's estimate, each with the rows it keeps
+        alone (``None`` when nothing counts its column): every ``=``,
+        ``!=`` or ``IN`` predicate alone, in predicate order, then each
+        column's range bounds as one band, in order of the column's
+        first bound.
+
+        A band is counted as one term — multiplying ``x >= 5`` and
         ``x < 6`` separately would square-count the column (the
         dominant error for interval-labeling subtree predicates, which
-        always arrive as a bound pair). One predicate on an indexed
-        column is counted exactly.
+        always arrive as a bound pair).
         """
+        terms = [((predicate,), self._matches(table, predicate))
+                 for predicate in predicates
+                 if predicate.op not in RANGE_OPS]
+        terms.extend((tuple(bounds), self._band_matches(table, column,
+                                                        bounds))
+                     for column, bounds in range_bounds(predicates).items())
+        return terms
+
+    def rows_under(self, table: str,
+                   counts: Iterable[int | None]) -> float:
+        """*table*'s rows times each term count's share of them (an
+        uncounted term keeps :data:`DEFAULT_SELECTIVITY`), multiplied
+        under the independence assumption."""
         rows = self.table_rows(table)
         if not rows:
             return MIN_ROWS
-        counts = [self._matches(table, predicate) for predicate in predicates
-                  if predicate.op not in RANGE_OPS]
-        counts.extend(self._band_matches(table, column, bounds) for
-                      column, bounds in range_bounds(predicates).items())
         estimate = rows
         for count in counts:
             if count is None:

@@ -9,16 +9,18 @@ is off) to a logical plan in four steps:
 2. **Subtree rewrite** — the subtree filter becomes an integer range on
    ``leaf_pre`` (interval labeling), or, with labeling disabled, an
    ``IN`` over the clade's protein ids (the ablation baseline).
-3. **Access-path selection** — per table, the cheapest of sequential
-   scan / hash-index equality / sorted-index range / key-set probe,
-   costed with the index-driven cardinality estimator; under a
+3. **Access-path selection** — per table, one pass over the
+   estimator's terms (each ``=``/``!=``/``IN`` alone, each column's
+   range bounds as one band, each with its index count) prices the
+   sequential scan against a hash-index equality, key-set probe or
+   sorted-index range read per term an index serves; under a
    single-table ``ORDER BY c LIMIT k``, also an ordered walk of the
    sorted index on ``c`` that stops after ``k`` matches, priced against
    the best of the others *plus* the top-k it would feed.
-4. **Join ordering** — left-deep hash-join order chosen by
-   Selinger-style dynamic programming over the orders that start with
-   ``bindings`` (at most two, for the overlay's three tables: every
-   join key joins ``bindings``). Each join builds on its dimension
+4. **Join ordering** — the cheaper of at most two fixed left-deep
+   orders, both starting with ``bindings`` (every join key joins it,
+   so for the overlay's three tables only the order of the two
+   dimension tables is open). Each join builds on its dimension
    table and ``bindings`` probes it, so rows come in ``bindings`` row-id
    order; a bare ``bindings`` scan may instead read only the build
    side's keys through a hash index on the join key (a keyed probe),
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.core.labeling import IntervalLabeling
@@ -45,16 +48,15 @@ from repro.core.overlay import (
 from repro.core.query import cost as cost_model
 from repro.core.query.ast import (
     COLUMN_OWNERS,
+    RANGE_OPS,
     REMOTE_DETAIL_COLUMNS,
     Band,
     Comparison,
     OrderBy,
     Query,
     SubtreeFilter,
-    range_bounds,
 )
 from repro.core.query.cards import CardinalityEstimator
-from repro.core.query.cost import Cost
 from repro.core.query.logical import (
     LogicalAggregate,
     LogicalCladeAggregate,
@@ -74,7 +76,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.query.executor import EngineConfig
 
 #: A table's chosen scan, its cost and the predicates placed on it.
-_Access = tuple[LogicalScan, Cost, tuple[Comparison, ...]]
+_Access = tuple[LogicalScan, float, tuple[Comparison, ...]]
 
 #: Aggregates answerable straight from the clade materialized stats.
 _CLADE_FAST_AGGS = {
@@ -150,9 +152,7 @@ class Planner:
 
         if query.aggregates:
             root = LogicalAggregate(root, query.aggregates, query.group_by)
-            total_cost = total_cost + cost_model.aggregate_cost(
-                estimated_rows
-            )
+            total_cost += cost_model.aggregate_cost(estimated_rows)
             estimated_rows = 1.0
             if query.having:
                 root = LogicalHaving(root, query.having)
@@ -162,15 +162,12 @@ class Planner:
         if query.order_by is not None:
             if query.limit is not None:
                 root = LogicalOrder(root, query.order_by, query.limit)
-                total_cost = total_cost + cost_model.topk_cost(
-                    estimated_rows, query.limit
-                )
+                total_cost += cost_model.topk_cost(estimated_rows,
+                                                   query.limit)
                 estimated_rows = float(min(estimated_rows, query.limit))
             else:
                 root = LogicalOrder(root, query.order_by)
-                total_cost = total_cost + cost_model.sort_cost(
-                    estimated_rows
-                )
+                total_cost += cost_model.sort_cost(estimated_rows)
         elif query.limit is not None:
             root = LogicalLimit(root, query.limit)
             estimated_rows = float(min(estimated_rows, query.limit))
@@ -178,7 +175,7 @@ class Planner:
         return PlanReport(
             logical=root,
             estimated_rows=estimated_rows,
-            estimated_cost=total_cost.total,
+            estimated_cost=total_cost,
             join_order=join_order,
         )
 
@@ -249,152 +246,99 @@ class Planner:
     def _choose_access_path(self, table_name: str,
                             predicates: tuple[Comparison, ...],
                             top: tuple[OrderBy, int] | None = None,
-                            ) -> tuple[LogicalScan, Cost]:
+                            ) -> tuple[LogicalScan, float]:
+        """The cheapest read of *table_name* under *predicates*, priced
+        in one pass over the estimate's terms: the sequential scan, then
+        an index read per term an index serves (the first of equal
+        prices wins) and, under *top*, an ordered walk of the sorted
+        index on the ORDER BY column."""
         table = self.tables[table_name]
-        output_rows = self.estimator.scan_rows(table_name, predicates)
-        candidates: list[tuple[Cost, LogicalScan]] = []
-
-        seq = LogicalScan(table_name, "seq", residual=predicates,
-                          estimated_rows=output_rows)
-        candidates.append((
-            cost_model.seq_scan_cost(self.estimator.table_rows(table_name),
-                                     len(predicates)),
-            seq,
-        ))
-
-        if self.config.use_indexes:
-            candidates.extend(
-                self._index_candidates(table_name, table, predicates,
-                                       output_rows)
-            )
-
-        best_cost, best_scan = min(candidates, key=lambda item: item[0])
-        if top is not None and self.config.use_indexes:
-            # The ordered walk replaces the scan *and* the top-k the
-            # scan's output would go on to pay for.
-            walk = self._order_candidate(table_name, table, predicates,
-                                         output_rows, *top)
-            if walk is not None and walk[0] < best_cost + \
-                    cost_model.topk_cost(output_rows, top[1]):
-                return walk[1], walk[0]
-        return best_scan, best_cost
-
-    def _order_candidate(self, table_name: str, table: Table,
-                         predicates: tuple[Comparison, ...],
-                         output_rows: float, order_by: OrderBy,
-                         limit: int) -> tuple[Cost, LogicalScan] | None:
-        """Walk the sorted index on the ORDER BY column, stop at *limit*:
-        range bounds on that column bound the walk, the rest is residual,
-        and it expects to touch ``limit / residual selectivity`` of the
-        entries in range."""
-        column = order_by.column
-        if table.index_on(column, require_range=True) is None:
-            return None
-        bounds = tuple(range_bounds(predicates).get(column, ()))
-        residual = tuple(p for p in predicates if p not in bounds)
-        in_range = self.estimator.scan_rows(table_name, bounds)
+        estimator = self.estimator
+        terms = estimator.terms(table_name, predicates)
+        output_rows = estimator.rows_under(
+            table_name, [count for _, count in terms])
+        best_cost = cost_model.seq_scan_cost(
+            estimator.table_rows(table_name), len(predicates))
+        best = LogicalScan(table_name, "seq", residual=predicates,
+                           estimated_rows=output_rows)
+        if not self.config.use_indexes:
+            return best, best_cost
+        walk_bounds, walk_count = (), None
+        singles = (i for i, p in enumerate(predicates)
+                   if p.op not in RANGE_OPS)
+        for term, count in terms:
+            column, op = term[0].column, term[0].op
+            keys = 1
+            if op in RANGE_OPS:
+                if top is not None and column == top[0].column:
+                    walk_bounds, walk_count = term, count
+                if table.index_on(column, require_range=True) is None:
+                    continue
+                residual = tuple(p for p in predicates if p not in term)
+                access, extra = "index_range", {"band": Band.of(term)}
+            else:
+                # The residual drops this predicate, not its equals.
+                position = next(singles)
+                if op == "!=" or table.index_on(column) is None:
+                    continue
+                residual = predicates[:position] + predicates[position + 1:]
+                if op == "=":
+                    access, extra = "index_eq", {"eq_value": term[0].value}
+                else:
+                    key_set = frozenset(term[0].value)
+                    keys = len(key_set)
+                    access, extra = "key_set", {"key_set": key_set}
+            price = cost_model.index_cost(
+                estimator.rows_under(table_name, [count]), len(residual),
+                keys)
+            if price < best_cost:
+                best_cost = price
+                best = LogicalScan(table_name, access, access_column=column,
+                                   residual=residual,
+                                   estimated_rows=output_rows, **extra)
+        if top is None or table.index_on(top[0].column,
+                                         require_range=True) is None:
+            return best, best_cost
+        order_by, limit = top
+        # The walk reads the band on its column, stops after *limit*
+        # matches, and expects to touch ``limit / residual selectivity``
+        # of the entries in range; it replaces the scan *and* the top-k
+        # the scan's output would go on to pay for.
+        in_range = estimator.rows_under(
+            table_name, [walk_count] if walk_bounds else [])
         walked = min(in_range, limit * in_range / output_rows)
-        scan = LogicalScan(
-            table_name, "index_order", access_column=column,
-            band=Band.of(bounds), residual=residual,
+        residual = tuple(p for p in predicates if p not in walk_bounds)
+        price = cost_model.index_order_cost(walked, len(residual))
+        if not price < best_cost + cost_model.topk_cost(output_rows, limit):
+            return best, best_cost
+        return LogicalScan(
+            table_name, "index_order", access_column=order_by.column,
+            band=Band.of(walk_bounds), residual=residual,
             estimated_rows=min(output_rows, float(limit)),
             descending=order_by.descending, limit=limit,
-            estimated_walk=walked)
-        return cost_model.index_order_cost(walked, len(residual)), scan
-
-    def _index_candidates(self, table_name: str, table: Table,
-                          predicates: tuple[Comparison, ...],
-                          output_rows: float,
-                          ) -> list[tuple[Cost, LogicalScan]]:
-        candidates: list[tuple[Cost, LogicalScan]] = []
-        for position, predicate in enumerate(predicates):
-            residual = tuple(p for i, p in enumerate(predicates)
-                             if i != position)
-            if predicate.op == "=":
-                index = table.index_on(predicate.column)
-                if index is None:
-                    continue
-                matches = self.estimator.scan_rows(table_name, (predicate,))
-                candidates.append((
-                    cost_model.index_eq_cost(matches, len(residual)),
-                    LogicalScan(table_name, "index_eq",
-                                access_column=predicate.column,
-                                eq_value=predicate.value,
-                                residual=residual,
-                                estimated_rows=output_rows),
-                ))
-            elif predicate.op == "in":
-                index = table.index_on(predicate.column)
-                if index is None:
-                    continue
-                keys = frozenset(predicate.value)
-                matches = self.estimator.scan_rows(table_name, (predicate,))
-                candidates.append((
-                    cost_model.key_set_cost(len(keys), matches,
-                                            len(residual)),
-                    LogicalScan(table_name, "key_set",
-                                access_column=predicate.column,
-                                key_set=keys,
-                                residual=residual,
-                                estimated_rows=output_rows),
-                ))
-        candidates.extend(
-            self._range_candidates(table_name, table, predicates,
-                                   output_rows)
-        )
-        return candidates
-
-    def _range_candidates(self, table_name: str, table: Table,
-                          predicates: tuple[Comparison, ...],
-                          output_rows: float,
-                          ) -> list[tuple[Cost, LogicalScan]]:
-        """Combine all range bounds on one indexed column into one scan."""
-        candidates: list[tuple[Cost, LogicalScan]] = []
-        for column, bounds in range_bounds(predicates).items():
-            index = table.index_on(column, require_range=True)
-            if index is None:
-                continue
-            residual = tuple(p for p in predicates if p not in bounds)
-            matches = self.estimator.scan_rows(table_name, tuple(bounds))
-            candidates.append((
-                cost_model.index_range_cost(matches, len(residual)),
-                LogicalScan(table_name, "index_range",
-                            access_column=column,
-                            band=Band.of(bounds),
-                            residual=residual,
-                            estimated_rows=output_rows),
-            ))
-        return candidates
+            estimated_walk=walked), price
 
     # -- join ordering ------------------------------------------------------------
 
     def _order_joins(self, table_names: tuple[str, ...],
                      scans: dict[str, _Access],
-                     ) -> tuple[LogicalNode, Cost, tuple[str, ...]]:
-        """The cheapest left-deep order that starts with ``bindings``,
-        the one table every join key joins: it is the probe side of
-        every join, each dimension table a build side."""
-        if len(table_names) == 1:
-            only = table_names[0]
-            scan, cost, _ = scans[only]
-            return scan, cost, (only,)
-        dimensions = [t for t in table_names if t != BINDINGS_TABLE]
-        best: tuple[Cost, LogicalNode, tuple[str, ...]] | None = None
-        for rest in permutations(dimensions):
-            order = (BINDINGS_TABLE, *rest)
-            plan, cost = self._build_left_deep(order, scans)
-            if best is None or cost < best[0]:
-                best = (cost, plan, order)
-        cost, plan, order = best
-        return plan, cost, order
+                     ) -> tuple[LogicalNode, float, tuple[str, ...]]:
+        """The cheaper of the (at most two) left-deep orders that start
+        with the first table, the first on a tie. A join always holds
+        ``bindings``, which comes first and joins every key: it is the
+        probe side of every join, each dimension table a build side."""
+        first, *rest = table_names
+        built = [(*self._build_left_deep(order, scans), order)
+                 for order in ((first, *dims) for dims in permutations(rest))]
+        return min(built, key=itemgetter(1))
 
     def _build_left_deep(self, order: tuple[str, ...],
                          scans: dict[str, _Access],
-                         ) -> tuple[LogicalNode, Cost]:
+                         ) -> tuple[LogicalNode, float]:
         """Join *order*'s dimension tables onto its ``bindings`` scan,
         each building its hash table; the first join's bindings scan
         may read only the build side's keys (a keyed probe)."""
-        plan, total_cost, predicates = scans[BINDINGS_TABLE]
+        plan, total_cost, predicates = scans[order[0]]
         for table_name in order[1:]:
             scan, scan_cost, _ = scans[table_name]
             key = JOIN_KEYS[(BINDINGS_TABLE, table_name)]
@@ -413,10 +357,10 @@ class Planner:
             total_cost = total_cost + scan_cost + join_cost
         return plan, total_cost
 
-    def _keyed_probe(self, scan: LogicalScan, cost: Cost,
+    def _keyed_probe(self, scan: LogicalScan, cost: float,
                      predicates: tuple[Comparison, ...], key: str,
                      build_rows: float, build_table: str,
-                     ) -> tuple[LogicalScan, Cost]:
+                     ) -> tuple[LogicalScan, float]:
         """*scan* as the probe side of a join on *key*: a keyed probe,
         which looks up each distinct build key in the hash index on
         *key* and keeps *predicates* as its residual, when that costs
@@ -430,9 +374,9 @@ class Planner:
         estimator = self.estimator
         keys = min(build_rows, estimator.distinct(build_table, key))
         ndv = max(estimator.distinct(scan.table, key), 1.0)
-        keyed_cost = cost_model.key_set_cost(
-            keys, keys * estimator.table_rows(scan.table) / ndv,
-            len(predicates))
+        keyed_cost = cost_model.index_cost(
+            keys * estimator.table_rows(scan.table) / ndv, len(predicates),
+            keys)
         if not keyed_cost < cost:
             return scan, cost
         return LogicalScan(scan.table, "join_keys", access_column=key,

@@ -1036,7 +1036,8 @@ class VectorizedLowering:
         self.deadline = deadline
         self.statuses = statuses
         self.needed: set[str] | None = None
-        self.first_chunk: int | None = None
+        #: The scan a bare LIMIT reads in growing chunks, and the limit.
+        self.first_chunk: tuple[LogicalScan, int] | None = None
 
     def lower_plan(self, node: LogicalNode):
         self.needed = needed_columns(node)
@@ -1089,8 +1090,10 @@ class VectorizedLowering:
             below = node.child
             if isinstance(below, LogicalProject):
                 below = below.child
+            while isinstance(below, LogicalJoin):  # down the probe spine
+                below = below.left
             if isinstance(below, LogicalScan):  # read what the limit needs
-                self.first_chunk = max(node.limit, 1)
+                self.first_chunk = below, max(node.limit, 1)
             child = self._to_vector(node.child, stats)
             return VecLimitOp(self.counters, child, node.limit)
         raise PlanError(f"cannot lower {type(node).__name__}")
@@ -1100,5 +1103,6 @@ class VectorizedLowering:
         if node.access == "index_order":
             return IndexOrderScanOp(self.counters, table, node, self.needed,
                                     stats)
+        limited, limit = self.first_chunk or (None, None)
         return VecScanOp(self.counters, table, node, self.needed,
-                         self.first_chunk)
+                         limit if node is limited else None)

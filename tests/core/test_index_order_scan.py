@@ -27,7 +27,6 @@ from repro.core.query.ast import (
     Query,
     SubtreeFilter,
 )
-from repro.core.query.cost import Cost
 from repro.core.query.logical import LogicalScan
 from repro.core.query.parser import parse_query
 from repro.core.query.physical import ExecCounters
@@ -159,7 +158,7 @@ def free_walk():
     """Price the walk at zero: the planner takes it wherever it offers
     it, so "not chosen" under this patch means "not offered"."""
     return mock.patch.object(cost_model, "index_order_cost",
-                             lambda walked, residuals: Cost(0.0))
+                             lambda walked, residuals: 0.0)
 
 
 def assert_engines_agree(drugtree, query, naive=None):

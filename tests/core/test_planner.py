@@ -1,6 +1,8 @@
 """Tests for the cost-based planner: access paths, join orders, the
 subtree rewrite."""
 
+from unittest import mock
+
 import pytest
 
 from repro.core import DrugTree, EngineConfig, QueryEngine
@@ -18,8 +20,6 @@ from repro.core.query.logical import (
 )
 from repro.core.query.planner import Planner
 from repro.workloads import DatasetConfig, build_dataset
-
-import pytest
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +155,19 @@ class TestCladeFastPath:
             self._agg_query(clade)
         )
         assert not isinstance(plan.logical, LogicalCladeAggregate)
+
+    def test_planning_derives_the_tables_once(self, drugtree):
+        # min() has no materialized answer: the fast path reads the
+        # query's tables, gives up, and the plan reads them again.
+        clade = drugtree.tree.root.children[0].name
+        query = Query(aggregates=(AggregateSpec("min", "p_affinity"),),
+                      subtree=SubtreeFilter(clade))
+        assert query.tables() == ("bindings",)
+        with mock.patch.object(Query, "referenced_columns", autospec=True,
+                               side_effect=Query.referenced_columns) as spy:
+            plan = _planner(drugtree).plan(query)
+        assert not isinstance(plan.logical, LogicalCladeAggregate)
+        assert spy.call_count == 0
 
 
 class TestJoinOrdering:

@@ -137,6 +137,23 @@ def test_every_join_order_starts_with_bindings():
         assert len(order) > 1 and order[0] == "bindings", query
 
 
+def test_a_limit_over_a_join_reads_only_its_first_probe_rows():
+    # The CLI's default world, where the whole probe batch was read
+    # (1,104 rows scanned) for three rows: the LIMIT's first chunk
+    # reaches the bindings scan down the join's probe side, and only
+    # it; the build side is read whole.
+    dataset = build_dataset(DatasetConfig(n_leaves=40, n_ligands=80,
+                                          seed=42))
+    query = ("SELECT protein_id, ligand_id FROM bindings, ligands "
+             "WHERE p_affinity >= 5 LIMIT 3")
+    result = QueryEngine(dataset.drugtree(), EngineConfig(
+        use_semantic_cache=False)).execute(query)
+    naive = NaiveEngine(dataset.tree, dataset.registry).execute(query)
+    assert result.rows == naive.rows
+    assert len(result) == 3
+    assert result.counters["rows_scanned"] < 200
+
+
 #: ``(class or module, function name, (old, new)...)`` of each mutant.
 PLANTED = {
     "key lookups in repr key order": (

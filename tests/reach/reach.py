@@ -241,6 +241,9 @@ def entry_points() -> list[EntryPoint]:
             "FROM bindings WHERE p_affinity >= 7.5")
     points += [_cli("ci query wide range", "query", wide),
                _cli("ci query --naive wide range", "query", "--naive", wide)]
+    join_limit = ("SELECT protein_id, ligand_id FROM bindings, ligands "
+                  "WHERE p_affinity >= 5 LIMIT 3")
+    points += [_cli("ci query join limit reads", "query", join_limit)]
     for name, dtql in PARITY_QUERIES.items():
         points += [_cli(f"ci query {name}", "query", dtql),
                    _cli(f"ci query --naive {name}", "query", "--naive", dtql)]
