@@ -4,29 +4,24 @@ The parity contract — cluster results bit-identical to the single-node
 engine — is met by construction rather than by reimplementing the
 executor: the engine prunes the query to the partitions whose clade
 intervals intersect it, quorum-reads exactly those partitions through
-the router, materializes the rows into a local overlay *view* (a plain
-:class:`~repro.core.drugtree.DrugTree` recovered from those rows in
-global row-id order, the way a durable overlay recovers from its store,
-so every scan and index path emits rows in the same order as the
-single-node engine), indexes it, and then delegates to a stock
-:class:`~repro.core.query.executor.QueryEngine`, whose planner prices
-from the view's own indexes.
+the router, and keeps their rows in one local overlay *view* — a plain
+:class:`~repro.core.drugtree.DrugTree` recovered in global row-id
+order, as a durable overlay recovers from its store — under one stock
+:class:`~repro.core.query.executor.QueryEngine`.
 
-Views are kept per partition set for the engine's life — pruning
-yields at most P(P+1)+1 non-empty sets over P interval partitions —
-so a session re-reading a clade pays the fan-out once until a write
-moves the store version. The read after a write quorum-reads again
-(agreeing replicas cost one dict compare), and a view whose rows all
-came back unchanged *absorbs* the rows the write added — appended in
-global row-id order, exactly what a live insert does to the
-single-node overlay — instead of being rebuilt; anything else
-rebuilds it. The engine is single-caller: its views are mutated in
-place.
+The view lives as long as the engine and holds each row once. Per
+partition the engine records the rows its last read returned and the
+``Router.store_version`` that read began at. A query whose partitions
+are all current *reuses* the view and contacts no shard; otherwise it
+quorum-reads them, and the view *absorbs* the rows writes added or is
+rebuilt (:meth:`ClusterEngine._load`). Rows of partitions a query did
+not read may lag: its pruning band excludes them. The engine is
+single-caller: its view is mutated in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any
 
 from repro.cluster.node import VersionedRow
@@ -52,36 +47,8 @@ from repro.obs import get_metrics
 from repro.obs.explain import AnalyzeReport
 from repro.sources.resilience import Deadline
 
-
-@dataclass
-class _ClusterView:
-    """One materialized subset of the cluster, plus its query engine."""
-
-    drugtree: DrugTree
-    engine: QueryEngine
-    store_version: int
-    #: What the quorum read the overlay was last loaded from returned:
-    #: exactly the rows it holds, at the versions it holds them.
-    loaded: dict[tuple[str, int], VersionedRow]
-    #: How the latest request got this view — ``reused`` | ``absorbed``
-    #: | ``built`` — and how many rows it absorbed on the way.
-    outcome: str = "built"
-    rows_absorbed: int = 0
-
-    def appended_keys(self, merged: dict[tuple[str, int], VersionedRow],
-                      ) -> list[tuple[str, int]] | None:
-        """The keys *merged* adds to this view, ascending — or ``None``
-        when the view cannot absorb them: a row it holds changed
-        version or vanished, or a new row id is not above every id its
-        table has seen (a late row belongs *between* loaded rows)."""
-        if not self.loaded.items() <= merged.items():
-            return None
-        fresh = sorted(merged.keys() - self.loaded.keys())
-        tables = self.drugtree.tables
-        if any(row_id < tables[table].next_row_id
-               for table, row_id in fresh):
-            return None
-        return fresh
+#: One partition's quorum read: its rows by ``(table, row id)``.
+Rows = dict[tuple[str, int], VersionedRow]
 
 
 class ClusterEngine:
@@ -105,7 +72,13 @@ class ClusterEngine:
             LIGANDS_TABLE: ligands_schema(),
             BINDINGS_TABLE: bindings_schema(),
         }
-        self._views: dict[frozenset[int], _ClusterView] = {}
+        #: The view, or ``None`` before the first read and after a
+        #: failed load.
+        self._view: QueryEngine | None = None
+        #: Per partition the view holds: the rows its last read returned,
+        #: and the store version that read began at.
+        self._loaded: dict[int, Rows] = {}
+        self._read_at: dict[int, int] = {}
         #: Routing facts of the most recent execute/analyze, the data
         #: behind the ``-- cluster:`` trailer.
         self.last_route: dict[str, Any] = {}
@@ -161,15 +134,15 @@ class ClusterEngine:
         view execution is not charged virtual time, matching the
         single-node engine's treatment of overlay scans.
         """
-        query, view = self._route(query, deadline)
-        return view.engine.execute(query)
+        query = self._route(query, deadline)
+        return self._view.execute(query)
 
     def analyze(self, query: Query | str,
                 deadline: Deadline | float | None = None
                 ) -> AnalyzeReport:
         """EXPLAIN ANALYZE through the router, with the cluster trailer."""
-        query, view = self._route(query, deadline)
-        report = view.engine.analyze(query)
+        query = self._route(query, deadline)
+        report = self._view.analyze(query)
         report.cluster = dict(self.last_route)
         return report
 
@@ -178,9 +151,8 @@ class ClusterEngine:
 
     def explain(self, query: Query | str) -> str:
         query, _ = self._prepare(query, None)
-        pids = partitions_for_query(query, self.partitioner)
-        view = self._view(frozenset(pids), None)
-        return view.engine.explain(query)
+        self._refresh(partitions_for_query(query, self.partitioner), None)
+        return self._view.explain(query)
 
     # -- helpers --------------------------------------------------------------
 
@@ -189,12 +161,12 @@ class ClusterEngine:
             deadline = Deadline(self.clock, float(deadline))
         return _intake(query), deadline
 
-    def _route(self, query, deadline) -> tuple[Query, _ClusterView]:
-        """Prune to partitions, get their view, record the routing."""
+    def _route(self, query, deadline) -> Query:
+        """Prune to partitions, refresh the view, record the routing."""
         query, deadline = self._prepare(query, deadline)
         pids = partitions_for_query(query, self.partitioner)
         repairs_before = self.router.stats.read_repairs
-        view = self._view(frozenset(pids), deadline)
+        outcome, absorbed = self._refresh(pids, deadline)
         total = len(self.partitioner.partitions)
         self.last_route = {
             "shards_contacted": len(pids),
@@ -205,63 +177,86 @@ class ClusterEngine:
             "read_repairs": (self.router.stats.read_repairs
                              - repairs_before),
             "hints_queued": self.router.hints_outstanding(),
-            "view": view.outcome,
-            "rows_absorbed": view.rows_absorbed,
+            "view": outcome,
+            "rows_absorbed": absorbed,
         }
-        return query, view
+        return query
 
-    def _view(self, pids: frozenset[int],
-              deadline: Deadline | None) -> _ClusterView:
-        view = self._views.get(pids)
-        if (view is not None
-                and view.store_version == self.router.store_version):
-            view.outcome, view.rows_absorbed = "reused", 0
+    def _refresh(self, pids, deadline: Deadline | None) -> tuple[str, int]:
+        """Bring the view's copy of *pids* up to the store version;
+        returns how (``reused`` | ``absorbed`` | ``built``) and how many
+        rows it absorbed."""
+        version = self.router.store_version
+        if self._view is not None and all(
+                self._read_at.get(pid) == version for pid in pids):
+            outcome, absorbed = "reused", 0
         else:
-            view = self._views[pids] = self._materialize(pids, deadline)
+            outcome, absorbed = self._load(
+                self.router.read_partitions(pids, deadline), version)
         metrics = get_metrics()
-        metrics.counter(f"cluster.views.{view.outcome}").inc()
-        if view.rows_absorbed:
-            metrics.counter("cluster.views.rows_absorbed").inc(
-                view.rows_absorbed)
-        return view
+        metrics.counter(f"cluster.views.{outcome}").inc()
+        if absorbed:
+            metrics.counter("cluster.views.rows_absorbed").inc(absorbed)
+        return outcome, absorbed
 
-    def _materialize(self, pids: frozenset[int],
-                     deadline: Deadline | None) -> _ClusterView:
-        """Quorum-read the partitions into a local overlay.
+    def _load(self, read: dict[int, Rows], version: int
+              ) -> tuple[str, int]:
+        """Take one quorum read (``{pid: rows}``) into the view.
 
-        The view is a recovered overlay: :meth:`DrugTree.load_rows`
-        replays the rows under their global row ids in ascending order,
-        so insertion order — and with it every scan order, index row-id
-        order, and clade-aggregate accumulation order — matches the
-        single-node overlay restricted to these partitions, which is
-        what makes results (including float aggregates and stable-sort
-        ties) bit-identical. A cached view the read only adds rows to
-        (:meth:`_ClusterView.appended_keys`) takes just those rows
-        through the same loader, which keeps that order; any other
-        difference builds a fresh overlay. The cached view leaves the
-        cache before it is touched: a failed read keeps it as it was,
-        a failed load drops it — a half-loaded view is never served.
+        :meth:`DrugTree.load_rows` replays rows under their global row
+        ids in ascending order, so every scan, index and clade-aggregate
+        order — and with it every answer, float sums and stable-sort ties
+        included — matches the single-node overlay's over the held
+        partitions. A read that only adds rows above every id the view
+        holds (:meth:`_appended_rows`) appends just those; anything else
+        rebuilds the view from the held rows of the partitions the read
+        skipped and the rows it returned, with no new fan-out. A failed
+        read keeps the view as it was; a failed load drops it.
         """
-        store_version = self.router.store_version
-        merged = self.router.read_partitions(pids, deadline)
-        view = self._views.pop(pids, None)
-        fresh = None if view is None else view.appended_keys(merged)
+        view, self._view = self._view, None
+        fresh = self._appended_rows(view, read)
         if fresh is None:
+            held = {**self._loaded, **read}
             drugtree = DrugTree(self.tree)
-            self._load(drugtree, merged, sorted(merged))
+            drugtree.load_rows(_by_table(
+                item for rows in held.values() for item in rows.items()))
             drugtree.create_default_indexes()
-            return _ClusterView(
-                drugtree, QueryEngine(drugtree, config=self.config),
-                store_version, merged)
-        self._load(view.drugtree, merged, fresh)
-        view.store_version, view.loaded = store_version, merged
-        view.outcome, view.rows_absorbed = "absorbed", len(fresh)
-        return view
+            view = QueryEngine(drugtree, config=self.config)
+        else:
+            view.drugtree.load_rows(_by_table(fresh))
+        self._loaded.update(read)
+        self._read_at.update(dict.fromkeys(read, version))
+        self._view = view
+        return ("built", 0) if fresh is None else ("absorbed", len(fresh))
 
-    def _load(self, drugtree: DrugTree, merged: dict, keys: list) -> None:
-        """Append the rows of *keys* (ascending) to *drugtree*."""
-        by_table: dict[str, list] = {}
-        for table, row_id in keys:
-            by_table.setdefault(table, []).append(
-                (row_id, merged[table, row_id].row))
-        drugtree.load_rows(by_table)
+    def _appended_rows(self, view: QueryEngine | None,
+                       read: dict[int, Rows]) -> list | None:
+        """The ``(key, versioned)`` rows *read* adds to *view* — or
+        ``None`` when the view cannot absorb them: there is no view, a
+        read partition is new to it (a first load is a build, so only
+        written rows are ever absorbed), a row a partition held changed
+        version or vanished, or a new row id is not above every id its
+        table holds (a late row, or one of a partition that lagged while
+        another absorbed, belongs *between* held rows)."""
+        if view is None or not read.keys() <= self._loaded.keys():
+            return None
+        fresh = []
+        for pid, rows in read.items():
+            held = self._loaded[pid]
+            if not held.items() <= rows.items():
+                return None
+            fresh.extend((key, rows[key]) for key in rows.keys() - held)
+        tables = view.drugtree.tables
+        if any(row_id < tables[table].next_row_id
+               for (table, row_id), _ in fresh):
+            return None
+        return fresh
+
+
+def _by_table(items) -> dict[str, list[tuple[int, tuple]]]:
+    """``(key, versioned)`` rows as :meth:`DrugTree.load_rows` takes
+    them: ``(row id, row)`` per table, ascending."""
+    by_table: dict[str, list] = {}
+    for (table, row_id), versioned in sorted(items, key=itemgetter(0)):
+        by_table.setdefault(table, []).append((row_id, versioned.row))
+    return by_table

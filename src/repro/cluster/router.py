@@ -124,7 +124,7 @@ class Router:
         self._version = 0
         self._next_row_id: dict[str, int] = {}
         self.stats = RouterStats()
-        #: Bumped on every accepted write; view caches key on it.
+        #: Bumped on every accepted write; a view stamps its reads with it.
         self.store_version = 0
 
     # -- versions and row ids ------------------------------------------------
@@ -286,8 +286,9 @@ class Router:
 
     def read_partitions(self, pids,
                         deadline: Deadline | None = None
-                        ) -> dict[tuple[str, int], VersionedRow]:
-        """Quorum-read many partitions as one overlapped fan-out.
+                        ) -> dict[int, dict[tuple[str, int], VersionedRow]]:
+        """Quorum-read many partitions as one overlapped fan-out;
+        returns each partition's rows by pid.
 
         Inside ``clock.concurrently()`` each partition's replica
         round-trips are charged on its own task timeline (in pid
@@ -298,19 +299,17 @@ class Router:
         """
         pids = sorted(set(pids))
         self.drain_hints()
-        merged: dict[tuple[str, int], VersionedRow] = {}
+        read: dict[int, dict[tuple[str, int], VersionedRow]] = {}
         if not pids:
-            return merged
+            return read
         first_error: Exception | None = None
         with get_tracer().span("cluster.fanout") as span:
             span.set("partitions", len(pids))
             with self.clock.concurrently() as region:
-                # Partitions are disjoint keyspaces: plain union.
                 for pid in pids:
                     try:
                         with region.task():
-                            merged.update(
-                                self.read_partition(pid, deadline))
+                            read[pid] = self.read_partition(pid, deadline)
                     except (QuorumError, DeadlineExceededError) as exc:
                         first_error = first_error or exc
             if first_error is not None:
@@ -318,7 +317,7 @@ class Router:
         with self._lock:
             self.stats.reads += 1
         get_metrics().counter("cluster.reads").inc()
-        return merged
+        return read
 
     # -- hinted handoff -------------------------------------------------------
 

@@ -128,8 +128,11 @@ class Comparison:
 
     def __str__(self) -> str:
         if self.op == "in":
-            inner = ", ".join(repr(v) for v in self.value)
-            return f"{self.column} IN ({inner})"
+            # A set prints sorted, not in its hash-seeded order.
+            members = [repr(v) for v in self.value]
+            if isinstance(self.value, (set, frozenset)):
+                members.sort()
+            return f"{self.column} IN ({', '.join(members)})"
         return f"{self.column} {self.op} {self.value!r}"
 
 

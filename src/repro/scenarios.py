@@ -329,10 +329,12 @@ def run_representative_session(dataset) -> None:
     cluster_engine.router.cluster.set_schedule(FaultSchedule((
         Outage(crash_start, crash_start + 600.0, target="node-0"),
     )))
+    # Narrow first: each read that adds partitions reads node-0's again,
+    # so its breaker opens; the last read is served by the view.
+    cluster_engine.execute(
+        "SELECT protein_id FROM proteins WHERE leaf_pre < 4"
+    )
     cluster_engine.execute("SELECT count(*) FROM bindings")
     cluster_engine.execute(
         f"SELECT count(*) FROM bindings IN SUBTREE '{clade}'"
-    )
-    cluster_engine.execute(
-        "SELECT protein_id FROM proteins WHERE leaf_pre < 4"
     )

@@ -168,8 +168,9 @@ class TestQuorumReads:
                          leaf_pre=labeling.leaf_position(name))
         pids = [p.pid for p in
                 router.cluster.partitioner.interval_partitions]
-        merged = router.read_partitions(pids)
-        assert len(merged) == labeling.leaf_count
+        read = router.read_partitions(pids)
+        assert sorted(read) == sorted(pids)
+        assert sum(map(len, read.values())) == labeling.leaf_count
 
     def test_unknown_partition_rejected(self):
         router = make_router()

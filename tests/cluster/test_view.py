@@ -33,21 +33,19 @@ def test_materialising_validates_no_row(monkeypatch):
 
 def test_views_keep_the_global_row_ids():
     drugtree, clustered = make_cluster()
-    full = clustered._view(
-        frozenset(range(len(clustered.partitioner.partitions))), None)
+    clustered._refresh(range(len(clustered.partitioner.partitions)), None)
+    full = clustered._view.drugtree
     for name, table in drugtree.tables.items():
-        assert dict(full.drugtree.tables[name].scan()) \
-            == dict(table.scan()), name
-    assert full.drugtree.protein_count == drugtree.protein_count
-    assert full.drugtree.ligand_count == drugtree.ligand_count
+        assert dict(full.tables[name].scan()) == dict(table.scan()), name
+    assert full.protein_count == drugtree.protein_count
+    assert full.ligand_count == drugtree.ligand_count
 
-    # A clade view holds a subset of the rows under the same ids.
+    # A clade's view holds a subset of the rows under the same ids.
+    _, clustered = make_cluster()
     clade = clustered.partitioner.interval_partitions[-1].name
     clustered.execute(f"SELECT count(*) FROM bindings IN SUBTREE '{clade}'")
-    view = next(view for pids, view in clustered._views.items()
-                if len(pids) == 1)
     bindings = dict(drugtree.tables["bindings"].scan())
-    subset = dict(view.drugtree.tables["bindings"].scan())
+    subset = dict(clustered._view.drugtree.tables["bindings"].scan())
     assert 0 < len(subset) < len(bindings)
     assert subset.items() <= bindings.items()
 
@@ -56,9 +54,8 @@ def test_a_clade_view_counts_only_its_own_rows():
     drugtree, clustered = make_cluster()
     clade = clustered.partitioner.interval_partitions[-1].name
     clustered.execute(f"SELECT count(*) FROM bindings IN SUBTREE '{clade}'")
-    view = next(view for pids, view in clustered._views.items()
-                if len(pids) == 1)
-    estimator = view.engine.planner.estimator
+    view = clustered._view
+    estimator = view.planner.estimator
     for name, table in view.drugtree.tables.items():
         assert estimator.table_rows(name) == table.row_count, name
     assert estimator.table_rows("bindings") \
@@ -67,7 +64,7 @@ def test_a_clade_view_counts_only_its_own_rows():
 
 def test_explain_plans_over_the_view_as_the_single_node_does():
     # A view prices from its own indexes, which hold only the
-    # partitions it was built for. These three queries either read
+    # partitions read so far. These three queries either read
     # every partition or range over a leaf_pre band the view holds in
     # full, so their counts, and so their plans, match the single
     # node's. For these queries only: a pruned view can plan another

@@ -1,15 +1,16 @@
-"""A cached cluster view that absorbs a write ≡ one built from scratch.
+"""The cluster's one view that absorbs writes ≡ one built from scratch.
 
-After a write the next read quorum-reads again; a cached view whose
-rows all came back unchanged takes just the new rows through
-``DrugTree.load_rows`` instead of being rebuilt. The state machine
-checks the equivalence that makes that safe — tables, scan order,
-indexes, column stores, clade aggregates and fingerprints of the
-served view equal a fresh build's after every read, and the
-answer equals the single-node mirror's — under inserts, a crashed
-replica, healing and anti-entropy. The directed cases pin each way a
-view must *refuse* to absorb, and one planted bug per guard proves the
-suite would notice the guard missing.
+After a write the next read of a partition quorum-reads it again; when
+the rows the view held came back unchanged, the view takes just the
+new rows through ``DrugTree.load_rows`` instead of being rebuilt. The
+state machine checks the equivalence that makes that safe — with every
+held partition brought current, the tables, scan order, indexes,
+column stores, clade aggregates and fingerprints of the view equal a
+cold engine's build of the same partitions, and every answer equals
+the single-node mirror's — under inserts, a crashed replica, healing
+and anti-entropy. The directed cases pin each way a view must *refuse*
+to absorb or to reuse, and one planted bug per guard proves the suite
+would notice the guard missing.
 """
 
 import pytest
@@ -35,7 +36,7 @@ from repro.storage.table import Table
 from repro.workloads import DatasetConfig, QueryGenerator, build_dataset
 from repro.workloads.queries import ALL_KINDS
 from tests.cluster.test_parity import make_pair
-from tests.storage.oracles import clade_states
+from tests.storage.oracles import clade_states, with_planted_bug
 
 
 @pytest.fixture(autouse=True)
@@ -64,11 +65,20 @@ def insert_binding(clustered, drugtree, protein_id, ligand_id="LIG-NEW",
     return row_id
 
 
-def rebuilt(clustered, pids):
-    """The view of *pids* a cold engine over the same router builds."""
+def rebuilt(clustered):
+    """The view a cold engine over the same router builds from the
+    partitions *clustered* has read."""
     cold = ClusterEngine(clustered.tree, clustered.router,
                          config=clustered.config)
-    return cold._view(pids, None).drugtree
+    cold._refresh(clustered._loaded, None)
+    return cold._view.drugtree
+
+
+def assert_view_as_rebuilt(clustered):
+    """Bring every partition the view holds up to the store version
+    (absorbing what lagged), then compare it with a cold build."""
+    clustered._refresh(clustered._loaded, None)
+    assert_same_overlay(clustered._view.drugtree, rebuilt(clustered))
 
 
 def index_state(index):
@@ -95,12 +105,6 @@ def assert_same_overlay(served: DrugTree, fresh: DrugTree):
     assert sorted(served.molecules) == sorted(fresh.molecules)
     assert served.protein_count == fresh.protein_count
     assert served.ligand_count == fresh.ligand_count
-
-
-def served_view(clustered):
-    """``(pids, view)`` of the most recently built or absorbed view
-    (a reused view keeps its place)."""
-    return next(reversed(clustered._views.items()))
 
 
 class ViewDeltaMachine(RuleBasedStateMachine):
@@ -145,11 +149,15 @@ class ViewDeltaMachine(RuleBasedStateMachine):
             query = self.generator.draw(kind)
             got = self.clustered.execute(query, deadline=5.0)
             assert got.rows == self.single.execute(query).rows, query
-            if self.clustered.last_route["view"] == "reused":
-                continue  # untouched since the read that checked it
-            pids, view = served_view(self.clustered)
-            assert_same_overlay(view.drugtree,
-                                rebuilt(self.clustered, pids))
+        assert_view_as_rebuilt(self.clustered)
+
+    @rule(index=st.integers(0, 3))
+    def read_one_partition(self, index):
+        # The others may lag behind the writes this read absorbs.
+        partition = self.clustered.partitioner.interval_partitions[index]
+        query = f"SELECT * FROM bindings IN SUBTREE '{partition.name}'"
+        got = self.clustered.execute(query, deadline=5.0)
+        assert got.rows == self.single.execute(query).rows, query
 
     @precondition(lambda self: not self.crashed)
     @rule(victim=st.integers(0, 4))
@@ -171,13 +179,19 @@ class ViewDeltaMachine(RuleBasedStateMachine):
         self.clustered.router.anti_entropy()
 
     @invariant()
-    def cached_views_hold_what_they_were_loaded_from(self):
-        for view in self.clustered._views.values():
-            held = {(name, row_id): row
-                    for name, table in view.drugtree.tables.items()
-                    for row_id, row in table.scan()}
-            assert held == {key: versioned.row
-                            for key, versioned in view.loaded.items()}
+    def the_view_holds_each_loaded_row_once(self):
+        view = self.clustered._view
+        if view is None:
+            return
+        held = [((name, row_id), row)
+                for name, table in view.drugtree.tables.items()
+                for row_id, row in table.scan()]
+        loaded = [(key, versioned.row)
+                  for rows in self.clustered._loaded.values()
+                  for key, versioned in rows.items()]
+        assert sorted(held) == sorted(loaded)
+        assert len(held) <= sum(table.row_count for table
+                                in self.drugtree.tables.values())
 
 
 TestViewDeltaMachine = ViewDeltaMachine.TestCase
@@ -230,9 +244,8 @@ def check_late_row_forces_a_rebuild():
     insert_binding(clustered, drugtree, leaf, "LIG-N+2")
     assert clustered.execute(query).rows == single.execute(query).rows
     assert clustered.last_route["view"] == "built"
-    pids, view = served_view(clustered)
-    assert missed in dict(view.drugtree.tables["bindings"].scan())
-    assert_same_overlay(view.drugtree, rebuilt(clustered, pids))
+    assert missed in dict(clustered._view.drugtree.tables["bindings"].scan())
+    assert_view_as_rebuilt(clustered)
 
 
 def test_late_row_below_the_watermark_rebuilds():
@@ -258,15 +271,13 @@ def test_changed_version_of_a_held_row_rebuilds():
     rows = clustered.execute(query).rows
     assert clustered.last_route["view"] == "built"
     assert rows[0]["p_affinity"] == 11.5
-    pids, view = served_view(clustered)
-    assert_same_overlay(view.drugtree, rebuilt(clustered, pids))
+    assert_view_as_rebuilt(clustered)
 
 
 def test_a_failed_load_drops_the_view(monkeypatch):
     dataset, single, clustered = make_pair(seed=7)
     query = "SELECT count(*) FROM bindings"
     clustered.execute(query)
-    (pids, view), = clustered._views.items()
     insert_binding(clustered, single.drugtree,
                    dataset.family.protein_ids[0])
 
@@ -276,7 +287,7 @@ def test_a_failed_load_drops_the_view(monkeypatch):
     monkeypatch.setattr(DrugTree, "load_rows", failing)
     with pytest.raises(StorageError):
         clustered.execute(query)
-    assert clustered._views == {}
+    assert clustered._view is None
     monkeypatch.undo()
     assert clustered.execute(query).rows == single.execute(query).rows
     assert clustered.last_route["view"] == "built"
@@ -306,8 +317,8 @@ def test_an_absorbed_row_reaches_the_views_estimates():
     _, single, clustered = make_pair(seed=7)
     query = "SELECT count(*) FROM bindings"
     clustered.execute(query)
-    _, view = served_view(clustered)
-    estimator = view.engine.planner.estimator
+    view = clustered._view
+    estimator = view.planner.estimator
     fresh = (Comparison("p_affinity", "=", 9.875),)
     assert estimator.scan_rows("bindings", fresh) == MIN_ROWS
     rows = estimator.table_rows("bindings")
@@ -316,8 +327,8 @@ def test_an_absorbed_row_reaches_the_views_estimates():
                    ["protein_id"], p_affinity=9.875)
     clustered.execute(query)
     assert clustered.last_route["view"] == "absorbed"
-    assert served_view(clustered)[1] is view
-    assert view.engine.planner.estimator is estimator
+    assert clustered._view is view
+    assert view.planner.estimator is estimator
     assert estimator.table_rows("bindings") == rows + 1
     assert estimator.scan_rows("bindings", fresh) == 1.0
 
@@ -326,7 +337,7 @@ def test_bindings_insert_leaves_the_ligands_view_alone(monkeypatch):
     dataset, single, clustered = make_pair(seed=7)
     query = "SELECT count(*) FROM ligands"
     clustered.execute(query)
-    (pids, view), = clustered._views.items()
+    view = clustered._view
     insert_binding(clustered, single.drugtree,
                    dataset.family.protein_ids[0])
     parsed = []
@@ -336,7 +347,7 @@ def test_bindings_insert_leaves_the_ligands_view_alone(monkeypatch):
         lambda *args, **kwargs: parsed.append(args) or original(
             *args, **kwargs))
     assert clustered.execute(query).rows == single.execute(query).rows
-    assert clustered._views[pids] is view
+    assert clustered._view is view
     assert clustered.last_route["view"] == "absorbed"
     assert clustered.last_route["rows_absorbed"] == 0
     assert parsed == []
@@ -382,21 +393,96 @@ def reachable_partition_queries(clustered):
     return queries
 
 
-def test_every_reachable_partition_set_keeps_its_view():
+def test_each_partition_read_once_serves_every_reachable_set():
     _, single, clustered = make_pair(seed=7)
-    interval_count = len(clustered.partitioner.interval_partitions)
-    assert interval_count == 4
-    bound = interval_count * (interval_count + 1) + 1
+    assert len(clustered.partitioner.interval_partitions) == 4
     queries = reachable_partition_queries(clustered)
-    assert len(queries) == bound
-    for visit in ("built", "reused"):
-        for pids, query in queries.items():
-            assert clustered.execute(query).rows \
-                == single.execute(query).rows, query
-            assert clustered.last_route["shards_contacted"] == len(pids)
-            assert clustered.last_route["view"] == visit, query
+    assert len(queries) == 21
+    for pid in range(len(clustered.partitioner.partitions)):
+        clustered._refresh([pid], None)
+    reads = clustered.router.stats.reads
+    for pids, query in queries.items():
+        assert clustered.execute(query).rows \
+            == single.execute(query).rows, query
+        assert clustered.last_route["shards_contacted"] == len(pids)
+        assert clustered.last_route["view"] == "reused", query
+    assert clustered.router.stats.reads == reads
     counters = get_metrics().counter_values("cluster.views.")
-    assert counters["cluster.views.built"] == len(queries)
     assert counters["cluster.views.reused"] == len(queries)
-    assert set(clustered._views) == set(queries)
-    assert len(clustered._views) <= bound
+    assert set(clustered._loaded) == set(range(5))
+
+
+# -- one view over partitions read at different store versions ---------------
+
+def subtree_query(partition):
+    return f"SELECT * FROM bindings IN SUBTREE '{partition.name}'"
+
+
+def check_a_lagging_partition_rebuilds():
+    """A row written to partition 0 lags while partition 1 absorbs a
+    later row id: it belongs *between* held rows, so partition 0's next
+    read rebuilds the view."""
+    _, single, clustered = make_pair(seed=7)
+    drugtree = single.drugtree
+    first, second = clustered.partitioner.interval_partitions[:2]
+    for partition in (first, second):
+        clustered.execute(subtree_query(partition))
+    lagging = insert_binding(clustered, drugtree,
+                             clustered.labeling.leaf_name_at(first.low))
+    insert_binding(clustered, drugtree,
+                   clustered.labeling.leaf_name_at(second.low))
+    clustered.execute(subtree_query(second))
+    assert clustered.last_route["view"] == "absorbed"
+    assert clustered.last_route["rows_absorbed"] == 1
+    query = subtree_query(first)
+    assert clustered.execute(query).rows == single.execute(query).rows
+    assert clustered.last_route["view"] == "built"
+    assert lagging in dict(
+        clustered._view.drugtree.tables["bindings"].scan())
+    assert_view_as_rebuilt(clustered)
+
+
+def test_a_lagging_partition_rebuilds():
+    check_a_lagging_partition_rebuilds()
+
+
+def test_planted_bug_absorb_a_lagging_partitions_rows_as_fresh(
+        monkeypatch):
+    planted = with_planted_bug(
+        ClusterEngine._appended_rows,
+        ("row_id < tables[table].next_row_id", "False"))
+    monkeypatch.setattr(ClusterEngine, "_appended_rows", planted)
+    with pytest.raises((AssertionError, StorageError)):
+        check_a_lagging_partition_rebuilds()
+
+
+def check_a_stale_partition_is_read_again():
+    """Partitions 0 and 1 are read together; a write lands in 0, then
+    only 1 is read again. The pair is not current: 0 is still stale."""
+    dataset, single, clustered = make_pair(seed=7)
+    first, second = clustered.partitioner.interval_partitions[:2]
+    both = (f"SELECT * FROM bindings WHERE leaf_pre >= {first.low} "
+            f"AND leaf_pre < {second.high}")
+    clustered.execute(both)
+    insert_binding(clustered, single.drugtree,
+                   clustered.labeling.leaf_name_at(first.low))
+    clustered.execute(subtree_query(second))
+    assert clustered.last_route["view"] == "absorbed"
+    assert clustered.last_route["rows_absorbed"] == 0
+    reads = clustered.router.stats.reads
+    assert clustered.execute(both).rows == single.execute(both).rows
+    assert clustered.last_route["view"] == "absorbed"
+    assert clustered.last_route["rows_absorbed"] == 1
+    assert clustered.router.stats.reads == reads + 1
+
+
+def test_a_stale_partition_is_read_again():
+    check_a_stale_partition_is_read_again()
+
+
+def test_planted_bug_reuse_a_set_with_a_stale_partition(monkeypatch):
+    planted = with_planted_bug(ClusterEngine._refresh,
+                               ("and all(", "and any("))
+    monkeypatch.setattr(ClusterEngine, "_refresh", planted)
+    with pytest.raises(AssertionError):
+        check_a_stale_partition_is_read_again()

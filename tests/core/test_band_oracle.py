@@ -84,16 +84,35 @@ def world():
     return dataset, drugtree, values, clades
 
 
+class ColdCluster:
+    """Each query through a new :class:`ClusterEngine` over one router.
+
+    The warm engine's one view keeps every row its earlier reads
+    returned, so a query pruned short of a partition can still find
+    that partition's rows there; a cold engine holds only what this
+    query's pruning read.
+    """
+
+    def __init__(self, warm: ClusterEngine) -> None:
+        self.warm = warm
+
+    def execute(self, query):
+        return ClusterEngine(self.warm.tree, self.warm.router,
+                             config=self.warm.config).execute(query)
+
+
 def engines(world):
     """Fresh engines (and so fresh caches) over the world's overlay."""
     dataset, drugtree, _, _ = world
+    cluster = ClusterEngine.from_drugtree(
+        drugtree, cluster_config=CLUSTER, clock=dataset.clock)
     return {
         "vectorized": QueryEngine(drugtree),
         "row": QueryEngine(drugtree, EngineConfig(execution_mode="row")),
         "no_analysis": QueryEngine(
             drugtree, EngineConfig(use_semantic_analysis=False)),
-        "cluster": ClusterEngine.from_drugtree(
-            drugtree, cluster_config=CLUSTER, clock=dataset.clock),
+        "cluster": cluster,
+        "cold cluster": ColdCluster(cluster),
     }
 
 

@@ -8,8 +8,8 @@ kind, the four scan families of ``analytic_scan`` (the E13 shapes, with
 several literals) and both load-generator query templates, on two small
 worlds: each query's EXPLAIN text and ``repr((estimated_cost,
 estimated_rows))``, so a cost that moves in its last bit moves the
-digest. ``IN`` lists print in set order, which follows the string hash
-seed: they are sorted first, so the digest is the same under any
+digest. Every ``IN`` list is sorted before it is hashed (a set's
+already prints sorted), so the digest is the same under any
 ``PYTHONHASHSEED``.
 """
 

@@ -124,6 +124,24 @@ class TestClosedPipe:
         assert err == b""
 
 
+def test_explain_prints_the_same_plan_under_any_hash_seed():
+    """The similarity prefilter's ``ligand_id IN (...)`` is a set: its
+    members print sorted, not in the seed-dependent iteration order."""
+    outputs = []
+    for hash_seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "explain", "--estimate-only",
+             "SELECT ligand_id, p_affinity FROM bindings "
+             "SIMILAR TO 'CC(=O)Oc1ccccc1C(=O)O' >= 0.1"],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed,
+                     PYTHONPATH=str(SRC)),
+            capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        outputs.append(done.stdout)
+    assert b"ligand_id IN (" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 class TestObservabilityCommands:
     def test_explain(self, capsys):
         assert main(["explain",
