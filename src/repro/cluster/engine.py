@@ -75,10 +75,9 @@ class ClusterEngine:
         #: The view, or ``None`` before the first read and after a
         #: failed load.
         self._view: QueryEngine | None = None
-        #: Per partition the view holds: the rows its last read returned,
-        #: and the store version that read began at.
-        self._loaded: dict[int, Rows] = {}
-        self._read_at: dict[int, int] = {}
+        #: Per partition the view holds: the store version its last read
+        #: began at, and the rows that read returned.
+        self._loaded: dict[int, tuple[int, Rows]] = {}
         #: Routing facts of the most recent execute/analyze, the data
         #: behind the ``-- cluster:`` trailer.
         self.last_route: dict[str, Any] = {}
@@ -188,7 +187,8 @@ class ClusterEngine:
         rows it absorbed."""
         version = self.router.store_version
         if self._view is not None and all(
-                self._read_at.get(pid) == version for pid in pids):
+                pid in self._loaded and self._loaded[pid][0] == version
+                for pid in pids):
             outcome, absorbed = "reused", 0
         else:
             outcome, absorbed = self._load(
@@ -215,17 +215,17 @@ class ClusterEngine:
         """
         view, self._view = self._view, None
         fresh = self._appended_rows(view, read)
+        self._loaded.update(
+            (pid, (version, rows)) for pid, rows in read.items())
         if fresh is None:
-            held = {**self._loaded, **read}
             drugtree = DrugTree(self.tree)
             drugtree.load_rows(_by_table(
-                item for rows in held.values() for item in rows.items()))
+                item for _, rows in self._loaded.values()
+                for item in rows.items()))
             drugtree.create_default_indexes()
             view = QueryEngine(drugtree, config=self.config)
         else:
             view.drugtree.load_rows(_by_table(fresh))
-        self._loaded.update(read)
-        self._read_at.update(dict.fromkeys(read, version))
         self._view = view
         return ("built", 0) if fresh is None else ("absorbed", len(fresh))
 
@@ -242,7 +242,7 @@ class ClusterEngine:
             return None
         fresh = []
         for pid, rows in read.items():
-            held = self._loaded[pid]
+            _, held = self._loaded[pid]
             if not held.items() <= rows.items():
                 return None
             fresh.extend((key, rows[key]) for key in rows.keys() - held)
