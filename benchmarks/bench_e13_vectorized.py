@@ -33,6 +33,7 @@ import random
 from collections import Counter
 
 from repro.core import DrugTree, EngineConfig, QueryEngine
+from repro.core.overlay import CLADE_TOP_K
 from repro.obs import WallTimer
 from repro.workloads import TextTable, make_family
 
@@ -200,12 +201,15 @@ def test_e13_small_scale_parity_is_cheap(report):
 
 def test_e13_ordered_topk_stops_early():
     """A timing-free gate: with a sorted index on the sort column,
-    ``ORDER BY … LIMIT 20`` reads 20 index entries plus at most one run
-    of equal keys — not the table — and answers like the scan."""
+    ``ORDER BY … LIMIT 21`` reads 21 index entries plus at most one run
+    of equal keys — not the table — and answers like the scan. (Up to
+    ``CLADE_TOP_K`` = 20 rows, the root's best bindings answer with no
+    scan at all.)"""
     tree = build_world(10_000)
     bindings = tree.tables["bindings"]
+    limit = CLADE_TOP_K + 1
     dtql = ("SELECT ligand_id, p_affinity FROM bindings "
-            "ORDER BY p_affinity DESC LIMIT 20")
+            f"ORDER BY p_affinity DESC LIMIT {limit}")
     scanned = _engine(tree, "vectorized").execute(dtql)
     assert scanned.counters["rows_scanned"] == 10_000
     bindings.create_index(["p_affinity"], kind="sorted")
@@ -214,4 +218,4 @@ def test_e13_ordered_topk_stops_early():
     for mode in ("row", "vectorized"):
         walked = _engine(tree, mode).execute(dtql)
         assert walked.rows == scanned.rows
-        assert walked.counters["rows_scanned"] <= 20 + longest_tie_run
+        assert walked.counters["rows_scanned"] <= limit + longest_tie_run

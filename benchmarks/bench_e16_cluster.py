@@ -374,7 +374,9 @@ def test_e16_writes_do_not_rebuild_views():
     assert run["rows_absorbed"] == run["expected_absorbed"] > 0
     assert run["rows_absorbed"] <= run["writes"]
     assert run["built"] + run["absorbed"] + run["reused"] == run["reads"]
-    assert run["absorbed"] >= run["writes"]
+    # A write moves only its own partition's version, so every read
+    # that absorbs brings in at least one written row.
+    assert 0 < run["absorbed"] <= run["rows_absorbed"]
 
 
 def test_e16_read_after_write_wall(report):

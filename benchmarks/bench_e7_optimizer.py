@@ -18,11 +18,13 @@ Three measurements:
   cluster in clades) breaks the independence assumption — a classic
   optimizer failure mode this reproduction preserves.
 * **E7d** — the ordered-walk choice. For the mobile tap template
+  asking for one row more than a tree node's best-bindings list holds
   (``… WHERE p_affinity >= t IN SUBTREE c ORDER BY p_affinity DESC
-  LIMIT 10``) the planner prices "walk the p_affinity index downward
-  with the clade as residual" against "clade scan + top-k". A
-  timing-free gate on ``rows_scanned``: the costed choice must stay
-  close to the better alternative and far below the scan-only plan.
+  LIMIT 21``; at ``LIMIT 10`` the list answers with no scan) the
+  planner prices "walk the p_affinity index downward with the clade as
+  residual" against "clade scan + top-k". A timing-free gate on
+  ``rows_scanned``: the costed choice must stay close to the better
+  alternative and far below the scan-only plan.
 """
 
 from __future__ import annotations
@@ -31,11 +33,15 @@ import time
 from unittest import mock
 
 from repro.core import EngineConfig, QueryEngine
+from repro.core.overlay import CLADE_TOP_K
 from repro.core.query import cost as cost_model
 from repro.workloads import QueryGenerator, TextTable, mean
 from repro.workloads.loadgen import _QUERY_TEMPLATES
 
 N_QUERIES = 10
+#: The tap template past what a best-bindings list answers: E7d's walk.
+WALKED_TEMPLATE = _QUERY_TEMPLATES[1].replace(
+    "LIMIT 10", f"LIMIT {CLADE_TOP_K + 1}")
 
 
 def _join_queries(dataset):
@@ -122,8 +128,8 @@ def test_e7c_cardinality_estimation(benchmark, world_medium, report):
 def test_e7d_ordered_walk_choice(world_medium, report):
     """Plan quality of the index-order access path, counted not timed.
 
-    Every (clade, threshold) instance of the loadgen's top-k template
-    runs three times: as the planner costs it, with the walk priced at
+    Every (clade, threshold) instance of the loadgen's top-k template,
+    at one row past the best-bindings lists, runs three times: as the planner costs it, with the walk priced at
     zero (always walk) and with it priced out (the scan-only plan every
     query got before the access path existed). Means are reported
     uniform over the grid and weighted the way the load generator draws
@@ -136,7 +142,7 @@ def test_e7d_ordered_walk_choice(world_medium, report):
     engine = QueryEngine(dataset.drugtree(),
                          EngineConfig(use_semantic_cache=False))
     thresholds = (5.0, 5.5, 6.0, 6.5, 7.0, 7.5)
-    grid = [_QUERY_TEMPLATES[1].format(clade=clade, threshold=threshold)
+    grid = [WALKED_TEMPLATE.format(clade=clade, threshold=threshold)
             for clade in dataset.family.clade_names
             for threshold in thresholds]
     # ZipfSampler's weights (its default exponent), one per instance.

@@ -11,12 +11,13 @@ order, as a durable overlay recovers from its store — under one stock
 
 The view lives as long as the engine and holds each row once. Per
 partition the engine records the rows its last read returned and the
-``Router.store_version`` that read began at. A query whose partitions
+partition's version (``Router.partition_versions``, bumped by every
+write that lands there) that read began at. A query whose partitions
 are all current *reuses* the view and contacts no shard; otherwise it
-quorum-reads them, and the view *absorbs* the rows writes added or is
-rebuilt (:meth:`ClusterEngine._load`). Rows of partitions a query did
-not read may lag: its pruning band excludes them. The engine is
-single-caller: its view is mutated in place.
+quorum-reads the ones whose version moved, and the view *absorbs* the
+rows writes added or is rebuilt (:meth:`ClusterEngine._load`). Rows of
+partitions a query did not read may lag: its pruning band excludes
+them. The engine is single-caller: its view is mutated in place.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ class ClusterEngine:
         #: The view, or ``None`` before the first read and after a
         #: failed load.
         self._view: QueryEngine | None = None
-        #: Per partition the view holds: the store version its last read
-        #: began at, and the rows that read returned.
+        #: Per partition the view holds: the partition version its last
+        #: read began at, and the rows that read returned.
         self._loaded: dict[int, tuple[int, Rows]] = {}
         #: Routing facts of the most recent execute/analyze, the data
         #: behind the ``-- cluster:`` trailer.
@@ -182,24 +183,27 @@ class ClusterEngine:
         return query
 
     def _refresh(self, pids, deadline: Deadline | None) -> tuple[str, int]:
-        """Bring the view's copy of *pids* up to the store version;
-        returns how (``reused`` | ``absorbed`` | ``built``) and how many
-        rows it absorbed."""
-        version = self.router.store_version
-        if self._view is not None and all(
-                pid in self._loaded and self._loaded[pid][0] == version
-                for pid in pids):
+        """Bring the view's copy of *pids* up to their partitions'
+        versions, quorum-reading only the partitions whose version
+        moved (every one of them when there is no view); returns how
+        (``reused`` | ``absorbed`` | ``built``) and how many rows it
+        absorbed."""
+        versions = self.router.partition_versions
+        stale = {pid: versions.get(pid, 0) for pid in pids
+                 if self._view is None or pid not in self._loaded
+                 or self._loaded[pid][0] != versions.get(pid, 0)}
+        if self._view is not None and not stale:
             outcome, absorbed = "reused", 0
         else:
             outcome, absorbed = self._load(
-                self.router.read_partitions(pids, deadline), version)
+                self.router.read_partitions(stale, deadline), stale)
         metrics = get_metrics()
         metrics.counter(f"cluster.views.{outcome}").inc()
         if absorbed:
             metrics.counter("cluster.views.rows_absorbed").inc(absorbed)
         return outcome, absorbed
 
-    def _load(self, read: dict[int, Rows], version: int
+    def _load(self, read: dict[int, Rows], versions: dict[int, int]
               ) -> tuple[str, int]:
         """Take one quorum read (``{pid: rows}``) into the view.
 
@@ -216,7 +220,7 @@ class ClusterEngine:
         view, self._view = self._view, None
         fresh = self._appended_rows(view, read)
         self._loaded.update(
-            (pid, (version, rows)) for pid, rows in read.items())
+            (pid, (versions[pid], rows)) for pid, rows in read.items())
         if fresh is None:
             drugtree = DrugTree(self.tree)
             drugtree.load_rows(_by_table(

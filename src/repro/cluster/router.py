@@ -124,8 +124,9 @@ class Router:
         self._version = 0
         self._next_row_id: dict[str, int] = {}
         self.stats = RouterStats()
-        #: Bumped on every accepted write; a view stamps its reads with it.
-        self.store_version = 0
+        #: Per partition, bumped by every accepted write that lands
+        #: there; a view stamps its read of a partition with it.
+        self.partition_versions: dict[int, int] = {}
 
     # -- versions and row ids ------------------------------------------------
 
@@ -219,7 +220,8 @@ class Router:
         self._note_row_id(table, row_id)
         with self._lock:
             self.stats.writes += 1
-            self.store_version += 1
+            self.partition_versions[pid] = \
+                self.partition_versions.get(pid, 0) + 1
         return versioned.version
 
     # -- quorum reads ---------------------------------------------------------

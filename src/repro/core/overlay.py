@@ -7,13 +7,15 @@ each binding row carrying the *leaf position* of its protein so subtree
 predicates become integer ranges (see :mod:`repro.core.labeling`).
 
 :class:`CladeAggregates` is the second "novel mechanism": every tree
-node keeps materialized statistics of the bindings under it, maintained
-incrementally on every appended batch of bindings, so clade-aggregate
-queries read one precomputed record instead of re-aggregating the
-overlay.
+node keeps materialized statistics of the bindings under it, its best
+bindings included, maintained incrementally on every appended batch, so
+clade-aggregate and clade top-k queries read one precomputed record
+instead of re-aggregating the overlay.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 from repro.bio.tree import PhyloNode, PhyloTree
 from repro.core.labeling import IntervalLabeling
@@ -27,6 +29,10 @@ from repro.storage import (
     int_column,
     string_column,
 )
+
+#: Bindings each tree node keeps as its best: every top-k LIMIT the
+#: program issues fits (10 in the loadgen templates, 5/10/20 generated).
+CLADE_TOP_K = 20
 
 PROTEINS_TABLE = "proteins"
 LIGANDS_TABLE = "ligands"
@@ -104,7 +110,8 @@ class CladeAggregates:
     Subscribes to the ``bindings`` table: every appended batch of
     bindings updates the nodes on the paths from their proteins' leaves
     to the root. Reads are O(1) per clade. The table only appends, so
-    every aggregate, ``max`` included, folds exactly.
+    every aggregate, ``max`` and each node's best
+    :data:`CLADE_TOP_K` bindings included, folds exactly.
     """
 
     def __init__(self, tree: PhyloTree, labeling: IntervalLabeling,
@@ -122,6 +129,9 @@ class CladeAggregates:
         self._total = [0.0] * len(self._slots)
         self._maximum: list[float | None] = [None] * len(self._slots)
         self._potent = [0] * len(self._slots)
+        #: Each node's best CLADE_TOP_K bindings as ascending
+        #: ``(-p_affinity, row_id)`` keys: a tuple, replaced whole.
+        self._best: list[tuple] = [()] * len(self._slots)
         #: Leaf position -> slots from the leaf up to the root.
         self._paths = {
             labeling.leaf_position(leaf.name): tuple(
@@ -149,21 +159,22 @@ class CladeAggregates:
                                       self._leaf_pos)
         paths = self._paths
         leaves: dict[int, list] = {}
-        for _, row in pairs:
+        for row_id, row in pairs:
             value, leaf = row[paff], row[leaf_pos]
             kept = leaves.get(leaf)
             if kept is None:
                 if leaf not in paths:
                     raise QueryError(
                         f"binding references unknown leaf position {leaf}")
-                kept = leaves[leaf] = [paths[leaf], 0, 0, value]
+                kept = leaves[leaf] = [paths[leaf], 0, 0, value, []]
             kept[1] += 1
             if row[potent_pos]:
                 kept[2] += 1
             if value > kept[3]:
                 kept[3] = value
+            kept[4].append((-value, row_id))
         count, potent, maximum = self._count, self._potent, self._maximum
-        for path, rows, potent_rows, highest in leaves.values():
+        for path, rows, potent_rows, highest, _ in leaves.values():
             for slot in path:
                 count[slot] += rows
                 potent[slot] += potent_rows
@@ -174,7 +185,31 @@ class CladeAggregates:
             value = row[paff]
             for slot in paths[row[leaf_pos]]:
                 total[slot] += value
+        self._fold_best(leaves.values())
         self.maintenance_ops += len(pairs)
+
+    def _fold_best(self, leaves) -> None:
+        """Merge each leaf's new keys into the best lists up its path,
+        stopping at the first node none of them enter: an ancestor's
+        K-th key is never worse than a descendant's. Each touched tuple
+        is assigned once, after the whole batch, so a reader that reads
+        it once sees the clade as of some whole batch."""
+        best, fresh = self._best, {}
+        for path, _, _, _, keys in leaves:
+            keys.sort()
+            for slot in path:
+                held = fresh.get(slot) or best[slot]
+                if len(held) == CLADE_TOP_K and keys[0] > held[-1]:
+                    break
+                if len(keys) == 1:  # bisect: fewer tuple comparisons
+                    at = bisect_left(held, keys[0])
+                    held = (*held[:at], keys[0], *held[at:CLADE_TOP_K - 1])
+                else:
+                    held = tuple(sorted((*held, *keys))[:CLADE_TOP_K])
+                    keys = keys[:bisect_right(keys, held[-1])]
+                fresh[slot] = held
+        for slot, held in fresh.items():
+            best[slot] = held
 
     # -- reads ---------------------------------------------------------------
 
@@ -196,3 +231,10 @@ class CladeAggregates:
         if not self.labeling.has_name(node_name):
             raise QueryError(f"no node named {node_name!r}")
         return self.stats_for(self.labeling.node_named(node_name))
+
+    def best_for_name(self, node_name: str | None) -> tuple:
+        """The best bindings under *node_name* (None: the whole tree),
+        best first; every row left out ranks below the last."""
+        node = (self.tree.root if node_name is None
+                else self.labeling.node_named(node_name))
+        return self._best[self._slots[node.node_id]]

@@ -32,6 +32,7 @@ from repro.core.query.cards import CardinalityEstimator
 from repro.core.query.logical import (
     LogicalAggregate,
     LogicalCladeAggregate,
+    LogicalCladeTopK,
     LogicalHaving,
     LogicalJoin,
     LogicalLimit,
@@ -56,6 +57,7 @@ from repro.core.query.physical import (
 from repro.core.query.planner import Planner, PlanReport
 from repro.core.query.vectorized import (
     CladeAggregateOp,
+    CladeTopKOp,
     IndexOrderScanOp,
     RemoteFetchOp,
     RowSourceAdapterOp,
@@ -673,6 +675,8 @@ class RowLowering:
         counters = self.counters
         if isinstance(node, LogicalCladeAggregate):
             return CladeAggregateOp(counters, self.engine.drugtree, node)
+        if isinstance(node, LogicalCladeTopK):
+            return CladeTopKOp(counters, self.engine.drugtree, node)
         if isinstance(node, LogicalScan):
             return self._scan_op(node, stats)
         if isinstance(node, LogicalJoin):

@@ -192,3 +192,20 @@ class LogicalCladeAggregate(LogicalNode):
     def describe(self) -> str:
         aggs = ", ".join(map(str, self.aggregates))
         return f"MaterializedCladeAggregate({self.node_name!r}: {aggs})"
+
+
+@dataclass(frozen=True)
+class LogicalCladeTopK(LogicalNode):
+    """Fast path: ``ORDER BY p_affinity DESC LIMIT k`` under lower
+    bounds on it, from a node's best bindings (None: the root's)."""
+
+    node_name: str | None
+    bounds: tuple[Comparison, ...]
+    limit: int
+    columns: tuple[str, ...]
+
+    def describe(self) -> str:
+        where = repr(self.node_name) if self.node_name else "whole tree"
+        bounds = " AND ".join(map(str, self.bounds))
+        return (f"MaterializedCladeTopK({where}: p_affinity DESC, first "
+                f"{self.limit}){' filter ' if bounds else ''}{bounds}")

@@ -27,8 +27,8 @@ is off) to a logical plan in four steps:
    when that costs less than the scan's own path. The unoptimized floor
    is :class:`~repro.core.baseline.NaiveEngine`.
 
-The materialized clade fast path short-circuits all of this for pure
-clade-aggregate queries.
+The materialized clade fast paths short-circuit all of this for pure
+clade-aggregate queries and for a clade's top-k by ``p_affinity``.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING
 from repro.core.labeling import IntervalLabeling
 from repro.core.overlay import (
     BINDINGS_TABLE,
+    CLADE_TOP_K,
     JOIN_KEYS,
     LIGANDS_TABLE,
     PROTEINS_TABLE,
@@ -60,6 +61,7 @@ from repro.core.query.cards import CardinalityEstimator
 from repro.core.query.logical import (
     LogicalAggregate,
     LogicalCladeAggregate,
+    LogicalCladeTopK,
     LogicalHaving,
     LogicalJoin,
     LogicalLimit,
@@ -130,6 +132,10 @@ class Planner:
         fast = self._try_clade_fast_path(query)
         if fast is not None:
             return PlanReport(fast, estimated_rows=1.0, estimated_cost=1.0)
+        fast = self._try_clade_top_k(query)
+        if fast is not None:
+            return PlanReport(fast, estimated_rows=float(fast.limit),
+                              estimated_cost=1.0)
 
         table_names = query.tables()
         placed = self._place_predicates(query, table_names)
@@ -198,6 +204,25 @@ class Planner:
             return None
         return LogicalCladeAggregate(query.subtree.node_name,
                                      query.aggregates)
+
+    def _try_clade_top_k(self, query: Query) -> LogicalNode | None:
+        """``bindings`` alone, ``ORDER BY p_affinity DESC LIMIT k <=
+        CLADE_TOP_K``, no filter but numeric lower bounds on it and an
+        optional ``IN SUBTREE``, a SELECT the walk could serve too."""
+        limit, name = query.limit, query.subtree and query.subtree.node_name
+        if (not self.config.use_materialized_aggregates
+                or query.order_by != OrderBy("p_affinity", descending=True)
+                or limit is None or limit > CLADE_TOP_K
+                or query.tables() != (BINDINGS_TABLE,)
+                or _walkable_top_k(query, query.tables()) is None
+                or name and not self.labeling.has_name(name)
+                or any(p.column != "p_affinity" or p.op not in (">=", ">")
+                       or type(p.value) not in (int, float)
+                       for p in query.predicates)):
+            return None
+        columns = (query.select
+                   or self.tables[BINDINGS_TABLE].schema.column_names)
+        return LogicalCladeTopK(name, query.predicates, limit, columns)
 
     # -- predicate placement ------------------------------------------------
 

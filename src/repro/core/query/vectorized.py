@@ -58,10 +58,12 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.overlay import BINDINGS_TABLE
 from repro.core.query.ast import REMOTE_DETAIL_COLUMNS, AggregateSpec, OrderBy
 from repro.core.query.logical import (
     LogicalAggregate,
     LogicalCladeAggregate,
+    LogicalCladeTopK,
     LogicalHaving,
     LogicalJoin,
     LogicalLimit,
@@ -462,7 +464,7 @@ class CladeAggregateOp(VectorOp):
     which counts no batches)."""
 
     def __init__(self, counters: ExecCounters, drugtree,
-                 node: LogicalCladeAggregate) -> None:
+                 node: LogicalCladeAggregate | LogicalCladeTopK) -> None:
         super().__init__(counters)
         self.drugtree = drugtree
         self.node = node
@@ -484,10 +486,35 @@ class CladeAggregateOp(VectorOp):
         return Batch(tuple(columns), columns, 1)
 
     def batches(self) -> Iterator[Batch]:
-        yield self._emit(self._answer())
+        batch = self._answer()
+        if len(batch):  # a top-k may find no row
+            yield self._emit(batch)
 
     def rows(self) -> Iterator[dict[str, Any]]:
         yield from self._answer().iter_rows()
+
+
+class CladeTopKOp(CladeAggregateOp):
+    """A top-k from a node's best bindings, read once: the first
+    ``limit`` keys that pass the bounds, their rows gathered by id, as
+    one batch. Exact when fewer qualify too: a row the list left out
+    ranks below it. Scans no row."""
+
+    def _answer(self) -> Batch:
+        node = self.node
+        keys = self.drugtree.clade_aggregates.best_for_name(node.node_name)
+        tests = [compile_comparison(bound) for bound in node.bounds]
+        table = self.drugtree.tables[BINDINGS_TABLE]
+        rows = []
+        for key, row_id in keys[:node.limit]:
+            if not all(test(-key) for test in tests):
+                break
+            rows.append(table.get(row_id))
+        position = table.schema.index_of
+        columns = {name: [row[position(name)] for row in rows]
+                   for name in node.columns}
+        self.counters.rows_emitted += len(rows)
+        return Batch(node.columns, columns, len(rows))
 
 
 #: Rows whose remote details one :class:`RemoteFetchOp` request fetches.
@@ -1059,6 +1086,8 @@ class VectorizedLowering:
         if isinstance(node, LogicalCladeAggregate):
             return CladeAggregateOp(self.counters, self.engine.drugtree,
                                     node)
+        if isinstance(node, LogicalCladeTopK):
+            return CladeTopKOp(self.counters, self.engine.drugtree, node)
         if isinstance(node, LogicalJoin):
             left = self._to_vector(node.left, stats)
             right = self._to_vector(node.right, stats)

@@ -322,15 +322,17 @@ def run_representative_session(dataset) -> None:
                                      replication_factor=2,
                                      read_quorum=1),
         clock=dataset.clock,
-        breaker_config=BreakerConfig(failure_threshold=2,
+        breaker_config=BreakerConfig(failure_threshold=1,
                                      reset_timeout_s=300.0),
     )
     crash_start = dataset.clock.now()
     cluster_engine.router.cluster.set_schedule(FaultSchedule((
         Outage(crash_start, crash_start + 600.0, target="node-0"),
     )))
-    # Narrow first: each read that adds partitions reads node-0's again,
-    # so its breaker opens; the last read is served by the view.
+    # A read reads only the partitions its view lacks or a write moved,
+    # so a read-only session reaches node-0 about once per partition:
+    # its first failure opens its breaker. The last read is served by
+    # the view.
     cluster_engine.execute(
         "SELECT protein_id FROM proteins WHERE leaf_pre < 4"
     )

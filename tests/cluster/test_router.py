@@ -84,7 +84,21 @@ class TestVersionsAndRouting:
         first = router.write("bindings", 0, row(0), leaf_pre=0)
         second = router.write("bindings", 1, row(1), leaf_pre=0)
         assert second > first
-        assert router.store_version == 2
+        pid = router.cluster.partitioner.partition_for_position(0).pid
+        assert router.partition_versions == {pid: 2}
+
+    def test_a_write_bumps_only_its_own_partitions_version(self):
+        router = make_router()
+        partitioner = router.cluster.partitioner
+        router.write("bindings", 0, row(0), leaf_pre=0)
+        last = partitioner.interval_partitions[-1]
+        router.write("bindings", 1, row(1), leaf_pre=last.low)
+        router.write("ligands", 0, ("L0",))
+        assert router.partition_versions == {
+            partitioner.partition_for_position(0).pid: 1,
+            last.pid: 1,
+            partitioner.ligands_partition.pid: 1,
+        }
 
     def test_routes_by_leaf_pre(self):
         router = make_router()

@@ -95,9 +95,9 @@ def assert_view_as_held(clustered):
 
 
 def all_held_current(clustered):
-    version = clustered.router.store_version
-    return all(read_at == version
-               for read_at, _ in clustered._loaded.values())
+    versions = clustered.router.partition_versions
+    return all(read_at == versions.get(pid, 0)
+               for pid, (read_at, _) in clustered._loaded.items())
 
 
 def assert_view_as_rebuilt(clustered):
@@ -379,10 +379,12 @@ def test_bindings_insert_leaves_the_ligands_view_alone(monkeypatch):
         drugtree_module, "parse_smiles",
         lambda *args, **kwargs: parsed.append(args) or original(
             *args, **kwargs))
+    reads = clustered.router.stats.reads
     assert clustered.execute(query).rows == single.execute(query).rows
     assert clustered._view is view
-    assert clustered.last_route["view"] == "absorbed"
-    assert clustered.last_route["rows_absorbed"] == 0
+    # The write moved only its own partition's version.
+    assert clustered.last_route["view"] == "reused"
+    assert clustered.router.stats.reads == reads
     assert parsed == []
 
 
@@ -491,7 +493,8 @@ def test_planted_bug_absorb_a_lagging_partitions_rows_as_fresh(
 
 def check_a_stale_partition_is_read_again():
     """Partitions 0 and 1 are read together; a write lands in 0, then
-    only 1 is read again. The pair is not current: 0 is still stale."""
+    only 1 is read again: it is current, so the view is reused. The
+    pair is not current: 0 is stale, and only 0 is read again."""
     dataset, single, clustered = make_pair(seed=7)
     first, second = clustered.partitioner.interval_partitions[:2]
     both = (f"SELECT * FROM bindings WHERE leaf_pre >= {first.low} "
@@ -499,14 +502,16 @@ def check_a_stale_partition_is_read_again():
     clustered.execute(both)
     insert_binding(clustered, single.drugtree,
                    clustered.labeling.leaf_name_at(first.low))
-    clustered.execute(subtree_query(second))
-    assert clustered.last_route["view"] == "absorbed"
-    assert clustered.last_route["rows_absorbed"] == 0
     reads = clustered.router.stats.reads
+    clustered.execute(subtree_query(second))
+    assert clustered.last_route["view"] == "reused"
+    assert clustered.router.stats.reads == reads
+    held = clustered._loaded[second.pid]
     assert clustered.execute(both).rows == single.execute(both).rows
     assert clustered.last_route["view"] == "absorbed"
     assert clustered.last_route["rows_absorbed"] == 1
     assert clustered.router.stats.reads == reads + 1
+    assert clustered._loaded[second.pid] is held  # not read again
 
 
 def test_a_stale_partition_is_read_again():
@@ -514,8 +519,9 @@ def test_a_stale_partition_is_read_again():
 
 
 def test_planted_bug_reuse_a_set_with_a_stale_partition(monkeypatch):
-    planted = with_planted_bug(ClusterEngine._refresh,
-                               ("and all(", "and any("))
+    # A partition the view holds is never taken for stale.
+    planted = with_planted_bug(ClusterEngine._refresh, (
+        "or self._loaded[pid][0] != versions.get(pid, 0)", "or False"))
     monkeypatch.setattr(ClusterEngine, "_refresh", planted)
     with pytest.raises(AssertionError):
         check_a_stale_partition_is_read_again()

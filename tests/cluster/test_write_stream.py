@@ -11,16 +11,34 @@ tenth of 200 mirrored inserts.
 
 import random
 
+import pytest
+
+from repro.cluster.router import Router
 from repro.workloads import QueryGenerator
 from repro.workloads.queries import ALL_KINDS
 from tests.cluster.test_parity import make_pair
 from tests.cluster.test_view_delta import insert_binding
+from tests.storage.oracles import with_planted_bug
 
 INSERTS = 200
 READ_EVERY = 10
 
 
 def test_a_long_write_stream_never_changes_an_answer():
+    check_write_stream()
+
+
+def test_planted_bug_a_write_bumps_its_neighbours_version(monkeypatch):
+    planted = with_planted_bug(Router.write, (
+        "self.partition_versions[pid] = ",
+        "self.partition_versions[(pid + 1) % len(partitioner.partitions)]"
+        " = "))
+    monkeypatch.setattr(Router, "write", planted)
+    with pytest.raises(AssertionError):
+        check_write_stream()
+
+
+def check_write_stream():
     dataset, single, clustered = make_pair(seed=7)
     generator = QueryGenerator(dataset.family, dataset.ligands, seed=7)
     rng = random.Random(7)

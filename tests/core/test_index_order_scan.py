@@ -8,9 +8,16 @@ later live inserts) through the default engine, the row engine and
 ``NaiveEngine``; the directed cases pin the plan shapes the walk is and
 is not offered for, the adversarial clade, the cluster path, and one
 planted bug per rule of ``SortedIndex.ordered``.
+
+A top-k by ``p_affinity DESC`` with ``LIMIT <= CLADE_TOP_K`` and no
+filter but lower bounds on it is a lookup of a tree node's best
+bindings (``tests/core/test_clade_top_k.py``), not a walk: the walk's
+cases here ask for one more row (:data:`WALKED_TEMPLATE`), ascending
+order, or a residual on another column.
 """
 
 import random
+from dataclasses import replace
 from itertools import groupby
 from unittest import mock
 
@@ -20,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.bio import parse_newick
 from repro.core import DrugTree, EngineConfig, NaiveEngine, QueryEngine
+from repro.core.overlay import CLADE_TOP_K
 from repro.core.query import cost as cost_model
 from repro.core.query.ast import (
     Comparison,
@@ -27,7 +35,7 @@ from repro.core.query.ast import (
     Query,
     SubtreeFilter,
 )
-from repro.core.query.logical import LogicalScan
+from repro.core.query.logical import LogicalCladeTopK, LogicalScan
 from repro.core.query.parser import parse_query
 from repro.core.query.physical import ExecCounters
 from repro.core.query.vectorized import (
@@ -50,6 +58,13 @@ COUNTERS = ("rows_scanned", "rows_emitted", "index_probes")
 NO_CACHE = EngineConfig(use_semantic_cache=False)
 ROW_MODE = EngineConfig(use_semantic_cache=False, execution_mode="row")
 TAP_TEMPLATE = _QUERY_TEMPLATES[1]
+#: The clade top-10 template asking for one row more than a tree node's
+#: best-bindings list holds: the walk (or the clade scan) answers it.
+WALKED_LIMIT = CLADE_TOP_K + 1
+WALKED_TEMPLATE = TAP_TEMPLATE.replace("LIMIT 10", f"LIMIT {WALKED_LIMIT}")
+#: A residual no best-bindings list answers; true for every row above
+#: 6.0 (``binding`` makes ``potent`` exactly ``key >= 6.0``).
+OTHER_COLUMN = Comparison("potent", "=", True)
 
 
 class _NoSources:
@@ -184,6 +199,10 @@ class TestWalkEqualsScanPlusStableTopK:
     def test_forced_walk_matches_naive_and_row_mode(self, case):
         world, query = case
         drugtree = build_world(*world)
+        engine = QueryEngine(drugtree, NO_CACHE)
+        if isinstance(engine.planner.plan(query).logical, LogicalCladeTopK):
+            # A best-bindings lookup: ask for more rows than it holds.
+            query = replace(query, limit=query.limit + CLADE_TOP_K)
         with free_walk():
             result = assert_engines_agree(drugtree, query)
         if not result.counters["operators"]:
@@ -221,34 +240,36 @@ def clades_by_size(dataset, drugtree):
 
 class TestPlanShape:
     TOPK = ("SELECT ligand_id, protein_id, p_affinity FROM bindings "
-            "ORDER BY p_affinity DESC LIMIT 10")
+            f"ORDER BY p_affinity DESC LIMIT {WALKED_LIMIT}")
 
     def test_unfiltered_table_walks(self, world):
         _, drugtree = world
         scan = scan_of(drugtree, self.TOPK)
         assert (scan.access, scan.access_column) == ("index_order",
                                                      "p_affinity")
-        assert scan.descending and scan.limit == 10
+        assert scan.descending and scan.limit == WALKED_LIMIT
         assert scan.residual == ()
         assert scan.describe().startswith(
-            "IndexOrderScan(p_affinity DESC, first 10) on bindings (")
+            f"IndexOrderScan(p_affinity DESC, first {WALKED_LIMIT}) "
+            "on bindings (")
 
     def test_root_clade_walks_with_the_clade_as_residual(self, world):
         dataset, drugtree = world
         root = clades_by_size(dataset, drugtree)[-1]
         scan = scan_of(drugtree,
-                       TAP_TEMPLATE.format(clade=root, threshold=6.0))
+                       WALKED_TEMPLATE.format(clade=root, threshold=6.0))
         assert scan.access == "index_order"
         assert (scan.band.low, scan.band.include_low) == (6.0, True)
         assert {p.column for p in scan.residual} == {"leaf_pre"}
-        assert "IndexOrderScan(p_affinity DESC in [6.0, ], first 10) " \
-            "on bindings filter leaf_pre >= " in scan.describe()
+        assert "IndexOrderScan(p_affinity DESC in [6.0, ], " \
+            f"first {WALKED_LIMIT}) on bindings filter leaf_pre >= " \
+            in scan.describe()
 
     def test_small_clade_keeps_the_clade_scan(self, world):
         dataset, drugtree = world
         small = clades_by_size(dataset, drugtree)[0]
         scan = scan_of(drugtree,
-                       TAP_TEMPLATE.format(clade=small, threshold=6.0))
+                       WALKED_TEMPLATE.format(clade=small, threshold=6.0))
         assert (scan.access, scan.access_column) == ("index_range",
                                                      "leaf_pre")
 
@@ -307,7 +328,7 @@ class TestPlanShape:
         dataset, drugtree = world
         if query == "root":
             root = clades_by_size(dataset, drugtree)[-1]
-            query = TAP_TEMPLATE.format(clade=root, threshold=6.0)
+            query = WALKED_TEMPLATE.format(clade=root, threshold=6.0)
         scanned = QueryEngine(drugtree, EngineConfig(
             use_semantic_cache=False, **config)).execute(query)
         with free_walk():
@@ -334,7 +355,7 @@ class TestPlanShape:
         dataset, drugtree = world
         naive = NaiveEngine(dataset.tree, dataset.registry)
         queries = [self.TOPK, self.TOPK.replace("DESC", "ASC")]
-        queries += [TAP_TEMPLATE.format(clade=clade, threshold=threshold)
+        queries += [WALKED_TEMPLATE.format(clade=clade, threshold=threshold)
                     for clade in dataset.family.clade_names
                     for threshold in (5.0, 6.5, 8.0)]
         walked = 0
@@ -347,7 +368,7 @@ class TestPlanShape:
             self, world):
         dataset, drugtree = world
         root = clades_by_size(dataset, drugtree)[-1]
-        query = TAP_TEMPLATE.format(clade=root, threshold=6.0)
+        query = WALKED_TEMPLATE.format(clade=root, threshold=6.0)
         for config in (NO_CACHE, ROW_MODE):
             engine = QueryEngine(drugtree, config)
             report = engine.analyze(query)
@@ -355,7 +376,8 @@ class TestPlanShape:
             line = next(line for line in report.render().splitlines()
                         if "IndexOrderScan(" in line)
             assert ", walk ~" in line
-            assert f"[actual rows=10, walked={scanned}, " in line
+            assert f"[actual rows={WALKED_LIMIT}, walked={scanned}, " \
+                in line
         # Row runs still report no batches (docs/EXECUTION.md).
         assert "batches_emitted" not in report.counters
 
@@ -368,7 +390,7 @@ class TestAdversarialClade:
     It must still be right, and bounded by the entries in range."""
 
     def check(self, drugtree, clade, threshold, forced):
-        query = TAP_TEMPLATE.format(clade=clade, threshold=threshold)
+        query = WALKED_TEMPLATE.format(clade=clade, threshold=threshold)
         index = drugtree.tables["bindings"].index_on("p_affinity",
                                                      require_range=True)
         in_range = len(index.range(low=threshold))
@@ -400,7 +422,7 @@ class TestAdversarialClade:
         third = inside[-3]["p_affinity"]
         qualifying = sum(row["p_affinity"] >= third for row in inside)
         short = self.check(drugtree, small, third, forced).rows
-        assert len(short) == min(qualifying, 10) >= 3
+        assert len(short) == min(qualifying, WALKED_LIMIT) >= 3
 
 
 # -- cluster -----------------------------------------------------------------
@@ -436,6 +458,7 @@ def check_tie_rule():
         ("a", 7.0), ("f", 6.0)])
     for descending in (True, False):
         query = Query(from_tables=("bindings",),
+                      predicates=(OTHER_COLUMN,),
                       order_by=OrderBy("p_affinity", descending), limit=9)
         with free_walk():
             result = assert_engines_agree(drugtree, query)
@@ -446,10 +469,10 @@ def check_walk_respects_its_bounds():
     """A clade with fewer than k rows inside the bound: short answer."""
     cells = [(leaf, key) for key in KEYS for leaf in LEAVES]
     drugtree = build_world("bindings", cells, late_cells=[])
-    for predicate, descending in (
-            (Comparison("p_affinity", ">=", 6.5), True),
-            (Comparison("p_affinity", "<", 5.5), False)):
-        query = Query(from_tables=("bindings",), predicates=(predicate,),
+    for predicates, descending in (
+            ((Comparison("p_affinity", ">=", 6.5), OTHER_COLUMN), True),
+            ((Comparison("p_affinity", "<", 5.5),), False)):
+        query = Query(from_tables=("bindings",), predicates=predicates,
                       subtree=SubtreeFilter("cd"),
                       order_by=OrderBy("p_affinity", descending), limit=10)
         with free_walk():

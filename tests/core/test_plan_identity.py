@@ -25,10 +25,12 @@ from repro.workloads import DatasetConfig, QueryGenerator, build_dataset
 from repro.workloads.loadgen import _QUERY_TEMPLATES
 from repro.workloads.queries import ALL_KINDS
 
-#: sha256 of :func:`plan_digest`'s text, captured before the planner
-#: derived each table's terms in one pass.
-PINNED = ("e5b2bea477e94b4ebc791541b82f87fe"
-          "57fca67f01caeb602561ee4526e76302")
+#: sha256 of :func:`plan_digest`'s text, re-captured when a top-k by
+#: ``p_affinity DESC`` within ``CLADE_TOP_K`` became a lookup of a tree
+#: node's best bindings (the generator's ``topk`` draws and the clade
+#: top-10 template moved; every other block was byte-identical).
+PINNED = ("533f5ddaeeebbdacfe13ea90043b7d51"
+          "b9ff9c87a8a2a2ba06595ab775b947fe")
 WORLDS = (DatasetConfig(n_leaves=24, n_ligands=30, seed=1102),
           DatasetConfig(n_leaves=24, n_ligands=30, seed=1101))
 DRAWS_PER_KIND = 6

@@ -193,6 +193,12 @@ PARITY_QUERIES = {
                    "WHERE p_affinity >= 9 LIMIT 3",
 }
 
+#: The load generator's clade top-10 template on the default world: CI
+#: requires 0 rows scanned and the naive engine's row lines.
+CLADE_TOP10 = ("SELECT ligand_id, p_affinity FROM bindings "
+               "WHERE p_affinity >= 6.0 IN SUBTREE 'clade_0001' "
+               "ORDER BY p_affinity DESC LIMIT 10")
+
 
 def _cli(name: str, *argv: str, expect: int | None = 0) -> EntryPoint:
     return EntryPoint(name, [("module", "repro", list(argv), expect)])
@@ -244,6 +250,9 @@ def entry_points() -> list[EntryPoint]:
     join_limit = ("SELECT protein_id, ligand_id FROM bindings, ligands "
                   "WHERE p_affinity >= 5 LIMIT 3")
     points += [_cli("ci query join limit reads", "query", join_limit)]
+    points += [_cli("ci query clade top-10", "query", CLADE_TOP10),
+               _cli("ci query --naive clade top-10", "query", "--naive",
+                    CLADE_TOP10)]
     for name, dtql in PARITY_QUERIES.items():
         points += [_cli(f"ci query {name}", "query", dtql),
                    _cli(f"ci query --naive {name}", "query", "--naive", dtql)]

@@ -191,10 +191,16 @@ def test_no_entry_point_is_an_example_script():
 def test_ci_runs_the_cli_lines_the_gate_counts():
     """The parity queries and the LOD-off mobile session are CI lines:
     the gate may count them only while CI runs them."""
-    from tests.reach.reach import PARITY_QUERIES, ROOT, entry_points
+    from tests.reach.reach import (
+        CLADE_TOP10,
+        PARITY_QUERIES,
+        ROOT,
+        entry_points,
+    )
     ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
     names = {point.name for point in entry_points()}
-    for name, dtql in PARITY_QUERIES.items():
+    for name, dtql in {**PARITY_QUERIES, "clade top-10": CLADE_TOP10
+                       }.items():
         assert dtql in ci
         assert {f"ci query {name}", f"ci query --naive {name}"} <= names
     assert "python -m repro mobile --no-lod --gestures 5" in ci
