@@ -226,6 +226,8 @@ def run_view_reuse(reads: int = VIEW_READS,
     is the written rows a later read covers, from the mirror's own row
     counts: per partition a read contacts, what the mirror holds there
     now minus what it held at that partition's previous read.
+    ``stale_reads`` is the reads that find such a count moved: a read
+    of a partition whose version a write moved since its last read.
     ``built_before_writes`` is the reads before the first write that
     built the view.
     """
@@ -237,6 +239,7 @@ def run_view_reuse(reads: int = VIEW_READS,
     counts[partitioner.ligands_partition.pid] = "SELECT count(*) FROM ligands"
     last_count: dict[int, int] = {}
     expected_absorbed = mismatched = writes = built_before_writes = 0
+    stale_reads = 0
     for index in range(reads):
         if index % write_every == write_every - 1:
             _insert_mirrored(engine, single, writes)
@@ -246,15 +249,19 @@ def run_view_reuse(reads: int = VIEW_READS,
                        != single.execute(query).rows)
         built_before_writes += (not writes
                                 and engine.last_route["view"] == "built")
+        moved = 0
         for pid in partitions_for_query(parse_query(query), partitioner):
             count = single.execute(counts[pid]).rows[0]["count_all"]
-            expected_absorbed += count - last_count.get(pid, count)
+            moved += count - last_count.get(pid, count)
             last_count[pid] = count
+        expected_absorbed += moved
+        stale_reads += moved > 0
     counters = get_metrics().counter_values("cluster.views.")
     return {
         "reads": reads, "writes": writes, "mismatched": mismatched,
         "built_before_writes": built_before_writes,
         "expected_absorbed": expected_absorbed,
+        "stale_reads": stale_reads,
         **{name.removeprefix("cluster.views."): int(value)
            for name, value in counters.items()},
     }
@@ -374,9 +381,9 @@ def test_e16_writes_do_not_rebuild_views():
     assert run["rows_absorbed"] == run["expected_absorbed"] > 0
     assert run["rows_absorbed"] <= run["writes"]
     assert run["built"] + run["absorbed"] + run["reused"] == run["reads"]
-    # A write moves only its own partition's version, so every read
-    # that absorbs brings in at least one written row.
-    assert 0 < run["absorbed"] <= run["rows_absorbed"]
+    # A write moves only its own partition's version: exactly the reads
+    # that find one moved absorb, each at least one written row.
+    assert 0 < run["absorbed"] == run["stale_reads"] <= run["rows_absorbed"]
 
 
 def test_e16_read_after_write_wall(report):

@@ -166,10 +166,10 @@ class ClusterEngine:
         query, deadline = self._prepare(query, deadline)
         pids = partitions_for_query(query, self.partitioner)
         repairs_before = self.router.stats.read_repairs
-        outcome, absorbed = self._refresh(pids, deadline)
+        outcome, absorbed, contacted = self._refresh(pids, deadline)
         total = len(self.partitioner.partitions)
         self.last_route = {
-            "shards_contacted": len(pids),
+            "shards_contacted": contacted,
             "shards_total": total,
             "shards_pruned": total - len(pids),
             "rf": self.router.config.replication_factor,
@@ -182,12 +182,13 @@ class ClusterEngine:
         }
         return query
 
-    def _refresh(self, pids, deadline: Deadline | None) -> tuple[str, int]:
+    def _refresh(self, pids, deadline: Deadline | None
+                 ) -> tuple[str, int, int]:
         """Bring the view's copy of *pids* up to their partitions'
         versions, quorum-reading only the partitions whose version
         moved (every one of them when there is no view); returns how
-        (``reused`` | ``absorbed`` | ``built``) and how many rows it
-        absorbed."""
+        (``reused`` | ``absorbed`` | ``built``), how many rows it
+        absorbed and how many partitions it read."""
         versions = self.router.partition_versions
         stale = {pid: versions.get(pid, 0) for pid in pids
                  if self._view is None or pid not in self._loaded
@@ -201,7 +202,7 @@ class ClusterEngine:
         metrics.counter(f"cluster.views.{outcome}").inc()
         if absorbed:
             metrics.counter("cluster.views.rows_absorbed").inc(absorbed)
-        return outcome, absorbed
+        return outcome, absorbed, len(stale)
 
     def _load(self, read: dict[int, Rows], versions: dict[int, int]
               ) -> tuple[str, int]:

@@ -15,7 +15,7 @@ instead of re-aggregating the overlay.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 from repro.bio.tree import PhyloNode, PhyloTree
 from repro.core.labeling import IntervalLabeling
@@ -201,12 +201,8 @@ class CladeAggregates:
                 held = fresh.get(slot) or best[slot]
                 if len(held) == CLADE_TOP_K and keys[0] > held[-1]:
                     break
-                if len(keys) == 1:  # bisect: fewer tuple comparisons
-                    at = bisect_left(held, keys[0])
-                    held = (*held[:at], keys[0], *held[at:CLADE_TOP_K - 1])
-                else:
-                    held = tuple(sorted((*held, *keys))[:CLADE_TOP_K])
-                    keys = keys[:bisect_right(keys, held[-1])]
+                held = tuple(sorted((*held, *keys))[:CLADE_TOP_K])
+                keys = keys[:bisect_right(keys, held[-1])]
                 fresh[slot] = held
         for slot, held in fresh.items():
             best[slot] = held

@@ -320,22 +320,29 @@ def run_representative_session(dataset) -> None:
         drugtree,
         cluster_config=ClusterConfig(nodes=4, partitions=3,
                                      replication_factor=2,
-                                     read_quorum=1),
+                                     read_quorum=1, write_quorum=1),
         clock=dataset.clock,
-        breaker_config=BreakerConfig(failure_threshold=1,
+        breaker_config=BreakerConfig(failure_threshold=2,
                                      reset_timeout_s=300.0),
     )
     crash_start = dataset.clock.now()
     cluster_engine.router.cluster.set_schedule(FaultSchedule((
         Outage(crash_start, crash_start + 600.0, target="node-0"),
     )))
-    # A read reads only the partitions its view lacks or a write moved,
-    # so a read-only session reaches node-0 about once per partition:
-    # its first failure opens its breaker. The last read is served by
-    # the view.
+    # A read reads only the partitions its view lacks or a write moved.
+    # Node-0 leads partition 0: the first read fails there once, the
+    # write into partition 0 fails there again (a hint is parked on
+    # node-1) and opens its breaker, and the next read re-reads
+    # partition 0 around it. The last read is served by the view.
     cluster_engine.execute(
         "SELECT protein_id FROM proteins WHERE leaf_pre < 4"
     )
+    cluster_engine.insert("bindings", {
+        "ligand_id": "LIG-SESSION", "protein_id":
+            cluster_engine.labeling.leaf_name_at(0),
+        "activity_type": "IC50", "value_nm": 40.0, "p_affinity": 7.4,
+        "potent": True,
+    })
     cluster_engine.execute("SELECT count(*) FROM bindings")
     cluster_engine.execute(
         f"SELECT count(*) FROM bindings IN SUBTREE '{clade}'"

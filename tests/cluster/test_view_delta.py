@@ -439,7 +439,9 @@ def test_each_partition_read_once_serves_every_reachable_set():
     for pids, query in queries.items():
         assert clustered.execute(query).rows \
             == single.execute(query).rows, query
-        assert clustered.last_route["shards_contacted"] == len(pids)
+        total = len(clustered.partitioner.partitions)
+        assert clustered.last_route["shards_contacted"] == 0
+        assert clustered.last_route["shards_pruned"] == total - len(pids)
         assert clustered.last_route["view"] == "reused", query
     assert clustered.router.stats.reads == reads
     counters = get_metrics().counter_values("cluster.views.")
@@ -505,11 +507,13 @@ def check_a_stale_partition_is_read_again():
     reads = clustered.router.stats.reads
     clustered.execute(subtree_query(second))
     assert clustered.last_route["view"] == "reused"
+    assert clustered.last_route["shards_contacted"] == 0
     assert clustered.router.stats.reads == reads
     held = clustered._loaded[second.pid]
     assert clustered.execute(both).rows == single.execute(both).rows
     assert clustered.last_route["view"] == "absorbed"
     assert clustered.last_route["rows_absorbed"] == 1
+    assert clustered.last_route["shards_contacted"] == 1
     assert clustered.router.stats.reads == reads + 1
     assert clustered._loaded[second.pid] is held  # not read again
 
