@@ -10,16 +10,18 @@ full-tree responses (the baselines of experiments E5/E6).
 A viewport is rendered once per data version: its payload, encoded full
 frame and visible leaves are memoized and shared read-only by every
 session that navigates to it; the frame chosen between two memoized
-views is memoized too. The memos are stamped with
-:attr:`DrugTree.data_version` like every cached answer (see
-:mod:`repro.core.query.cache`), so no memoized view is served after an
-insert. Degraded renders are never memoized.
+views that share a node is memoized too, and a move to a view sharing
+no node with the previous one ships the full frame undiffed. The memos
+are stamped with :attr:`DrugTree.data_version` like every cached answer
+(see :mod:`repro.core.query.cache`), so no memoized view is served after
+an insert. Degraded renders are never memoized.
 
 The server is safe for concurrent use by a worker pool: the bounded,
 LRU-ordered session table is guarded by one table lock, each session's
 view state by a per-session lock, and the detail-prefetch cache and the
 render memos by a lock each — none of them ever held across a render,
-an encode or a federation fetch.
+an encode or a federation fetch. A cached detail card carries its
+encoded frame, so a details tap served from the cache encodes nothing.
 Requests naming an evicted session raise a typed
 :class:`~repro.errors.UnknownSessionError` so frontends (see
 :mod:`repro.serving`) can transparently reopen.
@@ -31,7 +33,7 @@ import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.drugtree import DrugTree
 from repro.core.query.executor import QueryEngine
@@ -107,6 +109,13 @@ class _View:
     serial: int | None
 
 
+class _Card(NamedTuple):
+    """A fresh detail card and its encoded frame, built once."""
+
+    details: dict[str, Any]
+    message: Message
+
+
 @dataclass
 class _Session:
     #: The view last sent, which the client holds (the delta base).
@@ -136,15 +145,17 @@ class DrugTreeServer:
         self._sessions_lock = threading.Lock()
         self._session_counter = itertools.count()
         self._root_name = self._pick_root_name()
-        #: protein_id -> merged detail record, filled by the viewport
-        #: prefetch so a details tap is served without a round-trip.
+        #: protein_id -> merged detail record with its encoded frame,
+        #: filled by the viewport prefetch so a details tap is served
+        #: without a round-trip or an encode.
         #: Guarded by ``_details_lock``; fetches run outside the lock
         #: (two sessions missing the same leaf at once both fetch it
         #: rather than one waiting on a lock across the round-trip).
-        self._details: dict[str, dict[str, Any]] = {}
+        self._details: dict[str, _Card] = {}
         self._details_lock = threading.Lock()
         #: View key -> view, and (previous view serial, next view
-        #: serial) -> chosen frame, every view rendered at data version
+        #: serial) -> chosen frame for views that share a node, every
+        #: view rendered at data version
         #: ``_memo_version``. Guarded by ``_memo_lock``; renders and
         #: encodes run outside it (two sessions missing the same view
         #: at once both render it, and the later store wins).
@@ -331,21 +342,22 @@ class DrugTreeServer:
                                session=session_id) as span, \
                 WallTimer() as timer:
             with self._details_lock:
-                details = self._details.get(protein_id)
-            status = "fresh"
-            if details is None:
+                cached = self._details.get(protein_id)
+            details, status = None, "fresh"
+            if cached is None:
                 metrics.counter("mobile.prefetch.misses").inc()
                 partial = self._prefetch_details([protein_id])
                 with self._details_lock:
-                    details = self._details.get(protein_id)
-                if details is None and protein_id in partial:
+                    cached = self._details.get(protein_id)
+                if cached is None and protein_id in partial:
                     details = partial[protein_id]
                     status = "degraded"
                     metrics.counter("mobile.degraded_responses").inc()
             else:
                 metrics.counter("mobile.prefetch.hits").inc()
-            if details is None and self.federation.degrades(
-                    self.config.tap_deadline_s):
+            if (cached is None and details is None
+                    and self.federation.degrades(
+                        self.config.tap_deadline_s)):
                 card = self._local_protein_card(protein_id)
                 if card is not None:
                     details = {
@@ -358,14 +370,16 @@ class DrugTreeServer:
                     status = "stale"
                     metrics.counter("mobile.degraded_responses").inc()
                     metrics.counter("mobile.details_from_overlay").inc()
-            if details is None:
+            if cached is not None:
+                message = cached.message
+            elif details is None:
                 raise MobileError(
                     f"no source has details for {protein_id!r}"
                 )
-            payload = {"protein_id": protein_id, "details": details}
-            if status != "fresh":
-                payload["status"] = status
-            message = full_message(payload)
+            else:  # a degraded or stale card: encoded per tap
+                message = full_message({"protein_id": protein_id,
+                                        "details": details,
+                                        "status": status})
             span.set("wire_bytes", message.wire_bytes)
         return self._account("protein_details", ServerResponse(
             message=message,
@@ -392,9 +406,10 @@ class DrugTreeServer:
         fetch, each paying its own round-trips. Whether a dark source
         raises or leaves its leaves without details is the scheduler's
         ``degrades`` policy. Only a batch in which both kinds came back
-        fresh is cached; the cards of any other batch are returned for
-        the caller to serve once, flagged, and are never stored — a
-        record missing its annotations must not outlive the fault.
+        fresh is cached, each card with its encoded fresh frame; the
+        cards of any other batch are returned for the caller to serve
+        once, flagged, and are never stored — a record missing its
+        annotations must not outlive the fault.
         """
         with self._details_lock:
             wanted = [pid for pid in protein_ids
@@ -431,8 +446,11 @@ class DrugTreeServer:
             }
         if outcome.degraded:
             return merged
+        cards = {pid: _Card(card, full_message({"protein_id": pid,
+                                                "details": card}))
+                 for pid, card in merged.items()}
         with self._details_lock:
-            self._details.update(merged)
+            self._details.update(cards)
             while len(self._details) > DETAIL_CACHE_CAPACITY:
                 self._details.pop(next(iter(self._details)))
         return {}
@@ -488,8 +506,17 @@ class DrugTreeServer:
             self._frames.clear()
 
     def _frame(self, previous: _View, view: _View) -> tuple[Message, bool]:
-        """The frame moving a client from *previous* to *view*, memoized
-        when both views are; the flag says whether it was a hit."""
+        """The frame moving a client from *previous* to *view*: the
+        delta if it is strictly smaller, else the full frame. The flag
+        says whether no diff ran for it.
+
+        Views that share no node id are not diffed: such a delta holds
+        the whole new ``nodes`` dict plus a drop list, never smaller
+        than the full frame. Any other move is memoized when both views
+        are."""
+        if previous.payload["nodes"].keys().isdisjoint(
+                view.payload["nodes"]):
+            return view.full, True
         key = (previous.serial, view.serial)
         shared = None not in key
         if shared:
@@ -500,6 +527,7 @@ class DrugTreeServer:
         # Adaptive framing: a big viewport jump can make the delta
         # larger than the fresh payload — ship whichever is smaller.
         delta = delta_message(previous.payload, view.payload)
+        get_metrics().counter("mobile.frames.diffed").inc()
         message = (delta if delta.wire_bytes < view.full.wire_bytes
                    else view.full)
         if shared:

@@ -115,7 +115,7 @@ class TestPartialCardsAreNotCached:
         assert details["go_terms"] and details["ec_number"]
         # Only now is the record worth keeping: the next tap is a hit
         # on the complete card.
-        assert server._details[protein_id] == details
+        assert server._details[protein_id].details == details
         again = server.protein_details(session_id, protein_id)
         assert again.message.payload()["details"] == details
         counters = fresh_metrics.snapshot()["counters"]

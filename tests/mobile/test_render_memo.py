@@ -7,8 +7,11 @@ binding inserts and a breaker trip then heal over up to three sessions,
 and holds every render response to what a from-scratch computation
 gives at that moment: the full frame of a direct ``render_viewport``,
 or the smaller of that and the delta from the session's previous
-payload — and the same prefetch keys. Two planted bugs, named below,
-must each fail it.
+payload — and the same prefetch keys. The server never diffs a move
+between views that share no node id and ships the full frame; the model
+states that rule and checks, on every such move, that the delta it
+skips is not the smaller frame (``test_frame_rule.py`` proves it over
+every pair of views). Two planted bugs, named below, must each fail it.
 """
 
 import pytest
@@ -66,6 +69,10 @@ def expected_frame(previous, payload):
     if previous is None:
         return full
     delta = delta_message(previous, payload)
+    if previous["nodes"].keys().isdisjoint(payload["nodes"]):
+        # Not diffed by the server: the delta it skips never wins.
+        assert delta.wire_bytes >= full.wire_bytes
+        return full
     return delta if delta.wire_bytes < full.wire_bytes else full
 
 
