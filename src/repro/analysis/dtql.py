@@ -169,13 +169,9 @@ class SemanticAnalyzer:
                                       folded=None, contradiction=None)
         tokens = query.tokens or (tokenize(text) if text else ())
         diagnostics: list[Diagnostic] = []
-        index = _SpanIndex(tokens)
-
-        self._check_predicate_types(query, diagnostics, index)
-        self._check_having_types(query, diagnostics, index)
-        folded = self._fold(query, diagnostics, _SpanIndex(tokens))
-        contradiction = self._find_contradiction(
-            folded, diagnostics, _SpanIndex(tokens))
+        folded, contradiction = self._literal_passes(query, diagnostics,
+                                                     tokens)
+        # The shape passes: they read no literal.
         self._check_implicit_joins(query, diagnostics, _SpanIndex(tokens))
         self._check_remote_columns(query, diagnostics, _SpanIndex(tokens))
         self._check_order_column(query, diagnostics, tokens)
@@ -188,6 +184,26 @@ class SemanticAnalyzer:
             folded=None if has_errors else folded,
             contradiction=contradiction,
         )
+
+    def check_literals(self, query: Query) -> AnalysisReport | None:
+        """What :meth:`check` reports for *query*, whose shape passes
+        are known to find nothing, if its literal passes find nothing
+        either; else None (only :meth:`check` reports, with spans)."""
+        diagnostics: list[Diagnostic] = []
+        folded, contradiction = self._literal_passes(query, diagnostics)
+        if diagnostics or folded is not query or contradiction is not None:
+            return None
+        return AnalysisReport(query, (), folded=query, contradiction=None)
+
+    def _literal_passes(self, query: Query, diagnostics: list[Diagnostic],
+                        tokens=()) -> tuple[Query, tuple[str, ...] | None]:
+        """Types, fold, contradiction: ``(folded, contradiction)``."""
+        index = _SpanIndex(tokens)
+        self._check_predicate_types(query, diagnostics, index)
+        self._check_having_types(query, diagnostics, index)
+        folded = self._fold(query, diagnostics, _SpanIndex(tokens))
+        return folded, self._find_contradiction(
+            folded, diagnostics, _SpanIndex(tokens))
 
     # -- parse-failure classification --------------------------------------
 
@@ -338,9 +354,7 @@ class SemanticAnalyzer:
     def _check_implicit_joins(self, query: Query,
                               diagnostics: list[Diagnostic],
                               index: _SpanIndex) -> None:
-        without_predicates = replace(query, predicates=())
-        base = set(without_predicates.tables())
-        extra = set(query.tables()) - base
+        extra = set(query.tables()) - set(query.base_tables())
         if not extra:
             return
         for predicate in query.predicates:

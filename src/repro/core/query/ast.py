@@ -428,9 +428,10 @@ class Query:
 
     # -- table resolution --------------------------------------------------
 
-    def referenced_columns(self) -> set[str]:
+    def referenced_columns(self, predicates: bool = True) -> set[str]:
         columns = set(self.select)
-        columns.update(p.column for p in self.predicates)
+        if predicates:
+            columns.update(p.column for p in self.predicates)
         if self.group_by:
             columns.add(self.group_by)
         for aggregate in self.aggregates:
@@ -454,7 +455,14 @@ class Query:
 
     @cached_property
     def _tables(self) -> tuple[str, ...]:
-        referenced = self.referenced_columns()
+        return self._tables_for(self.referenced_columns())
+
+    def base_tables(self) -> tuple[str, ...]:
+        """The tables :meth:`tables` names before the predicates pull
+        any in: a table only :meth:`tables` names is an implicit join."""
+        return self._tables_for(self.referenced_columns(predicates=False))
+
+    def _tables_for(self, referenced: set[str]) -> tuple[str, ...]:
         needed: set[str] = set(self.from_tables)
         for column in referenced:
             owners = COLUMN_OWNERS.get(column)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any
@@ -41,7 +42,7 @@ from repro.core.query.logical import (
     LogicalProject,
     LogicalScan,
 )
-from repro.core.query.parser import parse_query
+from repro.core.query.parser import parse_query, rebind, split_literals
 from repro.core.query.physical import (
     ExecCounters,
     FilterOp,
@@ -80,8 +81,9 @@ from repro.sources.resilience import STATUS_FRESH, Deadline
 
 
 #: DTQL texts whose analysis one engine keeps before it drops the
-#: oldest. A text's analysis depends on nothing but the text and the
-#: static catalog, so no write ever makes a kept one stale.
+#: oldest, and separately text shapes whose template it keeps. A
+#: text's analysis depends on nothing but the text and the static
+#: catalog, so no write ever makes a kept one stale.
 ANALYSIS_MEMO_CAPACITY = 1024
 
 
@@ -216,11 +218,14 @@ class QueryEngine:
         # module-level import would be circular.
         from repro.analysis.dtql import SemanticAnalyzer
         self.analyzer = SemanticAnalyzer()
-        #: DTQL text -> its token-free analysis report, oldest first.
-        #: Guarded by ``_lock``, a leaf: no check, plan or run happens
-        #: under it (two threads missing one text both check it, the
-        #: later store wins).
+        #: DTQL text -> its token-free analysis report, and shape key
+        #: (``split_literals``) -> the token-free query of the shape's
+        #: first text if its report found nothing (a clean shape), else
+        #: None; oldest first. Guarded by ``_lock``, a leaf: no check,
+        #: plan or run happens under it (two threads missing one text
+        #: both check it, the later store wins).
         self._analyses: OrderedDict[str, Any] = OrderedDict()
+        self._shapes: OrderedDict[str, Query | None] = OrderedDict()
         self._lock = threading.Lock()
 
     # -- public API ------------------------------------------------------------
@@ -231,7 +236,8 @@ class QueryEngine:
 
     def _analyze_query(self, query: Query | str):
         """The front end of ``execute``, ``analyze`` and ``explain``:
-        ``(query to plan, analysis report, "memo" | "fresh" | "off")``.
+        ``(query to plan, analysis report, "memo" | "shape" | "fresh"
+        | "off")``.
 
         The analyzer parses text, resolves names, checks types, folds,
         and proves emptiness; its errors stop the query here, carried
@@ -252,21 +258,42 @@ class QueryEngine:
         return report.folded, report, analyzed
 
     def _analysis(self, query: Query | str):
-        """``(report, "memo" | "fresh")``: DTQL text is analyzed once
-        per engine, rejected text included (its report carries the
-        diagnostics); a query built in code is checked every time."""
+        """``(report, "memo" | "shape" | "fresh")``: DTQL text is
+        analyzed once per engine, rejected text included (its report
+        carries the diagnostics); a query built in code is checked
+        every time. A new text of a clean shape is its template
+        rebound and checked by the literal passes alone, unless they
+        find anything (docs/EXECUTION.md, "One analysis per text")."""
         if not isinstance(query, str):
             return self.analyzer.check(query), "fresh"
         with self._lock:
             report = self._analyses.get(query)
         if report is not None:
             return report, "memo"
-        report = _token_free(self.analyzer.check(query))
+        key, literals = split_literals(query)
+        with self._lock:
+            known, template = key in self._shapes, self._shapes.get(key)
+        if template is not None:
+            with suppress(QueryError):  # the full check says what is wrong
+                report = self.analyzer.check_literals(
+                    rebind(template, literals))
+        if report is None:
+            report, analyzed = _token_free(self.analyzer.check(query)), "fresh"
+        else:
+            analyzed = "shape"
+            get_metrics().counter("query.analysis.shape_hits").inc()
         with self._lock:
             self._analyses[query] = report
             while len(self._analyses) > ANALYSIS_MEMO_CAPACITY:
                 self._analyses.popitem(last=False)
-        return report, "fresh"
+            if not known:
+                clean = (not report.diagnostics
+                         and report.contradiction is None
+                         and report.folded is report.query)
+                self._shapes[key] = report.query if clean else None
+                while len(self._shapes) > ANALYSIS_MEMO_CAPACITY:
+                    self._shapes.popitem(last=False)
+        return report, analyzed
 
     def _as_deadline(self, deadline) -> Deadline | None:
         """Accept a :class:`Deadline` or a float budget in virtual

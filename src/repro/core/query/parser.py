@@ -29,6 +29,7 @@ rejection payloads) can point at the offending token.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from typing import Any, NamedTuple
 
 from repro.core.query.ast import (
@@ -45,17 +46,30 @@ from repro.errors import ParseError, QueryError
 
 _KNOWN_TABLES = ("bindings", "proteins", "ligands")
 
+_STRING = r"'(?:[^']|'')*'"
+_NUMBER = r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+_WORD = r"[A-Za-z_][A-Za-z0-9_]*"
+
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<string>'(?:[^']|'')*')
-  | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    rf"""
+    (?P<string>{_STRING})
+  | (?P<number>{_NUMBER})
   | (?P<op><=|>=|!=|=|<|>)
   | (?P<punct>[(),*])
-  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<word>{_WORD})
   | (?P<ws>\s+)
     """,
     re.VERBOSE,
 )
+#: The tokenizer's literals where a token may start: a digit after a
+#: word character is inside a word (``clade_0012``) or a number, and
+#: no other token holds a ``-``. The first lookahead only skips fast.
+_LITERAL_RE = re.compile(
+    rf"(?=['\d-])(?:(?P<string>{_STRING})"
+    rf"|(?P<number>(?:(?=-)|(?<![A-Za-z0-9_])){_NUMBER}))")
+#: Per literal kind, what stands for it in a shape key: a NUL, which
+#: no DTQL token outside a string holds.
+_MARKERS = {"string": "\0s", "number": "\0n"}
 
 
 class Token(NamedTuple):
@@ -90,6 +104,69 @@ def tokenize(text: str) -> list[Token]:
             continue
         tokens.append(Token(kind, match.group(), start))
     return tokens
+
+
+def _literal_value(kind: str, text: str) -> Any:
+    """The value of a ``string`` or ``number`` token's *text*."""
+    if kind == "string":
+        return text[1:-1].replace("''", "'")
+    value = float(text)
+    return int(value) if value.is_integer() and "." not in text \
+        and "e" not in text.lower() else value
+
+
+def split_literals(text: str) -> tuple[str, list[Any]]:
+    """*text*'s shape key (each string and number literal replaced by
+    a marker of its kind; TRUE and FALSE are words) and the literals'
+    values, in text order."""
+    literals: list[Any] = []
+
+    def mark(match: re.Match) -> str:
+        kind = match.lastgroup
+        literals.append(_literal_value(kind, match.group()))
+        return _MARKERS[kind]
+
+    return _LITERAL_RE.sub(mark, text), literals
+
+
+def rebind(template: Query, literals: list[Any]) -> Query:
+    """The query of a text of *template*'s shape, from its literals,
+    which come in slot order: predicates (``IN`` elements and both
+    ``BETWEEN`` ends included), ``IN SUBTREE``, ``SIMILAR TO``,
+    ``CONTAINING``, ``HAVING``, ``LIMIT``. Each node is built by its
+    constructor, so its checks run; a literal the shape cannot take
+    raises :class:`QueryError`."""
+    values = iter(literals)
+
+    def take(old: Any) -> Any:
+        if isinstance(old, bool):  # a TRUE/FALSE word: part of the shape
+            return old
+        value = next(values, None)  # no literal is None
+        if value is None:
+            raise QueryError("fewer literals than the shape has slots")
+        return value
+
+    predicates = tuple(
+        Comparison(p.column, p.op, tuple(map(take, p.value))
+                   if p.op == "in" else take(p.value))
+        for p in template.predicates)
+    subtree, similar, substructure = (
+        template.subtree, template.similar, template.substructure)
+    subtree = subtree and SubtreeFilter(take(subtree.node_name))
+    similar = similar and SimilarityFilter(
+        take(similar.smiles), float(take(similar.threshold)))
+    substructure = substructure and SubstructureFilter(
+        take(substructure.smiles))
+    having = tuple(HavingCondition(c.column, c.op, take(c.value))
+                   for c in template.having)
+    limit = template.limit and take(template.limit)
+    if limit is not None and not isinstance(limit, int):
+        raise QueryError("LIMIT must be an integer")  # as in the parser
+    if next(values, None) is not None:
+        raise QueryError("more literals than the shape has slots")
+    return replace(template, predicates=predicates, subtree=subtree,
+                   similar=similar, substructure=substructure,
+                   having=having, limit=limit, tokens=())
 
 
 class _Parser:
@@ -161,12 +238,8 @@ class _Parser:
     def _literal(self) -> Any:
         token = self._next()
         kind, text = token.kind, token.text
-        if kind == "string":
-            return text[1:-1].replace("''", "'")
-        if kind == "number":
-            value = float(text)
-            return int(value) if value.is_integer() and "." not in text \
-                and "e" not in text.lower() else value
+        if kind in _MARKERS:
+            return _literal_value(kind, text)
         if kind == "word" and text.upper() in ("TRUE", "FALSE"):
             return text.upper() == "TRUE"
         raise ParseError(f"expected literal, got {text!r}", span=token.span)
@@ -334,7 +407,7 @@ class _Parser:
         if token.kind != "string":
             raise ParseError(f"expected quoted string, got {token.text!r}",
                              span=token.span)
-        return token.text[1:-1].replace("''", "'")
+        return _literal_value("string", token.text)
 
 
 def parse_query(text: str) -> Query:

@@ -49,8 +49,9 @@ from repro.sources.resilience import Deadline
 #: Detail records retained before the prefetch cache drops the oldest
 #: entries.
 DETAIL_CACHE_CAPACITY = 4096
-#: Memoized views, and separately memoized view-to-view frames,
-#: retained before each memo drops its oldest entries.
+#: Memoized views, and separately memoized view-to-view frames and
+#: query-answer frames, retained before each memo drops its oldest
+#: entries.
 RENDER_MEMO_CAPACITY = 4096
 #: Viewport bounds used instead of ``lod_max_depth`` / ``lod_max_nodes``
 #: while the federation is degraded (open breakers): ship a smaller tree
@@ -125,6 +126,14 @@ class _Session:
                                   repr=False, compare=False)
 
 
+def _answer_key(result) -> tuple:
+    """What a query answer's frame is a function of. The values enter
+    as their ``repr``, which spells each with its type and sign: ``1``,
+    ``1.0`` and ``True``, ``0.0`` and ``-0.0``, ``[1]`` and ``[1.0]``
+    are equal but encode apart, so they must not share a frame."""
+    return result.cache_outcome, result.columns, repr(result.values)
+
+
 class DrugTreeServer:
     """Serves viewport renders and DTQL queries to mobile clients."""
 
@@ -161,6 +170,10 @@ class DrugTreeServer:
         #: at once both render it, and the later store wins).
         self._views: dict[tuple | None, _View] = {}
         self._frames: dict[tuple[int, int], Message] = {}
+        #: Answer key (``_answer_key``) -> its encoded frame, also under
+        #: ``_memo_lock``: bytes for an answer the engine just gave,
+        #: never an answer, so it needs no version stamp.
+        self._answers: dict[tuple, Message] = {}
         self._memo_version = 0
         self._memo_lock = threading.Lock()
         self._view_serials = itertools.count()
@@ -298,16 +311,8 @@ class DrugTreeServer:
                 )
                 error.diagnostics = [d.as_dict() for d in exc.diagnostics]
                 raise error from None
-            payload = {"rows": result.rows,
-                       "cache": result.cache_outcome}
-            status = "fresh"
-            if result.degraded:
-                status = "degraded"
-                payload["status"] = status
-                if result.resilience:
-                    payload["resilience"] = dict(result.resilience)
-                get_metrics().counter("mobile.degraded_responses").inc()
-            message = full_message(payload)
+            status = "degraded" if result.degraded else "fresh"
+            message = self._answer_frame(result)
             span.set("rows", len(result))
             span.set("wire_bytes", message.wire_bytes)
         return self._account("query", ServerResponse(
@@ -316,6 +321,29 @@ class DrugTreeServer:
             payload_rows=len(result),
             status=status,
         ))
+
+    def _answer_frame(self, result) -> Message:
+        """A query answer's frame, encoded once per distinct answer; a
+        degraded one carries its statuses, encoded per tap, not kept."""
+        key = None if result.degraded else _answer_key(result)
+        with self._memo_lock:
+            message = self._answers.get(key)
+        if message is not None:
+            return message
+        payload = {"rows": result.rows, "cache": result.cache_outcome}
+        if result.degraded:
+            payload["status"] = "degraded"
+            if result.resilience:
+                payload["resilience"] = dict(result.resilience)
+            get_metrics().counter("mobile.degraded_responses").inc()
+        message = full_message(payload)
+        get_metrics().counter("mobile.frames.query_encoded").inc()
+        if key is not None:
+            with self._memo_lock:
+                self._answers[key] = message
+                while len(self._answers) > RENDER_MEMO_CAPACITY:
+                    self._answers.pop(next(iter(self._answers)))
+        return message
 
     def protein_details(self, session_id: str,
                         protein_id: str) -> ServerResponse:

@@ -114,6 +114,8 @@ class TestMemoEqualsFresh:
         for report in engine._analyses.values():
             assert report.query.tokens == ()
             assert report.folded.tokens == ()
+        for template in engine._shapes.values():
+            assert template is None or template.tokens == ()
 
     def test_a_query_built_in_code_is_checked_every_time(
             self, drugtree, monkeypatch):
@@ -198,6 +200,29 @@ class TestSpanAttribute:
         assert self.run_traced(engine, text, text, EMPTY, EMPTY, query) \
             == ["fresh", "memo", "fresh", "memo", "fresh"]
 
+    def test_shape(self, drugtree):
+        shape = "SELECT count(*) FROM bindings WHERE p_affinity > {}"
+        engine = QueryEngine(drugtree)
+        hits = get_metrics().counter("query.analysis.shape_hits")
+        before = hits.value
+        assert self.run_traced(
+            engine, shape.format(5), shape.format(6), shape.format(6),
+            # EMPTY's shape is not clean: its every text is checked.
+            EMPTY, EMPTY.replace("9", "1"),
+        ) == ["fresh", "shape", "memo", "fresh", "fresh"]
+        assert hits.value == before + 1
+
+    def test_a_rebound_text_the_literal_passes_flag_is_checked(
+            self, drugtree):
+        shape = ("SELECT count(*) FROM bindings WHERE p_affinity > {} "
+                 "AND p_affinity < 9")
+        engine = QueryEngine(drugtree)
+        assert self.run_traced(engine, shape.format(5), shape.format(3),
+                               shape.format(10)) \
+            == ["fresh", "shape", "fresh"]
+        assert engine.analyze(shape.format(10)).analysis \
+            == QueryEngine(drugtree).analyze(shape.format(10)).analysis
+
     def test_off_without_analysis(self, drugtree):
         engine = QueryEngine(drugtree,
                              EngineConfig(use_semantic_analysis=False))
@@ -212,8 +237,16 @@ class TestSharedAcrossThreads:
                                               seed=11))
         drugtree = dataset.drugtree()
         engine = QueryEngine(drugtree)
+        clades = dataset.family.clade_names
         shared = texts(dataset) + [
             f"SELECT count(*) FROM bindings WHERE p_affinity > {i / 2}"
+            for i in range(12)] + [
+            # One shape, literals varied: a clean shape's texts race to
+            # store its template and to be rebound to it.
+            "SELECT ligand_id, p_affinity FROM bindings "
+            f"WHERE p_affinity >= {5 + i / 4} IN SUBTREE "
+            f"'{clades[i % len(clades)]}' ORDER BY p_affinity DESC "
+            f"LIMIT {i + 1}"
             for i in range(12)]
         proteins = dataset.family.protein_ids
         errors = []
