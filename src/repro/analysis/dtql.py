@@ -212,11 +212,13 @@ class SemanticAnalyzer:
         if exc.name is None:
             return Diagnostic(exc.code or "DTQL001", Severity.ERROR,
                               str(exc), span=span)
-        table = exc.code == "DTQL003"
         if span is None:
             # Raised while the Query was built, so the text did
             # tokenize; only this error path tokenizes it again.
             span = _SpanIndex(tokenize(text)).find(exc.name)
+        if exc.code not in ("DTQL002", "DTQL003"):  # a known name: no hint
+            return Diagnostic(exc.code, Severity.ERROR, str(exc), span=span)
+        table = exc.code == "DTQL003"
         suggestions = self.catalog.suggest(exc.name, table=table)
         hint = ("did you mean " + " or ".join(
             repr(s) for s in suggestions) + "?") if suggestions else None

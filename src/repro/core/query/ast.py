@@ -68,6 +68,22 @@ REMOTE_DETAIL_COLUMNS: dict[str, tuple[str, str, str]] = {
 }
 
 
+def unknown_column(column: str, use: str,
+                   label: str = "column") -> QueryError:
+    """The error for *use* (``"a predicate on"``, ...) of *column*,
+    which no overlay table holds: ``DTQL005`` when it is a remote
+    detail (a projected output only, fetched per selected row after the
+    query runs), else ``DTQL002`` "unknown *label*". Either names the
+    column, for the diagnostic's span."""
+    if column in REMOTE_DETAIL_COLUMNS:
+        return QueryError(
+            f"{use} {column!r} is unsupported: the column is "
+            "federation-resolved, fetched per selected row after the "
+            "query runs", code="DTQL005", name=column)
+    return QueryError(f"unknown {label} {column!r}", code="DTQL002",
+                      name=column)
+
+
 @dataclass(frozen=True)
 class Comparison:
     """``column <op> value`` over one overlay column."""
@@ -82,8 +98,7 @@ class Comparison:
                 f"unknown operator {self.op!r} (known: {COMPARISON_OPS})"
             )
         if self.column not in COLUMN_OWNERS:
-            raise QueryError(f"unknown column {self.column!r}",
-                             code="DTQL002", name=self.column)
+            raise unknown_column(self.column, "a predicate on")
         if self.op == "in" and not isinstance(self.value, (tuple, list,
                                                            set, frozenset)):
             raise QueryError("'in' needs a collection of values")
@@ -297,8 +312,7 @@ class AggregateSpec:
                 code="DTQL004",
             )
         if self.column != "*" and self.column not in COLUMN_OWNERS:
-            raise QueryError(f"unknown column {self.column!r}",
-                             code="DTQL002", name=self.column)
+            raise unknown_column(self.column, "an aggregate of")
         if self.column == "*" and self.func != "count":
             raise QueryError("only count(*) may aggregate '*'",
                              code="DTQL004")
@@ -393,8 +407,8 @@ class Query:
         if self.group_by is not None and not self.aggregates:
             raise QueryError("group_by requires aggregates", code="DTQL004")
         if self.group_by is not None and self.group_by not in COLUMN_OWNERS:
-            raise QueryError(f"unknown group-by column {self.group_by!r}",
-                             code="DTQL002", name=self.group_by)
+            raise unknown_column(self.group_by, "GROUP BY",
+                                 "group-by column")
         if self.having and not self.aggregates:
             raise QueryError("HAVING requires aggregates", code="DTQL004")
         if self.having:

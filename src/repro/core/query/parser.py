@@ -269,7 +269,7 @@ class _Parser:
                                  span=token.span)
             threshold_span = self._here()
             threshold = self._literal()
-            if not isinstance(threshold, (int, float)):
+            if type(threshold) not in (int, float):  # a bool is no number
                 raise ParseError("similarity threshold must be a number",
                                  span=threshold_span, code="DTQL004")
             try:
@@ -301,7 +301,7 @@ class _Parser:
         if self._keyword("LIMIT"):
             limit_span = self._here()
             value = self._literal()
-            if not isinstance(value, int):
+            if type(value) is not int:  # a bool is no integer
                 raise ParseError("LIMIT must be an integer",
                                  span=limit_span)
             limit = value

@@ -26,12 +26,15 @@ projections, amortizing interpreter overhead across
   (``Batch.tuples``): no row dict exists unless a caller asks for one;
 * filters, projections, joins, sorts, and limits operate on
   :class:`Batch` objects (column name → value list);
-* aggregation folds a scan batch's typed slice where the column has a
-  mirror — ``np.add.accumulate`` seeded with the running total (a
-  sequential sum, bit-identical to the row engine's ``total += v``;
-  ``np.sum`` is pairwise and is not), first-occurrence ``argmin``/
-  ``argmax`` answered with the list's object — and folds anything else
-  via ``_AggState.fold_many``, in the same left-to-right order;
+* an aggregate over a scan folds the column store at the positions
+  the scan selected (the scan gathers nothing): a column's typed
+  mirror where it has one — ``np.add.accumulate`` seeded with the
+  running total (a sequential sum, bit-identical to the row engine's
+  ``total += v``; ``np.sum`` is pairwise and is not), first-occurrence
+  ``argmin``/``argmax`` answered with the list's object — its list via
+  ``_AggState.fold_many`` where it has none, and a STRING group key's
+  coded mirror, in the same left-to-right order. An aggregate over
+  anything else folds the lists of each batch;
 * a clade aggregate the materialized stats answer is one lookup
   (:class:`CladeAggregateOp`, one one-row batch), and remote detail
   columns are fetched by :class:`RemoteFetchOp` in groups of
@@ -102,7 +105,8 @@ class Batch:
     ``order`` fixes the column order rows materialize with, mirroring
     the key order of the row engine's dicts. A scan's batch also keeps
     its ``source`` — the column store and the buffer positions it
-    gathered — so a fold can read the same rows from the typed mirrors.
+    selected — so an aggregate over the scan can fold the store's
+    mirrors at those positions instead of gathered values.
     """
 
     __slots__ = ("order", "columns", "length", "source")
@@ -124,23 +128,6 @@ class Batch:
         if name in self.columns:
             return self.columns[name]
         return [None] * self.length
-
-    def typed(self, name: str) -> tuple[np.ndarray, Any] | None:
-        """``(data, valid)`` of one column from its typed mirror, aligned
-        with this batch's rows (``valid`` is None for a column that
-        cannot hold NULL); None when the batch is not a scan's or the
-        column has no mirror. Built on demand: only folds read it."""
-        if self.source is None or name not in self.columns:
-            return None
-        store, positions = self.source
-        mirror = store.typed(name)
-        if mirror is None:
-            return None
-        where = _where(positions)
-        if type(where) is not slice:
-            self.source = (store, where)
-        data, valid = mirror
-        return data[where], None if valid is None else valid[where]
 
     def take(self, positions: Sequence[int]) -> "Batch":
         """A new batch keeping *positions*, in the given order."""
@@ -354,7 +341,9 @@ class _VecScanBase(VectorOp):
             return None
         self.counters.rows_emitted += len(selected)
         store = self.store
-        if isinstance(selected, range):
+        if not self.columns:  # an aggregate reads the store itself
+            columns = {}
+        elif isinstance(selected, range):
             window = _where(selected)
             columns = {name: store.column(name)[window]
                        for name in self.columns}
@@ -409,6 +398,8 @@ class VecScanOp(_VecScanBase):
     def _batches_of(self, positions) -> Iterator[Batch]:
         start = 0
         size = min(self.first_chunk or BATCH_SIZE, BATCH_SIZE)
+        if not self.columns:  # nothing gathered: one chunk, one mask
+            size = max(len(positions), 1)
         while start < len(positions):
             batch = self._scan_chunk(positions[start:start + size])
             start += size
@@ -725,40 +716,49 @@ class VecProjectOp(VectorOp):
                 )
             projected = {name: batch.columns[name]
                          for name in self.columns}
-            yield self._emit(Batch(self.columns, projected,
-                                   len(batch), batch.source))
+            yield self._emit(Batch(self.columns, projected, len(batch)))
 
 
 class VecHashAggregateOp(VectorOp):
-    """Grouped/scalar aggregation folding column slices per batch."""
+    """Grouped/scalar aggregation.
+
+    With *positional* (the lowering's choice when the input is a scan)
+    the scan gathers no column: the fold reads the column store at the
+    positions the scan selected, all of its chunks at once — each folded
+    column's typed mirror, a STRING group key's coded mirror, and the
+    lists only where a column has no mirror. Otherwise each batch's
+    gathered lists are folded as they arrive. Either way a group's rows
+    fold in scan order, and a column folds once however many aggregates
+    read it (one ``_AggState`` answers every function).
+    """
 
     def __init__(self, counters: ExecCounters, child,
                  aggregates: tuple[AggregateSpec, ...],
-                 group_by: str | None = None) -> None:
+                 group_by: str | None = None,
+                 positional: bool = False) -> None:
         super().__init__(counters)
         self.child = child
         self.aggregates = aggregates
         self.group_by = group_by
+        self.positional = positional
+        #: The folded columns, ``"*"`` (the row count) included.
+        self.folded = tuple(dict.fromkeys(agg.column for agg in aggregates))
 
     def batches(self) -> Iterator[Batch]:
         groups: dict[Any, dict[str, _AggState]] = {}
-        saw_rows = False
         # inf + -inf is NaN and 1e308 + 1e308 is inf for ``total += v``
         # too, but without a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            for batch in self.child.batches():
-                if not len(batch):
-                    continue
-                saw_rows = True
-                if self.group_by is None:
-                    self._fold_scalar(groups, batch)
-                else:
-                    self._fold_grouped(groups, batch)
-        if not saw_rows and self.group_by is None:
+            if self.positional:
+                self._fold_scan(groups)
+            else:
+                for batch in self.child.batches():
+                    if len(batch):
+                        self._fold(groups, np.arange(len(batch)),
+                                   batch.values, _no_mirror, _no_mirror)
+        if not groups and self.group_by is None:
             # Scalar aggregate over an empty input still yields one row.
-            groups[None] = {
-                agg.output_name: _AggState() for agg in self.aggregates
-            }
+            groups[None] = self._states()
         out_rows = []
         for key in sorted(groups, key=repr):
             states = groups[key]
@@ -766,69 +766,108 @@ class VecHashAggregateOp(VectorOp):
             if self.group_by is not None:
                 out[self.group_by] = key
             for agg in self.aggregates:
-                out[agg.output_name] = states[agg.output_name].result(
-                    agg.func
-                )
+                out[agg.output_name] = states[agg.column].result(agg.func)
             self.counters.rows_emitted += 1
             out_rows.append(out)
         if out_rows:
             yield self._emit(batch_from_rows(out_rows))
 
-    def _fold_scalar(self, groups, batch: Batch) -> None:
-        states = groups.setdefault(None, {
-            agg.output_name: _AggState() for agg in self.aggregates
-        })
-        for agg in self.aggregates:
-            state = states[agg.output_name]
-            if agg.column == "*":
-                state.count += len(batch)
-                continue
-            values = batch.values(agg.column)
-            typed = batch.typed(agg.column)
-            if typed is None:
-                state.fold_many(values)
-            else:
-                fold_typed(state, values, *typed)
+    def _states(self) -> dict[str, _AggState]:
+        return {name: _AggState() for name in self.folded}
 
-    def _fold_grouped(self, groups, batch: Batch) -> None:
-        """Encode the keys once (each row's code is the batch position
-        of its key's first row), then fold each group's rows, in scan
-        order, as one slice per aggregate."""
-        keys = batch.values(self.group_by)
-        first: dict[Any, int] = {}
-        codes = np.fromiter(map(first.setdefault, keys, count()),
-                            dtype=np.intp, count=len(keys))
-        if len(first) == 1:
-            members = [np.arange(len(keys))]
+    def _fold_scan(self, groups) -> None:
+        """Fold every position the scan selected, in scan order."""
+        chunks = [batch.source for batch in self.child.batches()
+                  if len(batch)]
+        if not chunks:
+            return
+        parts = [np.arange(selected.start, selected.stop)
+                 if type(selected) is range
+                 else np.asarray(selected, dtype=np.intp)
+                 for _, selected in chunks]
+        where = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        store = chunks[0][0]
+        self._fold(groups, where, store.column, store.typed, store.coded)
+
+    def _fold(self, groups, where: np.ndarray, column, typed,
+              coded) -> None:
+        """Fold the rows at *where* (indexes into each ``column(name)``
+        list, and into its ``typed``/``coded`` mirror if it has one).
+
+        Group keys are coded — a coded mirror's codes, or else each
+        row's index of its key's first row — and one stable argsort puts
+        each group's rows together, in scan order; every aggregate then
+        folds one slice per group.
+        """
+        bounds = [0, len(where)]
+        if self.group_by is None:
+            keys = [None]
         else:
-            order = np.argsort(codes, kind="stable")
-            edges = np.flatnonzero(np.diff(codes[order])) + 1
-            members = np.split(order, edges)
+            codes, named = _group_codes(self.group_by, where, column, coded)
+            # numpy radix-sorts 16-bit keys; wider ones take a timsort
+            # several times slower.
+            order = np.argsort(
+                codes.astype(np.uint16) if len(named) <= 1 << 16 else codes,
+                kind="stable")
+            codes, where = codes[order], where[order]
+            edges = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
+            bounds = [0, *edges, len(where)]
+            keys = [named[code] for code in codes[bounds[:-1]].tolist()]
         folds = []
-        for agg in self.aggregates:
-            if agg.column == "*":
-                folds.append((agg.output_name, None, None))
-            else:
-                folds.append((agg.output_name, batch.values(agg.column),
-                              batch.typed(agg.column)))
-        for rows in members:
-            key = keys[rows[0]]
+        for name in self.folded:
+            mirror = None if name == "*" else typed(name)
+            if name == "*":
+                folds.append((name, None, None))
+            elif mirror is None:
+                folds.append((name, _gather(column(name), where), None))
+            else:  # the mirror's rows; min/max answer with the list's
+                data, valid = mirror
+                folds.append((name, column(name), (
+                    data[where], None if valid is None else valid[where])))
+        for group, key in enumerate(keys):
             states = groups.get(key)
             if states is None:
-                states = groups[key] = {
-                    agg.output_name: _AggState() for agg in self.aggregates
-                }
-            for name, values, typed in folds:
+                states = groups[key] = self._states()
+            start, stop = bounds[group], bounds[group + 1]
+            for name, values, mirrored in folds:
                 state = states[name]
                 if values is None:
-                    state.count += len(rows)
-                elif typed is None:
-                    state.fold_many([values[i] for i in rows.tolist()])
+                    state.count += stop - start
+                elif mirrored is None:
+                    state.fold_many(values[start:stop])
                 else:
-                    data, valid = typed
-                    fold_typed(state, values, data[rows],
-                               None if valid is None else valid[rows],
-                               rows)
+                    data, valid = mirrored
+                    fold_typed(state, values, data[start:stop],
+                               None if valid is None else valid[start:stop],
+                               where[start:stop])
+
+
+def _no_mirror(name: str) -> None:
+    """A batch's columns have no mirror."""
+    return None
+
+
+def _gather(buffer: list[Any], where: np.ndarray) -> list[Any]:
+    """``buffer``'s values at the positions *where*, in order."""
+    if len(where) == 1:
+        return [buffer[int(where[0])]]
+    return list(itemgetter(*where.tolist())(buffer))
+
+
+def _group_codes(name: str, where: np.ndarray, column,
+                 coded) -> tuple[np.ndarray, list[Any]]:
+    """``(codes, keys)`` of column *name* at *where*: each row's key is
+    ``keys[code]``. From the coded mirror when the column has one, else
+    by hashing the gathered values: a code is then the index of the
+    key's first row."""
+    mirror = coded(name)
+    if mirror is not None:
+        codes, values = mirror
+        return codes[where], values
+    keys = _gather(column(name), where)
+    first: dict[Any, int] = {}
+    return np.fromiter(map(first.setdefault, keys, count()),
+                       dtype=np.intp, count=len(keys)), keys
 
 
 def fold_typed(state: _AggState, values: list[Any], data: np.ndarray,
@@ -838,7 +877,7 @@ def fold_typed(state: _AggState, values: list[Any], data: np.ndarray,
 
     ``data``/``valid`` are the mirrored slice of the rows folded;
     ``rows`` maps an entry of ``data`` to its index in ``values`` (the
-    list the batch gathered; None when they align). NULLs are skipped.
+    column's list; None when they align). NULLs are skipped.
     The sum is ``np.add.accumulate`` seeded with the running total —
     the same sequential additions as ``total += v``, so floats stay
     bit-identical (``np.sum`` adds pairwise and is not). ``min``/``max``
@@ -1094,9 +1133,14 @@ class VectorizedLowering:
             return VecHashJoinOp(self.counters, right, left, node.key,
                                  node.keyed)
         if isinstance(node, LogicalAggregate):
+            positional = isinstance(node.child, LogicalScan) and \
+                node.child.access != "index_order"
+            if positional:  # the plan's one scan: the fold reads the store
+                self.needed = set()
             child = self._to_vector(node.child, stats)
             return VecHashAggregateOp(self.counters, child,
-                                      node.aggregates, node.group_by)
+                                      node.aggregates, node.group_by,
+                                      positional)
         if isinstance(node, LogicalHaving):
             child = self._to_vector(node.child, stats)
             return VecFilterOp(self.counters, child, node.conditions)

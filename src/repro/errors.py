@@ -94,8 +94,9 @@ class QueryError(DrugTreeError):
 
     ``code`` says what kind of error a query-building one is, as its
     DTQL diagnostic code (``DTQL002`` unknown column, ``DTQL003``
-    unknown table, ``DTQL004`` ill-formed query; ``None`` for a plain
-    syntax error), and ``name`` is the unknown column or table. Both
+    unknown table, ``DTQL004`` ill-formed query, ``DTQL005`` a
+    remote detail column used where only a stored one can be; ``None``
+    for a plain syntax error), and ``name`` is the column or table. Both
     survive :func:`~repro.core.query.parser.parse_query`'s re-wrap, so
     the semantic analyzer never reads a message to classify one.
     ``diagnostics`` holds the error findings of a query the semantic

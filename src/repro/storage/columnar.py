@@ -38,11 +38,23 @@ published last. The table runs the append under its lock, before its
 indexes see the rows, so a reader that holds a position (from
 ``live_positions`` or an index) and *then* takes :meth:`typed` always
 finds it filled.
+
+Coded mirrors
+-------------
+A ``STRING`` column a query groups by also gets a **coded mirror**:
+one ``int32`` code per position, in first-seen order, and the list of
+distinct values (``values[code]`` is the value). It is built on first
+use (:meth:`ColumnStore.coded`), under the table's lock, then extended
+by every append like a typed mirror, so a table that nobody groups
+pays nothing. A value that is neither a string nor NULL (an unlogged
+``append_rows`` bypasses validation) drops it for good: ``1``, ``1.0``
+and ``True`` are one dict key but three group keys.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import count
 from math import isnan
 from typing import TYPE_CHECKING, Any
 
@@ -63,6 +75,9 @@ _DTYPES = {float: np.float64, int: np.int64, bool: np.bool_}
 #: Ints at or beyond this magnitude do not round-trip through float64,
 #: so comparisons with float literals (and float sums) would differ.
 EXACT_INT_LIMIT = 2 ** 53
+
+#: The types a coded mirror holds.
+_CODABLE = frozenset({str, type(None)})
 
 #: A mirror: the typed buffer and, for a nullable column, its validity
 #: mask. Both have the same capacity, at least ``len(store)``.
@@ -111,6 +126,45 @@ class _MirrorWriter:
         self.valid = valid
 
 
+def _grown(buffer: np.ndarray, size: int) -> np.ndarray:
+    """A copy of *buffer* with room for *size* positions, at least
+    double its capacity."""
+    grown = np.zeros(max(size, 2 * len(buffer)), dtype=buffer.dtype)
+    grown[:len(buffer)] = buffer
+    return grown
+
+
+class _Coder:
+    """One coded mirror: a code per position, the distinct values in
+    first-seen order, and the value -> code map that extends them."""
+
+    __slots__ = ("index", "codes", "values", "lookup")
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.codes = np.zeros(0, np.int32)
+        self.values: list[Any] = []
+        self.lookup: dict[Any, int] = {}
+
+    def extend(self, start: int, column: Sequence[Any]) -> bool:
+        """Code *column*, the values of positions ``start`` on: new
+        values first, then the codes. False, writing nothing, when one
+        is neither a string nor NULL."""
+        if not set(map(type, column)) <= _CODABLE:
+            return False
+        lookup = self.lookup
+        fresh = [value for value in dict.fromkeys(column)
+                 if value not in lookup]
+        self.values += fresh
+        lookup.update(zip(fresh, count(len(lookup))))
+        stop = start + len(column)
+        if stop > len(self.codes):
+            self.codes = _grown(self.codes, stop)
+        self.codes[start:stop] = np.fromiter(
+            map(lookup.__getitem__, column), np.int32, len(column))
+        return True
+
+
 class ColumnStore:
     """Per-column buffers over one table, maintained by the table."""
 
@@ -140,6 +194,12 @@ class ColumnStore:
         self._typed: dict[str, Mirror] = {
             writer.name: (writer.data, writer.valid)
             for writer in self._writers}
+        #: STRING columns that may still get a coded mirror, by row
+        #: position, and the coded mirrors built so far.
+        self._codable = {column.name: position for position, column
+                         in enumerate(table.schema.columns)
+                         if column.type is ColumnType.STRING}
+        self._coders: dict[str, _Coder] = {}
         self._row_ids: list[int] = []
         self._position_of: dict[int, int] = {}
         # The backfill: the table builds the store under its lock, so
@@ -167,6 +227,25 @@ class ColumnStore:
         be longer than the store; positions a caller obtained before
         this call are filled."""
         return self._typed.get(name)
+
+    def coded(self, name: str) -> tuple[np.ndarray, list[Any]] | None:
+        """The coded mirror ``(codes, values)`` of a STRING column, or
+        None (another type, or a value refused it). Built on first use
+        under the table's lock, so no append lands half-coded; ``codes``
+        may be longer than the store, and positions a caller obtained
+        before this call are filled."""
+        coder = self._coders.get(name)
+        if coder is None and name in self._codable:
+            with self.table._lock:  # built by another reader, or refused?
+                coder = self._coders.get(name)
+                if coder is None and name in self._codable:
+                    coder = _Coder(self._codable[name])
+                    if coder.extend(0, self._columns[name]):
+                        self._coders[name] = coder
+                    else:
+                        del self._codable[name]
+                        coder = None
+        return None if coder is None else (coder.codes, coder.values)
 
     def live_positions(self) -> range:
         """Every buffer position, in insertion order."""
@@ -201,8 +280,8 @@ class ColumnStore:
 
     def extend(self, row_ids: list[int],
                rows: list[tuple[Any, ...]]) -> None:
-        """Mirrors by slice, then lists, then the row ids: a position is
-        published only once every buffer holds it."""
+        """Mirrors by slice, coded mirrors, then lists, then the row
+        ids: a position is published only once every buffer holds it."""
         start = len(self._row_ids)
         stop = start + len(rows)
         values = list(zip(*rows))
@@ -222,27 +301,25 @@ class ColumnStore:
             self._writers = [w for w in self._writers if w not in refused]
             for writer in refused:
                 del self._typed[writer.name]
+        for name, coder in list(self._coders.items()):
+            if not coder.extend(start, values[coder.index]):
+                del self._coders[name], self._codable[name]
         for name, value_index in zip(self.column_names, self._positions):
             self._columns[name].extend(values[value_index])
         self._position_of.update(zip(row_ids, range(start, stop)))
         self._row_ids.extend(row_ids)
 
     def _grow(self, writer: "_MirrorWriter", size: int) -> None:
-        """Swap in copies of a mirror with room for *size* positions, at
-        least double its capacity."""
-        capacity = max(size, 2 * len(writer.data))
-        data = np.zeros(capacity, dtype=writer.data.dtype)
-        data[:len(writer.data)] = writer.data
-        valid = writer.valid
-        if valid is not None:
-            valid = np.zeros(capacity, dtype=np.bool_)
-            valid[:len(writer.valid)] = writer.valid
+        """Swap in copies of a mirror with room for *size* positions."""
+        data = _grown(writer.data, size)
+        valid = None if writer.valid is None else _grown(writer.valid, size)
         writer.data, writer.valid = data, valid
         self._typed[writer.name] = (data, valid)
 
     def verify_against_rows(self) -> bool:
         """True when every position mirrors the row store, in the
-        lists and in every typed mirror still held.
+        lists, in every typed mirror still held and in every coded
+        mirror (its values distinct and in first-seen order).
 
         A consistency probe for tests; the table's inserts keep this
         invariant without it.
@@ -268,6 +345,14 @@ class ColumnStore:
                 elif data[position] != value or (
                         valid is not None and not valid[position]):
                     return False
+        for name, coder in list(self._coders.items()):
+            values = self._columns[name]
+            if coder.values != list(dict.fromkeys(values)) or len(
+                    coder.codes) < len(values):
+                return False
+            if [coder.values[code] for code
+                    in coder.codes[:len(values)].tolist()] != values:
+                return False
         return True
 
     def __repr__(self) -> str:

@@ -40,6 +40,33 @@ class TestNameResolution:
         assert codes(report) == ["DTQL002"]
         assert "molecular_weight" in (report.diagnostics[0].hint or "")
 
+    @pytest.mark.parametrize("text, use", [
+        ("SELECT protein_id FROM proteins WHERE method = 'x'",
+         "a predicate on 'method'"),
+        ("SELECT count(go_terms) FROM proteins",
+         "an aggregate of 'go_terms'"),
+        ("SELECT keywords, count(*) FROM proteins GROUP BY keywords",
+         "GROUP BY 'keywords'"),
+    ])
+    def test_a_remote_detail_outside_select_is_dtql005(self, analyzer,
+                                                       text, use):
+        """A remote detail column exists, so it is no unknown column
+        and gets no did-you-mean hint naming itself."""
+        report = analyzer.check(text)
+        assert codes(report) == ["DTQL005"]
+        diagnostic = report.diagnostics[0]
+        assert f"{use} is unsupported" in diagnostic.message
+        assert "federation-resolved" in diagnostic.message
+        assert diagnostic.hint is None
+        start = diagnostic.span.offset
+        name = use.split("'")[1]
+        assert text[start:start + diagnostic.span.length] == name
+
+    def test_a_misspelt_remote_detail_is_still_unknown(self, analyzer):
+        report = analyzer.check("SELECT protein_id WHERE methd = 'x'")
+        assert codes(report) == ["DTQL002"]
+        assert "method" in report.diagnostics[0].hint
+
     def test_plain_syntax_error_is_dtql001(self, analyzer):
         report = analyzer.check("SELECT * WHERE value_nm <")
         assert codes(report) == ["DTQL001"]

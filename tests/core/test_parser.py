@@ -172,11 +172,39 @@ class TestErrors:
         ("SELECT organism HAVING count_all >= 5", "DTQL004", None),
         ("SELECT * SIMILAR TO 'CCO' >= 1.5", "DTQL004", None),
         ("SELECT * SIMILAR TO 'CCO' >= 'x'", "DTQL004", None),
+        ("SELECT * WHERE method = 'x'", "DTQL005", "method"),
     ])
     def test_error_kind_survives_the_rewrap(self, bad, code, name):
         with pytest.raises(ParseError) as info:
             parse_query(bad)
         assert (info.value.code, info.value.name) == (code, name)
+
+
+class TestBoolIsNoNumber:
+    """``bool`` is a subclass of ``int`` in Python, not in DTQL: a
+    ``true``/``false`` literal in a numeric slot is refused like any
+    other non-number there."""
+
+    @pytest.mark.parametrize("literal", ["true", "false"])
+    def test_limit_refuses_a_bool(self, literal):
+        with pytest.raises(ParseError, match="LIMIT must be an integer") \
+                as info:
+            parse_query(f"SELECT ligand_id FROM bindings LIMIT {literal}")
+        assert info.value.code is None  # DTQL001, as for LIMIT 2.5
+
+    @pytest.mark.parametrize("literal", ["true", "false"])
+    def test_similarity_threshold_refuses_a_bool(self, literal):
+        text = f"SELECT ligand_id SIMILAR TO 'CCO' >= {literal}"
+        with pytest.raises(ParseError, match="must be a number") as info:
+            parse_query(text)
+        assert info.value.code == "DTQL004"  # as for >= 'x'
+        offset, length = info.value.span
+        assert text[offset:offset + length] == literal
+
+    def test_numbers_still_parse(self):
+        assert parse_query("SELECT ligand_id LIMIT 1").limit == 1
+        query = parse_query("SELECT ligand_id SIMILAR TO 'CCO' >= 1")
+        assert query.similar.threshold == 1.0
 
 
 class TestRoundtrip:

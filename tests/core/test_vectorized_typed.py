@@ -1,11 +1,11 @@
 """Typed mirrors in the vectorized engine: masks and folds ≡ the lists.
 
 A scan compares a mirrored column with a literal as one numpy mask,
-and an aggregate folds a scan batch's mirrored slice. Both must give
-exactly what the row engine gives: the same rows in the same order,
-the same counters, and aggregates equal by ``==`` *and* by ``repr``
-(a float that differs in its last bit, ``-0.0`` for ``0.0`` or ``3.0``
-for ``3`` all fail the second).
+and an aggregate over a scan folds the mirrors at the scan's
+positions. Both must give exactly what the row engine gives: the same
+rows in the same order, the same counters, and aggregates equal by
+``==`` *and* by ``repr`` (a float that differs in its last bit,
+``-0.0`` for ``0.0`` or ``3.0`` for ``3`` all fail the second).
 """
 
 import itertools
@@ -110,7 +110,9 @@ def fold_table(rows, restore, poison):
     return table
 
 
-def run_aggregate(table, group_by, batch_size=None):
+def run_aggregate(table, group_by, batch_size=None, positional=False):
+    """The row engine's rows (no *batch_size*), or the batch engine's:
+    folding gathered batches, or the store at the scan's positions."""
     counters = ExecCounters()
     node = LogicalScan(table.name, "seq")
     if batch_size is None:
@@ -119,19 +121,22 @@ def run_aggregate(table, group_by, batch_size=None):
         return list(op.rows())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vectorized, "BATCH_SIZE", batch_size)
-        scan = VecScanOp(counters, table, node, None)
-        op = VecHashAggregateOp(counters, scan, AGGREGATES, group_by)
+        scan = VecScanOp(counters, table, node, () if positional else None)
+        op = VecHashAggregateOp(counters, scan, AGGREGATES, group_by,
+                                positional)
         return list(op.rows())
 
 
 def assert_same_folds(table):
     for group_by in (None, "activity_type", "potent"):
         expected = run_aggregate(table, group_by)
-        for batch_size in (1, 7, 1024):
-            got = run_aggregate(table, group_by, batch_size)
-            assert repr(got) == repr(expected), (group_by, batch_size)
+        for batch_size, positional in itertools.product(
+                (1, 7, 1024), (False, True)):
+            got = run_aggregate(table, group_by, batch_size, positional)
+            where = (group_by, batch_size, positional)
+            assert repr(got) == repr(expected), where
             if "nan" not in repr(expected):  # NaN is never == NaN
-                assert got == expected, (group_by, batch_size)
+                assert got == expected, where
 
 
 class TestFoldParity:

@@ -191,6 +191,18 @@ PARITY_QUERIES = {
                       "LIMIT 2",
     "join, limit": "SELECT protein_id, ligand_id FROM bindings, ligands "
                    "WHERE p_affinity >= 9 LIMIT 3",
+    # analytic_scan's E13 aggregates, folded at the scan's positions:
+    # a wide band (one mask over the mirror), a narrow one (the index)
+    # and a GROUP BY on a STRING column (its coded mirror).
+    "scan aggregate, mask": "SELECT count(*), mean(p_affinity), "
+                            "max(p_affinity) FROM bindings "
+                            "WHERE p_affinity >= 6.58",
+    "scan aggregate, index": "SELECT count(*), mean(p_affinity), "
+                             "max(p_affinity) FROM bindings "
+                             "WHERE p_affinity >= 9.5",
+    "group by": "SELECT activity_type, count(*), mean(p_affinity) "
+                "FROM bindings WHERE p_affinity >= 6.58 "
+                "GROUP BY activity_type ORDER BY activity_type",
 }
 
 #: The load generator's clade top-10 template on the default world: CI

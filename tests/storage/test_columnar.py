@@ -280,6 +280,81 @@ class TestTypedMirrors:
         assert store.verify_against_rows()
 
 
+def decoded(store, name):
+    codes, values = store.coded(name)
+    return [values[code] for code in codes[:len(store)].tolist()]
+
+
+class TestCodedMirror:
+    def test_built_on_first_use_in_first_seen_order(self):
+        table = typed_table(7)
+        store = table.column_store()
+        assert store._coders == {}  # inserts alone build none
+        codes, values = store.coded("activity_type")
+        assert values == ["IC50", "Ki", "Kd"]
+        assert codes.dtype == np.int32
+        assert codes[:7].tolist() == [0, 1, 2, 0, 1, 2, 0]
+        assert decoded(store, "activity_type") == \
+            store.column("activity_type")
+        assert store.coded("activity_type")[1] is values  # kept
+
+    @pytest.mark.parametrize("name", ["p_affinity", "leaf_pre", "potent",
+                                      "resolution", "no_such_column"])
+    def test_only_string_columns_are_coded(self, name):
+        assert typed_table(3).column_store().coded(name) is None
+
+    def test_appends_extend_it(self):
+        table = typed_table(2)
+        store = table.column_store()
+        store.coded("activity_type")
+        for k in range(2, 40):
+            table.insert(typed_row(k))
+        _, values = store.coded("activity_type")
+        assert values == ["IC50", "Ki", "Kd"]
+        assert decoded(store, "activity_type") == \
+            store.column("activity_type")
+        assert store.verify_against_rows()
+
+    def test_null_is_a_value_of_a_nullable_column(self):
+        table = Table("nullable", Schema([
+            string_column("organism", nullable=True)]))
+        for value in ("b", None, "a", None, "b"):
+            table.insert({"organism": value})
+        store = table.column_store()
+        assert store.coded("organism")[1] == ["b", None, "a"]
+        assert decoded(store, "organism") == ["b", None, "a", None, "b"]
+
+    @pytest.mark.parametrize("built_before", [True, False])
+    @pytest.mark.parametrize("value", [1, True, 1.0, ("IC50",)])
+    def test_a_value_that_is_no_string_drops_it(self, built_before, value):
+        """``1``, ``1.0`` and ``True`` are one dict key, so codes would
+        merge what the row engine's groups keep apart."""
+        table = typed_table(4)
+        store = table.column_store()
+        if built_before:
+            assert store.coded("activity_type") is not None
+        row = list(table.schema.validate_row(typed_row(4)))
+        row[table.schema.index_of("activity_type")] = value
+        table.append_rows([(4, tuple(row))], log=False)
+        assert store.coded("activity_type") is None
+        table.insert(typed_row(5))  # for good
+        assert store.coded("activity_type") is None
+        assert store.coded("ligand_id") is not None
+        assert store.verify_against_rows()
+
+    def test_verify_catches_a_wrong_code_and_a_reordered_list(self):
+        table = typed_table(6)
+        store = table.column_store()
+        codes, values = store.coded("activity_type")
+        assert store.verify_against_rows()
+        codes[0] = 1
+        assert not store.verify_against_rows()
+        codes[0] = 0
+        values.reverse()
+        codes[:6] = [2 - code for code in codes[:6].tolist()]
+        assert not store.verify_against_rows()  # decodes, not first-seen
+
+
 # -- typed mirrors against concurrent readers ------------------------------
 
 AT_LEAST = Comparison("p_affinity", ">=", 12.0)
@@ -343,6 +418,15 @@ def vec_grouped(store):
                                    "activity_type").rows())
 
 
+def vec_coded(store):
+    """The grouped aggregate as the engine lowers it: folded at the
+    scan's positions, its keys read from the coded mirror."""
+    counters = ExecCounters()
+    scan = VecScanOp(counters, store.table, SEQ_SCAN, ())
+    return list(VecHashAggregateOp(counters, scan, AGGREGATES,
+                                   "activity_type", True).rows())
+
+
 class TestMirrorsAgainstReaders:
     """A scan takes its positions (live positions, an index), then the
     typed views: a mirror must never be behind the positions that name
@@ -356,6 +440,9 @@ class TestMirrorsAgainstReaders:
         table = typed_table(30)
         index = table.create_index(["p_affinity"], kind="sorted")
         store = table.column_store()
+        # The hook below runs under the table's lock, which a coded
+        # mirror's first use takes: build it first.
+        store.coded("activity_type")
         seen = []
         extend = index.extend
 
@@ -365,23 +452,27 @@ class TestMirrorsAgainstReaders:
             assert all(len(store.typed(name)[0]) > 30 for name in
                        ("p_affinity", "leaf_pre", "potent", "resolution"))
             seen.append((vec_seq(store), vec_range(store),
-                         vec_grouped(store)))
+                         vec_grouped(store), vec_coded(store)))
             extend(entries)
 
         index.extend = scan_then_extend
         table.insert(typed_row(30))
         assert seen == [(serial_seq(31), serial_range(30),
-                         serial_grouped(31))]
+                         serial_grouped(31), serial_grouped(31))]
 
     def test_first_scans_while_an_append_is_in_flight(self):
         """The writer stops inside the store's append, after the
         buffers took the row and before its row id is published; the
         reader's first scans of the store run then. Neither they nor
         the scans after the append may lose the row: a mirror built
-        lazily by that first reader would miss it for good."""
+        lazily by that first reader would miss it for good. (A coded
+        mirror is built under the table's lock, which the paused writer
+        holds: it is built before the writer starts, and the append then
+        extends it.)"""
         table = typed_table(30)
         table.create_index(["p_affinity"], kind="sorted")
         store = table.column_store()
+        store.coded("activity_type")
         paused, resume = threading.Event(), threading.Event()
 
         class PausingPositions(dict):
@@ -397,28 +488,69 @@ class TestMirrorsAgainstReaders:
         try:
             assert paused.wait(30)
             during = (vec_seq(store), vec_range(store),
-                      vec_grouped(store))
+                      vec_grouped(store), vec_coded(store))
         finally:
             resume.set()
             writer.join(timeout=30)
         assert not writer.is_alive()
-        after = (vec_seq(store), vec_range(store), vec_grouped(store))
+        after = (vec_seq(store), vec_range(store), vec_grouped(store),
+                 vec_coded(store))
         assert during == (serial_seq(30), serial_range(30),
-                          serial_grouped(30))
+                          serial_grouped(30), serial_grouped(30))
         assert after == (serial_seq(31), serial_range(31),
-                         serial_grouped(31))
+                         serial_grouped(31), serial_grouped(31))
         assert store.verify_against_rows()
+
+    def test_a_first_group_by_waits_for_an_append_in_flight(self):
+        """The writer stops inside the store's append, after the coded
+        mirrors' turn and before the lists take the row. A reader that
+        builds a coded mirror then would code the lists without the row,
+        and the append, past the coders, would never code it: the build
+        waits for the table's lock instead, and codes the row."""
+        table = typed_table(30)
+        store = table.column_store()
+        paused, resume = threading.Event(), threading.Event()
+
+        class PausingList(list):
+            def extend(self, values):
+                paused.set()
+                assert resume.wait(30)
+                super().extend(values)
+
+        store._columns["activity_type"] = PausingList(
+            store._columns["activity_type"])
+        writer = threading.Thread(target=table.insert,
+                                  args=(typed_row(30),))
+        reader = threading.Thread(target=store.coded,
+                                  args=("activity_type",))
+        writer.start()
+        try:
+            assert paused.wait(30)
+            reader.start()
+            reader.join(timeout=0.2)
+            assert reader.is_alive()  # blocked on the writer's lock
+        finally:
+            resume.set()
+            writer.join(timeout=30)
+            reader.join(timeout=30)
+        assert not writer.is_alive() and not reader.is_alive()
+        assert decoded(store, "activity_type") == \
+            store.column("activity_type")
+        assert len(store) == 31 and store.verify_against_rows()
+        assert vec_coded(store) == serial_grouped(31)
 
     def test_scans_racing_inserts_answer_some_prefix(self, monkeypatch):
         """Real threads, a switch every microsecond: a vectorized seq
-        scan, index range scan and grouped aggregate race 2,000 inserts
-        (eight fresh tables of 250, so the first scans of a store race
-        the writer too); each answer is the serial answer over some
-        prefix."""
+        scan, index range scan and grouped aggregate (folding gathered
+        batches, and folding the store's positions with the keys from
+        its coded mirror) race 2,000 inserts (eight fresh tables of
+        250, so the first scans of a store and the coded mirror's build
+        race the writer too); each answer is the serial answer over
+        some prefix."""
         monkeypatch.setattr(vectorized, "BATCH_SIZE", 64)
         start, per_table = 300, 250
         serial = {"seq": serial_seq, "range": serial_range,
-                  "grouped": serial_grouped}
+                  "grouped": serial_grouped, "coded": serial_grouped}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -514,12 +646,13 @@ def race_batches(table, store, start, size, batches):
 
 
 def race_scans(table, store, start, stop):
-    """Three reader threads scan while one thread inserts rows
+    """Four reader threads scan while one thread inserts rows
     ``start..stop``; the first answer per ``(len before, len after)``
     of each scan, and any error raised."""
     run = {"seq": lambda: vec_seq(store),
            "range": lambda: vec_range(store),
-           "grouped": lambda: vec_grouped(store)}
+           "grouped": lambda: vec_grouped(store),
+           "coded": lambda: vec_coded(store)}
     answers = {name: {} for name in run}
     errors: list[BaseException] = []
     done = threading.Event()

@@ -1,6 +1,7 @@
 """The operator surface equals its use. ``golden_cli.json``: ``json`` has one
 invocation per ``--json`` command; ``text``/``masked`` hold stdout captured at
-the commit before the CLI refactor (``masked``: wall times, digits blanked)."""
+the commit before the CLI refactor (``masked``: wall times, digits blanked),
+and the output of checks added since (the ``DTQL005`` check)."""
 
 import ast
 import json
