@@ -64,7 +64,7 @@ def test_e2_mechanism_ablation(benchmark, world_medium, report):
                 result = engine.execute(query)
                 wall.append(time.perf_counter() - started)
                 scanned += result.counters.get("rows_scanned", 0)
-                if result.cache_outcome in ("exact", "subsumed"):
+                if result.cache_outcome == "exact":
                     cache_hits += 1
             rows.append((label, mean(wall) * 1000, scanned,
                          cache_hits, len(queries)))

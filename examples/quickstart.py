@@ -55,12 +55,13 @@ def main() -> None:
     )
     print(f"\nrepeat query served from cache: {repeat.cache_outcome}")
 
-    # ...and a *narrower* query is answered from a broader cached result.
+    # ...but a *narrower* query is a miss: an entry answers its own
+    # signature only, and re-executing is cheaper than deriving.
     engine.execute("SELECT * FROM bindings WHERE p_affinity >= 6.0")
     narrowed = engine.execute(
         "SELECT * FROM bindings WHERE p_affinity >= 8.0"
     )
-    print(f"narrower query served by subsumption: "
+    print(f"narrower query re-executed: "
           f"{narrowed.cache_outcome} ({len(narrowed.rows)} rows)")
 
     # 5. EXPLAIN shows what the optimizer chose.

@@ -18,6 +18,7 @@ from repro.core.overlay import BINDINGS_TABLE, LIGANDS_TABLE, PROTEINS_TABLE
 from repro.core.query.ast import (
     COLUMN_OWNERS,
     COLUMN_TYPES,
+    NUMERIC_TYPES,
     REMOTE_DETAIL_COLUMNS,
 )
 from repro.storage.schema import ColumnType
@@ -95,20 +96,27 @@ class Catalog:
         return info.type if info is not None else None
 
     def suggest(self, name: str, table: bool = False,
+                stored_only: bool = False,
                 limit: int = 3) -> tuple[str, ...]:
         """Closest known column (or, with *table*, table) names to a
-        misspelt *name*."""
-        return _closest(name, self.tables if table else self._columns,
+        misspelt *name*; with *stored_only*, overlay columns only (no
+        remote detail column, which has no type)."""
+        if table:
+            return _closest(name, self.tables, limit)
+        return _closest(name, (column for column, info
+                               in self._columns.items()
+                               if not stored_only or info.type is not None),
                         limit)
 
     def aggregate_output_type(self, output_name: str) -> ColumnType | None:
         """Type of an aggregate output column like ``mean_p_affinity``.
 
-        ``count_*`` is INT, ``sum_``/``mean_`` are FLOAT, ``min_``/
-        ``max_`` carry the underlying column type. Returns None when the
-        name does not decompose into a known aggregate over a known
-        column (including the group-by passthrough case, which callers
-        resolve via :meth:`column_type` directly).
+        ``count_*`` is INT, ``sum_``/``mean_`` of an INT or FLOAT
+        column are FLOAT, ``min_``/``max_`` carry the underlying column
+        type. Returns None when the name does not decompose into a
+        valid aggregate over a known column (``sum``/``mean`` of a BOOL
+        or STRING column is ``DTQL004``; the group-by passthrough case
+        callers resolve via :meth:`column_type` directly).
         """
         for prefix in ("count_", "sum_", "mean_", "min_", "max_"):
             if not output_name.startswith(prefix):
@@ -122,6 +130,7 @@ class Catalog:
             if info is None or info.type is None:
                 return None
             if prefix in ("sum_", "mean_"):
-                return ColumnType.FLOAT
+                return (ColumnType.FLOAT if info.type in NUMERIC_TYPES
+                        else None)
             return info.type
         return None

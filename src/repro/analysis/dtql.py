@@ -219,7 +219,8 @@ class SemanticAnalyzer:
         if exc.code not in ("DTQL002", "DTQL003"):  # a known name: no hint
             return Diagnostic(exc.code, Severity.ERROR, str(exc), span=span)
         table = exc.code == "DTQL003"
-        suggestions = self.catalog.suggest(exc.name, table=table)
+        suggestions = self.catalog.suggest(exc.name, table=table,
+                                           stored_only=exc.stored_only)
         hint = ("did you mean " + " or ".join(
             repr(s) for s in suggestions) + "?") if suggestions else None
         return Diagnostic(exc.code, Severity.ERROR,

@@ -13,7 +13,7 @@ from repro.core.query.ast import (
     SubtreeFilter,
 )
 from repro.core.query.adaptive import choose_engine
-from repro.core.query.cache import CacheHit, SemanticCache
+from repro.core.query.cache import SemanticCache
 from repro.core.query.cards import CardinalityEstimator
 from repro.core.query.executor import EngineConfig, QueryEngine, QueryResult
 from repro.core.query.parser import parse_query
@@ -30,7 +30,6 @@ __all__ = [
     "COMPARISON_OPS",
     "AggregateSpec",
     "Batch",
-    "CacheHit",
     "CardinalityEstimator",
     "Comparison",
     "EngineConfig",

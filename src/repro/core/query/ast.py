@@ -56,6 +56,9 @@ for _table, _schema in _SCHEMAS.items():
             COLUMN_OWNERS.get(_column.name, ()) + (_table,)
         COLUMN_TYPES[_column.name] = _column.type
 
+#: The column types ``sum`` and ``mean`` accept.
+NUMERIC_TYPES = (ColumnType.INT, ColumnType.FLOAT)
+
 #: Detail columns that are *not* materialized in the overlay: selecting
 #: one makes the executor fetch the backing record from the federation
 #: at run time (through the engine's fetch scheduler). Maps the column
@@ -74,14 +77,14 @@ def unknown_column(column: str, use: str,
     which no overlay table holds: ``DTQL005`` when it is a remote
     detail (a projected output only, fetched per selected row after the
     query runs), else ``DTQL002`` "unknown *label*". Either names the
-    column, for the diagnostic's span."""
+    column, for the diagnostic's span, and marks it stored-only."""
     if column in REMOTE_DETAIL_COLUMNS:
         return QueryError(
             f"{use} {column!r} is unsupported: the column is "
             "federation-resolved, fetched per selected row after the "
             "query runs", code="DTQL005", name=column)
     return QueryError(f"unknown {label} {column!r}", code="DTQL002",
-                      name=column)
+                      name=column, stored_only=True)
 
 
 @dataclass(frozen=True)
@@ -316,6 +319,12 @@ class AggregateSpec:
         if self.column == "*" and self.func != "count":
             raise QueryError("only count(*) may aggregate '*'",
                              code="DTQL004")
+        if self.func in ("sum", "mean") and self.column != "*" \
+                and COLUMN_TYPES[self.column] not in NUMERIC_TYPES:
+            raise QueryError(
+                f"{self.func}() needs a numeric column; {self.column!r} "
+                f"is {COLUMN_TYPES[self.column].value}", code="DTQL004",
+                name=self.column)
 
     @property
     def output_name(self) -> str:

@@ -14,6 +14,7 @@ from collections import OrderedDict
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import itemgetter
 from typing import Any
 
 from repro.chem.fingerprint import circular_fingerprint, tanimoto
@@ -28,7 +29,7 @@ from repro.core.query.ast import (
     SimilarityFilter,
     SubstructureFilter,
 )
-from repro.core.query.cache import SemanticCache, column_reader
+from repro.core.query.cache import SemanticCache
 from repro.core.query.cards import CardinalityEstimator
 from repro.core.query.logical import (
     LogicalAggregate,
@@ -162,7 +163,7 @@ class QueryResult:
     columns: tuple[str, ...]
     values: tuple[tuple, ...]
     plan: PlanReport | None = None
-    #: "miss" | "exact" | "subsumed" | "off"
+    #: "miss" | "exact" | "off"
     cache_outcome: str = "miss"
     counters: dict[str, Any] = field(default_factory=dict)
     wall_time_s: float = 0.0
@@ -185,7 +186,10 @@ class QueryResult:
         return len(self.values)
 
     def column(self, name: str) -> list[Any]:
-        return list(map(column_reader(self.columns, name), self.values))
+        """Each row's value of *name*; NULL when the answer lacks it."""
+        if name not in self.columns:
+            return [None] * len(self.values)
+        return list(map(itemgetter(self.columns.index(name)), self.values))
 
     def scalar(self) -> Any:
         """The single value of a one-row, one-column result."""
@@ -213,7 +217,7 @@ class QueryEngine:
             estimator=CardinalityEstimator(drugtree.tables),
             config=self.config,
         )
-        self.cache = SemanticCache(drugtree.labeling)
+        self.cache = SemanticCache()
         # Imported here: repro.analysis imports the query parser, so a
         # module-level import would be circular.
         from repro.analysis.dtql import SemanticAnalyzer
@@ -415,10 +419,10 @@ class QueryEngine:
             version = self.drugtree.data_version
             hit = self.cache.lookup(query, version) if caching else None
             if hit is not None and not instrument:
-                span.set("cache", hit.kind)
-                span.set("rows", len(hit.values))
-                return QueryResult(hit.columns, hit.values,
-                                   cache_outcome=hit.kind)
+                columns, values = hit
+                span.set("cache", "exact")
+                span.set("rows", len(values))
+                return QueryResult(columns, values, cache_outcome="exact")
 
             resilient = (self.federation is not None
                          and self.federation.degrades(deadline))
@@ -522,7 +526,7 @@ class QueryEngine:
                 estimated_rows=plan.estimated_rows,
                 estimated_cost=plan.estimated_cost,
                 cache_outcome=(
-                    f"{hit.kind} (result recomputed for analysis)"
+                    "exact (result recomputed for analysis)"
                     if hit is not None else missed),
                 counters=counters.snapshot(),
                 source_roundtrips=source_roundtrips,

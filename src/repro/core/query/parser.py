@@ -413,11 +413,11 @@ class _Parser:
 def parse_query(text: str) -> Query:
     """Parse DTQL *text* into a :class:`Query`.
 
-    Raised :class:`ParseError` objects keep the ``span``, ``code`` and
-    ``name`` of the inner failure even though the message is rewrapped,
-    so callers can still point at the offending token and say what
-    went wrong. Spans index into
-    *text* exactly as given (tokenization skips whitespace in place).
+    Raised :class:`ParseError` objects keep the ``span``, ``code``,
+    ``name`` and ``stored_only`` of the inner failure even though the
+    message is rewrapped, so callers can still point at the offending
+    token and say what went wrong. Spans index into *text* exactly as
+    given (tokenization skips whitespace in place).
     """
     if not text or not text.strip():
         raise ParseError("empty query text")
@@ -427,4 +427,5 @@ def parse_query(text: str) -> Query:
         # Covers ParseError plus AST validation errors (bad columns,
         # aggregates, thresholds) surfaced while building the Query.
         raise ParseError(f"bad query {text!r}: {exc}", span=exc.span,
-                         code=exc.code, name=exc.name) from None
+                         code=exc.code, name=exc.name,
+                         stored_only=exc.stored_only) from None

@@ -96,7 +96,10 @@ class QueryError(DrugTreeError):
     DTQL diagnostic code (``DTQL002`` unknown column, ``DTQL003``
     unknown table, ``DTQL004`` ill-formed query, ``DTQL005`` a
     remote detail column used where only a stored one can be; ``None``
-    for a plain syntax error), and ``name`` is the column or table. Both
+    for a plain syntax error), and ``name`` is the column or table.
+    ``stored_only`` marks an unknown column named where only a stored
+    overlay column can stand (a predicate, an aggregate, ``GROUP BY``),
+    so a did-you-mean offers no remote detail column there. All three
     survive :func:`~repro.core.query.parser.parse_query`'s re-wrap, so
     the semantic analyzer never reads a message to classify one.
     ``diagnostics`` holds the error findings of a query the semantic
@@ -106,11 +109,12 @@ class QueryError(DrugTreeError):
     def __init__(self, message: str = "",
                  span: "tuple[int, int] | None" = None,
                  code: str | None = None, name: str | None = None,
-                 diagnostics: tuple = ()) -> None:
+                 diagnostics: tuple = (), stored_only: bool = False) -> None:
         super().__init__(message)
         self.span = span
         self.code = code
         self.name = name
+        self.stored_only = stored_only
         self.diagnostics = diagnostics
 
 

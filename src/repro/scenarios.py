@@ -278,7 +278,8 @@ def run_divergence_repair(dataset, engine: ClusterEngine,
 def run_representative_session(dataset) -> None:
     """Touch every instrumented layer once, for ``repro stats``.
 
-    Repeated and narrowing queries (cache traffic), one remote-detail
+    Repeated queries (cache hits) and a narrowing one (a miss: the
+    cache answers a query's own signature only), one remote-detail
     projection (scheduler traffic), a short mobile replay with viewport
     prefetch, one fetch batch with duplicate keys, and a sharded-cluster
     phase with a node down. The caller reads the metrics registry and

@@ -187,8 +187,8 @@ class QueryGenerator:
         Starts at a top clade and walks toward the leaves; each step
         issues the clade aggregate plus a progressively *stricter*
         affinity filter for the current clade, and sometimes re-asks an
-        earlier query verbatim. Narrowing clades + tightening filters is
-        what makes these sessions subsumption-cacheable.
+        earlier query verbatim. Only the verbatim revisits hit the
+        semantic cache, which answers a query's own signature only.
         """
         if steps < 1:
             raise WorkloadError("session needs at least one step")

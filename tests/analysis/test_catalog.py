@@ -51,6 +51,13 @@ class TestSuggestions:
         assert "bindings" in self.catalog.suggest("binding", table=True)
         assert "proteins" not in self.catalog.suggest("protein")
 
+    def test_stored_only_leaves_out_remote_details(self):
+        assert "method" in self.catalog.suggest("methd")
+        assert "method" not in self.catalog.suggest("methd",
+                                                    stored_only=True)
+        assert "family" in self.catalog.suggest("ffamily",
+                                                stored_only=True)
+
     def test_limit_respected(self):
         assert len(self.catalog.suggest("ligand_i", limit=2)) <= 2
 
@@ -70,6 +77,12 @@ class TestAggregateOutputTypes:
             is ColumnType.FLOAT
         assert self.catalog.aggregate_output_type("mean_p_affinity") \
             is ColumnType.FLOAT
+
+    def test_sum_and_mean_of_bool_or_string_are_invalid(self):
+        # Both are DTQL004 (AggregateSpec); no output type to type.
+        for name in ("sum_potent", "mean_potent", "sum_protein_id",
+                     "mean_organism"):
+            assert self.catalog.aggregate_output_type(name) is None
 
     def test_min_max_keep_column_type(self):
         assert self.catalog.aggregate_output_type("max_leaf_pre") \

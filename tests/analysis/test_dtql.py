@@ -62,10 +62,30 @@ class TestNameResolution:
         name = use.split("'")[1]
         assert text[start:start + diagnostic.span.length] == name
 
-    def test_a_misspelt_remote_detail_is_still_unknown(self, analyzer):
-        report = analyzer.check("SELECT protein_id WHERE methd = 'x'")
+    @pytest.mark.parametrize("text", [
+        "SELECT protein_id FROM proteins WHERE methd = 'x'",
+        "SELECT count(methd) FROM proteins",
+        "SELECT count(*) FROM proteins GROUP BY methd",
+    ], ids=["predicate", "aggregate", "group_by"])
+    def test_a_stored_only_position_suggests_no_remote_detail(
+            self, analyzer, text):
+        """A misspelt name is still unknown, but where a remote detail
+        column would be DTQL005 the hint does not offer one."""
+        report = analyzer.check(text)
         assert codes(report) == ["DTQL002"]
-        assert "method" in report.diagnostics[0].hint
+        assert "method" not in (report.diagnostics[0].hint or "")
+
+    def test_a_projection_suggests_a_remote_detail(self, analyzer):
+        report = analyzer.check("SELECT methd FROM proteins")
+        assert codes(report) == ["DTQL002"]
+        assert "'method'" in report.diagnostics[0].hint
+        assert analyzer.check("SELECT method FROM proteins").ok
+
+    def test_a_stored_only_position_still_suggests_stored_columns(
+            self, analyzer):
+        report = analyzer.check(
+            "SELECT count(*) FROM proteins GROUP BY organsim")
+        assert "'organism'" in report.diagnostics[0].hint
 
     def test_plain_syntax_error_is_dtql001(self, analyzer):
         report = analyzer.check("SELECT * WHERE value_nm <")
@@ -317,6 +337,26 @@ class TestSemanticBuildErrors:
             "SELECT * SIMILAR TO 'CCO' >= 1.5")
         assert codes(report) == ["DTQL004"]
         assert "threshold" in report.diagnostics[0].message
+
+    @pytest.mark.parametrize("text, column", [
+        ("SELECT count(*), sum(potent), mean(potent) FROM bindings "
+         "WHERE p_affinity >= 4.0", "potent"),
+        ("SELECT sum(protein_id) FROM bindings", "protein_id"),
+        ("SELECT mean(organism) FROM proteins", "organism"),
+    ])
+    def test_sum_or_mean_of_a_bool_or_string_is_dtql004(
+            self, analyzer, text, column):
+        report = analyzer.check(text)
+        assert codes(report) == ["DTQL004"]
+        diagnostic = report.diagnostics[0]
+        assert "needs a numeric column" in diagnostic.message
+        start = diagnostic.span.offset
+        assert text[start:start + diagnostic.span.length] == column
+
+    def test_other_aggregates_of_a_bool_or_string_pass(self, analyzer):
+        assert analyzer.check(
+            "SELECT count(potent), min(potent), max(organism), "
+            "sum(leaf_pre), mean(p_affinity) FROM bindings, proteins").ok
 
     def test_having_on_unproduced_output(self, analyzer):
         report = analyzer.check(

@@ -212,25 +212,23 @@ class TestNamedPlants:
                            "self.last_stat = stat"),
             "repro.sources.scheduler.FetchScheduler._note:last_stat")
 
-    def test_cache_subsumed_touch_outside_lock(self):
-        # A subsumption hit marking its entry recently used, unlocked:
-        # the writes sit in _touch, reached from _lookup.
+    def test_cache_lookup_touch_outside_lock(self):
+        # A hit marking its entry recently used, unlocked: lookup's
+        # lock also covered its private helper _restamp.
         result = analyze_with(
-            CACHE, unwrapped(CACHE, "SemanticCache", "_lookup", 1))
+            CACHE, unwrapped(CACHE, "SemanticCache", "lookup", 0))
         prefix = "repro.core.query.cache.SemanticCache."
         assert {f.key for f in result.findings if f.code == "CONC101"} \
-            == {prefix + "_touch:_entries", prefix + "_touch:_subsumers"}
+            == {prefix + "lookup:_entries", prefix + "_restamp:_entries",
+                prefix + "_restamp:_version"}
 
     def test_cache_store_without_lock(self):
-        # store's lock also covered its private helpers _restamp and
-        # _touch.
+        # store's lock also covered its private helper _restamp.
         result = analyze_with(
             CACHE, unwrapped(CACHE, "SemanticCache", "store", 0))
         prefix = "repro.core.query.cache.SemanticCache."
         assert {f.key for f in result.findings} == {
-            prefix + "store:_entries", prefix + "store:_subsumers",
-            prefix + "_touch:_entries", prefix + "_touch:_subsumers",
-            prefix + "_restamp:_entries", prefix + "_restamp:_subsumers",
+            prefix + "store:_entries", prefix + "_restamp:_entries",
             prefix + "_restamp:_version"}
 
     def test_server_details_update_unlocked(self):

@@ -284,7 +284,7 @@ class TestContainingClause:
         slow = NaiveEngine(dataset.tree, dataset.registry).execute(text)
         assert fast.rows == slow.rows
 
-    def test_exact_cache_hit_but_no_subsumption(self, world):
+    def test_exact_cache_hit(self, world):
         dataset, drugtree = world
         engine = QueryEngine(drugtree)
         text = "SELECT ligand_id CONTAINING 'c1ccccc1'"

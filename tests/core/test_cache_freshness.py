@@ -65,7 +65,7 @@ def replay(planted_cache=None):
     engine = QueryEngine(drugtree, federation=FetchScheduler(
         registry, clock=dataset.clock))
     if planted_cache is not None:
-        engine.cache = planted_cache(drugtree.labeling)
+        engine.cache = planted_cache()
 
     first = engine.execute(text)  # computed before the insert
     repeat = engine.execute(text)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import EngineConfig, QueryEngine
+from repro.core import EngineConfig, NaiveEngine, QueryEngine
 from repro.core.query.ast import (
     AggregateSpec,
     Comparison,
@@ -175,6 +175,26 @@ class TestCladeFastPath:
         assert result.counters["rows_scanned"] == 0
 
 
+class TestNonNumericSums:
+    """``sum``/``mean`` of a BOOL or STRING column is rejected by the
+    query model itself, so no engine ever folds one."""
+
+    @pytest.mark.parametrize("text", [
+        "SELECT count(*), sum(potent), mean(potent) FROM bindings "
+        "WHERE p_affinity >= 4.0",
+        "SELECT sum(protein_id) FROM bindings",
+    ])
+    def test_rejected_with_analysis_off_and_by_the_naive_engine(
+            self, dataset, drugtree, text):
+        unchecked = QueryEngine(drugtree, EngineConfig(
+            use_semantic_analysis=False, use_semantic_cache=False))
+        naive = NaiveEngine(dataset.tree, dataset.registry)
+        for engine in (unchecked, naive):
+            with pytest.raises(QueryError) as info:
+                engine.execute(text)
+            assert info.value.code == "DTQL004"
+
+
 class TestSemanticCacheIntegration:
     def test_repeat_query_hits_cache(self, drugtree):
         engine = QueryEngine(drugtree)
@@ -184,19 +204,6 @@ class TestSemanticCacheIntegration:
         assert first.cache_outcome == "miss"
         assert second.cache_outcome == "exact"
         assert second.rows == first.rows
-
-    def test_narrowing_hits_subsumption(self, drugtree):
-        engine = QueryEngine(drugtree)
-        broad = engine.execute(
-            "SELECT * FROM bindings WHERE p_affinity >= 6.0"
-        )
-        narrow = engine.execute(
-            "SELECT * FROM bindings WHERE p_affinity >= 8.0"
-        )
-        assert narrow.cache_outcome == "subsumed"
-        expected = [row for row in broad.rows
-                    if row["p_affinity"] >= 8.0]
-        assert narrow.rows == expected
 
     def test_mutation_invalidates_cache(self, dataset):
         drugtree, _ = dataset.integrate()

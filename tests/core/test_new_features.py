@@ -66,7 +66,7 @@ class TestCacheSoundness:
         for query in queries:
             a = cached.execute(query)
             b = fresh.execute(query)
-            if a.cache_outcome in ("exact", "subsumed"):
+            if a.cache_outcome == "exact":
                 hits += 1
             assert a.rows == b.rows, \
                 f"cache diverged ({a.cache_outcome}) on: {query}"

@@ -173,11 +173,26 @@ class TestErrors:
         ("SELECT * SIMILAR TO 'CCO' >= 1.5", "DTQL004", None),
         ("SELECT * SIMILAR TO 'CCO' >= 'x'", "DTQL004", None),
         ("SELECT * WHERE method = 'x'", "DTQL005", "method"),
+        ("SELECT sum(potent)", "DTQL004", "potent"),
+        ("SELECT mean(organism)", "DTQL004", "organism"),
     ])
     def test_error_kind_survives_the_rewrap(self, bad, code, name):
         with pytest.raises(ParseError) as info:
             parse_query(bad)
         assert (info.value.code, info.value.name) == (code, name)
+
+    @pytest.mark.parametrize("bad, stored_only", [
+        ("SELECT methd", False),
+        ("SELECT * ORDER BY methd", False),
+        ("SELECT * WHERE methd = 'x'", True),
+        ("SELECT count(methd)", True),
+        ("SELECT count(*) GROUP BY methd", True),
+    ])
+    def test_stored_only_survives_the_rewrap(self, bad, stored_only):
+        with pytest.raises(ParseError) as info:
+            parse_query(bad)
+        assert info.value.code == "DTQL002"
+        assert info.value.stored_only is stored_only
 
 
 class TestBoolIsNoNumber:

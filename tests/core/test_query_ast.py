@@ -132,6 +132,19 @@ class TestQueryValidation:
         with pytest.raises(QueryError):
             AggregateSpec("mean", "*")
 
+    @pytest.mark.parametrize("func", ["sum", "mean"])
+    @pytest.mark.parametrize("column", ["potent", "protein_id", "organism"])
+    def test_sum_and_mean_need_a_numeric_column(self, func, column):
+        with pytest.raises(QueryError, match="needs a numeric column") \
+                as info:
+            AggregateSpec(func, column)
+        assert (info.value.code, info.value.name) == ("DTQL004", column)
+
+    @pytest.mark.parametrize("func", ["count", "min", "max"])
+    def test_other_aggregates_take_any_column(self, func):
+        AggregateSpec(func, "potent")
+        AggregateSpec(func, "organism")
+
     def test_limit_positive(self):
         with pytest.raises(QueryError):
             Query(limit=0)

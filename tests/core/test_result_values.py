@@ -15,7 +15,6 @@ import pytest
 import repro.core.query.executor as executor
 from repro.core import EngineConfig, NaiveEngine, QueryEngine
 from repro.core.query import vectorized
-from repro.core.query.ast import Query
 from repro.core.query.cache import SemanticCache
 from repro.core.query.vectorized import Batch
 from repro.errors import QueryError
@@ -23,7 +22,7 @@ from repro.workloads import DatasetConfig, QueryGenerator, build_dataset
 from repro.workloads.queries import ALL_KINDS
 from tests.core.test_equivalence import rounded
 
-PATHS = ("off", "exact", "subsumed")
+PATHS = ("off", "exact")
 
 
 @pytest.fixture(scope="module")
@@ -39,24 +38,13 @@ def _queries(dataset, kind, count=3):
     return [generator.draw(kind) for _ in range(count)]
 
 
-def _derivable(query):
-    """Can the cache answer *query* from a full-width entry?"""
-    return (not query.aggregates and query.similar is None
-            and query.substructure is None)
-
-
 def assert_answers_match_naive(engine, naive, queries, path="off"):
     for query in queries:
-        engine.cache = SemanticCache(engine.drugtree.labeling)
+        engine.cache = SemanticCache()
         if path == "exact":
             engine.execute(query)
-        elif path == "subsumed":
-            engine.execute(Query(from_tables=query.tables()))
         result = engine.execute(query)
-        if path == "subsumed":
-            want = "subsumed" if _derivable(query) else "miss"
-            assert result.cache_outcome == want, query
-        elif path == "exact":
+        if path == "exact":
             assert result.cache_outcome == "exact", query
         assert all(len(values) == len(result.columns)
                    for values in result.values), query
@@ -179,7 +167,7 @@ class HandsOutItsList(SemanticCache):
 def assert_a_mutated_hit_leaves_the_next_hit_intact(drugtree,
                                                     cache_class):
     engine = QueryEngine(drugtree)
-    engine.cache = cache_class(drugtree.labeling)
+    engine.cache = cache_class()
     text = "SELECT ligand_id, p_affinity FROM bindings WHERE p_affinity >= 6"
     expected = list(engine.execute(text).values)
     hit = engine.execute(text)

@@ -111,9 +111,8 @@ class TestConcurrentHammer:
 
     def test_distinct_range_queries_share_one_semantic_cache(
             self, drugtree):
-        # Aggregates are cached for exact reuse only, so every one of
-        # these misses after scanning the whole LRU map for a subsuming
-        # entry — while the other threads' stores reshape that map.
+        # Every text is distinct, so every lookup misses and stores,
+        # while the other threads' stores reshape the LRU map.
         per_thread, n_threads = 400, 6
 
         def text(worker, i):
@@ -127,8 +126,7 @@ class TestConcurrentHammer:
         def lookups():
             counts = get_metrics().counter_values("semantic_cache.")
             return sum(counts.get(f"semantic_cache.{outcome}", 0)
-                       for outcome in ("exact_hits", "subsumed_hits",
-                                       "misses"))
+                       for outcome in ("exact_hits", "misses"))
 
         server = DrugTreeServer(drugtree)
         session_ids = [server.open_session()[0]
@@ -229,8 +227,8 @@ class TestConcurrentHammer:
                 == expected.data, focus
 
     def test_queries_racing_inserts_never_keep_a_stale_answer(self):
-        # A world of its own: this test inserts bindings. The queries
-        # overlap, so some are answered by subsumption.
+        # A world of its own: this test inserts bindings. Each text
+        # repeats, so some are answered from the cache.
         dataset = build_dataset(DatasetConfig(n_leaves=24, n_ligands=40,
                                               seed=11))
         drugtree = dataset.drugtree()

@@ -164,9 +164,8 @@ def _planted(trees, path, old, new):
 def test_the_gate_catches_an_option_only_tests_would_pass(trees, unset):
     planted = _planted(
         trees, "src/repro/core/query/cache.py",
-        "def __init__(self, labeling: IntervalLabeling) -> None:",
-        "def __init__(self, labeling: IntervalLabeling,\n"
-        "             capacity: int = 1024) -> None:")
+        "def __init__(self) -> None:",
+        "def __init__(self, capacity: int = 1024) -> None:")
     assert _unset_options(planted) - unset == {"SemanticCache.capacity"}
 
 
