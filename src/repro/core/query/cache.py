@@ -26,13 +26,19 @@ from collections import OrderedDict
 from collections.abc import Sequence
 
 from repro.core.query.ast import Query
-from repro.obs import get_metrics, get_tracer
+from repro.obs import Binding, get_metrics, get_tracer
 
 #: Entries kept before the least recently used is dropped. Replaying
 #: the mobile tap mix's query stream through an LRU of 128 / 256 / 512
 #: / 1024 entries hits 65 / 81 / 95 / 100 % of its repeated texts
 #: (docs/EXECUTION.md).
 CACHE_CAPACITY = 1024
+
+#: ``SemanticCache.lookup``'s two outcome counters, one binding each,
+#: so that neither exists before its outcome has happened.
+_MISSES = Binding(lambda metrics: metrics.counter("semantic_cache.misses"))
+_EXACT_HITS = Binding(
+    lambda metrics: metrics.counter("semantic_cache.exact_hits"))
 
 
 #: An answer as stored: its columns and one value tuple per row.
@@ -63,11 +69,9 @@ class SemanticCache:
                 if entry is not None:
                     self._entries.move_to_end(signature)
             span.set("outcome", "miss" if entry is None else "exact")
-        metrics = get_metrics()
         if emptied:
-            metrics.counter("semantic_cache.invalidations").inc()
-        metrics.counter("semantic_cache.misses" if entry is None
-                        else "semantic_cache.exact_hits").inc()
+            get_metrics().counter("semantic_cache.invalidations").inc()
+        (_MISSES if entry is None else _EXACT_HITS).get().inc()
         return entry
 
     def store(self, query: Query, columns: tuple[str, ...],

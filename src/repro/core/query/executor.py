@@ -72,6 +72,7 @@ from repro.errors import (
 )
 from repro.obs import (
     AnalyzeReport,
+    Binding,
     InstrumentedOp,
     OperatorStats,
     WallTimer,
@@ -86,6 +87,14 @@ from repro.sources.resilience import STATUS_FRESH, Deadline
 #: text's analysis depends on nothing but the text and the static
 #: catalog, so no write ever makes a kept one stale.
 ANALYSIS_MEMO_CAPACITY = 1024
+
+#: ``QueryEngine.execute``'s instruments: the count it takes before a
+#: query runs, and what it records of an answer.
+_EXECUTED = Binding(lambda metrics: metrics.counter("query.executed"))
+_ANSWERED = Binding(lambda metrics: (
+    metrics.histogram("query.wall_s"),
+    metrics.counter("query.rows_returned"),
+))
 
 
 def _intake(query: Query | str) -> Query:
@@ -321,15 +330,15 @@ class QueryEngine:
         and the answer degrades — per-kind statuses in
         :attr:`QueryResult.resilience` — instead of stalling.
         """
-        metrics = get_metrics()
         timer = WallTimer().start()
         query, analysis, analyzed = self._analyze_query(query)
-        metrics.counter("query.executed").inc()
+        _EXECUTED.get().inc()
         result = self._run(query, analysis, analyzed, deadline,
                            instrument=False)
         result.wall_time_s = timer.stop()
-        metrics.histogram("query.wall_s").observe(result.wall_time_s)
-        metrics.counter("query.rows_returned").inc(len(result))
+        wall, rows_returned = _ANSWERED.get()
+        wall.observe(result.wall_time_s)
+        rows_returned.inc(len(result))
         return result
 
     def explain(self, query: Query | str) -> str:

@@ -40,7 +40,7 @@ from repro.core.query.executor import QueryEngine
 from repro.errors import MobileError, QueryError, UnknownSessionError
 from repro.mobile.lod import render_full, render_viewport
 from repro.mobile.protocol import Message, delta_message, full_message
-from repro.obs import WallTimer, get_metrics, get_tracer
+from repro.obs import Binding, WallTimer, get_metrics, get_tracer
 from repro.sources.annotation import KIND_ANNOTATION
 from repro.sources.protein import KIND_PROTEIN
 from repro.sources.resilience import Deadline
@@ -61,6 +61,22 @@ DEGRADED_LOD_MAX_NODES = 60
 #: Bound on concurrently open sessions; opening past it evicts the
 #: least-recently-used session (a phone that went quiet).
 MAX_SESSIONS = 10_000
+
+
+def _account_binding(interaction: str) -> Binding:
+    per_interaction = f"mobile.responses.{interaction}"
+    return Binding(lambda metrics: (
+        metrics.counter("mobile.responses"),
+        metrics.counter(per_interaction),
+        metrics.counter("mobile.bytes_shipped"),
+        metrics.histogram("mobile.server_wall_s"),
+    ))
+
+
+#: Interaction -> the instruments ``DrugTreeServer._account`` meters it
+#: with.
+_ACCOUNTS = {interaction: _account_binding(interaction)
+             for interaction in ("render", "query", "protein_details")}
 
 
 @dataclass(frozen=True)
@@ -223,15 +239,12 @@ class DrugTreeServer:
     def _account(self, interaction: str,
                  response: ServerResponse) -> ServerResponse:
         """Meter one served interaction (bytes shipped, latency)."""
-        metrics = get_metrics()
-        metrics.counter("mobile.responses").inc()
-        metrics.counter(f"mobile.responses.{interaction}").inc()
-        metrics.counter("mobile.bytes_shipped").inc(
-            response.message.wire_bytes
-        )
-        metrics.histogram("mobile.server_wall_s").observe(
-            response.server_wall_s
-        )
+        responses, per_interaction, shipped, wall = (
+            _ACCOUNTS[interaction].get())
+        responses.inc()
+        per_interaction.inc()
+        shipped.inc(response.message.wire_bytes)
+        wall.observe(response.server_wall_s)
         return response
 
     def _session(self, session_id: str) -> _Session:

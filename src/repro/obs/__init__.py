@@ -45,6 +45,7 @@ from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "AnalyzeReport",
+    "Binding",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS_S",
     "DEFAULT_SIZE_BUCKETS",
@@ -89,3 +90,35 @@ def set_metrics(metrics: MetricsRegistry | None) -> None:
     """Install the process-wide registry (``None`` installs a fresh one)."""
     global _metrics
     _metrics = metrics if metrics is not None else MetricsRegistry()
+
+
+class Binding:
+    """A call site's instruments, looked up once per registry.
+
+    ``Binding(bind)`` keeps what ``bind(registry)`` returned for the
+    installed registry and calls *bind* again only once
+    :func:`set_metrics` installs another registry or
+    :meth:`MetricsRegistry.reset` forgets its instruments, so a hot path
+    reads its instruments with one identity check instead of a lookup
+    by name per call. *bind* should create only what the call site
+    creates on its first call anyway, so that no instrument shows up
+    in a snapshot earlier than it would otherwise.
+    """
+
+    __slots__ = ("_bind", "_bound")
+
+    def __init__(self, bind) -> None:
+        self._bind = bind
+        #: ``(registry epoch, instruments)``, replaced whole, so a
+        #: reader on another thread never pairs one epoch with the
+        #: other's instruments.
+        self._bound: tuple = (None, None)
+
+    def get(self):
+        registry = _metrics
+        bound_epoch, instruments = self._bound
+        epoch = registry.epoch
+        if bound_epoch is not epoch:
+            instruments = self._bind(registry)
+            self._bound = (epoch, instruments)
+        return instruments

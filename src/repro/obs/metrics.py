@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from collections.abc import Iterable
 from math import ceil
 from typing import Any
 
@@ -123,6 +124,38 @@ class Histogram:
             if self.maximum is None or value > self.maximum:
                 self.maximum = value
 
+    def observe_many(self, values: Iterable[float]) -> None:
+        """``observe`` each of *values* in order, under one lock: the
+        same buckets, count, min, max and left-to-right ``total``."""
+        buckets = self.buckets
+        last = len(buckets)
+        counts = self.counts
+        with self._lock:
+            overflow = self.overflow
+            count = self.count
+            total = self.total
+            minimum = self.minimum
+            maximum = self.maximum
+            try:
+                for value in values:
+                    position = bisect_left(buckets, value)
+                    if position == last:
+                        overflow += 1
+                    else:
+                        counts[position] += 1
+                    count += 1
+                    total += value
+                    if minimum is None or value < minimum:
+                        minimum = value
+                    if maximum is None or value > maximum:
+                        maximum = value
+            finally:
+                self.overflow = overflow
+                self.count = count
+                self.total = total
+                self.minimum = minimum
+                self.maximum = maximum
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -196,6 +229,9 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        #: A fresh object per set of instruments: ``reset`` replaces
+        #: it, so an instrument bound under the old one is rebound.
+        self.epoch = object()
         # Get-or-create must hand every thread the *same* instrument:
         # two server threads racing to create "scheduler.retries"
         # would otherwise each keep a private Counter and lose counts.
@@ -271,6 +307,7 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            self.epoch = object()
 
     def __repr__(self) -> str:
         return (f"MetricsRegistry(counters={len(self._counters)}, "

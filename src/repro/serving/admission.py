@@ -137,17 +137,20 @@ class AdmissionController:
         Under WFQ a tenant drains at ``workers * (its weight share
         among currently active tenants)``, so only the tenant's own
         backlog counts against it — which is exactly why one hot
-        tenant's queue never inflates another tenant's estimate.
+        tenant's queue never inflates another tenant's estimate. The
+        active tenants are read off the scheduler's queues as they
+        stand.
         """
-        active = set(scheduler.active_tenants())
-        active.add(tenant_id)
-        weights = {t: self.tenants.config(t).weight for t in active}
-        total_weight = sum(weights.values())
-        share = weights[tenant_id] / total_weight if total_weight else 1.0
-        drain_rate = max(self.workers * share, 1e-9)
+        config = self.tenants.config
+        weight = config(tenant_id).weight  # registers a new tenant
         if scheduler.policy == "fifo":
             # One global queue: everyone waits behind everything.
             return scheduler.total_queued_cost() / self.workers
+        total_weight = weight
+        for other, queue in scheduler.queues.items():
+            if queue and other != tenant_id:
+                total_weight += config(other).weight
+        drain_rate = max(self.workers * (weight / total_weight), 1e-9)
         return scheduler.queued_cost(tenant_id) / drain_rate
 
     # -- the decision -------------------------------------------------------

@@ -19,7 +19,10 @@ Entries are stamped with :attr:`DrugTree.data_version` like every
 cached answer (see :mod:`repro.core.query.cache`), so no response
 outlives an insert.
 
-Driven by the frontend's deterministic event loop; not thread-safe.
+The front counts its hits, misses, cross-tenant hits and evictions on
+itself; the frontend publishes what a run added to them as
+``serving.cache.*`` when the run ends. Driven by the frontend's
+deterministic event loop; not thread-safe.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
-from repro.obs import get_metrics
 from repro.serving.tenancy import TenantRegistry
 
 #: Entries the front holds across all tenants.
@@ -74,18 +76,14 @@ class SharedCacheFront:
             version: int) -> _Entry | None:
         self._restamp(version)
         entry = self._entries.get(key)
-        metrics = get_metrics()
         if entry is None:
             self.misses += 1
-            metrics.counter("serving.cache.misses").inc()
             return None
         self._entries.move_to_end(key)
         self.hits += 1
         self.saved_virtual_s += entry.cost_s
-        metrics.counter("serving.cache.hits").inc()
         if entry.owner != tenant_id:
             self.cross_tenant_hits += 1
-            metrics.counter("serving.cache.cross_tenant_hits").inc()
         return entry
 
     def put(self, key: Any, tenant_id: str, value: Any, version: int,
@@ -120,7 +118,6 @@ class SharedCacheFront:
         entry = self._entries.pop(key)
         self._owned[entry.owner] = self._owned.get(entry.owner, 1) - 1
         self.evictions += 1
-        get_metrics().counter("serving.cache.evictions").inc()
 
     def _evict_owned_by(self, tenant_id: str) -> None:
         """Evict the tenant's own least-recently-used entry."""

@@ -74,6 +74,11 @@ SERVICE_COST_S = {
 }
 
 
+#: The cache front's own counts, published per run as
+#: ``serving.cache.{name}``.
+_CACHE_COUNTS = ("hits", "misses", "cross_tenant_hits", "evictions")
+
+
 @dataclass(frozen=True)
 class Request:
     """One client gesture arriving at the serving layer."""
@@ -285,12 +290,16 @@ class ServingFrontend:
                          key=lambda r: (r.arrival_s, r.seq))
         base = self.clock.now()
         self.outcomes = []
-        with get_tracer().span("serving.run",
-                               requests=len(ordered)):
-            with self.clock.concurrently() as region:
-                workers = [region.task()
-                           for _ in range(self.config.workers)]
-                self._loop(ordered, workers, base)
+        cache_before = self._cache_counts()
+        try:
+            with get_tracer().span("serving.run",
+                                   requests=len(ordered)):
+                with self.clock.concurrently() as region:
+                    workers = [region.task()
+                               for _ in range(self.config.workers)]
+                    self._loop(ordered, workers, base)
+        finally:
+            self._publish(cache_before)
         makespan = self.clock.now() - base
         return self._report(makespan)
 
@@ -319,8 +328,6 @@ class ServingFrontend:
 
     def _arrive(self, request: Request, now: float, free: list,
                 busy: list, workers: list, tick, base: float) -> None:
-        metrics = get_metrics()
-        metrics.counter("serving.requests").inc()
         if self.admission is not None:
             rejection = self.admission.decide(request, self.scheduler)
             if rejection is not None:
@@ -331,16 +338,11 @@ class ServingFrontend:
             # WFQ without admission still honors the queue bound.
             self._shed(request, Rejection(REASON_QUEUE_FULL, 0.0))
             return
-        metrics.counter("serving.admitted").inc()
-        metrics.gauge("serving.queue_depth").set(len(self.scheduler))
         if free:
             self._dispatch_ready(now, free, busy, workers, tick, base)
 
     def _shed(self, request: Request, rejection: Rejection) -> None:
         """Reject at ~zero virtual cost, with a typed error attached."""
-        metrics = get_metrics()
-        metrics.counter("serving.shed").inc()
-        metrics.counter(f"serving.shed.{rejection.reason}").inc()
         error = OverloadError(
             f"request shed ({rejection.reason}); retry after "
             f"{rejection.retry_after_s:.3f}s",
@@ -357,7 +359,6 @@ class ServingFrontend:
 
     def _dispatch_ready(self, now: float, free: list, busy: list,
                         workers: list, tick, base: float) -> None:
-        metrics = get_metrics()
         while free and len(self.scheduler):
             item = self.scheduler.pop()
             request = item.request
@@ -379,7 +380,6 @@ class ServingFrontend:
             outcome.latency_s = finish - item.enqueued_s
             heapq.heappush(busy, (finish, next(tick), widx))
             self._complete(outcome)
-        metrics.gauge("serving.queue_depth").set(len(self.scheduler))
 
     def _cache_key(self, request: Request) -> tuple | None:
         if self.cache is None:
@@ -463,22 +463,70 @@ class ServingFrontend:
     # -- accounting ---------------------------------------------------------
 
     def _complete(self, outcome: Outcome) -> None:
-        metrics = get_metrics()
-        tenant = outcome.request.tenant
-        if outcome.status == "failed":
-            metrics.counter("serving.failed").inc()
-        else:
-            metrics.counter("serving.completed").inc()
-            if outcome.latency_s <= self.config.slo_s:
-                metrics.counter("serving.goodput").inc()
-        metrics.histogram("serving.latency_s").observe(
-            outcome.latency_s)
-        metrics.histogram(
-            f"serving.tenant.{tenant}.latency_s").observe(
-            outcome.latency_s)
-        metrics.histogram("serving.queue_wait_s").observe(
-            outcome.queued_s)
         self.outcomes.append(outcome)
+
+    def _cache_counts(self) -> tuple[int, ...]:
+        if self.cache is None:
+            return ()
+        return tuple(getattr(self.cache, name) for name in _CACHE_COUNTS)
+
+    def _publish(self, cache_before: tuple[int, ...]) -> None:
+        """Account the run in the metrics registry, once, as a fold
+        over its outcomes (in completion order, the order the
+        histograms observe) and what it added to the cache front's
+        counts. An instrument nothing in the run touched is not
+        created. A run that raised publishes the outcomes it recorded.
+        """
+        metrics = get_metrics()
+        shed: dict[str, int] = {}
+        served = failed = within_slo = 0
+        ran_tenants: dict[str, None] = {}
+        slo_s = self.config.slo_s
+        for outcome in self.outcomes:
+            status = outcome.status
+            if status == "shed":
+                shed[outcome.reason] = shed.get(outcome.reason, 0) + 1
+                continue
+            ran_tenants[outcome.request.tenant] = None
+            if status == "failed":
+                failed += 1
+            else:
+                served += 1
+                within_slo += outcome.latency_s <= slo_s
+        shed_total = sum(shed.values())
+        # A late shed was admitted first; the others never queued.
+        admitted = (len(self.outcomes) - shed_total
+                    + shed.get(REASON_LATE, 0))
+        counts = {
+            "serving.requests": len(self.outcomes),
+            "serving.admitted": admitted,
+            "serving.shed": shed_total,
+            "serving.completed": served,
+            "serving.failed": failed,
+            "serving.goodput": within_slo,
+        }
+        for reason, count in shed.items():
+            counts[f"serving.shed.{reason}"] = count
+        for name, after, before in zip(_CACHE_COUNTS,
+                                       self._cache_counts(),
+                                       cache_before):
+            counts[f"serving.cache.{name}"] = after - before
+        for name, count in counts.items():
+            if count:
+                metrics.counter(name).inc(count)
+        outcomes = self.outcomes
+        if ran_tenants:
+            metrics.histogram("serving.latency_s").observe_many(
+                o.latency_s for o in outcomes if o.status != "shed")
+            metrics.histogram("serving.queue_wait_s").observe_many(
+                o.queued_s for o in outcomes if o.status != "shed")
+            for tenant in ran_tenants:
+                metrics.histogram(
+                    f"serving.tenant.{tenant}.latency_s").observe_many(
+                    o.latency_s for o in outcomes
+                    if o.status != "shed" and o.request.tenant == tenant)
+        if admitted:
+            metrics.gauge("serving.queue_depth").set(len(self.scheduler))
 
     def _report(self, makespan_s: float) -> ServingReport:
         """Every tenant figure is a fold over this run's outcomes."""

@@ -52,7 +52,10 @@ class FairScheduler:
             )
         self.policy = policy
         self.tenants = tenants
-        self._queues: OrderedDict[str, deque[QueuedRequest]] = \
+        #: Tenant -> its FIFO, in the order tenants first queued.
+        #: Admission reads these as they stand; only this class
+        #: changes them.
+        self.queues: OrderedDict[str, deque[QueuedRequest]] = \
             OrderedDict()
         #: WFQ virtual progress: the largest finish tag ever served.
         self._virtual = 0.0
@@ -67,7 +70,7 @@ class FairScheduler:
         return self._depth
 
     def depth(self, tenant_id: str) -> int:
-        queue = self._queues.get(tenant_id)
+        queue = self.queues.get(tenant_id)
         return len(queue) if queue is not None else 0
 
     def queued_cost(self, tenant_id: str) -> float:
@@ -76,11 +79,6 @@ class FairScheduler:
 
     def total_queued_cost(self) -> float:
         return sum(self._queued_cost.values())
-
-    def active_tenants(self) -> list[str]:
-        """Tenants with at least one queued request."""
-        return [tenant for tenant, queue in self._queues.items()
-                if queue]
 
     # -- enqueue / dequeue --------------------------------------------------
 
@@ -94,9 +92,9 @@ class FairScheduler:
         """
         tenant_id = request.tenant
         config = self.tenants.config(tenant_id)
-        queue = self._queues.get(tenant_id)
+        queue = self.queues.get(tenant_id)
         if queue is None:
-            queue = self._queues[tenant_id] = deque()
+            queue = self.queues[tenant_id] = deque()
         if self.policy == "wfq" and len(queue) >= tenancy.QUEUE_LIMIT:
             return False
         item = QueuedRequest(request, now, cost_s)
@@ -118,7 +116,7 @@ class FairScheduler:
         """The next request to serve, by policy order."""
         best_tenant: str | None = None
         best_key: tuple[float, float] | None = None
-        for tenant_id, queue in self._queues.items():
+        for tenant_id, queue in self.queues.items():
             if not queue:
                 continue
             head = queue[0]
@@ -128,7 +126,7 @@ class FairScheduler:
                 best_tenant = tenant_id
         if best_tenant is None:
             return None
-        item = self._queues[best_tenant].popleft()
+        item = self.queues[best_tenant].popleft()
         self._depth -= 1
         remaining = self._queued_cost.get(best_tenant, 0.0) - item.cost_s
         self._queued_cost[best_tenant] = max(0.0, remaining)

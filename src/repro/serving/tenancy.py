@@ -46,6 +46,8 @@ class TenantRegistry:
 
     def __init__(self, configs: list[TenantConfig] | None = None) -> None:
         self._configs: dict[str, TenantConfig] = {}
+        #: Sum of the registered weights, kept as tenants register.
+        self._total_weight = 0.0
         for config in configs or ():
             self.register(config)
 
@@ -55,6 +57,7 @@ class TenantRegistry:
                 f"tenant {config.tenant_id!r} already registered"
             )
         self._configs[config.tenant_id] = config
+        self._total_weight += config.weight
 
     def config(self, tenant_id: str) -> TenantConfig:
         config = self._configs.get(tenant_id)
@@ -69,8 +72,7 @@ class TenantRegistry:
     def weight_share(self, tenant_id: str) -> float:
         """This tenant's fraction of the total registered weight."""
         config = self.config(tenant_id)
-        total = sum(c.weight for c in self._configs.values())
-        return config.weight / total if total else 1.0
+        return config.weight / self._total_weight
 
     def __len__(self) -> int:
         return len(self._configs)

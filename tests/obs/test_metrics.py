@@ -10,9 +10,48 @@ from repro.errors import ObservabilityError
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS_S,
     DEFAULT_SIZE_BUCKETS,
+    Binding,
     Histogram,
     MetricsRegistry,
+    get_metrics,
+    set_metrics,
 )
+
+
+class TestBinding:
+    """A call site's instruments follow the installed registry."""
+
+    @pytest.fixture(autouse=True)
+    def _own_registry(self):
+        previous = get_metrics()
+        yield
+        set_metrics(previous)
+
+    def test_binds_once_per_registry(self):
+        calls = []
+        binding = Binding(lambda metrics: calls.append(metrics)
+                          or metrics.counter("x"))
+        first = MetricsRegistry()
+        set_metrics(first)
+        assert first.snapshot()["counters"] == {}  # nothing until read
+        binding.get().inc()
+        binding.get().inc()
+        assert calls == [first]
+        second = MetricsRegistry()
+        set_metrics(second)
+        binding.get().inc()
+        assert calls == [first, second]
+        assert first.counter("x").value == 2
+        assert second.counter("x").value == 1
+
+    def test_rebinds_after_reset(self):
+        registry = MetricsRegistry()
+        set_metrics(registry)
+        binding = Binding(lambda metrics: metrics.counter("x"))
+        binding.get().inc(5)
+        registry.reset()
+        binding.get().inc()
+        assert registry.snapshot()["counters"] == {"x": 1}
 
 
 class TestCounter:

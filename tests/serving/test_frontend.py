@@ -1,6 +1,7 @@
 """End-to-end tests for the multi-tenant serving frontend."""
 
 import json
+import math
 
 import pytest
 
@@ -10,13 +11,17 @@ from repro.mobile.lod import render_viewport
 from repro.mobile.protocol import full_message
 from repro.mobile.server import DrugTreeServer, ServerConfig
 from repro.obs import MetricsRegistry, get_metrics, set_metrics
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_S, Histogram
 from repro.serving import (
     AdmissionConfig,
     FrontendConfig,
     Request,
     ServingFrontend,
     TenantConfig,
+    tenancy,
 )
+from repro.serving import cache as cache_front
+from repro.serving.admission import REASON_LATE
 from repro.sources import (
     BreakerConfig,
     FaultSchedule,
@@ -310,3 +315,213 @@ class TestCacheFrontUnderFaults:
         assert all(response.status == "fresh" for response in stored)
         assert all("status" not in response.message.payload()
                    for response in stored)
+
+
+class _PerRequest(ServingFrontend):
+    """The frontend accounting each request where it happens, into a
+    registry of its own: what the run's one publish must equal."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.reference = ref = MetricsRegistry()
+        enqueue = self.scheduler.try_enqueue
+
+        def try_enqueue(request, now, cost_s):
+            if not enqueue(request, now, cost_s):
+                return False
+            ref.counter("serving.admitted").inc()
+            ref.gauge("serving.queue_depth").set(len(self.scheduler))
+            return True
+
+        get, remove = self.cache.get, self.cache._remove
+
+        def counted_get(key, tenant_id, version):
+            entry = get(key, tenant_id, version)
+            if entry is None:
+                ref.counter("serving.cache.misses").inc()
+            else:
+                ref.counter("serving.cache.hits").inc()
+                if entry.owner != tenant_id:
+                    ref.counter("serving.cache.cross_tenant_hits").inc()
+            return entry
+
+        def counted_remove(key):
+            remove(key)
+            ref.counter("serving.cache.evictions").inc()
+
+        self.scheduler.try_enqueue = try_enqueue
+        self.cache.get = counted_get
+        self.cache._remove = counted_remove
+
+    def _arrive(self, request, *args) -> None:
+        self.reference.counter("serving.requests").inc()
+        super()._arrive(request, *args)
+
+    def _shed(self, request, rejection) -> None:
+        self.reference.counter("serving.shed").inc()
+        self.reference.counter(f"serving.shed.{rejection.reason}").inc()
+        super()._shed(request, rejection)
+
+    def _dispatch_ready(self, *args) -> None:
+        super()._dispatch_ready(*args)
+        self.reference.gauge("serving.queue_depth").set(
+            len(self.scheduler))
+
+    def _complete(self, outcome) -> None:
+        ref = self.reference
+        if outcome.status == "failed":
+            ref.counter("serving.failed").inc()
+        else:
+            ref.counter("serving.completed").inc()
+            if outcome.latency_s <= self.config.slo_s:
+                ref.counter("serving.goodput").inc()
+        for name in ("serving.latency_s",
+                     f"serving.tenant.{outcome.request.tenant}.latency_s"):
+            ref.histogram(name).observe(outcome.latency_s)
+        ref.histogram("serving.queue_wait_s").observe(outcome.queued_s)
+        super()._complete(outcome)
+
+
+def _serving(registry):
+    """Every ``serving.*`` value the frontend accounts per run (session
+    opens are counted where they happen, by both)."""
+    snapshot = registry.snapshot()
+    return {kind: {name: value for name, value in values.items()
+                   if name.startswith("serving.")
+                   and not name.startswith("serving.sessions_")}
+            for kind, values in snapshot.items()}
+
+
+class TestPublishedOncePerRun:
+    """The run's one publish equals accounting each request as it
+    happens: every counter, each histogram's ``as_dict()``, the gauge."""
+
+    @pytest.fixture
+    def tight(self, monkeypatch):
+        # One worker, a session table of three, six-deep queues and an
+        # eight-entry cache front: every shed reason, session reopens
+        # and evictions within a few seconds of two-tenant load.
+        monkeypatch.setattr("repro.mobile.server.MAX_SESSIONS", 3)
+        monkeypatch.setattr(tenancy, "QUEUE_LIMIT", 6)
+        monkeypatch.setattr(cache_front, "FRONT_CAPACITY", 8)
+
+    def _frontend(self):
+        dataset, server = _world()
+        frontend = _PerRequest(
+            server, dataset.clock,
+            FrontendConfig(workers=1, slo_s=0.15,
+                           admission=AdmissionConfig(slo_s=0.3)),
+            tenants=[TenantConfig("calm"),
+                     TenantConfig("flood", weight=2.0)])
+        return dataset, frontend
+
+    def _stream(self, dataset, seed):
+        requests = generate_load(
+            dataset.family.clade_names, dataset.family.protein_ids,
+            LoadConfig(tenants=(TenantLoad("calm", 3.0),
+                                TenantLoad("flood", 40.0)),
+                       duration_s=4.0, think_mean_s=0.2, seed=seed))
+        requests.append(Request(
+            tenant="calm", session="calm-bad", kind="query",
+            target="SELECT nonsense_column FROM bindings",
+            arrival_s=1.0, seq=len(requests)))
+        return requests
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_publish_equals_per_request_accounting(self, tight, seed):
+        dataset, frontend = self._frontend()
+        # Two runs on one frontend: the second publishes only what it
+        # added, the cache front's counts included.
+        outcomes = []
+        for run_seed in (seed, seed + 10):
+            frontend.run(self._stream(dataset, run_seed))
+            assert _serving(get_metrics()) == _serving(frontend.reference)
+            outcomes += frontend.outcomes
+        assert {o.reason for o in outcomes if o.shed} == {
+            "queue_full", "overload", REASON_LATE}
+        assert sum(o.status == "failed" for o in outcomes) >= 1
+        assert get_metrics().counter_values()[
+            "serving.sessions_reopened"] > 0
+        counters = get_metrics().counter_values("serving.cache.")
+        assert counters["serving.cache.evictions"] > 0
+        assert counters["serving.cache.hits"] > 0
+
+    def test_a_planted_publish_that_drops_late_sheds_fails(
+            self, tight, monkeypatch):
+        publish = ServingFrontend._publish
+
+        def drops_late(frontend, cache_before):
+            kept = frontend.outcomes
+            frontend.outcomes = [o for o in kept
+                                 if o.reason != REASON_LATE]
+            try:
+                publish(frontend, cache_before)
+            finally:
+                frontend.outcomes = kept
+
+        monkeypatch.setattr(ServingFrontend, "_publish", drops_late)
+        dataset, frontend = self._frontend()
+        frontend.run(self._stream(dataset, 3))
+        assert _serving(get_metrics()) != _serving(frontend.reference)
+
+    def test_a_planted_publish_that_counts_hits_twice_fails(
+            self, tight, monkeypatch):
+        publish = ServingFrontend._publish
+
+        def hits_twice(frontend, cache_before):
+            publish(frontend, cache_before)
+            get_metrics().counter("serving.cache.hits").inc(
+                frontend.cache.hits - cache_before[0])
+
+        monkeypatch.setattr(ServingFrontend, "_publish", hits_twice)
+        dataset, frontend = self._frontend()
+        frontend.run(self._stream(dataset, 3))
+        assert _serving(get_metrics()) != _serving(frontend.reference)
+
+    def test_a_run_with_no_requests_creates_no_instrument(self):
+        dataset, server = _world()
+        _frontend(dataset, server).run([])
+        assert _serving(get_metrics()) == {
+            "counters": {}, "gauges": {}, "histograms": {}}
+
+
+class TestObserveMany:
+    """``observe_many`` is ``observe`` once per value, bit for bit."""
+
+    EDGES = list(DEFAULT_LATENCY_BUCKETS_S)
+    VALUES = [
+        0.0, -1.0, 1e-12, 0.1 + 0.2, 0.0005, 0.00049999, 5.0, 5.0000001,
+        1e9, math.inf, *EDGES, *(edge * 3.7 for edge in EDGES), 0.3,
+    ]
+
+    def _pair(self):
+        return (Histogram("one_by_one"), Histogram("many"))
+
+    @pytest.mark.parametrize("values", [
+        [], [0.25], VALUES, list(reversed(VALUES)), [7.0] * 5,
+    ])
+    def test_same_as_observe_per_value(self, values):
+        one_by_one, many = self._pair()
+        for value in values:
+            one_by_one.observe(value)
+        many.observe_many(values)
+        assert many.as_dict() == one_by_one.as_dict()
+        assert repr(many.as_dict()) == repr(one_by_one.as_dict())
+
+    def test_adds_to_what_is_already_there(self):
+        one_by_one, many = self._pair()
+        for histogram in (one_by_one, many):
+            histogram.observe(0.7)
+            histogram.observe(100.0)
+        for value in self.VALUES:
+            one_by_one.observe(value)
+        many.observe_many(iter(self.VALUES))
+        assert repr(many.as_dict()) == repr(one_by_one.as_dict())
+        assert many.overflow == one_by_one.overflow >= 4
+
+    def test_empty_list_changes_nothing(self):
+        histogram = Histogram("h")
+        before = repr(histogram.as_dict())
+        histogram.observe_many([])
+        assert repr(histogram.as_dict()) == before
+        assert histogram.minimum is None and histogram.count == 0
